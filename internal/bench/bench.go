@@ -256,7 +256,7 @@ func Experiments() []Experiment {
 		{"ablation-cache", "extension: application-server chunk cache on hot versions", RunAblationCache},
 		{"repair", "extension: replication repair — hinted handoff + read repair convergence\n(always in-process: needs failure injection)", RunRepair},
 		{"compact", "extension: disklog segment compaction — disk bytes before/after an\noverwrite-heavy workload (always on a private disklog cluster)", RunCompact},
-		{"readheavy", "extension: read-heavy zipfian point gets — disklog vs lsm engines\nhead-to-head with p50/p95/p99, plus batched vs per-key MultiGet on an\nrf=3 remote cluster (always on private engines/daemons)", RunReadHeavy},
+		{"readheavy", "extension: read-heavy zipfian point gets — disklog vs lsm engines\nhead-to-head with p50/p95/p99, plus batched MultiGet over TCP on an\nrf=3 remote cluster (always on private engines/daemons)", RunReadHeavy},
 		{"mixed", "extension: YCSB-style zipfian read/write mix (-read-ratio) — disklog vs\nlsm with per-class p50/p95/p99 (always on private engine directories)", RunMixed},
 		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica, disklog vs lsm (always in-process:\ndivergence injection needs the backend handles)", RunAntiEntropy},
 	}

@@ -33,7 +33,9 @@
 // outside the contract (see the tombstone-GC follow-up in ROADMAP.md).
 //
 // Backends that reclaim dead storage additionally implement the optional
-// Compactor interface; callers discover it with a type assertion.
+// Compactor interface — one of four optional seams (MultiGetter, Compactor,
+// Resetter, HashRanger) discovered by type assertion; seams.go holds the
+// one rule for what a caller gets when a seam is absent.
 package engine
 
 import (
@@ -111,8 +113,8 @@ type Backend interface {
 // batch rather than returning partial results.
 //
 // The remote wire client implements it (one network round trip for the
-// whole batch instead of one per key); callers discover it by type
-// assertion and fall back to per-key Get when it is absent.
+// whole batch instead of one per key); callers go through the package's
+// MultiGet function, which falls back to per-key Get when it is absent.
 type MultiGetter interface {
 	MultiGet(ctx context.Context, table string, keys []string) (values [][]byte, present []bool, err error)
 }

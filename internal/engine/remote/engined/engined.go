@@ -247,13 +247,20 @@ func reply(bw *bufio.Writer, resp []byte, status byte, body []byte) ([]byte, err
 	return resp, wire.WriteFrame(bw, resp)
 }
 
-// replyErr reports a backend failure to the client.
+// replyErr reports a backend failure to the client. Sentinels the client
+// maps back (remote.decodeErr) travel as their exact text, so errors.Is
+// keeps working across the wire however the backend wrapped them.
 func replyErr(bw *bufio.Writer, resp []byte, err error) ([]byte, error) {
-	// Unwrap to the sentinel text when possible so the client can map the
-	// node's closed-backend errors back onto types.ErrClosed.
 	msg := err.Error()
-	if errors.Is(err, types.ErrClosed) {
+	switch {
+	case errors.Is(err, types.ErrClosed):
 		msg = types.ErrClosed.Error()
+	case errors.Is(err, engine.ErrNoCompaction):
+		msg = engine.ErrNoCompaction.Error()
+	case errors.Is(err, engine.ErrNoReset):
+		msg = engine.ErrNoReset.Error()
+	case errors.Is(err, engine.ErrNoHashRange):
+		msg = engine.ErrNoHashRange.Error()
 	}
 	return reply(bw, resp, wire.StErr, []byte(msg))
 }
@@ -431,20 +438,15 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, op byte, body, resp []by
 		resp = codec.PutUvarint(resp, uint64(s.be.BytesStored()))
 		return resp, wire.WriteFrame(bw, resp)
 
+	// The four arms below go through the engine package's seam helpers: a
+	// backend without the seam answers with the matching ErrNo* sentinel,
+	// which replyErr sends as its exact text.
 	case wire.OpCompact, wire.OpCompactStats:
-		c, ok := s.be.(engine.Compactor)
-		if !ok {
-			// Reported with the sentinel's exact text so the client can map
-			// it back onto engine.ErrNoCompaction (mirrors ErrClosed).
-			return reply(bw, resp, wire.StErr, []byte(engine.ErrNoCompaction.Error()))
+		run := engine.Compact
+		if op == wire.OpCompactStats {
+			run = engine.ReadCompactionStats
 		}
-		var st engine.CompactionStats
-		var err error
-		if op == wire.OpCompact {
-			st, err = c.Compact(s.baseCtx)
-		} else {
-			st, err = c.CompactionStats(s.baseCtx)
-		}
+		st, err := run(s.baseCtx, s.be)
 		// A long merge may outlive the deadline set at dispatch; the
 		// response write gets a fresh one.
 		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
@@ -456,13 +458,7 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, op byte, body, resp []by
 		return resp, wire.WriteFrame(bw, resp)
 
 	case wire.OpReset:
-		r, ok := s.be.(engine.Resetter)
-		if !ok {
-			// Exact sentinel text so the client maps it back onto
-			// engine.ErrNoReset (mirrors ErrNoCompaction above).
-			return reply(bw, resp, wire.StErr, []byte(engine.ErrNoReset.Error()))
-		}
-		err := r.Reset(s.baseCtx)
+		err := engine.Reset(s.baseCtx, s.be)
 		// A large wipe may outlive the deadline set at dispatch; the
 		// response write gets a fresh one.
 		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
@@ -472,12 +468,6 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, op byte, body, resp []by
 		return reply(bw, resp, wire.StOK, nil)
 
 	case wire.OpHashTree:
-		hr, ok := s.be.(engine.HashRanger)
-		if !ok {
-			// Exact sentinel text so the client maps it back onto
-			// engine.ErrNoHashRange (mirrors ErrNoCompaction above).
-			return reply(bw, resp, wire.StErr, []byte(engine.ErrNoHashRange.Error()))
-		}
 		table, rest, err := codec.String(body)
 		if err != nil {
 			return resp, err
@@ -489,7 +479,7 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, op byte, body, resp []by
 		if fanout > engine.MaxHashFanout {
 			return resp, fmt.Errorf("engined: hash fanout %d exceeds limit", fanout)
 		}
-		d, err := hr.HashTree(s.baseCtx, table, int(fanout))
+		d, err := engine.HashTree(s.baseCtx, s.be, table, int(fanout))
 		// A full-table sweep may outlive the deadline set at dispatch; the
 		// response write gets a fresh one.
 		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
@@ -501,11 +491,6 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, op byte, body, resp []by
 		return resp, wire.WriteFrame(bw, resp)
 
 	case wire.OpHashRange:
-		hr, ok := s.be.(engine.HashRanger)
-		if !ok {
-			// Exact sentinel text, as for OpHashTree.
-			return reply(bw, resp, wire.StErr, []byte(engine.ErrNoHashRange.Error()))
-		}
 		table, rest, err := codec.String(body)
 		if err != nil {
 			return resp, err
@@ -521,7 +506,7 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, op byte, body, resp []by
 		if fanout > engine.MaxHashFanout || bucket >= fanout {
 			return resp, fmt.Errorf("engined: hash bucket %d/%d out of range", bucket, fanout)
 		}
-		khs, err := hr.HashRange(s.baseCtx, table, int(fanout), int(bucket))
+		khs, err := engine.HashRange(s.baseCtx, s.be, table, int(fanout), int(bucket))
 		// A bucket sweep may outlive the deadline set at dispatch; the
 		// response write gets a fresh one.
 		nc.SetWriteDeadline(time.Now().Add(writeTimeout))

@@ -131,6 +131,7 @@ var (
 	_ engine.Backend     = (*Client)(nil)
 	_ engine.Compactor   = (*Client)(nil)
 	_ engine.MultiGetter = (*Client)(nil)
+	_ engine.Resetter    = (*Client)(nil)
 	_ engine.HashRanger  = (*Client)(nil)
 )
 

@@ -2,12 +2,13 @@
 // layers on (paper §2.4 "Backend Key-value Store"). It reproduces the
 // properties RStore depends on — basic get/put, key partitioning across
 // nodes, replication, parallel multi-key fetch — as a cluster of storage
-// nodes behind a consistent-hash ring. Each node routes through a transport:
-// local (an in-process engine.Backend plus a failure-injection gate, with a
-// calibrated network cost model driving a virtual clock so experiments
-// report Cassandra-like retrieval times deterministically) or remote (the
-// wire client from internal/engine/remote against a real rstore-node
-// daemon).
+// nodes behind a consistent-hash ring. Each node holds one engine.Backend
+// — the only seam between this package and a storage node — behind a
+// failure-injection flag (node.go): an in-process engine, or the wire
+// client from internal/engine/remote against a real rstore-node daemon,
+// which is a Backend like the others. A calibrated network cost model
+// drives a virtual clock so experiments report Cassandra-like retrieval
+// times deterministically.
 //
 // # Replication, LWW envelopes, and repair
 //
@@ -41,8 +42,8 @@
 //
 // # Storage reclaim
 //
-// Backends that implement engine.Compactor (disklog, locally or behind a
-// daemon) expose their dead-byte accounting through Stats (DiskBytes,
-// LiveBytes, LiveRatio, CompactedBytes) and are compacted cluster-wide by
-// Store.Compact; engines without compaction are skipped.
+// Backends that implement engine.Compactor (disklog and lsm, locally or
+// behind a daemon) expose their dead-byte accounting through Stats
+// (DiskBytes, LiveBytes, LiveRatio, CompactedBytes) and are compacted
+// cluster-wide by Store.Compact; engines without compaction are skipped.
 package kvstore

@@ -193,68 +193,105 @@ func TestRemoteClusterRoutesAroundDeadNode(t *testing.T) {
 	}
 }
 
-// TestMultiGetBatchedMatchesPerKey: the batched read path (one OpMultiGet
-// per node) and the per-key path (Config.DisableReadBatching) must be
-// observationally identical — same values, same missing set — including
-// across tombstones and a dead node.
+// TestMultiGetBatchedMatchesPerKey: batched MultiGet (one OpMultiGet per
+// node) and per-key Store.Get must be observationally identical — same
+// values, same missing set — across tombstones, a dead node, and the
+// node's stale return: overwrites and deletes it missed must outvote what
+// it still holds. Hints and read repair are off so the restarted replica
+// stays stale and every read has to do the outvoting.
 func TestMultiGetBatchedMatchesPerKey(t *testing.T) {
+	ctx := context.Background()
 	addrs, nodes := startNodes(t, 3)
-	batched := openRemote(t, addrs, 2)
-	perKey, err := Open(context.Background(), Config{
-		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2,
-		Remote: remoteOpts(), DisableReadBatching: true,
+	s, err := Open(ctx, Config{
+		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2, Remote: remoteOpts(),
+		Repair: RepairOptions{DisableHints: true, DisableReadRepair: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { perKey.Close() })
+	t.Cleanup(func() { s.Close() })
 
+	want := map[string]string{} // live keys only
 	var keys []string
 	for i := 0; i < 80; i++ {
 		k := fmt.Sprintf("k%03d", i)
 		keys = append(keys, k)
-		if err := batched.Put(context.Background(), "t", k, []byte("v-"+k)); err != nil {
+		want[k] = "v-" + k
+		if err := s.Put(ctx, "t", k, []byte(want[k])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Tombstones and never-written keys must land in Missing on both paths.
-	for i := 0; i < 10; i++ {
-		if err := batched.Delete(context.Background(), "t", keys[i*7]); err != nil {
+	del := func(k string) {
+		t.Helper()
+		if err := s.Delete(ctx, "t", k); err != nil {
 			t.Fatal(err)
 		}
+		delete(want, k)
+	}
+	// Tombstones and never-written keys must be missing on both paths.
+	for i := 0; i < 10; i++ {
+		del(keys[i*7])
 	}
 	keys = append(keys, "never-written-a", "never-written-b")
 
 	check := func(when string) {
 		t.Helper()
-		rb, err := batched.MultiGet(context.Background(), "t", keys)
+		res, err := s.MultiGet(ctx, "t", keys)
 		if err != nil {
-			t.Fatalf("%s: batched multiget: %v", when, err)
+			t.Fatalf("%s: multiget: %v", when, err)
 		}
-		rp, err := perKey.MultiGet(context.Background(), "t", keys)
-		if err != nil {
-			t.Fatalf("%s: per-key multiget: %v", when, err)
+		if res.Requests != len(keys) {
+			t.Fatalf("%s: %d requests accounted, want %d", when, res.Requests, len(keys))
 		}
-		if len(rb.Values) != len(rp.Values) || fmt.Sprint(rb.Missing) != fmt.Sprint(rp.Missing) {
-			t.Fatalf("%s: missing sets differ: batched %v, per-key %v", when, rb.Missing, rp.Missing)
+		missing := map[int]bool{}
+		for _, i := range res.Missing {
+			missing[i] = true
 		}
-		for i := range keys {
-			if string(rb.Values[i]) != string(rp.Values[i]) {
-				t.Fatalf("%s: %s = %q batched, %q per-key", when, keys[i], rb.Values[i], rp.Values[i])
+		for i, k := range keys {
+			v, err := s.Get(ctx, "t", k)
+			if err != nil && !errors.Is(err, types.ErrNotFound) {
+				t.Fatalf("%s: get %s: %v", when, k, err)
 			}
-		}
-		if rb.Requests != len(keys) || rp.Requests != len(keys) {
-			t.Fatalf("%s: accounting differs: %d vs %d requests, want %d both",
-				when, rb.Requests, rp.Requests, len(keys))
+			if missing[i] != (err != nil) || string(res.Values[i]) != string(v) {
+				t.Fatalf("%s: %s = %q (missing=%v) batched, %q (%v) per-key", when, k, res.Values[i], missing[i], v, err)
+			}
+			if w, live := want[k]; live == missing[i] || string(v) != w {
+				t.Fatalf("%s: %s = %q (missing=%v), want %q (live=%v)", when, k, v, missing[i], w, live)
+			}
 		}
 	}
 	check("all nodes up")
 
-	// One node dead at rf=2: both paths route to surviving replicas.
+	// One node dead at rf=2: both paths route to surviving replicas, and
+	// the writes below pass the dead node by.
 	nodes[2].kill()
 	check("one node down")
+	for i := 1; i < 80; i += 5 {
+		want[keys[i]] = "v2-" + keys[i]
+		if err := s.Put(ctx, "t", keys[i], []byte(want[keys[i]])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 2; i < 80; i += 9 {
+		del(keys[i])
+	}
+	check("overwritten and deleted with one node down")
+
+	// The node returns holding the old values: it is outvoted, not believed.
 	nodes[2].restart(t, addrs[2])
-	check("after restart")
+	waitFor(t, "restarted node out of probation", func() bool { return s.Stats(ctx).BreakerOpen == 0 })
+	stale := 0
+	for i := 1; i < 80; i += 5 {
+		if raw, ok, _ := s.nodes[2].get(ctx, "t", keys[i]); ok {
+			if payload, _, _, _ := unenvelope(raw); string(payload) == "v-"+keys[i] {
+				stale++
+			}
+		}
+	}
+	if stale == 0 {
+		t.Fatal("restarted node holds no stale value: the outvoting below would prove nothing")
+	}
+	check("after stale restart")
 }
 
 func TestRemoteClusterAllReplicasDownIsAnError(t *testing.T) {
@@ -276,8 +313,11 @@ func TestRemoteClusterAllReplicasDownIsAnError(t *testing.T) {
 func TestRemoteClusterRejectsFailureInjection(t *testing.T) {
 	addrs, _ := startNodes(t, 1)
 	s := openRemote(t, addrs, 1)
-	if err := s.SetNodeUp(0, false); err == nil {
-		t.Fatal("failure injection on a remote node accepted")
+	if err := s.SetNodeUp(0, false); err == nil || !strings.Contains(err.Error(), "stop the daemon") {
+		t.Fatalf("failure injection on a remote node: %v, want the stop-the-daemon refusal", err)
+	}
+	if !s.nodes[0].isUp() {
+		t.Fatal("refused injection still took the node down")
 	}
 }
 

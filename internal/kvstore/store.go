@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,12 +52,6 @@ type Config struct {
 	// queue that bounds batch retrieval — the replication effect the
 	// paper's conclusion flags for future study.
 	ReadBalance bool
-	// DisableReadBatching forces MultiGet through the per-key read path
-	// (one point get per key per replica) instead of one batched request
-	// per node. The batched path is strictly better on a wire transport;
-	// the knob exists so benchmarks can measure the difference against the
-	// same cluster.
-	DisableReadBatching bool
 	// Cost is the latency model; zero value disables simulated timing.
 	Cost CostModel
 	// Engine selects the per-node storage backend: EngineMemory (the
@@ -83,55 +78,68 @@ type Config struct {
 	NewBackend func(nodeID int) (engine.Backend, error)
 }
 
-// transportFactory resolves the per-node transport constructor.
-func (cfg Config) transportFactory() (func(int) (transport, error), error) {
-	local := func(mk func(id int) (engine.Backend, error)) func(int) (transport, error) {
-		return func(id int) (transport, error) {
-			be, err := mk(id)
-			if err != nil {
-				return nil, err
+// opener resolves how node id's backend is opened. Only the EngineRemote
+// arm dials, so only its nodes carry the wire client in node.rc; it also
+// takes the cluster shape from the address list.
+func (cfg *Config) opener() (func(id int) (*node, error), error) {
+	mk := cfg.NewBackend
+	if mk == nil {
+		switch cfg.Engine {
+		case "", EngineMemory:
+			mk = func(int) (engine.Backend, error) { return memory.New(), nil }
+		case EngineDisklog:
+			mk = func(id int) (engine.Backend, error) {
+				return disklog.Open(filepath.Join(cfg.Dir, fmt.Sprintf("node-%d", id)), disklog.Options{})
 			}
-			return newLocalTransport(be), nil
-		}
-	}
-	if cfg.NewBackend != nil {
-		return local(cfg.NewBackend), nil
-	}
-	switch cfg.Engine {
-	case "", EngineMemory:
-		return local(func(int) (engine.Backend, error) { return memory.New(), nil }), nil
-	case EngineDisklog:
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("kvstore: engine %q needs Config.Dir", cfg.Engine)
-		}
-		return local(func(id int) (engine.Backend, error) {
-			return disklog.Open(filepath.Join(cfg.Dir, fmt.Sprintf("node-%d", id)), disklog.Options{})
-		}), nil
-	case EngineLSM:
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("kvstore: engine %q needs Config.Dir", cfg.Engine)
-		}
-		// One cache for the whole cluster: hot blocks compete for a single
-		// budget instead of N private ones sized blind to each other.
-		cache := lsm.NewBlockCache(0)
-		return local(func(id int) (engine.Backend, error) {
-			return lsm.Open(filepath.Join(cfg.Dir, fmt.Sprintf("node-%d", id)), lsm.Options{Cache: cache})
-		}), nil
-	case EngineRemote:
-		if len(cfg.NodeAddrs) == 0 {
-			return nil, fmt.Errorf("kvstore: engine %q needs Config.NodeAddrs", cfg.Engine)
-		}
-		return func(id int) (transport, error) {
-			c, err := remote.Dial(cfg.NodeAddrs[id], cfg.Remote)
-			if err != nil {
-				return nil, err
+		case EngineLSM:
+			// One cache for the whole cluster: hot blocks compete for a single
+			// budget instead of N private ones sized blind to each other.
+			cache := lsm.NewBlockCache(0)
+			mk = func(id int) (engine.Backend, error) {
+				return lsm.Open(filepath.Join(cfg.Dir, fmt.Sprintf("node-%d", id)), lsm.Options{Cache: cache})
 			}
-			return &remoteTransport{c: c}, nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("kvstore: unknown engine %q (want %q, %q, %q, or %q)",
-			cfg.Engine, EngineMemory, EngineDisklog, EngineLSM, EngineRemote)
+		case EngineRemote:
+			if cfg.Nodes <= 0 {
+				cfg.Nodes = len(cfg.NodeAddrs)
+			}
+			if cfg.Nodes != len(cfg.NodeAddrs) {
+				return nil, fmt.Errorf("kvstore: Nodes=%d but %d node addresses", cfg.Nodes, len(cfg.NodeAddrs))
+			}
+			if len(cfg.NodeAddrs) == 0 {
+				return nil, fmt.Errorf("kvstore: engine %q needs Config.NodeAddrs", cfg.Engine)
+			}
+			return func(id int) (*node, error) {
+				c, err := remote.Dial(cfg.NodeAddrs[id], cfg.Remote)
+				if err != nil {
+					return nil, err
+				}
+				return &node{id: id, be: c, rc: c}, nil
+			}, nil
+		default:
+			return nil, fmt.Errorf("kvstore: unknown engine %q (want %q, %q, %q, or %q)",
+				cfg.Engine, EngineMemory, EngineDisklog, EngineLSM, EngineRemote)
+		}
 	}
+	return func(id int) (*node, error) {
+		be, err := mk(id)
+		if err != nil {
+			return nil, err
+		}
+		return &node{id: id, be: be}, nil
+	}, nil
+}
+
+// SplitNodeAddrs parses a comma-separated daemon address list into
+// Config.NodeAddrs form, trimming whitespace and dropping empty elements.
+// The CLIs share it so -node-addrs handling cannot diverge.
+func SplitNodeAddrs(list string) []string {
+	var out []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // Entry is one key/value pair of a batched write.
@@ -227,10 +235,6 @@ type Store struct {
 	nodes  []*node
 	closed atomic.Bool
 	lastTS atomic.Uint64 // LWW write clock (see lww.go)
-	// fanout enables concurrent replica reads in lwwGet: worth a goroutine
-	// per replica when each read is a network round trip (remote engine),
-	// pure overhead when it is an in-process map lookup.
-	fanout bool
 	// repair is the replication-repair subsystem (repair.go); nil at
 	// ReplicationFactor 1, where replicas cannot diverge.
 	repair *repairer
@@ -250,14 +254,9 @@ type Store struct {
 // ctx bounds the open itself — the remote geometry probe and durable-hint
 // recovery round-trips — not the lifetime of the returned Store.
 func Open(ctx context.Context, cfg Config) (*Store, error) {
-	if cfg.Engine == EngineRemote && cfg.NewBackend == nil {
-		// The address list defines the cluster shape.
-		if cfg.Nodes <= 0 {
-			cfg.Nodes = len(cfg.NodeAddrs)
-		}
-		if cfg.Nodes != len(cfg.NodeAddrs) {
-			return nil, fmt.Errorf("kvstore: Nodes=%d but %d node addresses", cfg.Nodes, len(cfg.NodeAddrs))
-		}
+	open, err := cfg.opener()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
@@ -268,29 +267,26 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	if cfg.ReplicationFactor > cfg.Nodes {
 		cfg.ReplicationFactor = cfg.Nodes
 	}
-	factory, err := cfg.transportFactory()
-	if err != nil {
-		return nil, err
-	}
 	if cfg.NewBackend == nil && (cfg.Engine == EngineDisklog || cfg.Engine == EngineLSM) {
+		if cfg.Dir == "" {
+			return nil, fmt.Errorf("kvstore: engine %q needs Config.Dir", cfg.Engine)
+		}
 		if err := checkGeometry(cfg.Dir, cfg.Nodes); err != nil {
 			return nil, err
 		}
 	}
-	s := &Store{cfg: cfg, ring: newRing(cfg.Nodes), fanout: cfg.Engine == EngineRemote && cfg.NewBackend == nil}
+	s := &Store{cfg: cfg, ring: newRing(cfg.Nodes)}
 	for i := 0; i < cfg.Nodes; i++ {
-		tr, err := factory(i)
+		n, err := open(i)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("kvstore: open node %d: %w", i, err)
 		}
-		s.nodes = append(s.nodes, newNode(i, tr))
+		s.nodes = append(s.nodes, n)
 	}
-	if cfg.Engine == EngineRemote && cfg.NewBackend == nil {
-		if err := s.pinRemoteGeometry(ctx); err != nil {
-			s.Close()
-			return nil, err
-		}
+	if err := s.pinRemoteGeometry(ctx); err != nil {
+		s.Close()
+		return nil, err
 	}
 	if cfg.ReplicationFactor > 1 {
 		s.repair = newRepairer(s, cfg.Repair)
@@ -309,8 +305,8 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	// counterpart of SetNodeUp's nudge. Wired last so the callback never
 	// observes a half-built Store.
 	for _, n := range s.nodes {
-		if rt, ok := n.tr.(*remoteTransport); ok {
-			rt.c.SetStateListener(func(up bool) {
+		if n.rc != nil {
+			n.rc.SetStateListener(func(up bool) {
 				if up && s.repair != nil {
 					s.repair.kickDrain()
 				}
@@ -319,6 +315,11 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	}
 	return s, nil
 }
+
+// dialed reports whether kvstore dialed its nodes itself (all of them or
+// none: one opener serves the whole cluster), so that each node operation
+// is a network round trip to a daemon that outlives this Store.
+func (s *Store) dialed() bool { return s.nodes[0].rc != nil }
 
 // clusterTable is a kvstore-private table holding per-daemon identity
 // records. It is written and read directly per node (bypassing the ring)
@@ -338,8 +339,13 @@ const (
 // opening with a node down is allowed, and a mismatched daemon will still
 // be caught on any open that can reach it. Pins written before the
 // replication factor was recorded are upgraded in place when everything
-// they do pin matches.
+// they do pin matches. Clusters kvstore did not dial pin nothing: their
+// shape is pinned by the GEOMETRY file, or is the NewBackend factory's
+// business.
 func (s *Store) pinRemoteGeometry(ctx context.Context) error {
+	if !s.dialed() {
+		return nil
+	}
 	for _, n := range s.nodes {
 		want := fmt.Sprintf("%d of %d rf=%d format=%s", n.id, len(s.nodes), s.cfg.ReplicationFactor, storedFormat)
 		legacy := fmt.Sprintf("%d of %d format=%s", n.id, len(s.nodes), storedFormat)
@@ -374,7 +380,7 @@ func (s *Store) pinRemoteGeometry(ctx context.Context) error {
 						prf, s.cfg.ReplicationFactor, underOver(s.cfg.ReplicationFactor < prf), prf)
 				}
 				return fmt.Errorf("kvstore: daemon %s is pinned as node %q but the address list opens it as %q: node addresses reordered or resized",
-					s.cfg.NodeAddrs[n.id], payload, want)
+					n.rc.Addr(), payload, want)
 			}
 		}
 		if writePin {
@@ -412,7 +418,7 @@ func (s *Store) Close() error {
 	}
 	var errs []error
 	for _, n := range s.nodes {
-		if err := n.tr.close(); err != nil {
+		if err := n.be.Close(); err != nil {
 			errs = append(errs, fmt.Errorf("kvstore: close node %d: %w", n.id, err))
 		}
 	}
@@ -628,12 +634,14 @@ func (s *Store) Get(ctx context.Context, table, key string) ([]byte, error) {
 // down while peers accepted overwrites or deletes) is outvoted instead of
 // believed; see lww.go. Timestamp ties resolve deterministically
 // (tombstone first, then lowest node id — lwwNewer), so every reader and
-// every repair picks the same winner. On remote clusters the replicas are
+// every repair picks the same winner. On dialed clusters the replicas are
 // consulted concurrently so one dead node's dial-retry latency does not
-// stack in front of the others. Cost accounting charges one request per
-// key regardless: replica consultation is modeled as free digest reads,
-// mirroring how Put charges once despite its replica fan-out. It reports
-// whether any replica was reachable; err is a hard engine error.
+// stack in front of the others — worth a goroutine per replica when each
+// read is a network round trip, pure overhead when it is an in-process map
+// lookup. Cost accounting charges one request per key regardless: replica
+// consultation is modeled as free digest reads, mirroring how Put charges
+// once despite its replica fan-out. It reports whether any replica was
+// reachable; err is a hard engine error.
 //
 // Divergence observed here is also queued for read repair: live replicas
 // that returned an older version (or missed a live key, or hold a value a
@@ -641,7 +649,7 @@ func (s *Store) Get(ctx context.Context, table, key string) ([]byte, error) {
 func (s *Store) lwwGet(ctx context.Context, table, key string) (v []byte, ok, anyUp bool, err error) {
 	replicas := s.ring.replicas(key, s.cfg.ReplicationFactor)
 	results := make([]readResult, len(replicas))
-	if s.fanout && len(replicas) > 1 {
+	if len(replicas) > 1 && s.dialed() {
 		var wg sync.WaitGroup
 		for j, n := range replicas {
 			wg.Add(1)
@@ -860,13 +868,7 @@ func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*Mul
 		byNode[n] = append(byNode[n], i)
 	}
 
-	var missing []int
-	var err error
-	if s.cfg.DisableReadBatching {
-		missing, err = s.multiGetPerKey(ctx, table, keys, byNode, res)
-	} else {
-		missing, err = s.multiGetBatched(ctx, table, keys, replicasOf, res)
-	}
+	missing, err := s.multiGetBatched(ctx, table, keys, replicasOf, res)
 	if err != nil {
 		return nil, err
 	}
@@ -896,12 +898,12 @@ func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*Mul
 // multiGetBatched issues one batched read per node covering every key the
 // node replicates, in parallel, then LWW-merges each key's answers across
 // its replicas' batches — the same resolution (and read-repair
-// observation) as the per-key path, at one wire round trip per node
-// instead of one per key per replica. A node whose batch failed as
-// unavailable contributes no answers (its keys merge from the replicas
-// that did answer, mirroring how lwwGet skips unavailable replicas); keys
-// with no answering replica at all are retried through per-key lwwGet,
-// whose per-operation retries re-discover liveness. Hard errors abort.
+// observation) as a point Get, at one wire round trip per node instead of
+// one per key per replica. A node whose batch failed as unavailable
+// contributes no answers (its keys merge from the replicas that did
+// answer, mirroring how lwwGet skips unavailable replicas); keys with no
+// answering replica at all are retried through per-key lwwGet, whose
+// per-operation retries re-discover liveness. Hard errors abort.
 func (s *Store) multiGetBatched(ctx context.Context, table string, keys []string, replicasOf [][]int, res *MultiGetResult) (missing []int, err error) {
 	// slot records where key i landed in each replica's batch, so its
 	// answers can be collected without searching.
@@ -986,57 +988,6 @@ func (s *Store) multiGetBatched(ctx context.Context, table string, keys []string
 		default:
 			missing = append(missing, i)
 		}
-	}
-	return missing, nil
-}
-
-// multiGetPerKey is the pre-batching read path: per-node lanes issuing
-// one replicated point read per key. Kept behind Config.DisableReadBatching
-// so benchmarks can measure the batching win against the same cluster.
-func (s *Store) multiGetPerKey(ctx context.Context, table string, keys []string, byNode map[int][]int, res *MultiGetResult) ([]int, error) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards missing and firstErr
-	var missing []int
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// One lane per serving node; the reads inside consult all replicas.
-	for _, idxs := range byNode {
-		wg.Add(1)
-		go func(idxs []int) {
-			defer wg.Done()
-			for _, i := range idxs {
-				// A dead context stops the lane before the next point read.
-				if err := ctx.Err(); err != nil {
-					fail(fmt.Errorf("kvstore: multiget %s: %w", table, err))
-					return
-				}
-				v, ok, anyUp, err := s.lwwGet(ctx, table, keys[i])
-				switch {
-				case err != nil:
-					fail(fmt.Errorf("kvstore: multiget %s/%s: %w", table, keys[i], err))
-					return
-				case !anyUp:
-					fail(allDownErr(ctx, "kvstore: multiget %s/%s: all replicas down", table, keys[i]))
-					return
-				case ok:
-					res.Values[i] = v
-				default:
-					mu.Lock()
-					missing = append(missing, i)
-					mu.Unlock()
-				}
-			}
-		}(idxs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return missing, nil
 }
@@ -1299,10 +1250,10 @@ type Stats struct {
 	AEBytesHashed  int64 // key+value bytes digested by tree sweeps
 
 	// Storage reclaim, summed over reachable nodes whose backend supports
-	// compaction (the disklog engine, local or behind a daemon); all zero
-	// on a pure memory cluster. Byte counts include record framing, so
-	// DiskBytes-LiveBytes is exactly what a full compaction would reclaim.
-	DiskBytes      int64   // total segment-file bytes on disk
+	// compaction (the disklog and lsm engines, local or behind a daemon);
+	// all zero on a pure memory cluster. Byte counts include record framing,
+	// so DiskBytes-LiveBytes is exactly what a full compaction would reclaim.
+	DiskBytes      int64   // total log/segment/sstable bytes on disk
 	LiveBytes      int64   // portion of DiskBytes still referenced by live keys
 	CompactedBytes int64   // cumulative bytes reclaimed by compaction
 	LiveRatio      float64 // LiveBytes/DiskBytes; 1 when nothing is on disk
@@ -1341,7 +1292,8 @@ func (s *Store) Stats(ctx context.Context) Stats {
 		st.AEBytesHashed = a.bytesHashed.Load()
 	}
 	for _, n := range s.nodes {
-		if bs, ok := n.tr.breakerStats(); ok {
+		if n.rc != nil {
+			bs := n.rc.BreakerStats()
 			if bs.Open {
 				st.BreakerOpen++
 			}
@@ -1422,10 +1374,7 @@ func (s *Store) Reset(ctx context.Context) error {
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	if s.fanout {
-		return s.pinRemoteGeometry(ctx)
-	}
-	return nil
+	return s.pinRemoteGeometry(ctx)
 }
 
 // ResetClock zeroes the virtual clock and counters (between experiment
@@ -1445,7 +1394,7 @@ func (s *Store) SetNodeUp(id int, up bool) error {
 	if id < 0 || id >= len(s.nodes) {
 		return fmt.Errorf("kvstore: no node %d", id)
 	}
-	err := s.nodes[id].tr.injectFault(up)
+	err := s.nodes[id].setUp(up)
 	if err == nil && up && s.repair != nil {
 		s.repair.kickDrain()
 	}

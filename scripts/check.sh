@@ -4,9 +4,14 @@
 #
 # Usage: scripts/check.sh [section ...]
 #
-# Sections: gofmt vet staticcheck rstore-vet docs fuzz. No arguments runs
-# the default gate (everything except fuzz, which CI runs as a separate
-# smoke because it costs tens of seconds). staticcheck is skipped with a
+# Sections: gofmt vet staticcheck rstore-vet docs benchmark fuzz. No
+# arguments runs the default gate (everything except fuzz, which CI runs
+# as a separate smoke because it costs tens of seconds). benchmark covers
+# the nested rstore/benchmark module, which `go build ./... && go test
+# ./...` at the root skips: it compiles against this module's internal
+# packages, so an API drift there is otherwise invisible until the
+# benchmark pipeline runs (~10 s, incl. a 1/20-scale smoke of every
+# workload). staticcheck is skipped with a
 # warning when the binary is not installed — CI installs a pinned version;
 # the zero-dependency module itself never requires it.
 set -euo pipefail
@@ -48,6 +53,21 @@ run_docs() {
   ./scripts/check-docs.sh
 }
 
+run_benchmark() {
+  echo "== benchmark module"
+  (
+    cd benchmark
+    out=$(gofmt -l .)
+    if [ -n "$out" ]; then
+      echo "gofmt needed on:"
+      echo "$out"
+      exit 1
+    fi
+    go vet ./...
+    go test ./...
+  )
+}
+
 run_fuzz() {
   echo "== fuzz smoke"
   go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
@@ -58,7 +78,7 @@ run_fuzz() {
 
 sections=("$@")
 if [ ${#sections[@]} -eq 0 ]; then
-  sections=(gofmt vet staticcheck rstore-vet docs)
+  sections=(gofmt vet staticcheck rstore-vet docs benchmark)
 fi
 for s in "${sections[@]}"; do
   case "$s" in
@@ -67,9 +87,10 @@ for s in "${sections[@]}"; do
   staticcheck) run_staticcheck ;;
   rstore-vet) run_rstore_vet ;;
   docs) run_docs ;;
+  benchmark) run_benchmark ;;
   fuzz) run_fuzz ;;
   *)
-    echo "unknown section: $s (known: gofmt vet staticcheck rstore-vet docs fuzz)"
+    echo "unknown section: $s (known: gofmt vet staticcheck rstore-vet docs benchmark fuzz)"
     exit 2
     ;;
   esac
