@@ -6,7 +6,7 @@
 //	rstore-bench -all                 # everything, paper order
 //	rstore-bench -all -scale full     # heavier datasets
 //	rstore-bench -list                # catalog of experiments
-//	rstore-bench -exp readheavy -json .   # also write BENCH_readheavy.json
+//	rstore-bench -exp antientropy -json . # also write BENCH_antientropy.json
 //
 // Output is printed as aligned text tables, one per paper artifact, each
 // annotated with the paper's reported shape for comparison. With -json, a
@@ -39,7 +39,6 @@ func run() int {
 		scale     = flag.String("scale", "quick", "dataset scale: quick|full")
 		queries   = flag.Int("queries", 0, "override query sample size")
 		seed      = flag.Int64("seed", 0, "override RNG seed")
-		readRatio = flag.Float64("read-ratio", 0, "read fraction of the mixed experiment's op stream (default 0.95, YCSB B)")
 		backend   = flag.String("backend", "memory", "cluster storage backend: memory|disklog|lsm|remote")
 		dataDir   = flag.String("data", "", "data directory for -backend disklog/lsm (each cluster gets a subdirectory)")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote\n(the address list fixes the node count; each cluster a run opens wipes the\ndaemons first via the wire reset op, so one daemon set serves a whole run)")
@@ -63,9 +62,6 @@ func run() int {
 	}
 	if *seed != 0 {
 		opts.Seed = *seed
-	}
-	if *readRatio > 0 {
-		opts.ReadRatio = *readRatio
 	}
 	switch *backend {
 	case "", "memory":

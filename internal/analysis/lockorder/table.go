@@ -33,19 +33,9 @@ var Table = []Edge{
 		Reason: "writes and reads under mu update the block cache; cache shards are leaf locks protecting only their own map",
 	},
 	{
-		From:   "rstore/internal/engine/lsm.Backend.mu",
-		To:     "rstore/internal/engine/lsm.rowShard.mu",
-		Reason: "writes and reads under mu update the row cache; row shards are leaf locks protecting only their own map",
-	},
-	{
 		From:   "rstore/internal/engine/lsm.Backend.compactMu",
 		To:     "rstore/internal/engine/lsm.cacheShard.mu",
 		Reason: "merges running under compactMu invalidate cache entries for retired tables; cache shards are leaf locks",
-	},
-	{
-		From:   "rstore/internal/core.Store.mu",
-		To:     "rstore/internal/core.chunkCache.mu",
-		Reason: "commit paths under the document-store lock populate the chunk cache; the cache lock is a leaf protecting only its own map",
 	},
 	{
 		From:   "rstore/internal/core.Store.mu",

@@ -140,73 +140,6 @@ func RunAblationSlack(opts Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// RunAblationCache measures the application-server chunk cache on a skewed
-// query workload (a handful of hot versions queried repeatedly — the
-// collaborative-analytics access pattern of §1): hits skip the §2.3
-// per-request KVS cost entirely.
-func RunAblationCache(opts Options) ([]*Table, error) {
-	opts = opts.withDefaults()
-	spec := workload.Spec{
-		Name: "cache", Versions: scaled(300, opts.VersionFrac*5, 24),
-		AvgDepth:          40 * opts.VersionFrac * 5,
-		RecordsPerVersion: scaled(10000, opts.RecordFrac, 64),
-		UpdatePct:         0.10, Update: workload.RandomUpdate,
-		RecordSize: scaled(1024, opts.SizeFrac, 64), Seed: opts.Seed,
-	}
-	t := &Table{
-		ID:        "ablation-cache",
-		Title:     "application-server chunk cache, hot-version Q1 workload",
-		PaperNote: "extension: caching at the AS removes repeated backend round trips (§2.3 cost)",
-		Headers:   []string{"cache", "Q1 avg", "backend requests", "hit rate"},
-	}
-	for _, cacheBytes := range []int64{0, 64 << 20} {
-		c, err := workload.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		st, err := core.Open(context.Background(), core.Config{
-			KV:            mustKV(opts, 4),
-			ChunkCapacity: chunkCapacityFor(spec),
-			CacheBytes:    cacheBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		eng := &baseline.Chunked{Store: st}
-		if err := eng.Build(c); err != nil {
-			return nil, err
-		}
-		// Hot set: 4 versions queried round-robin.
-		w := workload.NewWorkload(c, opts.Seed+11)
-		hot := w.FullVersionQueries(4)
-		var totalReq int
-		var totalElapsed float64
-		n := 0
-		for round := 0; round < 8; round++ {
-			for _, q := range hot {
-				_, qs, err := st.GetVersionAll(context.Background(), q.Version)
-				if err != nil {
-					return nil, err
-				}
-				totalReq += qs.Requests
-				totalElapsed += float64(qs.SimElapsed.Microseconds()) / 1000
-				n++
-			}
-		}
-		cs := st.CacheStats()
-		hitRate := "-"
-		if cs.Hits+cs.Misses > 0 {
-			hitRate = fmt.Sprintf("%.0f%%", 100*float64(cs.Hits)/float64(cs.Hits+cs.Misses))
-		}
-		label := "off"
-		if cacheBytes > 0 {
-			label = "64MB"
-		}
-		t.AddRow(label, fmt.Sprintf("%.3fms", totalElapsed/float64(n)), d(totalReq), hitRate)
-	}
-	return []*Table{t}, nil
-}
-
 // RunAblationReplication measures the paper's future-work item: replication
 // with read balancing spreads a version retrieval's chunk fetches over more
 // replicas, cutting the per-node serial queue that bounds the batch.

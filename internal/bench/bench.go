@@ -32,10 +32,6 @@ type Options struct {
 	Queries int
 	// Seed drives all generators.
 	Seed int64
-	// ReadRatio is the read fraction of the mixed experiment's op stream
-	// (0 < ReadRatio < 1; other experiments ignore it). Defaults to 0.95,
-	// the YCSB-B mix.
-	ReadRatio float64
 
 	// Engine overrides the storage backend every experiment cluster runs
 	// on: kvstore.EngineMemory (the default — allocation-exact, what the
@@ -161,9 +157,6 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = q.Seed
 	}
-	if o.ReadRatio <= 0 || o.ReadRatio >= 1 {
-		o.ReadRatio = 0.95
-	}
 	return o
 }
 
@@ -253,11 +246,8 @@ func Experiments() []Experiment {
 		{"ablation-shingles", "ablation: shingle vector length sweep", RunAblationShingles},
 		{"ablation-slack", "ablation: chunk slack allowance sweep", RunAblationSlack},
 		{"ablation-replication", "extension: replication + read balancing (paper future work)", RunAblationReplication},
-		{"ablation-cache", "extension: application-server chunk cache on hot versions", RunAblationCache},
 		{"repair", "extension: replication repair — hinted handoff + read repair convergence\n(always in-process: needs failure injection)", RunRepair},
 		{"compact", "extension: disklog segment compaction — disk bytes before/after an\noverwrite-heavy workload (always on a private disklog cluster)", RunCompact},
-		{"readheavy", "extension: read-heavy zipfian point gets — disklog vs lsm engines\nhead-to-head with p50/p95/p99, plus batched MultiGet over TCP on an\nrf=3 remote cluster (always on private engines/daemons)", RunReadHeavy},
-		{"mixed", "extension: YCSB-style zipfian read/write mix (-read-ratio) — disklog vs\nlsm with per-class p50/p95/p99 (always on private engine directories)", RunMixed},
 		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica, disklog vs lsm (always in-process:\ndivergence injection needs the backend handles)", RunAntiEntropy},
 	}
 }

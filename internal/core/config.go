@@ -93,11 +93,6 @@ type Config struct {
 	// with the caveat that shared mutable state is unsupported (§2.4);
 	// read-only replicas opened with Load are the safe multi-AS deployment.
 	ReadOnly bool
-	// CacheBytes bounds an LRU cache of chunk entries in the application
-	// server: cache hits skip the KVS round trip entirely (the §2.3
-	// per-request cost). 0 disables caching. Placement changes invalidate
-	// affected entries.
-	CacheBytes int64
 	// QueryFetchBatch is the number of chunks a streaming query fetches
 	// from the KVS per round (default 8). Smaller batches surface the
 	// first records sooner and bound per-query server memory tighter;

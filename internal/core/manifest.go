@@ -375,7 +375,6 @@ func decodeManifest(buf []byte, cfg Config, values map[types.CompositeKey][]byte
 		pendingSet: make(map[types.VersionID]bool),
 		keyStates:  newKeyStateCache(4),
 		branches:   make(map[string]types.VersionID),
-		cache:      newChunkCache(cfg.CacheBytes),
 	}
 
 	for v := uint64(0); v < n; v++ {

@@ -105,7 +105,6 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 	s.gen = newGen
 	s.pending = nil
 	s.pendingSet = make(map[types.VersionID]bool)
-	s.cache.reset() // every chunk id was reassigned
 	if err := s.saveManifest(ctx); err != nil {
 		return err
 	}

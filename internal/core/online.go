@@ -149,10 +149,6 @@ func (s *Store) flushLocked(ctx context.Context) error {
 			return err
 		}
 	}
-	// Rewritten chunk entries must not be served from cache.
-	for cid := range touched {
-		s.cache.invalidate(cid)
-	}
 
 	// Periodic full repartitioning (§4's pragmatic combination).
 	s.batchesSinceRepartition++

@@ -477,31 +477,19 @@ func (s *Store) streamChunks(ctx context.Context, cids []chunk.ID, stats *QueryS
 	return false, nil
 }
 
-// fetchChunks resolves chunk entries through the AS cache, multigetting
-// only the misses. Span counts every chunk consulted; Requests/BytesRead
-// reflect actual backend traffic. Missing chunks indicate corruption
-// (projections are authoritative) and surface as errors.
+// fetchChunks resolves chunk entries with one MultiGet. Span counts every
+// chunk consulted; Requests/BytesRead reflect backend traffic. Missing
+// chunks indicate corruption (projections are authoritative) and surface as
+// errors.
 func (s *Store) fetchChunks(ctx context.Context, cids []chunk.ID, stats *QueryStats) ([]*chunkEntry, error) {
 	if len(cids) == 0 {
 		return nil, nil
 	}
 	stats.Span += len(cids)
-	out := make([]*chunkEntry, len(cids))
-
-	var missIdx []int
-	var keys []string
+	keys := make([]string, len(cids))
 	for i, cid := range cids {
-		if e, ok := s.cache.get(cid); ok {
-			out[i] = e
-			continue
-		}
-		missIdx = append(missIdx, i)
-		keys = append(keys, chunk.KVKey(s.gen, cid))
+		keys[i] = chunk.KVKey(s.gen, cid)
 	}
-	if len(keys) == 0 {
-		return out, nil
-	}
-
 	res, err := s.kv.MultiGet(ctx, TableChunks, keys)
 	if err != nil {
 		return nil, err
@@ -510,14 +498,13 @@ func (s *Store) fetchChunks(ctx context.Context, cids []chunk.ID, stats *QuerySt
 		return nil, fmt.Errorf("%w: chunk %s missing", types.ErrCorrupt, keys[res.Missing[0]])
 	}
 	s.bookMultiGet(res, stats)
-	for j, val := range res.Values {
-		i := missIdx[j]
+	out := make([]*chunkEntry, len(cids))
+	for i, val := range res.Values {
 		payload, m, err := decodeChunkEntry(val)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = &chunkEntry{id: cids[i], payload: payload, m: m}
-		s.cache.put(cids[i], payload, m)
 	}
 	return out, nil
 }

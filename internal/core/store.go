@@ -49,9 +49,6 @@ type Store struct {
 	// Config.RepartitionEvery.
 	batchesSinceRepartition int
 
-	// cache holds hot chunk entries (nil when disabled).
-	cache *chunkCache
-
 	// keyStates caches resolved key→record maps for recent commit parents.
 	keyStates *keyStateCache
 
@@ -83,7 +80,6 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		pendingSet: make(map[types.VersionID]bool),
 		keyStates:  newKeyStateCache(4),
 		branches:   map[string]types.VersionID{"main": types.InvalidVersion},
-		cache:      newChunkCache(cfg.CacheBytes),
 		ownsKV:     ownsKV,
 	}, nil
 }

@@ -6,8 +6,11 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -19,81 +22,93 @@ import (
 	"rstore/internal/engine/remote/engined"
 )
 
-// backends enumerates every implementation under test. Each factory returns
-// a fresh empty backend; cleanup is the test's TempDir/Close machinery.
-func backends(t *testing.T) map[string]func(t *testing.T) engine.Backend {
-	t.Helper()
-	return map[string]func(t *testing.T) engine.Backend{
-		"memory": func(t *testing.T) engine.Backend { return memory.New() },
-		"disklog": func(t *testing.T) engine.Backend {
-			b, err := disklog.Open(t.TempDir(), disklog.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		},
+// backendRow is one implementation under test. open returns a backend over
+// dir (volatile rows ignore it) whose Close releases everything the row
+// started; on a durable row, opening the same dir again after Close must
+// find what was written.
+type backendRow struct {
+	durable bool
+	open    func(t *testing.T, dir string) engine.Backend
+}
+
+// backends enumerates every implementation under test.
+func backends() map[string]backendRow {
+	openDisklog := func(t *testing.T, dir string, opts disklog.Options) engine.Backend {
+		b, err := disklog.Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// LSM with a memtable small enough that the suite constantly flushes,
+	// so reads cross the memtable/SSTable boundary and the size-tiered
+	// compactor fires mid-test.
+	openLSM := func(t *testing.T, dir string) engine.Backend {
+		b, err := lsm.Open(dir, lsm.Options{MemtableBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	return map[string]backendRow{
+		"memory": {open: func(*testing.T, string) engine.Backend { return memory.New() }},
+		"disklog": {durable: true, open: func(t *testing.T, dir string) engine.Backend {
+			return openDisklog(t, dir, disklog.Options{})
+		}},
 		// Disklog with a compaction forced after every mutation: segment
 		// rewrites, index swaps, and victim unlinks race the whole suite,
 		// and none of it may be observable through the Backend contract.
-		"disklog-compacting": func(t *testing.T) engine.Backend {
-			b, err := disklog.Open(t.TempDir(), disklog.Options{SegmentBytes: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return compactingBackend{b}
-		},
-		// LSM with a memtable small enough that the suite constantly
-		// flushes, so reads cross the memtable/SSTable boundary and the
-		// size-tiered compactor fires mid-test.
-		"lsm": func(t *testing.T) engine.Backend {
-			b, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		},
+		"disklog-compacting": {durable: true, open: func(t *testing.T, dir string) engine.Backend {
+			return compactingBackend{openDisklog(t, dir, disklog.Options{SegmentBytes: 512})}
+		}},
+		"lsm": {durable: true, open: openLSM},
 		// LSM with a full merge forced after every mutation: flush, merge,
 		// MANIFEST commits, and victim unlinks race the whole suite.
-		"lsm-compacting": func(t *testing.T) engine.Backend {
-			b, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return compactingBackend{b}
-		},
+		"lsm-compacting": {durable: true, open: func(t *testing.T, dir string) engine.Backend {
+			return compactingBackend{openLSM(t, dir)}
+		}},
 		// The wire client against an engined server over real TCP: the
 		// remote seam must be indistinguishable from a local backend.
-		"remote": func(t *testing.T) engine.Backend {
-			srv, err := engined.Start("127.0.0.1:0", memory.New())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			c, err := remote.Dial(srv.Addr().String(), remote.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		},
+		"remote": {open: func(t *testing.T, _ string) engine.Backend {
+			return serve(t, memory.New())
+		}},
 		// The same wire seam over the lsm engine, exercising OpCompact and
 		// friends against a backend whose compaction rewrites whole files.
-		"remote-lsm": func(t *testing.T) engine.Backend {
-			be, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv, err := engined.Start("127.0.0.1:0", be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close(); be.Close() })
-			c, err := remote.Dial(srv.Addr().String(), remote.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		},
+		"remote-lsm": {durable: true, open: func(t *testing.T, dir string) engine.Backend {
+			return serve(t, openLSM(t, dir))
+		}},
 	}
+}
+
+// served is a wire client whose Close also stops the daemon it dialed and
+// the engine behind it, so a durable row's directory can be opened again.
+type served struct {
+	*remote.Client
+	srv *engined.Server
+	be  engine.Backend
+}
+
+// serve starts an engined daemon over be on a loopback port and dials it.
+func serve(t *testing.T, be engine.Backend) served {
+	t.Helper()
+	srv, err := engined.Start("127.0.0.1:0", be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := remote.Dial(srv.Addr().String(), remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return served{c, srv, be}
+}
+
+func (s served) Close() error {
+	err := s.Client.Close()
+	s.srv.Close()
+	if cerr := s.be.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // compactingBackend wraps any compacting backend so every successful
@@ -132,9 +147,9 @@ func (c compactingBackend) Delete(ctx context.Context, table, key string) error 
 
 // forEachBackend runs fn against every backend implementation.
 func forEachBackend(t *testing.T, fn func(t *testing.T, b engine.Backend)) {
-	for name, mk := range backends(t) {
+	for name, row := range backends() {
 		t.Run(name, func(t *testing.T) {
-			b := mk(t)
+			b := row.open(t, t.TempDir())
 			defer b.Close()
 			fn(t, b)
 		})
@@ -416,6 +431,96 @@ func TestConformanceMultiGet(t *testing.T) {
 			t.Fatal("MultiGet returned aliased storage")
 		}
 	})
+}
+
+// TestConformanceChunkShapedValues drives the traffic the engines actually
+// see: the only values on RStore's query path are ~1 MiB chunk entries, so
+// every backend must carry values of 1 MiB and of 3 MiB (larger than one
+// 2 MiB shard of lsm's default block cache, and a sstable block of their
+// own) through Put and BatchPut, across a compaction where the backend has
+// one, and — on durable rows — across a reopen, byte for byte through Get,
+// MultiGet and Scan.
+func TestConformanceChunkShapedValues(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(16))
+	blob := func(n int) []byte {
+		v := make([]byte, n)
+		rng.Read(v)
+		return v
+	}
+	want := map[string][]byte{
+		"put-1m": blob(1 << 20), "put-3m": blob(3 << 20),
+		"batch-1m": blob(1 << 20), "batch-3m": blob(3 << 20),
+	}
+	verify := func(t *testing.T, b engine.Backend) {
+		t.Helper()
+		keys := []string{"batch-3m", "absent", "put-1m", "put-3m", "batch-1m"}
+		for _, k := range keys {
+			v, ok, err := b.Get(ctx, "chunks", k)
+			if err != nil || ok != (want[k] != nil) || !bytes.Equal(v, want[k]) {
+				t.Fatalf("Get(%s): %d bytes ok=%v err=%v, want %d bytes", k, len(v), ok, err, len(want[k]))
+			}
+		}
+		values, present, err := engine.MultiGet(ctx, b, "chunks", keys)
+		if err != nil || len(values) != len(keys) || len(present) != len(keys) {
+			t.Fatalf("MultiGet: %d values, %d flags, err=%v", len(values), len(present), err)
+		}
+		for i, k := range keys {
+			if present[i] != (want[k] != nil) || !bytes.Equal(values[i], want[k]) {
+				t.Fatalf("MultiGet[%d] (%s): %d bytes present=%v, want %d bytes", i, k, len(values[i]), present[i], len(want[k]))
+			}
+		}
+		seen := 0
+		if err := b.Scan(ctx, "chunks", func(k string, v []byte) bool {
+			if want[k] == nil || !bytes.Equal(v, want[k]) {
+				t.Fatalf("Scan visited %s with %d bytes, want %d bytes", k, len(v), len(want[k]))
+			}
+			seen++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != len(want) {
+			t.Fatalf("Scan visited %d keys, want %d", seen, len(want))
+		}
+		if n := b.BytesStored(); n != 8<<20 {
+			t.Fatalf("BytesStored = %d, want %d", n, 8<<20)
+		}
+	}
+	for name, row := range backends() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := row.open(t, dir)
+			defer func() { b.Close() }()
+			for _, k := range []string{"put-1m", "put-3m"} {
+				if err := b.Put(ctx, "chunks", k, want[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.BatchPut(ctx, "chunks", []engine.Entry{
+				{Key: "batch-1m", Value: want["batch-1m"]},
+				{Key: "batch-3m", Value: want["batch-3m"]},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			verify(t, b)
+			// On lsm a full merge also flushes the memtable, so the second
+			// round of reads is served from sstable blocks.
+			if _, err := engine.Compact(ctx, b); err != nil && !errors.Is(err, engine.ErrNoCompaction) {
+				t.Fatal(err)
+			}
+			verify(t, b)
+			verify(t, b) // again, from whatever the first pass left cached
+			if !row.durable {
+				return
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b = row.open(t, dir)
+			verify(t, b)
+		})
+	}
 }
 
 func TestConformanceConcurrentAccess(t *testing.T) {

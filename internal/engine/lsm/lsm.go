@@ -5,15 +5,15 @@
 // Writes land in a sorted in-memory memtable (a skiplist) after being made
 // durable in a checksummed write-ahead log; a full memtable is flushed into
 // an immutable sorted-string table (SSTable) with a per-block restart-point
-// format, a block index, and a bloom filter. Point reads probe a hot-key
-// row cache first (one lookup answers a repeated Get), then the memtable,
+// format, a block index, and a bloom filter. Point reads probe the memtable,
 // then each SSTable from newest to oldest — the bloom filter skips tables
-// that cannot hold the key, and a shared LRU block cache serves hot blocks
-// without touching disk. Size-tiered compaction merges runs of adjacent
-// tables, dropping shadowed versions, and a full merge (the Compactor
-// interface) also drops tombstones. The MANIFEST names the live files; its
-// atomic rename is the commit point for every structural change, which is
-// what makes flush, compaction, and reset crash-safe.
+// that cannot hold the key, and a shared LRU block cache (the one cache on
+// the read path: blocks are immutable, so it needs no invalidation) serves
+// hot blocks without touching disk. Size-tiered compaction merges runs of
+// adjacent tables, dropping shadowed versions, and a full merge (the
+// Compactor interface) also drops tombstones. The MANIFEST names the live
+// files; its atomic rename is the commit point for every structural change,
+// which is what makes flush, compaction, and reset crash-safe.
 //
 // Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (exactly one
 // live), sst-<seq>.sst (oldest first per the MANIFEST). The directory is
@@ -54,12 +54,6 @@ type Options struct {
 	// backend of a cluster shares its capacity across nodes; nil gives the
 	// backend a private default cache.
 	Cache *BlockCache
-
-	// RowCacheBytes bounds the per-backend row cache that answers repeated
-	// point reads of hot keys with a single probe (default 8 MiB; negative
-	// disables it). Unlike Cache it is never shared: replicas may diverge
-	// mid-repair, so row entries are private per data directory.
-	RowCacheBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -71,9 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Cache == nil {
 		o.Cache = NewBlockCache(0)
-	}
-	if o.RowCacheBytes == 0 {
-		o.RowCacheBytes = 8 << 20
 	}
 	return o
 }
@@ -96,8 +87,7 @@ type Backend struct {
 	dir   string
 	opts  Options
 	cache *BlockCache
-	rows  *rowCache // hot-key row cache; nil when disabled
-	lock  *os.File  // flock-held LOCK file; released on Close
+	lock  *os.File // flock-held LOCK file; released on Close
 
 	// mu guards all mutable state below. The write path (Put/Delete/
 	// BatchPut/flush) holds it exclusively; reads share it.
@@ -155,9 +145,6 @@ func Open(dir string, opts Options) (*Backend, error) {
 		keys: map[string]int{},
 	}
 	b.cache = b.opts.Cache
-	if b.opts.RowCacheBytes > 0 {
-		b.rows = newRowCache(b.opts.RowCacheBytes)
-	}
 	if err := b.recover(); err != nil {
 		b.closeFiles()
 		return nil, err
@@ -344,45 +331,37 @@ func splitIKey(ik []byte) (table, key string, err error) {
 	return string(rest[:l]), string(rest[l:]), nil
 }
 
-// lookupLocked finds the newest version of ik: (value length, source table
-// index or -1 for the memtable, found). A tombstone anywhere newest means
-// not found. Callers hold b.mu (any mode).
-func (b *Backend) lookupLocked(ik []byte) (valLen, src int, found bool, err error) {
+// findLocked finds the newest version of ik: (value, source table index or
+// -1 for the memtable, found). A tombstone anywhere newest means not found.
+// The value aliases the memtable or a cached block; callers hold b.mu (any
+// mode) and must not retain or mutate it past the lock.
+func (b *Backend) findLocked(ik []byte) (value []byte, src int, found bool, err error) {
 	if v, tomb, ok := b.mem.get(ik); ok {
-		if tomb {
-			return 0, 0, false, nil
-		}
-		return len(v), -1, true, nil
+		return v, -1, !tomb, nil
 	}
 	for i := len(b.tables) - 1; i >= 0; i-- {
 		v, tomb, ok, err := b.tables[i].get(ik, b.cache)
 		if err != nil {
-			return 0, 0, false, err
+			return nil, 0, false, err
 		}
 		if ok {
-			if tomb {
-				return 0, 0, false, nil
-			}
-			return len(v), i, true, nil
+			return v, i, !tomb, nil
 		}
 	}
-	return 0, 0, false, nil
+	return nil, 0, false, nil
 }
 
 // applyPutLocked installs value (already copied) under ik, updating live
 // accounting: a shadowed older version stops being live wherever it lives.
 func (b *Backend) applyPutLocked(table string, ik, value []byte) error {
-	if b.rows != nil {
-		b.rows.invalidate(ik)
-	}
-	prevLen, src, found, err := b.lookupLocked(ik)
+	prev, src, found, err := b.findLocked(ik)
 	if err != nil {
 		return err
 	}
 	if found {
-		b.bytes -= int64(prevLen)
+		b.bytes -= int64(len(prev))
 		if src >= 0 {
-			b.tables[src].live -= logicalSize(len(ik), prevLen)
+			b.tables[src].live -= logicalSize(len(ik), len(prev))
 		}
 	} else {
 		b.keys[table]++
@@ -396,16 +375,13 @@ func (b *Backend) applyPutLocked(table string, ik, value []byte) error {
 // applyDelLocked installs a tombstone under ik if the key currently exists;
 // deleting a missing key is a no-op that writes nothing.
 func (b *Backend) applyDelLocked(table string, ik []byte) error {
-	if b.rows != nil {
-		b.rows.invalidate(ik)
-	}
-	prevLen, src, found, err := b.lookupLocked(ik)
+	prev, src, found, err := b.findLocked(ik)
 	if err != nil || !found {
 		return err
 	}
-	b.bytes -= int64(prevLen)
+	b.bytes -= int64(len(prev))
 	if src >= 0 {
-		b.tables[src].live -= logicalSize(len(ik), prevLen)
+		b.tables[src].live -= logicalSize(len(ik), len(prev))
 	}
 	if b.keys[table]--; b.keys[table] <= 0 {
 		delete(b.keys, table)
@@ -482,42 +458,14 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 	if b.closed {
 		return nil, false, types.ErrClosed
 	}
-	// Short keys build their internal form on the stack: the point-read
-	// hot path should cost a cache probe, not an allocation.
+	// Short keys build their internal form on the stack: a point read
+	// should not allocate for its key.
 	var ikb [96]byte
-	ik := appendIKey(ikb[:0], table, key)
-	// Row-cache fills happen under the read lock and invalidations under
-	// the write lock, so a hit here is always the newest committed value.
-	if b.rows != nil {
-		if v, ok := b.rows.get(ik); ok {
-			return v, true, nil
-		}
+	v, _, found, err := b.findLocked(appendIKey(ikb[:0], table, key))
+	if err != nil || !found {
+		return nil, false, err
 	}
-	if v, tomb, ok := b.mem.get(ik); ok {
-		if tomb {
-			return nil, false, nil
-		}
-		if b.rows != nil {
-			b.rows.put(ik, v)
-		}
-		return append([]byte(nil), v...), true, nil
-	}
-	for i := len(b.tables) - 1; i >= 0; i-- {
-		v, tomb, ok, err := b.tables[i].get(ik, b.cache)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			if tomb {
-				return nil, false, nil
-			}
-			if b.rows != nil {
-				b.rows.put(ik, v)
-			}
-			return append([]byte(nil), v...), true, nil
-		}
-	}
-	return nil, false, nil
+	return append([]byte(nil), v...), true, nil
 }
 
 // Delete removes (table, key) by writing a tombstone; deleting a missing
@@ -533,7 +481,7 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 	}
 	ik := ikey(table, key)
 	// Look before logging: a no-op delete must not grow the WAL.
-	_, _, found, err := b.lookupLocked(ik)
+	_, _, found, err := b.findLocked(ik)
 	if err != nil || !found {
 		return err
 	}
@@ -678,9 +626,6 @@ func (b *Backend) Reset(ctx context.Context) error {
 	b.epoch++
 	b.gen++
 	b.hashMemo = nil
-	if b.rows != nil {
-		b.rows.wipe()
-	}
 	oldWAL, oldTables := b.wal, b.tables
 	b.wal, b.tables = w, nil
 	b.mem = newMemtable()

@@ -91,8 +91,6 @@ type (
 	Range = core.Range
 	// VersionDiff is the record-level difference between two versions.
 	VersionDiff = core.VersionDiff
-	// CacheStats reports chunk-cache effectiveness.
-	CacheStats = core.CacheStats
 	// Info is a snapshot of store-level statistics.
 	Info = core.Info
 )

@@ -4,14 +4,22 @@
 #
 # Usage: scripts/check.sh [section ...]
 #
-# Sections: gofmt vet staticcheck rstore-vet docs benchmark fuzz. No
-# arguments runs the default gate (everything except fuzz, which CI runs
-# as a separate smoke because it costs tens of seconds). benchmark covers
+# Sections: gofmt vet staticcheck rstore-vet docs benchmark fuzz, and
+# compare <base-ref>. No arguments runs the default gate (everything except
+# fuzz, which CI runs as a separate smoke because it costs tens of seconds,
+# and compare, which costs minutes and needs a ref). benchmark covers
 # the nested rstore/benchmark module, which `go build ./... && go test
 # ./...` at the root skips: it compiles against this module's internal
 # packages, so an API drift there is otherwise invisible until the
 # benchmark pipeline runs (~10 s, incl. a 1/20-scale smoke of every
-# workload). staticcheck is skipped with a
+# workload). compare checks the working tree against <base-ref> on the
+# gated metrics of BENCHMARK.json: the base is checked out into a temporary
+# git worktree, every workload runs three times per side, alternating which
+# side goes first, and `benchmark/run.sh --compare` is the verdict (~6 min).
+# Runs are 8 s windows: ingest commits a fixed 54 times per second of
+# --seconds and refuses a run that gives a class too few samples (300
+# commits, 20 batch closings), which rules out anything under 6.
+# staticcheck is skipped with a
 # warning when the binary is not installed — CI installs a pinned version;
 # the zero-dependency module itself never requires it.
 set -euo pipefail
@@ -68,6 +76,27 @@ run_benchmark() {
   )
 }
 
+run_compare() {
+  base_ref=$1
+  echo "== benchmark compare against $base_ref"
+  work=$(mktemp -d)
+  trap 'git worktree remove --force "$work/base" 2>/dev/null; rm -rf "$work"' EXIT
+  git worktree add --detach "$work/base" "$base_ref"
+  workloads=$(sed -n '/"workloads"/,/^  \]/p' BENCHMARK.json | sed -n 's/.*"name": "\([^"]*\)".*/\1/p')
+  for w in $workloads; do
+    for i in 1 2 3; do
+      sides="base head"
+      if [ $((i % 2)) -eq 0 ]; then sides="head base"; fi
+      for side in $sides; do
+        root=.
+        if [ "$side" = base ]; then root=$work/base; fi
+        bash "$root/benchmark/run.sh" --workload "$w" --seed "$i" --seconds 8 --trace 0 --out "$work/$side.ndjson"
+      done
+    done
+  done
+  bash benchmark/run.sh --compare "$work/base.ndjson" "$work/head.ndjson"
+}
+
 run_fuzz() {
   echo "== fuzz smoke"
   go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
@@ -76,12 +105,11 @@ run_fuzz() {
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
 }
 
-sections=("$@")
-if [ ${#sections[@]} -eq 0 ]; then
-  sections=(gofmt vet staticcheck rstore-vet docs benchmark)
+if [ $# -eq 0 ]; then
+  set -- gofmt vet staticcheck rstore-vet docs benchmark
 fi
-for s in "${sections[@]}"; do
-  case "$s" in
+while [ $# -gt 0 ]; do
+  case "$1" in
   gofmt) run_gofmt ;;
   vet) run_vet ;;
   staticcheck) run_staticcheck ;;
@@ -89,10 +117,15 @@ for s in "${sections[@]}"; do
   docs) run_docs ;;
   benchmark) run_benchmark ;;
   fuzz) run_fuzz ;;
+  compare)
+    shift
+    run_compare "${1:?compare needs a base ref: scripts/check.sh compare <base-ref>}"
+    ;;
   *)
-    echo "unknown section: $s (known: gofmt vet staticcheck rstore-vet docs benchmark fuzz)"
+    echo "unknown section: $1 (known: gofmt vet staticcheck rstore-vet docs benchmark fuzz compare)"
     exit 2
     ;;
   esac
+  shift
 done
 echo "ok"
