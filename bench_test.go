@@ -205,29 +205,57 @@ func BenchmarkGetHistory(b *testing.B) {
 	}
 }
 
-// BenchmarkFlushBatch measures one online partitioning batch end to end.
+// BenchmarkFlushBatch measures the flush that closes the k-th batch of a
+// growing chain: 16 versions per batch, each rewriting 4 of the root's 256
+// records, so every version's span reaches back into chunks of all earlier
+// batches. A flush should cost what its batch adds, not what the store holds:
+// kv-put-B/flush, kv-read-B/flush and ns/op stay flat as k grows.
 func BenchmarkFlushBatch(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		st, err := rstore.Open(context.Background(), rstore.Config{ChunkCapacity: 32 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		parent := rstore.NoParent
-		for v := 0; v < 32; v++ {
-			ch := rstore.Change{Puts: map[rstore.Key][]byte{}}
-			for r := 0; r < 32; r++ {
-				ch.Puts[rstore.Key(fmt.Sprintf("k%02d-%02d", v, r))] = []byte(`{"x":1}`)
+	ctx := context.Background()
+	for _, k := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			var put, read int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := rstore.Open(ctx, rstore.Config{ChunkCapacity: 8 << 10})
+				if err != nil {
+					b.Fatal(err)
+				}
+				parent := rstore.NoParent
+				for v := 0; v < 16*k; v++ {
+					ch := rstore.Change{Puts: map[rstore.Key][]byte{}}
+					rewrites := 4
+					if v == 0 {
+						rewrites = 256
+					}
+					for r := 0; r < rewrites; r++ {
+						ch.Puts[rstore.Key(fmt.Sprintf("k%03d", (4*v+r)%256))] = []byte(fmt.Sprintf(`{"rev":%d,"pad":"%0128d"}`, v, r))
+					}
+					if parent, err = st.Commit(ctx, parent, ch); err != nil {
+						b.Fatal(err)
+					}
+					if v%16 == 15 && v != 16*k-1 {
+						if err := st.Flush(ctx); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				before := st.KV().Stats(ctx)
+				b.StartTimer()
+				if err := st.Flush(ctx); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				after := st.KV().Stats(ctx)
+				put += after.BytesPut - before.BytesPut
+				read += after.BytesRead - before.BytesRead
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			parent, err = st.Commit(context.Background(), parent, ch)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		if err := st.Flush(context.Background()); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportMetric(float64(put)/float64(b.N), "kv-put-B/flush")
+			b.ReportMetric(float64(read)/float64(b.N), "kv-read-B/flush")
+		})
 	}
 }

@@ -146,7 +146,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if durable {
-			// Establish the recovery root immediately: without a manifest,
+			// Establish the recovery root immediately: without one,
 			// commits acknowledged before the first flush/SetBranch could
 			// not be replayed after a crash.
 			if err := st.Checkpoint(ctx); err != nil {

@@ -205,9 +205,6 @@ func TestKVKeyFormats(t *testing.T) {
 	if KVKey(0, 1) == KVKey(1, 1) {
 		t.Fatal("chunk keys collide across generations")
 	}
-	if MVKey(1) == KVKey(0, 1) {
-		t.Fatal("map key collides with chunk key")
-	}
 	gen, id, ok := ParseKVKey(KVKey(7, 0x1234))
 	if !ok || gen != 7 || id != 0x1234 {
 		t.Fatalf("ParseKVKey round trip: %d %d %v", gen, id, ok)

@@ -28,10 +28,9 @@ type ID = uint32
 // placement generation that assigned it. Ids restart at 0 on every full
 // repartition, so without the epoch prefix a repartition would overwrite
 // chunk entries in place and a crash mid-rewrite would strand the old
-// manifest against new chunk contents; with it, each generation writes
-// fresh keys and the manifest swap (which records the generation) is the
-// atomic commit point. Load garbage-collects keys of superseded
-// generations.
+// root against new chunk contents; with it, each generation writes fresh
+// keys and the root swap (the root names the generation) is the atomic
+// commit point. Load garbage-collects keys of superseded generations.
 func KVKey(gen uint32, id ID) string { return fmt.Sprintf("g%08x-c%08x", gen, id) }
 
 // ParseKVKey recovers the generation and chunk id from a KVKey.

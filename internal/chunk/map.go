@@ -41,9 +41,6 @@ func (m *Map) Add(v types.VersionID, slot uint32) {
 // no records in this chunk). The bitmap is shared; callers must not mutate.
 func (m *Map) SlotsOf(v types.VersionID) *bitset.BitSet { return m.Versions[v] }
 
-// MVKey renders a chunk id as the chunk-map table key.
-func MVKey(id ID) string { return fmt.Sprintf("m%08x", id) }
-
 // AppendBinary serializes the map: slot count, version count, then sorted
 // (version, bitmap) pairs. Bitmaps self-select dense/sparse encoding.
 func (m *Map) AppendBinary(buf []byte) []byte {

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rstore/internal/chunk"
 	"rstore/internal/corpus"
@@ -16,28 +16,23 @@ import (
 // the configured partitioner. The store takes ownership of the corpus.
 func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.mutable(); err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	if s.graph.NumVersions() != 0 {
-		s.mu.Unlock()
 		return fmt.Errorf("rstore: bulk load requires an empty store (have %d versions)", s.graph.NumVersions())
 	}
 	if err := c.Graph().Validate(); err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	s.graph = c.Graph()
 	s.corpus = c
-	s.locs = make([]chunk.Loc, c.NumRecords())
-	for i := range s.locs {
-		s.locs[i] = chunk.Loc{Chunk: chunk.NoChunk}
-	}
-	s.sortedKeys = append([]types.Key(nil), c.Keys()...)
-	sort.Slice(s.sortedKeys, func(i, j int) bool { return s.sortedKeys[i] < s.sortedKeys[j] })
-	s.mu.Unlock()
-	return s.Materialize(ctx)
+	// Adopted versions never sat in the write store: nothing is pending,
+	// and the materialize below has nothing to drain.
+	s.placed = s.graph.NumVersions()
+	s.sortedKeys = slices.Sorted(slices.Values(c.Keys()))
+	return s.materializeLocked(ctx)
 }
 
 // CommitDelta ingests a version whose delta the client computed itself —
@@ -108,9 +103,7 @@ func (s *Store) CommitDelta(ctx context.Context, parents []types.VersionID, delt
 	for i := len(s.locs); i < s.corpus.NumRecords(); i++ {
 		s.locs = append(s.locs, chunk.Loc{Chunk: chunk.NoChunk})
 	}
-	s.pending = append(s.pending, v)
-	s.pendingSet[v] = true
-	if s.cfg.BatchSize > 0 && len(s.pending) >= s.cfg.BatchSize {
+	if s.cfg.BatchSize > 0 && s.numPending() >= s.cfg.BatchSize {
 		// Detached from the caller's cancellation (see CommitMerge): the
 		// commit stands; the batch flush must not be wedgeable by a
 		// per-request ctx.
@@ -121,16 +114,19 @@ func (s *Store) CommitDelta(ctx context.Context, parents []types.VersionID, delt
 	return v, nil
 }
 
-// ChunkStorageBytes sums the persisted chunk entry sizes (payloads + maps).
-// A backend scan failure reports zero; it is a stats helper, not a source of
-// truth.
+// ChunkStorageBytes sums what placement persists: the chunk payloads plus the
+// placement records, which hold the chunk maps (and the version graph's
+// edges and composite-key deltas). A backend scan failure reports zero; it is
+// a stats helper, not a source of truth.
 func (s *Store) ChunkStorageBytes(ctx context.Context) int64 {
 	var total int64
-	if err := s.kv.Scan(ctx, TableChunks, func(_ string, value []byte) bool {
-		total += int64(len(value))
-		return true
-	}); err != nil {
-		return 0
+	for _, table := range []string{TableChunks, TablePlacement} {
+		if err := s.kv.Scan(ctx, table, func(_ string, value []byte) bool {
+			total += int64(len(value))
+			return true
+		}); err != nil {
+			return 0
+		}
 	}
 	return total
 }

@@ -10,8 +10,9 @@
 //     and parks them in the delta store (a KVS table) for batching.
 //   - Data Placement: Materialize runs an offline partitioning algorithm
 //     over everything; the online path (§4) partitions each batch of new
-//     versions as it closes, updating chunk maps and projections
-//     incrementally and rewriting each touched chunk map once per batch.
+//     versions as it closes, extending the in-memory chunk maps and
+//     projections and persisting only what the batch adds: new chunk
+//     payloads, one placement record, the root.
 //   - Query Processing: the two lossy projections (version→chunks,
 //     key→chunks) pick chunks, MultiGet fetches them in parallel, and chunk
 //     maps extract the requested records; pending (not yet partitioned)
@@ -27,8 +28,8 @@
 // them freely.
 //
 // The layer diagram lives in docs/ARCHITECTURE.md; every on-disk format the
-// engine persists through the cluster (manifest v2, delta store, chunk
-// generations) is specified in docs/FORMATS.md.
+// engine persists through the cluster (root v3, placement log, delta store,
+// chunk generations) is specified in docs/FORMATS.md.
 package core
 
 import (
@@ -146,14 +147,22 @@ func (c Config) withDefaults(ctx context.Context) (Config, bool, error) {
 
 // KVS table names used by the engine.
 const (
-	// TableChunks holds chunk payloads concatenated with their chunk maps,
-	// keyed by chunk id — one fetch returns both, matching the paper's
-	// placement of M_Ci alongside each chunk.
+	// TableChunks holds chunk payloads, keyed by placement generation and
+	// chunk id, each written once and never rewritten. The paper stores the
+	// chunk map M_Ci alongside each chunk so one fetch returns both; here the
+	// application server holds every map in memory (Store.maps, rebuilt from
+	// TablePlacement on Load), so a fetch needs only the payload and a new
+	// version never rewrites a chunk to extend its map.
 	TableChunks = "chunks"
+	// TablePlacement holds the append-only placement log: one record per
+	// flushed batch (one per full repartition) carrying its versions' graph
+	// edges, composite-key deltas and chunk-map slot bitmaps.
+	TablePlacement = "placement"
 	// TableDeltaStore holds pending version deltas awaiting batch
 	// placement (§4's write store).
 	TableDeltaStore = "deltastore"
-	// TableMeta holds the manifest (graph structure, branches, counters).
+	// TableMeta holds the root (placement generation, committed counts,
+	// branches) — the commit point of every flush.
 	TableMeta = "meta"
 )
 

@@ -34,7 +34,7 @@ func (s *Store) Info() Info {
 	vb, kb := s.proj.SizeBytes()
 	return Info{
 		Versions:          s.graph.NumVersions(),
-		PendingVersions:   len(s.pending),
+		PendingVersions:   s.numPending(),
 		Records:           s.corpus.NumRecords(),
 		Keys:              s.corpus.NumKeys(),
 		Chunks:            int(s.numChunks),

@@ -4,58 +4,41 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
-	"rstore/internal/corpus"
-	"rstore/internal/index"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
-	"rstore/internal/vgraph"
 )
 
-// manifestKey is the single meta-table entry holding the manifest.
+// manifestKey is the single meta-table entry holding the root. The key
+// predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 2 added the placement
-// generation (epoch-prefixed chunk keys); version-1 stores used unprefixed
-// chunk keys and must be re-initialized, not misread.
-const manifestVersion = 2
+// manifestVersion guards the on-disk format. Version 3 split the manifest
+// into a small root plus the append-only placement log; a version-2 store
+// carried chunk maps inside the chunk values, version 1 used unprefixed chunk
+// keys, and both must be re-initialized, not misread.
+const manifestVersion = 3
 
-// saveManifest persists everything needed to reopen the store against the
-// same KVS: the placement generation, the version graph with per-version
-// composite-key deltas (values live in chunks / the delta store), branches,
-// chunk count, and the pending set. Called under s.mu.
-func (s *Store) saveManifest(ctx context.Context) error {
-	var buf []byte
-	buf = codec.PutUvarint(buf, manifestVersion)
+// placementKey renders the key of the idx-th placement record of a
+// generation; like chunk.KVKey it carries the generation, so a full
+// repartition writes a fresh log beside the live one.
+func placementKey(gen, idx uint32) string { return fmt.Sprintf("g%08x-p%08x", gen, idx) }
+
+// saveRoot persists the root: format version, placement generation, and how
+// much of that generation is committed — chunk count, placement-record
+// count, placed-version count — plus the branches. Its write is the commit
+// point of every flush and repartition; everything it counts is already
+// durable. Called under s.mu.
+func (s *Store) saveRoot(ctx context.Context) error {
+	buf := codec.PutUvarint(nil, manifestVersion)
 	buf = codec.PutUvarint(buf, uint64(s.gen))
-	n := s.graph.NumVersions()
-	buf = codec.PutUvarint(buf, uint64(n))
-	for v := 0; v < n; v++ {
-		vv := types.VersionID(v)
-		parents := s.graph.Parents(vv)
-		buf = codec.PutUvarint(buf, uint64(len(parents)))
-		for _, p := range parents {
-			buf = codec.PutUvarint(buf, uint64(p))
-		}
-		adds := s.corpus.Adds(vv)
-		buf = codec.PutUvarint(buf, uint64(len(adds)))
-		for _, id := range adds {
-			buf = codec.PutCompositeKey(buf, s.corpus.Record(id).CK)
-		}
-		dels := s.corpus.Dels(vv)
-		buf = codec.PutUvarint(buf, uint64(len(dels)))
-		for _, id := range dels {
-			buf = codec.PutCompositeKey(buf, s.corpus.Record(id).CK)
-		}
-	}
 	buf = codec.PutUvarint(buf, uint64(s.numChunks))
-	buf = codec.PutUvarint(buf, uint64(len(s.pending)))
-	for _, v := range s.pending {
-		buf = codec.PutUvarint(buf, uint64(v))
-	}
+	buf = codec.PutUvarint(buf, uint64(s.numPlacements))
+	buf = codec.PutUvarint(buf, uint64(s.placed))
 	names := make([]string, 0, len(s.branches))
 	for name := range s.branches {
 		names = append(names, name)
@@ -66,12 +49,205 @@ func (s *Store) saveManifest(ctx context.Context) error {
 		buf = codec.PutString(buf, name)
 		buf = codec.PutUvarint(buf, uint64(s.branches[name]))
 	}
-	// BatchPut rather than Put: the manifest is the recovery root, and the
+	// BatchPut rather than Put: the root is the recovery root, and the
 	// batch path is the one durable backends fsync before acknowledging.
 	return s.kv.BatchPut(ctx, TableMeta, []kvstore.Entry{{Key: manifestKey, Value: buf}})
 }
 
-// Exists reports whether kv holds a persisted store (a manifest entry),
+// loadRoot parses a root into s (generation, counts, branches).
+func (s *Store) loadRoot(buf []byte) error {
+	ver, rest, err := codec.Uvarint(buf)
+	if err != nil {
+		return err
+	}
+	if ver != manifestVersion {
+		return fmt.Errorf("%w: manifest version %d (this build reads %d; re-initialize the store)",
+			types.ErrCorrupt, ver, manifestVersion)
+	}
+	var fields [5]uint64 // gen, chunks, placement records, placed versions, branches
+	for i := range fields {
+		if fields[i], rest, err = codec.Uvarint(rest); err != nil {
+			return err
+		}
+	}
+	s.gen, s.numChunks, s.numPlacements, s.placed = uint32(fields[0]), uint32(fields[1]), uint32(fields[2]), int(fields[3])
+	s.branches = make(map[string]types.VersionID, fields[4])
+	for i := uint64(0); i < fields[4]; i++ {
+		var name string
+		if name, rest, err = codec.String(rest); err != nil {
+			return err
+		}
+		var v uint64
+		if v, rest, err = codec.Uvarint(rest); err != nil {
+			return err
+		}
+		s.branches[name] = types.VersionID(v)
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing manifest bytes", types.ErrCorrupt, len(rest))
+	}
+	return nil
+}
+
+// savePlacement appends one placement record to the current generation's
+// log: the graph edges and composite-key deltas of versions [first, first+n)
+// (values live in chunks), and what those versions add to the chunk maps —
+// per touched chunk, a chunk map holding only their slot bitmaps (the whole
+// map for a chunk the record introduces). Online flushes append one record
+// per batch; a full repartition writes one record holding everything. The
+// record only counts once the root does.
+func (s *Store) savePlacement(ctx context.Context, first types.VersionID, n int, maps map[chunk.ID]*chunk.Map) error {
+	buf := codec.PutUvarint(nil, uint64(first))
+	buf = codec.PutUvarint(buf, uint64(n))
+	for v := first; v < first+types.VersionID(n); v++ {
+		parents := s.graph.Parents(v)
+		buf = codec.PutUvarint(buf, uint64(len(parents)))
+		for _, p := range parents {
+			buf = codec.PutUvarint(buf, uint64(p))
+		}
+		for _, ids := range [2][]uint32{s.corpus.Adds(v), s.corpus.Dels(v)} {
+			buf = codec.PutUvarint(buf, uint64(len(ids)))
+			for _, id := range ids {
+				buf = codec.PutCompositeKey(buf, s.corpus.Record(id).CK)
+			}
+		}
+	}
+	cids := make([]chunk.ID, 0, len(maps))
+	for cid := range maps {
+		cids = append(cids, cid)
+	}
+	slices.Sort(cids) // new chunks must fold in id order
+	buf = codec.PutUvarint(buf, uint64(len(cids)))
+	for _, cid := range cids {
+		buf = codec.PutUvarint(buf, uint64(cid))
+		buf = codec.PutBytes(buf, maps[cid].AppendBinary(nil))
+	}
+	if err := s.kv.BatchPut(ctx, TablePlacement, []kvstore.Entry{{Key: placementKey(s.gen, s.numPlacements), Value: buf}}); err != nil {
+		return err
+	}
+	s.numPlacements++
+	return nil
+}
+
+// applyPlacement folds one placement record into a store being loaded:
+// its versions extend the graph and corpus (record values come from values),
+// its map deltas extend s.maps.
+func (s *Store) applyPlacement(buf []byte, values map[types.CompositeKey][]byte) error {
+	first, rest, err := codec.Uvarint(buf)
+	if err != nil {
+		return err
+	}
+	if int(first) != s.graph.NumVersions() {
+		return fmt.Errorf("%w: placement record starts at version %d, expected %d", types.ErrCorrupt, first, s.graph.NumVersions())
+	}
+	n, rest, err := codec.Uvarint(rest)
+	if err != nil {
+		return err
+	}
+	for v := types.VersionID(first); v < types.VersionID(first+n); v++ {
+		var np uint64
+		if np, rest, err = codec.Uvarint(rest); err != nil {
+			return err
+		}
+		parents := make([]types.VersionID, np)
+		for i := range parents {
+			var p uint64
+			if p, rest, err = codec.Uvarint(rest); err != nil {
+				return err
+			}
+			parents[i] = types.VersionID(p)
+		}
+		delta := &types.Delta{}
+		var na uint64
+		if na, rest, err = codec.Uvarint(rest); err != nil {
+			return err
+		}
+		for i := uint64(0); i < na; i++ {
+			var ck types.CompositeKey
+			if ck, rest, err = codec.CompositeKey(rest); err != nil {
+				return err
+			}
+			val, ok := values[ck]
+			if !ok {
+				return fmt.Errorf("%w: no payload recovered for %v", types.ErrCorrupt, ck)
+			}
+			delta.Adds = append(delta.Adds, types.Record{CK: ck, Value: val})
+		}
+		var nd uint64
+		if nd, rest, err = codec.Uvarint(rest); err != nil {
+			return err
+		}
+		for i := uint64(0); i < nd; i++ {
+			var ck types.CompositeKey
+			if ck, rest, err = codec.CompositeKey(rest); err != nil {
+				return err
+			}
+			delta.Dels = append(delta.Dels, ck)
+		}
+		if err := s.replayVersion(v, parents, delta); err != nil {
+			return err
+		}
+	}
+
+	nm, rest, err := codec.Uvarint(rest)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < nm; i++ {
+		var cid uint64
+		if cid, rest, err = codec.Uvarint(rest); err != nil {
+			return err
+		}
+		var enc []byte
+		if enc, rest, err = codec.Bytes(rest); err != nil {
+			return err
+		}
+		m, err := chunk.DecodeMap(enc)
+		if err != nil {
+			return err
+		}
+		switch {
+		case cid == uint64(len(s.maps)):
+			s.maps = append(s.maps, m)
+		case cid < uint64(len(s.maps)) && s.maps[cid].NumSlots == m.NumSlots:
+			for v, bm := range m.Versions {
+				s.maps[cid].Versions[v] = bm
+			}
+		default:
+			return fmt.Errorf("%w: placement record extends chunk %d (%d slots) out of turn", types.ErrCorrupt, cid, m.NumSlots)
+		}
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing placement-record bytes", types.ErrCorrupt, len(rest))
+	}
+	return nil
+}
+
+// replayVersion re-registers version v — from a placement record or a
+// delta-store entry — with the graph and corpus of a store being loaded.
+// No parents, or the commit path's parents[0] == InvalidVersion, marks the
+// root.
+func (s *Store) replayVersion(v types.VersionID, parents []types.VersionID, delta *types.Delta) error {
+	var got types.VersionID
+	var err error
+	if len(parents) == 0 || parents[0] == types.InvalidVersion {
+		got, err = s.graph.AddRoot()
+	} else {
+		got, err = s.graph.AddVersion(parents...)
+	}
+	if err == nil && got != v {
+		err = fmt.Errorf("got id %d", got)
+	}
+	if err == nil {
+		err = s.corpus.AddVersionDelta(v, delta)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: replaying version %d: %v", types.ErrCorrupt, v, err)
+	}
+	return nil
+}
+
+// Exists reports whether kv holds a persisted store (a root entry),
 // without the cost — or the repair side effects — of a full Load.
 func Exists(ctx context.Context, kv *kvstore.Store) (bool, error) {
 	_, err := kv.Get(ctx, TableMeta, manifestKey)
@@ -84,33 +260,34 @@ func Exists(ctx context.Context, kv *kvstore.Store) (bool, error) {
 	return false, err
 }
 
-// Checkpoint persists the manifest without running placement. Open writes
+// Checkpoint persists the root without running placement. Open writes
 // nothing, so a durable deployment must checkpoint once after creating a
-// fresh store: the manifest is the recovery root that Load replays
-// later-acknowledged commits against (flush and SetBranch refresh it as a
-// side effect).
+// fresh store: the root is what Load replays later-acknowledged commits
+// against (flush and SetBranch refresh it as a side effect).
 func (s *Store) Checkpoint(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	return s.saveManifest(ctx)
+	return s.saveRoot(ctx)
 }
 
-// Load reopens a store previously persisted to kv: the manifest restores the
-// graph and delta structure, record payloads are recovered from chunk
-// entries and the delta store, and the in-memory placement state (locations,
-// chunk maps, projections) is rebuilt.
+// Load reopens a store previously persisted to kv: the root names the
+// placement generation and how much of it is committed, the generation's
+// placement records fold in order into the graph, the corpus and the chunk
+// maps, record payloads are recovered from chunk entries and the delta
+// store, and locations and projections are rebuilt from those.
 //
 // Load also finishes what a crash interrupted. Flush persists in the order
-// chunks → projections → manifest → delta-store drain, so a crash leaves at
-// most (a) orphan chunk entries past the manifest's chunk count and stale
-// projection references to them — skipped, pruned, and (on writable stores)
-// deleted here, after which the still-pending versions simply re-flush — and
-// (b) leftover delta entries for versions the manifest already placed —
-// ignored and cleaned up. Commits acknowledged after the last manifest save
-// are replayed from their self-describing delta entries.
+// chunks → placement record → root → delta-store drain, so a crash leaves at
+// most (a) chunk entries and a placement record past the root's counts —
+// skipped and (on writable stores) deleted here, after which the
+// still-pending versions simply re-flush under the same ids — and (b)
+// leftover delta entries for versions the root already placed — ignored and
+// cleaned up. Commits acknowledged after the last flush are replayed from
+// their self-describing delta entries: the contiguous run starting at the
+// root's placed-version count.
 func Load(ctx context.Context, cfg Config) (*Store, error) {
 	cfg, ownsKV, err := cfg.withDefaults(ctx)
 	if err != nil {
@@ -127,53 +304,41 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	if err != nil {
 		return fail(fmt.Errorf("rstore: load: %w", err))
 	}
-	// The manifest's placement generation decides which chunk entries are
-	// live before the full decode (which needs the chunk contents).
-	gen, err := manifestGen(raw)
-	if err != nil {
+	s := newStore(cfg, ownsKV)
+	if err := s.loadRoot(raw); err != nil {
 		return fail(err)
 	}
 
-	// Recover record payloads and per-chunk state. Which chunks are live is
-	// only known once the manifest decodes, so collect everything first.
-	// Entries of other generations are debris of an interrupted full
-	// repartition — a newer generation whose manifest never committed, or
-	// an older one whose cleanup was cut short — and are skipped here and
+	// Recover record payloads and slot layouts from the live chunks. Entries
+	// of other generations are debris of an interrupted full repartition — a
+	// newer generation whose root never committed, or an older one whose
+	// cleanup was cut short — and entries at or past the root's chunk count
+	// are orphans of an interrupted flush; both are skipped here and
 	// garbage-collected below.
 	values := make(map[types.CompositeKey][]byte)
-	type chunkState struct {
-		recs []types.CompositeKey // slot → composite key
-		m    *chunk.Map
-	}
-	chunks := make(map[chunk.ID]*chunkState)
-	var staleGenKeys []string
+	slots := make([][]types.CompositeKey, s.numChunks) // chunk id → slot → composite key
+	var debrisChunks, debrisPlacements []string
 	var loadErr error
-	scanErr := kv.Scan(ctx, TableChunks, func(key string, value []byte) bool {
+	scanErr := kv.Scan(ctx, TableChunks, func(key string, payload []byte) bool {
 		g, cid, ok := chunk.ParseKVKey(key)
 		if !ok {
 			loadErr = fmt.Errorf("%w: bad chunk key %q", types.ErrCorrupt, key)
 			return false
 		}
-		if g != gen {
-			staleGenKeys = append(staleGenKeys, key)
+		if g != s.gen || cid >= s.numChunks {
+			debrisChunks = append(debrisChunks, key)
 			return true
-		}
-		payload, m, err := decodeChunkEntry(value)
-		if err != nil {
-			loadErr = err
-			return false
 		}
 		recs, err := chunk.DecodeChunk(payload)
 		if err != nil {
 			loadErr = err
 			return false
 		}
-		cs := &chunkState{m: m, recs: make([]types.CompositeKey, len(recs))}
+		slots[cid] = make([]types.CompositeKey, len(recs))
 		for slot, r := range recs {
 			values[r.CK] = r.Value
-			cs.recs[slot] = r.CK
+			slots[cid][slot] = r.CK
 		}
-		chunks[cid] = cs
 		return true
 	})
 	if scanErr != nil {
@@ -184,7 +349,7 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	}
 
 	// Delta store: record payloads for pending versions, plus whole entries
-	// keyed by version for the replay of unmanifested commits below.
+	// keyed by version for the replay of unplaced commits below.
 	type deltaEntry struct {
 		parents []types.VersionID
 		delta   *types.Delta
@@ -214,271 +379,105 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		return fail(loadErr)
 	}
 
-	s, err := decodeManifest(raw, cfg, values)
-	if err != nil {
-		return fail(err)
+	// Placement log: records [0, numPlacements) of the root's generation,
+	// folded in order. A hole is corruption, not a shorter history.
+	placements := make([][]byte, s.numPlacements)
+	scanErr = kv.Scan(ctx, TablePlacement, func(key string, value []byte) bool {
+		var g, idx uint32
+		if _, err := fmt.Sscanf(key, "g%08x-p%08x", &g, &idx); err != nil {
+			loadErr = fmt.Errorf("%w: bad placement key %q", types.ErrCorrupt, key)
+			return false
+		}
+		if g != s.gen || idx >= s.numPlacements {
+			debrisPlacements = append(debrisPlacements, key)
+		} else {
+			placements[idx] = value
+		}
+		return true
+	})
+	if scanErr != nil {
+		return fail(scanErr)
 	}
-	s.ownsKV = ownsKV
+	if loadErr != nil {
+		return fail(loadErr)
+	}
+	for idx, rec := range placements {
+		if rec == nil {
+			return fail(fmt.Errorf("%w: placement record %s missing", types.ErrCorrupt, placementKey(s.gen, uint32(idx))))
+		}
+		if err := s.applyPlacement(rec, values); err != nil {
+			return fail(err)
+		}
+	}
+	if s.graph.NumVersions() != s.placed || len(s.maps) != int(s.numChunks) {
+		return fail(fmt.Errorf("%w: placement log holds %d versions and %d chunks, root says %d and %d",
+			types.ErrCorrupt, s.graph.NumVersions(), len(s.maps), s.placed, s.numChunks))
+	}
 
-	// Replay commits acknowledged after the last manifest save: contiguous
-	// delta entries starting at the manifest's version count. They rejoin
-	// the pending set and place on the next flush.
-	manifestVersions := types.VersionID(s.graph.NumVersions())
-	for v := manifestVersions; ; v++ {
+	// Replay commits acknowledged after the last flush: contiguous delta
+	// entries starting at the placed-version count. They are pending again
+	// and place on the next flush.
+	for v := types.VersionID(s.placed); ; v++ {
 		e, ok := deltas[v]
 		if !ok {
 			break
 		}
-		var got types.VersionID
-		if len(e.parents) > 0 && e.parents[0] == types.InvalidVersion {
-			got, err = s.graph.AddRoot()
-		} else {
-			got, err = s.graph.AddVersion(e.parents...)
+		if err := s.replayVersion(v, e.parents, e.delta); err != nil {
+			return fail(err)
 		}
-		if err != nil {
-			return fail(fmt.Errorf("%w: replaying commit %d: %v", types.ErrCorrupt, v, err))
-		}
-		if got != v {
-			return fail(fmt.Errorf("%w: replayed commit %d got id %d", types.ErrCorrupt, v, got))
-		}
-		if err := s.corpus.AddVersionDelta(v, e.delta); err != nil {
-			return fail(fmt.Errorf("%w: replaying commit %d: %v", types.ErrCorrupt, v, err))
-		}
-		s.noteNewKeys(e.delta)
-		s.pending = append(s.pending, v)
-		s.pendingSet[v] = true
 	}
+	s.sortedKeys = slices.Sorted(slices.Values(s.corpus.Keys()))
 
-	// Rebuild placement state from the live chunks; entries at or past the
-	// manifest's chunk count are orphans of an interrupted flush (their
-	// versions are still pending, so nothing is lost by dropping them).
+	// Rebuild locations and projections from the live chunks and the folded
+	// maps — the state flush and Materialize derived them from. Chunks are
+	// visited in id order, so every adjacency list comes out sorted.
 	s.locs = make([]chunk.Loc, s.corpus.NumRecords())
 	for i := range s.locs {
 		s.locs[i] = chunk.Loc{Chunk: chunk.NoChunk}
 	}
-	s.maps = make([]*chunk.Map, s.numChunks)
-	var orphanChunks []chunk.ID
-	for cid, cs := range chunks {
-		if uint32(cid) >= s.numChunks {
-			orphanChunks = append(orphanChunks, cid)
-			continue
+	for cid, cks := range slots {
+		if len(cks) != s.maps[cid].NumSlots {
+			return fail(fmt.Errorf("%w: chunk %s holds %d records, its map %d slots",
+				types.ErrCorrupt, chunk.KVKey(s.gen, chunk.ID(cid)), len(cks), s.maps[cid].NumSlots))
 		}
-		for slot, ck := range cs.recs {
+		for slot, ck := range cks {
 			id, ok := s.corpus.IDForCK(ck)
 			if !ok {
-				return fail(fmt.Errorf("%w: chunked record %v not in manifest", types.ErrCorrupt, ck))
+				return fail(fmt.Errorf("%w: chunked record %v not in the placement log", types.ErrCorrupt, ck))
 			}
-			s.locs[id] = chunk.Loc{Chunk: cid, Slot: uint32(slot)}
+			s.locs[id] = chunk.Loc{Chunk: chunk.ID(cid), Slot: uint32(slot)}
+			s.proj.AddKeyChunk(ck.Key, chunk.ID(cid))
 		}
-		s.maps[cid] = cs.m
-	}
-	// Projections are REBUILT from the live chunks' maps and records, not
-	// read back from their persisted tables: the persisted rows are
-	// overwritten in place by flush and repartition, so a crash between
-	// the projection save and the manifest save would pair this manifest's
-	// chunks with the next layout's projections — whose references point
-	// at chunk ids holding different records, silently shrinking query
-	// results (the projections are lossy, so nothing would error). The
-	// chunk state decoded above is exactly what flush and Materialize
-	// derived the projections from, so the rebuild is both exact and free
-	// of that window; the persisted tables remain the paper's
-	// architectural artifact (§2.4) and feed nothing during recovery.
-	proj := index.New()
-	for cid, cs := range chunks {
-		if uint32(cid) >= s.numChunks {
-			continue // interrupted-flush orphan, dropped above
-		}
-		for v, bm := range cs.m.Versions {
+		for v, bm := range s.maps[cid].Versions {
 			if !bm.Empty() {
-				proj.ObserveVersionChunk(v, cid)
+				s.proj.ObserveVersionChunk(v, chunk.ID(cid))
 			}
-		}
-		for _, ck := range cs.recs {
-			proj.AddKeyChunk(ck.Key, cid)
 		}
 	}
-	proj.Normalize()
-	s.proj = proj
 
-	// Repair: writable stores drop the crash leftovers so they cannot
-	// collide with the chunk ids the next flush assigns — current-gen
-	// orphans past the manifest's chunk count, and whole superseded
-	// generations. Read-only replicas only pruned in memory, which queries
-	// never look past.
+	// Repair: writable stores drop the crash leftovers — orphan chunks and
+	// records (the next flush reuses their ids), whole superseded or
+	// uncommitted generations, and delta entries of placed versions.
+	// Read-only replicas only skipped them in memory, which queries never
+	// look past.
 	if !cfg.ReadOnly {
-		for _, cid := range orphanChunks {
-			if err := kv.Delete(ctx, TableChunks, chunk.KVKey(gen, cid)); err != nil {
-				return fail(err)
-			}
-		}
-		for _, key := range staleGenKeys {
+		for _, key := range debrisChunks {
 			if err := kv.Delete(ctx, TableChunks, key); err != nil {
 				return fail(err)
 			}
 		}
+		for _, key := range debrisPlacements {
+			if err := kv.Delete(ctx, TablePlacement, key); err != nil {
+				return fail(err)
+			}
+		}
 		for v := range deltas {
-			if v < manifestVersions && !s.pendingSet[v] {
+			if int(v) < s.placed {
 				if err := kv.Delete(ctx, TableDeltaStore, deltaKey(v)); err != nil {
 					return fail(err)
 				}
 			}
 		}
-	}
-	return s, nil
-}
-
-// manifestGen parses just the manifest header — format version and
-// placement generation — so Load can classify chunk entries before the
-// full decode.
-func manifestGen(buf []byte) (uint32, error) {
-	ver, rest, err := codec.Uvarint(buf)
-	if err != nil {
-		return 0, err
-	}
-	if ver != manifestVersion {
-		return 0, fmt.Errorf("%w: manifest version %d (this build reads %d; re-initialize the store)",
-			types.ErrCorrupt, ver, manifestVersion)
-	}
-	gen, _, err := codec.Uvarint(rest)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(gen), nil
-}
-
-// decodeManifest parses the manifest and replays the graph + corpus.
-func decodeManifest(buf []byte, cfg Config, values map[types.CompositeKey][]byte) (*Store, error) {
-	ver, rest, err := codec.Uvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	if ver != manifestVersion {
-		return nil, fmt.Errorf("%w: manifest version %d (want %d)", types.ErrCorrupt, ver, manifestVersion)
-	}
-	gen, rest, err := codec.Uvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	n, rest, err := codec.Uvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-
-	g := vgraph.New()
-	c := corpus.New(g)
-	s := &Store{
-		cfg:        cfg,
-		kv:         cfg.KV,
-		graph:      g,
-		corpus:     c,
-		gen:        uint32(gen),
-		pendingSet: make(map[types.VersionID]bool),
-		keyStates:  newKeyStateCache(4),
-		branches:   make(map[string]types.VersionID),
-	}
-
-	for v := uint64(0); v < n; v++ {
-		var np uint64
-		np, rest, err = codec.Uvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		parents := make([]types.VersionID, np)
-		for i := range parents {
-			var p uint64
-			p, rest, err = codec.Uvarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			parents[i] = types.VersionID(p)
-		}
-		var id types.VersionID
-		if np == 0 {
-			id, err = g.AddRoot()
-		} else {
-			id, err = g.AddVersion(parents...)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if id != types.VersionID(v) {
-			return nil, fmt.Errorf("%w: manifest version %d decoded as %d", types.ErrCorrupt, v, id)
-		}
-
-		delta := &types.Delta{}
-		var na uint64
-		na, rest, err = codec.Uvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < na; i++ {
-			var ck types.CompositeKey
-			ck, rest, err = codec.CompositeKey(rest)
-			if err != nil {
-				return nil, err
-			}
-			val, ok := values[ck]
-			if !ok {
-				return nil, fmt.Errorf("%w: no payload recovered for %v", types.ErrCorrupt, ck)
-			}
-			delta.Adds = append(delta.Adds, types.Record{CK: ck, Value: val})
-		}
-		var nd uint64
-		nd, rest, err = codec.Uvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < nd; i++ {
-			var ck types.CompositeKey
-			ck, rest, err = codec.CompositeKey(rest)
-			if err != nil {
-				return nil, err
-			}
-			delta.Dels = append(delta.Dels, ck)
-		}
-		if err := c.AddVersionDelta(id, delta); err != nil {
-			return nil, err
-		}
-		s.noteNewKeys(delta)
-	}
-
-	nc, rest, err := codec.Uvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	s.numChunks = uint32(nc)
-	np, rest, err := codec.Uvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < np; i++ {
-		var v uint64
-		v, rest, err = codec.Uvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		s.pending = append(s.pending, types.VersionID(v))
-		s.pendingSet[types.VersionID(v)] = true
-	}
-	nb, rest, err := codec.Uvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nb; i++ {
-		var name string
-		name, rest, err = codec.String(rest)
-		if err != nil {
-			return nil, err
-		}
-		var v uint64
-		v, rest, err = codec.Uvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		s.branches[name] = types.VersionID(v)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing manifest bytes", types.ErrCorrupt, len(rest))
 	}
 	return s, nil
 }

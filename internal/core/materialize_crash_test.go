@@ -15,10 +15,11 @@ import (
 )
 
 // faultBackend wraps a memory backend and fails writes on demand — the
-// crash-injection seam for repartition tests. A BatchPut that fails leaves
-// nothing behind (the batch contract), so partial table state is produced
-// by failing SOME nodes' batches, and "crash between stages" by failing a
-// later stage's table.
+// crash-injection seam for flush and repartition tests. A BatchPut that
+// fails leaves nothing behind (the batch contract), so partial table state
+// is produced by failing SOME nodes' batches, and "crash between stages" by
+// failing a later stage's table. A kvstore Delete reaches the backend as the
+// Put of a tombstone, so failing a table's Puts also fails its deletes.
 type faultBackend struct {
 	*memory.Backend
 	mu   sync.Mutex

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rstore/internal/bitset"
 	"rstore/internal/chunk"
@@ -16,18 +16,20 @@ import (
 
 // Flush runs online partitioning (paper §4) over all pending versions: new
 // records are chunked with the configured algorithm restricted to the batch
-// subtree, existing records keep their chunks (no re-partitioning), chunk
-// maps touched by the batch are rebuilt from in-memory state and written
-// back once, and the projections gain the new versions.
+// subtree, existing records keep their chunks (no re-partitioning), and the
+// in-memory chunk maps and projections gain the new versions. What it
+// persists is what the batch adds, whatever the store already holds: each
+// new chunk's payload, written once and never again, then one placement
+// record (the batch's graph edges, composite-key deltas and slot bitmaps),
+// then the root.
 //
 // Flush honors ctx for its KVS writes. An error mid-flush — including a
-// cancellation — never corrupts the persisted state (the chunks →
-// projections → manifest → delta-drain crash ordering means Load repairs
-// it), but it can leave this process's in-memory placement ahead of what
-// was persisted; treat a failed Flush like a crash and reopen with Load
-// rather than continuing to serve from the same Store. Prefer a
-// non-cancellable context here unless abandoning the store on interruption
-// is acceptable.
+// cancellation — never corrupts the persisted state (the chunks → placement
+// record → root → delta-drain crash ordering means Load repairs it), but it
+// can leave this process's in-memory placement ahead of what was persisted;
+// treat a failed Flush like a crash and reopen with Load rather than
+// continuing to serve from the same Store. Prefer a non-cancellable context
+// here unless abandoning the store on interruption is acceptable.
 func (s *Store) Flush(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -38,21 +40,29 @@ func (s *Store) Flush(ctx context.Context) error {
 }
 
 func (s *Store) flushLocked(ctx context.Context) error {
-	if len(s.pending) == 0 {
+	pending := s.pending()
+	if len(pending) == 0 {
 		return nil
 	}
 
-	// New records: committed but not yet placed.
+	// New records: added by the batch and not yet placed (a record re-added
+	// through a merge may already have its chunk). In record-id order, the
+	// order the partitioner has always seen them in.
 	var newIDs []uint32
-	for id, loc := range s.locs {
-		if loc.Chunk == chunk.NoChunk {
-			newIDs = append(newIDs, uint32(id))
+	for _, v := range pending {
+		for _, id := range s.corpus.Adds(v) {
+			if s.locs[id].Chunk == chunk.NoChunk {
+				newIDs = append(newIDs, id)
+			}
 		}
 	}
+	slices.Sort(newIDs)
+	newIDs = slices.Compact(newIDs)
 
-	var batchChunks [][]uint32 // per new chunk: record ids
+	var items []chunk.Item // the new records as partitioner items, aligned with newIDs
+	var chunks [][]uint32  // per new chunk: item indexes
 	if len(newIDs) > 0 {
-		in, err := s.batchInstance(newIDs)
+		in, err := s.batchInstance(pending, newIDs)
 		if err != nil {
 			return err
 		}
@@ -60,91 +70,59 @@ func (s *Store) flushLocked(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("rstore: flush: %s: %w", s.cfg.Partitioner.Name(), err)
 		}
-		// Translate item indexes back to record ids.
-		batchChunks = make([][]uint32, len(assign.Chunks))
-		for ci, itemIdxs := range assign.Chunks {
-			recs := make([]uint32, len(itemIdxs))
-			for j, ii := range itemIdxs {
-				recs[j] = newIDs[ii]
-			}
-			batchChunks[ci] = recs
-		}
+		items, chunks = in.Items, assign.Chunks
 	}
 
-	touched := make(map[chunk.ID]bool)
-
-	// Materialize the new chunks: payloads, locations, empty maps.
-	for _, recs := range batchChunks {
+	// Materialize the new chunks: payloads, locations, key projection, empty
+	// maps. added collects what the batch adds to the chunk maps — the
+	// placement record's map half. New chunk ids ascend past every existing
+	// one, so the key lists stay sorted.
+	added := make(map[chunk.ID]*chunk.Map)
+	payloads := make([]kvstore.Entry, 0, len(chunks))
+	for _, itemIdxs := range chunks {
 		cid := chunk.ID(s.numChunks)
 		s.numChunks++
-		items := make([]chunk.Item, len(recs))
-		for j, rec := range recs {
-			it, err := chunk.SingleRecordItem(s.corpus, rec)
-			if err != nil {
-				return err
-			}
-			items[j] = it
-			s.locs[rec] = chunk.Loc{Chunk: cid, Slot: uint32(j)}
+		members := make([]chunk.Item, len(itemIdxs))
+		for slot, ii := range itemIdxs {
+			members[slot] = items[ii]
+			s.locs[newIDs[ii]] = chunk.Loc{Chunk: cid, Slot: uint32(slot)}
+			s.proj.AddKeyChunk(items[ii].CK.Key, cid)
 		}
-		payload := encodeChunkPayload(items)
-		s.chunkPayloadCache(cid, payload)
-		s.maps = append(s.maps, chunk.NewMap(len(recs)))
-		touched[cid] = true
+		payloads = append(payloads, kvstore.Entry{Key: chunk.KVKey(s.gen, cid), Value: encodeChunkPayload(members)})
+		s.maps = append(s.maps, chunk.NewMap(len(members)))
+		added[cid] = chunk.NewMap(len(members))
 	}
 
-	// Update chunk maps and the version projection for each pending
+	// Extend the chunk maps and the version projection for each pending
 	// version, in id order so parents are handled before children.
-	for _, v := range s.pending {
-		span, err := s.extendMaps(v, touched)
+	for _, v := range pending {
+		span, err := s.extendMaps(v, added)
 		if err != nil {
 			return err
 		}
 		for _, cid := range span {
 			s.proj.ObserveVersionChunk(v, cid)
 		}
-		// Key projection entries for records newly placed at this version.
-		for _, rec := range s.corpus.Adds(v) {
-			loc := s.locs[rec]
-			s.proj.AddKeyChunk(s.corpus.Record(rec).CK.Key, loc.Chunk)
-		}
 	}
-	s.proj.Normalize()
 
-	// Persist: every touched chunk entry is rewritten once per batch (the
-	// paper's rebuild-instead-of-fetch optimization) in one batched write —
-	// grouped per replica node, one durability sync per node — then
-	// projections for the affected versions/keys, then the write store
-	// drains.
-	entries := make([]kvstore.Entry, 0, len(touched))
-	for cid := range touched {
-		payload, err := s.payloadOf(ctx, cid)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, kvstore.Entry{
-			Key:   chunk.KVKey(s.gen, cid),
-			Value: encodeChunkEntry(payload, s.maps[cid]),
-		})
-	}
-	if err := s.kv.BatchPut(ctx, TableChunks, entries); err != nil {
+	// Persist, in the crash order Load repairs: chunk payloads (one batched
+	// write — grouped per replica node, one durability sync per node) →
+	// placement record → root, the commit point → write-store drain. A
+	// crash before the root leaves chunks and a record past the root's
+	// counts, which Load skips and deletes (the versions are still pending
+	// and re-flush under the same ids); a crash after it leaves only stale
+	// delta entries that Load garbage-collects.
+	if err := s.kv.BatchPut(ctx, TableChunks, payloads); err != nil {
 		return err
 	}
-	if err := s.proj.Save(ctx, s.kv); err != nil {
+	if err := s.savePlacement(ctx, pending[0], len(pending), added); err != nil {
 		return err
 	}
-	// Commit point: the manifest must land BEFORE the write store drains.
-	// Crash-ordering contract with Load: chunks → projections → manifest →
-	// delta deletes. A crash before the manifest leaves orphan chunks and
-	// stale projection rows that Load skips/prunes (the versions are still
-	// pending and re-flush); a crash after it leaves only stale delta
-	// entries that Load garbage-collects.
-	flushed := s.pending
-	s.pending = nil
-	s.pendingSet = make(map[types.VersionID]bool)
-	if err := s.saveManifest(ctx); err != nil {
+	s.placed += len(pending)
+	if err := s.saveRoot(ctx); err != nil {
 		return err
 	}
-	for _, v := range flushed {
+	for _, v := range pending {
 		if err := s.kv.Delete(ctx, TableDeltaStore, deltaKey(v)); err != nil {
 			return err
 		}
@@ -162,7 +140,7 @@ func (s *Store) flushLocked(ctx context.Context) error {
 // batchInstance builds the partitioning instance for the pending subtrees:
 // a virtual empty root stands in for the already-partitioned store, with the
 // pending versions hanging off it in commit order.
-func (s *Store) batchInstance(newIDs []uint32) (*partition.Input, error) {
+func (s *Store) batchInstance(pending []types.VersionID, newIDs []uint32) (*partition.Input, error) {
 	itemIdx := make(map[uint32]uint32, len(newIDs))
 	items := make([]chunk.Item, len(newIDs))
 	for i, rec := range newIDs {
@@ -178,10 +156,10 @@ func (s *Store) batchInstance(newIDs []uint32) (*partition.Input, error) {
 	if _, err := g.AddRoot(); err != nil {
 		return nil, err
 	}
-	mapped := make(map[types.VersionID]types.VersionID, len(s.pending))
+	mapped := make(map[types.VersionID]types.VersionID, len(pending))
 	adds := [][]uint32{nil} // virtual root: nothing
 	dels := [][]uint32{nil}
-	for _, v := range s.pending {
+	for _, v := range pending {
 		parent := s.graph.Parent(v)
 		tp := types.VersionID(0)
 		if mp, ok := mapped[parent]; ok {
@@ -218,10 +196,10 @@ func filterMapIDs(ids []uint32, itemIdx map[uint32]uint32) []uint32 {
 }
 
 // extendMaps computes version v's slot bitmaps across chunks from its
-// parent's, applies v's delta, installs them in the in-memory chunk maps,
-// and returns v's chunk span (sorted). Chunks whose maps change are added to
-// touched.
-func (s *Store) extendMaps(v types.VersionID, touched map[chunk.ID]bool) ([]chunk.ID, error) {
+// parent's, applies v's delta, installs them in the in-memory chunk maps —
+// and in added, the batch's share of each map — and returns v's chunk span
+// (sorted).
+func (s *Store) extendMaps(v types.VersionID, added map[chunk.ID]*chunk.Map) ([]chunk.ID, error) {
 	perChunk := make(map[chunk.ID]*bitset.BitSet)
 	parent := s.graph.Parent(v)
 	if parent != types.InvalidVersion {
@@ -259,10 +237,13 @@ func (s *Store) extendMaps(v types.VersionID, touched map[chunk.ID]bool) ([]chun
 			continue
 		}
 		s.maps[cid].Versions[v] = bm
-		touched[cid] = true
+		if added[cid] == nil {
+			added[cid] = chunk.NewMap(s.maps[cid].NumSlots)
+		}
+		added[cid].Versions[v] = bm
 		span = append(span, cid)
 	}
-	sort.Slice(span, func(i, j int) bool { return span[i] < span[j] })
+	slices.Sort(span)
 	return span, nil
 }
 
@@ -275,31 +256,4 @@ func encodeChunkPayload(items []chunk.Item) []byte {
 		buf = append(buf, it.Encoded...)
 	}
 	return buf
-}
-
-// chunkPayloadCache stages freshly built payloads until the batch write; the
-// engine otherwise keeps chunk payloads only in the KVS.
-func (s *Store) chunkPayloadCache(cid chunk.ID, payload []byte) {
-	if s.stagedPayloads == nil {
-		s.stagedPayloads = make(map[chunk.ID][]byte)
-	}
-	s.stagedPayloads[cid] = payload
-}
-
-// payloadOf returns a chunk's payload: staged (new this batch) or fetched
-// from the KVS (old chunk whose map is being rewritten).
-func (s *Store) payloadOf(ctx context.Context, cid chunk.ID) ([]byte, error) {
-	if p, ok := s.stagedPayloads[cid]; ok {
-		delete(s.stagedPayloads, cid)
-		return p, nil
-	}
-	entry, err := s.kv.Get(ctx, TableChunks, chunk.KVKey(s.gen, cid))
-	if err != nil {
-		return nil, fmt.Errorf("rstore: flush: chunk %d payload: %w", cid, err)
-	}
-	payload, _, err := decodeChunkEntry(entry)
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
 }

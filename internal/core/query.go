@@ -337,7 +337,7 @@ func (s *Store) validVersion(v types.VersionID) bool {
 func (s *Store) anchorOf(v types.VersionID) (types.VersionID, []types.VersionID) {
 	var overlay []types.VersionID
 	cur := v
-	for cur != types.InvalidVersion && s.pendingSet[cur] {
+	for cur != types.InvalidVersion && int(cur) >= s.placed {
 		overlay = append(overlay, cur)
 		cur = s.graph.Parent(cur)
 	}
@@ -433,7 +433,9 @@ func emitOverlayAdds(c *Cursor, ov *overlayView, filter func(types.Key) bool, yi
 	}
 }
 
-// chunkEntry is a fetched chunk: payload + map.
+// chunkEntry is a fetched chunk: its payload from the KVS, its map from the
+// store's memory (s.maps; the query holds s.mu, so no flush extends it
+// underneath).
 type chunkEntry struct {
 	id      chunk.ID
 	payload []byte
@@ -477,7 +479,7 @@ func (s *Store) streamChunks(ctx context.Context, cids []chunk.ID, stats *QueryS
 	return false, nil
 }
 
-// fetchChunks resolves chunk entries with one MultiGet. Span counts every
+// fetchChunks resolves chunk payloads with one MultiGet. Span counts every
 // chunk consulted; Requests/BytesRead reflect backend traffic. Missing
 // chunks indicate corruption (projections are authoritative) and surface as
 // errors.
@@ -499,12 +501,8 @@ func (s *Store) fetchChunks(ctx context.Context, cids []chunk.ID, stats *QuerySt
 	}
 	s.bookMultiGet(res, stats)
 	out := make([]*chunkEntry, len(cids))
-	for i, val := range res.Values {
-		payload, m, err := decodeChunkEntry(val)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = &chunkEntry{id: cids[i], payload: payload, m: m}
+	for i, payload := range res.Values {
+		out[i] = &chunkEntry{id: cids[i], payload: payload, m: s.maps[cids[i]]}
 	}
 	return out, nil
 }

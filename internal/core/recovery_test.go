@@ -145,74 +145,98 @@ func TestCheckpointEnablesRootReplay(t *testing.T) {
 }
 
 // TestLoadToleratesInterruptedFlush simulates a flush that crashed after
-// writing chunk entries and projections but before the manifest: Load must
-// skip the orphan chunk, prune the stale projection references, repair the
-// KVS, and leave the store fully usable.
+// writing its chunk payloads and its placement record but before the root:
+// Load must skip the orphan chunk and the orphan record, repair the KVS, and
+// leave the store fully usable — the re-flush reuses both ids.
 func TestLoadToleratesInterruptedFlush(t *testing.T) {
-	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1})
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(context.Background(), Config{KV: kv})
+	st, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v0, err := st.Commit(context.Background(), types.InvalidVersion, Change{Puts: map[types.Key][]byte{
+	v0, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: map[types.Key][]byte{
 		"a": []byte("a0"),
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Flush(context.Background()); err != nil {
+	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	numChunks := uint32(st.NumChunks())
+	rootBefore, err := kv.Get(ctx, TableMeta, manifestKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphanChunk := chunk.KVKey(st.gen, chunk.ID(st.numChunks))
+	orphanRecord := placementKey(st.gen, st.numPlacements)
 
-	// Hand-craft the crash debris: an orphan chunk entry past the manifest
-	// count holding a record of a never-manifested version, and a stale key
-	// projection row referencing it.
-	orphanCID := chunk.ID(numChunks)
-	item, err := chunk.SingleRecordItem(st.corpus, 0) // reuse record 0's bytes
+	// Produce the crash debris with the real flush of a second version, then
+	// roll the root back: chunk and record are durable, the commit point and
+	// the delta drain never happened.
+	v1, err := st.Commit(ctx, v0, Change{Puts: map[types.Key][]byte{"b": []byte("b1")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeChunkPayload([]chunk.Item{item})
-	if err := kv.Put(context.Background(), TableChunks, chunk.KVKey(st.gen, orphanCID), encodeChunkEntry(payload, chunk.NewMap(1))); err != nil {
+	delta1, err := kv.Get(ctx, TableDeltaStore, deltaKey(v1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A crashed flush saves the full projection — existing refs plus the
-	// ones pointing at the never-manifested chunk.
-	st.proj.AddKeyChunk("a", orphanCID)
-	st.proj.ObserveVersionChunk(v0, orphanCID)
-	st.proj.Normalize()
-	if err := st.proj.Save(context.Background(), kv); err != nil {
+	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if err := kv.Put(ctx, TableMeta, manifestKey, rootBefore); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Put(ctx, TableDeltaStore, deltaKey(v1), delta1); err != nil {
+		t.Fatal(err)
+	}
+	for table, key := range map[string]string{TableChunks: orphanChunk, TablePlacement: orphanRecord} {
+		if _, err := kv.Get(ctx, table, key); err != nil {
+			t.Fatalf("precondition: debris %s/%s: %v", table, key, err)
+		}
 	}
 
-	re, err := Load(context.Background(), Config{KV: kv})
+	re, err := Load(ctx, Config{KV: kv})
 	if err != nil {
-		t.Fatalf("load with orphan chunk: %v", err)
+		t.Fatalf("load with orphan chunk and record: %v", err)
 	}
-	rec, _, err := re.GetRecord(context.Background(), "a", v0)
-	if err != nil || string(rec.Value) != "a0" {
-		t.Fatalf("a@v0 = %v, %v", rec, err)
+	if re.NumChunks() != 1 || re.PendingVersions() != 1 {
+		t.Fatalf("after load: %d chunks, %d pending; want 1 and 1", re.NumChunks(), re.PendingVersions())
 	}
-	// The repair removed the orphan entry.
-	if _, err := kv.Get(context.Background(), TableChunks, chunk.KVKey(st.gen, orphanCID)); !errors.Is(err, types.ErrNotFound) {
-		t.Fatalf("orphan chunk entry survived repair: %v", err)
+	for v, want := range map[types.VersionID][2]string{v0: {"a", "a0"}, v1: {"b", "b1"}} {
+		rec, _, err := re.GetRecord(ctx, types.Key(want[0]), v)
+		if err != nil || string(rec.Value) != want[1] {
+			t.Fatalf("%s@v%d = %v, %v", want[0], v, rec, err)
+		}
 	}
-	// And the store keeps committing/flushing cleanly — the next flush
-	// reuses the orphan's chunk id without collision.
-	v1, err := re.Commit(context.Background(), v0, Change{Puts: map[types.Key][]byte{"b": []byte("b1")}})
+	// The repair removed both orphans.
+	for table, key := range map[string]string{TableChunks: orphanChunk, TablePlacement: orphanRecord} {
+		if _, err := kv.Get(ctx, table, key); !errors.Is(err, types.ErrNotFound) {
+			t.Fatalf("orphan %s/%s survived repair: %v", table, key, err)
+		}
+	}
+	// And the store keeps committing/flushing cleanly — the re-flush reuses
+	// the orphans' chunk id and record index without collision.
+	v2, err := re.Commit(ctx, v1, Change{Puts: map[types.Key][]byte{"c": []byte("c2")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Flush(context.Background()); err != nil {
+	if err := re.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rec, _, err = re.GetRecord(context.Background(), "b", v1)
-	if err != nil || string(rec.Value) != "b1" {
-		t.Fatalf("b@v1 = %v, %v", rec, err)
+	re2, err := Load(ctx, Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[types.Key]string{"a": "a0", "b": "b1", "c": "c2"} {
+		rec, _, err := re2.GetRecord(ctx, key, v2)
+		if err != nil || string(rec.Value) != want {
+			t.Fatalf("%s@v2 after re-flush and reload = %v, %v", key, rec, err)
+		}
 	}
 }
 

@@ -25,25 +25,26 @@ type Store struct {
 	corpus *corpus.Corpus
 	proj   *index.Projections
 
-	// Physical placement state.
+	// Physical placement state. The chunk maps live here, not beside the
+	// payloads in the KVS: queries read slot bitmaps from maps, flush extends
+	// them, and Load folds them back out of the placement log.
 	locs      []chunk.Loc  // record id → chunk/slot (NoChunk while pending)
-	maps      []*chunk.Map // in-memory chunk maps, index = chunk id
+	maps      []*chunk.Map // chunk maps, index = chunk id
 	numChunks uint32
-	// gen is the placement generation chunk KVS keys are prefixed with.
-	// The online path appends chunks within the current generation; a full
-	// repartition (Materialize) writes the next generation's keys and
-	// commits it atomically through the manifest, so a crash mid-rewrite
-	// can never pair an old manifest with new chunk contents (see
-	// chunk.KVKey).
+	// numPlacements counts the placement records of the current generation.
+	numPlacements uint32
+	// gen is the placement generation chunk and placement-record KVS keys
+	// are prefixed with. The online path appends within the current
+	// generation; a full repartition (Materialize) writes the next
+	// generation's keys and commits it atomically through the root, so a
+	// crash mid-rewrite can never pair an old root with new chunk contents
+	// (see chunk.KVKey).
 	gen uint32
 
-	// Pending versions (committed, not yet partitioned).
-	pending    []types.VersionID
-	pendingSet map[types.VersionID]bool
-
-	// stagedPayloads holds chunk payloads built by the current flush until
-	// they are written.
-	stagedPayloads map[chunk.ID][]byte
+	// placed is the number of placed versions: ids below it are partitioned,
+	// [placed, NumVersions) are pending in the write store (commits append,
+	// flushes place everything pending, so pending is always that suffix).
+	placed int
 
 	// batchesSinceRepartition counts online flushes toward
 	// Config.RepartitionEvery.
@@ -70,18 +71,35 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newStore(cfg, ownsKV), nil
+}
+
+// newStore returns an empty store over cfg.KV.
+func newStore(cfg Config, ownsKV bool) *Store {
 	g := vgraph.New()
 	return &Store{
-		cfg:        cfg,
-		kv:         cfg.KV,
-		graph:      g,
-		corpus:     corpus.New(g),
-		proj:       index.New(),
-		pendingSet: make(map[types.VersionID]bool),
-		keyStates:  newKeyStateCache(4),
-		branches:   map[string]types.VersionID{"main": types.InvalidVersion},
-		ownsKV:     ownsKV,
-	}, nil
+		cfg:       cfg,
+		kv:        cfg.KV,
+		graph:     g,
+		corpus:    corpus.New(g),
+		proj:      index.New(),
+		keyStates: newKeyStateCache(4),
+		branches:  map[string]types.VersionID{"main": types.InvalidVersion},
+		ownsKV:    ownsKV,
+	}
+}
+
+// numPending counts the committed versions awaiting placement. Callers hold
+// s.mu, as for pending.
+func (s *Store) numPending() int { return s.graph.NumVersions() - s.placed }
+
+// pending lists the committed versions awaiting placement, in commit order.
+func (s *Store) pending() []types.VersionID {
+	out := make([]types.VersionID, 0, s.numPending())
+	for v := s.placed; v < s.graph.NumVersions(); v++ {
+		out = append(out, types.VersionID(v))
+	}
+	return out
 }
 
 // KV exposes the backing cluster (stats, cost model).
@@ -108,7 +126,7 @@ func (s *Store) NumChunks() int {
 func (s *Store) PendingVersions() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.pending)
+	return s.numPending()
 }
 
 // Close flushes pending versions (writable stores only), marks the store
@@ -212,10 +230,8 @@ func (s *Store) CommitMerge(ctx context.Context, parents []types.VersionID, ch C
 	for i := len(s.locs); i < s.corpus.NumRecords(); i++ {
 		s.locs = append(s.locs, chunk.Loc{Chunk: chunk.NoChunk})
 	}
-	s.pending = append(s.pending, v)
-	s.pendingSet[v] = true
 
-	if s.cfg.BatchSize > 0 && len(s.pending) >= s.cfg.BatchSize {
+	if s.cfg.BatchSize > 0 && s.numPending() >= s.cfg.BatchSize {
 		// Detached from the caller's cancellation: the commit already
 		// stands (its delta is durable), and an interrupted flush leaves
 		// the in-memory placement ahead of the persisted state — a
@@ -327,7 +343,7 @@ func (s *Store) noteNewKeys(delta *types.Delta) {
 // Branch management: lightweight named pointers, VCS-style (§2.4 AS
 // commands).
 
-// SetBranch points a branch name at a version and persists the manifest.
+// SetBranch points a branch name at a version and persists the root.
 func (s *Store) SetBranch(ctx context.Context, name string, v types.VersionID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -338,7 +354,7 @@ func (s *Store) SetBranch(ctx context.Context, name string, v types.VersionID) e
 		return &types.VersionUnknownError{Version: v}
 	}
 	s.branches[name] = v
-	return s.saveManifest(ctx)
+	return s.saveRoot(ctx)
 }
 
 // mutable reports whether writes are currently allowed. Callers hold s.mu.
@@ -416,7 +432,7 @@ func deltaKey(v types.VersionID) string { return fmt.Sprintf("d%08x", uint32(v))
 
 // encodeDeltaEntry / decodeDeltaEntry persist a version's parents and delta
 // in the write store. Carrying the parents makes each entry self-describing:
-// a commit acknowledged after the last manifest save is replayed on Load
+// a commit acknowledged after the last flush is replayed on Load
 // from its delta entry alone, honoring Commit's durability promise.
 func encodeDeltaEntry(parents []types.VersionID, d *types.Delta) []byte {
 	buf := codec.PutUvarint(nil, uint64(len(parents)))

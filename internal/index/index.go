@@ -6,19 +6,16 @@
 // contain no records of interest for key-and-version queries.
 //
 // The projections are held as in-memory hash maps (the paper measures tens
-// of MB even for its biggest datasets) and persisted to the KVS with
-// delta-gap posting-list compression, the standard inverted-index technique
-// the paper points to.
+// of MB even for its biggest datasets) and are never persisted: they are a
+// function of the chunk maps and chunk contents, so the engine rebuilds them
+// on load instead of keeping a second copy that a crash could leave out of
+// step with the chunks.
 package index
 
 import (
-	"context"
-	"fmt"
 	"sort"
 
 	"rstore/internal/chunk"
-	"rstore/internal/codec"
-	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
 
@@ -154,115 +151,4 @@ func (p *Projections) SizeBytes() (versionIdx, keyIdx int64) {
 		keyIdx += int64(len(k)) + int64(4*len(l))
 	}
 	return versionIdx, keyIdx
-}
-
-// KVS persistence: both projections live in dedicated tables, one entry per
-// version / key, posting-list compressed.
-
-// TableVersionIndex and TableKeyIndex are the KVS table names.
-const (
-	TableVersionIndex = "idx_version"
-	TableKeyIndex     = "idx_key"
-)
-
-// Save persists both projections, each table committed as one batched write
-// (one durability sync per table instead of one per version/key).
-func (p *Projections) Save(ctx context.Context, kv *kvstore.Store) error {
-	vEntries := make([]kvstore.Entry, 0, len(p.versionChunks))
-	for v, l := range p.versionChunks {
-		vEntries = append(vEntries, kvstore.Entry{
-			Key:   fmt.Sprintf("v%08x", uint32(v)),
-			Value: codec.PutPostingList(nil, l),
-		})
-	}
-	if err := kv.BatchPut(ctx, TableVersionIndex, vEntries); err != nil {
-		return err
-	}
-	kEntries := make([]kvstore.Entry, 0, len(p.keyChunks))
-	for k, l := range p.keyChunks {
-		kEntries = append(kEntries, kvstore.Entry{
-			Key:   string(k),
-			Value: codec.PutPostingList(nil, l),
-		})
-	}
-	return kv.BatchPut(ctx, TableKeyIndex, kEntries)
-}
-
-// EntryKeys returns the KVS keys Save writes for each projection table, so
-// a full repartition can delete the superseded rows afterwards.
-func (p *Projections) EntryKeys() (version []string, key []string) {
-	version = make([]string, 0, len(p.versionChunks))
-	for v := range p.versionChunks {
-		version = append(version, fmt.Sprintf("v%08x", uint32(v)))
-	}
-	key = make([]string, 0, len(p.keyChunks))
-	for k := range p.keyChunks {
-		key = append(key, string(k))
-	}
-	return version, key
-}
-
-// PruneChunks drops references to chunk ids at or past n from both
-// projections. Core uses it on load to discard references a crashed flush
-// saved for chunks that never made it into the manifest.
-func (p *Projections) PruneChunks(n chunk.ID) {
-	for v, l := range p.versionChunks {
-		p.versionChunks[v] = pruneList(l, n)
-	}
-	for k, l := range p.keyChunks {
-		p.keyChunks[k] = pruneList(l, n)
-	}
-}
-
-// pruneList filters ids >= n in place.
-func pruneList(l []chunk.ID, n chunk.ID) []chunk.ID {
-	out := l[:0]
-	for _, id := range l {
-		if id < n {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Load rebuilds projections from the KVS tables.
-func Load(ctx context.Context, kv *kvstore.Store) (*Projections, error) {
-	p := New()
-	var firstErr error
-	err := kv.Scan(ctx, TableVersionIndex, func(key string, value []byte) bool {
-		var v uint32
-		if _, err := fmt.Sscanf(key, "v%08x", &v); err != nil {
-			firstErr = fmt.Errorf("%w: bad version index key %q", types.ErrCorrupt, key)
-			return false
-		}
-		l, _, err := codec.PostingList(value)
-		if err != nil {
-			firstErr = err
-			return false
-		}
-		p.versionChunks[types.VersionID(v)] = l
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	err = kv.Scan(ctx, TableKeyIndex, func(key string, value []byte) bool {
-		l, _, err := codec.PostingList(value)
-		if err != nil {
-			firstErr = err
-			return false
-		}
-		p.keyChunks[types.Key(key)] = l
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return p, nil
 }

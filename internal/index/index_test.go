@@ -1,12 +1,6 @@
 package index
 
-import (
-	"context"
-	"testing"
-
-	"rstore/internal/kvstore"
-	"rstore/internal/types"
-)
+import "testing"
 
 func TestProjectionsBasics(t *testing.T) {
 	p := New()
@@ -70,46 +64,5 @@ func TestIntersect(t *testing.T) {
 	}
 	if p.Intersect("zz", 4) != nil {
 		t.Fatal("intersect with unknown key")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := New()
-	for v := types.VersionID(0); v < 50; v++ {
-		for c := uint32(0); c < uint32(v%7)+1; c++ {
-			p.ObserveVersionChunk(v, c*3)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		k := types.Key([]byte{byte('a' + i%26), byte('0' + i/26)})
-		p.AddKeyChunk(k, uint32(i))
-		p.AddKeyChunk(k, uint32(i+5))
-	}
-	p.Normalize()
-	if err := p.Save(context.Background(), kv); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(context.Background(), kv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalVersionSpan() != p.TotalVersionSpan() || got.TotalKeySpan() != p.TotalKeySpan() {
-		t.Fatalf("spans differ after reload: %d/%d vs %d/%d",
-			got.TotalVersionSpan(), got.TotalKeySpan(), p.TotalVersionSpan(), p.TotalKeySpan())
-	}
-	for v := types.VersionID(0); v < 50; v++ {
-		a, b := p.VersionChunks(v), got.VersionChunks(v)
-		if len(a) != len(b) {
-			t.Fatalf("v%d: %v vs %v", v, a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("v%d: %v vs %v", v, a, b)
-			}
-		}
 	}
 }
