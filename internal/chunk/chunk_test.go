@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rstore/internal/bitset"
 	"rstore/internal/corpus"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
@@ -143,9 +144,8 @@ func TestEncodeItemValidation(t *testing.T) {
 
 func TestMapRoundTrip(t *testing.T) {
 	m := NewMap(100)
-	m.Add(3, 0)
-	m.Add(3, 50)
-	m.Add(7, 99)
+	m.Versions[3] = bitset.FromSlice([]uint32{0, 50})
+	m.Versions[7] = bitset.FromSlice([]uint32{99})
 	got, err := DecodeMap(m.AppendBinary(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -165,36 +165,6 @@ func TestMapRoundTrip(t *testing.T) {
 	// Trailing bytes rejected.
 	if _, err := DecodeMap(append(m.AppendBinary(nil), 1)); err == nil {
 		t.Error("trailing bytes accepted")
-	}
-}
-
-func TestBuildRejectsDoubleAssignment(t *testing.T) {
-	c := miniCorpus(t)
-	items := make([]Item, c.NumRecords())
-	for i := range items {
-		it, err := SingleRecordItem(c, uint32(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[i] = it
-	}
-	_, err := Build(c, items, [][]uint32{{0, 1}, {1, 2, 3}}, nil)
-	if err == nil {
-		t.Fatal("item in two chunks accepted")
-	}
-}
-
-func TestBuildRejectsUnassignedLiveRecord(t *testing.T) {
-	c := miniCorpus(t)
-	items := make([]Item, c.NumRecords())
-	for i := range items {
-		it, _ := SingleRecordItem(c, uint32(i))
-		items[i] = it
-	}
-	// Record 0 (live in v0) left out.
-	_, err := Build(c, items, [][]uint32{{1, 2, 3}}, nil)
-	if err == nil {
-		t.Fatal("unassigned live record accepted")
 	}
 }
 
@@ -218,26 +188,15 @@ func TestKVKeyFormats(t *testing.T) {
 
 func TestDecodeChunkTrailing(t *testing.T) {
 	c := miniCorpus(t)
-	it, _ := SingleRecordItem(c, 0)
-	built, err := Build(c, []Item{it, mustItem(t, c, 1), mustItem(t, c, 2), mustItem(t, c, 3)},
-		[][]uint32{{0, 1, 2, 3}}, nil)
+	payload, err := NewLayout(c, newFakeProj()).AddChunk(recordItems(t, c), []uint32{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := DecodeChunk(built.Payloads[0])
+	recs, err := DecodeChunk(payload)
 	if err != nil || len(recs) != 4 {
 		t.Fatalf("decode: %d records, %v", len(recs), err)
 	}
-	if _, err := DecodeChunk(append(built.Payloads[0], 7)); err == nil {
+	if _, err := DecodeChunk(append(payload, 7)); err == nil {
 		t.Fatal("trailing payload bytes accepted")
 	}
-}
-
-func mustItem(t testing.TB, c *corpus.Corpus, id uint32) Item {
-	t.Helper()
-	it, err := SingleRecordItem(c, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return it
 }

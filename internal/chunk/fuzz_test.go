@@ -2,6 +2,8 @@ package chunk
 
 import (
 	"testing"
+
+	"rstore/internal/bitset"
 )
 
 // Fuzz targets: every decoder must reject arbitrary input with an error —
@@ -11,14 +13,14 @@ import (
 
 func FuzzDecodeChunk(f *testing.F) {
 	c := miniCorpus(f)
-	built, err := Build(c,
-		[]Item{mustItem(f, c, 0), mustItem(f, c, 1), mustItem(f, c, 2), mustItem(f, c, 3)},
-		[][]uint32{{0, 1}, {2, 3}}, nil)
-	if err != nil {
-		f.Fatal(err)
+	l := NewLayout(c, newFakeProj())
+	for _, idxs := range [][]uint32{{0, 1}, {2, 3}} {
+		payload, err := l.AddChunk(recordItems(f, c), idxs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
 	}
-	f.Add(built.Payloads[0])
-	f.Add(built.Payloads[1])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -35,9 +37,8 @@ func FuzzDecodeChunk(f *testing.F) {
 
 func FuzzDecodeMap(f *testing.F) {
 	m := NewMap(64)
-	m.Add(1, 3)
-	m.Add(1, 60)
-	m.Add(9, 0)
+	m.Versions[1] = bitset.FromSlice([]uint32{3, 60})
+	m.Versions[9] = bitset.FromSlice([]uint32{0})
 	f.Add(m.AppendBinary(nil))
 	f.Add([]byte{})
 	f.Add([]byte{64, 1, 1})

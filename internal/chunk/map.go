@@ -27,16 +27,6 @@ func NewMap(numSlots int) *Map {
 	return &Map{NumSlots: numSlots, Versions: make(map[types.VersionID]*bitset.BitSet)}
 }
 
-// Add marks slot as belonging to version v.
-func (m *Map) Add(v types.VersionID, slot uint32) {
-	b, ok := m.Versions[v]
-	if !ok {
-		b = bitset.New(m.NumSlots)
-		m.Versions[v] = b
-	}
-	b.Set(slot)
-}
-
 // SlotsOf returns the slots belonging to version v (nil if the version has
 // no records in this chunk). The bitmap is shared; callers must not mutate.
 func (m *Map) SlotsOf(v types.VersionID) *bitset.BitSet { return m.Versions[v] }

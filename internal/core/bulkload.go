@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"rstore/internal/chunk"
 	"rstore/internal/corpus"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
@@ -32,7 +31,12 @@ func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
 	// and the materialize below has nothing to drain.
 	s.placed = s.graph.NumVersions()
 	s.sortedKeys = slices.Sorted(slices.Values(c.Keys()))
-	return s.materializeLocked(ctx)
+	if err := s.materializeLocked(ctx); err != nil {
+		// Whatever stopped it, the adopted versions count as placed and are
+		// not: nothing may build on this store.
+		return s.poison(err)
+	}
+	return nil
 }
 
 // CommitDelta ingests a version whose delta the client computed itself —
@@ -83,33 +87,8 @@ func (s *Store) CommitDelta(ctx context.Context, parents []types.VersionID, delt
 		return types.InvalidVersion, err
 	}
 
-	var got types.VersionID
-	var err error
-	if parents[0] == types.InvalidVersion {
-		got, err = s.graph.AddRoot()
-	} else {
-		got, err = s.graph.AddVersion(parents...)
-	}
-	if err != nil {
+	if err := s.commitTail(ctx, v, parents, delta); err != nil {
 		return types.InvalidVersion, err
-	}
-	if got != v {
-		return types.InvalidVersion, fmt.Errorf("rstore: internal: version id drift (%d vs %d)", got, v)
-	}
-	if err := s.corpus.AddVersionDelta(v, delta); err != nil {
-		return types.InvalidVersion, fmt.Errorf("rstore: internal: graph/corpus desync at version %d: %w", v, err)
-	}
-	s.noteNewKeys(delta)
-	for i := len(s.locs); i < s.corpus.NumRecords(); i++ {
-		s.locs = append(s.locs, chunk.Loc{Chunk: chunk.NoChunk})
-	}
-	if s.cfg.BatchSize > 0 && s.numPending() >= s.cfg.BatchSize {
-		// Detached from the caller's cancellation (see CommitMerge): the
-		// commit stands; the batch flush must not be wedgeable by a
-		// per-request ctx.
-		if err := s.flushLocked(context.WithoutCancel(ctx)); err != nil {
-			return types.InvalidVersion, err
-		}
 	}
 	return v, nil
 }

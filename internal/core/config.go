@@ -8,11 +8,14 @@
 //
 //   - Data Ingest: Commit assigns version ids, derives composite-key deltas,
 //     and parks them in the delta store (a KVS table) for batching.
-//   - Data Placement: Materialize runs an offline partitioning algorithm
-//     over everything; the online path (§4) partitions each batch of new
-//     versions as it closes, extending the in-memory chunk maps and
-//     projections and persisting only what the batch adds: new chunk
-//     payloads, one placement record, the root.
+//   - Data Placement: one mechanism (place) over two inputs. Materialize
+//     partitions everything offline onto a fresh chunk.Layout under the
+//     next generation; the online path (§4) partitions each batch of new
+//     versions as it closes onto the live layout, persisting only what the
+//     batch adds. Both lay chunks out and fill chunk maps and projections
+//     through the same chunk.Layout, and both persist through publish:
+//     new chunk payloads, one placement record, the root. A run that fails
+//     part-way poisons the Store (types.ErrPoisoned) until it is reopened.
 //   - Query Processing: the two lossy projections (version→chunks,
 //     key→chunks) pick chunks, MultiGet fetches them in parallel, and chunk
 //     maps extract the requested records; pending (not yet partitioned)
@@ -82,13 +85,6 @@ type Config struct {
 	// partitioning (§4's user-configurable batch size). ≤0 disables
 	// automatic flushing; call Flush explicitly.
 	BatchSize int
-	// RepartitionEvery triggers a full offline repartition (Materialize)
-	// after every N online batches — automating the "online partitioning
-	// ... combined with a full repartitioning periodically" strategy §4
-	// calls pragmatic. ≤0 disables automatic repartitioning.
-	RepartitionEvery int
-	// Slack is the chunk overfill allowance (default 0.25 per §2.5).
-	Slack float64
 	// ReadOnly rejects all mutations (Commit/Flush/Materialize/SetBranch).
 	// The paper notes multiple application servers may front one cluster
 	// with the caveat that shared mutable state is unsupported (§2.4);
@@ -135,9 +131,6 @@ func (c Config) withDefaults(ctx context.Context) (Config, bool, error) {
 	}
 	if c.SubChunkK < 1 {
 		c.SubChunkK = 1
-	}
-	if c.Slack <= 0 {
-		c.Slack = partition.DefaultSlack
 	}
 	if c.QueryFetchBatch <= 0 {
 		c.QueryFetchBatch = 8

@@ -272,3 +272,137 @@ func TestLoadDetectsMissingPlacementRecord(t *testing.T) {
 		t.Fatalf("load with placement record 1 of 3 missing: %v", err)
 	}
 }
+
+// TestFailedPublishPoisonsStore: a flush whose chunk write fails has already
+// advanced the in-memory layout. The store must refuse every further mutation
+// — a later batch-closing commit would otherwise find the unwritten records
+// "placed", write no payload for them, and commit a root counting chunks that
+// were never stored — while reads and Close keep working and Load recovers
+// every acknowledged version.
+func TestFailedPublishPoisonsStore(t *testing.T) {
+	ctx := context.Background()
+	var be *faultBackend
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) {
+		be = &faultBackend{Backend: memory.New()}
+		return be, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 3
+	cfg := Config{KV: kv, ChunkCapacity: 256, BatchSize: batch}
+	st, err := Open(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[types.VersionID]map[string]string{}
+	state := map[string]string{}
+	parent := types.InvalidVersion
+	commit := func(s *Store, rev int) error {
+		val := fmt.Sprintf("doc-%d rev-%d content", rev%4, rev)
+		k := fmt.Sprintf("doc-%d", rev%4)
+		v, err := s.Commit(ctx, parent, Change{Puts: map[types.Key][]byte{types.Key(k): []byte(val)}})
+		if err != nil {
+			return err
+		}
+		state[k] = val
+		cp := map[string]string{}
+		for k, s := range state {
+			cp[k] = s
+		}
+		want[v], parent = cp, v
+		return nil
+	}
+	rev := 0
+	for ; rev < 2*batch+2; rev++ { // two flushed batches and two pending versions
+		if err := commit(st, rev); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The commit that closes the third batch: its flush cannot write chunks.
+	be.arm(func(table string) bool { return table == TableChunks })
+	if err := commit(st, rev); !errors.Is(err, errInjected) || !errors.Is(err, types.ErrPoisoned) {
+		t.Fatalf("batch-closing commit under a chunk-write fault: %v, want ErrPoisoned wrapping the fault", err)
+	}
+	be.arm(nil)
+	rev++
+
+	// Every mutation is refused from here on, through the next batch and past it.
+	for i := 0; i < batch+1; i, rev = i+1, rev+1 {
+		if err := commit(st, rev); !errors.Is(err, types.ErrPoisoned) {
+			t.Errorf("commit %d after the failed flush: %v, want ErrPoisoned", i, err)
+		}
+	}
+	checkVersions(t, st, want) // reads keep answering
+	if err := st.Close(); err != nil {
+		t.Fatalf("close of a poisoned store: %v", err)
+	}
+
+	re, err := Load(ctx, cfg)
+	if err != nil {
+		t.Fatalf("load after the failed flush: %v", err)
+	}
+	checkVersions(t, re, want)
+	if err := commit(re, rev); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	re2, err := Load(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVersions(t, re2, want)
+	if re2.PendingVersions() != 0 || re2.NumChunks() != re.NumChunks() {
+		t.Fatalf("reload: %d pending, %d chunks; flushed store had 0, %d", re2.PendingVersions(), re2.NumChunks(), re.NumChunks())
+	}
+}
+
+// TestFailedMaterializePoisonsStore: the same rule for a repartition. One
+// that fails after its chunks but before its record leaves generation g+1
+// half-written; a later flush must not be allowed to append to that
+// generation's log and commit a root over a history that starts mid-way.
+func TestFailedMaterializePoisonsStore(t *testing.T) {
+	ctx := context.Background()
+	st, kv, backends := openFaulty(t, 1)
+	want, versions := seedStore(t, st)
+	tip := versions[len(versions)-1]
+
+	backends[0].arm(func(table string) bool { return table == TablePlacement })
+	if err := st.Materialize(ctx); !errors.Is(err, errInjected) || !errors.Is(err, types.ErrPoisoned) {
+		t.Fatalf("materialize under fault: %v, want ErrPoisoned wrapping the fault", err)
+	}
+	backends[0].arm(nil)
+
+	_, commitErr := st.Commit(ctx, tip, Change{Puts: map[types.Key][]byte{"doc-0": []byte("late")}})
+	for name, err := range map[string]error{
+		"Commit":      commitErr,
+		"Flush":       st.Flush(ctx),
+		"Materialize": st.Materialize(ctx),
+		"SetBranch":   st.SetBranch(ctx, "main", tip),
+		"Checkpoint":  st.Checkpoint(ctx),
+	} {
+		if !errors.Is(err, types.ErrPoisoned) || !strings.Contains(err.Error(), errInjected.Error()) {
+			t.Errorf("%s on a poisoned store: %v, want ErrPoisoned naming the cause", name, err)
+		}
+	}
+	checkVersions(t, st, want) // still served from the generation the root names
+	if err := st.Close(); err != nil {
+		t.Fatalf("close of a poisoned store: %v", err)
+	}
+
+	re, err := Load(ctx, Config{KV: kv, ChunkCapacity: 256})
+	if err != nil {
+		t.Fatalf("load after the failed materialize: %v", err)
+	}
+	checkVersions(t, re, want)
+	if err := re.Materialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkVersions(t, re, want)
+	if gens := scanChunkGens(t, kv); len(gens) != 1 {
+		t.Fatalf("chunk generations after recovery and a clean repartition: %v", gens)
+	}
+}

@@ -37,7 +37,7 @@ func (s *Store) Info() Info {
 		PendingVersions:   s.numPending(),
 		Records:           s.corpus.NumRecords(),
 		Keys:              s.corpus.NumKeys(),
-		Chunks:            int(s.numChunks),
+		Chunks:            s.layout.NumChunks(),
 		TotalVersionSpan:  s.proj.TotalVersionSpan(),
 		VersionIndexBytes: vb,
 		KeyIndexBytes:     kb,

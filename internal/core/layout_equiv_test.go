@@ -1,0 +1,183 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"rstore/internal/chunk"
+	"rstore/internal/kvstore"
+	"rstore/internal/types"
+)
+
+// checkSamePlacement requires two stores to hold the same physical placement:
+// every record's Loc, every chunk map bitmap, and both projections.
+func checkSamePlacement(t *testing.T, phase string, live, re *Store) {
+	t.Helper()
+	if live.gen != re.gen || live.numPlacements != re.numPlacements || live.placed != re.placed ||
+		live.NumChunks() != re.NumChunks() || live.corpus.NumRecords() != re.corpus.NumRecords() {
+		t.Fatalf("%s: live gen %d / %d records / %d placed / %d chunks / %d corpus records, reloaded %d / %d / %d / %d / %d", phase,
+			live.gen, live.numPlacements, live.placed, live.NumChunks(), live.corpus.NumRecords(),
+			re.gen, re.numPlacements, re.placed, re.NumChunks(), re.corpus.NumRecords())
+	}
+	for id := uint32(0); int(id) < live.corpus.NumRecords(); id++ {
+		ck := live.corpus.Record(id).CK
+		rid, ok := re.corpus.IDForCK(ck)
+		if !ok || live.layout.Loc(id) != re.layout.Loc(rid) {
+			t.Fatalf("%s: record %v at %+v live, %+v reloaded", phase, ck, live.layout.Loc(id), re.layout.Loc(rid))
+		}
+	}
+	for cid := chunk.ID(0); int(cid) < live.NumChunks(); cid++ {
+		a, b := live.layout.Map(cid), re.layout.Map(cid)
+		if a.NumSlots != b.NumSlots || len(a.Versions) != len(b.Versions) {
+			t.Fatalf("%s: chunk %d map: %d slots × %d versions live, %d × %d reloaded", phase, cid,
+				a.NumSlots, len(a.Versions), b.NumSlots, len(b.Versions))
+		}
+		for v, bm := range a.Versions {
+			if other := b.Versions[v]; other == nil || !bm.Equal(other) {
+				t.Fatalf("%s: chunk %d version %d: %v live, %v reloaded", phase, cid, v, bm, other)
+			}
+		}
+	}
+	for v := types.VersionID(0); int(v) < live.graph.NumVersions(); v++ {
+		if a, b := live.proj.VersionChunks(v), re.proj.VersionChunks(v); !slices.Equal(a, b) {
+			t.Fatalf("%s: version %d spans %v live, %v reloaded", phase, v, a, b)
+		}
+	}
+	if !slices.Equal(live.sortedKeys, re.sortedKeys) {
+		t.Fatalf("%s: %d sorted keys live, %d reloaded", phase, len(live.sortedKeys), len(re.sortedKeys))
+	}
+	for _, k := range live.sortedKeys {
+		if a, b := live.proj.KeyChunks(k), re.proj.KeyChunks(k); !slices.Equal(a, b) {
+			t.Fatalf("%s: key %s in chunks %v live, %v reloaded", phase, k, a, b)
+		}
+	}
+	if live.proj.NumVersions() != re.proj.NumVersions() || live.proj.NumKeys() != re.proj.NumKeys() {
+		t.Fatalf("%s: projection sizes differ", phase)
+	}
+}
+
+// TestLiveEqualsReloadedPlacement: the layout a store grows in memory — by
+// flushes on the live layout, by a repartition on a fresh one — is the layout
+// Load folds back out of what they persisted. A random session of branched
+// delta commits (including merges that re-add records another branch already
+// placed), flushes at random points and a Materialize is reloaded after every
+// placement step and compared field by field.
+func TestLiveEqualsReloadedPlacement(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{KV: kv, ChunkCapacity: 512, SubChunkK: 2}
+		st, err := Open(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reload := func(phase string) {
+			t.Helper()
+			ro := cfg
+			ro.ReadOnly = true // compare without repairing: the live store is still the writer
+			re, err := Load(ctx, ro)
+			if err != nil {
+				t.Fatalf("seed %d %s: load: %v", seed, phase, err)
+			}
+			checkSamePlacement(t, fmt.Sprintf("seed %d %s", seed, phase), st, re)
+		}
+
+		// states[v] is version v's key → record.
+		var states []map[types.Key]types.Record
+		commit := func(parents []types.VersionID, state map[types.Key]types.Record, delta *types.Delta) {
+			t.Helper()
+			v, err := st.CommitDelta(ctx, parents, delta)
+			if err != nil || int(v) != len(states) {
+				t.Fatalf("seed %d: commit %d: %d, %v", seed, len(states), v, err)
+			}
+			states = append(states, state)
+		}
+		root := map[types.Key]types.Record{}
+		rootDelta := &types.Delta{}
+		for i := 0; i < 24; i++ {
+			r := types.Record{CK: types.CompositeKey{Key: key(i), Version: 0}, Value: payload(rng, i, 0)}
+			root[r.CK.Key] = r
+			rootDelta.Adds = append(rootDelta.Adds, r)
+		}
+		commit([]types.VersionID{types.InvalidVersion}, root, rootDelta)
+
+		remerged := 0
+		for step := 1; step < 60; step++ {
+			v := types.VersionID(len(states))
+			parent := types.VersionID(rng.Intn(len(states)))
+			parents := []types.VersionID{parent}
+			state := map[types.Key]types.Record{}
+			for k, r := range states[parent] {
+				state[k] = r
+			}
+			delta := &types.Delta{}
+			for i := 0; i < 24; i++ {
+				k := key(i)
+				if old, live := state[k]; live && rng.Float64() < 0.2 {
+					delta.Dels = append(delta.Dels, old.CK)
+					if rng.Float64() < 0.15 {
+						delete(state, k)
+						continue
+					}
+					r := types.Record{CK: types.CompositeKey{Key: k, Version: v}, Value: payload(rng, i, step)}
+					delta.Adds, state[k] = append(delta.Adds, r), r
+				}
+			}
+			if other := types.VersionID(rng.Intn(len(states))); other != parent && rng.Float64() < 0.4 {
+				// Merge: take other's record for every key where the branches
+				// differ and this commit has not touched the key — re-adding
+				// records that are already placed (or pending) elsewhere.
+				parents = append(parents, other)
+				for k, theirs := range states[other] {
+					ours, live := states[parent][k]
+					if state[k].CK != ours.CK || (live && ours.CK == theirs.CK) || rng.Float64() < 0.5 {
+						continue
+					}
+					if live {
+						delta.Dels = append(delta.Dels, ours.CK)
+					}
+					delta.Adds, state[k] = append(delta.Adds, theirs), theirs
+					remerged++
+				}
+			}
+			commit(parents, state, delta)
+
+			switch {
+			case step == 35:
+				if err := st.Materialize(ctx); err != nil {
+					t.Fatal(err)
+				}
+				reload("after materialize")
+			case rng.Float64() < 0.25:
+				if err := st.Flush(ctx); err != nil {
+					t.Fatal(err)
+				}
+				reload(fmt.Sprintf("after the flush at step %d", step))
+			case step%10 == 0:
+				reload(fmt.Sprintf("with a pending tail at step %d", step))
+			}
+		}
+		if remerged == 0 || st.NumChunks() < 4 {
+			t.Fatalf("seed %d: %d re-added records, %d chunks: the session exercises too little", seed, remerged, st.NumChunks())
+		}
+		// The answers, too.
+		for v, state := range states {
+			recs, _, err := st.GetVersionAll(ctx, types.VersionID(v))
+			if err != nil || len(recs) != len(state) {
+				t.Fatalf("seed %d: version %d: %d records, want %d, %v", seed, v, len(recs), len(state), err)
+			}
+			for _, r := range recs {
+				if w := state[r.CK.Key]; w.CK != r.CK || string(w.Value) != string(r.Value) {
+					t.Fatalf("seed %d: version %d key %s: %v, want %v", seed, v, r.CK.Key, r.CK, w.CK)
+				}
+			}
+		}
+	}
+}

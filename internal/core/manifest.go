@@ -36,7 +36,7 @@ func placementKey(gen, idx uint32) string { return fmt.Sprintf("g%08x-p%08x", ge
 func (s *Store) saveRoot(ctx context.Context) error {
 	buf := codec.PutUvarint(nil, manifestVersion)
 	buf = codec.PutUvarint(buf, uint64(s.gen))
-	buf = codec.PutUvarint(buf, uint64(s.numChunks))
+	buf = codec.PutUvarint(buf, uint64(s.layout.NumChunks()))
 	buf = codec.PutUvarint(buf, uint64(s.numPlacements))
 	buf = codec.PutUvarint(buf, uint64(s.placed))
 	names := make([]string, 0, len(s.branches))
@@ -54,52 +54,53 @@ func (s *Store) saveRoot(ctx context.Context) error {
 	return s.kv.BatchPut(ctx, TableMeta, []kvstore.Entry{{Key: manifestKey, Value: buf}})
 }
 
-// loadRoot parses a root into s (generation, counts, branches).
-func (s *Store) loadRoot(buf []byte) error {
+// loadRoot parses a root into s (generation, counts, branches) and returns
+// its chunk count, which the layout must reach once the log is folded.
+func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 	ver, rest, err := codec.Uvarint(buf)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if ver != manifestVersion {
-		return fmt.Errorf("%w: manifest version %d (this build reads %d; re-initialize the store)",
+		return 0, fmt.Errorf("%w: manifest version %d (this build reads %d; re-initialize the store)",
 			types.ErrCorrupt, ver, manifestVersion)
 	}
 	var fields [5]uint64 // gen, chunks, placement records, placed versions, branches
 	for i := range fields {
 		if fields[i], rest, err = codec.Uvarint(rest); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	s.gen, s.numChunks, s.numPlacements, s.placed = uint32(fields[0]), uint32(fields[1]), uint32(fields[2]), int(fields[3])
+	s.gen, s.numPlacements, s.placed = uint32(fields[0]), uint32(fields[2]), int(fields[3])
 	s.branches = make(map[string]types.VersionID, fields[4])
 	for i := uint64(0); i < fields[4]; i++ {
 		var name string
 		if name, rest, err = codec.String(rest); err != nil {
-			return err
+			return 0, err
 		}
 		var v uint64
 		if v, rest, err = codec.Uvarint(rest); err != nil {
-			return err
+			return 0, err
 		}
 		s.branches[name] = types.VersionID(v)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing manifest bytes", types.ErrCorrupt, len(rest))
+		return 0, fmt.Errorf("%w: %d trailing manifest bytes", types.ErrCorrupt, len(rest))
 	}
-	return nil
+	return uint32(fields[1]), nil
 }
 
-// savePlacement appends one placement record to the current generation's
-// log: the graph edges and composite-key deltas of versions [first, first+n)
-// (values live in chunks), and what those versions add to the chunk maps —
-// per touched chunk, a chunk map holding only their slot bitmaps (the whole
-// map for a chunk the record introduces). Online flushes append one record
-// per batch; a full repartition writes one record holding everything. The
-// record only counts once the root does.
-func (s *Store) savePlacement(ctx context.Context, first types.VersionID, n int, maps map[chunk.ID]*chunk.Map) error {
+// savePlacement writes placement record idx of generation gen: the graph
+// edges and composite-key deltas of versions [first, NumVersions) (values
+// live in chunks), and what those versions add to the chunk maps — per
+// touched chunk, a chunk map holding only their slot bitmaps (the whole map
+// for a chunk the record introduces; chunk.Layout.TakeDelta). Online flushes
+// append one record per batch; a full repartition writes one record holding
+// everything. The record only counts once the root does (publish).
+func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.VersionID, maps map[chunk.ID]*chunk.Map) error {
 	buf := codec.PutUvarint(nil, uint64(first))
-	buf = codec.PutUvarint(buf, uint64(n))
-	for v := first; v < first+types.VersionID(n); v++ {
+	buf = codec.PutUvarint(buf, uint64(s.graph.NumVersions()-int(first)))
+	for v := first; int(v) < s.graph.NumVersions(); v++ {
 		parents := s.graph.Parents(v)
 		buf = codec.PutUvarint(buf, uint64(len(parents)))
 		for _, p := range parents {
@@ -122,17 +123,14 @@ func (s *Store) savePlacement(ctx context.Context, first types.VersionID, n int,
 		buf = codec.PutUvarint(buf, uint64(cid))
 		buf = codec.PutBytes(buf, maps[cid].AppendBinary(nil))
 	}
-	if err := s.kv.BatchPut(ctx, TablePlacement, []kvstore.Entry{{Key: placementKey(s.gen, s.numPlacements), Value: buf}}); err != nil {
-		return err
-	}
-	s.numPlacements++
-	return nil
+	return s.kv.BatchPut(ctx, TablePlacement, []kvstore.Entry{{Key: placementKey(gen, idx), Value: buf}})
 }
 
 // applyPlacement folds one placement record into a store being loaded:
 // its versions extend the graph and corpus (record values come from values),
-// its map deltas extend s.maps.
-func (s *Store) applyPlacement(buf []byte, values map[types.CompositeKey][]byte) error {
+// its map deltas extend the layout (slots[c] lists chunk c's composite keys
+// in slot order, for the chunks the record introduces).
+func (s *Store) applyPlacement(buf []byte, values map[types.CompositeKey][]byte, slots [][]types.CompositeKey) error {
 	first, rest, err := codec.Uvarint(buf)
 	if err != nil {
 		return err
@@ -206,15 +204,11 @@ func (s *Store) applyPlacement(buf []byte, values map[types.CompositeKey][]byte)
 		if err != nil {
 			return err
 		}
-		switch {
-		case cid == uint64(len(s.maps)):
-			s.maps = append(s.maps, m)
-		case cid < uint64(len(s.maps)) && s.maps[cid].NumSlots == m.NumSlots:
-			for v, bm := range m.Versions {
-				s.maps[cid].Versions[v] = bm
-			}
-		default:
-			return fmt.Errorf("%w: placement record extends chunk %d (%d slots) out of turn", types.ErrCorrupt, cid, m.NumSlots)
+		if cid >= uint64(len(slots)) {
+			return fmt.Errorf("%w: placement record names chunk %d, the root counts %d", types.ErrCorrupt, cid, len(slots))
+		}
+		if err := s.layout.Restore(chunk.ID(cid), m, slots[cid]); err != nil {
+			return err
 		}
 	}
 	if len(rest) != 0 {
@@ -224,24 +218,9 @@ func (s *Store) applyPlacement(buf []byte, values map[types.CompositeKey][]byte)
 }
 
 // replayVersion re-registers version v — from a placement record or a
-// delta-store entry — with the graph and corpus of a store being loaded.
-// No parents, or the commit path's parents[0] == InvalidVersion, marks the
-// root.
+// delta-store entry — with a store being loaded.
 func (s *Store) replayVersion(v types.VersionID, parents []types.VersionID, delta *types.Delta) error {
-	var got types.VersionID
-	var err error
-	if len(parents) == 0 || parents[0] == types.InvalidVersion {
-		got, err = s.graph.AddRoot()
-	} else {
-		got, err = s.graph.AddVersion(parents...)
-	}
-	if err == nil && got != v {
-		err = fmt.Errorf("got id %d", got)
-	}
-	if err == nil {
-		err = s.corpus.AddVersionDelta(v, delta)
-	}
-	if err != nil {
+	if err := s.applyVersion(v, parents, delta); err != nil {
 		return fmt.Errorf("%w: replaying version %d: %v", types.ErrCorrupt, v, err)
 	}
 	return nil
@@ -275,9 +254,10 @@ func (s *Store) Checkpoint(ctx context.Context) error {
 
 // Load reopens a store previously persisted to kv: the root names the
 // placement generation and how much of it is committed, the generation's
-// placement records fold in order into the graph, the corpus and the chunk
-// maps, record payloads are recovered from chunk entries and the delta
-// store, and locations and projections are rebuilt from those.
+// placement records fold in order into the graph, the corpus and — through
+// chunk.Layout.Restore, with the slot layouts the chunk entries decode to —
+// the locations, chunk maps and projections; record payloads are recovered
+// from chunk entries and the delta store.
 //
 // Load also finishes what a crash interrupted. Flush persists in the order
 // chunks → placement record → root → delta-store drain, so a crash leaves at
@@ -305,7 +285,8 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		return fail(fmt.Errorf("rstore: load: %w", err))
 	}
 	s := newStore(cfg, ownsKV)
-	if err := s.loadRoot(raw); err != nil {
+	numChunks, err := s.loadRoot(raw)
+	if err != nil {
 		return fail(err)
 	}
 
@@ -316,7 +297,7 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	// are orphans of an interrupted flush; both are skipped here and
 	// garbage-collected below.
 	values := make(map[types.CompositeKey][]byte)
-	slots := make([][]types.CompositeKey, s.numChunks) // chunk id → slot → composite key
+	slots := make([][]types.CompositeKey, numChunks) // chunk id → slot → composite key
 	var debrisChunks, debrisPlacements []string
 	var loadErr error
 	scanErr := kv.Scan(ctx, TableChunks, func(key string, payload []byte) bool {
@@ -325,7 +306,7 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 			loadErr = fmt.Errorf("%w: bad chunk key %q", types.ErrCorrupt, key)
 			return false
 		}
-		if g != s.gen || cid >= s.numChunks {
+		if g != s.gen || cid >= numChunks {
 			debrisChunks = append(debrisChunks, key)
 			return true
 		}
@@ -405,13 +386,13 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		if rec == nil {
 			return fail(fmt.Errorf("%w: placement record %s missing", types.ErrCorrupt, placementKey(s.gen, uint32(idx))))
 		}
-		if err := s.applyPlacement(rec, values); err != nil {
+		if err := s.applyPlacement(rec, values, slots); err != nil {
 			return fail(err)
 		}
 	}
-	if s.graph.NumVersions() != s.placed || len(s.maps) != int(s.numChunks) {
+	if s.graph.NumVersions() != s.placed || s.layout.NumChunks() != int(numChunks) {
 		return fail(fmt.Errorf("%w: placement log holds %d versions and %d chunks, root says %d and %d",
-			types.ErrCorrupt, s.graph.NumVersions(), len(s.maps), s.placed, s.numChunks))
+			types.ErrCorrupt, s.graph.NumVersions(), s.layout.NumChunks(), s.placed, numChunks))
 	}
 
 	// Replay commits acknowledged after the last flush: contiguous delta
@@ -427,33 +408,6 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		}
 	}
 	s.sortedKeys = slices.Sorted(slices.Values(s.corpus.Keys()))
-
-	// Rebuild locations and projections from the live chunks and the folded
-	// maps — the state flush and Materialize derived them from. Chunks are
-	// visited in id order, so every adjacency list comes out sorted.
-	s.locs = make([]chunk.Loc, s.corpus.NumRecords())
-	for i := range s.locs {
-		s.locs[i] = chunk.Loc{Chunk: chunk.NoChunk}
-	}
-	for cid, cks := range slots {
-		if len(cks) != s.maps[cid].NumSlots {
-			return fail(fmt.Errorf("%w: chunk %s holds %d records, its map %d slots",
-				types.ErrCorrupt, chunk.KVKey(s.gen, chunk.ID(cid)), len(cks), s.maps[cid].NumSlots))
-		}
-		for slot, ck := range cks {
-			id, ok := s.corpus.IDForCK(ck)
-			if !ok {
-				return fail(fmt.Errorf("%w: chunked record %v not in the placement log", types.ErrCorrupt, ck))
-			}
-			s.locs[id] = chunk.Loc{Chunk: chunk.ID(cid), Slot: uint32(slot)}
-			s.proj.AddKeyChunk(ck.Key, chunk.ID(cid))
-		}
-		for v, bm := range s.maps[cid].Versions {
-			if !bm.Empty() {
-				s.proj.ObserveVersionChunk(v, chunk.ID(cid))
-			}
-		}
-	}
 
 	// Repair: writable stores drop the crash leftovers — orphan chunks and
 	// records (the next flush reuses their ids), whole superseded or

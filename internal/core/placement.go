@@ -1,0 +1,151 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"rstore/internal/chunk"
+	"rstore/internal/index"
+	"rstore/internal/kvstore"
+	"rstore/internal/partition"
+	"rstore/internal/subchunk"
+	"rstore/internal/types"
+)
+
+// Materialize runs the configured partitioning algorithm offline over the
+// entire corpus — sub-chunk construction (if k>1), chunking, chunk-map and
+// projection construction — and persists the result to the KVS as the next
+// placement generation. It is the bulk-load path and doubles as the periodic
+// full repartitioning that §4 recommends combining with online batching.
+func (s *Store) Materialize(ctx context.Context) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.mutable(); err != nil {
+		return err
+	}
+	return s.materializeLocked(ctx)
+}
+
+func (s *Store) materializeLocked(ctx context.Context) error {
+	if s.graph.NumVersions() == 0 {
+		return nil
+	}
+	res, err := subchunk.Build(s.corpus, s.cfg.SubChunkK, s.cfg.ChunkCapacity)
+	if err != nil {
+		return fmt.Errorf("rstore: materialize: %w", err)
+	}
+	// A full repartition supersedes every previously written chunk and
+	// placement record: a fresh layout, ids and record log restarting at 0,
+	// under the next generation (see publish).
+	proj := index.New()
+	return s.place(ctx, "materialize", res.In, placement{gen: s.gen + 1, layout: chunk.NewLayout(s.corpus, proj), proj: proj})
+}
+
+// placement is one placement run's outcome on its way to the KVS: a layout
+// (the live one, grown by a flush; a fresh one, built by a repartition), the
+// projections it fills, the generation it is written under, and the first
+// of the versions the run placed — it places [first, NumVersions).
+type placement struct {
+	gen    uint32
+	layout *chunk.Layout
+	proj   *index.Projections
+	first  types.VersionID
+}
+
+// place is the one placement mechanism (§3.1 offline, §4 online): partition
+// the instance, lay each chunk of the assignment out on p.layout, give every
+// version from p.first on its slot bitmaps in id order — parents before
+// children — and publish. A flush passes the batch instance and the live
+// layout; a repartition the whole-corpus instance and a fresh layout under
+// the next generation.
+func (s *Store) place(ctx context.Context, op string, in *partition.Input, p placement) (err error) {
+	var chunks [][]uint32
+	if in != nil {
+		assign, err := s.cfg.Partitioner.Partition(in)
+		if err != nil {
+			return fmt.Errorf("rstore: %s: %s: %w", op, s.cfg.Partitioner.Name(), err)
+		}
+		chunks = assign.Chunks
+	}
+
+	// From the first layout mutation on, memory (and then the KVS) runs
+	// ahead of the persisted root until publish has written it: an error
+	// anywhere in between poisons the store.
+	defer func() {
+		if err != nil {
+			err = s.poison(err)
+		}
+	}()
+	payloads := make([][]byte, len(chunks))
+	for i, idxs := range chunks {
+		if payloads[i], err = p.layout.AddChunk(in.Items, idxs); err != nil {
+			return fmt.Errorf("rstore: %s: %w", op, err)
+		}
+	}
+	for v := p.first; int(v) < s.graph.NumVersions(); v++ {
+		if err := p.layout.PlaceVersion(v); err != nil {
+			return fmt.Errorf("rstore: %s: %w", op, err)
+		}
+	}
+	return s.publish(ctx, p, payloads)
+}
+
+// publish persists a placement run in the one crash order Load repairs:
+// chunk payloads (one batched write — grouped per replica node, one
+// durability sync per node) → placement record → root, the commit point →
+// cleanup (a superseded generation, then the write-store drain). A crash
+// before the root leaves chunks and a record the root does not count — past
+// its counts, or under a generation it does not name — which Load skips and
+// deletes (the versions are still pending and re-flush under the same ids);
+// a crash after it leaves only a stale generation and stale delta entries
+// that Load garbage-collects. A repartition's entries land under the NEXT
+// generation's keys, so nothing is overwritten in place: until the root —
+// which names the generation — commits, the old root still pairs with the
+// old generation's intact entries. The store adopts p once its chunks and
+// record are durable, just before the root is written from it.
+func (s *Store) publish(ctx context.Context, p placement, payloads [][]byte) error {
+	drain := s.pending()
+	firstNew := p.layout.NumChunks() - len(payloads) // the new chunks took the last ids
+	entries := make([]kvstore.Entry, len(payloads))
+	for i, payload := range payloads {
+		entries[i] = kvstore.Entry{Key: chunk.KVKey(p.gen, chunk.ID(firstNew+i)), Value: payload}
+	}
+	if err := s.kv.BatchPut(ctx, TableChunks, entries); err != nil {
+		return err
+	}
+	idx := s.numPlacements // a flush appends to the log, a new generation starts one
+	if p.gen != s.gen {
+		idx = 0
+	}
+	if err := s.savePlacement(ctx, p.gen, idx, p.first, p.layout.TakeDelta()); err != nil {
+		return err
+	}
+
+	oldGen, oldChunks, oldPlacements := s.gen, s.layout.NumChunks(), s.numPlacements
+	s.gen, s.layout, s.proj, s.numPlacements = p.gen, p.layout, p.proj, idx+1
+	s.placed = s.graph.NumVersions()
+	if err := s.saveRoot(ctx); err != nil {
+		return err
+	}
+
+	// The superseded generation's keys are computable, no scan; Load's
+	// other-generation sweep is the backstop for anything older.
+	if p.gen != oldGen {
+		for cid := 0; cid < oldChunks; cid++ {
+			if err := s.kv.Delete(ctx, TableChunks, chunk.KVKey(oldGen, chunk.ID(cid))); err != nil {
+				return err
+			}
+		}
+		for idx := uint32(0); idx < oldPlacements; idx++ {
+			if err := s.kv.Delete(ctx, TablePlacement, placementKey(oldGen, idx)); err != nil {
+				return err
+			}
+		}
+	}
+	for _, v := range drain {
+		if err := s.kv.Delete(ctx, TableDeltaStore, deltaKey(v)); err != nil {
+			return err
+		}
+	}
+	return nil
+}

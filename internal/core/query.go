@@ -221,7 +221,7 @@ func (s *Store) GetHistory(ctx context.Context, key types.Key) *Cursor {
 		// Pending records of this key live in the write store.
 		var pendingVersions []types.VersionID
 		for _, id := range s.corpus.KeyRecords(key) {
-			if int(id) < len(s.locs) && s.locs[id].Chunk == chunk.NoChunk {
+			if s.layout.Loc(id).Chunk == chunk.NoChunk {
 				pendingVersions = append(pendingVersions, s.corpus.Record(id).CK.Version)
 			}
 		}
@@ -434,7 +434,7 @@ func emitOverlayAdds(c *Cursor, ov *overlayView, filter func(types.Key) bool, yi
 }
 
 // chunkEntry is a fetched chunk: its payload from the KVS, its map from the
-// store's memory (s.maps; the query holds s.mu, so no flush extends it
+// store's memory (s.layout; the query holds s.mu, so no flush extends it
 // underneath).
 type chunkEntry struct {
 	id      chunk.ID
@@ -502,7 +502,7 @@ func (s *Store) fetchChunks(ctx context.Context, cids []chunk.ID, stats *QuerySt
 	s.bookMultiGet(res, stats)
 	out := make([]*chunkEntry, len(cids))
 	for i, payload := range res.Values {
-		out[i] = &chunkEntry{id: cids[i], payload: payload, m: s.maps[cids[i]]}
+		out[i] = &chunkEntry{id: cids[i], payload: payload, m: s.layout.Map(cids[i])}
 	}
 	return out, nil
 }

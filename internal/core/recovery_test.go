@@ -171,7 +171,7 @@ func TestLoadToleratesInterruptedFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orphanChunk := chunk.KVKey(st.gen, chunk.ID(st.numChunks))
+	orphanChunk := chunk.KVKey(st.gen, chunk.ID(st.NumChunks()))
 	orphanRecord := placementKey(st.gen, st.numPlacements)
 
 	// Produce the crash debris with the real flush of a second version, then

@@ -206,24 +206,3 @@ func TestOnlineEqualsOfflineAnswers(t *testing.T) {
 	_ = m1
 	_ = m2
 }
-
-// TestAutoRepartition verifies Config.RepartitionEvery triggers a full
-// Materialize after the configured number of online batches, preserving
-// answers.
-func TestAutoRepartition(t *testing.T) {
-	s, m := buildStore(t, Config{
-		ChunkCapacity: 1024, BatchSize: 3, RepartitionEvery: 2, SubChunkK: 2,
-	}, 20, 25, 41)
-	// With batch=3 over 20 commits ≥ 6 flushes happened, so ≥ 3 automatic
-	// repartitions ran; compression (k=2) only applies through Materialize,
-	// so chunk storage must reflect it and all answers must hold.
-	checkAllVersions(t, s, m)
-	if s.NumChunks() == 0 {
-		t.Fatal("no chunks after auto repartition")
-	}
-	// After a final flush everything is placed and still correct.
-	if err := s.Flush(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	checkAllVersions(t, s, m)
-}

@@ -25,12 +25,11 @@ type Store struct {
 	corpus *corpus.Corpus
 	proj   *index.Projections
 
-	// Physical placement state. The chunk maps live here, not beside the
-	// payloads in the KVS: queries read slot bitmaps from maps, flush extends
+	// Physical placement state. layout holds the record→chunk/slot catalog
+	// and the chunk maps, and fills proj; the maps live here, not beside the
+	// payloads in the KVS: queries read slot bitmaps from them, flush extends
 	// them, and Load folds them back out of the placement log.
-	locs      []chunk.Loc  // record id → chunk/slot (NoChunk while pending)
-	maps      []*chunk.Map // chunk maps, index = chunk id
-	numChunks uint32
+	layout *chunk.Layout
 	// numPlacements counts the placement records of the current generation.
 	numPlacements uint32
 	// gen is the placement generation chunk and placement-record KVS keys
@@ -46,9 +45,9 @@ type Store struct {
 	// flushes place everything pending, so pending is always that suffix).
 	placed int
 
-	// batchesSinceRepartition counts online flushes toward
-	// Config.RepartitionEvery.
-	batchesSinceRepartition int
+	// failed is set by poison once a placement run has left memory ahead of
+	// the persisted root; mutable refuses with it.
+	failed error
 
 	// keyStates caches resolved key→record maps for recent commit parents.
 	keyStates *keyStateCache
@@ -77,12 +76,14 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 // newStore returns an empty store over cfg.KV.
 func newStore(cfg Config, ownsKV bool) *Store {
 	g := vgraph.New()
+	c, proj := corpus.New(g), index.New()
 	return &Store{
 		cfg:       cfg,
 		kv:        cfg.KV,
 		graph:     g,
-		corpus:    corpus.New(g),
-		proj:      index.New(),
+		corpus:    c,
+		proj:      proj,
+		layout:    chunk.NewLayout(c, proj),
 		keyStates: newKeyStateCache(4),
 		branches:  map[string]types.VersionID{"main": types.InvalidVersion},
 		ownsKV:    ownsKV,
@@ -119,7 +120,7 @@ func (s *Store) NumVersions() int {
 func (s *Store) NumChunks() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int(s.numChunks)
+	return s.layout.NumChunks()
 }
 
 // PendingVersions returns how many committed versions await placement.
@@ -129,18 +130,18 @@ func (s *Store) PendingVersions() int {
 	return s.numPending()
 }
 
-// Close flushes pending versions (writable stores only), marks the store
-// closed, and — when the store created its own private cluster — closes the
-// cluster's backends too. The final flush runs under the background
-// context: Close is a durability point, not a cancellable query. Closing
-// twice is a no-op.
+// Close flushes pending versions (writable stores only; a poisoned store
+// skips it and leaves them to Load), marks the store closed, and — when the
+// store created its own private cluster — closes the cluster's backends too.
+// The final flush runs under the background context: Close is a durability
+// point, not a cancellable query. Closing twice is a no-op.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	if !s.cfg.ReadOnly {
+	if !s.cfg.ReadOnly && s.failed == nil {
 		//lint:rstore-vet ctxfirst: Close is a durability point — the final flush must not inherit a cancelled request context
 		if err := s.flushLocked(context.Background()); err != nil {
 			return err
@@ -208,40 +209,54 @@ func (s *Store) CommitMerge(ctx context.Context, parents []types.VersionID, ch C
 		return types.InvalidVersion, err
 	}
 
+	if err := s.commitTail(ctx, v, parents, delta); err != nil {
+		return types.InvalidVersion, err
+	}
+	s.keyStates.put(v, state)
+	return v, nil
+}
+
+// applyVersion registers version v with the graph and the corpus — the one
+// "apply" of the persist-first rule: every caller has v's delta durable
+// (the commit paths just wrote it, Load just read it back). parents[0] ==
+// InvalidVersion, or no parents, marks the root.
+func (s *Store) applyVersion(v types.VersionID, parents []types.VersionID, delta *types.Delta) error {
 	var got types.VersionID
-	if parents[0] == types.InvalidVersion {
+	var err error
+	if len(parents) == 0 || parents[0] == types.InvalidVersion {
 		got, err = s.graph.AddRoot()
 	} else {
 		got, err = s.graph.AddVersion(parents...)
 	}
 	if err != nil {
-		return types.InvalidVersion, err
+		return err
 	}
 	if got != v {
-		return types.InvalidVersion, fmt.Errorf("rstore: internal: version id drift (%d vs %d)", got, v)
+		return fmt.Errorf("rstore: internal: version id drift (%d vs %d)", got, v)
 	}
 	if err := s.corpus.AddVersionDelta(v, delta); err != nil {
-		// Unreachable for deltas derived above; a failure here means a
+		// Unreachable for validated deltas; a failure here means a
 		// corrupted store and must surface loudly.
-		return types.InvalidVersion, fmt.Errorf("rstore: internal: graph/corpus desync at version %d: %w", v, err)
+		return fmt.Errorf("rstore: internal: graph/corpus desync at version %d: %w", v, err)
 	}
-	s.keyStates.put(v, state)
-	s.noteNewKeys(delta)
-	for i := len(s.locs); i < s.corpus.NumRecords(); i++ {
-		s.locs = append(s.locs, chunk.Loc{Chunk: chunk.NoChunk})
-	}
+	return nil
+}
 
+// commitTail finishes a commit whose delta entry is durable: apply it, index
+// its new keys, and close the batch if it is full.
+func (s *Store) commitTail(ctx context.Context, v types.VersionID, parents []types.VersionID, delta *types.Delta) error {
+	if err := s.applyVersion(v, parents, delta); err != nil {
+		return err
+	}
+	s.noteNewKeys(delta)
 	if s.cfg.BatchSize > 0 && s.numPending() >= s.cfg.BatchSize {
 		// Detached from the caller's cancellation: the commit already
-		// stands (its delta is durable), and an interrupted flush leaves
-		// the in-memory placement ahead of the persisted state — a
-		// per-request ctx must not be able to wedge the store as a side
-		// effect of the commit that happened to close the batch.
-		if err := s.flushLocked(context.WithoutCancel(ctx)); err != nil {
-			return types.InvalidVersion, err
-		}
+		// stands (its delta is durable), and an interrupted flush poisons
+		// the store — a per-request ctx must not be able to do that as a
+		// side effect of the commit that happened to close the batch.
+		return s.flushLocked(context.WithoutCancel(ctx))
 	}
-	return v, nil
+	return nil
 }
 
 // validParents enforces every graph.AddVersion precondition — existing,
@@ -365,7 +380,17 @@ func (s *Store) mutable() error {
 	if s.cfg.ReadOnly {
 		return types.ErrReadOnly
 	}
-	return nil
+	return s.failed
+}
+
+// poison records cause as the failure that left this process's memory ahead
+// of the persisted root, and returns what the failing call and every later
+// mutation answer: types.ErrPoisoned wrapping it.
+func (s *Store) poison(cause error) error {
+	if s.failed == nil { // the first failure is the one to report
+		s.failed = fmt.Errorf("%w: %w", types.ErrPoisoned, cause)
+	}
+	return s.failed
 }
 
 // Tip returns the version a branch points at.

@@ -151,52 +151,6 @@ func (c *Corpus) Members(v types.VersionID) (intset.Set, error) {
 	return cur, nil
 }
 
-// ForEachVersion walks the version tree in pre-order, presenting each
-// version's full membership bitmap to fn. The bitmap is mutated in place
-// across calls (delta apply on descent, undo on backtrack), so fn must not
-// retain it. Total cost is proportional to the total delta volume in the
-// tree — this is the single pass used to build chunk maps (paper §3.1).
-// fn returning false stops the walk.
-func (c *Corpus) ForEachVersion(fn func(v types.VersionID, members *bitset.BitSet) bool) {
-	if c.graph.NumVersions() == 0 {
-		return
-	}
-	members := bitset.New(len(c.recs))
-	stopped := false
-	var walk func(v types.VersionID)
-	walk = func(v types.VersionID) {
-		if stopped {
-			return
-		}
-		for _, id := range c.dels[v] {
-			members.Clear(id)
-		}
-		for _, id := range c.adds[v] {
-			members.Set(id)
-		}
-		if !fn(v, members) {
-			stopped = true
-		}
-		if !stopped {
-			for _, ch := range c.graph.Children(v) {
-				if int(ch) < len(c.adds) {
-					walk(ch)
-				}
-			}
-		}
-		// Undo on backtrack. Order matters: a record both deleted and
-		// re-added cannot occur within one consistent delta, so the two
-		// loops commute; still, mirror the apply order reversed.
-		for _, id := range c.adds[v] {
-			members.Clear(id)
-		}
-		for _, id := range c.dels[v] {
-			members.Set(id)
-		}
-	}
-	walk(0)
-}
-
 // VersionBytes returns the total payload volume of version v.
 func (c *Corpus) VersionBytes(v types.VersionID) (int64, error) {
 	members, err := c.Members(v)
@@ -222,7 +176,7 @@ func (c *Corpus) TotalBytes() int64 {
 
 // Validate cross-checks structural invariants: every delete targets a record
 // present in the parent version and every add is absent from it. Cost is
-// proportional to total delta volume (uses ForEachVersion); intended for
+// proportional to total delta volume; intended for
 // tests and loaders.
 func (c *Corpus) Validate() error {
 	if err := c.graph.Validate(); err != nil {

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"rstore/internal/bitset"
-	"rstore/internal/intset"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
 )
@@ -104,35 +102,6 @@ func TestKeyRecords(t *testing.T) {
 	}
 	if c.NumKeys() != 6 {
 		t.Fatalf("NumKeys = %d", c.NumKeys())
-	}
-}
-
-func TestForEachVersionMatchesMembers(t *testing.T) {
-	c := buildExample2(t)
-	visited := 0
-	c.ForEachVersion(func(v types.VersionID, members *bitset.BitSet) bool {
-		visited++
-		want, err := c.Members(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := intset.Set(members.Slice())
-		if !intset.Equal(got, want) {
-			t.Fatalf("V%d: walk %v vs materialized %v", v, got, want)
-		}
-		return true
-	})
-	if visited != 5 {
-		t.Fatalf("visited %d versions", visited)
-	}
-	// Early stop.
-	visited = 0
-	c.ForEachVersion(func(types.VersionID, *bitset.BitSet) bool {
-		visited++
-		return false
-	})
-	if visited != 1 {
-		t.Fatalf("early stop visited %d", visited)
 	}
 }
 

@@ -13,8 +13,6 @@
 package index
 
 import (
-	"sort"
-
 	"rstore/internal/chunk"
 	"rstore/internal/types"
 )
@@ -33,9 +31,11 @@ func New() *Projections {
 	}
 }
 
-// ObserveVersionChunk records that version v has records in chunk c. It
-// implements chunk.MembershipObserver so the projection fills during chunk
-// map construction. Duplicate observations are tolerated.
+// ObserveVersionChunk records that version v has records in chunk c.
+// *Projections implements chunk.Projection: a chunk.Layout — the only caller
+// of this and AddKeyChunk — fills both indexes while it lays chunks out and
+// places versions, always in ascending chunk order, which is what keeps
+// every adjacency list sorted. A repeat of the last chunk is dropped.
 func (p *Projections) ObserveVersionChunk(v types.VersionID, c chunk.ID) {
 	l := p.versionChunks[v]
 	if n := len(l); n > 0 && l[n-1] == c {
@@ -51,31 +51,6 @@ func (p *Projections) AddKeyChunk(k types.Key, c chunk.ID) {
 		return
 	}
 	p.keyChunks[k] = append(l, c)
-}
-
-// Normalize sorts and deduplicates every adjacency list. Call once after
-// bulk construction.
-func (p *Projections) Normalize() {
-	for v, l := range p.versionChunks {
-		p.versionChunks[v] = sortDedup(l)
-	}
-	for k, l := range p.keyChunks {
-		p.keyChunks[k] = sortDedup(l)
-	}
-}
-
-func sortDedup(l []chunk.ID) []chunk.ID {
-	if len(l) < 2 {
-		return l
-	}
-	sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-	out := l[:1]
-	for _, c := range l[1:] {
-		if c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // VersionChunks returns the chunks containing records of version v (sorted).

@@ -4,14 +4,14 @@ import "testing"
 
 func TestProjectionsBasics(t *testing.T) {
 	p := New()
-	p.ObserveVersionChunk(1, 5)
-	p.ObserveVersionChunk(1, 5) // consecutive duplicate suppressed
 	p.ObserveVersionChunk(1, 2)
+	p.ObserveVersionChunk(1, 5)
+	p.ObserveVersionChunk(1, 5) // repeat of the last chunk dropped
 	p.ObserveVersionChunk(2, 7)
-	p.AddKeyChunk("a", 5)
 	p.AddKeyChunk("a", 2)
+	p.AddKeyChunk("a", 2)
+	p.AddKeyChunk("a", 5)
 	p.AddKeyChunk("b", 7)
-	p.Normalize()
 
 	if got := p.VersionChunks(1); len(got) != 2 || got[0] != 2 || got[1] != 5 {
 		t.Fatalf("VersionChunks(1) = %v", got)
@@ -37,18 +37,6 @@ func TestProjectionsBasics(t *testing.T) {
 	}
 }
 
-func TestNormalizeDedupes(t *testing.T) {
-	p := New()
-	// Non-consecutive duplicates survive until Normalize.
-	p.ObserveVersionChunk(1, 5)
-	p.ObserveVersionChunk(1, 2)
-	p.ObserveVersionChunk(1, 5)
-	p.Normalize()
-	if got := p.VersionChunks(1); len(got) != 2 {
-		t.Fatalf("normalize left %v", got)
-	}
-}
-
 func TestIntersect(t *testing.T) {
 	p := New()
 	for _, c := range []uint32{1, 3, 5, 9} {
@@ -57,7 +45,6 @@ func TestIntersect(t *testing.T) {
 	for _, c := range []uint32{2, 3, 9, 12} {
 		p.AddKeyChunk("k", c)
 	}
-	p.Normalize()
 	got := p.Intersect("k", 4)
 	if len(got) != 2 || got[0] != 3 || got[1] != 9 {
 		t.Fatalf("Intersect = %v", got)

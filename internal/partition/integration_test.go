@@ -108,6 +108,27 @@ func TestChunkSizesRespectSlack(t *testing.T) {
 	}
 }
 
+// layOut materializes an assignment the way the engine does: every chunk
+// through Layout.AddChunk, then every version placed in id order.
+func layOut(t *testing.T, c *corpus.Corpus, items []chunk.Item, chunks [][]uint32) (*index.Projections, *chunk.Layout, [][]byte) {
+	t.Helper()
+	proj := index.New()
+	lay := chunk.NewLayout(c, proj)
+	payloads := make([][]byte, len(chunks))
+	for i, idxs := range chunks {
+		var err error
+		if payloads[i], err = lay.AddChunk(items, idxs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := types.VersionID(0); int(v) < c.NumVersions(); v++ {
+		if err := lay.PlaceVersion(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return proj, lay, payloads
+}
+
 // TestBuildAndExtractVersions builds physical chunks for each algorithm and
 // verifies that every version can be reconstructed exactly from chunks +
 // chunk maps, matching the corpus's ground truth.
@@ -122,12 +143,7 @@ func TestBuildAndExtractVersions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
 		}
-		proj := index.New()
-		built, err := chunk.Build(c, in.Items, a.Chunks, proj)
-		if err != nil {
-			t.Fatalf("%s: build: %v", algo.Name(), err)
-		}
-		proj.Normalize()
+		proj, lay, payloads := layOut(t, c, in.Items, a.Chunks)
 
 		for v := types.VersionID(0); int(v) < c.NumVersions(); v++ {
 			want, err := c.Members(v)
@@ -136,11 +152,11 @@ func TestBuildAndExtractVersions(t *testing.T) {
 			}
 			got := make(map[types.CompositeKey][]byte)
 			for _, cid := range proj.VersionChunks(v) {
-				recs, err := chunk.DecodeChunk(built.Payloads[cid])
+				recs, err := chunk.DecodeChunk(payloads[cid])
 				if err != nil {
 					t.Fatalf("%s: decode chunk %d: %v", algo.Name(), cid, err)
 				}
-				slots := built.Maps[cid].SlotsOf(v)
+				slots := lay.Map(cid).SlotsOf(v)
 				if slots == nil {
 					t.Fatalf("%s: chunk %d in projection of v%d but no map entry", algo.Name(), cid, v)
 				}
@@ -205,12 +221,7 @@ func TestSubchunkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: partition: %v", k, err)
 		}
-		proj := index.New()
-		built, err := chunk.Build(c, res.In.Items, a.Chunks, proj)
-		if err != nil {
-			t.Fatalf("k=%d: build: %v", k, err)
-		}
-		proj.Normalize()
+		proj, lay, payloads := layOut(t, c, res.In.Items, a.Chunks)
 
 		// Spot-check a few versions end to end.
 		for _, v := range []types.VersionID{0, types.VersionID(c.NumVersions() / 2), types.VersionID(c.NumVersions() - 1)} {
@@ -220,11 +231,11 @@ func TestSubchunkRoundTrip(t *testing.T) {
 			}
 			gotSet := make(map[types.CompositeKey]string)
 			for _, cid := range proj.VersionChunks(v) {
-				recs, err := chunk.DecodeChunk(built.Payloads[cid])
+				recs, err := chunk.DecodeChunk(payloads[cid])
 				if err != nil {
 					t.Fatal(err)
 				}
-				slots := built.Maps[cid].SlotsOf(v)
+				slots := lay.Map(cid).SlotsOf(v)
 				if slots == nil {
 					continue
 				}

@@ -213,8 +213,7 @@ func mergePartials(in *Input, parts []partial) ([][]uint32, []int) {
 }
 
 // forEachVersionItems walks the version tree in pre-order presenting each
-// version's live item bitmap (delta apply/undo, same technique as
-// corpus.ForEachVersion but in item space).
+// version's live item bitmap (delta apply on descent, undo on backtrack).
 func forEachVersionItems(in *Input, fn func(v uint32, live *bitset.BitSet)) {
 	if in.Graph.NumVersions() == 0 {
 		return

@@ -437,7 +437,7 @@ func statusOf(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, types.ErrReadOnly):
 		return http.StatusForbidden
-	case errors.Is(err, types.ErrClosed):
+	case errors.Is(err, types.ErrClosed), errors.Is(err, types.ErrPoisoned):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest

@@ -241,6 +241,25 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestStatusOf: errors that say "not now, and not your fault" — a closed
+// store, a store poisoned by a failed placement run — are 503, not 400.
+func TestStatusOf(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{fmt.Errorf("%w: %w", types.ErrPoisoned, io.ErrUnexpectedEOF), http.StatusServiceUnavailable},
+		{types.ErrClosed, http.StatusServiceUnavailable},
+		{types.ErrReadOnly, http.StatusForbidden},
+		{&types.VersionUnknownError{Version: 3}, http.StatusNotFound},
+		{io.ErrUnexpectedEOF, http.StatusBadRequest},
+	} {
+		if got := statusOf(tc.err); got != tc.want {
+			t.Errorf("statusOf(%v) = %d, want %d", tc.err, got, tc.want)
+		}
+	}
+}
+
 func TestHTTPMergeCommit(t *testing.T) {
 	ts, st := newServer(t)
 	var cr CommitResponse

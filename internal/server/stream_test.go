@@ -46,7 +46,7 @@ func (g *gatingBackend) Get(ctx context.Context, table, key string) ([]byte, boo
 }
 
 // buildMultiChunkStore returns a server over a store whose version 0 spans
-// several chunks, fetched one per round (QueryFetchBatch 1, cache off).
+// several chunks, fetched one per round (QueryFetchBatch 1).
 func buildMultiChunkStore(t *testing.T) (*httptest.Server, *core.Store, *gatingBackend) {
 	t.Helper()
 	gate := &gatingBackend{Backend: memory.New(), blocked: make(chan struct{}, 1)}

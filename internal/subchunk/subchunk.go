@@ -13,6 +13,8 @@ package subchunk
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"rstore/internal/chunk"
 	"rstore/internal/corpus"
@@ -204,20 +206,21 @@ func buildGroups(c *corpus.Corpus, k int) ([]*group, error) {
 			}
 		}
 
+		// Keys in id order: the emission order is the item order, and with it
+		// the chunk layout — it must not follow map iteration.
 		up := make(keyGroups)
-		for ki, gs := range gather {
+		for _, ki := range slices.Sorted(maps.Keys(gather)) {
 			own, e := hasOwn[ki]
-			gs, emitted = reduceKey(gs, e, own, k, emitted)
+			var gs []*group
+			gs, emitted = reduceKey(gather[ki], e, own, k, emitted)
 			if len(gs) > 0 {
-				up[ki] = gs
+				if v == 0 {
+					// Nothing above the root: emit everything still pending.
+					emitted = append(emitted, gs...)
+				} else {
+					up[ki] = gs
+				}
 			}
-		}
-		if v == 0 {
-			// Nothing above the root: emit everything still pending.
-			for _, gs := range up {
-				emitted = append(emitted, gs...)
-			}
-			break
 		}
 		pending[v] = up
 	}

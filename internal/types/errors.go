@@ -29,6 +29,12 @@ var (
 	// ErrReadOnly reports a mutation on a read-only store (a read-replica
 	// application server).
 	ErrReadOnly = errors.New("rstore: store is read-only")
+
+	// ErrPoisoned reports a mutation on a store whose last placement run
+	// (a flush or a repartition) failed part-way: what it persisted is
+	// consistent, but this process's memory is ahead of it. Reads still
+	// answer; reopening the store recovers every acknowledged commit.
+	ErrPoisoned = errors.New("rstore: a placement run failed; reopen the store")
 )
 
 // KeyNotFoundError wraps ErrNotFound with the missing composite key and the

@@ -105,6 +105,7 @@ var (
 	ErrInconsistentDelta = types.ErrInconsistentDelta
 	ErrClosed            = types.ErrClosed
 	ErrReadOnly          = types.ErrReadOnly
+	ErrPoisoned          = types.ErrPoisoned
 	// ErrNoCompaction / ErrNoReset report that a cluster node's backend
 	// does not implement the optional compaction / wipe extensions (see
 	// kvstore.Store.Compact and kvstore.Store.Reset).

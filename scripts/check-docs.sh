@@ -3,8 +3,9 @@
 #
 # 1. Every relative markdown link in README.md and docs/*.md must resolve
 #    to a file in the repository.
-# 2. Every Go identifier referenced in backticks under docs/ must still
-#    exist somewhere in the Go sources (grep-based: a doc that names
+# 2. Every Go identifier referenced in backticks in README.md or under
+#    docs/ must still exist somewhere in the Go sources, and every
+#    backticked repo path must exist (grep-based: a doc that names
 #    `engine.Compactor` or `Materialize` breaks this check when the
 #    identifier is renamed away).
 #
@@ -43,7 +44,7 @@ for f in docs/ARCHITECTURE.md docs/FORMATS.md; do
     [ -e "$f" ] || err "missing $f"
 done
 
-# --- 2. Go identifiers referenced from docs/ -------------------------------
+# --- 2. Go identifiers referenced from README.md and docs/ -----------------
 
 # Backtick spans that look like Go identifiers:
 #   - dotted references (pkg.Ident, pkg.Type.Method): the final exported
@@ -60,7 +61,7 @@ check_ident() {
     fi
 }
 
-for f in docs/*.md; do
+for f in README.md docs/*.md; do
     [ -e "$f" ] || continue
     while IFS= read -r span; do
         case "$span" in
