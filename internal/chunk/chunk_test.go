@@ -126,6 +126,33 @@ func TestItemIncompressibleFallsBackToRaw(t *testing.T) {
 	}
 }
 
+// TestEncodeItemSizedOnce: the buffer is allocated once — to the byte for
+// raw members, never short when some members are deltas or raw fallbacks.
+func TestEncodeItemSizedOnce(t *testing.T) {
+	c := miniCorpus(t)
+	for id := uint32(0); int(id) < c.NumRecords(); id++ {
+		it, err := SingleRecordItem(c, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(it.Encoded) != cap(it.Encoded) {
+			t.Errorf("record %d: encoded %d bytes into a buffer of %d", id, len(it.Encoded), cap(it.Encoded))
+		}
+	}
+	var bound int
+	for _, id := range []uint32{0, 2, 3} {
+		it, _ := SingleRecordItem(c, id)
+		bound += len(it.Encoded)
+	}
+	enc, err := EncodeItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(enc) > bound || len(enc) >= cap(enc) {
+		t.Errorf("delta chain: %d bytes in a buffer of %d; three raw items are %d", len(enc), cap(enc), bound)
+	}
+}
+
 func TestEncodeItemValidation(t *testing.T) {
 	c := miniCorpus(t)
 	if _, err := EncodeItem(c, nil, nil); err == nil {

@@ -88,7 +88,17 @@ func EncodeItem(c *corpus.Corpus, members []uint32, parents []int32) ([]byte, er
 	if len(parents) != len(members) {
 		return nil, fmt.Errorf("chunk: %d members but %d parents", len(members), len(parents))
 	}
-	var buf []byte
+	// Sized once from the members' keys and values: exact when every member
+	// is stored raw (always, for a single-record item), an upper bound when
+	// some are deltas, which are shorter than the value they replace.
+	size := codec.UvarintLen(uint64(len(members)))
+	for i, id := range members {
+		r := c.Record(id)
+		size += codec.UvarintLen(uint64(len(r.CK.Key))) + len(r.CK.Key) + codec.UvarintLen(uint64(r.CK.Version)) +
+			codec.UvarintLen(uint64(2*i+3)) + // the parent index, zigzag: −1 → 1, −2 → 3, p < i → 2p
+			codec.UvarintLen(uint64(len(r.Value))) + len(r.Value)
+	}
+	buf := make([]byte, 0, size)
 	buf = codec.PutUvarint(buf, uint64(len(members)))
 	for i, id := range members {
 		r := c.Record(id)

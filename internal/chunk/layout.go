@@ -93,12 +93,18 @@ func (l *Layout) openChunk(recs []uint32) (ID, error) {
 // member's Loc is set, the chunk's (still empty) map is opened, and its keys
 // are reported. A record some chunk already holds is an error.
 func (l *Layout) AddChunk(items []Item, idxs []uint32) ([]byte, error) {
-	payload := codec.PutUvarint(nil, uint64(len(idxs)))
-	var recs []uint32
+	size, members := codec.UvarintLen(uint64(len(idxs))), 0
 	for _, ii := range idxs {
 		if int(ii) >= len(items) {
 			return nil, fmt.Errorf("chunk: assignment references item %d of %d", ii, len(items))
 		}
+		size += len(items[ii].Encoded)
+		members += len(items[ii].Members)
+	}
+	// Sized once: grown by append, a 1 MiB payload allocates five times that.
+	payload := codec.PutUvarint(make([]byte, 0, size), uint64(len(idxs)))
+	recs := make([]uint32, 0, members)
+	for _, ii := range idxs {
 		payload = append(payload, items[ii].Encoded...)
 		recs = append(recs, items[ii].Members...)
 	}

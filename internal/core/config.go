@@ -12,10 +12,15 @@
 //     partitions everything offline onto a fresh chunk.Layout under the
 //     next generation; the online path (§4) partitions each batch of new
 //     versions as it closes onto the live layout, persisting only what the
-//     batch adds. Both lay chunks out and fill chunk maps and projections
-//     through the same chunk.Layout, and both persist through publish:
-//     new chunk payloads, one placement record, the root. A run that fails
-//     part-way poisons the Store (types.ErrPoisoned) until it is reopened.
+//     batch adds. A batch that fits one chunk is one instance and one
+//     chunk; a larger one is two instances — its open records, still alive
+//     at a pending leaf and so read by every later version, and its closed
+//     ones, which only the batch's own versions read — chunked apart, open
+//     chunks first. Both paths lay chunks out and fill chunk maps and
+//     projections through the same chunk.Layout, and both persist through
+//     publish: new chunk payloads, one placement record, the root. A run
+//     that fails part-way poisons the Store (types.ErrPoisoned) until it is
+//     reopened.
 //   - Query Processing: the two lossy projections (version→chunks,
 //     key→chunks) pick chunks, MultiGet fetches them in parallel, and chunk
 //     maps extract the requested records; pending (not yet partitioned)

@@ -180,7 +180,10 @@ func TestFlushCrashMatrix(t *testing.T) {
 				}
 				want[v], state, parent = next, next, v
 			}
-			for rev := 100; rev < 103; rev++ {
+			// Six commits, 12 records of ≈ 36 B: larger than the 256 B
+			// chunk capacity, so the faulted flush is a split one (open
+			// and closed chunks; rev 105 supersedes rev 100's doc-0).
+			for rev := 100; rev < 106; rev++ {
 				commit(st, rev)
 			}
 
@@ -195,7 +198,7 @@ func TestFlushCrashMatrix(t *testing.T) {
 				t.Fatalf("load after interrupted flush: %v", err)
 			}
 			checkVersions(t, re, want)
-			commit(re, 103)
+			commit(re, 106)
 			if err := re.Flush(ctx); err != nil {
 				t.Fatalf("re-flush: %v", err)
 			}

@@ -4,20 +4,33 @@ import (
 	"context"
 	"slices"
 
+	"rstore/internal/bitset"
 	"rstore/internal/chunk"
 	"rstore/internal/partition"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
 )
 
-// Flush runs online partitioning (paper §4) over all pending versions: new
-// records are chunked with the configured algorithm restricted to the batch
-// subtree, existing records keep their chunks (no re-partitioning), and the
-// in-memory chunk maps and projections gain the new versions. What it
-// persists is what the batch adds, whatever the store already holds: each
-// new chunk's payload, written once and never again, then one placement
-// record (the batch's graph edges, composite-key deltas and slot bitmaps),
-// then the root.
+// Flush runs online partitioning (paper §4) over all pending versions: the
+// batch's new records are chunked with the configured algorithm restricted
+// to the batch subtree, existing records keep their chunks (no
+// re-partitioning), and the in-memory chunk maps and projections gain the
+// new versions.
+//
+// The batch subtree's leaves are not the end of its records' lives: a
+// record still alive at a pending leaf (open) is read by every descendant
+// committed later, one superseded or deleted inside the batch on every path
+// (closed) only by the batch's own versions. A batch whose packed size
+// exceeds ChunkCapacity is therefore partitioned as two instances, open
+// records and closed records, and laid out open chunks first, so a later
+// version fetches the batch's open chunks — about ⌈open bytes / capacity⌉ —
+// instead of all of them. A batch that fits one chunk stays one instance
+// and one chunk.
+//
+// What a flush persists is what the batch adds, whatever the store already
+// holds: each new chunk's payload, written once and never again, then one
+// placement record (the batch's graph edges, composite-key deltas and slot
+// bitmaps), then the root.
 //
 // Flush honors ctx for its KVS writes. An error mid-flush — including a
 // cancellation — never corrupts the persisted state (publish's crash
@@ -56,29 +69,108 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	slices.Sort(newIDs)
 	newIDs = slices.Compact(newIDs)
 
-	var in *partition.Input // nil: a batch that adds no record adds no chunk
-	if len(newIDs) > 0 {
+	items := make([]chunk.Item, len(newIDs))
+	size := 0
+	for i, rec := range newIDs {
 		var err error
-		if in, err = s.batchInstance(pending, newIDs); err != nil {
+		if items[i], err = chunk.SingleRecordItem(s.corpus, rec); err != nil {
 			return err
 		}
+		size += items[i].PackedSize()
 	}
-	return s.place(ctx, "flush", in, placement{gen: s.gen, layout: s.layout, proj: s.proj, first: pending[0]})
+
+	// A batch that fits one chunk is one instance and one chunk. A larger
+	// one is split at the frontier: the open records, which every later
+	// version may read, are chunked apart from the closed ones, which only
+	// the batch's own versions read — open chunks first.
+	groups := [][]chunk.Item{items}
+	if size > s.cfg.ChunkCapacity {
+		opened, closed := s.splitAtFrontier(pending, items)
+		groups = [][]chunk.Item{opened, closed}
+	}
+	var ins []*partition.Input // stays empty: a batch that adds no record adds no chunk
+	for _, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
+		in, err := s.batchInstance(pending, group)
+		if err != nil {
+			return err
+		}
+		ins = append(ins, in)
+	}
+	return s.place(ctx, "flush", ins, placement{gen: s.gen, layout: s.layout, proj: s.proj, first: pending[0]})
 }
 
-// batchInstance builds the partitioning instance for the pending subtrees:
-// a virtual empty root stands in for the already-partitioned store, with the
-// pending versions hanging off it in commit order.
-func (s *Store) batchInstance(pending []types.VersionID, newIDs []uint32) (*partition.Input, error) {
-	itemIdx := make(map[uint32]uint32, len(newIDs))
-	items := make([]chunk.Item, len(newIDs))
-	for i, rec := range newIDs {
-		it, err := chunk.SingleRecordItem(s.corpus, rec)
-		if err != nil {
-			return nil, err
+// splitAtFrontier classifies the batch's new records (items: one per
+// record, ascending record id, not empty) by one parents-first walk over
+// the pending subtrees: a record is open when some pending leaf — a pending
+// version without a child — still contains it, so its run of versions
+// continues into whatever is committed next; it is closed when every path of
+// the batch supersedes or deletes it. A record deleted on one branch and
+// alive at the tip of another is open. Both halves keep record-id order.
+func (s *Store) splitAtFrontier(pending []types.VersionID, items []chunk.Item) (opened, closed []chunk.Item) {
+	// Bitsets over the batch's record-id range, which is dense: ids are
+	// handed out at commit.
+	base := items[0].Members[0]
+	n := int(items[len(items)-1].Members[0]-base) + 1
+	live, open := bitset.New(n), bitset.New(n)
+	// set marks the new records among recs alive or dead. Every unplaced
+	// record a pending delta names is one of items: no placed version holds
+	// it, so a pending one added it.
+	set := func(recs []uint32, alive bool) {
+		for _, rec := range recs {
+			if s.layout.Loc(rec).Chunk != chunk.NoChunk {
+				continue // placed by an earlier batch
+			}
+			if alive {
+				live.Set(rec - base)
+			} else {
+				live.Clear(rec - base)
+			}
 		}
-		items[i] = it
-		itemIdx[rec] = uint32(i)
+	}
+	var walk func(v types.VersionID)
+	walk = func(v types.VersionID) {
+		set(s.corpus.Dels(v), false)
+		set(s.corpus.Adds(v), true)
+		children := s.graph.Children(v) // of a pending version: all pending
+		if len(children) == 0 {
+			open.Or(live)
+		}
+		for _, c := range children {
+			walk(c)
+		}
+		set(s.corpus.Adds(v), false) // undo, for v's siblings
+		set(s.corpus.Dels(v), true)
+	}
+	for _, v := range pending {
+		if p := s.graph.Parent(v); p == types.InvalidVersion || p < pending[0] {
+			walk(v) // the root of a pending subtree
+		}
+	}
+
+	nOpen := open.Count()
+	opened = make([]chunk.Item, 0, nOpen)
+	closed = make([]chunk.Item, 0, len(items)-nOpen)
+	for _, it := range items {
+		if open.Contains(it.Members[0] - base) {
+			opened = append(opened, it)
+		} else {
+			closed = append(closed, it)
+		}
+	}
+	return opened, closed
+}
+
+// batchInstance builds a partitioning instance over items, single-record
+// items of the batch: a virtual empty root stands in for the
+// already-partitioned store, with the pending versions hanging off it in
+// commit order and their deltas projected onto the items' records.
+func (s *Store) batchInstance(pending []types.VersionID, items []chunk.Item) (*partition.Input, error) {
+	itemIdx := make(map[uint32]uint32, len(items))
+	for i, it := range items {
+		itemIdx[it.Members[0]] = uint32(i)
 	}
 
 	g := vgraph.New()
@@ -111,8 +203,9 @@ func (s *Store) batchInstance(pending []types.VersionID, newIDs []uint32) (*part
 	}, nil
 }
 
-// filterMapIDs projects record ids into batch item space, dropping records
-// that already have a placement (old records re-appearing through merges).
+// filterMapIDs projects record ids into an instance's item space, dropping
+// records outside it: those that already have a placement (old records
+// re-appearing through merges) and those of the batch's other instance.
 func filterMapIDs(ids []uint32, itemIdx map[uint32]uint32) []uint32 {
 	var out []uint32
 	for _, id := range ids {

@@ -38,7 +38,7 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 	// placement record: a fresh layout, ids and record log restarting at 0,
 	// under the next generation (see publish).
 	proj := index.New()
-	return s.place(ctx, "materialize", res.In, placement{gen: s.gen + 1, layout: chunk.NewLayout(s.corpus, proj), proj: proj})
+	return s.place(ctx, "materialize", []*partition.Input{res.In}, placement{gen: s.gen + 1, layout: chunk.NewLayout(s.corpus, proj), proj: proj})
 }
 
 // placement is one placement run's outcome on its way to the KVS: a layout
@@ -53,19 +53,18 @@ type placement struct {
 }
 
 // place is the one placement mechanism (§3.1 offline, §4 online): partition
-// the instance, lay each chunk of the assignment out on p.layout, give every
-// version from p.first on its slot bitmaps in id order — parents before
-// children — and publish. A flush passes the batch instance and the live
-// layout; a repartition the whole-corpus instance and a fresh layout under
-// the next generation.
-func (s *Store) place(ctx context.Context, op string, in *partition.Input, p placement) (err error) {
-	var chunks [][]uint32
-	if in != nil {
-		assign, err := s.cfg.Partitioner.Partition(in)
-		if err != nil {
+// each instance, lay the chunks of their assignments out on p.layout in
+// instance order, give every version from p.first on its slot bitmaps in id
+// order — parents before children — and publish. A flush passes its batch's
+// instances (one, or the open and the closed one) and the live layout; a
+// repartition the whole-corpus instance and a fresh layout under the next
+// generation.
+func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p placement) (err error) {
+	assigns := make([]*partition.Assignment, len(ins))
+	for i, in := range ins {
+		if assigns[i], err = s.cfg.Partitioner.Partition(in); err != nil {
 			return fmt.Errorf("rstore: %s: %s: %w", op, s.cfg.Partitioner.Name(), err)
 		}
-		chunks = assign.Chunks
 	}
 
 	// From the first layout mutation on, memory (and then the KVS) runs
@@ -76,10 +75,14 @@ func (s *Store) place(ctx context.Context, op string, in *partition.Input, p pla
 			err = s.poison(err)
 		}
 	}()
-	payloads := make([][]byte, len(chunks))
-	for i, idxs := range chunks {
-		if payloads[i], err = p.layout.AddChunk(in.Items, idxs); err != nil {
-			return fmt.Errorf("rstore: %s: %w", op, err)
+	var payloads [][]byte
+	for i, in := range ins {
+		for _, idxs := range assigns[i].Chunks {
+			payload, err := p.layout.AddChunk(in.Items, idxs)
+			if err != nil {
+				return fmt.Errorf("rstore: %s: %w", op, err)
+			}
+			payloads = append(payloads, payload)
 		}
 	}
 	for v := p.first; int(v) < s.graph.NumVersions(); v++ {

@@ -177,8 +177,10 @@ func TestMaterializeAfterOnlineFlushes(t *testing.T) {
 // TestOnlineEqualsOfflineAnswers cross-checks the two placement paths
 // produce identical query answers on the same commit stream.
 func TestOnlineEqualsOfflineAnswers(t *testing.T) {
-	online, m1 := buildStore(t, Config{ChunkCapacity: 768, BatchSize: 2}, 15, 25, 16)
-	offline, m2 := buildStore(t, Config{ChunkCapacity: 768}, 15, 25, 16)
+	// A batch of two is 365–1469 B: at 256 B every online flush but the
+	// last (one version) takes the open/closed split.
+	online, m1 := buildStore(t, Config{ChunkCapacity: 256, BatchSize: 2}, 15, 25, 16)
+	offline, m2 := buildStore(t, Config{ChunkCapacity: 256}, 15, 25, 16)
 	if err := online.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}

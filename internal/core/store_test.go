@@ -325,11 +325,18 @@ func TestEngineCommitValidation(t *testing.T) {
 	}
 }
 
+// TestEnginePartitionerChoices runs every algorithm through both placement
+// paths: online batches of four (larger than the 256 B capacity, so each is
+// split into an open and a closed instance), then a full repartition.
 func TestEnginePartitionerChoices(t *testing.T) {
 	for _, algo := range []partition.Algorithm{
-		partition.BottomUp{}, partition.Shingle{Seed: 3}, partition.DepthFirst{},
+		partition.BottomUp{}, partition.Shingle{Seed: 3}, partition.DepthFirst{}, partition.BreadthFirst{},
 	} {
-		s, m := buildStore(t, Config{ChunkCapacity: 768, Partitioner: algo}, 15, 25, 8)
+		s, m := buildStore(t, Config{ChunkCapacity: 256, BatchSize: 4, Partitioner: algo}, 15, 25, 8)
+		if err := s.Flush(context.Background()); err != nil {
+			t.Fatalf("%s: %v", algo.Name(), err)
+		}
+		checkAllVersions(t, s, m)
 		if err := s.Materialize(context.Background()); err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
 		}

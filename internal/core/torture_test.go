@@ -29,7 +29,7 @@ func TestTortureSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		KV: kv, ChunkCapacity: 2048, BatchSize: 7,
+		KV: kv, ChunkCapacity: 512, BatchSize: 7, // a batch is 1.2–1.8 KB: every flush splits open from closed
 		SubChunkK: 3, Partitioner: partition.BottomUp{Beta: 16},
 	}
 	s, err := Open(context.Background(), cfg)
@@ -182,7 +182,7 @@ func TestTortureSoak(t *testing.T) {
 	}
 	checkpoint("after-more-commits")
 
-	re, err := Load(context.Background(), Config{KV: kv, ChunkCapacity: 2048, BatchSize: 7})
+	re, err := Load(context.Background(), Config{KV: kv, ChunkCapacity: 512, BatchSize: 7})
 	if err != nil {
 		t.Fatalf("reload: %v", err)
 	}
