@@ -10,12 +10,17 @@ package rstore_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"rstore"
 	"rstore/internal/bench"
 	"rstore/internal/corpus"
+	"rstore/internal/engine/lsm"
+	"rstore/internal/engine/remote/engined"
+	"rstore/internal/kvstore"
 	"rstore/internal/partition"
 	"rstore/internal/subchunk"
 	"rstore/internal/workload"
@@ -256,6 +261,75 @@ func BenchmarkFlushBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(put)/float64(b.N), "kv-put-B/flush")
 			b.ReportMetric(float64(read)/float64(b.N), "kv-read-B/flush")
+		})
+	}
+}
+
+// BenchmarkBulkLoad measures BulkLoad of a ≈ 16 MB tree-shaped corpus — the
+// set-up of benchmark/'s read workloads, at a quarter of dataset L — over the
+// in-process memory engine and over the benchmark's stack shape: three lsm
+// nodes behind engined, replication factor 2. MB/s is user payload per
+// wall-clock second; B/op is what one load allocates, all layers and all
+// three nodes included, so a whole-corpus copy anywhere on the write path
+// shows as a multiple of the corpus in B/op.
+func BenchmarkBulkLoad(b *testing.B) {
+	ctx := context.Background()
+	spec := workload.Spec{
+		Name: "bulk", Versions: 200, AvgDepth: 20, RecordsPerVersion: 5000,
+		UpdatePct: 0.06, Update: workload.RandomUpdate, RecordSize: 256, Seed: 1,
+	}
+	stacks := []struct {
+		name string
+		open func(b *testing.B) kvstore.Config
+	}{
+		{"memory", func(*testing.B) kvstore.Config { return kvstore.Config{} }},
+		{"remote-lsm", func(b *testing.B) kvstore.Config {
+			addrs := make([]string, 3)
+			for i := range addrs {
+				be, err := lsm.Open(filepath.Join(b.TempDir(), fmt.Sprintf("node-%d", i)), lsm.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				node, err := engined.Start("127.0.0.1:0", be)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(func() {
+					node.Close()
+					be.Close()
+				})
+				addrs[i] = node.Addr().String()
+			}
+			return kvstore.Config{Engine: kvstore.EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2}
+		}},
+	}
+	for _, stack := range stacks {
+		b.Run(stack.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, err := workload.Generate(spec) // BulkLoad takes ownership: one corpus per load
+				if err != nil {
+					b.Fatal(err)
+				}
+				kv, err := kvstore.Open(ctx, stack.open(b))
+				if err != nil {
+					b.Fatal(err)
+				}
+				st, err := rstore.Open(ctx, rstore.Config{KV: kv})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(c.TotalBytes())
+				b.StartTimer()
+				if err := st.BulkLoad(ctx, c); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := errors.Join(st.Close(), kv.Close()); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -51,6 +51,10 @@ func PutBytes(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
+// BytesLen reports the size PutBytes or PutString gives an n-byte string, so
+// an encoder can size its buffer before it encodes.
+func BytesLen(n int) int { return UvarintLen(uint64(n)) + n }
+
 // Bytes consumes a length-prefixed byte string. The returned slice aliases
 // buf; callers that retain it across buffer reuse must copy.
 func Bytes(buf []byte) ([]byte, []byte, error) {

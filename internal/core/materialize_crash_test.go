@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rstore/internal/chunk"
@@ -22,8 +24,9 @@ import (
 // Put of a tombstone, so failing a table's Puts also fails its deletes.
 type faultBackend struct {
 	*memory.Backend
-	mu   sync.Mutex
-	fail func(table string) bool // nil = healthy
+	mu       sync.Mutex
+	fail     func(table string) bool // nil = healthy
+	inFlight atomic.Int32            // BatchPuts entered and not yet returned
 }
 
 var errInjected = errors.New("injected crash")
@@ -48,6 +51,8 @@ func (b *faultBackend) Put(ctx context.Context, table, key string, value []byte)
 }
 
 func (b *faultBackend) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
+	b.inFlight.Add(1)
+	defer b.inFlight.Add(-1)
 	if b.failing(table) {
 		return errInjected
 	}
@@ -242,4 +247,128 @@ func TestMaterializeCrashMidChunkWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkVersions(t, re, want)
+}
+
+// seedGroups commits three versions that each rewrite four documents of a
+// quarter of chunkGroupBytes, flushing after every commit. Each record is a
+// chunk of its own (capacity is 256 B), so a Materialize writes twelve chunks
+// as three groups of four. Returns the expected per-version contents.
+func seedGroups(t *testing.T, st *Store) map[types.VersionID]map[string]string {
+	t.Helper()
+	ctx := context.Background()
+	want := map[types.VersionID]map[string]string{}
+	parent := types.InvalidVersion
+	for rev := 0; rev < 3; rev++ {
+		puts := map[types.Key][]byte{}
+		contents := map[string]string{}
+		for d := 0; d < 4; d++ {
+			k := fmt.Sprintf("doc-%d", d)
+			contents[k] = strings.Repeat(fmt.Sprintf("%d.%d ", d, rev), chunkGroupBytes/4/4)
+			puts[types.Key(k)] = []byte(contents[k])
+		}
+		v, err := st.Commit(ctx, parent, Change{Puts: puts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want[v], parent = contents, v
+	}
+	return want
+}
+
+// TestMaterializeCrashBetweenGroups: the chunk write of a repartition is a
+// pipeline of groups, and it may die on any of them. Whichever group fails,
+// no later group is started, the store is poisoned, Load serves the previous
+// generation byte-exact and deletes the groups that did land, and a repeated
+// Materialize succeeds.
+func TestMaterializeCrashBetweenGroups(t *testing.T) {
+	const groups = 3
+	for k := 1; k <= groups; k++ {
+		t.Run(fmt.Sprintf("group-%d-of-%d", k, groups), func(t *testing.T) {
+			ctx := context.Background()
+			st, kv, backends := openFaulty(t, 1)
+			want := seedGroups(t, st)
+
+			writes := 0 // BatchPuts of chunk payloads: only placement issues them
+			backends[0].arm(func(table string) bool {
+				if table == TableChunks {
+					writes++
+				}
+				return table == TableChunks && writes == k
+			})
+			if err := st.Materialize(ctx); !errors.Is(err, errInjected) {
+				t.Fatalf("materialize failing its group %d: %v", k, err)
+			}
+			backends[0].arm(nil)
+			if writes != k {
+				t.Fatalf("%d chunk groups were written, want the pipeline to stop at the failed group %d", writes, k)
+			}
+			if got, landed := scanChunkGens(t, kv)[1], 4*(k-1); got != landed {
+				t.Fatalf("precondition: %d chunks of the uncommitted generation on disk, want %d", got, landed)
+			}
+			if _, err := st.Commit(ctx, types.VersionID(2), Change{Puts: map[types.Key][]byte{"x": []byte("y")}}); !errors.Is(err, types.ErrPoisoned) {
+				t.Fatalf("commit after the failed materialize: %v, want ErrPoisoned", err)
+			}
+
+			re, err := Load(ctx, Config{KV: kv, ChunkCapacity: 256})
+			if err != nil {
+				t.Fatalf("load after a crash on group %d: %v", k, err)
+			}
+			checkVersions(t, re, want)
+			if gens := scanChunkGens(t, kv); gens[1] != 0 || gens[0] != 4*groups {
+				t.Fatalf("after load: generations %v, want only the %d chunks of generation 0", gens, 4*groups)
+			}
+			if err := re.Materialize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			checkVersions(t, re, want)
+			if gens := scanChunkGens(t, kv); len(gens) != 1 || gens[1] != 4*groups {
+				t.Fatalf("after the repeated materialize: generations %v, want only generation 1", gens)
+			}
+		})
+	}
+}
+
+// TestMaterializeCancelledMidPipeline cancels the context while the second
+// group is in flight: Materialize returns the cancellation, no chunk write is
+// still running when it does (place awaits its goroutine on every path), the
+// store is poisoned and Load recovers the previous generation.
+func TestMaterializeCancelledMidPipeline(t *testing.T) {
+	st, kv, backends := openFaulty(t, 1)
+	want := seedGroups(t, st)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	writes := 0
+	backends[0].arm(func(table string) bool {
+		if table == TableChunks {
+			if writes++; writes == 2 {
+				cancel() // the group is in flight: the backend sees a dead context
+			}
+		}
+		return false
+	})
+	err := st.Materialize(ctx)
+	if n := backends[0].inFlight.Load(); n != 0 {
+		t.Fatalf("%d chunk writes still in flight after Materialize returned", n)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("materialize under a cancelled context: %v", err)
+	}
+	backends[0].arm(nil)
+	if writes != 2 {
+		t.Fatalf("%d chunk groups were written, want the pipeline to stop at the cancelled group 2", writes)
+	}
+	if err := st.Flush(context.Background()); !errors.Is(err, types.ErrPoisoned) {
+		t.Fatalf("flush after the cancelled materialize: %v, want ErrPoisoned", err)
+	}
+	re, err := Load(context.Background(), Config{KV: kv, ChunkCapacity: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVersions(t, re, want)
+	if gens := scanChunkGens(t, kv); gens[1] != 0 {
+		t.Fatalf("the cancelled generation survived load: %v", gens)
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"rstore/internal/chunk"
 	"rstore/internal/index"
@@ -75,45 +76,94 @@ func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p 
 			err = s.poison(err)
 		}
 	}()
-	var payloads [][]byte
+	w := chunkWriter{kv: s.kv}
+	defer w.wait() // no chunk write outlives place, however it returns
 	for i, in := range ins {
 		for _, idxs := range assigns[i].Chunks {
+			cid := chunk.ID(p.layout.NumChunks())
 			payload, err := p.layout.AddChunk(in.Items, idxs)
 			if err != nil {
 				return fmt.Errorf("rstore: %s: %w", op, err)
 			}
-			payloads = append(payloads, payload)
+			w.group = append(w.group, kvstore.Entry{Key: chunk.KVKey(p.gen, cid), Value: payload})
+			if w.size += len(payload); w.size >= chunkGroupBytes {
+				if err := w.send(ctx); err != nil {
+					return err
+				}
+			}
 		}
+	}
+	// The last group (a flush's only one) is written while the versions are
+	// placed.
+	if err := w.send(ctx); err != nil {
+		return err
 	}
 	for v := p.first; int(v) < s.graph.NumVersions(); v++ {
 		if err := p.layout.PlaceVersion(v); err != nil {
 			return fmt.Errorf("rstore: %s: %w", op, err)
 		}
 	}
-	return s.publish(ctx, p, payloads)
+	return s.publish(ctx, p, &w)
+}
+
+// chunkGroupBytes is the payload a chunk-write group is sent at (chosen from
+// a 2/4/8/16 MiB measurement of BulkLoad on the benchmark's stack; CHANGES.md,
+// PR 20).
+const chunkGroupBytes = 4 << 20
+
+// chunkWriter writes a placement run's chunk payloads to the KVS as a bounded
+// pipeline: place collects them into a group and sends it once it holds
+// chunkGroupBytes, as one replicated BatchPut on a goroutine of its own, while
+// it builds the next — one group in flight, one being built, so a run holds
+// two groups of payloads however large the corpus and no request grows with
+// it. A failed group fails every later call.
+type chunkWriter struct {
+	kv    *kvstore.Store
+	group []kvstore.Entry // being built
+	size  int             // its payload bytes
+	wg    sync.WaitGroup  // the group in flight
+	err   error           // what a group came back with; read after wg.Wait
+}
+
+// send waits for the group in flight and starts writing the one being built.
+func (w *chunkWriter) send(ctx context.Context) error {
+	if err := w.wait(); err != nil || len(w.group) == 0 {
+		return err
+	}
+	group := w.group
+	w.group, w.size = nil, 0
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		w.err = w.kv.BatchPut(ctx, TableChunks, group)
+	}()
+	return nil
+}
+
+// wait returns once no group is in flight, with the first failure so far.
+func (w *chunkWriter) wait() error {
+	w.wg.Wait()
+	return w.err
 }
 
 // publish persists a placement run in the one crash order Load repairs:
-// chunk payloads (one batched write — grouped per replica node, one
-// durability sync per node) → placement record → root, the commit point →
+// chunk payloads (w's groups, each one batched write — grouped per replica
+// node, one durability sync per node — and every one acknowledged before
+// anything else is written) → placement record → root, the commit point →
 // cleanup (a superseded generation, then the write-store drain). A crash
-// before the root leaves chunks and a record the root does not count — past
-// its counts, or under a generation it does not name — which Load skips and
-// deletes (the versions are still pending and re-flush under the same ids);
-// a crash after it leaves only a stale generation and stale delta entries
-// that Load garbage-collects. A repartition's entries land under the NEXT
-// generation's keys, so nothing is overwritten in place: until the root —
-// which names the generation — commits, the old root still pairs with the
-// old generation's intact entries. The store adopts p once its chunks and
-// record are durable, just before the root is written from it.
-func (s *Store) publish(ctx context.Context, p placement, payloads [][]byte) error {
+// before the root — between two groups as much as after the last — leaves
+// chunks and maybe a record the root does not count — past its counts, or
+// under a generation it does not name — which Load skips and deletes (the
+// versions are still pending and re-flush under the same ids); a crash after
+// it leaves only a stale generation and stale delta entries that Load
+// garbage-collects. A repartition's entries land under the NEXT generation's
+// keys, so nothing is overwritten in place: until the root — which names the
+// generation — commits, the old root still pairs with the old generation's
+// intact entries. The store adopts p once its chunks and record are durable,
+// just before the root is written from it.
+func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error {
 	drain := s.pending()
-	firstNew := p.layout.NumChunks() - len(payloads) // the new chunks took the last ids
-	entries := make([]kvstore.Entry, len(payloads))
-	for i, payload := range payloads {
-		entries[i] = kvstore.Entry{Key: chunk.KVKey(p.gen, chunk.ID(firstNew+i)), Value: payload}
-	}
-	if err := s.kv.BatchPut(ctx, TableChunks, entries); err != nil {
+	if err := w.wait(); err != nil {
 		return err
 	}
 	idx := s.numPlacements // a flush appends to the log, a new generation starts one

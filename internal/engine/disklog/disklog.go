@@ -590,6 +590,17 @@ func (b *Backend) indexDelete(table, key string) {
 	}
 }
 
+// recordLen is the framed length appendRecord gives a record. A body above
+// maxBody ends replay as a torn tail, so it is refused (a hard error) before
+// it is written and acknowledged.
+func recordLen(table, key string, valueLen int) (int, error) {
+	body := 1 + codec.BytesLen(len(table)) + codec.BytesLen(len(key)) + valueLen
+	if body > maxBody {
+		return 0, fmt.Errorf("disklog: record body of %d bytes exceeds the %d-byte limit", body, maxBody)
+	}
+	return frameSize + body, nil
+}
+
 // appendRecord appends one framed record for (kind, table, key, value) to
 // buf and returns the extended buffer plus the offset of the value bytes
 // relative to the start of buf.
@@ -641,7 +652,11 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 	if b.closed {
 		return types.ErrClosed
 	}
-	buf, valRel := appendRecord(nil, recPut, table, key, value)
+	n, err := recordLen(table, key, len(value))
+	if err != nil {
+		return err
+	}
+	buf, valRel := appendRecord(make([]byte, 0, n), recPut, table, key, value)
 	seg, base, err := b.write(buf)
 	if err != nil {
 		return err
@@ -664,13 +679,22 @@ func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.E
 	if b.closed {
 		return types.ErrClosed
 	}
-	var buf []byte
+	// The write buffer is sized before it is encoded: grown by append, a
+	// batch of megabyte values is copied several times over on its way.
 	rels := make([]int, len(entries))
 	sizes := make([]int64, len(entries))
+	total := 0
 	for i, e := range entries {
-		start := len(buf)
+		n, err := recordLen(table, e.Key, len(e.Value))
+		if err != nil {
+			return err
+		}
+		sizes[i] = int64(n)
+		total += n
+	}
+	buf := make([]byte, 0, total)
+	for i, e := range entries {
 		buf, rels[i] = appendRecord(buf, recPut, table, e.Key, e.Value)
-		sizes[i] = int64(len(buf) - start)
 	}
 	seg, base, err := b.write(buf)
 	if err != nil {

@@ -63,6 +63,21 @@ type Entry struct {
 	Value []byte
 }
 
+// ScratchLimit is what a reused encode or receive buffer may keep between
+// requests: a few chunk capacities, enough for the chunk-write groups of a
+// bulk load to reuse one buffer.
+const ScratchLimit = 8 << 20
+
+// TrimScratch returns buf emptied for reuse by the next request, or nil once
+// it has grown past ScratchLimit: one large request must not pin its size in
+// memory for the life of a connection or a log.
+func TrimScratch(buf []byte) []byte {
+	if cap(buf) > ScratchLimit {
+		return nil
+	}
+	return buf[:0]
+}
+
 // Backend is a per-node storage engine: a durable (or simulated) map of
 // (table, key) → value with batched writes and full-table scans.
 type Backend interface {

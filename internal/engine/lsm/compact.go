@@ -150,6 +150,7 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 	nt.live = nt.size - sw.logicalTomb
 	b.tables = newTables
 	oldWAL := b.wal
+	nw.buf = oldWAL.buf // the frame buffer serves the next log too: not one allocation per flush
 	b.wal = nw
 	b.mem = newMemtable()
 	oldWAL.close()

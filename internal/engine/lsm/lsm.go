@@ -121,8 +121,6 @@ type Backend struct {
 
 	// crash names the active crash-injection point ("" in production).
 	crash string
-
-	walBuf []byte // record scratch, guarded by mu (write path only)
 }
 
 // Open mounts (creating if needed) the LSM store in dir and recovers it:
@@ -402,8 +400,11 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 	if b.closed {
 		return types.ErrClosed
 	}
-	b.walBuf = encodeWALPut(b.walBuf[:0], table, key, value)
-	if err := b.wal.appendRecord(b.walBuf); err != nil {
+	rec, err := b.wal.frame(walRecordLen(table, key, len(value)))
+	if err != nil {
+		return err
+	}
+	if err := b.wal.appendFrame(encodeWALPut(rec, table, key, value)); err != nil {
 		return err
 	}
 	if err := b.applyPutLocked(table, ikey(table, key), append([]byte(nil), value...)); err != nil {
@@ -428,12 +429,11 @@ func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.E
 	if b.closed {
 		return types.ErrClosed
 	}
-	wes := make([]walEntry, len(entries))
-	for i, e := range entries {
-		wes[i] = walEntry{key: e.Key, value: e.Value}
+	rec, err := b.wal.frame(walBatchLen(table, entries))
+	if err != nil {
+		return err
 	}
-	b.walBuf = encodeWALBatch(b.walBuf[:0], table, wes)
-	if err := b.wal.appendRecord(b.walBuf); err != nil {
+	if err := b.wal.appendFrame(encodeWALBatch(rec, table, entries)); err != nil {
 		return err
 	}
 	if err := b.wal.sync(); err != nil {
@@ -485,8 +485,11 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 	if err != nil || !found {
 		return err
 	}
-	b.walBuf = encodeWALDel(b.walBuf[:0], table, key)
-	if err := b.wal.appendRecord(b.walBuf); err != nil {
+	rec, err := b.wal.frame(walRecordLen(table, key, 0))
+	if err != nil {
+		return err
+	}
+	if err := b.wal.appendFrame(encodeWALDel(rec, table, key)); err != nil {
 		return err
 	}
 	if err := b.applyDelLocked(table, ik); err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"rstore/internal/codec"
+	"rstore/internal/engine"
 	"rstore/internal/types"
 )
 
@@ -42,7 +43,7 @@ type wal struct {
 	f    *os.File
 	seq  int64
 	size int64
-	buf  []byte // reused frame+body scratch
+	buf  []byte // the one frame buffer: header and body of the record being appended
 }
 
 func createWAL(path string, seq int64) (*wal, error) {
@@ -53,22 +54,44 @@ func createWAL(path string, seq int64) (*wal, error) {
 	return &wal{f: f, seq: seq}, nil
 }
 
-// appendRecord frames body and appends it. Durability is the caller's call:
+// frame returns the frame buffer, sized once for a body of n bytes and
+// emptied behind the header's 8-byte hole; an encodeWAL* function appends
+// the body to it and appendFrame writes the result. A body above walMaxBody
+// is refused here, before it is written and acknowledged: replayWAL takes
+// such a length for a torn tail and drops the record and every one after it.
+// A hard error — no retry and no other replica can help.
+func (w *wal) frame(n int) ([]byte, error) {
+	if n > walMaxBody {
+		return nil, fmt.Errorf("lsm: record body of %d bytes exceeds the %d-byte limit", n, walMaxBody)
+	}
+	if cap(w.buf) < walFrameSize+n {
+		w.buf = make([]byte, 0, walFrameSize+n)
+	}
+	return w.buf[:walFrameSize], nil
+}
+
+// appendFrame fills in the header of rec — frame's buffer with a body behind
+// the hole — and appends it with one write. Durability is the caller's call:
 // sync() after acked batches, nothing after single puts (matching the
 // fsync-on-batch contract of engine.Backend).
-func (w *wal) appendRecord(body []byte) error {
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(body)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(body))
-	w.buf = append(w.buf, body...)
-	if _, err := w.f.WriteAt(w.buf, w.size); err != nil {
+func (w *wal) appendFrame(rec []byte) error {
+	body := rec[walFrameSize:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
+	w.buf = engine.TrimScratch(rec)
+	if _, err := w.f.WriteAt(rec, w.size); err != nil {
 		return fmt.Errorf("lsm: wal append: %w", err)
 	}
-	w.size += int64(len(w.buf))
+	w.size += int64(len(rec))
 	return nil
 }
 
-// encodeWALPut builds a put record body into dst: walPut table key value.
+// walRecordLen is the body length of a put (or, with no value, a delete).
+func walRecordLen(table, key string, valueLen int) int {
+	return 1 + codec.BytesLen(len(table)) + codec.BytesLen(len(key)) + valueLen
+}
+
+// encodeWALPut appends a put record body to dst: walPut table key value.
 func encodeWALPut(dst []byte, table, key string, value []byte) []byte {
 	dst = append(dst, walPut)
 	dst = codec.PutString(dst, table)
@@ -76,29 +99,32 @@ func encodeWALPut(dst []byte, table, key string, value []byte) []byte {
 	return append(dst, value...)
 }
 
-// encodeWALDel builds a delete record body into dst: walDel table key.
+// encodeWALDel appends a delete record body to dst: walDel table key.
 func encodeWALDel(dst []byte, table, key string) []byte {
 	dst = append(dst, walDel)
 	dst = codec.PutString(dst, table)
 	return codec.PutString(dst, key)
 }
 
-// encodeWALBatch builds a batch record body into dst.
-func encodeWALBatch(dst []byte, table string, entries []walEntry) []byte {
+// walBatchLen is the body length encodeWALBatch produces.
+func walBatchLen(table string, entries []engine.Entry) int {
+	n := 1 + codec.BytesLen(len(table)) + codec.UvarintLen(uint64(len(entries)))
+	for _, e := range entries {
+		n += codec.BytesLen(len(e.Key)) + codec.BytesLen(len(e.Value))
+	}
+	return n
+}
+
+// encodeWALBatch appends a batch record body to dst.
+func encodeWALBatch(dst []byte, table string, entries []engine.Entry) []byte {
 	dst = append(dst, walBatch)
 	dst = codec.PutString(dst, table)
 	dst = codec.PutUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
-		dst = codec.PutString(dst, e.key)
-		dst = codec.PutBytes(dst, e.value)
+		dst = codec.PutString(dst, e.Key)
+		dst = codec.PutBytes(dst, e.Value)
 	}
 	return dst
-}
-
-// walEntry is one key/value of a batch record.
-type walEntry struct {
-	key   string
-	value []byte
 }
 
 func (w *wal) sync() error {

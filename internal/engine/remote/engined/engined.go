@@ -212,24 +212,35 @@ func (s *Server) handleConn(nc net.Conn) {
 	bw := bufio.NewWriter(nc)
 	var buf, resp []byte
 	for {
-		payload, err := wire.ReadFrame(br, buf)
-		if err != nil {
-			return
-		}
-		if cap(payload) > cap(buf) {
-			buf = payload[:0]
-		}
-		if len(payload) == 0 {
-			return
-		}
-		resp, err = s.serveOp(nc, bw, payload[0], payload[1:], resp[:0])
-		if err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		var err error
+		if buf, resp, err = s.serveFrame(nc, br, bw, buf, resp); err != nil {
 			return
 		}
 	}
+}
+
+// serveFrame reads one request frame into buf, serves it and flushes the
+// response built in resp. It returns the two buffers for the connection's
+// next request — trimmed, so one large request does not pin its size for
+// the life of the connection — or the error that ends the connection.
+func (s *Server) serveFrame(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, buf, resp []byte) ([]byte, []byte, error) {
+	payload, err := wire.ReadFrame(br, buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cap(payload) > cap(buf) {
+		buf = payload[:0]
+	}
+	if len(payload) == 0 {
+		return nil, nil, fmt.Errorf("engined: empty request frame")
+	}
+	if resp, err = s.serveOp(nc, bw, payload[0], payload[1:], resp[:0]); err != nil {
+		return nil, nil, err
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, nil, err
+	}
+	return engine.TrimScratch(buf), engine.TrimScratch(resp), nil
 }
 
 // writeTimeout bounds how long a response write may stall on TCP

@@ -507,7 +507,13 @@ func (c *Client) Delete(ctx context.Context, table, key string) error {
 // BatchPut applies all entries to one table with the node's batch
 // durability (one fsync per batch on a disklog node).
 func (c *Client) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
-	req := []byte{wire.OpBatchPut}
+	// The frame is sized before it is encoded: grown by append, a frame of
+	// megabyte values is copied several times over on its way to its size.
+	n := 1 + codec.BytesLen(len(table)) + codec.UvarintLen(uint64(len(entries)))
+	for _, e := range entries {
+		n += codec.BytesLen(len(e.Key)) + codec.BytesLen(len(e.Value))
+	}
+	req := append(make([]byte, 0, n), wire.OpBatchPut)
 	req = codec.PutString(req, table)
 	req = codec.PutUvarint(req, uint64(len(entries)))
 	for _, e := range entries {
