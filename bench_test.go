@@ -278,32 +278,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 		Name: "bulk", Versions: 200, AvgDepth: 20, RecordsPerVersion: 5000,
 		UpdatePct: 0.06, Update: workload.RandomUpdate, RecordSize: 256, Seed: 1,
 	}
-	stacks := []struct {
-		name string
-		open func(b *testing.B) kvstore.Config
-	}{
-		{"memory", func(*testing.B) kvstore.Config { return kvstore.Config{} }},
-		{"remote-lsm", func(b *testing.B) kvstore.Config {
-			addrs := make([]string, 3)
-			for i := range addrs {
-				be, err := lsm.Open(filepath.Join(b.TempDir(), fmt.Sprintf("node-%d", i)), lsm.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				node, err := engined.Start("127.0.0.1:0", be)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() {
-					node.Close()
-					be.Close()
-				})
-				addrs[i] = node.Addr().String()
-			}
-			return kvstore.Config{Engine: kvstore.EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2}
-		}},
-	}
-	for _, stack := range stacks {
+	for _, stack := range benchStacks {
 		b.Run(stack.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -329,6 +304,87 @@ func BenchmarkBulkLoad(b *testing.B) {
 				if err := errors.Join(st.Close(), kv.Close()); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// benchStacks are the two clusters BenchmarkBulkLoad and BenchmarkLoad run
+// over: the in-process memory engine, and the benchmark's stack shape — three
+// lsm nodes behind engined, replication factor 2.
+var benchStacks = []struct {
+	name string
+	open func(b *testing.B) kvstore.Config
+}{
+	{"memory", func(*testing.B) kvstore.Config { return kvstore.Config{} }},
+	{"remote-lsm", func(b *testing.B) kvstore.Config {
+		addrs := make([]string, 3)
+		for i := range addrs {
+			be, err := lsm.Open(filepath.Join(b.TempDir(), fmt.Sprintf("node-%d", i)), lsm.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			node, err := engined.Start("127.0.0.1:0", be)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() {
+				node.Close()
+				be.Close()
+			})
+			addrs[i] = node.Addr().String()
+		}
+		return kvstore.Config{Engine: kvstore.EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2}
+	}},
+}
+
+// BenchmarkLoad measures reopening a bulk-loaded store the shape and size of
+// benchmark/'s dataset L (a 200-version tree, ≈ 64 MB of user bytes, ≈ 490 k
+// tree-edge delta entries): root, chunk scan and decode, placement-log fold.
+// B/op and allocs/op are what one Load allocates on top of the stored bytes
+// it must read; MB/s is user payload per wall-clock second.
+func BenchmarkLoad(b *testing.B) {
+	ctx := context.Background()
+	spec := workload.Spec{
+		Name: "L", Versions: 200, AvgDepth: 20, RecordsPerVersion: 20000,
+		UpdatePct: 0.06, Update: workload.RandomUpdate, RecordSize: 256, Seed: 2018,
+	}
+	for _, stack := range benchStacks {
+		b.Run(stack.name, func(b *testing.B) {
+			c, err := workload.Generate(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			user := c.TotalBytes()
+			kv, err := kvstore.Open(ctx, stack.open(b))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer kv.Close()
+			st, err := rstore.Open(ctx, rstore.Config{KV: kv})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.BulkLoad(ctx, c); err != nil {
+				b.Fatal(err)
+			}
+			versions := st.NumVersions()
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(user)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				re, err := rstore.Load(ctx, rstore.Config{KV: kv})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if re.NumVersions() != versions {
+					b.Fatalf("reloaded %d versions, wrote %d", re.NumVersions(), versions)
+				}
+				// Not closed: Close would close nothing this benchmark owns
+				// (the cluster is shared) and nothing is pending.
 			}
 		})
 	}

@@ -3,6 +3,9 @@ package bench
 import (
 	"strconv"
 	"testing"
+
+	"rstore/internal/partition"
+	"rstore/internal/workload"
 )
 
 // Shape regression tests: the qualitative claims EXPERIMENTS.md makes about
@@ -165,5 +168,41 @@ func TestShapeReplication(t *testing.T) {
 	best := q1(rows[len(rows)-1]) // rf=3 balanced
 	if best > base*1.05 {
 		t.Errorf("replication+balancing slowed Q1: %.3f → %.3f ms", base, best)
+	}
+}
+
+// TestShapeTreeSpanBaseline is the baseline the next partitioner change
+// starts from, on the one shape no BENCHMARK.json workload reads versions
+// from: benchmark/'s dataset L — a 200-version tree, 6 % updates — at a tenth
+// of its records and a tenth of the 1 MiB default chunk. Today DEPTHFIRST
+// reads a version of this tree from fewer chunks than BOTTOM-UP (12.30 in 66
+// chunks against 16.54 in 72 here; 12.35 in 66 against 16.89 in 72 at full
+// scale),
+// the reverse of the paper's Fig 8. Both spans are logged; BOTTOM-UP's must
+// not get worse than it is.
+func TestShapeTreeSpanBaseline(t *testing.T) {
+	const versions, bottomUpToday = 200, 3307
+	c, err := workload.Generate(workload.Spec{
+		Name: "L/10", Versions: versions, AvgDepth: 20, RecordsPerVersion: 2000,
+		UpdatePct: 0.06, RecordSize: 256, Seed: 2018,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := partition.NewInputFromCorpus(c, (1<<20)/10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, algo := range []partition.Algorithm{partition.BottomUp{}, partition.DepthFirst{}} {
+		a, err := algo.Partition(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans[algo.Name()] = partition.TotalSpan(in, a)
+		t.Logf("%s: %d chunks, total version span %d, %.2f chunks per version", algo.Name(), len(a.Chunks), spans[algo.Name()], float64(spans[algo.Name()])/versions)
+	}
+	if got := spans[partition.BottomUp{}.Name()]; got > bottomUpToday {
+		t.Errorf("BOTTOM-UP total version span %d, was %d", got, bottomUpToday)
 	}
 }

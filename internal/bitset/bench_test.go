@@ -51,7 +51,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				enc := s.AppendBinary(nil)
-				if _, _, err := DecodeBinary(enc); err != nil {
+				if _, _, err := DecodeBinary(enc, 1<<16); err != nil {
 					b.Fatal(err)
 				}
 			}

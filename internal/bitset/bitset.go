@@ -206,9 +206,11 @@ func (b *BitSet) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeBinary consumes a bitset serialized by AppendBinary and returns the
-// remaining buffer.
-func DecodeBinary(buf []byte) (*BitSet, []byte, error) {
+// DecodeBinary consumes a bitset over positions [0, n) serialized by
+// AppendBinary and returns the remaining buffer. An encoding that names a
+// position at or past n is corrupt, and is refused before anything is sized
+// from it: what a decode allocates is bounded by n and len(buf).
+func DecodeBinary(buf []byte, n int) (*BitSet, []byte, error) {
 	if len(buf) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty bitset encoding", types.ErrCorrupt)
 	}
@@ -216,14 +218,14 @@ func DecodeBinary(buf []byte) (*BitSet, []byte, error) {
 	buf = buf[1:]
 	switch tag {
 	case 0: // dense
-		n, rest, err := codec.Uvarint(buf)
+		nw, rest, err := codec.Uvarint(buf)
 		if err != nil {
 			return nil, nil, err
 		}
-		if uint64(len(rest)) < 8*n {
+		if nw > uint64(len(rest))/8 {
 			return nil, nil, fmt.Errorf("%w: short dense bitset", types.ErrCorrupt)
 		}
-		words := make([]uint64, n)
+		words := make([]uint64, nw)
 		for i := range words {
 			var w uint64
 			for j := 0; j < 8; j++ {
@@ -231,11 +233,19 @@ func DecodeBinary(buf []byte) (*BitSet, []byte, error) {
 			}
 			words[i] = w
 		}
-		return &BitSet{words: words}, rest[8*n:], nil
+		// The encoder drops trailing zero words, so the last one says how far
+		// the set reaches.
+		if nw > 0 && int(nw-1)*wordBits+bits.Len64(words[nw-1]) > n {
+			return nil, nil, fmt.Errorf("%w: dense bitset reaches past %d positions", types.ErrCorrupt, n)
+		}
+		return &BitSet{words: words}, rest[8*nw:], nil
 	case 1: // sparse
 		ids, rest, err := codec.PostingList(buf)
 		if err != nil {
 			return nil, nil, err
+		}
+		if len(ids) > 0 && uint64(ids[len(ids)-1]) >= uint64(n) { // ascending: the last is the largest
+			return nil, nil, fmt.Errorf("%w: sparse bitset names position %d of %d", types.ErrCorrupt, ids[len(ids)-1], n)
 		}
 		return FromSlice(ids), rest, nil
 	default:

@@ -1,9 +1,13 @@
 package bitset
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"rstore/internal/codec"
+	"rstore/internal/types"
 )
 
 func TestBasicOps(t *testing.T) {
@@ -124,7 +128,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 		FromSlice([]uint32{3, 77, 900}), // sparse few
 	}
 	for i, b := range cases {
-		got, rest, err := DecodeBinary(b.AppendBinary(nil))
+		got, rest, err := DecodeBinary(b.AppendBinary(nil), 1<<21)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -138,7 +142,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 			ids[i] %= 1 << 20 // keep memory bounded
 		}
 		b := FromSlice(ids)
-		got, rest, err := DecodeBinary(b.AppendBinary(nil))
+		got, rest, err := DecodeBinary(b.AppendBinary(nil), 1<<21)
 		return err == nil && len(rest) == 0 && got.Equal(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -156,14 +160,30 @@ func TestSparseEncodingIsCompact(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	if _, _, err := DecodeBinary(nil); err == nil {
+	if _, _, err := DecodeBinary(nil, 64); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, _, err := DecodeBinary([]byte{9, 1, 2}); err == nil {
+	if _, _, err := DecodeBinary([]byte{9, 1, 2}, 64); err == nil {
 		t.Error("unknown tag accepted")
 	}
-	if _, _, err := DecodeBinary([]byte{0, 2, 1}); err == nil {
+	if _, _, err := DecodeBinary([]byte{0, 2, 1}, 64); err == nil {
 		t.Error("truncated dense accepted")
+	}
+	// A position at or past the universe, in either representation.
+	for _, b := range []*BitSet{FromSlice([]uint32{64}), FromSlice(seq(0, 65))} {
+		if _, _, err := DecodeBinary(b.AppendBinary(nil), 64); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%v decoded over 64 positions: %v", b, err)
+		}
+		if _, _, err := DecodeBinary(b.AppendBinary(nil), 65); err != nil {
+			t.Errorf("%v over 65 positions: %v", b, err)
+		}
+	}
+	// Counts no input could back: refused, not allocated.
+	huge := codec.PutUvarint(nil, 1<<61)
+	for _, tag := range []byte{0, 1} {
+		if _, _, err := DecodeBinary(append([]byte{tag}, huge...), 64); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("tag %d with a count of 2^61: %v", tag, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -173,7 +174,7 @@ func TestMapRoundTrip(t *testing.T) {
 	m := NewMap(100)
 	m.Versions[3] = bitset.FromSlice([]uint32{0, 50})
 	m.Versions[7] = bitset.FromSlice([]uint32{99})
-	got, err := DecodeMap(m.AppendBinary(nil))
+	got, err := DecodeMap(m.AppendBinary(nil), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +191,16 @@ func TestMapRoundTrip(t *testing.T) {
 		t.Fatal("unknown version has slots")
 	}
 	// Trailing bytes rejected.
-	if _, err := DecodeMap(append(m.AppendBinary(nil), 1)); err == nil {
+	if _, err := DecodeMap(append(m.AppendBinary(nil), 1), 100); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+	// A map for a chunk of another size, and a bitmap past the chunk's slots.
+	if _, err := DecodeMap(m.AppendBinary(nil), 101); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("map of 100 slots decoded for a chunk of 101 records: %v", err)
+	}
+	m.Versions[7].Set(100)
+	if _, err := DecodeMap(m.AppendBinary(nil), 100); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("bitmap naming slot 100 of 100 decoded: %v", err)
 	}
 }
 

@@ -43,7 +43,7 @@ func FuzzDecodeMap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{64, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeMap(data)
+		got, err := DecodeMap(data, 64)
 		if err == nil && got != nil {
 			for v, b := range got.Versions {
 				_ = v

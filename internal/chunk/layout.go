@@ -183,20 +183,20 @@ func (l *Layout) TakeDelta() map[ID]*Map {
 }
 
 // Restore folds a persisted delta of chunk cid's map back in at load time. A
-// delta for the next chunk id opens that chunk: cks are the composite keys
-// DecodeChunk found in its payload, in slot order, and must resolve in the
-// corpus. Deltas must arrive in the order TakeDelta produced them, chunks
-// ascending within each.
-func (l *Layout) Restore(cid ID, m *Map, cks []types.CompositeKey) error {
+// delta for the next chunk id opens that chunk: decoded is what DecodeChunk
+// found in its payload, in slot order, and every record of it must be
+// registered in the corpus — some version's bitmap claims it. Deltas must
+// arrive in the order TakeDelta produced them, chunks ascending within each.
+func (l *Layout) Restore(cid ID, m *Map, decoded []types.Record) error {
 	if int(cid) == len(l.maps) {
-		if len(cks) != m.NumSlots {
-			return fmt.Errorf("%w: chunk %d holds %d records, its map %d slots", types.ErrCorrupt, cid, len(cks), m.NumSlots)
+		if len(decoded) != m.NumSlots {
+			return fmt.Errorf("%w: chunk %d holds %d records, its map %d slots", types.ErrCorrupt, cid, len(decoded), m.NumSlots)
 		}
-		recs := make([]uint32, len(cks))
-		for slot, ck := range cks {
-			rec, ok := l.c.IDForCK(ck)
+		recs := make([]uint32, len(decoded))
+		for slot, r := range decoded {
+			rec, ok := l.c.IDForCK(r.CK)
 			if !ok {
-				return fmt.Errorf("%w: chunked record %v not in the placement log", types.ErrCorrupt, ck)
+				return fmt.Errorf("%w: chunked record %v belongs to no placed version", types.ErrCorrupt, r.CK)
 			}
 			recs[slot] = rec
 		}

@@ -142,29 +142,25 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	// Restore: fold both deltas, in order, over the decoded payloads.
 	proj3 := newFakeProj()
 	l3 := NewLayout(c, proj3)
-	cksOf := func(payload []byte) []types.CompositeKey {
+	recsOf := func(payload []byte) []types.Record {
 		recs, err := DecodeChunk(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cks := make([]types.CompositeKey, len(recs))
-		for i, r := range recs {
-			cks[i] = r.CK
-		}
-		return cks
+		return recs
 	}
-	if err := l3.Restore(1, second[1], cksOf(p1)); !errors.Is(err, types.ErrCorrupt) {
+	if err := l3.Restore(1, second[1], recsOf(p1)); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("chunk 1 restored before chunk 0: %v", err)
 	}
-	if err := l3.Restore(0, first[0], cksOf(p0)[:1]); !errors.Is(err, types.ErrCorrupt) {
+	if err := l3.Restore(0, first[0], recsOf(p0)[:1]); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("chunk restored from a payload shorter than its map: %v", err)
 	}
 	for _, step := range []struct {
-		cid ID
-		m   *Map
-		cks []types.CompositeKey
-	}{{0, first[0], cksOf(p0)}, {0, second[0], nil}, {1, second[1], cksOf(p1)}} {
-		if err := l3.Restore(step.cid, step.m, step.cks); err != nil {
+		cid  ID
+		m    *Map
+		recs []types.Record
+	}{{0, first[0], recsOf(p0)}, {0, second[0], nil}, {1, second[1], recsOf(p1)}} {
+		if err := l3.Restore(step.cid, step.m, step.recs); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -48,17 +48,23 @@ func (m *Map) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// DecodeMap reverses AppendBinary.
-func DecodeMap(buf []byte) (*Map, error) {
+// DecodeMap reverses AppendBinary for a chunk whose payload decoded to
+// numSlots records. A map that counts another number of slots, or a bitmap
+// that names a slot past them, is corrupt: every slot a decoded map names
+// indexes the chunk's records.
+func DecodeMap(buf []byte, numSlots int) (*Map, error) {
 	slots, rest, err := codec.Uvarint(buf)
 	if err != nil {
 		return nil, err
+	}
+	if slots != uint64(numSlots) {
+		return nil, fmt.Errorf("%w: chunk map of %d slots for a chunk of %d records", types.ErrCorrupt, slots, numSlots)
 	}
 	n, rest, err := codec.Uvarint(rest)
 	if err != nil {
 		return nil, err
 	}
-	m := NewMap(int(slots))
+	m := NewMap(numSlots)
 	for i := uint64(0); i < n; i++ {
 		var v uint64
 		v, rest, err = codec.Uvarint(rest)
@@ -66,7 +72,7 @@ func DecodeMap(buf []byte) (*Map, error) {
 			return nil, err
 		}
 		var b *bitset.BitSet
-		b, rest, err = bitset.DecodeBinary(rest)
+		b, rest, err = bitset.DecodeBinary(rest, numSlots)
 		if err != nil {
 			return nil, err
 		}

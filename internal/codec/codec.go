@@ -109,7 +109,7 @@ func PostingList(buf []byte) ([]uint32, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ids := make([]uint32, 0, n)
+	ids := make([]uint32, 0, min(n, uint64(len(rest)))) // an id takes a byte at least
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		var gap uint64

@@ -95,7 +95,7 @@ func (s *Store) CommitDelta(ctx context.Context, parents []types.VersionID, delt
 
 // ChunkStorageBytes sums what placement persists: the chunk payloads plus the
 // placement records, which hold the chunk maps (and the version graph's
-// edges and composite-key deltas). A backend scan failure reports zero; it is
+// edges). A backend scan failure reports zero; it is
 // a stats helper, not a source of truth.
 func (s *Store) ChunkStorageBytes(ctx context.Context) int64 {
 	var total int64

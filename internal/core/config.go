@@ -148,13 +148,14 @@ const (
 	// TableChunks holds chunk payloads, keyed by placement generation and
 	// chunk id, each written once and never rewritten. The paper stores the
 	// chunk map M_Ci alongside each chunk so one fetch returns both; here the
-	// application server holds every map in memory (Store.maps, rebuilt from
-	// TablePlacement on Load), so a fetch needs only the payload and a new
-	// version never rewrites a chunk to extend its map.
+	// application server holds every map in memory (in Store.layout, rebuilt
+	// from TablePlacement on Load), so a fetch needs only the payload and a
+	// new version never rewrites a chunk to extend its map.
 	TableChunks = "chunks"
 	// TablePlacement holds the append-only placement log: one record per
 	// flushed batch (one per full repartition) carrying its versions' graph
-	// edges, composite-key deltas and chunk-map slot bitmaps.
+	// edges and chunk-map slot bitmaps — the only statement of which records
+	// a version holds.
 	TablePlacement = "placement"
 	// TableDeltaStore holds pending version deltas awaiting batch
 	// placement (§4's write store).

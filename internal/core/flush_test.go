@@ -221,26 +221,30 @@ func TestFlushCrashMatrix(t *testing.T) {
 }
 
 // TestLoadRefusesOlderManifest: a format-2 manifest (chunk maps inside the
-// chunk values, no placement log) must be refused with the re-initialize
-// error, not misread.
+// chunk values, no placement log) and a format-3 root (this root's fields,
+// over placement records that also list each version's composite keys) must
+// be refused with the re-initialize error, not misread.
 func TestLoadRefusesOlderManifest(t *testing.T) {
 	ctx := context.Background()
-	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := codec.PutUvarint(nil, 2) // format version
-	v2 = codec.PutUvarint(v2, 0)   // generation
-	v2 = codec.PutUvarint(v2, 0)   // versions
-	v2 = codec.PutUvarint(v2, 0)   // chunks
-	v2 = codec.PutUvarint(v2, 0)   // pending
-	v2 = codec.PutUvarint(v2, 0)   // branches
-	if err := kv.Put(ctx, TableMeta, manifestKey, v2); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Load(ctx, Config{KV: kv})
-	if !errors.Is(err, types.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "re-initialize the store") {
-		t.Fatalf("load of a v2 manifest: %v", err)
+	for _, ver := range []uint64{2, 3} {
+		kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Five zero fields after the version: v2's generation, versions,
+		// chunks, pending, branches; v3's generation, chunks, placement
+		// records, placed versions, branches.
+		root := codec.PutUvarint(nil, ver)
+		for i := 0; i < 5; i++ {
+			root = codec.PutUvarint(root, 0)
+		}
+		if err := kv.Put(ctx, TableMeta, manifestKey, root); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(ctx, Config{KV: kv})
+		if !errors.Is(err, types.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "re-initialize the store") {
+			t.Fatalf("load of a v%d manifest: %v", ver, err)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // goldenCorpus is the seeded dataset the golden digests are taken over:
 // branchy, with deletions, insertions and merges (so records re-enter through
 // secondary parents and a flush sees already-placed adds).
-func goldenCorpus(t *testing.T) *corpus.Corpus {
+func goldenCorpus(t testing.TB) *corpus.Corpus {
 	t.Helper()
 	c, err := workload.Generate(workload.Spec{
 		Name: "golden", Versions: 30, AvgDepth: 6, RecordsPerVersion: 40,
@@ -30,81 +30,29 @@ func goldenCorpus(t *testing.T) *corpus.Corpus {
 	return c
 }
 
-// storedDigest hashes every (table, key, value) placement persists — chunk
-// payloads, placement records, the root — in sorted order.
-func storedDigest(t *testing.T, kv *kvstore.Store) string {
+// openGolden opens an empty store with the golden tests' small chunks over a
+// one-node cluster of its own.
+func openGolden(t testing.TB, cfg Config) (*Store, *kvstore.Store) {
 	t.Helper()
-	h := sha256.New()
-	put := func(s string) {
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, table := range []string{TableChunks, TablePlacement, TableMeta} {
-		var keys []string
-		values := map[string]string{}
-		if err := kv.Scan(context.Background(), table, func(key string, value []byte) bool {
-			keys = append(keys, key)
-			values[key] = string(value)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			put(table)
-			put(key)
-			put(values[key])
-		}
+	cfg.KV, cfg.ChunkCapacity = kv, 2048
+	st, err := Open(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return st, kv
 }
 
-// TestGoldenStoredBytes pins what placement writes, byte for byte: the chunk
-// payloads, placement records and root of a bulk load (sub-chunk k = 1 and 3)
-// and of a commit-by-commit replay with online batches of four. A refactor of
-// the layout or publish code must leave every digest as it is; a format
-// change must say so by changing them.
-func TestGoldenStoredBytes(t *testing.T) {
+// replayGolden commits the golden corpus into st version by version, as the
+// deltas a client would send, and flushes what is left pending.
+func replayGolden(t testing.TB, st *Store) {
+	t.Helper()
 	ctx := context.Background()
-	open := func(cfg Config) (*Store, *kvstore.Store) {
-		t.Helper()
-		kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.KV, cfg.ChunkCapacity = kv, 2048
-		st, err := Open(ctx, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, kv
-	}
-	check := func(name string, kv *kvstore.Store, want string) {
-		t.Helper()
-		if got := storedDigest(t, kv); got != want {
-			t.Errorf("%s: stored bytes digest %s, want %s", name, got, want)
-		}
-	}
-
-	for _, tc := range []struct {
-		name string
-		k    int
-		want string
-	}{
-		{"bulkload-k1", 1, "64dfd00b9dce38094309d973bdac5a6532323158e1ecdad4147ebf5c96d2f136"},
-		{"bulkload-k3", 3, "5949cfa511ac745cbff2cafa80d9c11e9f3fb457b2123773fefac59a2abc131d"},
-	} {
-		st, kv := open(Config{SubChunkK: tc.k})
-		if err := st.BulkLoad(ctx, goldenCorpus(t)); err != nil {
-			t.Fatal(err)
-		}
-		check(tc.name, kv, tc.want)
-	}
-
 	c := goldenCorpus(t)
-	st, kv := open(Config{BatchSize: 4})
 	for v := types.VersionID(0); int(v) < c.NumVersions(); v++ {
 		delta := &types.Delta{}
 		for _, id := range c.Adds(v) {
@@ -124,10 +72,88 @@ func TestGoldenStoredBytes(t *testing.T) {
 	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Re-pinned in PR 19 (was aa139efc…2d42): a batch larger than one chunk
-	// is now partitioned as two instances, open records then closed ones, so
-	// which records share a chunk — and with it payloads and slot bitmaps —
-	// changed for online batches. The format did not, and the bulk-load
-	// digests above are the proof that the offline path did not move.
-	check("replay-batch4", kv, "c0f37e61906eb211893d1e7bff4fd63f2b32b3ca7c2a4b4c992db96fdddcc34a")
+}
+
+// storedDigest hashes every (table, key, value) of the given tables, in sorted
+// order, and counts the value bytes.
+func storedDigest(t *testing.T, kv *kvstore.Store, tables ...string) (string, int) {
+	t.Helper()
+	h := sha256.New()
+	put := func(s string) {
+		var n [8]byte
+		binary.BigEndian.PutUint64(n[:], uint64(len(s)))
+		h.Write(n[:])
+		h.Write([]byte(s))
+	}
+	size := 0
+	for _, table := range tables {
+		var keys []string
+		values := map[string]string{}
+		if err := kv.Scan(context.Background(), table, func(key string, value []byte) bool {
+			keys = append(keys, key)
+			values[key] = string(value)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			put(table)
+			put(key)
+			put(values[key])
+			size += len(values[key])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), size
+}
+
+// TestGoldenStoredBytes pins what placement writes, byte for byte, in two
+// halves — the chunk payloads, and the placement records plus the root — of a
+// bulk load (sub-chunk k = 1 and 3) and of a commit-by-commit replay with
+// online batches of four. A refactor of the layout or publish code must leave
+// every digest as it is; a format change must say so by changing them.
+//
+// The placement log must also stay a small share of the chunk bytes: it holds
+// parent edges and slot bitmaps only, and a version's composite keys — which
+// the bitmaps and the payloads already determine — must not creep back in.
+// On these three stores (tiny chunks, 96-byte records) log and root are 7.3 %,
+// 11.9 % and 8.2 % of the chunk bytes; format v3, which wrote the keys, had
+// 25.5 %, 40.8 % and 26.4 %.
+func TestGoldenStoredBytes(t *testing.T) {
+	ctx := context.Background()
+	const maxLogShare = 0.15
+	check := func(name string, kv *kvstore.Store, wantChunks, wantLog string) {
+		t.Helper()
+		chunks, chunkBytes := storedDigest(t, kv, TableChunks)
+		if chunks != wantChunks {
+			t.Errorf("%s: chunk payloads digest %s, want %s", name, chunks, wantChunks)
+		}
+		log, logBytes := storedDigest(t, kv, TablePlacement, TableMeta)
+		if log != wantLog {
+			t.Errorf("%s: placement log and root digest %s, want %s", name, log, wantLog)
+		}
+		if share := float64(logBytes) / float64(chunkBytes); share > maxLogShare {
+			t.Errorf("%s: placement log and root are %d bytes, %.1f %% of the %d chunk bytes; at most %.0f %%",
+				name, logBytes, 100*share, chunkBytes, 100*maxLogShare)
+		}
+	}
+
+	for _, tc := range []struct {
+		name            string
+		k               int
+		chunks, logRoot string
+	}{
+		{"bulkload-k1", 1, "af4b5c8ed3677327e2e5f9b8b56ee447816fd1694ae53a59cae79633f699320f", "c82f7048916e74f94b89433bb17619bcb20ef02f7e00e9042b90ca9a879eb075"},
+		{"bulkload-k3", 3, "c4d2d6c32fdc70908df2a48e8b1f706c80f10dc56fe83a819c0b3dec30e5fe0a", "779b0246bcf5932c1a87f2f897261bc1b5ea2819079f8f3e0fd602267dfe62e5"},
+	} {
+		st, kv := openGolden(t, Config{SubChunkK: tc.k})
+		if err := st.BulkLoad(ctx, goldenCorpus(t)); err != nil {
+			t.Fatal(err)
+		}
+		check(tc.name, kv, tc.chunks, tc.logRoot)
+	}
+
+	st, kv := openGolden(t, Config{BatchSize: 4})
+	replayGolden(t, st)
+	check("replay-batch4", kv, "3453b0db2e61e258bf9ec97aee679aba819040e1e8a417ca59ee710b1cbe586c", "da2c356fc609e7eec17c4177a82f2b5a7b26c581a4ddb71a1b3626a643ef0f26")
 }

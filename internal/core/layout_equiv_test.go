@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -8,12 +9,33 @@ import (
 	"testing"
 
 	"rstore/internal/chunk"
+	"rstore/internal/corpus"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
 
-// checkSamePlacement requires two stores to hold the same physical placement:
-// every record's Loc, every chunk map bitmap, and both projections.
+// deltaCKs renders a version's tree-edge delta by composite key, sorted:
+// record ids are local to a process, composite keys are not.
+func deltaCKs(c *corpus.Corpus, v types.VersionID) (adds, dels []types.CompositeKey) {
+	for _, id := range c.Adds(v) {
+		adds = append(adds, c.Record(id).CK)
+	}
+	for _, id := range c.Dels(v) {
+		dels = append(dels, c.Record(id).CK)
+	}
+	byCK := func(a, b types.CompositeKey) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Version, b.Version))
+	}
+	slices.SortFunc(adds, byCK)
+	slices.SortFunc(dels, byCK)
+	return adds, dels
+}
+
+// checkSamePlacement requires two stores to hold the same physical placement
+// — every record's Loc, every chunk map bitmap, and both projections — and
+// the same tree-edge delta for every version: a reloaded store derives the
+// deltas of placed versions from the bitmaps, the writer kept the ones it
+// was given.
 func checkSamePlacement(t *testing.T, phase string, live, re *Store) {
 	t.Helper()
 	if live.gen != re.gen || live.numPlacements != re.numPlacements || live.placed != re.placed ||
@@ -41,9 +63,20 @@ func checkSamePlacement(t *testing.T, phase string, live, re *Store) {
 			}
 		}
 	}
+	if live.graph.NumVersions() != re.graph.NumVersions() {
+		t.Fatalf("%s: %d versions live, %d reloaded", phase, live.graph.NumVersions(), re.graph.NumVersions())
+	}
 	for v := types.VersionID(0); int(v) < live.graph.NumVersions(); v++ {
 		if a, b := live.proj.VersionChunks(v), re.proj.VersionChunks(v); !slices.Equal(a, b) {
 			t.Fatalf("%s: version %d spans %v live, %v reloaded", phase, v, a, b)
+		}
+		if a, b := live.graph.Parents(v), re.graph.Parents(v); !slices.Equal(a, b) {
+			t.Fatalf("%s: version %d has parents %v live, %v reloaded", phase, v, a, b)
+		}
+		liveAdds, liveDels := deltaCKs(live.corpus, v)
+		reAdds, reDels := deltaCKs(re.corpus, v)
+		if !slices.Equal(liveAdds, reAdds) || !slices.Equal(liveDels, reDels) {
+			t.Fatalf("%s: version %d adds %v and deletes %v live, %v and %v reloaded", phase, v, liveAdds, liveDels, reAdds, reDels)
 		}
 	}
 	if !slices.Equal(live.sortedKeys, re.sortedKeys) {
@@ -61,10 +94,14 @@ func checkSamePlacement(t *testing.T, phase string, live, re *Store) {
 
 // TestLiveEqualsReloadedPlacement: the layout a store grows in memory — by
 // flushes on the live layout, by a repartition on a fresh one — is the layout
-// Load folds back out of what they persisted. A random session of branched
-// delta commits (including merges that re-add records another branch already
-// placed), flushes at random points and a Materialize is reloaded after every
-// placement step and compared field by field.
+// Load folds back out of what they persisted, and the deltas Load reads off
+// the persisted bitmaps are the ones the writer was given. A random session
+// of branched delta commits (including merges that re-add records another
+// branch already placed, and a version that deletes everything, under which
+// only such re-adds bring records back), flushes at random points — some over
+// batches larger than a chunk, which split into open and closed records — and
+// a Materialize is reloaded after every placement step and compared field by
+// field, answers included.
 func TestLiveEqualsReloadedPlacement(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
@@ -78,6 +115,22 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// states[v] is version v's key → record.
+		var states []map[types.Key]types.Record
+		checkAnswers := func(phase string, s *Store) {
+			t.Helper()
+			for v, state := range states {
+				recs, _, err := s.GetVersionAll(ctx, types.VersionID(v))
+				if err != nil || len(recs) != len(state) {
+					t.Fatalf("seed %d %s: version %d: %d records, want %d, %v", seed, phase, v, len(recs), len(state), err)
+				}
+				for _, r := range recs {
+					if w := state[r.CK.Key]; w.CK != r.CK || string(w.Value) != string(r.Value) {
+						t.Fatalf("seed %d %s: version %d key %s: %v, want %v", seed, phase, v, r.CK.Key, r.CK, w.CK)
+					}
+				}
+			}
+		}
 		reload := func(phase string) {
 			t.Helper()
 			ro := cfg
@@ -87,10 +140,8 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 				t.Fatalf("seed %d %s: load: %v", seed, phase, err)
 			}
 			checkSamePlacement(t, fmt.Sprintf("seed %d %s", seed, phase), st, re)
+			checkAnswers(phase+", reloaded", re)
 		}
-
-		// states[v] is version v's key → record.
-		var states []map[types.Key]types.Record
 		commit := func(parents []types.VersionID, state map[types.Key]types.Record, delta *types.Delta) {
 			t.Helper()
 			v, err := st.CommitDelta(ctx, parents, delta)
@@ -108,10 +159,14 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 		}
 		commit([]types.VersionID{types.InvalidVersion}, root, rootDelta)
 
-		remerged := 0
+		remerged, refilled, splitFlushes := 0, 0, 0
+		emptied := types.InvalidVersion // the version that deletes everything, and its line
 		for step := 1; step < 60; step++ {
 			v := types.VersionID(len(states))
 			parent := types.VersionID(rng.Intn(len(states)))
+			if step == 21 || step == 22 {
+				parent = emptied // build on it at least twice
+			}
 			parents := []types.VersionID{parent}
 			state := map[types.Key]types.Record{}
 			for k, r := range states[parent] {
@@ -120,9 +175,9 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 			delta := &types.Delta{}
 			for i := 0; i < 24; i++ {
 				k := key(i)
-				if old, live := state[k]; live && rng.Float64() < 0.2 {
+				if old, live := state[k]; live && (step == 20 || rng.Float64() < 0.2) {
 					delta.Dels = append(delta.Dels, old.CK)
-					if rng.Float64() < 0.15 {
+					if step == 20 || rng.Float64() < 0.15 {
 						delete(state, k)
 						continue
 					}
@@ -130,7 +185,10 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 					delta.Adds, state[k] = append(delta.Adds, r), r
 				}
 			}
-			if other := types.VersionID(rng.Intn(len(states))); other != parent && rng.Float64() < 0.4 {
+			if step == 20 {
+				emptied = v
+			}
+			if other := types.VersionID(rng.Intn(len(states))); other != parent && step != 20 && (parent == emptied || rng.Float64() < 0.4) {
 				// Merge: take other's record for every key where the branches
 				// differ and this commit has not touched the key — re-adding
 				// records that are already placed (or pending) elsewhere.
@@ -145,6 +203,9 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 					}
 					delta.Adds, state[k] = append(delta.Adds, theirs), theirs
 					remerged++
+					if len(states[parent]) == 0 {
+						refilled++
+					}
 				}
 			}
 			commit(parents, state, delta)
@@ -156,28 +217,22 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 				}
 				reload("after materialize")
 			case rng.Float64() < 0.25:
+				before := st.NumChunks()
 				if err := st.Flush(ctx); err != nil {
 					t.Fatal(err)
+				}
+				if st.NumChunks() >= before+2 {
+					splitFlushes++ // more than one chunk: flushLocked split the batch at the frontier
 				}
 				reload(fmt.Sprintf("after the flush at step %d", step))
 			case step%10 == 0:
 				reload(fmt.Sprintf("with a pending tail at step %d", step))
 			}
 		}
-		if remerged == 0 || st.NumChunks() < 4 {
-			t.Fatalf("seed %d: %d re-added records, %d chunks: the session exercises too little", seed, remerged, st.NumChunks())
+		if len(states[emptied]) != 0 || remerged == 0 || refilled == 0 || splitFlushes == 0 || st.NumChunks() < 4 {
+			t.Fatalf("seed %d: version %d holds %d records, %d re-added records (%d under the emptied version), %d split flushes, %d chunks: the session exercises too little",
+				seed, emptied, len(states[emptied]), remerged, refilled, splitFlushes, st.NumChunks())
 		}
-		// The answers, too.
-		for v, state := range states {
-			recs, _, err := st.GetVersionAll(ctx, types.VersionID(v))
-			if err != nil || len(recs) != len(state) {
-				t.Fatalf("seed %d: version %d: %d records, want %d, %v", seed, v, len(recs), len(state), err)
-			}
-			for _, r := range recs {
-				if w := state[r.CK.Key]; w.CK != r.CK || string(w.Value) != string(r.Value) {
-					t.Fatalf("seed %d: version %d key %s: %v, want %v", seed, v, r.CK.Key, r.CK, w.CK)
-				}
-			}
-		}
+		checkAnswers("at the end, live", st)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"rstore/internal/bitset"
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
 	"rstore/internal/kvstore"
@@ -17,11 +18,12 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 3 split the manifest
-// into a small root plus the append-only placement log; a version-2 store
-// carried chunk maps inside the chunk values, version 1 used unprefixed chunk
-// keys, and both must be re-initialized, not misread.
-const manifestVersion = 3
+// manifestVersion guards the on-disk format. Version 4 took the versions'
+// composite-key deltas out of the placement records, whose slot bitmaps
+// already imply them; a version-3 store wrote both, a version-2 store carried
+// chunk maps inside the chunk values, version 1 used unprefixed chunk keys,
+// and all three must be re-initialized, not misread.
+const manifestVersion = 4
 
 // placementKey renders the key of the idx-th placement record of a
 // generation; like chunk.KVKey it carries the generation, so a full
@@ -90,11 +92,13 @@ func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 	return uint32(fields[1]), nil
 }
 
-// savePlacement writes placement record idx of generation gen: the graph
-// edges and composite-key deltas of versions [first, NumVersions) (values
-// live in chunks), and what those versions add to the chunk maps — per
-// touched chunk, a chunk map holding only their slot bitmaps (the whole map
-// for a chunk the record introduces; chunk.Layout.TakeDelta). Online flushes
+// savePlacement writes placement record idx of generation gen: the parent
+// edges of versions [first, NumVersions), and what those versions add to the
+// chunk maps — per touched chunk, a chunk map holding only their slot bitmaps
+// (the whole map for a chunk the record introduces; chunk.Layout.TakeDelta).
+// The bitmaps are the only statement of which records a version holds: its
+// tree-edge delta is their difference from its parent's, which Load derives
+// (applyPlacement), and the record values live in the chunks. Online flushes
 // append one record per batch; a full repartition writes one record holding
 // everything. The record only counts once the root does (publish).
 func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.VersionID, maps map[chunk.ID]*chunk.Map) error {
@@ -105,12 +109,6 @@ func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.
 		buf = codec.PutUvarint(buf, uint64(len(parents)))
 		for _, p := range parents {
 			buf = codec.PutUvarint(buf, uint64(p))
-		}
-		for _, ids := range [2][]uint32{s.corpus.Adds(v), s.corpus.Dels(v)} {
-			buf = codec.PutUvarint(buf, uint64(len(ids)))
-			for _, id := range ids {
-				buf = codec.PutCompositeKey(buf, s.corpus.Record(id).CK)
-			}
 		}
 	}
 	cids := make([]chunk.ID, 0, len(maps))
@@ -126,64 +124,49 @@ func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.
 	return s.kv.BatchPut(ctx, TablePlacement, []kvstore.Entry{{Key: placementKey(gen, idx), Value: buf}})
 }
 
-// applyPlacement folds one placement record into a store being loaded:
-// its versions extend the graph and corpus (record values come from values),
-// its map deltas extend the layout (slots[c] lists chunk c's composite keys
-// in slot order, for the chunks the record introduces).
-func (s *Store) applyPlacement(buf []byte, values map[types.CompositeKey][]byte, slots [][]types.CompositeKey) error {
+// chunkBits is one version's slot bitmap in one chunk.
+type chunkBits struct {
+	cid  chunk.ID
+	bits *bitset.BitSet
+}
+
+// applyPlacement folds one placement record into a store being loaded.
+// slots[c] is what chunk c's payload decoded to, in slot order. The record's
+// map deltas are decoded first; each of its versions, in id order, then gets
+// the tree-edge delta its bitmaps imply (deltaFromBitmaps) and extends the
+// graph and the corpus; only then do the map deltas extend the layout, which
+// resolves a new chunk's records through the corpus the versions just filled.
+func (s *Store) applyPlacement(buf []byte, slots [][]types.Record) error {
 	first, rest, err := codec.Uvarint(buf)
 	if err != nil {
 		return err
 	}
-	if int(first) != s.graph.NumVersions() {
+	if first != uint64(s.graph.NumVersions()) {
 		return fmt.Errorf("%w: placement record starts at version %d, expected %d", types.ErrCorrupt, first, s.graph.NumVersions())
 	}
 	n, rest, err := codec.Uvarint(rest)
 	if err != nil {
 		return err
 	}
-	for v := types.VersionID(first); v < types.VersionID(first+n); v++ {
+	if n > uint64(len(rest)) { // a version takes a byte at least
+		return fmt.Errorf("%w: placement record counts %d versions in %d bytes", types.ErrCorrupt, n, len(rest))
+	}
+	parents := make([][]types.VersionID, n)
+	for i := range parents {
 		var np uint64
 		if np, rest, err = codec.Uvarint(rest); err != nil {
 			return err
 		}
-		parents := make([]types.VersionID, np)
-		for i := range parents {
+		if np > uint64(len(rest)) {
+			return fmt.Errorf("%w: version %d counts %d parents in %d bytes", types.ErrCorrupt, first+uint64(i), np, len(rest))
+		}
+		parents[i] = make([]types.VersionID, np)
+		for j := range parents[i] {
 			var p uint64
 			if p, rest, err = codec.Uvarint(rest); err != nil {
 				return err
 			}
-			parents[i] = types.VersionID(p)
-		}
-		delta := &types.Delta{}
-		var na uint64
-		if na, rest, err = codec.Uvarint(rest); err != nil {
-			return err
-		}
-		for i := uint64(0); i < na; i++ {
-			var ck types.CompositeKey
-			if ck, rest, err = codec.CompositeKey(rest); err != nil {
-				return err
-			}
-			val, ok := values[ck]
-			if !ok {
-				return fmt.Errorf("%w: no payload recovered for %v", types.ErrCorrupt, ck)
-			}
-			delta.Adds = append(delta.Adds, types.Record{CK: ck, Value: val})
-		}
-		var nd uint64
-		if nd, rest, err = codec.Uvarint(rest); err != nil {
-			return err
-		}
-		for i := uint64(0); i < nd; i++ {
-			var ck types.CompositeKey
-			if ck, rest, err = codec.CompositeKey(rest); err != nil {
-				return err
-			}
-			delta.Dels = append(delta.Dels, ck)
-		}
-		if err := s.replayVersion(v, parents, delta); err != nil {
-			return err
+			parents[i][j] = types.VersionID(p)
 		}
 	}
 
@@ -191,7 +174,18 @@ func (s *Store) applyPlacement(buf []byte, values map[types.CompositeKey][]byte,
 	if err != nil {
 		return err
 	}
-	for i := uint64(0); i < nm; i++ {
+	if nm > uint64(len(rest)) {
+		return fmt.Errorf("%w: placement record counts %d map deltas in %d bytes", types.ErrCorrupt, nm, len(rest))
+	}
+	type mapDelta struct {
+		cid chunk.ID
+		m   *chunk.Map
+	}
+	deltas := make([]mapDelta, nm)
+	// spans[i] lists version first+i's bitmaps, ascending by chunk — the
+	// order the deltas arrive in.
+	spans := make([][]chunkBits, n)
+	for i := range deltas {
 		var cid uint64
 		if cid, rest, err = codec.Uvarint(rest); err != nil {
 			return err
@@ -200,21 +194,94 @@ func (s *Store) applyPlacement(buf []byte, values map[types.CompositeKey][]byte,
 		if enc, rest, err = codec.Bytes(rest); err != nil {
 			return err
 		}
-		m, err := chunk.DecodeMap(enc)
-		if err != nil {
-			return err
-		}
 		if cid >= uint64(len(slots)) {
 			return fmt.Errorf("%w: placement record names chunk %d, the root counts %d", types.ErrCorrupt, cid, len(slots))
 		}
-		if err := s.layout.Restore(chunk.ID(cid), m, slots[cid]); err != nil {
+		if i > 0 && chunk.ID(cid) <= deltas[i-1].cid {
+			return fmt.Errorf("%w: placement record lists chunk %d after chunk %d", types.ErrCorrupt, cid, deltas[i-1].cid)
+		}
+		m, err := chunk.DecodeMap(enc, len(slots[cid]))
+		if err != nil {
 			return err
+		}
+		deltas[i] = mapDelta{chunk.ID(cid), m}
+		for v, bits := range m.Versions {
+			if uint64(v) < first || uint64(v)-first >= n {
+				return fmt.Errorf("%w: placement record of versions [%d, %d) holds a bitmap of version %d", types.ErrCorrupt, first, first+n, v)
+			}
+			spans[uint64(v)-first] = append(spans[uint64(v)-first], chunkBits{chunk.ID(cid), bits})
 		}
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing placement-record bytes", types.ErrCorrupt, len(rest))
 	}
+
+	for i, span := range spans {
+		v := types.VersionID(first) + types.VersionID(i)
+		var parentSpan []chunkBits
+		if len(parents[i]) > 0 {
+			switch p := parents[i][0]; {
+			case p >= v:
+				return fmt.Errorf("%w: version %d placed before its parent %d", types.ErrCorrupt, v, p)
+			case uint64(p) >= first: // placed by this record
+				parentSpan = spans[uint64(p)-first]
+			default: // by an earlier one: the layout has its bitmaps
+				for _, cid := range s.proj.VersionChunks(p) {
+					parentSpan = append(parentSpan, chunkBits{cid, s.layout.Map(cid).SlotsOf(p)})
+				}
+			}
+		}
+		if err := s.replayVersion(v, parents[i], deltaFromBitmaps(span, parentSpan, slots)); err != nil {
+			return err
+		}
+	}
+	for _, d := range deltas {
+		if err := s.layout.Restore(d.cid, d.m, slots[d.cid]); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// deltaFromBitmaps reconstructs a version's tree-edge delta from its slot
+// bitmaps and its tree parent's (both ascending by chunk; no parent span for
+// the root): over the chunks of either, a slot set for the version and not
+// for the parent is an add, one set for the parent and not for the version a
+// delete, each resolved through slots, the chunks' decoded records — every
+// slot of a bitmap indexes them, which chunk.DecodeMap saw to. Adds come out
+// in ascending (chunk, slot) order, which is the order Load hands out record
+// ids in.
+func deltaFromBitmaps(cur, parent []chunkBits, slots [][]types.Record) *types.Delta {
+	delta := &types.Delta{}
+	// resolve visits the records of chunk cid at the slots in has and not in
+	// hasNot (nil: none to exclude).
+	resolve := func(cid chunk.ID, has, hasNot *bitset.BitSet, visit func(types.Record)) {
+		if hasNot != nil {
+			has = has.Clone()
+			has.AndNot(hasNot)
+		}
+		has.ForEach(func(slot uint32) bool {
+			visit(slots[cid][slot])
+			return true
+		})
+	}
+	add := func(r types.Record) { delta.Adds = append(delta.Adds, r) }
+	del := func(r types.Record) { delta.Dels = append(delta.Dels, r.CK) }
+	for len(cur) > 0 || len(parent) > 0 {
+		switch {
+		case len(parent) == 0 || (len(cur) > 0 && cur[0].cid < parent[0].cid):
+			resolve(cur[0].cid, cur[0].bits, nil, add)
+			cur = cur[1:]
+		case len(cur) == 0 || parent[0].cid < cur[0].cid:
+			resolve(parent[0].cid, parent[0].bits, nil, del)
+			parent = parent[1:]
+		default:
+			resolve(cur[0].cid, cur[0].bits, parent[0].bits, add)
+			resolve(cur[0].cid, parent[0].bits, cur[0].bits, del)
+			cur, parent = cur[1:], parent[1:]
+		}
+	}
+	return delta
 }
 
 // replayVersion re-registers version v — from a placement record or a
@@ -253,11 +320,13 @@ func (s *Store) Checkpoint(ctx context.Context) error {
 }
 
 // Load reopens a store previously persisted to kv: the root names the
-// placement generation and how much of it is committed, the generation's
-// placement records fold in order into the graph, the corpus and — through
-// chunk.Layout.Restore, with the slot layouts the chunk entries decode to —
-// the locations, chunk maps and projections; record payloads are recovered
-// from chunk entries and the delta store.
+// placement generation and how much of it is committed, the chunk entries
+// decode to their records in slot order, and the generation's placement
+// records fold in order: each version's delta is read off its slot bitmaps
+// and its parent's (applyPlacement) into the graph and the corpus, and the
+// bitmaps go through chunk.Layout.Restore into the locations, chunk maps and
+// projections. Record ids are handed out in that fold's order and are local
+// to the process; nothing persisted names one.
 //
 // Load also finishes what a crash interrupted. Flush persists in the order
 // chunks → placement record → root → delta-store drain, so a crash leaves at
@@ -296,8 +365,7 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	// cleanup was cut short — and entries at or past the root's chunk count
 	// are orphans of an interrupted flush; both are skipped here and
 	// garbage-collected below.
-	values := make(map[types.CompositeKey][]byte)
-	slots := make([][]types.CompositeKey, numChunks) // chunk id → slot → composite key
+	slots := make([][]types.Record, numChunks) // chunk id → slot → record
 	var debrisChunks, debrisPlacements []string
 	var loadErr error
 	scanErr := kv.Scan(ctx, TableChunks, func(key string, payload []byte) bool {
@@ -310,15 +378,8 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 			debrisChunks = append(debrisChunks, key)
 			return true
 		}
-		recs, err := chunk.DecodeChunk(payload)
-		if err != nil {
-			loadErr = err
+		if slots[cid], loadErr = chunk.DecodeChunk(payload); loadErr != nil {
 			return false
-		}
-		slots[cid] = make([]types.CompositeKey, len(recs))
-		for slot, r := range recs {
-			values[r.CK] = r.Value
-			slots[cid][slot] = r.CK
 		}
 		return true
 	})
@@ -329,8 +390,8 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		return fail(loadErr)
 	}
 
-	// Delta store: record payloads for pending versions, plus whole entries
-	// keyed by version for the replay of unplaced commits below.
+	// Delta store: whole entries keyed by version, for the replay of unplaced
+	// commits below.
 	type deltaEntry struct {
 		parents []types.VersionID
 		delta   *types.Delta
@@ -346,9 +407,6 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		if err != nil {
 			loadErr = err
 			return false
-		}
-		for _, r := range d.Adds {
-			values[r.CK] = r.Value
 		}
 		deltas[types.VersionID(v)] = deltaEntry{parents: parents, delta: d}
 		return true
@@ -386,7 +444,7 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		if rec == nil {
 			return fail(fmt.Errorf("%w: placement record %s missing", types.ErrCorrupt, placementKey(s.gen, uint32(idx))))
 		}
-		if err := s.applyPlacement(rec, values, slots); err != nil {
+		if err := s.applyPlacement(rec, slots); err != nil {
 			return fail(err)
 		}
 	}

@@ -29,8 +29,7 @@ import (
 //
 // What a flush persists is what the batch adds, whatever the store already
 // holds: each new chunk's payload, written once and never again, then one
-// placement record (the batch's graph edges, composite-key deltas and slot
-// bitmaps), then the root.
+// placement record (the batch's graph edges and slot bitmaps), then the root.
 //
 // Flush honors ctx for its KVS writes. An error mid-flush — including a
 // cancellation — never corrupts the persisted state (publish's crash

@@ -1,0 +1,274 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"rstore/internal/bitset"
+	"rstore/internal/chunk"
+	"rstore/internal/codec"
+	"rstore/internal/kvstore"
+	"rstore/internal/types"
+)
+
+// placementParts is a placement record taken apart. encode writes it out by
+// the grammar of docs/FORMATS.md, not through savePlacement, so the tests
+// below can state records no store would write.
+type placementParts struct {
+	first   uint64
+	parents [][]types.VersionID
+	maps    []mapPart // as listed: a valid record lists chunks ascending
+}
+
+type mapPart struct {
+	cid chunk.ID
+	m   *chunk.Map
+}
+
+func (p placementParts) encode() []byte {
+	buf := codec.PutUvarint(nil, p.first)
+	buf = codec.PutUvarint(buf, uint64(len(p.parents)))
+	for _, ps := range p.parents {
+		buf = codec.PutUvarint(buf, uint64(len(ps)))
+		for _, parent := range ps {
+			buf = codec.PutUvarint(buf, uint64(parent))
+		}
+	}
+	buf = codec.PutUvarint(buf, uint64(len(p.maps)))
+	for _, mp := range p.maps {
+		buf = codec.PutUvarint(buf, uint64(mp.cid))
+		buf = codec.PutBytes(buf, mp.m.AppendBinary(nil))
+	}
+	return buf
+}
+
+// wholeRecord takes apart the one record a bulk-loaded store wrote: every
+// version's parents and every chunk's whole map, copied.
+func wholeRecord(t *testing.T, st *Store) placementParts {
+	t.Helper()
+	var p placementParts
+	for v := types.VersionID(0); int(v) < st.graph.NumVersions(); v++ {
+		p.parents = append(p.parents, slices.Clone(st.graph.Parents(v)))
+	}
+	for cid := chunk.ID(0); int(cid) < st.NumChunks(); cid++ {
+		live := st.layout.Map(cid)
+		m, err := chunk.DecodeMap(live.AppendBinary(nil), live.NumSlots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.maps = append(p.maps, mapPart{cid, m})
+	}
+	return p
+}
+
+// TestLoadRejectsCorruptPlacementRecord: whatever a placement record says
+// that the chunks, the root or the records before it contradict comes back
+// from Load as ErrCorrupt — the deltas are derived from the record's bitmaps,
+// so a bitmap is checked against the chunk it indexes before anything is.
+func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
+	ctx := context.Background()
+	st, kv := openGolden(t, Config{})
+	if err := st.BulkLoad(ctx, goldenCorpus(t)); err != nil {
+		t.Fatal(err)
+	}
+	key := placementKey(st.gen, 0)
+	stored, err := kv.Get(ctx, TablePlacement, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wholeRecord(t, st).encode(); !bytes.Equal(got, stored) {
+		t.Fatalf("the record re-encoded from its parts differs from the stored one (%d and %d bytes)", len(got), len(stored))
+	}
+	numVersions, numChunks := st.graph.NumVersions(), st.NumChunks()
+	if numVersions < 10 || numChunks < 3 {
+		t.Fatalf("%d versions in %d chunks: too small to corrupt", numVersions, numChunks)
+	}
+	// someBitmap picks a bitmap of chunk map m, the lowest version's.
+	someBitmap := func(m *chunk.Map) *bitset.BitSet {
+		vs := make([]types.VersionID, 0, len(m.Versions))
+		for v := range m.Versions {
+			vs = append(vs, v)
+		}
+		return m.Versions[slices.Min(vs)]
+	}
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(p *placementParts) []byte // nil: p, changed in place, re-encoded
+	}{
+		{"a bitmap names a slot past the chunk's records", func(p *placementParts) []byte {
+			someBitmap(p.maps[1].m).Set(uint32(p.maps[1].m.NumSlots))
+			return nil
+		}},
+		{"a chunk map counts other slots than its chunk holds", func(p *placementParts) []byte {
+			p.maps[1].m.NumSlots--
+			return nil
+		}},
+		{"a map delta for a chunk past the root's count", func(p *placementParts) []byte {
+			p.maps = append(p.maps, mapPart{chunk.ID(numChunks), chunk.NewMap(0)})
+			return nil
+		}},
+		{"map deltas out of chunk order", func(p *placementParts) []byte {
+			p.maps[0], p.maps[1] = p.maps[1], p.maps[0]
+			return nil
+		}},
+		{"a bitmap of a version the record does not place", func(p *placementParts) []byte {
+			p.maps[0].m.Versions[types.VersionID(numVersions)] = bitset.FromSlice([]uint32{0})
+			return nil
+		}},
+		{"a version whose parent is not folded yet", func(p *placementParts) []byte {
+			p.parents[4] = []types.VersionID{7}
+			return nil
+		}},
+		{"a version that is its own parent", func(p *placementParts) []byte {
+			p.parents[4] = []types.VersionID{4}
+			return nil
+		}},
+		{"a second root", func(p *placementParts) []byte {
+			p.parents[4] = nil
+			return nil
+		}},
+		{"an unknown secondary parent", func(p *placementParts) []byte {
+			p.parents[4] = append(p.parents[4], types.VersionID(numVersions+5))
+			return nil
+		}},
+		{"fewer versions than the root counts", func(p *placementParts) []byte {
+			last := types.VersionID(numVersions - 1)
+			p.parents = p.parents[:last]
+			for _, mp := range p.maps {
+				delete(mp.m.Versions, last)
+			}
+			return nil
+		}},
+		{"fewer chunks than the root counts", func(p *placementParts) []byte {
+			p.maps = p.maps[:numChunks-1]
+			return nil
+		}},
+		{"a chunk no version's bitmap claims a record of", func(p *placementParts) []byte {
+			clear(p.maps[numChunks-1].m.Versions)
+			return nil
+		}},
+		{"a version count no record could hold", func(*placementParts) []byte {
+			return codec.PutUvarint(codec.PutUvarint(nil, 0), 1<<60)
+		}},
+		{"a parent count no record could hold", func(*placementParts) []byte {
+			return codec.PutUvarint(codec.PutUvarint(codec.PutUvarint(nil, 0), 1), 1<<60)
+		}},
+		{"trailing bytes", func(p *placementParts) []byte { return append(p.encode(), 0) }},
+		{"a truncated record", func(p *placementParts) []byte { return stored[:len(stored)/2] }},
+	} {
+		p := wholeRecord(t, st)
+		rec := tc.corrupt(&p)
+		if rec == nil {
+			rec = p.encode()
+		}
+		if err := kv.Put(ctx, TablePlacement, key, rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%s: Load returned %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+
+	if err := kv.Put(ctx, TablePlacement, key, stored); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); err != nil {
+		t.Fatalf("the stored record, put back: %v", err)
+	}
+}
+
+// foldFixture is what Load hands applyPlacement for one store: the decoded
+// chunks and the generation's placement records in order.
+type foldFixture struct {
+	slots   [][]types.Record
+	records [][]byte
+}
+
+func takeFoldFixture(t testing.TB, st *Store, kv *kvstore.Store) foldFixture {
+	t.Helper()
+	ctx := context.Background()
+	fx := foldFixture{slots: make([][]types.Record, st.NumChunks()), records: make([][]byte, st.numPlacements)}
+	for cid := range fx.slots {
+		payload, err := kv.Get(ctx, TableChunks, chunk.KVKey(st.gen, chunk.ID(cid)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fx.slots[cid], err = chunk.DecodeChunk(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for idx := range fx.records {
+		var err error
+		if fx.records[idx], err = kv.Get(ctx, TablePlacement, placementKey(st.gen, uint32(idx))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fx
+}
+
+// FuzzApplyPlacement: the fold of a placement record must answer arbitrary
+// bytes with ErrCorrupt — never a panic, an index out of range or an
+// allocation sized by the input's claims — and whatever it accepts must hang
+// together: every version holds, by the deltas derived for it, exactly the
+// records its slot bitmaps name. Seeded with the golden corpus's records: the
+// one record of a bulk load (at 0), and each record of a replay in online
+// batches of four, folded after the ones before it (at i+1).
+func FuzzApplyPlacement(f *testing.F) {
+	st, kv := openGolden(f, Config{})
+	if err := st.BulkLoad(context.Background(), goldenCorpus(f)); err != nil {
+		f.Fatal(err)
+	}
+	bulk := takeFoldFixture(f, st, kv)
+	st, kv = openGolden(f, Config{BatchSize: 4})
+	replayGolden(f, st)
+	online := takeFoldFixture(f, st, kv)
+
+	f.Add(bulk.records[0], uint8(0))
+	for i, rec := range online.records {
+		f.Add(rec, uint8(i+1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, at uint8) {
+		fx, before := bulk, 0
+		if at > 0 {
+			fx, before = online, int(at-1)%len(online.records)
+		}
+		s := newStore(Config{}, false)
+		for _, rec := range fx.records[:before] {
+			if err := s.applyPlacement(rec, fx.slots); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.applyPlacement(data, fx.slots); err != nil {
+			if !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("a refused record is not ErrCorrupt: %v", err)
+			}
+			return
+		}
+		for v := types.VersionID(0); int(v) < s.graph.NumVersions(); v++ {
+			members, err := s.corpus.Members(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var byDeltas, byBitmaps []string
+			for _, id := range members {
+				byDeltas = append(byDeltas, fmt.Sprint(s.corpus.Record(id).CK))
+			}
+			for _, cid := range s.proj.VersionChunks(v) {
+				s.layout.Map(cid).SlotsOf(v).ForEach(func(slot uint32) bool {
+					byBitmaps = append(byBitmaps, fmt.Sprint(fx.slots[cid][slot].CK))
+					return true
+				})
+			}
+			slices.Sort(byDeltas)
+			slices.Sort(byBitmaps)
+			if !slices.Equal(byDeltas, byBitmaps) {
+				t.Fatalf("version %d holds %v by its deltas, %v by its bitmaps", v, byDeltas, byBitmaps)
+			}
+		}
+	})
+}

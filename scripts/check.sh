@@ -103,6 +103,7 @@ run_fuzz() {
   go test -fuzz=FuzzHashTreeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzHashRangeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
+  go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
 }
 
 if [ $# -eq 0 ]; then
