@@ -338,6 +338,13 @@ var benchStacks = []struct {
 	}},
 }
 
+// specL is the shape and size of benchmark/'s dataset L: a 200-version tree,
+// ≈ 64 MB of user bytes, ≈ 490 k tree-edge delta entries.
+var specL = workload.Spec{
+	Name: "L", Versions: 200, AvgDepth: 20, RecordsPerVersion: 20000,
+	UpdatePct: 0.06, Update: workload.RandomUpdate, RecordSize: 256, Seed: 2018,
+}
+
 // BenchmarkLoad measures reopening a bulk-loaded store the shape and size of
 // benchmark/'s dataset L (a 200-version tree, ≈ 64 MB of user bytes, ≈ 490 k
 // tree-edge delta entries): root, chunk scan and decode, placement-log fold.
@@ -345,13 +352,9 @@ var benchStacks = []struct {
 // it must read; MB/s is user payload per wall-clock second.
 func BenchmarkLoad(b *testing.B) {
 	ctx := context.Background()
-	spec := workload.Spec{
-		Name: "L", Versions: 200, AvgDepth: 20, RecordsPerVersion: 20000,
-		UpdatePct: 0.06, Update: workload.RandomUpdate, RecordSize: 256, Seed: 2018,
-	}
 	for _, stack := range benchStacks {
 		b.Run(stack.name, func(b *testing.B) {
-			c, err := workload.Generate(spec)
+			c, err := workload.Generate(specL)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -388,4 +391,116 @@ func BenchmarkLoad(b *testing.B) {
 			}
 		})
 	}
+}
+
+// loadedL bulk-loads a store the shape and size of benchmark/'s dataset L
+// (BenchmarkLoad's) over stack, for the read benchmarks below.
+func loadedL(b *testing.B, open func(b *testing.B) kvstore.Config) (*rstore.Store, *corpus.Corpus) {
+	b.Helper()
+	ctx := context.Background()
+	c, err := workload.Generate(specL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kv, err := kvstore.Open(ctx, open(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { kv.Close() })
+	st, err := rstore.Open(ctx, rstore.Config{KV: kv})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.BulkLoad(ctx, c); err != nil {
+		b.Fatal(err)
+	}
+	return st, c
+}
+
+// BenchmarkPointRead, BenchmarkHistory and BenchmarkRangeRead measure the
+// three key-addressed reads on dataset L — GetRecord of a live key of a
+// version, GetHistory of a key, GetRange of a tenth of a version's key space,
+// keys and versions striding through the dataset — over both stacks.
+// fetchedB/op is QueryStats.BytesRead, what the read pulled out of the KVS:
+// with a 1 MiB chunk as the unit of transfer a point read fetched 2.6 MiB for
+// one 256 B record; with 64 KiB segments it fetches the one segment the
+// record's slot falls in. B/op is what the whole stack allocates per read.
+func BenchmarkPointRead(b *testing.B) {
+	for _, stack := range benchStacks {
+		b.Run(stack.name, func(b *testing.B) {
+			st, c := loadedL(b, stack.open)
+			live := make([]rstore.Key, c.NumVersions()) // one live key per version
+			for v := range live {
+				members, err := c.Members(rstore.VersionID(v))
+				if err != nil {
+					b.Fatal(err)
+				}
+				live[v] = c.Record(members[v*7919%len(members)]).CK.Key
+			}
+			benchReads(b, func(i int) (rstore.QueryStats, error) {
+				v := i * 37 % len(live)
+				_, stats, err := st.GetRecord(context.Background(), live[v], rstore.VersionID(v))
+				return stats, err
+			})
+		})
+	}
+}
+
+func BenchmarkHistory(b *testing.B) {
+	for _, stack := range benchStacks {
+		b.Run(stack.name, func(b *testing.B) {
+			st, c := loadedL(b, stack.open)
+			benchReads(b, func(i int) (rstore.QueryStats, error) {
+				_, stats, err := st.GetHistoryAll(context.Background(), c.Keys()[i*7919%c.NumKeys()])
+				return stats, err
+			})
+		})
+	}
+}
+
+func BenchmarkRangeRead(b *testing.B) {
+	for _, stack := range benchStacks {
+		b.Run(stack.name, func(b *testing.B) {
+			st, c := loadedL(b, stack.open)
+			keys := c.NumKeys() // workload.KeyFor(i), i < keys
+			benchReads(b, func(i int) (rstore.QueryStats, error) {
+				lo := i * 7919 % (keys * 9 / 10)
+				r := rstore.KeyRange(workload.KeyFor(lo), workload.KeyFor(lo+keys/10))
+				_, stats, err := st.GetRangeAll(context.Background(), r, rstore.VersionID(i*37%c.NumVersions()))
+				return stats, err
+			})
+		})
+	}
+}
+
+// BenchmarkVersionRead is the read that must not pay for the other three:
+// GetVersion of whole versions of dataset L fetches every segment of the
+// version's chunks — the bytes a chunk-at-a-time read fetched, under sixteen
+// times the keys.
+func BenchmarkVersionRead(b *testing.B) {
+	for _, stack := range benchStacks {
+		b.Run(stack.name, func(b *testing.B) {
+			st, c := loadedL(b, stack.open)
+			benchReads(b, func(i int) (rstore.QueryStats, error) {
+				_, stats, err := st.GetVersionAll(context.Background(), rstore.VersionID(i*37%c.NumVersions()))
+				return stats, err
+			})
+		})
+	}
+}
+
+// benchReads times read(0), read(1), … and reports the mean bytes they fetched.
+func benchReads(b *testing.B, read func(i int) (rstore.QueryStats, error)) {
+	b.Helper()
+	var fetched int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := read(i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fetched += stats.BytesRead
+	}
+	b.ReportMetric(float64(fetched)/float64(b.N), "fetchedB/op")
 }

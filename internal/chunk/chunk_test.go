@@ -203,36 +203,3 @@ func TestMapRoundTrip(t *testing.T) {
 		t.Errorf("bitmap naming slot 100 of 100 decoded: %v", err)
 	}
 }
-
-func TestKVKeyFormats(t *testing.T) {
-	if KVKey(0, 0) == KVKey(0, 1) {
-		t.Fatal("chunk keys collide across ids")
-	}
-	if KVKey(0, 1) == KVKey(1, 1) {
-		t.Fatal("chunk keys collide across generations")
-	}
-	gen, id, ok := ParseKVKey(KVKey(7, 0x1234))
-	if !ok || gen != 7 || id != 0x1234 {
-		t.Fatalf("ParseKVKey round trip: %d %d %v", gen, id, ok)
-	}
-	for _, bad := range []string{"", "c00000001", "g1-c2", "gzzzzzzzz-c00000001", "g00000001-c0000000g"} {
-		if _, _, ok := ParseKVKey(bad); ok {
-			t.Fatalf("ParseKVKey accepted %q", bad)
-		}
-	}
-}
-
-func TestDecodeChunkTrailing(t *testing.T) {
-	c := miniCorpus(t)
-	payload, err := NewLayout(c, newFakeProj()).AddChunk(recordItems(t, c), []uint32{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := DecodeChunk(payload)
-	if err != nil || len(recs) != 4 {
-		t.Fatalf("decode: %d records, %v", len(recs), err)
-	}
-	if _, err := DecodeChunk(append(payload, 7)); err == nil {
-		t.Fatal("trailing payload bytes accepted")
-	}
-}

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"testing"
 
 	"rstore/internal/bitset"
@@ -9,27 +10,54 @@ import (
 // Fuzz targets: every decoder must reject arbitrary input with an error —
 // never panic, never loop. Seed corpora include valid encodings so the
 // mutators explore near-valid space. `go test` runs the seeds; `go test
-// -fuzz=FuzzDecodeChunk ./internal/chunk` explores further.
+// -fuzz=FuzzDecodeSegment ./internal/chunk` explores further.
 
-func FuzzDecodeChunk(f *testing.F) {
+// FuzzDecodeSegment: besides never panicking, the decoder must not let a
+// count in the input size an allocation — a count that promises more items
+// or members than there are bytes is refused before anything is allocated for
+// it (TestDecodeSegmentRejects), so the records it returns are bounded by the
+// payload — and a selective decode must agree with a full one.
+func FuzzDecodeSegment(f *testing.F) {
 	c := miniCorpus(f)
-	l := NewLayout(c, newFakeProj())
-	for _, idxs := range [][]uint32{{0, 1}, {2, 3}} {
-		payload, err := l.AddChunk(recordItems(f, c), idxs)
+	items := recordItems(f, c)
+	chain, err := EncodeItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	items = append(items, Item{CK: c.Record(0).CK, Members: []uint32{0, 2, 3}, Parents: []int32{-1, 0, 1}, Encoded: chain})
+	for _, idxs := range [][]uint32{{0, 1}, {2, 3}, {4, 1}} {
+		seg, err := appendSegment(nil, 7, items, idxs)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(payload)
+		f.Add(seg)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{0, 1, 1, 0, 0xff, 0xff, 0x03})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := DecodeChunk(data)
-		if err == nil {
-			// Valid decodes must produce self-consistent records.
-			for _, r := range recs {
-				_ = r.CK
-				_ = r.Value
+		first, slots, recs, err := DecodeSegment(data, nil)
+		if err != nil {
+			if len(recs) != 0 {
+				t.Fatalf("%d records returned beside %v", len(recs), err)
+			}
+			return
+		}
+		if slots != len(recs) || slots > len(data) || cap(recs) > 2*len(data) || uint64(first)+uint64(slots) > 1<<32 {
+			t.Fatalf("segment of %d bytes at slot %d: %d slots, %d records (cap %d)", len(data), first, slots, len(recs), cap(recs))
+		}
+		// A selective decode returns the same records at the same slots.
+		want := bitset.New(0)
+		for s := 0; s < slots; s += 2 {
+			want.Set(first + uint32(s))
+		}
+		_, _, some, err := DecodeSegment(data, want)
+		if err != nil || len(some) != (slots+1)/2 {
+			t.Fatalf("selective decode: %d of %d slots, %v", len(some), slots, err)
+		}
+		for i, r := range some {
+			if r.CK != recs[2*i].CK || !bytes.Equal(r.Value, recs[2*i].Value) {
+				t.Fatalf("slot %d decoded differently when selected", int(first)+2*i)
 			}
 		}
 	})

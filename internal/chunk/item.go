@@ -7,12 +7,12 @@
 // Chunks are divided into sub-chunks: groups of records with the same
 // primary key stored in compressed fashion (members are binary-delta-encoded
 // against a parent member). A sub-chunk with a single record stores it raw.
+// A chunk is stored as key-ordered segments of whole sub-chunks (segment.go),
+// each a KVS value of its own, so reads transfer segments, not chunks.
 package chunk
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"rstore/internal/bdiff"
 	"rstore/internal/codec"
@@ -20,39 +20,9 @@ import (
 	"rstore/internal/types"
 )
 
-// ID identifies a chunk. IDs are dense per build generation; the KVS key is
-// derived via KVKey.
+// ID identifies a chunk. IDs are dense per build generation; the KVS keys of
+// a chunk's segments are derived via SegmentKey.
 type ID = uint32
-
-// KVKey renders a chunk id as the backing-store key, prefixed with the
-// placement generation that assigned it. Ids restart at 0 on every full
-// repartition, so without the epoch prefix a repartition would overwrite
-// chunk entries in place and a crash mid-rewrite would strand the old
-// root against new chunk contents; with it, each generation writes fresh
-// keys and the root swap (the root names the generation) is the atomic
-// commit point. Load garbage-collects keys of superseded generations.
-func KVKey(gen uint32, id ID) string { return fmt.Sprintf("g%08x-c%08x", gen, id) }
-
-// ParseKVKey recovers the generation and chunk id from a KVKey.
-func ParseKVKey(key string) (gen uint32, id ID, ok bool) {
-	rest, found := strings.CutPrefix(key, "g")
-	if !found {
-		return 0, 0, false
-	}
-	gs, cs, found := strings.Cut(rest, "-c")
-	if !found || len(gs) != 8 || len(cs) != 8 {
-		return 0, 0, false
-	}
-	g, err := strconv.ParseUint(gs, 16, 32)
-	if err != nil {
-		return 0, 0, false
-	}
-	c, err := strconv.ParseUint(cs, 16, 32)
-	if err != nil {
-		return 0, 0, false
-	}
-	return uint32(g), ID(c), true
-}
 
 // Item is the unit the partitioning algorithms assign to chunks: a sub-chunk
 // of one or more records sharing a primary key (paper §3.4). With
@@ -68,7 +38,9 @@ type Item struct {
 	// delta-encoded against; Parents[0] is -1 (raw). The parent relation
 	// follows the version tree, so members form a connected subtree (§3.4).
 	Parents []int32
-	// Encoded is the serialized sub-chunk payload (record framing included).
+	// Encoded is the packed sub-chunk (EncodeItem: record framing included).
+	// Its length is what the partitioner charges; AddChunk re-frames it into
+	// a segment, in no more bytes.
 	Encoded []byte
 }
 

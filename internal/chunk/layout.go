@@ -1,12 +1,14 @@
 package chunk
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 
 	"rstore/internal/bitset"
-	"rstore/internal/codec"
 	"rstore/internal/corpus"
 	"rstore/internal/types"
 )
@@ -21,19 +23,18 @@ type Loc struct {
 // NoChunk marks a record no chunk holds yet.
 const NoChunk = ID(^uint32(0))
 
-// Projection is the pair of lossy indexes of paper §2.4 as a Layout sees
-// them: it reports key→chunk when a chunk is added and version→chunk when a
-// version is placed (§3.1 builds chunk maps and projections together), and
-// reads a parent's span back to derive its child's. *index.Projections
-// implements it.
+// Projection is the version→chunk index of paper §2.4 as a Layout sees it:
+// it reports a version's chunks when the version is placed (§3.1 builds chunk
+// maps and the projection together), and reads a parent's span back to derive
+// its child's. *index.Projections implements it.
 type Projection interface {
-	AddKeyChunk(k types.Key, c ID)
 	ObserveVersionChunk(v types.VersionID, c ID)
 	VersionChunks(v types.VersionID) []ID
 }
 
 // Layout is the physical placement of a corpus's records — the record→Loc
-// catalog and one Map per chunk — and the only writer of either. It grows by
+// catalog and, per chunk, its Map and the first slot of each of its segments
+// — and the only writer of any of them. It grows by
 // two mutators: AddChunk lays a group of items out as the next chunk, and
 // PlaceVersion gives a version its slot bitmaps. Offline partitioning (§3)
 // drives them over the whole corpus on a fresh Layout, online partitioning
@@ -44,8 +45,9 @@ type Projection interface {
 type Layout struct {
 	c    *corpus.Corpus
 	proj Projection
-	locs []Loc  // record id → location; ids past the end are unplaced
-	maps []*Map // chunk id → chunk map
+	locs []Loc      // record id → location; ids past the end are unplaced
+	maps []*Map     // chunk id → chunk map
+	segs [][]uint32 // chunk id → first slot of each segment, ascending from 0
 	// delta is what AddChunk and PlaceVersion added to the maps since the
 	// last TakeDelta: per chunk, a Map sharing the new bitmaps.
 	delta map[ID]*Map
@@ -62,6 +64,11 @@ func (l *Layout) NumChunks() int { return len(l.maps) }
 // Map returns chunk c's map. Shared; callers must not mutate.
 func (l *Layout) Map(c ID) *Map { return l.maps[c] }
 
+// Segments returns the first slot of each of chunk c's segments: segment i
+// holds slots [Segments(c)[i], Segments(c)[i+1]), the last one up to the
+// chunk's slot count. Shared; callers must not mutate.
+func (l *Layout) Segments(c ID) []uint32 { return l.segs[c] }
+
 // Loc returns where record rec lives; Chunk is NoChunk until a chunk holds it.
 func (l *Layout) Loc(rec uint32) Loc {
 	if int(rec) >= len(l.locs) {
@@ -70,9 +77,9 @@ func (l *Layout) Loc(rec uint32) Loc {
 	return l.locs[rec]
 }
 
-// openChunk appends the next chunk with recs in slot order, reporting its
-// keys to the projection.
-func (l *Layout) openChunk(recs []uint32) (ID, error) {
+// openChunk appends the next chunk with recs in slot order, cut into segments
+// at the slots of segs.
+func (l *Layout) openChunk(recs, segs []uint32) (ID, error) {
 	cid := ID(len(l.maps))
 	for slot, rec := range recs {
 		if at := l.Loc(rec).Chunk; at != NoChunk {
@@ -82,18 +89,22 @@ func (l *Layout) openChunk(recs []uint32) (ID, error) {
 			l.locs = append(l.locs, Loc{Chunk: NoChunk})
 		}
 		l.locs[rec] = Loc{Chunk: cid, Slot: uint32(slot)}
-		l.proj.AddKeyChunk(l.c.Record(rec).CK.Key, cid)
 	}
 	l.maps = append(l.maps, NewMap(len(recs)))
+	l.segs = append(l.segs, segs)
 	return cid, nil
 }
 
 // AddChunk lays items[idxs[0]], items[idxs[1]], … out as the next chunk and
-// returns its payload. Slots number the items' members in that order; each
-// member's Loc is set, the chunk's (still empty) map is opened, and its keys
-// are reported. A record some chunk already holds is an error.
-func (l *Layout) AddChunk(items []Item, idxs []uint32) ([]byte, error) {
-	size, members := codec.UvarintLen(uint64(len(idxs))), 0
+// returns its segment values, in segment order. Slots number the items'
+// members with the items in the order of their representatives' composite
+// keys — primary key, then version — whatever order idxs lists them in, so the
+// records of a key range sit in neighbouring slots and a key shares a prefix
+// with its predecessor's; a segment is cut after the item that fills it
+// (SegmentTarget). Each member's Loc is set and the chunk's (still empty) map
+// is opened. A record some chunk already holds is an error.
+func (l *Layout) AddChunk(items []Item, idxs []uint32) ([][]byte, error) {
+	size, members := 0, 0
 	for _, ii := range idxs {
 		if int(ii) >= len(items) {
 			return nil, fmt.Errorf("chunk: assignment references item %d of %d", ii, len(items))
@@ -101,19 +112,44 @@ func (l *Layout) AddChunk(items []Item, idxs []uint32) ([]byte, error) {
 		size += len(items[ii].Encoded)
 		members += len(items[ii].Members)
 	}
-	// Sized once: grown by append, a 1 MiB payload allocates five times that.
-	payload := codec.PutUvarint(make([]byte, 0, size), uint64(len(idxs)))
+	order := slices.Clone(idxs)
+	slices.SortFunc(order, func(a, b uint32) int {
+		x, y := items[a].CK, items[b].CK
+		// strings.Compare is one pass over the keys; cmp.Compare is two.
+		if c := strings.Compare(string(x.Key), string(y.Key)); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Version, y.Version)
+	})
+
+	// One buffer for all segments, sized once: a segment frames an item in no
+	// more bytes than EncodeItem did, plus its two-varint header.
+	nsegs := size/SegmentTarget + 1
+	buf := make([]byte, 0, size+nsegs*2*binary.MaxVarintLen32)
+	values := make([][]byte, 0, nsegs)
+	firsts := make([]uint32, 0, nsegs)
 	recs := make([]uint32, 0, members)
-	for _, ii := range idxs {
-		payload = append(payload, items[ii].Encoded...)
-		recs = append(recs, items[ii].Members...)
+	for i := 0; i < len(order); {
+		j, packed, first := i, 0, uint32(len(recs))
+		for ; j < len(order) && packed < SegmentTarget; j++ {
+			packed += len(items[order[j]].Encoded)
+			recs = append(recs, items[order[j]].Members...)
+		}
+		start := len(buf)
+		var err error
+		if buf, err = appendSegment(buf, first, items, order[i:j]); err != nil {
+			return nil, fmt.Errorf("chunk: re-framing an item: %w", err)
+		}
+		values = append(values, buf[start:len(buf):len(buf)])
+		firsts = append(firsts, first)
+		i = j
 	}
-	cid, err := l.openChunk(recs)
+	cid, err := l.openChunk(recs, firsts)
 	if err != nil {
 		return nil, err
 	}
 	l.noteDelta(cid, len(recs))
-	return payload, nil
+	return values, nil
 }
 
 // PlaceVersion gives version v its slot bitmaps: its tree parent's, minus
@@ -183,24 +219,24 @@ func (l *Layout) TakeDelta() map[ID]*Map {
 }
 
 // Restore folds a persisted delta of chunk cid's map back in at load time. A
-// delta for the next chunk id opens that chunk: decoded is what DecodeChunk
-// found in its payload, in slot order, and every record of it must be
-// registered in the corpus — some version's bitmap claims it. Deltas must
-// arrive in the order TakeDelta produced them, chunks ascending within each.
-func (l *Layout) Restore(cid ID, m *Map, decoded []types.Record) error {
+// delta for the next chunk id opens that chunk: stored is what JoinSegments
+// made of its decoded segments, and every record of it must be registered in
+// the corpus — some version's bitmap claims it. Deltas must arrive in the
+// order TakeDelta produced them, chunks ascending within each.
+func (l *Layout) Restore(cid ID, m *Map, stored Stored) error {
 	if int(cid) == len(l.maps) {
-		if len(decoded) != m.NumSlots {
-			return fmt.Errorf("%w: chunk %d holds %d records, its map %d slots", types.ErrCorrupt, cid, len(decoded), m.NumSlots)
+		if len(stored.Records) != m.NumSlots {
+			return fmt.Errorf("%w: chunk %d holds %d records, its map %d slots", types.ErrCorrupt, cid, len(stored.Records), m.NumSlots)
 		}
-		recs := make([]uint32, len(decoded))
-		for slot, r := range decoded {
+		recs := make([]uint32, len(stored.Records))
+		for slot, r := range stored.Records {
 			rec, ok := l.c.IDForCK(r.CK)
 			if !ok {
 				return fmt.Errorf("%w: chunked record %v belongs to no placed version", types.ErrCorrupt, r.CK)
 			}
 			recs[slot] = rec
 		}
-		if _, err := l.openChunk(recs); err != nil {
+		if _, err := l.openChunk(recs, stored.Segments); err != nil {
 			return fmt.Errorf("%w: %v", types.ErrCorrupt, err)
 		}
 	} else if int(cid) > len(l.maps) || l.maps[cid].NumSlots != m.NumSlots {
@@ -215,24 +251,42 @@ func (l *Layout) Restore(cid ID, m *Map, decoded []types.Record) error {
 	return nil
 }
 
-// DecodeChunk decodes a chunk payload into its items' records, flattened by
-// slot.
-func DecodeChunk(payload []byte) ([]types.Record, error) {
-	n, rest, err := codec.Uvarint(payload)
-	if err != nil {
-		return nil, err
-	}
-	var out []types.Record
-	for i := uint64(0); i < n; i++ {
-		var it *DecodedItem
-		it, rest, err = DecodeItem(rest)
-		if err != nil {
-			return nil, err
+// Stored is a chunk as its segment values describe it: its records in slot
+// order and the first slot of each segment.
+type Stored struct {
+	Records  []types.Record
+	Segments []uint32
+}
+
+// Part is one decoded segment value: the segment index its key names, the
+// slot its header says it begins at, and its records.
+type Part struct {
+	Index, First uint32
+	Records      []types.Record
+}
+
+// JoinSegments assembles the chunk whose segments decoded to parts, in any
+// order. Every index up to the highest must be there, each segment must begin
+// at the slot its predecessor ended at, the first at 0: a missing segment or
+// one stored under another's key is corruption, never a shorter chunk. (A
+// missing tail shows when the chunk's map counts more slots than the chunk
+// holds; Restore.)
+func JoinSegments(parts []Part) (Stored, error) {
+	slices.SortFunc(parts, func(a, b Part) int { return cmp.Compare(a.Index, b.Index) })
+	st := Stored{Segments: make([]uint32, len(parts))}
+	for i, p := range parts {
+		if int(p.Index) != i {
+			return Stored{}, fmt.Errorf("%w: segment %d missing, segment %d stored", types.ErrCorrupt, i, p.Index)
 		}
-		out = append(out, it.Records...)
+		if int(p.First) != len(st.Records) {
+			return Stored{}, fmt.Errorf("%w: segment %d begins at slot %d, its predecessors hold %d", types.ErrCorrupt, i, p.First, len(st.Records))
+		}
+		st.Segments[i] = p.First
+		if i == 0 {
+			st.Records = p.Records // the only segment of most small chunks: no copy
+		} else {
+			st.Records = append(st.Records, p.Records...)
+		}
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after chunk payload", types.ErrCorrupt, len(rest))
-	}
-	return out, nil
+	return st, nil
 }

@@ -12,14 +12,12 @@ import (
 // fakeProj is a Projection that records what a Layout reports, in order.
 type fakeProj struct {
 	versions map[types.VersionID][]ID
-	keys     map[types.Key][]ID
 }
 
 func newFakeProj() *fakeProj {
-	return &fakeProj{versions: map[types.VersionID][]ID{}, keys: map[types.Key][]ID{}}
+	return &fakeProj{versions: map[types.VersionID][]ID{}}
 }
 
-func (p *fakeProj) AddKeyChunk(k types.Key, c ID) { p.keys[k] = append(p.keys[k], c) }
 func (p *fakeProj) ObserveVersionChunk(v types.VersionID, c ID) {
 	p.versions[v] = append(p.versions[v], c)
 }
@@ -38,6 +36,25 @@ func recordItems(t testing.TB, c *corpus.Corpus) []Item {
 		items[i] = it
 	}
 	return items
+}
+
+// storedOf decodes a chunk's segment values, as AddChunk returned them, back
+// into the chunk.
+func storedOf(t testing.TB, values [][]byte) Stored {
+	t.Helper()
+	parts := make([]Part, len(values))
+	for i, value := range values {
+		first, _, recs, err := DecodeSegment(value, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = Part{Index: uint32(i), First: first, Records: recs}
+	}
+	st, err := JoinSegments(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // checkLayout compares every version's slot bitmaps, resolved through the
@@ -89,8 +106,12 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := l.Loc(0); got != (Loc{Chunk: 0, Slot: 1}) {
-		t.Fatalf("record 0 at %+v", got)
+	// Slots follow composite-key order, not the assignment's: doc@0 before
+	// other@0, doc@1 before doc@2.
+	for rec, want := range []Loc{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+		if got := l.Loc(uint32(rec)); got != want {
+			t.Fatalf("record %d at %+v, want %+v", rec, got, want)
+		}
 	}
 	for v := types.VersionID(0); v < 3; v++ {
 		if err := l.PlaceVersion(v); err != nil {
@@ -98,9 +119,6 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 		}
 	}
 	checkLayout(t, c, l, proj)
-	if !slices.Equal(proj.keys["doc"], []ID{0, 1, 1}) || !slices.Equal(proj.keys["other"], []ID{0}) {
-		t.Fatalf("reported key chunks: %v", proj.keys)
-	}
 	whole := l.TakeDelta()
 	if len(whole) != 2 || len(whole[0].Versions) != 3 || len(whole[1].Versions) != 2 {
 		t.Fatalf("delta of a full build: %v", whole)
@@ -142,25 +160,20 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	// Restore: fold both deltas, in order, over the decoded payloads.
 	proj3 := newFakeProj()
 	l3 := NewLayout(c, proj3)
-	recsOf := func(payload []byte) []types.Record {
-		recs, err := DecodeChunk(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}
-	if err := l3.Restore(1, second[1], recsOf(p1)); !errors.Is(err, types.ErrCorrupt) {
+	if err := l3.Restore(1, second[1], storedOf(t, p1)); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("chunk 1 restored before chunk 0: %v", err)
 	}
-	if err := l3.Restore(0, first[0], recsOf(p0)[:1]); !errors.Is(err, types.ErrCorrupt) {
-		t.Fatalf("chunk restored from a payload shorter than its map: %v", err)
+	short := storedOf(t, p0)
+	short.Records = short.Records[:1]
+	if err := l3.Restore(0, first[0], short); !errors.Is(err, types.ErrCorrupt) {
+		t.Fatalf("chunk restored from segments shorter than its map: %v", err)
 	}
 	for _, step := range []struct {
-		cid  ID
-		m    *Map
-		recs []types.Record
-	}{{0, first[0], recsOf(p0)}, {0, second[0], nil}, {1, second[1], recsOf(p1)}} {
-		if err := l3.Restore(step.cid, step.m, step.recs); err != nil {
+		cid    ID
+		m      *Map
+		stored Stored
+	}{{0, first[0], storedOf(t, p0)}, {0, second[0], Stored{}}, {1, second[1], storedOf(t, p1)}} {
+		if err := l3.Restore(step.cid, step.m, step.stored); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,6 +181,11 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	for rec := uint32(0); rec < 4; rec++ {
 		if l3.Loc(rec) != l2.Loc(rec) {
 			t.Fatalf("record %d restored at %+v, was %+v", rec, l3.Loc(rec), l2.Loc(rec))
+		}
+	}
+	for cid := ID(0); cid < 2; cid++ {
+		if !slices.Equal(l3.Segments(cid), l2.Segments(cid)) {
+			t.Fatalf("chunk %d restored with segments %v, had %v", cid, l3.Segments(cid), l2.Segments(cid))
 		}
 	}
 	if l3.TakeDelta() != nil {

@@ -1,0 +1,254 @@
+package chunk
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+
+	"rstore/internal/bdiff"
+	"rstore/internal/bitset"
+	"rstore/internal/codec"
+	"rstore/internal/types"
+)
+
+// A chunk is the unit of placement — what the partitioner fills, what a
+// version's span counts, what a chunk map describes. It is stored as a run of
+// segments, the unit of transfer and decode: consecutive slots of the chunk,
+// each a KVS value of its own, so a read fetches the segments holding the
+// slots it returns and no others. (A segment is not a sub-chunk: §3.4's
+// sub-chunk is an Item, and an Item never straddles two segments.)
+
+// SegmentTarget is the size a segment is cut at: the segment ends with the
+// item that brings its items' packed encodings (Item.Encoded, the bytes the
+// partitioner charges) to this many. Chosen from a 16/64/256 KiB measurement
+// of point and full-version reads on the benchmark's stack (CHANGES.md, PR 22).
+const SegmentTarget = 64 << 10
+
+// maxInflate bounds what a segment's delta-coded members may decode to, in
+// multiples of the segment's stored size. Deltas compound — a member is a
+// delta of a member that is a delta — so a few hostile bytes could otherwise
+// declare values that double per member; sub-chunks of real records inflate
+// by about their member count.
+const maxInflate = 1 << 12
+
+// SegmentKey renders the backing-store key of segment seg of chunk id,
+// prefixed with the placement generation that assigned the id. Ids restart at
+// 0 on every full repartition, so without the generation a repartition would
+// overwrite entries in place and a crash mid-rewrite would strand the old
+// root against new contents; with it, each generation writes fresh keys and
+// the root swap (the root names the generation) is the atomic commit point.
+// Load garbage-collects keys of superseded generations.
+func SegmentKey(gen uint32, id ID, seg uint32) string {
+	return fmt.Sprintf("g%08x-c%08x-s%08x", gen, id, seg)
+}
+
+// ParseSegmentKey recovers generation, chunk id and segment index from a
+// SegmentKey.
+func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
+	rest, found := strings.CutPrefix(key, "g")
+	if !found {
+		return 0, 0, 0, false
+	}
+	gs, rest, found := strings.Cut(rest, "-c")
+	if !found {
+		return 0, 0, 0, false
+	}
+	cs, ss, found := strings.Cut(rest, "-s")
+	if !found {
+		return 0, 0, 0, false
+	}
+	var f [3]uint32
+	for i, s := range []string{gs, cs, ss} {
+		v, err := strconv.ParseUint(s, 16, 32)
+		if len(s) != 8 || err != nil {
+			return 0, 0, 0, false
+		}
+		f[i] = uint32(v)
+	}
+	return f[0], f[1], f[2], true
+}
+
+// appendSegment appends the segment value holding items[idxs[0]],
+// items[idxs[1]], … — in that order, the first member of the first item at
+// slot first — to dst:
+//
+//	first:uvarint  items:uvarint  item*
+//	item   := head:uvarint  suffix:bytes  (record | members:uvarint member*)
+//	record := version:uvarint  value:bytes
+//	member := version:uvarint  parent:varint  body:bytes
+//
+// head is shared<<1 | multi: the item's primary key is the first shared
+// bytes of the previous item's key (none for the first item of a segment)
+// followed by suffix, and multi is set for an item of more than one member,
+// whose members keep EncodeItem's order, parent indexes and bodies. A
+// single-record item is its version and its raw value.
+func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byte, error) {
+	dst = codec.PutUvarint(dst, uint64(first))
+	dst = codec.PutUvarint(dst, uint64(len(idxs)))
+	var prev []byte
+	for _, ii := range idxs {
+		n, rest, err := codec.Uvarint(items[ii].Encoded)
+		if err != nil {
+			return nil, err
+		}
+		multi := uint64(0)
+		if n > 1 {
+			multi = 1
+		}
+		for m := uint64(0); m < n; m++ {
+			var key, body []byte
+			var version uint64
+			var parent int64
+			if key, rest, err = codec.Bytes(rest); err != nil {
+				return nil, err
+			}
+			if version, rest, err = codec.Uvarint(rest); err != nil {
+				return nil, err
+			}
+			if parent, rest, err = codec.Varint(rest); err != nil {
+				return nil, err
+			}
+			if body, rest, err = codec.Bytes(rest); err != nil {
+				return nil, err
+			}
+			if m == 0 {
+				shared := commonPrefix(prev, key)
+				dst = codec.PutUvarint(dst, uint64(shared)<<1|multi)
+				dst = codec.PutBytes(dst, key[shared:])
+				if multi == 1 {
+					dst = codec.PutUvarint(dst, n)
+				}
+				prev = key
+			}
+			dst = codec.PutUvarint(dst, version)
+			if multi == 1 {
+				dst = codec.PutVarint(dst, parent)
+			}
+			dst = codec.PutBytes(dst, body)
+		}
+	}
+	return dst, nil
+}
+
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// DecodeSegment decodes a segment value: the slot of its first record, how
+// many slots it holds, and the records at the slots want selects (nil: all of
+// them), in slot order with private copies of their values. The bodies of
+// items no selected slot falls in are skipped, not copied; an item of several
+// members is decoded whole when any of them is selected, since members are
+// deltas of one another.
+func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, recs []types.Record, err error) {
+	f, rest, err := codec.Uvarint(buf)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	n, rest, err := codec.Uvarint(rest)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	// An item takes three bytes at least, so neither count below can make
+	// the decoder allocate or loop past what the payload pays for.
+	if f > math.MaxUint32 || n > uint64(len(rest)) {
+		return 0, 0, nil, fmt.Errorf("%w: segment at slot %d counts %d items in %d bytes", types.ErrCorrupt, f, n, len(rest))
+	}
+	if want == nil {
+		recs = make([]types.Record, 0, n)
+	}
+	slot := f
+	budget := uint64(maxInflate * len(buf)) // bytes delta members may still decode to
+	var key []byte
+	var group []types.Record // the members of one multi-member item, reused
+	for i := uint64(0); i < n; i++ {
+		var head uint64
+		if head, rest, err = codec.Uvarint(rest); err != nil {
+			return 0, 0, nil, err
+		}
+		if head>>1 > uint64(len(key)) {
+			return 0, 0, nil, fmt.Errorf("%w: segment item %d shares %d bytes with a key of %d", types.ErrCorrupt, i, head>>1, len(key))
+		}
+		var suffix []byte
+		if suffix, rest, err = codec.Bytes(rest); err != nil {
+			return 0, 0, nil, err
+		}
+		key = append(key[:head>>1], suffix...)
+		multi, members := head&1 == 1, uint64(1)
+		if multi {
+			if members, rest, err = codec.Uvarint(rest); err != nil {
+				return 0, 0, nil, err
+			}
+			if members == 0 || members > uint64(len(rest)) {
+				return 0, 0, nil, fmt.Errorf("%w: segment item %d counts %d members in %d bytes", types.ErrCorrupt, i, members, len(rest))
+			}
+		}
+		if slot+members > math.MaxUint32 {
+			return 0, 0, nil, fmt.Errorf("%w: segment slots overflow at item %d", types.ErrCorrupt, i)
+		}
+		selected := want == nil
+		for s := slot; !selected && s < slot+members; s++ {
+			selected = want.Contains(uint32(s))
+		}
+		var pk types.Key
+		if selected {
+			pk = types.Key(key)
+		}
+		group = group[:0]
+		for m := uint64(0); m < members; m++ {
+			var version uint64
+			if version, rest, err = codec.Uvarint(rest); err != nil {
+				return 0, 0, nil, err
+			}
+			parent := int64(-1)
+			if multi {
+				if parent, rest, err = codec.Varint(rest); err != nil {
+					return 0, 0, nil, err
+				}
+			}
+			var body []byte
+			if body, rest, err = codec.Bytes(rest); err != nil {
+				return 0, 0, nil, err
+			}
+			if !selected {
+				continue
+			}
+			var value []byte
+			switch {
+			case parent == -1 || parent == -2:
+				value = bytes.Clone(body)
+			case parent >= 0 && uint64(parent) < m:
+				if size, _, err := codec.Uvarint(body); err != nil || size > budget {
+					return 0, 0, nil, fmt.Errorf("%w: segment item %d member %d inflates past %d× the segment", types.ErrCorrupt, i, m, maxInflate)
+				} else {
+					budget -= size
+				}
+				if value, err = bdiff.Apply(nil, group[parent].Value, body); err != nil {
+					return 0, 0, nil, err
+				}
+			default:
+				return 0, 0, nil, fmt.Errorf("%w: segment item %d member %d references parent %d", types.ErrCorrupt, i, m, parent)
+			}
+			r := types.Record{CK: types.CompositeKey{Key: pk, Version: types.VersionID(version)}, Value: value}
+			if multi {
+				group = append(group, r)
+			}
+			if want == nil || want.Contains(uint32(slot+m)) {
+				recs = append(recs, r)
+			}
+		}
+		slot += members
+	}
+	if len(rest) != 0 {
+		return 0, 0, nil, fmt.Errorf("%w: %d trailing bytes after segment", types.ErrCorrupt, len(rest))
+	}
+	return uint32(f), int(slot - f), recs, nil
+}

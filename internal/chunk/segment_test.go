@@ -1,0 +1,294 @@
+package chunk
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"rstore/internal/bitset"
+	"rstore/internal/codec"
+	"rstore/internal/corpus"
+	"rstore/internal/types"
+	"rstore/internal/vgraph"
+)
+
+func TestSegmentKeyFormats(t *testing.T) {
+	if SegmentKey(0, 0, 0) == SegmentKey(0, 1, 0) || SegmentKey(0, 1, 0) == SegmentKey(1, 1, 0) || SegmentKey(0, 1, 0) == SegmentKey(0, 1, 1) {
+		t.Fatal("segment keys collide across chunk ids, generations or segments")
+	}
+	// Fixed-width hex: a table scan in key order visits a chunk's segments
+	// in segment order.
+	if !(SegmentKey(1, 2, 9) < SegmentKey(1, 2, 10) && SegmentKey(1, 2, 0xffff) < SegmentKey(1, 3, 0)) {
+		t.Fatal("segment keys do not sort by generation, chunk, segment")
+	}
+	gen, id, seg, ok := ParseSegmentKey(SegmentKey(7, 0x1234, 0x56))
+	if !ok || gen != 7 || id != 0x1234 || seg != 0x56 {
+		t.Fatalf("ParseSegmentKey round trip: %d %d %d %v", gen, id, seg, ok)
+	}
+	for _, bad := range []string{"", "c00000001", "g1-c2-s3", "g00000001-c00000001", "gzzzzzzzz-c00000001-s00000000",
+		"g00000001-c0000000g-s00000000", "g00000001-c00000001-s0000000", "g00000001-c00000001-s00000000-s00000000"} {
+		if _, _, _, ok := ParseSegmentKey(bad); ok {
+			t.Fatalf("ParseSegmentKey accepted %q", bad)
+		}
+	}
+}
+
+// chainItem wraps miniCorpus's three doc records as one delta-chain item.
+func chainItem(t testing.TB, c *corpus.Corpus) Item {
+	t.Helper()
+	members, parents := []uint32{0, 2, 3}, []int32{-1, 0, 1}
+	enc, err := EncodeItem(c, members, parents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Item{CK: c.Record(0).CK, Members: members, Parents: parents, Encoded: enc}
+}
+
+// TestSegmentRoundTrip: a segment of a multi-member item and a single-record
+// one decodes to the records the items were built from, in slot order from
+// the first slot its header names; a selective decode returns the selected
+// slots only, decoding a delta chain whole when one member of it is wanted.
+func TestSegmentRoundTrip(t *testing.T) {
+	c := miniCorpus(t)
+	items := append(recordItems(t, c), chainItem(t, c))
+	seg, err := appendSegment(nil, 40, items, []uint32{4, 1}) // doc@0,1,2 then other@0
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, slots, recs, err := DecodeSegment(seg, nil)
+	if err != nil || first != 40 || slots != 4 || len(recs) != 4 {
+		t.Fatalf("decode: first %d, %d slots, %d records, %v", first, slots, len(recs), err)
+	}
+	for i, id := range []uint32{0, 2, 3, 1} {
+		if want := c.Record(id); recs[i].CK != want.CK || !bytes.Equal(recs[i].Value, want.Value) {
+			t.Fatalf("slot %d decoded to %v, want %v", 40+i, recs[i].CK, want.CK)
+		}
+	}
+	for _, tc := range []struct {
+		want []uint32
+		ids  []uint32
+	}{{[]uint32{42}, []uint32{3}}, {[]uint32{43}, []uint32{1}}, {[]uint32{40, 43, 99}, []uint32{0, 1}}, {[]uint32{7}, nil}} {
+		_, slots, got, err := DecodeSegment(seg, bitset.FromSlice(tc.want))
+		if err != nil || slots != 4 || len(got) != len(tc.ids) {
+			t.Fatalf("slots %v: %d records of %d slots, %v", tc.want, len(got), slots, err)
+		}
+		for i, id := range tc.ids {
+			if got[i].CK != c.Record(id).CK || !bytes.Equal(got[i].Value, c.Record(id).Value) {
+				t.Fatalf("slots %v: record %d is %v", tc.want, i, got[i].CK)
+			}
+		}
+	}
+	// The decoded values are private copies.
+	recs[3].Value[0] ^= 0xff
+	if _, _, again, _ := DecodeSegment(seg, nil); !bytes.Equal(again[3].Value, c.Record(1).Value) {
+		t.Fatal("a decoded value aliases the segment")
+	}
+}
+
+// TestDecodeSegmentRejects: every way a segment value can lie about itself is
+// ErrCorrupt, and the two counts are checked against the bytes that are left
+// before anything is sized by them.
+func TestDecodeSegmentRejects(t *testing.T) {
+	c := miniCorpus(t)
+	items := append(recordItems(t, c), chainItem(t, c))
+	good, err := appendSegment(nil, 0, items, []uint32{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := func(shared, multi uint64, suffix string) []byte {
+		return codec.PutBytes(codec.PutUvarint(nil, shared<<1|multi), []byte(suffix))
+	}
+	record := codec.PutBytes(codec.PutUvarint(nil, 3), []byte("v")) // version 3, value "v"
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// A chain whose every member is 32 copies of its parent — 64 B, 2 KiB,
+	// 64 KiB … 2 GiB — each a bdiff of ≈ 100 bytes: a length, then 32 × (copy,
+	// offset 0, the parent's length).
+	inflating := cat([]byte{0, 1}, item(0, 1, "k"), []byte{6}, []byte{0}, codec.PutVarint(nil, -1), codec.PutBytes(nil, bytes.Repeat([]byte("x"), 64)))
+	for m, size := 1, uint64(64); m < 6; m, size = m+1, 32*size {
+		delta := codec.PutUvarint(nil, 32*size)
+		for c := 0; c < 32; c++ {
+			delta = codec.PutUvarint(codec.PutUvarint(append(delta, 0), 0), size)
+		}
+		inflating = cat(inflating, []byte{0}, codec.PutVarint(nil, int64(m-1)), codec.PutBytes(nil, delta))
+	}
+	if len(inflating) > 4<<10 {
+		t.Fatalf("the inflating chain is %d bytes itself", len(inflating))
+	}
+	for name, seg := range map[string][]byte{
+		"members inflating 32× each":     inflating,
+		"trailing bytes":                 append(bytes.Clone(good), 7),
+		"truncated":                      good[:len(good)-1],
+		"first slot past uint32":         cat(codec.PutUvarint(nil, 1<<32), []byte{0}),
+		"item count past the payload":    cat([]byte{0}, codec.PutUvarint(nil, 1<<40), item(0, 0, "k"), record),
+		"shared prefix past the key":     cat([]byte{0, 2}, item(0, 0, "ab"), record, item(3, 0, "c"), record),
+		"shared prefix in first item":    cat([]byte{0, 1}, item(1, 0, "k"), record),
+		"member count past the payload":  cat([]byte{0, 1}, item(0, 1, "k"), codec.PutUvarint(nil, 1<<40), record),
+		"zero members":                   cat([]byte{0, 1}, item(0, 1, "k"), []byte{0}),
+		"member delta of a later member": cat([]byte{0, 1}, item(0, 1, "k"), []byte{2}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte("v")), []byte{4}, codec.PutVarint(nil, 1), codec.PutBytes(nil, []byte("d"))),
+	} {
+		if _, _, recs, err := DecodeSegment(seg, nil); !errors.Is(err, types.ErrCorrupt) || recs != nil {
+			t.Errorf("%s: %d records, %v", name, len(recs), err)
+		}
+	}
+}
+
+// TestJoinSegmentsRejects: a chunk's segments must all be there and each in
+// its place.
+func TestJoinSegmentsRejects(t *testing.T) {
+	rec := func(n int) []types.Record { return make([]types.Record, n) }
+	whole := func() []Part { return []Part{{2, 5, rec(1)}, {0, 0, rec(2)}, {1, 2, rec(3)}} } // scan order is arbitrary
+	st, err := JoinSegments(whole())
+	if err != nil || len(st.Records) != 6 || fmt.Sprint(st.Segments) != "[0 2 5]" {
+		t.Fatalf("join: %d records, segments %v, %v", len(st.Records), st.Segments, err)
+	}
+	if st, err := JoinSegments(nil); err != nil || len(st.Records) != 0 {
+		t.Fatalf("join of no segments: %v, %v", st, err)
+	}
+	missing := whole()[:2] // segments 2 and 0: 1 is gone
+	swapped := whole()
+	swapped[0].Index, swapped[2].Index = 1, 2 // values stored under each other's keys
+	for name, parts := range map[string][]Part{"missing middle": missing, "missing first": whole()[:1], "swapped": swapped} {
+		if _, err := JoinSegments(parts); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestAddChunkSegments lays a chunk of several segments out — single-record
+// items and delta-chain items of up to four members, assigned in shuffled
+// order — and checks the cut: segments tile the slots, every item lies
+// inside one segment, each segment but the last holds the target and not a
+// whole item more, slots follow composite-key order, and framing stays under
+// ten bytes per single-record item.
+func TestAddChunkSegments(t *testing.T) {
+	g := vgraph.New()
+	c := corpus.New(g)
+	rng := rand.New(rand.NewSource(22))
+	const keys, versions = 300, 4
+	value := func() []byte {
+		b := make([]byte, 200+rng.Intn(100))
+		rng.Read(b)
+		return b
+	}
+	for v := types.VersionID(0); v < versions; v++ {
+		if v == 0 {
+			g.AddRoot()
+		} else {
+			g.AddVersion(v - 1)
+		}
+		d := &types.Delta{}
+		for k := 0; k < keys; k++ {
+			if v > 0 {
+				d.Dels = append(d.Dels, types.CompositeKey{Key: types.Key(fmt.Sprintf("key-%05d", k)), Version: v - 1})
+			}
+			d.Adds = append(d.Adds, types.Record{CK: types.CompositeKey{Key: types.Key(fmt.Sprintf("key-%05d", k)), Version: v}, Value: value()})
+		}
+		if err := c.AddVersionDelta(v, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Even keys: one item per record. Odd keys: one chain item of all four
+	// versions (random values: members fall back to raw, parent −2).
+	var items []Item
+	itemOf := make([]int, c.NumRecords())
+	for k := 0; k < keys; k++ {
+		recs := c.KeyRecords(types.Key(fmt.Sprintf("key-%05d", k)))
+		if k%2 == 0 {
+			for _, id := range recs {
+				it, err := SingleRecordItem(c, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				itemOf[id] = len(items)
+				items = append(items, it)
+			}
+			continue
+		}
+		parents := []int32{-1, 0, 1, 2}
+		enc, err := EncodeItem(c, recs, parents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range recs {
+			itemOf[id] = len(items)
+		}
+		items = append(items, Item{CK: c.Record(recs[0]).CK, Members: recs, Parents: parents, Encoded: enc})
+	}
+	idxs := make([]uint32, len(items))
+	for i := range idxs {
+		idxs[i] = uint32(i)
+	}
+	rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
+
+	l := NewLayout(c, newFakeProj())
+	values, err := l.AddChunk(items, idxs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firsts := l.Segments(0)
+	if len(values) < 4 || len(firsts) != len(values) || firsts[0] != 0 {
+		t.Fatalf("%d segment values, first slots %v", len(values), firsts)
+	}
+	st := storedOf(t, values)
+	if len(st.Records) != c.NumRecords() || fmt.Sprint(st.Segments) != fmt.Sprint(firsts) {
+		t.Fatalf("stored: %d records in segments %v; layout has %d in %v", len(st.Records), st.Segments, c.NumRecords(), firsts)
+	}
+	segOf := func(slot uint32) int {
+		s := 0
+		for s+1 < len(firsts) && firsts[s+1] <= slot {
+			s++
+		}
+		return s
+	}
+	itemSeg := map[int]int{}
+	packed := make([]int, len(values)) // Σ len(Encoded) of the items in each segment
+	var prev types.CompositeKey
+	for slot, r := range st.Records {
+		id, ok := c.IDForCK(r.CK)
+		if !ok || !bytes.Equal(r.Value, c.Record(id).Value) || l.Loc(id) != (Loc{0, uint32(slot)}) {
+			t.Fatalf("slot %d holds %v; record %d is at %+v", slot, r.CK, id, l.Loc(id))
+		}
+		seg, it := segOf(uint32(slot)), itemOf[id]
+		if at, seen := itemSeg[it]; !seen {
+			itemSeg[it] = seg
+			packed[seg] += len(items[it].Encoded)
+			// Items follow the order of their representatives' keys.
+			if rep := items[it].CK; slot > 0 && (rep.Key < prev.Key || (rep.Key == prev.Key && rep.Version <= prev.Version)) {
+				t.Fatalf("slot %d: item of %v follows item of %v", slot, rep, prev)
+			}
+			prev = items[it].CK
+		} else if at != seg {
+			t.Fatalf("item %d straddles segments %d and %d", it, at, seg)
+		}
+	}
+	single, framing := 0, 0
+	for s, v := range values {
+		if s+1 < len(values) && (packed[s] < SegmentTarget || packed[s] >= SegmentTarget+4*310) {
+			t.Errorf("segment %d holds items packed to %d bytes; the target is %d", s, packed[s], SegmentTarget)
+		}
+		if len(v) > packed[s] {
+			t.Errorf("segment %d is %d bytes, its items were charged %d", s, len(v), packed[s])
+		}
+	}
+	// Framing of the single-record items: a chunk of only those.
+	var singles []uint32
+	for i, it := range items {
+		if len(it.Members) == 1 {
+			singles = append(singles, uint32(i))
+			single++
+			framing -= len(c.Record(it.Members[0]).Value)
+		}
+	}
+	values, err = NewLayout(c, newFakeProj()).AddChunk(items, singles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range values {
+		framing += len(v)
+	}
+	if per := float64(framing) / float64(single); per > 10 {
+		t.Errorf("%.1f bytes of framing per single-record item, want at most 10", per)
+	}
+}

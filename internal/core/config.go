@@ -16,16 +16,20 @@
 //     chunk; a larger one is two instances — its open records, still alive
 //     at a pending leaf and so read by every later version, and its closed
 //     ones, which only the batch's own versions read — chunked apart, open
-//     chunks first. Both paths lay chunks out and fill chunk maps and
-//     projections through the same chunk.Layout, and both persist through
-//     publish: new chunk payloads, one placement record, the root. A run
-//     that fails part-way poisons the Store (types.ErrPoisoned) until it is
-//     reopened.
-//   - Query Processing: the two lossy projections (version→chunks,
-//     key→chunks) pick chunks, MultiGet fetches them in parallel, and chunk
-//     maps extract the requested records; pending (not yet partitioned)
-//     versions are served by overlaying delta-store contents on the nearest
-//     partitioned ancestor.
+//     chunks first. Both paths lay chunks out — as key-ordered segments of
+//     ≈ 64 KiB, the unit a read transfers — and fill chunk maps and the
+//     version→chunks projection through the same chunk.Layout, and both
+//     persist through publish: new chunk segments, one placement record, the
+//     root. A run that fails part-way poisons the Store (types.ErrPoisoned)
+//     until it is reopened.
+//   - Query Processing: every query resolves the exact (chunk, slot) set it
+//     returns from memory — a version's slot bitmaps; for a key, its records'
+//     locations tested against the version's bitmaps — then MultiGets only
+//     the segments those slots fall in and decodes only those slots. The
+//     paper's second projection (key→chunks) and its index-ANDing are not
+//     kept: nothing is fetched to be found empty. Pending (not yet
+//     partitioned) versions are served by overlaying delta-store contents on
+//     the nearest partitioned ancestor.
 //
 // A Store is safe for concurrent use, but it must be the only writer of its
 // underlying cluster: commits, flushes, and Materialize coordinate through
@@ -36,8 +40,8 @@
 // them freely.
 //
 // The layer diagram lives in docs/ARCHITECTURE.md; every on-disk format the
-// engine persists through the cluster (root v3, placement log, delta store,
-// chunk generations) is specified in docs/FORMATS.md.
+// engine persists through the cluster (root v5, placement log, delta store,
+// chunk segments and their generations) is specified in docs/FORMATS.md.
 package core
 
 import (
@@ -95,8 +99,8 @@ type Config struct {
 	// with the caveat that shared mutable state is unsupported (§2.4);
 	// read-only replicas opened with Load are the safe multi-AS deployment.
 	ReadOnly bool
-	// QueryFetchBatch is the number of chunks a streaming query fetches
-	// from the KVS per round (default 8). Smaller batches surface the
+	// QueryFetchBatch is the number of chunks whose wanted segments a
+	// streaming query fetches from the KVS per round (default 8). Smaller batches surface the
 	// first records sooner and bound per-query server memory tighter;
 	// larger batches recover more of the fetch parallelism of the old
 	// materialize-everything path.
@@ -145,12 +149,13 @@ func (c Config) withDefaults(ctx context.Context) (Config, bool, error) {
 
 // KVS table names used by the engine.
 const (
-	// TableChunks holds chunk payloads, keyed by placement generation and
-	// chunk id, each written once and never rewritten. The paper stores the
-	// chunk map M_Ci alongside each chunk so one fetch returns both; here the
-	// application server holds every map in memory (in Store.layout, rebuilt
-	// from TablePlacement on Load), so a fetch needs only the payload and a
-	// new version never rewrites a chunk to extend its map.
+	// TableChunks holds chunk segments, keyed by placement generation, chunk
+	// id and segment index (chunk.SegmentKey), each written once and never
+	// rewritten. The paper stores the chunk map M_Ci alongside each chunk so
+	// one fetch returns both; here the application server holds every map in
+	// memory (in Store.layout, rebuilt from TablePlacement on Load), so a
+	// fetch needs only the segments its slots fall in and a new version never
+	// rewrites a chunk to extend its map.
 	TableChunks = "chunks"
 	// TablePlacement holds the append-only placement log: one record per
 	// flushed batch (one per full repartition) carrying its versions' graph
@@ -167,11 +172,13 @@ const (
 
 // QueryStats reports the cost of one retrieval operation.
 type QueryStats struct {
-	// Span is the number of chunks (or delta-store entries) fetched.
+	// Span is the number of chunks (or delta-store entries) consulted — the
+	// paper's cost of a query, whatever share of each chunk was transferred.
 	Span int
-	// Requests is the number of point requests issued to the KVS.
+	// Requests is the number of point requests issued to the KVS: one per
+	// chunk segment (or delta-store entry) fetched.
 	Requests int
-	// BytesRead is the response volume.
+	// BytesRead is the response volume: the fetched segments' bytes.
 	BytesRead int64
 	// SimElapsed is the simulated retrieval time under the cluster's cost
 	// model (request overhead + transfer + client-side scan).
@@ -179,7 +186,9 @@ type QueryStats struct {
 	// Records is the number of records returned.
 	Records int
 	// WastedChunks counts fetched chunks that contained no requested
-	// record — the lossy-projection artifact of §2.4.
+	// record — the lossy-projection artifact of §2.4. Queries resolve slots
+	// exactly before they fetch, so it stays 0; the field remains for the
+	// clients and benchmarks that report it.
 	WastedChunks int
 }
 

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"rstore/internal/chunk"
 	"rstore/internal/codec"
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
@@ -134,37 +136,45 @@ func TestFlushWriteVolumeDoesNotAge(t *testing.T) {
 }
 
 // TestFlushCrashMatrix fails a flush at each step of its crash order —
-// after the chunk write, after the placement record, after the root (the
-// commit point), and mid delta-drain — and checks that Load recovers every
-// version byte-exact, that the recovered store commits and flushes again
-// (reusing the orphaned chunk ids and record index), and that the result
-// survives another reload.
+// between two segments of one chunk, after the chunk write, after the
+// placement record, after the root (the commit point), and mid delta-drain —
+// and checks that Load recovers every version byte-exact, that the recovered
+// store commits and flushes again (reusing the orphaned chunk ids and record
+// index), and that the result survives another reload.
 func TestFlushCrashMatrix(t *testing.T) {
 	drainCalls := 0
 	stages := []struct {
 		name string
-		fail func(table string) bool
+		// fail is armed on the last node. Most stages run on one node and
+		// 256-byte chunks, which the batch overflows; between-segments needs
+		// a chunk of several segments (documents padded by pad bytes, twelve
+		// of them to four segments) on two nodes, one of which refuses its
+		// share of them.
+		fail            func(table string) bool
+		nodes, capacity int
+		pad             int
 	}{
-		{"after-chunks", func(table string) bool { return table == TablePlacement }},
-		{"after-record", func(table string) bool { return table == TableMeta }},
-		{"after-root", func(table string) bool { return table == TableDeltaStore }},
+		{"between-segments", func(table string) bool { return table == TableChunks }, 2, 8 * chunk.SegmentTarget, 28 << 10},
+		{"after-chunks", func(table string) bool { return table == TablePlacement }, 1, 256, 0},
+		{"after-record", func(table string) bool { return table == TableMeta }, 1, 256, 0},
+		{"after-root", func(table string) bool { return table == TableDeltaStore }, 1, 256, 0},
 		{"mid-drain", func(table string) bool {
 			if table == TableDeltaStore {
 				drainCalls++
 			}
 			return drainCalls > 1
-		}},
+		}, 1, 256, 0},
 	}
 	for _, stage := range stages {
 		t.Run(stage.name, func(t *testing.T) {
 			ctx := context.Background()
-			st, kv, backends := openFaulty(t, 1)
+			st, kv, backends := openFaultyCapacity(t, stage.nodes, stage.capacity)
 			want, versions := seedStore(t, st)
 			state := want[versions[len(versions)-1]]
 			parent := versions[len(versions)-1]
 			commit := func(s *Store, rev int) {
 				t.Helper()
-				val := fmt.Sprintf("doc-%d rev-%d content", rev%5, rev)
+				val := fmt.Sprintf("doc-%d rev-%d content", rev%5, rev) + strings.Repeat(".", stage.pad)
 				v, err := s.Commit(ctx, parent, Change{Puts: map[types.Key][]byte{
 					types.Key(fmt.Sprintf("doc-%d", rev%5)): []byte(val),
 					types.Key(fmt.Sprintf("new-%d", rev)):   []byte(val),
@@ -180,20 +190,30 @@ func TestFlushCrashMatrix(t *testing.T) {
 				}
 				want[v], state, parent = next, next, v
 			}
-			// Six commits, 12 records of ≈ 36 B: larger than the 256 B
-			// chunk capacity, so the faulted flush is a split one (open
-			// and closed chunks; rev 105 supersedes rev 100's doc-0).
+			// Six commits, 12 records of ≈ 36 B: larger than the 256 B chunk
+			// capacity, so the faulted flush is a split one (open and
+			// closed chunks; rev 105 supersedes rev 100's doc-0).
 			for rev := 100; rev < 106; rev++ {
 				commit(st, rev)
 			}
 
-			backends[0].arm(stage.fail)
+			seeded := st.NumChunks()
+			last := backends[len(backends)-1]
+			last.arm(stage.fail)
 			if err := st.Flush(ctx); !errors.Is(err, errInjected) {
 				t.Fatalf("flush under fault: %v", err)
 			}
-			backends[0].arm(nil)
+			last.arm(nil)
+			if stage.nodes > 1 {
+				// The poisoned store's layout knows how the batch's chunks
+				// were cut: some of them must be on disk in part.
+				partial := partialChunks(storedSegments(t, kv, st.gen), st.layout)
+				if len(partial) == 0 || slices.Min(partial) < chunk.ID(seeded) {
+					t.Fatalf("precondition: partially written chunks %v, want some, all at or past chunk %d", partial, seeded)
+				}
+			}
 
-			re, err := Load(ctx, Config{KV: kv, ChunkCapacity: 256})
+			re, err := Load(ctx, Config{KV: kv, ChunkCapacity: stage.capacity})
 			if err != nil {
 				t.Fatalf("load after interrupted flush: %v", err)
 			}
@@ -207,7 +227,11 @@ func TestFlushCrashMatrix(t *testing.T) {
 				t.Fatalf("%d versions pending after the re-flush", re.PendingVersions())
 			}
 
-			re2, err := Load(ctx, Config{KV: kv, ChunkCapacity: 256})
+			if partial := partialChunks(storedSegments(t, kv, re.gen), re.layout); len(partial) != 0 {
+				t.Fatalf("chunks %v are still stored in part after load and re-flush", partial)
+			}
+
+			re2, err := Load(ctx, Config{KV: kv, ChunkCapacity: stage.capacity})
 			if err != nil {
 				t.Fatalf("reload: %v", err)
 			}
@@ -221,19 +245,20 @@ func TestFlushCrashMatrix(t *testing.T) {
 }
 
 // TestLoadRefusesOlderManifest: a format-2 manifest (chunk maps inside the
-// chunk values, no placement log) and a format-3 root (this root's fields,
-// over placement records that also list each version's composite keys) must
-// be refused with the re-initialize error, not misread.
+// chunk values, no placement log), a format-3 root (this root's fields, over
+// placement records that also list each version's composite keys) and a
+// format-4 root (the same fields again, over chunks stored as one payload
+// each) must be refused with the re-initialize error, not misread.
 func TestLoadRefusesOlderManifest(t *testing.T) {
 	ctx := context.Background()
-	for _, ver := range []uint64{2, 3} {
+	for _, ver := range []uint64{2, 3, 4} {
 		kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Five zero fields after the version: v2's generation, versions,
-		// chunks, pending, branches; v3's generation, chunks, placement
-		// records, placed versions, branches.
+		// chunks, pending, branches; v3's and v4's generation, chunks,
+		// placement records, placed versions, branches.
 		root := codec.PutUvarint(nil, ver)
 		for i := 0; i < 5; i++ {
 			root = codec.PutUvarint(root, 0)
@@ -277,6 +302,93 @@ func TestLoadDetectsMissingPlacementRecord(t *testing.T) {
 	}
 	if _, err := Load(ctx, Config{KV: kv}); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("load with placement record 1 of 3 missing: %v", err)
+	}
+}
+
+// TestDamagedSegmentsAreCorrupt: a chunk the root counts is whole or the
+// store is corrupt. With one segment of it missing — first, middle or last —
+// or two stored under each other's keys, Load refuses with ErrCorrupt rather
+// than open a shorter or shuffled chunk, and a store that is already open
+// answers a read that needs the damaged segment with ErrCorrupt too.
+func TestDamagedSegmentsAreCorrupt(t *testing.T) {
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{KV: kv, ChunkCapacity: 8 * chunk.SegmentTarget}
+	st, err := Open(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := map[types.Key][]byte{}
+	for i := 0; i < 64; i++ { // 64 records of 4 KiB: one chunk of four segments
+		puts[key(i)] = []byte(strings.Repeat(fmt.Sprintf("%02d", i), 2<<10))
+	}
+	v0, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: puts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	segs := st.layout.Segments(0)
+	if st.NumChunks() != 1 || len(segs) != 4 {
+		t.Fatalf("precondition: %d chunks, chunk 0 in segments %v", st.NumChunks(), segs)
+	}
+	values := make([][]byte, len(segs))
+	for i := range segs {
+		if values[i], err = kv.Get(ctx, TableChunks, chunk.SegmentKey(st.gen, 0, uint32(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restore := func() {
+		t.Helper()
+		for i, value := range values {
+			if err := kv.Put(ctx, TableChunks, chunk.SegmentKey(st.gen, 0, uint32(i)), value); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// keyIn is a key whose record sits in segment i: slots follow key order.
+	keyIn := func(i int) types.Key { return key(int(segs[i])) }
+	check := func(damage string, touched ...int) {
+		t.Helper()
+		if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%s: Load returned %v, want ErrCorrupt", damage, err)
+		}
+		for _, i := range touched {
+			if _, _, err := st.GetRecord(ctx, keyIn(i), v0); !errors.Is(err, types.ErrCorrupt) {
+				t.Errorf("%s: point read in segment %d returned %v, want ErrCorrupt", damage, i, err)
+			}
+		}
+		if _, _, err := st.GetVersionAll(ctx, v0); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%s: version read returned %v, want ErrCorrupt", damage, err)
+		}
+		restore()
+	}
+	for i := range segs {
+		if err := kv.Delete(ctx, TableChunks, chunk.SegmentKey(st.gen, 0, uint32(i))); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("segment %d of %d missing", i, len(segs)), i)
+	}
+	for _, swap := range [][2]int{{1, 2}, {0, 3}} {
+		for j := 0; j < 2; j++ {
+			if err := kv.Put(ctx, TableChunks, chunk.SegmentKey(st.gen, 0, uint32(swap[j])), values[swap[1-j]]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("segments %d and %d stored under each other's keys", swap[0], swap[1]), swap[0], swap[1])
+	}
+
+	if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); err != nil {
+		t.Fatalf("the segments, put back: %v", err)
+	}
+	for i := range segs {
+		if rec, stats, err := st.GetRecord(ctx, keyIn(i), v0); err != nil || string(rec.Value) != string(puts[keyIn(i)]) || stats.BytesRead != int64(len(values[i])) {
+			t.Fatalf("point read in segment %d, restored: %v, %+v (the segment is %d bytes)", i, err, stats, len(values[i]))
+		}
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"sort"
 	"testing"
 
+	"rstore/internal/chunk"
 	"rstore/internal/corpus"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
@@ -107,26 +109,72 @@ func storedDigest(t *testing.T, kv *kvstore.Store, tables ...string) (string, in
 	return hex.EncodeToString(h.Sum(nil)), size
 }
 
+// membershipDigest hashes which records each chunk holds — per chunk id, the
+// sorted set of its composite keys — and nothing of how they are laid out
+// inside it. It reads only the record → chunk catalog, so it is computed the
+// same way on either side of a change to the stored format.
+func membershipDigest(st *Store) string {
+	perChunk := make([][]string, st.layout.NumChunks())
+	for rec := 0; rec < st.corpus.NumRecords(); rec++ {
+		if loc := st.layout.Loc(uint32(rec)); loc.Chunk != chunk.NoChunk {
+			ck := st.corpus.Record(uint32(rec)).CK
+			perChunk[loc.Chunk] = append(perChunk[loc.Chunk], fmt.Sprintf("%q@%d", string(ck.Key), ck.Version))
+		}
+	}
+	h := sha256.New()
+	for cid, cks := range perChunk {
+		sort.Strings(cks)
+		fmt.Fprintf(h, "chunk %d: %d\n", cid, len(cks))
+		for _, ck := range cks {
+			fmt.Fprintln(h, ck)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestGoldenStoredBytes pins what placement writes, byte for byte, in two
-// halves — the chunk payloads, and the placement records plus the root — of a
+// halves — the chunk segments, and the placement records plus the root — of a
 // bulk load (sub-chunk k = 1 and 3) and of a commit-by-commit replay with
 // online batches of four. A refactor of the layout or publish code must leave
 // every digest as it is; a format change must say so by changing them.
 //
+// Beside them it pins which records each chunk holds (membershipDigest). Those
+// three digests were taken on the commit before segmented chunks (root v4, one
+// payload per chunk, slots in assignment order): a change of the stored format
+// re-pins the byte digests and must leave these alone — the partitioner is
+// charged what it was charged, so spans and chunk ids do not move.
+//
+// The framing a chunk spends per record is bounded too: key-ordered,
+// front-coded segments take at most 10 bytes beyond the value for a
+// single-record item (5.7–5.9 on this corpus, segment headers included; one
+// payload per chunk with every key and item header spelled out took 14.1).
+//
 // The placement log must also stay a small share of the chunk bytes: it holds
 // parent edges and slot bitmaps only, and a version's composite keys — which
 // the bitmaps and the payloads already determine — must not creep back in.
-// On these three stores (tiny chunks, 96-byte records) log and root are 7.3 %,
-// 11.9 % and 8.2 % of the chunk bytes; format v3, which wrote the keys, had
-// 25.5 %, 40.8 % and 26.4 %.
+// On these three stores (tiny chunks, 96-byte records) log and root are 7.9 %,
+// 13.5 % and 8.9 % of the chunk bytes; format v3, which wrote the keys, had
+// 25.5 %, 40.8 % and 26.4 % of chunks that were 8 % larger.
 func TestGoldenStoredBytes(t *testing.T) {
 	ctx := context.Background()
 	const maxLogShare = 0.15
-	check := func(name string, kv *kvstore.Store, wantChunks, wantLog string) {
+	check := func(name string, st *Store, kv *kvstore.Store, wantChunks, wantLog, wantMembers string) {
 		t.Helper()
 		chunks, chunkBytes := storedDigest(t, kv, TableChunks)
 		if chunks != wantChunks {
-			t.Errorf("%s: chunk payloads digest %s, want %s", name, chunks, wantChunks)
+			t.Errorf("%s: chunk segments digest %s, want %s", name, chunks, wantChunks)
+		}
+		if members := membershipDigest(st); members != wantMembers {
+			t.Errorf("%s: chunk membership digest %s, want %s", name, members, wantMembers)
+		}
+		if st.cfg.SubChunkK == 1 {
+			valueBytes := 0
+			for rec := 0; rec < st.corpus.NumRecords(); rec++ {
+				valueBytes += len(st.corpus.Record(uint32(rec)).Value)
+			}
+			if framing := float64(chunkBytes-valueBytes) / float64(st.corpus.NumRecords()); framing > 10 {
+				t.Errorf("%s: %.1f bytes of framing per single-record item, want at most 10", name, framing)
+			}
 		}
 		log, logBytes := storedDigest(t, kv, TablePlacement, TableMeta)
 		if log != wantLog {
@@ -139,21 +187,22 @@ func TestGoldenStoredBytes(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name            string
-		k               int
-		chunks, logRoot string
+		name                     string
+		k                        int
+		chunks, logRoot, members string
 	}{
-		{"bulkload-k1", 1, "af4b5c8ed3677327e2e5f9b8b56ee447816fd1694ae53a59cae79633f699320f", "c82f7048916e74f94b89433bb17619bcb20ef02f7e00e9042b90ca9a879eb075"},
-		{"bulkload-k3", 3, "c4d2d6c32fdc70908df2a48e8b1f706c80f10dc56fe83a819c0b3dec30e5fe0a", "779b0246bcf5932c1a87f2f897261bc1b5ea2819079f8f3e0fd602267dfe62e5"},
+		{"bulkload-k1", 1, "c58fb72aa37fe5e74fca03359854750862a417ce987c07c09feccc3ca171110d", "a3148b06a5acab16f31ad515b3eb1ccc229ad91e35c20e966ad0c9a4e4490e0c", "490b74fc04714589ab78f283032bf8e666244678b4622d06ceebd3db9c9b7449"},
+		{"bulkload-k3", 3, "f0f1916d4b848495015fa5c44c0054ff36b7c22bcd5918c41e1b16d98f8acbde", "ff9b014b8b77b548d5c52ad54e210cf3fc8bc8cf555eb0c566dd95dfc47599b2", "53036a4c05f08cd70eeba15ae6b274bbdd970b9d9c58e4af9deb8f82ec2428ce"},
 	} {
 		st, kv := openGolden(t, Config{SubChunkK: tc.k})
 		if err := st.BulkLoad(ctx, goldenCorpus(t)); err != nil {
 			t.Fatal(err)
 		}
-		check(tc.name, kv, tc.chunks, tc.logRoot)
+		check(tc.name, st, kv, tc.chunks, tc.logRoot, tc.members)
 	}
 
 	st, kv := openGolden(t, Config{BatchSize: 4})
 	replayGolden(t, st)
-	check("replay-batch4", kv, "3453b0db2e61e258bf9ec97aee679aba819040e1e8a417ca59ee710b1cbe586c", "da2c356fc609e7eec17c4177a82f2b5a7b26c581a4ddb71a1b3626a643ef0f26")
+	check("replay-batch4", st, kv, "a4b95c03d180b241fd062569f4a480aa7c86950d0e36a090aa4bcd55c177a107", "ce84082d04fe758d1c2a251874a9e7b9d449a18635f127bcfb99360630c17af2",
+		"152a3547b1e2aa8e838538e57c0a4ccee7d8f647073ea2e362a79f12625ea8d2")
 }

@@ -18,9 +18,10 @@ type Info struct {
 	// TotalVersionSpan is Σ_v |chunks(v)| — the partitioning-quality
 	// metric.
 	TotalVersionSpan int
-	// VersionIndexBytes / KeyIndexBytes are the in-memory projection
-	// footprints (the paper: "these indexes can easily fit in ... main
-	// memory").
+	// VersionIndexBytes / KeyIndexBytes are the footprints of the paper's two
+	// projections as it reports them, adjacency lists of 4-byte chunk ids
+	// ("these indexes can easily fit in ... main memory"). The key→chunks
+	// figure is computed from the records' locations: no such index is kept.
 	VersionIndexBytes int64
 	KeyIndexBytes     int64
 	// Branches is the number of named branches.
@@ -31,7 +32,12 @@ type Info struct {
 func (s *Store) Info() Info {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	vb, kb := s.proj.SizeBytes()
+	var kb int64
+	for _, k := range s.corpus.Keys() {
+		if span := s.keySpan(k); span > 0 {
+			kb += int64(len(k) + 4*span)
+		}
+	}
 	return Info{
 		Versions:          s.graph.NumVersions(),
 		PendingVersions:   s.numPending(),
@@ -39,7 +45,7 @@ func (s *Store) Info() Info {
 		Keys:              s.corpus.NumKeys(),
 		Chunks:            s.layout.NumChunks(),
 		TotalVersionSpan:  s.proj.TotalVersionSpan(),
-		VersionIndexBytes: vb,
+		VersionIndexBytes: s.proj.SizeBytes(),
 		KeyIndexBytes:     kb,
 		Branches:          len(s.branches),
 	}

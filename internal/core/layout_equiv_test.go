@@ -83,13 +83,103 @@ func checkSamePlacement(t *testing.T, phase string, live, re *Store) {
 		t.Fatalf("%s: %d sorted keys live, %d reloaded", phase, len(live.sortedKeys), len(re.sortedKeys))
 	}
 	for _, k := range live.sortedKeys {
-		if a, b := live.proj.KeyChunks(k), re.proj.KeyChunks(k); !slices.Equal(a, b) {
-			t.Fatalf("%s: key %s in chunks %v live, %v reloaded", phase, k, a, b)
+		if a, b := live.keySpan(k), re.keySpan(k); a != b {
+			t.Fatalf("%s: key %s spans %d chunks live, %d reloaded", phase, k, a, b)
 		}
 	}
-	if live.proj.NumVersions() != re.proj.NumVersions() || live.proj.NumKeys() != re.proj.NumKeys() {
+	if live.proj.NumVersions() != re.proj.NumVersions() {
 		t.Fatalf("%s: projection sizes differ", phase)
 	}
+}
+
+// sessionCommit is one commit of a generated session: its parents, its
+// tree-edge delta against parents[0], and the contents it results in.
+type sessionCommit struct {
+	parents []types.VersionID
+	delta   *types.Delta
+	state   map[types.Key]types.Record
+}
+
+// session is a seeded history of branched delta commits; commits[v] makes
+// version v.
+type session struct {
+	commits []sessionCommit
+	// remerged counts records a merge re-added from its second parent,
+	// refilled those of them that went under the version that deletes
+	// everything.
+	remerged, refilled int
+}
+
+// branchySession generates commits versions over nkeys keys: a root holding
+// all of them, then commits off random earlier versions that each rewrite or
+// delete about a fifth of their parent's keys, 40 % of them merges that take
+// the second parent's record for some keys where the branches differ —
+// re-adding records that exist elsewhere. Version 20 deletes everything and
+// versions 21 and 22 build on it, so only such re-adds bring records back
+// there.
+func branchySession(rng *rand.Rand, commits, nkeys int, value func(k, step int) []byte) session {
+	var se session
+	states := func(v types.VersionID) map[types.Key]types.Record { return se.commits[v].state }
+	root := map[types.Key]types.Record{}
+	rootDelta := &types.Delta{}
+	for i := 0; i < nkeys; i++ {
+		r := types.Record{CK: types.CompositeKey{Key: key(i), Version: 0}, Value: value(i, 0)}
+		root[r.CK.Key] = r
+		rootDelta.Adds = append(rootDelta.Adds, r)
+	}
+	se.commits = append(se.commits, sessionCommit{[]types.VersionID{types.InvalidVersion}, rootDelta, root})
+
+	const emptied = types.VersionID(20) // the version that deletes everything
+	for step := 1; step < commits; step++ {
+		v := types.VersionID(step)
+		parent := types.VersionID(rng.Intn(step))
+		if step == 21 || step == 22 {
+			parent = emptied // build on it at least twice
+		}
+		parents := []types.VersionID{parent}
+		state := map[types.Key]types.Record{}
+		for k, r := range states(parent) {
+			state[k] = r
+		}
+		delta := &types.Delta{}
+		for i := 0; i < nkeys; i++ {
+			k := key(i)
+			if old, live := state[k]; live && (v == emptied || rng.Float64() < 0.2) {
+				delta.Dels = append(delta.Dels, old.CK)
+				if v == emptied || rng.Float64() < 0.15 {
+					delete(state, k)
+					continue
+				}
+				r := types.Record{CK: types.CompositeKey{Key: k, Version: v}, Value: value(i, step)}
+				delta.Adds, state[k] = append(delta.Adds, r), r
+			}
+		}
+		if other := types.VersionID(rng.Intn(step)); other != parent && v != emptied && (parent == emptied || rng.Float64() < 0.4) {
+			// Merge: take other's record for every key where the branches
+			// differ and this commit has not touched the key — re-adding
+			// records that are already placed (or pending) elsewhere. Keys in
+			// order: the delta must not depend on map iteration.
+			parents = append(parents, other)
+			for i := 0; i < nkeys; i++ {
+				k := key(i)
+				theirs, has := states(other)[k]
+				ours, live := states(parent)[k]
+				if !has || state[k].CK != ours.CK || (live && ours.CK == theirs.CK) || rng.Float64() < 0.5 {
+					continue
+				}
+				if live {
+					delta.Dels = append(delta.Dels, ours.CK)
+				}
+				delta.Adds, state[k] = append(delta.Adds, theirs), theirs
+				se.remerged++
+				if len(states(parent)) == 0 {
+					se.refilled++
+				}
+			}
+		}
+		se.commits = append(se.commits, sessionCommit{parents, delta, state})
+	}
+	return se
 }
 
 // TestLiveEqualsReloadedPlacement: the layout a store grows in memory — by
@@ -150,66 +240,13 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 			}
 			states = append(states, state)
 		}
-		root := map[types.Key]types.Record{}
-		rootDelta := &types.Delta{}
-		for i := 0; i < 24; i++ {
-			r := types.Record{CK: types.CompositeKey{Key: key(i), Version: 0}, Value: payload(rng, i, 0)}
-			root[r.CK.Key] = r
-			rootDelta.Adds = append(rootDelta.Adds, r)
-		}
-		commit([]types.VersionID{types.InvalidVersion}, root, rootDelta)
-
-		remerged, refilled, splitFlushes := 0, 0, 0
-		emptied := types.InvalidVersion // the version that deletes everything, and its line
-		for step := 1; step < 60; step++ {
-			v := types.VersionID(len(states))
-			parent := types.VersionID(rng.Intn(len(states)))
-			if step == 21 || step == 22 {
-				parent = emptied // build on it at least twice
+		se := branchySession(rng, 60, 24, func(k, step int) []byte { return payload(rng, k, step) })
+		splitFlushes := 0
+		for step, sc := range se.commits {
+			commit(sc.parents, sc.state, sc.delta)
+			if step == 0 {
+				continue
 			}
-			parents := []types.VersionID{parent}
-			state := map[types.Key]types.Record{}
-			for k, r := range states[parent] {
-				state[k] = r
-			}
-			delta := &types.Delta{}
-			for i := 0; i < 24; i++ {
-				k := key(i)
-				if old, live := state[k]; live && (step == 20 || rng.Float64() < 0.2) {
-					delta.Dels = append(delta.Dels, old.CK)
-					if step == 20 || rng.Float64() < 0.15 {
-						delete(state, k)
-						continue
-					}
-					r := types.Record{CK: types.CompositeKey{Key: k, Version: v}, Value: payload(rng, i, step)}
-					delta.Adds, state[k] = append(delta.Adds, r), r
-				}
-			}
-			if step == 20 {
-				emptied = v
-			}
-			if other := types.VersionID(rng.Intn(len(states))); other != parent && step != 20 && (parent == emptied || rng.Float64() < 0.4) {
-				// Merge: take other's record for every key where the branches
-				// differ and this commit has not touched the key — re-adding
-				// records that are already placed (or pending) elsewhere.
-				parents = append(parents, other)
-				for k, theirs := range states[other] {
-					ours, live := states[parent][k]
-					if state[k].CK != ours.CK || (live && ours.CK == theirs.CK) || rng.Float64() < 0.5 {
-						continue
-					}
-					if live {
-						delta.Dels = append(delta.Dels, ours.CK)
-					}
-					delta.Adds, state[k] = append(delta.Adds, theirs), theirs
-					remerged++
-					if len(states[parent]) == 0 {
-						refilled++
-					}
-				}
-			}
-			commit(parents, state, delta)
-
 			switch {
 			case step == 35:
 				if err := st.Materialize(ctx); err != nil {
@@ -229,9 +266,9 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 				reload(fmt.Sprintf("with a pending tail at step %d", step))
 			}
 		}
-		if len(states[emptied]) != 0 || remerged == 0 || refilled == 0 || splitFlushes == 0 || st.NumChunks() < 4 {
-			t.Fatalf("seed %d: version %d holds %d records, %d re-added records (%d under the emptied version), %d split flushes, %d chunks: the session exercises too little",
-				seed, emptied, len(states[emptied]), remerged, refilled, splitFlushes, st.NumChunks())
+		if se.remerged == 0 || se.refilled == 0 || splitFlushes == 0 || st.NumChunks() < 4 {
+			t.Fatalf("seed %d: %d re-added records (%d under the emptied version), %d split flushes, %d chunks: the session exercises too little",
+				seed, se.remerged, se.refilled, splitFlushes, st.NumChunks())
 		}
 		checkAnswers("at the end, live", st)
 	}

@@ -18,15 +18,17 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 4 took the versions'
-// composite-key deltas out of the placement records, whose slot bitmaps
-// already imply them; a version-3 store wrote both, a version-2 store carried
-// chunk maps inside the chunk values, version 1 used unprefixed chunk keys,
-// and all three must be re-initialized, not misread.
-const manifestVersion = 4
+// manifestVersion guards the on-disk format. Version 5 stores a chunk as
+// key-ordered, front-coded segment values (chunk.SegmentKey) in place of one
+// payload; version 4 took the versions' composite-key deltas out of the
+// placement records, whose slot bitmaps already imply them; a version-3 store
+// wrote both, a version-2 store carried chunk maps inside the chunk values,
+// version 1 used unprefixed chunk keys, and all four must be re-initialized,
+// not misread.
+const manifestVersion = 5
 
 // placementKey renders the key of the idx-th placement record of a
-// generation; like chunk.KVKey it carries the generation, so a full
+// generation; like chunk.SegmentKey it carries the generation, so a full
 // repartition writes a fresh log beside the live one.
 func placementKey(gen, idx uint32) string { return fmt.Sprintf("g%08x-p%08x", gen, idx) }
 
@@ -131,12 +133,12 @@ type chunkBits struct {
 }
 
 // applyPlacement folds one placement record into a store being loaded.
-// slots[c] is what chunk c's payload decoded to, in slot order. The record's
+// chunks[c] is what chunk c's segments decoded to. The record's
 // map deltas are decoded first; each of its versions, in id order, then gets
 // the tree-edge delta its bitmaps imply (deltaFromBitmaps) and extends the
 // graph and the corpus; only then do the map deltas extend the layout, which
 // resolves a new chunk's records through the corpus the versions just filled.
-func (s *Store) applyPlacement(buf []byte, slots [][]types.Record) error {
+func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
 	first, rest, err := codec.Uvarint(buf)
 	if err != nil {
 		return err
@@ -194,13 +196,13 @@ func (s *Store) applyPlacement(buf []byte, slots [][]types.Record) error {
 		if enc, rest, err = codec.Bytes(rest); err != nil {
 			return err
 		}
-		if cid >= uint64(len(slots)) {
-			return fmt.Errorf("%w: placement record names chunk %d, the root counts %d", types.ErrCorrupt, cid, len(slots))
+		if cid >= uint64(len(chunks)) {
+			return fmt.Errorf("%w: placement record names chunk %d, the root counts %d", types.ErrCorrupt, cid, len(chunks))
 		}
 		if i > 0 && chunk.ID(cid) <= deltas[i-1].cid {
 			return fmt.Errorf("%w: placement record lists chunk %d after chunk %d", types.ErrCorrupt, cid, deltas[i-1].cid)
 		}
-		m, err := chunk.DecodeMap(enc, len(slots[cid]))
+		m, err := chunk.DecodeMap(enc, len(chunks[cid].Records))
 		if err != nil {
 			return err
 		}
@@ -231,12 +233,12 @@ func (s *Store) applyPlacement(buf []byte, slots [][]types.Record) error {
 				}
 			}
 		}
-		if err := s.replayVersion(v, parents[i], deltaFromBitmaps(span, parentSpan, slots)); err != nil {
+		if err := s.replayVersion(v, parents[i], deltaFromBitmaps(span, parentSpan, chunks)); err != nil {
 			return err
 		}
 	}
 	for _, d := range deltas {
-		if err := s.layout.Restore(d.cid, d.m, slots[d.cid]); err != nil {
+		if err := s.layout.Restore(d.cid, d.m, chunks[d.cid]); err != nil {
 			return err
 		}
 	}
@@ -247,11 +249,11 @@ func (s *Store) applyPlacement(buf []byte, slots [][]types.Record) error {
 // bitmaps and its tree parent's (both ascending by chunk; no parent span for
 // the root): over the chunks of either, a slot set for the version and not
 // for the parent is an add, one set for the parent and not for the version a
-// delete, each resolved through slots, the chunks' decoded records — every
-// slot of a bitmap indexes them, which chunk.DecodeMap saw to. Adds come out
+// delete, each resolved through the chunks' decoded records — every slot of a
+// bitmap indexes them, which chunk.DecodeMap saw to. Adds come out
 // in ascending (chunk, slot) order, which is the order Load hands out record
 // ids in.
-func deltaFromBitmaps(cur, parent []chunkBits, slots [][]types.Record) *types.Delta {
+func deltaFromBitmaps(cur, parent []chunkBits, chunks []chunk.Stored) *types.Delta {
 	delta := &types.Delta{}
 	// resolve visits the records of chunk cid at the slots in has and not in
 	// hasNot (nil: none to exclude).
@@ -261,7 +263,7 @@ func deltaFromBitmaps(cur, parent []chunkBits, slots [][]types.Record) *types.De
 			has.AndNot(hasNot)
 		}
 		has.ForEach(func(slot uint32) bool {
-			visit(slots[cid][slot])
+			visit(chunks[cid].Records[slot])
 			return true
 		})
 	}
@@ -320,13 +322,13 @@ func (s *Store) Checkpoint(ctx context.Context) error {
 }
 
 // Load reopens a store previously persisted to kv: the root names the
-// placement generation and how much of it is committed, the chunk entries
-// decode to their records in slot order, and the generation's placement
-// records fold in order: each version's delta is read off its slot bitmaps
-// and its parent's (applyPlacement) into the graph and the corpus, and the
-// bitmaps go through chunk.Layout.Restore into the locations, chunk maps and
-// projections. Record ids are handed out in that fold's order and are local
-// to the process; nothing persisted names one.
+// placement generation and how much of it is committed, each chunk's segment
+// entries decode and join to its records in slot order, and the generation's
+// placement records fold in order: each version's delta is read off its slot
+// bitmaps and its parent's (applyPlacement) into the graph and the corpus,
+// and the bitmaps go through chunk.Layout.Restore into the locations, chunk
+// maps and the projection. Record ids are handed out in that fold's order and
+// are local to the process; nothing persisted names one.
 //
 // Load also finishes what a crash interrupted. Flush persists in the order
 // chunks → placement record → root → delta-store drain, so a crash leaves at
@@ -359,28 +361,31 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		return fail(err)
 	}
 
-	// Recover record payloads and slot layouts from the live chunks. Entries
-	// of other generations are debris of an interrupted full repartition — a
-	// newer generation whose root never committed, or an older one whose
-	// cleanup was cut short — and entries at or past the root's chunk count
-	// are orphans of an interrupted flush; both are skipped here and
-	// garbage-collected below.
-	slots := make([][]types.Record, numChunks) // chunk id → slot → record
+	// Recover record payloads and slot layouts from the live chunks' segments.
+	// Entries of other generations are debris of an interrupted full
+	// repartition — a newer generation whose root never committed, or an older
+	// one whose cleanup was cut short — and segments of chunks at or past the
+	// root's chunk count are orphans of an interrupted flush, which may have
+	// written some segments of a chunk and not others; both are skipped here
+	// and garbage-collected below, key by key.
+	parts := make([][]chunk.Part, numChunks) // chunk id → its decoded segments, in scan order
 	var debrisChunks, debrisPlacements []string
 	var loadErr error
-	scanErr := kv.Scan(ctx, TableChunks, func(key string, payload []byte) bool {
-		g, cid, ok := chunk.ParseKVKey(key)
+	scanErr := kv.Scan(ctx, TableChunks, func(key string, value []byte) bool {
+		g, cid, seg, ok := chunk.ParseSegmentKey(key)
 		if !ok {
-			loadErr = fmt.Errorf("%w: bad chunk key %q", types.ErrCorrupt, key)
+			loadErr = fmt.Errorf("%w: bad chunk segment key %q", types.ErrCorrupt, key)
 			return false
 		}
 		if g != s.gen || cid >= numChunks {
 			debrisChunks = append(debrisChunks, key)
 			return true
 		}
-		if slots[cid], loadErr = chunk.DecodeChunk(payload); loadErr != nil {
+		part := chunk.Part{Index: seg}
+		if part.First, _, part.Records, loadErr = chunk.DecodeSegment(value, nil); loadErr != nil {
 			return false
 		}
+		parts[cid] = append(parts[cid], part)
 		return true
 	})
 	if scanErr != nil {
@@ -388,6 +393,15 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	}
 	if loadErr != nil {
 		return fail(loadErr)
+	}
+	// A counted chunk is whole or the store is corrupt: its segments must be
+	// all there and in their places (JoinSegments), and hold the slots its map
+	// counts (applyPlacement).
+	chunks := make([]chunk.Stored, numChunks)
+	for cid := range parts {
+		if chunks[cid], err = chunk.JoinSegments(parts[cid]); err != nil {
+			return fail(fmt.Errorf("chunk %d: %w", cid, err))
+		}
 	}
 
 	// Delta store: whole entries keyed by version, for the replay of unplaced
@@ -444,7 +458,7 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		if rec == nil {
 			return fail(fmt.Errorf("%w: placement record %s missing", types.ErrCorrupt, placementKey(s.gen, uint32(idx))))
 		}
-		if err := s.applyPlacement(rec, slots); err != nil {
+		if err := s.applyPlacement(rec, chunks); err != nil {
 			return fail(err)
 		}
 	}

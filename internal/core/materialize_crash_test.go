@@ -59,8 +59,16 @@ func (b *faultBackend) BatchPut(ctx context.Context, table string, entries []eng
 	return b.Backend.BatchPut(ctx, table, entries)
 }
 
-// openFaulty builds a store over fault-injectable backends.
+// openFaulty builds a store of 256-byte chunks over fault-injectable backends.
 func openFaulty(t *testing.T, nodes int) (*Store, *kvstore.Store, []*faultBackend) {
+	t.Helper()
+	return openFaultyCapacity(t, nodes, 256)
+}
+
+// openFaultyCapacity is openFaulty with a chunk capacity of the caller's:
+// one above chunk.SegmentTarget gives chunks of several segments, which the
+// ring spreads over the nodes.
+func openFaultyCapacity(t *testing.T, nodes, capacity int) (*Store, *kvstore.Store, []*faultBackend) {
 	t.Helper()
 	backends := make([]*faultBackend, nodes)
 	kv, err := kvstore.Open(context.Background(), kvstore.Config{
@@ -73,11 +81,39 @@ func openFaulty(t *testing.T, nodes int) (*Store, *kvstore.Store, []*faultBacken
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(context.Background(), Config{KV: kv, ChunkCapacity: 256})
+	st, err := Open(context.Background(), Config{KV: kv, ChunkCapacity: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st, kv, backends
+}
+
+// storedSegments counts, per chunk of generation gen, the segment entries
+// the chunks table holds.
+func storedSegments(t *testing.T, kv *kvstore.Store, gen uint32) map[chunk.ID]int {
+	t.Helper()
+	stored := map[chunk.ID]int{}
+	if err := kv.Scan(context.Background(), TableChunks, func(key string, _ []byte) bool {
+		if g, cid, _, ok := chunk.ParseSegmentKey(key); ok && g == gen {
+			stored[cid]++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return stored
+}
+
+// partialChunks lists the chunks of which stored holds some segments and not
+// all of those lay cut them into.
+func partialChunks(stored map[chunk.ID]int, lay *chunk.Layout) []chunk.ID {
+	var partial []chunk.ID
+	for cid, n := range stored {
+		if n < len(lay.Segments(cid)) {
+			partial = append(partial, cid)
+		}
+	}
+	return partial
 }
 
 // seedStore commits versions with a flush after EVERY commit, so the
@@ -147,7 +183,7 @@ func scanChunkGens(t *testing.T, kv *kvstore.Store) map[uint32]int {
 	t.Helper()
 	gens := map[uint32]int{}
 	if err := kv.Scan(context.Background(), TableChunks, func(key string, _ []byte) bool {
-		g, _, ok := chunk.ParseKVKey(key)
+		g, _, _, ok := chunk.ParseSegmentKey(key)
 		if !ok {
 			t.Fatalf("unparseable chunk key %q", key)
 		}
@@ -247,6 +283,71 @@ func TestMaterializeCrashMidChunkWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkVersions(t, re, want)
+}
+
+// TestMaterializeCrashBetweenSegments: the segments of one chunk are KVS
+// entries of their own and the ring may put them on different nodes, so a
+// repartition can die with some segments of a chunk written and others not.
+// The half-written chunks belong to a generation no root names: Load serves
+// the previous generation and deletes them segment by segment, and a repeated
+// Materialize writes them whole.
+func TestMaterializeCrashBetweenSegments(t *testing.T) {
+	ctx := context.Background()
+	const capacity = 4 * chunk.SegmentTarget
+	st, kv, backends := openFaultyCapacity(t, 2, capacity)
+	// Four versions of twelve 16 KiB documents, flushed one by one: ≈ 768 KiB,
+	// a dozen segments in three or four chunks once repartitioned.
+	want := map[types.VersionID]map[string]string{}
+	parent := types.InvalidVersion
+	for rev := 0; rev < 4; rev++ {
+		puts, contents := map[types.Key][]byte{}, map[string]string{}
+		for d := 0; d < 12; d++ {
+			k := fmt.Sprintf("doc-%02d", d)
+			contents[k] = strings.Repeat(fmt.Sprintf("%d.%d ", d, rev), 16<<10/5)
+			puts[types.Key(k)] = []byte(contents[k])
+		}
+		v, err := st.Commit(ctx, parent, Change{Puts: puts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want[v], parent = contents, v
+	}
+
+	backends[1].arm(func(table string) bool { return table == TableChunks })
+	if err := st.Materialize(ctx); !errors.Is(err, errInjected) {
+		t.Fatalf("materialize with one node refusing chunk writes: %v", err)
+	}
+	backends[1].arm(nil)
+	landed := storedSegments(t, kv, 1) // judged below, against the cuts of the run that succeeds
+
+	re, err := Load(ctx, Config{KV: kv, ChunkCapacity: capacity})
+	if err != nil {
+		t.Fatalf("load after a crash between segments: %v", err)
+	}
+	checkVersions(t, re, want)
+	if gens := scanChunkGens(t, kv); gens[1] != 0 {
+		t.Fatalf("half-written generation survived load: %v", gens)
+	}
+	if err := re.Materialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkVersions(t, re, want)
+	// The repeated run cuts the same chunks the same way: the crash had left
+	// some of them in part, now all are whole.
+	if partial := partialChunks(landed, re.layout); len(partial) == 0 {
+		t.Fatalf("precondition: the crash left no chunk stored in part (segments per chunk: %v)", landed)
+	}
+	if gens, partial := scanChunkGens(t, kv), partialChunks(storedSegments(t, kv, 1), re.layout); len(gens) != 1 || len(partial) != 0 {
+		t.Fatalf("after the repeated materialize: generations %v, chunks stored in part %v", gens, partial)
+	}
+	re2, err := Load(ctx, Config{KV: kv, ChunkCapacity: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVersions(t, re2, want)
 }
 
 // seedGroups commits three versions that each rewrite four documents of a

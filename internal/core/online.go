@@ -14,8 +14,8 @@ import (
 // Flush runs online partitioning (paper §4) over all pending versions: the
 // batch's new records are chunked with the configured algorithm restricted
 // to the batch subtree, existing records keep their chunks (no
-// re-partitioning), and the in-memory chunk maps and projections gain the
-// new versions.
+// re-partitioning), and the in-memory chunk maps and the version→chunks
+// projection gain the new versions.
 //
 // The batch subtree's leaves are not the end of its records' lives: a
 // record still alive at a pending leaf (open) is read by every descendant

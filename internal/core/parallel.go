@@ -4,37 +4,27 @@ import (
 	"runtime"
 	"sync"
 
-	"rstore/internal/chunk"
 	"rstore/internal/types"
 )
 
-// decodeEntries decodes fetched chunk payloads into records, in parallel
-// across chunks. The paper notes RStore "currently processes the retrieved
-// chunks sequentially while constructing the query result and cannot benefit
-// from the increased parallelism; we are working on parallelizing the entire
-// end-to-end process" (§5.5) — this implements that extension: decompression
-// (binary-delta application) is the CPU-heavy step and parallelizes cleanly
-// per chunk. Results are positionally aligned with entries; decoding errors
-// surface as one error.
-func decodeEntries(entries []*chunkEntry) ([][]types.Record, error) {
-	out := make([][]types.Record, len(entries))
-	if len(entries) == 0 {
-		return out, nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(entries) {
-		workers = len(entries)
-	}
+// decodeSegments decodes fetched segments into the records their queries
+// want, in parallel across segments. The paper notes RStore "currently
+// processes the retrieved chunks sequentially while constructing the query
+// result and cannot benefit from the increased parallelism; we are working on
+// parallelizing the entire end-to-end process" (§5.5) — this implements that
+// extension: decompression (binary-delta application) is the CPU-heavy step
+// and parallelizes cleanly per segment. Results are positionally aligned with
+// reads; decoding errors surface as one error. A point read's single segment
+// is decoded on the caller's goroutine.
+func decodeSegments(reads []segmentRead) ([][]types.Record, error) {
+	out := make([][]types.Record, len(reads))
+	workers := min(runtime.GOMAXPROCS(0), len(reads))
 	if workers <= 1 {
-		for i, e := range entries {
-			if e == nil {
-				continue
-			}
-			recs, err := chunk.DecodeChunk(e.payload)
-			if err != nil {
+		for i := range reads {
+			var err error
+			if out[i], err = reads[i].decode(); err != nil {
 				return nil, err
 			}
-			out[i] = recs
 		}
 		return out, nil
 	}
@@ -50,11 +40,7 @@ func decodeEntries(entries []*chunkEntry) ([][]types.Record, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				e := entries[i]
-				if e == nil {
-					continue
-				}
-				recs, err := chunk.DecodeChunk(e.payload)
+				recs, err := reads[i].decode()
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					continue
@@ -63,7 +49,7 @@ func decodeEntries(entries []*chunkEntry) ([][]types.Record, error) {
 			}
 		}()
 	}
-	for i := range entries {
+	for i := range reads {
 		next <- i
 	}
 	close(next)
@@ -72,24 +58,4 @@ func decodeEntries(entries []*chunkEntry) ([][]types.Record, error) {
 		return nil, firstErr
 	}
 	return out, nil
-}
-
-// extractSlots streams the records of version v from a decoded chunk; fn
-// returning false stops the walk (a consumer that has seen enough).
-func extractSlots(e *chunkEntry, decoded []types.Record, v types.VersionID, fn func(types.Record) bool) (bool, error) {
-	slots := e.m.SlotsOf(v)
-	if slots == nil || slots.Empty() {
-		return false, nil
-	}
-	matched := false
-	var fail error
-	slots.ForEach(func(slot uint32) bool {
-		if int(slot) >= len(decoded) {
-			fail = corruptSlotError(e.id, slot)
-			return false
-		}
-		matched = true
-		return fn(decoded[slot])
-	})
-	return matched, fail
 }

@@ -44,7 +44,7 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 
 // placement is one placement run's outcome on its way to the KVS: a layout
 // (the live one, grown by a flush; a fresh one, built by a repartition), the
-// projections it fills, the generation it is written under, and the first
+// projection it fills, the generation it is written under, and the first
 // of the versions the run placed — it places [first, NumVersions).
 type placement struct {
 	gen    uint32
@@ -81,12 +81,17 @@ func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p 
 	for i, in := range ins {
 		for _, idxs := range assigns[i].Chunks {
 			cid := chunk.ID(p.layout.NumChunks())
-			payload, err := p.layout.AddChunk(in.Items, idxs)
+			segments, err := p.layout.AddChunk(in.Items, idxs)
 			if err != nil {
 				return fmt.Errorf("rstore: %s: %w", op, err)
 			}
-			w.group = append(w.group, kvstore.Entry{Key: chunk.KVKey(p.gen, cid), Value: payload})
-			if w.size += len(payload); w.size >= chunkGroupBytes {
+			// A chunk's segments travel in one group; the ring may still
+			// spread them over several nodes.
+			for seg, value := range segments {
+				w.group = append(w.group, kvstore.Entry{Key: chunk.SegmentKey(p.gen, cid, uint32(seg)), Value: value})
+				w.size += len(value)
+			}
+			if w.size >= chunkGroupBytes {
 				if err := w.send(ctx); err != nil {
 					return err
 				}
@@ -111,7 +116,7 @@ func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p 
 // PR 20).
 const chunkGroupBytes = 4 << 20
 
-// chunkWriter writes a placement run's chunk payloads to the KVS as a bounded
+// chunkWriter writes a placement run's chunk segments to the KVS as a bounded
 // pipeline: place collects them into a group and sends it once it holds
 // chunkGroupBytes, as one replicated BatchPut on a goroutine of its own, while
 // it builds the next — one group in flight, one being built, so a run holds
@@ -147,7 +152,7 @@ func (w *chunkWriter) wait() error {
 }
 
 // publish persists a placement run in the one crash order Load repairs:
-// chunk payloads (w's groups, each one batched write — grouped per replica
+// chunk segments (w's groups, each one batched write — grouped per replica
 // node, one durability sync per node — and every one acknowledged before
 // anything else is written) → placement record → root, the commit point →
 // cleanup (a superseded generation, then the write-store drain). A crash
@@ -156,7 +161,9 @@ func (w *chunkWriter) wait() error {
 // under a generation it does not name — which Load skips and deletes (the
 // versions are still pending and re-flush under the same ids); a crash after
 // it leaves only a stale generation and stale delta entries that Load
-// garbage-collects. A repartition's entries land under the NEXT generation's
+// garbage-collects. A group's batch is split per node, so a crash can also
+// leave some segments of a chunk without the others: the chunk is past the
+// root's count all the same, and Load deletes what landed, segment by segment. A repartition's entries land under the NEXT generation's
 // keys, so nothing is overwritten in place: until the root — which names the
 // generation — commits, the old root still pairs with the old generation's
 // intact entries. The store adopts p once its chunks and record are durable,
@@ -174,7 +181,7 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 		return err
 	}
 
-	oldGen, oldChunks, oldPlacements := s.gen, s.layout.NumChunks(), s.numPlacements
+	oldGen, oldLayout, oldPlacements := s.gen, s.layout, s.numPlacements
 	s.gen, s.layout, s.proj, s.numPlacements = p.gen, p.layout, p.proj, idx+1
 	s.placed = s.graph.NumVersions()
 	if err := s.saveRoot(ctx); err != nil {
@@ -184,9 +191,11 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 	// The superseded generation's keys are computable, no scan; Load's
 	// other-generation sweep is the backstop for anything older.
 	if p.gen != oldGen {
-		for cid := 0; cid < oldChunks; cid++ {
-			if err := s.kv.Delete(ctx, TableChunks, chunk.KVKey(oldGen, chunk.ID(cid))); err != nil {
-				return err
+		for cid := 0; cid < oldLayout.NumChunks(); cid++ {
+			for seg := range oldLayout.Segments(chunk.ID(cid)) {
+				if err := s.kv.Delete(ctx, TableChunks, chunk.SegmentKey(oldGen, chunk.ID(cid), uint32(seg))); err != nil {
+					return err
+				}
 			}
 		}
 		for idx := uint32(0); idx < oldPlacements; idx++ {

@@ -185,23 +185,43 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 // foldFixture is what Load hands applyPlacement for one store: the decoded
 // chunks and the generation's placement records in order.
 type foldFixture struct {
-	slots   [][]types.Record
+	chunks  []chunk.Stored
 	records [][]byte
+}
+
+// storedChunks reads the chunks of st's generation back from their segment
+// values, as Load does.
+func storedChunks(t testing.TB, st *Store, kv *kvstore.Store) []chunk.Stored {
+	t.Helper()
+	parts := make([][]chunk.Part, st.NumChunks())
+	if err := kv.Scan(context.Background(), TableChunks, func(key string, value []byte) bool {
+		g, cid, seg, ok := chunk.ParseSegmentKey(key)
+		if !ok || g != st.gen || int(cid) >= len(parts) {
+			t.Fatalf("chunk segment key %q in a store of generation %d and %d chunks", key, st.gen, len(parts))
+		}
+		first, _, recs, err := chunk.DecodeSegment(value, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[cid] = append(parts[cid], chunk.Part{Index: seg, First: first, Records: recs})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	chunks := make([]chunk.Stored, len(parts))
+	for cid := range parts {
+		var err error
+		if chunks[cid], err = chunk.JoinSegments(parts[cid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return chunks
 }
 
 func takeFoldFixture(t testing.TB, st *Store, kv *kvstore.Store) foldFixture {
 	t.Helper()
 	ctx := context.Background()
-	fx := foldFixture{slots: make([][]types.Record, st.NumChunks()), records: make([][]byte, st.numPlacements)}
-	for cid := range fx.slots {
-		payload, err := kv.Get(ctx, TableChunks, chunk.KVKey(st.gen, chunk.ID(cid)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fx.slots[cid], err = chunk.DecodeChunk(payload); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fx := foldFixture{chunks: storedChunks(t, st, kv), records: make([][]byte, st.numPlacements)}
 	for idx := range fx.records {
 		var err error
 		if fx.records[idx], err = kv.Get(ctx, TablePlacement, placementKey(st.gen, uint32(idx))); err != nil {
@@ -239,11 +259,11 @@ func FuzzApplyPlacement(f *testing.F) {
 		}
 		s := newStore(Config{}, false)
 		for _, rec := range fx.records[:before] {
-			if err := s.applyPlacement(rec, fx.slots); err != nil {
+			if err := s.applyPlacement(rec, fx.chunks); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.applyPlacement(data, fx.slots); err != nil {
+		if err := s.applyPlacement(data, fx.chunks); err != nil {
 			if !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("a refused record is not ErrCorrupt: %v", err)
 			}
@@ -260,7 +280,7 @@ func FuzzApplyPlacement(f *testing.F) {
 			}
 			for _, cid := range s.proj.VersionChunks(v) {
 				s.layout.Map(cid).SlotsOf(v).ForEach(func(slot uint32) bool {
-					byBitmaps = append(byBitmaps, fmt.Sprint(fx.slots[cid][slot].CK))
+					byBitmaps = append(byBitmaps, fmt.Sprint(fx.chunks[cid].Records[slot].CK))
 					return true
 				})
 			}

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
+	"slices"
 	"sort"
 
+	"rstore/internal/bitset"
 	"rstore/internal/chunk"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
@@ -35,10 +38,11 @@ func (r Range) contains(k types.Key) bool {
 }
 
 // Cursor is the streaming result of a query (GetVersion, GetRange,
-// GetHistory): records are produced incrementally — chunks are fetched from
-// the KVS a batch at a time (Config.QueryFetchBatch) — so the first record
-// is available before the last chunk is fetched, and abandoning the cursor
-// (or cancelling the query's context) stops further fetches.
+// GetHistory): records are produced incrementally — the query resolves the
+// slots it returns from memory, then fetches the segments holding them from
+// the KVS, Config.QueryFetchBatch chunks' worth at a time — so the first
+// record is available before the last segment is fetched, and abandoning the
+// cursor (or cancelling the query's context) stops further fetches.
 //
 // Iterate with Records (usable once); Stats reports the retrieval costs
 // accumulated so far and is complete once the sequence ends. An error —
@@ -89,11 +93,11 @@ func (c *Cursor) All() ([]types.Record, QueryStats, error) {
 }
 
 // GetVersion streams every record of version v (the paper's full version
-// retrieval, Q1): the version→chunk projection picks chunks, batched
-// parallel MultiGets fetch them incrementally, and chunk maps extract the
-// member records as each batch lands. Versions still pending in the write
-// store are served by overlaying their deltas on the nearest placed
-// ancestor. Record order is unspecified (chunk order); GetVersionAll sorts.
+// retrieval, Q1): the version→chunk projection picks chunks, the version's
+// slot bitmaps pick the segments of each, and batched parallel MultiGets
+// fetch them incrementally. Versions still pending in the write store are
+// served by overlaying their deltas on the nearest placed ancestor. Record
+// order is unspecified (chunk order); GetVersionAll sorts.
 func (s *Store) GetVersion(ctx context.Context, v types.VersionID) *Cursor {
 	return newCursor(func(c *Cursor, yield func(types.Record, error) bool) {
 		s.mu.RLock()
@@ -109,7 +113,12 @@ func (s *Store) GetVersion(ctx context.Context, v types.VersionID) *Cursor {
 			return
 		}
 		if anchor != types.InvalidVersion {
-			if !s.streamVersionChunks(ctx, c, anchor, s.proj.VersionChunks(anchor), ov, nil, yield) {
+			cids := s.proj.VersionChunks(anchor)
+			wants := make([]chunkSlots, len(cids))
+			for i, cid := range cids {
+				wants[i] = chunkSlots{cid, s.layout.Map(cid).SlotsOf(anchor)}
+			}
+			if !s.streamVersionSlots(ctx, c, wants, ov, yield) {
 				return
 			}
 		}
@@ -126,7 +135,9 @@ func (s *Store) GetVersionAll(ctx context.Context, v types.VersionID) ([]types.R
 }
 
 // GetRange streams the records of version v whose keys fall in r (partial
-// version retrieval, Q2). Record order is unspecified; GetRangeAll sorts.
+// version retrieval, Q2): each key of the range is resolved to the slot v
+// holds it at, and only the segments those slots fall in are fetched. Record
+// order is unspecified; GetRangeAll sorts.
 func (s *Store) GetRange(ctx context.Context, r Range, v types.VersionID) *Cursor {
 	return newCursor(func(c *Cursor, yield func(types.Record, error) bool) {
 		s.mu.RLock()
@@ -141,32 +152,20 @@ func (s *Store) GetRange(ctx context.Context, r Range, v types.VersionID) *Curso
 			yield(types.Record{}, err)
 			return
 		}
-		filter := func(k types.Key) bool { return r.contains(k) }
 		if anchor != types.InvalidVersion {
-			// Union of key-projection entries over the range, intersected
-			// with the version projection.
-			inVersion := make(map[chunk.ID]bool)
-			for _, cid := range s.proj.VersionChunks(anchor) {
-				inVersion[cid] = true
-			}
-			cidSet := make(map[chunk.ID]bool)
+			// The anchor holds at most one record of a key: the one whose
+			// slot its bitmap in that record's chunk has set.
+			var plan slotPlan
 			for _, k := range s.keysInRange(r) {
-				for _, cid := range s.proj.KeyChunks(k) {
-					if inVersion[cid] {
-						cidSet[cid] = true
-					}
+				if loc, ok := s.locate(k, anchor); ok {
+					plan.add(loc)
 				}
 			}
-			cids := make([]chunk.ID, 0, len(cidSet))
-			for cid := range cidSet {
-				cids = append(cids, cid)
-			}
-			sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
-			if !s.streamVersionChunks(ctx, c, anchor, cids, ov, filter, yield) {
+			if !s.streamVersionSlots(ctx, c, plan.wants(), ov, yield) {
 				return
 			}
 		}
-		emitOverlayAdds(c, ov, filter, yield)
+		emitOverlayAdds(c, ov, r.contains, yield)
 	})
 }
 
@@ -179,36 +178,31 @@ func (s *Store) GetRangeAll(ctx context.Context, r Range, v types.VersionID) ([]
 }
 
 // GetHistory streams every record carrying the given primary key across all
-// versions (record evolution, Q3). Order is unspecified (chunk order);
-// GetHistoryAll sorts by origin version. A key with no records anywhere
-// ends the sequence with a KeyNotFoundError.
+// versions (record evolution, Q3), each read from the segment its slot falls
+// in. Order is unspecified (chunk order); GetHistoryAll sorts by origin
+// version. A key with no records anywhere ends the sequence with a
+// KeyNotFoundError.
 func (s *Store) GetHistory(ctx context.Context, key types.Key) *Cursor {
 	return newCursor(func(c *Cursor, yield func(types.Record, error) bool) {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 
+		// Placed records are read from their slots; pending ones live in
+		// the write store.
+		var plan slotPlan
+		var pendingVersions []types.VersionID
+		for _, id := range s.corpus.KeyRecords(key) {
+			if loc := s.layout.Loc(id); loc.Chunk != chunk.NoChunk {
+				plan.add(loc)
+			} else {
+				pendingVersions = append(pendingVersions, s.corpus.Record(id).CK.Version)
+			}
+		}
 		seen := make(map[types.CompositeKey]bool)
-		stopped, err := s.streamChunks(ctx, s.proj.KeyChunks(key), &c.stats, func(e *chunkEntry, decoded []types.Record) (bool, error) {
-			s.chargeScan(e, &c.stats)
-			matched := false
-			for _, r := range decoded {
-				if r.CK.Key != key {
-					continue
-				}
-				matched = true
-				if seen[r.CK] {
-					continue
-				}
-				seen[r.CK] = true
-				c.stats.Records++
-				if !yield(r, nil) {
-					return false, nil
-				}
-			}
-			if !matched {
-				c.stats.WastedChunks++
-			}
-			return true, nil
+		stopped, err := s.streamSlots(ctx, plan.wants(), &c.stats, func(r types.Record) bool {
+			seen[r.CK] = true
+			c.stats.Records++
+			return yield(r, nil)
 		})
 		if err != nil {
 			yield(types.Record{}, err)
@@ -216,14 +210,6 @@ func (s *Store) GetHistory(ctx context.Context, key types.Key) *Cursor {
 		}
 		if stopped {
 			return
-		}
-
-		// Pending records of this key live in the write store.
-		var pendingVersions []types.VersionID
-		for _, id := range s.corpus.KeyRecords(key) {
-			if s.layout.Loc(id).Chunk == chunk.NoChunk {
-				pendingVersions = append(pendingVersions, s.corpus.Record(id).CK.Version)
-			}
 		}
 		if len(pendingVersions) > 0 {
 			deltas, err := s.fetchDeltas(ctx, pendingVersions, &c.stats)
@@ -259,9 +245,11 @@ func (s *Store) GetHistoryAll(ctx context.Context, key types.Key) ([]types.Recor
 }
 
 // GetRecord retrieves the record with the given primary key visible in
-// version v (point query): both projections are intersected ("index-ANDing",
-// §2.4) to pick candidate chunks. A point query returns one record, so it
-// keeps the buffered shape rather than a cursor.
+// version v (point query). Where the paper intersects two lossy projections
+// ("index-ANDing", §2.4) and fetches every candidate chunk, the record's slot
+// is resolved exactly from memory (locate) and one segment is fetched. A
+// point query returns one record, so it keeps the buffered shape rather than
+// a cursor.
 func (s *Store) GetRecord(ctx context.Context, key types.Key, v types.VersionID) (types.Record, QueryStats, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -297,32 +285,21 @@ func (s *Store) GetRecord(ctx context.Context, key types.Key, v types.VersionID)
 		return types.Record{}, stats, &types.KeyNotFoundError{Key: key, Version: v}
 	}
 
-	cids := s.proj.Intersect(key, anchor)
-	if len(cids) == 0 {
+	loc, ok := s.locate(key, anchor)
+	if !ok {
 		return types.Record{}, stats, &types.KeyNotFoundError{Key: key, Version: v}
 	}
-	entries, err := s.fetchChunks(ctx, cids, &stats)
-	if err != nil {
+	var plan slotPlan
+	plan.add(loc)
+	var rec types.Record
+	if _, err := s.streamSlots(ctx, plan.wants(), &stats, func(r types.Record) bool {
+		rec = r
+		return true
+	}); err != nil {
 		return types.Record{}, stats, err
 	}
-	for i, e := range entries {
-		if e == nil {
-			continue
-		}
-		found, rec, err := extractKeyAtVersion(e, anchor, key)
-		if err != nil {
-			return types.Record{}, stats, err
-		}
-		s.chargeScan(e, &stats)
-		if found {
-			stats.Records = 1
-			// Remaining fetched chunks were wasted (lossy projection).
-			stats.WastedChunks += len(entries) - i - 1
-			return rec, stats, nil
-		}
-		stats.WastedChunks++
-	}
-	return types.Record{}, stats, &types.KeyNotFoundError{Key: key, Version: v}
+	stats.Records = 1
+	return rec, stats, nil
 }
 
 // --- shared plumbing ---
@@ -391,26 +368,17 @@ func (s *Store) overlayEffect(ctx context.Context, path []types.VersionID, stats
 	return ov, nil
 }
 
-// streamVersionChunks streams version v's member records out of cids
-// through yield, skipping overlay-masked records and keys failing filter
-// (nil = all). It reports whether the consumer wants more (false = stopped
-// early); errors are delivered to yield here.
-func (s *Store) streamVersionChunks(ctx context.Context, c *Cursor, v types.VersionID, cids []chunk.ID, ov *overlayView, filter func(types.Key) bool, yield func(types.Record, error) bool) bool {
-	stopped, err := s.streamChunks(ctx, cids, &c.stats, func(e *chunkEntry, decoded []types.Record) (bool, error) {
-		cont := true
-		matched, err := extractSlots(e, decoded, v, func(r types.Record) bool {
-			if ov.masks(r.CK) || (filter != nil && !filter(r.CK.Key)) {
-				return true
-			}
-			c.stats.Records++
-			cont = yield(r, nil)
-			return cont
-		})
-		s.chargeScan(e, &c.stats)
-		if !matched {
-			c.stats.WastedChunks++
+// streamVersionSlots streams the records at wants — slots of the queried
+// version's placed anchor — through yield, skipping overlay-masked records.
+// It reports whether the consumer wants more (false = stopped early); errors
+// are delivered to yield here.
+func (s *Store) streamVersionSlots(ctx context.Context, c *Cursor, wants []chunkSlots, ov *overlayView, yield func(types.Record, error) bool) bool {
+	stopped, err := s.streamSlots(ctx, wants, &c.stats, func(r types.Record) bool {
+		if ov.masks(r.CK) {
+			return true
 		}
-		return cont, err
+		c.stats.Records++
+		return yield(r, nil)
 	})
 	if err != nil {
 		yield(types.Record{}, err)
@@ -433,107 +401,155 @@ func emitOverlayAdds(c *Cursor, ov *overlayView, filter func(types.Key) bool, yi
 	}
 }
 
-// chunkEntry is a fetched chunk: its payload from the KVS, its map from the
-// store's memory (s.layout; the query holds s.mu, so no flush extends it
-// underneath).
-type chunkEntry struct {
-	id      chunk.ID
-	payload []byte
-	m       *chunk.Map
+// locate resolves the record of key that placed version v holds to its slot:
+// of the key's records (corpus.KeyRecords), the one whose slot v's bitmap in
+// that record's chunk has set. All of it is in memory; nothing is fetched.
+func (s *Store) locate(key types.Key, v types.VersionID) (chunk.Loc, bool) {
+	for _, rec := range s.corpus.KeyRecords(key) {
+		loc := s.layout.Loc(rec)
+		if loc.Chunk == chunk.NoChunk {
+			continue
+		}
+		if bits := s.layout.Map(loc.Chunk).SlotsOf(v); bits != nil && bits.Contains(loc.Slot) {
+			return loc, true
+		}
+	}
+	return chunk.Loc{}, false
 }
 
-// streamChunks feeds each chunk of cids (fetched in batches of
-// Config.QueryFetchBatch, decoded in parallel within a batch) to emit, in
-// cid order. This is what makes query results streams rather than
-// materialized slices: server memory per query is O(batch), the first
-// records surface before later chunks are fetched, and a context that ends
-// — or an emit that returns false — stops before the next batch fetch.
-func (s *Store) streamChunks(ctx context.Context, cids []chunk.ID, stats *QueryStats, emit func(e *chunkEntry, decoded []types.Record) (bool, error)) (stopped bool, err error) {
+// chunkSlots names the slots a query returns from one chunk. A full-version
+// read passes the version's own bitmap, shared with the chunk map: read only.
+type chunkSlots struct {
+	cid   chunk.ID
+	slots *bitset.BitSet
+}
+
+// slotPlan collects the slots a key-addressed query returns, per chunk.
+type slotPlan struct {
+	byChunk map[chunk.ID]*bitset.BitSet
+}
+
+func (p *slotPlan) add(loc chunk.Loc) {
+	if p.byChunk == nil {
+		p.byChunk = make(map[chunk.ID]*bitset.BitSet)
+	}
+	bits := p.byChunk[loc.Chunk]
+	if bits == nil {
+		bits = bitset.New(int(loc.Slot) + 1)
+		p.byChunk[loc.Chunk] = bits
+	}
+	bits.Set(loc.Slot)
+}
+
+// wants lists the plan in chunk order.
+func (p *slotPlan) wants() []chunkSlots {
+	out := make([]chunkSlots, 0, len(p.byChunk))
+	for _, cid := range slices.Sorted(maps.Keys(p.byChunk)) {
+		out = append(out, chunkSlots{cid, p.byChunk[cid]})
+	}
+	return out
+}
+
+// segmentRead is one segment a query fetches: the slots it returns from the
+// segment's chunk, where the layout says the segment begins and how many
+// slots it holds, and — once fetched — its value.
+type segmentRead struct {
+	chunkSlots
+	seg, first uint32
+	numSlots   int
+	value      []byte
+}
+
+// decode extracts the wanted records from the fetched value. A value that
+// begins at another slot or holds another number of slots than the layout
+// recorded was stored under the wrong key or is not what placement wrote.
+func (r *segmentRead) decode() ([]types.Record, error) {
+	first, n, recs, err := chunk.DecodeSegment(r.value, r.slots)
+	if err != nil {
+		return nil, err
+	}
+	if first != r.first || n != r.numSlots {
+		return nil, fmt.Errorf("%w: chunk %d segment %d holds slots [%d, %d), the layout has [%d, %d)",
+			types.ErrCorrupt, r.cid, r.seg, first, int(first)+n, r.first, int(r.first)+r.numSlots)
+	}
+	return recs, nil
+}
+
+// streamSlots feeds the records at wants (ascending by chunk) to emit in
+// (chunk, slot) order, fetching the segments of Config.QueryFetchBatch chunks
+// per round and decoding them in parallel. This is what makes query results
+// streams rather than materialized slices: server memory per query is
+// O(batch), the first records surface before later segments are fetched, and
+// a context that ends — or an emit that returns false — stops before the
+// next fetch. Only the segments a wanted slot falls in are fetched, and only
+// the wanted slots of each are decoded.
+func (s *Store) streamSlots(ctx context.Context, wants []chunkSlots, stats *QueryStats, emit func(types.Record) bool) (stopped bool, err error) {
 	batch := s.cfg.QueryFetchBatch
-	for start := 0; start < len(cids); start += batch {
+	for start := 0; start < len(wants); start += batch {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		end := min(start+batch, len(cids))
-		entries, err := s.fetchChunks(ctx, cids[start:end], stats)
+		reads, err := s.fetchSegments(ctx, wants[start:min(start+batch, len(wants))], stats)
 		if err != nil {
 			return false, err
 		}
-		decoded, err := decodeEntries(entries)
+		decoded, err := decodeSegments(reads)
 		if err != nil {
 			return false, err
 		}
-		for i, e := range entries {
-			if e == nil {
-				continue
-			}
-			cont, err := emit(e, decoded[i])
-			if err != nil {
-				return false, err
-			}
-			if !cont {
-				return true, nil
+		for _, recs := range decoded {
+			for _, r := range recs {
+				if !emit(r) {
+					return true, nil
+				}
 			}
 		}
 	}
 	return false, nil
 }
 
-// fetchChunks resolves chunk payloads with one MultiGet. Span counts every
-// chunk consulted; Requests/BytesRead reflect backend traffic. Missing
-// chunks indicate corruption (projections are authoritative) and surface as
-// errors.
-func (s *Store) fetchChunks(ctx context.Context, cids []chunk.ID, stats *QueryStats) ([]*chunkEntry, error) {
-	if len(cids) == 0 {
-		return nil, nil
+// fetchSegments resolves, with one MultiGet, the segments the wanted slots
+// of a batch of chunks fall in. Span counts every chunk consulted;
+// Requests/BytesRead reflect backend traffic — segment keys and segment
+// bytes. A missing segment indicates corruption (the layout is authoritative)
+// and surfaces as an error.
+func (s *Store) fetchSegments(ctx context.Context, wants []chunkSlots, stats *QueryStats) ([]segmentRead, error) {
+	stats.Span += len(wants)
+	var reads []segmentRead
+	var keys []string
+	for _, w := range wants {
+		// ends[i] is where segment i ends: the next one's first slot.
+		firsts := s.layout.Segments(w.cid)
+		ends := append(firsts[1:len(firsts):len(firsts)], uint32(s.layout.Map(w.cid).NumSlots))
+		seg, fetched := 0, -1 // slots ascend: so does the segment they fall in
+		w.slots.ForEach(func(slot uint32) bool {
+			for slot >= ends[seg] {
+				seg++
+			}
+			if seg != fetched {
+				fetched = seg
+				reads = append(reads, segmentRead{chunkSlots: w, seg: uint32(seg), first: firsts[seg], numSlots: int(ends[seg] - firsts[seg])})
+				keys = append(keys, chunk.SegmentKey(s.gen, w.cid, uint32(seg)))
+			}
+			return true
+		})
 	}
-	stats.Span += len(cids)
-	keys := make([]string, len(cids))
-	for i, cid := range cids {
-		keys[i] = chunk.KVKey(s.gen, cid)
+	if len(keys) == 0 {
+		return nil, nil
 	}
 	res, err := s.kv.MultiGet(ctx, TableChunks, keys)
 	if err != nil {
 		return nil, err
 	}
 	if len(res.Missing) > 0 {
-		return nil, fmt.Errorf("%w: chunk %s missing", types.ErrCorrupt, keys[res.Missing[0]])
+		return nil, fmt.Errorf("%w: chunk segment %s missing", types.ErrCorrupt, keys[res.Missing[0]])
 	}
 	s.bookMultiGet(res, stats)
-	out := make([]*chunkEntry, len(cids))
-	for i, payload := range res.Values {
-		out[i] = &chunkEntry{id: cids[i], payload: payload, m: s.layout.Map(cids[i])}
+	for i, value := range res.Values {
+		reads[i].value = value
+		stats.SimElapsed += s.kv.ChargeScan(len(value))
 	}
-	return out, nil
-}
-
-// corruptSlotError reports a chunk-map slot outside the decoded payload.
-func corruptSlotError(id chunk.ID, slot uint32) error {
-	return fmt.Errorf("%w: chunk %d slot %d out of range", types.ErrCorrupt, id, slot)
-}
-
-// extractKeyAtVersion finds the record with the given key among version v's
-// slots of one chunk.
-func extractKeyAtVersion(e *chunkEntry, v types.VersionID, key types.Key) (bool, types.Record, error) {
-	slots := e.m.SlotsOf(v)
-	if slots == nil {
-		return false, types.Record{}, nil
-	}
-	recs, err := chunk.DecodeChunk(e.payload)
-	if err != nil {
-		return false, types.Record{}, err
-	}
-	var out types.Record
-	found := false
-	slots.ForEach(func(slot uint32) bool {
-		if int(slot) < len(recs) && recs[slot].CK.Key == key {
-			out = recs[slot]
-			found = true
-			return false
-		}
-		return true
-	})
-	return found, out, nil
+	return reads, nil
 }
 
 // fetchDeltas multigets pending deltas from the write store.
@@ -568,10 +584,6 @@ func (s *Store) bookMultiGet(res *kvstore.MultiGetResult, stats *QueryStats) {
 	stats.SimElapsed += res.Elapsed
 }
 
-func (s *Store) chargeScan(e *chunkEntry, stats *QueryStats) {
-	stats.SimElapsed += s.kv.ChargeScan(len(e.payload))
-}
-
 // keysInRange returns the known primary keys selected by r.
 func (s *Store) keysInRange(r Range) []types.Key {
 	i := sort.Search(len(s.sortedKeys), func(i int) bool { return s.sortedKeys[i] >= r.Lo })
@@ -592,11 +604,24 @@ func (s *Store) VersionSpan(v types.VersionID) int {
 	return s.proj.VersionSpan(v)
 }
 
-// KeySpan exposes the key span (for experiments).
+// KeySpan exposes the key span — the chunks holding records of key, which a
+// record-evolution query consults (for experiments).
 func (s *Store) KeySpan(key types.Key) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proj.KeySpan(key)
+	return s.keySpan(key)
+}
+
+// keySpan counts the distinct chunks of key's placed records.
+func (s *Store) keySpan(key types.Key) int {
+	var cids []chunk.ID
+	for _, rec := range s.corpus.KeyRecords(key) {
+		if loc := s.layout.Loc(rec); loc.Chunk != chunk.NoChunk {
+			cids = append(cids, loc.Chunk)
+		}
+	}
+	slices.Sort(cids)
+	return len(slices.Compact(cids))
 }
 
 // TotalVersionSpan sums spans across versions (for experiments).

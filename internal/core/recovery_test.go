@@ -171,7 +171,7 @@ func TestLoadToleratesInterruptedFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orphanChunk := chunk.KVKey(st.gen, chunk.ID(st.NumChunks()))
+	orphanChunk := chunk.SegmentKey(st.gen, chunk.ID(st.NumChunks()), 0)
 	orphanRecord := placementKey(st.gen, st.numPlacements)
 
 	// Produce the crash debris with the real flush of a second version, then

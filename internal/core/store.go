@@ -37,7 +37,7 @@ type Store struct {
 	// generation; a full repartition (Materialize) writes the next
 	// generation's keys and commits it atomically through the root, so a
 	// crash mid-rewrite can never pair an old root with new chunk contents
-	// (see chunk.KVKey).
+	// (see chunk.SegmentKey).
 	gen uint32
 
 	// placed is the number of placed versions: ids below it are partitioned,

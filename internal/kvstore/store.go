@@ -825,8 +825,8 @@ type MultiGetResult struct {
 // replica answers are then LWW-merged exactly like a point Get. Keys
 // whose every replica batch came back unavailable fall back to per-key
 // reads, whose retry schedule re-discovers liveness. Missing keys are
-// reported, not errors, because the projections RStore consults are lossy
-// (§2.4).
+// reported, not errors: what a hole means is the caller's to say (to core,
+// which only asks for what its layout placed, it is corruption).
 func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*MultiGetResult, error) {
 	res := &MultiGetResult{Values: make([][]byte, len(keys))}
 	if len(keys) == 0 {

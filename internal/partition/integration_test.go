@@ -110,15 +110,23 @@ func TestChunkSizesRespectSlack(t *testing.T) {
 
 // layOut materializes an assignment the way the engine does: every chunk
 // through Layout.AddChunk, then every version placed in id order.
-func layOut(t *testing.T, c *corpus.Corpus, items []chunk.Item, chunks [][]uint32) (*index.Projections, *chunk.Layout, [][]byte) {
+// It returns each chunk's records as its segment values decode, in slot order.
+func layOut(t *testing.T, c *corpus.Corpus, items []chunk.Item, chunks [][]uint32) (*index.Projections, *chunk.Layout, [][]types.Record) {
 	t.Helper()
 	proj := index.New()
 	lay := chunk.NewLayout(c, proj)
-	payloads := make([][]byte, len(chunks))
+	stored := make([][]types.Record, len(chunks))
 	for i, idxs := range chunks {
-		var err error
-		if payloads[i], err = lay.AddChunk(items, idxs); err != nil {
+		segments, err := lay.AddChunk(items, idxs)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, value := range segments {
+			first, _, recs, err := chunk.DecodeSegment(value, nil)
+			if err != nil || int(first) != len(stored[i]) {
+				t.Fatalf("chunk %d: segment at slot %d after %d records: %v", i, first, len(stored[i]), err)
+			}
+			stored[i] = append(stored[i], recs...)
 		}
 	}
 	for v := types.VersionID(0); int(v) < c.NumVersions(); v++ {
@@ -126,7 +134,7 @@ func layOut(t *testing.T, c *corpus.Corpus, items []chunk.Item, chunks [][]uint3
 			t.Fatal(err)
 		}
 	}
-	return proj, lay, payloads
+	return proj, lay, stored
 }
 
 // TestBuildAndExtractVersions builds physical chunks for each algorithm and
@@ -143,7 +151,7 @@ func TestBuildAndExtractVersions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
 		}
-		proj, lay, payloads := layOut(t, c, in.Items, a.Chunks)
+		proj, lay, stored := layOut(t, c, in.Items, a.Chunks)
 
 		for v := types.VersionID(0); int(v) < c.NumVersions(); v++ {
 			want, err := c.Members(v)
@@ -152,10 +160,7 @@ func TestBuildAndExtractVersions(t *testing.T) {
 			}
 			got := make(map[types.CompositeKey][]byte)
 			for _, cid := range proj.VersionChunks(v) {
-				recs, err := chunk.DecodeChunk(payloads[cid])
-				if err != nil {
-					t.Fatalf("%s: decode chunk %d: %v", algo.Name(), cid, err)
-				}
+				recs := stored[cid]
 				slots := lay.Map(cid).SlotsOf(v)
 				if slots == nil {
 					t.Fatalf("%s: chunk %d in projection of v%d but no map entry", algo.Name(), cid, v)
@@ -221,7 +226,7 @@ func TestSubchunkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: partition: %v", k, err)
 		}
-		proj, lay, payloads := layOut(t, c, res.In.Items, a.Chunks)
+		proj, lay, stored := layOut(t, c, res.In.Items, a.Chunks)
 
 		// Spot-check a few versions end to end.
 		for _, v := range []types.VersionID{0, types.VersionID(c.NumVersions() / 2), types.VersionID(c.NumVersions() - 1)} {
@@ -231,10 +236,7 @@ func TestSubchunkRoundTrip(t *testing.T) {
 			}
 			gotSet := make(map[types.CompositeKey]string)
 			for _, cid := range proj.VersionChunks(v) {
-				recs, err := chunk.DecodeChunk(payloads[cid])
-				if err != nil {
-					t.Fatal(err)
-				}
+				recs := stored[cid]
 				slots := lay.Map(cid).SlotsOf(v)
 				if slots == nil {
 					continue

@@ -104,6 +104,7 @@ run_fuzz() {
   go test -fuzz=FuzzHashRangeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
+  go test -fuzz=FuzzDecodeSegment -fuzztime=10s -run '^$' ./internal/chunk/
 }
 
 if [ $# -eq 0 ]; then
