@@ -213,55 +213,66 @@ func BenchmarkGetHistory(b *testing.B) {
 // BenchmarkFlushBatch measures the flush that closes the k-th batch of a
 // growing chain: 16 versions per batch, each rewriting 4 of the root's 256
 // records, so every version's span reaches back into chunks of all earlier
-// batches. A flush should cost what its batch adds, not what the store holds:
-// kv-put-B/flush, kv-read-B/flush and ns/op stay flat as k grows.
+// batches — over the in-process memory engine and the benchmark's stack shape
+// (benchStacks). A flush should cost what its batch adds, not what the store
+// holds: kv-put-B/flush, kv-read-B/flush and ns/op stay flat as k grows, and
+// kv-writes/flush — the kvstore write calls of one flush: chunk group,
+// placement record, root, write-store drain — is 4 whatever the batch holds.
 func BenchmarkFlushBatch(b *testing.B) {
 	ctx := context.Background()
-	for _, k := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			var put, read int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				st, err := rstore.Open(ctx, rstore.Config{ChunkCapacity: 8 << 10})
-				if err != nil {
-					b.Fatal(err)
-				}
-				parent := rstore.NoParent
-				for v := 0; v < 16*k; v++ {
-					ch := rstore.Change{Puts: map[rstore.Key][]byte{}}
-					rewrites := 4
-					if v == 0 {
-						rewrites = 256
-					}
-					for r := 0; r < rewrites; r++ {
-						ch.Puts[rstore.Key(fmt.Sprintf("k%03d", (4*v+r)%256))] = []byte(fmt.Sprintf(`{"rev":%d,"pad":"%0128d"}`, v, r))
-					}
-					if parent, err = st.Commit(ctx, parent, ch); err != nil {
+	for _, stack := range benchStacks {
+		for _, k := range []int{1, 8, 64} {
+			b.Run(fmt.Sprintf("%s/k=%d", stack.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				var put, read, writes int64
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					kv, err := kvstore.Open(ctx, stack.open(b))
+					if err != nil {
 						b.Fatal(err)
 					}
-					if v%16 == 15 && v != 16*k-1 {
-						if err := st.Flush(ctx); err != nil {
+					st, err := rstore.Open(ctx, rstore.Config{KV: kv, ChunkCapacity: 8 << 10})
+					if err != nil {
+						b.Fatal(err)
+					}
+					parent := rstore.NoParent
+					for v := 0; v < 16*k; v++ {
+						ch := rstore.Change{Puts: map[rstore.Key][]byte{}}
+						rewrites := 4
+						if v == 0 {
+							rewrites = 256
+						}
+						for r := 0; r < rewrites; r++ {
+							ch.Puts[rstore.Key(fmt.Sprintf("k%03d", (4*v+r)%256))] = []byte(fmt.Sprintf(`{"rev":%d,"pad":"%0128d"}`, v, r))
+						}
+						if parent, err = st.Commit(ctx, parent, ch); err != nil {
 							b.Fatal(err)
 						}
+						if v%16 == 15 && v != 16*k-1 {
+							if err := st.Flush(ctx); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					before := kv.Stats(ctx)
+					b.StartTimer()
+					if err := st.Flush(ctx); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					after := kv.Stats(ctx)
+					put += after.BytesPut - before.BytesPut
+					read += after.BytesRead - before.BytesRead
+					writes += after.WriteCalls - before.WriteCalls
+					if err := errors.Join(st.Close(), kv.Close()); err != nil {
+						b.Fatal(err)
 					}
 				}
-				before := st.KV().Stats(ctx)
-				b.StartTimer()
-				if err := st.Flush(ctx); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				after := st.KV().Stats(ctx)
-				put += after.BytesPut - before.BytesPut
-				read += after.BytesRead - before.BytesRead
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(put)/float64(b.N), "kv-put-B/flush")
-			b.ReportMetric(float64(read)/float64(b.N), "kv-read-B/flush")
-		})
+				b.ReportMetric(float64(put)/float64(b.N), "kv-put-B/flush")
+				b.ReportMetric(float64(read)/float64(b.N), "kv-read-B/flush")
+				b.ReportMetric(float64(writes)/float64(b.N), "kv-writes/flush")
+			})
+		}
 	}
 }
 
@@ -309,8 +320,8 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-// benchStacks are the two clusters BenchmarkBulkLoad and BenchmarkLoad run
-// over: the in-process memory engine, and the benchmark's stack shape — three
+// benchStacks are the two clusters BenchmarkFlushBatch, BenchmarkBulkLoad,
+// BenchmarkLoad and the read benchmarks run over: the in-process memory engine, and the benchmark's stack shape — three
 // lsm nodes behind engined, replication factor 2.
 var benchStacks = []struct {
 	name string

@@ -4,6 +4,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -130,6 +131,14 @@ func (b *BitSet) AndNot(other *BitSet) {
 	}
 }
 
+// Xor sets b = b △ other, the positions in exactly one of the two.
+func (b *BitSet) Xor(other *BitSet) {
+	b.grow(len(other.words) - 1)
+	for i, w := range other.words {
+		b.words[i] ^= w
+	}
+}
+
 // Equal reports whether two bitsets contain the same positions.
 func (b *BitSet) Equal(other *BitSet) bool {
 	long, short := b.words, other.words
@@ -178,30 +187,31 @@ func (b *BitSet) String() string {
 	return fmt.Sprintf("BitSet%v", b.Slice())
 }
 
-// AppendBinary serializes the bitset compactly: dense word encoding when the
-// set is dense, posting-list encoding when sparse. A one-byte tag selects the
-// representation.
+// AppendBinary serializes the bitset compactly, in the shorter of two forms: a
+// posting list of the set positions (sparse) or the words up to the last
+// non-zero one (dense). A one-byte tag selects the representation.
 func (b *BitSet) AppendBinary(buf []byte) []byte {
-	n := b.Count()
 	// Trailing zero words carry no information.
 	last := len(b.words)
 	for last > 0 && b.words[last-1] == 0 {
 		last--
 	}
 	denseSize := 8 * last
-	// Sparse estimate: ~2 bytes/gap for small universes.
-	if n*3 < denseSize {
+	// A posting takes a byte at least, so a set of more positions than the
+	// dense form has bytes is not worth encoding twice to compare.
+	if b.Count() < denseSize {
+		start := len(buf)
 		buf = append(buf, 1) // sparse
-		return codec.PutPostingList(buf, b.Slice())
+		buf = codec.PutPostingList(buf, b.Slice())
+		if len(buf)-start-1 < denseSize {
+			return buf
+		}
+		buf = buf[:start]
 	}
 	buf = append(buf, 0) // dense
 	buf = codec.PutUvarint(buf, uint64(last))
 	for _, w := range b.words[:last] {
-		var tmp [8]byte
-		for i := 0; i < 8; i++ {
-			tmp[i] = byte(w >> (8 * i))
-		}
-		buf = append(buf, tmp[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return buf
 }

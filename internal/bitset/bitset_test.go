@@ -3,6 +3,7 @@ package bitset
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +60,19 @@ func TestSetAlgebra(t *testing.T) {
 	diff.AndNot(b)
 	if got := diff.Slice(); len(got) != 2 || got[0] != 1 || got[1] != 100 {
 		t.Fatalf("AndNot = %v", got)
+	}
+
+	// Xor, shorter into longer and longer into shorter; twice is the identity.
+	for _, pair := range [][2]*BitSet{{a, b}, {b, a}} {
+		xor := pair[0].Clone()
+		xor.Xor(pair[1])
+		if got := xor.Slice(); !slices.Equal(got, []uint32{1, 4, 100}) {
+			t.Fatalf("Xor = %v", got)
+		}
+		xor.Xor(pair[1])
+		if !xor.Equal(pair[0]) {
+			t.Fatalf("Xor twice = %v, want %v", xor, pair[0])
+		}
 	}
 }
 

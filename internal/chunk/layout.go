@@ -39,9 +39,11 @@ type Projection interface {
 // PlaceVersion gives a version its slot bitmaps. Offline partitioning (§3)
 // drives them over the whole corpus on a fresh Layout, online partitioning
 // (§4) over one batch on the live one ("existing records keep their
-// chunks"), and Restore folds what they persisted back in at load time.
-// Chunk ids are dense in the order chunks are added. Not safe for concurrent
-// mutation.
+// chunks"), and RestoreChunk, ApplyDiffs and BindRecords fold what they
+// persisted back in at load time. A version's bitmap in a chunk its delta
+// does not touch is its tree parent's, shared: bitmaps are immutable once
+// placed. Chunk ids are dense in the order chunks are added. Not safe for
+// concurrent mutation.
 type Layout struct {
 	c    *corpus.Corpus
 	proj Projection
@@ -49,7 +51,7 @@ type Layout struct {
 	maps []*Map     // chunk id → chunk map
 	segs [][]uint32 // chunk id → first slot of each segment, ascending from 0
 	// delta is what AddChunk and PlaceVersion added to the maps since the
-	// last TakeDelta: per chunk, a Map sharing the new bitmaps.
+	// last TakeDelta: per chunk, a Map of the new versions' parent diffs.
 	delta map[ID]*Map
 }
 
@@ -77,22 +79,26 @@ func (l *Layout) Loc(rec uint32) Loc {
 	return l.locs[rec]
 }
 
-// openChunk appends the next chunk with recs in slot order, cut into segments
-// at the slots of segs.
-func (l *Layout) openChunk(recs, segs []uint32) (ID, error) {
-	cid := ID(len(l.maps))
+// openChunk appends the next chunk, of numSlots slots cut into segments at the
+// slots of segs, with an empty map; bindRecords says which records fill it.
+func (l *Layout) openChunk(numSlots int, segs []uint32) ID {
+	l.maps = append(l.maps, NewMap(numSlots))
+	l.segs = append(l.segs, segs)
+	return ID(len(l.maps) - 1)
+}
+
+// bindRecords sets the Loc of chunk cid's records, recs in slot order.
+func (l *Layout) bindRecords(cid ID, recs []uint32) error {
 	for slot, rec := range recs {
 		if at := l.Loc(rec).Chunk; at != NoChunk {
-			return cid, fmt.Errorf("chunk: record %d assigned to chunks %d and %d", rec, at, cid)
+			return fmt.Errorf("chunk: record %d assigned to chunks %d and %d", rec, at, cid)
 		}
 		for int(rec) >= len(l.locs) {
 			l.locs = append(l.locs, Loc{Chunk: NoChunk})
 		}
 		l.locs[rec] = Loc{Chunk: cid, Slot: uint32(slot)}
 	}
-	l.maps = append(l.maps, NewMap(len(recs)))
-	l.segs = append(l.segs, segs)
-	return cid, nil
+	return nil
 }
 
 // AddChunk lays items[idxs[0]], items[idxs[1]], … out as the next chunk and
@@ -144,109 +150,156 @@ func (l *Layout) AddChunk(items []Item, idxs []uint32) ([][]byte, error) {
 		firsts = append(firsts, first)
 		i = j
 	}
-	cid, err := l.openChunk(recs, firsts)
-	if err != nil {
+	// Bound before the chunk is opened: a refused assignment adds no chunk.
+	if err := l.bindRecords(ID(len(l.maps)), recs); err != nil {
 		return nil, err
 	}
-	l.noteDelta(cid, len(recs))
+	l.noteDelta(l.openChunk(len(recs), firsts))
 	return values, nil
 }
 
 // PlaceVersion gives version v its slot bitmaps: its tree parent's, minus
-// the records v deletes, plus the records it adds. The parent must be placed
-// and every record of v's delta must be in a chunk. v's span is reported to
-// the projection in chunk order.
+// the records v deletes, plus the records it adds. It states v's delta as
+// diffs — per chunk, the slots it takes out of or puts into the parent's
+// bitmap there; a delete of a record the parent does not hold, or an add of
+// one it does, changes nothing — notes them in the pending delta, and folds
+// them as Load will (ApplyDiffs). The parent must be placed and every record
+// of v's delta must be in a chunk.
 func (l *Layout) PlaceVersion(v types.VersionID) error {
+	parent := l.c.Graph().Parent(v)
 	perChunk := make(map[ID]*bitset.BitSet)
-	if parent := l.c.Graph().Parent(v); parent != types.InvalidVersion {
-		for _, cid := range l.proj.VersionChunks(parent) {
-			if bm := l.maps[cid].SlotsOf(parent); bm != nil {
-				perChunk[cid] = bm.Clone()
-			}
-		}
-	}
-	for _, rec := range l.c.Dels(v) {
+	// differ notes record rec's slot as one v differs from its parent in,
+	// provided the parent holds the record (a delete) or does not (an add).
+	differ := func(rec uint32, role string, held bool) error {
 		loc := l.Loc(rec)
 		if loc.Chunk == NoChunk {
-			return fmt.Errorf("chunk: record %d deleted by version %d but unplaced", rec, v)
+			return fmt.Errorf("chunk: record %d %s version %d but unplaced", rec, role, v)
 		}
-		if bm := perChunk[loc.Chunk]; bm != nil {
-			bm.Clear(loc.Slot)
+		m := l.maps[loc.Chunk]
+		if was := m.SlotsOf(parent); (was != nil && was.Contains(loc.Slot)) != held {
+			return nil
+		}
+		if perChunk[loc.Chunk] == nil {
+			perChunk[loc.Chunk] = bitset.New(m.NumSlots)
+		}
+		perChunk[loc.Chunk].Set(loc.Slot)
+		return nil
+	}
+	for _, rec := range l.c.Dels(v) {
+		if err := differ(rec, "deleted by", true); err != nil {
+			return err
 		}
 	}
 	for _, rec := range l.c.Adds(v) {
-		loc := l.Loc(rec)
-		if loc.Chunk == NoChunk {
-			return fmt.Errorf("chunk: record %d live in version %d but unplaced", rec, v)
+		if err := differ(rec, "live in", false); err != nil {
+			return err
 		}
-		bm := perChunk[loc.Chunk]
-		if bm == nil {
-			bm = bitset.New(l.maps[loc.Chunk].NumSlots)
-			perChunk[loc.Chunk] = bm
-		}
-		bm.Set(loc.Slot)
 	}
+	diffs := make([]Slots, 0, len(perChunk))
 	for _, cid := range slices.Sorted(maps.Keys(perChunk)) {
-		if bm := perChunk[cid]; !bm.Empty() {
-			l.maps[cid].Versions[v] = bm
-			l.noteDelta(cid, l.maps[cid].NumSlots).Versions[v] = bm
-			l.proj.ObserveVersionChunk(v, cid)
-		}
+		diffs = append(diffs, Slots{cid, perChunk[cid]})
+		l.noteDelta(cid).Versions[v] = perChunk[cid]
 	}
-	return nil
+	return l.ApplyDiffs(v, parent, diffs)
 }
 
 // noteDelta returns chunk cid's entry in the pending delta, opening it.
-func (l *Layout) noteDelta(cid ID, numSlots int) *Map {
+func (l *Layout) noteDelta(cid ID) *Map {
 	if l.delta == nil {
 		l.delta = make(map[ID]*Map)
 	}
 	if l.delta[cid] == nil {
-		l.delta[cid] = NewMap(numSlots)
+		l.delta[cid] = NewMap(l.maps[cid].NumSlots)
 	}
 	return l.delta[cid]
 }
 
 // TakeDelta returns what AddChunk and PlaceVersion added to the chunk maps
-// since the previous call — per touched chunk, a Map holding only the new
-// versions' bitmaps (the whole map for a chunk added since) — and starts
-// afresh. It is the chunk-map half of a placement record; Restore reads it
-// back.
+// since the previous call, as parent diffs, and starts afresh: per chunk
+// added or changed since, a Map holding — for every version placed since whose
+// bitmap there differs from its tree parent's — the XOR of the two (against
+// the empty set for a root version or a chunk the parent has nothing in). A
+// version the Map does not list holds in that chunk what its parent holds. It
+// is the chunk-map half of a placement record; RestoreChunk and ApplyDiffs
+// read it back.
 func (l *Layout) TakeDelta() map[ID]*Map {
 	d := l.delta
 	l.delta = nil
 	return d
 }
 
-// Restore folds a persisted delta of chunk cid's map back in at load time. A
-// delta for the next chunk id opens that chunk: stored is what JoinSegments
-// made of its decoded segments, and every record of it must be registered in
-// the corpus — some version's bitmap claims it. Deltas must arrive in the
-// order TakeDelta produced them, chunks ascending within each.
-func (l *Layout) Restore(cid ID, m *Map, stored Stored) error {
-	if int(cid) == len(l.maps) {
-		if len(stored.Records) != m.NumSlots {
-			return fmt.Errorf("%w: chunk %d holds %d records, its map %d slots", types.ErrCorrupt, cid, len(stored.Records), m.NumSlots)
-		}
-		recs := make([]uint32, len(stored.Records))
-		for slot, r := range stored.Records {
-			rec, ok := l.c.IDForCK(r.CK)
-			if !ok {
-				return fmt.Errorf("%w: chunked record %v belongs to no placed version", types.ErrCorrupt, r.CK)
-			}
-			recs[slot] = rec
-		}
-		if _, err := l.openChunk(recs, stored.Segments); err != nil {
-			return fmt.Errorf("%w: %v", types.ErrCorrupt, err)
-		}
-	} else if int(cid) > len(l.maps) || l.maps[cid].NumSlots != m.NumSlots {
-		return fmt.Errorf("%w: placement record extends chunk %d (%d slots) out of turn", types.ErrCorrupt, cid, m.NumSlots)
+// Slots is a set of slots of one chunk: a version's bitmap there, or its
+// difference from another's.
+type Slots struct {
+	Chunk ID
+	Bits  *bitset.BitSet
+}
+
+// RestoreChunk opens chunk cid at load time, as its decoded segments describe
+// it. Chunks open in id order, each by the first placement record that names
+// it, before that record's versions get their bitmaps; which records fill it is
+// bound once they are registered (BindRecords).
+func (l *Layout) RestoreChunk(cid ID, stored Stored) error {
+	if int(cid) != len(l.maps) {
+		return fmt.Errorf("%w: chunk %d opened out of turn, after %d chunks", types.ErrCorrupt, cid, len(l.maps))
 	}
-	for v, bm := range m.Versions {
-		l.maps[cid].Versions[v] = bm
+	l.openChunk(len(stored.Records), stored.Segments)
+	return nil
+}
+
+// ApplyDiffs gives version v, whose tree parent is parent (InvalidVersion for
+// a root), the slot bitmaps its diffs state — PlaceVersion's, or the ones a
+// placement record kept of them (TakeDelta) — ascending by chunk, each within
+// its chunk's slots: in a chunk with a diff, the parent's bitmap XOR the diff;
+// in any other, the parent's own, shared. The parent must have its bitmaps,
+// every chunk of diffs must be open. v's span is reported to the projection in
+// chunk order.
+func (l *Layout) ApplyDiffs(v, parent types.VersionID, diffs []Slots) error {
+	var parentChunks []ID // ascending
+	if parent != types.InvalidVersion {
+		parentChunks = l.proj.VersionChunks(parent)
+	}
+	hold := func(cid ID, bm *bitset.BitSet) {
 		if !bm.Empty() {
+			l.maps[cid].Versions[v] = bm
 			l.proj.ObserveVersionChunk(v, cid)
 		}
+	}
+	for _, d := range diffs {
+		if int(d.Chunk) >= len(l.maps) {
+			return fmt.Errorf("%w: version %d placed in chunk %d of %d", types.ErrCorrupt, v, d.Chunk, len(l.maps))
+		}
+		for ; len(parentChunks) > 0 && parentChunks[0] < d.Chunk; parentChunks = parentChunks[1:] {
+			hold(parentChunks[0], l.maps[parentChunks[0]].SlotsOf(parent))
+		}
+		bm := d.Bits
+		if len(parentChunks) > 0 && parentChunks[0] == d.Chunk {
+			bm = l.maps[d.Chunk].SlotsOf(parent).Clone()
+			bm.Xor(d.Bits)
+			parentChunks = parentChunks[1:]
+		}
+		hold(d.Chunk, bm)
+	}
+	for _, cid := range parentChunks {
+		hold(cid, l.maps[cid].SlotsOf(parent))
+	}
+	return nil
+}
+
+// BindRecords completes a chunk RestoreChunk opened: every record its segments
+// decoded to must by now be registered in the corpus — some version's bitmap
+// claims it — and takes its slot as its Loc.
+func (l *Layout) BindRecords(cid ID, stored Stored) error {
+	recs := make([]uint32, len(stored.Records))
+	for slot, r := range stored.Records {
+		rec, ok := l.c.IDForCK(r.CK)
+		if !ok {
+			return fmt.Errorf("%w: chunked record %v belongs to no placed version", types.ErrCorrupt, r.CK)
+		}
+		recs[slot] = rec
+	}
+	if err := l.bindRecords(cid, recs); err != nil {
+		return fmt.Errorf("%w: %v", types.ErrCorrupt, err)
 	}
 	return nil
 }
@@ -270,7 +323,7 @@ type Part struct {
 // at the slot its predecessor ended at, the first at 0: a missing segment or
 // one stored under another's key is corruption, never a shorter chunk. (A
 // missing tail shows when the chunk's map counts more slots than the chunk
-// holds; Restore.)
+// holds; DecodeMap.)
 func JoinSegments(parts []Part) (Stored, error) {
 	slices.SortFunc(parts, func(a, b Part) int { return cmp.Compare(a.Index, b.Index) })
 	st := Stored{Segments: make([]uint32, len(parts))}

@@ -119,16 +119,25 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 		}
 	}
 	checkLayout(t, c, l, proj)
+	// The delta states each version as a diff against its parent: version 2
+	// holds in chunk 0 what version 1 holds, so chunk 0 does not list it — and
+	// the layout shares the one bitmap.
 	whole := l.TakeDelta()
-	if len(whole) != 2 || len(whole[0].Versions) != 3 || len(whole[1].Versions) != 2 {
+	if len(whole) != 2 || len(whole[0].Versions) != 2 || len(whole[1].Versions) != 2 || whole[0].Versions[2] != nil {
 		t.Fatalf("delta of a full build: %v", whole)
+	}
+	if got := whole[1].Versions[2].Slice(); !slices.Equal(got, []uint32{0, 1}) {
+		t.Fatalf("version 2 swaps doc@1 for doc@2 in chunk 1, its diff is %v", got)
+	}
+	if l.Map(0).SlotsOf(2) != l.Map(0).SlotsOf(1) {
+		t.Fatal("version 2 has a bitmap of its own in a chunk its delta does not touch")
 	}
 	if l.TakeDelta() != nil {
 		t.Fatal("a taken delta came back")
 	}
 
 	// Online: version 0 with its chunk, then the batch {1, 2} with a second
-	// chunk; the second delta holds only the batch's bitmaps.
+	// chunk; the second delta holds only the batch's diffs.
 	proj2 := newFakeProj()
 	l2 := NewLayout(c, proj2)
 	if l2.Loc(3).Chunk != NoChunk {
@@ -153,31 +162,49 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	}
 	checkLayout(t, c, l2, proj2)
 	second := l2.TakeDelta()
-	if _, old := second[0].Versions[0]; old || len(second[0].Versions) != 2 || second[0].NumSlots != 2 {
+	if len(second[0].Versions) != 1 || second[0].Versions[1] == nil || second[0].NumSlots != 2 {
 		t.Fatalf("second delta of chunk 0: %+v", second[0])
 	}
 
-	// Restore: fold both deltas, in order, over the decoded payloads.
+	// Restore: fold both deltas, in order, over the decoded payloads — a
+	// delta's new chunks, then its versions, then the new chunks' records.
 	proj3 := newFakeProj()
 	l3 := NewLayout(c, proj3)
-	if err := l3.Restore(1, second[1], storedOf(t, p1)); !errors.Is(err, types.ErrCorrupt) {
+	if err := l3.RestoreChunk(1, storedOf(t, p1)); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("chunk 1 restored before chunk 0: %v", err)
 	}
-	short := storedOf(t, p0)
-	short.Records = short.Records[:1]
-	if err := l3.Restore(0, first[0], short); !errors.Is(err, types.ErrCorrupt) {
-		t.Fatalf("chunk restored from segments shorter than its map: %v", err)
-	}
+	stored := []Stored{storedOf(t, p0), storedOf(t, p1)}
 	for _, step := range []struct {
-		cid    ID
-		m      *Map
-		stored Stored
-	}{{0, first[0], storedOf(t, p0)}, {0, second[0], Stored{}}, {1, second[1], storedOf(t, p1)}} {
-		if err := l3.Restore(step.cid, step.m, step.stored); err != nil {
-			t.Fatal(err)
+		delta    map[ID]*Map
+		versions []types.VersionID
+	}{{first, []types.VersionID{0}}, {second, []types.VersionID{1, 2}}} {
+		opened := ID(l3.NumChunks())
+		for cid := opened; step.delta[cid] != nil; cid++ {
+			if err := l3.RestoreChunk(cid, stored[cid]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, v := range step.versions {
+			var diffs []Slots
+			for cid := ID(0); int(cid) < l3.NumChunks(); cid++ {
+				if m := step.delta[cid]; m != nil && m.Versions[v] != nil {
+					diffs = append(diffs, Slots{cid, m.Versions[v]})
+				}
+			}
+			if err := l3.ApplyDiffs(v, c.Graph().Parent(v), diffs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for cid := opened; int(cid) < l3.NumChunks(); cid++ {
+			if err := l3.BindRecords(cid, stored[cid]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	checkLayout(t, c, l3, proj3)
+	if err := l3.ApplyDiffs(2, 1, []Slots{{2, second[1].Versions[2]}}); !errors.Is(err, types.ErrCorrupt) {
+		t.Fatalf("a diff in a chunk that is not open: %v", err)
+	}
 	for rec := uint32(0); rec < 4; rec++ {
 		if l3.Loc(rec) != l2.Loc(rec) {
 			t.Fatalf("record %d restored at %+v, was %+v", rec, l3.Loc(rec), l2.Loc(rec))

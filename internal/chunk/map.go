@@ -14,7 +14,9 @@ import (
 // position in the chunk's flattened layout (items in order, members within
 // each item in order). In aggregate the chunk maps carry exactly the
 // information of the full key×version×chunk matrix, exploiting its sparsity
-// with per-version bitmaps.
+// with per-version bitmaps. A Layout holds whole bitmaps; the Maps it hands
+// out to be persisted (TakeDelta) hold, under the same shape, each version's
+// difference from its tree parent.
 type Map struct {
 	// NumSlots is the number of record slots in the chunk.
 	NumSlots int
@@ -32,7 +34,8 @@ func NewMap(numSlots int) *Map {
 func (m *Map) SlotsOf(v types.VersionID) *bitset.BitSet { return m.Versions[v] }
 
 // AppendBinary serializes the map: slot count, version count, then sorted
-// (version, bitmap) pairs. Bitmaps self-select dense/sparse encoding.
+// (version, bitmap) pairs, each bitmap in the shorter of its dense and sparse
+// encodings.
 func (m *Map) AppendBinary(buf []byte) []byte {
 	buf = codec.PutUvarint(buf, uint64(m.NumSlots))
 	buf = codec.PutUvarint(buf, uint64(len(m.Versions)))

@@ -137,19 +137,20 @@ func TestFlushWriteVolumeDoesNotAge(t *testing.T) {
 
 // TestFlushCrashMatrix fails a flush at each step of its crash order —
 // between two segments of one chunk, after the chunk write, after the
-// placement record, after the root (the commit point), and mid delta-drain —
+// placement record, after the root (the commit point), and with the
+// delta-drain batch landed on one node and not the other —
 // and checks that Load recovers every version byte-exact, that the recovered
 // store commits and flushes again (reusing the orphaned chunk ids and record
 // index), and that the result survives another reload.
 func TestFlushCrashMatrix(t *testing.T) {
-	drainCalls := 0
 	stages := []struct {
 		name string
 		// fail is armed on the last node. Most stages run on one node and
 		// 256-byte chunks, which the batch overflows; between-segments needs
 		// a chunk of several segments (documents padded by pad bytes, twelve
 		// of them to four segments) on two nodes, one of which refuses its
-		// share of them.
+		// share of them; half-drained has two nodes for the drain's batch to
+		// split over.
 		fail            func(table string) bool
 		nodes, capacity int
 		pad             int
@@ -158,12 +159,7 @@ func TestFlushCrashMatrix(t *testing.T) {
 		{"after-chunks", func(table string) bool { return table == TablePlacement }, 1, 256, 0},
 		{"after-record", func(table string) bool { return table == TableMeta }, 1, 256, 0},
 		{"after-root", func(table string) bool { return table == TableDeltaStore }, 1, 256, 0},
-		{"mid-drain", func(table string) bool {
-			if table == TableDeltaStore {
-				drainCalls++
-			}
-			return drainCalls > 1
-		}, 1, 256, 0},
+		{"half-drained", func(table string) bool { return table == TableDeltaStore }, 2, 256, 0},
 	}
 	for _, stage := range stages {
 		t.Run(stage.name, func(t *testing.T) {
@@ -204,12 +200,21 @@ func TestFlushCrashMatrix(t *testing.T) {
 				t.Fatalf("flush under fault: %v", err)
 			}
 			last.arm(nil)
-			if stage.nodes > 1 {
+			switch stage.name {
+			case "between-segments":
 				// The poisoned store's layout knows how the batch's chunks
 				// were cut: some of them must be on disk in part.
 				partial := partialChunks(storedSegments(t, kv, st.gen), st.layout)
 				if len(partial) == 0 || slices.Min(partial) < chunk.ID(seeded) {
 					t.Fatalf("precondition: partially written chunks %v, want some, all at or past chunk %d", partial, seeded)
+				}
+			case "half-drained":
+				left := 0
+				if err := kv.Scan(ctx, TableDeltaStore, func(string, []byte) bool { left++; return true }); err != nil {
+					t.Fatal(err)
+				}
+				if left == 0 || left >= 6 {
+					t.Fatalf("precondition: %d of the batch's 6 delta entries left, want some and not all", left)
 				}
 			}
 
@@ -244,21 +249,59 @@ func TestFlushCrashMatrix(t *testing.T) {
 	}
 }
 
+// TestFlushKVCallsBounded: a flush is a fixed number of storage writes
+// whatever its batch holds — per node one batch of chunk segments, the
+// placement record, the root, and one batch that drains the write store — so
+// a batch of 64 versions must not cost more engine calls than a batch of one.
+func TestFlushKVCallsBounded(t *testing.T) {
+	ctx := context.Background()
+	const nodes = 2
+	calls := map[int]int64{}
+	for _, k := range []int{1, 8, 64} {
+		st, _, backends := openFaultyCapacity(t, nodes, 4096)
+		_, versions := seedStore(t, st)
+		parent := versions[len(versions)-1]
+		for i := 0; i < k; i++ {
+			var err error
+			if parent, err = st.Commit(ctx, parent, Change{Puts: map[types.Key][]byte{key(i % 7): []byte(fmt.Sprintf("rev %d", i))}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := int64(0)
+		for _, be := range backends {
+			before += be.writes.Load()
+		}
+		if err := st.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range backends {
+			calls[k] += be.writes.Load()
+		}
+		calls[k] -= before
+	}
+	// Chunks and drain reach at most every node, record and root one each.
+	if limit := int64(2*nodes + 2); calls[1] > limit || calls[8] > limit || calls[64] > limit {
+		t.Fatalf("a flush of 1, 8 and 64 versions made %d, %d and %d engine write calls, want at most %d each", calls[1], calls[8], calls[64], limit)
+	}
+}
+
 // TestLoadRefusesOlderManifest: a format-2 manifest (chunk maps inside the
 // chunk values, no placement log), a format-3 root (this root's fields, over
-// placement records that also list each version's composite keys) and a
+// placement records that also list each version's composite keys), a
 // format-4 root (the same fields again, over chunks stored as one payload
-// each) must be refused with the re-initialize error, not misread.
+// each) and a format-5 root (the same fields, over placement records of whole
+// bitmaps, which this build would take for diffs) must be refused with the
+// re-initialize error, not misread.
 func TestLoadRefusesOlderManifest(t *testing.T) {
 	ctx := context.Background()
-	for _, ver := range []uint64{2, 3, 4} {
+	for _, ver := range []uint64{2, 3, 4, 5} {
 		kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Five zero fields after the version: v2's generation, versions,
-		// chunks, pending, branches; v3's and v4's generation, chunks,
-		// placement records, placed versions, branches.
+		// chunks, pending, branches; from v3 on generation, chunks, placement
+		// records, placed versions, branches.
 		root := codec.PutUvarint(nil, ver)
 		for i := 0; i < 5; i++ {
 			root = codec.PutUvarint(root, 0)

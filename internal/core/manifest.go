@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"rstore/internal/bitset"
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
 	"rstore/internal/kvstore"
@@ -18,14 +17,16 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 5 stores a chunk as
-// key-ordered, front-coded segment values (chunk.SegmentKey) in place of one
-// payload; version 4 took the versions' composite-key deltas out of the
-// placement records, whose slot bitmaps already imply them; a version-3 store
-// wrote both, a version-2 store carried chunk maps inside the chunk values,
-// version 1 used unprefixed chunk keys, and all four must be re-initialized,
-// not misread.
-const manifestVersion = 5
+// manifestVersion guards the on-disk format. Version 6 states a version's slot
+// bitmaps in the placement records as diffs against its tree parent's, where
+// version 5 wrote them whole; version 5 stored a chunk as key-ordered,
+// front-coded segment values (chunk.SegmentKey) in place of one payload;
+// version 4 took the versions' composite-key deltas out of the placement
+// records, whose slot bitmaps already imply them; a version-3 store wrote
+// both, a version-2 store carried chunk maps inside the chunk values, version
+// 1 used unprefixed chunk keys, and all five must be re-initialized, not
+// misread.
+const manifestVersion = 6
 
 // placementKey renders the key of the idx-th placement record of a
 // generation; like chunk.SegmentKey it carries the generation, so a full
@@ -95,15 +96,18 @@ func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 }
 
 // savePlacement writes placement record idx of generation gen: the parent
-// edges of versions [first, NumVersions), and what those versions add to the
-// chunk maps — per touched chunk, a chunk map holding only their slot bitmaps
-// (the whole map for a chunk the record introduces; chunk.Layout.TakeDelta).
-// The bitmaps are the only statement of which records a version holds: its
-// tree-edge delta is their difference from its parent's, which Load derives
-// (applyPlacement), and the record values live in the chunks. Online flushes
-// append one record per batch; a full repartition writes one record holding
-// everything. The record only counts once the root does (publish).
-func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.VersionID, maps map[chunk.ID]*chunk.Map) error {
+// edges of versions [first, NumVersions), and what those versions change in
+// the chunk maps — per chunk the record introduces or one of its versions
+// differs from its tree parent in, the slot count and, per such version, the
+// XOR of its slot bitmap with the parent's (chunk.Layout.TakeDelta); a
+// version a chunk does not list holds there what its parent holds. The diffs
+// are the only statement of which records a version holds, and they are its
+// tree-edge delta — a slot of a diff is an add where the version holds it, a
+// delete where the parent does (applyPlacement); the record values live in
+// the chunks. Online flushes append one record per batch; a full repartition
+// writes one record holding everything. The record only counts once the root
+// does (publish).
+func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.VersionID, diffs map[chunk.ID]*chunk.Map) error {
 	buf := codec.PutUvarint(nil, uint64(first))
 	buf = codec.PutUvarint(buf, uint64(s.graph.NumVersions()-int(first)))
 	for v := first; int(v) < s.graph.NumVersions(); v++ {
@@ -113,31 +117,27 @@ func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.
 			buf = codec.PutUvarint(buf, uint64(p))
 		}
 	}
-	cids := make([]chunk.ID, 0, len(maps))
-	for cid := range maps {
+	cids := make([]chunk.ID, 0, len(diffs))
+	for cid := range diffs {
 		cids = append(cids, cid)
 	}
 	slices.Sort(cids) // new chunks must fold in id order
 	buf = codec.PutUvarint(buf, uint64(len(cids)))
 	for _, cid := range cids {
 		buf = codec.PutUvarint(buf, uint64(cid))
-		buf = codec.PutBytes(buf, maps[cid].AppendBinary(nil))
+		buf = codec.PutBytes(buf, diffs[cid].AppendBinary(nil))
 	}
 	return s.kv.BatchPut(ctx, TablePlacement, []kvstore.Entry{{Key: placementKey(gen, idx), Value: buf}})
 }
 
-// chunkBits is one version's slot bitmap in one chunk.
-type chunkBits struct {
-	cid  chunk.ID
-	bits *bitset.BitSet
-}
-
 // applyPlacement folds one placement record into a store being loaded.
-// chunks[c] is what chunk c's segments decoded to. The record's
-// map deltas are decoded first; each of its versions, in id order, then gets
-// the tree-edge delta its bitmaps imply (deltaFromBitmaps) and extends the
-// graph and the corpus; only then do the map deltas extend the layout, which
-// resolves a new chunk's records through the corpus the versions just filled.
+// chunks[c] is what chunk c's segments decoded to. The record's diffs are
+// decoded first, each against the slot count of the chunk it indexes, and the
+// chunks it introduces are opened; each of its versions, in id order — parents
+// first — then gets its bitmaps back from its parent's and its diffs
+// (chunk.Layout.ApplyDiffs) and, read off the same diffs, the tree-edge
+// delta that extends the graph and the corpus; only then do the new chunks'
+// records, which the versions just registered, take their places.
 func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
 	first, rest, err := codec.Uvarint(buf)
 	if err != nil {
@@ -177,17 +177,14 @@ func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
 		return err
 	}
 	if nm > uint64(len(rest)) {
-		return fmt.Errorf("%w: placement record counts %d map deltas in %d bytes", types.ErrCorrupt, nm, len(rest))
+		return fmt.Errorf("%w: placement record counts %d chunk maps in %d bytes", types.ErrCorrupt, nm, len(rest))
 	}
-	type mapDelta struct {
-		cid chunk.ID
-		m   *chunk.Map
-	}
-	deltas := make([]mapDelta, nm)
-	// spans[i] lists version first+i's bitmaps, ascending by chunk — the
-	// order the deltas arrive in.
-	spans := make([][]chunkBits, n)
-	for i := range deltas {
+	// diffs[i] lists version first+i's diffs, ascending by chunk — the order
+	// the chunk maps arrive in.
+	diffs := make([][]chunk.Slots, n)
+	opened := chunk.ID(s.layout.NumChunks()) // the record's new chunks are [opened, NumChunks)
+	last := -1
+	for ; nm > 0; nm-- {
 		var cid uint64
 		if cid, rest, err = codec.Uvarint(rest); err != nil {
 			return err
@@ -199,89 +196,72 @@ func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
 		if cid >= uint64(len(chunks)) {
 			return fmt.Errorf("%w: placement record names chunk %d, the root counts %d", types.ErrCorrupt, cid, len(chunks))
 		}
-		if i > 0 && chunk.ID(cid) <= deltas[i-1].cid {
-			return fmt.Errorf("%w: placement record lists chunk %d after chunk %d", types.ErrCorrupt, cid, deltas[i-1].cid)
+		if int(cid) <= last {
+			return fmt.Errorf("%w: placement record lists chunk %d after chunk %d", types.ErrCorrupt, cid, last)
 		}
+		last = int(cid)
 		m, err := chunk.DecodeMap(enc, len(chunks[cid].Records))
 		if err != nil {
 			return err
 		}
-		deltas[i] = mapDelta{chunk.ID(cid), m}
+		if int(cid) >= s.layout.NumChunks() {
+			if err := s.layout.RestoreChunk(chunk.ID(cid), chunks[cid]); err != nil {
+				return err
+			}
+		}
 		for v, bits := range m.Versions {
 			if uint64(v) < first || uint64(v)-first >= n {
-				return fmt.Errorf("%w: placement record of versions [%d, %d) holds a bitmap of version %d", types.ErrCorrupt, first, first+n, v)
+				return fmt.Errorf("%w: placement record of versions [%d, %d) holds a diff of version %d", types.ErrCorrupt, first, first+n, v)
 			}
-			spans[uint64(v)-first] = append(spans[uint64(v)-first], chunkBits{chunk.ID(cid), bits})
+			diffs[uint64(v)-first] = append(diffs[uint64(v)-first], chunk.Slots{Chunk: chunk.ID(cid), Bits: bits})
 		}
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing placement-record bytes", types.ErrCorrupt, len(rest))
 	}
 
-	for i, span := range spans {
-		v := types.VersionID(first) + types.VersionID(i)
-		var parentSpan []chunkBits
+	for i, vdiffs := range diffs {
+		v, parent := types.VersionID(first)+types.VersionID(i), types.InvalidVersion
 		if len(parents[i]) > 0 {
-			switch p := parents[i][0]; {
-			case p >= v:
-				return fmt.Errorf("%w: version %d placed before its parent %d", types.ErrCorrupt, v, p)
-			case uint64(p) >= first: // placed by this record
-				parentSpan = spans[uint64(p)-first]
-			default: // by an earlier one: the layout has its bitmaps
-				for _, cid := range s.proj.VersionChunks(p) {
-					parentSpan = append(parentSpan, chunkBits{cid, s.layout.Map(cid).SlotsOf(p)})
-				}
+			if parent = parents[i][0]; parent >= v {
+				return fmt.Errorf("%w: version %d placed before its parent %d", types.ErrCorrupt, v, parent)
 			}
 		}
-		if err := s.replayVersion(v, parents[i], deltaFromBitmaps(span, parentSpan, chunks)); err != nil {
+		if err := s.layout.ApplyDiffs(v, parent, vdiffs); err != nil {
+			return err
+		}
+		if err := s.replayVersion(v, parents[i], s.deltaFromDiffs(v, vdiffs, chunks)); err != nil {
 			return err
 		}
 	}
-	for _, d := range deltas {
-		if err := s.layout.Restore(d.cid, d.m, chunks[d.cid]); err != nil {
+	for cid := opened; int(cid) < s.layout.NumChunks(); cid++ {
+		if err := s.layout.BindRecords(cid, chunks[cid]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// deltaFromBitmaps reconstructs a version's tree-edge delta from its slot
-// bitmaps and its tree parent's (both ascending by chunk; no parent span for
-// the root): over the chunks of either, a slot set for the version and not
-// for the parent is an add, one set for the parent and not for the version a
-// delete, each resolved through the chunks' decoded records — every slot of a
-// bitmap indexes them, which chunk.DecodeMap saw to. Adds come out
-// in ascending (chunk, slot) order, which is the order Load hands out record
-// ids in.
-func deltaFromBitmaps(cur, parent []chunkBits, chunks []chunk.Stored) *types.Delta {
+// deltaFromDiffs reads version v's tree-edge delta off its diffs, once the
+// layout holds its bitmaps: a slot of a diff is in v's bitmap or in its
+// parent's, never both — an add where v holds it, a delete otherwise — and
+// resolves through the chunks' decoded records, which every slot of a diff
+// indexes (chunk.DecodeMap saw to it). Adds and deletes each come out in
+// ascending (chunk, slot) order, which is the order Load hands out record ids
+// in.
+func (s *Store) deltaFromDiffs(v types.VersionID, diffs []chunk.Slots, chunks []chunk.Stored) *types.Delta {
 	delta := &types.Delta{}
-	// resolve visits the records of chunk cid at the slots in has and not in
-	// hasNot (nil: none to exclude).
-	resolve := func(cid chunk.ID, has, hasNot *bitset.BitSet, visit func(types.Record)) {
-		if hasNot != nil {
-			has = has.Clone()
-			has.AndNot(hasNot)
-		}
-		has.ForEach(func(slot uint32) bool {
-			visit(chunks[cid].Records[slot])
+	for _, d := range diffs {
+		held := s.layout.Map(d.Chunk).SlotsOf(v) // nil: v emptied the chunk
+		d.Bits.ForEach(func(slot uint32) bool {
+			r := chunks[d.Chunk].Records[slot]
+			if held != nil && held.Contains(slot) {
+				delta.Adds = append(delta.Adds, r)
+			} else {
+				delta.Dels = append(delta.Dels, r.CK)
+			}
 			return true
 		})
-	}
-	add := func(r types.Record) { delta.Adds = append(delta.Adds, r) }
-	del := func(r types.Record) { delta.Dels = append(delta.Dels, r.CK) }
-	for len(cur) > 0 || len(parent) > 0 {
-		switch {
-		case len(parent) == 0 || (len(cur) > 0 && cur[0].cid < parent[0].cid):
-			resolve(cur[0].cid, cur[0].bits, nil, add)
-			cur = cur[1:]
-		case len(cur) == 0 || parent[0].cid < cur[0].cid:
-			resolve(parent[0].cid, parent[0].bits, nil, del)
-			parent = parent[1:]
-		default:
-			resolve(cur[0].cid, cur[0].bits, parent[0].bits, add)
-			resolve(cur[0].cid, parent[0].bits, cur[0].bits, del)
-			cur, parent = cur[1:], parent[1:]
-		}
 	}
 	return delta
 }
@@ -367,7 +347,7 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	// one whose cleanup was cut short — and segments of chunks at or past the
 	// root's chunk count are orphans of an interrupted flush, which may have
 	// written some segments of a chunk and not others; both are skipped here
-	// and garbage-collected below, key by key.
+	// and garbage-collected below.
 	parts := make([][]chunk.Part, numChunks) // chunk id → its decoded segments, in scan order
 	var debrisChunks, debrisPlacements []string
 	var loadErr error
@@ -454,6 +434,13 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	if loadErr != nil {
 		return fail(loadErr)
 	}
+	// The fold registers every chunked record once and every placed version:
+	// size the corpus for them before it starts.
+	records := 0
+	for _, st := range chunks {
+		records += len(st.Records)
+	}
+	s.corpus.Grow(records, s.placed+len(deltas))
 	for idx, rec := range placements {
 		if rec == nil {
 			return fail(fmt.Errorf("%w: placement record %s missing", types.ErrCorrupt, placementKey(s.gen, uint32(idx))))
@@ -487,21 +474,18 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	// Read-only replicas only skipped them in memory, which queries never
 	// look past.
 	if !cfg.ReadOnly {
-		for _, key := range debrisChunks {
-			if err := kv.Delete(ctx, TableChunks, key); err != nil {
-				return fail(err)
-			}
-		}
-		for _, key := range debrisPlacements {
-			if err := kv.Delete(ctx, TablePlacement, key); err != nil {
-				return fail(err)
-			}
-		}
+		var placedDeltas []string
 		for v := range deltas {
 			if int(v) < s.placed {
-				if err := kv.Delete(ctx, TableDeltaStore, deltaKey(v)); err != nil {
-					return fail(err)
-				}
+				placedDeltas = append(placedDeltas, deltaKey(v))
+			}
+		}
+		for _, debris := range []struct {
+			table string
+			keys  []string
+		}{{TableChunks, debrisChunks}, {TablePlacement, debrisPlacements}, {TableDeltaStore, placedDeltas}} {
+			if err := deleteKeys(ctx, kv, debris.table, debris.keys); err != nil {
+				return fail(err)
 			}
 		}
 	}

@@ -20,13 +20,15 @@ import (
 // crash-injection seam for flush and repartition tests. A BatchPut that
 // fails leaves nothing behind (the batch contract), so partial table state
 // is produced by failing SOME nodes' batches, and "crash between stages" by
-// failing a later stage's table. A kvstore Delete reaches the backend as the
-// Put of a tombstone, so failing a table's Puts also fails its deletes.
+// failing a later stage's table. A kvstore Delete or BatchDelete reaches the
+// backend as the Put or BatchPut of tombstones, so failing a table's writes
+// also fails its deletes.
 type faultBackend struct {
 	*memory.Backend
 	mu       sync.Mutex
 	fail     func(table string) bool // nil = healthy
 	inFlight atomic.Int32            // BatchPuts entered and not yet returned
+	writes   atomic.Int64            // Put and BatchPut calls, failed ones included
 }
 
 var errInjected = errors.New("injected crash")
@@ -44,6 +46,7 @@ func (b *faultBackend) failing(table string) bool {
 }
 
 func (b *faultBackend) Put(ctx context.Context, table, key string, value []byte) error {
+	b.writes.Add(1)
 	if b.failing(table) {
 		return errInjected
 	}
@@ -51,6 +54,7 @@ func (b *faultBackend) Put(ctx context.Context, table, key string, value []byte)
 }
 
 func (b *faultBackend) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
+	b.writes.Add(1)
 	b.inFlight.Add(1)
 	defer b.inFlight.Add(-1)
 	if b.failing(table) {

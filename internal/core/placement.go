@@ -155,19 +155,21 @@ func (w *chunkWriter) wait() error {
 // chunk segments (w's groups, each one batched write — grouped per replica
 // node, one durability sync per node — and every one acknowledged before
 // anything else is written) → placement record → root, the commit point →
-// cleanup (a superseded generation, then the write-store drain). A crash
-// before the root — between two groups as much as after the last — leaves
-// chunks and maybe a record the root does not count — past its counts, or
-// under a generation it does not name — which Load skips and deletes (the
-// versions are still pending and re-flush under the same ids); a crash after
-// it leaves only a stale generation and stale delta entries that Load
-// garbage-collects. A group's batch is split per node, so a crash can also
-// leave some segments of a chunk without the others: the chunk is past the
-// root's count all the same, and Load deletes what landed, segment by segment. A repartition's entries land under the NEXT generation's
-// keys, so nothing is overwritten in place: until the root — which names the
-// generation — commits, the old root still pairs with the old generation's
-// intact entries. The store adopts p once its chunks and record are durable,
-// just before the root is written from it.
+// cleanup (a superseded generation, then the write-store drain: one batched
+// delete per table, deleteKeys). A crash before the root — between two groups
+// as much as after the last — leaves chunks and maybe a record the root does
+// not count — past its counts, or under a generation it does not name — which
+// Load skips and deletes (the versions are still pending and re-flush under
+// the same ids); a crash after it leaves only a stale generation and stale
+// delta entries that Load garbage-collects. A batch is split per node, so a
+// crash can also leave some segments of a chunk without the others — the chunk
+// is past the root's count all the same, and Load deletes what landed — or a
+// drain that reached one replica of an entry and not the other, which the
+// tombstone's timestamp settles on the next read. A repartition's entries land
+// under the NEXT generation's keys, so nothing is overwritten in place: until
+// the root — which names the generation — commits, the old root still pairs
+// with the old generation's intact entries. The store adopts p once its chunks
+// and record are durable, just before the root is written from it.
 func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error {
 	drain := s.pending()
 	if err := w.wait(); err != nil {
@@ -191,23 +193,43 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 	// The superseded generation's keys are computable, no scan; Load's
 	// other-generation sweep is the backstop for anything older.
 	if p.gen != oldGen {
+		var segments []string
 		for cid := 0; cid < oldLayout.NumChunks(); cid++ {
 			for seg := range oldLayout.Segments(chunk.ID(cid)) {
-				if err := s.kv.Delete(ctx, TableChunks, chunk.SegmentKey(oldGen, chunk.ID(cid), uint32(seg))); err != nil {
-					return err
-				}
+				segments = append(segments, chunk.SegmentKey(oldGen, chunk.ID(cid), uint32(seg)))
 			}
 		}
-		for idx := uint32(0); idx < oldPlacements; idx++ {
-			if err := s.kv.Delete(ctx, TablePlacement, placementKey(oldGen, idx)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, v := range drain {
-		if err := s.kv.Delete(ctx, TableDeltaStore, deltaKey(v)); err != nil {
+		if err := deleteKeys(ctx, s.kv, TableChunks, segments); err != nil {
 			return err
 		}
+		records := make([]string, oldPlacements)
+		for idx := range records {
+			records[idx] = placementKey(oldGen, uint32(idx))
+		}
+		if err := deleteKeys(ctx, s.kv, TablePlacement, records); err != nil {
+			return err
+		}
+	}
+	drained := make([]string, len(drain))
+	for i, v := range drain {
+		drained[i] = deltaKey(v)
+	}
+	return deleteKeys(ctx, s.kv, TableDeltaStore, drained)
+}
+
+// deleteGroupKeys is how many keys a cleanup delete carries at most: like a
+// chunk-write group, no request grows with the corpus.
+const deleteGroupKeys = 1024
+
+// deleteKeys removes keys from table, one replicated batch per
+// deleteGroupKeys of them.
+func deleteKeys(ctx context.Context, kv *kvstore.Store, table string, keys []string) error {
+	for len(keys) > 0 {
+		n := min(len(keys), deleteGroupKeys)
+		if err := kv.BatchDelete(ctx, table, keys[:n]); err != nil {
+			return err
+		}
+		keys = keys[n:]
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -47,7 +48,9 @@ func (p placementParts) encode() []byte {
 }
 
 // wholeRecord takes apart the one record a bulk-loaded store wrote: every
-// version's parents and every chunk's whole map, copied.
+// version's parents and, per chunk, every version's diff against its tree
+// parent — computed here from the live layout's whole bitmaps, not taken from
+// the layout's own delta.
 func wholeRecord(t *testing.T, st *Store) placementParts {
 	t.Helper()
 	var p placementParts
@@ -56,9 +59,17 @@ func wholeRecord(t *testing.T, st *Store) placementParts {
 	}
 	for cid := chunk.ID(0); int(cid) < st.NumChunks(); cid++ {
 		live := st.layout.Map(cid)
-		m, err := chunk.DecodeMap(live.AppendBinary(nil), live.NumSlots)
-		if err != nil {
-			t.Fatal(err)
+		m := chunk.NewMap(live.NumSlots)
+		for v := types.VersionID(0); int(v) < st.graph.NumVersions(); v++ {
+			diff := bitset.New(live.NumSlots)
+			for _, u := range []types.VersionID{v, st.graph.Parent(v)} {
+				if bits := live.SlotsOf(u); bits != nil { // nil also for the root's InvalidVersion parent
+					diff.Xor(bits)
+				}
+			}
+			if !diff.Empty() {
+				m.Versions[v] = diff
+			}
 		}
 		p.maps = append(p.maps, mapPart{cid, m})
 	}
@@ -67,8 +78,9 @@ func wholeRecord(t *testing.T, st *Store) placementParts {
 
 // TestLoadRejectsCorruptPlacementRecord: whatever a placement record says
 // that the chunks, the root or the records before it contradict comes back
-// from Load as ErrCorrupt — the deltas are derived from the record's bitmaps,
-// so a bitmap is checked against the chunk it indexes before anything is.
+// from Load as ErrCorrupt — bitmaps and deltas are both folded from the
+// record's diffs, so a diff is checked against the chunk it indexes before
+// anything is.
 func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 	ctx := context.Background()
 	st, kv := openGolden(t, Config{})
@@ -87,7 +99,7 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 	if numVersions < 10 || numChunks < 3 {
 		t.Fatalf("%d versions in %d chunks: too small to corrupt", numVersions, numChunks)
 	}
-	// someBitmap picks a bitmap of chunk map m, the lowest version's.
+	// someBitmap picks a diff of chunk map m, the lowest version's.
 	someBitmap := func(m *chunk.Map) *bitset.BitSet {
 		vs := make([]types.VersionID, 0, len(m.Versions))
 		for v := range m.Versions {
@@ -100,7 +112,7 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 		name    string
 		corrupt func(p *placementParts) []byte // nil: p, changed in place, re-encoded
 	}{
-		{"a bitmap names a slot past the chunk's records", func(p *placementParts) []byte {
+		{"a diff names a slot past the chunk's records", func(p *placementParts) []byte {
 			someBitmap(p.maps[1].m).Set(uint32(p.maps[1].m.NumSlots))
 			return nil
 		}},
@@ -116,7 +128,7 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 			p.maps[0], p.maps[1] = p.maps[1], p.maps[0]
 			return nil
 		}},
-		{"a bitmap of a version the record does not place", func(p *placementParts) []byte {
+		{"a diff of a version the record does not place", func(p *placementParts) []byte {
 			p.maps[0].m.Versions[types.VersionID(numVersions)] = bitset.FromSlice([]uint32{0})
 			return nil
 		}},
@@ -148,7 +160,7 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 			p.maps = p.maps[:numChunks-1]
 			return nil
 		}},
-		{"a chunk no version's bitmap claims a record of", func(p *placementParts) []byte {
+		{"a chunk no version's diff claims a record of", func(p *placementParts) []byte {
 			clear(p.maps[numChunks-1].m.Versions)
 			return nil
 		}},
@@ -179,6 +191,102 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 	}
 	if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); err != nil {
 		t.Fatalf("the stored record, put back: %v", err)
+	}
+}
+
+// TestFoldRebuildsBitmapsFromDiffs: placement records state a version as its
+// diffs against its tree parent, and Load must come back with the bitmaps the
+// writer holds whole. Seeded branchy sessions, bulk loaded and committed
+// online in batches of 16, are reloaded after every flush, with a pending
+// tail, and after a Materialize, and compared with the live store bitmap by
+// bitmap (checkSamePlacement). The sessions must reach the cases a fold can
+// get wrong: a version that empties a chunk its parent filled, a chunk a
+// version is the first of its line to touch, a version whose parent an earlier
+// record placed, a merge that re-adds records through its second parent, and
+// — the rule nothing in a record states — a chunk a version's record does not
+// list it in, where it holds what its parent holds.
+func TestFoldRebuildsBitmapsFromDiffs(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		se := branchySession(rng, 70, 48, func(k, step int) []byte { return payload(rng, k, step) })
+		for _, batch := range []int{0, 16} { // 0: bulk load
+			phase := fmt.Sprintf("seed %d batch %d", seed, batch)
+			kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{KV: kv, ChunkCapacity: 512, BatchSize: batch}
+			st, err := Open(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reloads := 0
+			reload := func(when string) {
+				t.Helper()
+				ro := cfg
+				ro.ReadOnly = true // the live store is still the writer
+				re, err := Load(ctx, ro)
+				if err != nil {
+					t.Fatalf("%s %s: load: %v", phase, when, err)
+				}
+				checkSamePlacement(t, phase+" "+when, st, re)
+				reloads++
+			}
+			if batch == 0 {
+				if err := st.BulkLoad(ctx, sessionCorpus(t, se)); err != nil {
+					t.Fatal(err)
+				}
+				reload("after the bulk load")
+			} else {
+				if err := st.Checkpoint(ctx); err != nil { // a root for the first pending tail to load under
+					t.Fatal(err)
+				}
+				for v, sc := range se.commits {
+					if got, err := st.CommitDelta(ctx, sc.parents, sc.delta); err != nil || int(got) != v {
+						t.Fatalf("%s: commit %d: %d, %v", phase, v, got, err)
+					}
+					switch st.PendingVersions() {
+					case 0:
+						reload(fmt.Sprintf("after the flush at version %d", v))
+					case batch / 2:
+						reload(fmt.Sprintf("with a pending tail at version %d", v))
+					}
+				}
+			}
+
+			// What the placed versions look like beside their parents.
+			var emptied, firstTouch, inherited, acrossRecords int
+			for v := types.VersionID(1); int(v) < st.placed; v++ {
+				parent := st.graph.Parent(v)
+				if batch > 0 && int(parent)/batch < int(v)/batch {
+					acrossRecords++
+				}
+				for cid := chunk.ID(0); int(cid) < st.NumChunks(); cid++ {
+					mine, theirs := st.layout.Map(cid).SlotsOf(v), st.layout.Map(cid).SlotsOf(parent)
+					switch {
+					case mine == nil && theirs != nil:
+						emptied++
+					case mine != nil && theirs == nil:
+						firstTouch++
+					case mine != nil && mine.Equal(theirs):
+						inherited++
+					}
+				}
+			}
+			if emptied == 0 || firstTouch == 0 || inherited == 0 || se.remerged == 0 || (batch > 0 && acrossRecords == 0) {
+				t.Fatalf("%s: %d (version, chunk) pairs emptied, %d first touched, %d inherited, %d versions under an earlier record's parent, %d re-added records: the session exercises too little",
+					phase, emptied, firstTouch, inherited, acrossRecords, se.remerged)
+			}
+
+			if err := st.Materialize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			reload("after materialize")
+			if batch > 0 && reloads < 2+len(se.commits)/batch {
+				t.Fatalf("%s: reloaded %d times", phase, reloads)
+			}
+		}
 	}
 }
 
@@ -234,10 +342,11 @@ func takeFoldFixture(t testing.TB, st *Store, kv *kvstore.Store) foldFixture {
 // FuzzApplyPlacement: the fold of a placement record must answer arbitrary
 // bytes with ErrCorrupt — never a panic, an index out of range or an
 // allocation sized by the input's claims — and whatever it accepts must hang
-// together: every version holds, by the deltas derived for it, exactly the
-// records its slot bitmaps name. Seeded with the golden corpus's records: the
-// one record of a bulk load (at 0), and each record of a replay in online
-// batches of four, folded after the ones before it (at i+1).
+// together: every version holds, by the deltas read off its diffs, exactly
+// the records the slot bitmaps rebuilt from the same diffs name. Seeded with
+// the golden corpus's records: the one record of a bulk load (at 0), and each
+// record of a replay in online batches of four, folded after the ones before
+// it (at i+1).
 func FuzzApplyPlacement(f *testing.F) {
 	st, kv := openGolden(f, Config{})
 	if err := st.BulkLoad(context.Background(), goldenCorpus(f)); err != nil {

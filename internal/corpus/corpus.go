@@ -9,6 +9,7 @@ package corpus
 
 import (
 	"fmt"
+	"slices"
 
 	"rstore/internal/bitset"
 	"rstore/internal/intset"
@@ -39,6 +40,20 @@ func New(g *vgraph.Graph) *Corpus {
 		graph:  g,
 		byCK:   make(map[types.CompositeKey]uint32),
 		keyIDs: make(map[types.Key]uint32),
+	}
+}
+
+// Grow sizes the corpus for that many more records and versions, so that a
+// loader which knows both counts beforehand registers them without regrowing
+// a slice or rehashing the record index on the way. The index is a map, which
+// can only be sized while it is empty; the per-key structures grow as keys
+// arrive, there being far fewer keys than records.
+func (c *Corpus) Grow(records, versions int) {
+	c.recs = slices.Grow(c.recs, records)
+	c.adds = slices.Grow(c.adds, versions)
+	c.dels = slices.Grow(c.dels, versions)
+	if len(c.byCK) == 0 {
+		c.byCK = make(map[types.CompositeKey]uint32, records)
 	}
 }
 

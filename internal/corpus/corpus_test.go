@@ -179,3 +179,40 @@ func TestVersionBytes(t *testing.T) {
 		t.Fatal("TotalBytes must cover all distinct records")
 	}
 }
+
+// TestGrowSizesOnce: a corpus told how much is coming registers it without
+// regrowing its record and delta slices, and a hint on a corpus that already
+// holds records loses none of them.
+func TestGrowSizesOnce(t *testing.T) {
+	g := vgraph.New()
+	c := New(g)
+	const versions, perVersion = 40, 25
+	c.Grow(versions*perVersion, versions)
+	recsCap, addsCap := cap(c.recs), cap(c.adds)
+	parent := types.InvalidVersion
+	for v := types.VersionID(0); v < versions; v++ {
+		var err error
+		if v == 0 {
+			parent, err = g.AddRoot()
+		} else {
+			parent, err = g.AddVersion(parent)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &types.Delta{}
+		for i := 0; i < perVersion; i++ {
+			d.Adds = append(d.Adds, rec(string(rune('a'+i)), v))
+		}
+		if err := c.AddVersionDelta(v, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(c.recs) != recsCap || cap(c.adds) != addsCap || c.NumRecords() != versions*perVersion {
+		t.Fatalf("%d records in a slice of %d (sized %d), deltas in one of %d (sized %d)", c.NumRecords(), cap(c.recs), recsCap, cap(c.adds), addsCap)
+	}
+	c.Grow(1000, 10)
+	if id, ok := c.IDForCK(ck("a", 3)); !ok || c.Record(id).CK != ck("a", 3) || c.NumVersions() != versions {
+		t.Fatalf("after a second Grow: record a@3 at %d (%v), %d versions", id, ok, c.NumVersions())
+	}
+}

@@ -136,7 +136,7 @@ var (
 )
 
 // conn is one pooled connection with its buffered reader and reusable
-// receive buffer.
+// receive buffer (trimmed after every exchange: engine.TrimScratch).
 type conn struct {
 	nc  net.Conn
 	br  *bufio.Reader
@@ -210,6 +210,9 @@ func (c *Client) release(cn *conn) {
 // the context deadline, and a cancellation mid-read slams the connection
 // deadline so the blocked read returns immediately.
 func (cn *conn) exchange(ctx context.Context, iot time.Duration, req []byte, handle func(status byte, body []byte) (done, abandon bool, err error)) (abandon bool, err error) {
+	// One large response must not pin its size for the life of the pooled
+	// connection.
+	defer func() { cn.buf = engine.TrimScratch(cn.buf) }()
 	if ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() { cn.nc.SetDeadline(time.Now()) })
 		defer func() {

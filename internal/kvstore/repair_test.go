@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -373,6 +374,74 @@ func TestTombstoneGCAfterHintAck(t *testing.T) {
 	}
 	if _, err := s.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
 		t.Fatalf("after GC: %v", err)
+	}
+}
+
+// TestBatchDeleteIsDeletePerKey: a BatchDelete leaves every key as its own
+// Delete would — gone for readers at once, the replica that was down handed
+// its tombstones by hint replay, and every tombstone collected once all
+// replicas hold it. (That a node gets its share as one batch, not one write
+// per key, is counted at the engine seam by core's TestFlushKVCallsBounded.)
+func TestBatchDeleteIsDeletePerKey(t *testing.T) {
+	opts := fastRepair()
+	opts.DisableReadRepair = true
+	s, backends := openRepair(t, 3, 2, opts)
+	ctx := context.Background()
+
+	keys := make([]string, 40)
+	entries := make([]Entry, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+		entries[i] = Entry{Key: keys[i], Value: []byte("v")}
+	}
+	if err := s.BatchPut(ctx, "t", entries); err != nil {
+		t.Fatal(err)
+	}
+	const down = 2
+	lagging := 0
+	for _, key := range keys {
+		if slices.Contains(s.ring.replicas(key, 2), down) {
+			lagging++
+		}
+	}
+	if lagging == 0 || lagging == len(keys) {
+		t.Fatalf("precondition: node %d replicates %d of %d keys", down, lagging, len(keys))
+	}
+	if err := s.SetNodeUp(down, false); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats(ctx).Requests
+	if err := s.BatchDelete(ctx, "t", append(keys, "never-written")); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(ctx).Requests - before; got != int64(len(keys)+1) {
+		t.Fatalf("BatchDelete of %d keys booked %d requests", len(keys)+1, got)
+	}
+	for _, key := range keys {
+		if _, err := s.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
+			t.Fatalf("%s after BatchDelete: %v", key, err)
+		}
+	}
+	if err := s.SetNodeUp(down, true); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "tombstones delivered, acked, and collected", func() bool {
+		for _, be := range backends {
+			for _, key := range keys {
+				if _, ok := rawGet(t, be, "t", key); ok {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	// never-written replicates to the down node or not: one more either way.
+	st := s.Stats(ctx)
+	if st.HintsReplayed < int64(lagging) || st.HintsReplayed > int64(lagging)+1 || st.TombstonesGCed != int64(len(keys))+1 {
+		t.Fatalf("replayed=%d gced=%d, want %d (or one more) and %d", st.HintsReplayed, st.TombstonesGCed, lagging, len(keys)+1)
+	}
+	if err := s.BatchDelete(ctx, "t", nil); err != nil {
+		t.Fatalf("empty BatchDelete: %v", err)
 	}
 }
 

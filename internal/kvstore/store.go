@@ -244,10 +244,11 @@ type Store struct {
 
 	// Virtual clock and counters (atomics; Store is safe for concurrent
 	// use).
-	simClock  atomic.Int64 // accumulated simulated time, ns
-	reqCount  atomic.Int64
-	bytesRead atomic.Int64
-	bytesPut  atomic.Int64
+	simClock   atomic.Int64 // accumulated simulated time, ns
+	reqCount   atomic.Int64
+	bytesRead  atomic.Int64
+	bytesPut   atomic.Int64
+	writeCalls atomic.Int64
 }
 
 // Open creates a cluster, opening one backend (or wire client) per node.
@@ -436,6 +437,7 @@ func (s *Store) Cost() CostModel { return s.cfg.Cost }
 // parked as a hint on a replica that took it, to be replayed when the
 // node returns (repair.go).
 func (s *Store) Put(ctx context.Context, table, key string, value []byte) error {
+	s.writeCalls.Add(1)
 	replicas := s.ring.replicas(key, s.cfg.ReplicationFactor)
 	env := envelope(envValue, s.nextTS(), value)
 	park, missed, err := s.replicatedPut(ctx, replicas, table, key, env)
@@ -503,9 +505,31 @@ func (s *Store) replicatedPut(ctx context.Context, replicas []int, table, key st
 // errors; simulated timing follows the MultiGet batch model (per-node serial
 // service, parallel client lanes).
 func (s *Store) BatchPut(ctx context.Context, table string, entries []Entry) error {
+	return s.batchWrite(ctx, "batchput", table, envValue, entries)
+}
+
+// BatchDelete removes many keys of one table as BatchPut stores them: one
+// tombstone per key, grouped per replica node, each group one backend batch.
+// Every key is deleted exactly as Delete deletes it — a replica that misses
+// its tombstone is outvoted by the timestamp and, with repair enabled, hinted,
+// and a tombstone every replica holds is collected. Deleting a missing key is
+// not an error; a key with no live replica is.
+func (s *Store) BatchDelete(ctx context.Context, table string, keys []string) error {
+	entries := make([]Entry, len(keys))
+	for i, key := range keys {
+		entries[i].Key = key
+	}
+	return s.batchWrite(ctx, "batchdelete", table, envTombstone, entries)
+}
+
+// batchWrite is BatchPut (flag envValue) and BatchDelete (envTombstone, the
+// entries' values nil): one envelope per entry under one timestamp, written to
+// every replica in per-node groups.
+func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
+	s.writeCalls.Add(1)
 	perNode := make(map[int][]int)
 	replicasOf := make([][]int, len(entries))
 	for i, e := range entries {
@@ -519,7 +543,7 @@ func (s *Store) BatchPut(ctx context.Context, table string, entries []Entry) err
 	ts := s.nextTS()
 	envs := make([][]byte, len(entries))
 	for i, e := range entries {
-		envs[i] = envelope(envValue, ts, e.Value)
+		envs[i] = envelope(flag, ts, e.Value)
 	}
 	// The per-node groups issue concurrently (bounded by the node count:
 	// one goroutine per group), so a dead node's dial-retry latency does
@@ -559,7 +583,7 @@ func (s *Store) BatchPut(ctx context.Context, table string, entries []Entry) err
 			}
 			missedByNode[nid] = perNode[nid]
 		default:
-			return fmt.Errorf("kvstore: batchput %s: node %d: %w", table, nid, err)
+			return fmt.Errorf("kvstore: %s %s: node %d: %w", op, table, nid, err)
 		}
 	}
 	// committed[i] = acking node earliest in entry i's replica order, or -1
@@ -575,9 +599,25 @@ func (s *Store) BatchPut(ctx context.Context, table string, entries []Entry) err
 			}
 		}
 		if committed[i] < 0 {
-			return allDownErr(ctx, "kvstore: batchput %s/%s: all replicas down", table, e.Key)
+			return allDownErr(ctx, "kvstore: %s %s/%s: all replicas down", op, table, e.Key)
 		}
 		bytes += int64(len(e.Value))
+	}
+	if s.repair != nil && flag == envTombstone {
+		// Register each tombstone's ack wait BEFORE parking hints, as Delete
+		// does: a hint replayed the instant it is parked must find it.
+		for i, e := range entries {
+			var pending map[int]bool // the replicas that missed it; mostly none
+			for _, n := range replicasOf[i] {
+				if nodeErr[n] != nil {
+					if pending == nil {
+						pending = make(map[int]bool)
+					}
+					pending[n] = true
+				}
+			}
+			s.repair.trackTombstone(table, e.Key, ts, pending, replicasOf[i])
+		}
 	}
 	if s.repair != nil && len(missedByNode) > 0 {
 		// Park the missed writes, batched per parking node (the first
@@ -770,6 +810,7 @@ func (s *Store) resolveRead(table, key string, replicas []int, results []readRes
 // Put — deleting while every replica is down is: the tombstone took hold
 // nowhere.
 func (s *Store) Delete(ctx context.Context, table, key string) error {
+	s.writeCalls.Add(1)
 	replicas := s.ring.replicas(key, s.cfg.ReplicationFactor)
 	ts := s.nextTS()
 	env := envelope(envTombstone, ts, nil)
@@ -1229,6 +1270,7 @@ type Stats struct {
 	Requests    int64
 	BytesRead   int64
 	BytesPut    int64
+	WriteCalls  int64 // Put, BatchPut, Delete and BatchDelete calls, whatever they carried
 	SimElapsed  time.Duration
 	BytesStored int64 // resident across nodes (including replicas)
 
@@ -1275,6 +1317,7 @@ func (s *Store) Stats(ctx context.Context) Stats {
 		Requests:   s.reqCount.Load(),
 		BytesRead:  s.bytesRead.Load(),
 		BytesPut:   s.bytesPut.Load(),
+		WriteCalls: s.writeCalls.Load(),
 		SimElapsed: time.Duration(s.simClock.Load()),
 	}
 	if r := s.repair; r != nil {
@@ -1384,6 +1427,7 @@ func (s *Store) ResetClock() {
 	s.reqCount.Store(0)
 	s.bytesRead.Store(0)
 	s.bytesPut.Store(0)
+	s.writeCalls.Store(0)
 }
 
 // SetNodeUp marks a node up or down, for failure-injection tests. Remote
