@@ -282,7 +282,10 @@ func BenchmarkFlushBatch(b *testing.B) {
 // nodes behind engined, replication factor 2. MB/s is user payload per
 // wall-clock second; B/op is what one load allocates, all layers and all
 // three nodes included, so a whole-corpus copy anywhere on the write path
-// shows as a multiple of the corpus in B/op.
+// shows as a multiple of the corpus in B/op. storedB/userB is what the cluster
+// holds once loaded (kvstore.Stats.BytesStored: chunk segments, placement log
+// and root, every replica) per byte of record values — the benchmark's
+// stored_bytes_per_user_byte, without the whole-stack run.
 func BenchmarkBulkLoad(b *testing.B) {
 	ctx := context.Background()
 	spec := workload.Spec{
@@ -306,12 +309,14 @@ func BenchmarkBulkLoad(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.SetBytes(c.TotalBytes())
+				user := c.TotalBytes()
+				b.SetBytes(user)
 				b.StartTimer()
 				if err := st.BulkLoad(ctx, c); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
+				b.ReportMetric(float64(kv.Stats(ctx).BytesStored)/float64(user), "storedB/userB")
 				if err := errors.Join(st.Close(), kv.Close()); err != nil {
 					b.Fatal(err)
 				}

@@ -36,7 +36,9 @@ func RunTable1(opts Options) ([]*Table, error) {
 	t := &Table{
 		ID:    "table1",
 		Title: fmt.Sprintf("layout cost comparison (chain n=%d, m_v=%d, d=%.2f, s=%dB)", n, mv, dFrac, s),
-		PaperNote: "chunking: storage≈uniques, version=(m_v·s, m_v·s/s_c), point=(s_c, 1); " +
+		PaperNote: "chunking: storage≈uniques (RStore's segments store values as run lists against their first, " +
+			"so its measured storage is below the unique bytes; the baselines store values raw), " +
+			"version=(m_v·s, m_v·s/s_c), point=(s_c, 1); " +
 			"DELTA: version/point walk half the chain; SUBCHUNK: version reads all groups, point=1; " +
 			"SINGLE: m_v queries per version, no compression",
 		Headers: []string{"layout", "storage", "version: data", "version: #queries", "point: data", "point: #queries"},

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rstore/internal/bitset"
+	"rstore/internal/docgen"
 )
 
 // Fuzz targets: every decoder must reject arbitrary input with an error —
@@ -27,6 +28,16 @@ func FuzzDecodeSegment(f *testing.F) {
 	items = append(items, Item{CK: c.Record(0).CK, Members: []uint32{0, 2, 3}, Parents: []int32{-1, 0, 1}, Encoded: chain})
 	for _, idxs := range [][]uint32{{0, 1}, {2, 3}, {4, 1}} {
 		seg, err := appendSegment(nil, 7, items, idxs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seg)
+	}
+	// Segments of documents, whose values are run lists against the first: one
+	// record an item, and sub-chunks of four.
+	for _, k := range []int{1, 4} {
+		_, items := revisionItems(f, 6, k, documents(docgen.New(int64(k)), 96))
+		seg, err := appendSegment(nil, 0, items, allOf(items))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -114,6 +114,11 @@ func DecodeItem(buf []byte) (*DecodedItem, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// A member takes four bytes at least (key length, version, parent, body
+	// length), so the count cannot size an allocation the input does not pay for.
+	if n > uint64(len(rest))/4 {
+		return nil, nil, fmt.Errorf("%w: item counts %d members in %d bytes", types.ErrCorrupt, n, len(rest))
+	}
 	out := &DecodedItem{Records: make([]types.Record, 0, n)}
 	for i := uint64(0); i < n; i++ {
 		var ck types.CompositeKey

@@ -26,11 +26,14 @@ import (
 // of point and full-version reads on the benchmark's stack (CHANGES.md, PR 22).
 const SegmentTarget = 64 << 10
 
-// maxInflate bounds what a segment's delta-coded members may decode to, in
-// multiples of the segment's stored size. Deltas compound — a member is a
-// delta of a member that is a delta — so a few hostile bytes could otherwise
-// declare values that double per member; sub-chunks of real records inflate
-// by about their member count.
+// maxInflate bounds what a segment's coded values — run lists against the
+// anchor, delta members of a sub-chunk — may decode to, in multiples of the
+// segment's stored size. Deltas compound — a member is a delta of a member
+// that is a delta — so a few hostile bytes could otherwise declare values
+// that double per member; sub-chunks of real records inflate by about their
+// member count. A run list cannot compound (its value is no longer than the
+// anchor and the list together, both of them bytes the segment holds) and
+// inflates a segment of like records by less than fifty.
 const maxInflate = 1 << 12
 
 // SegmentKey renders the backing-store key of segment seg of chunk id,
@@ -76,19 +79,26 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 //
 //	first:uvarint  items:uvarint  item*
 //	item   := head:uvarint  suffix:bytes  (record | members:uvarint member*)
-//	record := version:uvarint  value:bytes
+//	record := version:uvarint  body:bytes
 //	member := version:uvarint  parent:varint  body:bytes
 //
-// head is shared<<1 | multi: the item's primary key is the first shared
-// bytes of the previous item's key (none for the first item of a segment)
-// followed by suffix, and multi is set for an item of more than one member,
-// whose members keep EncodeItem's order, parent indexes and bodies. A
-// single-record item is its version and its raw value.
+// head is shared<<2 | raw<<1 | multi: the item's primary key is the first
+// shared bytes of the previous item's key (none for the first item of a
+// segment) followed by suffix, and multi is set for an item of more than one
+// member, whose members keep EncodeItem's order and parent indexes. The body
+// of an item's representative — a record's, a sub-chunk's first member's — is
+// its value when raw is set and a run list against the segment's anchor
+// (runs.go) when it is not; the anchor is the first item's representative
+// value, always raw, and raw is the escape of any later value the run list
+// would not shorten, so an item takes no more bytes here than in
+// Item.Encoded. The other members keep EncodeItem's bodies: a bdiff delta of
+// their parent member, or their value where that is not shorter.
 func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byte, error) {
 	dst = codec.PutUvarint(dst, uint64(first))
 	dst = codec.PutUvarint(dst, uint64(len(idxs)))
-	var prev []byte
-	for _, ii := range idxs {
+	var prev, anchor []byte
+	var runs []byte // one item's run list at a time, reused
+	for i, ii := range idxs {
 		n, rest, err := codec.Uvarint(items[ii].Encoded)
 		if err != nil {
 			return nil, err
@@ -114,8 +124,17 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 				return nil, err
 			}
 			if m == 0 {
-				shared := commonPrefix(prev, key)
-				dst = codec.PutUvarint(dst, uint64(shared)<<1|multi)
+				raw := uint64(1)
+				if i == 0 {
+					anchor = body
+				} else {
+					var shorter bool
+					if runs, shorter = codeRuns(runs[:0], anchor, body); shorter {
+						raw, body = 0, runs
+					}
+				}
+				shared := matchLen(prev, key)
+				dst = codec.PutUvarint(dst, uint64(shared)<<2|raw<<1|multi)
 				dst = codec.PutBytes(dst, key[shared:])
 				if multi == 1 {
 					dst = codec.PutUvarint(dst, n)
@@ -132,22 +151,14 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 	return dst, nil
 }
 
-func commonPrefix(a, b []byte) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
 // DecodeSegment decodes a segment value: the slot of its first record, how
 // many slots it holds, and the records at the slots want selects (nil: all of
 // them), in slot order with private copies of their values. The bodies of
 // items no selected slot falls in are skipped, not copied; an item of several
 // members is decoded whole when any of them is selected, since members are
-// deltas of one another.
+// deltas of one another. A representative stored as a run list is rebuilt
+// from the anchor, which is read where it lies in buf, and its own list: no
+// other item of the segment is touched for it.
 func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, recs []types.Record, err error) {
 	f, rest, err := codec.Uvarint(buf)
 	if err != nil {
@@ -166,22 +177,26 @@ func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, re
 		recs = make([]types.Record, 0, n)
 	}
 	slot := f
-	budget := uint64(maxInflate * len(buf)) // bytes delta members may still decode to
-	var key []byte
+	budget := uint64(maxInflate * len(buf)) // bytes run lists and delta members may still decode to
+	var key, anchor []byte
 	var group []types.Record // the members of one multi-member item, reused
 	for i := uint64(0); i < n; i++ {
 		var head uint64
 		if head, rest, err = codec.Uvarint(rest); err != nil {
 			return 0, 0, nil, err
 		}
-		if head>>1 > uint64(len(key)) {
-			return 0, 0, nil, fmt.Errorf("%w: segment item %d shares %d bytes with a key of %d", types.ErrCorrupt, i, head>>1, len(key))
+		if head>>2 > uint64(len(key)) {
+			return 0, 0, nil, fmt.Errorf("%w: segment item %d shares %d bytes with a key of %d", types.ErrCorrupt, i, head>>2, len(key))
+		}
+		raw := head&2 != 0
+		if i == 0 && !raw {
+			return 0, 0, nil, fmt.Errorf("%w: the segment's first item is a run list, against no anchor", types.ErrCorrupt)
 		}
 		var suffix []byte
 		if suffix, rest, err = codec.Bytes(rest); err != nil {
 			return 0, 0, nil, err
 		}
-		key = append(key[:head>>1], suffix...)
+		key = append(key[:head>>2], suffix...)
 		multi, members := head&1 == 1, uint64(1)
 		if multi {
 			if members, rest, err = codec.Uvarint(rest); err != nil {
@@ -218,11 +233,19 @@ func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, re
 			if body, rest, err = codec.Bytes(rest); err != nil {
 				return 0, 0, nil, err
 			}
+			if i == 0 && m == 0 {
+				anchor = body
+			}
 			if !selected {
 				continue
 			}
 			var value []byte
 			switch {
+			case m == 0 && !raw && parent < 0:
+				if value, err = decodeRuns(anchor, body, budget); err != nil {
+					return 0, 0, nil, fmt.Errorf("segment item %d: %w", i, err)
+				}
+				budget -= uint64(len(value))
 			case parent == -1 || parent == -2:
 				value = bytes.Clone(body)
 			case parent >= 0 && uint64(parent) < m:

@@ -10,6 +10,7 @@ import (
 	"rstore/internal/bitset"
 	"rstore/internal/codec"
 	"rstore/internal/corpus"
+	"rstore/internal/docgen"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
 )
@@ -85,11 +86,52 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if _, _, again, _ := DecodeSegment(seg, nil); !bytes.Equal(again[3].Value, c.Record(1).Value) {
 		t.Fatal("a decoded value aliases the segment")
 	}
+
+	// The three doc revisions as items of their own: the first is the anchor,
+	// the other two are run lists against it — an edit of eighteen bytes each —
+	// and "tiny" takes the escape. Each decodes from the anchor and itself.
+	seg, err = appendSegment(nil, 0, items, []uint32{0, 2, 3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := len(c.Record(0).Value); len(seg) > raw+100 {
+		t.Fatalf("three revisions of %d bytes stored in %d", raw, len(seg))
+	}
+	for _, want := range []*bitset.BitSet{nil, bitset.FromSlice([]uint32{2}), bitset.FromSlice([]uint32{0, 3}), bitset.FromSlice([]uint32{1, 2})} {
+		_, slots, got, err := DecodeSegment(seg, want)
+		if err != nil || slots != 4 {
+			t.Fatalf("slots %v: %d slots, %v", want, slots, err)
+		}
+		for slot, id := range []uint32{0, 2, 3, 1} {
+			if want != nil && !want.Contains(uint32(slot)) {
+				continue
+			}
+			if got[0].CK != c.Record(id).CK || !bytes.Equal(got[0].Value, c.Record(id).Value) {
+				t.Fatalf("slots %v: slot %d decoded to %v", want, slot, got[0].CK)
+			}
+			got = got[1:]
+		}
+		if len(got) != 0 {
+			t.Fatalf("slots %v: %d records too many", want, len(got))
+		}
+	}
+	// A decoded anchor, and a value rebuilt from it, are private copies too.
+	_, _, recs, _ = DecodeSegment(seg, nil)
+	recs[0].Value[0] ^= 0xff
+	recs[1].Value[0] ^= 0xff
+	if _, _, again, _ := DecodeSegment(seg, nil); !bytes.Equal(again[0].Value, c.Record(0).Value) || !bytes.Equal(again[1].Value, c.Record(2).Value) {
+		t.Fatal("a decoded value aliases the segment or the anchor")
+	}
 }
 
 // TestDecodeSegmentRejects: every way a segment value can lie about itself is
 // ErrCorrupt, and the two counts are checked against the bytes that are left
-// before anything is sized by them.
+// before anything is sized by them. (The inflation budget is shown on delta
+// members, which compound. Run lists are charged to it as well, but a value
+// they state is no longer than anchor and list together, so a segment of run
+// lists alone cannot reach 4 096 × its size below ≈ 100 KB — a case that
+// allocates 400 MB before it is refused; TestRunsRoundTrip and FuzzValueRuns
+// hold decodeRuns to a budget directly.)
 func TestDecodeSegmentRejects(t *testing.T) {
 	c := miniCorpus(t)
 	items := append(recordItems(t, c), chainItem(t, c))
@@ -97,15 +139,24 @@ func TestDecodeSegmentRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	item := func(shared, multi uint64, suffix string) []byte {
-		return codec.PutBytes(codec.PutUvarint(nil, shared<<1|multi), []byte(suffix))
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	const rawBit, multiBit = 2, 1
+	item := func(shared, flags uint64, suffix string) []byte {
+		return codec.PutBytes(codec.PutUvarint(nil, shared<<2|flags), []byte(suffix))
 	}
 	record := codec.PutBytes(codec.PutUvarint(nil, 3), []byte("v")) // version 3, value "v"
-	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// A segment of an anchor "0123456789" and one item whose body is runs.
+	anchor := cat(item(0, rawBit, "a"), []byte{3}, codec.PutBytes(nil, []byte("0123456789")))
+	coded := func(runs ...byte) []byte {
+		return cat([]byte{0, 2}, anchor, item(0, 0, "b"), []byte{3}, codec.PutBytes(nil, runs))
+	}
+	if _, _, recs, err := DecodeSegment(coded(4, 2, 'x', 'y', 4, 0), nil); err != nil || len(recs) != 2 || string(recs[1].Value) != "0123xy6789" {
+		t.Fatalf("the hand-built coded segment: %v, %v", recs, err)
+	}
 	// A chain whose every member is 32 copies of its parent — 64 B, 2 KiB,
 	// 64 KiB … 2 GiB — each a bdiff of ≈ 100 bytes: a length, then 32 × (copy,
 	// offset 0, the parent's length).
-	inflating := cat([]byte{0, 1}, item(0, 1, "k"), []byte{6}, []byte{0}, codec.PutVarint(nil, -1), codec.PutBytes(nil, bytes.Repeat([]byte("x"), 64)))
+	inflating := cat([]byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{6}, []byte{0}, codec.PutVarint(nil, -1), codec.PutBytes(nil, bytes.Repeat([]byte("x"), 64)))
 	for m, size := 1, uint64(64); m < 6; m, size = m+1, 32*size {
 		delta := codec.PutUvarint(nil, 32*size)
 		for c := 0; c < 32; c++ {
@@ -121,12 +172,18 @@ func TestDecodeSegmentRejects(t *testing.T) {
 		"trailing bytes":                 append(bytes.Clone(good), 7),
 		"truncated":                      good[:len(good)-1],
 		"first slot past uint32":         cat(codec.PutUvarint(nil, 1<<32), []byte{0}),
-		"item count past the payload":    cat([]byte{0}, codec.PutUvarint(nil, 1<<40), item(0, 0, "k"), record),
-		"shared prefix past the key":     cat([]byte{0, 2}, item(0, 0, "ab"), record, item(3, 0, "c"), record),
-		"shared prefix in first item":    cat([]byte{0, 1}, item(1, 0, "k"), record),
-		"member count past the payload":  cat([]byte{0, 1}, item(0, 1, "k"), codec.PutUvarint(nil, 1<<40), record),
-		"zero members":                   cat([]byte{0, 1}, item(0, 1, "k"), []byte{0}),
-		"member delta of a later member": cat([]byte{0, 1}, item(0, 1, "k"), []byte{2}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte("v")), []byte{4}, codec.PutVarint(nil, 1), codec.PutBytes(nil, []byte("d"))),
+		"item count past the payload":    cat([]byte{0}, codec.PutUvarint(nil, 1<<40), item(0, rawBit, "k"), record),
+		"shared prefix past the key":     cat([]byte{0, 2}, item(0, rawBit, "ab"), record, item(3, rawBit, "c"), record),
+		"shared prefix in first item":    cat([]byte{0, 1}, item(1, rawBit, "k"), record),
+		"member count past the payload":  cat([]byte{0, 1}, item(0, rawBit|multiBit, "k"), codec.PutUvarint(nil, 1<<40), record),
+		"zero members":                   cat([]byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{0}),
+		"member delta of a later member": cat([]byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{2}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte("v")), []byte{4}, codec.PutVarint(nil, 1), codec.PutBytes(nil, []byte("d"))),
+		"run list in the first item":     cat([]byte{0, 1}, item(0, 0, "k"), []byte{3}, codec.PutBytes(nil, []byte{0, 1, 'v'})),
+		"run list in a first sub-chunk":  cat([]byte{0, 1}, item(0, multiBit, "k"), []byte{1}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte{0, 1, 'v'})),
+		"copy past the anchor's end":     coded(4, 2, 'x', 'y', 5, 0),
+		"run list cut inside a literal":  coded(4, 3, 'x', 'y'),
+		"bytes after the last run":       coded(4, 2, 'x', 'y', 4, 0, 1),
+		"run list with a parent":         cat([]byte{0, 2}, anchor, item(0, multiBit, "b"), []byte{1}, []byte{3}, codec.PutVarint(nil, 0), codec.PutBytes(nil, []byte{10, 0})),
 	} {
 		if _, _, recs, err := DecodeSegment(seg, nil); !errors.Is(err, types.ErrCorrupt) || recs != nil {
 			t.Errorf("%s: %d records, %v", name, len(recs), err)
@@ -160,18 +217,33 @@ func TestJoinSegmentsRejects(t *testing.T) {
 // items and delta-chain items of up to four members, assigned in shuffled
 // order — and checks the cut: segments tile the slots, every item lies
 // inside one segment, each segment but the last holds the target and not a
-// whole item more, slots follow composite-key order, and framing stays under
-// ten bytes per single-record item.
+// whole item more, slots follow composite-key order, and no segment is larger
+// than what its items were charged — over random blobs, which are all stored
+// raw and where framing stays under ten bytes per single-record item, and
+// over documents, which are stored as run lists in under three quarters of it.
 func TestAddChunkSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	t.Run("blobs", func(t *testing.T) {
+		testAddChunkSegments(t, rng, func(types.Key, []byte) []byte {
+			b := make([]byte, 200+rng.Intn(100))
+			rng.Read(b)
+			return b
+		}, 1)
+	})
+	t.Run("documents", func(t *testing.T) {
+		testAddChunkSegments(t, rng, documents(docgen.New(22), 230), 0.75)
+	})
+}
+
+// testAddChunkSegments runs TestAddChunkSegments over the values value makes
+// for a key, given the key's previous revision (nil for the first); the
+// chunk's single-record items must be stored in at most maxStored of what
+// they were charged.
+func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, prev []byte) []byte, maxStored float64) {
 	g := vgraph.New()
 	c := corpus.New(g)
-	rng := rand.New(rand.NewSource(22))
-	const keys, versions = 300, 4
-	value := func() []byte {
-		b := make([]byte, 200+rng.Intn(100))
-		rng.Read(b)
-		return b
-	}
+	const keys, versions = 600, 4
+	latest := make([][]byte, keys)
 	for v := types.VersionID(0); v < versions; v++ {
 		if v == 0 {
 			g.AddRoot()
@@ -183,14 +255,15 @@ func TestAddChunkSegments(t *testing.T) {
 			if v > 0 {
 				d.Dels = append(d.Dels, types.CompositeKey{Key: types.Key(fmt.Sprintf("key-%05d", k)), Version: v - 1})
 			}
-			d.Adds = append(d.Adds, types.Record{CK: types.CompositeKey{Key: types.Key(fmt.Sprintf("key-%05d", k)), Version: v}, Value: value()})
+			latest[k] = value(types.Key(fmt.Sprintf("key-%05d", k)), latest[k])
+			d.Adds = append(d.Adds, types.Record{CK: types.CompositeKey{Key: types.Key(fmt.Sprintf("key-%05d", k)), Version: v}, Value: latest[k]})
 		}
 		if err := c.AddVersionDelta(v, d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Even keys: one item per record. Odd keys: one chain item of all four
-	// versions (random values: members fall back to raw, parent −2).
+	// versions (of random values the members fall back to raw, parent −2).
 	var items []Item
 	itemOf := make([]int, c.NumRecords())
 	for k := 0; k < keys; k++ {
@@ -263,7 +336,7 @@ func TestAddChunkSegments(t *testing.T) {
 			t.Fatalf("item %d straddles segments %d and %d", it, at, seg)
 		}
 	}
-	single, framing := 0, 0
+	single, stored, raw, charged := 0, 0, 0, 0
 	for s, v := range values {
 		if s+1 < len(values) && (packed[s] < SegmentTarget || packed[s] >= SegmentTarget+4*310) {
 			t.Errorf("segment %d holds items packed to %d bytes; the target is %d", s, packed[s], SegmentTarget)
@@ -272,13 +345,14 @@ func TestAddChunkSegments(t *testing.T) {
 			t.Errorf("segment %d is %d bytes, its items were charged %d", s, len(v), packed[s])
 		}
 	}
-	// Framing of the single-record items: a chunk of only those.
+	// The single-record items: a chunk of only those.
 	var singles []uint32
 	for i, it := range items {
 		if len(it.Members) == 1 {
 			singles = append(singles, uint32(i))
 			single++
-			framing -= len(c.Record(it.Members[0]).Value)
+			raw += len(c.Record(it.Members[0]).Value)
+			charged += len(it.Encoded)
 		}
 	}
 	values, err = NewLayout(c, newFakeProj()).AddChunk(items, singles)
@@ -286,9 +360,76 @@ func TestAddChunkSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range values {
-		framing += len(v)
+		stored += len(v)
 	}
-	if per := float64(framing) / float64(single); per > 10 {
+	if share := float64(stored) / float64(charged); share > maxStored {
+		t.Errorf("single-record items charged %d bytes stored in %d, %.2f of that; want at most %.2f", charged, stored, share, maxStored)
+	}
+	if per := float64(stored-raw) / float64(single); per > 10 {
 		t.Errorf("%.1f bytes of framing per single-record item, want at most 10", per)
 	}
+}
+
+// revisionItems registers keys keys of k revisions each — value makes a key's
+// next revision from its previous one, nil for the first — in a corpus of k
+// versions and wraps each key as one item: a record for k = 1, else the delta
+// chain of its revisions. Item order is key order.
+func revisionItems(tb testing.TB, keys, k int, value func(key types.Key, prev []byte) []byte) (*corpus.Corpus, []Item) {
+	tb.Helper()
+	g := vgraph.New()
+	c := corpus.New(g)
+	latest := make([][]byte, keys)
+	for v := types.VersionID(0); int(v) < k; v++ {
+		if v == 0 {
+			g.AddRoot()
+		} else {
+			g.AddVersion(v - 1)
+		}
+		d := &types.Delta{}
+		for i := range latest {
+			key := types.Key(fmt.Sprintf("key-%06d", i))
+			if v > 0 {
+				d.Dels = append(d.Dels, types.CompositeKey{Key: key, Version: v - 1})
+			}
+			latest[i] = value(key, latest[i])
+			d.Adds = append(d.Adds, types.Record{CK: types.CompositeKey{Key: key, Version: v}, Value: latest[i]})
+		}
+		if err := c.AddVersionDelta(v, d); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	items := make([]Item, keys)
+	parents := make([]int32, k)
+	for m := range parents {
+		parents[m] = int32(m) - 1
+	}
+	for i := range items {
+		members := c.KeyRecords(types.Key(fmt.Sprintf("key-%06d", i)))
+		enc, err := EncodeItem(c, members, parents)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		items[i] = Item{CK: c.Record(members[0]).CK, Members: members, Parents: parents, Encoded: enc}
+	}
+	return c, items
+}
+
+// documents is revisionItems' value for §5.1's records: a document of size bytes,
+// then its mutations by pd = 0.1.
+func documents(gen *docgen.Generator, size int) func(types.Key, []byte) []byte {
+	return func(key types.Key, prev []byte) []byte {
+		if prev == nil {
+			return gen.Document(key, size)
+		}
+		return gen.Mutate(prev, 0.1)
+	}
+}
+
+// allOf lists every index of items.
+func allOf(items []Item) []uint32 {
+	idxs := make([]uint32, len(items))
+	for i := range idxs {
+		idxs[i] = uint32(i)
+	}
+	return idxs
 }

@@ -289,12 +289,13 @@ func TestFlushKVCallsBounded(t *testing.T) {
 // chunk values, no placement log), a format-3 root (this root's fields, over
 // placement records that also list each version's composite keys), a
 // format-4 root (the same fields again, over chunks stored as one payload
-// each) and a format-5 root (the same fields, over placement records of whole
-// bitmaps, which this build would take for diffs) must be refused with the
-// re-initialize error, not misread.
+// each), a format-5 root (the same fields, over placement records of whole
+// bitmaps, which this build would take for diffs) and a format-6 root (the
+// same fields, over segments of raw values, whose item heads this build would
+// read a bit off) must be refused with the re-initialize error, not misread.
 func TestLoadRefusesOlderManifest(t *testing.T) {
 	ctx := context.Background()
-	for _, ver := range []uint64{2, 3, 4, 5} {
+	for _, ver := range []uint64{2, 3, 4, 5, 6} {
 		kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
 		if err != nil {
 			t.Fatal(err)

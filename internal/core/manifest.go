@@ -17,16 +17,18 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 6 states a version's slot
+// manifestVersion guards the on-disk format. Version 7 stores a segment's
+// values as run lists against its first (chunk/runs.go), where version 6 wrote
+// every value raw; version 6 stated a version's slot
 // bitmaps in the placement records as diffs against its tree parent's, where
 // version 5 wrote them whole; version 5 stored a chunk as key-ordered,
 // front-coded segment values (chunk.SegmentKey) in place of one payload;
 // version 4 took the versions' composite-key deltas out of the placement
 // records, whose slot bitmaps already imply them; a version-3 store wrote
 // both, a version-2 store carried chunk maps inside the chunk values, version
-// 1 used unprefixed chunk keys, and all five must be re-initialized, not
+// 1 used unprefixed chunk keys, and all six must be re-initialized, not
 // misread.
-const manifestVersion = 6
+const manifestVersion = 7
 
 // placementKey renders the key of the idx-th placement record of a
 // generation; like chunk.SegmentKey it carries the generation, so a full

@@ -11,6 +11,7 @@ import (
 
 	"rstore/internal/chunk"
 	"rstore/internal/corpus"
+	"rstore/internal/docgen"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
@@ -161,17 +162,43 @@ func checkStoredSegments(t *testing.T, phase string, s *Store, kv *kvstore.Store
 // enough to split at the frontier, every GetVersion, GetRange, GetRecord and
 // GetHistory equals the session's own account — before and after Load, and
 // with a pending tail — while chunks span several segments, so answers come
-// from the right segment and the right slot of it or not at all.
+// from the right segment and the right slot of it or not at all. A third
+// session mixes, inside every segment, what the run lists against a segment's
+// first value must each come through byte for byte: documents of one length
+// and of differing lengths under neighbouring keys, in-place mutations of a
+// key's previous document, random blobs, and empty values — any of which may
+// be the anchor the others are coded against.
 func TestSegmentedReadsMatchOracle(t *testing.T) {
 	ctx := context.Background()
 	const nkeys, commits, capacity = 160, 50, 3 * chunk.SegmentTarget
-	for _, seed := range []int64{1, 2} {
+	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		// Values of ≈ 400–700 bytes that share most of their text with the
 		// key's other revisions, so sub-chunks of 4 hold real deltas.
-		se := branchySession(rng, commits, nkeys, func(k, step int) []byte {
+		value := func(k, step int) []byte {
 			return []byte(strings.Repeat(fmt.Sprintf("key %d lorem ipsum dolor sit amet ", k), 12+k%8) + fmt.Sprintf("rev %d %d", step, rng.Int63()))
-		})
+		}
+		if seed == 3 {
+			docs, latest := docgen.New(seed), map[int][]byte{}
+			value = func(k, step int) []byte {
+				switch kind := rng.Intn(8); {
+				case kind == 0:
+					return []byte{}
+				case kind == 1:
+					blob := make([]byte, 100+rng.Intn(900))
+					rng.Read(blob)
+					return blob
+				case kind == 2 && latest[k] != nil:
+					latest[k] = docs.Mutate(latest[k], 0.05)
+				case kind <= 4:
+					latest[k] = docs.Document(key(k), 512)
+				default:
+					latest[k] = docs.Document(key(k), 200+rng.Intn(800))
+				}
+				return latest[k]
+			}
+		}
+		se := branchySession(rng, commits, nkeys, value)
 		if se.remerged == 0 || se.refilled == 0 {
 			t.Fatalf("seed %d: %d re-added records, %d under the emptied version", seed, se.remerged, se.refilled)
 		}

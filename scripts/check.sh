@@ -105,6 +105,8 @@ run_fuzz() {
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
   go test -fuzz=FuzzDecodeSegment -fuzztime=10s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzValueRuns -fuzztime=10s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzDecodeItem -fuzztime=10s -run '^$' ./internal/chunk/
 }
 
 if [ $# -eq 0 ]; then
