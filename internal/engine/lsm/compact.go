@@ -3,6 +3,8 @@ package lsm
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/bits"
 	"os"
 
@@ -10,9 +12,10 @@ import (
 	"rstore/internal/types"
 )
 
-// This file holds the structural write paths: memtable flush, the merged
-// iteration shared by scans/recovery/compaction, size-tiered auto
-// compaction after a flush, and the full merge behind engine.Compactor.
+// This file holds the structural write paths: the merged iteration shared
+// by scans/recovery/compaction, the cutting writer, memtable flush,
+// retirement of dead tables, size-tiered auto compaction after a flush, and
+// the full merge behind engine.Compactor.
 //
 // Every path commits through the MANIFEST rename (see manifest.go) and is
 // ordered so that a crash at any point leaves either the old state or the
@@ -73,7 +76,7 @@ func mergeSources(sources []source, emit func(key, value []byte, tomb bool, src 
 }
 
 // maybeFlushLocked flushes a full memtable and then lets size-tiered
-// compaction absorb the new table. Callers hold b.mu exclusively.
+// compaction absorb the new tables. Callers hold b.mu exclusively.
 func (b *Backend) maybeFlushLocked(ctx context.Context) error {
 	if b.mem.bytes < b.opts.MemtableBytes {
 		return nil
@@ -84,11 +87,163 @@ func (b *Backend) maybeFlushLocked(ctx context.Context) error {
 	return b.maybeTierCompactLocked(ctx)
 }
 
-// flushLocked writes the memtable to a new SSTable and retires the WAL.
-// Commit order: sst renamed into place → fresh WAL created → MANIFEST
-// rename (the commit point) → in-memory swap and old-WAL delete. A crash
-// before the MANIFEST leaves the old WAL authoritative and the new files
-// as debris. Callers hold b.mu exclusively.
+// allocSeqLocked hands out the next file sequence number; callers hold b.mu
+// exclusively.
+func (b *Backend) allocSeqLocked() int64 {
+	seq := b.nextSeq
+	b.nextSeq++
+	return seq
+}
+
+// tableOut is one SSTable a cutting write sealed, still under its temporary
+// name (sstPath(seq) + ".tmp").
+type tableOut struct {
+	table  string // the user table every key of the file belongs to
+	seq    int64
+	values int64 // value entries written
+	tomb   int64 // logical weight of the tombstones written
+}
+
+// cutWriter streams one key-ordered pass of internal keys into SSTables,
+// starting a new file wherever the user table changes — an internal key's
+// table prefix makes each table's keys contiguous — so that no file ever
+// holds keys of two user tables. Flush, tier merge, Compact and the v1
+// upgrade all write through it. The one tombstone rule lives here: an
+// output that becomes the oldest table of its run (position 0) drops its
+// tombstones, because nothing older is left for them to shadow; a table
+// left with no entry is not written at all.
+type cutWriter struct {
+	b       *Backend
+	nextSeq func() int64
+	// position says where in table's run the output will stand.
+	position func(table string) int
+	// failBeforeFooter is handed to every file's writer (crash injection).
+	failBeforeFooter bool
+
+	prefix []byte     // internal-key prefix of the current user table; nil before the first key
+	cur    tableOut   // the current user table's output, meaningful while sw != nil
+	drop   bool       // the current table's output drops its tombstones
+	sw     *sstWriter // nil until the current table has an entry to keep
+	outs   []tableOut
+}
+
+func (cw *cutWriter) add(key, value []byte, tomb bool) error {
+	if cw.prefix == nil || !bytes.HasPrefix(key, cw.prefix) {
+		if err := cw.cut(); err != nil {
+			return err
+		}
+		table, userKey, err := splitIKey(key)
+		if err != nil {
+			return err
+		}
+		cw.prefix = append(cw.prefix[:0], key[:len(key)-len(userKey)]...)
+		cw.cur = tableOut{table: table}
+		cw.drop = cw.position(table) == 0
+	}
+	if tomb && cw.drop {
+		return nil
+	}
+	if cw.sw == nil {
+		cw.cur.seq = cw.nextSeq()
+		sw, err := newSSTWriter(cw.b.sstPath(cw.cur.seq) + ".tmp")
+		if err != nil {
+			return err
+		}
+		sw.failBeforeFooter = cw.failBeforeFooter
+		cw.sw = sw
+	}
+	return cw.sw.add(key, value, tomb)
+}
+
+// cut seals the current user table's file, if it has one.
+func (cw *cutWriter) cut() error {
+	if cw.sw == nil {
+		return nil
+	}
+	if err := cw.sw.finish(); err != nil {
+		return err
+	}
+	cw.cur.values, cw.cur.tomb = cw.sw.values, cw.sw.logicalTomb
+	cw.outs = append(cw.outs, cw.cur)
+	cw.sw = nil
+	return nil
+}
+
+// abort closes the file being written and, unless cause is an injected
+// crash, removes everything the pass produced.
+func (cw *cutWriter) abort(cause error) {
+	if cw.sw != nil {
+		cw.sw.abort(cw.b.sstPath(cw.cur.seq)+".tmp", cause)
+	}
+	if !errors.Is(cause, ErrCrashed) {
+		for _, o := range cw.outs {
+			os.Remove(cw.b.sstPath(o.seq) + ".tmp")
+		}
+	}
+}
+
+// writeTables runs one cutting write: feed pushes the pass's entries, in key
+// order, into add. The sealed outputs are returned in key order of their
+// user tables; on error nothing is left behind. Safe without b.mu when
+// nextSeq and position are.
+func (b *Backend) writeTables(nextSeq func() int64, position func(table string) int, failBeforeFooter bool, feed func(add func(key, value []byte, tomb bool) error) error) ([]tableOut, error) {
+	cw := &cutWriter{b: b, nextSeq: nextSeq, position: position, failBeforeFooter: failBeforeFooter}
+	err := feed(cw.add)
+	if err == nil {
+		err = cw.cut()
+	}
+	if err != nil {
+		cw.abort(err)
+		return nil, err
+	}
+	return cw.outs, nil
+}
+
+// publishLocked renames sealed outputs to their final names and makes the
+// directory entries durable. They are still debris until a MANIFEST names
+// them. Callers hold b.mu exclusively.
+func (b *Backend) publishLocked(outs []tableOut, crash string) error {
+	for i, o := range outs {
+		//lint:rstore-vet fsyncrename: every output was sealed by cutWriter.cut (sstWriter.finish syncs) before it reached this commit phase
+		if err := os.Rename(b.sstPath(o.seq)+".tmp", b.sstPath(o.seq)); err != nil {
+			return fmt.Errorf("lsm: %w", err)
+		}
+		if crash == "flush-part-renamed" && i == 0 && len(outs) > 1 {
+			return ErrCrashed
+		}
+	}
+	return syncDir(b.dir)
+}
+
+// commitLocked is the commit point of every structural change: it writes a
+// MANIFEST describing the tree with edit's table lists in place of the runs
+// they name, and on success installs them. Callers hold b.mu exclusively.
+func (b *Backend) commitLocked(walSeq int64, edit map[string][]*sstable) error {
+	m := manifest{nextSeq: b.nextSeq, walSeq: walSeq}
+	for _, name := range b.runNames() {
+		tables, edited := edit[name]
+		if !edited {
+			tables = b.runs[name].tables
+		}
+		for _, t := range tables {
+			m.ssts = append(m.ssts, manifestTable{seq: t.seq, table: name})
+		}
+	}
+	if err := writeManifest(b.dir, m); err != nil {
+		return err
+	}
+	for name, tables := range edit {
+		b.runs[name].tables = tables
+	}
+	return nil
+}
+
+// flushLocked writes the memtable to new SSTables, one per user table it
+// holds, and retires the WAL. Commit order: files sealed → fresh WAL created
+// → files renamed into place → MANIFEST rename (the commit point) →
+// in-memory swap and old-WAL unlink. A crash before the MANIFEST leaves the
+// old WAL authoritative and the new files as debris. Callers hold b.mu
+// exclusively.
 func (b *Backend) flushLocked(ctx context.Context) error {
 	if b.mem.count == 0 {
 		return nil
@@ -96,66 +251,122 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	seq := b.nextSeq
-	b.nextSeq++
-	tmp := b.sstPath(seq) + ".tmp"
-	sw, err := newSSTWriter(tmp)
+	newest := func(table string) int { return len(b.runs[table].tables) }
+	outs, err := b.writeTables(b.allocSeqLocked, newest, b.crash == "mid-flush", func(add func(key, value []byte, tomb bool) error) error {
+		for it := b.mem.iter(nil); it.valid(); it.next() {
+			if err := add(it.key(), it.value(), it.tomb()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	sw.failBeforeFooter = b.crash == "mid-flush"
-	for it := b.mem.iter(nil); it.valid(); it.next() {
-		if err := sw.add(it.key(), it.value(), it.tomb()); err != nil {
-			sw.abort(tmp, err)
-			return err
-		}
-	}
-	if err := sw.finish(); err != nil {
-		sw.abort(tmp, err)
-		return err
-	}
-	if err := os.Rename(tmp, b.sstPath(seq)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(b.dir); err != nil {
-		return err
-	}
-	if b.crash == "flush-renamed" {
-		return ErrCrashed
-	}
-	walSeq := b.nextSeq
-	b.nextSeq++
+	walSeq := b.allocSeqLocked()
 	nw, err := createWAL(b.walPath(walSeq), walSeq)
 	if err != nil {
 		return err
 	}
-	if err := syncDir(b.dir); err != nil {
+	// One directory fsync covers the new log and the renamed tables.
+	if err := b.publishLocked(outs, b.crash); err != nil {
 		nw.close()
 		return err
 	}
-	nt, err := openSSTable(b.sstPath(seq), seq)
-	if err != nil {
+	if b.crash == "flush-renamed" {
 		nw.close()
+		return ErrCrashed
+	}
+	edit := make(map[string][]*sstable, len(outs))
+	abandon := func() {
+		nw.close()
+		for _, tables := range edit {
+			tables[len(tables)-1].close()
+		}
+	}
+	for _, o := range outs {
+		nt, err := openSSTable(b.sstPath(o.seq), o.seq)
+		if err != nil {
+			abandon()
+			return err
+		}
+		// Every memtable value entry is globally newest, so the new table's
+		// dead weight is exactly its tombstones.
+		nt.live, nt.liveEntries = nt.size-o.tomb, o.values
+		r := b.runs[o.table]
+		edit[o.table] = append(r.tables[:len(r.tables):len(r.tables)], nt)
+	}
+	if err := b.commitLocked(walSeq, edit); err != nil {
+		abandon()
 		return err
 	}
-	newTables := append(append([]*sstable(nil), b.tables...), nt)
-	if err := writeManifest(b.dir, b.nextSeq, walSeq, newTables); err != nil {
-		nw.close()
-		nt.close()
-		return err
-	}
-	// Committed. Every memtable value entry is globally newest, so the new
-	// table's dead weight is exactly its tombstones.
-	nt.live = nt.size - sw.logicalTomb
-	b.tables = newTables
 	oldWAL := b.wal
 	nw.buf = oldWAL.buf // the frame buffer serves the next log too: not one allocation per flush
 	b.wal = nw
 	b.mem = newMemtable()
 	oldWAL.close()
-	os.Remove(b.walPath(oldWAL.seq))
-	return syncDir(b.dir)
+	os.Remove(b.walPath(oldWAL.seq)) // debris from here on: see discardTables
+	return nil
+}
+
+// discardTables closes and unlinks tables a committed MANIFEST no longer
+// names. No directory fsync follows: an unlink the disk forgets leaves
+// debris that Open deletes, and every caller is on the write path.
+func discardTables(victims []*sstable) {
+	for _, t := range victims {
+		t.close()
+		os.Remove(t.path)
+	}
+}
+
+// retireLocked unlinks, without reading them, the SSTables no read can be
+// answered from any more: each run's oldest-first prefix of tables whose
+// every value entry has been shadowed. Prefix only — a dead table's
+// tombstones may be all that shadows a value in an older, live table of its
+// run, and unlinking it would resurrect that value. One log fsync and one
+// MANIFEST commit cover every run; the files are debris from then on.
+// Callers hold b.mu exclusively; an explicit Compact merging outside the
+// lock finds its victims gone and abandons that run's output
+// (finishRunCompact).
+func (b *Backend) retireLocked() error {
+	if !b.retirable {
+		return nil
+	}
+	var victims []*sstable
+	edit := map[string][]*sstable{}
+	for name, r := range b.runs {
+		n := 0
+		for n < len(r.tables) && r.tables[n].liveEntries == 0 {
+			n++
+		}
+		if n > 0 {
+			victims = append(victims, r.tables[:n]...)
+			edit[name] = r.tables[n:]
+		}
+	}
+	if len(victims) == 0 {
+		b.retirable = false
+		return nil
+	}
+	// What shadows the victims' entries may be single puts and deletes the
+	// log holds unsynced (after a BatchPut this is free). Were the MANIFEST
+	// to outlive them, a power failure would take the new version and the
+	// old one both.
+	if err := b.wal.sync(); err != nil {
+		return err
+	}
+	if err := b.commitLocked(b.wal.seq, edit); err != nil {
+		return err
+	}
+	b.retirable = false
+	for _, t := range victims {
+		b.compacted += t.size
+	}
+	if b.crash == "retire-manifested" {
+		return ErrCrashed
+	}
+	discardTables(victims)
+	return nil
 }
 
 // sizeClass buckets a table size for tiering: tables within the same
@@ -167,37 +378,41 @@ func sizeClass(size int64) int {
 	return (bits.Len64(uint64(size)) + 1) / 2
 }
 
-// maybeTierCompactLocked runs size-tiered compaction while the table count
-// is at or above MaxTables: it merges the cheapest contiguous run of
-// tierWidth tables, preferring a run within one size class. Callers hold
-// b.mu exclusively; the work happens inline (the writer pays for the merge
-// it triggered), skipped entirely when an explicit Compact is in flight.
+// maybeTierCompactLocked runs size-tiered compaction on every run whose
+// table count is at or above MaxTables: it merges the cheapest contiguous
+// window of tierWidth tables, preferring a window within one size class.
+// Callers hold b.mu exclusively; the work happens inline (the writer pays
+// for the merge it triggered), skipped entirely when an explicit Compact is
+// in flight.
 func (b *Backend) maybeTierCompactLocked(ctx context.Context) error {
 	const tierWidth = 4
-	for len(b.tables) >= b.opts.MaxTables && len(b.tables) >= tierWidth {
-		if !b.compactMu.TryLock() {
-			return nil // explicit Compact in flight; it will absorb the backlog
-		}
-		lo := b.pickRunLocked(tierWidth)
-		err := b.mergeRunLocked(ctx, lo, lo+tierWidth-1)
-		b.compactMu.Unlock()
-		if err != nil {
-			return err
+	for _, name := range b.runNames() {
+		r := b.runs[name]
+		for len(r.tables) >= b.opts.MaxTables && len(r.tables) >= tierWidth {
+			if !b.compactMu.TryLock() {
+				return nil // explicit Compact in flight; it will absorb the backlog
+			}
+			lo := pickWindow(r.tables, tierWidth)
+			err := b.mergeWindowLocked(ctx, name, lo, lo+tierWidth-1)
+			b.compactMu.Unlock()
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// pickRunLocked chooses the start of the tierWidth-wide contiguous run to
-// merge: the first same-size-class run if one exists, otherwise the run
-// with the smallest total size.
-func (b *Backend) pickRunLocked(width int) int {
+// pickWindow chooses the start of the width-wide contiguous window of
+// tables to merge: the first same-size-class window if one exists,
+// otherwise the window with the smallest total size.
+func pickWindow(tables []*sstable, width int) int {
 	best, bestSize := 0, int64(-1)
-	for lo := 0; lo+width <= len(b.tables); lo++ {
+	for lo := 0; lo+width <= len(tables); lo++ {
 		var total int64
 		same := true
-		cls := sizeClass(b.tables[lo].size)
-		for _, t := range b.tables[lo : lo+width] {
+		cls := sizeClass(tables[lo].size)
+		for _, t := range tables[lo : lo+width] {
 			total += t.size
 			if sizeClass(t.size) != cls {
 				same = false
@@ -213,106 +428,86 @@ func (b *Backend) pickRunLocked(width int) int {
 	return best
 }
 
-// mergeRunLocked merges tables[lo..hi] into one table under a held b.mu
-// (the inline, post-flush path). Tombstones are dropped only when the run
-// includes the oldest table — otherwise an even older shadowed version
-// would resurrect.
-func (b *Backend) mergeRunLocked(ctx context.Context, lo, hi int) error {
-	victims := b.tables[lo : hi+1 : hi+1]
-	seq := b.nextSeq
-	b.nextSeq++
-	out, err := b.writeMerged(ctx, victims, lo == 0, seq, b.crash)
+// mergeWindowLocked merges tables[lo..hi] of table's run into one table
+// under a held b.mu (the inline, post-flush path).
+func (b *Backend) mergeWindowLocked(ctx context.Context, table string, lo, hi int) error {
+	victims := b.runs[table].tables[lo : hi+1]
+	outs, err := b.writeMerged(ctx, victims, lo, b.allocSeqLocked, b.crash)
 	if err != nil {
 		return err
 	}
-	return b.commitMergedLocked(out, lo, hi)
+	return b.commitMergedLocked(table, outs, lo, hi)
 }
 
-// writeMerged k-way-merges victims (age order) into a new SSTable left at
-// its temporary name, returning the sealed writer state. Safe without b.mu:
-// SSTables are immutable. dropTombs must only be true when victims include
-// the oldest table.
-type mergedOut struct {
-	seq  int64
-	tmp  string
-	tomb int64 // logical tombstone weight kept in the output
-}
-
-// crash is the caller's snapshot of b.crash, taken under b.mu (this
-// function may run without the lock).
-func (b *Backend) writeMerged(ctx context.Context, victims []*sstable, dropTombs bool, seq int64, crash string) (mergedOut, error) {
-	tmp := b.sstPath(seq) + ".tmp"
-	sw, err := newSSTWriter(tmp)
-	if err != nil {
-		return mergedOut{}, err
-	}
-	sw.failBeforeFooter = crash == "mid-merge"
+// writeMerged k-way-merges victims (age order) through the cutting writer,
+// leaving the outputs at their temporary names. Victims of one run give at
+// most one output — none when nothing survives the merge; lo is the
+// position of the oldest victim in its run, which the output takes. Safe
+// without b.mu when nextSeq is: SSTables are immutable. crash is the
+// caller's snapshot of b.crash.
+func (b *Backend) writeMerged(ctx context.Context, victims []*sstable, lo int, nextSeq func() int64, crash string) ([]tableOut, error) {
 	sources := make([]source, len(victims))
 	for i, t := range victims {
 		it, err := t.iterGE(nil, b.cache)
 		if err != nil {
-			sw.abort(tmp, err)
-			return mergedOut{}, err
+			return nil, err
 		}
 		sources[i] = it
 	}
-	err = mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if tomb && dropTombs {
-			return nil
-		}
-		return sw.add(key, value, tomb)
-	}, nil)
-	if err == nil {
-		err = sw.finish()
-	}
-	if err != nil {
-		sw.abort(tmp, err)
-		return mergedOut{}, err
-	}
-	return mergedOut{seq: seq, tmp: tmp, tomb: sw.logicalTomb}, nil
+	return b.writeTables(nextSeq, func(string) int { return lo }, crash == "mid-merge", func(add func(key, value []byte, tomb bool) error) error {
+		return mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return add(key, value, tomb)
+		}, nil)
+	})
 }
 
-// commitMergedLocked renames the merged table into place, commits the
-// MANIFEST with it replacing tables[lo..hi], splices the in-memory state,
-// and deletes the victims. Callers hold b.mu exclusively.
-func (b *Backend) commitMergedLocked(out mergedOut, lo, hi int) error {
-	//lint:rstore-vet fsyncrename: out.tmp was sealed by writeMerged (sw.finish syncs) before the handoff to this commit phase
-	if err := os.Rename(out.tmp, b.sstPath(out.seq)); err != nil {
-		os.Remove(out.tmp)
-		return err
-	}
-	if err := syncDir(b.dir); err != nil {
+// commitMergedLocked renames a run merge's output into place, commits the
+// MANIFEST with it replacing tables[lo..hi] of table's run, splices the
+// in-memory state, and deletes the victims. Callers hold b.mu exclusively.
+func (b *Backend) commitMergedLocked(table string, outs []tableOut, lo, hi int) error {
+	if err := b.publishLocked(outs, ""); err != nil {
 		return err
 	}
 	if b.crash == "merge-renamed" {
 		return ErrCrashed
 	}
-	nt, err := openSSTable(b.sstPath(out.seq), out.seq)
-	if err != nil {
-		return err
+	r := b.runs[table]
+	victims := r.tables[lo : hi+1]
+	newTables := make([]*sstable, 0, len(r.tables)-len(victims)+1)
+	newTables = append(newTables, r.tables[:lo]...)
+	var nt *sstable
+	if len(outs) > 0 {
+		var err error
+		if nt, err = openSSTable(b.sstPath(outs[0].seq), outs[0].seq); err != nil {
+			return err
+		}
+		newTables = append(newTables, nt)
 	}
-	victims := b.tables[lo : hi+1]
-	newTables := make([]*sstable, 0, len(b.tables)-len(victims)+1)
-	newTables = append(newTables, b.tables[:lo]...)
-	newTables = append(newTables, nt)
-	newTables = append(newTables, b.tables[hi+1:]...)
-	if err := writeManifest(b.dir, b.nextSeq, b.wal.seq, newTables); err != nil {
-		nt.close()
+	newTables = append(newTables, r.tables[hi+1:]...)
+	if err := b.commitLocked(b.wal.seq, map[string][]*sstable{table: newTables}); err != nil {
+		if nt != nil {
+			nt.close()
+		}
 		return err
 	}
 	// Committed: the output inherits the victims' live weight (concurrent
 	// overwrites during the merge already decremented it there).
-	var victimLive, victimSize int64
+	reclaimed := int64(0)
 	for _, t := range victims {
-		victimLive += t.live
-		victimSize += t.size
+		reclaimed += t.size
+		if nt != nil {
+			nt.live += t.live
+			nt.liveEntries += t.liveEntries
+		}
 	}
-	nt.live = victimLive
-	b.tables = newTables
-	if reclaimed := victimSize - nt.size; reclaimed > 0 {
+	if nt != nil {
+		reclaimed -= nt.size
+		b.rewritten += nt.size
+	}
+	if reclaimed > 0 {
 		b.compacted += reclaimed
 	}
 	if b.crash == "merge-manifested" {
@@ -320,18 +515,15 @@ func (b *Backend) commitMergedLocked(out mergedOut, lo, hi int) error {
 		// are debris the next Open removes.
 		return ErrCrashed
 	}
-	for _, t := range victims {
-		t.close()
-		os.Remove(t.path)
-	}
-	return syncDir(b.dir)
+	discardTables(victims)
+	return nil
 }
 
-// Compact flushes the memtable and, when anything is reclaimable, merges
-// every SSTable into one, dropping shadowed versions and all tombstones.
-// The merge itself runs without b.mu — reads and writes proceed — and
-// commits only if the table set it captured is still intact (same epoch,
-// no competing merge).
+// Compact flushes the memtable and then merges each run with anything
+// reclaimable into one table, dropping shadowed versions and all
+// tombstones. The merges run without b.mu — reads and writes proceed — and
+// each commits only if the tables it captured are still the head of their
+// run (same epoch, no retirement in between).
 func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.CompactionStats{}, err
@@ -344,56 +536,97 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 		b.mu.Unlock()
 		return engine.CompactionStats{}, types.ErrClosed
 	}
-	if err := b.flushLocked(ctx); err != nil {
-		b.mu.Unlock()
-		return engine.CompactionStats{}, err
-	}
-	var dead int64
-	for _, t := range b.tables {
-		dead += t.size - t.live
-	}
-	nothingToDo := len(b.tables) == 0 || (len(b.tables) == 1 && dead <= 0)
-	victims := append([]*sstable(nil), b.tables...)
-	epoch, crash := b.epoch, b.crash
-	var seq int64
-	if !nothingToDo {
-		seq = b.nextSeq
-		b.nextSeq++
-	}
+	err := b.flushLocked(ctx)
+	names := b.runNames()
 	b.mu.Unlock()
-
-	if nothingToDo {
-		return b.CompactionStats(ctx)
-	}
-	out, err := b.writeMerged(ctx, victims, true, seq, crash)
 	if err != nil {
 		return engine.CompactionStats{}, err
 	}
+	for _, name := range names {
+		job, ok, err := b.beginRunCompact(name)
+		if err != nil {
+			return engine.CompactionStats{}, err
+		}
+		if !ok {
+			continue
+		}
+		outs, err := b.writeMerged(ctx, job.victims, 0, func() int64 { return job.seq }, job.crash)
+		if err != nil {
+			return engine.CompactionStats{}, err
+		}
+		if err := b.finishRunCompact(job, outs); err != nil {
+			return engine.CompactionStats{}, err
+		}
+	}
+	return b.CompactionStats(ctx)
+}
+
+// runCompact is what an explicit Compact captures of one run before merging
+// it outside the lock.
+type runCompact struct {
+	table   string
+	victims []*sstable
+	epoch   int64
+	seq     int64 // the output's file sequence, allocated up front
+	crash   string
+}
+
+// beginRunCompact captures table's run for a full merge; ok is false when
+// the run holds nothing reclaimable.
+func (b *Backend) beginRunCompact(table string) (job runCompact, ok bool, err error) {
 	b.mu.Lock()
-	stillThere := !b.closed && b.epoch == epoch && len(b.tables) >= len(victims)
+	defer b.mu.Unlock()
+	if b.closed {
+		return runCompact{}, false, types.ErrClosed
+	}
+	r := b.runs[table]
+	if r == nil || len(r.tables) == 0 {
+		return runCompact{}, false, nil
+	}
+	var dead int64
+	for _, t := range r.tables {
+		dead += t.size - t.live
+	}
+	if len(r.tables) == 1 && dead <= 0 {
+		return runCompact{}, false, nil
+	}
+	return runCompact{
+		table:   table,
+		victims: append([]*sstable(nil), r.tables...),
+		epoch:   b.epoch,
+		seq:     b.allocSeqLocked(),
+		crash:   b.crash,
+	}, true, nil
+}
+
+// finishRunCompact commits a run's merged output if the victims are still
+// the oldest tables of the run; otherwise a Reset or a retirement took them
+// meanwhile — tombstones that shadowed their values may since have been
+// dropped on the strength of that — and the output must not bring the
+// values back: it is removed.
+func (b *Backend) finishRunCompact(job runCompact, outs []tableOut) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r := b.runs[job.table]
+	stillThere := !b.closed && b.epoch == job.epoch && r != nil && len(r.tables) >= len(job.victims)
 	if stillThere {
-		for i, t := range victims {
-			if b.tables[i] != t {
+		for i, t := range job.victims {
+			if r.tables[i] != t {
 				stillThere = false
 				break
 			}
 		}
 	}
 	if !stillThere {
-		// Reset (or close) intervened; the output must not resurrect data.
-		b.mu.Unlock()
-		os.Remove(out.tmp)
-		if b.closed {
-			return engine.CompactionStats{}, types.ErrClosed
+		for _, o := range outs {
+			os.Remove(b.sstPath(o.seq) + ".tmp")
 		}
-		return b.CompactionStats(ctx)
+		if b.closed {
+			return types.ErrClosed
+		}
+		return nil
 	}
-	err = b.commitMergedLocked(out, 0, len(victims)-1)
-	b.mu.Unlock()
-	if err != nil {
-		return engine.CompactionStats{}, err
-	}
-	return b.CompactionStats(ctx)
+	return b.commitMergedLocked(job.table, outs, 0, len(job.victims)-1)
 }
 
 // CompactionStats reports the reclaim state: total file bytes, the portion
@@ -413,17 +646,16 @@ func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, 
 		DiskBytes:      b.wal.size,
 		LiveBytes:      b.wal.size,
 		CompactedBytes: b.compacted,
-		Segments:       len(b.tables) + 1, // + the WAL
+		Segments:       1, // the WAL
 	}
-	for _, t := range b.tables {
+	for _, t := range b.allTables() {
+		st.Segments++
 		st.DiskBytes += t.size
-		live := t.live
-		if live < 0 {
-			// Prefix compression can make logical dead weight exceed the
-			// physical file; clamp for reporting.
-			live = 0
-		}
-		st.LiveBytes += live
+		// Logical weights against physical sizes: prefix compression can make
+		// the dead weight exceed the file, and a merge output is smaller than
+		// the live weight it inherits by its victims' footers, filters and
+		// indexes. Clamp for reporting.
+		st.LiveBytes += min(max(t.live, 0), t.size)
 	}
 	return st, nil
 }

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -142,5 +143,93 @@ func TestWALTornTailRecovery(t *testing.T) {
 	defer r2.Close()
 	if v, ok, _ := r2.Get(ctx, "t", "after"); !ok || string(v) != "crash" {
 		t.Fatalf("post-recovery write lost: %q (ok=%v)", v, ok)
+	}
+}
+
+// TestRunCrashRecovery covers the two crash windows per-table runs add,
+// neither reachable through Compact:
+//
+//   - flush-part-renamed: a flush of a memtable holding several user tables
+//     has renamed the first of its SSTables into place, the others are
+//     still *.tmp, and the MANIFEST names none of them; recovery must drop
+//     them all and serve from the WAL.
+//   - retire-manifested: the MANIFEST committed a retirement but the dead
+//     tables were never unlinked; recovery must remove them instead of
+//     mounting them.
+func TestRunCrashRecovery(t *testing.T) {
+	ctx := context.Background()
+	for _, point := range []string{"flush-part-renamed", "retire-manifested"} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			b := openT(t, dir, Options{})
+			want := map[[2]string]string{}
+			put := func(table, key, value string) {
+				t.Helper()
+				// BatchPut is acknowledged only once fsynced.
+				if err := b.BatchPut(ctx, table, []engine.Entry{{Key: key, Value: []byte(value)}}); err != nil {
+					t.Fatal(err)
+				}
+				want[[2]string{table, key}] = value
+			}
+			for i := 0; i < 20; i++ {
+				put("keep", fmt.Sprintf("k%02d", i), fmt.Sprintf("kept %d", i))
+				put("churn", fmt.Sprintf("c%02d", i), fmt.Sprintf("doomed %d", i))
+			}
+			flushT(t, b) // one table per run
+			put("keep", "k-late", "in the log only")
+			put("third", "x", "so the flush has three files to rename")
+
+			b.SetCrashPoint(point)
+			var err error
+			if point == "flush-part-renamed" {
+				put("churn", "c-late", "acknowledged before the flush began")
+				b.mu.Lock()
+				err = b.flushLocked(ctx)
+				b.mu.Unlock()
+			} else {
+				// Kill the churn table's every entry: the delete that takes
+				// the last one retires the table and crashes on the way.
+				for i := 0; i < 20 && err == nil; i++ {
+					k := fmt.Sprintf("c%02d", i)
+					delete(want, [2]string{"churn", k})
+					err = b.Delete(ctx, "churn", k)
+				}
+			}
+			if !errors.Is(err, ErrCrashed) {
+				t.Fatalf("crash hook %q did not fire: %v", point, err)
+			}
+			b.Kill()
+
+			for _, when := range []string{"recovery", "clean reopen"} {
+				r := openT(t, dir, Options{})
+				for k, wv := range want {
+					if v, ok, err := r.Get(ctx, k[0], k[1]); err != nil || !ok || string(v) != wv {
+						t.Fatalf("%s: %s/%s = %q (ok=%v err=%v), want %q", when, k[0], k[1], v, ok, err, wv)
+					}
+				}
+				if point == "retire-manifested" {
+					if v, ok, _ := r.Get(ctx, "churn", "c00"); ok {
+						t.Fatalf("%s: deleted key resurrected as %q", when, v)
+					}
+					if files := runFiles(r, "churn"); len(files) != 0 {
+						t.Fatalf("%s: retired tables mounted again: %v", when, files)
+					}
+				}
+				if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
+					t.Fatalf("%s: debris survived: %v", when, debris)
+				}
+				checkRunInvariants(t, r) // incl.: the directory holds exactly the mounted tables
+				st, err := r.CompactionStats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := diskBytes(t, dir); got != st.DiskBytes {
+					t.Fatalf("%s: stats say %d disk bytes, filesystem says %d", when, st.DiskBytes, got)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

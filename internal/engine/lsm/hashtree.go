@@ -1,28 +1,22 @@
 package lsm
 
 // The engine.HashRanger implementation: anti-entropy digests over the
-// merged (memtable + SSTables) view, incremental where cheap. A full
-// HashTree sweep costs one merged scan of the table — the same work as
-// Scan — so the result is memoized per (table, fanout) at the
-// logical-content generation it was computed (Backend.gen, bumped by every
-// applied put/delete/reset and by nothing else; flush and merge preserve
-// logical content, so a digest survives them). Repeated anti-entropy
-// rounds over an unchanged table therefore cost a map lookup, and the
-// memoized reply reports Bytes = 0: nothing was hashed.
+// merged (memtable + the table's run) view, incremental where cheap. A full
+// HashTree sweep costs one merged scan of the table — the same walk as
+// Scan — so the result is memoized per (table, fanout) at the table's
+// logical-content generation (run.gen, bumped by every put/delete applied
+// to that table and by nothing else; flush, merge and retirement preserve
+// logical content, so a digest survives them, and so do the digests of
+// every other table). Repeated anti-entropy rounds over an unchanged table
+// therefore cost a map lookup, and the memoized reply reports Bytes = 0:
+// nothing was hashed.
 
 import (
-	"bytes"
 	"context"
-	"errors"
 
 	"rstore/internal/engine"
 	"rstore/internal/types"
 )
-
-type hashMemoKey struct {
-	table  string
-	fanout int
-}
 
 type hashMemoEntry struct {
 	gen    int64
@@ -43,49 +37,51 @@ func (b *Backend) HashTree(ctx context.Context, table string, fanout int) (engin
 		b.mu.RUnlock()
 		return engine.TreeDigest{}, types.ErrClosed
 	}
-	gen := b.gen
-	if e, ok := b.hashMemo[hashMemoKey{table, fanout}]; ok && e.gen == gen {
-		out := engine.TreeDigest{
-			Root:   e.digest.Root,
-			Leaves: append([]engine.LeafDigest(nil), e.digest.Leaves...),
-			// A memo hit hashed nothing.
+	r := b.runs[table]
+	var gen int64
+	if r != nil {
+		gen = r.gen
+		if e, ok := r.memo[fanout]; ok && e.gen == gen {
+			out := engine.TreeDigest{
+				Root:   e.digest.Root,
+				Leaves: append([]engine.LeafDigest(nil), e.digest.Leaves...),
+				// A memo hit hashed nothing.
+			}
+			b.mu.RUnlock()
+			return out, nil
 		}
-		b.mu.RUnlock()
-		return out, nil
 	}
-	d, err := b.hashTreeLocked(ctx, table, fanout)
+	th := engine.NewTreeHasher(fanout)
+	err := b.scanLocked(ctx, table, func(userKey string, value []byte) bool {
+		th.Add(userKey, value)
+		return true
+	})
 	b.mu.RUnlock()
 	if err != nil {
 		return engine.TreeDigest{}, err
 	}
+	d := th.Digest()
+	if r == nil {
+		// Never written: there is no run to hang a memo on, and nothing to
+		// sweep next time either.
+		return d, nil
+	}
 	// Install under the write lock only if no mutation landed meanwhile;
 	// gen is immutable while any read lock is held, so the captured value
-	// identifies exactly the state that was scanned.
+	// identifies exactly the state that was scanned. (A Reset replaces the
+	// run itself.)
 	b.mu.Lock()
-	if !b.closed && b.gen == gen {
-		if b.hashMemo == nil {
-			b.hashMemo = map[hashMemoKey]hashMemoEntry{}
+	if !b.closed && b.runs[table] == r && r.gen == gen {
+		if r.memo == nil {
+			r.memo = map[int]hashMemoEntry{}
 		}
-		b.hashMemo[hashMemoKey{table, fanout}] = hashMemoEntry{gen: gen, digest: d}
+		r.memo[fanout] = hashMemoEntry{gen: gen, digest: d}
 	}
 	b.mu.Unlock()
 	// The memo keeps the original leaf slice; hand the caller its own.
 	out := d
 	out.Leaves = append([]engine.LeafDigest(nil), d.Leaves...)
 	return out, nil
-}
-
-// hashTreeLocked sweeps the merged view of table; callers hold b.mu (any
-// mode).
-func (b *Backend) hashTreeLocked(ctx context.Context, table string, fanout int) (engine.TreeDigest, error) {
-	th := engine.NewTreeHasher(fanout)
-	err := b.scanMergedLocked(ctx, table, func(userKey string, value []byte) {
-		th.Add(userKey, value)
-	})
-	if err != nil {
-		return engine.TreeDigest{}, err
-	}
-	return th.Digest(), nil
 }
 
 // HashRange lists one bucket's keys with their entry hashes
@@ -104,51 +100,14 @@ func (b *Backend) HashRange(ctx context.Context, table string, fanout, bucket in
 		return nil, types.ErrClosed
 	}
 	var out []engine.KeyHash
-	err := b.scanMergedLocked(ctx, table, func(userKey string, value []byte) {
+	err := b.scanLocked(ctx, table, func(userKey string, value []byte) bool {
 		if engine.BucketOf(userKey, fanout) == bucket {
 			out = append(out, engine.KeyHash{Key: userKey, Hash: engine.EntryHash(userKey, value)})
 		}
+		return true
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// scanMergedLocked visits every live (userKey, value) of table through the
-// merged sources, newest version winning, tombstones skipped; callers hold
-// b.mu (any mode).
-func (b *Backend) scanMergedLocked(ctx context.Context, table string, visit func(userKey string, value []byte)) error {
-	prefix := tablePrefix(table)
-	end := prefixSuccessor(prefix)
-	sources := make([]source, 0, len(b.tables)+1)
-	for _, t := range b.tables {
-		it, err := t.iterGE(prefix, b.cache)
-		if err != nil {
-			return err
-		}
-		sources = append(sources, it)
-	}
-	sources = append(sources, b.mem.iter(prefix)) // newest last
-	err := mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if end != nil && bytes.Compare(key, end) >= 0 {
-			return errStopScan
-		}
-		if tomb {
-			return nil
-		}
-		_, userKey, err := splitIKey(key)
-		if err != nil {
-			return err
-		}
-		visit(userKey, value)
-		return nil
-	}, nil)
-	if errors.Is(err, errStopScan) {
-		return nil
-	}
-	return err
 }

@@ -4,19 +4,24 @@
 //
 // Writes land in a sorted in-memory memtable (a skiplist) after being made
 // durable in a checksummed write-ahead log; a full memtable is flushed into
-// an immutable sorted-string table (SSTable) with a per-block restart-point
-// format, a block index, and a bloom filter. Point reads probe the memtable,
-// then each SSTable from newest to oldest — the bloom filter skips tables
-// that cannot hold the key, and a shared LRU block cache (the one cache on
-// the read path: blocks are immutable, so it needs no invalidation) serves
-// hot blocks without touching disk. Size-tiered compaction merges runs of
-// adjacent tables, dropping shadowed versions, and a full merge (the
-// Compactor interface) also drops tombstones. The MANIFEST names the live
-// files; its atomic rename is the commit point for every structural change,
-// which is what makes flush, compaction, and reset crash-safe.
+// immutable sorted-string tables (SSTables) with a per-block restart-point
+// format, a block index, and a bloom filter — one file per user table the
+// memtable holds, because the keys of one user table tend to live and die
+// together and the keys of two do not. Each user table so has its own
+// age-ordered run of SSTables. Point reads probe the memtable, then the
+// SSTables of the key's run from newest to oldest — the bloom filter skips
+// tables that cannot hold the key, and a shared LRU block cache (the one
+// cache on the read path: blocks are immutable, so it needs no
+// invalidation) serves hot blocks without touching disk. Within a run,
+// size-tiered compaction merges windows of adjacent tables, dropping
+// shadowed versions; a full merge (the Compactor interface) merges each run
+// into one table; and a table whose every entry is shadowed is unlinked
+// without being read (retireLocked). The MANIFEST names the live files; its
+// atomic rename is the commit point for every structural change, which is
+// what makes flush, compaction, retirement and reset crash-safe.
 //
 // Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (exactly one
-// live), sst-<seq>.sst (oldest first per the MANIFEST). The directory is
+// live), sst-<seq>.sst (run and age per the MANIFEST). The directory is
 // flock-ed for the lifetime of the backend, mirroring disklog: one logical
 // writer per data directory. See docs/FORMATS.md for the normative byte
 // formats.
@@ -46,8 +51,8 @@ type Options struct {
 	// flushes.
 	MemtableBytes int64
 
-	// MaxTables is the SSTable count that triggers size-tiered compaction
-	// after a flush (default 8).
+	// MaxTables is the SSTable count of one user table's run that triggers
+	// size-tiered compaction after a flush (default 8).
 	MaxTables int
 
 	// Cache is the block cache serving reads. Passing one instance to every
@@ -98,21 +103,23 @@ type Backend struct {
 	epoch   int64
 	mem     *memtable
 	wal     *wal
-	tables  []*sstable // age order: oldest first, newest last
 	nextSeq int64
+	// runs holds the state of every user table written since Open or Reset
+	// (and of every one with an SSTable): the engine is built for the
+	// handful of tables its callers use, so an emptied run is kept, not
+	// collected.
+	runs map[string]*run
 	// bytes is Σ len(value) over live keys — the BytesStored contract.
 	bytes int64
-	// keys counts live keys per user table, backing Tables().
-	keys map[string]int
-	// compacted accumulates bytes reclaimed by merges (CompactionStats).
+	// compacted accumulates bytes reclaimed by merges and retirements
+	// (CompactionStats).
 	compacted int64
-	// gen counts logical-content changes (every applied put/delete/reset);
-	// flush and merge leave it alone because they do not change contents.
-	// hashMemo caches the last HashTree digest per (table, fanout) at the
-	// gen it was computed, so repeated anti-entropy sweeps over unchanged
-	// tables skip the merged scan entirely (see hashtree.go).
-	gen      int64
-	hashMemo map[hashMemoKey]hashMemoEntry
+	// rewritten accumulates the bytes merges wrote: what reclaiming cost
+	// (BenchmarkChurn reports it per byte put).
+	rewritten int64
+	// retirable is set when some SSTable's last unshadowed entry died; the
+	// write call that did it ends in retireLocked.
+	retirable bool
 
 	// compactMu serializes merges (explicit Compact and post-flush
 	// size-tiered compaction) so two merges can never race over the same
@@ -121,6 +128,55 @@ type Backend struct {
 
 	// crash names the active crash-injection point ("" in production).
 	crash string
+}
+
+// run is one user table's share of the tree. Memtable, WAL and internal-key
+// format are shared across runs; everything on disk below them is not.
+type run struct {
+	// tables are this user table's SSTables in age order: oldest first,
+	// newest last. None holds a key of another user table.
+	tables []*sstable
+	// keys counts the live keys, backing Tables().
+	keys int
+	// gen counts logical-content changes (every applied put/delete); flush,
+	// merge and retirement leave it alone because they do not change
+	// contents. memo caches the last HashTree digest per fanout at the gen
+	// it was computed, so repeated anti-entropy sweeps over an unchanged
+	// table skip the merged scan entirely, whatever is written to the
+	// tables beside it (see hashtree.go).
+	gen  int64
+	memo map[int]hashMemoEntry
+}
+
+// runLocked returns table's run, creating it on first use; callers hold
+// b.mu exclusively.
+func (b *Backend) runLocked(table string) *run {
+	r := b.runs[table]
+	if r == nil {
+		r = &run{}
+		b.runs[table] = r
+	}
+	return r
+}
+
+// runNames lists the runs in name order, the order every multi-run step
+// (MANIFEST lines, tiering, Compact) walks them in; callers hold b.mu.
+func (b *Backend) runNames() []string {
+	names := make([]string, 0, len(b.runs))
+	for name := range b.runs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// allTables lists every mounted SSTable; callers hold b.mu.
+func (b *Backend) allTables() []*sstable {
+	var all []*sstable
+	for _, r := range b.runs {
+		all = append(all, r.tables...)
+	}
+	return all
 }
 
 // Open mounts (creating if needed) the LSM store in dir and recovers it:
@@ -140,7 +196,7 @@ func Open(dir string, opts Options) (*Backend, error) {
 		opts: opts.withDefaults(),
 		lock: lock,
 		mem:  newMemtable(),
-		keys: map[string]int{},
+		runs: map[string]*run{},
 	}
 	b.cache = b.opts.Cache
 	if err := b.recover(); err != nil {
@@ -151,8 +207,11 @@ func Open(dir string, opts Options) (*Backend, error) {
 }
 
 func (b *Backend) recover() error {
-	nextSeq, walSeq, sstSeqs, exists, err := readManifest(b.dir)
-	if !exists && err == nil {
+	m, exists, err := readManifest(b.dir)
+	if err != nil {
+		return err
+	}
+	if !exists {
 		// Never initialized (or crashed before the first commit): any lsm
 		// files present are uncommitted debris from that first attempt.
 		if err := b.removeDebris(map[string]bool{}); err != nil {
@@ -167,38 +226,43 @@ func (b *Backend) recover() error {
 			w.close()
 			return err
 		}
-		if err := writeManifest(b.dir, b.nextSeq, 1, nil); err != nil {
+		if err := writeManifest(b.dir, manifest{nextSeq: b.nextSeq, walSeq: 1}); err != nil {
 			w.close()
 			return err
 		}
 		b.wal = w
 		return nil
 	}
-	if err != nil {
-		return err
-	}
-	b.nextSeq = nextSeq
-	referenced := map[string]bool{filepath.Base(b.walPath(walSeq)): true}
-	for _, seq := range sstSeqs {
-		referenced[filepath.Base(b.sstPath(seq))] = true
+	b.nextSeq = m.nextSeq
+	referenced := map[string]bool{filepath.Base(b.walPath(m.walSeq)): true}
+	for _, t := range m.ssts {
+		referenced[filepath.Base(b.sstPath(t.seq))] = true
 	}
 	if err := b.removeDebris(referenced); err != nil {
 		return err
 	}
-	for _, seq := range sstSeqs {
-		t, err := openSSTable(b.sstPath(seq), seq)
+	if m.v1 {
+		if m, err = b.upgradeV1(m); err != nil {
+			return err
+		}
+	}
+	for _, mt := range m.ssts {
+		t, err := openSSTable(b.sstPath(mt.seq), mt.seq)
 		if err != nil {
 			return err
 		}
-		b.tables = append(b.tables, t)
+		r := b.runLocked(mt.table)
+		r.tables = append(r.tables, t)
 	}
-	if err := b.rebuildAccounting(); err != nil {
-		return err
+	for _, r := range b.runs {
+		if err := b.rebuildAccounting(r); err != nil {
+			return err
+		}
 	}
 	// Replay the WAL through the normal apply path so memtable state and
 	// accounting (including decrements against just-mounted tables) are
 	// rebuilt exactly as the original writes built them.
-	w, err := replayWAL(b.walPath(walSeq), walSeq, func(kind byte, table, key string, value []byte) error {
+	w, err := replayWAL(b.walPath(m.walSeq), m.walSeq, func(kind byte, table, key string, value []byte) error {
 		ik := ikey(table, key)
 		if kind == walDel {
 			return b.applyDelLocked(table, ik)
@@ -209,7 +273,50 @@ func (b *Backend) recover() error {
 		return err
 	}
 	b.wal = w
-	return nil
+	// A crash between a write and the retirement it earned left the dead
+	// tables mounted; the replay has just killed them again.
+	b.retirable = true
+	return b.retireLocked()
+}
+
+// upgradeV1 rewrites a v1 directory — one age-ordered list of SSTables, each
+// holding keys of every user table — as per-table runs: one full merge of
+// the old tables through the cutting writer, committed by a v2 MANIFEST.
+// Until that commit the old MANIFEST stands and the outputs are debris;
+// after it the old tables are.
+func (b *Backend) upgradeV1(m manifest) (manifest, error) {
+	old := make([]*sstable, 0, len(m.ssts))
+	defer func() {
+		for _, t := range old {
+			t.close()
+		}
+	}()
+	for _, mt := range m.ssts {
+		t, err := openSSTable(b.sstPath(mt.seq), mt.seq)
+		if err != nil {
+			return manifest{}, err
+		}
+		old = append(old, t)
+	}
+	//lint:rstore-vet ctxfirst: Open takes no context and the one-off upgrade merge is part of mounting the directory
+	outs, err := b.writeMerged(context.Background(), old, 0, b.allocSeqLocked, "")
+	if err != nil {
+		return manifest{}, err
+	}
+	if err := b.publishLocked(outs, ""); err != nil {
+		return manifest{}, err
+	}
+	up := manifest{nextSeq: b.nextSeq, walSeq: m.walSeq}
+	for _, o := range outs {
+		up.ssts = append(up.ssts, manifestTable{seq: o.seq, table: o.table})
+	}
+	if err := writeManifest(b.dir, up); err != nil {
+		return manifest{}, err
+	}
+	for _, t := range old {
+		os.Remove(t.path)
+	}
+	return up, syncDir(b.dir)
 }
 
 // removeDebris deletes every lsm-owned file (sst-*.sst, wal-*.log, *.tmp)
@@ -242,34 +349,28 @@ func (b *Backend) removeDebris(referenced map[string]bool) error {
 	return nil
 }
 
-// rebuildAccounting replays a merged scan of the mounted tables (no
-// memtable yet) to reconstruct live bytes, per-table key counts, and each
-// table's live counter.
-func (b *Backend) rebuildAccounting() error {
-	if len(b.tables) == 0 {
-		return nil
-	}
-	sources := make([]source, len(b.tables))
-	for i, t := range b.tables {
+// rebuildAccounting replays a merged scan of r's mounted tables (no
+// memtable yet) to reconstruct live bytes, the run's key count, and each
+// table's live counters.
+func (b *Backend) rebuildAccounting(r *run) error {
+	sources := make([]source, len(r.tables))
+	for i, t := range r.tables {
 		it, err := t.iterGE(nil, b.cache)
 		if err != nil {
 			return err
 		}
 		sources[i] = it
 	}
-	dead := make([]int64, len(b.tables))
+	dead := make([]int64, len(r.tables))
 	err := mergeSources(sources,
 		func(key, value []byte, tomb bool, src int) error {
 			if tomb {
 				dead[src] += logicalSize(len(key), len(value))
 				return nil
 			}
-			table, _, err := splitIKey(key)
-			if err != nil {
-				return err
-			}
 			b.bytes += int64(len(value))
-			b.keys[table]++
+			r.keys++
+			r.tables[src].liveEntries++
 			return nil
 		},
 		func(src int, keyLen, valLen int) error {
@@ -279,7 +380,7 @@ func (b *Backend) rebuildAccounting() error {
 	if err != nil {
 		return err
 	}
-	for i, t := range b.tables {
+	for i, t := range r.tables {
 		t.live = t.size - dead[i]
 	}
 	return nil
@@ -329,64 +430,86 @@ func splitIKey(ik []byte) (table, key string, err error) {
 	return string(rest[:l]), string(rest[l:]), nil
 }
 
-// findLocked finds the newest version of ik: (value, source table index or
-// -1 for the memtable, found). A tombstone anywhere newest means not found.
-// The value aliases the memtable or a cached block; callers hold b.mu (any
-// mode) and must not retain or mutate it past the lock.
-func (b *Backend) findLocked(ik []byte) (value []byte, src int, found bool, err error) {
+// findLocked finds the newest version of ik, a key of table: (value, the
+// SSTable holding it or nil for the memtable, found). A tombstone anywhere
+// newest means not found. The value aliases the memtable or a cached block;
+// callers hold b.mu (any mode) and must not retain or mutate it past the
+// lock.
+func (b *Backend) findLocked(table string, ik []byte) (value []byte, src *sstable, found bool, err error) {
 	if v, tomb, ok := b.mem.get(ik); ok {
-		return v, -1, !tomb, nil
+		return v, nil, !tomb, nil
 	}
-	for i := len(b.tables) - 1; i >= 0; i-- {
-		v, tomb, ok, err := b.tables[i].get(ik, b.cache)
+	r := b.runs[table]
+	if r == nil {
+		return nil, nil, false, nil
+	}
+	for i := len(r.tables) - 1; i >= 0; i-- {
+		v, tomb, ok, err := r.tables[i].get(ik, b.cache)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, nil, false, err
 		}
 		if ok {
-			return v, i, !tomb, nil
+			return v, r.tables[i], !tomb, nil
 		}
 	}
-	return nil, 0, false, nil
+	return nil, nil, false, nil
+}
+
+// shadowLocked takes the version of ik that a write is about to supersede
+// out of the live accounting, wherever it lives.
+func (b *Backend) shadowLocked(src *sstable, ik, prev []byte) {
+	b.bytes -= int64(len(prev))
+	if src == nil {
+		return
+	}
+	src.live -= logicalSize(len(ik), len(prev))
+	if src.liveEntries--; src.liveEntries == 0 {
+		b.retirable = true
+	}
 }
 
 // applyPutLocked installs value (already copied) under ik, updating live
 // accounting: a shadowed older version stops being live wherever it lives.
 func (b *Backend) applyPutLocked(table string, ik, value []byte) error {
-	prev, src, found, err := b.findLocked(ik)
+	prev, src, found, err := b.findLocked(table, ik)
 	if err != nil {
 		return err
 	}
+	r := b.runLocked(table)
 	if found {
-		b.bytes -= int64(len(prev))
-		if src >= 0 {
-			b.tables[src].live -= logicalSize(len(ik), len(prev))
-		}
+		b.shadowLocked(src, ik, prev)
 	} else {
-		b.keys[table]++
+		r.keys++
 	}
 	b.bytes += int64(len(value))
 	b.mem.set(ik, value, false)
-	b.gen++
+	r.gen++
 	return nil
 }
 
 // applyDelLocked installs a tombstone under ik if the key currently exists;
 // deleting a missing key is a no-op that writes nothing.
 func (b *Backend) applyDelLocked(table string, ik []byte) error {
-	prev, src, found, err := b.findLocked(ik)
+	prev, src, found, err := b.findLocked(table, ik)
 	if err != nil || !found {
 		return err
 	}
-	b.bytes -= int64(len(prev))
-	if src >= 0 {
-		b.tables[src].live -= logicalSize(len(ik), len(prev))
-	}
-	if b.keys[table]--; b.keys[table] <= 0 {
-		delete(b.keys, table)
-	}
+	r := b.runs[table] // a key was found, so the run exists
+	b.shadowLocked(src, ik, prev)
+	r.keys--
 	b.mem.set(ik, nil, true)
-	b.gen++
+	r.gen++
 	return nil
+}
+
+// finishWriteLocked ends every write call: tables the call killed are
+// retired first, so that a flush it also triggers sees their runs empty and
+// writes no tombstone on their account. Callers hold b.mu exclusively.
+func (b *Backend) finishWriteLocked(ctx context.Context) error {
+	if err := b.retireLocked(); err != nil {
+		return err
+	}
+	return b.maybeFlushLocked(ctx)
 }
 
 // Put stores value under (table, key). It is durable no later than the next
@@ -410,7 +533,7 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 	if err := b.applyPutLocked(table, ikey(table, key), append([]byte(nil), value...)); err != nil {
 		return err
 	}
-	return b.maybeFlushLocked(ctx)
+	return b.finishWriteLocked(ctx)
 }
 
 // BatchPut appends the whole batch as one checksummed WAL record and fsyncs
@@ -445,7 +568,7 @@ func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.E
 			return err
 		}
 	}
-	return b.maybeFlushLocked(ctx)
+	return b.finishWriteLocked(ctx)
 }
 
 // Get returns a copy of the newest value under (table, key).
@@ -461,7 +584,7 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 	// Short keys build their internal form on the stack: a point read
 	// should not allocate for its key.
 	var ikb [96]byte
-	v, _, found, err := b.findLocked(appendIKey(ikb[:0], table, key))
+	v, _, found, err := b.findLocked(table, appendIKey(ikb[:0], table, key))
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -481,7 +604,7 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 	}
 	ik := ikey(table, key)
 	// Look before logging: a no-op delete must not grow the WAL.
-	_, _, found, err := b.findLocked(ik)
+	_, _, found, err := b.findLocked(table, ik)
 	if err != nil || !found {
 		return err
 	}
@@ -495,7 +618,7 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 	if err := b.applyDelLocked(table, ik); err != nil {
 		return err
 	}
-	return b.maybeFlushLocked(ctx)
+	return b.finishWriteLocked(ctx)
 }
 
 // errStopScan aborts a merged scan early (fn returned false, or the range
@@ -513,32 +636,40 @@ func (b *Backend) Scan(ctx context.Context, table string, fn func(key string, va
 	if b.closed {
 		return types.ErrClosed
 	}
+	return b.scanLocked(ctx, table, fn)
+}
+
+// scanLocked is the one merged walk behind Scan, HashTree and HashRange: it
+// visits every live (userKey, value) of table through the table's run and
+// the memtable, newest version winning, tombstones skipped, until visit
+// returns false. Callers hold b.mu (any mode).
+func (b *Backend) scanLocked(ctx context.Context, table string, visit func(userKey string, value []byte) bool) error {
 	prefix := tablePrefix(table)
 	end := prefixSuccessor(prefix)
-	sources := make([]source, 0, len(b.tables)+1)
-	for _, t := range b.tables {
-		it, err := t.iterGE(prefix, b.cache)
-		if err != nil {
-			return err
+	var sources []source
+	if r := b.runs[table]; r != nil {
+		sources = make([]source, 0, len(r.tables)+1)
+		for _, t := range r.tables {
+			it, err := t.iterGE(nil, b.cache)
+			if err != nil {
+				return err
+			}
+			sources = append(sources, it)
 		}
-		sources = append(sources, it)
 	}
 	sources = append(sources, b.mem.iter(prefix)) // newest last
 	err := mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		// Only the memtable can run past the table: it holds every run's keys.
 		if end != nil && bytes.Compare(key, end) >= 0 {
 			return errStopScan
 		}
 		if tomb {
 			return nil
 		}
-		_, userKey, err := splitIKey(key)
-		if err != nil {
-			return err
-		}
-		if !fn(userKey, value) {
+		if !visit(string(key[len(prefix):]), value) {
 			return errStopScan
 		}
 		return nil
@@ -559,11 +690,12 @@ func (b *Backend) Tables(ctx context.Context) ([]string, error) {
 	if b.closed {
 		return nil, types.ErrClosed
 	}
-	out := make([]string, 0, len(b.keys))
-	for t := range b.keys {
-		out = append(out, t)
+	out := make([]string, 0, len(b.runs))
+	for _, name := range b.runNames() {
+		if b.runs[name].keys > 0 {
+			out = append(out, name)
+		}
 	}
-	sort.Strings(out)
 	return out, nil
 }
 
@@ -587,7 +719,7 @@ func (b *Backend) Close() error {
 	if cerr := b.wal.close(); err == nil && cerr != nil {
 		err = fmt.Errorf("lsm: %w", cerr)
 	}
-	for _, t := range b.tables {
+	for _, t := range b.allTables() {
 		if cerr := t.close(); err == nil && cerr != nil {
 			err = fmt.Errorf("lsm: %w", cerr)
 		}
@@ -621,32 +753,28 @@ func (b *Backend) Reset(ctx context.Context) error {
 		w.close()
 		return err
 	}
-	if err := writeManifest(b.dir, b.nextSeq, walSeq, nil); err != nil {
+	if err := writeManifest(b.dir, manifest{nextSeq: b.nextSeq, walSeq: walSeq}); err != nil {
 		w.close()
 		return err
 	}
-	// Committed: tear down the old state.
+	// Committed: tear down the old state (the digest memos go with the runs).
 	b.epoch++
-	b.gen++
-	b.hashMemo = nil
-	oldWAL, oldTables := b.wal, b.tables
-	b.wal, b.tables = w, nil
+	oldWAL, oldTables := b.wal, b.allTables()
+	b.wal, b.runs = w, map[string]*run{}
 	b.mem = newMemtable()
 	b.bytes = 0
-	b.keys = map[string]int{}
+	b.retirable = false
 	oldWAL.close()
 	os.Remove(b.walPath(oldWAL.seq))
-	for _, t := range oldTables {
-		t.close()
-		os.Remove(t.path)
-	}
+	discardTables(oldTables)
 	return syncDir(b.dir)
 }
 
 // SetCrashPoint arms a crash-injection point (tests only): the named
 // internal step fails with ErrCrashed exactly where a power failure would
-// cut. Recognized points: "mid-flush", "flush-renamed", "mid-merge",
-// "merge-renamed", "merge-manifested". Empty disarms.
+// cut. Recognized points: "mid-flush", "flush-part-renamed",
+// "flush-renamed", "mid-merge", "merge-renamed", "merge-manifested",
+// "retire-manifested". Empty disarms.
 func (b *Backend) SetCrashPoint(point string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -669,7 +797,7 @@ func (b *Backend) closeFiles() {
 	if b.wal != nil {
 		b.wal.close()
 	}
-	for _, t := range b.tables {
+	for _, t := range b.allTables() {
 		t.close()
 	}
 	if b.lock != nil {

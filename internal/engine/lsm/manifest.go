@@ -11,32 +11,51 @@ import (
 )
 
 // The MANIFEST is the root of the tree: a small text file naming the live
-// WAL and every live SSTable in age order (oldest first), committed by
-// write-to-temp + fsync + rename + directory fsync. The rename is the
-// single commit point for flush, compaction, and reset — any sst-*.sst or
-// wal-*.log the MANIFEST does not reference is debris from a crash between
-// file creation and commit, and Open deletes it. Age order is what gives
+// WAL and every live SSTable with the user table whose run it belongs to,
+// committed by write-to-temp + fsync + rename + directory fsync. The rename
+// is the single commit point for flush, compaction, retirement and reset —
+// any sst-*.sst or wal-*.log the MANIFEST does not reference is debris from
+// a crash between file creation and commit, and Open deletes it. The lines
+// of one user table are in age order (oldest first), which is what gives
 // reads and merges their shadowing rule: an entry in a younger table
-// supersedes the same key in any older one.
+// supersedes the same key in any older table of the same run.
 //
 // Format, line by line:
 //
-//	rstore-lsm v1
-//	next <seq>      — next unused file sequence number
-//	wal <seq>       — the live write-ahead log, wal-<seq>.log
-//	sst <seq>       — one per live SSTable, oldest first
+//	rstore-lsm v2
+//	next <seq>            — next unused file sequence number
+//	wal <seq>             — the live write-ahead log, wal-<seq>.log
+//	sst <seq> <table>     — one per live SSTable; <table> is the user table,
+//	                        quoted as a Go string literal (strconv.Quote)
+//
+// A v1 manifest ("rstore-lsm v1", sst lines without a table: one age-ordered
+// list of tables holding every user table's keys) is read so that Open can
+// upgrade the directory; it is never written.
 const (
-	manifestName   = "MANIFEST"
-	manifestHeader = "rstore-lsm v1"
+	manifestName     = "MANIFEST"
+	manifestHeader   = "rstore-lsm v2"
+	manifestHeaderV1 = "rstore-lsm v1"
 )
 
-// writeManifest atomically commits a new manifest describing walSeq +
-// tables (age order) with nextSeq as the sequence floor.
-func writeManifest(dir string, nextSeq, walSeq int64, tables []*sstable) error {
+// manifestTable is one sst line.
+type manifestTable struct {
+	seq   int64
+	table string // the user table; empty in a v1 manifest
+}
+
+type manifest struct {
+	v1      bool
+	nextSeq int64
+	walSeq  int64
+	ssts    []manifestTable
+}
+
+// writeManifest atomically commits m.
+func writeManifest(dir string, m manifest) error {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\nnext %d\nwal %d\n", manifestHeader, nextSeq, walSeq)
-	for _, t := range tables {
-		fmt.Fprintf(&sb, "sst %d\n", t.seq)
+	fmt.Fprintf(&sb, "%s\nnext %d\nwal %d\n", manifestHeader, m.nextSeq, m.walSeq)
+	for _, t := range m.ssts {
+		fmt.Fprintf(&sb, "sst %d %s\n", t.seq, strconv.Quote(t.table))
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -63,41 +82,53 @@ func writeManifest(dir string, nextSeq, walSeq int64, tables []*sstable) error {
 // readManifest parses dir/MANIFEST. exists is false when the file is absent
 // (a directory never initialized, or a crash before first commit); any
 // other defect is corruption, not a fresh start.
-func readManifest(dir string) (nextSeq, walSeq int64, ssts []int64, exists bool, err error) {
+func readManifest(dir string) (m manifest, exists bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
-		return 0, 0, nil, false, nil
+		return manifest{}, false, nil
 	}
 	if err != nil {
-		return 0, 0, nil, false, fmt.Errorf("lsm: %w", err)
+		return manifest{}, false, fmt.Errorf("lsm: %w", err)
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) < 3 || lines[0] != manifestHeader {
-		return 0, 0, nil, false, fmt.Errorf("%w: lsm manifest header", types.ErrCorrupt)
+	if len(lines) < 3 || (lines[0] != manifestHeader && lines[0] != manifestHeaderV1) {
+		return manifest{}, false, fmt.Errorf("%w: lsm manifest header", types.ErrCorrupt)
 	}
-	field := func(line, key string) (int64, error) {
-		rest, ok := strings.CutPrefix(line, key+" ")
+	m.v1 = lines[0] == manifestHeaderV1
+	// num parses the sequence number of a "<key> <seq>[ <rest>]" line.
+	num := func(line, key string) (seq int64, rest string, err error) {
+		body, ok := strings.CutPrefix(line, key+" ")
 		if !ok {
-			return 0, fmt.Errorf("%w: lsm manifest: want %q line, got %q", types.ErrCorrupt, key, line)
+			return 0, "", fmt.Errorf("%w: lsm manifest: want %q line, got %q", types.ErrCorrupt, key, line)
 		}
-		v, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil || v < 0 {
-			return 0, fmt.Errorf("%w: lsm manifest %s %q", types.ErrCorrupt, key, rest)
+		digits, rest, _ := strings.Cut(body, " ")
+		seq, err = strconv.ParseInt(digits, 10, 64)
+		if err != nil || seq < 0 {
+			return 0, "", fmt.Errorf("%w: lsm manifest %s %q", types.ErrCorrupt, key, body)
 		}
-		return v, nil
+		return seq, rest, nil
 	}
-	if nextSeq, err = field(lines[1], "next"); err != nil {
-		return 0, 0, nil, false, err
+	var rest string
+	if m.nextSeq, rest, err = num(lines[1], "next"); err != nil || rest != "" {
+		return manifest{}, false, fmt.Errorf("%w: lsm manifest next line %q", types.ErrCorrupt, lines[1])
 	}
-	if walSeq, err = field(lines[2], "wal"); err != nil {
-		return 0, 0, nil, false, err
+	if m.walSeq, rest, err = num(lines[2], "wal"); err != nil || rest != "" {
+		return manifest{}, false, fmt.Errorf("%w: lsm manifest wal line %q", types.ErrCorrupt, lines[2])
 	}
 	for _, line := range lines[3:] {
-		seq, err := field(line, "sst")
-		if err != nil {
-			return 0, 0, nil, false, err
+		var t manifestTable
+		if t.seq, rest, err = num(line, "sst"); err != nil {
+			return manifest{}, false, err
 		}
-		ssts = append(ssts, seq)
+		if m.v1 != (rest == "") {
+			return manifest{}, false, fmt.Errorf("%w: lsm manifest sst line %q", types.ErrCorrupt, line)
+		}
+		if !m.v1 {
+			if t.table, err = strconv.Unquote(rest); err != nil {
+				return manifest{}, false, fmt.Errorf("%w: lsm manifest sst line %q", types.ErrCorrupt, line)
+			}
+		}
+		m.ssts = append(m.ssts, t)
 	}
-	return nextSeq, walSeq, ssts, true, nil
+	return m, true, nil
 }

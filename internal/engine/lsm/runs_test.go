@@ -1,0 +1,655 @@
+package lsm
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"rstore/internal/engine"
+	"rstore/internal/engine/memory"
+)
+
+// flushT forces the memtable out, as a full one would go.
+func flushT(t *testing.T, b *Backend) {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.flushLocked(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runFiles lists the file names of table's run, oldest first.
+func runFiles(b *Backend, table string) []string {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var names []string
+	if r := b.runs[table]; r != nil {
+		for _, t := range r.tables {
+			names = append(names, filepath.Base(t.path))
+		}
+	}
+	return names
+}
+
+// sstOnDisk lists the sst-*.sst files under dir.
+func sstOnDisk(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "sst-*.sst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(paths))
+	for i, p := range paths {
+		names[i] = filepath.Base(p)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func mustGet(t *testing.T, b engine.Backend, table, key string) (string, bool) {
+	t.Helper()
+	v, ok, err := b.Get(context.Background(), table, key)
+	if err != nil {
+		t.Fatalf("Get(%s, %s): %v", table, key, err)
+	}
+	return string(v), ok
+}
+
+// checkRunInvariants recounts, from the files and the memtable, what the
+// engine keeps incrementally: every SSTable holds keys of its own run only,
+// its liveEntries is the number of its value entries nothing newer
+// shadows, no run starts with a dead table (retirement ran), and the
+// directory holds exactly the mounted files.
+func checkRunInvariants(t *testing.T, b *Backend) {
+	t.Helper()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var mounted []string
+	for name, r := range b.runs {
+		prefix := tablePrefix(name)
+		end := prefixSuccessor(prefix)
+		sources := make([]source, 0, len(r.tables)+1)
+		for _, st := range r.tables {
+			mounted = append(mounted, filepath.Base(st.path))
+			it, err := st.iterGE(nil, b.cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources = append(sources, it)
+		}
+		sources = append(sources, b.mem.iter(prefix))
+		liveEntries := make([]int64, len(r.tables))
+		keys := 0
+		err := mergeSources(sources, func(key, _ []byte, tomb bool, src int) error {
+			if string(key) >= string(end) {
+				return errStopScan
+			}
+			if !strings.HasPrefix(string(key), string(prefix)) {
+				return fmt.Errorf("run %q holds key %q of another table", name, key)
+			}
+			if !tomb {
+				keys++
+				if src < len(r.tables) {
+					liveEntries[src]++
+				}
+			}
+			return nil
+		}, nil)
+		if err != nil && !errors.Is(err, errStopScan) {
+			t.Fatal(err)
+		}
+		if keys != r.keys {
+			t.Fatalf("run %q: keys = %d, recount %d", name, r.keys, keys)
+		}
+		for i, st := range r.tables {
+			if st.liveEntries != liveEntries[i] {
+				t.Fatalf("run %q table %d: liveEntries = %d, recount %d", name, i, st.liveEntries, liveEntries[i])
+			}
+		}
+		if len(r.tables) > 0 && r.tables[0].liveEntries == 0 {
+			t.Fatalf("run %q starts with a dead table: retirement did not run", name)
+		}
+	}
+	sort.Strings(mounted)
+	if onDisk := sstOnDisk(t, b.dir); !reflect.DeepEqual(onDisk, mounted) && len(onDisk)+len(mounted) > 0 {
+		t.Fatalf("directory holds %v, mounted %v", onDisk, mounted)
+	}
+}
+
+// TestRunsModelCheck drives seeded random puts, overwrites, deletes,
+// batches, reopens and Compacts over six user tables through a 1 KiB
+// memtable — so every step flushes, tiers or retires something — and
+// compares the whole observable state with engine/memory after every step.
+func TestRunsModelCheck(t *testing.T) {
+	ctx := context.Background()
+	tables := []string{"a", "b", "c", "ab", "", "long-table-name"}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			opts := Options{MemtableBytes: 1 << 10, MaxTables: 6}
+			b := openT(t, dir, opts)
+			defer func() { b.Close() }()
+			model := memory.New()
+			key := func() string { return fmt.Sprintf("k%02d", rng.Intn(24)) }
+			value := func() []byte { return []byte(strings.Repeat("v", 1+rng.Intn(200)) + fmt.Sprint(rng.Int())) }
+
+			for step := 0; step < 400; step++ {
+				// Tables differ in how they are used: the first two are
+				// deleted from as often as they are written (churn), the
+				// rest mostly written.
+				ti := rng.Intn(len(tables))
+				table := tables[ti]
+				op := rng.Intn(100)
+				delBelow := 10
+				if ti < 2 {
+					delBelow = 45
+				}
+				switch {
+				case op < delBelow:
+					k := key()
+					if err := b.Delete(ctx, table, k); err != nil {
+						t.Fatal(err)
+					}
+					if err := model.Delete(ctx, table, k); err != nil {
+						t.Fatal(err)
+					}
+				case op < 80:
+					k, v := key(), value()
+					if err := b.Put(ctx, table, k, v); err != nil {
+						t.Fatal(err)
+					}
+					if err := model.Put(ctx, table, k, v); err != nil {
+						t.Fatal(err)
+					}
+				case op < 94:
+					ents := make([]engine.Entry, 1+rng.Intn(6))
+					for i := range ents {
+						ents[i] = engine.Entry{Key: key(), Value: value()}
+					}
+					if err := b.BatchPut(ctx, table, ents); err != nil {
+						t.Fatal(err)
+					}
+					if err := model.BatchPut(ctx, table, ents); err != nil {
+						t.Fatal(err)
+					}
+				case op < 97:
+					if _, err := b.Compact(ctx); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if rng.Intn(2) == 0 {
+						b.Kill() // acknowledged or not, every write reached the WAL file
+					} else if err := b.Close(); err != nil {
+						t.Fatal(err)
+					}
+					b = openT(t, dir, opts)
+				}
+
+				checkRunInvariants(t, b)
+				if got, want := b.BytesStored(), model.BytesStored(); got != want {
+					t.Fatalf("step %d: BytesStored = %d, model %d", step, got, want)
+				}
+				gotTables, err := b.Tables(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantTables, _ := model.Tables(ctx) // the model promises no order
+				sort.Strings(wantTables)
+				if !reflect.DeepEqual(gotTables, wantTables) {
+					t.Fatalf("step %d: Tables = %q, model %q", step, gotTables, wantTables)
+				}
+				for _, table := range tables {
+					var got, want []string
+					collect := func(into *[]string) func(string, []byte) bool {
+						return func(k string, v []byte) bool { *into = append(*into, k+"="+string(v)); return true }
+					}
+					if err := b.Scan(ctx, table, collect(&got)); err != nil {
+						t.Fatal(err)
+					}
+					if err := model.Scan(ctx, table, collect(&want)); err != nil {
+						t.Fatal(err)
+					}
+					if !sort.StringsAreSorted(got) {
+						t.Fatalf("step %d: Scan(%q) out of key order: %q", step, table, got)
+					}
+					sort.Strings(want) // the model promises no order
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: Scan(%q) = %q, model %q", step, table, got, want)
+					}
+					for i := 0; i < 24; i++ {
+						k := fmt.Sprintf("k%02d", i)
+						gv, gok := mustGet(t, b, table, k)
+						wv, wok := mustGet(t, model, table, k)
+						if gv != wv || gok != wok {
+							t.Fatalf("step %d: Get(%q, %s) = %q %v, model %q %v", step, table, k, gv, gok, wv, wok)
+						}
+					}
+					gd, err := b.HashTree(ctx, table, 16)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wd, err := model.HashTree(ctx, table, 16)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gd.Root != wd.Root {
+						t.Fatalf("step %d: HashTree(%q) root %x, model %x", step, table, gd.Root, wd.Root)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestChurnTableLeavesNothingBehind puts a write-once table beside one whose
+// keys die a few batches after they are put. The dead entries must be
+// reclaimed by unlinking whole files of the churn run — never by rewriting
+// the write-once run, whose file names therefore only ever accumulate.
+func TestChurnTableLeavesNothingBehind(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	// MaxTables out of reach: no tier merge may excuse a rewrite.
+	b := openT(t, dir, Options{MemtableBytes: 8 << 10, MaxTables: 1 << 20})
+	defer b.Close()
+
+	const lifetime = 4
+	var keepFiles []string
+	for batch := 0; batch < 60; batch++ {
+		var keep, churn []engine.Entry
+		for i := 0; i < 8; i++ {
+			keep = append(keep, engine.Entry{Key: fmt.Sprintf("seg-%03d-%d", batch, i), Value: []byte(strings.Repeat("s", 300))})
+			churn = append(churn, engine.Entry{Key: fmt.Sprintf("delta-%03d-%d", batch, i), Value: []byte(strings.Repeat("d", 120))})
+		}
+		if err := b.BatchPut(ctx, "keep", keep); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.BatchPut(ctx, "churn", churn); err != nil {
+			t.Fatal(err)
+		}
+		if dead := batch - lifetime; dead >= 0 {
+			for i := 0; i < 8; i++ {
+				if err := b.Delete(ctx, "churn", fmt.Sprintf("delta-%03d-%d", dead, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		now := runFiles(b, "keep")
+		for i, name := range keepFiles {
+			if i >= len(now) || now[i] != name {
+				t.Fatalf("batch %d: write-once run was rewritten: %v → %v", batch, keepFiles, now)
+			}
+		}
+		keepFiles = now
+		checkRunInvariants(t, b)
+	}
+	if len(keepFiles) < 5 {
+		t.Fatalf("workload too small to prove anything: %d write-once tables", len(keepFiles))
+	}
+	// Kill what is left of the churn table: its run must vanish from disk.
+	for batch := 60 - lifetime; batch < 60; batch++ {
+		for i := 0; i < 8; i++ {
+			if err := b.Delete(ctx, "churn", fmt.Sprintf("delta-%03d-%d", batch, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flushT(t, b)
+	if files := runFiles(b, "churn"); len(files) != 0 {
+		t.Fatalf("churn run left SSTables behind: %v", files)
+	}
+	if onDisk, keepNow := sstOnDisk(t, dir), runFiles(b, "keep"); len(onDisk) != len(keepNow) {
+		t.Fatalf("directory holds %v, write-once run is %v", onDisk, keepNow)
+	}
+	st, err := b.CompactionStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := st.LiveRatio(); r < 0.97 {
+		t.Fatalf("live ratio %.3f with nothing dead on disk", r)
+	}
+	if v, ok := mustGet(t, b, "keep", "seg-000-0"); !ok || len(v) != 300 {
+		t.Fatalf("write-once value lost: %d bytes ok=%v", len(v), ok)
+	}
+}
+
+// TestDeadTableAboveLiveNeighbourStays is the resurrection case: a table
+// holding nothing but a tombstone is dead weight, yet the tombstone is all
+// that hides the value in the older table beneath it. Only when that older
+// table dies too may both go.
+func TestDeadTableAboveLiveNeighbourStays(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	b := openT(t, dir, Options{})
+	defer func() { b.Close() }()
+	for _, k := range []string{"gone", "stays"} {
+		if err := b.Put(ctx, "t", k, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushT(t, b) // T0: gone, stays
+	if err := b.Delete(ctx, "t", "gone"); err != nil {
+		t.Fatal(err)
+	}
+	flushT(t, b) // T1: tombstone(gone) — no live entry, but T0 is alive beneath it
+	files := runFiles(b, "t")
+	if len(files) != 2 {
+		t.Fatalf("want the dead table kept above its live neighbour, run is %v", files)
+	}
+	// Any further write call runs the retirement pass; it must spare T1.
+	if err := b.Put(ctx, "other", "x", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if got := runFiles(b, "t"); !reflect.DeepEqual(got, files) {
+		t.Fatalf("run changed: %v → %v", files, got)
+	}
+	check := func(when string) {
+		t.Helper()
+		if v, ok := mustGet(t, b, "t", "gone"); ok {
+			t.Fatalf("%s: deleted key resurrected as %q", when, v)
+		}
+		if v, ok := mustGet(t, b, "t", "stays"); !ok || v != "v-stays" {
+			t.Fatalf("%s: stays = %q ok=%v", when, v, ok)
+		}
+	}
+	check("after retirement pass")
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b = openT(t, dir, Options{})
+	check("after reopen")
+	if got := runFiles(b, "t"); !reflect.DeepEqual(got, files) {
+		t.Fatalf("reopen changed the run: %v → %v", files, got)
+	}
+
+	// The last live entry of T0 dies: now the whole run is a dead prefix.
+	if err := b.Delete(ctx, "t", "stays"); err != nil {
+		t.Fatal(err)
+	}
+	if got := runFiles(b, "t"); len(got) != 0 {
+		t.Fatalf("dead run not retired: %v", got)
+	}
+	if onDisk := sstOnDisk(t, dir); len(onDisk) != 0 {
+		t.Fatalf("retired tables still on disk: %v", onDisk)
+	}
+	for _, k := range []string{"gone", "stays"} {
+		if v, ok := mustGet(t, b, "t", k); ok {
+			t.Fatalf("%s resurrected as %q", k, v)
+		}
+	}
+	// The run is empty, so the pending tombstones shadow nothing: a flush
+	// writes no file for them.
+	flushT(t, b)
+	if onDisk := sstOnDisk(t, dir); len(runFiles(b, "t")) != 0 || !reflect.DeepEqual(onDisk, runFiles(b, "other")) {
+		t.Fatalf("tombstones of an empty run reached an SSTable: %v", onDisk)
+	}
+}
+
+// TestCompactRacingRetirementAbandonsOutput: an explicit Compact merges a
+// run outside the lock; meanwhile the run's entries die, its tables are
+// retired and the tombstones, shadowing nothing any more, are dropped by a
+// flush. Committing the merge output then would bring the values back.
+func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	b := openT(t, dir, Options{})
+	defer func() { b.Close() }()
+	for _, k := range []string{"k1", "k2"} {
+		if err := b.Put(ctx, "t", k, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+		flushT(t, b)
+	}
+	if err := b.Put(ctx, "bystander", "x", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	flushT(t, b)
+
+	job, ok, err := b.beginRunCompact("t")
+	if err != nil || !ok || len(job.victims) != 2 {
+		t.Fatalf("beginRunCompact: ok=%v victims=%d err=%v", ok, len(job.victims), err)
+	}
+	outs, err := b.writeMerged(ctx, job.victims, 0, func() int64 { return job.seq }, "")
+	if err != nil || len(outs) != 1 || outs[0].values != 2 {
+		t.Fatalf("writeMerged: %+v err=%v", outs, err)
+	}
+	// The race: both keys die, the run is retired, the tombstones are dropped.
+	for _, k := range []string{"k1", "k2"} {
+		if err := b.Delete(ctx, "t", k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushT(t, b)
+	if got := runFiles(b, "t"); len(got) != 0 {
+		t.Fatalf("run not retired: %v", got)
+	}
+	if err := b.finishRunCompact(job, outs); err != nil {
+		t.Fatal(err)
+	}
+	if got := runFiles(b, "t"); len(got) != 0 {
+		t.Fatalf("abandoned merge output was mounted: %v", got)
+	}
+	if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
+		t.Fatalf("abandoned merge output left behind: %v", debris)
+	}
+	for _, when := range []string{"after the race", "after reopen"} {
+		for _, k := range []string{"k1", "k2"} {
+			if v, ok := mustGet(t, b, "t", k); ok {
+				t.Fatalf("%s: %s resurrected as %q", when, k, v)
+			}
+		}
+		if v, ok := mustGet(t, b, "bystander", "x"); !ok || v != "y" {
+			t.Fatalf("%s: bystander = %q ok=%v", when, v, ok)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b = openT(t, dir, Options{})
+	}
+
+	// A run the race did not touch still commits.
+	job, ok, err = b.beginRunCompact("bystander")
+	if err != nil || ok {
+		t.Fatalf("a single clean table needs no merge: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestManyTablesInOneFlush flushes one memtable holding 200 user tables —
+// far more than the handful the engine is built for — and reads everything
+// back, before and after a reopen.
+func TestManyTablesInOneFlush(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	b := openT(t, dir, Options{})
+	defer func() { b.Close() }()
+	const nTables = 200
+	name := func(i int) string { return fmt.Sprintf("table/%03d %s", i, strings.Repeat("n", i%7)) }
+	for i := 0; i < nTables; i++ {
+		for j := 0; j < 3; j++ {
+			if err := b.Put(ctx, name(i), fmt.Sprintf("k%d", j), []byte(fmt.Sprintf("%d/%d", i, j))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flushT(t, b)
+	if n := len(sstOnDisk(t, dir)); n != nTables {
+		t.Fatalf("%d SSTables for %d user tables", n, nTables)
+	}
+	checkRunInvariants(t, b)
+	for _, when := range []string{"after flush", "after reopen"} {
+		tables, err := b.Tables(ctx)
+		if err != nil || len(tables) != nTables {
+			t.Fatalf("%s: %d tables (err %v)", when, len(tables), err)
+		}
+		for i := 0; i < nTables; i++ {
+			for j := 0; j < 3; j++ {
+				if v, ok := mustGet(t, b, name(i), fmt.Sprintf("k%d", j)); !ok || v != fmt.Sprintf("%d/%d", i, j) {
+					t.Fatalf("%s: %s k%d = %q ok=%v", when, name(i), j, v, ok)
+				}
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b = openT(t, dir, Options{})
+	}
+}
+
+// TestHashMemoIsPerTable: a write to one user table must leave the memoized
+// digest of another a hit — an ingesting store's anti-entropy rounds re-hash
+// the tables that changed, not all of them.
+func TestHashMemoIsPerTable(t *testing.T) {
+	ctx := context.Background()
+	b := openT(t, t.TempDir(), Options{})
+	defer b.Close()
+	for _, table := range []string{"A", "B"} {
+		if err := b.Put(ctx, table, "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := b.HashTree(ctx, "B", 16)
+	if err != nil || first.Bytes == 0 {
+		t.Fatalf("first sweep hashed %d bytes (err %v)", first.Bytes, err)
+	}
+	if err := b.Put(ctx, "A", "k2", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	flushT(t, b) // structural changes leave every memo alone
+	again, err := b.HashTree(ctx, "B", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Bytes != 0 || again.Root != first.Root {
+		t.Fatalf("put to A invalidated B's digest: hashed %d bytes, root %x → %x", again.Bytes, first.Root, again.Root)
+	}
+	if d, err := b.HashTree(ctx, "A", 16); err != nil || d.Bytes == 0 {
+		t.Fatalf("A changed but its sweep hashed %d bytes (err %v)", d.Bytes, err)
+	}
+	if err := b.Delete(ctx, "B", "k"); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := b.HashTree(ctx, "B", 16); err != nil || d.Root == first.Root {
+		t.Fatalf("delete in B served the stale digest (err %v)", err)
+	}
+}
+
+// TestOpenUpgradesV1Directory hand-builds what a pre-v2 build left on disk —
+// SSTables holding keys of several user tables each, a MANIFEST listing them
+// in one age order, a WAL on top — and opens it: same answers, and the
+// directory is v2 afterwards.
+func TestOpenUpgradesV1Directory(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	type ent struct {
+		table, key, value string
+		tomb              bool
+	}
+	writeV1Table := func(seq int64, ents []ent) {
+		sort.Slice(ents, func(i, j int) bool {
+			return string(ikey(ents[i].table, ents[i].key)) < string(ikey(ents[j].table, ents[j].key))
+		})
+		path := filepath.Join(dir, fmt.Sprintf("sst-%06d.sst", seq))
+		sw, err := newSSTWriter(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if err := sw.add(ikey(e.table, e.key), []byte(e.value), e.tomb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeV1Table(1, []ent{
+		{"once", "c1", "segment one", false},
+		{"once", "c2", "segment two", false},
+		{"churn", "d1", "delta one", false},
+		{"churn", "d2", "delta two", false},
+		{"small", "root", "root v1", false},
+	})
+	writeV1Table(3, []ent{
+		{"once", "c3", "segment three", false},
+		{"churn", "d1", "", true},
+		{"churn", "d2", "", true},
+		{"small", "root", "root v2", false},
+		{"z", "only-a-tombstone", "", true},
+	})
+	w, err := createWAL(filepath.Join(dir, "wal-000004.log"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := w.frame(walRecordLen("small", "root", len("root v3")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.appendFrame(encodeWALPut(rec, "small", "root", []byte("root v3"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.sync(); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+	v1 := "rstore-lsm v1\nnext 5\nwal 4\nsst 1\nsst 3\n"
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[[2]string]string{
+		{"once", "c1"}: "segment one", {"once", "c2"}: "segment two", {"once", "c3"}: "segment three",
+		{"small", "root"}: "root v3",
+	}
+	for _, when := range []string{"upgrading open", "v2 reopen"} {
+		b := openT(t, dir, Options{})
+		for k, wv := range want {
+			if v, ok := mustGet(t, b, k[0], k[1]); !ok || v != wv {
+				t.Fatalf("%s: %s/%s = %q ok=%v, want %q", when, k[0], k[1], v, ok, wv)
+			}
+		}
+		for _, k := range []string{"d1", "d2"} {
+			if v, ok := mustGet(t, b, "churn", k); ok {
+				t.Fatalf("%s: deleted %s resurrected as %q", when, k, v)
+			}
+		}
+		tables, err := b.Tables(ctx)
+		if err != nil || !reflect.DeepEqual(tables, []string{"once", "small"}) {
+			t.Fatalf("%s: Tables = %q (err %v)", when, tables, err)
+		}
+		if got, want := b.BytesStored(), int64(len("segment one")+len("segment two")+len("segment three")+len("root v3")); got != want {
+			t.Fatalf("%s: BytesStored = %d, want %d", when, got, want)
+		}
+		checkRunInvariants(t, b)
+		// A full merge drops every tombstone: the dead user tables get no
+		// file, and the root the WAL supersedes kills that user table's only SSTable.
+		if got := append(runFiles(b, "churn"), runFiles(b, "z")...); len(got) != 0 {
+			t.Fatalf("%s: dead user tables kept files: %v", when, got)
+		}
+		if len(runFiles(b, "once")) != 1 || len(runFiles(b, "small")) != 0 {
+			t.Fatalf("%s: once run %v, small run %v", when, runFiles(b, "once"), runFiles(b, "small"))
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(data), manifestHeader+"\n") || !strings.Contains(string(data), ` "once"`+"\n") {
+			t.Fatalf("%s: MANIFEST is not v2:\n%s", when, data)
+		}
+		for _, old := range []string{"sst-000001.sst", "sst-000003.sst"} {
+			if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
+				t.Fatalf("%s: v1 table %s survived the upgrade (err %v)", when, old, err)
+			}
+		}
+	}
+}

@@ -145,11 +145,10 @@ type sstWriter struct {
 	// power failure mid-flush would.
 	failBeforeFooter bool
 
-	// logicalAll/logicalTomb feed accounting: total logical size of every
-	// entry written, and of the tombstones among them.
-	logicalAll  int64
+	// values/logicalTomb feed accounting: how many value entries were
+	// written, and the logical size of the tombstones beside them.
+	values      int64
 	logicalTomb int64
-	entries     int64
 }
 
 func newSSTWriter(path string) (*sstWriter, error) {
@@ -189,12 +188,11 @@ func (sw *sstWriter) add(key, value []byte, tomb bool) error {
 	sw.nRestart++
 	sw.lastKey = append(sw.lastKey[:0], key...)
 	sw.hashes = append(sw.hashes, bloomHash(key))
-	ls := logicalSize(len(key), len(value))
-	sw.logicalAll += ls
 	if tomb {
-		sw.logicalTomb += ls
+		sw.logicalTomb += logicalSize(len(key), len(value))
+	} else {
+		sw.values++
 	}
-	sw.entries++
 	if len(sw.block) >= sstBlockBytes {
 		return sw.finishBlock()
 	}
@@ -284,9 +282,9 @@ type indexEntry struct {
 	length  int64
 }
 
-// sstable is an open, immutable table: file handle, decoded index, bloom
-// filter, and the live-byte counter accounting maintains under the
-// backend's mutex.
+// sstable is an open, immutable table of one user table's run: file handle,
+// decoded index, bloom filter, and the two live counters accounting
+// maintains under the backend's mutex.
 type sstable struct {
 	id    uint64 // block-cache identity, unique per open table per process
 	seq   int64  // file sequence (naming, MANIFEST)
@@ -300,6 +298,11 @@ type sstable struct {
 	// size - live drives compaction victim selection. Guarded by the
 	// owning Backend's mu.
 	live int64
+	// liveEntries counts the value entries no newer entry shadows. At zero
+	// the table answers no read; retireLocked unlinks it once every older
+	// table of its run is at zero too. (live cannot say this: it is a file
+	// size less logical weights, not exactly zero for a dead table.)
+	liveEntries int64
 }
 
 // openSSTable maps and verifies a table file: footer magic and checksum,

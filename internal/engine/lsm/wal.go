@@ -43,7 +43,11 @@ type wal struct {
 	f    *os.File
 	seq  int64
 	size int64
-	buf  []byte // the one frame buffer: header and body of the record being appended
+	// synced is the size at the last fsync; sync is free while nothing was
+	// appended since (a replayed log starts unsynced: its tail may be in the
+	// page cache only).
+	synced int64
+	buf    []byte // the one frame buffer: header and body of the record being appended
 }
 
 func createWAL(path string, seq int64) (*wal, error) {
@@ -128,9 +132,13 @@ func encodeWALBatch(dst []byte, table string, entries []engine.Entry) []byte {
 }
 
 func (w *wal) sync() error {
+	if w.synced == w.size {
+		return nil
+	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("lsm: wal sync: %w", err)
 	}
+	w.synced = w.size
 	return nil
 }
 
