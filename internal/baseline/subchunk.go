@@ -1,11 +1,12 @@
 package baseline
 
 import (
+	"bytes"
 	"context"
-
 	"fmt"
 	"sort"
 
+	"rstore/internal/bdiff"
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
 	"rstore/internal/corpus"
@@ -80,13 +81,47 @@ func (s *Subchunk) encodeGroup(ids []uint32) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeGroup reverses encodeGroup.
+// decodeGroup reverses encodeGroup: the members chunk.EncodeItem framed — the
+// first raw, each later one raw or a bdiff of an earlier one — then their
+// deletion annotations.
 func decodeGroup(buf []byte) ([]types.Record, [][]types.VersionID, error) {
-	item, rest, err := chunk.DecodeItem(buf)
+	n, rest, err := codec.Uvarint(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	dels := make([][]types.VersionID, len(item.Records))
+	// A member takes four bytes at least (key length, version, parent, body
+	// length), so the count cannot size an allocation the input does not pay for.
+	if n > uint64(len(rest))/4 {
+		return nil, nil, fmt.Errorf("%w: group counts %d members in %d bytes", types.ErrCorrupt, n, len(rest))
+	}
+	recs := make([]types.Record, 0, n)
+	for i := uint64(0); i < n; i++ {
+		var ck types.CompositeKey
+		if ck, rest, err = codec.CompositeKey(rest); err != nil {
+			return nil, nil, err
+		}
+		var p int64
+		if p, rest, err = codec.Varint(rest); err != nil {
+			return nil, nil, err
+		}
+		var body []byte
+		if body, rest, err = codec.Bytes(rest); err != nil {
+			return nil, nil, err
+		}
+		var value []byte
+		switch {
+		case p == -1 || p == -2:
+			value = bytes.Clone(body)
+		case p >= 0 && int(p) < len(recs):
+			if value, err = bdiff.Apply(nil, recs[p].Value, body); err != nil {
+				return nil, nil, err
+			}
+		default:
+			return nil, nil, fmt.Errorf("%w: group member %d references parent %d", types.ErrCorrupt, i, p)
+		}
+		recs = append(recs, types.Record{CK: ck, Value: value})
+	}
+	dels := make([][]types.VersionID, len(recs))
 	for i := range dels {
 		var n uint64
 		n, rest, err = codec.Uvarint(rest)
@@ -105,7 +140,7 @@ func decodeGroup(buf []byte) ([]types.Record, [][]types.VersionID, error) {
 	if len(rest) != 0 {
 		return nil, nil, fmt.Errorf("%w: trailing group bytes", types.ErrCorrupt)
 	}
-	return item.Records, dels, nil
+	return recs, dels, nil
 }
 
 // fetchGroups multigets key groups and resolves the record visible at v for

@@ -10,7 +10,7 @@ import (
 
 // visibilityCorpus: V0 → {V1 → V3, V2}; record r originates at V0, is
 // deleted at V1 (so invisible in V1's subtree) but stays visible in V2.
-func visibilityCorpus(t *testing.T) *corpus.Corpus {
+func visibilityCorpus(t testing.TB) *corpus.Corpus {
 	t.Helper()
 	g := vgraph.New()
 	v0, _ := g.AddRoot()
@@ -101,4 +101,33 @@ func TestCollectDeletePoints(t *testing.T) {
 	if len(dels[0]) != 2 {
 		t.Fatalf("delete points = %v, want both branches", dels[0])
 	}
+}
+
+// FuzzDecodeGroup: the group decoder rejects arbitrary input with an error —
+// never a panic, never a loop — and sizes nothing from a count the input does
+// not pay for.
+func FuzzDecodeGroup(f *testing.F) {
+	c := visibilityCorpus(f)
+	s := &Subchunk{c: c, dels: collectDeletePoints(c)}
+	for _, k := range c.Keys() {
+		buf, err := s.encodeGroup(c.KeyRecords(k))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Add([]byte{1})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, dels, err := decodeGroup(data)
+		if err != nil {
+			if recs != nil || dels != nil {
+				t.Fatalf("%d records returned beside %v", len(recs), err)
+			}
+			return
+		}
+		if len(recs) != len(dels) || cap(recs) > len(data) {
+			t.Fatalf("group of %d bytes: %d records (cap %d), %d deletion lists", len(data), len(recs), cap(recs), len(dels))
+		}
+	})
 }

@@ -2,6 +2,8 @@ package chunk
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rstore/internal/bitset"
@@ -10,12 +12,15 @@ import (
 )
 
 // BenchmarkSegmentCodec measures the segment grammar on one full segment
-// (SegmentTarget of single-record items) of §5.1 documents of 256 and 512
-// bytes, whose values are stored as run lists against the first, and of random
-// blobs, which are all stored raw: encoding, decoding every slot, and decoding
-// one slot in the middle as a point read does. MB/s counts the segment's plain
-// bytes — what its items were charged — on every line, so the three compare;
-// stored/plain is the segment value's size against the same.
+// (SegmentTarget of single-record items): encoding, decoding every slot, and
+// decoding one slot in the middle as a point read does. §5.1 documents of 256
+// and 512 bytes are run lists against the first whose literals are 64 symbols,
+// six bits; English prose shares no offsets with its anchor and is literals
+// throughout, of some seventy symbols of which a few are rare; rows of numbers
+// are literals of thirteen, four bits; random blobs are all stored raw and
+// their segment states width 8. MB/s counts the segment's plain bytes — what
+// its items were charged — on every line, so they compare; stored/plain is the
+// segment value's size against the same, width the bits of a literal.
 func BenchmarkSegmentCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	for _, tc := range []struct {
@@ -25,6 +30,8 @@ func BenchmarkSegmentCodec(b *testing.B) {
 	}{
 		{"docs256", 256, documents(docgen.New(256), 256)},
 		{"docs512", 512, documents(docgen.New(512), 512)},
+		{"text512", 512, func(types.Key, []byte) []byte { return prose(rng, 512) }},
+		{"digits256", 256, func(types.Key, []byte) []byte { return numbers(rng, 256) }},
 		{"blobs256", 256, func(types.Key, []byte) []byte {
 			v := make([]byte, 256)
 			rng.Read(v)
@@ -49,6 +56,7 @@ func BenchmarkSegmentCodec(b *testing.B) {
 					f()
 				}
 				b.ReportMetric(float64(len(seg))/float64(plain), "stored/plain")
+				b.ReportMetric(float64(seg[0]), "width")
 			})
 		}
 		buf := make([]byte, 0, plain)
@@ -69,4 +77,39 @@ func BenchmarkSegmentCodec(b *testing.B) {
 			}
 		})
 	}
+}
+
+// prose returns size bytes of English-looking sentences: words, capitals,
+// years and punctuation, more than 64 distinct bytes between them.
+func prose(rng *rand.Rand, size int) []byte {
+	words := strings.Fields(`the of and to in that was his he it with is for as had you not be her on at by which
+		have or from this him but all she they were my are me one their so an said them we who would been will no
+		when there if more out up into do any your what has man could other than our some very time upon about may
+		its only now like little then can made great before must these two such after Mr Mrs Elizabeth Darcy Bennet
+		Jane Queequeg Ahab whale ship sea Zeus Xerxes Quixote Kafka Ulysses Victoria York Oxford Geneva Walden`)
+	marks := []string{". ", ". ", ", ", ", ", ", ", "; ", ": ", "! ", "? ", " - ", " (", ") ", ` "`, `" `, "'s ", " & ", "/", " #", "% ", " * "}
+	out := make([]byte, 0, size+16)
+	for len(out) < size {
+		switch w := words[rng.Intn(len(words))]; rng.Intn(12) {
+		case 0:
+			out = append(append(out, w...), marks[rng.Intn(len(marks))]...)
+		case 1:
+			out = strconv.AppendInt(append(append(out, w...), " in "...), 1000+rng.Int63n(1000), 10)
+			out = append(out, ' ')
+		default:
+			out = append(append(out, w...), ' ')
+		}
+	}
+	return out[:size]
+}
+
+// numbers returns size bytes of a row of decimal numbers, some negative, some
+// with a fraction: ten digits and three marks.
+func numbers(rng *rand.Rand, size int) []byte {
+	out := make([]byte, 0, size+16)
+	for len(out) < size {
+		out = strconv.AppendFloat(out, float64(rng.Intn(2_000_000)-500_000)/float64([]int{1, 1, 10, 100}[rng.Intn(4)]), 'f', -1, 64)
+		out = append(out, ',')
+	}
+	return out[:size]
 }

@@ -49,20 +49,32 @@ func miniCorpus(t testing.TB) *corpus.Corpus {
 	return c
 }
 
+// decodeItem returns the records of an item's encoding, read back the way the
+// store reads them: as a segment of that one item.
+func decodeItem(t *testing.T, enc []byte) []types.Record {
+	t.Helper()
+	seg, err := appendSegment(nil, 0, []Item{{Encoded: enc}}, []uint32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, recs, err := DecodeSegment(seg, nil)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return recs
+}
+
 func TestItemRoundTripSingle(t *testing.T) {
 	c := miniCorpus(t)
 	it, err := SingleRecordItem(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, rest, err := DecodeItem(it.Encoded)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode: %v", err)
+	recs := decodeItem(t, it.Encoded)
+	if len(recs) != 1 || recs[0].CK != c.Record(0).CK {
+		t.Fatalf("decoded %+v", recs)
 	}
-	if len(dec.Records) != 1 || dec.Records[0].CK != c.Record(0).CK {
-		t.Fatalf("decoded %+v", dec.Records)
-	}
-	if !bytes.Equal(dec.Records[0].Value, c.Record(0).Value) {
+	if !bytes.Equal(recs[0].Value, c.Record(0).Value) {
 		t.Fatal("payload mismatch")
 	}
 }
@@ -76,13 +88,10 @@ func TestItemRoundTripDeltaChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, rest, err := DecodeItem(enc)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("decode: %v", err)
-	}
+	recs := decodeItem(t, enc)
 	for i, id := range members {
 		want := c.Record(id)
-		if dec.Records[i].CK != want.CK || !bytes.Equal(dec.Records[i].Value, want.Value) {
+		if recs[i].CK != want.CK || !bytes.Equal(recs[i].Value, want.Value) {
 			t.Fatalf("member %d mismatch", i)
 		}
 	}
@@ -118,11 +127,7 @@ func TestItemIncompressibleFallsBackToRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := DecodeItem(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dec.Records[1].Value, b) {
+	if recs := decodeItem(t, enc); !bytes.Equal(recs[1].Value, b) {
 		t.Fatal("raw fallback round trip failed")
 	}
 }

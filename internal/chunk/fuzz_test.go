@@ -2,10 +2,13 @@ package chunk
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"rstore/internal/bitset"
+	"rstore/internal/codec"
 	"rstore/internal/docgen"
+	"rstore/internal/types"
 )
 
 // Fuzz targets: every decoder must reject arbitrary input with an error —
@@ -34,18 +37,25 @@ func FuzzDecodeSegment(f *testing.F) {
 		f.Add(seg)
 	}
 	// Segments of documents, whose values are run lists against the first: one
-	// record an item, and sub-chunks of four.
+	// record an item, and sub-chunks of four; of two, whose few literals stay
+	// bytes, and of forty, whose literals pay for a table and are packed.
 	for _, k := range []int{1, 4} {
-		_, items := revisionItems(f, 6, k, documents(docgen.New(int64(k)), 96))
-		seg, err := appendSegment(nil, 0, items, allOf(items))
-		if err != nil {
-			f.Fatal(err)
+		for _, keys := range []int{2, 40} {
+			_, items := revisionItems(f, keys, k, documents(docgen.New(int64(k)), 96))
+			seg, err := appendSegment(nil, 0, items, allOf(items))
+			if err != nil {
+				f.Fatal(err)
+			}
+			if packed := seg[0] < 8; packed != (keys == 40) {
+				f.Fatalf("the seed segment of %d documents has literals of %d bits", keys, seg[0])
+			}
+			f.Add(seg)
 		}
-		f.Add(seg)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0xff, 0xff, 0xff, 0x0f})
-	f.Add([]byte{0, 1, 1, 0, 0xff, 0xff, 0x03})
+	f.Add([]byte{8, 0, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{8, 0, 1, 1, 0, 0xff, 0xff, 0x03})
+	f.Add([]byte{2, 'a', 'b', 'c', 0, 2, 2, 1, 'a', 3, 10, '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', 0, 1, 'b', 3, 7, 4, 4, 2, 3, 1, 0x74, 0x08})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first, slots, recs, err := DecodeSegment(data, nil)
 		if err != nil {
@@ -92,20 +102,66 @@ func FuzzDecodeMap(f *testing.F) {
 	})
 }
 
-func FuzzDecodeItem(f *testing.F) {
-	c := miniCorpus(f)
-	enc, err := EncodeItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
-	if err != nil {
-		f.Fatal(err)
+// FuzzPackedLiterals: values over an alphabet of any size — one byte, two, 63,
+// 64, 65, all 256, so every width, the escape and the bytewise fallback are
+// reached — with any share of them sharing a prefix with the first, go through
+// appendSegment and come back from DecodeSegment byte for byte, whole and slot
+// by slot, and the segment is no longer than the same values with literals as
+// bytes would make it.
+func FuzzPackedLiterals(f *testing.F) {
+	prose := []byte("It is a truth universally acknowledged, that a single man in possession of a good fortune, must be in want of a wife. ")
+	for _, alphabet := range []uint16{1, 2, 3, 10, 63, 64, 65, 100, 256} {
+		f.Add(bytes.Repeat(prose, 12), alphabet, uint8(60), uint8(16))
+		f.Add(bytes.Repeat(prose, 2), alphabet, uint8(7), uint8(0))
 	}
-	f.Add(enc)
-	f.Add([]byte{1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, _, err := DecodeItem(data)
-		if err == nil && dec != nil {
-			for _, r := range dec.Records {
-				_ = r.Value
+	f.Add([]byte{}, uint16(64), uint8(10), uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, alphabet uint16, size, shared uint8) {
+		// Values of size+1 bytes cut from data, every byte folded into the
+		// alphabet, the first shared bytes of each the anchor's.
+		n := int(alphabet-1)%256 + 1
+		var values [][]byte
+		for ; len(data) > 0 && len(values) < 64; data = data[min(len(data), int(size)+1):] {
+			v := bytes.Clone(data[:min(len(data), int(size)+1)])
+			for i, b := range v {
+				v[i] = byte(int(b) % n * 255 / max(n-1, 1)) // spread over the byte range
 			}
+			if len(values) > 0 {
+				copy(v[:min(len(v), int(shared))], values[0])
+			}
+			values = append(values, v)
+		}
+		values = append(values, nil) // and an empty one
+		items := make([]Item, len(values))
+		for i, v := range values {
+			enc := codec.PutUvarint(nil, 1)
+			enc = codec.PutCompositeKey(enc, types.CompositeKey{Key: types.Key(fmt.Sprintf("key-%03d", i)), Version: 7})
+			items[i].Encoded = codec.PutBytes(codec.PutVarint(enc, -1), v)
+		}
+		seg, err := appendSegment(nil, 3, items, allOf(items))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, slots, recs, err := DecodeSegment(seg, nil)
+		if err != nil || first != 3 || slots != len(values) || len(recs) != len(values) {
+			t.Fatalf("decode: first %d, %d slots, %d records of %d, %v", first, slots, len(recs), len(values), err)
+		}
+		for i, v := range values {
+			if !bytes.Equal(recs[i].Value, v) {
+				t.Fatalf("width %d: slot %d decoded to %q, want %q", seg[0], i, recs[i].Value, v)
+			}
+			_, _, one, err := DecodeSegment(seg, bitset.FromSlice([]uint32{3 + uint32(i)}))
+			if err != nil || len(one) != 1 || !bytes.Equal(one[0].Value, v) {
+				t.Fatalf("width %d: slot %d alone: %d records, %v", seg[0], i, len(one), err)
+			}
+		}
+		// The cost rule at work: what it chose is no dearer than bytes, by more
+		// than the heads' length byte a value.
+		bytewise := 0
+		for _, it := range items {
+			bytewise += len(it.Encoded)
+		}
+		if len(seg) > bytewise+len(values)+8 {
+			t.Fatalf("width %d: %d values of %d bytes as items stored in %d", seg[0], len(values), bytewise, len(seg))
 		}
 	})
 }

@@ -102,58 +102,6 @@ func EncodeItem(c *corpus.Corpus, members []uint32, parents []int32) ([]byte, er
 	return buf, nil
 }
 
-// DecodedItem is a decoded sub-chunk.
-type DecodedItem struct {
-	Records []types.Record
-}
-
-// DecodeItem reverses EncodeItem, materializing every member record. The
-// remaining buffer is returned.
-func DecodeItem(buf []byte) (*DecodedItem, []byte, error) {
-	n, rest, err := codec.Uvarint(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	// A member takes four bytes at least (key length, version, parent, body
-	// length), so the count cannot size an allocation the input does not pay for.
-	if n > uint64(len(rest))/4 {
-		return nil, nil, fmt.Errorf("%w: item counts %d members in %d bytes", types.ErrCorrupt, n, len(rest))
-	}
-	out := &DecodedItem{Records: make([]types.Record, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		var ck types.CompositeKey
-		ck, rest, err = codec.CompositeKey(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		var p int64
-		p, rest, err = codec.Varint(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		var body []byte
-		body, rest, err = codec.Bytes(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		var value []byte
-		switch {
-		case p == -1 || p == -2:
-			value = make([]byte, len(body))
-			copy(value, body)
-		case p >= 0 && int(p) < len(out.Records):
-			value, err = bdiff.Apply(nil, out.Records[p].Value, body)
-			if err != nil {
-				return nil, nil, err
-			}
-		default:
-			return nil, nil, fmt.Errorf("%w: item member %d references parent %d", types.ErrCorrupt, i, p)
-		}
-		out.Records = append(out.Records, types.Record{CK: ck, Value: value})
-	}
-	return out, rest, nil
-}
-
 // SingleRecordItem wraps record id as a 1-member item (the k=1 case).
 func SingleRecordItem(c *corpus.Corpus, id uint32) (Item, error) {
 	enc, err := EncodeItem(c, []uint32{id}, []int32{-1})

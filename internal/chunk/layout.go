@@ -129,9 +129,9 @@ func (l *Layout) AddChunk(items []Item, idxs []uint32) ([][]byte, error) {
 	})
 
 	// One buffer for all segments, sized once: a segment frames an item in no
-	// more bytes than EncodeItem did, plus its two-varint header.
+	// more bytes than EncodeItem did, plus its literal code and two varints.
 	nsegs := size/SegmentTarget + 1
-	buf := make([]byte, 0, size+nsegs*2*binary.MaxVarintLen32)
+	buf := make([]byte, 0, size+nsegs*(maxCodeLen+2*binary.MaxVarintLen32))
 	values := make([][]byte, 0, nsegs)
 	firsts := make([]uint32, 0, nsegs)
 	recs := make([]uint32, 0, members)

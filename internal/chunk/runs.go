@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"rstore/internal/codec"
 	"rstore/internal/types"
@@ -15,37 +16,265 @@ import (
 // of its first item raw, as its anchor, and states every other representative
 // as a run list against it:
 //
-//	runs := (copy:uvarint  lit:uvarint  lit-bytes)*
+//	runs := heads:bytes  literals
+//	heads := (copy:uvarint  lit:uvarint)*
 //
-// "the next copy bytes are the anchor's at the same offset, then lit bytes
-// follow". The value's length is the sum of the runs'. Only positional
+// "the next copy bytes are the anchor's at the same offset, then lit literal
+// symbols follow". The value's length is the sum of the runs'. Only positional
 // redundancy is taken: a value whose layout shifts against the anchor is
 // literals from the shift on. There is no chain and no state — a value needs
-// the anchor and its own run list, nothing else of the segment.
+// the segment's literal code, the anchor and its own run list, nothing else
+// of the segment.
+//
+// The literals of all of a list's runs are one bit string, written once per
+// value after the heads, in the code the segment's head states (litCode): a
+// symbol is width bits, least significant bit first, from the low bit of a
+// byte up and on into the next byte; the bits left in the string's last byte
+// are zero.
+
+// litCode is a segment's literal code: the width in bits of a literal symbol
+// and the bytes that have one. Below width 8, code i stands for table[i], and
+// the top code, 2^width − 1, is the escape: the eight bits after it are the
+// byte itself, one the table does not hold. At width 8 a symbol is the byte
+// and there is neither table nor escape. The width byte names the coder: a
+// segment coded some other way is another value of it.
+//
+//	code := width:byte  table:byte{2^width − 1}      table ascending; none at width 8
+type litCode struct {
+	width uint
+	table []byte
+}
+
+// maxCodeLen is the most bytes a code takes in a segment: width 7's.
+const maxCodeLen = 1 + 127
+
+// litCounts counts literal bytes, in four tables that a byte takes turns in so
+// that a run of one byte does not wait on one counter; a byte's count is the
+// sum of its four.
+type litCounts [4][256]uint32
+
+// add counts the bytes of p.
+func (h *litCounts) add(p []byte) {
+	for ; len(p) >= 8; p = p[8:] {
+		x := binary.LittleEndian.Uint64(p)
+		h[0][byte(x)]++
+		h[1][byte(x>>8)]++
+		h[2][byte(x>>16)]++
+		h[3][byte(x>>24)]++
+		h[0][byte(x>>32)]++
+		h[1][byte(x>>40)]++
+		h[2][byte(x>>48)]++
+		h[3][byte(x>>56)]++
+	}
+	for _, b := range p {
+		h[0][b]++
+	}
+}
+
+// chooseCode picks the code that states literals of the given byte counts in
+// the fewest bits, table included: for each width the 2^width − 1 most frequent
+// bytes get codes and every other one costs the escape besides. Width 8 takes
+// ties, so a segment without literals pays the width byte and nothing else.
+func chooseCode(h *litCounts) litCode {
+	// Most frequent first, lowest byte first among equals: the bytes that
+	// occur, sorted, then those that do not — they fill a table the literals
+	// do not, so a table's length is its width's alone.
+	var order [256]uint64 // ^count, byte
+	total, occur, absent := uint64(0), 0, len(order)
+	for b := len(order) - 1; b >= 0; b-- {
+		if n := h[0][b] + h[1][b] + h[2][b] + h[3][b]; n > 0 {
+			order[occur] = uint64(^n)<<8 | uint64(b)
+			total += uint64(n)
+			occur++
+		} else {
+			absent--
+			order[absent] = uint64(^n)<<8 | uint64(b)
+		}
+	}
+	slices.Sort(order[:occur])
+	width, least := uint(8), 8*total
+	coded, n := uint64(0), 0 // the literals the n most frequent bytes account for
+	for w := uint(1); w < 8; w++ {
+		for ; n < 1<<w-1; n++ {
+			coded += uint64(^uint32(order[n] >> 8))
+		}
+		if cost := uint64(w)*total + 8*(total-coded) + 8*uint64(n); cost < least {
+			width, least = w, cost
+		}
+	}
+	if width == 8 {
+		return litCode{width: 8}
+	}
+	table := make([]byte, 1<<width-1)
+	for i := range table {
+		table[i] = byte(order[i])
+	}
+	slices.Sort(table)
+	return litCode{width, table}
+}
+
+// parseCode reads the code a segment begins with. It is ErrCorrupt for the
+// width to be outside 1…8, for the table to be cut short, and for its bytes
+// not to ascend — so none is there twice and a table is spelled one way.
+func parseCode(buf []byte) (c litCode, rest []byte, err error) {
+	if len(buf) == 0 || buf[0] < 1 || buf[0] > 8 {
+		return c, nil, fmt.Errorf("%w: segment without a literal width of 1 to 8", types.ErrCorrupt)
+	}
+	c.width = uint(buf[0])
+	n := 0
+	if c.width < 8 {
+		n = 1<<c.width - 1
+	}
+	if len(buf) < 1+n {
+		return c, nil, fmt.Errorf("%w: segment ends inside its table of %d literal bytes", types.ErrCorrupt, n)
+	}
+	c.table = buf[1 : 1+n]
+	for i := 1; i < n; i++ {
+		if c.table[i-1] >= c.table[i] {
+			return c, nil, fmt.Errorf("%w: segment's literal table does not ascend at entry %d", types.ErrCorrupt, i)
+		}
+	}
+	return c, buf[1+n:], nil
+}
+
+// appendTo appends the code as a segment states it.
+func (c litCode) appendTo(dst []byte) []byte {
+	return append(append(dst, byte(c.width)), c.table...)
+}
+
+// packTable is a code laid out by byte: entry [k][b] is b's code k widths up,
+// so the codes of four bytes in a row join by OR. A byte the code's table does
+// not hold has escaped set in all four, and in [0] the escape with the byte
+// above it.
+type packTable [4][256]uint32
+
+const escaped = 1 << 31
+
+// fill lays code c, of a width below 8, out in t. (At width 8 appendRuns
+// copies bytes and reads no table.)
+func (t *packTable) fill(c litCode) {
+	esc := uint32(1)<<c.width - 1
+	for b := range t[0] {
+		t[0][b] = escaped | esc | uint32(b)<<c.width
+		t[1][b], t[2][b], t[3][b] = escaped, escaped, escaped
+	}
+	for i, b := range c.table {
+		for k := range t {
+			t[k][b] = uint32(i) << (uint(k) * c.width)
+		}
+	}
+}
+
+// unpackTable is a code laid out by symbol: the byte each code stands for,
+// indexed without a bounds check, and the bytes that have one, a bit each.
+type unpackTable struct {
+	sym  [128]byte
+	held [4]uint64
+}
+
+// fill lays code c out in t, which is zero. (At width 8 decodeRuns copies
+// bytes and reads no table.)
+func (t *unpackTable) fill(c litCode) {
+	for i, b := range c.table {
+		t.sym[i] = b
+		t.held[b>>6] |= 1 << (b & 63)
+	}
+}
 
 // minCopy is the shortest match a literal run ends for: a copy costs two
 // varints, so shorter ones save nothing.
 const minCopy = 4
 
-// codeRuns appends to dst the run list that rebuilds value from anchor, and
-// reports whether the list came out shorter than value; when it did not, what
-// was appended is unfinished and the caller stores value raw.
-func codeRuns(dst, anchor, value []byte) (runs []byte, shorter bool) {
-	base := len(dst)
+// codeRuns appends to heads the run heads that rebuild value from anchor and
+// counts the bytes of their literals — value's, where the heads say — in hist.
+func codeRuns(heads, anchor, value []byte, hist *litCounts) []byte {
 	common := min(len(anchor), len(value)) // past it there is nothing to copy
 	for pos := 0; pos < len(value); {      // pos ≤ common: a literal ends inside it or at value's end
 		n := matchLen(anchor[pos:common], value[pos:common])
 		pos += n
 		lit := literalLen(anchor[pos:common], value[pos:])
-		dst = codec.PutUvarint(dst, uint64(n))
-		dst = codec.PutUvarint(dst, uint64(lit))
-		dst = append(dst, value[pos:pos+lit]...)
+		heads = codec.PutUvarint(heads, uint64(n))
+		heads = codec.PutUvarint(heads, uint64(lit))
+		hist.add(value[pos : pos+lit])
 		pos += lit
-		if len(dst)-base >= len(value) {
-			return dst, false
-		}
 	}
-	return dst, len(dst)-base < len(value)
+	return heads
+}
+
+// appendRuns appends to dst the run list of heads, which codeRuns made of
+// value, with its literals in code c, laid out by t.
+func (c litCode) appendRuns(dst []byte, t *packTable, heads, value []byte) []byte {
+	dst = codec.PutBytes(dst, heads)
+	if c.width == 8 {
+		for pos := 0; len(heads) > 0; {
+			n, lit, head := runHead(heads)
+			pos += int(n)
+			dst = append(dst, value[pos:pos+int(lit)]...)
+			pos += int(lit)
+			heads = heads[head:]
+		}
+		return dst
+	}
+	// A symbol is 15 bits at most and the string is written up to eight bytes
+	// at a time: grown once, indexed from there on.
+	at := len(dst)
+	dst = slices.Grow(dst, 2*len(value)+16)
+	dst = dst[:cap(dst)]
+	var acc uint64 // the bits not yet written, from bit 0 up
+	var n uint     // how many they are: under 32 between symbols
+	w := c.width
+	for pos := 0; len(heads) > 0; {
+		cp, lit, head := runHead(heads)
+		pos += int(cp)
+		lits := value[pos : pos+int(lit)]
+		// Eight bytes of the table at once while none escapes: their codes
+		// join before they meet acc, which gives up its whole bytes each time.
+		for ; len(lits) >= 8 && n < 8; lits = lits[8:] {
+			q0 := t[0][lits[0]] | t[1][lits[1]] | t[2][lits[2]] | t[3][lits[3]]
+			q1 := t[0][lits[4]] | t[1][lits[5]] | t[2][lits[6]] | t[3][lits[7]]
+			if (q0|q1)&escaped != 0 {
+				break
+			}
+			acc |= (uint64(q0) | uint64(q1)<<(4*w&31)) << n
+			n += 8 * w
+			binary.LittleEndian.PutUint64(dst[at:], acc)
+			at, acc, n = at+int(n>>3), acc>>(n&^7), n&7
+		}
+		for len(lits) > 0 {
+			// Four bytes of the table at once, their codes joined before they
+			// meet acc. Where one escapes, or at the end, two bytes or one,
+			// with no branch on which of them escape: of text, many do.
+			if len(lits) >= 4 {
+				if q := t[0][lits[0]] | t[1][lits[1]] | t[2][lits[2]] | t[3][lits[3]]; q&escaped == 0 {
+					acc |= uint64(q) << (n & 63)
+					n += 4 * w
+					lits = lits[4:]
+					goto flush
+				}
+			}
+			if len(lits) >= 2 {
+				e0, e1 := t[0][lits[0]], t[0][lits[1]]
+				n0 := w + uint(e0>>31)<<3
+				acc |= (uint64(e0&^escaped) | uint64(e1&^escaped)<<(n0&15)) << (n & 63)
+				n += n0 + w + uint(e1>>31)<<3
+				lits = lits[2:]
+			} else {
+				e := t[0][lits[0]]
+				acc |= uint64(e&^escaped) << (n & 63)
+				n += w + uint(e>>31)<<3
+				lits = lits[1:]
+			}
+		flush:
+			if n >= 32 {
+				binary.LittleEndian.PutUint32(dst[at:], uint32(acc))
+				at, acc, n = at+4, acc>>32, n-32
+			}
+		}
+		pos += int(lit)
+		heads = heads[head:]
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(acc))
+	return dst[:at+int(n+7)/8]
 }
 
 // matchLen returns how many leading bytes a and b share.
@@ -90,15 +319,22 @@ func literalLen(a, v []byte) int {
 	return len(v)
 }
 
-// decodeRuns rebuilds the value a run list states against anchor, as a slice
-// of its own, provided it is no longer than budget. It is ErrCorrupt for a
-// copy to reach past the anchor's end, for a literal to reach past the
-// list's, and for the list to end inside a run.
-func decodeRuns(anchor, runs []byte, budget uint64) ([]byte, error) {
+// decodeRuns rebuilds the value a run list in code c states against anchor,
+// as a slice of its own, provided it is no longer than budget. It is
+// ErrCorrupt for the heads to reach past the list's end or to end inside a
+// run, for a copy to reach past the anchor's end, for a run to count more
+// symbols than the literals have bits left for, for the literals to end inside
+// an escape, to escape a byte the table holds, or to go on past the last
+// symbol — by a byte, or by a bit that is set.
+func (c litCode) decodeRuns(anchor, runs []byte, budget uint64, t *unpackTable) ([]byte, error) {
+	heads, lits, err := codec.Bytes(runs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: run list ends inside its heads", types.ErrCorrupt)
+	}
 	// Checked and sized first, so the value is allocated once, exactly, and
-	// the second pass reads nothing unchecked.
-	size := 0
-	for rest := runs; len(rest) > 0; {
+	// from nothing the list does not pay for: a symbol takes width bits at least.
+	size, room := 0, uint64(8*len(lits))/uint64(c.width)
+	for rest := heads; len(rest) > 0; {
 		n, lit, head := runHead(rest)
 		if head == 0 {
 			return nil, fmt.Errorf("%w: run list ends inside a run", types.ErrCorrupt)
@@ -106,11 +342,12 @@ func decodeRuns(anchor, runs []byte, budget uint64) ([]byte, error) {
 		if n > 0 && (size > len(anchor) || n > uint64(len(anchor)-size)) {
 			return nil, fmt.Errorf("%w: run copies %d bytes at offset %d of an anchor of %d", types.ErrCorrupt, n, size, len(anchor))
 		}
-		if lit > uint64(len(rest)-head) {
-			return nil, fmt.Errorf("%w: run of %d literal bytes in a list with %d left", types.ErrCorrupt, lit, len(rest)-head)
+		if lit > room {
+			return nil, fmt.Errorf("%w: run of %d literals of %d bits where %d fit", types.ErrCorrupt, lit, c.width, room)
 		}
+		room -= lit
 		size += int(n) + int(lit)
-		rest = rest[head+int(lit):]
+		rest = rest[head:]
 	}
 	if uint64(size) > budget {
 		return nil, fmt.Errorf("%w: run list states a value of %d bytes, past what the segment may inflate to", types.ErrCorrupt, size)
@@ -119,14 +356,99 @@ func decodeRuns(anchor, runs []byte, budget uint64) ([]byte, error) {
 	// move, and the literals are laid over it.
 	value := make([]byte, size)
 	copy(value, anchor)
-	for pos, rest := 0, runs; len(rest) > 0; {
-		n, lit, head := runHead(rest)
-		pos += int(n)
-		copy(value[pos:], rest[head:head+int(lit)])
-		pos += int(lit)
-		rest = rest[head+int(lit):]
+	var used int // bits of lits the symbols took
+	if c.width == 8 {
+		for pos, rest := 0, heads; len(rest) > 0; {
+			n, lit, head := runHead(rest)
+			pos += int(n)
+			copy(value[pos:pos+int(lit)], lits[used/8:])
+			pos, used = pos+int(lit), used+8*int(lit)
+			rest = rest[head:]
+		}
+	} else if used = c.unpack(value, t, heads, lits); used < 0 {
+		return nil, fmt.Errorf("%w: run list escapes a byte its segment's table holds", types.ErrCorrupt)
+	}
+	if (used+7)/8 != len(lits) || (used%8 != 0 && lits[len(lits)-1]>>(used%8) != 0) {
+		return nil, fmt.Errorf("%w: run list's literals take %d bits of %d bytes, or leave a set bit after them", types.ErrCorrupt, used, len(lits))
 	}
 	return value, nil
+}
+
+// unpack lays the literals of heads' runs, which decodeRuns checked, over
+// value, and returns how many bits of lits they took: more than lits has when
+// escapes ran past its end, which reads as zeros; −1 when one escaped a byte
+// of the table.
+func (c litCode) unpack(value []byte, t *unpackTable, heads, lits []byte) (used int) {
+	sym, held := &t.sym, &t.held
+	w, esc := c.width, uint64(1)<<c.width-1
+	var acc uint64 // the next bits of lits, from bit 0 up; those past n are lits' too
+	var n uint     // how many of them count as read from lits: 32 or more at a symbol
+	at := 0        // the byte of lits acc's bit n is the low bit of
+	stray := false
+	for pos := 0; len(heads) > 0; {
+		cp, lit, head := runHead(heads)
+		pos += int(cp)
+		out := value[pos : pos+int(lit)]
+		// Eight symbols at once while none is the escape: a code and one make
+		// bit w only of the escape.
+		for len(out) >= 8 {
+			if n < 56 {
+				acc, n, at = refill(acc, n, at, lits)
+			}
+			c0, c1, c2, c3 := acc&esc, acc>>(w&7)&esc, acc>>(2*w&15)&esc, acc>>(3*w&31)&esc
+			c4, c5, c6, c7 := acc>>(4*w&31)&esc, acc>>(5*w&63)&esc, acc>>(6*w&63)&esc, acc>>(7*w&63)&esc
+			if ((c0+1)|(c1+1)|(c2+1)|(c3+1)|(c4+1)|(c5+1)|(c6+1)|(c7+1))>>(w&7) != 0 {
+				break
+			}
+			binary.LittleEndian.PutUint64(out, uint64(sym[c0&127])|uint64(sym[c1&127])<<8|uint64(sym[c2&127])<<16|uint64(sym[c3&127])<<24|
+				uint64(sym[c4&127])<<32|uint64(sym[c5&127])<<40|uint64(sym[c6&127])<<48|uint64(sym[c7&127])<<56)
+			acc, n, out = acc>>(8*w&63), n-8*w, out[8:]
+		}
+		for len(out) > 0 {
+			if n < 32 {
+				acc, n, at = refill(acc, n, at, lits)
+			}
+			// Four symbols at once when none is the escape.
+			if len(out) >= 4 {
+				c0, c1, c2, c3 := acc&esc, acc>>(w&7)&esc, acc>>(2*w&15)&esc, acc>>(3*w&31)&esc
+				if c0 != esc && c1 != esc && c2 != esc && c3 != esc {
+					out[0], out[1], out[2], out[3] = sym[c0&127], sym[c1&127], sym[c2&127], sym[c3&127]
+					acc, n, out = acc>>(4*w&31), n-4*w, out[4:]
+					continue
+				}
+			}
+			if code := acc & esc; code != esc {
+				out[0] = sym[code&127]
+				acc, n = acc>>(w&7), n-w
+			} else {
+				b := byte(acc >> (w & 7))
+				acc, n = acc>>((w+8)&15), n-(w+8)
+				stray = stray || held[b>>6]>>(b&63)&1 != 0
+				out[0] = b
+			}
+			out = out[1:]
+		}
+		pos += int(lit)
+		heads = heads[head:]
+	}
+	if stray {
+		return -1
+	}
+	return 8*at - int(n)
+}
+
+// refill tops acc, whose low n bits are lits' up to byte at, up from lits:
+// to 56 bits or more. Past lits' end it reads zeros.
+func refill(acc uint64, n uint, at int, lits []byte) (uint64, uint, int) {
+	if at+8 <= len(lits) {
+		return acc | binary.LittleEndian.Uint64(lits[at:])<<(n&63), n | 56, at + int(63-n)>>3
+	}
+	for ; n <= 56; n, at = n+8, at+1 {
+		if at < len(lits) {
+			acc |= uint64(lits[at]) << n
+		}
+	}
+	return acc, n, at
 }
 
 // runHead reads a run's two lengths and how many bytes they take: 0 when runs

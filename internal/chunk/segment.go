@@ -32,8 +32,8 @@ const SegmentTarget = 64 << 10
 // that is a delta — so a few hostile bytes could otherwise declare values
 // that double per member; sub-chunks of real records inflate by about their
 // member count. A run list cannot compound (its value is no longer than the
-// anchor and the list together, both of them bytes the segment holds) and
-// inflates a segment of like records by less than fifty.
+// anchor and, a literal a bit, eight times the list, both of them bytes the
+// segment holds) and inflates a segment of like records by less than fifty.
 const maxInflate = 1 << 12
 
 // SegmentKey renders the backing-store key of segment seg of chunk id,
@@ -77,78 +77,127 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 // items[idxs[1]], … — in that order, the first member of the first item at
 // slot first — to dst:
 //
-//	first:uvarint  items:uvarint  item*
+//	code  first:uvarint  items:uvarint  item*
 //	item   := head:uvarint  suffix:bytes  (record | members:uvarint member*)
 //	record := version:uvarint  body:bytes
 //	member := version:uvarint  parent:varint  body:bytes
 //
-// head is shared<<2 | raw<<1 | multi: the item's primary key is the first
-// shared bytes of the previous item's key (none for the first item of a
-// segment) followed by suffix, and multi is set for an item of more than one
-// member, whose members keep EncodeItem's order and parent indexes. The body
-// of an item's representative — a record's, a sub-chunk's first member's — is
-// its value when raw is set and a run list against the segment's anchor
-// (runs.go) when it is not; the anchor is the first item's representative
-// value, always raw, and raw is the escape of any later value the run list
-// would not shorten, so an item takes no more bytes here than in
-// Item.Encoded. The other members keep EncodeItem's bodies: a bdiff delta of
-// their parent member, or their value where that is not shorter.
+// code is the segment's literal code (litCode, runs.go). head is
+// shared<<2 | raw<<1 | multi: the item's primary key is the first shared bytes
+// of the previous item's key (none for the first item of a segment) followed
+// by suffix, and multi is set for an item of more than one member, whose
+// members keep EncodeItem's order and parent indexes. The body of an item's
+// representative — a record's, a sub-chunk's first member's — is its value
+// when raw is set and a run list against the segment's anchor (runs.go) when
+// it is not; the anchor is the first item's representative value, always raw,
+// and raw is the escape of any later value the run list would not shorten, so
+// an item takes no more bytes here than in Item.Encoded. The other members
+// keep EncodeItem's bodies: a bdiff delta of their parent member, or their
+// value where that is not shorter.
+//
+// The items are gone over twice: once to find every representative's runs
+// against the anchor and count the literal bytes in them, which choose the
+// code, and once to write.
 func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byte, error) {
-	dst = codec.PutUvarint(dst, uint64(first))
-	dst = codec.PutUvarint(dst, uint64(len(idxs)))
-	var prev, anchor []byte
-	var runs []byte // one item's run list at a time, reused
+	// What the first pass read of each item: its member count, its first
+	// member, the other members' bytes, and where its run heads end.
+	type parsed struct {
+		n     uint64
+		first member
+		rest  []byte
+		heads int
+	}
+	reps := make([]parsed, len(idxs))
+	var anchor []byte
+	var heads []byte // every later representative's run heads, one after the other
+	var hist litCounts
 	for i, ii := range idxs {
-		n, rest, err := codec.Uvarint(items[ii].Encoded)
-		if err != nil {
+		r := &reps[i]
+		var err error
+		if r.n, r.rest, err = codec.Uvarint(items[ii].Encoded); err != nil {
 			return nil, err
 		}
-		multi := uint64(0)
-		if n > 1 {
+		if r.first, r.rest, err = parseMember(r.rest); err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			anchor = r.first.body
+		} else {
+			heads = codeRuns(heads, anchor, r.first.body, &hist)
+		}
+		r.heads = len(heads)
+	}
+	code := chooseCode(&hist)
+	var table packTable
+	if code.width < 8 {
+		table.fill(code)
+	}
+
+	dst = code.appendTo(dst)
+	dst = codec.PutUvarint(dst, uint64(first))
+	dst = codec.PutUvarint(dst, uint64(len(idxs)))
+	var prev []byte
+	var runs []byte // one item's run list at a time, reused
+	for i := range reps {
+		r := &reps[i]
+		raw, multi := uint64(1), uint64(0)
+		if r.n > 1 {
 			multi = 1
 		}
-		for m := uint64(0); m < n; m++ {
-			var key, body []byte
-			var version uint64
-			var parent int64
-			if key, rest, err = codec.Bytes(rest); err != nil {
-				return nil, err
+		m := r.first
+		if i > 0 {
+			if runs = code.appendRuns(runs[:0], &table, heads[reps[i-1].heads:r.heads], m.body); len(runs) < len(m.body) {
+				raw, m.body = 0, runs
 			}
-			if version, rest, err = codec.Uvarint(rest); err != nil {
-				return nil, err
-			}
-			if parent, rest, err = codec.Varint(rest); err != nil {
-				return nil, err
-			}
-			if body, rest, err = codec.Bytes(rest); err != nil {
-				return nil, err
-			}
-			if m == 0 {
-				raw := uint64(1)
-				if i == 0 {
-					anchor = body
-				} else {
-					var shorter bool
-					if runs, shorter = codeRuns(runs[:0], anchor, body); shorter {
-						raw, body = 0, runs
-					}
-				}
-				shared := matchLen(prev, key)
-				dst = codec.PutUvarint(dst, uint64(shared)<<2|raw<<1|multi)
-				dst = codec.PutBytes(dst, key[shared:])
-				if multi == 1 {
-					dst = codec.PutUvarint(dst, n)
-				}
-				prev = key
-			}
-			dst = codec.PutUvarint(dst, version)
+		}
+		shared := matchLen(prev, m.key)
+		dst = codec.PutUvarint(dst, uint64(shared)<<2|raw<<1|multi)
+		dst = codec.PutBytes(dst, m.key[shared:])
+		if multi == 1 {
+			dst = codec.PutUvarint(dst, r.n)
+		}
+		prev = m.key
+		for j, rest := uint64(0), r.rest; ; j++ {
+			dst = codec.PutUvarint(dst, m.version)
 			if multi == 1 {
-				dst = codec.PutVarint(dst, parent)
+				dst = codec.PutVarint(dst, m.parent)
 			}
-			dst = codec.PutBytes(dst, body)
+			dst = codec.PutBytes(dst, m.body)
+			if j+1 >= r.n {
+				break
+			}
+			var err error
+			if m, rest, err = parseMember(rest); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return dst, nil
+}
+
+// member is one member of an Item.Encoded, as EncodeItem framed it.
+type member struct {
+	key     []byte
+	version uint64
+	parent  int64
+	body    []byte
+}
+
+// parseMember reads the member buf begins with and returns what follows it.
+func parseMember(buf []byte) (m member, rest []byte, err error) {
+	if m.key, rest, err = codec.Bytes(buf); err != nil {
+		return m, nil, err
+	}
+	if m.version, rest, err = codec.Uvarint(rest); err != nil {
+		return m, nil, err
+	}
+	if m.parent, rest, err = codec.Varint(rest); err != nil {
+		return m, nil, err
+	}
+	if m.body, rest, err = codec.Bytes(rest); err != nil {
+		return m, nil, err
+	}
+	return m, rest, nil
 }
 
 // DecodeSegment decodes a segment value: the slot of its first record, how
@@ -157,10 +206,16 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 // items no selected slot falls in are skipped, not copied; an item of several
 // members is decoded whole when any of them is selected, since members are
 // deltas of one another. A representative stored as a run list is rebuilt
-// from the anchor, which is read where it lies in buf, and its own list: no
-// other item of the segment is touched for it.
+// from the segment's literal code, the anchor, which is read where it lies in
+// buf, and its own list: no other item of the segment is touched for it.
 func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, recs []types.Record, err error) {
-	f, rest, err := codec.Uvarint(buf)
+	code, rest, err := parseCode(buf)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	var table unpackTable
+	table.fill(code)
+	f, rest, err := codec.Uvarint(rest)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -242,7 +297,7 @@ func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, re
 			var value []byte
 			switch {
 			case m == 0 && !raw && parent < 0:
-				if value, err = decodeRuns(anchor, body, budget); err != nil {
+				if value, err = code.decodeRuns(anchor, body, budget, &table); err != nil {
 					return 0, 0, nil, fmt.Errorf("segment item %d: %w", i, err)
 				}
 				budget -= uint64(len(value))

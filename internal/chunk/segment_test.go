@@ -145,18 +145,26 @@ func TestDecodeSegmentRejects(t *testing.T) {
 		return codec.PutBytes(codec.PutUvarint(nil, shared<<2|flags), []byte(suffix))
 	}
 	record := codec.PutBytes(codec.PutUvarint(nil, 3), []byte("v")) // version 3, value "v"
-	// A segment of an anchor "0123456789" and one item whose body is runs.
+	bytewise := []byte{8}                                           // the code of a segment whose literals are bytes
+	// A segment of an anchor "0123456789" and one item whose body is a run
+	// list of the given heads and literals, in the given code.
 	anchor := cat(item(0, rawBit, "a"), []byte{3}, codec.PutBytes(nil, []byte("0123456789")))
-	coded := func(runs ...byte) []byte {
-		return cat([]byte{0, 2}, anchor, item(0, 0, "b"), []byte{3}, codec.PutBytes(nil, runs))
+	coded := func(code []byte, lits string, heads ...byte) []byte {
+		return cat(code, []byte{0, 2}, anchor, item(0, 0, "b"), []byte{3}, codec.PutBytes(nil, append(codec.PutBytes(nil, heads), lits...)))
 	}
-	if _, _, recs, err := DecodeSegment(coded(4, 2, 'x', 'y', 4, 0), nil); err != nil || len(recs) != 2 || string(recs[1].Value) != "0123xy6789" {
+	if _, _, recs, err := DecodeSegment(coded(bytewise, "xy", 4, 2, 4, 0), nil); err != nil || len(recs) != 2 || string(recs[1].Value) != "0123xy6789" {
 		t.Fatalf("the hand-built coded segment: %v, %v", recs, err)
+	}
+	// Two bits a symbol — a, b, c and the escape: "ab!" is 00 01 11 from the
+	// low bit up, then 0x21.
+	two := []byte{2, 'a', 'b', 'c'}
+	if _, _, recs, err := DecodeSegment(coded(two, "\x74\x08", 4, 2, 3, 1), nil); err != nil || len(recs) != 2 || string(recs[1].Value) != "0123ab678!" {
+		t.Fatalf("the hand-built packed segment: %v, %v", recs, err)
 	}
 	// A chain whose every member is 32 copies of its parent — 64 B, 2 KiB,
 	// 64 KiB … 2 GiB — each a bdiff of ≈ 100 bytes: a length, then 32 × (copy,
 	// offset 0, the parent's length).
-	inflating := cat([]byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{6}, []byte{0}, codec.PutVarint(nil, -1), codec.PutBytes(nil, bytes.Repeat([]byte("x"), 64)))
+	inflating := cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{6}, []byte{0}, codec.PutVarint(nil, -1), codec.PutBytes(nil, bytes.Repeat([]byte("x"), 64)))
 	for m, size := 1, uint64(64); m < 6; m, size = m+1, 32*size {
 		delta := codec.PutUvarint(nil, 32*size)
 		for c := 0; c < 32; c++ {
@@ -168,22 +176,34 @@ func TestDecodeSegmentRejects(t *testing.T) {
 		t.Fatalf("the inflating chain is %d bytes itself", len(inflating))
 	}
 	for name, seg := range map[string][]byte{
-		"members inflating 32× each":     inflating,
-		"trailing bytes":                 append(bytes.Clone(good), 7),
-		"truncated":                      good[:len(good)-1],
-		"first slot past uint32":         cat(codec.PutUvarint(nil, 1<<32), []byte{0}),
-		"item count past the payload":    cat([]byte{0}, codec.PutUvarint(nil, 1<<40), item(0, rawBit, "k"), record),
-		"shared prefix past the key":     cat([]byte{0, 2}, item(0, rawBit, "ab"), record, item(3, rawBit, "c"), record),
-		"shared prefix in first item":    cat([]byte{0, 1}, item(1, rawBit, "k"), record),
-		"member count past the payload":  cat([]byte{0, 1}, item(0, rawBit|multiBit, "k"), codec.PutUvarint(nil, 1<<40), record),
-		"zero members":                   cat([]byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{0}),
-		"member delta of a later member": cat([]byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{2}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte("v")), []byte{4}, codec.PutVarint(nil, 1), codec.PutBytes(nil, []byte("d"))),
-		"run list in the first item":     cat([]byte{0, 1}, item(0, 0, "k"), []byte{3}, codec.PutBytes(nil, []byte{0, 1, 'v'})),
-		"run list in a first sub-chunk":  cat([]byte{0, 1}, item(0, multiBit, "k"), []byte{1}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte{0, 1, 'v'})),
-		"copy past the anchor's end":     coded(4, 2, 'x', 'y', 5, 0),
-		"run list cut inside a literal":  coded(4, 3, 'x', 'y'),
-		"bytes after the last run":       coded(4, 2, 'x', 'y', 4, 0, 1),
-		"run list with a parent":         cat([]byte{0, 2}, anchor, item(0, multiBit, "b"), []byte{1}, []byte{3}, codec.PutVarint(nil, 0), codec.PutBytes(nil, []byte{10, 0})),
+		"members inflating 32× each":      inflating,
+		"trailing bytes":                  append(bytes.Clone(good), 7),
+		"truncated":                       good[:len(good)-1],
+		"empty":                           nil,
+		"width 0":                         cat([]byte{0}, good[1:]),
+		"width 9":                         cat([]byte{9}, good[1:]),
+		"table cut short":                 {6, 'a', 'b', 'c'},
+		"table with a byte twice":         coded([]byte{2, 'a', 'b', 'b'}, "\x74\x08", 4, 2, 3, 1),
+		"table out of order":              coded([]byte{2, 'a', 'c', 'b'}, "\x74\x08", 4, 2, 3, 1),
+		"first slot past uint32":          cat(bytewise, codec.PutUvarint(nil, 1<<32), []byte{0}),
+		"item count past the payload":     cat(bytewise, []byte{0}, codec.PutUvarint(nil, 1<<40), item(0, rawBit, "k"), record),
+		"shared prefix past the key":      cat(bytewise, []byte{0, 2}, item(0, rawBit, "ab"), record, item(3, rawBit, "c"), record),
+		"shared prefix in first item":     cat(bytewise, []byte{0, 1}, item(1, rawBit, "k"), record),
+		"member count past the payload":   cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), codec.PutUvarint(nil, 1<<40), record),
+		"zero members":                    cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{0}),
+		"member delta of a later member":  cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{2}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte("v")), []byte{4}, codec.PutVarint(nil, 1), codec.PutBytes(nil, []byte("d"))),
+		"run list in the first item":      cat(bytewise, []byte{0, 1}, item(0, 0, "k"), []byte{3}, codec.PutBytes(nil, []byte{2, 0, 1, 'v'})),
+		"run list in a first sub-chunk":   cat(bytewise, []byte{0, 1}, item(0, multiBit, "k"), []byte{1}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte{2, 0, 1, 'v'})),
+		"copy past the anchor's end":      coded(bytewise, "xy", 4, 2, 5, 0),
+		"literals cut short":              coded(bytewise, "xy", 4, 3),
+		"literals left over":              coded(bytewise, "xyz", 4, 2, 4, 0),
+		"heads cut inside a run":          coded(bytewise, "xy", 4, 2, 4),
+		"run list with a parent":          cat(bytewise, []byte{0, 2}, anchor, item(0, multiBit, "b"), []byte{1}, []byte{3}, codec.PutVarint(nil, 0), codec.PutBytes(nil, []byte{2, 10, 0})),
+		"more symbols than bits":          coded(two, "\x74\x08", 4, 2, 3, 7),
+		"escape cut by the list's end":    coded(two, "\x34", 4, 3),
+		"escape of a byte of the table":   coded(two, "\x74\x18", 4, 2, 3, 1),
+		"a byte after the last symbol":    coded(two, "\x74\x08\x00", 4, 2, 3, 1),
+		"a set bit after the last symbol": coded(two, "\x74\x48", 4, 2, 3, 1),
 	} {
 		if _, _, recs, err := DecodeSegment(seg, nil); !errors.Is(err, types.ErrCorrupt) || recs != nil {
 			t.Errorf("%s: %d records, %v", name, len(recs), err)

@@ -40,7 +40,7 @@
 // them freely.
 //
 // The layer diagram lives in docs/ARCHITECTURE.md; every on-disk format the
-// engine persists through the cluster (root v7, placement log, delta store,
+// engine persists through the cluster (root v8, placement log, delta store,
 // chunk segments and their generations) is specified in docs/FORMATS.md.
 package core
 
@@ -85,8 +85,9 @@ type Config struct {
 	// ChunkCapacity is the nominal chunk size C (default 1 MiB, the paper's
 	// operating point), in plain bytes: what the partitioner charges a
 	// record, its key and value spelled out. The chunk's stored segments
-	// code values against one another and are smaller — about two thirds
-	// for structured documents (docs/FORMATS.md, `chunks`).
+	// code values against one another, pack what is left at the width of
+	// their alphabet, and are smaller — about half for structured documents
+	// (docs/FORMATS.md, `chunks`).
 	ChunkCapacity int
 	// SubChunkK is the max records compressed together per sub-chunk
 	// (paper's k); ≤1 disables record-level compression. Applied by

@@ -290,12 +290,15 @@ func TestFlushKVCallsBounded(t *testing.T) {
 // placement records that also list each version's composite keys), a
 // format-4 root (the same fields again, over chunks stored as one payload
 // each), a format-5 root (the same fields, over placement records of whole
-// bitmaps, which this build would take for diffs) and a format-6 root (the
+// bitmaps, which this build would take for diffs), a format-6 root (the
 // same fields, over segments of raw values, whose item heads this build would
-// read a bit off) must be refused with the re-initialize error, not misread.
+// read a bit off) and a format-7 root (the same fields, over segments that
+// begin with their first slot where this build reads a literal width, and
+// whose run lists mix heads and literal bytes) must be refused with the
+// re-initialize error, not misread.
 func TestLoadRefusesOlderManifest(t *testing.T) {
 	ctx := context.Background()
-	for _, ver := range []uint64{2, 3, 4, 5, 6} {
+	for _, ver := range []uint64{2, 3, 4, 5, 6, 7} {
 		kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -17,18 +17,21 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 7 stores a segment's
-// values as run lists against its first (chunk/runs.go), where version 6 wrote
-// every value raw; version 6 stated a version's slot
+// manifestVersion guards the on-disk format. Version 8 packs the literals of
+// a segment's run lists at the width of the segment's own alphabet, which the
+// segment states in its first byte (chunk/runs.go) — the next value coder is
+// another value of that byte, not another version here; version 7 stored a
+// segment's values as run lists of bytes against its first, where version 6
+// wrote every value raw; version 6 stated a version's slot
 // bitmaps in the placement records as diffs against its tree parent's, where
 // version 5 wrote them whole; version 5 stored a chunk as key-ordered,
 // front-coded segment values (chunk.SegmentKey) in place of one payload;
 // version 4 took the versions' composite-key deltas out of the placement
 // records, whose slot bitmaps already imply them; a version-3 store wrote
 // both, a version-2 store carried chunk maps inside the chunk values, version
-// 1 used unprefixed chunk keys, and all six must be re-initialized, not
+// 1 used unprefixed chunk keys, and all seven must be re-initialized, not
 // misread.
-const manifestVersion = 7
+const manifestVersion = 8
 
 // placementKey renders the key of the idx-th placement record of a
 // generation; like chunk.SegmentKey it carries the generation, so a full

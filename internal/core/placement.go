@@ -111,10 +111,14 @@ func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p 
 	return s.publish(ctx, p, &w)
 }
 
-// chunkGroupBytes is the payload a chunk-write group is sent at (chosen from
-// a 2/4/8/16 MiB measurement of BulkLoad on the benchmark's stack; CHANGES.md,
-// PR 20).
-const chunkGroupBytes = 4 << 20
+// chunkGroupBytes is the payload a chunk-write group is sent at: 4 MiB of
+// plain bytes (chosen from a 2/4/8/16 MiB measurement of BulkLoad on the
+// benchmark's stack when a segment stored its values raw; CHANGES.md, PR 20),
+// which segments now store in about half. Counted in stored bytes, a group of
+// 4 MiB had grown to 7.5 chunks, and a corpus smaller than that was written in
+// one piece after all of it was coded, none of the write beside the coding
+// (CHANGES.md, PR 27).
+const chunkGroupBytes = 2 << 20
 
 // chunkWriter writes a placement run's chunk segments to the KVS as a bounded
 // pipeline: place collects them into a group and sends it once it holds

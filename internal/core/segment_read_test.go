@@ -167,11 +167,15 @@ func checkStoredSegments(t *testing.T, phase string, s *Store, kv *kvstore.Store
 // first value must each come through byte for byte: documents of one length
 // and of differing lengths under neighbouring keys, in-place mutations of a
 // key's previous document, random blobs, and empty values — any of which may
-// be the anchor the others are coded against.
+// be the anchor the others are coded against. A fourth mixes what a segment's
+// literal code must carry: documents, whose literals are 64 symbols; prose,
+// which is literals throughout, of more symbols than a six-bit table holds;
+// blobs and empty values; and documents with one byte no table has, which
+// takes the escape — in segments that pack all of it at six bits.
 func TestSegmentedReadsMatchOracle(t *testing.T) {
 	ctx := context.Background()
 	const nkeys, commits, capacity = 160, 50, 3 * chunk.SegmentTarget
-	for _, seed := range []int64{1, 2, 3} {
+	for _, seed := range []int64{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(seed))
 		// Values of ≈ 400–700 bytes that share most of their text with the
 		// key's other revisions, so sub-chunks of 4 hold real deltas.
@@ -196,6 +200,33 @@ func TestSegmentedReadsMatchOracle(t *testing.T) {
 					latest[k] = docs.Document(key(k), 200+rng.Intn(800))
 				}
 				return latest[k]
+			}
+		}
+		if seed == 4 {
+			docs, latest := docgen.New(seed), map[int][]byte{}
+			words := strings.Fields("It is a truth universally acknowledged, that a single man in possession of a good fortune, must be in want of a wife; however little known the feelings (or views) of such a man may be on his first entering a neighbourhood - in 1813 - this truth is so well fixed: \"My dear Mr. Bennet,\" said his lady to him one day, \"have you heard that Netherfield Park is let at last?\" Queequeg & Xerxes jumped over the lazy dog's back #42 *twice*!")
+			value = func(k, step int) []byte {
+				switch kind := rng.Intn(10); {
+				case kind == 0:
+					return []byte{}
+				case kind == 1:
+					blob := make([]byte, 100+rng.Intn(400))
+					rng.Read(blob)
+					return blob
+				case kind <= 3:
+					var text []byte
+					for size := 200 + rng.Intn(400); len(text) < size; {
+						text = append(append(text, words[rng.Intn(len(words))]...), ' ')
+					}
+					return text
+				case kind == 4 && latest[k] != nil:
+					odd := slices.Clone(latest[k])
+					odd[rng.Intn(len(odd))] = byte(0x80 + rng.Intn(0x80))
+					return odd
+				default:
+					latest[k] = docs.Document(key(k), 512)
+					return latest[k]
+				}
 			}
 		}
 		se := branchySession(rng, commits, nkeys, value)
@@ -238,6 +269,18 @@ func TestSegmentedReadsMatchOracle(t *testing.T) {
 			}
 			if multi := checkStoredSegments(t, phase, st, kv); multi < 2 {
 				t.Fatalf("%s: %d of %d chunks span several segments", phase, multi, st.NumChunks())
+			}
+			if seed == 4 {
+				widths := map[byte]int{} // segments by the width of their literals
+				if err := kv.Scan(ctx, TableChunks, func(_ string, seg []byte) bool {
+					widths[seg[0]]++
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if widths[6] == 0 {
+					t.Fatalf("%s: segments by literal width %v: none packs documents and prose at six bits", phase, widths)
+				}
 			}
 			checkReadsMatchSession(t, phase, st, se, nkeys)
 

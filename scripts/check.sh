@@ -106,7 +106,8 @@ run_fuzz() {
   go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
   go test -fuzz=FuzzDecodeSegment -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzValueRuns -fuzztime=10s -run '^$' ./internal/chunk/
-  go test -fuzz=FuzzDecodeItem -fuzztime=10s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzPackedLiterals -fuzztime=10s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzDecodeGroup -fuzztime=10s -run '^$' ./internal/baseline/
 }
 
 if [ $# -eq 0 ]; then
