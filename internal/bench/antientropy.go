@@ -99,10 +99,8 @@ func runAntiEntropyOn(ctx context.Context, t *Table, dir, name string, open func
 	copy(val, "antientropy:")
 
 	loadStart := time.Now()
-	for i := 0; i < nKeys; i++ {
-		if err := kv.Put(ctx, "t", key(i), val); err != nil {
-			return err
-		}
+	if err := loadKeys(ctx, kv, nKeys, key, func(int) []byte { return val }); err != nil {
+		return err
 	}
 	load := time.Since(loadStart)
 

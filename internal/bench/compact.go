@@ -76,24 +76,14 @@ func RunCompact(opts Options) ([]*Table, error) {
 
 	// Overwrite-heavy workload: every key written rounds+1 times through
 	// the fsynced batch path, then a tenth of the keyspace deleted.
-	const batch = 256
 	for rev := 0; rev <= rounds; rev++ {
-		for lo := 0; lo < nKeys; lo += batch {
-			hi := min(lo+batch, nKeys)
-			entries := make([]kvstore.Entry, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				entries = append(entries, kvstore.Entry{Key: key(i), Value: val(i, rev)})
-			}
-			if err := kv.BatchPut(ctx, "t", entries); err != nil {
-				return nil, err
-			}
+		if err := loadKeys(ctx, kv, nKeys, key, func(i int) []byte { return val(i, rev) }); err != nil {
+			return nil, err
 		}
 	}
 	nDel := nKeys / 10
-	for i := 0; i < nDel; i++ {
-		if err := kv.Delete(ctx, "t", key(i)); err != nil {
-			return nil, err
-		}
+	if err := deleteKeys(ctx, kv, nDel, key); err != nil {
+		return nil, err
 	}
 
 	// Snapshot every read result, compact, and demand identical reads.

@@ -61,10 +61,8 @@ func RunRepair(opts Options) ([]*Table, error) {
 	defer kv.Close()
 
 	start := time.Now()
-	for i := 0; i < nKeys; i++ {
-		if err := kv.Put(ctx, "t", key(i), val(0)); err != nil {
-			return nil, err
-		}
+	if err := loadKeys(ctx, kv, nKeys, key, func(int) []byte { return val(0) }); err != nil {
+		return nil, err
 	}
 	row("healthy writes", nKeys, time.Since(start), kv.Stats(ctx))
 
@@ -72,16 +70,12 @@ func RunRepair(opts Options) ([]*Table, error) {
 		return nil, err
 	}
 	start = time.Now()
-	for i := 0; i < nKeys; i++ {
-		if err := kv.Put(ctx, "t", key(i), val(1)); err != nil {
-			return nil, err
-		}
+	if err := loadKeys(ctx, kv, nKeys, key, func(int) []byte { return val(1) }); err != nil {
+		return nil, err
 	}
 	nDel := nKeys / 10
-	for i := 0; i < nDel; i++ {
-		if err := kv.Delete(ctx, "t", key(i)); err != nil {
-			return nil, err
-		}
+	if err := deleteKeys(ctx, kv, nDel, key); err != nil {
+		return nil, err
 	}
 	row("degraded writes (1 node down)", nKeys+nDel, time.Since(start), kv.Stats(ctx))
 
@@ -104,18 +98,14 @@ func RunRepair(opts Options) ([]*Table, error) {
 		return nil, err
 	}
 	defer kv2.Close()
-	for i := 0; i < nKeys; i++ {
-		if err := kv2.Put(ctx, "t", key(i), val(0)); err != nil {
-			return nil, err
-		}
+	if err := loadKeys(ctx, kv2, nKeys, key, func(int) []byte { return val(0) }); err != nil {
+		return nil, err
 	}
 	if err := kv2.SetNodeUp(0, false); err != nil {
 		return nil, err
 	}
-	for i := 0; i < nKeys; i++ {
-		if err := kv2.Put(ctx, "t", key(i), val(1)); err != nil {
-			return nil, err
-		}
+	if err := loadKeys(ctx, kv2, nKeys, key, func(int) []byte { return val(1) }); err != nil {
+		return nil, err
 	}
 	if err := kv2.SetNodeUp(0, true); err != nil {
 		return nil, err
@@ -142,4 +132,31 @@ func RunRepair(opts Options) ([]*Table, error) {
 	row("read repair sweep (hints off)", nKeys, time.Since(start), kv2.Stats(ctx))
 
 	return []*Table{t}, nil
+}
+
+// loadKeys writes keys [0, n) of table "t" in BatchPut groups, and deleteKeys
+// removes them in one BatchDelete: the repair, antientropy and compact
+// experiments measure convergence and reclaim, not load, and a per-key write
+// is a durable batch of one — an fsync per key on the disk engines.
+func loadKeys(ctx context.Context, kv *kvstore.Store, n int, key func(int) string, val func(int) []byte) error {
+	const batch = 256
+	for lo := 0; lo < n; lo += batch {
+		hi := min(lo+batch, n)
+		entries := make([]kvstore.Entry, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			entries = append(entries, kvstore.Entry{Key: key(i), Value: val(i)})
+		}
+		if err := kv.BatchPut(ctx, "t", entries); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func deleteKeys(ctx context.Context, kv *kvstore.Store, n int, key func(int) string) error {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	return kv.BatchDelete(ctx, "t", keys)
 }

@@ -20,6 +20,16 @@
 // state. Scan is the one exception: the values it passes to the callback may
 // alias internal buffers and must not be retained or mutated.
 //
+// BatchPut is the durable write: a durable backend fsyncs before it
+// acknowledges. Put and Delete need not be synced — disklog and lsm make
+// them durable no later than the next BatchPut or Close — so a caller may
+// use them only for writes it can afford to lose in a crash. kvstore does:
+// every replicated data write, per-key ones included, is a BatchPut, and the
+// unsynced calls carry only repair write-backs (one lost leaves a replica as
+// diverged as it was found, to be found again), the removal of spent hints
+// and collected tombstones (one lost is repeated: replay and collection are
+// idempotent) and the remote geometry pin (rewritten by the next open).
+//
 // # Deployment caveat: one logical writer
 //
 // A Backend serializes the individual operations it receives, but the seam

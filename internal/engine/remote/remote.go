@@ -384,6 +384,32 @@ func okOrErr(status byte, body []byte) (bool, bool, error) {
 	}
 }
 
+// single handles the one response of an operation that answers with a body:
+// StOK hands the body to decode, whose failure means the frame did not
+// survive the transport (retried like any transport error); StErr is the
+// node's own, hard error; any other status is a protocol violation.
+func single(status byte, body []byte, decode func(body []byte) error) (bool, bool, error) {
+	switch status {
+	case wire.StOK:
+		if err := decode(body); err != nil {
+			return true, false, transportErr(err)
+		}
+		return true, false, nil
+	case wire.StErr:
+		return true, false, decodeErr(body)
+	default:
+		return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
+	}
+}
+
+// call runs a single-reply operation under the per-exchange deadline iot and
+// decodes its body with decode (see single).
+func (c *Client) call(ctx context.Context, iot time.Duration, req []byte, decode func(body []byte) error) error {
+	return c.doTimeout(ctx, iot, req, nil, func(status byte, body []byte) (bool, bool, error) {
+		return single(status, body, decode)
+	})
+}
+
 // decodeErr reconstructs a node-side error. It stays a hard error; sentinel
 // identity does not survive the wire except for closed-backend,
 // no-compaction, and no-reset errors, which are mapped back so callers can
@@ -420,18 +446,14 @@ func (c *Client) Get(ctx context.Context, table, key string) ([]byte, bool, erro
 	var value []byte
 	found := false
 	err := c.do(ctx, req, nil, func(status byte, body []byte) (bool, bool, error) {
-		switch status {
-		case wire.StOK:
+		if status == wire.StNotFound {
+			return true, false, nil
+		}
+		return single(status, body, func(body []byte) error {
 			value = append([]byte(nil), body...) // body aliases the receive buffer
 			found = true
-			return true, false, nil
-		case wire.StNotFound:
-			return true, false, nil
-		case wire.StErr:
-			return true, false, decodeErr(body)
-		default:
-			return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
-		}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, false, err
@@ -452,46 +474,39 @@ func (c *Client) MultiGet(ctx context.Context, table string, keys []string) ([][
 	}
 	var values [][]byte
 	var present []bool
-	err := c.do(ctx, req, nil, func(status byte, body []byte) (bool, bool, error) {
-		switch status {
-		case wire.StOK:
-			// Fresh slices per attempt: a retried exchange must not leak
-			// results of a half-decoded earlier response.
-			values = make([][]byte, len(keys))
-			present = make([]bool, len(keys))
-			n, rest, err := codec.Uvarint(body)
-			if err != nil {
-				return true, false, transportErr(err)
-			}
-			if n != uint64(len(keys)) {
-				return true, false, transportErr(fmt.Errorf("%w: multiget answered %d of %d keys", types.ErrCorrupt, n, len(keys)))
-			}
-			for i := uint64(0); i < n; i++ {
-				if len(rest) == 0 {
-					return true, false, transportErr(fmt.Errorf("%w: truncated multiget response", types.ErrCorrupt))
-				}
-				flag := rest[0]
-				rest = rest[1:]
-				switch flag {
-				case 0:
-				case 1:
-					var v []byte
-					v, rest, err = codec.Bytes(rest)
-					if err != nil {
-						return true, false, transportErr(err)
-					}
-					values[i] = append([]byte(nil), v...) // v aliases the receive buffer
-					present[i] = true
-				default:
-					return true, false, transportErr(fmt.Errorf("%w: multiget result flag %d", types.ErrCorrupt, flag))
-				}
-			}
-			return true, false, nil
-		case wire.StErr:
-			return true, false, decodeErr(body)
-		default:
-			return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
+	err := c.call(ctx, c.opts.IOTimeout, req, func(body []byte) error {
+		// Fresh slices per attempt: a retried exchange must not leak
+		// results of a half-decoded earlier response.
+		values = make([][]byte, len(keys))
+		present = make([]bool, len(keys))
+		n, rest, err := codec.Uvarint(body)
+		if err != nil {
+			return err
 		}
+		if n != uint64(len(keys)) {
+			return fmt.Errorf("%w: multiget answered %d of %d keys", types.ErrCorrupt, n, len(keys))
+		}
+		for i := uint64(0); i < n; i++ {
+			if len(rest) == 0 {
+				return fmt.Errorf("%w: truncated multiget response", types.ErrCorrupt)
+			}
+			flag := rest[0]
+			rest = rest[1:]
+			switch flag {
+			case 0:
+			case 1:
+				var v []byte
+				v, rest, err = codec.Bytes(rest)
+				if err != nil {
+					return err
+				}
+				values[i] = append([]byte(nil), v...) // v aliases the receive buffer
+				present[i] = true
+			default:
+				return fmt.Errorf("%w: multiget result flag %d", types.ErrCorrupt, flag)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -562,33 +577,26 @@ func (c *Client) Scan(ctx context.Context, table string, fn func(key string, val
 // Tables lists the node's non-empty tables.
 func (c *Client) Tables(ctx context.Context) ([]string, error) {
 	var tables []string
-	err := c.do(ctx, []byte{wire.OpTables}, nil, func(status byte, body []byte) (bool, bool, error) {
-		switch status {
-		case wire.StOK:
-			n, rest, err := codec.Uvarint(body)
-			if err != nil {
-				return true, false, transportErr(err)
-			}
-			// Each table name needs at least its length prefix in the
-			// body; don't size an allocation from a corrupt count.
-			if n > uint64(len(rest))+1 {
-				return true, false, transportErr(fmt.Errorf("%w: table count %d exceeds body", types.ErrCorrupt, n))
-			}
-			tables = make([]string, 0, n)
-			for i := uint64(0); i < n; i++ {
-				var t string
-				t, rest, err = codec.String(rest)
-				if err != nil {
-					return true, false, transportErr(err)
-				}
-				tables = append(tables, t)
-			}
-			return true, false, nil
-		case wire.StErr:
-			return true, false, decodeErr(body)
-		default:
-			return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
+	err := c.call(ctx, c.opts.IOTimeout, []byte{wire.OpTables}, func(body []byte) error {
+		n, rest, err := codec.Uvarint(body)
+		if err != nil {
+			return err
 		}
+		// Each table name needs at least its length prefix in the
+		// body; don't size an allocation from a corrupt count.
+		if n > uint64(len(rest))+1 {
+			return fmt.Errorf("%w: table count %d exceeds body", types.ErrCorrupt, n)
+		}
+		tables = make([]string, 0, n)
+		for i := uint64(0); i < n; i++ {
+			var t string
+			t, rest, err = codec.String(rest)
+			if err != nil {
+				return err
+			}
+			tables = append(tables, t)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -600,20 +608,10 @@ func (c *Client) Tables(ctx context.Context) ([]string, error) {
 // BytesStored's signature cannot carry.
 func (c *Client) Stored(ctx context.Context) (int64, error) {
 	var n int64
-	err := c.do(ctx, []byte{wire.OpBytesStored}, nil, func(status byte, body []byte) (bool, bool, error) {
-		switch status {
-		case wire.StOK:
-			v, _, err := codec.Uvarint(body)
-			if err != nil {
-				return true, false, transportErr(err)
-			}
-			n = int64(v)
-			return true, false, nil
-		case wire.StErr:
-			return true, false, decodeErr(body)
-		default:
-			return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
-		}
+	err := c.call(ctx, c.opts.IOTimeout, []byte{wire.OpBytesStored}, func(body []byte) error {
+		v, _, err := codec.Uvarint(body)
+		n = int64(v)
+		return err
 	})
 	return n, err
 }
@@ -640,20 +638,9 @@ func (c *Client) compactOp(ctx context.Context, op byte) (engine.CompactionStats
 		iot = c.opts.CompactTimeout
 	}
 	var st engine.CompactionStats
-	err := c.doTimeout(ctx, iot, []byte{op}, nil, func(status byte, body []byte) (bool, bool, error) {
-		switch status {
-		case wire.StOK:
-			var err error
-			st, err = wire.CompactionStats(body)
-			if err != nil {
-				return true, false, transportErr(err)
-			}
-			return true, false, nil
-		case wire.StErr:
-			return true, false, decodeErr(body)
-		default:
-			return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
-		}
+	err := c.call(ctx, iot, []byte{op}, func(body []byte) (err error) {
+		st, err = wire.CompactionStats(body)
+		return err
 	})
 	return st, err
 }
@@ -691,22 +678,11 @@ func (c *Client) HashTree(ctx context.Context, table string, fanout int) (engine
 	req = codec.PutString(req, table)
 	req = codec.PutUvarint(req, uint64(fanout))
 	var d engine.TreeDigest
-	err := c.do(ctx, req, nil, func(status byte, body []byte) (bool, bool, error) {
-		switch status {
-		case wire.StOK:
-			var err error
-			// The decoder copies out of the receive buffer (fresh leaf
-			// slice), so the digest is safe to retain.
-			d, err = wire.HashTree(body)
-			if err != nil {
-				return true, false, transportErr(err)
-			}
-			return true, false, nil
-		case wire.StErr:
-			return true, false, decodeErr(body)
-		default:
-			return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
-		}
+	err := c.call(ctx, c.opts.IOTimeout, req, func(body []byte) (err error) {
+		// The decoder copies out of the receive buffer (fresh leaf
+		// slice), so the digest is safe to retain.
+		d, err = wire.HashTree(body)
+		return err
 	})
 	if err != nil {
 		return engine.TreeDigest{}, err
@@ -725,22 +701,11 @@ func (c *Client) HashRange(ctx context.Context, table string, fanout, bucket int
 	req = codec.PutUvarint(req, uint64(fanout))
 	req = codec.PutUvarint(req, uint64(bucket))
 	var khs []engine.KeyHash
-	err := c.do(ctx, req, nil, func(status byte, body []byte) (bool, bool, error) {
-		switch status {
-		case wire.StOK:
-			var err error
-			// codec.String copies, so the decoded keys do not alias the
-			// receive buffer.
-			khs, err = wire.HashRange(body)
-			if err != nil {
-				return true, false, transportErr(err)
-			}
-			return true, false, nil
-		case wire.StErr:
-			return true, false, decodeErr(body)
-		default:
-			return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
-		}
+	err := c.call(ctx, c.opts.IOTimeout, req, func(body []byte) (err error) {
+		// codec.String copies, so the decoded keys do not alias the
+		// receive buffer.
+		khs, err = wire.HashRange(body)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,12 +28,14 @@ import (
 //	       case costs two digest exchanges and zero key transfers
 //	     ─ unequal roots → fetch only the unequal buckets' key/hash lists
 //	       and diff them key by key
-//	     ─ each differing key: read both replicas' envelopes (one batched
-//	       MultiGet per node), pick the LWW winner, and hand the loser to
-//	       the existing repair writer — which re-checks the target's
-//	       current version before applying, so a replica that converged
-//	       through another path meanwhile is never regressed, and
-//	       tombstone deliveries feed acknowledgment-based GC.
+//	     ─ each differing key: read ALL its replicas' envelopes (one batched
+//	       MultiGet per node, the read path's readReplicas), judge them as a
+//	       read would (verdict.go), and settle the verdict as a read would
+//	       (repair.go): losers go to the one conditional repair writer —
+//	       which re-checks the target's current version before applying, so
+//	       a replica that converged through another path meanwhile is never
+//	       regressed — and a tombstone every replica holds, or holds nothing
+//	       against, is acknowledged and offered to TTL collection.
 //
 // One pair per tick bounds the background load to two tree sweeps per
 // interval regardless of cluster size; every pair is visited as ticks
@@ -209,28 +212,27 @@ func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) boo
 	rf := a.s.cfg.ReplicationFactor
 	keys := diff[:0]
 	for _, k := range diff {
-		onI, onJ := false, false
-		for _, r := range a.s.ring.replicas(k, rf) {
-			onI = onI || r == i
-			onJ = onJ || r == j
-		}
-		if onI && onJ {
+		if replicas := a.s.ring.replicas(k, rf); slices.Contains(replicas, i) && slices.Contains(replicas, j) {
 			keys = append(keys, k)
 		}
 	}
 	if len(keys) == 0 {
 		return true
 	}
-	vi, pi, err := a.s.nodes[i].multiGet(ctx, table, keys)
-	if err != nil {
-		return false
-	}
-	vj, pj, err := a.s.nodes[j].multiGet(ctx, table, keys)
+	// The pair only located the divergence; each key is judged across all of
+	// its replicas, once, so the winner is the cluster's and not the pair's.
+	// A pair like (tombstone, wiped replica) has no loser — the writer would
+	// refuse a tombstone over nothing — and converges through settle's
+	// acknowledgment of a complete verdict instead of re-diffing forever.
+	reads, err := a.s.readReplicas(ctx, table, keys)
 	if err != nil {
 		return false
 	}
 	for idx, key := range keys {
-		a.reconcile(ctx, table, key, i, j, vi[idx], pi[idx], vj[idx], pj[idx])
+		rd := reads[idx]
+		if v := judge(rd.obs); v.win >= 0 && a.s.repair.settle(table, key, rd.obs, v, rd.payload[v.win], true) {
+			a.keysRepaired.Add(1)
+		}
 	}
 	return true
 }
@@ -263,103 +265,4 @@ func diffKeyHashes(ki, kj []engine.KeyHash) []string {
 		out = append(out, kj[y].Key)
 	}
 	return out
-}
-
-// reconcile LWW-resolves one differing key between nodes i and j and hands
-// the loser to the repair writer. An envelope that fails to parse counts
-// as absent, so the intact replica's version repairs over corruption.
-func (a *antiEntropy) reconcile(ctx context.Context, table, key string, i, j int, rawI []byte, okI bool, rawJ []byte, okJ bool) {
-	var tsI, tsJ uint64
-	var tombI, tombJ bool
-	if okI {
-		if _, ts, tomb, err := unenvelope(rawI); err == nil {
-			tsI, tombI = ts, tomb
-		} else {
-			okI = false
-		}
-	}
-	if okJ {
-		if _, ts, tomb, err := unenvelope(rawJ); err == nil {
-			tsJ, tombJ = ts, tomb
-		} else {
-			okJ = false
-		}
-	}
-	var env []byte
-	var ts uint64
-	var tomb, loserAbsent bool
-	var loser int
-	switch {
-	case !okI && !okJ:
-		return // both unreadable; nothing trustworthy to spread
-	case okI && okJ:
-		if tsI == tsJ && tombI == tombJ {
-			// Same version, different payload bytes (one side corrupted
-			// in place): the conditional repair writer only applies
-			// strictly newer state, so this cannot be fixed here — and
-			// picking a "winner" between equal timestamps would be a
-			// coin flip over which copy is the corrupt one.
-			return
-		}
-		if lwwNewer(tsI, tombI, i, tsJ, tombJ, j) {
-			env, ts, tomb, loser = rawI, tsI, tombI, j
-		} else {
-			env, ts, tomb, loser = rawJ, tsJ, tombJ, i
-		}
-	case okI:
-		env, ts, tomb, loser, loserAbsent = rawI, tsI, tombI, j, true
-	default:
-		env, ts, tomb, loser, loserAbsent = rawJ, tsJ, tombJ, i, true
-	}
-	if tomb && loserAbsent {
-		// Tombstone on one side, nothing on the other. The repair writer
-		// refuses to write a tombstone over nothing (it would undo GC), so
-		// queueing the task — and counting it as a repair — would just
-		// re-discover the same pair every sweep without ever converging
-		// it. Converge it the way the read path does instead: absence IS
-		// the loser's acknowledgment, and once every replica holds either
-		// exactly this tombstone or nothing, the holder side is eligible
-		// for collection (ack-tracked now, or TTL-expired for tombstones
-		// orphaned by a previous process).
-		a.observeTombstone(ctx, table, key, ts)
-		return
-	}
-	// The queued task owns its envelope (multiGet results are fresh
-	// copies, but the contract belongs to the task, not the transport).
-	a.s.repair.enqueue(repairTask{
-		table: table, key: key,
-		env: append([]byte(nil), env...), ts: ts, tomb: tomb,
-		targets: []int{loser},
-	})
-	a.keysRepaired.Add(1)
-}
-
-// observeTombstone sweeps every replica of a tombstoned key and records
-// what it finds: a replica holding exactly the tombstone has by definition
-// acknowledged it, and a replica holding nothing has nothing the tombstone
-// protects against (mirrors lwwGet's complete-observation rule). When the
-// sweep covers all replicas it also hands the observation to the TTL
-// fallback, the only collection route for tombstones whose in-memory ack
-// tracking died with a previous process — without it a pair like
-// (tombstone, wiped replica) diffs on every anti-entropy sweep forever.
-func (a *antiEntropy) observeTombstone(ctx context.Context, table, key string, ts uint64) {
-	replicas := a.s.ring.replicas(key, a.s.cfg.ReplicationFactor)
-	for _, nid := range replicas {
-		n := a.s.nodes[nid]
-		if !n.isUp() {
-			return
-		}
-		raw, ok, err := n.get(ctx, table, key)
-		if err != nil {
-			return
-		}
-		if ok {
-			_, rts, rtomb, uerr := unenvelope(raw)
-			if uerr != nil || !rtomb || rts != ts {
-				return // a replica disagrees; the normal diff path handles it
-			}
-		}
-		a.s.repair.tombAck(table, key, ts, nid)
-	}
-	a.s.repair.observeExpiredTombstone(table, key, ts, replicas)
 }

@@ -246,12 +246,12 @@ func TestAntiEntropySkipsDownNodes(t *testing.T) {
 // TestAntiEntropyCollectsOrphanTombstone pins the liveness of the
 // (tombstone, nothing) pair — the shape a wiped-and-restored replica or a
 // process restart leaves behind, since ack tracking is in-memory. The
-// repair writer rightly refuses to write a tombstone over nothing, so
-// before the observeTombstone path this key re-diffed on every sweep
-// forever: AEKeysRepaired climbed without bound while no write ever
-// happened and the tombstone was never collected. Now the loop must (a)
-// collect the orphan through the TTL fallback once all replicas agree,
-// and (b) count zero key repairs while doing it.
+// repair writer rightly refuses to write a tombstone over nothing, so a
+// pair judged on its own would re-diff this key on every sweep forever:
+// AEKeysRepaired climbing without bound while no write ever happens and
+// the tombstone is never collected. Judged across all its replicas, the
+// key must (a) be collected through the TTL fallback once they all agree,
+// and (b) count zero key repairs on the way.
 func TestAntiEntropyCollectsOrphanTombstone(t *testing.T) {
 	opts := fastAE()
 	opts.TombstoneTTL = time.Millisecond

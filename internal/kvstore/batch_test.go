@@ -3,8 +3,13 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"rstore/internal/engine"
+	"rstore/internal/engine/memory"
 )
 
 func TestBatchPutReadBack(t *testing.T) {
@@ -38,22 +43,56 @@ func TestBatchPutReadBack(t *testing.T) {
 	}
 }
 
-// TestBatchPutAccountingMatchesPut: a single-entry batch must cost exactly
-// what the equivalent Put costs, so converting a write path to BatchPut
-// never skews the simulated experiments.
-func TestBatchPutAccountingMatchesPut(t *testing.T) {
-	a := open(t, 4, 2)
-	b := open(t, 4, 2)
-	val := make([]byte, 1000)
-	if err := a.Put(context.Background(), "t", "k", val); err != nil {
-		t.Fatal(err)
+// TestWriteAccounting: every write is one batchWrite, and books what it
+// carried whatever it was called: one write call, one request per entry, the
+// payload bytes, and on the simulated clock the batch model over the
+// entries' primaries — which for one entry is exactly one requestCost, so a
+// per-key write and a one-entry batch cannot skew an experiment differently.
+func TestWriteAccounting(t *testing.T) {
+	ctx := context.Background()
+	many := make([]Entry, 50)
+	keys := make([]string, len(many))
+	for i := range many {
+		keys[i] = fmt.Sprintf("k%02d", i)
+		many[i] = Entry{Key: keys[i], Value: make([]byte, 100+i)}
 	}
-	if err := b.BatchPut(context.Background(), "t", []Entry{{Key: "k", Value: val}}); err != nil {
-		t.Fatal(err)
+	one := many[:1]
+	cases := []struct {
+		name    string
+		write   func(s *Store) error
+		entries []Entry
+		deletes bool
+	}{
+		{"Put", func(s *Store) error { return s.Put(ctx, "t", one[0].Key, one[0].Value) }, one, false},
+		{"BatchPut of one", func(s *Store) error { return s.BatchPut(ctx, "t", one) }, one, false},
+		{"BatchPut of many", func(s *Store) error { return s.BatchPut(ctx, "t", many) }, many, false},
+		{"Delete", func(s *Store) error { return s.Delete(ctx, "t", keys[0]) }, one, true},
+		{"BatchDelete of one", func(s *Store) error { return s.BatchDelete(ctx, "t", keys[:1]) }, one, true},
+		{"BatchDelete of many", func(s *Store) error { return s.BatchDelete(ctx, "t", keys) }, many, true},
 	}
-	sa, sb := a.Stats(context.Background()), b.Stats(context.Background())
-	if sa.Requests != sb.Requests || sa.BytesPut != sb.BytesPut || sa.SimElapsed != sb.SimElapsed {
-		t.Fatalf("Put %+v vs BatchPut %+v", sa, sb)
+	for _, tc := range cases {
+		s := open(t, 4, 2)
+		if err := tc.write(s); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var bytes int64
+		perPrimary := map[int][]int{}
+		for _, e := range tc.entries {
+			n := len(e.Value)
+			if tc.deletes {
+				n = 0
+			}
+			bytes += int64(n)
+			perPrimary[s.ring.primary(e.Key)] = append(perPrimary[s.ring.primary(e.Key)], n)
+		}
+		want := s.cfg.Cost.batchElapsed(perPrimary)
+		if len(tc.entries) == 1 {
+			want = s.cfg.Cost.requestCost(int(bytes))
+		}
+		st := s.Stats(ctx)
+		if st.WriteCalls != 1 || st.Requests != int64(len(tc.entries)) || st.BytesPut != bytes || st.BytesRead != 0 || st.SimElapsed != want {
+			t.Errorf("%s: booked %+v; want 1 write call, %d requests, %d bytes put, %v elapsed", tc.name, st, len(tc.entries), bytes, want)
+		}
 	}
 }
 
@@ -156,6 +195,9 @@ func TestClusterOnDisklog(t *testing.T) {
 	if err := s.Delete(context.Background(), "t", "k007"); err != nil {
 		t.Fatal(err)
 	}
+	// The fully-acknowledged tombstone is collected in the background; sample
+	// the resident bytes once it is gone, not while it may be going.
+	waitFor(t, "tombstone collected", func() bool { return s.Stats(context.Background()).TombstonesGCed == 1 })
 	stored := s.Stats(context.Background()).BytesStored
 	if stored <= 0 {
 		t.Fatalf("BytesStored = %d", stored)
@@ -231,5 +273,70 @@ func TestDisklogGeometryPinned(t *testing.T) {
 	defer r.Close()
 	if got, err := r.Get(context.Background(), "t", "k"); err != nil || string(got) != "v" {
 		t.Fatalf("k = %q, %v", got, err)
+	}
+}
+
+// spyBackend counts how a node's backend is written to.
+type spyBackend struct {
+	engine.Backend
+	puts, batchPuts *atomic.Int64
+}
+
+func (b spyBackend) Put(ctx context.Context, table, key string, value []byte) error {
+	b.puts.Add(1)
+	return b.Backend.Put(ctx, table, key, value)
+}
+
+func (b spyBackend) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
+	b.batchPuts.Add(1)
+	return b.Backend.BatchPut(ctx, table, entries)
+}
+
+// TestPutAndDeleteAreBatchWrites: Store.Put and Store.Delete reach every
+// replica through Backend.BatchPut — the call durable engines fsync before
+// acknowledging — and never through Backend.Put, which they do not.
+func TestPutAndDeleteAreBatchWrites(t *testing.T) {
+	const nodes, rf = 3, 2
+	var puts atomic.Int64
+	batchPuts := make([]atomic.Int64, nodes)
+	s, err := Open(context.Background(), Config{
+		Nodes: nodes, ReplicationFactor: rf,
+		NewBackend: func(id int) (engine.Backend, error) {
+			return spyBackend{Backend: memory.New(), puts: &puts, batchPuts: &batchPuts[id]}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	ops := []struct {
+		name string
+		do   func() error
+	}{
+		{"Put", func() error { return s.Put(ctx, "t", "k", []byte("v")) }},
+		{"Delete", func() error { return s.Delete(ctx, "t", "k") }},
+	}
+	replicas := s.ring.replicas("k", rf)
+	for _, op := range ops {
+		before := make([]int64, nodes)
+		for n := range before {
+			before[n] = batchPuts[n].Load()
+		}
+		if err := op.do(); err != nil {
+			t.Fatal(err)
+		}
+		for n := range before {
+			want := int64(0)
+			if slices.Contains(replicas, n) {
+				want = 1
+			}
+			if got := batchPuts[n].Load() - before[n]; got != want {
+				t.Errorf("%s: node %d took %d BatchPut calls, want %d", op.name, n, got, want)
+			}
+		}
+		if got := puts.Load(); got != 0 {
+			t.Errorf("%s: %d unsynced Backend.Put calls", op.name, got)
+		}
 	}
 }

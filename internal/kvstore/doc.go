@@ -15,11 +15,21 @@
 // Every value the cluster stores is wrapped in a 9-byte last-write-wins
 // envelope (flag + timestamp; deletes are tombstones — see lww.go and
 // docs/FORMATS.md), so a replica that was down while its peers accepted
-// writes is outvoted on read instead of serving stale bytes. The repair
-// subsystem (repair.go) then converges losers on disk: read repair writes
-// the winning envelope back to stale live replicas, hinted handoff parks
-// writes for down replicas in the durable !hints table and replays them on
-// recovery, and fully-acknowledged tombstones are physically collected.
+// writes is outvoted on read instead of serving stale bytes. Replication is
+// four rules, each stated once:
+//
+//   - one write (write.go, batchWrite): Put, Delete, BatchPut and BatchDelete
+//     are one per-node-grouped, fsynced engine batch that routes around down
+//     replicas, parks hints for them (hints.go: the durable !hints table,
+//     replayed on recovery) and registers tombstones for collection;
+//   - one read (read.go, readReplicas): Get and MultiGet ask every replica of
+//     every key, in one batched request per node;
+//   - one verdict (verdict.go, judge): the winner, the losers to overwrite and
+//     whether all replicas agree — for reads, replicated Scans and the
+//     anti-entropy loop (antientropy.go) alike; repairer.settle acts on it;
+//   - one conditional write-back (repair.go, writeBack): read repair,
+//     anti-entropy repair and hint replay apply an envelope only over
+//     strictly older state, and absence acknowledges a tombstone.
 //
 // # One logical writer per cluster
 //

@@ -13,11 +13,11 @@ import (
 // value for an overwritten key, or a resurrected value for a deleted one.
 // A boolean up/down flag cannot catch this — the node is genuinely up. So
 // every value the cluster stores is wrapped in a small envelope carrying a
-// write timestamp and a tombstone flag, and reads at replication factor
-// > 1 consult every live replica and take the newest version (Cassandra's
-// conflict rule). Outvoting alone leaves the losing replica wrong on disk;
-// the repair subsystem (repair.go) writes the winner back to losers (read
-// repair) and queues writes missed by down nodes (hinted handoff).
+// write timestamp and a tombstone flag, and reads consult every replica
+// and take the newest version (Cassandra's conflict rule; verdict.go).
+// Outvoting alone leaves the losing replica wrong on disk; the repair
+// subsystem (repair.go) writes the winner back to losers (read repair) and
+// queues writes missed by down nodes (hinted handoff, hints.go).
 //
 // Envelope layout: flag (1 byte: value|tombstone) | timestamp (8 bytes LE,
 // nanoseconds) | payload. Timestamps come from a per-cluster-client hybrid

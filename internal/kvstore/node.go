@@ -26,7 +26,7 @@ type node struct {
 	// itself (EngineRemote without Config.NewBackend), and nil otherwise.
 	// It is the one fact the remote-cluster behaviours key on: breaker
 	// state as the liveness hint, an erroring storage probe, geometry
-	// pins on the daemons, concurrent replica reads, no fault injection.
+	// pins on the daemons, no fault injection.
 	rc *remote.Client
 	// down is the failure-injection flag (SetNodeUp), checked in live().
 	down atomic.Bool
@@ -174,12 +174,11 @@ func (n *node) hashRange(ctx context.Context, table string, fanout, bucket int) 
 	return engine.HashRange(ctx, be, table, fanout, bucket)
 }
 
-// isUp is a cheap best-effort liveness hint used to pick read replicas:
-// the injection flag, and on dialed nodes the wire client's failure
-// detector (a node in probation is reported down so read placement steers
-// around it). The authoritative signal is an ErrUnavailable result — the
-// read paths all fall back across replicas when an attempt comes back
-// unavailable.
+// isUp is a cheap best-effort liveness hint used to pick the replica a read
+// is charged to and the pairs anti-entropy syncs: the injection flag, and on
+// dialed nodes the wire client's failure detector (a node in probation is
+// reported down). The authoritative signal is an ErrUnavailable result — a
+// read asks every replica whatever the hint says.
 func (n *node) isUp() bool {
 	return !n.down.Load() && (n.rc == nil || !n.rc.BreakerOpen())
 }

@@ -1,0 +1,355 @@
+package kvstore
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sync"
+	"time"
+
+	"rstore/internal/types"
+)
+
+// Get retrieves the value under (table, key): a one-key MultiGet. It returns
+// types.ErrNotFound if no live replica has the key (or the newest version is
+// a tombstone), and an error when every replica is down.
+func (s *Store) Get(ctx context.Context, table, key string) ([]byte, error) {
+	res, err := s.multiGet(ctx, "get", table, []string{key})
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Missing) > 0 {
+		return nil, fmt.Errorf("%w: %s/%s", types.ErrNotFound, table, key)
+	}
+	return res.Values[0], nil
+}
+
+// MultiGetResult reports the outcome of a parallel multi-key fetch.
+type MultiGetResult struct {
+	// Values holds one entry per requested key, in request order; missing
+	// keys yield nil entries.
+	Values [][]byte
+	// Missing lists the indexes of keys that were not found.
+	Missing []int
+	// Requests is the number of point requests issued.
+	Requests int
+	// BytesRead is the total response volume.
+	BytesRead int64
+	// Elapsed is the simulated wall time of the batch under the cost model
+	// (parallel lanes, per-node serialization).
+	Elapsed time.Duration
+}
+
+// MultiGet fetches many keys from one table — the access pattern of
+// RStore's query processing module — with one batched request per replica
+// node (readReplicas). Each key's replica answers are judged (verdict.go):
+// the newest version is served, so a node that restarted stale — it was down
+// while its peers accepted overwrites or deletes — is outvoted instead of
+// believed, and whatever diverged is queued for read repair. A key no
+// replica answered for is the all-replicas-down error. Missing keys are
+// reported, not errors: what a hole means is the caller's to say (to core,
+// which only asks for what its layout placed, it is corruption).
+func (s *Store) MultiGet(ctx context.Context, table string, keys []string) (*MultiGetResult, error) {
+	return s.multiGet(ctx, "multiget", table, keys)
+}
+
+// multiGet is the replicated read, the only one; op names the caller's
+// operation in errors.
+func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (*MultiGetResult, error) {
+	res := &MultiGetResult{Values: make([][]byte, len(keys))}
+	if len(keys) == 0 {
+		return res, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("kvstore: %s %s: %w", op, table, err)
+	}
+
+	reads, err := s.readReplicas(ctx, table, keys)
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: %s %s: %w", op, table, err)
+	}
+	load := make([]int, len(s.nodes))
+	perNode := make(map[int][]int) // serving node → its response sizes
+	for i, rd := range reads {
+		v := judge(rd.obs)
+		switch {
+		case v.down:
+			return nil, allDownErr(ctx, op, table, keys[i])
+		case v.corrupt:
+			return nil, fmt.Errorf("kvstore: %s %s/%s: %w: no replica holds an LWW envelope", op, table, keys[i], types.ErrCorrupt)
+		case v.win < 0 || rd.obs[v.win].tomb:
+			res.Missing = append(res.Missing, i)
+		default:
+			res.Values[i] = rd.payload[v.win]
+		}
+		if s.repair != nil && v.win >= 0 {
+			s.repair.settle(table, keys[i], rd.obs, v, rd.payload[v.win], !s.repair.opts.DisableReadRepair)
+		}
+
+		// The simulated batch cost (per-node serial service, client-side
+		// lanes) charges the key to one serving replica — one request per
+		// key, replica consultation modeled as free digest reads, as a write
+		// charges once despite its fan-out: the first replica that looks up,
+		// or with read balancing the least loaded such (O(1) load counters).
+		// isUp() is only a hint (a remote node's liveness is discovered per
+		// request), which is why the read above asked every replica anyway;
+		// with none looking up the primary is charged.
+		n := -1
+		for _, o := range rd.obs {
+			if s.nodes[o.node].isUp() && (n < 0 || (s.cfg.ReadBalance && load[o.node] < load[n])) {
+				n = o.node
+			}
+		}
+		if n < 0 {
+			n = rd.obs[0].node
+		}
+		load[n]++
+		perNode[n] = append(perNode[n], len(res.Values[i]))
+		res.BytesRead += int64(len(res.Values[i]))
+	}
+	res.Requests = len(keys)
+	res.Elapsed = s.cfg.Cost.batchElapsed(perNode)
+	s.reqCount.Add(int64(res.Requests))
+	s.bytesRead.Add(res.BytesRead)
+	s.simClock.Add(int64(res.Elapsed))
+	return res, nil
+}
+
+// keyRead is what one key's replicas answered: obs[j] is replica j's
+// observation (ring order) and payload[j] its value bytes when it holds a
+// well-formed envelope. The payloads are private copies (engine.MultiGet's
+// contract), so the winner can be returned to the caller as is.
+type keyRead struct {
+	obs     []observation
+	payload [][]byte
+}
+
+// readReplicas issues one batched read per node covering every key the node
+// replicates, in parallel, and returns each key's per-replica answers — one
+// wire round trip per node instead of one per key per replica. A node whose
+// batch failed as unavailable answers obsUnreachable for all its keys; the
+// wire client has by then spent its own retry schedule on it, so there is
+// no second one here. Hard errors abort. The read path and the anti-entropy
+// loop both observe replicas through it.
+func (s *Store) readReplicas(ctx context.Context, table string, keys []string) ([]keyRead, error) {
+	type batch struct {
+		keys    []string
+		vals    [][]byte
+		present []bool
+		err     error
+		next    int // the next answer to hand out (below)
+	}
+	batches := make(map[int]*batch)
+	replicasOf := make([][]int, len(keys))
+	total := 0
+	for i, k := range keys {
+		replicasOf[i] = s.ring.replicas(k, s.cfg.ReplicationFactor)
+		for _, r := range replicasOf[i] {
+			b := batches[r]
+			if b == nil {
+				b = &batch{}
+				batches[r] = b
+			}
+			b.keys = append(b.keys, k)
+			total++
+		}
+	}
+	var wg sync.WaitGroup
+	for nid, b := range batches {
+		wg.Add(1)
+		go func(nid int, b *batch) {
+			defer wg.Done()
+			b.vals, b.present, b.err = s.nodes[nid].multiGet(ctx, table, b.keys)
+		}(nid, b)
+	}
+	wg.Wait()
+	for nid, b := range batches {
+		if b.err != nil && !isUnavailable(b.err) {
+			return nil, fmt.Errorf("node %d: %w", nid, b.err)
+		}
+	}
+
+	// Every batch lists its keys in request order, so walking the keys in
+	// that order again consumes each batch front to back.
+	reads := make([]keyRead, len(keys))
+	obs := make([]observation, total)
+	payloads := make([][]byte, total)
+	for i := range keys {
+		n := len(replicasOf[i])
+		reads[i] = keyRead{obs: obs[:n:n], payload: payloads[:n:n]}
+		obs, payloads = obs[n:], payloads[n:]
+		for j, r := range replicasOf[i] {
+			b := batches[r]
+			var raw []byte
+			present := false
+			if b.err == nil {
+				raw, present = b.vals[b.next], b.present[b.next]
+			}
+			b.next++
+			reads[i].obs[j], reads[i].payload[j] = observe(r, raw, present, b.err)
+		}
+	}
+	return reads, nil
+}
+
+// Scan visits every live key/value of a table exactly once, in unspecified
+// order, skipping tombstones; values are copied before fn sees them.
+// Backend failures surface as the returned error.
+//
+// Scan feeds recovery (core's Load), snapshots, and index rebuilds, so it
+// must not silently present a partial table: if enough nodes are
+// unreachable that some key's entire replica set may have been
+// unobservable (at ReplicationFactor 1, any down node), Scan errors
+// instead of returning a truncated view — a Load over a truncated view
+// would re-issue version ids and overwrite acknowledged commits. With
+// fewer failures the sweep is complete and proceeds.
+//
+// Without replication each node streams its own keys. With replication the
+// primary-owned restriction would be wrong twice over — a key's primary may
+// be down (its replicas still hold the data) or freshly restarted and stale
+// (holding an old version) — so Scan sweeps every reachable node and serves
+// each key's winning version, judged as a read judges it (verdict.go).
+func (s *Store) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
+	if s.cfg.ReplicationFactor <= 1 {
+		return s.scanUnreplicated(ctx, table, fn)
+	}
+
+	// Sweep all reachable nodes, recording what each of a key's replicas
+	// holds and retaining a copy of the newest version seen so far (scan
+	// values alias backend buffers, so the leader must be copied; a version
+	// it beats is overwritten in place; tombstones buffer nothing). Holding
+	// the winners in memory is deliberate: the alternative — resolve
+	// timestamps first, then re-read each winner — costs one network round
+	// trip per key, and Scan's consumers (Load, Dump, index rebuilds) are
+	// whole-table operations that buffer comparable state themselves. A
+	// streaming merge-scan would need ordered per-node iteration, which
+	// engine.Backend does not promise.
+	//
+	// The recorded observations make the sweep a whole-table divergence
+	// detector: each key is judged once the sweep is over, and stale or
+	// missing replicas are queued for read repair.
+	seen := make(map[string]*scanKey)
+	unreachable := make([]bool, len(s.nodes))
+	unavailable := 0
+	for _, n := range s.nodes {
+		err := n.scan(ctx, table, func(k string, raw []byte) bool {
+			sk := seen[k]
+			if sk == nil {
+				replicas := s.ring.replicas(k, s.cfg.ReplicationFactor)
+				sk = &scanKey{obs: make([]observation, len(replicas)), lead: -1}
+				for j, r := range replicas {
+					sk.obs[j] = observation{node: r, state: obsAbsent}
+				}
+				seen[k] = sk
+			}
+			j := slices.IndexFunc(sk.obs, func(o observation) bool { return o.node == n.id })
+			if j < 0 {
+				// A copy on a node the ring does not place the key on is no
+				// replica's answer: reads never consult it either.
+				return true
+			}
+			var payload []byte
+			sk.obs[j], payload = observe(n.id, raw, true, nil)
+			if sk.obs[j].state == obsHeld && (sk.lead < 0 || newer(sk.obs[j], sk.obs[sk.lead])) {
+				sk.lead = j
+				sk.value = append(sk.value[:0], payload...)
+			}
+			return true
+		})
+		if isUnavailable(err) {
+			unreachable[n.id] = true
+			unavailable++
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("kvstore: scan %s: %w", table, err)
+		}
+	}
+	if unavailable >= s.cfg.ReplicationFactor {
+		// Every key has ReplicationFactor distinct replicas, so with fewer
+		// nodes down each key was observable on at least one; at or past
+		// that threshold some key may have had no reachable replica.
+		return fmt.Errorf("kvstore: scan %s: %d nodes unavailable at replication factor %d: view would be incomplete",
+			table, unavailable, s.cfg.ReplicationFactor)
+	}
+
+	// Judge every key before fn sees any, so a table that cannot be served
+	// whole is refused whole. What a node reported before its scan failed
+	// stands; what it did not report is unknown, not absent.
+	for k, sk := range seen {
+		for j, o := range sk.obs {
+			if o.state == obsAbsent && unreachable[o.node] {
+				sk.obs[j].state = obsUnreachable
+			}
+		}
+		v := judge(sk.obs)
+		if v.corrupt {
+			return fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
+		}
+		if v.win >= 0 && s.repair != nil {
+			s.repair.settle(table, k, sk.obs, v, sk.value, !s.repair.opts.DisableReadRepair)
+		}
+		if v.win < 0 || sk.obs[v.win].tomb {
+			delete(seen, k)
+		}
+	}
+	for k, sk := range seen {
+		if !fn(k, sk.value) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// scanKey is a replicated Scan's per-key state: one observation per replica
+// of the key (ring order; absent until the replica's node reports it), and
+// the payload of the newest version reported so far, obs[lead] — which is
+// the winner judge picks once every node has reported.
+type scanKey struct {
+	obs   []observation
+	lead  int
+	value []byte
+}
+
+// scanUnreplicated streams each node's primarily-owned keys — with one
+// replica per key there is nothing to reconcile, so no buffering is
+// needed, but any unreachable node makes the view incomplete.
+func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
+	stop := false
+	var envErr error
+	for _, n := range s.nodes {
+		if stop || envErr != nil {
+			break
+		}
+		err := n.scan(ctx, table, func(k string, v []byte) bool {
+			if s.ring.primary(k) != n.id {
+				return true // visited via its primary owner
+			}
+			payload, _, tomb, err := unenvelope(v)
+			if err != nil {
+				envErr = err
+				return false
+			}
+			if tomb {
+				return true
+			}
+			cp := make([]byte, len(payload))
+			copy(cp, payload)
+			if !fn(k, cp) {
+				stop = true
+				return false
+			}
+			return true
+		})
+		if isUnavailable(err) {
+			return fmt.Errorf("kvstore: scan %s: node %d unavailable with no replicas: view would be incomplete", table, n.id)
+		}
+		if err != nil {
+			return fmt.Errorf("kvstore: scan %s: %w", table, err)
+		}
+	}
+	if envErr != nil {
+		return fmt.Errorf("kvstore: scan %s: %w", table, envErr)
+	}
+	return nil
+}

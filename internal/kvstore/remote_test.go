@@ -193,13 +193,14 @@ func TestRemoteClusterRoutesAroundDeadNode(t *testing.T) {
 	}
 }
 
-// TestMultiGetBatchedMatchesPerKey: batched MultiGet (one OpMultiGet per
-// node) and per-key Store.Get must be observationally identical — same
-// values, same missing set — across tombstones, a dead node, and the
-// node's stale return: overwrites and deletes it missed must outvote what
-// it still holds. Hints and read repair are off so the restarted replica
-// stays stale and every read has to do the outvoting.
-func TestMultiGetBatchedMatchesPerKey(t *testing.T) {
+// TestReadsOutvoteStaleReplica: the replicated read at n = many (one
+// MultiGet, one OpMultiGet per node) and at n = 1 (a Get per key) returns
+// the same values and the same missing set — what was written — across
+// tombstones, a dead node, and the node's stale return: overwrites and
+// deletes it missed must outvote what it still holds. Hints and read repair
+// are off so the restarted replica stays stale and every read has to do the
+// outvoting.
+func TestReadsOutvoteStaleReplica(t *testing.T) {
 	ctx := context.Background()
 	addrs, nodes := startNodes(t, 3)
 	s, err := Open(ctx, Config{
@@ -228,7 +229,7 @@ func TestMultiGetBatchedMatchesPerKey(t *testing.T) {
 		}
 		delete(want, k)
 	}
-	// Tombstones and never-written keys must be missing on both paths.
+	// Tombstones and never-written keys must be missing at either size.
 	for i := 0; i < 10; i++ {
 		del(keys[i*7])
 	}
@@ -252,17 +253,18 @@ func TestMultiGetBatchedMatchesPerKey(t *testing.T) {
 			if err != nil && !errors.Is(err, types.ErrNotFound) {
 				t.Fatalf("%s: get %s: %v", when, k, err)
 			}
-			if missing[i] != (err != nil) || string(res.Values[i]) != string(v) {
-				t.Fatalf("%s: %s = %q (missing=%v) batched, %q (%v) per-key", when, k, res.Values[i], missing[i], v, err)
+			w, live := want[k]
+			if live == missing[i] || string(res.Values[i]) != w {
+				t.Fatalf("%s: MultiGet: %s = %q (missing=%v), want %q (live=%v)", when, k, res.Values[i], missing[i], w, live)
 			}
-			if w, live := want[k]; live == missing[i] || string(v) != w {
-				t.Fatalf("%s: %s = %q (missing=%v), want %q (live=%v)", when, k, v, missing[i], w, live)
+			if live == (err != nil) || string(v) != w {
+				t.Fatalf("%s: Get: %s = %q (%v), want %q (live=%v)", when, k, v, err, w, live)
 			}
 		}
 	}
 	check("all nodes up")
 
-	// One node dead at rf=2: both paths route to surviving replicas, and
+	// One node dead at rf=2: reads route to surviving replicas, and
 	// the writes below pass the dead node by.
 	nodes[2].kill()
 	check("one node down")

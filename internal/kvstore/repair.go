@@ -2,16 +2,10 @@ package kvstore
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"rstore/internal/codec"
-	"rstore/internal/engine"
 )
 
 // Replication repair: the subsystem that makes replicas converge instead of
@@ -22,21 +16,18 @@ import (
 // from its backend forever, and every read of the key pays the conflict
 // resolution again. Dynamo-style repair fixes the divergence at the source:
 //
-//   - Read repair: when a replicated read (lwwGet, and through it Get and
-//     MultiGet) or a replicated Scan observes a live replica returning an
-//     older version than the LWW winner — or missing the key, or carrying a
-//     value a tombstone deleted — the winning envelope is written back to
-//     the losing replicas asynchronously, through a small worker pool with
-//     per-key deduplication and a bounded queue (an unmergeable backlog is
-//     dropped and counted, never allowed to stall reads).
+//   - Read repair: when a replicated read (Get, MultiGet), a replicated Scan
+//     or an anti-entropy sweep judges a key (verdict.go) and finds a live
+//     replica holding an older version than the LWW winner — or missing the
+//     key, or carrying a value a tombstone deleted, or bytes that are no
+//     envelope at all — settle queues the winning envelope for write-back
+//     to the losing replicas, asynchronously, through a small worker pool
+//     with per-key deduplication and a bounded queue (an unmergeable
+//     backlog is dropped and counted, never allowed to stall reads).
 //
-//   - Hinted handoff: a write that had to skip a down replica parks a hint
-//     (target node, table, key, winning envelope) durably in the !hints
-//     table of a replica that did take the write — through the engine seam,
-//     so disklog/remote deployments keep hints across client restarts — and
-//     a drain loop replays the hints (with per-target exponential backoff)
-//     once the target is observed up again. A restarted node therefore
-//     converges without waiting to be read.
+//   - Hinted handoff (hints.go): a write that had to skip a down replica is
+//     parked durably beside one that took it and replayed when the node
+//     returns, so a restarted node converges without waiting to be read.
 //
 //   - Tombstone GC: deletes write tombstones so lagging replicas cannot
 //     resurrect data, but a tombstone whose delete every replica has
@@ -50,14 +41,13 @@ import (
 //
 // All repair writes carry the winning envelope with its ORIGINAL
 // timestamp: replaying one is idempotent, cannot reorder against newer
-// writes, and is applied conditionally (the target's current version is
-// re-checked first) so a replica that converged through another path is
-// never regressed.
-
-// hintsTable is the kvstore-private table hints are parked in. Like
-// !cluster it is node-local bookkeeping, not data: excluded from Dump, and
-// written/read per node directly (hints are not themselves replicated).
-const hintsTable = "!hints"
+// writes, and is applied conditionally (writeBack re-checks the target's
+// current version first) so a replica that converged through another path
+// is never regressed. They go through Backend.Put, which durable engines do
+// not fsync: a write-back lost to a crash leaves the replica as diverged as
+// it was found, for the next observation to find again — and a hint whose
+// delivery was lost that way was for a write its parking replica holds
+// durably.
 
 // RepairOptions tunes the replication-repair subsystem. The zero value
 // enables read repair and hinted handoff with default sizing whenever
@@ -128,26 +118,11 @@ type repairTask struct {
 	targets    []int
 }
 
-// hintRef locates one durable hint record: parked on node park under key
-// hkey of the !hints table. The record itself holds the payload; keeping
-// only the reference in memory bounds the index to O(pending hints) keys.
-type hintRef struct {
-	park int
-	hkey string
-}
-
-// hintQueue is the per-target drain state.
-type hintQueue struct {
-	pending []hintRef // replay order (hint keys embed a monotonic sequence)
-	backoff time.Duration
-	next    time.Time // do not re-probe the target before this
-}
-
 // tombWait tracks which replicas of a deleted key have not yet
 // acknowledged its tombstone.
 type tombWait struct {
 	ts      uint64
-	pending map[int]bool
+	pending []int
 }
 
 type repairer struct {
@@ -287,11 +262,48 @@ func (r *repairer) worker() {
 	}
 }
 
+// settle acts on one key's verdict (v.win >= 0) — the one place an observed
+// divergence turns into work, whoever observed it. The winner, obs[v.win]
+// with value bytes payload, is queued for write-back to the losers when
+// writeBack is set (reads and scans clear it when read repair is disabled;
+// anti-entropy always writes). A tombstone every replica holds, or holds
+// nothing against, is thereby acknowledged by all of them and, past
+// TombstoneTTL, collected whether or not anyone was waiting for the
+// acknowledgments (Tombstone GC above says why only then). It reports
+// whether a write-back was queued.
+func (r *repairer) settle(table, key string, obs []observation, v verdict, payload []byte, writeBack bool) bool {
+	w := obs[v.win]
+	queued := len(v.losers) > 0 && writeBack
+	if queued {
+		flag := byte(envValue)
+		if w.tomb {
+			flag = envTombstone
+		}
+		// envelope() builds a fresh buffer, so the queued task owns its
+		// bytes (payload may alias a result or scan buffer).
+		r.enqueue(repairTask{
+			table: table, key: key,
+			env: envelope(flag, w.ts, payload), ts: w.ts, tomb: w.tomb,
+			targets: v.losers,
+		})
+	}
+	if w.tomb && v.complete {
+		replicas := make([]int, len(obs))
+		for i, o := range obs {
+			replicas[i] = o.node
+			r.tombAck(table, key, w.ts, o.node)
+		}
+		if ttl := r.opts.TombstoneTTL; ttl > 0 && time.Since(time.Unix(0, int64(w.ts))) >= ttl {
+			r.scheduleGC(table, key, w.ts, replicas)
+		}
+	}
+	return queued
+}
+
 // run converges one key: write-back for repair tasks, conditional physical
 // deletion for gc tasks. Everything is best effort — a replica that cannot
 // be repaired now will be caught by the next observation or hint replay.
 func (r *repairer) run(t repairTask) {
-	ctx := r.ctx
 	gcOK := false
 	for _, nid := range t.targets {
 		select {
@@ -299,52 +311,13 @@ func (r *repairer) run(t repairTask) {
 			return
 		default:
 		}
-		n := r.s.nodes[nid]
 		if t.gc {
-			if r.gcReplica(ctx, n, t) {
+			if r.gcReplica(r.ctx, r.s.nodes[nid], t) {
 				gcOK = true
 			}
 			continue
 		}
-		raw, ok, err := n.get(ctx, t.table, t.key)
-		if err != nil {
-			continue
-		}
-		if ok {
-			// An existing value that does not parse as an envelope was
-			// never written by the store — the replica's bytes rotted (or
-			// something else wrote there). There is nothing to compare
-			// timestamps against, and skipping would leave the corruption
-			// in place forever; any well-formed envelope is an improvement,
-			// so fall through and overwrite it unconditionally. Anti-entropy
-			// relies on this: its reconcile treats unparsable state as
-			// absent and nominates the intact replica's version.
-			if _, ts, tomb, err := unenvelope(raw); err == nil {
-				// Apply only strictly newer state (or the tombstone side of a
-				// timestamp tie). The re-check closes the race with the replica
-				// having converged through another path — an older envelope
-				// must never regress it.
-				if !(t.ts > ts || (t.ts == ts && t.tomb && !tomb)) {
-					if tomb && ts == t.ts && t.tomb {
-						r.tombAck(t.table, t.key, t.ts, nid)
-					}
-					continue
-				}
-			}
-		} else if t.tomb {
-			// The replica has nothing to resurrect; writing a tombstone
-			// over nothing adds no safety and would undo tombstone GC.
-			// Holding nothing counts as having acknowledged the delete.
-			r.tombAck(t.table, t.key, t.ts, nid)
-			continue
-		}
-		if err := n.put(ctx, t.table, t.key, t.env); err != nil {
-			continue
-		}
-		r.repairWrites.Add(1)
-		if t.tomb {
-			r.tombAck(t.table, t.key, t.ts, nid)
-		}
+		r.writeBack(r.ctx, nid, t)
 	}
 	if t.gc && gcOK {
 		r.tombstonesGC.Add(1)
@@ -357,6 +330,44 @@ func (r *repairer) run(t repairTask) {
 		}
 		r.tmu.Unlock()
 	}
+}
+
+// writeBack is the conditional write-back, the only one: read repair,
+// anti-entropy repair and hint replay all deliver through it. It re-reads
+// what target holds and applies t's envelope only over strictly older state
+// (or as the tombstone side of a timestamp tie) — the replica may have
+// converged through another path since, and an older envelope must never
+// regress it. Two cases have no timestamp to compare: bytes that are no
+// envelope are overwritten (skipping would leave the corruption in place
+// forever, and any well-formed envelope is an improvement); and over nothing
+// a value is written but a tombstone is not (nothing there can resurrect,
+// and re-creating the tombstone would undo its GC). Once target holds t's
+// state or newer — or nothing, for a tombstone — it has acknowledged the
+// tombstone. False: target could not be read or written; whether to come
+// back is the caller's call.
+func (r *repairer) writeBack(ctx context.Context, target int, t repairTask) bool {
+	n := r.s.nodes[target]
+	raw, ok, err := n.get(ctx, t.table, t.key)
+	if err != nil {
+		return false
+	}
+	apply := !t.tomb
+	if ok {
+		apply = true
+		if _, ts, tomb, err := unenvelope(raw); err == nil {
+			apply = t.ts > ts || (t.ts == ts && t.tomb && !tomb)
+		}
+	}
+	if apply {
+		if err := n.put(ctx, t.table, t.key, t.env); err != nil {
+			return false
+		}
+		r.repairWrites.Add(1)
+	}
+	if t.tomb {
+		r.tombAck(t.table, t.key, t.ts, target)
+	}
+	return true
 }
 
 // gcReplica physically deletes a fully-acknowledged tombstone from one
@@ -387,98 +398,6 @@ func (r *repairer) gcReplica(ctx context.Context, n *node, t repairTask) bool {
 	return n.del(ctx, t.table, t.key) == nil
 }
 
-// ---- Hinted handoff ----
-
-// hintKey renders the durable key of one hint: the target node and a
-// monotonic sequence (the store's write clock), so a lexicographic sweep
-// replays hints per target in write order and keys are unique across the
-// hints a client parks.
-func hintKey(target int, seq uint64) string {
-	return fmt.Sprintf("%06d.%016x", target, seq)
-}
-
-// parseHintKey recovers the target node from a parked hint's key.
-func parseHintKey(k string) (target int, ok bool) {
-	i := strings.IndexByte(k, '.')
-	if i < 0 {
-		return 0, false
-	}
-	t, err := strconv.Atoi(k[:i])
-	if err != nil || t < 0 {
-		return 0, false
-	}
-	return t, true
-}
-
-// encodeHint packs the replay payload: destination table, key, and the
-// winning envelope.
-func encodeHint(table, key string, env []byte) []byte {
-	var buf []byte
-	buf = codec.PutString(buf, table)
-	buf = codec.PutString(buf, key)
-	buf = codec.PutBytes(buf, env)
-	return buf
-}
-
-func decodeHint(raw []byte) (table, key string, env []byte, err error) {
-	table, rest, err := codec.String(raw)
-	if err != nil {
-		return "", "", nil, err
-	}
-	key, rest, err = codec.String(rest)
-	if err != nil {
-		return "", "", nil, err
-	}
-	env, _, err = codec.Bytes(rest)
-	if err != nil {
-		return "", "", nil, err
-	}
-	return table, key, env, nil
-}
-
-// hintSpec is one write missed by a down replica, to be parked durably.
-type hintSpec struct {
-	target     int
-	table, key string
-	env        []byte
-}
-
-// addHints durably parks hints on node park (a replica that accepted the
-// write) in one batch — the batch path is the one durable backends fsync —
-// and registers them with the drain loop. Parking is best effort: the
-// write itself already succeeded on the live replicas, so a failed park
-// only degrades the down node's convergence to read repair.
-func (r *repairer) addHints(ctx context.Context, park int, specs []hintSpec) {
-	if r.opts.DisableHints || len(specs) == 0 {
-		return
-	}
-	entries := make([]engine.Entry, len(specs))
-	refs := make([]hintRef, len(specs))
-	targets := make([]int, len(specs))
-	for i, sp := range specs {
-		hkey := hintKey(sp.target, r.s.nextTS())
-		entries[i] = engine.Entry{Key: hkey, Value: encodeHint(sp.table, sp.key, sp.env)}
-		refs[i] = hintRef{park: park, hkey: hkey}
-		targets[i] = sp.target
-	}
-	if err := r.s.nodes[park].batchPut(ctx, hintsTable, entries); err != nil {
-		return
-	}
-	r.hmu.Lock()
-	for i, ref := range refs {
-		q := r.hints[targets[i]]
-		if q == nil {
-			q = &hintQueue{}
-			r.hints[targets[i]] = q
-		}
-		q.pending = append(q.pending, ref)
-	}
-	r.hmu.Unlock()
-	r.hintsQueued.Add(int64(len(specs)))
-	r.hintsPending.Add(int64(len(specs)))
-	r.ensureDrain()
-}
-
 // resetState drops all in-memory repair bookkeeping after a cluster wipe
 // (Store.Reset): parked-hint indexes, read-repair dedup state, and
 // tombstone waits all describe data that no longer exists, and replaying
@@ -498,210 +417,12 @@ func (r *repairer) resetState() {
 	r.tmu.Unlock()
 }
 
-// recoverHints rebuilds the in-memory hint index from the !hints tables of
-// every reachable node, so a restarted cluster client resumes draining
-// hints a previous client parked. The nodes are scanned concurrently: this
-// runs inside Open, and on a remote cluster a down node costs a full
-// dial-retry cycle — serial scans would stack that latency in front of
-// every Open. Hints on nodes unreachable right now are picked up by
-// whichever client opens after they return.
-func (r *repairer) recoverHints(ctx context.Context) {
-	if r.opts.DisableHints {
-		return
-	}
-	perNode := make([][]hintRef, len(r.s.nodes))
-	var wg sync.WaitGroup
-	for i, nd := range r.s.nodes {
-		wg.Add(1)
-		go func(i int, nd *node) {
-			defer wg.Done()
-			_ = nd.scan(ctx, hintsTable, func(k string, _ []byte) bool {
-				if target, ok := parseHintKey(k); ok && target < len(r.s.nodes) {
-					perNode[i] = append(perNode[i], hintRef{park: nd.id, hkey: k})
-				}
-				return true
-			})
-		}(i, nd)
-	}
-	wg.Wait()
-
-	n := 0
-	r.hmu.Lock()
-	for _, refs := range perNode {
-		for _, ref := range refs {
-			target, _ := parseHintKey(ref.hkey)
-			q := r.hints[target]
-			if q == nil {
-				q = &hintQueue{}
-				r.hints[target] = q
-			}
-			q.pending = append(q.pending, ref)
-			n++
-		}
-	}
-	for _, q := range r.hints {
-		// Backend scans are unordered; hint keys embed the write sequence.
-		sort.Slice(q.pending, func(i, j int) bool { return q.pending[i].hkey < q.pending[j].hkey })
-	}
-	r.hmu.Unlock()
-	if n > 0 {
-		r.hintsQueued.Add(int64(n))
-		r.hintsPending.Add(int64(n))
-		r.ensureDrain()
-	}
-}
-
-func (r *repairer) ensureDrain() {
-	select {
-	case <-r.stop:
-		return // closing; nothing may start the drain loop anymore
-	default:
-	}
-	r.startDrain.Do(func() {
-		r.wg.Add(1)
-		go r.drainLoop()
-	})
-}
-
-// kickDrain wakes the drain loop immediately and clears per-target
-// backoff — called when a node is known to have just come back (failure
-// injection flipping it up), so tests and operators see prompt convergence.
-func (r *repairer) kickDrain() {
-	r.hmu.Lock()
-	for _, q := range r.hints {
-		q.next = time.Time{}
-		q.backoff = 0
-	}
-	r.hmu.Unlock()
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (r *repairer) drainLoop() {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.opts.HintInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C:
-		case <-r.kick:
-		}
-		now := walltime()
-		var due []int
-		r.hmu.Lock()
-		for target, q := range r.hints {
-			if len(q.pending) > 0 && !now.Before(q.next) {
-				due = append(due, target)
-			}
-		}
-		r.hmu.Unlock()
-		sort.Ints(due)
-		for _, target := range due {
-			r.drainTarget(target)
-		}
-	}
-}
-
-// drainTarget replays parked hints to one target in order until the queue
-// empties or the target (or a parking node) proves unreachable, in which
-// case the target backs off exponentially.
-func (r *repairer) drainTarget(target int) {
-	ctx := r.ctx
-	for {
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
-		r.hmu.Lock()
-		q := r.hints[target]
-		if q == nil || len(q.pending) == 0 {
-			if q != nil {
-				q.backoff = 0
-			}
-			r.hmu.Unlock()
-			return
-		}
-		ref := q.pending[0]
-		r.hmu.Unlock()
-
-		if !r.replayHint(ctx, target, ref) {
-			r.hmu.Lock()
-			q.backoff = max(2*q.backoff, r.opts.HintInterval)
-			q.backoff = min(q.backoff, r.opts.HintMaxBackoff)
-			q.next = walltime().Add(q.backoff)
-			r.hmu.Unlock()
-			return
-		}
-		r.hmu.Lock()
-		q.pending = q.pending[1:]
-		q.backoff = 0
-		r.hmu.Unlock()
-		r.hintsPending.Add(-1)
-		r.hintsReplayed.Add(1)
-	}
-}
-
-// replayHint delivers one parked hint: read it back from its parking node,
-// conditionally apply it to the target (only if strictly newer than what
-// the target holds now), then remove the parked record. False means "try
-// this target again later" (park or target unreachable); true consumes the
-// hint — including hints that turn out to be stale, corrupt, or already
-// replayed by another client.
-func (r *repairer) replayHint(ctx context.Context, target int, ref hintRef) bool {
-	discard := func() bool {
-		_ = r.s.nodes[ref.park].del(ctx, hintsTable, ref.hkey)
-		return true
-	}
-	raw, ok, err := r.s.nodes[ref.park].get(ctx, hintsTable, ref.hkey)
-	if err != nil {
-		return false
-	}
-	if !ok {
-		return true // another client replayed and removed it
-	}
-	table, key, env, err := decodeHint(raw)
-	if err != nil {
-		return discard()
-	}
-	_, ts, tomb, err := unenvelope(env)
-	if err != nil {
-		return discard()
-	}
-	cur, ok, err := r.s.nodes[target].get(ctx, table, key)
-	if err != nil {
-		return false
-	}
-	apply := true
-	if ok {
-		if _, cts, ctomb, err := unenvelope(cur); err == nil {
-			apply = ts > cts || (ts == cts && tomb && !ctomb)
-		}
-	} else if tomb {
-		apply = false // nothing to outvote; see run()
-	}
-	if apply {
-		if err := r.s.nodes[target].put(ctx, table, key, env); err != nil {
-			return false
-		}
-		r.repairWrites.Add(1)
-	}
-	if tomb {
-		r.tombAck(table, key, ts, target)
-	}
-	return discard()
-}
-
 // ---- Tombstone GC ----
 
 // trackTombstone registers a freshly written tombstone and the replicas
 // that have not yet acknowledged it. With no laggards the tombstone is
 // immediately eligible for collection.
-func (r *repairer) trackTombstone(table, key string, ts uint64, pending map[int]bool, replicas []int) {
+func (r *repairer) trackTombstone(table, key string, ts uint64, pending, replicas []int) {
 	if len(pending) == 0 {
 		r.scheduleGC(table, key, ts, replicas)
 		return
@@ -721,7 +442,7 @@ func (r *repairer) tombAck(table, key string, ts uint64, nid int) {
 		r.tmu.Unlock()
 		return
 	}
-	delete(w.pending, nid)
+	w.pending = slices.DeleteFunc(w.pending, func(n int) bool { return n == nid })
 	done := len(w.pending) == 0
 	if done {
 		delete(r.tombs, k)
@@ -732,21 +453,7 @@ func (r *repairer) tombAck(table, key string, ts uint64, nid int) {
 	}
 }
 
+// scheduleGC queues the tombstone's collection; the task keeps replicas.
 func (r *repairer) scheduleGC(table, key string, ts uint64, replicas []int) {
-	targets := make([]int, len(replicas))
-	copy(targets, replicas)
-	r.enqueue(repairTask{table: table, key: key, ts: ts, tomb: true, gc: true, targets: targets})
-}
-
-// observeExpiredTombstone is the TTL fallback for tombstones whose
-// acknowledgment tracking died with a previous client. It only ever fires
-// when the caller observed EVERY replica of the key reachable and agreeing
-// on the tombstone — collecting any earlier could re-expose data still
-// held by a stale or unreachable replica.
-func (r *repairer) observeExpiredTombstone(table, key string, ts uint64, replicas []int) {
-	ttl := r.opts.TombstoneTTL
-	if ttl <= 0 || time.Since(time.Unix(0, int64(ts))) < ttl {
-		return
-	}
-	r.scheduleGC(table, key, ts, replicas)
+	r.enqueue(repairTask{table: table, key: key, ts: ts, tomb: true, gc: true, targets: replicas})
 }

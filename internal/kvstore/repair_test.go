@@ -377,71 +377,88 @@ func TestTombstoneGCAfterHintAck(t *testing.T) {
 	}
 }
 
-// TestBatchDeleteIsDeletePerKey: a BatchDelete leaves every key as its own
-// Delete would — gone for readers at once, the replica that was down handed
-// its tombstones by hint replay, and every tombstone collected once all
+// TestDeleteConverges: a delete of one key (Delete) and of many (BatchDelete)
+// is the same write — gone for readers at once, the replica that was down
+// handed its tombstones by hint replay, and every tombstone collected once all
 // replicas hold it. (That a node gets its share as one batch, not one write
 // per key, is counted at the engine seam by core's TestFlushKVCallsBounded.)
-func TestBatchDeleteIsDeletePerKey(t *testing.T) {
-	opts := fastRepair()
-	opts.DisableReadRepair = true
-	s, backends := openRepair(t, 3, 2, opts)
-	ctx := context.Background()
-
-	keys := make([]string, 40)
-	entries := make([]Entry, len(keys))
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%02d", i)
-		entries[i] = Entry{Key: keys[i], Value: []byte("v")}
-	}
-	if err := s.BatchPut(ctx, "t", entries); err != nil {
-		t.Fatal(err)
-	}
+func TestDeleteConverges(t *testing.T) {
 	const down = 2
-	lagging := 0
-	for _, key := range keys {
-		if slices.Contains(s.ring.replicas(key, 2), down) {
-			lagging++
-		}
-	}
-	if lagging == 0 || lagging == len(keys) {
-		t.Fatalf("precondition: node %d replicates %d of %d keys", down, lagging, len(keys))
-	}
-	if err := s.SetNodeUp(down, false); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats(ctx).Requests
-	if err := s.BatchDelete(ctx, "t", append(keys, "never-written")); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats(ctx).Requests - before; got != int64(len(keys)+1) {
-		t.Fatalf("BatchDelete of %d keys booked %d requests", len(keys)+1, got)
-	}
-	for _, key := range keys {
-		if _, err := s.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
-			t.Fatalf("%s after BatchDelete: %v", key, err)
-		}
-	}
-	if err := s.SetNodeUp(down, true); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "tombstones delivered, acked, and collected", func() bool {
-		for _, be := range backends {
+	for _, n := range []int{1, 40} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			opts := fastRepair()
+			opts.DisableReadRepair = true
+			s, backends := openRepair(t, 3, 2, opts)
+			ctx := context.Background()
+
+			// The keys are chosen so that the down node replicates some and not
+			// others (or, of one, that one).
+			var keys []string
+			lagging := 0
+			for i := 0; len(keys) < n; i++ {
+				key := fmt.Sprintf("k%02d", i)
+				onDown := slices.Contains(s.ring.replicas(key, 2), down)
+				if n == 1 && !onDown {
+					continue
+				}
+				if onDown {
+					lagging++
+				}
+				keys = append(keys, key)
+			}
+			if lagging == 0 || (n > 1 && lagging == n) {
+				t.Fatalf("precondition: node %d replicates %d of %d keys", down, lagging, n)
+			}
+			entries := make([]Entry, len(keys))
+			for i, key := range keys {
+				entries[i] = Entry{Key: key, Value: []byte("v")}
+			}
+			if err := s.BatchPut(ctx, "t", entries); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetNodeUp(down, false); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats(ctx).Requests
+			deleted := append(slices.Clone(keys), "never-written")
+			if n == 1 {
+				for _, key := range deleted {
+					if err := s.Delete(ctx, "t", key); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else if err := s.BatchDelete(ctx, "t", deleted); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Stats(ctx).Requests - before; got != int64(len(deleted)) {
+				t.Fatalf("deleting %d keys booked %d requests", len(deleted), got)
+			}
 			for _, key := range keys {
-				if _, ok := rawGet(t, be, "t", key); ok {
-					return false
+				if _, err := s.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
+					t.Fatalf("%s after its delete: %v", key, err)
 				}
 			}
-		}
-		return true
-	})
-	// never-written replicates to the down node or not: one more either way.
-	st := s.Stats(ctx)
-	if st.HintsReplayed < int64(lagging) || st.HintsReplayed > int64(lagging)+1 || st.TombstonesGCed != int64(len(keys))+1 {
-		t.Fatalf("replayed=%d gced=%d, want %d (or one more) and %d", st.HintsReplayed, st.TombstonesGCed, lagging, len(keys)+1)
-	}
-	if err := s.BatchDelete(ctx, "t", nil); err != nil {
-		t.Fatalf("empty BatchDelete: %v", err)
+			if err := s.SetNodeUp(down, true); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "tombstones delivered, acked, and collected", func() bool {
+				for _, be := range backends {
+					for _, key := range deleted {
+						if _, ok := rawGet(t, be, "t", key); ok {
+							return false
+						}
+					}
+				}
+				return s.Stats(ctx).TombstonesGCed == int64(len(deleted))
+			})
+			// never-written replicates to the down node or not: one more either way.
+			if st := s.Stats(ctx); st.HintsReplayed < int64(lagging) || st.HintsReplayed > int64(lagging)+1 {
+				t.Fatalf("replayed=%d, want %d (or one more)", st.HintsReplayed, lagging)
+			}
+			if err := s.BatchDelete(ctx, "t", nil); err != nil {
+				t.Fatalf("empty BatchDelete: %v", err)
+			}
+		})
 	}
 }
 

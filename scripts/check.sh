@@ -103,6 +103,7 @@ run_fuzz() {
   go test -fuzz=FuzzHashTreeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzHashRangeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
+  go test -fuzz=FuzzVerdict -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
   go test -fuzz=FuzzDecodeSegment -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzValueRuns -fuzztime=10s -run '^$' ./internal/chunk/
