@@ -34,12 +34,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 
 	"rstore"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/kvstore"
 )
 
@@ -423,19 +425,9 @@ func (e cliEnv) persist(kv *kvstore.Store, st *rstore.Store) error {
 	if e.durable() {
 		return kv.Close()
 	}
-	tmp := e.store + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := kv.Dump(ctx, f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, e.store)
+	// Replaced atomically and fsynced: a failed dump or a power cut leaves
+	// the previous snapshot, never an empty file in its place.
+	return reclog.WriteFileAtomic(e.store, func(w io.Writer) error { return kv.Dump(ctx, w) })
 }
 
 // multiFlag collects repeatable string flags.

@@ -182,3 +182,41 @@ func TestSanitize(t *testing.T) {
 		t.Fatalf("sanitize = %q", got)
 	}
 }
+
+// TestPersistKeepsOldSnapshotWhenDumpFails: the snapshot is replaced
+// atomically, so a dump that fails part-way leaves the previous snapshot
+// whole (it used to be renamed over unsynced, and a power cut could leave an
+// empty file in its place) and no temporary file beside it.
+func TestPersistKeepsOldSnapshotWhenDumpFails(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "data.rstore")
+	if err := runCLI(t, store, "init"); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCLI(t, store, "commit", "-put", `a={"x":1}`); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(store)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("snapshot: %d bytes, %v", len(before), err)
+	}
+
+	env := cliEnv{store: store, backend: "memory"}
+	kv, st, err := env.load(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv.Close() // nothing is pending, so the flush passes and the dump is what fails
+	if err := env.persist(kv, st); err == nil || !strings.Contains(err.Error(), "writing "+store) {
+		t.Fatalf("persist of a closed cluster: %v, want the dump to fail", err)
+	}
+	after, err := os.ReadFile(store)
+	if err != nil || string(after) != string(before) {
+		t.Fatalf("snapshot after the failed dump: %d bytes (%v), want the previous %d", len(after), err, len(before))
+	}
+	if _, err := os.Stat(store + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the failed dump left %s.tmp: %v", store, err)
+	}
+	if err := runCLI(t, store, "get", "-key", "a", "-branch", "main"); err != nil {
+		t.Fatalf("get after the failed dump: %v", err)
+	}
+}

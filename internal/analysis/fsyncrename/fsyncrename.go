@@ -1,11 +1,11 @@
 // Package fsyncrename enforces the commit discipline of the storage
 // engines (docs/FORMATS.md): an os.Rename that publishes durable state —
-// sealing a compacted segment, installing an SSTable, committing a
-// manifest — must be preceded, in the same function, by an fsync of the
+// installing an SSTable, replacing a pin file, committing a manifest —
+// must be preceded, in the same function, by an fsync of the
 // file being renamed (directly via (*os.File).Sync or through a
 // package-local helper that transitively syncs, like sstWriter.finish),
-// and must be followed by a directory fsync (syncDir or a helper reaching
-// it) so the new directory entry itself is durable. Rename-before-sync is
+// and must be followed by a directory fsync (reclog.SyncDir or a helper
+// reaching it) so the new directory entry itself is durable. Rename-before-sync is
 // the torn-header bug class: after a crash the name points at data the
 // disk never promised to keep.
 //
@@ -19,7 +19,6 @@ package fsyncrename
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 
 	"rstore/internal/analysis/rvet"
 	"rstore/internal/analysis/rvet/callgraph"
@@ -31,8 +30,8 @@ var Analyzer = &rvet.Analyzer{
 	Doc: "os.Rename committing durable engine state needs a file Sync before and a directory fsync after\n\n" +
 		"Scope: rstore/internal/engine/..., non-test files. A call to a\n" +
 		"package-local function that (transitively) calls (*os.File).Sync counts\n" +
-		"as the file sync; a call reaching a function named syncDir counts as the\n" +
-		"directory fsync.",
+		"as the file sync; a call reaching reclog.SyncDir, the engines' one\n" +
+		"directory fsync, counts as the directory fsync.",
 	Run: run,
 }
 
@@ -47,10 +46,10 @@ func run(pass *rvet.Pass) error {
 	fileSyncers := g.Closure(func(call *ast.CallExpr) bool {
 		return rvet.IsMethodCall(info, call, "os", "File", "Sync")
 	})
-	dirSyncers := g.Closure(func(call *ast.CallExpr) bool {
-		fn := rvet.Callee(info, call)
-		return fn != nil && fn.Name() == "syncDir" && fn.Pkg() == pass.TypesPkg()
-	})
+	isSyncDir := func(call *ast.CallExpr) bool {
+		return rvet.IsPkgCall(info, call, "rstore/internal/engine/reclog", "SyncDir")
+	}
+	dirSyncers := g.Closure(isSyncDir)
 
 	// Pass 2: per-function statement-order check around each os.Rename.
 	for fn, fd := range g.Decls {
@@ -66,12 +65,14 @@ func run(pass *rvet.Pass) error {
 				renames = append(renames, call)
 			case rvet.IsMethodCall(info, call, "os", "File", "Sync"):
 				fileSyncPos = append(fileSyncPos, call.Pos())
+			case isSyncDir(call):
+				dirSyncPos = append(dirSyncPos, call.Pos())
 			}
 			if callee := rvet.Callee(info, call); callee != nil && callee != fn {
 				if fileSyncers[callee] {
 					fileSyncPos = append(fileSyncPos, call.Pos())
 				}
-				if dirSyncers[callee] || isSyncDir(pass, callee) {
+				if dirSyncers[callee] {
 					dirSyncPos = append(dirSyncPos, call.Pos())
 				}
 			}
@@ -82,16 +83,11 @@ func run(pass *rvet.Pass) error {
 				pass.Reportf(ren.Pos(), "os.Rename commits durable state with no preceding file Sync in this function: fsync the renamed file first (or escape with the phase that already sealed it)")
 			}
 			if !anyAfter(dirSyncPos, ren.Pos()) {
-				pass.Reportf(ren.Pos(), "os.Rename is not followed by a directory fsync in this function: call syncDir so the new entry survives a crash")
+				pass.Reportf(ren.Pos(), "os.Rename is not followed by a directory fsync in this function: call reclog.SyncDir so the new entry survives a crash")
 			}
 		}
 	}
 	return nil
-}
-
-// isSyncDir matches the designated directory-fsync helper itself.
-func isSyncDir(pass *rvet.Pass, fn *types.Func) bool {
-	return fn.Name() == "syncDir" && fn.Pkg() == pass.TypesPkg()
 }
 
 func anyBefore(positions []token.Pos, p token.Pos) bool {

@@ -1,17 +1,14 @@
 package fixture
 
-import "os"
+import (
+	"os"
 
-// syncDir is the package's designated directory-fsync helper, mirroring the
-// real engines.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
+	"rstore/internal/engine/reclog"
+)
+
+// syncDir reaches the engines' one directory fsync; callers reaching it
+// transitively count as having synced the directory.
+func syncDir(dir string) error { return reclog.SyncDir(dir) }
 
 // seal syncs a file; callers reaching it transitively count as having
 // synced.
@@ -24,7 +21,7 @@ func commitGood(f *os.File, tmp, dst, dir string) error {
 	if err := os.Rename(tmp, dst); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return reclog.SyncDir(dir)
 }
 
 func commitTransitive(f *os.File, tmp, dst, dir string) error {

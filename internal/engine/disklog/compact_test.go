@@ -2,9 +2,11 @@ package disklog
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -73,8 +75,8 @@ func TestCompactReclaims(t *testing.T) {
 	}
 	verifyState(t, b, nKeys, want)
 
-	// Compacting again immediately must be a no-op: the compacted segment
-	// is fully live (marker records included), so re-selecting it as a
+	// Compacting again immediately must be a no-op: the segment the live
+	// records were appended to is fully live, so re-selecting it as a
 	// victim would rewrite all data to reclaim nothing. Stats alone cannot
 	// tell a no-op from a useless full rewrite (both end with the same
 	// byte counts), so check the segment file identity too.
@@ -95,7 +97,7 @@ func TestCompactReclaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !os.SameFile(infoBefore, infoAfter) {
-		t.Fatal("repeat compact rewrote the fully-live compacted segment")
+		t.Fatal("repeat compact rewrote a fully-live segment")
 	}
 
 	// The compacted layout must replay byte-for-byte equivalent state.
@@ -178,25 +180,116 @@ func TestCompactThenWrite(t *testing.T) {
 
 // TestCompactCrashRecovery injects a crash at each of Compact's dangerous
 // points (via the shared enginetest harness) and proves reopening the
-// directory loses nothing:
+// directory reads exactly the pre-compaction contents, deleted keys still
+// deleted:
 //
-//   - mid-rewrite: the .cmp output is half-written and unsealed; replay must
-//     discard it and serve from the intact victims.
-//   - sealed: the .cmp is complete and fsynced but the swap never happened;
-//     replay must adopt it (victims deleted, file renamed into place).
-//   - renamed: the rename committed but the victim unlink was interrupted;
-//     replay must delete the lower-numbered leftovers instead of replaying
-//     them (which would resurrect dropped tombstones).
+//   - mid-reappend: half of the victims' live records are in the active
+//     segment a second time, unsynced; every victim is intact.
+//   - appended: all of them are, fsynced; no victim is unlinked.
+//   - mid-unlink: the older half of the victims is gone; replay reads a
+//     suffix of the log.
+//
+// No point leaves a file that is not a segment (the .cmp side file of
+// earlier builds is never created).
 func TestCompactCrashRecovery(t *testing.T) {
 	enginetest.CompactCrashRecovery(t, enginetest.Harness{
 		Open: func(t *testing.T, dir string) enginetest.Crasher {
 			return openT(t, dir, Options{SegmentBytes: 4 << 10})
 		},
-		Points:      []string{"mid-rewrite", "sealed", "renamed"},
+		Points:      []string{"mid-reappend", "appended", "mid-unlink"},
 		CrashErr:    ErrCrashed,
-		DebrisGlobs: []string{"seg-*.log" + cmpSuffix},
+		DebrisGlobs: []string{"seg-*.log.cmp", "*.tmp"},
 		DiskBytes:   diskBytes,
 	})
+}
+
+// betweenBatches is a context whose third Err call — Compact asks once on
+// entry and once before each batch, outside every lock — runs do: between
+// the first batch and the second.
+type betweenBatches struct {
+	context.Context
+	calls int
+	do    func()
+}
+
+func (c *betweenBatches) Err() error {
+	if c.calls++; c.calls == 3 {
+		c.do()
+	}
+	return nil
+}
+
+// TestCompactAbandonedAcrossReset: a Reset between two batches of a
+// compaction unlinks its victims; the compaction stops without an error and
+// without appending a wiped record, and the directory reopens empty.
+func TestCompactAbandonedAcrossReset(t *testing.T) {
+	dir := t.TempDir()
+	b := openT(t, dir, Options{SegmentBytes: 4 << 10})
+	overwriteWorkload(t, b, 200, 4)
+	ctx := &betweenBatches{Context: context.Background()}
+	ctx.do = func() {
+		if err := b.Reset(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}
+	st, err := b.Compact(ctx)
+	if err != nil || ctx.calls < 3 {
+		t.Fatalf("compaction across a Reset: %v after %d context checks", err, ctx.calls)
+	}
+	if st.LiveBytes != 0 || st.Segments != 1 || b.BytesStored() != 0 {
+		t.Fatalf("after the Reset: %+v, %d bytes stored", st, b.BytesStored())
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openT(t, dir, Options{SegmentBytes: 4 << 10})
+	defer r.Close()
+	if tables, err := r.Tables(context.Background()); err != nil || len(tables) != 0 {
+		t.Fatalf("tables after Reset and reopen: %v (%v)", tables, err)
+	}
+}
+
+// TestCompactSkipsWhatChangedMeanwhile: keys overwritten or deleted after
+// the victims were listed and before their batch lands are squeezed out of
+// the batch, wherever in it they sit; the newer write stands, live and after
+// a reopen.
+func TestCompactSkipsWhatChangedMeanwhile(t *testing.T) {
+	dir := t.TempDir()
+	b := openT(t, dir, Options{SegmentBytes: 4 << 10})
+	const nKeys = 200
+	want := overwriteWorkload(t, b, nKeys, 4)
+	ctx := &betweenBatches{Context: context.Background()}
+	ctx.do = func() {
+		for i := nKeys / 10; i < nKeys; i++ { // the first tenth is deleted already
+			k := fmt.Sprintf("k%04d", i)
+			switch i % 4 { // 2 and 3 stay: kept records follow squeezed ones, and each other
+			case 0:
+				want[k] = k + " newer"
+				if err := b.Put(context.Background(), "t", k, []byte(want[k])); err != nil {
+					t.Error(err)
+				}
+			case 1:
+				delete(want, k)
+				if err := b.Delete(context.Background(), "t", k); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	st, err := b.Compact(ctx)
+	if err != nil || ctx.calls < 4 {
+		t.Fatalf("compaction: %v after %d context checks", err, ctx.calls)
+	}
+	if got := diskBytes(t, dir); got != st.DiskBytes {
+		t.Fatalf("stats say %d disk bytes, filesystem says %d", st.DiskBytes, got)
+	}
+	verifyState(t, b, nKeys, want)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openT(t, dir, Options{SegmentBytes: 4 << 10})
+	defer r.Close()
+	verifyState(t, r, nKeys, want)
 }
 
 // TestCompactConcurrentWrites: writes racing a compaction land in the active
@@ -240,12 +333,13 @@ func TestCompactConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestTornCompactHeaderDoesNotSupersede: deciding that a segment is a
-// compacted one triggers deletion of every lower-numbered segment, so that
-// decision must never be made from a torn or corrupt first record — even
-// one whose kind byte happens to read recCompactBegin. A genuine compacted
-// segment's header always passes its CRC (the file is fsynced before the
-// committing rename).
+// TestTornCompactHeaderDoesNotSupersede: deciding that a segment was
+// compacted into by an earlier build forgets and unlinks every
+// lower-numbered segment, so that decision must never be made from a torn
+// or corrupt first record — even one whose kind byte happens to read
+// recCompactBegin. A genuine one always passes its CRC (that build fsynced
+// the file before the committing rename), and the scanner hands replay
+// nothing that does not.
 func TestTornCompactHeaderDoesNotSupersede(t *testing.T) {
 	dir := t.TempDir()
 	b := openT(t, dir, Options{SegmentBytes: 4 << 10})
@@ -273,35 +367,111 @@ func TestTornCompactHeaderDoesNotSupersede(t *testing.T) {
 	verifyState(t, r, nKeys, want)
 }
 
-// TestCompactTinyDeadIsLeftInPlace: when the sealed dead bytes are smaller
-// than the marker framing a rewrite would add, compaction must decline —
-// otherwise it would grow the log and report a negative reclaim.
-func TestCompactTinyDeadIsLeftInPlace(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	b := openT(t, dir, Options{SegmentBytes: 4 << 10})
-	defer b.Close()
-	if err := b.Put(ctx, "t", "k", []byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put(ctx, "t", "k", []byte("b")); err != nil { // ~14 dead bytes
-		t.Fatal(err)
-	}
-	before, err := b.CompactionStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := b.Compact(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CompactedBytes != 0 {
-		t.Fatalf("tiny-dead compact claims %d bytes reclaimed", st.CompactedBytes)
-	}
-	if st.DiskBytes > before.DiskBytes {
-		t.Fatalf("tiny-dead compact grew the log: %d -> %d", before.DiskBytes, st.DiskBytes)
-	}
-	if v, ok, _ := b.Get(ctx, "t", "k"); !ok || string(v) != "b" {
-		t.Fatalf("k = %q (ok=%v)", v, ok)
+// The segments of a directory as a build before the re-append protocol left
+// it, byte for byte (frame = length, crc32, body; body = kind, table "t",
+// key, value). Segment 0 and 1 are sealed, 2 is active; legacyRewrite is
+// what that build's Compact made of 0 and 1 — their live records between a
+// recCompactBegin and a recCompactEnd, the tombstone of "a" dropped — first
+// as seg-000001.log.cmp, then renamed over seg-000001.log.
+const (
+	legacySeg0 = "0700000058ed835701017401616130" + "07000000c200e87e01017401626230" + legacyPutC // put a=a0, b=b0, c=c0
+	legacySeg1 = "050000001b6308740201740161" + legacyPutB1                                       // delete a, put b=b1
+	legacySeg2 = "07000000f6db3f2c01017401646430"                                                 // put d=d0
+
+	legacyBegin   = "030000004b6707fd030000"
+	legacyEnd     = "03000000ce7148f8040000"
+	legacyPutC    = "07000000b45b316601017401636330"
+	legacyPutB1   = "070000005430ef0901017401626231"
+	legacyRewrite = legacyBegin + legacyPutC + legacyPutB1 + legacyEnd
+)
+
+// TestLegacyCompactionStates: one fixture per state an interrupted (or
+// finished) compaction of an earlier build can have left, built from
+// literal bytes. Each opens to the contents that build would have
+// recovered — "a" stays deleted — leaves only segments behind, compacts,
+// and reopens to the same.
+func TestLegacyCompactionStates(t *testing.T) {
+	want := map[string]string{"b": "b1", "c": "c0", "d": "d0"}
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		gone  []string // files the first Open must remove
+	}{
+		{"unsealed-cmp", map[string]string{
+			"seg-000000.log": legacySeg0, "seg-000001.log": legacySeg1, "seg-000002.log": legacySeg2,
+			"seg-000001.log.cmp": legacyBegin + legacyPutC + legacyPutB1[:12],
+		}, []string{"seg-000001.log.cmp"}},
+		{"sealed-cmp", map[string]string{
+			"seg-000000.log": legacySeg0, "seg-000001.log": legacySeg1, "seg-000002.log": legacySeg2,
+			"seg-000001.log.cmp": legacyRewrite,
+		}, []string{"seg-000001.log.cmp", "seg-000000.log"}},
+		// That build's recovery unlinked the victims before it renamed the
+		// sealed file; dying in between, it left records only the file holds.
+		{"sealed-cmp-victims-partly-gone", map[string]string{
+			"seg-000001.log": legacySeg1, "seg-000002.log": legacySeg2,
+			"seg-000001.log.cmp": legacyRewrite,
+		}, []string{"seg-000001.log.cmp"}},
+		{"sealed-cmp-victims-gone", map[string]string{
+			"seg-000002.log":     legacySeg2,
+			"seg-000001.log.cmp": legacyRewrite,
+		}, []string{"seg-000001.log.cmp"}},
+		// Plain replay of this one would bring "a" back: its tombstone went
+		// with the rewrite, its put is still in the leftover.
+		{"marker-led-above-leftover", map[string]string{
+			"seg-000000.log": legacySeg0, "seg-000001.log": legacyRewrite, "seg-000002.log": legacySeg2,
+		}, []string{"seg-000000.log"}},
+		{"finished", map[string]string{
+			"seg-000001.log": legacyRewrite, "seg-000002.log": legacySeg2,
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			for name, hexBytes := range tc.files {
+				raw, err := hex.DecodeString(hexBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(b *Backend) {
+				t.Helper()
+				got := map[string]string{}
+				if err := b.Scan(ctx, "t", func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("contents %v, want %v", got, want)
+				}
+			}
+			b := openT(t, dir, Options{})
+			check(b)
+			for _, name := range tc.gone {
+				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+					t.Fatalf("%s survived Open (%v)", name, err)
+				}
+			}
+			if tc.name == "finished" {
+				// The markers are live bytes: nothing here is reclaimable.
+				if st, err := b.CompactionStats(ctx); err != nil || st.LiveBytes != st.DiskBytes {
+					t.Fatalf("stats of a finished legacy compaction: %+v (%v)", st, err)
+				}
+			}
+			if err := b.Put(ctx, "t", "d", []byte("d0")); err != nil { // a dead byte for Compact to find
+				t.Fatal(err)
+			}
+			if _, err := b.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
+			check(b)
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r := openT(t, dir, Options{})
+			defer r.Close()
+			check(r)
+		})
 	}
 }

@@ -20,80 +20,59 @@
 // Overwritten values and tombstones are dead bytes that only a merge gives
 // back to the filesystem. The backend tracks live bytes per segment and
 // implements engine.Compactor: Compact seals the active segment when it
-// holds dead bytes, rewrites only-live records from the dead-holding prefix
-// of sealed segments into one new segment, atomically swaps the in-memory
-// index to the rewritten locations, and unlinks the originals. Victims are
-// always a prefix of the log (oldest sealed segments first): every record
-// of a key whose latest record lies in the prefix also lies in the prefix,
-// so the rewrite can drop tombstones and stale versions without an older
-// surviving segment resurrecting them on replay.
+// holds dead bytes, appends the still-live records of the dead-holding
+// prefix of sealed segments to the active segment again — ordinary put
+// records through the ordinary write path — fsyncs, and unlinks that prefix
+// oldest-first. Victims are always a prefix of the log (oldest sealed
+// segments first): every record of a key whose latest record lies in the
+// prefix also lies in the prefix, so dropping it takes tombstones and stale
+// versions away without an older surviving segment resurrecting them.
 //
-// Crash safety: the rewrite lands in seg-NNNNNN.log.cmp (N = the highest
-// victim id), framed by a recCompactBegin header record and sealed by a
-// recCompactEnd trailer, fsynced before the swap. The commit point on disk
-// is the atomic rename of the .cmp file over seg-NNNNNN.log. Open discards
-// or completes whatever a crash left behind: an unsealed .cmp is debris
-// from an interrupted rewrite (deleted; victims intact), a sealed .cmp is
-// a completed rewrite whose swap never happened (adopted: victims deleted,
-// file renamed into place), and a segment whose first record is
-// recCompactBegin supersedes every lower-numbered segment (leftovers of an
-// interrupted unlink phase are deleted).
+// Crash safety needs no protocol of its own. A re-appended record says what
+// the index already said, so until the unlinks start the log only holds
+// duplicates; and once they start, what survives a crash is a suffix of the
+// log, in which a put can be missing before the tombstone that shadows it
+// but never the reverse. Plain replay reads every such directory to the
+// same contents.
 //
 // # On-disk format
 //
-// Per segment file (seg-NNNNNN.log; normative spec in docs/FORMATS.md):
-//
-//	record  := length(uint32 LE) crc32(uint32 LE, of body) body
-//	body    := kind(1 byte) table(uvarint-len string) key(uvarint-len string) value
-//	kind    := 1 (put: value is the rest of the body)
-//	         | 2 (delete: empty value)
-//	         | 3 (compacted-segment header: empty table/key/value)
-//	         | 4 (compacted-segment seal: empty table/key/value)
+// Per segment file (seg-NNNNNN.log; normative spec in docs/FORMATS.md), a
+// sequence of reclog frames holding reclog put and delete bodies. Builds
+// before this one compacted into a side file (seg-NNNNNN.log.cmp) bracketed
+// by two marker records, kinds 3 and 4, and renamed it over its highest
+// victim; recover and applyRecord still read what they left behind.
 package disklog
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
-	"syscall"
 
-	"rstore/internal/codec"
 	"rstore/internal/engine"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
 const (
-	recPut = 1
-	recDel = 2
-	// recCompactBegin is the mandatory first record of a compacted segment.
-	// Its presence marks the segment as superseding every segment with a
-	// lower id (replay deletes them as interrupted-compaction leftovers).
+	// recCompactBegin and recCompactEnd are the first and last record of a
+	// segment an earlier build compacted into. Never written any more; read
+	// as no-ops, except that a recCompactBegin opening a segment supersedes
+	// every lower-numbered segment (applyRecord).
 	recCompactBegin = 3
-	// recCompactEnd is the mandatory last record of a compacted segment
-	// while it still carries the .cmp suffix: it proves the rewrite ran to
-	// completion, so replay can adopt the file instead of discarding it.
-	recCompactEnd = 4
-
-	// frameSize is the fixed record prefix: body length + body checksum.
-	frameSize = 8
-
-	// maxBody bounds a single record body (1 GiB); larger lengths during
-	// replay are treated as corruption rather than allocated.
-	maxBody = 1 << 30
+	recCompactEnd   = 4
 
 	// DefaultSegmentBytes is the segment rotation threshold.
 	DefaultSegmentBytes = 64 << 20
 
-	// cmpSuffix marks an in-progress compaction output file.
-	cmpSuffix = ".cmp"
+	// compactBatchBytes bounds what Compact re-appends per hold of the store
+	// lock (a segment's worth, when segments are smaller).
+	compactBatchBytes = 1 << 20
 )
 
 // Options tunes a disklog backend. The zero value gives defaults.
@@ -133,12 +112,12 @@ type Backend struct {
 	closed  bool
 
 	// compactMu serializes compactions; data operations are not blocked by
-	// it (they take mu, which compaction only holds briefly at its edges).
+	// it (they take mu, which compaction holds one batch at a time).
 	compactMu sync.Mutex
 	compacted int64 // cumulative bytes reclaimed by compaction
-	// epoch counts Resets. Compact snapshots it at phase 1 and abandons its
-	// output if a Reset intervened: the victim segments it rewrote no longer
-	// exist, and renaming the rewrite into place would resurrect wiped data.
+	// epoch counts Resets. Compact snapshots it at phase 1 and stops when a
+	// Reset intervened: its victims are gone, and re-appending what it read
+	// from them would resurrect wiped data.
 	epoch int64
 
 	// compactCrash names the active crash-injection point (SetCrashPoint;
@@ -163,8 +142,6 @@ var ErrCrashed = errors.New("disklog: injected crash")
 // existing segments to rebuild the key index. The directory is exclusively
 // flock-ed for the lifetime of the backend: two processes appending to the
 // same segments with independent offsets would corrupt committed records.
-// Debris of an interrupted compaction is discarded or completed first (see
-// the package comment).
 func Open(dir string, opts Options) (*Backend, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -172,7 +149,7 @@ func Open(dir string, opts Options) (*Backend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("disklog: %w", err)
 	}
-	lock, err := acquireLock(dir)
+	lock, err := reclog.Lock(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -181,115 +158,78 @@ func Open(dir string, opts Options) (*Backend, error) {
 		segByID: make(map[int]*segment),
 		index:   make(map[string]map[string]ref),
 	}
-
-	ids, err := b.resolveCompaction()
-	if err != nil {
+	if err := b.recover(); err != nil {
 		b.closeFiles()
 		return nil, err
 	}
+	return b, nil
+}
 
+// recover replays the directory's segments in id order.
+func (b *Backend) recover() error {
+	// A .cmp file is the side file of an earlier build's compaction that
+	// died before its rename. Incomplete, it is debris beside intact
+	// victims. Complete, it is authoritative — that build's recovery unlinked
+	// the victims before renaming, and may have died in between — so the
+	// rename is done here and applyRecord forgets whatever victims are left.
+	cmps, err := filepath.Glob(filepath.Join(b.dir, "seg-*.log.cmp"))
+	if err != nil {
+		return fmt.Errorf("disklog: %w", err)
+	}
+	for _, name := range cmps {
+		sealed, err := legacySealed(name)
+		if err == nil && sealed {
+			err = reclog.Adopt(name, strings.TrimSuffix(name, ".cmp"))
+		} else if err == nil {
+			err = os.Remove(name)
+		}
+		if err != nil {
+			return fmt.Errorf("disklog: %w", err)
+		}
+	}
+	ids, err := b.listSegmentIDs()
+	if err != nil {
+		return err
+	}
 	for i, id := range ids {
 		f, err := os.OpenFile(b.segPath(id), os.O_RDWR, 0)
 		if err != nil {
-			b.closeFiles()
-			return nil, fmt.Errorf("disklog: %w", err)
+			return fmt.Errorf("disklog: %w", err)
 		}
 		seg := &segment{id: id, f: f}
 		b.segs = append(b.segs, seg)
 		b.segByID[id] = seg
 		if err := b.replay(seg, i == len(ids)-1); err != nil {
-			b.closeFiles()
-			return nil, err
+			return err
 		}
 	}
 	if len(b.segs) == 0 {
-		if err := b.addSegment(0); err != nil {
-			b.closeFiles()
-			return nil, err
-		}
+		return b.addSegment(0)
 	}
-	return b, nil
+	return nil
 }
 
-// resolveCompaction brings the directory to a consistent pre-replay state:
-// it adopts or discards any .cmp file a crash left behind, deletes segments
-// superseded by a completed compaction whose unlink phase was interrupted,
-// and returns the surviving segment ids in replay order.
-func (b *Backend) resolveCompaction() ([]int, error) {
-	cmps, err := filepath.Glob(filepath.Join(b.dir, "seg-*.log"+cmpSuffix))
+// legacySealed reports whether the .cmp file at path is complete: intact
+// frames to its end, a recCompactBegin first and a recCompactEnd last.
+func legacySealed(path string) (bool, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("disklog: %w", err)
+		return false, err
 	}
-	for _, name := range cmps {
-		var id int
-		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%06d.log"+cmpSuffix, &id); err != nil {
-			return nil, fmt.Errorf("disklog: stray compaction file %q", name)
-		}
-		sealed, err := compactionSealed(name)
-		if err != nil {
-			return nil, err
-		}
-		if !sealed {
-			// The rewrite never completed: the victims are intact and
-			// authoritative, the half-written output is debris.
-			if err := os.Remove(name); err != nil {
-				return nil, fmt.Errorf("disklog: %w", err)
-			}
-			continue
-		}
-		// The rewrite completed but the swap did not: finish it. Delete
-		// every victim (all segments with id <= the output's id — victims
-		// are always a prefix of the log), then commit with the rename.
-		if err := b.removeSegmentsBelow(id + 1); err != nil {
-			return nil, err
-		}
-		//lint:rstore-vet fsyncrename: recovery replay — the .cmp file was sealed (written+synced) by the crashed process's compact phase 2
-		if err := os.Rename(name, b.segPath(id)); err != nil {
-			return nil, fmt.Errorf("disklog: %w", err)
-		}
-	}
-	if len(cmps) > 0 {
-		if err := syncDir(b.dir); err != nil {
-			return nil, err
-		}
-	}
-
-	ids, err := b.listSegmentIDs()
+	defer f.Close()
+	info, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-
-	// A segment opening with recCompactBegin is a completed compaction that
-	// supersedes every lower id; lower-numbered survivors are leftovers of
-	// an interrupted unlink phase. Their live data is duplicated in the
-	// compacted segment, and replaying them would resurrect keys whose
-	// tombstones the rewrite dropped — delete, don't replay.
-	super := -1
-	for _, id := range ids {
-		compacted, err := isCompactedSegment(b.segPath(id))
-		if err != nil {
-			return nil, err
+	var first, last byte
+	end, err := reclog.Scan(f, info.Size(), func(body []byte, off int64) error {
+		if off == reclog.FrameSize {
+			first = body[0]
 		}
-		if compacted && id > super {
-			super = id
-		}
-	}
-	if super >= 0 {
-		if err := b.removeSegmentsBelow(super); err != nil {
-			return nil, err
-		}
-		kept := ids[:0]
-		for _, id := range ids {
-			if id >= super {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-		if err := syncDir(b.dir); err != nil {
-			return nil, err
-		}
-	}
-	return ids, nil
+		last = body[0]
+		return nil
+	})
+	return end == info.Size() && first == recCompactBegin && last == recCompactEnd, err
 }
 
 // listSegmentIDs globs the directory's segment files and returns their ids
@@ -313,126 +253,6 @@ func (b *Backend) listSegmentIDs() ([]int, error) {
 	return ids, nil
 }
 
-// removeSegmentsBelow deletes every seg-N.log with N < bound.
-func (b *Backend) removeSegmentsBelow(bound int) error {
-	ids, err := b.listSegmentIDs()
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		if id < bound {
-			if err := os.Remove(b.segPath(id)); err != nil {
-				return fmt.Errorf("disklog: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// compactionSealed reports whether a .cmp file is a complete compaction
-// output: every frame checks out, the first record is recCompactBegin, and
-// the last is recCompactEnd. Anything else — torn tail, missing seal, bad
-// checksum — means the rewrite was interrupted.
-func compactionSealed(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("disklog: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return false, fmt.Errorf("disklog: %w", err)
-	}
-	size := info.Size()
-	var off int64
-	var hdr [frameSize]byte
-	var body []byte
-	first := true
-	var lastKind byte
-	for off < size {
-		if size-off < frameSize {
-			return false, nil
-		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return false, fmt.Errorf("disklog: %w", err)
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n < 1 || n > maxBody || off+frameSize+n > size {
-			return false, nil
-		}
-		if int64(cap(body)) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := f.ReadAt(body, off+frameSize); err != nil {
-			return false, fmt.Errorf("disklog: %w", err)
-		}
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return false, nil
-		}
-		if first && body[0] != recCompactBegin {
-			return false, nil
-		}
-		first = false
-		lastKind = body[0]
-		off += frameSize + n
-	}
-	return !first && lastKind == recCompactEnd, nil
-}
-
-// isCompactedSegment reports whether a segment file opens with a whole,
-// checksum-valid recCompactBegin record. The full validation matters: a
-// positive answer triggers deletion of every lower-numbered segment, and a
-// genuine compacted segment's header is always intact (the file was fsynced
-// before the committing rename), so a first record that is torn or fails
-// its CRC — however its kind byte reads — must never count.
-func isCompactedSegment(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("disklog: %w", err)
-	}
-	defer f.Close()
-	var hdr [frameSize]byte
-	if n, err := f.ReadAt(hdr[:], 0); n < len(hdr) {
-		if err != nil && !errors.Is(err, io.EOF) {
-			return false, fmt.Errorf("disklog: %w", err)
-		}
-		return false, nil // shorter than one record: not a compacted segment
-	}
-	// A genuine recCompactBegin body is 3 bytes (kind + two empty strings);
-	// anything larger is some other record or garbage, so the tiny bound
-	// doubles as protection against allocating a torn length prefix.
-	n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-	if n < 1 || n > 64 {
-		return false, nil
-	}
-	body := make([]byte, n)
-	if rn, err := f.ReadAt(body, frameSize); rn < len(body) {
-		if err != nil && !errors.Is(err, io.EOF) {
-			return false, fmt.Errorf("disklog: %w", err)
-		}
-		return false, nil // torn first record
-	}
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return false, nil
-	}
-	return body[0] == recCompactBegin, nil
-}
-
-// acquireLock takes an exclusive, non-blocking flock on dir/LOCK. The lock
-// dies with the process, so a crash never wedges the directory.
-func acquireLock(dir string) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("disklog: %w", err)
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("disklog: %s is in use by another process: %w", dir, err)
-	}
-	return f, nil
-}
-
 func (b *Backend) segPath(id int) string {
 	return filepath.Join(b.dir, fmt.Sprintf("seg-%06d.log", id))
 }
@@ -444,7 +264,7 @@ func (b *Backend) addSegment(id int) error {
 	if err != nil {
 		return fmt.Errorf("disklog: %w", err)
 	}
-	if err := syncDir(b.dir); err != nil {
+	if err := reclog.SyncDir(b.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -454,26 +274,43 @@ func (b *Backend) addSegment(id int) error {
 	return nil
 }
 
-// syncDir fsyncs a directory, making its entries durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("disklog: %w", err)
+// retire closes and unlinks the n oldest segments, oldest first, and fsyncs
+// the directory; callers hold b.mu and have left no index entry pointing
+// into them. The order keeps a crash part-way sound: what replay then finds
+// is a suffix of the log, where a put can have vanished before the tombstone
+// that shadows it, never the reverse — deleted keys stay deleted.
+func (b *Backend) retire(n int) error {
+	old := b.segs[:n]
+	b.segs = b.segs[n:]
+	var firstErr error
+	for i, s := range old {
+		if b.compactCrash == "mid-unlink" && i == n/2 {
+			return ErrCrashed
+		}
+		delete(b.segByID, s.id)
+		s.f.Close()
+		if err := os.Remove(b.segPath(s.id)); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("disklog: %w", err)
+		}
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("disklog: %w", err)
+	if err := reclog.SyncDir(b.dir); err != nil && firstErr == nil {
+		firstErr = err
 	}
-	return nil
+	return firstErr
+}
+
+// forget empties the index and retires every segment but the newest.
+func (b *Backend) forget() error {
+	b.index = make(map[string]map[string]ref)
+	b.bytes = 0
+	return b.retire(len(b.segs) - 1)
 }
 
 func (b *Backend) closeFiles() {
 	for _, s := range b.segs {
 		s.f.Close()
 	}
-	if b.lock != nil {
-		b.lock.Close() // releases the flock
-	}
+	b.lock.Close() // releases the flock
 }
 
 // replay scans one segment, applying its records to the index. Corruption at
@@ -484,83 +321,53 @@ func (b *Backend) replay(seg *segment, last bool) error {
 	if err != nil {
 		return fmt.Errorf("disklog: %w", err)
 	}
-	size := info.Size()
-	var off int64
-	var hdr [frameSize]byte
-	body := make([]byte, 0, 4096)
-	for off < size {
-		good := false
-		if size-off >= frameSize {
-			if _, err := seg.f.ReadAt(hdr[:], off); err != nil {
-				return fmt.Errorf("disklog: %w", err)
-			}
-			n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-			sum := binary.LittleEndian.Uint32(hdr[4:8])
-			if n <= maxBody && off+frameSize+n <= size {
-				if int64(cap(body)) < n {
-					body = make([]byte, n)
-				}
-				body = body[:n]
-				if _, err := seg.f.ReadAt(body, off+frameSize); err != nil {
-					return fmt.Errorf("disklog: %w", err)
-				}
-				if crc32.ChecksumIEEE(body) == sum {
-					if err := b.applyRecord(body, seg.id, off+frameSize); err != nil {
-						return err
-					}
-					off += frameSize + n
-					good = true
-				}
-			}
+	end, err := reclog.Scan(seg.f, info.Size(), func(body []byte, off int64) error {
+		return b.applyRecord(seg, body, off)
+	})
+	if err != nil {
+		return fmt.Errorf("disklog: segment %d: %w", seg.id, err)
+	}
+	if end < info.Size() {
+		if !last {
+			return fmt.Errorf("%w: disklog segment %d corrupt at offset %d", types.ErrCorrupt, seg.id, end)
 		}
-		if !good {
-			if !last {
-				return fmt.Errorf("%w: disklog segment %d corrupt at offset %d", types.ErrCorrupt, seg.id, off)
-			}
-			// Torn tail from a crash mid-append: drop it.
-			if err := seg.f.Truncate(off); err != nil {
-				return fmt.Errorf("disklog: %w", err)
-			}
-			size = off
-			break
+		// Torn tail from a crash mid-append: drop it.
+		if err := reclog.DropTail(seg.f, end); err != nil {
+			return err
 		}
 	}
-	seg.size = size
+	seg.size = end
 	return nil
 }
 
-// applyRecord replays one record body located at absolute offset bodyOff in
-// segment si (a segment id).
-func (b *Backend) applyRecord(body []byte, si int, bodyOff int64) error {
-	if len(body) < 1 {
-		return fmt.Errorf("%w: disklog empty record body", types.ErrCorrupt)
-	}
-	kind := body[0]
-	if kind == recCompactBegin || kind == recCompactEnd {
-		// Compaction markers carry no data but count as live bytes: they
-		// are not reclaimable (rewriting the segment would just emit fresh
-		// markers), and counting them dead would make every freshly
-		// compacted segment a perpetual compaction victim.
-		b.segByID[si].live += frameSize + int64(len(body))
+// applyRecord replays one record body found at offset off of seg.
+func (b *Backend) applyRecord(seg *segment, body []byte, off int64) error {
+	size := reclog.FrameSize + int64(len(body))
+	if body[0] == recCompactBegin || body[0] == recCompactEnd {
+		// The one state of an earlier build that plain replay would read
+		// wrong: seg opens with an intact recCompactBegin (Scan passes no
+		// torn or checksum-failing record) above segments that build had
+		// rewritten into it and died before unlinking. The rewrite dropped
+		// their tombstones, so what they replayed to is forgotten with them.
+		if body[0] == recCompactBegin && off == reclog.FrameSize && seg != b.segs[0] {
+			if err := b.forget(); err != nil {
+				return err
+			}
+		}
+		// Markers count as live, as they always did: they cannot be
+		// reclaimed without rewriting a segment that may hold no dead byte.
+		seg.live += size
 		return nil
 	}
-	table, rest, err := codec.String(body[1:])
+	kind, table, key, value, err := reclog.ParseBody(body)
 	if err != nil {
-		return fmt.Errorf("%w: disklog record table", types.ErrCorrupt)
+		return err
 	}
-	key, rest, err := codec.String(rest)
-	if err != nil {
-		return fmt.Errorf("%w: disklog record key", types.ErrCorrupt)
-	}
-	switch kind {
-	case recPut:
-		valOff := bodyOff + int64(len(body)-len(rest))
-		b.indexPut(table, key, ref{seg: si, off: valOff, len: len(rest), size: frameSize + int64(len(body))})
-	case recDel:
+	if kind == reclog.KindDel {
 		b.indexDelete(table, key)
-	default:
-		return fmt.Errorf("%w: disklog record kind %d", types.ErrCorrupt, kind)
+		return nil
 	}
+	b.indexPut(table, key, ref{seg: seg.id, off: off + int64(len(body)-len(value)), len: len(value), size: size})
 	return nil
 }
 
@@ -590,33 +397,35 @@ func (b *Backend) indexDelete(table, key string) {
 	}
 }
 
-// recordLen is the framed length appendRecord gives a record. A body above
-// maxBody ends replay as a torn tail, so it is refused (a hard error) before
-// it is written and acknowledged.
+// recordLen is the framed length appendRecord gives a record; a body Scan
+// would take for a torn tail is refused before it is written and
+// acknowledged (reclog.CheckBody).
 func recordLen(table, key string, valueLen int) (int, error) {
-	body := 1 + codec.BytesLen(len(table)) + codec.BytesLen(len(key)) + valueLen
-	if body > maxBody {
-		return 0, fmt.Errorf("disklog: record body of %d bytes exceeds the %d-byte limit", body, maxBody)
+	body := reclog.BodyLen(table, key, valueLen)
+	if err := reclog.CheckBody(body); err != nil {
+		return 0, err
 	}
-	return frameSize + body, nil
+	return reclog.FrameSize + body, nil
 }
 
-// appendRecord appends one framed record for (kind, table, key, value) to
-// buf and returns the extended buffer plus the offset of the value bytes
-// relative to the start of buf.
-func appendRecord(buf []byte, kind byte, table, key string, value []byte) (out []byte, valRel int) {
+// appendRecord appends one framed put or delete to buf; a put's value is the
+// tail of the result.
+func appendRecord(buf []byte, kind byte, table, key string, value []byte) []byte {
 	frameAt := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	bodyAt := len(buf)
-	buf = append(buf, kind)
-	buf = codec.PutString(buf, table)
-	buf = codec.PutString(buf, key)
-	valRel = len(buf)
-	buf = append(buf, value...)
-	body := buf[bodyAt:]
-	binary.LittleEndian.PutUint32(buf[frameAt:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[frameAt+4:], crc32.ChecksumIEEE(body))
-	return buf, valRel
+	buf = reclog.AppendBody(buf, kind, table, key, value)
+	reclog.PutHeader(buf[frameAt:], buf[frameAt+reclog.FrameSize:])
+	return buf
+}
+
+// rotate seals the active segment — fsynced, never written again — and opens
+// the next. Callers hold b.mu.
+func (b *Backend) rotate() error {
+	active := b.segs[len(b.segs)-1]
+	if err := active.f.Sync(); err != nil {
+		return fmt.Errorf("disklog: %w", err)
+	}
+	return b.addSegment(active.id + 1)
 }
 
 // write appends buf to the active segment (rotating first if the batch would
@@ -625,10 +434,7 @@ func appendRecord(buf []byte, kind byte, table, key string, value []byte) (out [
 func (b *Backend) write(buf []byte) (seg *segment, base int64, err error) {
 	seg = b.segs[len(b.segs)-1]
 	if seg.size > 0 && seg.size+int64(len(buf)) > b.opts.SegmentBytes {
-		if err := seg.f.Sync(); err != nil {
-			return nil, 0, fmt.Errorf("disklog: %w", err)
-		}
-		if err := b.addSegment(seg.id + 1); err != nil {
+		if err := b.rotate(); err != nil {
 			return nil, 0, err
 		}
 		seg = b.segs[len(b.segs)-1]
@@ -656,12 +462,12 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 	if err != nil {
 		return err
 	}
-	buf, valRel := appendRecord(make([]byte, 0, n), recPut, table, key, value)
+	buf := appendRecord(make([]byte, 0, n), reclog.KindPut, table, key, value)
 	seg, base, err := b.write(buf)
 	if err != nil {
 		return err
 	}
-	b.indexPut(table, key, ref{seg: seg.id, off: base + int64(valRel), len: len(value), size: int64(len(buf))})
+	b.indexPut(table, key, ref{seg: seg.id, off: base + int64(len(buf)-len(value)), len: len(value), size: int64(len(buf))})
 	return nil
 }
 
@@ -681,20 +487,19 @@ func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.E
 	}
 	// The write buffer is sized before it is encoded: grown by append, a
 	// batch of megabyte values is copied several times over on its way.
-	rels := make([]int, len(entries))
-	sizes := make([]int64, len(entries))
 	total := 0
-	for i, e := range entries {
+	for _, e := range entries {
 		n, err := recordLen(table, e.Key, len(e.Value))
 		if err != nil {
 			return err
 		}
-		sizes[i] = int64(n)
 		total += n
 	}
 	buf := make([]byte, 0, total)
+	ends := make([]int, len(entries)) // where each entry's record, and so its value, ends in buf
 	for i, e := range entries {
-		buf, rels[i] = appendRecord(buf, recPut, table, e.Key, e.Value)
+		buf = appendRecord(buf, reclog.KindPut, table, e.Key, e.Value)
+		ends[i] = len(buf)
 	}
 	seg, base, err := b.write(buf)
 	if err != nil {
@@ -703,8 +508,10 @@ func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.E
 	if err := seg.f.Sync(); err != nil {
 		return fmt.Errorf("disklog: %w", err)
 	}
+	start := 0
 	for i, e := range entries {
-		b.indexPut(table, e.Key, ref{seg: seg.id, off: base + int64(rels[i]), len: len(e.Value), size: sizes[i]})
+		b.indexPut(table, e.Key, ref{seg: seg.id, off: base + int64(ends[i]-len(e.Value)), len: len(e.Value), size: int64(ends[i] - start)})
+		start = ends[i]
 	}
 	return nil
 }
@@ -754,8 +561,7 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 	if _, ok := b.index[table][key]; !ok {
 		return nil
 	}
-	buf, _ := appendRecord(nil, recDel, table, key, nil)
-	if _, _, err := b.write(buf); err != nil {
+	if _, _, err := b.write(appendRecord(nil, reclog.KindDel, table, key, nil)); err != nil {
 		return err
 	}
 	b.indexDelete(table, key)
@@ -766,6 +572,12 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 // context is checked per entry: every iteration pays a disk read, so a
 // cancelled caller stops the sweep at the next key.
 func (b *Backend) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
+	return b.scan(ctx, table, nil, fn)
+}
+
+// scan is Scan over the keys want admits (nil: all of them); only their
+// values are read from disk.
+func (b *Backend) scan(ctx context.Context, table string, want func(key string) bool, fn func(key string, value []byte) bool) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {
@@ -774,6 +586,9 @@ func (b *Backend) Scan(ctx context.Context, table string, fn func(key string, va
 	for k, r := range b.index[table] {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		if want != nil && !want(k) {
+			continue
 		}
 		v, err := b.readRef(r)
 		if err != nil {
@@ -794,21 +609,9 @@ func (b *Backend) HashTree(ctx context.Context, table string, fanout int) (engin
 	if err := engine.CheckHashFanout(fanout); err != nil {
 		return engine.TreeDigest{}, err
 	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if b.closed {
-		return engine.TreeDigest{}, types.ErrClosed
-	}
 	th := engine.NewTreeHasher(fanout)
-	for k, r := range b.index[table] {
-		if err := ctx.Err(); err != nil {
-			return engine.TreeDigest{}, err
-		}
-		v, err := b.readRef(r)
-		if err != nil {
-			return engine.TreeDigest{}, err
-		}
-		th.Add(k, v)
+	if err := b.scan(ctx, table, nil, func(k string, v []byte) bool { th.Add(k, v); return true }); err != nil {
+		return engine.TreeDigest{}, err
 	}
 	return th.Digest(), nil
 }
@@ -821,24 +624,13 @@ func (b *Backend) HashRange(ctx context.Context, table string, fanout, bucket in
 	if err := engine.CheckHashBucket(fanout, bucket); err != nil {
 		return nil, err
 	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if b.closed {
-		return nil, types.ErrClosed
-	}
 	var out []engine.KeyHash
-	for k, r := range b.index[table] {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if engine.BucketOf(k, fanout) != bucket {
-			continue
-		}
-		v, err := b.readRef(r)
-		if err != nil {
-			return nil, err
-		}
+	err := b.scan(ctx, table, func(k string) bool { return engine.BucketOf(k, fanout) == bucket }, func(k string, v []byte) bool {
 		out = append(out, engine.KeyHash{Key: k, Hash: engine.EntryHash(k, v)})
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
@@ -883,11 +675,9 @@ func (b *Backend) Segments() int {
 // segment, empties the index, and unlinks every previous segment file.
 // Disklog has no manifest, so the wipe commits segment by segment rather
 // than atomically: a crash mid-reset replays whichever suffix of segments
-// survived — somewhere between the old contents and empty. Unlinking
-// oldest-first keeps even that partial state sound: a put can vanish before
-// the tombstone that shadows it, never the reverse, so deleted keys stay
-// deleted. The epoch bump makes an in-flight compaction abandon its output
-// instead of renaming it over a freed segment id.
+// survived — somewhere between the old contents and empty, with deleted
+// keys still deleted (retire). The epoch bump makes an in-flight compaction
+// stop instead of re-appending what it read from a freed segment.
 func (b *Backend) Reset(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -897,39 +687,21 @@ func (b *Backend) Reset(ctx context.Context) error {
 	if b.closed {
 		return types.ErrClosed
 	}
-	old := b.segs
 	// Ids keep counting upward so the new active segment replays after any
-	// old segment a crash leaves behind, and never collides with a .cmp
-	// file an abandoned compaction is still holding.
-	if err := b.addSegment(old[len(old)-1].id + 1); err != nil {
+	// old segment a crash leaves behind.
+	if err := b.addSegment(b.segs[len(b.segs)-1].id + 1); err != nil {
 		return err
 	}
 	b.epoch++
-	b.segs = b.segs[len(b.segs)-1:]
-	b.segByID = map[int]*segment{b.segs[0].id: b.segs[0]}
-	b.index = make(map[string]map[string]ref)
-	b.bytes = 0
-	var firstErr error
-	for _, s := range old {
-		if err := s.f.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("disklog: %w", err)
-		}
-		if err := os.Remove(b.segPath(s.id)); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("disklog: %w", err)
-		}
-	}
-	if err := syncDir(b.dir); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return b.forget()
 }
 
 // SetCrashPoint arms a crash-injection point (tests only): Compact aborts
 // with ErrCrashed at the named step, leaving the directory exactly as a
-// power failure there would. Recognized points: "mid-rewrite" (the .cmp
-// output half-written and unsealed), "sealed" (the .cmp complete and
-// fsynced but never swapped in), "renamed" (the rename committed but the
-// victim unlink interrupted). Empty disarms.
+// power failure there would. Recognized points: "mid-reappend" (half of the
+// victims' live records appended again, nothing fsynced), "appended" (all
+// of them, fsynced, no victim unlinked), "mid-unlink" (half of the victims
+// unlinked). Empty disarms.
 func (b *Backend) SetCrashPoint(point string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -971,21 +743,24 @@ func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, 
 	return b.statsLocked(), nil
 }
 
-// rewriteItem is one live record carried through a compaction: its identity,
-// where it lives in the victim segments, and where the rewrite placed it.
-type rewriteItem struct {
+// moved is one live record on its way out of a victim segment: its identity,
+// where the victim holds it, the victim's file (read without the store
+// lock), and where its re-encoded record ends in the batch buffer.
+type moved struct {
 	table, key string
-	old, new   ref
+	old        ref
+	src        *os.File
+	end        int
 }
 
 // Compact reclaims dead storage (engine.Compactor): it seals the active
-// segment if it holds dead bytes, rewrites the live records of every sealed
-// segment up to and including the last one holding dead bytes into a single
-// new segment, swaps the index to the rewritten locations, and deletes the
-// originals. Reads and writes proceed concurrently — the rewrite works on
-// sealed (immutable) segments without the store lock, and a record
-// overwritten or deleted mid-rewrite simply stays dead in the new segment
-// until the next compaction. A no-op when nothing is reclaimable.
+// segment if it holds dead bytes, appends the live records of every sealed
+// segment up to and including the last one holding dead bytes to the active
+// segment again, fsyncs, and unlinks those segments. Reads and writes
+// proceed concurrently — values are read from sealed (immutable) segments
+// without the store lock, which is held one bounded batch at a time, and a
+// record overwritten or deleted before its batch lands is simply not
+// appended. A no-op when nothing is reclaimable.
 func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.CompactionStats{}, err
@@ -1001,50 +776,31 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 		b.mu.Unlock()
 		return engine.CompactionStats{}, types.ErrClosed
 	}
-	active := b.segs[len(b.segs)-1]
-	if active.size > active.live {
-		if err := active.f.Sync(); err != nil {
-			b.mu.Unlock()
-			return engine.CompactionStats{}, fmt.Errorf("disklog: %w", err)
-		}
-		if err := b.addSegment(active.id + 1); err != nil {
+	if active := b.segs[len(b.segs)-1]; active.size > active.live {
+		if err := b.rotate(); err != nil {
 			b.mu.Unlock()
 			return engine.CompactionStats{}, err
 		}
 	}
-	sealed := b.segs[:len(b.segs)-1]
 	nVictims := 0
-	var deadBytes int64
-	for i, s := range sealed {
+	for i, s := range b.segs[:len(b.segs)-1] {
 		if s.size > s.live {
 			nVictims = i + 1
 		}
-		deadBytes += s.size - s.live
 	}
-	// The rewrite output carries two marker records; reclaiming less than
-	// their framing would GROW the log (and report a negative reclaim), so
-	// that little dead weight is cheaper left in place.
-	const markerOverhead = 2 * (frameSize + 3) // recCompactBegin + recCompactEnd
-	if nVictims == 0 || deadBytes <= markerOverhead {
-		st := b.statsLocked()
-		b.mu.Unlock()
-		return st, nil
+	if nVictims == 0 {
+		defer b.mu.Unlock()
+		return b.statsLocked(), nil
 	}
-	victims := append([]*segment(nil), sealed[:nVictims]...)
-	victimIDs := make(map[int]bool, nVictims)
-	for _, v := range victims {
-		victimIDs[v.id] = true
-	}
-	newID := victims[nVictims-1].id
-	epoch := b.epoch
-	var items []rewriteItem
+	var items []moved
 	for table, kv := range b.index {
 		for key, r := range kv {
-			if victimIDs[r.seg] {
-				items = append(items, rewriteItem{table: table, key: key, old: r})
+			if r.seg <= b.segs[nVictims-1].id { // ids ascend: in the victim prefix
+				items = append(items, moved{table: table, key: key, old: r, src: b.segByID[r.seg].f})
 			}
 		}
 	}
+	epoch, crash := b.epoch, b.compactCrash
 	b.mu.Unlock()
 
 	// Reading the victims in log order turns the rewrite into sequential
@@ -1056,152 +812,113 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 		return items[i].old.off < items[j].old.off
 	})
 
-	// Phase 2 (unlocked): rewrite the live records into seg-<newID>.log.cmp,
-	// framed by the compaction marker records, and fsync it. Victim
-	// segments are sealed and therefore immutable; concurrent writers only
-	// touch the active segment.
-	cmpPath := b.segPath(newID) + cmpSuffix
-	f, err := os.OpenFile(cmpPath, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return engine.CompactionStats{}, fmt.Errorf("disklog: %w", err)
-	}
-	abort := func(err error) (engine.CompactionStats, error) {
-		f.Close()
-		os.Remove(cmpPath)
-		return engine.CompactionStats{}, err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var off int64
-	writeRec := func(buf []byte) error {
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("disklog: %w", err)
-		}
-		off += int64(len(buf))
-		return nil
-	}
-	hdr, _ := appendRecord(nil, recCompactBegin, "", "", nil)
-	if err := writeRec(hdr); err != nil {
-		return abort(err)
-	}
-	var recBuf []byte
-	val := make([]byte, 0, 4096)
-	for i := range items {
-		it := &items[i]
+	// Phase 2: re-append, a batch at a time. Outside the lock the batch's
+	// values are read from the victims and framed as ordinary put records;
+	// under it the records whose key the index still maps to the victim's
+	// copy go through the write path and the index moves to them. They are
+	// duplicates of what the victims hold, so a crash at any point of this
+	// phase replays to the same contents.
+	batchBytes := int(min(b.opts.SegmentBytes, compactBatchBytes))
+	var buf, val []byte
+	var appended int64
+	for rest := items; len(rest) > 0; {
 		if err := ctx.Err(); err != nil {
-			return abort(err)
+			return engine.CompactionStats{}, err
 		}
-		if b.compactCrash == "mid-rewrite" && i == len(items)/2 {
-			w.Flush()
-			f.Close()
+		if crash == "mid-reappend" && len(rest) <= len(items)/2 {
 			return engine.CompactionStats{}, ErrCrashed
 		}
-		if cap(val) < it.old.len {
-			val = make([]byte, it.old.len)
+		buf = buf[:0]
+		n := 0
+		var readErr error
+		for ; n < len(rest) && readErr == nil && (n == 0 || len(buf) < batchBytes); n++ {
+			it := &rest[n]
+			if cap(val) < it.old.len {
+				val = make([]byte, it.old.len)
+			}
+			_, readErr = it.src.ReadAt(val[:it.old.len], it.old.off)
+			buf = appendRecord(buf, reclog.KindPut, it.table, it.key, val[:it.old.len])
+			it.end = len(buf)
 		}
-		v := val[:it.old.len]
-		b.mu.RLock()
-		if b.closed {
-			b.mu.RUnlock()
-			return abort(types.ErrClosed)
+		batch := rest[:n]
+		rest = rest[n:]
+
+		b.mu.Lock()
+		st, stop, err := b.compactStopped(epoch, readErr)
+		if stop {
+			b.mu.Unlock()
+			return st, err
 		}
-		if b.epoch != epoch {
-			// A Reset unlinked the victims mid-rewrite; the output is moot.
-			st := b.statsLocked()
-			b.mu.RUnlock()
-			f.Close()
-			os.Remove(cmpPath)
-			return st, nil
+		// Squeeze the records that lost their key out of the buffer.
+		kept, w, start := batch[:0], 0, 0
+		for _, it := range batch {
+			end := it.end
+			if cur, ok := b.index[it.table][it.key]; ok && cur == it.old {
+				if w != start {
+					copy(buf[w:], buf[start:end])
+				}
+				w += end - start
+				it.end = w
+				kept = append(kept, it)
+			}
+			start = end
 		}
-		_, rerr := b.segByID[it.old.seg].f.ReadAt(v, it.old.off)
-		b.mu.RUnlock()
-		if rerr != nil && it.old.len > 0 {
-			return abort(fmt.Errorf("disklog: %w", rerr))
+		if w > 0 {
+			seg, base, err := b.write(buf[:w])
+			if err != nil {
+				b.mu.Unlock()
+				return engine.CompactionStats{}, err
+			}
+			start = 0
+			for _, it := range kept {
+				b.indexPut(it.table, it.key, ref{seg: seg.id, off: base + int64(it.end-it.old.len), len: it.old.len, size: int64(it.end - start)})
+				start = it.end
+			}
+			appended += int64(w)
 		}
-		var valRel int
-		recBuf, valRel = appendRecord(recBuf[:0], recPut, it.table, it.key, v)
-		it.new = ref{seg: newID, off: off + int64(valRel), len: it.old.len, size: int64(len(recBuf))}
-		if err := writeRec(recBuf); err != nil {
-			return abort(err)
-		}
-	}
-	seal, _ := appendRecord(nil, recCompactEnd, "", "", nil)
-	if err := writeRec(seal); err != nil {
-		return abort(err)
-	}
-	if err := w.Flush(); err != nil {
-		return abort(fmt.Errorf("disklog: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return abort(fmt.Errorf("disklog: %w", err))
-	}
-	if err := syncDir(b.dir); err != nil {
-		return abort(err)
-	}
-	if b.compactCrash == "sealed" {
-		f.Close()
-		return engine.CompactionStats{}, ErrCrashed
+		b.mu.Unlock()
 	}
 
-	// Phase 3 (locked): commit. The rename over seg-<newID>.log is the
-	// on-disk commit point; the index swap is the in-memory one. Records
-	// overwritten or deleted while the rewrite ran lose the swap check and
-	// stay dead in the new segment.
+	// Phase 3 (locked): the appended records become durable — write fsynced
+	// every segment it rotated out of — and only then do the victims, the
+	// other copy, go. They were a prefix of b.segs when snapshotted, and
+	// rotations only append, so they still are.
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		f.Close()
-		os.Remove(cmpPath)
-		return engine.CompactionStats{}, types.ErrClosed
+	if st, stop, err := b.compactStopped(epoch, nil); stop {
+		return st, err
 	}
-	if b.epoch != epoch {
-		// A Reset intervened after the rewrite was sealed; renaming it into
-		// place would resurrect wiped data, so drop it instead.
-		f.Close()
-		os.Remove(cmpPath)
-		return b.statsLocked(), nil
-	}
-	if err := os.Rename(cmpPath, b.segPath(newID)); err != nil {
-		f.Close()
-		os.Remove(cmpPath)
+	if err := b.segs[len(b.segs)-1].f.Sync(); err != nil {
 		return engine.CompactionStats{}, fmt.Errorf("disklog: %w", err)
 	}
-	if b.compactCrash == "renamed" {
-		f.Close()
+	if crash == "appended" {
 		return engine.CompactionStats{}, ErrCrashed
 	}
-	// The marker records count as live, mirroring replay: a compacted
-	// segment whose every data record is still referenced has nothing to
-	// reclaim and must not become the next compaction's victim.
-	newSeg := &segment{id: newID, f: f, size: off, live: int64(len(hdr)) + int64(len(seal))}
-	for i := range items {
-		it := &items[i]
-		cur, ok := b.index[it.table][it.key]
-		if !ok || cur != it.old {
-			continue
-		}
-		b.index[it.table][it.key] = it.new
-		newSeg.live += it.new.size
-	}
-	reclaimed := -newSeg.size
-	for _, v := range victims {
+	reclaimed := -appended
+	for _, v := range b.segs[:nVictims] {
 		reclaimed += v.size
-		v.f.Close()
-		delete(b.segByID, v.id)
 	}
-	// Victims were a prefix of b.segs when snapshotted, and rotations only
-	// append, so the prefix is unchanged.
-	b.segs = append([]*segment{newSeg}, b.segs[nVictims:]...)
-	b.segByID[newID] = newSeg
-	b.compacted += reclaimed
-	for _, v := range victims[:nVictims-1] {
-		if err := os.Remove(b.segPath(v.id)); err != nil {
-			return engine.CompactionStats{}, fmt.Errorf("disklog: %w", err)
-		}
-	}
-	if err := syncDir(b.dir); err != nil {
+	if err := b.retire(nVictims); err != nil {
 		return engine.CompactionStats{}, err
 	}
+	b.compacted += reclaimed
 	return b.statsLocked(), nil
+}
+
+// compactStopped reports, under b.mu, whether a compaction begun at epoch
+// must stop, and with what: the backend closed, a Reset unlinked the victims
+// (nothing is left to do: not an error), or a victim could not be read —
+// checked last, because the first two close the files it reads.
+func (b *Backend) compactStopped(epoch int64, readErr error) (st engine.CompactionStats, stop bool, err error) {
+	switch {
+	case b.closed:
+		return st, true, types.ErrClosed
+	case b.epoch != epoch:
+		return b.statsLocked(), true, nil
+	case readErr != nil:
+		return st, true, fmt.Errorf("disklog: %w", readErr)
+	}
+	return st, false, nil
 }
 
 // Close fsyncs the active segment, closes all files, and releases the

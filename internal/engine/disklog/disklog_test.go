@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rstore/internal/engine"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
@@ -233,22 +234,23 @@ func TestStraySegmentFileRejected(t *testing.T) {
 	}
 }
 
-// TestRefusesOversizeRecord: a record body above maxBody would be written,
-// fsynced and acknowledged, and then end replay as a torn tail. recordLen
-// refuses it with a hard error before anything is written — checked through
-// the size function, not a gigabyte value — and otherwise reports exactly
-// what appendRecord writes, which is what sizes BatchPut's buffer.
+// TestRefusesOversizeRecord: a record body above reclog.MaxBody would be
+// written, fsynced and acknowledged, and then end replay as a torn tail.
+// recordLen refuses it with a hard error before anything is written —
+// checked through the size function, not a gigabyte value — and otherwise
+// reports exactly what appendRecord writes, which is what sizes BatchPut's
+// buffer.
 func TestRefusesOversizeRecord(t *testing.T) {
 	fixed := 1 + 1 + len("tbl") + 1 + len("key") // the body besides the value: kind, two prefixed strings
-	if n, err := recordLen("tbl", "key", maxBody-fixed); err != nil || n != frameSize+maxBody {
-		t.Fatalf("a body of exactly maxBody: length %d, %v", n, err)
+	if n, err := recordLen("tbl", "key", reclog.MaxBody-fixed); err != nil || n != reclog.FrameSize+reclog.MaxBody {
+		t.Fatalf("a body of exactly MaxBody: length %d, %v", n, err)
 	}
-	_, err := recordLen("tbl", "key", maxBody-fixed+1)
+	_, err := recordLen("tbl", "key", reclog.MaxBody-fixed+1)
 	if err == nil || errors.Is(err, engine.ErrUnavailable) {
-		t.Fatalf("a body of maxBody+1: %v, want a hard error", err)
+		t.Fatalf("a body of MaxBody+1: %v, want a hard error", err)
 	}
 	value := make([]byte, 300)
-	rec, _ := appendRecord(nil, recPut, "tbl", "key", value)
+	rec := appendRecord(nil, reclog.KindPut, "tbl", "key", value)
 	if n, err := recordLen("tbl", "key", len(value)); err != nil || n != len(rec) {
 		t.Fatalf("recordLen = %d (%v), appendRecord wrote %d bytes", n, err, len(rec))
 	}

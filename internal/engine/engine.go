@@ -156,9 +156,9 @@ type CompactionStats struct {
 	// DiskBytes is the total size of the backend's log/segment files.
 	DiskBytes int64
 	// LiveBytes is the portion of DiskBytes that compaction cannot reclaim:
-	// records the key index still references, plus fixed structural
-	// overhead (e.g. disklog's compacted-segment markers). The rest is
-	// dead — overwritten values, tombstones, superseded records.
+	// records the key index still references (in disklog also the two
+	// marker records of a segment an earlier build compacted into). The
+	// rest is dead — overwritten values, tombstones, superseded records.
 	LiveBytes int64
 	// CompactedBytes is the cumulative volume reclaimed by compaction over
 	// the lifetime of this backend instance.
@@ -184,9 +184,12 @@ var ErrNoReset = errors.New("engine: backend does not support reset")
 // table and key, returning the backend to its freshly-opened empty state
 // without closing it. Benchmarks and end-to-end tests use it to reuse a
 // running daemon between phases instead of restarting the process.
-// Durable backends make the wipe crash-safe: a crash mid-reset recovers to
-// either the old contents or empty, never to a half-wiped hybrid that
-// resurrects deleted data.
+// Durable backends make the wipe crash-safe, and what both guarantee is
+// that deleted data is never resurrected: lsm commits the wipe with one
+// MANIFEST rename (a crash recovers the old contents or empty), disklog
+// unlinks its segments oldest-first (a crash recovers a suffix of the log —
+// anything between the old contents and empty, every deleted key still
+// deleted).
 type Resetter interface {
 	Reset(ctx context.Context) error
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"rstore/internal/engine"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
@@ -212,7 +213,7 @@ func (b *Backend) publishLocked(outs []tableOut, crash string) error {
 			return ErrCrashed
 		}
 	}
-	return syncDir(b.dir)
+	return reclog.SyncDir(b.dir)
 }
 
 // commitLocked is the commit point of every structural change: it writes a

@@ -37,10 +37,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"syscall"
 
 	"rstore/internal/codec"
 	"rstore/internal/engine"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
@@ -187,7 +187,7 @@ func Open(dir string, opts Options) (*Backend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	lock, err := acquireLock(dir)
+	lock, err := reclog.Lock(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +222,7 @@ func (b *Backend) recover() error {
 		if err != nil {
 			return err
 		}
-		if err := syncDir(b.dir); err != nil {
+		if err := reclog.SyncDir(b.dir); err != nil {
 			w.close()
 			return err
 		}
@@ -264,7 +264,7 @@ func (b *Backend) recover() error {
 	// rebuilt exactly as the original writes built them.
 	w, err := replayWAL(b.walPath(m.walSeq), m.walSeq, func(kind byte, table, key string, value []byte) error {
 		ik := ikey(table, key)
-		if kind == walDel {
+		if kind == reclog.KindDel {
 			return b.applyDelLocked(table, ik)
 		}
 		return b.applyPutLocked(table, ik, append([]byte(nil), value...))
@@ -316,7 +316,7 @@ func (b *Backend) upgradeV1(m manifest) (manifest, error) {
 	for _, t := range old {
 		os.Remove(t.path)
 	}
-	return up, syncDir(b.dir)
+	return up, reclog.SyncDir(b.dir)
 }
 
 // removeDebris deletes every lsm-owned file (sst-*.sst, wal-*.log, *.tmp)
@@ -344,7 +344,7 @@ func (b *Backend) removeDebris(referenced map[string]bool) error {
 		removed = true
 	}
 	if removed {
-		return syncDir(b.dir)
+		return reclog.SyncDir(b.dir)
 	}
 	return nil
 }
@@ -523,11 +523,7 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 	if b.closed {
 		return types.ErrClosed
 	}
-	rec, err := b.wal.frame(walRecordLen(table, key, len(value)))
-	if err != nil {
-		return err
-	}
-	if err := b.wal.appendFrame(encodeWALPut(rec, table, key, value)); err != nil {
+	if err := b.wal.appendRecord(reclog.KindPut, table, key, value); err != nil {
 		return err
 	}
 	if err := b.applyPutLocked(table, ikey(table, key), append([]byte(nil), value...)); err != nil {
@@ -608,11 +604,7 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 	if err != nil || !found {
 		return err
 	}
-	rec, err := b.wal.frame(walRecordLen(table, key, 0))
-	if err != nil {
-		return err
-	}
-	if err := b.wal.appendFrame(encodeWALDel(rec, table, key)); err != nil {
+	if err := b.wal.appendRecord(reclog.KindDel, table, key, nil); err != nil {
 		return err
 	}
 	if err := b.applyDelLocked(table, ik); err != nil {
@@ -749,7 +741,7 @@ func (b *Backend) Reset(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(b.dir); err != nil {
+	if err := reclog.SyncDir(b.dir); err != nil {
 		w.close()
 		return err
 	}
@@ -767,7 +759,7 @@ func (b *Backend) Reset(ctx context.Context) error {
 	oldWAL.close()
 	os.Remove(b.walPath(oldWAL.seq))
 	discardTables(oldTables)
-	return syncDir(b.dir)
+	return reclog.SyncDir(b.dir)
 }
 
 // SetCrashPoint arms a crash-injection point (tests only): the named
@@ -800,9 +792,7 @@ func (b *Backend) closeFiles() {
 	for _, t := range b.allTables() {
 		t.close()
 	}
-	if b.lock != nil {
-		b.lock.Close() // releases the flock
-	}
+	b.lock.Close() // releases the flock
 }
 
 func (b *Backend) sstPath(seq int64) string {
@@ -811,31 +801,4 @@ func (b *Backend) sstPath(seq int64) string {
 
 func (b *Backend) walPath(seq int64) string {
 	return filepath.Join(b.dir, fmt.Sprintf("wal-%06d.log", seq))
-}
-
-// acquireLock takes an exclusive, non-blocking flock on dir/LOCK. The lock
-// dies with the process, so a crash never wedges the directory.
-func acquireLock(dir string) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: %w", err)
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("lsm: %s is in use by another process: %w", dir, err)
-	}
-	return f, nil
-}
-
-// syncDir fsyncs a directory, making its entries durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("lsm: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("lsm: %w", err)
-	}
-	return nil
 }

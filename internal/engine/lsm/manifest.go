@@ -2,11 +2,13 @@ package lsm
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
@@ -57,26 +59,10 @@ func writeManifest(dir string, m manifest) error {
 	for _, t := range m.ssts {
 		fmt.Fprintf(&sb, "sst %d %s\n", t.seq, strconv.Quote(t.table))
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("lsm: %w", err)
-	}
-	if _, err := f.WriteString(sb.String()); err != nil {
-		f.Close()
-		return fmt.Errorf("lsm: manifest write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("lsm: manifest sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("lsm: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("lsm: manifest rename: %w", err)
-	}
-	return syncDir(dir)
+	return reclog.WriteFileAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
+		_, err := io.WriteString(w, sb.String())
+		return err
+	})
 }
 
 // readManifest parses dir/MANIFEST. exists is false when the file is absent

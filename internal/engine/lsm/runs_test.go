@@ -14,6 +14,7 @@ import (
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
+	"rstore/internal/engine/reclog"
 )
 
 // flushT forces the memtable out, as a full one would go.
@@ -588,11 +589,7 @@ func TestOpenUpgradesV1Directory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := w.frame(walRecordLen("small", "root", len("root v3")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.appendFrame(encodeWALPut(rec, "small", "root", []byte("root v3"))); err != nil {
+	if err := w.appendRecord(reclog.KindPut, "small", "root", []byte("root v3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.sync(); err != nil {

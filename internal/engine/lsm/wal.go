@@ -1,42 +1,29 @@
 package lsm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"rstore/internal/codec"
 	"rstore/internal/engine"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
 // The write-ahead log makes the memtable durable: every mutation is framed,
 // checksummed, and appended to wal-<seq>.log before it touches the skiplist.
-// The framing is the same as disklog's record format — length(u32 LE),
-// crc32(u32 LE), body — so a torn write from a crash can only affect the
-// un-acknowledged tail, which replay detects by checksum and truncates.
-// A flush retires the whole log at once: once the memtable's contents are
-// committed to an SSTable via the MANIFEST, the old log is deleted and a
-// fresh empty one takes its place.
+// Frame, put and delete records are reclog's — the bytes of a disklog
+// segment — so a torn write from a crash can only affect the un-acknowledged
+// tail, which replay detects by checksum and truncates. A flush retires the
+// whole log at once: once the memtable's contents are committed to an
+// SSTable via the MANIFEST, the old log is deleted and a fresh empty one
+// takes its place.
 
-const (
-	// walFrameSize is the fixed record prefix: body length + body checksum.
-	walFrameSize = 8
-
-	// walMaxBody bounds a single record body (1 GiB); larger lengths during
-	// replay are treated as torn/corrupt tails, not allocations.
-	walMaxBody = 1 << 30
-
-	// walPut/walDel are record kinds: body = kind(1) table(str) key(str)
-	// value(rest). A delete carries no value. walBatch frames a whole
-	// BatchPut as ONE record — body = kind(1) table(str) count(uvarint)
-	// then per entry key(str) value(bytes) — so the single crc32 makes the
-	// batch atomic under torn writes: it replays whole or not at all.
-	walPut   byte = 1
-	walDel   byte = 2
-	walBatch byte = 3
-)
+// walBatch is the record kind lsm adds to reclog's put and delete: it frames
+// a whole BatchPut as ONE record — body = kind(1) table(str) count(uvarint)
+// then per entry key(str) value(bytes) — so the single crc32 makes the batch
+// atomic under torn writes: it replays whole or not at all.
+const walBatch byte = 3
 
 // wal is an open write-ahead log file positioned at its append offset.
 type wal struct {
@@ -59,19 +46,17 @@ func createWAL(path string, seq int64) (*wal, error) {
 }
 
 // frame returns the frame buffer, sized once for a body of n bytes and
-// emptied behind the header's 8-byte hole; an encodeWAL* function appends
-// the body to it and appendFrame writes the result. A body above walMaxBody
-// is refused here, before it is written and acknowledged: replayWAL takes
-// such a length for a torn tail and drops the record and every one after it.
-// A hard error — no retry and no other replica can help.
+// emptied behind the header's hole; the caller appends the body to it and
+// appendFrame writes the result. A body replay would take for a torn tail is
+// refused here, before it is written and acknowledged (reclog.CheckBody).
 func (w *wal) frame(n int) ([]byte, error) {
-	if n > walMaxBody {
-		return nil, fmt.Errorf("lsm: record body of %d bytes exceeds the %d-byte limit", n, walMaxBody)
+	if err := reclog.CheckBody(n); err != nil {
+		return nil, err
 	}
-	if cap(w.buf) < walFrameSize+n {
-		w.buf = make([]byte, 0, walFrameSize+n)
+	if cap(w.buf) < reclog.FrameSize+n {
+		w.buf = make([]byte, 0, reclog.FrameSize+n)
 	}
-	return w.buf[:walFrameSize], nil
+	return w.buf[:reclog.FrameSize], nil
 }
 
 // appendFrame fills in the header of rec — frame's buffer with a body behind
@@ -79,9 +64,7 @@ func (w *wal) frame(n int) ([]byte, error) {
 // sync() after acked batches, nothing after single puts (matching the
 // fsync-on-batch contract of engine.Backend).
 func (w *wal) appendFrame(rec []byte) error {
-	body := rec[walFrameSize:]
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
+	reclog.PutHeader(rec, rec[reclog.FrameSize:])
 	w.buf = engine.TrimScratch(rec)
 	if _, err := w.f.WriteAt(rec, w.size); err != nil {
 		return fmt.Errorf("lsm: wal append: %w", err)
@@ -90,24 +73,13 @@ func (w *wal) appendFrame(rec []byte) error {
 	return nil
 }
 
-// walRecordLen is the body length of a put (or, with no value, a delete).
-func walRecordLen(table, key string, valueLen int) int {
-	return 1 + codec.BytesLen(len(table)) + codec.BytesLen(len(key)) + valueLen
-}
-
-// encodeWALPut appends a put record body to dst: walPut table key value.
-func encodeWALPut(dst []byte, table, key string, value []byte) []byte {
-	dst = append(dst, walPut)
-	dst = codec.PutString(dst, table)
-	dst = codec.PutString(dst, key)
-	return append(dst, value...)
-}
-
-// encodeWALDel appends a delete record body to dst: walDel table key.
-func encodeWALDel(dst []byte, table, key string) []byte {
-	dst = append(dst, walDel)
-	dst = codec.PutString(dst, table)
-	return codec.PutString(dst, key)
+// appendRecord frames and appends one put or delete.
+func (w *wal) appendRecord(kind byte, table, key string, value []byte) error {
+	rec, err := w.frame(reclog.BodyLen(table, key, len(value)))
+	if err != nil {
+		return err
+	}
+	return w.appendFrame(reclog.AppendBody(rec, kind, table, key, value))
 }
 
 // walBatchLen is the body length encodeWALBatch produces.
@@ -145,110 +117,67 @@ func (w *wal) sync() error {
 func (w *wal) close() error { return w.f.Close() }
 
 // replayWAL reads every intact record of the log at path, calling apply for
-// each, and truncates a torn tail in place (a crash mid-append leaves a
-// short or checksum-failing record, never a valid one). Corruption before
-// the tail — an intact frame followed by a broken one followed by more
-// intact data — cannot be distinguished from a torn tail and is handled the
-// same way: everything from the first broken record on is discarded.
+// each put and delete (a batch is its puts), and truncates a torn tail in
+// place (a crash mid-append leaves a short or checksum-failing record, never
+// a valid one). Corruption before the tail — an intact frame followed by a
+// broken one followed by more intact data — cannot be distinguished from a
+// torn tail and is handled the same way: everything from the first broken
+// record on is discarded.
 func replayWAL(path string, seq int64, apply func(kind byte, table, key string, value []byte) error) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
+	var end int64
 	st, err := f.Stat()
+	if err == nil {
+		end, err = reclog.Scan(f, st.Size(), func(body []byte, _ int64) error {
+			if body[0] == walBatch {
+				return replayBatch(body[1:], apply)
+			}
+			kind, table, key, value, err := reclog.ParseBody(body)
+			if err != nil {
+				return err
+			}
+			return apply(kind, table, key, value)
+		})
+	}
+	if err == nil && end < st.Size() {
+		err = reclog.DropTail(f, end)
+	}
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("lsm: %w", err)
+		return nil, fmt.Errorf("lsm: wal %d: %w", seq, err)
 	}
-	size := st.Size()
-	var off int64
-	var hdr [walFrameSize]byte
-	var body []byte
-	for off < size {
-		if size-off < walFrameSize {
-			break // torn frame header
-		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("lsm: wal read: %w", err)
-		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if n < 1 || n > walMaxBody || off+walFrameSize+n > size {
-			break // torn length or truncated body
-		}
-		if int64(cap(body)) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := f.ReadAt(body, off+walFrameSize); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("lsm: wal read: %w", err)
-		}
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			break // torn body
-		}
-		kind, rest := body[0], body[1:]
-		table, rest, terr := codec.String(rest)
-		if terr != nil {
-			f.Close()
-			return nil, fmt.Errorf("%w: lsm wal record table", types.ErrCorrupt)
-		}
-		switch kind {
-		case walPut, walDel:
-			key, rest2, kerr := codec.String(rest)
-			if kerr != nil {
-				err = fmt.Errorf("%w: lsm wal record key", types.ErrCorrupt)
-				break
-			}
-			if kind == walDel {
-				if len(rest2) != 0 {
-					err = fmt.Errorf("%w: lsm wal delete with value", types.ErrCorrupt)
-					break
-				}
-				rest2 = nil
-			}
-			err = apply(kind, table, key, rest2)
-		case walBatch:
-			count, rest2, cerr := codec.Uvarint(rest)
-			if cerr != nil {
-				err = fmt.Errorf("%w: lsm wal batch count", types.ErrCorrupt)
-				break
-			}
-			for i := uint64(0); i < count && err == nil; i++ {
-				var key string
-				var val []byte
-				if key, rest2, err = codec.String(rest2); err != nil {
-					err = fmt.Errorf("%w: lsm wal batch key", types.ErrCorrupt)
-					break
-				}
-				if val, rest2, err = codec.Bytes(rest2); err != nil {
-					err = fmt.Errorf("%w: lsm wal batch value", types.ErrCorrupt)
-					break
-				}
-				err = apply(walPut, table, key, val)
-			}
-			if err == nil && len(rest2) != 0 {
-				err = fmt.Errorf("%w: lsm wal batch trailing bytes", types.ErrCorrupt)
-			}
-		default:
-			err = fmt.Errorf("%w: lsm wal record kind %d", types.ErrCorrupt, kind)
-		}
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		off += walFrameSize + n
+	return &wal{f: f, seq: seq, size: end}, nil
+}
+
+// replayBatch applies the entries of a walBatch body (behind its kind byte)
+// as puts, in order.
+func replayBatch(rest []byte, apply func(kind byte, table, key string, value []byte) error) error {
+	table, rest, err := codec.String(rest)
+	if err != nil {
+		return fmt.Errorf("%w: wal batch table", types.ErrCorrupt)
 	}
-	if off < size {
-		// Drop the torn tail so the next append starts on a clean frame.
-		if err := f.Truncate(off); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("lsm: wal truncate: %w", err)
+	count, rest, err := codec.Uvarint(rest)
+	if err != nil {
+		return fmt.Errorf("%w: wal batch count", types.ErrCorrupt)
+	}
+	for i := uint64(0); i < count; i++ {
+		var key string
+		var val []byte
+		if key, rest, err = codec.String(rest); err != nil {
+			return fmt.Errorf("%w: wal batch key", types.ErrCorrupt)
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("lsm: wal sync: %w", err)
+		if val, rest, err = codec.Bytes(rest); err != nil {
+			return fmt.Errorf("%w: wal batch value", types.ErrCorrupt)
+		}
+		if err := apply(reclog.KindPut, table, key, val); err != nil {
+			return err
 		}
 	}
-	return &wal{f: f, seq: seq, size: off}, nil
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: wal batch trailing bytes", types.ErrCorrupt)
+	}
+	return nil
 }

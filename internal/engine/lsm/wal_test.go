@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rstore/internal/engine"
+	"rstore/internal/engine/reclog"
 )
 
 // goldenWAL is the log the encoder before the single-buffer path (PR 19:
@@ -64,30 +65,25 @@ func TestWALRecordBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestWALRefusesOversizeBody: a record body above walMaxBody would be
+// TestWALRefusesOversizeBody: a record body above reclog.MaxBody would be
 // written, fsynced and acknowledged, and then dropped by replay as a torn
 // tail together with everything after it. It is refused up front with a hard
 // error — checked through frame and the size functions it is fed from, not a
 // gigabyte of values.
 func TestWALRefusesOversizeBody(t *testing.T) {
 	w := &wal{}
-	if _, err := w.frame(walMaxBody + 1); err == nil || errors.Is(err, engine.ErrUnavailable) || w.buf != nil {
-		t.Fatalf("frame(walMaxBody+1): %v with a buffer of %d bytes, want a hard error and none", err, cap(w.buf))
+	if _, err := w.frame(reclog.MaxBody + 1); err == nil || errors.Is(err, engine.ErrUnavailable) || w.buf != nil {
+		t.Fatalf("frame(MaxBody+1): %v with a buffer of %d bytes, want a hard error and none", err, cap(w.buf))
 	}
-	if rec, err := w.frame(64); err != nil || len(rec) != walFrameSize || cap(rec) < walFrameSize+64 {
+	if rec, err := w.frame(64); err != nil || len(rec) != reclog.FrameSize || cap(rec) < reclog.FrameSize+64 {
 		t.Fatalf("frame(64): %v, len %d cap %d", err, len(rec), cap(rec))
 	}
 
-	// The guard is only as good as the lengths it is given.
+	// The guard is only as good as the length it is given (reclog tests
+	// BodyLen, the length of a put and a delete).
 	entries := []engine.Entry{{Key: "k", Value: make([]byte, 300)}, {Key: "", Value: nil}, {Key: "long-key", Value: []byte("v")}}
 	if got, want := walBatchLen("tbl", entries), len(encodeWALBatch(nil, "tbl", entries)); got != want {
 		t.Fatalf("walBatchLen = %d, encoded body is %d bytes", got, want)
-	}
-	if got, want := walRecordLen("tbl", "key", 300), len(encodeWALPut(nil, "tbl", "key", make([]byte, 300))); got != want {
-		t.Fatalf("walRecordLen(put) = %d, encoded body is %d bytes", got, want)
-	}
-	if got, want := walRecordLen("tbl", "key", 0), len(encodeWALDel(nil, "tbl", "key")); got != want {
-		t.Fatalf("walRecordLen(delete) = %d, encoded body is %d bytes", got, want)
 	}
 }
 

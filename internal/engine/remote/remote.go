@@ -66,12 +66,6 @@ type Options struct {
 	// streamed Scan frame; a context deadline may shorten it further).
 	// Default 30s.
 	IOTimeout time.Duration
-	// CompactTimeout bounds the wait for an OpCompact response instead of
-	// IOTimeout: a segment merge over a large store legitimately runs for
-	// minutes, and timing it out client-side would both fail the call and
-	// queue a duplicate merge on every retry. A caller wanting a shorter
-	// bound sets a context deadline. Default 15m.
-	CompactTimeout time.Duration
 	// BreakerThreshold is how many consecutive unavailability verdicts trip
 	// the circuit breaker (see breaker.go): once tripped, operations fail
 	// fast while a background prober watches for recovery. Default 3 — one
@@ -84,6 +78,13 @@ type Options struct {
 	// waits before the breaker notices. Default 5s.
 	ProbeMaxBackoff time.Duration
 }
+
+// compactTimeout bounds the wait for an OpCompact (or OpReset) response
+// instead of Options.IOTimeout: a segment merge over a large store
+// legitimately runs for minutes, and timing it out client-side would both
+// fail the call and queue a duplicate merge on every retry. A caller wanting
+// a shorter bound sets a context deadline.
+const compactTimeout = 15 * time.Minute
 
 func (o Options) withDefaults() Options {
 	if o.PoolSize <= 0 {
@@ -100,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IOTimeout <= 0 {
 		o.IOTimeout = 30 * time.Second
-	}
-	if o.CompactTimeout <= 0 {
-		o.CompactTimeout = 15 * time.Minute
 	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
@@ -632,10 +630,10 @@ func (c *Client) BytesStored() int64 {
 func (c *Client) compactOp(ctx context.Context, op byte) (engine.CompactionStats, error) {
 	// Only the merge itself earns the long deadline; a stats read is a
 	// cheap point request, and Stats probes every node with it — a hung
-	// node must cost IOTimeout there, not CompactTimeout.
+	// node must cost IOTimeout there, not compactTimeout.
 	iot := c.opts.IOTimeout
 	if op == wire.OpCompact {
-		iot = c.opts.CompactTimeout
+		iot = compactTimeout
 	}
 	var st engine.CompactionStats
 	err := c.call(ctx, iot, []byte{op}, func(body []byte) (err error) {
@@ -663,7 +661,7 @@ func (c *Client) CompactionStats(ctx context.Context) (engine.CompactionStats, e
 // unavailability). The wipe deletes files, so it earns the compaction
 // deadline rather than the point-request one.
 func (c *Client) Reset(ctx context.Context) error {
-	return c.doTimeout(ctx, c.opts.CompactTimeout, []byte{wire.OpReset}, nil, okOrErr)
+	return c.doTimeout(ctx, compactTimeout, []byte{wire.OpReset}, nil, okOrErr)
 }
 
 // HashTree fetches the node's hash-tree digest of one table

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rstore/internal/engine"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
@@ -29,7 +30,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	// A header announcing more than MaxFrame with no body: must be
 	// rejected as corruption, not allocated.
-	huge := make([]byte, frameHeader)
+	huge := make([]byte, reclog.FrameSize)
 	binary.LittleEndian.PutUint32(huge[0:4], MaxFrame+1)
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -7,8 +7,9 @@
 //	frame   := length(uint32 LE, of payload) crc32(uint32 LE, IEEE of payload) payload
 //
 // The checksum makes a half-written or bit-flipped frame detectable at the
-// receiver instead of being decoded into garbage operations, mirroring the
-// per-record checksums of the disklog segment format.
+// receiver instead of being decoded into garbage operations. It is the frame
+// of a disklog segment and an lsm write-ahead log, and reclog's header code
+// writes and checks it.
 //
 // Request payloads start with an op byte; response payloads start with a
 // status byte. Strings and byte strings are uvarint-length-prefixed
@@ -19,11 +20,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"rstore/internal/codec"
 	"rstore/internal/engine"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
@@ -236,22 +237,17 @@ func HashRange(body []byte) ([]engine.KeyHash, error) {
 	return out, nil
 }
 
-// frameHeader is the fixed prefix of every frame: payload length + checksum.
-const frameHeader = 8
-
-// MaxFrame bounds a single payload (1 GiB, matching disklog's maxBody):
-// larger announced lengths are treated as stream corruption rather than
-// allocated.
-const MaxFrame = 1 << 30
+// MaxFrame bounds a single payload (1 GiB): larger announced lengths are
+// treated as stream corruption rather than allocated.
+const MaxFrame = reclog.MaxBody
 
 // WriteFrame frames payload onto w.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	var hdr [reclog.FrameSize]byte
+	reclog.PutHeader(hdr[:], payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -263,7 +259,7 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // read into buf when it fits (the returned slice then aliases buf), so a
 // caller looping over frames can reuse one buffer.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameHeader]byte
+	var hdr [reclog.FrameSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -278,7 +274,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
-	if got := crc32.ChecksumIEEE(payload); got != binary.LittleEndian.Uint32(hdr[4:8]) {
+	if !reclog.Intact(hdr[:], payload) {
 		return nil, fmt.Errorf("%w: wire frame checksum mismatch", types.ErrCorrupt)
 	}
 	return payload, nil

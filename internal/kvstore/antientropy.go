@@ -11,6 +11,11 @@ import (
 	"rstore/internal/engine"
 )
 
+// aeFanout is the hash-tree bucket count the loop digests tables into. More
+// buckets would mean finer drill-down on a diverged table at the cost of a
+// larger digest frame.
+const aeFanout = engine.DefaultHashFanout
+
 // Anti-entropy: the background convergence path that needs no reads.
 //
 // Read repair and hinted handoff (repair.go) both wait on an observation —
@@ -45,7 +50,6 @@ import (
 type antiEntropy struct {
 	s        *Store
 	interval time.Duration
-	fanout   int
 
 	pair int // round-robin cursor over replica pairs
 
@@ -61,17 +65,9 @@ type antiEntropy struct {
 }
 
 func newAntiEntropy(s *Store, opts RepairOptions) *antiEntropy {
-	fanout := opts.AntiEntropyFanout
-	if fanout <= 0 {
-		fanout = engine.DefaultHashFanout
-	}
-	if fanout > engine.MaxHashFanout {
-		fanout = engine.MaxHashFanout
-	}
 	return &antiEntropy{
 		s:        s,
 		interval: opts.AntiEntropyInterval,
-		fanout:   fanout,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -175,11 +171,11 @@ func (a *antiEntropy) syncPair(ctx context.Context, i, j int) {
 // unreachable, or a backend lacks hashing) and the pair round should not
 // be counted.
 func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) bool {
-	di, err := a.s.nodes[i].hashTree(ctx, table, a.fanout)
+	di, err := a.s.nodes[i].hashTree(ctx, table, aeFanout)
 	if err != nil {
 		return false
 	}
-	dj, err := a.s.nodes[j].hashTree(ctx, table, a.fanout)
+	dj, err := a.s.nodes[j].hashTree(ctx, table, aeFanout)
 	if err != nil {
 		return false
 	}
@@ -187,20 +183,20 @@ func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) boo
 	if di.Root == dj.Root {
 		return true
 	}
-	if len(di.Leaves) != a.fanout || len(dj.Leaves) != a.fanout {
+	if len(di.Leaves) != aeFanout || len(dj.Leaves) != aeFanout {
 		return false // malformed digest; do not guess at bucket alignment
 	}
 	var diff []string
-	for b := 0; b < a.fanout; b++ {
+	for b := 0; b < aeFanout; b++ {
 		if di.Leaves[b] == dj.Leaves[b] {
 			continue
 		}
 		a.rangesDiffed.Add(1)
-		ki, err := a.s.nodes[i].hashRange(ctx, table, a.fanout, b)
+		ki, err := a.s.nodes[i].hashRange(ctx, table, aeFanout, b)
 		if err != nil {
 			return false
 		}
-		kj, err := a.s.nodes[j].hashRange(ctx, table, a.fanout, b)
+		kj, err := a.s.nodes[j].hashRange(ctx, table, aeFanout, b)
 		if err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/engine/remote"
 )
 
@@ -162,7 +164,7 @@ func checkGeometry(dir string, nodes int) error {
 	path := filepath.Join(dir, geometryFile)
 	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return writeGeometry(dir, path, nodes)
+		return writeGeometry(path, nodes)
 	}
 	if err != nil {
 		return fmt.Errorf("kvstore: %w", err)
@@ -186,33 +188,14 @@ func checkGeometry(dir string, nodes int) error {
 	return nil
 }
 
-// writeGeometry durably records the node count (file and directory entry
-// both fsynced — the pin is worthless if a power failure can drop it).
-func writeGeometry(dir, path string, nodes int) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	if _, err := fmt.Fprintf(f, "nodes=%d format=%s\n", nodes, storedFormat); err != nil {
-		f.Close()
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	return nil
+// writeGeometry durably records the node count, atomically: a crash leaves
+// no GEOMETRY or a whole one, never an empty file that would wedge the
+// directory as "corrupt".
+func writeGeometry(path string, nodes int) error {
+	return reclog.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "nodes=%d format=%s\n", nodes, storedFormat)
+		return err
+	})
 }
 
 // Store is an in-process distributed key-value store: the substrate RStore

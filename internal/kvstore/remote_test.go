@@ -519,6 +519,33 @@ func TestDisklogRefusesPreLWWDirectory(t *testing.T) {
 	}
 }
 
+// A crash while the pin was being written leaves GEOMETRY.tmp, empty or cut
+// short, and no GEOMETRY: the directory is fresh, not corrupt. (Written in
+// place, the same crash left an empty GEOMETRY that every later open
+// refused.)
+func TestGeometryCrashLeavesFreshDirectory(t *testing.T) {
+	for _, torn := range []string{"", "nodes="} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "GEOMETRY.tmp"), []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(context.Background(), Config{Engine: EngineDisklog, Dir: dir, Nodes: 2})
+		if err != nil {
+			t.Fatalf("open beside a GEOMETRY.tmp of %q: %v", torn, err)
+		}
+		s.Close()
+		if pin, err := os.ReadFile(filepath.Join(dir, "GEOMETRY")); err != nil || string(pin) != "nodes=2 format=lww1\n" {
+			t.Fatalf("GEOMETRY = %q (%v)", pin, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "GEOMETRY.tmp")); !os.IsNotExist(err) {
+			t.Fatalf("GEOMETRY.tmp survived: %v", err)
+		}
+		if _, err := Open(context.Background(), Config{Engine: EngineDisklog, Dir: dir, Nodes: 3}); err == nil {
+			t.Fatal("the pin does not hold: reopened with another node count")
+		}
+	}
+}
+
 // The replication factor is pinned alongside the ring geometry: reopening
 // the same daemons with a different -rf would silently under- (or over-)
 // replicate every new write, so it must be refused, while legacy pins

@@ -59,11 +59,6 @@ type RepairOptions struct {
 	// DisableHints turns off hint parking and draining for writes that
 	// skip a down replica.
 	DisableHints bool
-	// Workers sizes the repair worker pool (default 2).
-	Workers int
-	// QueueLen bounds the pending repair queue (default 256); repairs
-	// past the bound are dropped and counted in Stats.RepairDropped.
-	QueueLen int
 	// HintInterval is the base cadence of the hint drain loop and the
 	// initial per-target retry backoff (default 1s).
 	HintInterval time.Duration
@@ -83,20 +78,17 @@ type RepairOptions struct {
 	// convergence to read repair and hinted handoff. Requires every node's
 	// backend to implement engine.HashRanger (all built-in engines do).
 	AntiEntropyInterval time.Duration
-	// AntiEntropyFanout is the hash-tree bucket count the loop digests
-	// tables into (default engine.DefaultHashFanout, capped at
-	// engine.MaxHashFanout). More buckets mean finer drill-down on a
-	// diverged table at the cost of a larger digest frame.
-	AntiEntropyFanout int
 }
 
+const (
+	// repairWorkers sizes the repair worker pool.
+	repairWorkers = 2
+	// repairQueueLen bounds the pending repair queue; repairs past the
+	// bound are dropped and counted in Stats.RepairDropped.
+	repairQueueLen = 256
+)
+
 func (o RepairOptions) withDefaults() RepairOptions {
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 256
-	}
 	if o.HintInterval <= 0 {
 		o.HintInterval = time.Second
 	}
@@ -174,7 +166,7 @@ func newRepairer(s *Store, opts RepairOptions) *repairer {
 		opts:     opts,
 		ctx:      ctx,
 		cancel:   cancel,
-		tasks:    make(chan repairTask, opts.QueueLen),
+		tasks:    make(chan repairTask, repairQueueLen),
 		inflight: make(map[string]bool),
 		hints:    make(map[int]*hintQueue),
 		kick:     make(chan struct{}, 1),
@@ -224,7 +216,7 @@ func (r *repairer) enqueue(t repairTask) {
 	default:
 	}
 	r.startWork.Do(func() {
-		for i := 0; i < r.opts.Workers; i++ {
+		for i := 0; i < repairWorkers; i++ {
 			r.wg.Add(1)
 			go r.worker()
 		}
