@@ -4,17 +4,16 @@ import wire "rstore/internal/xwire/wire"
 
 type Client struct{}
 
-func (c *Client) Echo(payload []byte) []byte {
-	req := []byte{wire.OpEcho}
-	return append(req, payload...)
+func (c *Client) Echo(payload []byte) wire.Request {
+	return wire.Request{Op: wire.OpEcho, Payload: payload}
 }
 
-func (c *Client) decodeErr(text string) error {
-	switch text {
-	case wire.ErrGone.Error():
-		return wire.ErrGone
-	case wire.ErrPhantom.Error():
-		return wire.ErrPhantom
-	}
-	return nil
+func (c *Client) Deaf() wire.Request {
+	return wire.Request{Op: wire.OpDeaf}
+}
+
+// mute is no Client method: an op only a free function sends cannot be sent
+// through the client.
+func mute() wire.Request {
+	return wire.Request{Op: wire.OpMute}
 }

@@ -2,10 +2,11 @@ package engined
 
 import wire "rstore/internal/xwire/wire"
 
-func Serve(op byte, payload []byte) ([]byte, string) {
-	switch op {
+func Serve(req wire.Request) []byte {
+	switch req.Op {
 	case wire.OpEcho:
-		return payload, wire.ErrGone.Error()
+		return req.Payload
+	case wire.OpMute:
 	}
-	return nil, wire.ErrLost.Error()
+	return nil
 }

@@ -1,14 +1,14 @@
-package wire // want "docs/FORMATS.md documents OpBogus, which is not declared in the wire package" "sentinel rstore/internal/xwire/wire\\.ErrLost is textualized by the server but never mapped back by the client" "sentinel rstore/internal/xwire/wire\\.ErrPhantom is mapped back by the client but never sent by the server"
-
-import "errors"
+package wire // want "docs/FORMATS.md documents OpBogus, which is not declared in the wire package"
 
 const (
 	OpEcho byte = iota + 1 // want "docs/FORMATS.md gives OpEcho value 9, but the constant is 1"
 	OpGone                 // want "OpGone has no Client method" "OpGone has no dispatch arm" "OpGone \\(value 2\\) has no row in the docs/FORMATS.md op table"
+	OpMute                 // want "OpMute has no Client method"
+	OpDeaf                 // want "OpDeaf has no dispatch arm"
 )
 
-var (
-	ErrGone    = errors.New("fixture: gone")
-	ErrLost    = errors.New("fixture: lost")
-	ErrPhantom = errors.New("fixture: phantom")
-)
+// Request is what a client method hands to the wire.
+type Request struct {
+	Op      byte
+	Payload []byte
+}

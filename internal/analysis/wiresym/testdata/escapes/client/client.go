@@ -4,7 +4,6 @@ import wire "rstore/internal/xwire/wire"
 
 type Client struct{}
 
-func (c *Client) Echo(payload []byte) []byte {
-	req := []byte{wire.OpEcho}
-	return append(req, payload...)
+func (c *Client) Echo(payload []byte) wire.Request {
+	return wire.Request{Op: wire.OpEcho, Payload: payload}
 }

@@ -2,10 +2,10 @@ package engined
 
 import wire "rstore/internal/xwire/wire"
 
-func Serve(op byte, payload []byte) []byte {
-	switch op {
+func Serve(req wire.Request) []byte {
+	switch req.Op {
 	case wire.OpEcho:
-		return payload
+		return req.Payload
 	}
 	return nil
 }

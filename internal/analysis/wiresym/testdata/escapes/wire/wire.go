@@ -7,3 +7,9 @@ const (
 	//lint:rstore-vet wiresym:
 	OpGone
 )
+
+// Request is what a client method hands to the wire.
+type Request struct {
+	Op      byte
+	Payload []byte
+}

@@ -2,21 +2,12 @@ package remote
 
 import wire "rstore/internal/xwire/wire"
 
-type Client struct{ last error }
+type Client struct{}
 
-func (c *Client) Echo(payload []byte) []byte {
-	req := []byte{wire.OpEcho}
-	return append(req, payload...)
+func (c *Client) Echo(payload []byte) wire.Request {
+	return wire.Request{Op: wire.OpEcho, Payload: payload}
 }
 
-func (c *Client) Halt() []byte {
-	return []byte{wire.OpHalt}
-}
-
-func (c *Client) decodeErr(text string) error {
-	switch text {
-	case wire.ErrGone.Error():
-		return wire.ErrGone
-	}
-	return nil
+func (c *Client) Halt() wire.Request {
+	return wire.Request{Op: wire.OpHalt}
 }

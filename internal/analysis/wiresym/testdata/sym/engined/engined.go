@@ -2,12 +2,11 @@ package engined
 
 import wire "rstore/internal/xwire/wire"
 
-func Serve(op byte, payload []byte) ([]byte, string) {
-	switch op {
+func Serve(req wire.Request) []byte {
+	switch req.Op {
 	case wire.OpEcho:
-		return payload, ""
+		return req.Payload
 	case wire.OpHalt:
-		return nil, wire.ErrGone.Error()
 	}
-	return nil, "unknown op"
+	return nil
 }

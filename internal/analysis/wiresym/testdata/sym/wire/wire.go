@@ -1,13 +1,13 @@
 package wire
 
-import "errors"
-
 // Request opcodes.
 const (
 	OpEcho byte = iota + 1
 	OpHalt
 )
 
-// ErrGone crosses the wire as text: the server replies with its Error()
-// string and the client maps the string back to this sentinel.
-var ErrGone = errors.New("fixture: gone")
+// Request is what a client method hands to the wire.
+type Request struct {
+	Op      byte
+	Payload []byte
+}

@@ -1,14 +1,13 @@
 // Package wiresym implements the rstore-vet analyzer that keeps the wire
-// protocol symmetric across its three homes: the wire package that declares
-// the opcodes, the client (internal/engine/remote) that encodes requests,
-// and the server (internal/engine/remote/engined) that dispatches them —
-// plus the op table documented in docs/FORMATS.md. An opcode with no client
-// method is dead weight; one with no dispatch arm is a frame the server
-// drops on the floor; a FORMATS.md row that disagrees on the numeric value
-// documents a protocol that does not exist. The same symmetry governs error
-// sentinels: an error that crosses the wire as text (Err*.Error() on the
-// server) must be mapped back to the sentinel by the client, or errors.Is
-// silently stops working across a network hop.
+// protocol's opcodes symmetric across their homes: the wire package that
+// declares them, the client (internal/engine/remote) whose methods send
+// them, and the server (internal/engine/remote/engined) that dispatches them
+// — plus the op table documented in docs/FORMATS.md. An opcode with no
+// client method is dead weight; one with no dispatch arm is a frame the
+// server drops on the floor; a FORMATS.md row that disagrees on the numeric
+// value documents a protocol that does not exist. (What bytes a message is,
+// and which error sentinels survive the hop, need no analyzer: each is
+// written once, in the wire package, for both directions.)
 package wiresym
 
 import (
@@ -27,17 +26,15 @@ import (
 )
 
 // Analyzer checks wire-protocol symmetry: opcodes against client, server
-// dispatch, and docs; error sentinels against both wire directions.
+// dispatch, and docs.
 var Analyzer = &rvet.Analyzer{
 	Name: "wiresym",
-	Doc: `every wire opcode needs a client encoder, a server dispatch arm, and a docs/FORMATS.md row
+	Doc: `every wire opcode needs a client method, a server dispatch arm, and a docs/FORMATS.md row
 
 Runs on the wire package. Every Op* constant must be referenced by a Client
-method in the parent package (the request encoder), appear as a case arm in
-the server's dispatch switch (the decoder), and have a row in the
-docs/FORMATS.md op table whose numeric value matches the constant. Error
-sentinels textualized by the server (Err*.Error()) must be mapped back by
-the client, and vice versa, so errors.Is survives the network hop.`,
+method in the parent package (the sender), appear as a case arm in the
+server's dispatch switch, and have a row in the docs/FORMATS.md op table
+whose numeric value matches the constant.`,
 	Run: run,
 }
 
@@ -89,19 +86,6 @@ func run(pass *rvet.Pass) error {
 			pass.Reportf(pkgPos, "docs/FORMATS.md documents %s, which is not declared in the wire package", name)
 		}
 	}
-
-	serverErrs := sentinelTexts(server)
-	clientErrs := sentinelTexts(client)
-	for _, s := range sortedKeys(serverErrs) {
-		if !clientErrs[s] {
-			pass.Reportf(pkgPos, "sentinel %s is textualized by the server but never mapped back by the client: errors.Is breaks across the wire", s)
-		}
-	}
-	for _, s := range sortedKeys(clientErrs) {
-		if !serverErrs[s] {
-			pass.Reportf(pkgPos, "sentinel %s is mapped back by the client but never sent by the server: dead decode arm or missing server reply", s)
-		}
-	}
 	return nil
 }
 
@@ -136,7 +120,7 @@ func collectOps(pkg *types.Package) []opConst {
 
 // clientOpRefs returns the names of wirePath's Op* constants referenced in
 // pkg's non-test method bodies whose receiver type is named Client — the
-// request encoders.
+// senders.
 func clientOpRefs(pkg *rvet.Package, wirePath string) map[string]bool {
 	used := make(map[string]bool)
 	for _, f := range pkg.Files {
@@ -182,7 +166,7 @@ func receiverTypeName(fd *ast.FuncDecl) string {
 }
 
 // dispatchArms returns the wirePath Op* constants that appear as switch
-// case expressions in pkg's non-test files — the server's decoder arms.
+// case expressions in pkg's non-test files — the server's dispatch arms.
 func dispatchArms(pkg *rvet.Package, wirePath string) map[string]bool {
 	arms := make(map[string]bool)
 	for _, f := range pkg.Files {
@@ -206,33 +190,6 @@ func dispatchArms(pkg *rvet.Package, wirePath string) map[string]bool {
 		})
 	}
 	return arms
-}
-
-// sentinelTexts returns the qualified names of the error sentinels pkg
-// textualizes or matches by text: every Err*.Error() call site in non-test
-// files (the server's replyErr strings and the client's decode cases).
-func sentinelTexts(pkg *rvet.Package) map[string]bool {
-	out := make(map[string]bool)
-	for _, f := range pkg.Files {
-		if pkg.IsTestFile(f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 0 {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Error" {
-				return true
-			}
-			if obj := rvet.ExprObject(pkg.Info, sel.X); obj != nil && rvet.IsErrorSentinel(obj) {
-				out[obj.Pkg().Path()+"."+obj.Name()] = true
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // docRowRe matches one row of the FORMATS.md op table: | `OpName` | value |

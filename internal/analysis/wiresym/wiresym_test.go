@@ -15,15 +15,15 @@ var treePaths = map[string]string{
 	"engined": "rstore/internal/xwire/engined",
 }
 
-// TestSymmetric: a protocol with every op encoded, dispatched, and
-// documented — and sentinels mapped both ways — is clean.
+// TestSymmetric: a protocol with every op sent, dispatched, and documented
+// is clean.
 func TestSymmetric(t *testing.T) {
 	rvettest.RunTree(t, Analyzer, "testdata/sym", "wire", treePaths)
 }
 
 // TestBroken proves the acceptance criterion: an op without a client
-// method, dispatch arm, or FORMATS.md row fails, as do doc value
-// mismatches, phantom doc rows, and one-sided sentinels.
+// method, dispatch arm, or FORMATS.md row fails — each rule also on an op
+// that breaks no other — as do doc value mismatches and phantom doc rows.
 func TestBroken(t *testing.T) {
 	rvettest.RunTree(t, Analyzer, "testdata/broken", "wire", treePaths)
 }

@@ -188,11 +188,16 @@ func (c *Client) probeOnce() bool {
 	}
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(c.opts.IOTimeout))
-	if err := wire.WriteFrame(nc, []byte{wire.OpPing}); err != nil {
+	ping := wire.Request{Op: wire.OpPing}
+	if err := wire.WriteFrame(nc, wire.EncodeRequest(ping)); err != nil {
 		return false
 	}
 	payload, err := wire.ReadFrame(bufio.NewReader(nc), nil)
-	return err == nil && len(payload) > 0 && payload[0] == wire.StOK
+	if err != nil {
+		return false
+	}
+	rep, err := wire.ParseReply(ping, payload)
+	return err == nil && rep.Err == nil
 }
 
 // BreakerOpen reports whether the failure detector currently holds the node

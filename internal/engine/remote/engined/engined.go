@@ -13,16 +13,13 @@ package engined
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"rstore/internal/codec"
 	"rstore/internal/engine"
 	"rstore/internal/engine/remote/wire"
-	"rstore/internal/types"
 )
 
 // Server serves one backend on one listener.
@@ -231,10 +228,7 @@ func (s *Server) serveFrame(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, buf
 	if cap(payload) > cap(buf) {
 		buf = payload[:0]
 	}
-	if len(payload) == 0 {
-		return nil, nil, fmt.Errorf("engined: empty request frame")
-	}
-	if resp, err = s.serveOp(nc, bw, payload[0], payload[1:], resp[:0]); err != nil {
+	if resp, err = s.serveOp(nc, bw, payload, resp); err != nil {
 		return nil, nil, err
 	}
 	if err := bw.Flush(); err != nil {
@@ -251,287 +245,88 @@ func (s *Server) serveFrame(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, buf
 // client connections idle legitimately between requests.
 const writeTimeout = 60 * time.Second
 
-// reply frames a response whose payload is status followed by body.
-func reply(bw *bufio.Writer, resp []byte, status byte, body []byte) ([]byte, error) {
-	resp = append(resp[:0], status)
-	resp = append(resp, body...)
-	return resp, wire.WriteFrame(bw, resp)
-}
-
-// replyErr reports a backend failure to the client. Sentinels the client
-// maps back (remote.decodeErr) travel as their exact text, so errors.Is
-// keeps working across the wire however the backend wrapped them.
-func replyErr(bw *bufio.Writer, resp []byte, err error) ([]byte, error) {
-	msg := err.Error()
-	switch {
-	case errors.Is(err, types.ErrClosed):
-		msg = types.ErrClosed.Error()
-	case errors.Is(err, engine.ErrNoCompaction):
-		msg = engine.ErrNoCompaction.Error()
-	case errors.Is(err, engine.ErrNoReset):
-		msg = engine.ErrNoReset.Error()
-	case errors.Is(err, engine.ErrNoHashRange):
-		msg = engine.ErrNoHashRange.Error()
-	}
-	return reply(bw, resp, wire.StErr, []byte(msg))
-}
-
-// serveOp decodes and executes one request, writing the response frame(s)
+// serveOp decodes one request, executes it and writes the response frame(s)
 // to bw. The returned buffer is reused across requests; a non-nil error
-// means the connection is unusable (decode failure or mid-stream write
-// error).
-func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, op byte, body, resp []byte) ([]byte, error) {
-	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	switch op {
+// means the connection is unusable (a request that does not decode — the
+// backend is never touched for one — or a mid-stream write error).
+func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, payload, resp []byte) ([]byte, error) {
+	req, err := wire.ParseRequest(payload)
+	if err != nil {
+		return resp, err
+	}
+	var rep wire.Reply
+	switch req.Op {
 	case wire.OpPut:
-		table, rest, err := codec.String(body)
-		if err != nil {
-			return resp, err
-		}
-		key, value, err := codec.String(rest)
-		if err != nil {
-			return resp, err
-		}
-		if err := s.be.Put(s.baseCtx, table, key, value); err != nil {
-			return replyErr(bw, resp, err)
-		}
-		return reply(bw, resp, wire.StOK, nil)
+		rep.Err = s.be.Put(s.baseCtx, req.Table, req.Key, req.Value)
 
 	case wire.OpGet:
-		table, rest, err := codec.String(body)
-		if err != nil {
-			return resp, err
-		}
-		key, _, err := codec.String(rest)
-		if err != nil {
-			return resp, err
-		}
-		value, ok, err := s.be.Get(s.baseCtx, table, key)
-		if err != nil {
-			return replyErr(bw, resp, err)
-		}
-		if !ok {
-			return reply(bw, resp, wire.StNotFound, nil)
-		}
-		return reply(bw, resp, wire.StOK, value)
+		rep.Value, rep.Found, rep.Err = s.be.Get(s.baseCtx, req.Table, req.Key)
 
 	case wire.OpDelete:
-		table, rest, err := codec.String(body)
-		if err != nil {
-			return resp, err
-		}
-		key, _, err := codec.String(rest)
-		if err != nil {
-			return resp, err
-		}
-		if err := s.be.Delete(s.baseCtx, table, key); err != nil {
-			return replyErr(bw, resp, err)
-		}
-		return reply(bw, resp, wire.StOK, nil)
+		rep.Err = s.be.Delete(s.baseCtx, req.Table, req.Key)
 
 	case wire.OpBatchPut:
-		table, rest, err := codec.String(body)
-		if err != nil {
-			return resp, err
-		}
-		n, rest, err := codec.Uvarint(rest)
-		if err != nil {
-			return resp, err
-		}
-		// Every entry needs at least two length prefixes in the body; a
-		// count the body cannot possibly hold is stream corruption (or a
-		// hostile client) and must not size an allocation.
-		if n > uint64(len(rest)/2)+1 {
-			return resp, fmt.Errorf("engined: batch count %d exceeds body", n)
-		}
-		entries := make([]engine.Entry, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var key string
-			key, rest, err = codec.String(rest)
-			if err != nil {
-				return resp, err
-			}
-			var value []byte
-			value, rest, err = codec.Bytes(rest)
-			if err != nil {
-				return resp, err
-			}
-			entries = append(entries, engine.Entry{Key: key, Value: value})
-		}
-		if err := s.be.BatchPut(s.baseCtx, table, entries); err != nil {
-			return replyErr(bw, resp, err)
-		}
-		return reply(bw, resp, wire.StOK, nil)
+		rep.Err = s.be.BatchPut(s.baseCtx, req.Table, req.Entries)
 
 	case wire.OpMultiGet:
-		table, rest, err := codec.String(body)
-		if err != nil {
-			return resp, err
-		}
-		n, rest, err := codec.Uvarint(rest)
-		if err != nil {
-			return resp, err
-		}
-		// Every key needs at least its length prefix in the body; a count
-		// the body cannot possibly hold is stream corruption (or a hostile
-		// client) and must not size an allocation.
-		if n > uint64(len(rest))+1 {
-			return resp, fmt.Errorf("engined: multiget count %d exceeds body", n)
-		}
-		keys := make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var k string
-			k, rest, err = codec.String(rest)
-			if err != nil {
-				return resp, err
-			}
-			keys = append(keys, k)
-		}
-		resp = append(resp[:0], wire.StOK)
-		resp = codec.PutUvarint(resp, uint64(len(keys)))
-		for _, k := range keys {
-			value, ok, err := s.be.Get(s.baseCtx, table, k)
-			if err != nil {
-				return replyErr(bw, resp, err)
-			}
-			if !ok {
-				resp = append(resp, 0)
-				continue
-			}
-			resp = append(resp, 1)
-			resp = codec.PutBytes(resp, value)
-		}
 		// A batch whose combined values exceed MaxFrame fails the frame
 		// write and drops the connection; the cluster layer falls back to
 		// per-key reads for such batches.
-		return resp, wire.WriteFrame(bw, resp)
+		rep.Values, rep.Present = make([][]byte, len(req.Keys)), make([]bool, len(req.Keys))
+		for i, k := range req.Keys {
+			if rep.Values[i], rep.Present[i], rep.Err = s.be.Get(s.baseCtx, req.Table, k); rep.Err != nil {
+				break
+			}
+		}
 
 	case wire.OpScan:
-		table, _, err := codec.String(body)
-		if err != nil {
-			return resp, err
-		}
+		// Entries stream from inside the backend's callback; the frame after
+		// the switch is the stream's end (or the scan's error).
 		var streamErr error
-		scanErr := s.be.Scan(s.baseCtx, table, func(key string, value []byte) bool {
+		rep.Err = s.be.Scan(s.baseCtx, req.Table, func(key string, value []byte) bool {
 			// Refresh per entry: a progressing stream may legitimately
 			// outlast one writeTimeout; a stalled peer must not.
 			nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-			resp = append(resp[:0], wire.StEntry)
-			resp = codec.PutString(resp, key)
-			resp = append(resp, value...)
-			if streamErr = wire.WriteFrame(bw, resp); streamErr != nil {
-				return false
-			}
-			return true
+			resp = wire.AppendReply(resp[:0], wire.OpScan, wire.Reply{More: true, Key: key, Value: value})
+			streamErr = wire.WriteFrame(bw, resp)
+			return streamErr == nil
 		})
 		if streamErr != nil {
 			return resp, streamErr // peer gone mid-stream
 		}
-		if scanErr != nil {
-			return replyErr(bw, resp, scanErr)
-		}
-		return reply(bw, resp, wire.StEnd, nil)
 
 	case wire.OpTables:
-		tables, err := s.be.Tables(s.baseCtx)
-		if err != nil {
-			return replyErr(bw, resp, err)
-		}
-		resp = append(resp[:0], wire.StOK)
-		resp = codec.PutUvarint(resp, uint64(len(tables)))
-		for _, t := range tables {
-			resp = codec.PutString(resp, t)
-		}
-		return resp, wire.WriteFrame(bw, resp)
+		rep.Tables, rep.Err = s.be.Tables(s.baseCtx)
 
 	case wire.OpBytesStored:
-		resp = append(resp[:0], wire.StOK)
-		resp = codec.PutUvarint(resp, uint64(s.be.BytesStored()))
-		return resp, wire.WriteFrame(bw, resp)
+		rep.Stored = s.be.BytesStored()
 
-	// The four arms below go through the engine package's seam helpers: a
-	// backend without the seam answers with the matching ErrNo* sentinel,
-	// which replyErr sends as its exact text.
-	case wire.OpCompact, wire.OpCompactStats:
-		run := engine.Compact
-		if op == wire.OpCompactStats {
-			run = engine.ReadCompactionStats
-		}
-		st, err := run(s.baseCtx, s.be)
-		// A long merge may outlive the deadline set at dispatch; the
-		// response write gets a fresh one.
-		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err != nil {
-			return replyErr(bw, resp, err)
-		}
-		resp = append(resp[:0], wire.StOK)
-		resp = wire.PutCompactionStats(resp, st)
-		return resp, wire.WriteFrame(bw, resp)
+	// The arms below go through the engine package's seam helpers: a backend
+	// without the seam answers with the matching ErrNo* sentinel, which the
+	// wire sends as its exact text.
+	case wire.OpCompact:
+		rep.Stats, rep.Err = engine.Compact(s.baseCtx, s.be)
+
+	case wire.OpCompactStats:
+		rep.Stats, rep.Err = engine.ReadCompactionStats(s.baseCtx, s.be)
 
 	case wire.OpReset:
-		err := engine.Reset(s.baseCtx, s.be)
-		// A large wipe may outlive the deadline set at dispatch; the
-		// response write gets a fresh one.
-		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err != nil {
-			return replyErr(bw, resp, err)
-		}
-		return reply(bw, resp, wire.StOK, nil)
+		rep.Err = engine.Reset(s.baseCtx, s.be)
 
 	case wire.OpHashTree:
-		table, rest, err := codec.String(body)
-		if err != nil {
-			return resp, err
-		}
-		fanout, _, err := codec.Uvarint(rest)
-		if err != nil {
-			return resp, err
-		}
-		if fanout > engine.MaxHashFanout {
-			return resp, fmt.Errorf("engined: hash fanout %d exceeds limit", fanout)
-		}
-		d, err := engine.HashTree(s.baseCtx, s.be, table, int(fanout))
-		// A full-table sweep may outlive the deadline set at dispatch; the
-		// response write gets a fresh one.
-		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err != nil {
-			return replyErr(bw, resp, err)
-		}
-		resp = append(resp[:0], wire.StOK)
-		resp = wire.PutHashTree(resp, d)
-		return resp, wire.WriteFrame(bw, resp)
+		rep.Tree, rep.Err = engine.HashTree(s.baseCtx, s.be, req.Table, req.Fanout)
 
 	case wire.OpHashRange:
-		table, rest, err := codec.String(body)
-		if err != nil {
-			return resp, err
-		}
-		fanout, rest, err := codec.Uvarint(rest)
-		if err != nil {
-			return resp, err
-		}
-		bucket, _, err := codec.Uvarint(rest)
-		if err != nil {
-			return resp, err
-		}
-		if fanout > engine.MaxHashFanout || bucket >= fanout {
-			return resp, fmt.Errorf("engined: hash bucket %d/%d out of range", bucket, fanout)
-		}
-		khs, err := engine.HashRange(s.baseCtx, s.be, table, int(fanout), int(bucket))
-		// A bucket sweep may outlive the deadline set at dispatch; the
-		// response write gets a fresh one.
-		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err != nil {
-			return replyErr(bw, resp, err)
-		}
-		resp = append(resp[:0], wire.StOK)
-		resp = wire.PutHashRange(resp, khs)
-		return resp, wire.WriteFrame(bw, resp)
+		rep.KeyHashes, rep.Err = engine.HashRange(s.baseCtx, s.be, req.Table, req.Fanout, req.Bucket)
 
 	case wire.OpPing:
-		return reply(bw, resp, wire.StOK, nil)
 
 	default:
-		return resp, fmt.Errorf("engined: unknown op %d", op)
+		return resp, fmt.Errorf("engined: op %d has no dispatch arm", req.Op)
 	}
+	// The deadline starts after the backend call: a merge, a wipe or a
+	// full-table sweep may run longer than any write should stall.
+	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	resp = wire.AppendReply(resp[:0], req.Op, rep)
+	return resp, wire.WriteFrame(bw, resp)
 }

@@ -2,12 +2,19 @@ package engined_test
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
 	"rstore/internal/engine/remote/engined"
+	"rstore/internal/engine/remote/wire"
 )
 
 // Shutdown must drain promptly even with idle pooled client connections
@@ -51,5 +58,76 @@ func TestShutdownDrainsIdleConnections(t *testing.T) {
 	}
 	if v, ok, err := be.Get(ctx, "t", "k"); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("backend state lost across shutdown: %q %v %v", v, ok, err)
+	}
+}
+
+// touched counts the backend calls a hostile request could have reached.
+type touched struct {
+	engine.Backend
+	calls atomic.Int64
+}
+
+func (b *touched) Get(ctx context.Context, table, key string) ([]byte, bool, error) {
+	b.calls.Add(1)
+	return b.Backend.Get(ctx, table, key)
+}
+
+func (b *touched) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
+	b.calls.Add(1)
+	return b.Backend.BatchPut(ctx, table, entries)
+}
+
+// TestHostilePeerCannotWedgeTheDaemon: a request that is not one the grammar
+// allows closes its connection without an answer and without a backend call,
+// and the daemon goes on serving the next connection.
+func TestHostilePeerCannotWedgeTheDaemon(t *testing.T) {
+	be := &touched{Backend: memory.New()}
+	srv, err := engined.Start("127.0.0.1:0", be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// exchange sends one payload on a fresh connection and returns the
+	// answering payload, or the error that ended the connection instead.
+	exchange := func(payload []byte) ([]byte, error) {
+		t.Helper()
+		nc, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.WriteFrame(nc, payload); err != nil {
+			t.Fatal(err)
+		}
+		return wire.ReadFrame(nc, nil)
+	}
+	get := wire.EncodeRequest(wire.Request{Op: wire.OpGet, Table: "t", Key: "k"})
+	for name, payload := range map[string][]byte{
+		"unknown op":               {0x7f},
+		"empty frame":              {},
+		"batchput count > body":    {wire.OpBatchPut, 1, 't', 0xff, 0xff, 0x03, 1, 'k', 1, 'v'},
+		"multiget count > body":    {wire.OpMultiGet, 1, 't', 0xff, 0xff, 0x03, 1, 'k'},
+		"hash bucket = fanout":     {wire.OpHashRange, 1, 't', 4, 4},
+		"hash fanout over limit":   {wire.OpHashTree, 1, 't', 0x81, 0x20},
+		"trailing bytes after get": append(slices.Clone(get), 0),
+	} {
+		if reply, err := exchange(payload); !errors.Is(err, io.EOF) {
+			t.Errorf("%s: answered %x, %v; want the connection closed", name, reply, err)
+		}
+		reply, err := exchange(wire.EncodeRequest(wire.Request{Op: wire.OpPing}))
+		if err != nil {
+			t.Fatalf("after %s the daemon does not answer a ping: %v", name, err)
+		}
+		if rep, err := wire.ParseReply(wire.Request{Op: wire.OpPing}, reply); err != nil || rep.Err != nil {
+			t.Fatalf("after %s the ping is answered %x (%v, %v)", name, reply, rep.Err, err)
+		}
+	}
+	if n := be.calls.Load(); n != 0 {
+		t.Errorf("hostile requests reached the backend %d times", n)
+	}
+	// The same connection shape, well-formed, does reach it.
+	if reply, err := exchange(get); err != nil || len(reply) != 1 || reply[0] != wire.StNotFound || be.calls.Load() != 1 {
+		t.Errorf("well-formed get: %x, %v, %d backend calls", reply, err, be.calls.Load())
 	}
 }

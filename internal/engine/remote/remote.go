@@ -41,7 +41,6 @@ import (
 	"sync"
 	"time"
 
-	"rstore/internal/codec"
 	"rstore/internal/engine"
 	"rstore/internal/engine/remote/wire"
 	"rstore/internal/types"
@@ -85,6 +84,17 @@ type Options struct {
 // fail the call and queue a duplicate merge on every retry. A caller wanting
 // a shorter bound sets a context deadline.
 const compactTimeout = 15 * time.Minute
+
+// exchangeTimeout is the per-exchange deadline of op. Only the merge and the
+// wipe (it deletes files) earn compactTimeout; a stats read is a cheap point
+// request, and Stats probes every node with it — a hung node must cost
+// IOTimeout there.
+func (o Options) exchangeTimeout(op byte) time.Duration {
+	if op == wire.OpCompact || op == wire.OpReset {
+		return compactTimeout
+	}
+	return o.IOTimeout
+}
 
 func (o Options) withDefaults() Options {
 	if o.PoolSize <= 0 {
@@ -200,14 +210,16 @@ func (c *Client) release(cn *conn) {
 	cn.nc.Close()
 }
 
-// exchange sends req and feeds response frames to handle until it reports
-// done. A false done with nil error reads another frame (Scan streaming).
-// The returned abandon reports that the connection must not be pooled even
-// though the operation did not fail (early-stopped Scan). Context ends are
-// enforced two ways: the per-frame deadline is the earlier of IOTimeout and
-// the context deadline, and a cancellation mid-read slams the connection
-// deadline so the blocked read returns immediately.
-func (cn *conn) exchange(ctx context.Context, iot time.Duration, req []byte, handle func(status byte, body []byte) (done, abandon bool, err error)) (abandon bool, err error) {
+// exchange sends r — req is its encoding — and hands each reply to handle
+// until it reports that no more are due (only Scan streams more than one).
+// A reply that does not decode did not survive the transport; a reply that
+// is the node's own error ends the exchange as that hard error. The returned
+// abandon reports that the connection must not be pooled even though the
+// operation did not fail (early-stopped Scan). Context ends are enforced two
+// ways: the per-frame deadline is the earlier of iot and the context
+// deadline, and a cancellation mid-read slams the connection deadline so the
+// blocked read returns immediately.
+func (cn *conn) exchange(ctx context.Context, iot time.Duration, r wire.Request, req []byte, handle func(wire.Reply) (more, abandon bool)) (abandon bool, err error) {
 	// One large response must not pin its size for the life of the pooled
 	// connection.
 	defer func() { cn.buf = engine.TrimScratch(cn.buf) }()
@@ -242,12 +254,16 @@ func (cn *conn) exchange(ctx context.Context, iot time.Duration, req []byte, han
 		if cap(payload) > cap(cn.buf) {
 			cn.buf = payload[:0]
 		}
-		if len(payload) == 0 {
-			return false, transportErr(fmt.Errorf("%w: empty response frame", types.ErrCorrupt))
+		rep, err := wire.ParseReply(r, payload)
+		if err != nil {
+			return false, transportErr(err)
 		}
-		done, abandon, err := handle(payload[0], payload[1:])
-		if err != nil || done {
-			return abandon, err
+		if rep.Err != nil {
+			return false, rep.Err
+		}
+		more, abandon := handle(rep)
+		if !more {
+			return abandon, nil
 		}
 		// Between streamed frames the context is checked explicitly: frames
 		// already sitting in the receive buffer would otherwise keep a
@@ -270,20 +286,15 @@ func transportErr(err error) error { return transportError{err} }
 
 // do runs one operation with pooling, retry, and backoff: transport-level
 // failures are retried on a fresh connection (idempotent operations make
-// this safe) until attempts run out, then surface as unavailable; errors
-// the handler returns are hard and abort immediately. A context that ends —
-// before the first dial, during a dial, mid-exchange, or while backing off —
-// stops the operation at once and surfaces the context's error wrapped in
+// this safe) until attempts run out, then surface as unavailable; the node's
+// own errors are hard and abort immediately. A context that ends — before
+// the first dial, during a dial, mid-exchange, or while backing off — stops
+// the operation at once and surfaces the context's error wrapped in
 // engine.ErrUnavailable. A non-nil canRetry vetoes retries for operations
 // whose effects already partially reached the caller (a Scan that delivered
 // entries).
-func (c *Client) do(ctx context.Context, req []byte, canRetry func() bool, handle func(status byte, body []byte) (done, abandon bool, err error)) error {
-	return c.doTimeout(ctx, c.opts.IOTimeout, req, canRetry, handle)
-}
-
-// doTimeout is do with an explicit per-exchange deadline, for the rare op
-// (compaction) whose server-side work legitimately outlasts IOTimeout.
-func (c *Client) doTimeout(ctx context.Context, iot time.Duration, req []byte, canRetry func() bool, handle func(status byte, body []byte) (done, abandon bool, err error)) error {
+func (c *Client) do(ctx context.Context, r wire.Request, canRetry func() bool, handle func(wire.Reply) (more, abandon bool)) error {
+	req := wire.EncodeRequest(r)
 	if len(req) > wire.MaxFrame {
 		// A request no frame can carry is a hard caller error, not node
 		// unavailability — retrying cannot help.
@@ -295,6 +306,7 @@ func (c *Client) doTimeout(ctx context.Context, iot time.Duration, req []byte, c
 		// paying for reachability checks now.
 		return c.unavailable(errProbation)
 	}
+	iot := c.opts.exchangeTimeout(r.Op)
 	var lastErr error
 	for attempt := 0; attempt < c.opts.Attempts; attempt++ {
 		if attempt > 0 {
@@ -320,7 +332,7 @@ func (c *Client) doTimeout(ctx context.Context, iot time.Duration, req []byte, c
 			lastErr = err // dial failure: transient by definition
 			continue
 		}
-		abandon, err := cn.exchange(ctx, iot, req, handle)
+		abandon, err := cn.exchange(ctx, iot, r, req, handle)
 		if err == nil {
 			c.br.recordSuccess()
 			if abandon {
@@ -359,6 +371,17 @@ func (c *Client) doTimeout(ctx context.Context, iot time.Duration, req []byte, c
 	return c.unavailable(lastErr)
 }
 
+// call runs an operation that is answered by one reply and returns it (empty
+// on failure).
+func (c *Client) call(ctx context.Context, r wire.Request) (wire.Reply, error) {
+	var rep wire.Reply
+	err := c.do(ctx, r, nil, func(got wire.Reply) (more, abandon bool) {
+		rep = got
+		return false, false
+	})
+	return rep, err
+}
+
 // flushIdle discards all pooled connections.
 func (c *Client) flushIdle() {
 	c.mu.Lock()
@@ -370,93 +393,16 @@ func (c *Client) flushIdle() {
 	}
 }
 
-// okOrErr handles the single OK/Err response of mutating operations.
-func okOrErr(status byte, body []byte) (bool, bool, error) {
-	switch status {
-	case wire.StOK:
-		return true, false, nil
-	case wire.StErr:
-		return true, false, decodeErr(body)
-	default:
-		return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
-	}
-}
-
-// single handles the one response of an operation that answers with a body:
-// StOK hands the body to decode, whose failure means the frame did not
-// survive the transport (retried like any transport error); StErr is the
-// node's own, hard error; any other status is a protocol violation.
-func single(status byte, body []byte, decode func(body []byte) error) (bool, bool, error) {
-	switch status {
-	case wire.StOK:
-		if err := decode(body); err != nil {
-			return true, false, transportErr(err)
-		}
-		return true, false, nil
-	case wire.StErr:
-		return true, false, decodeErr(body)
-	default:
-		return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
-	}
-}
-
-// call runs a single-reply operation under the per-exchange deadline iot and
-// decodes its body with decode (see single).
-func (c *Client) call(ctx context.Context, iot time.Duration, req []byte, decode func(body []byte) error) error {
-	return c.doTimeout(ctx, iot, req, nil, func(status byte, body []byte) (bool, bool, error) {
-		return single(status, body, decode)
-	})
-}
-
-// decodeErr reconstructs a node-side error. It stays a hard error; sentinel
-// identity does not survive the wire except for closed-backend,
-// no-compaction, and no-reset errors, which are mapped back so callers can
-// match types.ErrClosed / engine.ErrNoCompaction / engine.ErrNoReset.
-func decodeErr(body []byte) error {
-	msg := string(body)
-	switch msg {
-	case types.ErrClosed.Error():
-		return types.ErrClosed
-	case engine.ErrNoCompaction.Error():
-		return engine.ErrNoCompaction
-	case engine.ErrNoReset.Error():
-		return engine.ErrNoReset
-	case engine.ErrNoHashRange.Error():
-		return engine.ErrNoHashRange
-	}
-	return fmt.Errorf("remote node: %s", msg)
-}
-
 // Put stores value under (table, key) on the node.
 func (c *Client) Put(ctx context.Context, table, key string, value []byte) error {
-	req := []byte{wire.OpPut}
-	req = codec.PutString(req, table)
-	req = codec.PutString(req, key)
-	req = append(req, value...)
-	return c.do(ctx, req, nil, okOrErr)
+	_, err := c.call(ctx, wire.Request{Op: wire.OpPut, Table: table, Key: key, Value: value})
+	return err
 }
 
 // Get returns the value under (table, key).
 func (c *Client) Get(ctx context.Context, table, key string) ([]byte, bool, error) {
-	req := []byte{wire.OpGet}
-	req = codec.PutString(req, table)
-	req = codec.PutString(req, key)
-	var value []byte
-	found := false
-	err := c.do(ctx, req, nil, func(status byte, body []byte) (bool, bool, error) {
-		if status == wire.StNotFound {
-			return true, false, nil
-		}
-		return single(status, body, func(body []byte) error {
-			value = append([]byte(nil), body...) // body aliases the receive buffer
-			found = true
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return value, found, nil
+	rep, err := c.call(ctx, wire.Request{Op: wire.OpGet, Table: table, Key: key})
+	return rep.Value, rep.Found, err
 }
 
 // MultiGet reads many keys of one table in a single wire round trip
@@ -464,79 +410,21 @@ func (c *Client) Get(ctx context.Context, table, key string) ([]byte, bool, erro
 // order. The whole batch shares one retry schedule, so a dead node costs
 // one operation's worth of attempts regardless of batch size.
 func (c *Client) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
-	req := []byte{wire.OpMultiGet}
-	req = codec.PutString(req, table)
-	req = codec.PutUvarint(req, uint64(len(keys)))
-	for _, k := range keys {
-		req = codec.PutString(req, k)
-	}
-	var values [][]byte
-	var present []bool
-	err := c.call(ctx, c.opts.IOTimeout, req, func(body []byte) error {
-		// Fresh slices per attempt: a retried exchange must not leak
-		// results of a half-decoded earlier response.
-		values = make([][]byte, len(keys))
-		present = make([]bool, len(keys))
-		n, rest, err := codec.Uvarint(body)
-		if err != nil {
-			return err
-		}
-		if n != uint64(len(keys)) {
-			return fmt.Errorf("%w: multiget answered %d of %d keys", types.ErrCorrupt, n, len(keys))
-		}
-		for i := uint64(0); i < n; i++ {
-			if len(rest) == 0 {
-				return fmt.Errorf("%w: truncated multiget response", types.ErrCorrupt)
-			}
-			flag := rest[0]
-			rest = rest[1:]
-			switch flag {
-			case 0:
-			case 1:
-				var v []byte
-				v, rest, err = codec.Bytes(rest)
-				if err != nil {
-					return err
-				}
-				values[i] = append([]byte(nil), v...) // v aliases the receive buffer
-				present[i] = true
-			default:
-				return fmt.Errorf("%w: multiget result flag %d", types.ErrCorrupt, flag)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return values, present, nil
+	rep, err := c.call(ctx, wire.Request{Op: wire.OpMultiGet, Table: table, Keys: keys})
+	return rep.Values, rep.Present, err
 }
 
 // Delete removes (table, key); deleting a missing key is a no-op.
 func (c *Client) Delete(ctx context.Context, table, key string) error {
-	req := []byte{wire.OpDelete}
-	req = codec.PutString(req, table)
-	req = codec.PutString(req, key)
-	return c.do(ctx, req, nil, okOrErr)
+	_, err := c.call(ctx, wire.Request{Op: wire.OpDelete, Table: table, Key: key})
+	return err
 }
 
 // BatchPut applies all entries to one table with the node's batch
 // durability (one fsync per batch on a disklog node).
 func (c *Client) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
-	// The frame is sized before it is encoded: grown by append, a frame of
-	// megabyte values is copied several times over on its way to its size.
-	n := 1 + codec.BytesLen(len(table)) + codec.UvarintLen(uint64(len(entries)))
-	for _, e := range entries {
-		n += codec.BytesLen(len(e.Key)) + codec.BytesLen(len(e.Value))
-	}
-	req := append(make([]byte, 0, n), wire.OpBatchPut)
-	req = codec.PutString(req, table)
-	req = codec.PutUvarint(req, uint64(len(entries)))
-	for _, e := range entries {
-		req = codec.PutString(req, e.Key)
-		req = codec.PutBytes(req, e.Value)
-	}
-	return c.do(ctx, req, nil, okOrErr)
+	_, err := c.call(ctx, wire.Request{Op: wire.OpBatchPut, Table: table, Entries: entries})
+	return err
 }
 
 // Scan streams every key/value of a table from the node. Values passed to
@@ -546,72 +434,29 @@ func (c *Client) BatchPut(ctx context.Context, table string, entries []engine.En
 // mid-stream abandons the connection; the node notices the severed peer on
 // its next frame write and stops scanning.
 func (c *Client) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
-	req := []byte{wire.OpScan}
-	req = codec.PutString(req, table)
 	delivered := false
-	return c.do(ctx, req, func() bool { return !delivered }, func(status byte, body []byte) (bool, bool, error) {
-		switch status {
-		case wire.StEntry:
-			key, rest, err := codec.String(body)
-			if err != nil {
-				return true, false, transportErr(err)
-			}
-			delivered = true
-			if !fn(key, rest) {
-				// Abandon the connection: the node is still streaming.
-				return true, true, nil
-			}
-			return false, false, nil
-		case wire.StEnd:
-			return true, false, nil
-		case wire.StErr:
-			return true, false, decodeErr(body)
-		default:
-			return true, false, transportErr(fmt.Errorf("%w: unexpected response status %d", types.ErrCorrupt, status))
+	return c.do(ctx, wire.Request{Op: wire.OpScan, Table: table}, func() bool { return !delivered }, func(rep wire.Reply) (more, abandon bool) {
+		if !rep.More {
+			return false, false
 		}
+		delivered = true
+		// Stopping early abandons the connection: the node is still streaming.
+		more = fn(rep.Key, rep.Value)
+		return more, !more
 	})
 }
 
 // Tables lists the node's non-empty tables.
 func (c *Client) Tables(ctx context.Context) ([]string, error) {
-	var tables []string
-	err := c.call(ctx, c.opts.IOTimeout, []byte{wire.OpTables}, func(body []byte) error {
-		n, rest, err := codec.Uvarint(body)
-		if err != nil {
-			return err
-		}
-		// Each table name needs at least its length prefix in the
-		// body; don't size an allocation from a corrupt count.
-		if n > uint64(len(rest))+1 {
-			return fmt.Errorf("%w: table count %d exceeds body", types.ErrCorrupt, n)
-		}
-		tables = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var t string
-			t, rest, err = codec.String(rest)
-			if err != nil {
-				return err
-			}
-			tables = append(tables, t)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tables, nil
+	rep, err := c.call(ctx, wire.Request{Op: wire.OpTables})
+	return rep.Tables, err
 }
 
 // Stored reports the node's resident live payload volume, with the error
 // BytesStored's signature cannot carry.
 func (c *Client) Stored(ctx context.Context) (int64, error) {
-	var n int64
-	err := c.call(ctx, c.opts.IOTimeout, []byte{wire.OpBytesStored}, func(body []byte) error {
-		v, _, err := codec.Uvarint(body)
-		n = int64(v)
-		return err
-	})
-	return n, err
+	rep, err := c.call(ctx, wire.Request{Op: wire.OpBytesStored})
+	return rep.Stored, err
 }
 
 // BytesStored implements engine.Backend; an unreachable node reports 0.
@@ -624,44 +469,29 @@ func (c *Client) BytesStored() int64 {
 	return n
 }
 
-// compactOp round-trips OpCompact or OpCompactStats and decodes the stats
-// response. A node whose backend cannot compact surfaces as
-// engine.ErrNoCompaction (a hard error, not unavailability).
-func (c *Client) compactOp(ctx context.Context, op byte) (engine.CompactionStats, error) {
-	// Only the merge itself earns the long deadline; a stats read is a
-	// cheap point request, and Stats probes every node with it — a hung
-	// node must cost IOTimeout there, not compactTimeout.
-	iot := c.opts.IOTimeout
-	if op == wire.OpCompact {
-		iot = compactTimeout
-	}
-	var st engine.CompactionStats
-	err := c.call(ctx, iot, []byte{op}, func(body []byte) (err error) {
-		st, err = wire.CompactionStats(body)
-		return err
-	})
-	return st, err
-}
-
 // Compact asks the node to compact its backend and returns the
 // post-compaction stats (engine.Compactor). A retried request is safe: a
 // second compaction over just-compacted storage finds nothing to reclaim.
+// A node whose backend cannot compact surfaces as engine.ErrNoCompaction (a
+// hard error, not unavailability).
 func (c *Client) Compact(ctx context.Context) (engine.CompactionStats, error) {
-	return c.compactOp(ctx, wire.OpCompact)
+	rep, err := c.call(ctx, wire.Request{Op: wire.OpCompact})
+	return rep.Stats, err
 }
 
 // CompactionStats reports the node's storage-reclaim state without
 // compacting (engine.Compactor).
 func (c *Client) CompactionStats(ctx context.Context) (engine.CompactionStats, error) {
-	return c.compactOp(ctx, wire.OpCompactStats)
+	rep, err := c.call(ctx, wire.Request{Op: wire.OpCompactStats})
+	return rep.Stats, err
 }
 
 // Reset wipes the node's backend empty (engine.Resetter). A node whose
 // backend cannot reset surfaces as engine.ErrNoReset (a hard error, not
-// unavailability). The wipe deletes files, so it earns the compaction
-// deadline rather than the point-request one.
+// unavailability).
 func (c *Client) Reset(ctx context.Context) error {
-	return c.doTimeout(ctx, compactTimeout, []byte{wire.OpReset}, nil, okOrErr)
+	_, err := c.call(ctx, wire.Request{Op: wire.OpReset})
+	return err
 }
 
 // HashTree fetches the node's hash-tree digest of one table
@@ -672,20 +502,8 @@ func (c *Client) HashTree(ctx context.Context, table string, fanout int) (engine
 	if err := engine.CheckHashFanout(fanout); err != nil {
 		return engine.TreeDigest{}, err
 	}
-	req := []byte{wire.OpHashTree}
-	req = codec.PutString(req, table)
-	req = codec.PutUvarint(req, uint64(fanout))
-	var d engine.TreeDigest
-	err := c.call(ctx, c.opts.IOTimeout, req, func(body []byte) (err error) {
-		// The decoder copies out of the receive buffer (fresh leaf
-		// slice), so the digest is safe to retain.
-		d, err = wire.HashTree(body)
-		return err
-	})
-	if err != nil {
-		return engine.TreeDigest{}, err
-	}
-	return d, nil
+	rep, err := c.call(ctx, wire.Request{Op: wire.OpHashTree, Table: table, Fanout: fanout})
+	return rep.Tree, err
 }
 
 // HashRange lists one tree bucket's keys with their entry hashes
@@ -694,26 +512,14 @@ func (c *Client) HashRange(ctx context.Context, table string, fanout, bucket int
 	if err := engine.CheckHashBucket(fanout, bucket); err != nil {
 		return nil, err
 	}
-	req := []byte{wire.OpHashRange}
-	req = codec.PutString(req, table)
-	req = codec.PutUvarint(req, uint64(fanout))
-	req = codec.PutUvarint(req, uint64(bucket))
-	var khs []engine.KeyHash
-	err := c.call(ctx, c.opts.IOTimeout, req, func(body []byte) (err error) {
-		// codec.String copies, so the decoded keys do not alias the
-		// receive buffer.
-		khs, err = wire.HashRange(body)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return khs, nil
+	rep, err := c.call(ctx, wire.Request{Op: wire.OpHashRange, Table: table, Fanout: fanout, Bucket: bucket})
+	return rep.KeyHashes, err
 }
 
 // Ping round-trips a no-op request, reporting node reachability.
 func (c *Client) Ping(ctx context.Context) error {
-	return c.do(ctx, []byte{wire.OpPing}, nil, okOrErr)
+	_, err := c.call(ctx, wire.Request{Op: wire.OpPing})
+	return err
 }
 
 // Close releases the client's connections. The node and its data are

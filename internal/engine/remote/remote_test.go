@@ -463,3 +463,62 @@ func TestBatchPutFrameSizedOnce(t *testing.T) {
 		t.Fatalf("BatchPut of %d bytes allocated %d, want at most %d", n, got, limit)
 	}
 }
+
+// TestMalformedReplyIsUnavailableNeverPartial: a node that answers a
+// MultiGet with a well-framed StOK whose body breaks the grammar — a count
+// that is not the request's, a flag that is neither 0 nor 1, bytes after the
+// last result — is retried like any broken transport and then reported
+// unavailable. No result of the half-read reply reaches the caller.
+func TestMalformedReplyIsUnavailableNeverPartial(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"short count": {wire.StOK, 2, 1, 1, 'x', 0},
+		"long count":  {wire.StOK, 4, 1, 1, 'x', 0, 0, 0},
+		"bad flag":    {wire.StOK, 3, 1, 1, 'x', 2, 0},
+		"tail":        {wire.StOK, 3, 1, 1, 'x', 0, 0, 0xee},
+		"no status":   {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			asked := make(chan struct{}, 16) // one per request the script answered; the client makes two
+			go func() {
+				for {
+					nc, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go func() {
+						defer nc.Close()
+						for {
+							if _, err := wire.ReadFrame(nc, nil); err != nil {
+								return
+							}
+							asked <- struct{}{}
+							if err := wire.WriteFrame(nc, body); err != nil {
+								return
+							}
+						}
+					}()
+				}
+			}()
+			c, err := remote.Dial(ln.Addr().String(), fastOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			values, present, err := c.MultiGet(context.Background(), "t", []string{"a", "b", "c"})
+			if !errors.Is(err, engine.ErrUnavailable) || !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("malformed reply surfaced as %v", err)
+			}
+			if values != nil || present != nil {
+				t.Fatalf("malformed reply leaked results: %q %v", values, present)
+			}
+			if got, want := len(asked), fastOpts().Attempts; got != want {
+				t.Fatalf("the node was asked %d times, want one per attempt (%d)", got, want)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"rstore/internal/engine"
@@ -54,84 +55,102 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// The hash-tree payload decoders guard the anti-entropy path: their input
-// is whatever a peer (or a corrupted stream the frame checksum happened to
-// miss) put on the wire. Rejections must classify as corruption, accepted
-// inputs must round-trip semantically — byte-identity is not required
-// because uvarints admit non-canonical encodings, but decode(encode(
-// decode(x))) must be a fixed point.
+// The message decoders read whatever a peer (or a corrupted stream the frame
+// checksum happened to miss) put on the wire. kind 0 is a request payload,
+// kind k in 1–14 a reply payload to op k. A decoder never panics; what it
+// refuses it refuses as corruption; what it accepts holds no more elements
+// than the payload has bytes, so no count sized an allocation on its own;
+// and the accepted value survives its own encoding — byte identity with the
+// input is not required, because uvarints admit non-canonical encodings,
+// but decode∘encode∘decode is a fixed point.
 
-func FuzzHashTreeFrame(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(PutHashTree(nil, engine.TreeDigest{}))
-	f.Add(PutHashTree(nil, engine.TreeDigest{
-		Root:   0xdeadbeefcafef00d,
-		Bytes:  12345,
-		Leaves: []engine.LeafDigest{{Hash: 1, Keys: 2}, {Hash: 0, Keys: 0}, {Hash: 1 << 63, Keys: 1}},
-	}))
-	// A leaf count past MaxHashFanout must be rejected before allocation.
-	var huge []byte
-	huge = putU64(huge, 1)
-	huge = append(huge, 0) // bytes
-	huge = binary.AppendUvarint(huge, engine.MaxHashFanout+1)
-	f.Add(huge)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := HashTree(data)
-		if err != nil {
-			if !errors.Is(err, types.ErrCorrupt) {
-				t.Fatalf("rejection not classified as corruption: %v", err)
-			}
-			return
-		}
-		if uint64(len(d.Leaves)) > engine.MaxHashFanout {
-			t.Fatalf("accepted %d leaves past the fanout limit", len(d.Leaves))
-		}
-		// Semantic round-trip: re-encoding the accepted digest and decoding
-		// it again must reproduce it exactly.
-		again, err := HashTree(PutHashTree(nil, d))
-		if err != nil {
-			t.Fatalf("re-decoding accepted digest: %v", err)
-		}
-		if again.Root != d.Root || again.Bytes != d.Bytes || len(again.Leaves) != len(d.Leaves) {
-			t.Fatalf("digest does not round-trip: %+v vs %+v", again, d)
-		}
-		for i := range d.Leaves {
-			if again.Leaves[i] != d.Leaves[i] {
-				t.Fatalf("leaf %d does not round-trip: %+v vs %+v", i, again.Leaves[i], d.Leaves[i])
-			}
+func FuzzMessages(f *testing.F) {
+	for _, g := range golden {
+		f.Add(byte(0), unhex(f, g.reqHex))
+		f.Add(g.req.Op, unhex(f, g.repHex))
+	}
+	f.Add(byte(0), []byte{})
+	f.Add(OpPing, []byte{})
+	f.Add(OpPut, []byte{StErr, 'd', 'i', 's', 'k'})
+	f.Add(OpReset, append([]byte{StErr}, types.ErrClosed.Error()...))
+	// Counts the body cannot hold, and a leaf count past MaxHashFanout, must
+	// be refused before anything is allocated.
+	huge := binary.AppendUvarint(nil, 1<<40)
+	f.Add(byte(0), append([]byte{OpBatchPut, 1, 't'}, huge...))
+	f.Add(byte(0), append([]byte{OpMultiGet, 1, 't'}, huge...))
+	f.Add(OpTables, append([]byte{StOK}, huge...))
+	f.Add(OpMultiGet, append([]byte{StOK}, huge...))
+	f.Add(OpHashRange, append([]byte{StOK}, huge...))
+	f.Add(OpHashTree, binary.AppendUvarint(append([]byte{StOK}, make([]byte, 9)...), engine.MaxHashFanout+1)) // root, bytes = 0, count
+	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
+		if kind == 0 {
+			fuzzRequest(t, payload)
+		} else if kind <= OpHashRange {
+			fuzzReply(t, kind, payload)
 		}
 	})
 }
 
-func FuzzHashRangeFrame(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(PutHashRange(nil, nil))
-	f.Add(PutHashRange(nil, []engine.KeyHash{
-		{Key: "alpha", Hash: 42},
-		{Key: "", Hash: 0},
-		{Key: "z\x00binary", Hash: 1 << 63},
-	}))
-	// A count the body cannot hold must be rejected before allocation.
-	f.Add(binary.AppendUvarint(nil, 1<<40))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		khs, err := HashRange(data)
-		if err != nil {
-			if !errors.Is(err, types.ErrCorrupt) {
-				t.Fatalf("rejection not classified as corruption: %v", err)
+func fuzzRequest(t *testing.T, payload []byte) {
+	r, err := ParseRequest(payload)
+	if err != nil {
+		if !errors.Is(err, types.ErrCorrupt) {
+			t.Fatalf("rejection not classified as corruption: %v", err)
+		}
+		return
+	}
+	if n := len(r.Entries) + len(r.Keys); n > len(payload) {
+		t.Fatalf("%d elements decoded from %d bytes", n, len(payload))
+	}
+	if r.Fanout > engine.MaxHashFanout || r.Bucket > r.Fanout {
+		t.Fatalf("accepted hash bucket %d of %d", r.Bucket, r.Fanout)
+	}
+	again, err := ParseRequest(EncodeRequest(r))
+	if err != nil || !reflect.DeepEqual(again, r) {
+		t.Fatalf("request does not round-trip: %+v, then %+v (%v)", r, again, err)
+	}
+}
+
+func fuzzReply(t *testing.T, op byte, payload []byte) {
+	req := Request{Op: op}
+	if op == OpMultiGet && len(payload) > 1 {
+		// A MultiGet reply is held against its request's key count: ask for
+		// as many keys as the payload claims to answer, within its size.
+		n, _ := binary.Uvarint(payload[1:])
+		req.Keys = make([]string, min(n, uint64(len(payload))))
+	}
+	rep, err := ParseReply(req, payload)
+	if err != nil {
+		if !errors.Is(err, types.ErrCorrupt) {
+			t.Fatalf("rejection not classified as corruption: %v", err)
+		}
+		if !reflect.DeepEqual(rep, Reply{}) {
+			t.Fatalf("a refused reply still yields %+v", rep)
+		}
+		return
+	}
+	if n := len(rep.Values) + len(rep.Tables) + len(rep.Tree.Leaves) + len(rep.KeyHashes); n > len(payload) {
+		t.Fatalf("%d elements decoded from %d bytes", n, len(payload))
+	}
+	if len(rep.Tree.Leaves) > engine.MaxHashFanout {
+		t.Fatalf("accepted %d leaves past the fanout limit", len(rep.Tree.Leaves))
+	}
+	if rep.Err != nil {
+		// A sentinel's text names the sentinel; any other text stays a
+		// hard error that carries it and matches nothing.
+		text := string(payload[1:])
+		for _, s := range sentinels {
+			if (text == s.Error()) != errors.Is(rep.Err, s) {
+				t.Fatalf("text %q decodes as %v", text, rep.Err)
 			}
-			return
 		}
-		again, err := HashRange(PutHashRange(nil, khs))
-		if err != nil {
-			t.Fatalf("re-decoding accepted key hashes: %v", err)
+		if !bytes.Equal(AppendReply(nil, op, Reply{Err: errors.New(text)}), payload) {
+			t.Fatalf("error text %q does not re-encode to itself", text)
 		}
-		if len(again) != len(khs) {
-			t.Fatalf("length does not round-trip: %d vs %d", len(again), len(khs))
-		}
-		for i := range khs {
-			if again[i] != khs[i] {
-				t.Fatalf("entry %d does not round-trip: %+v vs %+v", i, again[i], khs[i])
-			}
-		}
-	})
+		return
+	}
+	again, err := ParseReply(req, AppendReply(nil, op, rep))
+	if err != nil || !reflect.DeepEqual(again, rep) {
+		t.Fatalf("reply to op %d does not round-trip: %+v, then %+v (%v)", op, rep, again, err)
+	}
 }

@@ -100,8 +100,7 @@ run_compare() {
 run_fuzz() {
   echo "== fuzz smoke"
   go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
-  go test -fuzz=FuzzHashTreeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
-  go test -fuzz=FuzzHashRangeFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
+  go test -fuzz=FuzzMessages -fuzztime=20s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzScanFrames -fuzztime=10s -run '^$' ./internal/engine/reclog/
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzVerdict -fuzztime=10s -run '^$' ./internal/kvstore/
