@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"rstore/internal/bitset"
 	"rstore/internal/corpus"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
+	"rstore/internal/workload"
 )
 
 // miniCorpus builds a 3-version chain where key "doc" evolves (large,
@@ -66,10 +69,7 @@ func decodeItem(t *testing.T, enc []byte) []types.Record {
 
 func TestItemRoundTripSingle(t *testing.T) {
 	c := miniCorpus(t)
-	it, err := SingleRecordItem(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	it := RecordItems(c, []uint32{0})[0]
 	recs := decodeItem(t, it.Encoded)
 	if len(recs) != 1 || recs[0].CK != c.Record(0).CK {
 		t.Fatalf("decoded %+v", recs)
@@ -136,18 +136,13 @@ func TestItemIncompressibleFallsBackToRaw(t *testing.T) {
 // raw members, never short when some members are deltas or raw fallbacks.
 func TestEncodeItemSizedOnce(t *testing.T) {
 	c := miniCorpus(t)
-	for id := uint32(0); int(id) < c.NumRecords(); id++ {
-		it, err := SingleRecordItem(c, id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for id, it := range recordItems(c) {
 		if len(it.Encoded) != cap(it.Encoded) {
 			t.Errorf("record %d: encoded %d bytes into a buffer of %d", id, len(it.Encoded), cap(it.Encoded))
 		}
 	}
 	var bound int
-	for _, id := range []uint32{0, 2, 3} {
-		it, _ := SingleRecordItem(c, id)
+	for _, it := range RecordItems(c, []uint32{0, 2, 3}) {
 		bound += len(it.Encoded)
 	}
 	enc, err := EncodeItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
@@ -156,6 +151,45 @@ func TestEncodeItemSizedOnce(t *testing.T) {
 	}
 	if cap(enc) > bound || len(enc) >= cap(enc) {
 		t.Errorf("delta chain: %d bytes in a buffer of %d; three raw items are %d", len(enc), cap(enc), bound)
+	}
+}
+
+// TestRecordItemsMatchEncodeItem: RecordItems spells every record as
+// EncodeItem does and ranks the items' keys in key order — over a whole
+// generated corpus, large enough to be built on several goroutines, and over a
+// run of its records, as a flush asks for its batch.
+func TestRecordItemsMatchEncodeItem(t *testing.T) {
+	c, err := workload.Generate(workload.Spec{
+		Name: "items", Versions: 10, AvgDepth: 3, RecordsPerVersion: 3 * itemSpan / 2,
+		UpdatePct: 0.2, Update: workload.RandomUpdate, RecordSize: 48, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]uint32, c.NumRecords())
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	for _, ids := range [][]uint32{all, all[len(all)/3 : len(all)/3+50]} {
+		items := RecordItems(c, ids)
+		for i, id := range ids {
+			want, err := EncodeItem(c, []uint32{id}, []int32{-1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := items[i]
+			if !bytes.Equal(it.Encoded, want) || it.CK != c.Record(id).CK || !slices.Equal(it.Members, []uint32{id}) || !slices.Equal(it.Parents, []int32{-1}) {
+				t.Fatalf("record %d: item %+v, EncodeItem spells it %x", id, it, want)
+			}
+		}
+		byKey := slices.Clone(items)
+		slices.SortFunc(byKey, func(a, b Item) int { return strings.Compare(string(a.CK.Key), string(b.CK.Key)) })
+		for i := 1; i < len(byKey); i++ {
+			a, b := byKey[i-1], byKey[i]
+			if (a.CK.Key == b.CK.Key) != (a.Rank == b.Rank) || a.Rank > b.Rank {
+				t.Fatalf("%q ranked %d, %q ranked %d", a.CK.Key, a.Rank, b.CK.Key, b.Rank)
+			}
+		}
 	}
 }
 

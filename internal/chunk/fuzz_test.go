@@ -23,7 +23,7 @@ import (
 // payload — and a selective decode must agree with a full one.
 func FuzzDecodeSegment(f *testing.F) {
 	c := miniCorpus(f)
-	items := recordItems(f, c)
+	items := recordItems(c)
 	chain, err := EncodeItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
 	if err != nil {
 		f.Fatal(err)

@@ -13,6 +13,10 @@ package chunk
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 
 	"rstore/internal/bdiff"
 	"rstore/internal/codec"
@@ -39,9 +43,15 @@ type Item struct {
 	// follows the version tree, so members form a connected subtree (§3.4).
 	Parents []int32
 	// Encoded is the packed sub-chunk (EncodeItem: record framing included).
-	// Its length is what the partitioner charges; AddChunk re-frames it into
-	// a segment, in no more bytes.
+	// Its length is what the partitioner charges; Code re-frames it into a
+	// segment, in no more bytes.
 	Encoded []byte
+	// Rank is the place of CK.Key among the primary keys of the items it was
+	// ranked with (RankItems): items of one key share it, and of two keys the
+	// one that sorts first has the smaller. Code orders a chunk's slots by
+	// (Rank, CK.Version), which is composite-key order without a string
+	// comparison, so the items of one instance are ranked together.
+	Rank uint32
 }
 
 // PackedSize is the capacity charged when packing the item into a chunk.
@@ -102,16 +112,84 @@ func EncodeItem(c *corpus.Corpus, members []uint32, parents []int32) ([]byte, er
 	return buf, nil
 }
 
-// SingleRecordItem wraps record id as a 1-member item (the k=1 case).
-func SingleRecordItem(c *corpus.Corpus, id uint32) (Item, error) {
-	enc, err := EncodeItem(c, []uint32{id}, []int32{-1})
-	if err != nil {
-		return Item{}, err
+// RecordItems wraps each record of ids as a 1-member item (the k=1 case), in
+// the order of ids, and ranks them (RankItems). An item's Encoded is
+// EncodeItem's. A large ids is split over GOMAXPROCS goroutines, each cutting
+// its items' bytes from one buffer; all items share one Parents.
+func RecordItems(c *corpus.Corpus, ids []uint32) []Item {
+	items := make([]Item, len(ids))
+	members := slices.Clone(ids)
+	build := func(lo, hi int) {
+		size := 0
+		for _, id := range ids[lo:hi] {
+			size += recordItemLen(c.Record(id))
+		}
+		buf := make([]byte, 0, size)
+		for i := lo; i < hi; i++ {
+			r := c.Record(ids[i])
+			start := len(buf)
+			buf = appendRecordItem(buf, r)
+			items[i] = Item{CK: r.CK, Members: members[i : i+1 : i+1], Parents: rawParents, Encoded: buf[start:len(buf):len(buf)]}
+		}
 	}
-	return Item{
-		CK:      c.Record(id).CK,
-		Members: []uint32{id},
-		Parents: []int32{-1},
-		Encoded: enc,
-	}, nil
+	workers := min(runtime.GOMAXPROCS(0), (len(ids)+itemSpan-1)/itemSpan)
+	if workers <= 1 {
+		build(0, len(ids))
+	} else {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				build(w*len(ids)/workers, (w+1)*len(ids)/workers)
+			}()
+		}
+		wg.Wait()
+	}
+	RankItems(c, items)
+	return items
+}
+
+// itemSpan is the fewest records RecordItems hands a goroutine of its own: a
+// flush's batch is built where it is asked for.
+const itemSpan = 4096
+
+// rawParents is the Parents of every single-record item, shared: nothing
+// writes an item's Parents, and an append copies it.
+var rawParents = []int32{-1}
+
+// recordItemLen is the length of EncodeItem's bytes for record r alone.
+func recordItemLen(r types.Record) int {
+	return 1 + codec.UvarintLen(uint64(len(r.CK.Key))) + len(r.CK.Key) + codec.UvarintLen(uint64(r.CK.Version)) +
+		1 + codec.UvarintLen(uint64(len(r.Value))) + len(r.Value)
+}
+
+// appendRecordItem appends EncodeItem's bytes for record r alone: one member,
+// stored raw.
+func appendRecordItem(dst []byte, r types.Record) []byte {
+	dst = codec.PutUvarint(dst, 1)
+	dst = codec.PutCompositeKey(dst, r.CK)
+	dst = codec.PutVarint(dst, -1)
+	return codec.PutBytes(dst, r.Value)
+}
+
+// RankItems sets every item's Rank from its representative's primary key:
+// the distinct keys of items are sorted once, so a chunk's slots are ordered
+// by integers (Code).
+func RankItems(c *corpus.Corpus, items []Item) {
+	rank := make([]uint32, c.NumKeys()) // key id → 1 once some item has the key, then its rank
+	var keys []uint32
+	for i := range items {
+		if k := c.KeyOf(items[i].Members[0]); rank[k] == 0 {
+			rank[k] = 1
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b uint32) int { return strings.Compare(string(c.Key(a)), string(c.Key(b))) })
+	for r, k := range keys {
+		rank[k] = uint32(r)
+	}
+	for i := range items {
+		items[i].Rank = rank[c.KeyOf(items[i].Members[0])]
+	}
 }

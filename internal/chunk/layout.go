@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 
 	"rstore/internal/bitset"
 	"rstore/internal/corpus"
@@ -35,8 +34,8 @@ type Projection interface {
 // Layout is the physical placement of a corpus's records — the record→Loc
 // catalog and, per chunk, its Map and the first slot of each of its segments
 // — and the only writer of any of them. It grows by
-// two mutators: AddChunk lays a group of items out as the next chunk, and
-// PlaceVersion gives a version its slot bitmaps. Offline partitioning (§3)
+// two mutators: AddChunk adds a group of items Code laid out as the next
+// chunk, and PlaceVersion gives a version its slot bitmaps. Offline partitioning (§3)
 // drives them over the whole corpus on a fresh Layout, online partitioning
 // (§4) over one batch on the live one ("existing records keep their
 // chunks"), and RestoreChunk, ApplyDiffs and BindRecords fold what they
@@ -101,61 +100,82 @@ func (l *Layout) bindRecords(cid ID, recs []uint32) error {
 	return nil
 }
 
-// AddChunk lays items[idxs[0]], items[idxs[1]], … out as the next chunk and
-// returns its segment values, in segment order. Slots number the items'
-// members with the items in the order of their representatives' composite
-// keys — primary key, then version — whatever order idxs lists them in, so the
-// records of a key range sit in neighbouring slots and a key shares a prefix
-// with its predecessor's; a segment is cut after the item that fills it
-// (SegmentTarget). Each member's Loc is set and the chunk's (still empty) map
-// is opened. A record some chunk already holds is an error.
-func (l *Layout) AddChunk(items []Item, idxs []uint32) ([][]byte, error) {
+// Coded is a chunk as Code lays it out, before it has an id: the records
+// that fill its slots, in slot order, the first slot of each of its segments,
+// and the segments' values, in segment order.
+type Coded struct {
+	Records  []uint32
+	Segments []uint32
+	Values   [][]byte
+}
+
+// Code lays items[idxs[0]], items[idxs[1]], … out as one chunk. Slots number
+// the items' members with the items in the order of their representatives'
+// composite keys — primary key, then version, compared as (Rank, version), so
+// the items must have been ranked together — whatever order idxs lists them
+// in, so the records of a key range sit in neighbouring slots and a key shares
+// a prefix with its predecessor's; a segment is cut after the item that fills
+// it (SegmentTarget). Code reads items and writes nothing they share: chunks
+// are coded concurrently, and AddChunk takes them in id order.
+func Code(items []Item, idxs []uint32) (*Coded, error) {
 	size, members := 0, 0
-	for _, ii := range idxs {
+	type slotKey struct {
+		key  uint64 // rank, then version
+		item uint32
+	}
+	keys := make([]slotKey, len(idxs))
+	for i, ii := range idxs {
 		if int(ii) >= len(items) {
 			return nil, fmt.Errorf("chunk: assignment references item %d of %d", ii, len(items))
 		}
-		size += len(items[ii].Encoded)
-		members += len(items[ii].Members)
+		it := &items[ii]
+		size += len(it.Encoded)
+		members += len(it.Members)
+		keys[i] = slotKey{uint64(it.Rank)<<32 | uint64(it.CK.Version), ii}
 	}
-	order := slices.Clone(idxs)
-	slices.SortFunc(order, func(a, b uint32) int {
-		x, y := items[a].CK, items[b].CK
-		// strings.Compare is one pass over the keys; cmp.Compare is two.
-		if c := strings.Compare(string(x.Key), string(y.Key)); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Version, y.Version)
-	})
+	slices.SortFunc(keys, func(a, b slotKey) int { return cmp.Compare(a.key, b.key) })
+	order := make([]uint32, len(keys))
+	for i, k := range keys {
+		order[i] = k.item
+	}
 
 	// One buffer for all segments, sized once: a segment frames an item in no
 	// more bytes than EncodeItem did, plus its literal code and two varints.
 	nsegs := size/SegmentTarget + 1
 	buf := make([]byte, 0, size+nsegs*(maxCodeLen+2*binary.MaxVarintLen32))
-	values := make([][]byte, 0, nsegs)
-	firsts := make([]uint32, 0, nsegs)
-	recs := make([]uint32, 0, members)
+	c := &Coded{
+		Records:  make([]uint32, 0, members),
+		Segments: make([]uint32, 0, nsegs),
+		Values:   make([][]byte, 0, nsegs),
+	}
 	for i := 0; i < len(order); {
-		j, packed, first := i, 0, uint32(len(recs))
+		j, packed, first := i, 0, uint32(len(c.Records))
 		for ; j < len(order) && packed < SegmentTarget; j++ {
 			packed += len(items[order[j]].Encoded)
-			recs = append(recs, items[order[j]].Members...)
+			c.Records = append(c.Records, items[order[j]].Members...)
 		}
 		start := len(buf)
 		var err error
 		if buf, err = appendSegment(buf, first, items, order[i:j]); err != nil {
 			return nil, fmt.Errorf("chunk: re-framing an item: %w", err)
 		}
-		values = append(values, buf[start:len(buf):len(buf)])
-		firsts = append(firsts, first)
+		c.Values = append(c.Values, buf[start:len(buf):len(buf)])
+		c.Segments = append(c.Segments, first)
 		i = j
 	}
-	// Bound before the chunk is opened: a refused assignment adds no chunk.
-	if err := l.bindRecords(ID(len(l.maps)), recs); err != nil {
-		return nil, err
+	return c, nil
+}
+
+// AddChunk adds a coded chunk as the next one and returns its id: each of
+// its records' Loc is set and its (still empty) map is opened. A record some
+// chunk already holds is an error, and adds no chunk.
+func (l *Layout) AddChunk(c *Coded) (ID, error) {
+	cid := ID(len(l.maps))
+	if err := l.bindRecords(cid, c.Records); err != nil {
+		return NoChunk, err
 	}
-	l.noteDelta(l.openChunk(len(recs), firsts))
-	return values, nil
+	l.noteDelta(l.openChunk(len(c.Records), c.Segments))
+	return cid, nil
 }
 
 // PlaceVersion gives version v its slot bitmaps: its tree parent's, minus

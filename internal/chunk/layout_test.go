@@ -25,20 +25,28 @@ func (p *fakeProj) VersionChunks(v types.VersionID) []ID { return p.versions[v] 
 
 // recordItems wraps every record of c as a one-member item; item index =
 // record id.
-func recordItems(t testing.TB, c *corpus.Corpus) []Item {
-	t.Helper()
-	items := make([]Item, c.NumRecords())
-	for i := range items {
-		it, err := SingleRecordItem(c, uint32(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		items[i] = it
+func recordItems(c *corpus.Corpus) []Item {
+	ids := make([]uint32, c.NumRecords())
+	for i := range ids {
+		ids[i] = uint32(i)
 	}
-	return items
+	return RecordItems(c, ids)
 }
 
-// storedOf decodes a chunk's segment values, as AddChunk returned them, back
+// addChunk codes items[idxs…] as one chunk, adds it to l and returns its
+// segment values.
+func addChunk(l *Layout, items []Item, idxs []uint32) ([][]byte, error) {
+	coded, err := Code(items, idxs)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := l.AddChunk(coded); err != nil {
+		return nil, err
+	}
+	return coded.Values, nil
+}
+
+// storedOf decodes a chunk's segment values, as Code returned them, back
 // into the chunk.
 func storedOf(t testing.TB, values [][]byte) Stored {
 	t.Helper()
@@ -96,13 +104,13 @@ func checkLayout(t *testing.T, c *corpus.Corpus, l *Layout, p *fakeProj) {
 // corpus.Members.
 func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	c := miniCorpus(t) // records: doc@0, other@0, doc@1, doc@2
-	items := recordItems(t, c)
+	items := recordItems(c)
 
 	// Offline: two chunks, then every version in id order.
 	proj := newFakeProj()
 	l := NewLayout(c, proj)
 	for _, idxs := range [][]uint32{{1, 0}, {3, 2}} {
-		if _, err := l.AddChunk(items, idxs); err != nil {
+		if _, err := addChunk(l, items, idxs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +151,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	if l2.Loc(3).Chunk != NoChunk {
 		t.Fatal("unplaced record has a chunk")
 	}
-	p0, err := l2.AddChunk(items, []uint32{0, 1})
+	p0, err := addChunk(l2, items, []uint32{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +159,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := l2.TakeDelta()
-	p1, err := l2.AddChunk(items, []uint32{2, 3})
+	p1, err := addChunk(l2, items, []uint32{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,22 +232,22 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 // index past the items, and a live record no chunk holds.
 func TestLayoutRejectsBadAssignments(t *testing.T) {
 	c := miniCorpus(t)
-	items := recordItems(t, c)
+	items := recordItems(c)
 
 	l := NewLayout(c, newFakeProj())
-	if _, err := l.AddChunk(items, []uint32{0, 1}); err != nil {
+	if _, err := addChunk(l, items, []uint32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AddChunk(items, []uint32{1, 2, 3}); err == nil {
+	if _, err := addChunk(l, items, []uint32{1, 2, 3}); err == nil {
 		t.Fatal("record in two chunks accepted")
 	}
-	if _, err := l.AddChunk(items, []uint32{9}); err == nil {
+	if _, err := addChunk(l, items, []uint32{9}); err == nil {
 		t.Fatal("item index past the items accepted")
 	}
 
 	// Record 0 (live in v0) left out.
 	l = NewLayout(c, newFakeProj())
-	if _, err := l.AddChunk(items, []uint32{1, 2, 3}); err != nil {
+	if _, err := addChunk(l, items, []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.PlaceVersion(0); err == nil {

@@ -53,7 +53,7 @@ func chainItem(t testing.TB, c *corpus.Corpus) Item {
 // slots only, decoding a delta chain whole when one member of it is wanted.
 func TestSegmentRoundTrip(t *testing.T) {
 	c := miniCorpus(t)
-	items := append(recordItems(t, c), chainItem(t, c))
+	items := append(recordItems(c), chainItem(t, c))
 	seg, err := appendSegment(nil, 40, items, []uint32{4, 1}) // doc@0,1,2 then other@0
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 // hold decodeRuns to a budget directly.)
 func TestDecodeSegmentRejects(t *testing.T) {
 	c := miniCorpus(t)
-	items := append(recordItems(t, c), chainItem(t, c))
+	items := append(recordItems(c), chainItem(t, c))
 	good, err := appendSegment(nil, 0, items, []uint32{0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -289,12 +289,8 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 	for k := 0; k < keys; k++ {
 		recs := c.KeyRecords(types.Key(fmt.Sprintf("key-%05d", k)))
 		if k%2 == 0 {
-			for _, id := range recs {
-				it, err := SingleRecordItem(c, id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				itemOf[id] = len(items)
+			for _, it := range RecordItems(c, recs) {
+				itemOf[it.Members[0]] = len(items)
 				items = append(items, it)
 			}
 			continue
@@ -309,6 +305,7 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 		}
 		items = append(items, Item{CK: c.Record(recs[0]).CK, Members: recs, Parents: parents, Encoded: enc})
 	}
+	RankItems(c, items)
 	idxs := make([]uint32, len(items))
 	for i := range idxs {
 		idxs[i] = uint32(i)
@@ -316,7 +313,7 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 	rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
 
 	l := NewLayout(c, newFakeProj())
-	values, err := l.AddChunk(items, idxs)
+	values, err := addChunk(l, items, idxs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +372,7 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 			charged += len(it.Encoded)
 		}
 	}
-	values, err = NewLayout(c, newFakeProj()).AddChunk(items, singles)
+	values, err = addChunk(NewLayout(c, newFakeProj()), items, singles)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,7 @@ func chunkOf(t *testing.T, s *Store, ck types.CompositeKey) chunk.ID {
 func packedSize(t *testing.T, s *Store, ck types.CompositeKey) int {
 	t.Helper()
 	rec, _ := s.corpus.IDForCK(ck)
-	it, err := chunk.SingleRecordItem(s.corpus, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return it.PackedSize()
+	return chunk.RecordItems(s.corpus, []uint32{rec})[0].PackedSize()
 }
 
 // TestOnlineFrontierPlacement checks the open/closed split of a flush: the

@@ -68,13 +68,9 @@ func (s *Store) flushLocked(ctx context.Context) error {
 	slices.Sort(newIDs)
 	newIDs = slices.Compact(newIDs)
 
-	items := make([]chunk.Item, len(newIDs))
+	items := chunk.RecordItems(s.corpus, newIDs)
 	size := 0
-	for i, rec := range newIDs {
-		var err error
-		if items[i], err = chunk.SingleRecordItem(s.corpus, rec); err != nil {
-			return err
-		}
+	for i := range items {
 		size += items[i].PackedSize()
 	}
 

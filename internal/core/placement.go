@@ -60,11 +60,26 @@ type placement struct {
 // instances (one, or the open and the closed one) and the live layout; a
 // repartition the whole-corpus instance and a fresh layout under the next
 // generation.
+//
+// Chunks are laid out in three stages: the partitioner's assignment, then
+// every chunk coded on a pool of goroutines (chunk.Code, ordered), then —
+// on this goroutine, in chunk-id order — each one bound to the layout
+// (Layout.AddChunk) and its segments handed to the chunk writer, which has one
+// group in flight. Ids, keys and bytes are what coding the chunks one by one
+// gives.
 func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p placement) (err error) {
-	assigns := make([]*partition.Assignment, len(ins))
-	for i, in := range ins {
-		if assigns[i], err = s.cfg.Partitioner.Partition(in); err != nil {
+	type job struct {
+		items []chunk.Item
+		idxs  []uint32
+	}
+	var jobs []job
+	for _, in := range ins {
+		assign, err := s.cfg.Partitioner.Partition(in)
+		if err != nil {
 			return fmt.Errorf("rstore: %s: %s: %w", op, s.cfg.Partitioner.Name(), err)
+		}
+		for _, idxs := range assign.Chunks {
+			jobs = append(jobs, job{in.Items, idxs})
 		}
 	}
 
@@ -78,25 +93,30 @@ func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p 
 	}()
 	w := chunkWriter{kv: s.kv}
 	defer w.wait() // no chunk write outlives place, however it returns
-	for i, in := range ins {
-		for _, idxs := range assigns[i].Chunks {
-			cid := chunk.ID(p.layout.NumChunks())
-			segments, err := p.layout.AddChunk(in.Items, idxs)
-			if err != nil {
-				return fmt.Errorf("rstore: %s: %w", op, err)
-			}
-			// A chunk's segments travel in one group; the ring may still
-			// spread them over several nodes.
-			for seg, value := range segments {
-				w.group = append(w.group, kvstore.Entry{Key: chunk.SegmentKey(p.gen, cid, uint32(seg)), Value: value})
-				w.size += len(value)
-			}
-			if w.size >= chunkGroupBytes {
-				if err := w.send(ctx); err != nil {
-					return err
-				}
-			}
+	err = ordered(len(jobs), func(i int) (*chunk.Coded, error) {
+		coded, err := chunk.Code(jobs[i].items, jobs[i].idxs)
+		if err != nil {
+			return nil, fmt.Errorf("rstore: %s: %w", op, err)
 		}
+		return coded, nil
+	}, func(_ int, coded *chunk.Coded) error {
+		cid, err := p.layout.AddChunk(coded)
+		if err != nil {
+			return fmt.Errorf("rstore: %s: %w", op, err)
+		}
+		// A chunk's segments travel in one group; the ring may still spread
+		// them over several nodes.
+		for seg, value := range coded.Values {
+			w.group = append(w.group, kvstore.Entry{Key: chunk.SegmentKey(p.gen, cid, uint32(seg)), Value: value})
+			w.size += len(value)
+		}
+		if w.size >= chunkGroupBytes {
+			return w.send(ctx)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// The last group (a flush's only one) is written while the versions are
 	// placed.

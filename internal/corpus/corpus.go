@@ -22,8 +22,9 @@ import (
 type Corpus struct {
 	graph *vgraph.Graph
 
-	recs []types.Record // by record id
-	byCK map[types.CompositeKey]uint32
+	recs    []types.Record // by record id
+	recKeys []uint32       // by record id: its key id
+	byCK    map[types.CompositeKey]uint32
 
 	adds [][]uint32 // by version: record ids added on the tree edge (sorted)
 	dels [][]uint32 // by version: record ids removed on the tree edge (sorted)
@@ -50,6 +51,7 @@ func New(g *vgraph.Graph) *Corpus {
 // arrive, there being far fewer keys than records.
 func (c *Corpus) Grow(records, versions int) {
 	c.recs = slices.Grow(c.recs, records)
+	c.recKeys = slices.Grow(c.recKeys, records)
 	c.adds = slices.Grow(c.adds, versions)
 	c.dels = slices.Grow(c.dels, versions)
 	if len(c.byCK) == 0 {
@@ -79,7 +81,7 @@ func (c *Corpus) IDForCK(ck types.CompositeKey) (uint32, bool) {
 }
 
 // KeyOf returns the dense key id of record id.
-func (c *Corpus) KeyOf(id uint32) uint32 { return c.keyIDs[c.recs[id].CK.Key] }
+func (c *Corpus) KeyOf(id uint32) uint32 { return c.recKeys[id] }
 
 // Key returns the primary key with dense id k.
 func (c *Corpus) Key(k uint32) types.Key { return c.keyList[k] }
@@ -135,6 +137,7 @@ func (c *Corpus) AddVersionDelta(v types.VersionID, delta *types.Delta) error {
 				c.keyList = append(c.keyList, r.CK.Key)
 				c.keyRecs = append(c.keyRecs, nil)
 			}
+			c.recKeys = append(c.recKeys, ki)
 			c.keyRecs[ki] = append(c.keyRecs[ki], id)
 		}
 		addIDs = append(addIDs, id)

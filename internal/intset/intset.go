@@ -4,7 +4,10 @@
 // sets more memory- and cache-efficient than maps or dense bitmaps.
 package intset
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Set is a strictly-increasing sorted slice of uint32 ids. The zero value is
 // an empty set.
@@ -15,9 +18,8 @@ func FromUnsorted(ids []uint32) Set {
 	if len(ids) == 0 {
 		return nil
 	}
-	s := make(Set, len(ids))
-	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(ids)
+	slices.Sort(s)
 	out := s[:1]
 	for _, v := range s[1:] {
 		if v != out[len(out)-1] {
@@ -88,7 +90,7 @@ func Diff(a, b Set) Set {
 	if len(b) == 0 {
 		return a.Clone()
 	}
-	var out Set
+	out := make(Set, 0, len(a))
 	i, j := 0, 0
 	for i < len(a) {
 		for j < len(b) && b[j] < a[i] {

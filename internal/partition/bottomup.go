@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sort"
 
 	"rstore/internal/bitset"
@@ -65,6 +66,7 @@ func (b BottomUp) Partition(in *Input) (*Assignment, error) {
 	}
 
 	live := bitset.New(len(in.Items))
+	acc := make([]int32, len(in.Items)) // processBranching's, zero between its calls
 	var walk func(v types.VersionID) []spanSet
 	walk = func(v types.VersionID) []spanSet {
 		vi := uint32(v)
@@ -97,7 +99,7 @@ func (b BottomUp) Partition(in *Input) (*Assignment, error) {
 		if len(children) == 1 {
 			pi = b.processLinear(in, children[0], walk(children[0]), chunkSets)
 		} else {
-			pi = b.processBranching(in, children, walk, chunkSets)
+			pi = b.processBranching(in, children, walk, chunkSets, acc)
 		}
 		pi = b.limitBeta(pi)
 		return pi
@@ -162,14 +164,20 @@ func (b BottomUp) processLinear(in *Input, c types.VersionID, childPi []spanSet,
 // processBranching handles a version with multiple children: surviving items
 // accumulate their per-child run lengths (the paper's additive count), dead
 // sets from all children with equal weight are chunked together, and S¹ is
-// the intersection of the children's ∆⁻ sets.
-func (b BottomUp) processBranching(in *Input, children []types.VersionID, walk func(types.VersionID) []spanSet, chunkSets func([]spanSet)) []spanSet {
-	acc := make(map[uint32]int) // surviving item → Σ child run lengths
+// the intersection of the children's ∆⁻ sets. acc is the sum of an item's run
+// lengths, indexed by item, all zero on entry and again on return: every child
+// is walked before any is accumulated, so a branching below this one has
+// cleared acc before this one writes to it.
+func (b BottomUp) processBranching(in *Input, children []types.VersionID, walk func(types.VersionID) []spanSet, chunkSets func([]spanSet), acc []int32) []spanSet {
+	childPis := make([][]spanSet, len(children))
+	for i, c := range children {
+		childPis[i] = walk(c)
+	}
+	var surviving []uint32 // the items of acc that are not zero, in the order they became so
 	deadByWeight := make(map[int][]uint32)
-	for _, c := range children {
-		childPi := walk(c)
+	for i, c := range children {
 		adds := intset.Set(in.Adds[uint32(c)])
-		for _, s := range childPi {
+		for _, s := range childPis[i] {
 			d := intset.Intersect(s.items, adds)
 			if len(d) > 0 {
 				deadByWeight[s.weight] = append(deadByWeight[s.weight], d...)
@@ -179,7 +187,10 @@ func (b BottomUp) processBranching(in *Input, children []types.VersionID, walk f
 				surv = intset.Diff(s.items, d)
 			}
 			for _, item := range surv {
-				acc[item] += s.weight
+				if acc[item] == 0 {
+					surviving = append(surviving, item)
+				}
+				acc[item] += int32(s.weight)
 			}
 		}
 	}
@@ -201,16 +212,21 @@ func (b BottomUp) processBranching(in *Input, children []types.VersionID, walk f
 		}
 	}
 
-	buckets := make(map[int][]uint32)
-	for item, w := range acc {
-		buckets[w+1] = append(buckets[w+1], item)
+	// A survivor is in one bucket, once, and weighs at least 2: S¹, which
+	// Intersect built afresh, is bucket 1 as it is.
+	buckets := make(map[int]intset.Set)
+	for _, item := range surviving {
+		w := int(acc[item]) + 1
+		buckets[w] = append(buckets[w], item)
+		acc[item] = 0
 	}
 	if len(s1) > 0 {
-		buckets[1] = append(buckets[1], s1...)
+		buckets[1] = s1
 	}
 	pi := make([]spanSet, 0, len(buckets))
 	for w, items := range buckets {
-		pi = append(pi, spanSet{weight: w, items: intset.FromUnsorted(items)})
+		slices.Sort(items)
+		pi = append(pi, spanSet{weight: w, items: items})
 	}
 	sort.Slice(pi, func(i, j int) bool { return pi[i].weight < pi[j].weight })
 	return pi

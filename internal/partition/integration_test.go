@@ -109,19 +109,23 @@ func TestChunkSizesRespectSlack(t *testing.T) {
 }
 
 // layOut materializes an assignment the way the engine does: every chunk
-// through Layout.AddChunk, then every version placed in id order.
-// It returns each chunk's records as its segment values decode, in slot order.
+// through chunk.Code and Layout.AddChunk, then every version placed in id
+// order. It returns each chunk's records as its segment values decode, in
+// slot order.
 func layOut(t *testing.T, c *corpus.Corpus, items []chunk.Item, chunks [][]uint32) (*index.Projections, *chunk.Layout, [][]types.Record) {
 	t.Helper()
 	proj := index.New()
 	lay := chunk.NewLayout(c, proj)
 	stored := make([][]types.Record, len(chunks))
 	for i, idxs := range chunks {
-		segments, err := lay.AddChunk(items, idxs)
+		coded, err := chunk.Code(items, idxs)
+		if err == nil {
+			_, err = lay.AddChunk(coded)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, value := range segments {
+		for _, value := range coded.Values {
 			first, _, recs, err := chunk.DecodeSegment(value, nil)
 			if err != nil || int(first) != len(stored[i]) {
 				t.Fatalf("chunk %d: segment at slot %d after %d records: %v", i, first, len(stored[i]), err)

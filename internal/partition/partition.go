@@ -245,14 +245,11 @@ func forEachVersionItems(in *Input, fn func(v uint32, live *bitset.BitSet)) {
 // every record is its own item; deltas carry over directly from the corpus
 // (paper §2.5 Case 1).
 func NewInputFromCorpus(c *corpus.Corpus, capacity int) (*Input, error) {
-	items := make([]chunk.Item, c.NumRecords())
-	for id := 0; id < c.NumRecords(); id++ {
-		it, err := chunk.SingleRecordItem(c, uint32(id))
-		if err != nil {
-			return nil, err
-		}
-		items[id] = it
+	ids := make([]uint32, c.NumRecords())
+	for id := range ids {
+		ids[id] = uint32(id)
 	}
+	items := chunk.RecordItems(c, ids)
 	n := c.NumVersions()
 	adds := make([][]uint32, n)
 	dels := make([][]uint32, n)

@@ -131,6 +131,7 @@ func Build(c *corpus.Corpus, k, capacity int) (*Result, error) {
 			itemOf[m] = uint32(gi)
 		}
 	}
+	chunk.RankItems(c, items)
 
 	in, dropped, transformedOf, err := transformTree(c, items, itemOf, capacity)
 	if err != nil {
