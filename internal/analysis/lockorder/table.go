@@ -55,6 +55,6 @@ var Table = []Edge{
 	{
 		From:   "rstore/internal/core.Store.mu",
 		To:     "rstore/internal/engine/remote.breaker.mu",
-		Reason: "core reads under Store.mu go through kvstore.MultiGet, whose replica choice asks each dialed node's wire client whether its breaker is open; the breaker lock is a leaf guarding only counters and state, and the state listener runs after it is released. The nesting predates its row: it became visible when the kvstore node stopped reaching the client through an interface",
+		Reason: "a query under Store.mu only plans, and the one MultiGet left there fetches the pending deltas the plan overlays (chunk segments stream after the lock is released); it goes through kvstore.MultiGet, whose replica choice asks each dialed node's wire client whether its breaker is open; the breaker lock is a leaf guarding only counters and state, and the state listener runs after it is released",
 	},
 }

@@ -1,0 +1,358 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"iter"
+	"strings"
+	"testing"
+	"time"
+
+	"rstore/internal/kvstore"
+	"rstore/internal/types"
+)
+
+// A query plans under the store's read lock and streams outside it, so a
+// cursor whose consumer stops reading holds up no writer. These tests leave a
+// cursor the way such a client does — planned, its first fetch round done,
+// suspended in its consumer — and hold every writer to a second beside it.
+
+// besideReaderStore opens a store of 256-byte chunks over a one-node memory
+// cluster of its own, flushing every batch versions (0: by hand), and commits
+// version 0 — twenty documents of a chunk each, more chunks than one fetch
+// round reads — placed, and version 1, pending, which rewrites five of them,
+// deletes five and adds two.
+func besideReaderStore(t *testing.T, batch int) (*Store, *kvstore.Store) {
+	t.Helper()
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(ctx, Config{KV: kv, ChunkCapacity: 256, BatchSize: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := map[types.Key][]byte{}
+	for i := 0; i < 20; i++ {
+		puts[types.Key(fmt.Sprintf("doc-%02d", i))] = []byte(strings.Repeat(fmt.Sprintf("%02d", i), 100))
+	}
+	v0, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: puts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st.NumChunks() <= queryFetchBatch {
+		t.Fatalf("%d chunks: version 0 must take more than one fetch round", st.NumChunks())
+	}
+	change := Change{Puts: map[types.Key][]byte{"new-0": []byte("n0"), "new-1": []byte("n1")}}
+	for i := 0; i < 5; i++ {
+		change.Puts[types.Key(fmt.Sprintf("doc-%02d", i))] = []byte(fmt.Sprintf("rewritten %d", i))
+		change.Deletes = append(change.Deletes, types.Key(fmt.Sprintf("doc-%02d", 5+i)))
+	}
+	if _, err := st.Commit(ctx, v0, change); err != nil {
+		t.Fatal(err)
+	}
+	return st, kv
+}
+
+// stalledCursor opens a cursor on version v and reads one record of it. rest
+// resumes it and returns all it streamed, sorted; stop abandons it.
+func stalledCursor(t *testing.T, st *Store, v types.VersionID) (rest func() []types.Record, stop func()) {
+	t.Helper()
+	next, stop := iter.Pull2(st.GetVersion(context.Background(), v).Records())
+	first, err, ok := next()
+	if !ok || err != nil {
+		stop()
+		t.Fatalf("first record of version %d: %v", v, err)
+	}
+	return func() []types.Record {
+		t.Helper()
+		recs := []types.Record{first}
+		for r, err, ok := next(); ok; r, err, ok = next() {
+			if err != nil {
+				t.Fatalf("resumed cursor of version %d: %v", v, err)
+			}
+			recs = append(recs, r)
+		}
+		types.SortRecords(recs)
+		return recs
+	}, stop
+}
+
+// within runs op and fails the test unless it returns, without error, inside
+// a second.
+func within(t *testing.T, what string, op func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s beside a stalled cursor: %v", what, err)
+		}
+	case <-time.After(time.Second):
+		t.Fatalf("%s waited more than a second on a stalled cursor", what)
+	}
+}
+
+// sameRecords fails unless got and want hold the same records, byte for byte.
+func sameRecords(t *testing.T, what string, got, want []types.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].CK != want[i].CK || string(got[i].Value) != string(want[i].Value) {
+			t.Fatalf("%s: record %d is %v = %q, want %v = %q", what, i, got[i].CK, got[i].Value, want[i].CK, want[i].Value)
+		}
+	}
+}
+
+// placementGens counts the placement records of each generation.
+func placementGens(t *testing.T, kv *kvstore.Store) map[uint32]int {
+	t.Helper()
+	gens := map[uint32]int{}
+	if err := kv.Scan(context.Background(), TablePlacement, func(key string, _ []byte) bool {
+		var g, idx uint32
+		if _, err := fmt.Sscanf(key, "g%08x-p%08x", &g, &idx); err != nil {
+			t.Fatalf("placement key %q: %v", key, err)
+		}
+		gens[g]++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return gens
+}
+
+// TestBesideReaderWritersDoNotWait: a plain commit, a commit that closes its
+// batch (and so flushes) and a Materialize each return within a second beside
+// a stalled cursor, which then finishes with what it started reading.
+func TestBesideReaderWritersDoNotWait(t *testing.T) {
+	ctx := context.Background()
+	st, _ := besideReaderStore(t, 3)
+	want, _, err := st.GetVersionAll(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, stop := stalledCursor(t, st, 1)
+	defer stop()
+
+	within(t, "a commit", func() error {
+		_, err := st.Commit(ctx, 1, Change{Puts: map[types.Key][]byte{"doc-10": []byte("v2")}})
+		return err
+	})
+	within(t, "a batch-closing commit", func() error {
+		_, err := st.Commit(ctx, 2, Change{Puts: map[types.Key][]byte{"doc-11": []byte("v3")}})
+		return err
+	})
+	if n := st.PendingVersions(); n != 0 {
+		t.Fatalf("%d versions pending: the third commit did not close the batch", n)
+	}
+	within(t, "a Materialize", func() error { return st.Materialize(ctx) })
+	sameRecords(t, "stalled cursor of version 1", rest(), want)
+}
+
+// TestBesideReaderFlushDrainsOverlay: a cursor of a pending version planned
+// its overlay before a flush placed the version and drained its delta from the
+// write store; it finishes byte-exact against the version read after.
+func TestBesideReaderFlushDrainsOverlay(t *testing.T) {
+	ctx := context.Background()
+	st, kv := besideReaderStore(t, 0)
+	rest, stop := stalledCursor(t, st, 1)
+	defer stop()
+
+	within(t, "a flush", func() error { return st.Flush(ctx) })
+	pending := 0
+	if err := kv.Scan(ctx, TableDeltaStore, func(string, []byte) bool { pending++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if pending != 0 {
+		t.Fatalf("%d delta entries left after the flush", pending)
+	}
+	want, _, err := st.GetVersionAll(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "cursor opened before the flush", rest(), want)
+}
+
+// TestBesideReaderMaterializeDefersSweep: a cursor opened before Materialize
+// pins the generation it reads. Materialize returns beside it, the superseded
+// generation stays while the cursor streams, the cursor finishes byte-exact
+// against the version read after, and once it ends no key of the old
+// generation is left in chunks or placement.
+func TestBesideReaderMaterializeDefersSweep(t *testing.T) {
+	ctx := context.Background()
+	st, kv := besideReaderStore(t, 0)
+	rest, stop := stalledCursor(t, st, 1)
+	defer stop()
+
+	within(t, "a Materialize", func() error { return st.Materialize(ctx) })
+	if st.gen != 1 {
+		t.Fatalf("generation %d after Materialize, want 1", st.gen)
+	}
+	if gens := scanChunkGens(t, kv); gens[0] == 0 {
+		t.Fatalf("the generation a cursor reads was deleted under it: chunk generations %v", gens)
+	}
+	want, _, err := st.GetVersionAll(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "cursor opened before Materialize", rest(), want)
+	if chunks, records := scanChunkGens(t, kv), placementGens(t, kv); chunks[0] != 0 || records[0] != 0 || chunks[1] == 0 {
+		t.Fatalf("after the cursor ended: chunk generations %v, placement generations %v; want generation 1 alone", chunks, records)
+	}
+}
+
+// TestBesideReaderCrashBeforeSweep: a crash after Materialize swapped the
+// generation, while a cursor still held the old one, leaves nothing of the old
+// generation once Load has run, and every version reads as it did.
+func TestBesideReaderCrashBeforeSweep(t *testing.T) {
+	ctx := context.Background()
+	st, kv := besideReaderStore(t, 0)
+	var want [2][]types.Record
+	for v := range want {
+		var err error
+		if want[v], _, err = st.GetVersionAll(ctx, types.VersionID(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, stop := stalledCursor(t, st, 1)
+	defer stop()
+
+	within(t, "a Materialize", func() error { return st.Materialize(ctx) })
+	if gens := scanChunkGens(t, kv); gens[0] == 0 {
+		t.Fatalf("precondition: the pinned generation is gone before the crash: %v", gens)
+	}
+	// The crash: st is abandoned, cursor and all; a new process loads.
+	re, err := Load(ctx, Config{KV: kv, ChunkCapacity: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks, records := scanChunkGens(t, kv), placementGens(t, kv); chunks[0] != 0 || records[0] != 0 {
+		t.Fatalf("after Load: chunk generations %v, placement generations %v; want none of generation 0", chunks, records)
+	}
+	for v := range want {
+		got, _, err := re.GetVersionAll(ctx, types.VersionID(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRecords(t, fmt.Sprintf("version %d after Load", v), got, want[v])
+	}
+}
+
+// TestBesideReaderConcurrentPins: readers stream two versions over and over
+// while a writer commits, flushes and repartitions; every read is byte-exact
+// whichever generations it started and ended beside, and once the readers are
+// done each superseded generation is gone — its last reader, or publish,
+// deleted it, and nothing deleted one a reader still held.
+func TestBesideReaderConcurrentPins(t *testing.T) {
+	ctx := context.Background()
+	st, kv := besideReaderStore(t, 0)
+	var want [2][]types.Record
+	for v := range want {
+		var err error
+		if want[v], _, err = st.GetVersionAll(ctx, types.VersionID(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	for r := 0; r < cap(errs); r++ {
+		go func() {
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				got, _, err := st.GetVersionAll(ctx, types.VersionID(i%2))
+				if err == nil && len(got) != len(want[i%2]) {
+					err = fmt.Errorf("version %d: %d records, want %d", i%2, len(got), len(want[i%2]))
+				}
+				for j := 0; err == nil && j < len(got); j++ {
+					if got[j].CK != want[i%2][j].CK || string(got[j].Value) != string(want[i%2][j].Value) {
+						err = fmt.Errorf("version %d: record %d is %v, want %v", i%2, j, got[j].CK, want[i%2][j].CK)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	tip := types.VersionID(1)
+	for round := 0; round < 5; round++ {
+		next, err := st.Commit(ctx, tip, Change{Puts: map[types.Key][]byte{types.Key(fmt.Sprintf("round-%d", round)): []byte("r")}})
+		if err == nil {
+			err = st.Flush(ctx)
+		}
+		if err == nil {
+			err = st.Materialize(ctx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tip = next
+	}
+	close(stop)
+	for r := 0; r < cap(errs); r++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if chunks, records := scanChunkGens(t, kv), placementGens(t, kv); len(chunks) != 1 || chunks[st.gen] == 0 || len(records) != 1 || records[st.gen] == 0 {
+		t.Fatalf("readers done: chunk generations %v, placement generations %v; want generation %d alone", chunks, records, st.gen)
+	}
+}
+
+// TestBesideReaderClose: Close does not wait for a stalled cursor, and the
+// cursor, resumed with segments left to fetch from the cluster Close closed,
+// ends with an error wrapping types.ErrClosed — not with a panic, and not as
+// if it had streamed the whole version.
+func TestBesideReaderClose(t *testing.T) {
+	ctx := context.Background()
+	st, err := Open(ctx, Config{ChunkCapacity: 256}) // the store owns its cluster
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := map[types.Key][]byte{}
+	for i := 0; i < 20; i++ {
+		puts[types.Key(fmt.Sprintf("doc-%02d", i))] = []byte(strings.Repeat(fmt.Sprintf("%02d", i), 100))
+	}
+	v, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: puts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	next, stop := iter.Pull2(st.GetVersion(ctx, v).Records())
+	defer stop()
+	if _, err, ok := next(); !ok || err != nil {
+		t.Fatalf("first record: %v", err)
+	}
+
+	within(t, "Close", st.Close)
+	got := 1
+	for _, err, ok := next(); ok; _, err, ok = next() {
+		if err != nil {
+			if !errors.Is(err, types.ErrClosed) {
+				t.Fatalf("cursor resumed after Close ended with %v, want types.ErrClosed", err)
+			}
+			if got >= len(puts) {
+				t.Fatalf("cursor streamed all %d records and then failed", got)
+			}
+			return
+		}
+		got++
+	}
+	t.Fatalf("cursor resumed after Close streamed %d of %d records and ended without an error", got, len(puts))
+}

@@ -22,14 +22,18 @@
 //     persist through publish: new chunk segments, one placement record, the
 //     root. A run that fails part-way poisons the Store (types.ErrPoisoned)
 //     until it is reopened.
-//   - Query Processing: every query resolves the exact (chunk, slot) set it
-//     returns from memory — a version's slot bitmaps; for a key, its records'
-//     locations tested against the version's bitmaps — then MultiGets only
-//     the segments those slots fall in and decodes only those slots. The
-//     paper's second projection (key→chunks) and its index-ANDing are not
-//     kept: nothing is fetched to be found empty. Pending (not yet
-//     partitioned) versions are served by overlaying delta-store contents on
-//     the nearest partitioned ancestor.
+//   - Query Processing: every query plans under the store's read lock and
+//     streams outside it. The plan is the exact (chunk, slot) set the query
+//     returns, resolved from memory — a version's slot bitmaps; for a key,
+//     its records' locations tested against the version's bitmaps — plus
+//     the pending (not yet partitioned) deltas it overlays on the nearest
+//     partitioned ancestor, and it pins the placement generation it was
+//     resolved under. The stream MultiGets only the segments those slots fall
+//     in and decodes only those slots; a slow consumer holds up no writer,
+//     and a repartition defers deleting the generation it supersedes until
+//     the last stream reading it ends. The paper's second projection
+//     (key→chunks) and its index-ANDing are not kept: nothing is fetched to
+//     be found empty.
 //
 // A Store is safe for concurrent use, but it must be the only writer of its
 // underlying cluster: commits, flushes, and Materialize coordinate through
@@ -103,12 +107,6 @@ type Config struct {
 	// with the caveat that shared mutable state is unsupported (§2.4);
 	// read-only replicas opened with Load are the safe multi-AS deployment.
 	ReadOnly bool
-	// QueryFetchBatch is the number of chunks whose wanted segments a
-	// streaming query fetches from the KVS per round (default 8). Smaller batches surface the
-	// first records sooner and bound per-query server memory tighter;
-	// larger batches recover more of the fetch parallelism of the old
-	// materialize-everything path.
-	QueryFetchBatch int
 }
 
 // withDefaults fills in defaults; ownsKV reports that a private cluster was
@@ -144,9 +142,6 @@ func (c Config) withDefaults(ctx context.Context) (Config, bool, error) {
 	}
 	if c.SubChunkK < 1 {
 		c.SubChunkK = 1
-	}
-	if c.QueryFetchBatch <= 0 {
-		c.QueryFetchBatch = 8
 	}
 	return c, ownsKV, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math/rand"
 	"sort"
 	"testing"
@@ -290,5 +291,81 @@ func TestGoldenStoredBytes(t *testing.T) {
 	}
 	if framing := float64(chunkBytes-valueBytes) / float64(st.corpus.NumRecords()); framing > 10 {
 		t.Errorf("blobs-k1: %.1f bytes of framing per single-record item stored raw, want at most 10", framing)
+	}
+}
+
+// TestGoldenQueryStats pins what each kind of query pays on the golden corpus
+// — QueryStats' Span, Requests, BytesRead and Records, and whether it failed —
+// over the replay in online batches of four and two more commits left
+// pending, so reads of the last two versions overlay the write store: every
+// version read whole and a tenth of its keys as a range; a point read of every
+// third key of every version — deleted keys, keys a pending delta rewrites or
+// deletes, and keys it does not touch among them — and of a key no version
+// holds; every key's history. Each kind hashes to a digest of its own. The
+// digests were taken while every query ran under the store's read lock: how a
+// query is planned and streamed may change, what it fetches may not.
+func TestGoldenQueryStats(t *testing.T) {
+	ctx := context.Background()
+	st, _ := openGolden(t, Config{BatchSize: 4})
+	replayGolden(t, st)
+	tip := types.VersionID(st.NumVersions() - 1)
+	recs, _, err := st.GetVersionAll(ctx, tip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts, dels := map[types.Key][]byte{}, []types.Key(nil)
+	for i, r := range recs {
+		switch i % 7 {
+		case 0:
+			puts[r.CK.Key] = []byte("rewritten while pending")
+		case 1:
+			dels = append(dels, r.CK.Key)
+		}
+	}
+	v, err := st.Commit(ctx, tip, Change{Puts: puts, Deletes: dels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Commit(ctx, v, Change{Puts: map[types.Key][]byte{recs[0].CK.Key: []byte("rewritten twice"), "pending-new": []byte("new")}}); err != nil {
+		t.Fatal(err)
+	}
+	if st.PendingVersions() != 2 {
+		t.Fatalf("%d versions pending, want 2", st.PendingVersions())
+	}
+
+	digests := map[string]hash.Hash{}
+	note := func(kind string, stats QueryStats, err error) {
+		if digests[kind] == nil {
+			digests[kind] = sha256.New()
+		}
+		fmt.Fprintf(digests[kind], "%d %d %d %d %v\n", stats.Span, stats.Requests, stats.BytesRead, stats.Records, err != nil)
+	}
+	keys, n := st.sortedKeys, st.NumVersions()
+	for v := types.VersionID(0); int(v) < n; v++ {
+		_, stats, err := st.GetVersionAll(ctx, v)
+		note("version", stats, err)
+		lo := int(v) * len(keys) / n
+		_, stats, err = st.GetRangeAll(ctx, KeyRange(keys[lo], keys[min(lo+len(keys)/10, len(keys)-1)]), v)
+		note("range", stats, err)
+		for i := int(v) % 3; i < len(keys); i += 3 {
+			_, stats, err = st.GetRecord(ctx, keys[i], v)
+			note("point", stats, err)
+		}
+		_, stats, err = st.GetRecord(ctx, "no such key", v)
+		note("point", stats, err)
+	}
+	for _, k := range keys {
+		_, stats, err := st.GetHistoryAll(ctx, k)
+		note("history", stats, err)
+	}
+	for kind, want := range map[string]string{
+		"version": "fe7edffbbb47cc6bdc414b866d61dfafc5b17f78dfa7add35f4062389abba258",
+		"range":   "e33bf99700eadbe8b506dc754a8b312776e3fd6e23719e18c8b13cc8f333e105",
+		"point":   "e72a83ea3372029a29ce9732afb60da24abe55b089c65391c5359598b30ce064",
+		"history": "47ef717a819dd088c617d93ea6dbff3fa021f50df8887d8d59c6d66875ab26c8",
+	} {
+		if got := hex.EncodeToString(digests[kind].Sum(nil)); got != want {
+			t.Errorf("%s reads: stats digest %s, want %s", kind, got, want)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-
-	"rstore/internal/types"
 )
 
 // ordered runs work(0), work(1), …, work(n-1) on up to GOMAXPROCS goroutines
@@ -13,7 +11,7 @@ import (
 // sequentially while constructing the query result and cannot benefit from
 // the increased parallelism; we are working on parallelizing the entire
 // end-to-end process" (§5.5). This is that extension, at both ends of a
-// chunk's life: a query's segments are decoded here (decodeSegments), and a
+// chunk's life: a query's segments are decoded here (Store.stream), and a
 // placement run's chunks are coded here (place) while the run binds, in
 // chunk-id order, the ones before them — the CPU-heavy step of each, binary
 // deltas and run lists, parallelizes cleanly per segment and per chunk.
@@ -85,21 +83,3 @@ func ordered[T any](n int, work func(i int) (T, error), consume func(i int, v T)
 // poolWindow is how many results per goroutine ordered lets work run ahead of
 // consume: two keeps every goroutine busy while consume takes the oldest.
 const poolWindow = 2
-
-// decodeSegments decodes fetched segments into the records their queries
-// want, in parallel across segments (ordered). Results are positionally
-// aligned with reads; decoding errors surface as one error. A point read's
-// single segment is decoded on the caller's goroutine.
-func decodeSegments(reads []segmentRead) ([][]types.Record, error) {
-	out := make([][]types.Record, len(reads))
-	err := ordered(len(reads), func(i int) ([]types.Record, error) {
-		return reads[i].decode()
-	}, func(i int, recs []types.Record) error {
-		out[i] = recs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

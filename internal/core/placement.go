@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"rstore/internal/chunk"
 	"rstore/internal/index"
@@ -193,7 +194,9 @@ func (w *chunkWriter) wait() error {
 // under the NEXT generation's keys, so nothing is overwritten in place: until
 // the root — which names the generation — commits, the old root still pairs
 // with the old generation's intact entries. The store adopts p once its chunks
-// and record are durable, just before the root is written from it.
+// and record are durable, just before the root is written from it. A
+// superseded generation that a query stream still reads is deleted when the
+// last such stream ends (genPin); a crash before that leaves it to Load.
 func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error {
 	drain := s.pending()
 	if err := w.wait(); err != nil {
@@ -207,11 +210,14 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 		return err
 	}
 
-	oldGen, oldLayout, oldPlacements := s.gen, s.layout, s.numPlacements
+	oldGen, oldPin, oldLayout, oldPlacements := s.gen, s.pin, s.layout, s.numPlacements
 	s.gen, s.layout, s.proj, s.numPlacements = p.gen, p.layout, p.proj, idx+1
+	if p.gen != oldGen {
+		s.pin = newGenPin()
+	}
 	s.placed = s.graph.NumVersions()
 	if err := s.saveRoot(ctx); err != nil {
-		return err
+		return err // the root still names oldGen: the store never lets go of it
 	}
 
 	// The superseded generation's keys are computable, no scan; Load's
@@ -223,14 +229,17 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 				segments = append(segments, chunk.SegmentKey(oldGen, chunk.ID(cid), uint32(seg)))
 			}
 		}
-		if err := deleteKeys(ctx, s.kv, TableChunks, segments); err != nil {
-			return err
-		}
 		records := make([]string, oldPlacements)
 		for idx := range records {
 			records[idx] = placementKey(oldGen, uint32(idx))
 		}
-		if err := deleteKeys(ctx, s.kv, TablePlacement, records); err != nil {
+		oldPin.sweep = func(ctx context.Context) error {
+			if err := deleteKeys(ctx, s.kv, TableChunks, segments); err != nil {
+				return err
+			}
+			return deleteKeys(ctx, s.kv, TablePlacement, records)
+		}
+		if err := oldPin.release(ctx); err != nil {
 			return err
 		}
 	}
@@ -239,6 +248,33 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 		drained[i] = deltaKey(v)
 	}
 	return deleteKeys(ctx, s.kv, TableDeltaStore, drained)
+}
+
+// genPin counts the holders of a placement generation's KVS keys: the store,
+// while the generation is live, and every query stream resolved under it —
+// leveldb's ref-counted Version, one layer up. Segments are written once and
+// never changed, so what a stream reads can only go away with its whole
+// generation, and whoever lets go last deletes that: publish, at once, when
+// no stream reads the generation it supersedes; otherwise the last stream to
+// end.
+type genPin struct {
+	holders atomic.Int32
+	sweep   func(ctx context.Context) error // set by publish before the store lets go
+}
+
+// newGenPin returns the pin of a live generation, the store's hold on it.
+func newGenPin() *genPin {
+	g := &genPin{}
+	g.holders.Store(1)
+	return g
+}
+
+// release lets go of one hold; the last one deletes the generation.
+func (g *genPin) release(ctx context.Context) error {
+	if g.holders.Add(-1) > 0 {
+		return nil
+	}
+	return g.sweep(ctx)
 }
 
 // deleteGroupKeys is how many keys a cleanup delete carries at most: like a

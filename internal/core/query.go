@@ -38,28 +38,25 @@ func (r Range) contains(k types.Key) bool {
 }
 
 // Cursor is the streaming result of a query (GetVersion, GetRange,
-// GetHistory): records are produced incrementally — the query resolves the
-// slots it returns from memory, then fetches the segments holding them from
-// the KVS, Config.QueryFetchBatch chunks' worth at a time — so the first
-// record is available before the last segment is fetched, and abandoning the
-// cursor (or cancelling the query's context) stops further fetches.
+// GetHistory). Iterating it first plans the query under the store's read
+// lock — every slot it returns, resolved from memory, and the pending deltas
+// it overlays (readPlan) — and then streams the plan with no store lock held:
+// the segments holding those slots are fetched queryFetchBatch chunks' worth
+// at a time, so the first record is available before the last segment is
+// fetched, and abandoning the cursor (or cancelling the query's context)
+// stops further fetches. The plan is a snapshot of the queried version as it
+// stood when iteration began; commits, flushes and Materialize go ahead while
+// a cursor streams, however slowly its consumer reads.
 //
 // Iterate with Records (usable once); Stats reports the retrieval costs
 // accumulated so far and is complete once the sequence ends. An error —
-// including the context's, when it ends mid-query — terminates the sequence
-// as the final pair's second value.
-//
-// The cursor holds the store's read lock while being iterated, so a
-// consumer that stalls between records delays concurrent commits; drain
-// promptly or use the ...All convenience wrappers.
+// including the context's, when it ends mid-query, and types.ErrClosed, when
+// the store closed its cluster under the cursor — terminates the sequence as
+// the final pair's second value.
 type Cursor struct {
 	stats QueryStats
 	run   func(c *Cursor, yield func(types.Record, error) bool)
 	spent bool
-}
-
-func newCursor(run func(c *Cursor, yield func(types.Record, error) bool)) *Cursor {
-	return &Cursor{run: run}
 }
 
 // Records returns the record sequence. It may be ranged over once; a
@@ -99,30 +96,15 @@ func (c *Cursor) All() ([]types.Record, QueryStats, error) {
 // served by overlaying their deltas on the nearest placed ancestor. Record
 // order is unspecified (chunk order); GetVersionAll sorts.
 func (s *Store) GetVersion(ctx context.Context, v types.VersionID) *Cursor {
-	return newCursor(func(c *Cursor, yield func(types.Record, error) bool) {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		if !s.validVersion(v) {
-			yield(types.Record{}, &types.VersionUnknownError{Version: v})
-			return
+	return s.query(ctx, func(stats *QueryStats) (*readPlan, error) {
+		p, anchor, err := s.planOverlay(ctx, v, nil, stats)
+		if err != nil || anchor == types.InvalidVersion {
+			return p, err
 		}
-		anchor, overlayPath := s.anchorOf(v)
-		ov, err := s.overlayEffect(ctx, overlayPath, &c.stats)
-		if err != nil {
-			yield(types.Record{}, err)
-			return
+		for _, cid := range s.proj.VersionChunks(anchor) {
+			p.chunks = append(p.chunks, s.planChunk(cid, s.layout.Map(cid).SlotsOf(anchor)))
 		}
-		if anchor != types.InvalidVersion {
-			cids := s.proj.VersionChunks(anchor)
-			wants := make([]chunkSlots, len(cids))
-			for i, cid := range cids {
-				wants[i] = chunkSlots{cid, s.layout.Map(cid).SlotsOf(anchor)}
-			}
-			if !s.streamVersionSlots(ctx, c, wants, ov, yield) {
-				return
-			}
-		}
-		emitOverlayAdds(c, ov, nil, yield)
+		return p, nil
 	})
 }
 
@@ -139,33 +121,22 @@ func (s *Store) GetVersionAll(ctx context.Context, v types.VersionID) ([]types.R
 // holds it at, and only the segments those slots fall in are fetched. Record
 // order is unspecified; GetRangeAll sorts.
 func (s *Store) GetRange(ctx context.Context, r Range, v types.VersionID) *Cursor {
-	return newCursor(func(c *Cursor, yield func(types.Record, error) bool) {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		if !s.validVersion(v) {
-			yield(types.Record{}, &types.VersionUnknownError{Version: v})
-			return
+	return s.query(ctx, func(stats *QueryStats) (*readPlan, error) {
+		p, anchor, err := s.planOverlay(ctx, v, r.contains, stats)
+		if err != nil || anchor == types.InvalidVersion {
+			return p, err
 		}
-		anchor, overlayPath := s.anchorOf(v)
-		ov, err := s.overlayEffect(ctx, overlayPath, &c.stats)
-		if err != nil {
-			yield(types.Record{}, err)
-			return
-		}
-		if anchor != types.InvalidVersion {
-			// The anchor holds at most one record of a key: the one whose
-			// slot its bitmap in that record's chunk has set.
-			var plan slotPlan
-			for _, k := range s.keysInRange(r) {
-				if loc, ok := s.locate(k, anchor); ok {
-					plan.add(loc)
-				}
-			}
-			if !s.streamVersionSlots(ctx, c, plan.wants(), ov, yield) {
-				return
+		// The anchor holds at most one record of a key: the one whose slot
+		// its bitmap in that record's chunk has set. A record the overlay
+		// masks is left out, so a key a pending delta decides costs no fetch.
+		slots := slotSet{}
+		for _, k := range s.keysInRange(r) {
+			if rec, loc, ok := s.locate(k, anchor); ok && !p.masked[s.corpus.Record(rec).CK] {
+				slots.add(loc)
 			}
 		}
-		emitOverlayAdds(c, ov, r.contains, yield)
+		p.chunks = s.chunkReads(slots)
+		return p, nil
 	})
 }
 
@@ -183,56 +154,39 @@ func (s *Store) GetRangeAll(ctx context.Context, r Range, v types.VersionID) ([]
 // version. A key with no records anywhere ends the sequence with a
 // KeyNotFoundError.
 func (s *Store) GetHistory(ctx context.Context, key types.Key) *Cursor {
-	return newCursor(func(c *Cursor, yield func(types.Record, error) bool) {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-
+	return s.query(ctx, func(stats *QueryStats) (*readPlan, error) {
+		ids := s.corpus.KeyRecords(key)
+		if len(ids) == 0 {
+			return nil, &types.KeyNotFoundError{Key: key, Version: types.InvalidVersion}
+		}
 		// Placed records are read from their slots; pending ones live in
-		// the write store.
-		var plan slotPlan
-		var pendingVersions []types.VersionID
-		for _, id := range s.corpus.KeyRecords(key) {
+		// the write store, each in the delta of the version it originates
+		// at (a merge's delta may re-add it: it is taken once).
+		slots, pending := slotSet{}, map[types.CompositeKey]bool{}
+		var versions []types.VersionID
+		for _, id := range ids {
 			if loc := s.layout.Loc(id); loc.Chunk != chunk.NoChunk {
-				plan.add(loc)
+				slots.add(loc)
 			} else {
-				pendingVersions = append(pendingVersions, s.corpus.Record(id).CK.Version)
+				ck := s.corpus.Record(id).CK
+				pending[ck] = true
+				versions = append(versions, ck.Version)
 			}
 		}
-		seen := make(map[types.CompositeKey]bool)
-		stopped, err := s.streamSlots(ctx, plan.wants(), &c.stats, func(r types.Record) bool {
-			seen[r.CK] = true
-			c.stats.Records++
-			return yield(r, nil)
-		})
+		deltas, err := s.fetchDeltas(ctx, versions, stats)
 		if err != nil {
-			yield(types.Record{}, err)
-			return
+			return nil, err
 		}
-		if stopped {
-			return
-		}
-		if len(pendingVersions) > 0 {
-			deltas, err := s.fetchDeltas(ctx, pendingVersions, &c.stats)
-			if err != nil {
-				yield(types.Record{}, err)
-				return
-			}
-			for _, d := range deltas {
-				for _, r := range d.Adds {
-					if r.CK.Key != key || seen[r.CK] {
-						continue
-					}
-					seen[r.CK] = true
-					c.stats.Records++
-					if !yield(r, nil) {
-						return
-					}
+		p := &readPlan{chunks: s.chunkReads(slots)}
+		for _, d := range deltas {
+			for _, r := range d.Adds {
+				if pending[r.CK] {
+					delete(pending, r.CK)
+					p.adds = append(p.adds, r)
 				}
 			}
 		}
-		if len(seen) == 0 {
-			yield(types.Record{}, &types.KeyNotFoundError{Key: key, Version: types.InvalidVersion})
-		}
+		return p, nil
 	})
 }
 
@@ -245,64 +199,153 @@ func (s *Store) GetHistoryAll(ctx context.Context, key types.Key) ([]types.Recor
 }
 
 // GetRecord retrieves the record with the given primary key visible in
-// version v (point query). Where the paper intersects two lossy projections
-// ("index-ANDing", §2.4) and fetches every candidate chunk, the record's slot
-// is resolved exactly from memory (locate) and one segment is fetched. A
+// version v (point query): the range of that one key. Where the paper
+// intersects two lossy projections ("index-ANDing", §2.4) and fetches every
+// candidate chunk, the record's slot is resolved exactly from memory (locate)
+// and one segment is fetched — none when a pending delta decides the key. A
 // point query returns one record, so it keeps the buffered shape rather than
 // a cursor.
 func (s *Store) GetRecord(ctx context.Context, key types.Key, v types.VersionID) (types.Record, QueryStats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var stats QueryStats
-	if !s.validVersion(v) {
-		return types.Record{}, stats, &types.VersionUnknownError{Version: v}
+	recs, stats, err := s.GetRange(ctx, KeyRange(key, key+"\x00"), v).All()
+	if err == nil && len(recs) == 0 {
+		err = &types.KeyNotFoundError{Key: key, Version: v}
 	}
-	anchor, overlayPath := s.anchorOf(v)
-
-	// Newest-first through the pending deltas: the first touch of the key
-	// decides.
-	if len(overlayPath) > 0 {
-		deltas, err := s.fetchDeltas(ctx, overlayPath, &stats)
-		if err != nil {
-			return types.Record{}, stats, err
-		}
-		for i := len(deltas) - 1; i >= 0; i-- {
-			d := deltas[i]
-			for _, r := range d.Adds {
-				if r.CK.Key == key {
-					stats.Records = 1
-					return r, stats, nil
-				}
-			}
-			for _, ck := range d.Dels {
-				if ck.Key == key {
-					return types.Record{}, stats, &types.KeyNotFoundError{Key: key, Version: v}
-				}
-			}
-		}
-	}
-	if anchor == types.InvalidVersion {
-		return types.Record{}, stats, &types.KeyNotFoundError{Key: key, Version: v}
-	}
-
-	loc, ok := s.locate(key, anchor)
-	if !ok {
-		return types.Record{}, stats, &types.KeyNotFoundError{Key: key, Version: v}
-	}
-	var plan slotPlan
-	plan.add(loc)
-	var rec types.Record
-	if _, err := s.streamSlots(ctx, plan.wants(), &stats, func(r types.Record) bool {
-		rec = r
-		return true
-	}); err != nil {
+	if err != nil {
 		return types.Record{}, stats, err
 	}
-	stats.Records = 1
-	return rec, stats, nil
+	return recs[0], stats, nil
 }
 
-// --- shared plumbing ---
+// --- planning, under s.mu ---
+
+// readPlan is a query resolved from memory: everything its stream reads,
+// taken under s.mu and never written after. The chunk maps' bitmaps and the
+// segments' first slots it shares with the layout are immutable once placed
+// (chunk.Layout), and so are the segments in the KVS while the plan pins
+// their generation, so the stream needs no store lock. A plan is O(chunks
+// read) plus the pending deltas it overlays.
+type readPlan struct {
+	gen    uint32  // the placement generation the segments are read under
+	pin    *genPin // held on gen until the stream ends
+	chunks []chunkRead
+	// masked hides the records of the placed anchor that pending deltas
+	// delete or re-add; adds are the pending records the query returns.
+	masked map[types.CompositeKey]bool
+	adds   []types.Record
+}
+
+// chunkRead is what a plan reads of one chunk: the slots it returns, the
+// first slot of each of the chunk's segments (Layout.Segments) and its slot
+// count.
+type chunkRead struct {
+	cid      chunk.ID
+	slots    *bitset.BitSet
+	segs     []uint32
+	numSlots int
+}
+
+// planChunk is a plan's read of slots of chunk cid. Callers hold s.mu.
+func (s *Store) planChunk(cid chunk.ID, slots *bitset.BitSet) chunkRead {
+	return chunkRead{cid, slots, s.layout.Segments(cid), s.layout.Map(cid).NumSlots}
+}
+
+// slotSet collects the slots a key-addressed query returns, per chunk.
+type slotSet map[chunk.ID]*bitset.BitSet
+
+func (ss slotSet) add(loc chunk.Loc) {
+	if ss[loc.Chunk] == nil {
+		ss[loc.Chunk] = bitset.New(int(loc.Slot) + 1)
+	}
+	ss[loc.Chunk].Set(loc.Slot)
+}
+
+// chunkReads lists a key-addressed plan's reads in chunk order. Callers hold
+// s.mu.
+func (s *Store) chunkReads(ss slotSet) []chunkRead {
+	out := make([]chunkRead, 0, len(ss))
+	for _, cid := range slices.Sorted(maps.Keys(ss)) {
+		out = append(out, s.planChunk(cid, ss[cid]))
+	}
+	return out
+}
+
+// query returns the cursor of the query plan resolves. Iterating it runs
+// plan under s.mu.RLock and pins the generation the plan was resolved under;
+// the lock is released before the first segment is fetched, the pin once the
+// stream ends.
+func (s *Store) query(ctx context.Context, plan func(stats *QueryStats) (*readPlan, error)) *Cursor {
+	return &Cursor{run: func(c *Cursor, yield func(types.Record, error) bool) {
+		p, err := s.resolve(&c.stats, plan)
+		if err != nil {
+			yield(types.Record{}, err)
+			return
+		}
+		defer func() {
+			// A sweep that fails leaves debris Load deletes, as a crash before
+			// it would; the records were delivered whole all the same.
+			_ = p.pin.release(context.WithoutCancel(ctx))
+		}()
+		if err := s.stream(ctx, p, &c.stats, yield); err != nil && !errors.Is(err, errStopped) {
+			yield(types.Record{}, err)
+		}
+	}}
+}
+
+// resolve runs plan under s.mu.RLock and pins the generation it read.
+func (s *Store) resolve(stats *QueryStats, plan func(stats *QueryStats) (*readPlan, error)) (*readPlan, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p, err := plan(stats)
+	if err != nil {
+		return nil, err
+	}
+	// publish lets go of the store's hold on a pin only once s.pin is
+	// another, under the write lock: holders never rise from 0.
+	s.pin.holders.Add(1)
+	p.gen, p.pin = s.gen, s.pin
+	return p, nil
+}
+
+// planOverlay starts the plan of a query of version v: it checks v, fetches
+// the pending deltas between v and its placed anchor, and folds them into the
+// plan's masked set and its adds — those whose keys keep accepts (nil: all),
+// sorted by composite key. It returns the anchor, InvalidVersion when all of
+// v is pending. Pending deltas are small (they are the unflushed write batch)
+// and the flush that places them also deletes them: they are the one fetch a
+// plan makes under s.mu.
+func (s *Store) planOverlay(ctx context.Context, v types.VersionID, keep func(types.Key) bool, stats *QueryStats) (*readPlan, types.VersionID, error) {
+	if !s.validVersion(v) {
+		return nil, types.InvalidVersion, &types.VersionUnknownError{Version: v}
+	}
+	anchor, path := s.anchorOf(v)
+	p := &readPlan{}
+	if len(path) == 0 {
+		return p, anchor, nil
+	}
+	deltas, err := s.fetchDeltas(ctx, path, stats)
+	if err != nil {
+		return nil, types.InvalidVersion, err
+	}
+	added := make(map[types.CompositeKey]types.Record)
+	p.masked = make(map[types.CompositeKey]bool)
+	for _, d := range deltas {
+		for _, ck := range d.Dels {
+			delete(added, ck)
+			p.masked[ck] = true
+		}
+		for _, r := range d.Adds {
+			added[r.CK] = r
+			p.masked[r.CK] = true // a re-add of a placed record is served from the overlay
+		}
+	}
+	for _, r := range added {
+		if keep == nil || keep(r.CK.Key) {
+			p.adds = append(p.adds, r)
+		}
+	}
+	types.SortRecords(p.adds)
+	return p, anchor, nil
+}
 
 func (s *Store) validVersion(v types.VersionID) bool {
 	return v != types.InvalidVersion && s.graph.Valid(v) && int(v) < s.corpus.NumVersions()
@@ -325,136 +368,98 @@ func (s *Store) anchorOf(v types.VersionID) (types.VersionID, []types.VersionID)
 	return cur, overlay
 }
 
-// overlayView is the net effect of the pending deltas between a queried
-// version and its placed anchor: which anchor records are hidden (deleted,
-// or superseded by a pending re-add) and which records the overlay itself
-// contributes. Pending deltas are small (they are the unflushed write
-// batch), so resolving them up front keeps the chunk stream single-pass.
-type overlayView struct {
-	masked map[types.CompositeKey]bool
-	adds   []types.Record // sorted by composite key
-}
-
-func (ov *overlayView) masks(ck types.CompositeKey) bool { return ov.masked[ck] }
-
-// overlayEffect fetches the pending deltas of path (root→v order) and folds
-// them into an overlayView.
-func (s *Store) overlayEffect(ctx context.Context, path []types.VersionID, stats *QueryStats) (*overlayView, error) {
-	ov := &overlayView{}
-	if len(path) == 0 {
-		return ov, nil
-	}
-	deltas, err := s.fetchDeltas(ctx, path, stats)
-	if err != nil {
-		return nil, err
-	}
-	addSet := make(map[types.CompositeKey]types.Record)
-	ov.masked = make(map[types.CompositeKey]bool)
-	for _, d := range deltas {
-		for _, ck := range d.Dels {
-			delete(addSet, ck)
-			ov.masked[ck] = true
-		}
-		for _, r := range d.Adds {
-			addSet[r.CK] = r
-			ov.masked[r.CK] = true // a re-add of a placed record is served from the overlay
-		}
-	}
-	ov.adds = make([]types.Record, 0, len(addSet))
-	for _, r := range addSet {
-		ov.adds = append(ov.adds, r)
-	}
-	types.SortRecords(ov.adds)
-	return ov, nil
-}
-
-// streamVersionSlots streams the records at wants — slots of the queried
-// version's placed anchor — through yield, skipping overlay-masked records.
-// It reports whether the consumer wants more (false = stopped early); errors
-// are delivered to yield here.
-func (s *Store) streamVersionSlots(ctx context.Context, c *Cursor, wants []chunkSlots, ov *overlayView, yield func(types.Record, error) bool) bool {
-	stopped, err := s.streamSlots(ctx, wants, &c.stats, func(r types.Record) bool {
-		if ov.masks(r.CK) {
-			return true
-		}
-		c.stats.Records++
-		return yield(r, nil)
-	})
-	if err != nil {
-		yield(types.Record{}, err)
-		return false
-	}
-	return !stopped
-}
-
-// emitOverlayAdds yields the overlay's own records (after the anchor's so
-// chunk streaming stays single-pass), filtered when filter is non-nil.
-func emitOverlayAdds(c *Cursor, ov *overlayView, filter func(types.Key) bool, yield func(types.Record, error) bool) {
-	for _, r := range ov.adds {
-		if filter != nil && !filter(r.CK.Key) {
-			continue
-		}
-		c.stats.Records++
-		if !yield(r, nil) {
-			return
-		}
-	}
-}
-
-// locate resolves the record of key that placed version v holds to its slot:
-// of the key's records (corpus.KeyRecords), the one whose slot v's bitmap in
-// that record's chunk has set. All of it is in memory; nothing is fetched.
-func (s *Store) locate(key types.Key, v types.VersionID) (chunk.Loc, bool) {
+// locate resolves the record of key that placed version v holds to its id
+// and slot: of the key's records (corpus.KeyRecords), the one whose slot v's
+// bitmap in that record's chunk has set. All of it is in memory; nothing is
+// fetched.
+func (s *Store) locate(key types.Key, v types.VersionID) (uint32, chunk.Loc, bool) {
 	for _, rec := range s.corpus.KeyRecords(key) {
 		loc := s.layout.Loc(rec)
 		if loc.Chunk == chunk.NoChunk {
 			continue
 		}
 		if bits := s.layout.Map(loc.Chunk).SlotsOf(v); bits != nil && bits.Contains(loc.Slot) {
-			return loc, true
+			return rec, loc, true
 		}
 	}
-	return chunk.Loc{}, false
+	return 0, chunk.Loc{}, false
 }
 
-// chunkSlots names the slots a query returns from one chunk. A full-version
-// read passes the version's own bitmap, shared with the chunk map: read only.
-type chunkSlots struct {
-	cid   chunk.ID
-	slots *bitset.BitSet
-}
-
-// slotPlan collects the slots a key-addressed query returns, per chunk.
-type slotPlan struct {
-	byChunk map[chunk.ID]*bitset.BitSet
-}
-
-func (p *slotPlan) add(loc chunk.Loc) {
-	if p.byChunk == nil {
-		p.byChunk = make(map[chunk.ID]*bitset.BitSet)
+// keysInRange returns the known primary keys selected by r.
+func (s *Store) keysInRange(r Range) []types.Key {
+	i := sort.Search(len(s.sortedKeys), func(i int) bool { return s.sortedKeys[i] >= r.Lo })
+	j := len(s.sortedKeys)
+	if !r.Unbounded {
+		j = sort.Search(len(s.sortedKeys), func(i int) bool { return s.sortedKeys[i] >= r.Hi })
+		if j < i {
+			j = i
+		}
 	}
-	bits := p.byChunk[loc.Chunk]
-	if bits == nil {
-		bits = bitset.New(int(loc.Slot) + 1)
-		p.byChunk[loc.Chunk] = bits
-	}
-	bits.Set(loc.Slot)
+	return s.sortedKeys[i:j]
 }
 
-// wants lists the plan in chunk order.
-func (p *slotPlan) wants() []chunkSlots {
-	out := make([]chunkSlots, 0, len(p.byChunk))
-	for _, cid := range slices.Sorted(maps.Keys(p.byChunk)) {
-		out = append(out, chunkSlots{cid, p.byChunk[cid]})
+// --- streaming, no store lock held ---
+
+// queryFetchBatch is how many chunks' wanted segments a query fetches per
+// round: server memory per query is O(queryFetchBatch), and the first records
+// surface before later segments are fetched.
+const queryFetchBatch = 8
+
+// stream feeds p's records to yield: the records at its chunks' slots, in
+// (chunk, slot) order, that the overlay does not mask, then the pending
+// records it adds. It fetches the segments of queryFetchBatch chunks per
+// round and decodes them in parallel, yielding each segment's records in
+// order as they are decoded (ordered); a context that ends stops it before
+// the next fetch, a yield that returns false at once. Only the segments a
+// wanted slot falls in are fetched, and only the wanted slots of each are
+// decoded. It reads nothing of s but the cluster.
+func (s *Store) stream(ctx context.Context, p *readPlan, stats *QueryStats, yield func(types.Record, error) bool) error {
+	emit := func(r types.Record) error {
+		if stats.Records++; !yield(r, nil) {
+			return errStopped
+		}
+		return nil
 	}
-	return out
+	for start := 0; start < len(p.chunks); start += queryFetchBatch {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		reads, err := s.fetchSegments(ctx, p.gen, p.chunks[start:min(start+queryFetchBatch, len(p.chunks))], stats)
+		if err != nil {
+			return err
+		}
+		decode := func(i int) ([]types.Record, error) { return reads[i].decode() }
+		if err := ordered(len(reads), decode, func(_ int, recs []types.Record) error {
+			for _, r := range recs {
+				if p.masked[r.CK] {
+					continue
+				}
+				if err := emit(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	for _, r := range p.adds {
+		if err := emit(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
+
+// errStopped ends a stream whose consumer wants no more records.
+var errStopped = errors.New("rstore: stream stopped by its consumer")
 
 // segmentRead is one segment a query fetches: the slots it returns from the
 // segment's chunk, where the layout says the segment begins and how many
 // slots it holds, and — once fetched — its value.
 type segmentRead struct {
-	chunkSlots
+	cid        chunk.ID
+	slots      *bitset.BitSet
 	seg, first uint32
 	numSlots   int
 	value      []byte
@@ -475,61 +480,27 @@ func (r *segmentRead) decode() ([]types.Record, error) {
 	return recs, nil
 }
 
-// streamSlots feeds the records at wants (ascending by chunk) to emit in
-// (chunk, slot) order, fetching the segments of Config.QueryFetchBatch chunks
-// per round and decoding them in parallel. This is what makes query results
-// streams rather than materialized slices: server memory per query is
-// O(batch), the first records surface before later segments are fetched, and
-// a context that ends — or an emit that returns false — stops before the
-// next fetch. Only the segments a wanted slot falls in are fetched, and only
-// the wanted slots of each are decoded.
-func (s *Store) streamSlots(ctx context.Context, wants []chunkSlots, stats *QueryStats, emit func(types.Record) bool) (stopped bool, err error) {
-	batch := s.cfg.QueryFetchBatch
-	for start := 0; start < len(wants); start += batch {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		reads, err := s.fetchSegments(ctx, wants[start:min(start+batch, len(wants))], stats)
-		if err != nil {
-			return false, err
-		}
-		decoded, err := decodeSegments(reads)
-		if err != nil {
-			return false, err
-		}
-		for _, recs := range decoded {
-			for _, r := range recs {
-				if !emit(r) {
-					return true, nil
-				}
-			}
-		}
-	}
-	return false, nil
-}
-
-// fetchSegments resolves, with one MultiGet, the segments the wanted slots
-// of a batch of chunks fall in. Span counts every chunk consulted;
-// Requests/BytesRead reflect backend traffic — segment keys and segment
-// bytes. A missing segment indicates corruption (the layout is authoritative)
-// and surfaces as an error.
-func (s *Store) fetchSegments(ctx context.Context, wants []chunkSlots, stats *QueryStats) ([]segmentRead, error) {
-	stats.Span += len(wants)
+// fetchSegments resolves, with one MultiGet, the segments of generation gen
+// the wanted slots of a batch of chunks fall in. Span counts every chunk
+// consulted; Requests/BytesRead reflect backend traffic — segment keys and
+// segment bytes. A missing segment indicates corruption (the layout is
+// authoritative) and surfaces as an error.
+func (s *Store) fetchSegments(ctx context.Context, gen uint32, chunks []chunkRead, stats *QueryStats) ([]segmentRead, error) {
+	stats.Span += len(chunks)
 	var reads []segmentRead
 	var keys []string
-	for _, w := range wants {
+	for _, c := range chunks {
 		// ends[i] is where segment i ends: the next one's first slot.
-		firsts := s.layout.Segments(w.cid)
-		ends := append(firsts[1:len(firsts):len(firsts)], uint32(s.layout.Map(w.cid).NumSlots))
+		ends := append(c.segs[1:len(c.segs):len(c.segs)], uint32(c.numSlots))
 		seg, fetched := 0, -1 // slots ascend: so does the segment they fall in
-		w.slots.ForEach(func(slot uint32) bool {
+		c.slots.ForEach(func(slot uint32) bool {
 			for slot >= ends[seg] {
 				seg++
 			}
 			if seg != fetched {
 				fetched = seg
-				reads = append(reads, segmentRead{chunkSlots: w, seg: uint32(seg), first: firsts[seg], numSlots: int(ends[seg] - firsts[seg])})
-				keys = append(keys, chunk.SegmentKey(s.gen, w.cid, uint32(seg)))
+				reads = append(reads, segmentRead{cid: c.cid, slots: c.slots, seg: uint32(seg), first: c.segs[seg], numSlots: int(ends[seg] - c.segs[seg])})
+				keys = append(keys, chunk.SegmentKey(gen, c.cid, uint32(seg)))
 			}
 			return true
 		})
@@ -582,19 +553,6 @@ func (s *Store) bookMultiGet(res *kvstore.MultiGetResult, stats *QueryStats) {
 	stats.Requests += res.Requests
 	stats.BytesRead += res.BytesRead
 	stats.SimElapsed += res.Elapsed
-}
-
-// keysInRange returns the known primary keys selected by r.
-func (s *Store) keysInRange(r Range) []types.Key {
-	i := sort.Search(len(s.sortedKeys), func(i int) bool { return s.sortedKeys[i] >= r.Lo })
-	j := len(s.sortedKeys)
-	if !r.Unbounded {
-		j = sort.Search(len(s.sortedKeys), func(i int) bool { return s.sortedKeys[i] >= r.Hi })
-		if j < i {
-			j = i
-		}
-	}
-	return s.sortedKeys[i:j]
 }
 
 // VersionSpan exposes the placed span of a version (for experiments).

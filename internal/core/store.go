@@ -39,6 +39,9 @@ type Store struct {
 	// crash mid-rewrite can never pair an old root with new chunk contents
 	// (see chunk.SegmentKey).
 	gen uint32
+	// pin is the live generation's: queries hold it while they stream, and
+	// the superseded generation is deleted when its last holder lets go.
+	pin *genPin
 
 	// placed is the number of placed versions: ids below it are partitioned,
 	// [placed, NumVersions) are pending in the write store (commits append,
@@ -84,6 +87,7 @@ func newStore(cfg Config, ownsKV bool) *Store {
 		corpus:    c,
 		proj:      proj,
 		layout:    chunk.NewLayout(c, proj),
+		pin:       newGenPin(),
 		keyStates: newKeyStateCache(4),
 		branches:  map[string]types.VersionID{"main": types.InvalidVersion},
 		ownsKV:    ownsKV,
@@ -134,7 +138,10 @@ func (s *Store) PendingVersions() int {
 // skips it and leaves them to Load), marks the store closed, and — when the
 // store created its own private cluster — closes the cluster's backends too.
 // The final flush runs under the background context: Close is a durability
-// point, not a cancellable query. Closing twice is a no-op.
+// point, not a cancellable query. Closing twice is a no-op. Close does not
+// wait for cursors that are still streaming: one that has segments left to
+// fetch from a cluster Close closed ends with an error wrapping
+// types.ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

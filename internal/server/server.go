@@ -239,11 +239,10 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamWriteTimeout bounds how long one flush of NDJSON lines may stall on
-// a slow reader. The cursor holds the store's read lock while streaming, so
-// a peer that accepts the response one byte a minute would otherwise pin
-// the lock (blocking commits, and behind them every new query)
-// indefinitely. Refreshed per flush: a progressing stream may legitimately
-// run long, a stalled one may not.
+// a slow reader: it limits how long a client that stops reading keeps its
+// connection, and the cursor its query. Commits do not wait on it — a cursor
+// streams with no store lock held. Refreshed per flush: a progressing stream
+// may legitimately run long, a stalled one may not.
 const streamWriteTimeout = 60 * time.Second
 
 // streamFlushBytes is how many encoded bytes streamRecords collects before

@@ -20,9 +20,9 @@ import (
 )
 
 // gatingBackend wraps the memory backend and, once armed, blocks every
-// chunk-table Get after the first until the caller's context dies. It
-// counts chunk fetches so the tests can prove what the store did and did
-// not read.
+// chunk-table Get after the first fetch round's until the caller's context
+// dies. It counts chunk fetches so the tests can prove what the store did and
+// did not read.
 type gatingBackend struct {
 	*memory.Backend
 	chunkGets atomic.Int64
@@ -33,7 +33,7 @@ type gatingBackend struct {
 func (g *gatingBackend) Get(ctx context.Context, table, key string) ([]byte, bool, error) {
 	if table == core.TableChunks {
 		n := g.chunkGets.Add(1)
-		if g.armed.Load() && n > 1 {
+		if g.armed.Load() && n > firstRound {
 			select {
 			case g.blocked <- struct{}{}:
 			default:
@@ -45,8 +45,13 @@ func (g *gatingBackend) Get(ctx context.Context, table, key string) ([]byte, boo
 	return g.Backend.Get(ctx, table, key)
 }
 
+// firstRound is how many segments a query of buildMultiChunkStore's version
+// fetches in its first round: eight chunks (core's fetch batch) of one
+// segment each.
+const firstRound = 8
+
 // buildMultiChunkStore returns a server over a store whose version 0 spans
-// several chunks, fetched one per round (QueryFetchBatch 1).
+// more chunks than one fetch round reads.
 func buildMultiChunkStore(t *testing.T) (*httptest.Server, *core.Store, *gatingBackend) {
 	t.Helper()
 	gate := &gatingBackend{Backend: memory.New(), blocked: make(chan struct{}, 1)}
@@ -54,7 +59,7 @@ func buildMultiChunkStore(t *testing.T) (*httptest.Server, *core.Store, *gatingB
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.Open(context.Background(), core.Config{KV: kv, ChunkCapacity: 256, QueryFetchBatch: 1})
+	st, err := core.Open(context.Background(), core.Config{KV: kv, ChunkCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +74,8 @@ func buildMultiChunkStore(t *testing.T) (*httptest.Server, *core.Store, *gatingB
 	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := st.NumChunks(); n < 4 {
-		t.Fatalf("need a multi-chunk version, got %d chunks", n)
+	if n := st.NumChunks(); n <= firstRound {
+		t.Fatalf("need a version of more than one fetch round, got %d chunks", n)
 	}
 	ts := httptest.NewServer(New(st))
 	t.Cleanup(ts.Close)
@@ -102,9 +107,9 @@ func TestHTTPVersionStreamsBeforeLastChunk(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 
-	// The first record line must arrive while chunk fetch #2 is parked on
-	// the gate — the server cannot have fetched, let alone buffered, the
-	// whole version.
+	// The first record line must arrive while the second round's first
+	// chunk fetch is parked on the gate — the server cannot have fetched,
+	// let alone buffered, the whole version.
 	line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
 	if err != nil {
 		t.Fatalf("first stream line: %v", err)
@@ -116,7 +121,7 @@ func TestHTTPVersionStreamsBeforeLastChunk(t *testing.T) {
 	select {
 	case <-gate.blocked:
 	case <-time.After(5 * time.Second):
-		t.Fatal("second chunk fetch never started")
+		t.Fatal("second fetch round never started")
 	}
 	if got := gate.chunkGets.Load(); got >= total {
 		t.Fatalf("first record only after %d/%d chunk fetches — not streaming", got, total)
