@@ -76,7 +76,7 @@ func main() {
 		hintEvery = flag.Duration("hint-interval", 0, "hint drain cadence for replication repair (0 = default 1s)")
 		tombTTL   = flag.Duration("tombstone-ttl", 0, "collect tombstones older than this once all replicas agree (0 = ack-based GC only)")
 		aeEvery   = flag.Duration("anti-entropy-interval", 0, "background hash-tree replica sync cadence (0 = off; needs -rf > 1)")
-		compEvery = flag.Duration("compact-interval", 0, "check the cluster's live ratio and compact at this cadence (0 = off; disklog/remote backends)")
+		compEvery = flag.Duration("compact-interval", 0, "check the cluster's live ratio and compact at this cadence (0 = off; disklog, lsm and remote backends)")
 		compRatio = flag.Float64("compact-live-ratio", 0.6, "compact when live bytes / disk bytes falls below this (with -compact-interval)")
 	)
 	flag.Parse()

@@ -25,7 +25,7 @@ var Table = []Edge{
 	{
 		From:   "rstore/internal/engine/lsm.Backend.compactMu",
 		To:     "rstore/internal/engine/lsm.Backend.mu",
-		Reason: "flush/merge serialize on compactMu and take mu only to install results; mu holders only TryLock compactMu (maybeTierCompactLocked), which cannot block",
+		Reason: "every merge (Compact's and the tier loop a flushing write call runs after releasing mu) holds compactMu throughout and takes mu only to capture its victims and to install its output; mu holders never take compactMu",
 	},
 	{
 		From:   "rstore/internal/engine/lsm.Backend.mu",
@@ -35,7 +35,7 @@ var Table = []Edge{
 	{
 		From:   "rstore/internal/engine/lsm.Backend.compactMu",
 		To:     "rstore/internal/engine/lsm.cacheShard.mu",
-		Reason: "merges running under compactMu invalidate cache entries for retired tables; cache shards are leaf locks",
+		Reason: "merges under compactMu read their victims through the block cache with mu released; cache shards are leaf locks",
 	},
 	{
 		From:   "rstore/internal/core.Store.mu",

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -474,10 +475,16 @@ func encodeDeltaEntry(parents []types.VersionID, d *types.Delta) []byte {
 	return codec.PutDelta(buf, d)
 }
 
+// decodeDeltaEntry refuses, as types.ErrCorrupt, a parent count the entry
+// has no bytes for (each parent takes at least one) and a parent id wider
+// than a VersionID.
 func decodeDeltaEntry(buf []byte) ([]types.VersionID, *types.Delta, error) {
 	np, rest, err := codec.Uvarint(buf)
 	if err != nil {
 		return nil, nil, err
+	}
+	if np > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("%w: delta entry claims %d parents in %d bytes", types.ErrCorrupt, np, len(rest))
 	}
 	parents := make([]types.VersionID, np)
 	for i := range parents {
@@ -486,7 +493,10 @@ func decodeDeltaEntry(buf []byte) ([]types.VersionID, *types.Delta, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		parents[i] = types.VersionID(uint32(p))
+		if p > math.MaxUint32 {
+			return nil, nil, fmt.Errorf("%w: delta entry parent %d", types.ErrCorrupt, p)
+		}
+		parents[i] = types.VersionID(p)
 	}
 	d, err := codec.DecodeDelta(rest)
 	if err != nil {

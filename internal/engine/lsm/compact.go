@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"slices"
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/reclog"
@@ -15,8 +16,9 @@ import (
 
 // This file holds the structural write paths: the merged iteration shared
 // by scans/recovery/compaction, the cutting writer, memtable flush,
-// retirement of dead tables, size-tiered auto compaction after a flush, and
-// the full merge behind engine.Compactor.
+// retirement of dead tables, and the one merge path (mergeJob) behind both
+// size-tiered compaction after a flush and the full merge of
+// engine.Compactor.
 //
 // Every path commits through the MANIFEST rename (see manifest.go) and is
 // ordered so that a crash at any point leaves either the old state or the
@@ -76,18 +78,6 @@ func mergeSources(sources []source, emit func(key, value []byte, tomb bool, src 
 	}
 }
 
-// maybeFlushLocked flushes a full memtable and then lets size-tiered
-// compaction absorb the new tables. Callers hold b.mu exclusively.
-func (b *Backend) maybeFlushLocked(ctx context.Context) error {
-	if b.mem.bytes < b.opts.MemtableBytes {
-		return nil
-	}
-	if err := b.flushLocked(ctx); err != nil {
-		return err
-	}
-	return b.maybeTierCompactLocked(ctx)
-}
-
 // allocSeqLocked hands out the next file sequence number; callers hold b.mu
 // exclusively.
 func (b *Backend) allocSeqLocked() int64 {
@@ -108,11 +98,11 @@ type tableOut struct {
 // cutWriter streams one key-ordered pass of internal keys into SSTables,
 // starting a new file wherever the user table changes — an internal key's
 // table prefix makes each table's keys contiguous — so that no file ever
-// holds keys of two user tables. Flush, tier merge, Compact and the v1
-// upgrade all write through it. The one tombstone rule lives here: an
-// output that becomes the oldest table of its run (position 0) drops its
-// tombstones, because nothing older is left for them to shadow; a table
-// left with no entry is not written at all.
+// holds keys of two user tables. Flush and every merge write through it.
+// The one tombstone rule lives here: an output that becomes the oldest
+// table of its run (position 0) drops its tombstones, because nothing older
+// is left for them to shadow; a table left with no entry is not written at
+// all.
 type cutWriter struct {
 	b       *Backend
 	nextSeq func() int64
@@ -326,9 +316,8 @@ func discardTables(victims []*sstable) {
 // tombstones may be all that shadows a value in an older, live table of its
 // run, and unlinking it would resurrect that value. One log fsync and one
 // MANIFEST commit cover every run; the files are debris from then on.
-// Callers hold b.mu exclusively; an explicit Compact merging outside the
-// lock finds its victims gone and abandons that run's output
-// (finishRunCompact).
+// Callers hold b.mu exclusively; a merge running outside the lock finds its
+// victims gone and abandons its output (installMerge).
 func (b *Backend) retireLocked() error {
 	if !b.retirable {
 		return nil
@@ -379,29 +368,51 @@ func sizeClass(size int64) int {
 	return (bits.Len64(uint64(size)) + 1) / 2
 }
 
-// maybeTierCompactLocked runs size-tiered compaction on every run whose
-// table count is at or above MaxTables: it merges the cheapest contiguous
-// window of tierWidth tables, preferring a window within one size class.
-// Callers hold b.mu exclusively; the work happens inline (the writer pays
-// for the merge it triggered), skipped entirely when an explicit Compact is
-// in flight.
-func (b *Backend) maybeTierCompactLocked(ctx context.Context) error {
-	const tierWidth = 4
-	for _, name := range b.runNames() {
-		r := b.runs[name]
-		for len(r.tables) >= b.opts.MaxTables && len(r.tables) >= tierWidth {
-			if !b.compactMu.TryLock() {
-				return nil // explicit Compact in flight; it will absorb the backlog
+// tierWidth is how many adjacent tables a size-tiered merge takes.
+const tierWidth = 4
+
+// tierCompact is size-tiered compaction. A write call that flushed runs it
+// on its own goroutine once b.mu is released — the writer pays for the
+// merges it triggered, and reads and writes go on beside them: while a run
+// holds MaxTables tables or more, its cheapest window of tierWidth
+// (pickWindow) is merged. It is skipped while another merge holds
+// compactMu: a Compact absorbs the backlog, and what another writer's tier
+// loop has already walked past waits for the next flush.
+func (b *Backend) tierCompact(ctx context.Context) error {
+	if !b.compactMu.TryLock() {
+		return nil
+	}
+	defer b.compactMu.Unlock()
+	b.mu.RLock()
+	names := b.runNames()
+	b.mu.RUnlock()
+	tier := func(tables []*sstable) (lo, n int) {
+		if len(tables) < b.opts.MaxTables || len(tables) < tierWidth {
+			return 0, 0
+		}
+		return pickWindow(tables, tierWidth), tierWidth
+	}
+	for _, name := range names {
+		for {
+			job, ok := b.captureMerge(name, tier)
+			if !ok {
+				break
 			}
-			lo := pickWindow(r.tables, tierWidth)
-			err := b.mergeWindowLocked(ctx, name, lo, lo+tierWidth-1)
-			b.compactMu.Unlock()
-			if err != nil {
+			if err := b.merge(ctx, job); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// wholeRun is Compact's window: the whole run, when a merge reclaims
+// anything from it — more than one table, or dead weight in the one.
+func wholeRun(tables []*sstable) (lo, n int) {
+	if len(tables) == 1 && tables[0].size <= tables[0].live {
+		return 0, 0
+	}
+	return 0, len(tables)
 }
 
 // pickWindow chooses the start of the width-wide contiguous window of
@@ -429,33 +440,80 @@ func pickWindow(tables []*sstable, width int) int {
 	return best
 }
 
-// mergeWindowLocked merges tables[lo..hi] of table's run into one table
-// under a held b.mu (the inline, post-flush path).
-func (b *Backend) mergeWindowLocked(ctx context.Context, table string, lo, hi int) error {
-	victims := b.runs[table].tables[lo : hi+1]
-	outs, err := b.writeMerged(ctx, victims, lo, b.allocSeqLocked, b.crash)
-	if err != nil {
-		return err
-	}
-	return b.commitMergedLocked(table, outs, lo, hi)
+// mergeJob is one merge: a contiguous window of one run's tables merged
+// into at most one table. Both kinds of merge — the size-tiered window a
+// flushing write call leaves behind (tierCompact) and each run of a Compact
+// — go one way: captureMerge takes the job under b.mu, writeMerged reads the
+// victims and writes the output with no b.mu held, and installMerge mounts
+// the output only if the victims are still where the job found them.
+// compactMu is held throughout, so two merges never share a victim.
+type mergeJob struct {
+	table   string
+	victims []*sstable // age order
+	// lo is the oldest victim's position in the run at capture, which the
+	// output takes: at 0 it drops its tombstones. A run only grows at its
+	// young end, so victims captured at 0 are at 0 for as long as they stay.
+	lo    int
+	epoch int64
+	seq   int64 // the output's file sequence, allocated up front
+	crash string
+	pause func(stage string) // b.mergePause at capture
 }
 
-// writeMerged k-way-merges victims (age order) through the cutting writer,
-// leaving the outputs at their temporary names. Victims of one run give at
-// most one output — none when nothing survives the merge; lo is the
-// position of the oldest victim in its run, which the output takes. Safe
-// without b.mu when nextSeq is: SSTables are immutable. crash is the
-// caller's snapshot of b.crash.
-func (b *Backend) writeMerged(ctx context.Context, victims []*sstable, lo int, nextSeq func() int64, crash string) ([]tableOut, error) {
-	sources := make([]source, len(victims))
-	for i, t := range victims {
+// captureMerge captures the window pick chooses in table's run (n == 0 for
+// none); ok is false when there is no job: no such run, nothing picked, or
+// the backend closed.
+func (b *Backend) captureMerge(table string, pick func(tables []*sstable) (lo, n int)) (job mergeJob, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r := b.runs[table]
+	if b.closed || r == nil {
+		return mergeJob{}, false
+	}
+	lo, n := pick(r.tables)
+	if n == 0 {
+		return mergeJob{}, false
+	}
+	return mergeJob{
+		table:   table,
+		victims: slices.Clone(r.tables[lo : lo+n]),
+		lo:      lo,
+		epoch:   b.epoch,
+		seq:     b.allocSeqLocked(),
+		crash:   b.crash,
+		pause:   b.mergePause,
+	}, true
+}
+
+// merge runs a captured job to its end: the output mounted, or abandoned.
+func (b *Backend) merge(ctx context.Context, job mergeJob) error {
+	job.stage("captured")
+	nt, err := b.writeMerged(ctx, job)
+	job.stage("written")
+	return b.installMerge(job, nt, err)
+}
+
+func (job mergeJob) stage(name string) {
+	if job.pause != nil {
+		job.pause(name)
+	}
+}
+
+// writeMerged k-way-merges the job's victims through the cutting writer and
+// opens the output, still at its temporary name; nt is nil when nothing
+// survived the merge. It holds no b.mu — SSTables are immutable — so a
+// victim retired, wiped by Reset or closed meanwhile fails its read, which
+// installMerge takes for the abandonment it is.
+func (b *Backend) writeMerged(ctx context.Context, job mergeJob) (nt *sstable, err error) {
+	sources := make([]source, len(job.victims))
+	for i, t := range job.victims {
 		it, err := t.iterGE(nil, b.cache)
 		if err != nil {
 			return nil, err
 		}
 		sources[i] = it
 	}
-	return b.writeTables(nextSeq, func(string) int { return lo }, crash == "mid-merge", func(add func(key, value []byte, tomb bool) error) error {
+	outs, err := b.writeTables(func() int64 { return job.seq }, func(string) int { return job.lo }, job.crash == "mid-merge", func(add func(key, value []byte, tomb bool) error) error {
 		return mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -463,68 +521,91 @@ func (b *Backend) writeMerged(ctx context.Context, victims []*sstable, lo int, n
 			return add(key, value, tomb)
 		}, nil)
 	})
+	if err != nil || len(outs) == 0 {
+		return nil, err
+	}
+	tmp := b.sstPath(job.seq) + ".tmp"
+	if nt, err = openSSTable(tmp, job.seq); err != nil {
+		os.Remove(tmp)
+	}
+	return nt, err
 }
 
-// commitMergedLocked renames a run merge's output into place, commits the
-// MANIFEST with it replacing tables[lo..hi] of table's run, splices the
-// in-memory state, and deletes the victims. Callers hold b.mu exclusively.
-func (b *Backend) commitMergedLocked(table string, outs []tableOut, lo, hi int) error {
-	if err := b.publishLocked(outs, ""); err != nil {
-		return err
+// installMerge is the one commit of every merge. If the job's victims are
+// still contiguous in their run, under the job's epoch, on an open backend,
+// the output is renamed into place, a MANIFEST commits it in their stead, it
+// inherits their live weight (overwrites during the merge already took
+// theirs down), and they are unlinked. Otherwise a retirement, Reset or
+// Close took them meanwhile — and a flush may since have dropped tombstones
+// on the strength of their run being empty, which the output must not undo
+// — so the output is removed, and mergeErr, which may be nothing but the
+// read of a victim closed under the merge, is that same abandonment.
+func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	r, lo := b.runs[job.table], -1
+	if !b.closed && b.epoch == job.epoch && r != nil {
+		lo = slices.Index(r.tables, job.victims[0])
 	}
-	if b.crash == "merge-renamed" {
-		return ErrCrashed
-	}
-	r := b.runs[table]
-	victims := r.tables[lo : hi+1]
-	newTables := make([]*sstable, 0, len(r.tables)-len(victims)+1)
-	newTables = append(newTables, r.tables[:lo]...)
-	var nt *sstable
-	if len(outs) > 0 {
-		var err error
-		if nt, err = openSSTable(b.sstPath(outs[0].seq), outs[0].seq); err != nil {
-			return err
+	hi := lo + len(job.victims)
+	if lo < 0 || hi > len(r.tables) || !slices.Equal(r.tables[lo:hi], job.victims) {
+		if nt != nil {
+			nt.close()
+			os.Remove(nt.path)
 		}
-		newTables = append(newTables, nt)
+		return nil
 	}
-	newTables = append(newTables, r.tables[hi+1:]...)
-	if err := b.commitLocked(b.wal.seq, map[string][]*sstable{table: newTables}); err != nil {
+	if mergeErr != nil {
+		return mergeErr
+	}
+	newTables := slices.Concat(r.tables[:lo], r.tables[hi:])
+	var outs []tableOut
+	if nt != nil {
+		outs = []tableOut{{table: job.table, seq: nt.seq}}
+		nt.path = b.sstPath(nt.seq)
+		newTables = slices.Insert(newTables, lo, nt)
+	}
+	err := b.publishLocked(outs, "")
+	if err == nil && job.crash == "merge-renamed" {
+		err = ErrCrashed
+	}
+	if err == nil {
+		err = b.commitLocked(b.wal.seq, map[string][]*sstable{job.table: newTables})
+	}
+	if err != nil {
 		if nt != nil {
 			nt.close()
 		}
 		return err
 	}
-	// Committed: the output inherits the victims' live weight (concurrent
-	// overwrites during the merge already decremented it there).
 	reclaimed := int64(0)
-	for _, t := range victims {
+	for _, t := range job.victims {
 		reclaimed += t.size
-		if nt != nil {
+	}
+	if nt != nil {
+		for _, t := range job.victims {
 			nt.live += t.live
 			nt.liveEntries += t.liveEntries
 		}
-	}
-	if nt != nil {
 		reclaimed -= nt.size
 		b.rewritten += nt.size
 	}
 	if reclaimed > 0 {
 		b.compacted += reclaimed
 	}
-	if b.crash == "merge-manifested" {
+	if job.crash == "merge-manifested" {
 		// The commit happened but the victims were not yet deleted; they
 		// are debris the next Open removes.
 		return ErrCrashed
 	}
-	discardTables(victims)
+	discardTables(job.victims)
 	return nil
 }
 
 // Compact flushes the memtable and then merges each run with anything
 // reclaimable into one table, dropping shadowed versions and all
-// tombstones. The merges run without b.mu — reads and writes proceed — and
-// each commits only if the tables it captured are still the head of their
-// run (same epoch, no retirement in between).
+// tombstones. Each run is one merge job, so reads and writes go on beside
+// it.
 func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.CompactionStats{}, err
@@ -544,90 +625,15 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 		return engine.CompactionStats{}, err
 	}
 	for _, name := range names {
-		job, ok, err := b.beginRunCompact(name)
-		if err != nil {
-			return engine.CompactionStats{}, err
-		}
+		job, ok := b.captureMerge(name, wholeRun)
 		if !ok {
 			continue
 		}
-		outs, err := b.writeMerged(ctx, job.victims, 0, func() int64 { return job.seq }, job.crash)
-		if err != nil {
-			return engine.CompactionStats{}, err
-		}
-		if err := b.finishRunCompact(job, outs); err != nil {
+		if err := b.merge(ctx, job); err != nil {
 			return engine.CompactionStats{}, err
 		}
 	}
 	return b.CompactionStats(ctx)
-}
-
-// runCompact is what an explicit Compact captures of one run before merging
-// it outside the lock.
-type runCompact struct {
-	table   string
-	victims []*sstable
-	epoch   int64
-	seq     int64 // the output's file sequence, allocated up front
-	crash   string
-}
-
-// beginRunCompact captures table's run for a full merge; ok is false when
-// the run holds nothing reclaimable.
-func (b *Backend) beginRunCompact(table string) (job runCompact, ok bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return runCompact{}, false, types.ErrClosed
-	}
-	r := b.runs[table]
-	if r == nil || len(r.tables) == 0 {
-		return runCompact{}, false, nil
-	}
-	var dead int64
-	for _, t := range r.tables {
-		dead += t.size - t.live
-	}
-	if len(r.tables) == 1 && dead <= 0 {
-		return runCompact{}, false, nil
-	}
-	return runCompact{
-		table:   table,
-		victims: append([]*sstable(nil), r.tables...),
-		epoch:   b.epoch,
-		seq:     b.allocSeqLocked(),
-		crash:   b.crash,
-	}, true, nil
-}
-
-// finishRunCompact commits a run's merged output if the victims are still
-// the oldest tables of the run; otherwise a Reset or a retirement took them
-// meanwhile — tombstones that shadowed their values may since have been
-// dropped on the strength of that — and the output must not bring the
-// values back: it is removed.
-func (b *Backend) finishRunCompact(job runCompact, outs []tableOut) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r := b.runs[job.table]
-	stillThere := !b.closed && b.epoch == job.epoch && r != nil && len(r.tables) >= len(job.victims)
-	if stillThere {
-		for i, t := range job.victims {
-			if r.tables[i] != t {
-				stillThere = false
-				break
-			}
-		}
-	}
-	if !stillThere {
-		for _, o := range outs {
-			os.Remove(b.sstPath(o.seq) + ".tmp")
-		}
-		if b.closed {
-			return types.ErrClosed
-		}
-		return nil
-	}
-	return b.commitMergedLocked(job.table, outs, 0, len(job.victims)-1)
 }
 
 // CompactionStats reports the reclaim state: total file bytes, the portion

@@ -15,10 +15,12 @@
 // invalidation) serves hot blocks without touching disk. Within a run,
 // size-tiered compaction merges windows of adjacent tables, dropping
 // shadowed versions; a full merge (the Compactor interface) merges each run
-// into one table; and a table whose every entry is shadowed is unlinked
-// without being read (retireLocked). The MANIFEST names the live files; its
-// atomic rename is the commit point for every structural change, which is
-// what makes flush, compaction, retirement and reset crash-safe.
+// into one table — both the same way, reading and writing SSTables while
+// reads and writes go on (mergeJob); and a table whose every entry is
+// shadowed is unlinked without being read (retireLocked). The MANIFEST
+// names the live files; its atomic rename is the commit point for every
+// structural change, which is what makes flush, compaction, retirement and
+// reset crash-safe.
 //
 // Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (exactly one
 // live), sst-<seq>.sst (run and age per the MANIFEST). The directory is
@@ -87,7 +89,7 @@ var (
 )
 
 // Backend is the LSM engine for one node's data directory. It implements
-// engine.Backend, engine.Compactor, and engine.Resetter.
+// engine.Backend, engine.Compactor, engine.Resetter, and engine.HashRanger.
 type Backend struct {
 	dir   string
 	opts  Options
@@ -123,11 +125,14 @@ type Backend struct {
 
 	// compactMu serializes merges (explicit Compact and post-flush
 	// size-tiered compaction) so two merges can never race over the same
-	// victim tables.
+	// victim tables. It is taken before mu, never under it.
 	compactMu sync.Mutex
 
 	// crash names the active crash-injection point ("" in production).
 	crash string
+	// mergePause, when set (tests only), is called by every merge at its
+	// stages; see setMergePause.
+	mergePause func(stage string)
 }
 
 // run is one user table's share of the tree. Memtable, WAL and internal-key
@@ -241,11 +246,6 @@ func (b *Backend) recover() error {
 	if err := b.removeDebris(referenced); err != nil {
 		return err
 	}
-	if m.v1 {
-		if m, err = b.upgradeV1(m); err != nil {
-			return err
-		}
-	}
 	for _, mt := range m.ssts {
 		t, err := openSSTable(b.sstPath(mt.seq), mt.seq)
 		if err != nil {
@@ -277,46 +277,6 @@ func (b *Backend) recover() error {
 	// tables mounted; the replay has just killed them again.
 	b.retirable = true
 	return b.retireLocked()
-}
-
-// upgradeV1 rewrites a v1 directory — one age-ordered list of SSTables, each
-// holding keys of every user table — as per-table runs: one full merge of
-// the old tables through the cutting writer, committed by a v2 MANIFEST.
-// Until that commit the old MANIFEST stands and the outputs are debris;
-// after it the old tables are.
-func (b *Backend) upgradeV1(m manifest) (manifest, error) {
-	old := make([]*sstable, 0, len(m.ssts))
-	defer func() {
-		for _, t := range old {
-			t.close()
-		}
-	}()
-	for _, mt := range m.ssts {
-		t, err := openSSTable(b.sstPath(mt.seq), mt.seq)
-		if err != nil {
-			return manifest{}, err
-		}
-		old = append(old, t)
-	}
-	//lint:rstore-vet ctxfirst: Open takes no context and the one-off upgrade merge is part of mounting the directory
-	outs, err := b.writeMerged(context.Background(), old, 0, b.allocSeqLocked, "")
-	if err != nil {
-		return manifest{}, err
-	}
-	if err := b.publishLocked(outs, ""); err != nil {
-		return manifest{}, err
-	}
-	up := manifest{nextSeq: b.nextSeq, walSeq: m.walSeq}
-	for _, o := range outs {
-		up.ssts = append(up.ssts, manifestTable{seq: o.seq, table: o.table})
-	}
-	if err := writeManifest(b.dir, up); err != nil {
-		return manifest{}, err
-	}
-	for _, t := range old {
-		os.Remove(t.path)
-	}
-	return up, reclog.SyncDir(b.dir)
 }
 
 // removeDebris deletes every lsm-owned file (sst-*.sst, wal-*.log, *.tmp)
@@ -502,34 +462,50 @@ func (b *Backend) applyDelLocked(table string, ik []byte) error {
 	return nil
 }
 
-// finishWriteLocked ends every write call: tables the call killed are
-// retired first, so that a flush it also triggers sees their runs empty and
-// writes no tombstone on their account. Callers hold b.mu exclusively.
-func (b *Backend) finishWriteLocked(ctx context.Context) error {
-	if err := b.retireLocked(); err != nil {
+// write runs one write call: apply logs and applies its entries under b.mu.
+// The call then retires the tables it killed — first, so that a flush it
+// also triggers sees their runs empty and writes no tombstone on their
+// account — and flushes a full memtable. A call that flushed ends, with
+// b.mu released, in the tier loop.
+func (b *Backend) write(ctx context.Context, apply func() error) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return b.maybeFlushLocked(ctx)
+	flushed, err := b.applyWrite(ctx, apply)
+	if err != nil || !flushed {
+		return err
+	}
+	return b.tierCompact(ctx)
+}
+
+// applyWrite is the part of a write call that holds b.mu.
+func (b *Backend) applyWrite(ctx context.Context, apply func() error) (flushed bool, err error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return false, types.ErrClosed
+	}
+	if err := apply(); err != nil {
+		return false, err
+	}
+	if err := b.retireLocked(); err != nil {
+		return false, err
+	}
+	if b.mem.bytes < b.opts.MemtableBytes {
+		return false, nil
+	}
+	return true, b.flushLocked(ctx)
 }
 
 // Put stores value under (table, key). It is durable no later than the next
 // BatchPut, flush, or Close.
 func (b *Backend) Put(ctx context.Context, table, key string, value []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
-	}
-	if err := b.wal.appendRecord(reclog.KindPut, table, key, value); err != nil {
-		return err
-	}
-	if err := b.applyPutLocked(table, ikey(table, key), append([]byte(nil), value...)); err != nil {
-		return err
-	}
-	return b.finishWriteLocked(ctx)
+	return b.write(ctx, func() error {
+		if err := b.wal.appendRecord(reclog.KindPut, table, key, value); err != nil {
+			return err
+		}
+		return b.applyPutLocked(table, ikey(table, key), append([]byte(nil), value...))
+	})
 }
 
 // BatchPut appends the whole batch as one checksummed WAL record and fsyncs
@@ -537,34 +513,28 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 // single record's crc32 is what makes fsync-on-batch atomic under torn
 // writes.
 func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if len(entries) == 0 {
-		return nil
+		return ctx.Err()
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
-	}
-	rec, err := b.wal.frame(walBatchLen(table, entries))
-	if err != nil {
-		return err
-	}
-	if err := b.wal.appendFrame(encodeWALBatch(rec, table, entries)); err != nil {
-		return err
-	}
-	if err := b.wal.sync(); err != nil {
-		return err
-	}
-	// Applied in order, so a later entry for the same key wins.
-	for _, e := range entries {
-		if err := b.applyPutLocked(table, ikey(table, e.Key), append([]byte(nil), e.Value...)); err != nil {
+	return b.write(ctx, func() error {
+		rec, err := b.wal.frame(walBatchLen(table, entries))
+		if err != nil {
 			return err
 		}
-	}
-	return b.finishWriteLocked(ctx)
+		if err := b.wal.appendFrame(encodeWALBatch(rec, table, entries)); err != nil {
+			return err
+		}
+		if err := b.wal.sync(); err != nil {
+			return err
+		}
+		// Applied in order, so a later entry for the same key wins.
+		for _, e := range entries {
+			if err := b.applyPutLocked(table, ikey(table, e.Key), append([]byte(nil), e.Value...)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Get returns a copy of the newest value under (table, key).
@@ -590,27 +560,18 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 // Delete removes (table, key) by writing a tombstone; deleting a missing
 // key writes nothing.
 func (b *Backend) Delete(ctx context.Context, table, key string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
-	}
-	ik := ikey(table, key)
-	// Look before logging: a no-op delete must not grow the WAL.
-	_, _, found, err := b.findLocked(table, ik)
-	if err != nil || !found {
-		return err
-	}
-	if err := b.wal.appendRecord(reclog.KindDel, table, key, nil); err != nil {
-		return err
-	}
-	if err := b.applyDelLocked(table, ik); err != nil {
-		return err
-	}
-	return b.finishWriteLocked(ctx)
+	return b.write(ctx, func() error {
+		ik := ikey(table, key)
+		// Look before logging: a no-op delete must not grow the WAL.
+		_, _, found, err := b.findLocked(table, ik)
+		if err != nil || !found {
+			return err
+		}
+		if err := b.wal.appendRecord(reclog.KindDel, table, key, nil); err != nil {
+			return err
+		}
+		return b.applyDelLocked(table, ik)
+	})
 }
 
 // errStopScan aborts a merged scan early (fn returned false, or the range
@@ -771,6 +732,16 @@ func (b *Backend) SetCrashPoint(point string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.crash = point
+}
+
+// setMergePause installs a hook (tests only) that every merge captured from
+// then on calls, holding compactMu and nothing else, with "captured" before
+// it reads its victims and "written" between writing its output and
+// installing it. A hook that blocks holds the merge there. Nil removes it.
+func (b *Backend) setMergePause(pause func(stage string)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.mergePause = pause
 }
 
 // Kill simulates process death (tests only): every file handle and the

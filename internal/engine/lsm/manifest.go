@@ -30,9 +30,8 @@ import (
 //	sst <seq> <table>     — one per live SSTable; <table> is the user table,
 //	                        quoted as a Go string literal (strconv.Quote)
 //
-// A v1 manifest ("rstore-lsm v1", sst lines without a table: one age-ordered
-// list of tables holding every user table's keys) is read so that Open can
-// upgrade the directory; it is never written.
+// A v1 manifest ("rstore-lsm v1") is refused: every v1 directory holds a
+// store older than core reads.
 const (
 	manifestName     = "MANIFEST"
 	manifestHeader   = "rstore-lsm v2"
@@ -42,11 +41,10 @@ const (
 // manifestTable is one sst line.
 type manifestTable struct {
 	seq   int64
-	table string // the user table; empty in a v1 manifest
+	table string // the user table
 }
 
 type manifest struct {
-	v1      bool
 	nextSeq int64
 	walSeq  int64
 	ssts    []manifestTable
@@ -77,10 +75,12 @@ func readManifest(dir string) (m manifest, exists bool, err error) {
 		return manifest{}, false, fmt.Errorf("lsm: %w", err)
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) < 3 || (lines[0] != manifestHeader && lines[0] != manifestHeaderV1) {
+	if lines[0] == manifestHeaderV1 {
+		return manifest{}, false, fmt.Errorf("%w: lsm manifest v1 (this build reads v2; re-initialize the store)", types.ErrCorrupt)
+	}
+	if len(lines) < 3 || lines[0] != manifestHeader {
 		return manifest{}, false, fmt.Errorf("%w: lsm manifest header", types.ErrCorrupt)
 	}
-	m.v1 = lines[0] == manifestHeaderV1
 	// num parses the sequence number of a "<key> <seq>[ <rest>]" line.
 	num := func(line, key string) (seq int64, rest string, err error) {
 		body, ok := strings.CutPrefix(line, key+" ")
@@ -106,13 +106,8 @@ func readManifest(dir string) (m manifest, exists bool, err error) {
 		if t.seq, rest, err = num(line, "sst"); err != nil {
 			return manifest{}, false, err
 		}
-		if m.v1 != (rest == "") {
+		if t.table, err = strconv.Unquote(rest); err != nil {
 			return manifest{}, false, fmt.Errorf("%w: lsm manifest sst line %q", types.ErrCorrupt, line)
-		}
-		if !m.v1 {
-			if t.table, err = strconv.Unquote(rest); err != nil {
-				return manifest{}, false, fmt.Errorf("%w: lsm manifest sst line %q", types.ErrCorrupt, line)
-			}
 		}
 		m.ssts = append(m.ssts, t)
 	}

@@ -10,11 +10,13 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
-	"rstore/internal/engine/reclog"
+	"rstore/internal/types"
 )
 
 // flushT forces the memtable out, as a full one would go.
@@ -394,73 +396,181 @@ func TestDeadTableAboveLiveNeighbourStays(t *testing.T) {
 	}
 }
 
-// TestCompactRacingRetirementAbandonsOutput: an explicit Compact merges a
-// run outside the lock; meanwhile the run's entries die, its tables are
-// retired and the tombstones, shadowing nothing any more, are dropped by a
-// flush. Committing the merge output then would bring the values back.
+// TestCompactRacingRetirementAbandonsOutput: every merge — Compact's, and
+// the tier merge a write call's flush triggers — reads its victims and
+// writes its output with no lock held. Meanwhile the victims can be retired
+// (their entries die, the run empties, and a flush drops the tombstones on
+// the strength of that) or wiped by Reset, before the merge reads them or
+// after it has written its output. Mounting the output then would bring the
+// values back: it must be removed, and the call that ran the merge has not
+// failed. The block cache holds one block per shard, so the merge reads most
+// victim blocks from files closed under it.
 func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	b := openT(t, dir, Options{})
-	defer func() { b.Close() }()
-	for _, k := range []string{"k1", "k2"} {
-		if err := b.Put(ctx, "t", k, []byte("v-"+k)); err != nil {
+	value := []byte(strings.Repeat("v", 1000))
+	for _, merge := range []string{"compact", "tier"} {
+		for _, race := range []string{"retire", "reset"} {
+			for _, stage := range []string{"captured", "written"} {
+				t.Run(merge+"/"+race+"/"+stage, func(t *testing.T) {
+					dir := t.TempDir()
+					opts := Options{MemtableBytes: 64 << 10, MaxTables: tierWidth, Cache: NewBlockCache(1)}
+					b := openT(t, dir, opts)
+					defer func() { b.Close() }()
+					if err := b.Put(ctx, "bystander", "x", []byte("y")); err != nil {
+						t.Fatal(err)
+					}
+					var keys []string
+					batch := func(n int) error {
+						ents := make([]engine.Entry, n)
+						for i := range ents {
+							ents[i] = engine.Entry{Key: fmt.Sprintf("k%04d", len(keys)), Value: value}
+							keys = append(keys, ents[i].Key)
+						}
+						return b.BatchPut(ctx, "t", ents)
+					}
+					// Forty 1 KB values are ten blocks a table, and no flush.
+					for i := 0; i < tierWidth-1; i++ {
+						if err := batch(40); err != nil {
+							t.Fatal(err)
+						}
+						flushT(t, b)
+					}
+
+					raced := false
+					b.setMergePause(func(at string) {
+						if at != stage || raced {
+							return
+						}
+						raced = true
+						if race == "reset" {
+							if err := b.Reset(ctx); err != nil {
+								t.Fatal(err)
+							}
+							return
+						}
+						for _, k := range keys {
+							if err := b.Delete(ctx, "t", k); err != nil {
+								t.Fatal(err)
+							}
+						}
+						flushT(t, b)
+						if got := runFiles(b, "t"); len(got) != 0 {
+							t.Fatalf("run not retired: %v", got)
+						}
+					})
+					var err error
+					if merge == "compact" {
+						_, err = b.Compact(ctx)
+					} else {
+						err = batch(70) // the flush makes tierWidth tables
+					}
+					if err != nil {
+						t.Fatalf("%s beside the race: %v", merge, err)
+					}
+					if !raced {
+						t.Fatal("no merge reached the race")
+					}
+
+					for _, when := range []string{"after the race", "after reopen"} {
+						if got := runFiles(b, "t"); len(got) != 0 {
+							t.Fatalf("%s: abandoned merge output was mounted: %v", when, got)
+						}
+						if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
+							t.Fatalf("%s: abandoned merge output left behind: %v", when, debris)
+						}
+						for _, k := range keys {
+							if v, ok := mustGet(t, b, "t", k); ok {
+								t.Fatalf("%s: %s resurrected as %q", when, k, v)
+							}
+						}
+						if v, ok := mustGet(t, b, "bystander", "x"); ok != (race == "retire") || (ok && v != "y") {
+							t.Fatalf("%s: bystander = %q ok=%v", when, v, ok)
+						}
+						checkRunInvariants(t, b)
+						if err := b.Close(); err != nil {
+							t.Fatal(err)
+						}
+						b = openT(t, dir, opts)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestReadsAndWritesBesideTierMerge holds a write call's tier merge between
+// writing its output and installing it: a Get on the same backend and a Put
+// to another table must not wait for the merge.
+func TestReadsAndWritesBesideTierMerge(t *testing.T) {
+	ctx := context.Background()
+	b := openT(t, t.TempDir(), Options{MemtableBytes: 64 << 10, MaxTables: tierWidth})
+	defer b.Close()
+	value := []byte(strings.Repeat("v", 1000))
+	next := 0
+	batch := func(n int) error {
+		ents := make([]engine.Entry, n)
+		for i := range ents {
+			ents[i] = engine.Entry{Key: fmt.Sprintf("k%04d", next), Value: value}
+			next++
+		}
+		return b.BatchPut(ctx, "t", ents)
+	}
+	for i := 0; i < tierWidth-1; i++ {
+		if err := batch(40); err != nil {
 			t.Fatal(err)
 		}
 		flushT(t, b)
 	}
-	if err := b.Put(ctx, "bystander", "x", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	flushT(t, b)
 
-	job, ok, err := b.beginRunCompact("t")
-	if err != nil || !ok || len(job.victims) != 2 {
-		t.Fatalf("beginRunCompact: ok=%v victims=%d err=%v", ok, len(job.victims), err)
-	}
-	outs, err := b.writeMerged(ctx, job.victims, 0, func() int64 { return job.seq }, "")
-	if err != nil || len(outs) != 1 || outs[0].values != 2 {
-		t.Fatalf("writeMerged: %+v err=%v", outs, err)
-	}
-	// The race: both keys die, the run is retired, the tombstones are dropped.
-	for _, k := range []string{"k1", "k2"} {
-		if err := b.Delete(ctx, "t", k); err != nil {
-			t.Fatal(err)
+	held, release := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	b.setMergePause(func(stage string) {
+		if stage == "written" {
+			close(held)
+			<-release
 		}
+	})
+	done := make(chan error, 1)
+	go func() { done <- batch(70) }() // its flush makes tierWidth tables
+	select {
+	case <-held:
+	case err := <-done:
+		t.Fatalf("the write call returned (%v) without a tier merge", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no tier merge started")
 	}
-	flushT(t, b)
-	if got := runFiles(b, "t"); len(got) != 0 {
-		t.Fatalf("run not retired: %v", got)
-	}
-	if err := b.finishRunCompact(job, outs); err != nil {
-		t.Fatal(err)
-	}
-	if got := runFiles(b, "t"); len(got) != 0 {
-		t.Fatalf("abandoned merge output was mounted: %v", got)
-	}
-	if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
-		t.Fatalf("abandoned merge output left behind: %v", debris)
-	}
-	for _, when := range []string{"after the race", "after reopen"} {
-		for _, k := range []string{"k1", "k2"} {
-			if v, ok := mustGet(t, b, "t", k); ok {
-				t.Fatalf("%s: %s resurrected as %q", when, k, v)
+	within := func(what string, op func() error) {
+		t.Helper()
+		ret := make(chan error, 1)
+		go func() { ret <- op() }()
+		select {
+		case err := <-ret:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
 			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s waited for the merge", what)
 		}
-		if v, ok := mustGet(t, b, "bystander", "x"); !ok || v != "y" {
-			t.Fatalf("%s: bystander = %q ok=%v", when, v, ok)
-		}
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-		b = openT(t, dir, Options{})
 	}
-
-	// A run the race did not touch still commits.
-	job, ok, err = b.beginRunCompact("bystander")
-	if err != nil || ok {
-		t.Fatalf("a single clean table needs no merge: ok=%v err=%v", ok, err)
+	within("Get beside the merge", func() error {
+		v, ok, err := b.Get(ctx, "t", "k0000")
+		if err == nil && (!ok || string(v) != string(value)) {
+			err = fmt.Errorf("k0000 = %d bytes, ok=%v", len(v), ok)
+		}
+		return err
+	})
+	within("Put to another table beside the merge", func() error {
+		return b.Put(ctx, "other", "x", []byte("y"))
+	})
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
+	if files := runFiles(b, "t"); len(files) != 1 {
+		t.Fatalf("tier merge not installed: run is %v", files)
+	}
+	checkRunInvariants(t, b)
 }
 
 // TestManyTablesInOneFlush flushes one memtable holding 200 user tables —
@@ -542,111 +652,21 @@ func TestHashMemoIsPerTable(t *testing.T) {
 	}
 }
 
-// TestOpenUpgradesV1Directory hand-builds what a pre-v2 build left on disk —
-// SSTables holding keys of several user tables each, a MANIFEST listing them
-// in one age order, a WAL on top — and opens it: same answers, and the
-// directory is v2 afterwards.
-func TestOpenUpgradesV1Directory(t *testing.T) {
-	ctx := context.Background()
+// TestOpenRefusesV1Directory: a v1 MANIFEST (one age-ordered list of
+// SSTables shared by every user table) was last written by builds whose
+// stores core no longer reads, so Open refuses it and names the fix.
+func TestOpenRefusesV1Directory(t *testing.T) {
 	dir := t.TempDir()
-	type ent struct {
-		table, key, value string
-		tomb              bool
-	}
-	writeV1Table := func(seq int64, ents []ent) {
-		sort.Slice(ents, func(i, j int) bool {
-			return string(ikey(ents[i].table, ents[i].key)) < string(ikey(ents[j].table, ents[j].key))
-		})
-		path := filepath.Join(dir, fmt.Sprintf("sst-%06d.sst", seq))
-		sw, err := newSSTWriter(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			if err := sw.add(ikey(e.table, e.key), []byte(e.value), e.tomb); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sw.finish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeV1Table(1, []ent{
-		{"once", "c1", "segment one", false},
-		{"once", "c2", "segment two", false},
-		{"churn", "d1", "delta one", false},
-		{"churn", "d2", "delta two", false},
-		{"small", "root", "root v1", false},
-	})
-	writeV1Table(3, []ent{
-		{"once", "c3", "segment three", false},
-		{"churn", "d1", "", true},
-		{"churn", "d2", "", true},
-		{"small", "root", "root v2", false},
-		{"z", "only-a-tombstone", "", true},
-	})
-	w, err := createWAL(filepath.Join(dir, "wal-000004.log"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.appendRecord(reclog.KindPut, "small", "root", []byte("root v3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.sync(); err != nil {
-		t.Fatal(err)
-	}
-	w.close()
 	v1 := "rstore-lsm v1\nnext 5\nwal 4\nsst 1\nsst 3\n"
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	want := map[[2]string]string{
-		{"once", "c1"}: "segment one", {"once", "c2"}: "segment two", {"once", "c3"}: "segment three",
-		{"small", "root"}: "root v3",
+	b, err := Open(dir, Options{})
+	if err == nil {
+		b.Close()
+		t.Fatal("a v1 directory opened")
 	}
-	for _, when := range []string{"upgrading open", "v2 reopen"} {
-		b := openT(t, dir, Options{})
-		for k, wv := range want {
-			if v, ok := mustGet(t, b, k[0], k[1]); !ok || v != wv {
-				t.Fatalf("%s: %s/%s = %q ok=%v, want %q", when, k[0], k[1], v, ok, wv)
-			}
-		}
-		for _, k := range []string{"d1", "d2"} {
-			if v, ok := mustGet(t, b, "churn", k); ok {
-				t.Fatalf("%s: deleted %s resurrected as %q", when, k, v)
-			}
-		}
-		tables, err := b.Tables(ctx)
-		if err != nil || !reflect.DeepEqual(tables, []string{"once", "small"}) {
-			t.Fatalf("%s: Tables = %q (err %v)", when, tables, err)
-		}
-		if got, want := b.BytesStored(), int64(len("segment one")+len("segment two")+len("segment three")+len("root v3")); got != want {
-			t.Fatalf("%s: BytesStored = %d, want %d", when, got, want)
-		}
-		checkRunInvariants(t, b)
-		// A full merge drops every tombstone: the dead user tables get no
-		// file, and the root the WAL supersedes kills that user table's only SSTable.
-		if got := append(runFiles(b, "churn"), runFiles(b, "z")...); len(got) != 0 {
-			t.Fatalf("%s: dead user tables kept files: %v", when, got)
-		}
-		if len(runFiles(b, "once")) != 1 || len(runFiles(b, "small")) != 0 {
-			t.Fatalf("%s: once run %v, small run %v", when, runFiles(b, "once"), runFiles(b, "small"))
-		}
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, manifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(string(data), manifestHeader+"\n") || !strings.Contains(string(data), ` "once"`+"\n") {
-			t.Fatalf("%s: MANIFEST is not v2:\n%s", when, data)
-		}
-		for _, old := range []string{"sst-000001.sst", "sst-000003.sst"} {
-			if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
-				t.Fatalf("%s: v1 table %s survived the upgrade (err %v)", when, old, err)
-			}
-		}
+	if !errors.Is(err, types.ErrCorrupt) || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "re-initialize") {
+		t.Fatalf("refusal %q does not name v1 and the fix", err)
 	}
 }

@@ -314,9 +314,9 @@ const (
 // -rf, which would silently under- (or over-) replicate every new write —
 // is refused instead of accepted. Unreachable daemons are skipped —
 // opening with a node down is allowed, and a mismatched daemon will still
-// be caught on any open that can reach it. Pins written before the
-// replication factor was recorded are upgraded in place when everything
-// they do pin matches. Clusters kvstore did not dial pin nothing: their
+// be caught on any open that can reach it. A pin written before the
+// replication factor was recorded is refused: the store under it is older
+// than core reads. Clusters kvstore did not dial pin nothing: their
 // shape is pinned by the GEOMETRY file, or is the NewBackend factory's
 // business.
 func (s *Store) pinRemoteGeometry(ctx context.Context) error {
@@ -325,7 +325,6 @@ func (s *Store) pinRemoteGeometry(ctx context.Context) error {
 	}
 	for _, n := range s.nodes {
 		want := fmt.Sprintf("%d of %d rf=%d format=%s", n.id, len(s.nodes), s.cfg.ReplicationFactor, storedFormat)
-		legacy := fmt.Sprintf("%d of %d format=%s", n.id, len(s.nodes), storedFormat)
 		raw, ok, err := n.get(ctx, clusterTable, nodeIDKey)
 		if isUnavailable(err) {
 			continue
@@ -344,10 +343,9 @@ func (s *Store) pinRemoteGeometry(ctx context.Context) error {
 				writePin = true
 			case string(payload) == want:
 				continue
-			case string(payload) == legacy:
-				// Pre-rf pin with matching position/shape/format: adopt this
-				// open's replication factor as the pinned one.
-				writePin = true
+			case string(payload) == fmt.Sprintf("%d of %d format=%s", n.id, len(s.nodes), storedFormat):
+				return fmt.Errorf("kvstore: daemon %s holds a pin %q in the format from before the replication factor was pinned: re-initialize the cluster",
+					n.rc.Addr(), payload)
 			default:
 				var pid, pn, prf int
 				var pfmt string

@@ -548,8 +548,8 @@ func TestGeometryCrashLeavesFreshDirectory(t *testing.T) {
 
 // The replication factor is pinned alongside the ring geometry: reopening
 // the same daemons with a different -rf would silently under- (or over-)
-// replicate every new write, so it must be refused, while legacy pins
-// written before rf was recorded are upgraded in place.
+// replicate every new write, so it must be refused, and so are legacy pins
+// written before rf was recorded.
 func TestRemoteClusterRefusesReplicationFactorChange(t *testing.T) {
 	addrs, nodes := startNodes(t, 3)
 	s := openRemote(t, addrs, 2)
@@ -578,9 +578,8 @@ func TestRemoteClusterRefusesReplicationFactorChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A legacy pin (written before rf was recorded) with matching
-	// position/shape/format is adopted and upgraded, after which the
-	// adopted factor is enforced like any other.
+	// A legacy pin (written before rf was recorded) is refused whatever rf
+	// the open asks for: the cluster must be re-initialized.
 	for i, tn := range nodes {
 		legacy := fmt.Sprintf("%d of %d format=%s", i, len(nodes), storedFormat)
 		env := envelope(envValue, 1, []byte(legacy))
@@ -588,15 +587,10 @@ func TestRemoteClusterRefusesReplicationFactorChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s3 := openRemote(t, addrs, 3)
-	if v, err := s3.Get(context.Background(), "t", "a"); err != nil || string(v) != "1" {
-		t.Fatalf("reopen over legacy pins: %q %v", v, err)
-	}
-	if err := s3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2, Remote: remoteOpts()}); err == nil ||
-		!strings.Contains(err.Error(), "replication factor") {
-		t.Fatalf("rf change after legacy upgrade: %v, want a refusal", err)
+	for _, rf := range []int{2, 3} {
+		_, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: rf, Remote: remoteOpts()})
+		if err == nil || !strings.Contains(err.Error(), "re-initialize") {
+			t.Fatalf("open at rf %d over legacy pins: %v, want a re-initialize refusal", rf, err)
+		}
 	}
 }

@@ -105,6 +105,7 @@ run_fuzz() {
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzVerdict -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
+  go test -fuzz=FuzzDecodeDeltaEntry -fuzztime=10s -run '^$' ./internal/core/
   go test -fuzz=FuzzDecodeSegment -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzValueRuns -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzPackedLiterals -fuzztime=10s -run '^$' ./internal/chunk/
