@@ -52,9 +52,4 @@ var Table = []Edge{
 		To:     "rstore/internal/kvstore.repairer.tmu",
 		Reason: "core commits under Store.mu can record repair targets in kvstore; the target-table lock is a leaf and kvstore never calls back into core",
 	},
-	{
-		From:   "rstore/internal/core.Store.mu",
-		To:     "rstore/internal/engine/remote.breaker.mu",
-		Reason: "a query under Store.mu only plans, and the one MultiGet left there fetches the pending deltas the plan overlays (chunk segments stream after the lock is released); it goes through kvstore.MultiGet, whose replica choice asks each dialed node's wire client whether its breaker is open; the breaker lock is a leaf guarding only counters and state, and the state listener runs after it is released",
-	},
 }

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -84,6 +85,11 @@ func FuzzDecodeSegment(f *testing.F) {
 	})
 }
 
+// FuzzDecodeMap: a map that decodes holds exactly as many versions as it
+// lists — none folded onto another by truncation or repetition — and names no
+// slot past the chunk's; what it refuses is types.ErrCorrupt. Seeded with a
+// valid map, one listing a version twice, and one whose second version is
+// 2³²+3.
 func FuzzDecodeMap(f *testing.F) {
 	m := NewMap(64)
 	m.Versions[1] = bitset.FromSlice([]uint32{3, 60})
@@ -91,13 +97,30 @@ func FuzzDecodeMap(f *testing.F) {
 	f.Add(m.AppendBinary(nil))
 	f.Add([]byte{})
 	f.Add([]byte{64, 1, 1})
+	one := bitset.FromSlice([]uint32{5}).AppendBinary(nil)
+	for _, second := range []uint64{3, 1<<32 + 3} {
+		f.Add(append(codec.PutUvarint(append(codec.PutUvarint([]byte{64, 2}, 3), one...), second), one...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeMap(data, 64)
-		if err == nil && got != nil {
-			for v, b := range got.Versions {
-				_ = v
-				_ = b.Count()
+		if err != nil {
+			if !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("a refused map is not ErrCorrupt: %v", err)
 			}
+			return
+		}
+		_, rest, _ := codec.Uvarint(data)
+		listed, _, _ := codec.Uvarint(rest)
+		if uint64(len(got.Versions)) != listed {
+			t.Fatalf("map listing %d versions decoded to %d", listed, len(got.Versions))
+		}
+		for v, b := range got.Versions {
+			b.ForEach(func(slot uint32) bool {
+				if slot >= 64 {
+					t.Fatalf("version %d names slot %d of a 64-slot chunk", v, slot)
+				}
+				return true
+			})
 		}
 	})
 }

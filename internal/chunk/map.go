@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rstore/internal/bitset"
@@ -54,7 +55,9 @@ func (m *Map) AppendBinary(buf []byte) []byte {
 // DecodeMap reverses AppendBinary for a chunk whose payload decoded to
 // numSlots records. A map that counts another number of slots, or a bitmap
 // that names a slot past them, is corrupt: every slot a decoded map names
-// indexes the chunk's records.
+// indexes the chunk's records. So is a version id wider than a VersionID, or
+// one not above the version before it: AppendBinary writes them ascending,
+// each once.
 func DecodeMap(buf []byte, numSlots int) (*Map, error) {
 	slots, rest, err := codec.Uvarint(buf)
 	if err != nil {
@@ -68,12 +71,17 @@ func DecodeMap(buf []byte, numSlots int) (*Map, error) {
 		return nil, err
 	}
 	m := NewMap(numSlots)
+	var prev uint64
 	for i := uint64(0); i < n; i++ {
 		var v uint64
 		v, rest, err = codec.Uvarint(rest)
 		if err != nil {
 			return nil, err
 		}
+		if v > math.MaxUint32 || (i > 0 && v <= prev) {
+			return nil, fmt.Errorf("%w: chunk map version %d is wider than 32 bits or not above the one before it", types.ErrCorrupt, v)
+		}
+		prev = v
 		var b *bitset.BitSet
 		b, rest, err = bitset.DecodeBinary(rest, numSlots)
 		if err != nil {

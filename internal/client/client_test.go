@@ -47,8 +47,8 @@ func TestClientEndToEnd(t *testing.T) {
 	if recs[0].CK.Key != "a" || string(recs[0].Value) != `{"rev":1}` {
 		t.Fatalf("record: %+v", recs[0])
 	}
-	if stats.Span == 0 {
-		t.Fatal("no span reported")
+	if stats.Span != 0 { // both versions are pending: served from memory
+		t.Fatalf("span %d while pending", stats.Span)
 	}
 
 	// GetRecord at the old version.
@@ -102,6 +102,9 @@ func TestClientEndToEnd(t *testing.T) {
 	stats2, err := c.Stats(context.Background())
 	if err != nil || stats2["pending"].(float64) != 0 {
 		t.Fatalf("stats: %v %v", stats2, err)
+	}
+	if _, stats, err = c.GetVersionAll(context.Background(), "main"); err != nil || stats.Span == 0 {
+		t.Fatalf("main once placed: span %d, %v", stats.Span, err)
 	}
 }
 

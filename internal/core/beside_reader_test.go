@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"iter"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rstore/internal/engine"
+	"rstore/internal/engine/memory"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
@@ -25,11 +28,17 @@ import (
 // deletes five and adds two.
 func besideReaderStore(t *testing.T, batch int) (*Store, *kvstore.Store) {
 	t.Helper()
-	ctx := context.Background()
-	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return besideReaderStoreOver(t, kv, batch), kv
+}
+
+// besideReaderStoreOver is besideReaderStore over the caller's cluster.
+func besideReaderStoreOver(t *testing.T, kv *kvstore.Store, batch int) *Store {
+	t.Helper()
+	ctx := context.Background()
 	st, err := Open(ctx, Config{KV: kv, ChunkCapacity: 256, BatchSize: batch})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +65,7 @@ func besideReaderStore(t *testing.T, batch int) (*Store, *kvstore.Store) {
 	if _, err := st.Commit(ctx, v0, change); err != nil {
 		t.Fatal(err)
 	}
-	return st, kv
+	return st
 }
 
 // stalledCursor opens a cursor on version v and reads one record of it. rest
@@ -355,4 +364,139 @@ func TestBesideReaderClose(t *testing.T) {
 		got++
 	}
 	t.Fatalf("cursor resumed after Close streamed %d of %d records and ended without an error", got, len(puts))
+}
+
+// deltaStallBackend is a memory backend that, once armed, answers no read of
+// the write store until the test ends.
+type deltaStallBackend struct {
+	*memory.Backend
+	armed   atomic.Bool
+	release chan struct{}
+}
+
+func (b *deltaStallBackend) stall(ctx context.Context, table string) error {
+	if table != TableDeltaStore || !b.armed.Load() {
+		return nil
+	}
+	select {
+	case <-b.release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (b *deltaStallBackend) Get(ctx context.Context, table, key string) ([]byte, bool, error) {
+	if err := b.stall(ctx, table); err != nil {
+		return nil, false, err
+	}
+	return b.Backend.Get(ctx, table, key)
+}
+
+func (b *deltaStallBackend) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
+	if err := b.stall(ctx, table); err != nil {
+		return err
+	}
+	return b.Backend.Scan(ctx, table, fn)
+}
+
+// TestBesideReaderPendingPlan: a query plans from memory alone, so no read of
+// the write store can hold the store lock. Over a cluster that answers no such
+// read, GetVersion, GetRange, GetRecord and GetHistory of the pending version
+// answer byte-exact — as the same queries do once a twin store has placed it
+// — and a commit beside them returns within a second. A pending record one
+// caller mutates reads back unchanged for the next.
+func TestBesideReaderPendingPlan(t *testing.T) {
+	ctx := context.Background()
+	be := &deltaStallBackend{Backend: memory.New(), release: make(chan struct{})}
+	t.Cleanup(func() { close(be.release) })
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return be, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := besideReaderStoreOver(t, kv, 0)
+	twin, _ := besideReaderStore(t, 0)
+	if err := twin.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	held, _, err := twin.GetVersionAll(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]func(st *Store) ([]types.Record, error){
+		"GetVersion": func(st *Store) ([]types.Record, error) {
+			recs, _, err := st.GetVersionAll(ctx, 1)
+			return recs, err
+		},
+		"GetRange": func(st *Store) ([]types.Record, error) {
+			recs, _, err := st.GetRangeAll(ctx, KeyRange("doc-03", "new-1"), 1)
+			return recs, err
+		},
+		"GetRecord": func(st *Store) ([]types.Record, error) {
+			var recs []types.Record
+			for _, r := range held {
+				rec, _, err := st.GetRecord(ctx, r.CK.Key, 1)
+				if err != nil {
+					return nil, err
+				}
+				recs = append(recs, rec)
+			}
+			return recs, nil
+		},
+		"GetHistory": func(st *Store) ([]types.Record, error) {
+			var recs []types.Record
+			for _, k := range []types.Key{"doc-00", "doc-05", "doc-10", "new-0"} {
+				hist, _, err := st.GetHistoryAll(ctx, k)
+				if err != nil {
+					return nil, err
+				}
+				recs = append(recs, hist...)
+			}
+			return recs, nil
+		},
+	}
+	want := map[string][]types.Record{}
+	for what, query := range queries {
+		if want[what], err = query(twin); err != nil {
+			t.Fatalf("%s of the placed twin: %v", what, err)
+		}
+	}
+
+	be.armed.Store(true)
+	type answer struct {
+		what string
+		recs []types.Record
+		err  error
+	}
+	answers := make(chan answer, len(queries))
+	for what, query := range queries {
+		go func() {
+			recs, err := query(st)
+			answers <- answer{what, recs, err}
+		}()
+	}
+	within(t, "a commit", func() error {
+		_, err := st.Commit(ctx, 1, Change{Puts: map[types.Key][]byte{"doc-19": []byte("v2")}})
+		return err
+	})
+	for range queries {
+		select {
+		case a := <-answers:
+			if a.err != nil {
+				t.Fatalf("%s of the pending version: %v", a.what, a.err)
+			}
+			sameRecords(t, a.what+" of the pending version", a.recs, want[a.what])
+		case <-time.After(time.Second):
+			t.Fatal("a query of the pending version waited more than a second")
+		}
+	}
+
+	rec, _, err := st.GetRecord(ctx, "new-0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(rec.Value, "XX")
+	if again, _, err := st.GetRecord(ctx, "new-0", 1); err != nil || string(again.Value) != "n0" {
+		t.Fatalf("new-0 after one caller rewrote its copy: %q, %v", again.Value, err)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -80,6 +81,14 @@ func (s *Store) CommitDelta(ctx context.Context, parents []types.VersionID, delt
 			return types.InvalidVersion, fmt.Errorf("%w: delta deletes unknown record %v", types.ErrNotFound, ck)
 		}
 	}
+
+	// The corpus keeps the added records and a flush codes chunks from them:
+	// they carry the store's copies of the caller's values.
+	owned := &types.Delta{Adds: make([]types.Record, len(delta.Adds)), Dels: delta.Dels}
+	for i, r := range delta.Adds {
+		owned.Adds[i] = types.Record{CK: r.CK, Value: bytes.Clone(r.Value)}
+	}
+	delta = owned
 
 	// Durable write first (see CommitMerge): a failure or cancellation here
 	// leaves no in-memory trace.

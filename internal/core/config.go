@@ -162,7 +162,9 @@ const (
 	// a version holds.
 	TablePlacement = "placement"
 	// TableDeltaStore holds pending version deltas awaiting batch
-	// placement (§4's write store).
+	// placement (§4's write store): written by Commit, drained by the flush
+	// that places them, and read only by Load, which replays them. Queries
+	// take pending deltas from the corpus.
 	TableDeltaStore = "deltastore"
 	// TableMeta holds the root (placement generation, committed counts,
 	// branches) — the commit point of every flush.
@@ -171,11 +173,12 @@ const (
 
 // QueryStats reports the cost of one retrieval operation.
 type QueryStats struct {
-	// Span is the number of chunks (or delta-store entries) consulted — the
-	// paper's cost of a query, whatever share of each chunk was transferred.
+	// Span is the number of chunks consulted — the paper's cost of a query,
+	// whatever share of each chunk was transferred. Pending records are
+	// served from memory and cost nothing.
 	Span int
 	// Requests is the number of point requests issued to the KVS: one per
-	// chunk segment (or delta-store entry) fetched.
+	// chunk segment fetched.
 	Requests int
 	// BytesRead is the response volume: the fetched segments' bytes.
 	BytesRead int64

@@ -10,8 +10,8 @@ import (
 	"rstore/internal/types"
 )
 
-// FuzzDecodeDeltaEntry: Load and the query overlay decode delta-store
-// entries straight off the KVS, so decodeDeltaEntry must refuse what it
+// FuzzDecodeDeltaEntry: Load decodes delta-store entries straight off the
+// KVS to replay them, so decodeDeltaEntry must refuse what it
 // cannot read with types.ErrCorrupt — never panic, never size an allocation
 // by a count the entry has no bytes for, never truncate a parent id — and
 // what it accepts must survive a re-encode. Seeded with encodeDeltaEntry

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -65,7 +66,9 @@ func (s *Store) saveRoot(ctx context.Context) error {
 }
 
 // loadRoot parses a root into s (generation, counts, branches) and returns
-// its chunk count, which the layout must reach once the log is folded.
+// its chunk count, which the layout must reach once the log is folded. A
+// count, generation or branch tip wider than 32 bits is types.ErrCorrupt, as
+// is a branch count the root has no bytes for (a branch takes a byte at least).
 func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 	ver, rest, err := codec.Uvarint(buf)
 	if err != nil {
@@ -80,6 +83,12 @@ func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 		if fields[i], rest, err = codec.Uvarint(rest); err != nil {
 			return 0, err
 		}
+		if fields[i] > math.MaxUint32 {
+			return 0, fmt.Errorf("%w: manifest field %d is %d", types.ErrCorrupt, i, fields[i])
+		}
+	}
+	if fields[4] > uint64(len(rest)) {
+		return 0, fmt.Errorf("%w: manifest counts %d branches in %d bytes", types.ErrCorrupt, fields[4], len(rest))
 	}
 	s.gen, s.numPlacements, s.placed = uint32(fields[0]), uint32(fields[2]), int(fields[3])
 	s.branches = make(map[string]types.VersionID, fields[4])
@@ -91,6 +100,9 @@ func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 		var v uint64
 		if v, rest, err = codec.Uvarint(rest); err != nil {
 			return 0, err
+		}
+		if v > math.MaxUint32 {
+			return 0, fmt.Errorf("%w: branch %q points at version %d", types.ErrCorrupt, name, v)
 		}
 		s.branches[name] = types.VersionID(v)
 	}
@@ -172,6 +184,9 @@ func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
 			var p uint64
 			if p, rest, err = codec.Uvarint(rest); err != nil {
 				return err
+			}
+			if p > math.MaxUint32 {
+				return fmt.Errorf("%w: version %d names parent %d", types.ErrCorrupt, first+uint64(i), p)
 			}
 			parents[i][j] = types.VersionID(p)
 		}
@@ -309,11 +324,15 @@ func (s *Store) Checkpoint(ctx context.Context) error {
 // Load reopens a store previously persisted to kv: the root names the
 // placement generation and how much of it is committed, each chunk's segment
 // entries decode and join to its records in slot order, and the generation's
-// placement records fold in order: each version's delta is read off its slot
-// bitmaps and its parent's (applyPlacement) into the graph and the corpus,
-// and the bitmaps go through chunk.Layout.Restore into the locations, chunk
-// maps and the projection. Record ids are handed out in that fold's order and
-// are local to the process; nothing persisted names one.
+// placement records fold in order (applyPlacement): the chunks a record
+// introduces open (chunk.Layout.RestoreChunk), each version's bitmaps are
+// rebuilt from its parent's and its diffs (chunk.Layout.ApplyDiffs) and its
+// delta, read off the same diffs, goes into the graph and the corpus, and the
+// new chunks' records take their slots (chunk.Layout.BindRecords), filling
+// the locations, chunk maps and the projection. Record ids are handed out in
+// that fold's order and are local to the process; nothing persisted names
+// one. A branch tip naming a version the fold and the replay below did not
+// load is types.ErrCorrupt.
 //
 // Load also finishes what a crash interrupted. Flush persists in the order
 // chunks → placement record → root → delta-store drain, so a crash leaves at
@@ -469,6 +488,11 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		}
 		if err := s.replayVersion(v, e.parents, e.delta); err != nil {
 			return fail(err)
+		}
+	}
+	for name, v := range s.branches {
+		if v != types.InvalidVersion && !s.graph.Valid(v) {
+			return fail(fmt.Errorf("%w: branch %q points at version %d, the store holds %d", types.ErrCorrupt, name, v, s.graph.NumVersions()))
 		}
 	}
 	s.sortedKeys = slices.Sorted(slices.Values(s.corpus.Keys()))

@@ -346,7 +346,8 @@ func takeFoldFixture(t testing.TB, st *Store, kv *kvstore.Store) foldFixture {
 // the records the slot bitmaps rebuilt from the same diffs name. Seeded with
 // the golden corpus's records: the one record of a bulk load (at 0), and each
 // record of a replay in online batches of four, folded after the ones before
-// it (at i+1).
+// it (at i+1); and a record of two versions whose second names parent 2³²,
+// which a fold that truncated ids would take for version 0.
 func FuzzApplyPlacement(f *testing.F) {
 	st, kv := openGolden(f, Config{})
 	if err := st.BulkLoad(context.Background(), goldenCorpus(f)); err != nil {
@@ -361,6 +362,11 @@ func FuzzApplyPlacement(f *testing.F) {
 	for i, rec := range online.records {
 		f.Add(rec, uint8(i+1))
 	}
+	var wide []byte // versions [0, 2): the root, then one of parent 2³²; no chunk maps
+	for _, u := range []uint64{0, 2, 0, 1, 1 << 32, 0} {
+		wide = codec.PutUvarint(wide, u)
+	}
+	f.Add(wide, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, at uint8) {
 		fx, before := bulk, 0
 		if at > 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 
 	"rstore/internal/bitset"
 	"rstore/internal/chunk"
-	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
 
@@ -39,14 +39,15 @@ func (r Range) contains(k types.Key) bool {
 
 // Cursor is the streaming result of a query (GetVersion, GetRange,
 // GetHistory). Iterating it first plans the query under the store's read
-// lock — every slot it returns, resolved from memory, and the pending deltas
-// it overlays (readPlan) — and then streams the plan with no store lock held:
-// the segments holding those slots are fetched queryFetchBatch chunks' worth
-// at a time, so the first record is available before the last segment is
-// fetched, and abandoning the cursor (or cancelling the query's context)
-// stops further fetches. The plan is a snapshot of the queried version as it
-// stood when iteration began; commits, flushes and Materialize go ahead while
-// a cursor streams, however slowly its consumer reads.
+// lock from memory alone — every slot it returns and the pending records it
+// overlays (readPlan), with no storage call — and then streams the plan with
+// no store lock held: the segments holding those slots are fetched
+// queryFetchBatch chunks' worth at a time, so the first record is available
+// before the last segment is fetched, and abandoning the cursor (or
+// cancelling the query's context) stops further fetches. The plan is a
+// snapshot of the queried version as it stood when iteration began; commits,
+// flushes and Materialize go ahead while a cursor streams, however slowly its
+// consumer reads.
 //
 // Iterate with Records (usable once); Stats reports the retrieval costs
 // accumulated so far and is complete once the sequence ends. An error —
@@ -93,11 +94,12 @@ func (c *Cursor) All() ([]types.Record, QueryStats, error) {
 // retrieval, Q1): the version→chunk projection picks chunks, the version's
 // slot bitmaps pick the segments of each, and batched parallel MultiGets
 // fetch them incrementally. Versions still pending in the write store are
-// served by overlaying their deltas on the nearest placed ancestor. Record
-// order is unspecified (chunk order); GetVersionAll sorts.
+// served by overlaying their deltas, which the corpus holds, on the nearest
+// placed ancestor. Record order is unspecified (chunk order); GetVersionAll
+// sorts.
 func (s *Store) GetVersion(ctx context.Context, v types.VersionID) *Cursor {
-	return s.query(ctx, func(stats *QueryStats) (*readPlan, error) {
-		p, anchor, err := s.planOverlay(ctx, v, nil, stats)
+	return s.query(ctx, func() (*readPlan, error) {
+		p, anchor, err := s.planOverlay(v, nil)
 		if err != nil || anchor == types.InvalidVersion {
 			return p, err
 		}
@@ -121,8 +123,8 @@ func (s *Store) GetVersionAll(ctx context.Context, v types.VersionID) ([]types.R
 // holds it at, and only the segments those slots fall in are fetched. Record
 // order is unspecified; GetRangeAll sorts.
 func (s *Store) GetRange(ctx context.Context, r Range, v types.VersionID) *Cursor {
-	return s.query(ctx, func(stats *QueryStats) (*readPlan, error) {
-		p, anchor, err := s.planOverlay(ctx, v, r.contains, stats)
+	return s.query(ctx, func() (*readPlan, error) {
+		p, anchor, err := s.planOverlay(v, r.contains)
 		if err != nil || anchor == types.InvalidVersion {
 			return p, err
 		}
@@ -154,38 +156,22 @@ func (s *Store) GetRangeAll(ctx context.Context, r Range, v types.VersionID) ([]
 // version. A key with no records anywhere ends the sequence with a
 // KeyNotFoundError.
 func (s *Store) GetHistory(ctx context.Context, key types.Key) *Cursor {
-	return s.query(ctx, func(stats *QueryStats) (*readPlan, error) {
+	return s.query(ctx, func() (*readPlan, error) {
 		ids := s.corpus.KeyRecords(key)
 		if len(ids) == 0 {
 			return nil, &types.KeyNotFoundError{Key: key, Version: types.InvalidVersion}
 		}
-		// Placed records are read from their slots; pending ones live in
-		// the write store, each in the delta of the version it originates
-		// at (a merge's delta may re-add it: it is taken once).
-		slots, pending := slotSet{}, map[types.CompositeKey]bool{}
-		var versions []types.VersionID
+		// Placed records are read from their slots; a pending one no chunk
+		// holds yet is served from the corpus.
+		slots, p := slotSet{}, &readPlan{}
 		for _, id := range ids {
 			if loc := s.layout.Loc(id); loc.Chunk != chunk.NoChunk {
 				slots.add(loc)
 			} else {
-				ck := s.corpus.Record(id).CK
-				pending[ck] = true
-				versions = append(versions, ck.Version)
+				p.adds = append(p.adds, s.corpus.Record(id))
 			}
 		}
-		deltas, err := s.fetchDeltas(ctx, versions, stats)
-		if err != nil {
-			return nil, err
-		}
-		p := &readPlan{chunks: s.chunkReads(slots)}
-		for _, d := range deltas {
-			for _, r := range d.Adds {
-				if pending[r.CK] {
-					delete(pending, r.CK)
-					p.adds = append(p.adds, r)
-				}
-			}
-		}
+		p.chunks = s.chunkReads(slots)
 		return p, nil
 	})
 }
@@ -221,15 +207,17 @@ func (s *Store) GetRecord(ctx context.Context, key types.Key, v types.VersionID)
 // readPlan is a query resolved from memory: everything its stream reads,
 // taken under s.mu and never written after. The chunk maps' bitmaps and the
 // segments' first slots it shares with the layout are immutable once placed
-// (chunk.Layout), and so are the segments in the KVS while the plan pins
-// their generation, so the stream needs no store lock. A plan is O(chunks
-// read) plus the pending deltas it overlays.
+// (chunk.Layout), the pending values it shares with the corpus once
+// committed (the commit copied them), and so are the segments in the KVS
+// while the plan pins their generation, so the stream needs no store lock. A
+// plan is O(chunks read) plus the pending records it overlays.
 type readPlan struct {
 	gen    uint32  // the placement generation the segments are read under
 	pin    *genPin // held on gen until the stream ends
 	chunks []chunkRead
 	// masked hides the records of the placed anchor that pending deltas
-	// delete or re-add; adds are the pending records the query returns.
+	// delete or re-add; adds are the pending records the query returns, as
+	// the corpus holds them (stream hands out copies).
 	masked map[types.CompositeKey]bool
 	adds   []types.Record
 }
@@ -273,9 +261,9 @@ func (s *Store) chunkReads(ss slotSet) []chunkRead {
 // plan under s.mu.RLock and pins the generation the plan was resolved under;
 // the lock is released before the first segment is fetched, the pin once the
 // stream ends.
-func (s *Store) query(ctx context.Context, plan func(stats *QueryStats) (*readPlan, error)) *Cursor {
+func (s *Store) query(ctx context.Context, plan func() (*readPlan, error)) *Cursor {
 	return &Cursor{run: func(c *Cursor, yield func(types.Record, error) bool) {
-		p, err := s.resolve(&c.stats, plan)
+		p, err := s.resolve(plan)
 		if err != nil {
 			yield(types.Record{}, err)
 			return
@@ -292,10 +280,10 @@ func (s *Store) query(ctx context.Context, plan func(stats *QueryStats) (*readPl
 }
 
 // resolve runs plan under s.mu.RLock and pins the generation it read.
-func (s *Store) resolve(stats *QueryStats, plan func(stats *QueryStats) (*readPlan, error)) (*readPlan, error) {
+func (s *Store) resolve(plan func() (*readPlan, error)) (*readPlan, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	p, err := plan(stats)
+	p, err := plan()
 	if err != nil {
 		return nil, err
 	}
@@ -306,14 +294,14 @@ func (s *Store) resolve(stats *QueryStats, plan func(stats *QueryStats) (*readPl
 	return p, nil
 }
 
-// planOverlay starts the plan of a query of version v: it checks v, fetches
-// the pending deltas between v and its placed anchor, and folds them into the
-// plan's masked set and its adds — those whose keys keep accepts (nil: all),
-// sorted by composite key. It returns the anchor, InvalidVersion when all of
-// v is pending. Pending deltas are small (they are the unflushed write batch)
-// and the flush that places them also deletes them: they are the one fetch a
-// plan makes under s.mu.
-func (s *Store) planOverlay(ctx context.Context, v types.VersionID, keep func(types.Key) bool, stats *QueryStats) (*readPlan, types.VersionID, error) {
+// planOverlay starts the plan of a query of version v: it checks v and folds
+// the deltas of the pending versions between v and its placed anchor, root
+// first, into the plan's masked set and its adds — those whose keys keep
+// accepts (nil: all), sorted by composite key. It returns the anchor,
+// InvalidVersion when all of v is pending. The corpus holds every pending
+// delta, values included (applyVersion registered it, and the flush that
+// places it codes its chunks from there): a plan reads memory only.
+func (s *Store) planOverlay(v types.VersionID, keep func(types.Key) bool) (*readPlan, types.VersionID, error) {
 	if !s.validVersion(v) {
 		return nil, types.InvalidVersion, &types.VersionUnknownError{Version: v}
 	}
@@ -322,24 +310,20 @@ func (s *Store) planOverlay(ctx context.Context, v types.VersionID, keep func(ty
 	if len(path) == 0 {
 		return p, anchor, nil
 	}
-	deltas, err := s.fetchDeltas(ctx, path, stats)
-	if err != nil {
-		return nil, types.InvalidVersion, err
-	}
-	added := make(map[types.CompositeKey]types.Record)
+	added := make(map[uint32]bool)
 	p.masked = make(map[types.CompositeKey]bool)
-	for _, d := range deltas {
-		for _, ck := range d.Dels {
-			delete(added, ck)
-			p.masked[ck] = true
+	for _, u := range path {
+		for _, id := range s.corpus.Dels(u) {
+			delete(added, id)
+			p.masked[s.corpus.Record(id).CK] = true
 		}
-		for _, r := range d.Adds {
-			added[r.CK] = r
-			p.masked[r.CK] = true // a re-add of a placed record is served from the overlay
+		for _, id := range s.corpus.Adds(u) {
+			added[id] = true
+			p.masked[s.corpus.Record(id).CK] = true // a re-add of a placed record is served from the overlay
 		}
 	}
-	for _, r := range added {
-		if keep == nil || keep(r.CK.Key) {
+	for id := range added {
+		if r := s.corpus.Record(id); keep == nil || keep(r.CK.Key) {
 			p.adds = append(p.adds, r)
 		}
 	}
@@ -407,12 +391,12 @@ const queryFetchBatch = 8
 
 // stream feeds p's records to yield: the records at its chunks' slots, in
 // (chunk, slot) order, that the overlay does not mask, then the pending
-// records it adds. It fetches the segments of queryFetchBatch chunks per
-// round and decodes them in parallel, yielding each segment's records in
-// order as they are decoded (ordered); a context that ends stops it before
-// the next fetch, a yield that returns false at once. Only the segments a
-// wanted slot falls in are fetched, and only the wanted slots of each are
-// decoded. It reads nothing of s but the cluster.
+// records it adds, each value a copy of the corpus's. It fetches the segments
+// of queryFetchBatch chunks per round and decodes them in parallel, yielding
+// each segment's records in order as they are decoded (ordered); a context
+// that ends stops it before the next fetch, a yield that returns false at
+// once. Only the segments a wanted slot falls in are fetched, and only the
+// wanted slots of each are decoded. It reads nothing of s but the cluster.
 func (s *Store) stream(ctx context.Context, p *readPlan, stats *QueryStats, yield func(types.Record, error) bool) error {
 	emit := func(r types.Record) error {
 		if stats.Records++; !yield(r, nil) {
@@ -444,6 +428,7 @@ func (s *Store) stream(ctx context.Context, p *readPlan, stats *QueryStats, yiel
 		}
 	}
 	for _, r := range p.adds {
+		r.Value = bytes.Clone(r.Value)
 		if err := emit(r); err != nil {
 			return err
 		}
@@ -515,44 +500,14 @@ func (s *Store) fetchSegments(ctx context.Context, gen uint32, chunks []chunkRea
 	if len(res.Missing) > 0 {
 		return nil, fmt.Errorf("%w: chunk segment %s missing", types.ErrCorrupt, keys[res.Missing[0]])
 	}
-	s.bookMultiGet(res, stats)
+	stats.Requests += res.Requests
+	stats.BytesRead += res.BytesRead
+	stats.SimElapsed += res.Elapsed
 	for i, value := range res.Values {
 		reads[i].value = value
 		stats.SimElapsed += s.kv.ChargeScan(len(value))
 	}
 	return reads, nil
-}
-
-// fetchDeltas multigets pending deltas from the write store.
-func (s *Store) fetchDeltas(ctx context.Context, versions []types.VersionID, stats *QueryStats) ([]*types.Delta, error) {
-	keys := make([]string, len(versions))
-	for i, v := range versions {
-		keys[i] = deltaKey(v)
-	}
-	res, err := s.kv.MultiGet(ctx, TableDeltaStore, keys)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Missing) > 0 {
-		return nil, fmt.Errorf("%w: pending delta %s missing", types.ErrCorrupt, keys[res.Missing[0]])
-	}
-	s.bookMultiGet(res, stats)
-	stats.Span += len(versions)
-	out := make([]*types.Delta, len(versions))
-	for i, val := range res.Values {
-		_, d, err := decodeDeltaEntry(val)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
-func (s *Store) bookMultiGet(res *kvstore.MultiGetResult, stats *QueryStats) {
-	stats.Requests += res.Requests
-	stats.BytesRead += res.BytesRead
-	stats.SimElapsed += res.Elapsed
 }
 
 // VersionSpan exposes the placed span of a version (for experiments).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -313,7 +314,9 @@ func (s *Store) deriveDelta(parents []types.VersionID, v types.VersionID, ch Cha
 			delta.Dels = append(delta.Dels, old)
 		}
 		ck := types.CompositeKey{Key: k, Version: v}
-		delta.Adds = append(delta.Adds, types.Record{CK: ck, Value: ch.Puts[k]})
+		// The corpus keeps the record and a flush codes chunks from it: the
+		// value is the store's copy, not the caller's buffer.
+		delta.Adds = append(delta.Adds, types.Record{CK: ck, Value: bytes.Clone(ch.Puts[k])})
 		state[k] = ck
 	}
 	for _, k := range ch.Deletes {

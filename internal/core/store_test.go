@@ -453,3 +453,54 @@ func TestCommitDuplicateParentsLeavesNoTrace(t *testing.T) {
 		t.Fatalf("reopened store: %q %v", rec.Value, err)
 	}
 }
+
+// TestCommitOwnsItsValues: a commit keeps its own copy of every value it is
+// given — the corpus serves pending reads from it and the flush codes chunks
+// from it. A caller that rewrites its buffers after Commit, CommitMerge or
+// CommitDelta returns changes no committed version: not read while pending,
+// not once the flush placed it, not after Load.
+func TestCommitOwnsItsValues(t *testing.T) {
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(ctx, Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := [][]byte{[]byte("original"), []byte("original"), []byte("original")}
+	v0, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: map[types.Key][]byte{"a": bufs[0]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := st.CommitMerge(ctx, []types.VersionID{v0}, Change{Puts: map[types.Key][]byte{"b": bufs[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := st.CommitDelta(ctx, []types.VersionID{v1}, &types.Delta{Adds: []types.Record{{CK: types.CompositeKey{Key: "c", Version: v1 + 1}, Value: bufs[2]}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range bufs {
+		copy(buf, "MUTATED!")
+	}
+	check := func(when string, st *Store) {
+		t.Helper()
+		for _, k := range []types.Key{"a", "b", "c"} {
+			if rec, _, err := st.GetRecord(ctx, k, v2); err != nil || string(rec.Value) != "original" {
+				t.Fatalf("%s@%d %s: %q, %v", k, v2, when, rec.Value, err)
+			}
+		}
+	}
+	check("while pending", st)
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("after the flush", st)
+	re, err := Load(ctx, Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after Load", re)
+}

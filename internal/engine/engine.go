@@ -2,9 +2,9 @@
 // every kvstore node owns one Backend and delegates all data operations to
 // it. The paper's design point is that RStore layers on an off-the-shelf
 // key-value substrate (§2.4); this interface is our substrate boundary, so
-// alternative engines (in-memory maps, a log-structured disk store, and in
-// the future pebble/remote/tiered backends) can be swapped under the same
-// cluster, core, and query layers.
+// the engines — in-memory maps (memory), a segment log (disklog), an LSM tree
+// (lsm), and a client of an engine served over TCP (remote) — swap under the
+// same cluster, core, and query layers.
 //
 // Every data operation takes a context.Context as its first parameter and
 // must honor cancellation and deadlines: an implementation that can block —

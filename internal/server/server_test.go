@@ -142,8 +142,8 @@ func TestHTTPCommitAndQueries(t *testing.T) {
 		if qr.Records[0].Key != "doc-a" || string(qr.Records[0].Value) != `{"v":1}` {
 			t.Fatalf("version/%s record: %+v", ref, qr.Records[0])
 		}
-		if qr.Stats.Span == 0 {
-			t.Fatalf("version/%s: zero span", ref)
+		if qr.Stats.Span != 0 { // both versions are pending: served from memory
+			t.Fatalf("version/%s: span %d while pending", ref, qr.Stats.Span)
 		}
 		if qr.Stats.Records != len(qr.Records) {
 			t.Fatalf("version/%s: trailer counts %d records, stream had %d", ref, qr.Stats.Records, len(qr.Records))
@@ -191,6 +191,9 @@ func TestHTTPCommitAndQueries(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", &stats)
 	if stats["versions"].(float64) != 2 || stats["pending"].(float64) != 0 {
 		t.Fatalf("stats: %v", stats)
+	}
+	if _, qr, _ := getStream(t, ts.URL+"/version/1"); qr.Stats.Span == 0 {
+		t.Fatal("version/1 once placed: zero span")
 	}
 }
 

@@ -106,7 +106,9 @@ run_fuzz() {
   go test -fuzz=FuzzVerdict -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
   go test -fuzz=FuzzDecodeDeltaEntry -fuzztime=10s -run '^$' ./internal/core/
+  go test -fuzz=FuzzDecodeDelta -fuzztime=10s -run '^$' ./internal/codec/
   go test -fuzz=FuzzDecodeSegment -fuzztime=10s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzDecodeMap -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzValueRuns -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzPackedLiterals -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzDecodeGroup -fuzztime=10s -run '^$' ./internal/baseline/
