@@ -11,6 +11,7 @@ import (
 
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
+	"rstore/internal/docgen"
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
 	"rstore/internal/kvstore"
@@ -570,5 +571,47 @@ func TestFailedMaterializePoisonsStore(t *testing.T) {
 	checkVersions(t, re, want)
 	if gens := scanChunkGens(t, kv); len(gens) != 1 {
 		t.Fatalf("chunk generations after recovery and a clean repartition: %v", gens)
+	}
+}
+
+// TestDrainedDeltasLeaveNoLog is ingest's shape on a 3-node lsm cluster at
+// rf 2: 64 commits of 150 documents of 512 bytes, closing a batch every 16.
+// A drain overwrites its batch's delta entries with tombstones, which leaves
+// the delta store's log mostly dead, and the log is replaced there: what the
+// disks hold is what is stored, give or take framing. While the deltas
+// stayed in a log shared with the chunks until the next memtable flush, the
+// disks held nearly three times what was stored.
+func TestDrainedDeltasLeaveNoLog(t *testing.T) {
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 3, ReplicationFactor: 2, Engine: kvstore.EngineLSM, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	s, err := Open(ctx, Config{KV: kv, BatchSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := docgen.New(1)
+	v := types.InvalidVersion
+	for i := 0; i < 64; i++ {
+		ch := Change{Puts: map[types.Key][]byte{}}
+		for j := 0; j < 150; j++ {
+			k := types.Key(fmt.Sprintf("doc-%04d", (i*150+j)%1000))
+			ch.Puts[k] = docs.Document(k, 512)
+		}
+		if v, err = s.Commit(ctx, v, ch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s.PendingVersions() != 0 {
+		t.Fatalf("%d versions pending after the flush", s.PendingVersions())
+	}
+	st := kv.Stats(ctx)
+	if ratio := float64(st.DiskBytes) / float64(st.BytesStored); ratio > 1.02 {
+		t.Fatalf("the disks hold %d bytes for %d stored (%.3f×): drained deltas stayed logged", st.DiskBytes, st.BytesStored, ratio)
 	}
 }

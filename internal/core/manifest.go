@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -339,10 +340,11 @@ func (s *Store) Checkpoint(ctx context.Context) error {
 // most (a) chunk entries and a placement record past the root's counts —
 // skipped and (on writable stores) deleted here, after which the
 // still-pending versions simply re-flush under the same ids — and (b)
-// leftover delta entries for versions the root already placed — ignored and
-// cleaned up. Commits acknowledged after the last flush are replayed from
-// their self-describing delta entries: the contiguous run starting at the
-// root's placed-version count.
+// leftover delta entries for versions the root already placed — never
+// decoded, and deleted by a writable store. Commits acknowledged after the
+// last flush are replayed from their self-describing delta entries: the
+// contiguous run starting at the root's placed-version count, the only
+// entries Load decodes.
 func Load(ctx context.Context, cfg Config) (*Store, error) {
 	cfg, ownsKV, err := cfg.withDefaults(ctx)
 	if err != nil {
@@ -408,25 +410,23 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		}
 	}
 
-	// Delta store: whole entries keyed by version, for the replay of unplaced
-	// commits below.
-	type deltaEntry struct {
-		parents []types.VersionID
-		delta   *types.Delta
-	}
-	deltas := make(map[types.VersionID]deltaEntry)
+	// Delta store: the entries of unplaced versions, still encoded, for the
+	// replay below, which decodes only the ones it replays; an entry of a
+	// placed version is a crash's leftover, kept by key only and deleted
+	// unread.
+	deltas := make(map[types.VersionID][]byte)
+	var placedDeltas []string
 	scanErr = kv.Scan(ctx, TableDeltaStore, func(key string, value []byte) bool {
 		var v uint32
 		if _, err := fmt.Sscanf(key, "d%08x", &v); err != nil {
 			loadErr = fmt.Errorf("%w: bad delta key %q", types.ErrCorrupt, key)
 			return false
 		}
-		parents, d, err := decodeDeltaEntry(value)
-		if err != nil {
-			loadErr = err
-			return false
+		if int(v) < s.placed {
+			placedDeltas = append(placedDeltas, key)
+		} else {
+			deltas[types.VersionID(v)] = bytes.Clone(value)
 		}
-		deltas[types.VersionID(v)] = deltaEntry{parents: parents, delta: d}
 		return true
 	})
 	if scanErr != nil {
@@ -482,11 +482,15 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	// entries starting at the placed-version count. They are pending again
 	// and place on the next flush.
 	for v := types.VersionID(s.placed); ; v++ {
-		e, ok := deltas[v]
+		raw, ok := deltas[v]
 		if !ok {
 			break
 		}
-		if err := s.replayVersion(v, e.parents, e.delta); err != nil {
+		parents, delta, err := decodeDeltaEntry(raw)
+		if err != nil {
+			return fail(err)
+		}
+		if err := s.replayVersion(v, parents, delta); err != nil {
 			return fail(err)
 		}
 	}
@@ -503,12 +507,6 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	// Read-only replicas only skipped them in memory, which queries never
 	// look past.
 	if !cfg.ReadOnly {
-		var placedDeltas []string
-		for v := range deltas {
-			if int(v) < s.placed {
-				placedDeltas = append(placedDeltas, deltaKey(v))
-			}
-		}
 		for _, debris := range []struct {
 			table string
 			keys  []string

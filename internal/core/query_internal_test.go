@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"rstore/internal/types"
@@ -127,5 +129,86 @@ func TestEmptyVersionQueries(t *testing.T) {
 		if len(recs) != 0 {
 			t.Fatalf("flush=%v: empty version returned %d records", flush, len(recs))
 		}
+	}
+}
+
+// TestNewKeysMergeInOrder: commits whose new keys interleave with the known
+// ones, and a CommitDelta whose new keys arrive in reverse order, leave the
+// sorted key list equal to the corpus's keys, sorted — and a range read
+// returns them in order.
+func TestNewKeysMergeInOrder(t *testing.T) {
+	ctx := context.Background()
+	s, err := Open(ctx, Config{ChunkCapacity: 1024, BatchSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := func(i int) types.Key { return types.Key(fmt.Sprintf("k%03d", i)) }
+	puts := func(from, step int) map[types.Key][]byte {
+		out := map[types.Key][]byte{}
+		for i := from; i < 120; i += step {
+			out[k(i)] = []byte(fmt.Sprintf("v%d-%d", from, i))
+		}
+		return out
+	}
+	v, err := s.Commit(ctx, types.InvalidVersion, Change{Puts: puts(0, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New keys between every two known ones, and an overwrite of a known one.
+	ch := Change{Puts: puts(4, 8)}
+	ch.Puts[k(0)] = []byte("overwritten")
+	if v, err = s.Commit(ctx, v, ch); err != nil {
+		t.Fatal(err)
+	}
+	// The caller's order: every odd key, last first.
+	next := types.VersionID(s.NumVersions())
+	delta := &types.Delta{}
+	for i := 119; i >= 1; i -= 2 {
+		delta.Adds = append(delta.Adds, types.Record{CK: types.CompositeKey{Key: k(i), Version: next}, Value: []byte("odd")})
+	}
+	if v, err = s.CommitDelta(ctx, []types.VersionID{v}, delta); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = s.Commit(ctx, v, Change{Puts: puts(2, 4)}); err != nil {
+		t.Fatal(err)
+	}
+
+	want := slices.Sorted(slices.Values(s.corpus.Keys()))
+	if got := s.keysInRange(KeyRangeFrom("")); !slices.Equal(got, want) {
+		t.Fatalf("sorted keys = %v\nwant %v", got, want)
+	}
+	last := types.VersionID(s.NumVersions() - 1)
+	recs, _, err := s.GetRangeAll(ctx, KeyRangeFrom(""), last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]types.Key, len(recs))
+	for i, r := range recs {
+		got[i] = r.CK.Key
+	}
+	if !slices.Equal(got, want) { // every key lives in the last version
+		t.Fatalf("GetRange = %v\nwant %v", got, want)
+	}
+}
+
+// BenchmarkNoteNewKeys indexes one commit of 20 000 new keys, each between
+// two of 200 000 known ones, arriving in reverse order.
+func BenchmarkNoteNewKeys(b *testing.B) {
+	const known, fresh = 200_000, 20_000
+	base := make([]types.Key, known)
+	for i := range base {
+		base[i] = types.Key(fmt.Sprintf("k%08d", 2*i))
+	}
+	delta := &types.Delta{}
+	for i := fresh - 1; i >= 0; i-- {
+		delta.Adds = append(delta.Adds, types.Record{CK: types.CompositeKey{Key: types.Key(fmt.Sprintf("k%08d", 2*i*(known/fresh)+1))}})
+	}
+	s := &Store{}
+	for n := 0; n < b.N; n++ {
+		s.sortedKeys = slices.Clone(base)
+		s.noteNewKeys(delta)
+	}
+	if len(s.sortedKeys) != known+fresh || !slices.IsSorted(s.sortedKeys) {
+		b.Fatalf("%d keys, sorted %v", len(s.sortedKeys), slices.IsSorted(s.sortedKeys))
 	}
 }

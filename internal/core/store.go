@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -352,17 +353,31 @@ func (s *Store) resolveKeyState(v types.VersionID) (map[types.Key]types.Composit
 	return st, nil
 }
 
-// noteNewKeys maintains the sorted key list for range queries.
+// noteNewKeys maintains the sorted key list for range queries: the delta's
+// keys the list lacks are sorted once and merged in from the back, so each
+// known key moves at most once however many new keys land before it.
 func (s *Store) noteNewKeys(delta *types.Delta) {
+	var fresh []types.Key
 	for _, r := range delta.Adds {
-		k := r.CK.Key
-		i := sort.Search(len(s.sortedKeys), func(i int) bool { return s.sortedKeys[i] >= k })
-		if i < len(s.sortedKeys) && s.sortedKeys[i] == k {
-			continue
+		if _, known := slices.BinarySearch(s.sortedKeys, r.CK.Key); !known {
+			fresh = append(fresh, r.CK.Key)
 		}
-		s.sortedKeys = append(s.sortedKeys, "")
-		copy(s.sortedKeys[i+1:], s.sortedKeys[i:])
-		s.sortedKeys[i] = k
+	}
+	if len(fresh) == 0 {
+		return
+	}
+	slices.Sort(fresh)
+	fresh = slices.Compact(fresh)
+	i, j := len(s.sortedKeys)-1, len(fresh)-1
+	s.sortedKeys = slices.Grow(s.sortedKeys, len(fresh))[:len(s.sortedKeys)+len(fresh)]
+	for k := len(s.sortedKeys) - 1; j >= 0; k-- {
+		if i >= 0 && s.sortedKeys[i] > fresh[j] {
+			s.sortedKeys[k] = s.sortedKeys[i]
+			i--
+		} else {
+			s.sortedKeys[k] = fresh[j]
+			j--
+		}
 	}
 }
 

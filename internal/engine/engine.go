@@ -21,8 +21,9 @@
 // alias internal buffers and must not be retained or mutated.
 //
 // BatchPut is the durable write: a durable backend fsyncs before it
-// acknowledges. Put and Delete need not be synced — disklog and lsm make
-// them durable no later than the next BatchPut or Close — so a caller may
+// acknowledges. Put and Delete need not be synced — disklog makes them
+// durable no later than the next BatchPut or Close, lsm (a log per user
+// table) no later than the next BatchPut to the same table — so a caller may
 // use them only for writes it can afford to lose in a crash. kvstore does:
 // every replicated data write, per-key ones included, is a BatchPut, and the
 // unsynced calls carry only repair write-backs (one lost leaves a replica as

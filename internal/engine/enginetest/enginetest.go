@@ -5,7 +5,9 @@
 // recover from the directory with zero loss of acknowledged writes. The
 // harness owns the workload, the per-point crash/reopen/verify cycle, and
 // the debris sweep, so both engines prove the identical contract and a new
-// durable engine gets the whole suite by implementing Crasher.
+// durable engine gets the whole suite by implementing Crasher. An engine
+// whose logs shed their dead records by themselves proves that too
+// (DeadLogsShrink).
 package enginetest
 
 import (
@@ -57,6 +59,11 @@ type Harness struct {
 	// directly from the filesystem; the harness cross-checks it against the
 	// CompactionStats of the post-recovery compaction.
 	DiskBytes func(t *testing.T, dir string) int64
+	// LogBytes measures, from the filesystem, the bytes of the logs an engine
+	// replays at open; LogFloor is the dead weight its logs may keep.
+	// DeadLogsShrink needs both.
+	LogBytes func(t *testing.T, dir string) int64
+	LogFloor int64
 }
 
 // OverwriteWorkload fills b with an overwrite-heavy, multi-unit history:
@@ -176,4 +183,56 @@ func CompactCrashRecovery(t *testing.T, h Harness) {
 			VerifyState(t, r2, nKeys, want)
 		})
 	}
+}
+
+// DeadLogsShrink proves that what dies in an engine's logs leaves the disk
+// without a compaction: a table whose every value is overwritten small or
+// deleted is left with at most h.LogFloor log bytes beyond its survivors'
+// records, and DiskBytes is what the filesystem holds. h.Open must leave
+// room for the whole workload — 2 MiB of values, in fsynced batches — in
+// the engine's logs, so that no other mechanism reclaims them.
+func DeadLogsShrink(t *testing.T, h Harness) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	b := h.Open(t, dir)
+	defer b.Close()
+	key := func(i int) string { return fmt.Sprintf("k%04d", i) }
+	big := []byte(strings.Repeat("x", 8<<10))
+	for i := 0; i < 256; i += 16 {
+		batch := make([]engine.Entry, 16)
+		for j := range batch {
+			batch[j] = engine.Entry{Key: key(i + j), Value: big}
+		}
+		if err := b.BatchPut(ctx, "t", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A record's framing and names take less than 32 bytes here.
+	want, survivors := map[string]string{}, int64(0)
+	for i := 0; i < 256; i++ {
+		if i%2 == 0 {
+			v := fmt.Sprintf("small %d", i)
+			if err := b.Put(ctx, "t", key(i), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			want[key(i)] = v
+			survivors += int64(32 + len(key(i)) + len(v))
+		} else {
+			if err := b.Delete(ctx, "t", key(i)); err != nil {
+				t.Fatal(err)
+			}
+			survivors += int64(32 + len(key(i)))
+		}
+	}
+	if got := h.LogBytes(t, dir); got > h.LogFloor+survivors {
+		t.Fatalf("logs hold %d bytes once every 8 KiB value died; the bound is %d (floor) + %d (survivors)", got, h.LogFloor, survivors)
+	}
+	st, err := b.CompactionStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.DiskBytes(t, dir); got != st.DiskBytes {
+		t.Fatalf("stats say %d disk bytes, filesystem says %d", st.DiskBytes, got)
+	}
+	VerifyState(t, b, 256, want)
 }

@@ -17,7 +17,9 @@ import (
 // end, and rewrittenB/putB, the bytes merges wrote per byte put. With one
 // run of SSTables per user table the churn table's files are unlinked as
 // they die and the write-once table's are rewritten by its own size tiering
-// only: ≈ 1.04 and ≈ 0.37; a shared run gave ≈ 1.12 and ≈ 0.49.
+// only, and with one log per table the churn table's log is replaced once
+// mostly dead: ≈ 1.00 and ≈ 0.37; one log for both tables gave ≈ 1.04, and
+// a shared run ≈ 1.12 and ≈ 0.49.
 func BenchmarkChurn(b *testing.B) {
 	const (
 		steps    = 1200

@@ -15,10 +15,10 @@ import (
 )
 
 // This file holds the structural write paths: the merged iteration shared
-// by scans/recovery/compaction, the cutting writer, memtable flush,
-// retirement of dead tables, and the one merge path (mergeJob) behind both
-// size-tiered compaction after a flush and the full merge of
-// engine.Compactor.
+// by scans/recovery/compaction, the cutting writer, memtable flush, log
+// replacement, retirement of dead tables, and the one merge path
+// (mergeJob) behind both size-tiered compaction after a flush and the full
+// merge of engine.Compactor.
 //
 // Every path commits through the MANIFEST rename (see manifest.go) and is
 // ordered so that a crash at any point leaves either the old state or the
@@ -207,17 +207,29 @@ func (b *Backend) publishLocked(outs []tableOut, crash string) error {
 }
 
 // commitLocked is the commit point of every structural change: it writes a
-// MANIFEST describing the tree with edit's table lists in place of the runs
-// they name, and on success installs them. Callers hold b.mu exclusively.
-func (b *Backend) commitLocked(walSeq int64, edit map[string][]*sstable) error {
-	m := manifest{nextSeq: b.nextSeq, walSeq: walSeq}
+// MANIFEST naming every table's log and every run, with edit's table lists
+// in place of the runs they name, and on success installs them. Callers
+// hold b.mu exclusively.
+func (b *Backend) commitLocked(edit map[string][]*sstable) error {
+	return b.writeManifestLocked(edit, func(r *run) *wal { return r.log })
+}
+
+// writeManifestLocked commits the MANIFEST that names, per run, the log
+// logOf picks and the tables edit or the run lists, and on success installs
+// edit.
+func (b *Backend) writeManifestLocked(edit map[string][]*sstable, logOf func(r *run) *wal) error {
+	m := manifest{nextSeq: b.nextSeq}
 	for _, name := range b.runNames() {
+		r := b.runs[name]
+		if w := logOf(r); w != nil {
+			m.wals = append(m.wals, manifestFile{seq: w.seq, table: name})
+		}
 		tables, edited := edit[name]
 		if !edited {
-			tables = b.runs[name].tables
+			tables = r.tables
 		}
 		for _, t := range tables {
-			m.ssts = append(m.ssts, manifestTable{seq: t.seq, table: name})
+			m.ssts = append(m.ssts, manifestFile{seq: t.seq, table: name})
 		}
 	}
 	if err := writeManifest(b.dir, m); err != nil {
@@ -230,11 +242,12 @@ func (b *Backend) commitLocked(walSeq int64, edit map[string][]*sstable) error {
 }
 
 // flushLocked writes the memtable to new SSTables, one per user table it
-// holds, and retires the WAL. Commit order: files sealed → fresh WAL created
-// → files renamed into place → MANIFEST rename (the commit point) →
-// in-memory swap and old-WAL unlink. A crash before the MANIFEST leaves the
-// old WAL authoritative and the new files as debris. Callers hold b.mu
-// exclusively.
+// holds, and retires the logs: a table whose log holds something gets a
+// fresh empty one, a table whose log is empty none. Commit order: files
+// sealed → fresh logs created → files renamed into place → MANIFEST rename
+// (the commit point) → in-memory swap and old-log unlinks. A crash before
+// the MANIFEST leaves the old logs authoritative and the new files as
+// debris. Callers hold b.mu exclusively.
 func (b *Backend) flushLocked(ctx context.Context) error {
 	if b.mem.count == 0 {
 		return nil
@@ -254,32 +267,45 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	walSeq := b.allocSeqLocked()
-	nw, err := createWAL(b.walPath(walSeq), walSeq)
-	if err != nil {
-		return err
-	}
-	// One directory fsync covers the new log and the renamed tables.
-	if err := b.publishLocked(outs, b.crash); err != nil {
-		nw.close()
-		return err
-	}
-	if b.crash == "flush-renamed" {
-		nw.close()
-		return ErrCrashed
-	}
+	fresh := map[*run]*wal{}
 	edit := make(map[string][]*sstable, len(outs))
-	abandon := func() {
-		nw.close()
+	// abandon drops what the flush built; like a cutting write's, an injected
+	// crash leaves the files where they are.
+	abandon := func(cause error) error {
+		for _, w := range fresh {
+			w.close()
+			if !errors.Is(cause, ErrCrashed) {
+				os.Remove(w.path)
+			}
+		}
 		for _, tables := range edit {
 			tables[len(tables)-1].close()
 		}
+		return cause
+	}
+	for _, r := range b.runs {
+		if r.log == nil || r.log.size == 0 {
+			continue
+		}
+		seq := b.allocSeqLocked()
+		w, err := createWAL(b.walPath(seq), seq)
+		if err != nil {
+			return abandon(err)
+		}
+		w.buf = r.log.buf // the frame buffer serves the next log too: not one allocation per flush
+		fresh[r] = w
+	}
+	// One directory fsync covers the new logs and the renamed tables.
+	if err := b.publishLocked(outs, b.crash); err != nil {
+		return abandon(err)
+	}
+	if b.crash == "flush-renamed" {
+		return abandon(ErrCrashed)
 	}
 	for _, o := range outs {
 		nt, err := openSSTable(b.sstPath(o.seq), o.seq)
 		if err != nil {
-			abandon()
-			return err
+			return abandon(err)
 		}
 		// Every memtable value entry is globally newest, so the new table's
 		// dead weight is exactly its tombstones.
@@ -287,16 +313,17 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 		r := b.runs[o.table]
 		edit[o.table] = append(r.tables[:len(r.tables):len(r.tables)], nt)
 	}
-	if err := b.commitLocked(walSeq, edit); err != nil {
-		abandon()
-		return err
+	if err := b.writeManifestLocked(edit, func(r *run) *wal { return fresh[r] }); err != nil {
+		return abandon(err)
 	}
-	oldWAL := b.wal
-	nw.buf = oldWAL.buf // the frame buffer serves the next log too: not one allocation per flush
-	b.wal = nw
+	for _, r := range b.runs {
+		discardLog(r.log) // debris from here on: see discardTables
+		r.log, r.logLive = fresh[r], 0
+		if r.log != nil {
+			r.log.dirSynced = true
+		}
+	}
 	b.mem = newMemtable()
-	oldWAL.close()
-	os.Remove(b.walPath(oldWAL.seq)) // debris from here on: see discardTables
 	return nil
 }
 
@@ -308,6 +335,65 @@ func discardTables(victims []*sstable) {
 		t.close()
 		os.Remove(t.path)
 	}
+}
+
+// discardLog is discardTables for a log (nil: none).
+func discardLog(w *wal) {
+	if w != nil {
+		w.close()
+		os.Remove(w.path)
+	}
+}
+
+// replaceLogLocked replaces r's log with one holding only table's memtable
+// entries — a put or delete record each, logLive bytes in all — without a
+// MANIFEST commit: the new log is written and fsynced beside the old one,
+// under the temporary name, and renamed over it, keeping its name, and the
+// directory is fsynced. Before the rename the old log is the log and the
+// new one debris; after it the new one is. Both replay to the memtable the
+// call leaves: the new log holds its entries, and the old one every record
+// that made them — all a crash can take from it is what it had not synced,
+// which no call acknowledged as durable. Callers hold b.mu exclusively.
+func (b *Backend) replaceLogLocked(table string, r *run) error {
+	buf := make([]byte, 0, r.logLive)
+	prefix := tablePrefix(table)
+	for it := b.mem.iter(prefix); it.valid() && bytes.HasPrefix(it.key(), prefix); it.next() {
+		kind := reclog.KindPut
+		if it.tomb() {
+			kind = reclog.KindDel
+		}
+		at := len(buf)
+		buf = reclog.AppendBody(append(buf, make([]byte, reclog.FrameSize)...), kind, table, string(it.key()[len(prefix):]), it.value())
+		reclog.PutHeader(buf[at:], buf[at+reclog.FrameSize:])
+	}
+	old := r.log
+	tmp := old.path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("lsm: %w", err)
+	}
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if err == nil && b.crash == "replace-written" {
+		f.Close()
+		return ErrCrashed
+	}
+	if err == nil {
+		err = os.Rename(tmp, old.path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("lsm: replacing log %d: %w", old.seq, err)
+	}
+	size := int64(len(buf))
+	r.log = &wal{f: f, path: old.path, seq: old.seq, size: size, synced: size, buf: old.buf}
+	old.close()
+	if b.crash == "replace-renamed" {
+		return ErrCrashed
+	}
+	return r.log.sync() // the directory: a later sync of the new file must not be of an unlinked inode
 }
 
 // retireLocked unlinks, without reading them, the SSTables no read can be
@@ -338,14 +424,18 @@ func (b *Backend) retireLocked() error {
 		b.retirable = false
 		return nil
 	}
-	// What shadows the victims' entries may be single puts and deletes the
-	// log holds unsynced (after a BatchPut this is free). Were the MANIFEST
-	// to outlive them, a power failure would take the new version and the
-	// old one both.
-	if err := b.wal.sync(); err != nil {
-		return err
+	// What shadows the victims' entries may be single puts and deletes their
+	// table's log holds unsynced (after a BatchPut this is free). Were the
+	// MANIFEST to outlive them, a power failure would take the new version
+	// and the old one both.
+	for name := range edit {
+		if w := b.runs[name].log; w != nil {
+			if err := w.sync(); err != nil {
+				return err
+			}
+		}
 	}
-	if err := b.commitLocked(b.wal.seq, edit); err != nil {
+	if err := b.commitLocked(edit); err != nil {
 		return err
 	}
 	b.retirable = false
@@ -570,7 +660,7 @@ func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error 
 		err = ErrCrashed
 	}
 	if err == nil {
-		err = b.commitLocked(b.wal.seq, map[string][]*sstable{job.table: newTables})
+		err = b.commitLocked(map[string][]*sstable{job.table: newTables})
 	}
 	if err != nil {
 		if nt != nil {
@@ -638,8 +728,9 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 
 // CompactionStats reports the reclaim state: total file bytes, the portion
 // a full merge must keep, cumulative reclaimed volume, and the file count.
-// The WAL counts as fully live (its dead records die at the next flush,
-// not by compaction).
+// A log's live share is what a log holding only its table's memtable
+// entries would take (logLive): Compact's flush turns exactly those into
+// SSTable entries.
 func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.CompactionStats{}, err
@@ -649,11 +740,13 @@ func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, 
 	if b.closed {
 		return engine.CompactionStats{}, types.ErrClosed
 	}
-	st := engine.CompactionStats{
-		DiskBytes:      b.wal.size,
-		LiveBytes:      b.wal.size,
-		CompactedBytes: b.compacted,
-		Segments:       1, // the WAL
+	st := engine.CompactionStats{CompactedBytes: b.compacted}
+	for _, r := range b.runs {
+		if r.log != nil {
+			st.Segments++
+			st.DiskBytes += r.log.size
+			st.LiveBytes += min(r.logLive, r.log.size)
+		}
 	}
 	for _, t := range b.allTables() {
 		st.Segments++

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rstore/internal/engine"
@@ -226,6 +227,155 @@ func TestRunCrashRecovery(t *testing.T) {
 				if got := diskBytes(t, dir); got != st.DiskBytes {
 					t.Fatalf("%s: stats say %d disk bytes, filesystem says %d", when, st.DiskBytes, got)
 				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// logBytes sums the write-ahead logs under dir straight from the filesystem.
+func logBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, name := range names {
+		info, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return total
+}
+
+// TestDeadLogsShrink: with a memtable that holds the whole workload, so no
+// flush retires a log, a table's overwritten and deleted values still leave
+// the disk — its log is replaced once it is mostly dead.
+func TestDeadLogsShrink(t *testing.T) {
+	const memtable = 8 << 20
+	enginetest.DeadLogsShrink(t, enginetest.Harness{
+		Open: func(t *testing.T, dir string) enginetest.Crasher {
+			return openT(t, dir, Options{MemtableBytes: memtable})
+		},
+		DiskBytes: diskBytes,
+		LogBytes:  logBytes,
+		LogFloor:  memtable / 16,
+	})
+}
+
+// TestLogCrashRecovery covers the crash windows of per-table logs:
+//
+//   - log-created: a table's first log exists, empty, and the write call
+//     that created it never appended to it; recovery must remove it and
+//     serve exactly the acknowledged writes.
+//   - replace-written / replace-renamed: a batch that killed most of its
+//     table's log was fsynced, and the replacement log is written and
+//     fsynced under its temporary name (before the rename), or renamed over
+//     the old log (before the directory fsync). The batch was durable before
+//     the replacement began, so both sides must replay to the state the
+//     call left — every acknowledged write and the batch — and the deletes
+//     of keys an SSTable holds must still hide them.
+func TestLogCrashRecovery(t *testing.T) {
+	ctx := context.Background()
+	for _, point := range []string{"log-created", "replace-written", "replace-renamed"} {
+		t.Run(point, func(t *testing.T) {
+			dir := t.TempDir()
+			b := openT(t, dir, Options{})
+			want := map[[2]string]string{}
+			batch := func(table string, keys []string, value func(i int) string) error {
+				ents := make([]engine.Entry, len(keys))
+				for i, k := range keys {
+					ents[i] = engine.Entry{Key: k, Value: []byte(value(i))}
+				}
+				err := b.BatchPut(ctx, table, ents)
+				if err == nil || point != "log-created" {
+					for i, k := range keys {
+						want[[2]string{table, k}] = value(i)
+					}
+				}
+				return err
+			}
+			early := []string{"e0", "e1", "e2", "e3"}
+			if err := batch("deltas", early, func(int) string { return "in an SSTable" }); err != nil {
+				t.Fatal(err)
+			}
+			flushT(t, b)
+			for _, k := range early[:2] {
+				if err := b.Delete(ctx, "deltas", k); err != nil {
+					t.Fatal(err)
+				}
+				delete(want, [2]string{"deltas", k})
+			}
+			var deltas []string
+			for i := 0; i < 48; i++ {
+				deltas = append(deltas, fmt.Sprintf("d%02d", i))
+			}
+			big := strings.Repeat("delta ", 2<<10)
+			for i := 0; i < len(deltas); i += 16 {
+				if err := batch("deltas", deltas[i:i+16], func(int) string { return big }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := batch("chunks", []string{"c0", "c1"}, func(i int) string { return fmt.Sprint("chunk ", i) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Put(ctx, "deltas", "unsynced", []byte("put")); err != nil {
+				t.Fatal(err)
+			}
+			want[[2]string{"deltas", "unsynced"}] = "put"
+
+			b.SetCrashPoint(point)
+			var err error
+			if point == "log-created" {
+				err = batch("fresh", []string{"f0"}, func(int) string { return "never acknowledged" })
+			} else {
+				// The drain: every delta overwritten with a tombstone-sized value.
+				err = batch("deltas", deltas, func(int) string { return "tombstone" })
+			}
+			if !errors.Is(err, ErrCrashed) {
+				t.Fatalf("crash hook %q did not fire: %v", point, err)
+			}
+			b.Kill()
+
+			for _, when := range []string{"recovery", "clean reopen"} {
+				r := openT(t, dir, Options{})
+				for _, table := range []string{"deltas", "chunks", "fresh"} {
+					got := map[string]string{}
+					if err := r.Scan(ctx, table, func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
+						t.Fatal(err)
+					}
+					for k, v := range got {
+						if want[[2]string{table, k}] != v {
+							t.Fatalf("%s: %s/%s = %.20q, want %.20q", when, table, k, v, want[[2]string{table, k}])
+						}
+					}
+					for k := range want {
+						if _, ok := got[k[1]]; k[0] == table && !ok {
+							t.Fatalf("%s: %s/%s lost", when, k[0], k[1])
+						}
+					}
+				}
+				if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
+					t.Fatalf("%s: debris survived: %v", when, debris)
+				}
+				checkRunInvariants(t, r) // incl.: the directory holds exactly the open logs
+				st, err := r.CompactionStats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := diskBytes(t, dir); got != st.DiskBytes {
+					t.Fatalf("%s: stats say %d disk bytes, filesystem says %d", when, st.DiskBytes, got)
+				}
+				// The table written next after recovery logs and syncs as before.
+				if err := r.BatchPut(ctx, "deltas", []engine.Entry{{Key: "after-" + when, Value: []byte("x")}}); err != nil {
+					t.Fatal(err)
+				}
+				want[[2]string{"deltas", "after-" + when}] = "x"
 				if err := r.Close(); err != nil {
 					t.Fatal(err)
 				}

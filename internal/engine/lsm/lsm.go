@@ -3,7 +3,11 @@
 // premise — many overlapping versions under heavy read traffic).
 //
 // Writes land in a sorted in-memory memtable (a skiplist) after being made
-// durable in a checksummed write-ahead log; a full memtable is flushed into
+// durable in a checksummed write-ahead log of their user table's own; a
+// write call that leaves its table's log mostly dead replaces it with one
+// holding only the table's memtable entries (replaceLogLocked), so a drained
+// table's dead records leave the disk without waiting for the next flush. A
+// full memtable is flushed into
 // immutable sorted-string tables (SSTables) with a per-block restart-point
 // format, a block index, and a bloom filter — one file per user table the
 // memtable holds, because the keys of one user table tend to live and die
@@ -22,8 +26,8 @@
 // structural change, which is what makes flush, compaction, retirement and
 // reset crash-safe.
 //
-// Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (exactly one
-// live), sst-<seq>.sst (run and age per the MANIFEST). The directory is
+// Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (at most one per
+// user table), sst-<seq>.sst (run and age per the MANIFEST). The directory is
 // flock-ed for the lifetime of the backend, mirroring disklog: one logical
 // writer per data directory. See docs/FORMATS.md for the normative byte
 // formats.
@@ -34,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -104,7 +109,6 @@ type Backend struct {
 	// concurrent wipe can never resurrect merged data.
 	epoch   int64
 	mem     *memtable
-	wal     *wal
 	nextSeq int64
 	// runs holds the state of every user table written since Open or Reset
 	// (and of every one with an SSTable): the engine is built for the
@@ -135,9 +139,16 @@ type Backend struct {
 	mergePause func(stage string)
 }
 
-// run is one user table's share of the tree. Memtable, WAL and internal-key
-// format are shared across runs; everything on disk below them is not.
+// run is one user table's share of the tree. Memtable and internal-key
+// format are shared across runs; everything on disk is not.
 type run struct {
+	// log is this user table's write-ahead log, nil until the table's first
+	// write since Open, Reset or a flush that found its log empty.
+	log *wal
+	// logLive is what a log holding only this table's memtable entries would
+	// take, one put or delete record each (replaceLogLocked writes exactly
+	// that); log.size - logLive is the log's dead weight.
+	logLive int64
 	// tables are this user table's SSTables in age order: oldest first,
 	// newest last. None holds a key of another user table.
 	tables []*sstable
@@ -186,8 +197,8 @@ func (b *Backend) allTables() []*sstable {
 
 // Open mounts (creating if needed) the LSM store in dir and recovers it:
 // debris from crashes is deleted, the MANIFEST's tables are mounted and
-// scanned to rebuild accounting, and the WAL is replayed into a fresh
-// memtable (truncating a torn tail).
+// scanned to rebuild accounting, and every table's log is replayed into a
+// fresh memtable (truncating a torn tail).
 func Open(dir string, opts Options) (*Backend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
@@ -211,6 +222,12 @@ func Open(dir string, opts Options) (*Backend, error) {
 	return b, nil
 }
 
+// recover mounts what the MANIFEST names and replays the logs. A log the
+// MANIFEST does not name is live if its sequence number is at or past the
+// MANIFEST's next: every commit names every log there is, so such a log was
+// created after the last one, as some table's first, and the table it
+// belongs to is the one its records name. Table key spaces are disjoint, so
+// the logs replay in any order.
 func (b *Backend) recover() error {
 	m, exists, err := readManifest(b.dir)
 	if err != nil {
@@ -219,31 +236,22 @@ func (b *Backend) recover() error {
 	if !exists {
 		// Never initialized (or crashed before the first commit): any lsm
 		// files present are uncommitted debris from that first attempt.
-		if err := b.removeDebris(map[string]bool{}); err != nil {
+		if _, err := b.removeDebris(nil, math.MaxInt64); err != nil {
 			return err
 		}
-		b.nextSeq = 2
-		w, err := createWAL(b.walPath(1), 1)
-		if err != nil {
-			return err
-		}
-		if err := reclog.SyncDir(b.dir); err != nil {
-			w.close()
-			return err
-		}
-		if err := writeManifest(b.dir, manifest{nextSeq: b.nextSeq, walSeq: 1}); err != nil {
-			w.close()
-			return err
-		}
-		b.wal = w
-		return nil
+		b.nextSeq = 1
+		return writeManifest(b.dir, manifest{nextSeq: b.nextSeq})
 	}
 	b.nextSeq = m.nextSeq
-	referenced := map[string]bool{filepath.Base(b.walPath(m.walSeq)): true}
-	for _, t := range m.ssts {
-		referenced[filepath.Base(b.sstPath(t.seq))] = true
+	referenced := map[string]bool{}
+	for _, f := range m.wals {
+		referenced[filepath.Base(b.walPath(f.seq))] = true
 	}
-	if err := b.removeDebris(referenced); err != nil {
+	for _, f := range m.ssts {
+		referenced[filepath.Base(b.sstPath(f.seq))] = true
+	}
+	unnamed, err := b.removeDebris(referenced, m.nextSeq)
+	if err != nil {
 		return err
 	}
 	for _, mt := range m.ssts {
@@ -259,37 +267,81 @@ func (b *Backend) recover() error {
 			return err
 		}
 	}
-	// Replay the WAL through the normal apply path so memtable state and
+	// Replay each log through the normal apply path so memtable state and
 	// accounting (including decrements against just-mounted tables) are
 	// rebuilt exactly as the original writes built them.
-	w, err := replayWAL(b.walPath(m.walSeq), m.walSeq, func(kind byte, table, key string, value []byte) error {
-		ik := ikey(table, key)
-		if kind == reclog.KindDel {
-			return b.applyDelLocked(table, ik)
+	for _, f := range m.wals {
+		if err := b.replayLog(f.seq, f.table, true); err != nil {
+			return err
 		}
-		return b.applyPutLocked(table, ik, append([]byte(nil), value...))
-	})
-	if err != nil {
-		return err
 	}
-	b.wal = w
+	for _, seq := range unnamed {
+		b.nextSeq = max(b.nextSeq, seq+1)
+		if err := b.replayLog(seq, "", false); err != nil {
+			return err
+		}
+	}
 	// A crash between a write and the retirement it earned left the dead
 	// tables mounted; the replay has just killed them again.
 	b.retirable = true
 	return b.retireLocked()
 }
 
+// replayLog replays log seq into the memtable and makes it table's log. An
+// unnamed log belongs to the table its first record names; one with no
+// intact record is a crash's leftover from right after its creation, and
+// is removed. A log holding keys of two tables, or a second log of one
+// table, is corruption.
+func (b *Backend) replayLog(seq int64, table string, named bool) error {
+	known := named
+	w, err := replayWAL(b.walPath(seq), seq, func(kind byte, t, key string, value []byte) error {
+		if !known {
+			table, known = t, true
+		}
+		if t != table {
+			return fmt.Errorf("%w: lsm log %d holds keys of tables %q and %q", types.ErrCorrupt, seq, table, t)
+		}
+		ik := ikey(t, key)
+		if kind == reclog.KindDel {
+			return b.applyDelLocked(t, ik)
+		}
+		return b.applyPutLocked(t, ik, append([]byte(nil), value...))
+	})
+	if err != nil {
+		return err
+	}
+	if !known {
+		w.close()
+		return os.Remove(w.path)
+	}
+	w.dirSynced = named // a named log's entry was fsynced before the MANIFEST named it
+	r := b.runLocked(table)
+	if r.log != nil {
+		w.close()
+		return fmt.Errorf("%w: lsm logs %d and %d both hold table %q", types.ErrCorrupt, r.log.seq, seq, table)
+	}
+	r.log = w
+	return nil
+}
+
 // removeDebris deletes every lsm-owned file (sst-*.sst, wal-*.log, *.tmp)
-// not in referenced. Foreign files (GEOMETRY and friends) are left alone.
-func (b *Backend) removeDebris(referenced map[string]bool) error {
+// not in referenced, except the logs numbered firstUnnamed or later, whose
+// sequence numbers it returns. Foreign files (GEOMETRY and friends) are
+// left alone.
+func (b *Backend) removeDebris(referenced map[string]bool, firstUnnamed int64) (unnamed []int64, err error) {
 	entries, err := os.ReadDir(b.dir)
 	if err != nil {
-		return fmt.Errorf("lsm: %w", err)
+		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	removed := false
 	for _, e := range entries {
 		name := e.Name()
 		if referenced[name] {
+			continue
+		}
+		var seq int64
+		if n, _ := fmt.Sscanf(name, "wal-%d.log", &seq); n == 1 && name == filepath.Base(b.walPath(seq)) && seq >= firstUnnamed {
+			unnamed = append(unnamed, seq)
 			continue
 		}
 		ours := strings.HasSuffix(name, ".tmp") ||
@@ -299,14 +351,14 @@ func (b *Backend) removeDebris(referenced map[string]bool) error {
 			continue
 		}
 		if err := os.Remove(filepath.Join(b.dir, name)); err != nil {
-			return fmt.Errorf("lsm: %w", err)
+			return nil, fmt.Errorf("lsm: %w", err)
 		}
 		removed = true
 	}
 	if removed {
-		return reclog.SyncDir(b.dir)
+		return unnamed, reclog.SyncDir(b.dir)
 	}
-	return nil
+	return unnamed, nil
 }
 
 // rebuildAccounting replays a merged scan of r's mounted tables (no
@@ -442,8 +494,7 @@ func (b *Backend) applyPutLocked(table string, ik, value []byte) error {
 		r.keys++
 	}
 	b.bytes += int64(len(value))
-	b.mem.set(ik, value, false)
-	r.gen++
+	r.setMemLocked(b.mem, table, ik, value, false)
 	return nil
 }
 
@@ -457,21 +508,40 @@ func (b *Backend) applyDelLocked(table string, ik []byte) error {
 	r := b.runs[table] // a key was found, so the run exists
 	b.shadowLocked(src, ik, prev)
 	r.keys--
-	b.mem.set(ik, nil, true)
-	r.gen++
+	r.setMemLocked(b.mem, table, ik, nil, true)
 	return nil
 }
 
-// write runs one write call: apply logs and applies its entries under b.mu.
-// The call then retires the tables it killed — first, so that a flush it
-// also triggers sees their runs empty and writes no tombstone on their
-// account — and flushes a full memtable. A call that flushed ends, with
-// b.mu released, in the tier loop.
-func (b *Backend) write(ctx context.Context, apply func() error) error {
+// setMemLocked installs an entry of r's table in the memtable — which
+// changes the table's contents, and what its log holds live: the record of
+// the entry it replaces is dead from now on.
+func (r *run) setMemLocked(mem *memtable, table string, ik, value []byte, tomb bool) {
+	prevLen, _, existed := mem.set(ik, value, tomb)
+	r.logLive += logRecordLen(table, ik, len(value))
+	if existed {
+		r.logLive -= logRecordLen(table, ik, prevLen)
+	}
+	r.gen++
+}
+
+// logRecordLen is the length of a put (valueLen bytes) or delete (none)
+// record of ik, a key of table.
+func logRecordLen(table string, ik []byte, valueLen int) int64 {
+	keyLen := len(ik) - codec.BytesLen(len(table))
+	return int64(reclog.FrameSize + 1 + codec.BytesLen(len(table)) + codec.BytesLen(keyLen) + valueLen)
+}
+
+// write runs one write call to table: apply logs and applies its entries
+// under b.mu. The call then retires the tables it killed — first, so that a
+// flush it also triggers sees their runs empty and writes no tombstone on
+// their account — and flushes a full memtable, or else replaces the table's
+// log if the call left it mostly dead. A call that flushed ends, with b.mu
+// released, in the tier loop.
+func (b *Backend) write(ctx context.Context, table string, apply func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	flushed, err := b.applyWrite(ctx, apply)
+	flushed, err := b.applyWrite(ctx, table, apply)
 	if err != nil || !flushed {
 		return err
 	}
@@ -479,7 +549,7 @@ func (b *Backend) write(ctx context.Context, apply func() error) error {
 }
 
 // applyWrite is the part of a write call that holds b.mu.
-func (b *Backend) applyWrite(ctx context.Context, apply func() error) (flushed bool, err error) {
+func (b *Backend) applyWrite(ctx context.Context, table string, apply func() error) (flushed bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -491,40 +561,76 @@ func (b *Backend) applyWrite(ctx context.Context, apply func() error) (flushed b
 	if err := b.retireLocked(); err != nil {
 		return false, err
 	}
-	if b.mem.bytes < b.opts.MemtableBytes {
-		return false, nil
+	if b.mem.bytes >= b.opts.MemtableBytes {
+		return true, b.flushLocked(ctx)
 	}
-	return true, b.flushLocked(ctx)
+	if r := b.runs[table]; r != nil && r.log != nil {
+		// Mostly dead: more dead bytes than live ones, so a replacement
+		// reclaims more than it writes, and more than a floor, so a small
+		// log is not rewritten for every few records that die in it.
+		if dead := r.log.size - r.logLive; dead > r.logLive && dead > b.opts.MemtableBytes/16 {
+			return false, b.replaceLogLocked(table, r)
+		}
+	}
+	return false, nil
 }
 
-// Put stores value under (table, key). It is durable no later than the next
-// BatchPut, flush, or Close.
+// logLocked returns table's log, creating its first one if it has none.
+// Creating it commits nothing: it is live from the moment it exists (see
+// recover), and its first sync makes its directory entry durable.
+func (b *Backend) logLocked(table string) (*wal, error) {
+	r := b.runLocked(table)
+	if r.log != nil {
+		return r.log, nil
+	}
+	seq := b.allocSeqLocked()
+	w, err := createWAL(b.walPath(seq), seq)
+	if err != nil {
+		return nil, err
+	}
+	r.log = w
+	if b.crash == "log-created" {
+		return nil, ErrCrashed
+	}
+	return w, nil
+}
+
+// Put stores value under (table, key). It is durable no later than the
+// next BatchPut to the same table, flush, or Close.
 func (b *Backend) Put(ctx context.Context, table, key string, value []byte) error {
-	return b.write(ctx, func() error {
-		if err := b.wal.appendRecord(reclog.KindPut, table, key, value); err != nil {
+	return b.write(ctx, table, func() error {
+		w, err := b.logLocked(table)
+		if err != nil {
+			return err
+		}
+		if err := w.appendRecord(reclog.KindPut, table, key, value); err != nil {
 			return err
 		}
 		return b.applyPutLocked(table, ikey(table, key), append([]byte(nil), value...))
 	})
 }
 
-// BatchPut appends the whole batch as one checksummed WAL record and fsyncs
-// before acknowledging, so the batch replays whole or not at all — the
-// single record's crc32 is what makes fsync-on-batch atomic under torn
-// writes.
+// BatchPut appends the whole batch as one checksummed record of the table's
+// log and fsyncs before acknowledging, so the batch replays whole or not at
+// all — the single record's crc32 is what makes fsync-on-batch atomic under
+// torn writes.
 func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
 	if len(entries) == 0 {
 		return ctx.Err()
 	}
-	return b.write(ctx, func() error {
-		rec, err := b.wal.frame(walBatchLen(table, entries))
+	return b.write(ctx, table, func() error {
+		w, err := b.logLocked(table)
 		if err != nil {
 			return err
 		}
-		if err := b.wal.appendFrame(encodeWALBatch(rec, table, entries)); err != nil {
+		rec, err := w.frame(walBatchLen(table, entries))
+		if err != nil {
 			return err
 		}
-		if err := b.wal.sync(); err != nil {
+		if err := w.appendFrame(encodeWALBatch(rec, table, entries)); err != nil {
+			return err
+		}
+		if err := w.sync(); err != nil {
 			return err
 		}
 		// Applied in order, so a later entry for the same key wins.
@@ -560,14 +666,18 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 // Delete removes (table, key) by writing a tombstone; deleting a missing
 // key writes nothing.
 func (b *Backend) Delete(ctx context.Context, table, key string) error {
-	return b.write(ctx, func() error {
+	return b.write(ctx, table, func() error {
 		ik := ikey(table, key)
-		// Look before logging: a no-op delete must not grow the WAL.
+		// Look before logging: a no-op delete must not grow the log.
 		_, _, found, err := b.findLocked(table, ik)
 		if err != nil || !found {
 			return err
 		}
-		if err := b.wal.appendRecord(reclog.KindDel, table, key, nil); err != nil {
+		w, err := b.logLocked(table)
+		if err != nil {
+			return err
+		}
+		if err := w.appendRecord(reclog.KindDel, table, key, nil); err != nil {
 			return err
 		}
 		return b.applyDelLocked(table, ik)
@@ -659,8 +769,8 @@ func (b *Backend) BytesStored() int64 {
 	return b.bytes
 }
 
-// Close fsyncs the WAL (making every acknowledged write durable) and
-// releases the directory. Close after Close is a no-op.
+// Close fsyncs the logs (making every write durable) and releases the
+// directory. Close after Close is a no-op.
 func (b *Backend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -668,9 +778,17 @@ func (b *Backend) Close() error {
 		return nil
 	}
 	b.closed = true
-	err := b.wal.sync()
-	if cerr := b.wal.close(); err == nil && cerr != nil {
-		err = fmt.Errorf("lsm: %w", cerr)
+	var err error
+	for _, r := range b.runs {
+		if r.log == nil {
+			continue
+		}
+		if serr := r.log.sync(); err == nil {
+			err = serr
+		}
+		if cerr := r.log.close(); err == nil && cerr != nil {
+			err = fmt.Errorf("lsm: %w", cerr)
+		}
 	}
 	for _, t := range b.allTables() {
 		if cerr := t.close(); err == nil && cerr != nil {
@@ -683,10 +801,10 @@ func (b *Backend) Close() error {
 	return err
 }
 
-// Reset wipes the store back to empty in one crash-safe step: a new empty
-// WAL is created, the MANIFEST is committed referencing only it, and every
-// old file is then deleted. The epoch bump makes any in-flight compaction
-// abandon its output rather than resurrect wiped data.
+// Reset wipes the store back to empty in one crash-safe step: a MANIFEST
+// naming no file is committed, and every old file is then deleted. The
+// epoch bump makes any in-flight compaction abandon its output rather than
+// resurrect wiped data.
 func (b *Backend) Reset(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -696,29 +814,19 @@ func (b *Backend) Reset(ctx context.Context) error {
 	if b.closed {
 		return types.ErrClosed
 	}
-	walSeq := b.nextSeq
-	b.nextSeq++
-	w, err := createWAL(b.walPath(walSeq), walSeq)
-	if err != nil {
-		return err
-	}
-	if err := reclog.SyncDir(b.dir); err != nil {
-		w.close()
-		return err
-	}
-	if err := writeManifest(b.dir, manifest{nextSeq: b.nextSeq, walSeq: walSeq}); err != nil {
-		w.close()
+	if err := writeManifest(b.dir, manifest{nextSeq: b.nextSeq}); err != nil {
 		return err
 	}
 	// Committed: tear down the old state (the digest memos go with the runs).
 	b.epoch++
-	oldWAL, oldTables := b.wal, b.allTables()
-	b.wal, b.runs = w, map[string]*run{}
+	oldRuns, oldTables := b.runs, b.allTables()
+	b.runs = map[string]*run{}
 	b.mem = newMemtable()
 	b.bytes = 0
 	b.retirable = false
-	oldWAL.close()
-	os.Remove(b.walPath(oldWAL.seq))
+	for _, r := range oldRuns {
+		discardLog(r.log)
+	}
 	discardTables(oldTables)
 	return reclog.SyncDir(b.dir)
 }
@@ -727,7 +835,8 @@ func (b *Backend) Reset(ctx context.Context) error {
 // internal step fails with ErrCrashed exactly where a power failure would
 // cut. Recognized points: "mid-flush", "flush-part-renamed",
 // "flush-renamed", "mid-merge", "merge-renamed", "merge-manifested",
-// "retire-manifested". Empty disarms.
+// "retire-manifested", "log-created", "replace-written",
+// "replace-renamed". Empty disarms.
 func (b *Backend) SetCrashPoint(point string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -757,8 +866,10 @@ func (b *Backend) Kill() {
 
 // closeFiles drops every descriptor without syncing; callers hold b.mu.
 func (b *Backend) closeFiles() {
-	if b.wal != nil {
-		b.wal.close()
+	for _, r := range b.runs {
+		if r.log != nil {
+			r.log.close()
+		}
 	}
 	for _, t := range b.allTables() {
 		t.close()

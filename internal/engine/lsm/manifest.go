@@ -12,55 +12,69 @@ import (
 	"rstore/internal/types"
 )
 
-// The MANIFEST is the root of the tree: a small text file naming the live
-// WAL and every live SSTable with the user table whose run it belongs to,
-// committed by write-to-temp + fsync + rename + directory fsync. The rename
-// is the single commit point for flush, compaction, retirement and reset —
-// any sst-*.sst or wal-*.log the MANIFEST does not reference is debris from
-// a crash between file creation and commit, and Open deletes it. The lines
-// of one user table are in age order (oldest first), which is what gives
-// reads and merges their shadowing rule: an entry in a younger table
-// supersedes the same key in any older table of the same run.
+// The MANIFEST is the root of the tree: a small text file naming every live
+// file with the user table it belongs to — each table's write-ahead log and
+// the SSTables of its run — committed by write-to-temp + fsync + rename +
+// directory fsync. The rename is the single commit point for flush,
+// compaction, retirement and reset. An sst-*.sst the MANIFEST does not name
+// is debris from a crash between file creation and commit, and Open deletes
+// it; so is a wal-*.log it does not name, unless the log's sequence number
+// is at or past next: such a log was created after the commit, as a table's
+// first (see recover). The lines of one user table are in age order (oldest
+// first), which is what gives reads and merges their shadowing rule: an
+// entry in a younger table supersedes the same key in any older table of
+// the same run.
 //
 // Format, line by line:
 //
-//	rstore-lsm v2
+//	rstore-lsm v3
 //	next <seq>            — next unused file sequence number
-//	wal <seq>             — the live write-ahead log, wal-<seq>.log
-//	sst <seq> <table>     — one per live SSTable; <table> is the user table,
-//	                        quoted as a Go string literal (strconv.Quote)
+//	wal <seq> <table>     — one per user table with a log, wal-<seq>.log
+//	sst <seq> <table>     — one per live SSTable
 //
-// A v1 manifest ("rstore-lsm v1") is refused: every v1 directory holds a
-// store older than core reads.
+// <table> is the user table, quoted as a Go string literal (strconv.Quote).
+// All wal lines come before the sst lines; no table has two wal lines, no
+// two lines share a sequence number, and every one is below next.
+//
+// A v1 manifest (one SSTable list for every table) and a v2 one (one log for
+// every table) are refused: every such directory holds a store older than
+// core reads.
 const (
-	manifestName     = "MANIFEST"
-	manifestHeader   = "rstore-lsm v2"
-	manifestHeaderV1 = "rstore-lsm v1"
+	manifestName   = "MANIFEST"
+	manifestHeader = "rstore-lsm v3"
 )
 
-// manifestTable is one sst line.
-type manifestTable struct {
+// manifestFile is one wal or sst line.
+type manifestFile struct {
 	seq   int64
 	table string // the user table
 }
 
 type manifest struct {
 	nextSeq int64
-	walSeq  int64
-	ssts    []manifestTable
+	wals    []manifestFile
+	ssts    []manifestFile
 }
 
 // writeManifest atomically commits m.
 func writeManifest(dir string, m manifest) error {
+	return reclog.WriteFileAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
+		_, err := io.WriteString(w, formatManifest(m))
+		return err
+	})
+}
+
+// formatManifest is what writeManifest writes.
+func formatManifest(m manifest) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\nnext %d\nwal %d\n", manifestHeader, m.nextSeq, m.walSeq)
+	fmt.Fprintf(&sb, "%s\nnext %d\n", manifestHeader, m.nextSeq)
+	for _, w := range m.wals {
+		fmt.Fprintf(&sb, "wal %d %s\n", w.seq, strconv.Quote(w.table))
+	}
 	for _, t := range m.ssts {
 		fmt.Fprintf(&sb, "sst %d %s\n", t.seq, strconv.Quote(t.table))
 	}
-	return reclog.WriteFileAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
-		_, err := io.WriteString(w, sb.String())
-		return err
-	})
+	return sb.String()
 }
 
 // readManifest parses dir/MANIFEST. exists is false when the file is absent
@@ -74,42 +88,66 @@ func readManifest(dir string) (m manifest, exists bool, err error) {
 	if err != nil {
 		return manifest{}, false, fmt.Errorf("lsm: %w", err)
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if lines[0] == manifestHeaderV1 {
-		return manifest{}, false, fmt.Errorf("%w: lsm manifest v1 (this build reads v2; re-initialize the store)", types.ErrCorrupt)
+	m, err = parseManifest(string(data))
+	return m, err == nil, err
+}
+
+// parseManifest is readManifest's parser.
+func parseManifest(data string) (manifest, error) {
+	corrupt := func(format string, args ...any) (manifest, error) {
+		return manifest{}, fmt.Errorf("%w: lsm manifest: "+format, append([]any{types.ErrCorrupt}, args...)...)
 	}
-	if len(lines) < 3 || lines[0] != manifestHeader {
-		return manifest{}, false, fmt.Errorf("%w: lsm manifest header", types.ErrCorrupt)
+	lines := strings.Split(strings.TrimSuffix(data, "\n"), "\n")
+	if old, ok := strings.CutPrefix(lines[0], "rstore-lsm "); ok && (old == "v1" || old == "v2") {
+		return corrupt("%s (this build reads v3; re-initialize the store)", old)
+	}
+	if len(lines) < 2 || lines[0] != manifestHeader {
+		return corrupt("header %q", lines[0])
 	}
 	// num parses the sequence number of a "<key> <seq>[ <rest>]" line.
-	num := func(line, key string) (seq int64, rest string, err error) {
+	num := func(line, key string) (seq int64, rest string, ok bool) {
 		body, ok := strings.CutPrefix(line, key+" ")
 		if !ok {
-			return 0, "", fmt.Errorf("%w: lsm manifest: want %q line, got %q", types.ErrCorrupt, key, line)
+			return 0, "", false
 		}
 		digits, rest, _ := strings.Cut(body, " ")
-		seq, err = strconv.ParseInt(digits, 10, 64)
-		if err != nil || seq < 0 {
-			return 0, "", fmt.Errorf("%w: lsm manifest %s %q", types.ErrCorrupt, key, body)
-		}
-		return seq, rest, nil
+		seq, err := strconv.ParseInt(digits, 10, 64)
+		return seq, rest, err == nil && seq >= 0
 	}
+	var m manifest
 	var rest string
-	if m.nextSeq, rest, err = num(lines[1], "next"); err != nil || rest != "" {
-		return manifest{}, false, fmt.Errorf("%w: lsm manifest next line %q", types.ErrCorrupt, lines[1])
+	var ok bool
+	if m.nextSeq, rest, ok = num(lines[1], "next"); !ok || rest != "" {
+		return corrupt("next line %q", lines[1])
 	}
-	if m.walSeq, rest, err = num(lines[2], "wal"); err != nil || rest != "" {
-		return manifest{}, false, fmt.Errorf("%w: lsm manifest wal line %q", types.ErrCorrupt, lines[2])
-	}
-	for _, line := range lines[3:] {
-		var t manifestTable
-		if t.seq, rest, err = num(line, "sst"); err != nil {
-			return manifest{}, false, err
+	seqs := map[int64]bool{}
+	logged := map[string]bool{}
+	for _, line := range lines[2:] {
+		kind, _, _ := strings.Cut(line, " ")
+		if kind != "wal" && kind != "sst" || kind == "wal" && len(m.ssts) > 0 {
+			return corrupt("line %q", line)
 		}
-		if t.table, err = strconv.Unquote(rest); err != nil {
-			return manifest{}, false, fmt.Errorf("%w: lsm manifest sst line %q", types.ErrCorrupt, line)
+		var f manifestFile
+		if f.seq, rest, ok = num(line, kind); !ok {
+			return corrupt("line %q", line)
 		}
-		m.ssts = append(m.ssts, t)
+		var err error
+		if f.table, err = strconv.Unquote(rest); err != nil {
+			return corrupt("line %q", line)
+		}
+		if seqs[f.seq] || f.seq >= m.nextSeq {
+			return corrupt("sequence %d repeated or not below next %d", f.seq, m.nextSeq)
+		}
+		seqs[f.seq] = true
+		if kind == "sst" {
+			m.ssts = append(m.ssts, f)
+			continue
+		}
+		if logged[f.table] {
+			return corrupt("two logs for table %q", f.table)
+		}
+		logged[f.table] = true
+		m.wals = append(m.wals, f)
 	}
-	return m, true, nil
+	return m, nil
 }

@@ -69,14 +69,26 @@ func mustGet(t *testing.T, b engine.Backend, table, key string) (string, bool) {
 // checkRunInvariants recounts, from the files and the memtable, what the
 // engine keeps incrementally: every SSTable holds keys of its own run only,
 // its liveEntries is the number of its value entries nothing newer
-// shadows, no run starts with a dead table (retirement ran), and the
-// directory holds exactly the mounted files.
+// shadows, no run starts with a dead table (retirement ran), a run's
+// logLive is what its memtable entries take as log records, a run with
+// memtable entries has a log of its own, and the directory holds exactly
+// the mounted files and the open logs.
 func checkRunInvariants(t *testing.T, b *Backend) {
 	t.Helper()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var mounted []string
+	var mounted, logs []string
 	for name, r := range b.runs {
+		var logLive int64
+		for it := b.mem.iter(tablePrefix(name)); it.valid() && strings.HasPrefix(string(it.key()), string(tablePrefix(name))); it.next() {
+			logLive += logRecordLen(name, it.key(), len(it.value()))
+		}
+		if logLive != r.logLive || logLive > 0 && r.log == nil {
+			t.Fatalf("run %q: logLive = %d, recount %d, log %v", name, r.logLive, logLive, r.log != nil)
+		}
+		if r.log != nil {
+			logs = append(logs, filepath.Base(r.log.path))
+		}
 		prefix := tablePrefix(name)
 		end := prefixSuccessor(prefix)
 		sources := make([]source, 0, len(r.tables)+1)
@@ -124,6 +136,17 @@ func checkRunInvariants(t *testing.T, b *Backend) {
 	sort.Strings(mounted)
 	if onDisk := sstOnDisk(t, b.dir); !reflect.DeepEqual(onDisk, mounted) && len(onDisk)+len(mounted) > 0 {
 		t.Fatalf("directory holds %v, mounted %v", onDisk, mounted)
+	}
+	sort.Strings(logs)
+	onDisk, err := filepath.Glob(filepath.Join(b.dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range onDisk {
+		onDisk[i] = filepath.Base(p)
+	}
+	if !reflect.DeepEqual(onDisk, logs) && len(onDisk)+len(logs) > 0 {
+		t.Fatalf("directory holds logs %v, open %v", onDisk, logs)
 	}
 }
 

@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"rstore/internal/codec"
 	"rstore/internal/engine"
@@ -10,14 +11,17 @@ import (
 	"rstore/internal/types"
 )
 
-// The write-ahead log makes the memtable durable: every mutation is framed,
-// checksummed, and appended to wal-<seq>.log before it touches the skiplist.
-// Frame, put and delete records are reclog's — the bytes of a disklog
-// segment — so a torn write from a crash can only affect the un-acknowledged
-// tail, which replay detects by checksum and truncates. A flush retires the
-// whole log at once: once the memtable's contents are committed to an
-// SSTable via the MANIFEST, the old log is deleted and a fresh empty one
-// takes its place.
+// The write-ahead logs make the memtable durable: every mutation is framed,
+// checksummed, and appended to its user table's wal-<seq>.log before it
+// touches the skiplist. Frame, put and delete records are reclog's — the
+// bytes of a disklog segment — so a torn write from a crash can only affect
+// the un-acknowledged tail, which replay detects by checksum and truncates.
+// A log dies two ways. A flush retires every log at once: once the
+// memtable's contents are committed to SSTables via the MANIFEST, the old
+// logs are deleted and each table that had something logged gets a fresh
+// empty one. And a write call that leaves its table's log mostly dead
+// replaces the log with one holding only the table's memtable entries
+// (Backend.replaceLogLocked).
 
 // walBatch is the record kind lsm adds to reclog's put and delete: it frames
 // a whole BatchPut as ONE record — body = kind(1) table(str) count(uvarint)
@@ -28,13 +32,17 @@ const walBatch byte = 3
 // wal is an open write-ahead log file positioned at its append offset.
 type wal struct {
 	f    *os.File
+	path string
 	seq  int64
 	size int64
 	// synced is the size at the last fsync; sync is free while nothing was
 	// appended since (a replayed log starts unsynced: its tail may be in the
 	// page cache only).
 	synced int64
-	buf    []byte // the one frame buffer: header and body of the record being appended
+	// dirSynced says the directory entry naming the file is durable; the
+	// first sync of a log created without a directory fsync makes it so.
+	dirSynced bool
+	buf       []byte // the one frame buffer: header and body of the record being appended
 }
 
 func createWAL(path string, seq int64) (*wal, error) {
@@ -42,7 +50,7 @@ func createWAL(path string, seq int64) (*wal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	return &wal{f: f, seq: seq}, nil
+	return &wal{f: f, path: path, seq: seq}, nil
 }
 
 // frame returns the frame buffer, sized once for a body of n bytes and
@@ -104,13 +112,18 @@ func encodeWALBatch(dst []byte, table string, entries []engine.Entry) []byte {
 }
 
 func (w *wal) sync() error {
-	if w.synced == w.size {
-		return nil
+	if w.synced != w.size {
+		if err := w.f.Sync(); err != nil {
+			return fmt.Errorf("lsm: wal sync: %w", err)
+		}
+		w.synced = w.size
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("lsm: wal sync: %w", err)
+	if !w.dirSynced {
+		if err := reclog.SyncDir(filepath.Dir(w.path)); err != nil {
+			return fmt.Errorf("lsm: wal sync: %w", err)
+		}
+		w.dirSynced = true
 	}
-	w.synced = w.size
 	return nil
 }
 
@@ -149,7 +162,7 @@ func replayWAL(path string, seq int64, apply func(kind byte, table, key string, 
 		f.Close()
 		return nil, fmt.Errorf("lsm: wal %d: %w", seq, err)
 	}
-	return &wal{f: f, seq: seq, size: end}, nil
+	return &wal{f: f, path: path, seq: seq, size: end}, nil
 }
 
 // replayBatch applies the entries of a walBatch body (behind its kind byte)

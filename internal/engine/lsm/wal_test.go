@@ -132,7 +132,7 @@ func TestWALBufferNotPinned(t *testing.T) {
 	if err := b.BatchPut(context.Background(), "t", entries); err != nil {
 		t.Fatal(err)
 	}
-	if got := cap(b.wal.buf); got > engine.ScratchLimit {
+	if got := cap(b.runs["t"].log.buf); got > engine.ScratchLimit {
 		t.Fatalf("the WAL kept a %d-byte frame buffer after a 32 MiB batch; the bound is %d", got, engine.ScratchLimit)
 	}
 }
