@@ -29,7 +29,7 @@ import (
 
 func main() { os.Exit(run()) }
 
-// run carries the real main so deferred cleanup (the auto-created disklog
+// run carries the real main so deferred cleanup (the auto-created lsm
 // temp directory) survives every exit path.
 func run() int {
 	var (
@@ -39,8 +39,8 @@ func run() int {
 		scale     = flag.String("scale", "quick", "dataset scale: quick|full")
 		queries   = flag.Int("queries", 0, "override query sample size")
 		seed      = flag.Int64("seed", 0, "override RNG seed")
-		backend   = flag.String("backend", "memory", "cluster storage backend: memory|disklog|lsm|remote")
-		dataDir   = flag.String("data", "", "data directory for -backend disklog/lsm (each cluster gets a subdirectory)")
+		backend   = flag.String("backend", "memory", "cluster storage backend: memory|lsm|remote")
+		dataDir   = flag.String("data", "", "data directory for -backend lsm (each cluster gets a subdirectory)")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote\n(the address list fixes the node count; each cluster a run opens wipes the\ndaemons first via the wire reset op, so one daemon set serves a whole run)")
 		jsonDir   = flag.String("json", "", "write a BENCH_<exp>.json snapshot per experiment into this directory")
 	)
@@ -65,7 +65,7 @@ func run() int {
 	}
 	switch *backend {
 	case "", "memory":
-	case "disklog", "lsm":
+	case "lsm":
 		opts.Engine = *backend
 		opts.DataDir = *dataDir
 		if opts.DataDir == "" {

@@ -1,6 +1,6 @@
-// Command rstore-node runs one storage node: a durable backend (disklog by
-// default, or an LSM tree with -backend lsm) served over TCP with the
-// engine wire protocol, so a cluster of real machines can replace the
+// Command rstore-node runs one storage node: a durable lsm backend (or,
+// for tests, a volatile -backend memory) served over TCP with the engine
+// wire protocol, so a cluster of real machines can replace the
 // in-process simulator. Point a cluster at a set of nodes with `-backend
 // remote -node-addrs host1:7420,host2:7420,...` on cmd/rstore,
 // cmd/rstore-server, or cmd/rstore-bench (or
@@ -10,7 +10,6 @@
 // Usage:
 //
 //	rstore-node -addr :7420 -data /var/lib/rstore-node
-//	rstore-node -addr :7420 -backend lsm -data /var/lib/rstore-node
 //	rstore-node -addr :7420 -data /var/lib/rstore-node -compact-interval 5m -compact-live-ratio 0.6
 //
 // With -compact-interval set, the node periodically checks its storage's
@@ -26,7 +25,7 @@
 // clients through the same engine seam: the !cluster ring-position pin and
 // the !hints table, where writes missed by a down peer are parked durably
 // until the peer returns (replication repair's hinted handoff). Both are
-// node-local and excluded from snapshots.
+// node-local.
 //
 // The data directory is flock-ed against concurrent daemons and replayed
 // on start (torn tails truncated). SIGINT/SIGTERM shut down gracefully:
@@ -46,7 +45,6 @@ import (
 	"time"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote/engined"
@@ -55,9 +53,8 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":7420", "listen address")
-		backend      = flag.String("backend", "disklog", "storage backend: disklog|lsm|memory")
-		dataDir      = flag.String("data", "", "data directory (required for disklog/lsm)")
-		segmentMB    = flag.Int("segment-mb", 0, "disklog segment rotation threshold in MiB (0 = default 64)")
+		backend      = flag.String("backend", "lsm", "storage backend: lsm|memory")
+		dataDir      = flag.String("data", "", "data directory (required for lsm)")
 		compactEvery = flag.Duration("compact-interval", 0, "check the live ratio and compact at this cadence (0 = only on client demand)")
 		compactRatio = flag.Float64("compact-live-ratio", 0.6, "compact when live bytes / disk bytes falls below this (with -compact-interval)")
 		aeEvery      = flag.Duration("anti-entropy-interval", 0, "pre-compute hash-tree digests at this cadence so client anti-entropy syncs answer from warm state (0 = compute on demand)")
@@ -68,19 +65,15 @@ func main() {
 	var err error
 	where := *dataDir
 	switch *backend {
-	case "disklog", "lsm":
+	case "lsm":
 		if *dataDir == "" {
-			log.Fatalf("rstore-node: -backend %s requires -data", *backend)
+			log.Fatalf("rstore-node: -backend lsm requires -data")
 		}
-		if *backend == "disklog" {
-			be, err = disklog.Open(*dataDir, disklog.Options{SegmentBytes: int64(*segmentMB) << 20})
-		} else {
-			be, err = lsm.Open(*dataDir, lsm.Options{})
-		}
+		be, err = lsm.Open(*dataDir, lsm.Options{})
 	case "memory":
 		be, where = memory.New(), "memory (volatile)"
 	default:
-		log.Fatalf("rstore-node: unknown -backend %q (want disklog, lsm, or memory)", *backend)
+		log.Fatalf("rstore-node: unknown -backend %q (want lsm or memory)", *backend)
 	}
 	if err != nil {
 		log.Fatalf("rstore-node: open %s: %v", *dataDir, err)

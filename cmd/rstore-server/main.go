@@ -1,29 +1,28 @@
 // Command rstore-server runs the HTTP application server (paper §2.4) over
-// an in-process cluster, optionally restoring from / persisting to a
-// snapshot file on shutdown.
+// a cluster: in process (volatile memory nodes, or lsm nodes under one data
+// directory) or one rstore-node daemon per address.
 //
 // Usage:
 //
-//	rstore-server -addr :8080 -nodes 4 -rf 2 [-store data.rstore]
-//	rstore-server -addr :8080 -backend disklog -data /var/lib/rstore
+//	rstore-server -addr :8080 -nodes 4 -rf 2
 //	rstore-server -addr :8080 -backend lsm -data /var/lib/rstore
-//	rstore-server -addr :8080 -backend disklog -data /var/lib/rstore -compact-interval 10m
+//	rstore-server -addr :8080 -backend lsm -data /var/lib/rstore -compact-interval 10m
 //	rstore-server -addr :8080 -rf 2 -backend remote -node-addrs host1:7420,host2:7420,host3:7420
 //
-// With -compact-interval set (disklog, lsm, or remote backends), the
+// With -compact-interval set (lsm or remote backends), the
 // server watches the cluster's live ratio (live bytes / disk bytes, on
 // /stats) and compacts every node's storage whenever it falls below
 // -compact-live-ratio, reclaiming the dead bytes overwritten document
 // versions leave behind. A backend with nothing to compact is reported
 // once at startup instead of on every tick.
 //
-// With -backend disklog or -backend lsm every node's data lives under the
-// -data directory and survives restarts: the server replays it on boot and
-// reopens the store if one was previously committed there. With -backend
-// remote the cluster is one rstore-node daemon per -node-addrs entry (the
-// address list fixes the node count; -nodes is ignored) and the store is
-// likewise reopened from the nodes' contents on boot. The -store snapshot
-// file applies to the memory backend only.
+// With -backend lsm every node's data lives under the -data directory and
+// survives restarts: the server replays it on boot and reopens the store if
+// one was previously committed there. With -backend remote the cluster is
+// one rstore-node daemon per -node-addrs entry (the address list fixes the
+// node count; -nodes is ignored) and the store is likewise reopened from
+// the nodes' contents on boot. A -backend memory store lives and dies with
+// the process.
 //
 // API (JSON; the set-returning queries stream NDJSON — one
 // {"record":...} line per record as chunks arrive, a {"stats":...}
@@ -69,14 +68,13 @@ func main() {
 		batch     = flag.Int("batch", 16, "online partitioning batch size")
 		k         = flag.Int("k", 1, "max sub-chunk size (record compression)")
 		chunkKB   = flag.Int("chunk-kb", 1024, "chunk capacity in KiB")
-		backend   = flag.String("backend", "memory", "storage backend: memory|disklog|lsm|remote")
-		dataDir   = flag.String("data", "rstore-data", "data directory for -backend disklog/lsm")
+		backend   = flag.String("backend", "memory", "storage backend: memory|lsm|remote")
+		dataDir   = flag.String("data", "rstore-data", "data directory for -backend lsm")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote")
-		storePath = flag.String("store", "", "snapshot file to restore from (memory backend only)")
 		hintEvery = flag.Duration("hint-interval", 0, "hint drain cadence for replication repair (0 = default 1s)")
 		tombTTL   = flag.Duration("tombstone-ttl", 0, "collect tombstones older than this once all replicas agree (0 = ack-based GC only)")
 		aeEvery   = flag.Duration("anti-entropy-interval", 0, "background hash-tree replica sync cadence (0 = off; needs -rf > 1)")
-		compEvery = flag.Duration("compact-interval", 0, "check the cluster's live ratio and compact at this cadence (0 = off; disklog, lsm and remote backends)")
+		compEvery = flag.Duration("compact-interval", 0, "check the cluster's live ratio and compact at this cadence (0 = off; lsm and remote backends)")
 		compRatio = flag.Float64("compact-live-ratio", 0.6, "compact when live bytes / disk bytes falls below this (with -compact-interval)")
 	)
 	flag.Parse()
@@ -107,15 +105,14 @@ func main() {
 
 	// Durable backends hold the store in the backend itself (data
 	// directory or remote nodes); reopen it if one was committed there.
-	durable := *backend == rstore.EngineDisklog || *backend == rstore.EngineLSM || *backend == rstore.EngineRemote
+	durable := *backend != rstore.EngineMemory
 	where := *dataDir
 	if *backend == rstore.EngineRemote {
 		where = "nodes " + strings.Join(cluster.NodeAddrs, ",")
 	}
 
 	var st *rstore.Store
-	switch {
-	case durable:
+	if durable {
 		exists, err := rstore.Exists(ctx, kv)
 		if err != nil {
 			log.Fatalf("probe %s: %v", where, err)
@@ -126,18 +123,6 @@ func main() {
 				log.Fatalf("load %s: %v", where, err)
 			}
 			log.Printf("reopened %d versions from %s", st.NumVersions(), where)
-		}
-	case *storePath != "":
-		if f, err := os.Open(*storePath); err == nil {
-			if err := kv.Restore(ctx, f); err != nil {
-				log.Fatalf("restore %s: %v", *storePath, err)
-			}
-			f.Close()
-			st, err = rstore.Load(ctx, cfg)
-			if err != nil {
-				log.Fatalf("load: %v", err)
-			}
-			log.Printf("restored %d versions from %s", st.NumVersions(), *storePath)
 		}
 	}
 	if st == nil {

@@ -1,25 +1,19 @@
-// Command rstore is a small VCS-style CLI over a file-backed store,
-// mirroring the application-server commands of paper §2.4: init, commit,
-// checkout (pull a version), get, history, log, and branch.
+// Command rstore is a small VCS-style CLI over a store, mirroring the
+// application-server commands of paper §2.4: init, commit, checkout (pull
+// a version), get, history, log, and branch.
 //
-// Three persistence modes, selected by -backend:
+// The store lives in the engine -backend selects; every command opens it,
+// acts and closes it again:
 //
-//   - memory (default): state persists in a single snapshot file (default
-//     .rstore) via the cluster's Dump/Restore; every mutating command
-//     rewrites it.
-//   - disklog: state lives in the log-structured data directory (-data,
-//     default <store>.d); every command reopens the cluster by replaying
-//     the segment files, and mutations are fsynced per batch.
-//   - lsm: state lives in an LSM-tree data directory (-data, default
-//     <store>.d) — WAL + sorted tables; same durability as disklog,
-//     faster point reads.
-//   - remote: state lives on rstore-node daemons (-node-addrs, one node
-//     per address); every command talks to them over the wire.
+//   - lsm (default): a local data directory (-data, default .rstore); a
+//     mutation is fsynced before the command reports it.
+//   - remote: rstore-node daemons (-node-addrs, one node per address);
+//     every command talks to them over the wire.
 //
 // Usage:
 //
-//	rstore -store data.rstore init
-//	rstore -backend disklog -data data.d init
+//	rstore init
+//	rstore -data data.d init
 //	rstore -backend remote -node-addrs host1:7420,host2:7420 init
 //	rstore -backend remote -rf 2 -node-addrs host1:7420,host2:7420 init
 //	rstore commit -branch main -put doc1=@file.json -put doc2='{"x":1}' -del doc3
@@ -34,14 +28,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 
 	"rstore"
-	"rstore/internal/engine/reclog"
 	"rstore/internal/kvstore"
 )
 
@@ -59,31 +51,27 @@ func main() {
 
 func run(ctx context.Context, args []string) error {
 	global := flag.NewFlagSet("rstore", flag.ContinueOnError)
-	storePath := global.String("store", ".rstore", "snapshot file (memory backend)")
-	backend := global.String("backend", "memory", "storage backend: memory|disklog|lsm|remote")
-	dataDir := global.String("data", "", "data directory for -backend disklog/lsm (default <store>.d)")
+	backend := global.String("backend", rstore.EngineLSM, "storage backend: lsm|remote")
+	dataDir := global.String("data", ".rstore", "data directory for -backend lsm")
 	nodeAddrs := global.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote")
-	rf := global.Int("rf", 1, "replication factor (-backend remote; repair keeps replicas converged).\nPass the SAME value on every command against a cluster: it is per-invocation\nclient config, and a lower value silently under-replicates new writes")
+	rf := global.Int("rf", 1, "replication factor (-backend remote; repair keeps replicas converged).\nThe cluster is pinned at the value init used: a command passing another is refused")
 	tombTTL := global.Duration("tombstone-ttl", 0, "collect tombstones older than this once all replicas agree (0 = ack-based GC only)")
 	if err := global.Parse(args); err != nil {
 		return err
 	}
 	env := cliEnv{
-		store: *storePath, backend: *backend, data: *dataDir,
+		backend: *backend, data: *dataDir,
 		addrs: rstore.SplitNodeAddrs(*nodeAddrs), rf: *rf,
 		repair: rstore.RepairOptions{TombstoneTTL: *tombTTL},
 	}
 	switch env.backend {
-	case rstore.EngineMemory, rstore.EngineDisklog, rstore.EngineLSM:
+	case rstore.EngineLSM:
 	case rstore.EngineRemote:
 		if len(env.addrs) == 0 {
 			return fmt.Errorf("-backend remote needs -node-addrs host:port[,host:port...]")
 		}
 	default:
-		return fmt.Errorf("unknown -backend %q (want memory, disklog, lsm, or remote)", env.backend)
-	}
-	if env.data == "" {
-		env.data = env.store + ".d"
+		return fmt.Errorf("unknown -backend %q (want lsm or remote)", env.backend)
 	}
 	rest := global.Args()
 	if len(rest) == 0 {
@@ -96,20 +84,18 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		// Idempotent with persist's close; releases the disklog directory
+		// Idempotent with persist's close; releases the data directory's
 		// lock on every error path too.
 		defer kv.Close()
-		if env.durable() {
-			// A point probe, not a full Load: only a cleanly-missing
-			// manifest means "not initialized"; I/O errors must surface,
-			// not be silently re-initialized over.
-			exists, err := rstore.Exists(ctx, kv)
-			if err != nil {
-				return err
-			}
-			if exists {
-				return fmt.Errorf("store already initialized in %s", env.where())
-			}
+		// A point probe, not a full Load: only a cleanly-missing manifest
+		// means "not initialized"; I/O errors must surface, not be silently
+		// re-initialized over.
+		exists, err := rstore.Exists(ctx, kv)
+		if err != nil {
+			return err
+		}
+		if exists {
+			return fmt.Errorf("store already initialized in %s", env.where())
 		}
 		st, err := rstore.Open(ctx, rstore.Config{KV: kv})
 		if err != nil {
@@ -125,7 +111,7 @@ func run(ctx context.Context, args []string) error {
 		if err := st.SetBranch(mctx, "main", 0); err != nil {
 			return err
 		}
-		if err := env.persist(kv, st); err != nil {
+		if err := persist(kv, st); err != nil {
 			return err
 		}
 		fmt.Printf("initialized empty store at %s (root version 0, branch main)\n", env.where())
@@ -136,7 +122,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	defer kv.Close() // no-op for memory; syncs and releases disklog files
+	defer kv.Close() // syncs and releases the data directory or the connections
 
 	switch cmd {
 	case "commit":
@@ -183,7 +169,7 @@ func run(ctx context.Context, args []string) error {
 		if err := st.SetBranch(mctx, *branch, v); err != nil {
 			return err
 		}
-		if err := env.persist(kv, st); err != nil {
+		if err := persist(kv, st); err != nil {
 			return err
 		}
 		fmt.Printf("committed version %d on %s (%d puts, %d deletes)\n",
@@ -288,13 +274,17 @@ func run(ctx context.Context, args []string) error {
 			}
 			return nil
 		}
-		if err := st.SetBranch(context.WithoutCancel(ctx), *name, rstore.VersionID(*version)); err != nil {
+		v, err := resolveVersion(st, *version, "")
+		if err != nil {
 			return err
 		}
-		if err := env.persist(kv, st); err != nil {
+		if err := st.SetBranch(context.WithoutCancel(ctx), *name, v); err != nil {
 			return err
 		}
-		fmt.Printf("branch %s -> v%d\n", *name, *version)
+		if err := persist(kv, st); err != nil {
+			return err
+		}
+		fmt.Printf("branch %s -> v%d\n", *name, v)
 		return nil
 
 	case "stats":
@@ -318,6 +308,9 @@ func resolveVersion(st *rstore.Store, version int, branch string) (rstore.Versio
 	if version < 0 {
 		return 0, fmt.Errorf("need -version or -branch")
 	}
+	if uint64(version) >= uint64(rstore.NoParent) { // ids are 32 bits; the top one names no version
+		return 0, fmt.Errorf("-version %d is not a version id", version)
+	}
 	return rstore.VersionID(version), nil
 }
 
@@ -330,40 +323,26 @@ func sanitize(key string) string {
 	}, key)
 }
 
-// cliEnv is the persistence environment the global flags select.
+// cliEnv is the storage environment the global flags select.
 type cliEnv struct {
-	store   string   // snapshot file (memory backend)
-	backend string   // "memory", "disklog", "lsm", or "remote"
-	data    string   // disklog/lsm data directory
+	backend string   // "lsm" or "remote"
+	data    string   // lsm data directory
 	addrs   []string // rstore-node addresses (remote backend)
 	rf      int      // replication factor (remote backend)
 	repair  rstore.RepairOptions
 }
 
-// durable reports that store state lives in the backend itself (a data
-// directory or a set of storage daemons) rather than a snapshot file.
-func (e cliEnv) durable() bool { return e.backend != rstore.EngineMemory }
-
-// onDisk reports that store state lives in a local data directory.
-func (e cliEnv) onDisk() bool {
-	return e.backend == rstore.EngineDisklog || e.backend == rstore.EngineLSM
-}
-
 // where names the place the store lives, for messages.
 func (e cliEnv) where() string {
-	switch {
-	case e.onDisk():
-		return e.data
-	case e.backend == rstore.EngineRemote:
+	if e.backend == rstore.EngineRemote {
 		return "nodes " + strings.Join(e.addrs, ",")
-	default:
-		return e.store
 	}
+	return e.data
 }
 
 // openCluster opens the cluster in the configured backend (validated up
-// front in run): single-node for the local engines, one node per daemon
-// address for remote.
+// front in run): one lsm node in the data directory, or one node per daemon
+// address.
 func (e cliEnv) openCluster(ctx context.Context) (*kvstore.Store, error) {
 	if e.backend == rstore.EngineRemote {
 		return rstore.OpenCluster(ctx, rstore.ClusterConfig{
@@ -374,60 +353,34 @@ func (e cliEnv) openCluster(ctx context.Context) (*kvstore.Store, error) {
 	return rstore.OpenCluster(ctx, rstore.ClusterConfig{Nodes: 1, Engine: e.backend, Dir: e.data})
 }
 
-// load reopens the persisted store: from the snapshot file (memory), by
-// replaying the data directory's segment files (disklog), or from the
-// remote nodes' contents.
+// load reopens the store init created: from the data directory, or from
+// the remote nodes' contents.
 func (e cliEnv) load(ctx context.Context) (*kvstore.Store, *rstore.Store, error) {
-	if e.durable() {
-		if e.onDisk() {
-			if _, err := os.Stat(e.data); err != nil {
-				return nil, nil, fmt.Errorf("open store %s (run init first): %w", e.data, err)
-			}
+	if e.backend != rstore.EngineRemote {
+		// Opening a missing directory would create it.
+		if _, err := os.Stat(e.data); err != nil {
+			return nil, nil, fmt.Errorf("open store %s (run init first): %w", e.data, err)
 		}
-		kv, err := e.openCluster(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := rstore.Load(ctx, rstore.Config{KV: kv})
-		if err != nil {
-			kv.Close()
-			return nil, nil, fmt.Errorf("open store %s (run init first): %w", e.where(), err)
-		}
-		return kv, st, nil
 	}
-	f, err := os.Open(e.store)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open store %s (run init first): %w", e.store, err)
-	}
-	defer f.Close()
 	kv, err := e.openCluster(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := kv.Restore(ctx, f); err != nil {
-		return nil, nil, err
-	}
 	st, err := rstore.Load(ctx, rstore.Config{KV: kv})
 	if err != nil {
-		return nil, nil, err
+		kv.Close()
+		return nil, nil, fmt.Errorf("open store %s (run init first): %w", e.where(), err)
 	}
 	return kv, st, nil
 }
 
-// persist makes the store durable: flush pending versions, then rewrite the
-// snapshot file (memory) or release the backend (disklog/remote — the flush
-// itself committed every write durably; Close catches strays).
-func (e cliEnv) persist(kv *kvstore.Store, st *rstore.Store) error {
-	ctx := context.Background() // durability point: never cancellable
-	if err := st.Flush(ctx); err != nil {
+// persist places whatever is pending and releases the cluster. Each commit
+// was durable when it returned; Close syncs what a flush leaves unsynced.
+func persist(kv *kvstore.Store, st *rstore.Store) error {
+	if err := st.Flush(context.Background()); err != nil { // durability point: never cancellable
 		return err
 	}
-	if e.durable() {
-		return kv.Close()
-	}
-	// Replaced atomically and fsynced: a failed dump or a power cut leaves
-	// the previous snapshot, never an empty file in its place.
-	return reclog.WriteFileAtomic(e.store, func(w io.Writer) error { return kv.Dump(ctx, w) })
+	return kv.Close()
 }
 
 // multiFlag collects repeatable string flags.

@@ -2,27 +2,52 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rstore"
 )
 
-// runCLI drives the command with a store file in a temp dir.
-func runCLI(t *testing.T, store string, args ...string) error {
+// runCLI drives the command on its default backend, lsm in the data
+// directory data.
+func runCLI(t *testing.T, data string, args ...string) error {
 	t.Helper()
-	return run(context.Background(), append([]string{"-store", store}, args...))
+	_, err := outputCLI(t, data, args...)
+	return err
 }
 
+// outputCLI is runCLI returning what the command printed.
+func outputCLI(t *testing.T, data string, args ...string) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = run(context.Background(), append([]string{"-data", data}, args...))
+	os.Stdout = stdout
+	w.Close()
+	return <-out, err
+}
+
+// TestCLILifecycle is the acceptance path: a store committed through the
+// CLI is closed at the end of every command and reopened by the next one,
+// and every read returns exactly what was committed.
 func TestCLILifecycle(t *testing.T) {
 	dir := t.TempDir()
-	store := filepath.Join(dir, "data.rstore")
+	data := filepath.Join(dir, "store.d")
 
-	if err := runCLI(t, store, "init"); err != nil {
+	if err := runCLI(t, data, "init"); err != nil {
 		t.Fatalf("init: %v", err)
-	}
-	if _, err := os.Stat(store); err != nil {
-		t.Fatalf("snapshot file missing: %v", err)
 	}
 
 	// Commit from literal values and from a file.
@@ -30,98 +55,93 @@ func TestCLILifecycle(t *testing.T) {
 	if err := os.WriteFile(docFile, []byte(`{"from":"file"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCLI(t, store, "commit",
-		"-put", "a={"+`"x":1}`, "-put", "b=@"+docFile); err != nil {
+	if err := runCLI(t, data, "commit", "-put", `a={"x":1}`, "-put", "b=@"+docFile); err != nil {
 		t.Fatalf("commit 1: %v", err)
 	}
-	if err := runCLI(t, store, "commit", "-put", `a={"x":2}`, "-del", "b"); err != nil {
+	if err := runCLI(t, data, "commit", "-put", `a={"x":2}`, "-del", "b"); err != nil {
 		t.Fatalf("commit 2: %v", err)
 	}
 
-	// Reads work across process "restarts" (every call reloads the file).
-	if err := runCLI(t, store, "log"); err != nil {
-		t.Fatalf("log: %v", err)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"get", "-key", "a", "-branch", "main"}, `{"x":2}` + "\n"},
+		{[]string{"get", "-key", "a", "-version", "1"}, `{"x":1}` + "\n"},
+		{[]string{"get", "-key", "b", "-version", "1"}, `{"from":"file"}` + "\n"},
+		{[]string{"history", "-key", "a"}, "v1    {\"x\":1}\nv2    {\"x\":2}\n"},
+		{[]string{"branch"}, "main         v2\n"},
+	} {
+		got, err := outputCLI(t, data, tc.args...)
+		if err != nil || got != tc.want {
+			t.Fatalf("%v = %q, %v; want %q", tc.args, got, err, tc.want)
+		}
 	}
-	if err := runCLI(t, store, "get", "-key", "a", "-branch", "main"); err != nil {
-		t.Fatalf("get: %v", err)
+	for _, cmd := range [][]string{{"log"}, {"stats"}} {
+		if err := runCLI(t, data, cmd...); err != nil {
+			t.Fatalf("%v: %v", cmd, err)
+		}
 	}
-	if err := runCLI(t, store, "history", "-key", "a"); err != nil {
-		t.Fatalf("history: %v", err)
-	}
-	if err := runCLI(t, store, "stats"); err != nil {
-		t.Fatalf("stats: %v", err)
+	if err := runCLI(t, data, "get", "-key", "b", "-branch", "main"); err == nil {
+		t.Fatal("deleted key b read at the tip")
 	}
 
 	// Checkout into a directory.
 	out := filepath.Join(dir, "co")
-	if err := runCLI(t, store, "checkout", "-branch", "main", "-out", out); err != nil {
+	if err := runCLI(t, data, "checkout", "-branch", "main", "-out", out); err != nil {
 		t.Fatalf("checkout: %v", err)
 	}
-	data, err := os.ReadFile(filepath.Join(out, "a"))
-	if err != nil || string(data) != `{"x":2}` {
-		t.Fatalf("checked-out a = %q, %v", data, err)
+	if got, err := os.ReadFile(filepath.Join(out, "a")); err != nil || string(got) != `{"x":2}` {
+		t.Fatalf("checked-out a = %q, %v", got, err)
 	}
 	if _, err := os.Stat(filepath.Join(out, "b")); err == nil {
 		t.Fatal("deleted key b materialized on checkout")
 	}
 
 	// Branch management.
-	if err := runCLI(t, store, "branch", "-name", "old", "-version", "1"); err != nil {
+	if err := runCLI(t, data, "branch", "-name", "old", "-version", "1"); err != nil {
 		t.Fatalf("branch: %v", err)
 	}
-	if err := runCLI(t, store, "get", "-key", "b", "-branch", "old"); err != nil {
-		t.Fatalf("get on old branch: %v", err)
+	if got, err := outputCLI(t, data, "get", "-key", "b", "-branch", "old"); err != nil || got != `{"from":"file"}`+"\n" {
+		t.Fatalf("get on old branch = %q, %v", got, err)
 	}
 }
 
-// runDiskCLI drives the command in disklog mode against a data directory.
-func runDiskCLI(t *testing.T, data string, args ...string) error {
-	t.Helper()
-	return run(context.Background(), append([]string{"-backend", "disklog", "-data", data}, args...))
-}
-
-// TestCLIDisklogLifecycle is the acceptance path: a store committed through
-// the CLI on the disklog backend is closed at the end of every command and
-// reopened (segment replay) by the next one, and must return identical
-// results throughout.
+// TestCLIDisklogLifecycle: the store lives in a data directory on disk that
+// outlives every command. The disklog backend that once kept it is refused;
+// lsm, the default, writes its MANIFEST at init, a second init is refused,
+// and after each close and reopen a checkout of the tip and of the older
+// version returns the exact committed contents.
 func TestCLIDisklogLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "store.d")
 
-	if err := runDiskCLI(t, data, "init"); err != nil {
+	if err := run(context.Background(), []string{"-backend", "disklog", "-data", data, "init"}); err == nil || !strings.Contains(err.Error(), "backend") {
+		t.Fatalf("-backend disklog init: %v", err)
+	}
+	if _, err := os.Stat(data); !os.IsNotExist(err) {
+		t.Fatalf("refused backend created %s: %v", data, err)
+	}
+
+	if err := runCLI(t, data, "init"); err != nil {
 		t.Fatalf("init: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(data, "node-0")); err != nil {
-		t.Fatalf("data directory missing: %v", err)
+	if _, err := os.Stat(filepath.Join(data, "node-0", "MANIFEST")); err != nil {
+		t.Fatalf("no lsm directory after init: %v", err)
 	}
-	if err := runDiskCLI(t, data, "init"); err == nil {
+	if err := runCLI(t, data, "init"); err == nil {
 		t.Fatal("double init succeeded")
 	}
 
-	if err := runDiskCLI(t, data, "commit", "-put", `a={"x":1}`, "-put", "b=bee"); err != nil {
+	if err := runCLI(t, data, "commit", "-put", `a={"x":1}`, "-put", "b=bee"); err != nil {
 		t.Fatalf("commit 1: %v", err)
 	}
-	if err := runDiskCLI(t, data, "commit", "-put", `a={"x":2}`, "-del", "b"); err != nil {
+	if err := runCLI(t, data, "commit", "-put", `a={"x":2}`, "-del", "b"); err != nil {
 		t.Fatalf("commit 2: %v", err)
 	}
 
-	// Every invocation is a full close + reopen; reads must serve the
-	// committed state.
-	for _, cmd := range [][]string{
-		{"log"},
-		{"get", "-key", "a", "-branch", "main"},
-		{"history", "-key", "a"},
-		{"stats"},
-	} {
-		if err := runDiskCLI(t, data, cmd...); err != nil {
-			t.Fatalf("%v: %v", cmd, err)
-		}
-	}
-
-	// Version-scan results across reopen: checkout of the tip and of the
-	// older version return the exact committed contents.
 	out := filepath.Join(dir, "co-tip")
-	if err := runDiskCLI(t, data, "checkout", "-branch", "main", "-out", out); err != nil {
+	if err := runCLI(t, data, "checkout", "-branch", "main", "-out", out); err != nil {
 		t.Fatalf("checkout tip: %v", err)
 	}
 	if got, err := os.ReadFile(filepath.Join(out, "a")); err != nil || string(got) != `{"x":2}` {
@@ -131,7 +151,7 @@ func TestCLIDisklogLifecycle(t *testing.T) {
 		t.Fatal("deleted key b materialized at tip")
 	}
 	outOld := filepath.Join(dir, "co-old")
-	if err := runDiskCLI(t, data, "checkout", "-version", "1", "-out", outOld); err != nil {
+	if err := runCLI(t, data, "checkout", "-version", "1", "-out", outOld); err != nil {
 		t.Fatalf("checkout old: %v", err)
 	}
 	if got, err := os.ReadFile(filepath.Join(outOld, "a")); err != nil || string(got) != `{"x":1}` {
@@ -142,37 +162,76 @@ func TestCLIDisklogLifecycle(t *testing.T) {
 	}
 
 	// Commands before init on a fresh directory fail cleanly.
-	if err := runDiskCLI(t, filepath.Join(dir, "nope.d"), "log"); err == nil {
+	if err := runCLI(t, filepath.Join(dir, "nope.d"), "log"); err == nil {
 		t.Fatal("log before init succeeded")
+	}
+}
+
+// TestCLIRefusesBadVersions: a -version that is no version id is refused,
+// not wrapped onto one, and a branch is never pointed at no version.
+func TestCLIRefusesBadVersions(t *testing.T) {
+	data := filepath.Join(t.TempDir(), "store.d")
+	if err := runCLI(t, data, "init"); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCLI(t, data, "commit", "-put", "a=1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"checkout", "-version", "4294967296"}, // 2^32: version 0 once truncated
+		{"checkout", "-version", "4294967295"}, // the invalid version itself
+		{"get", "-key", "a", "-version", "4294967297"},
+		{"branch", "-name", "dev", "-version", "4294967297"},
+		{"branch", "-name", "dev"},
+	} {
+		if err := runCLI(t, data, args...); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("%v: %v, want a refusal", args, err)
+		}
+	}
+	kv, st, err := cliEnv{backend: rstore.EngineLSM, data: data}.load(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	if _, err := st.Tip("dev"); err == nil {
+		t.Fatal("a refused branch command set the branch")
 	}
 }
 
 func TestCLIErrors(t *testing.T) {
 	dir := t.TempDir()
-	store := filepath.Join(dir, "x.rstore")
-	// Commands before init fail cleanly.
-	if err := runCLI(t, store, "log"); err == nil {
+	data := filepath.Join(dir, "x.d")
+	// Commands before init fail cleanly, and leave no directory behind.
+	if err := runCLI(t, data, "log"); err == nil {
 		t.Fatal("log before init succeeded")
 	}
-	if err := runCLI(t, store); err == nil || !strings.Contains(err.Error(), "command") {
+	if _, err := os.Stat(data); !os.IsNotExist(err) {
+		t.Fatalf("log before init created %s: %v", data, err)
+	}
+	if err := runCLI(t, data); err == nil || !strings.Contains(err.Error(), "command") {
 		t.Fatalf("missing command: %v", err)
 	}
-	if err := runCLI(t, store, "bogus"); err == nil {
+	if err := runCLI(t, data, "bogus"); err == nil {
 		t.Fatal("unknown command accepted")
 	}
-	if err := run(context.Background(), []string{"-backend", "bogus", "log"}); err == nil || !strings.Contains(err.Error(), "backend") {
-		t.Fatalf("unknown backend: %v", err)
+	for _, backend := range []string{"bogus", "memory", "disklog"} {
+		if err := run(context.Background(), []string{"-backend", backend, "log"}); err == nil || !strings.Contains(err.Error(), "backend") {
+			t.Fatalf("-backend %s: %v", backend, err)
+		}
 	}
-	if err := runCLI(t, store, "init"); err != nil {
+	if err := run(context.Background(), []string{"-backend", "remote", "log"}); err == nil || !strings.Contains(err.Error(), "node-addrs") {
+		t.Fatalf("remote without addresses: %v", err)
+	}
+	if err := runCLI(t, data, "init"); err != nil {
 		t.Fatal(err)
 	}
-	if err := runCLI(t, store, "commit", "-put", "malformed"); err == nil {
+	if err := runCLI(t, data, "commit", "-put", "malformed"); err == nil {
 		t.Fatal("malformed -put accepted")
 	}
-	if err := runCLI(t, store, "get", "-key", "a"); err == nil {
+	if err := runCLI(t, data, "get", "-key", "a"); err == nil {
 		t.Fatal("get without version/branch accepted")
 	}
-	if err := runCLI(t, store, "checkout"); err == nil {
+	if err := runCLI(t, data, "checkout"); err == nil {
 		t.Fatal("checkout without version accepted")
 	}
 }
@@ -180,43 +239,5 @@ func TestCLIErrors(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	if got := sanitize("a/b\\c"); got != "a_b_c" {
 		t.Fatalf("sanitize = %q", got)
-	}
-}
-
-// TestPersistKeepsOldSnapshotWhenDumpFails: the snapshot is replaced
-// atomically, so a dump that fails part-way leaves the previous snapshot
-// whole (it used to be renamed over unsynced, and a power cut could leave an
-// empty file in its place) and no temporary file beside it.
-func TestPersistKeepsOldSnapshotWhenDumpFails(t *testing.T) {
-	store := filepath.Join(t.TempDir(), "data.rstore")
-	if err := runCLI(t, store, "init"); err != nil {
-		t.Fatal(err)
-	}
-	if err := runCLI(t, store, "commit", "-put", `a={"x":1}`); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(store)
-	if err != nil || len(before) == 0 {
-		t.Fatalf("snapshot: %d bytes, %v", len(before), err)
-	}
-
-	env := cliEnv{store: store, backend: "memory"}
-	kv, st, err := env.load(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kv.Close() // nothing is pending, so the flush passes and the dump is what fails
-	if err := env.persist(kv, st); err == nil || !strings.Contains(err.Error(), "writing "+store) {
-		t.Fatalf("persist of a closed cluster: %v, want the dump to fail", err)
-	}
-	after, err := os.ReadFile(store)
-	if err != nil || string(after) != string(before) {
-		t.Fatalf("snapshot after the failed dump: %d bytes (%v), want the previous %d", len(after), err, len(before))
-	}
-	if _, err := os.Stat(store + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("the failed dump left %s.tmp: %v", store, err)
-	}
-	if err := runCLI(t, store, "get", "-key", "a", "-branch", "main"); err != nil {
-		t.Fatalf("get after the failed dump: %v", err)
 	}
 }

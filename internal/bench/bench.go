@@ -35,17 +35,16 @@ type Options struct {
 
 	// Engine overrides the storage backend every experiment cluster runs
 	// on: kvstore.EngineMemory (the default — allocation-exact, what the
-	// calibrated cost model assumes), kvstore.EngineDisklog or
-	// kvstore.EngineLSM (each cluster gets a fresh subdirectory of
-	// DataDir), or kvstore.EngineRemote (the cluster runs on the
-	// rstore-node daemons in NodeAddrs — the address list fixes the node
-	// count, overriding each experiment's nominal topology). Every cluster
+	// calibrated cost model assumes), kvstore.EngineLSM (each cluster gets a
+	// fresh subdirectory of DataDir), or kvstore.EngineRemote (the cluster
+	// runs on the rstore-node daemons in NodeAddrs — the address list fixes
+	// the node count, overriding each experiment's nominal topology). Every cluster
 	// a run opens wipes the daemons first through the wire protocol's
 	// reset op, so one running daemon set serves a whole run and each
 	// cluster still starts clean.
 	Engine string
 	// DataDir hosts per-cluster data directories when Engine is
-	// kvstore.EngineDisklog or kvstore.EngineLSM.
+	// kvstore.EngineLSM.
 	DataDir string
 	// NodeAddrs lists rstore-node addresses when Engine is
 	// kvstore.EngineRemote.
@@ -53,7 +52,7 @@ type Options struct {
 }
 
 // clusterSeq hands each disk-backed experiment cluster a fresh directory:
-// disklog directories are single-cluster (LOCK, GEOMETRY pinning).
+// a data directory is single-cluster (LOCK, GEOMETRY pinning).
 var clusterSeq atomic.Int64
 
 // substrate resolves the engine override into (engine, data directory,
@@ -66,7 +65,7 @@ func (o Options) substrate() (eng, dir string, addrs []string) {
 	case kvstore.EngineRemote:
 		return kvstore.EngineRemote, "", o.NodeAddrs
 	default:
-		// Disklog and any future disk-backed engine: fresh directory per
+		// lsm and any future disk-backed engine: fresh directory per
 		// cluster.
 		return o.Engine, filepath.Join(o.DataDir, fmt.Sprintf("cluster-%03d", clusterSeq.Add(1))), nil
 	}

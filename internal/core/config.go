@@ -64,12 +64,11 @@ type Config struct {
 	// cluster and closes it on Close.
 	KV *kvstore.Store
 	// Engine selects the storage backend of the private cluster created
-	// when KV is nil: kvstore.EngineMemory (default), kvstore.EngineDisklog,
-	// kvstore.EngineLSM, or kvstore.EngineRemote. Ignored when KV is set.
+	// when KV is nil: kvstore.EngineMemory (default), kvstore.EngineLSM, or
+	// kvstore.EngineRemote. Ignored when KV is set.
 	Engine string
-	// DataDir is the data directory for disk-backed engines of the private
-	// cluster. Required when Engine is kvstore.EngineDisklog or
-	// kvstore.EngineLSM.
+	// DataDir is the data directory of the private cluster. Required when
+	// Engine is kvstore.EngineLSM.
 	DataDir string
 	// NodeAddrs lists the storage daemon addresses of the private cluster
 	// (one node per address, in ring order). Required when Engine is

@@ -10,10 +10,10 @@ import (
 	"rstore/internal/types"
 )
 
-// openDiskStore opens a store on a fresh disklog cluster rooted at dir.
+// openDiskStore opens a store on a fresh lsm cluster rooted at dir.
 func openDiskStore(t *testing.T, dir string, cfg Config) (*kvstore.Store, *Store) {
 	t.Helper()
-	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineDisklog, Dir: dir})
+	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineLSM, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLoadReplaysUnmanifestedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kv2, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineDisklog, Dir: dir})
+	kv2, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineLSM, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLoadReplaysUnmanifestedCommits(t *testing.T) {
 	if err := kv2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	kv3, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineDisklog, Dir: dir})
+	kv3, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineLSM, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCheckpointEnablesRootReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kv2, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineDisklog, Dir: dir})
+	kv2, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineLSM, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

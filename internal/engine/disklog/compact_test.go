@@ -2,11 +2,9 @@ package disklog
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -189,8 +187,7 @@ func TestCompactThenWrite(t *testing.T) {
 //   - mid-unlink: the older half of the victims is gone; replay reads a
 //     suffix of the log.
 //
-// No point leaves a file that is not a segment (the .cmp side file of
-// earlier builds is never created).
+// No point leaves a file that is not a segment.
 func TestCompactCrashRecovery(t *testing.T) {
 	enginetest.CompactCrashRecovery(t, enginetest.Harness{
 		Open: func(t *testing.T, dir string) enginetest.Crasher {
@@ -198,7 +195,7 @@ func TestCompactCrashRecovery(t *testing.T) {
 		},
 		Points:      []string{"mid-reappend", "appended", "mid-unlink"},
 		CrashErr:    ErrCrashed,
-		DebrisGlobs: []string{"seg-*.log.cmp", "*.tmp"},
+		DebrisGlobs: []string{"*.cmp", "*.tmp"},
 		DiskBytes:   diskBytes,
 	})
 }
@@ -333,13 +330,10 @@ func TestCompactConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestTornCompactHeaderDoesNotSupersede: deciding that a segment was
-// compacted into by an earlier build forgets and unlinks every
-// lower-numbered segment, so that decision must never be made from a torn
-// or corrupt first record — even one whose kind byte happens to read
-// recCompactBegin. A genuine one always passes its CRC (that build fsynced
-// the file before the committing rename), and the scanner hands replay
-// nothing that does not.
+// TestTornCompactHeaderDoesNotSupersede: a freshly rotated segment whose
+// first record is torn holds nothing — whatever its kind byte reads — and
+// every older segment replays as it was. The scanner hands replay no record
+// that fails its CRC.
 func TestTornCompactHeaderDoesNotSupersede(t *testing.T) {
 	dir := t.TempDir()
 	b := openT(t, dir, Options{SegmentBytes: 4 << 10})
@@ -353,10 +347,9 @@ func TestTornCompactHeaderDoesNotSupersede(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate a crash mid-first-write of a freshly rotated segment whose
-	// garbage kind byte reads recCompactBegin: frame length 3, bogus CRC,
-	// body {recCompactBegin, 0, 0}.
-	torn := []byte{3, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, recCompactBegin, 0, 0}
+	// Simulate a crash mid-first-write of a freshly rotated segment: frame
+	// length 3, bogus CRC, body {3, 0, 0}.
+	torn := []byte{3, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 3, 0, 0}
 	tornPath := filepath.Join(dir, fmt.Sprintf("seg-%06d.log", lastID+1))
 	if err := os.WriteFile(tornPath, torn, 0o644); err != nil {
 		t.Fatal(err)
@@ -365,113 +358,4 @@ func TestTornCompactHeaderDoesNotSupersede(t *testing.T) {
 	r := openT(t, dir, Options{SegmentBytes: 4 << 10})
 	defer r.Close()
 	verifyState(t, r, nKeys, want)
-}
-
-// The segments of a directory as a build before the re-append protocol left
-// it, byte for byte (frame = length, crc32, body; body = kind, table "t",
-// key, value). Segment 0 and 1 are sealed, 2 is active; legacyRewrite is
-// what that build's Compact made of 0 and 1 — their live records between a
-// recCompactBegin and a recCompactEnd, the tombstone of "a" dropped — first
-// as seg-000001.log.cmp, then renamed over seg-000001.log.
-const (
-	legacySeg0 = "0700000058ed835701017401616130" + "07000000c200e87e01017401626230" + legacyPutC // put a=a0, b=b0, c=c0
-	legacySeg1 = "050000001b6308740201740161" + legacyPutB1                                       // delete a, put b=b1
-	legacySeg2 = "07000000f6db3f2c01017401646430"                                                 // put d=d0
-
-	legacyBegin   = "030000004b6707fd030000"
-	legacyEnd     = "03000000ce7148f8040000"
-	legacyPutC    = "07000000b45b316601017401636330"
-	legacyPutB1   = "070000005430ef0901017401626231"
-	legacyRewrite = legacyBegin + legacyPutC + legacyPutB1 + legacyEnd
-)
-
-// TestLegacyCompactionStates: one fixture per state an interrupted (or
-// finished) compaction of an earlier build can have left, built from
-// literal bytes. Each opens to the contents that build would have
-// recovered — "a" stays deleted — leaves only segments behind, compacts,
-// and reopens to the same.
-func TestLegacyCompactionStates(t *testing.T) {
-	want := map[string]string{"b": "b1", "c": "c0", "d": "d0"}
-	for _, tc := range []struct {
-		name  string
-		files map[string]string
-		gone  []string // files the first Open must remove
-	}{
-		{"unsealed-cmp", map[string]string{
-			"seg-000000.log": legacySeg0, "seg-000001.log": legacySeg1, "seg-000002.log": legacySeg2,
-			"seg-000001.log.cmp": legacyBegin + legacyPutC + legacyPutB1[:12],
-		}, []string{"seg-000001.log.cmp"}},
-		{"sealed-cmp", map[string]string{
-			"seg-000000.log": legacySeg0, "seg-000001.log": legacySeg1, "seg-000002.log": legacySeg2,
-			"seg-000001.log.cmp": legacyRewrite,
-		}, []string{"seg-000001.log.cmp", "seg-000000.log"}},
-		// That build's recovery unlinked the victims before it renamed the
-		// sealed file; dying in between, it left records only the file holds.
-		{"sealed-cmp-victims-partly-gone", map[string]string{
-			"seg-000001.log": legacySeg1, "seg-000002.log": legacySeg2,
-			"seg-000001.log.cmp": legacyRewrite,
-		}, []string{"seg-000001.log.cmp"}},
-		{"sealed-cmp-victims-gone", map[string]string{
-			"seg-000002.log":     legacySeg2,
-			"seg-000001.log.cmp": legacyRewrite,
-		}, []string{"seg-000001.log.cmp"}},
-		// Plain replay of this one would bring "a" back: its tombstone went
-		// with the rewrite, its put is still in the leftover.
-		{"marker-led-above-leftover", map[string]string{
-			"seg-000000.log": legacySeg0, "seg-000001.log": legacyRewrite, "seg-000002.log": legacySeg2,
-		}, []string{"seg-000000.log"}},
-		{"finished", map[string]string{
-			"seg-000001.log": legacyRewrite, "seg-000002.log": legacySeg2,
-		}, nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
-			dir := t.TempDir()
-			for name, hexBytes := range tc.files {
-				raw, err := hex.DecodeString(hexBytes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check := func(b *Backend) {
-				t.Helper()
-				got := map[string]string{}
-				if err := b.Scan(ctx, "t", func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("contents %v, want %v", got, want)
-				}
-			}
-			b := openT(t, dir, Options{})
-			check(b)
-			for _, name := range tc.gone {
-				if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-					t.Fatalf("%s survived Open (%v)", name, err)
-				}
-			}
-			if tc.name == "finished" {
-				// The markers are live bytes: nothing here is reclaimable.
-				if st, err := b.CompactionStats(ctx); err != nil || st.LiveBytes != st.DiskBytes {
-					t.Fatalf("stats of a finished legacy compaction: %+v (%v)", st, err)
-				}
-			}
-			if err := b.Put(ctx, "t", "d", []byte("d0")); err != nil { // a dead byte for Compact to find
-				t.Fatal(err)
-			}
-			if _, err := b.Compact(ctx); err != nil {
-				t.Fatal(err)
-			}
-			check(b)
-			if err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r := openT(t, dir, Options{})
-			defer r.Close()
-			check(r)
-		})
-	}
 }

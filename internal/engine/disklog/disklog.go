@@ -4,6 +4,12 @@
 // on disk, and opening a directory replays the segments to rebuild the index
 // (LSM-style recovery).
 //
+// No binary and no engine name selects it: lsm is the product's durable
+// engine. disklog is the second durable implementation of engine.Backend,
+// against which the conformance suite (internal/engine/conformance_test.go,
+// enginetest's crash rows) holds the contract, and the benchmark's
+// --backend disklog.
+//
 // Durability contract: BatchPut fsyncs before acknowledging (fsync-on-batch,
 // the unit RStore's flush path commits in), Close fsyncs, and single Put /
 // Delete are durable no later than the next batch or Close. A torn write
@@ -38,10 +44,7 @@
 // # On-disk format
 //
 // Per segment file (seg-NNNNNN.log; normative spec in docs/FORMATS.md), a
-// sequence of reclog frames holding reclog put and delete bodies. Builds
-// before this one compacted into a side file (seg-NNNNNN.log.cmp) bracketed
-// by two marker records, kinds 3 and 4, and renamed it over its highest
-// victim; recover and applyRecord still read what they left behind.
+// sequence of reclog frames holding reclog put and delete bodies.
 package disklog
 
 import (
@@ -51,7 +54,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"rstore/internal/engine"
@@ -60,13 +62,6 @@ import (
 )
 
 const (
-	// recCompactBegin and recCompactEnd are the first and last record of a
-	// segment an earlier build compacted into. Never written any more; read
-	// as no-ops, except that a recCompactBegin opening a segment supersedes
-	// every lower-numbered segment (applyRecord).
-	recCompactBegin = 3
-	recCompactEnd   = 4
-
 	// DefaultSegmentBytes is the segment rotation threshold.
 	DefaultSegmentBytes = 64 << 20
 
@@ -167,26 +162,6 @@ func Open(dir string, opts Options) (*Backend, error) {
 
 // recover replays the directory's segments in id order.
 func (b *Backend) recover() error {
-	// A .cmp file is the side file of an earlier build's compaction that
-	// died before its rename. Incomplete, it is debris beside intact
-	// victims. Complete, it is authoritative — that build's recovery unlinked
-	// the victims before renaming, and may have died in between — so the
-	// rename is done here and applyRecord forgets whatever victims are left.
-	cmps, err := filepath.Glob(filepath.Join(b.dir, "seg-*.log.cmp"))
-	if err != nil {
-		return fmt.Errorf("disklog: %w", err)
-	}
-	for _, name := range cmps {
-		sealed, err := legacySealed(name)
-		if err == nil && sealed {
-			err = reclog.Adopt(name, strings.TrimSuffix(name, ".cmp"))
-		} else if err == nil {
-			err = os.Remove(name)
-		}
-		if err != nil {
-			return fmt.Errorf("disklog: %w", err)
-		}
-	}
 	ids, err := b.listSegmentIDs()
 	if err != nil {
 		return err
@@ -207,29 +182,6 @@ func (b *Backend) recover() error {
 		return b.addSegment(0)
 	}
 	return nil
-}
-
-// legacySealed reports whether the .cmp file at path is complete: intact
-// frames to its end, a recCompactBegin first and a recCompactEnd last.
-func legacySealed(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return false, err
-	}
-	var first, last byte
-	end, err := reclog.Scan(f, info.Size(), func(body []byte, off int64) error {
-		if off == reclog.FrameSize {
-			first = body[0]
-		}
-		last = body[0]
-		return nil
-	})
-	return end == info.Size() && first == recCompactBegin && last == recCompactEnd, err
 }
 
 // listSegmentIDs globs the directory's segment files and returns their ids
@@ -343,22 +295,6 @@ func (b *Backend) replay(seg *segment, last bool) error {
 // applyRecord replays one record body found at offset off of seg.
 func (b *Backend) applyRecord(seg *segment, body []byte, off int64) error {
 	size := reclog.FrameSize + int64(len(body))
-	if body[0] == recCompactBegin || body[0] == recCompactEnd {
-		// The one state of an earlier build that plain replay would read
-		// wrong: seg opens with an intact recCompactBegin (Scan passes no
-		// torn or checksum-failing record) above segments that build had
-		// rewritten into it and died before unlinking. The rewrite dropped
-		// their tombstones, so what they replayed to is forgotten with them.
-		if body[0] == recCompactBegin && off == reclog.FrameSize && seg != b.segs[0] {
-			if err := b.forget(); err != nil {
-				return err
-			}
-		}
-		// Markers count as live, as they always did: they cannot be
-		// reclaimed without rewriting a segment that may hold no dead byte.
-		seg.live += size
-		return nil
-	}
 	kind, table, key, value, err := reclog.ParseBody(body)
 	if err != nil {
 		return err

@@ -2,9 +2,11 @@
 // every kvstore node owns one Backend and delegates all data operations to
 // it. The paper's design point is that RStore layers on an off-the-shelf
 // key-value substrate (§2.4); this interface is our substrate boundary, so
-// the engines — in-memory maps (memory), a segment log (disklog), an LSM tree
-// (lsm), and a client of an engine served over TCP (remote) — swap under the
-// same cluster, core, and query layers.
+// the engines — in-memory maps (memory), an LSM tree (lsm), and a client of
+// an engine served over TCP (remote) — swap under the same cluster, core,
+// and query layers. lsm is the one durable engine a binary or an engine name
+// selects; disklog, a segment log, is the second durable implementation the
+// conformance suite holds the contract against.
 //
 // Every data operation takes a context.Context as its first parameter and
 // must honor cancellation and deadlines: an implementation that can block —
@@ -38,8 +40,8 @@
 // sequences issued by DIFFERENT cluster clients against the same backend
 // can interleave. The layers above (kvstore's replication repair, core's
 // flush path) therefore assume each backend is driven by one logical
-// writer at a time — one cluster client per data directory (disklog
-// enforces this with an exclusive flock) or per remote daemon. Multiple
+// writer at a time — one cluster client per data directory (the durable
+// engines enforce this with an exclusive flock) or per remote daemon. Multiple
 // concurrent *reading* clients are fine; concurrent writing clients are
 // outside the contract (see the tombstone-GC follow-up in ROADMAP.md).
 //
@@ -157,9 +159,8 @@ type CompactionStats struct {
 	// DiskBytes is the total size of the backend's log/segment files.
 	DiskBytes int64
 	// LiveBytes is the portion of DiskBytes that compaction cannot reclaim:
-	// records the key index still references (in disklog also the two
-	// marker records of a segment an earlier build compacted into). The
-	// rest is dead — overwritten values, tombstones, superseded records.
+	// records the key index still references. The rest is dead —
+	// overwritten values, tombstones, superseded records.
 	LiveBytes int64
 	// CompactedBytes is the cumulative volume reclaimed by compaction over
 	// the lifetime of this backend instance.

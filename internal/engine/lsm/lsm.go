@@ -1,6 +1,7 @@
-// Package lsm is the log-structured merge-tree storage engine: the scaling
-// tier above disklog for read-heavy, version-dense workloads (the RStore
-// premise — many overlapping versions under heavy read traffic).
+// Package lsm is the log-structured merge-tree storage engine, the one
+// durable engine the binaries and the library's engine names select. It
+// suits read-heavy, version-dense workloads (the RStore premise — many
+// overlapping versions under heavy read traffic).
 //
 // Writes land in a sorted in-memory memtable (a skiplist) after being made
 // durable in a checksummed write-ahead log of their user table's own; a
@@ -28,8 +29,8 @@
 //
 // Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (at most one per
 // user table), sst-<seq>.sst (run and age per the MANIFEST). The directory is
-// flock-ed for the lifetime of the backend, mirroring disklog: one logical
-// writer per data directory. See docs/FORMATS.md for the normative byte
+// flock-ed for the lifetime of the backend: one logical writer per data
+// directory. See docs/FORMATS.md for the normative byte
 // formats.
 package lsm
 

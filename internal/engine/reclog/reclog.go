@@ -172,40 +172,21 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err = write(f); err != nil {
-		f.Close()
-	} else {
-		err = publish(f, tmp, path)
+	if err = write(f); err == nil {
+		err = f.Sync()
 	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return nil
-}
-
-// Adopt makes the complete file a crashed process left at tmp the file at
-// path, with the steps that end WriteFileAtomic.
-func Adopt(tmp, path string) error {
-	f, err := os.Open(tmp)
-	if err != nil {
-		return err
-	}
-	return publish(f, tmp, path)
-}
-
-// publish fsyncs and closes f, the file at tmp, renames it over path and
-// fsyncs the directory.
-func publish(f *os.File, tmp, path string) error {
-	err := f.Sync()
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = SyncDir(filepath.Dir(path))
 	}
-	return SyncDir(filepath.Dir(path))
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return nil
 }

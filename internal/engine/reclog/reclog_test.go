@@ -188,29 +188,6 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-func TestAdopt(t *testing.T) {
-	dir := t.TempDir()
-	tmp, path := filepath.Join(dir, "FILE.side"), filepath.Join(dir, "FILE")
-	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(tmp, []byte("complete"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := Adopt(tmp, path); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "complete" {
-		t.Fatalf("file after Adopt: %q", got)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("the adopted file kept its old name: %v", err)
-	}
-	if err := Adopt(tmp, path); !os.IsNotExist(err) {
-		t.Fatalf("Adopt of a missing file: %v", err)
-	}
-}
-
 func TestLockExcludes(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Lock(dir)

@@ -7,7 +7,7 @@
 //
 // The server does not own the backend: callers open it, pass it in, and
 // close it after the server stops (cmd/rstore-node wires up that lifecycle
-// for a disklog backend).
+// for an lsm backend).
 package engined
 
 import (

@@ -3,7 +3,7 @@
 // checksummed request over TCP (see internal/engine/remote/wire). This is
 // the seam that turns the in-process cluster simulator into a deployable
 // system — the layers above see the same Backend contract whether the node
-// is a map in this process or a disklog daemon on another machine.
+// is a map in this process or an lsm daemon on another machine.
 //
 // Connections are pooled and re-dialed on demand, so a node that restarts
 // is picked up transparently. Transport-level failures (dial errors, a
@@ -421,7 +421,7 @@ func (c *Client) Delete(ctx context.Context, table, key string) error {
 }
 
 // BatchPut applies all entries to one table with the node's batch
-// durability (one fsync per batch on a disklog node).
+// durability (one fsync per batch on a durable node).
 func (c *Client) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
 	_, err := c.call(ctx, wire.Request{Op: wire.OpBatchPut, Table: table, Entries: entries})
 	return err

@@ -175,12 +175,12 @@ func TestDeleteAllReplicasDownIsAnError(t *testing.T) {
 	}
 }
 
-// TestClusterOnDisklog runs a cluster on the disk backend: contents must
+// TestClusterOnDisk runs a cluster on the disk backend: contents must
 // survive Close + reopen of the same data directory, including replicated
 // keys and batch writes.
-func TestClusterOnDisklog(t *testing.T) {
+func TestClusterOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Nodes: 3, ReplicationFactor: 2, Engine: EngineDisklog, Dir: dir, Cost: DefaultCostModel()}
+	cfg := Config{Nodes: 3, ReplicationFactor: 2, Engine: EngineLSM, Dir: dir, Cost: DefaultCostModel()}
 	s, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,17 +242,20 @@ func TestOpenUnknownEngineFails(t *testing.T) {
 	if _, err := Open(context.Background(), Config{Engine: "bogus"}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
-	if _, err := Open(context.Background(), Config{Engine: EngineDisklog}); err == nil {
-		t.Fatal("disklog without Dir accepted")
+	if _, err := Open(context.Background(), Config{Engine: "disklog", Dir: t.TempDir()}); err == nil {
+		t.Fatal("disklog accepted as an engine name")
+	}
+	if _, err := Open(context.Background(), Config{Engine: EngineLSM}); err == nil {
+		t.Fatal("lsm without Dir accepted")
 	}
 }
 
-// TestDisklogGeometryPinned: a disklog data directory records the node
-// count it was created with; reopening with a different count would rehash
-// keys onto the wrong nodes, so it must refuse.
-func TestDisklogGeometryPinned(t *testing.T) {
+// TestGeometryPinned: a data directory records the node count it was
+// created with; reopening with a different count would rehash keys onto
+// the wrong nodes, so it must refuse.
+func TestGeometryPinned(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(context.Background(), Config{Nodes: 3, Engine: EngineDisklog, Dir: dir})
+	s, err := Open(context.Background(), Config{Nodes: 3, Engine: EngineLSM, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +265,11 @@ func TestDisklogGeometryPinned(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(context.Background(), Config{Nodes: 2, Engine: EngineDisklog, Dir: dir}); err == nil {
+	if _, err := Open(context.Background(), Config{Nodes: 2, Engine: EngineLSM, Dir: dir}); err == nil {
 		t.Fatal("reopen with different node count accepted")
 	}
 	// Same geometry reopens fine; rf changes are allowed.
-	r, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, Engine: EngineDisklog, Dir: dir})
+	r, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, Engine: EngineLSM, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,17 +66,3 @@ func BenchmarkMultiGet(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkSnapshotDump(b *testing.B) {
-	s, _ := benchStore(b, 4, 1, false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := s.Dump(context.Background(), discard{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

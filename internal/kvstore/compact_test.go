@@ -4,15 +4,25 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"rstore/internal/engine"
+	"rstore/internal/engine/lsm"
 )
 
-// TestClusterCompact: Store.Compact fans out to every disklog node, the
-// Stats reclaim fields account for it, and reads are unchanged.
+// TestClusterCompact: Store.Compact fans out to every lsm node, the Stats
+// reclaim fields account for it, and reads are unchanged. The memtables are
+// small and never tier-merged, and every batch writes a few keys that are
+// never overwritten, so each batch's SSTable stays with its dead values for
+// Compact to find instead of being retired whole.
 func TestClusterCompact(t *testing.T) {
 	ctx := context.Background()
-	s, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, Engine: EngineDisklog, Dir: t.TempDir()})
+	dir := t.TempDir()
+	s, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, NewBackend: func(id int) (engine.Backend, error) {
+		return lsm.Open(filepath.Join(dir, fmt.Sprint(id)), lsm.Options{MemtableBytes: 8 << 10, MaxTables: 1 << 10})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,6 +38,9 @@ func TestClusterCompact(t *testing.T) {
 				Key:   fmt.Sprintf("k%04d", i),
 				Value: []byte(fmt.Sprintf("rev-%d %s", rev, strings.Repeat("x", 64))),
 			}
+		}
+		for i := 0; i < 8; i++ {
+			entries = append(entries, Entry{Key: fmt.Sprintf("pin-%d-%d", rev, i), Value: []byte("pin")})
 		}
 		if err := s.BatchPut(ctx, "t", entries); err != nil {
 			t.Fatal(err)

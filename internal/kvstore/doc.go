@@ -37,7 +37,7 @@
 // engine seam has no compare-and-swap, so the read-then-write sequences
 // repair and tombstone GC issue would interleave under concurrent writing
 // clients (see the internal/engine package comment). Deployments enforce
-// this with the disklog directory flock locally and by convention (one
+// this with the data directory's flock locally and by convention (one
 // rstore-server per daemon set) remotely; the !cluster table pins each
 // daemon's ring position, the cluster shape, and the replication factor so
 // a client opening with a reordered/resized address list or a different
@@ -52,8 +52,8 @@
 //
 // # Storage reclaim
 //
-// Backends that implement engine.Compactor (disklog and lsm, locally or
-// behind a daemon) expose their dead-byte accounting through Stats
+// Backends that implement engine.Compactor (lsm, locally or behind a
+// daemon) expose their dead-byte accounting through Stats
 // (DiskBytes, LiveBytes, LiveRatio, CompactedBytes) and are compacted
 // cluster-wide by Store.Compact; engines without compaction are skipped.
 package kvstore

@@ -16,7 +16,7 @@ import (
 // Hinted handoff, the part of replication repair (repair.go) that needs no
 // read: a write that had to skip a down replica parks a hint (target node,
 // table, key, winning envelope) durably in the !hints table of a replica
-// that did take the write — through the engine seam, so disklog/remote
+// that did take the write — through the engine seam, so lsm and remote
 // deployments keep hints across client restarts — and a drain loop replays
 // the hints (with per-target exponential backoff) once the target is
 // observed up again.

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -315,53 +314,5 @@ func TestStatsAndClock(t *testing.T) {
 	st = s.Stats(context.Background())
 	if st.Requests != 0 || st.SimElapsed != 0 {
 		t.Fatalf("after reset: %+v", st)
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	src := open(t, 4, 2)
-	want := map[string]map[string]string{
-		"chunks": {}, "meta": {},
-	}
-	rng := rand.New(rand.NewSource(3))
-	for table := range want {
-		for i := 0; i < 100; i++ {
-			k := fmt.Sprintf("%s-key-%03d", table, i)
-			v := fmt.Sprintf("val-%d", rng.Int63())
-			want[table][k] = v
-			if err := src.Put(context.Background(), table, k, []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := src.Dump(context.Background(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshots are deterministic.
-	var buf2 bytes.Buffer
-	if err := src.Dump(context.Background(), &buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("snapshot not deterministic")
-	}
-
-	// Restore into a DIFFERENT topology.
-	dst := open(t, 7, 3)
-	if err := dst.Restore(context.Background(), bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	for table, kv := range want {
-		for k, v := range kv {
-			got, err := dst.Get(context.Background(), table, k)
-			if err != nil || string(got) != v {
-				t.Fatalf("restored %s/%s = %q, %v", table, k, got, err)
-			}
-		}
-	}
-	// Corrupt snapshots are rejected.
-	if err := open(t, 1, 1).Restore(context.Background(), bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Fatal("garbage snapshot accepted")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/reclog"
@@ -22,9 +21,6 @@ import (
 const (
 	// EngineMemory is the default in-process map backend; nothing persists.
 	EngineMemory = "memory"
-	// EngineDisklog is the log-structured disk backend; each node's
-	// segments live under Config.Dir/node-N and survive restarts.
-	EngineDisklog = "disklog"
 	// EngineLSM is the log-structured merge-tree disk backend (WAL +
 	// memtable + bloom-filtered SSTables); each node's tree lives under
 	// Config.Dir/node-N and survives restarts. All nodes of one cluster
@@ -53,11 +49,10 @@ type Config struct {
 	// Cost is the latency model; zero value disables simulated timing.
 	Cost CostModel
 	// Engine selects the per-node storage backend: EngineMemory (the
-	// default), EngineDisklog, EngineLSM, or EngineRemote.
+	// default), EngineLSM, or EngineRemote.
 	Engine string
-	// Dir is the data directory for disk-backed engines; node i stores its
-	// data under Dir/node-i. Required when Engine is EngineDisklog or
-	// EngineLSM.
+	// Dir is the data directory of EngineLSM; node i stores its data under
+	// Dir/node-i. Required when Engine is EngineLSM.
 	Dir string
 	// NodeAddrs lists one daemon address (host:port) per node for
 	// EngineRemote, in node-id order. The address list is the cluster
@@ -85,10 +80,6 @@ func (cfg *Config) opener() (func(id int) (*node, error), error) {
 		switch cfg.Engine {
 		case "", EngineMemory:
 			mk = func(int) (engine.Backend, error) { return memory.New(), nil }
-		case EngineDisklog:
-			mk = func(id int) (engine.Backend, error) {
-				return disklog.Open(filepath.Join(cfg.Dir, fmt.Sprintf("node-%d", id)), disklog.Options{})
-			}
 		case EngineLSM:
 			// One cache for the whole cluster: hot blocks compete for a single
 			// budget instead of N private ones sized blind to each other.
@@ -114,8 +105,8 @@ func (cfg *Config) opener() (func(id int) (*node, error), error) {
 				return &node{id: id, be: c, rc: c}, nil
 			}, nil
 		default:
-			return nil, fmt.Errorf("kvstore: unknown engine %q (want %q, %q, %q, or %q)",
-				cfg.Engine, EngineMemory, EngineDisklog, EngineLSM, EngineRemote)
+			return nil, fmt.Errorf("kvstore: unknown engine %q (want %q, %q, or %q)",
+				cfg.Engine, EngineMemory, EngineLSM, EngineRemote)
 		}
 	}
 	return func(id int) (*node, error) {
@@ -244,7 +235,7 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	if cfg.ReplicationFactor > cfg.Nodes {
 		cfg.ReplicationFactor = cfg.Nodes
 	}
-	if cfg.NewBackend == nil && (cfg.Engine == EngineDisklog || cfg.Engine == EngineLSM) {
+	if cfg.NewBackend == nil && cfg.Engine == EngineLSM {
 		if cfg.Dir == "" {
 			return nil, fmt.Errorf("kvstore: engine %q needs Config.Dir", cfg.Engine)
 		}
@@ -299,17 +290,14 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 func (s *Store) dialed() bool { return s.nodes[0].rc != nil }
 
 // clusterTable is a kvstore-private table holding per-daemon identity
-// records. It is written and read directly per node (bypassing the ring)
-// and excluded from Dump, so snapshots stay portable across cluster
-// shapes.
+// records. It is written and read directly per node (bypassing the ring).
 const (
 	clusterTable = "!cluster"
 	nodeIDKey    = "node-id"
 )
 
-// pinRemoteGeometry is the remote counterpart of the disklog GEOMETRY
-// file: each daemon records which ring position (and cluster size) it
-// serves plus the cluster's replication factor, so reopening the same
+// pinRemoteGeometry is the remote counterpart of the GEOMETRY file: each
+// daemon records which ring position (and cluster size) it serves plus the cluster's replication factor, so reopening the same
 // daemons with the address list reordered or resized — or with a different
 // -rf, which would silently under- (or over-) replicate every new write —
 // is refused instead of accepted. Unreachable daemons are skipped —

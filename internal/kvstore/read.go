@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"rstore/internal/engine"
 	"rstore/internal/types"
 )
 
@@ -269,8 +270,8 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 		// Every key has ReplicationFactor distinct replicas, so with fewer
 		// nodes down each key was observable on at least one; at or past
 		// that threshold some key may have had no reachable replica.
-		return fmt.Errorf("kvstore: scan %s: %d nodes unavailable at replication factor %d: view would be incomplete",
-			table, unavailable, s.cfg.ReplicationFactor)
+		return fmt.Errorf("kvstore: scan %s: %d nodes unavailable at replication factor %d: view would be incomplete: %w",
+			table, unavailable, s.cfg.ReplicationFactor, engine.ErrUnavailable)
 	}
 
 	// Judge every key before fn sees any, so a table that cannot be served
@@ -342,7 +343,7 @@ func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key 
 			return true
 		})
 		if isUnavailable(err) {
-			return fmt.Errorf("kvstore: scan %s: node %d unavailable with no replicas: view would be incomplete", table, n.id)
+			return fmt.Errorf("kvstore: scan %s: node %d unavailable with no replicas: view would be incomplete: %w", table, n.id, engine.ErrUnavailable)
 		}
 		if err != nil {
 			return fmt.Errorf("kvstore: scan %s: %w", table, err)

@@ -483,7 +483,7 @@ func TestRemoteClusterRefusesReorderedAddresses(t *testing.T) {
 		t.Fatal("resized address list accepted")
 	}
 
-	// The correct list keeps working, and snapshots exclude the pin.
+	// The correct list keeps working.
 	s2, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, Remote: remoteOpts()})
 	if err != nil {
 		t.Fatal(err)
@@ -492,28 +492,16 @@ func TestRemoteClusterRefusesReorderedAddresses(t *testing.T) {
 	if v, err := s2.Get(context.Background(), "t", "a"); err != nil || string(v) != "1" {
 		t.Fatalf("reopen with correct order: %q %v", v, err)
 	}
-	var buf strings.Builder
-	if err := s2.Dump(context.Background(), &dumpWriter{&buf}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), clusterTable) {
-		t.Fatal("snapshot contains the per-daemon identity table")
-	}
 }
-
-// dumpWriter adapts strings.Builder to io.Writer.
-type dumpWriter struct{ b *strings.Builder }
-
-func (w *dumpWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
 
 // A data directory from before the LWW value format must be refused with
 // a clear message, not misparsed.
-func TestDisklogRefusesPreLWWDirectory(t *testing.T) {
+func TestRefusesPreLWWDirectory(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "GEOMETRY"), []byte("nodes=1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(context.Background(), Config{Engine: EngineDisklog, Dir: dir})
+	_, err := Open(context.Background(), Config{Engine: EngineLSM, Dir: dir})
 	if err == nil || !strings.Contains(err.Error(), "pre-lww1 value format") {
 		t.Fatalf("pre-LWW directory: %v", err)
 	}
@@ -529,7 +517,7 @@ func TestGeometryCrashLeavesFreshDirectory(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "GEOMETRY.tmp"), []byte(torn), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(context.Background(), Config{Engine: EngineDisklog, Dir: dir, Nodes: 2})
+		s, err := Open(context.Background(), Config{Engine: EngineLSM, Dir: dir, Nodes: 2})
 		if err != nil {
 			t.Fatalf("open beside a GEOMETRY.tmp of %q: %v", torn, err)
 		}
@@ -540,7 +528,7 @@ func TestGeometryCrashLeavesFreshDirectory(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "GEOMETRY.tmp")); !os.IsNotExist(err) {
 			t.Fatalf("GEOMETRY.tmp survived: %v", err)
 		}
-		if _, err := Open(context.Background(), Config{Engine: EngineDisklog, Dir: dir, Nodes: 3}); err == nil {
+		if _, err := Open(context.Background(), Config{Engine: EngineLSM, Dir: dir, Nodes: 3}); err == nil {
 			t.Fatal("the pin does not hold: reopened with another node count")
 		}
 	}

@@ -560,33 +560,6 @@ func TestLWWTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-// TestHintsExcludedFromDump: parked hints are node-local bookkeeping and
-// must not leak into snapshots.
-func TestHintsExcludedFromDump(t *testing.T) {
-	opts := fastRepair()
-	opts.HintInterval = time.Hour // keep the hint parked during the test
-	s, _ := openRepair(t, 3, 2, opts)
-	ctx := context.Background()
-
-	key := "dump-key"
-	if err := s.SetNodeUp(s.ring.replicas(key, 2)[1], false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(ctx, "t", key, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats(ctx).HintsPending == 0 {
-		t.Fatal("no hint parked")
-	}
-	var buf bytes.Buffer
-	if err := s.Dump(ctx, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte(hintsTable)) {
-		t.Fatal("snapshot contains the hints table")
-	}
-}
-
 // TestScanValueIsolation pins the ownership contract of Store.Scan: the
 // values handed to fn are copies — mutating or retaining them cannot
 // corrupt backend state, on either the replicated or the unreplicated

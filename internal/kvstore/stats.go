@@ -46,7 +46,7 @@ type Stats struct {
 	AEBytesHashed  int64 // key+value bytes digested by tree sweeps
 
 	// Storage reclaim, summed over reachable nodes whose backend supports
-	// compaction (the disklog and lsm engines, local or behind a daemon);
+	// compaction (lsm, local or behind a daemon);
 	// all zero on a pure memory cluster. Byte counts include record framing,
 	// so DiskBytes-LiveBytes is exactly what a full compaction would reclaim.
 	DiskBytes      int64   // total log/segment/sstable bytes on disk

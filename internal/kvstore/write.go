@@ -174,11 +174,12 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 }
 
 // allDownErr is the failure of an operation on a key none of whose replicas
-// answered. When the caller's context ended, the context's error is the real
-// cause (every replica attempt died on it) and is kept matchable in the chain.
+// answered: engine.ErrUnavailable, like one node's. When the caller's context
+// ended, the context's error is the real cause (every replica attempt died
+// on it) and is kept matchable in the chain.
 func allDownErr(ctx context.Context, op, table, key string) error {
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("kvstore: %s %s/%s: all replicas down: %w", op, table, key, err)
+		return fmt.Errorf("kvstore: %s %s/%s: all replicas down: %w: %w", op, table, key, engine.ErrUnavailable, err)
 	}
-	return fmt.Errorf("kvstore: %s %s/%s: all replicas down", op, table, key)
+	return fmt.Errorf("kvstore: %s %s/%s: all replicas down: %w", op, table, key, engine.ErrUnavailable)
 }

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"rstore/internal/core"
+	"rstore/internal/engine"
 	"rstore/internal/types"
 )
 
@@ -156,9 +157,14 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	for _, k := range req.Deletes {
 		ch.Deletes = append(ch.Deletes, types.Key(k))
 	}
-	parents := []types.VersionID{versionFromWire(req.Parent)}
-	for _, p := range req.Parents {
-		parents = append(parents, versionFromWire(p))
+	parents := make([]types.VersionID, 0, 1+len(req.Parents))
+	for _, p := range append([]int64{req.Parent}, req.Parents...) {
+		v, err := versionFromWire(p)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		parents = append(parents, v)
 	}
 	// Detached from the request's cancellation: once a commit starts its
 	// durable write, a dropped client must not abort it half-way.
@@ -177,11 +183,17 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, CommitResponse{Version: uint32(v)})
 }
 
-func versionFromWire(v int64) types.VersionID {
-	if v < 0 {
-		return types.InvalidVersion
+// versionFromWire reads a version id off the wire: a negative one is no
+// version (a root commit's parent), and one past the id space is refused
+// rather than truncated onto a real version.
+func versionFromWire(v int64) (types.VersionID, error) {
+	switch {
+	case v < 0:
+		return types.InvalidVersion, nil
+	case v >= int64(types.InvalidVersion):
+		return 0, fmt.Errorf("version %d is out of range", v)
 	}
-	return types.VersionID(v)
+	return types.VersionID(v), nil
 }
 
 // parseVersion resolves a path element that is either a numeric version id
@@ -393,7 +405,12 @@ func (s *Server) handleSetBranch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.store.SetBranch(context.WithoutCancel(r.Context()), r.PathValue("name"), versionFromWire(req.Version)); err != nil {
+	v, err := versionFromWire(req.Version)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := s.store.SetBranch(context.WithoutCancel(r.Context()), r.PathValue("name"), v); err != nil {
 		httpError(w, statusOf(err), err)
 		return
 	}
@@ -402,7 +419,7 @@ func (s *Server) handleSetBranch(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if err := s.store.Flush(context.WithoutCancel(r.Context())); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, statusOf(err), err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -455,8 +472,10 @@ func statusOf(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, types.ErrReadOnly):
 		return http.StatusForbidden
-	case errors.Is(err, types.ErrClosed), errors.Is(err, types.ErrPoisoned):
+	case errors.Is(err, types.ErrClosed), errors.Is(err, types.ErrPoisoned), errors.Is(err, engine.ErrUnavailable):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, types.ErrCorrupt):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"rstore/internal/core"
+	"rstore/internal/engine"
+	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
 
@@ -245,7 +247,9 @@ func TestHTTPErrors(t *testing.T) {
 }
 
 // TestStatusOf: errors that say "not now, and not your fault" — a closed
-// store, a store poisoned by a failed placement run — are 503, not 400.
+// store, a store poisoned by a failed placement run, a cluster whose
+// replicas are down — are 503, not 400; stored bytes that fail to decode
+// are the server's fault, 500.
 func TestStatusOf(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
@@ -253,6 +257,8 @@ func TestStatusOf(t *testing.T) {
 	}{
 		{fmt.Errorf("%w: %w", types.ErrPoisoned, io.ErrUnexpectedEOF), http.StatusServiceUnavailable},
 		{types.ErrClosed, http.StatusServiceUnavailable},
+		{fmt.Errorf("all replicas down: %w", engine.ErrUnavailable), http.StatusServiceUnavailable},
+		{fmt.Errorf("segment: %w", types.ErrCorrupt), http.StatusInternalServerError},
 		{types.ErrReadOnly, http.StatusForbidden},
 		{&types.VersionUnknownError{Version: 3}, http.StatusNotFound},
 		{io.ErrUnexpectedEOF, http.StatusBadRequest},
@@ -260,6 +266,105 @@ func TestStatusOf(t *testing.T) {
 		if got := statusOf(tc.err); got != tc.want {
 			t.Errorf("statusOf(%v) = %d, want %d", tc.err, got, tc.want)
 		}
+	}
+}
+
+// TestHTTPRefusesOutOfRangeVersions: a version id past the 32-bit id space
+// is refused with 400, not truncated onto a real version — a commit's
+// parent or a branch's target 2^32 is not version 0.
+func TestHTTPRefusesOutOfRangeVersions(t *testing.T) {
+	ts, st := newServer(t)
+	if resp := postJSON(t, ts.URL+"/commit", CommitRequest{Parent: -1, Branch: "main"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("root commit: %d", resp.StatusCode)
+	}
+	for _, req := range []CommitRequest{
+		{Parent: 1 << 32, Puts: map[string][]byte{"a": []byte("1")}},
+		{Parent: int64(types.InvalidVersion)},
+		{Parent: 0, Parents: []int64{1<<32 + 1}},
+	} {
+		if resp := postJSON(t, ts.URL+"/commit", req, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("commit %+v: status %d, want 400", req, resp.StatusCode)
+		}
+	}
+	for _, name := range []string{"main", "b"} {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/branch/"+name, bytes.NewReader([]byte(`{"version":4294967296}`)))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("PUT /branch/%s to 2^32: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n := st.NumVersions(); n != 1 {
+		t.Fatalf("%d versions after the refused commits, want 1", n)
+	}
+	if _, err := st.Tip("b"); err == nil {
+		t.Fatal("a refused PUT /branch/b created the branch")
+	}
+	if tip, err := st.Tip("main"); err != nil || tip != 0 {
+		t.Fatalf("main = %d, %v; want 0", tip, err)
+	}
+}
+
+// TestHTTPClusterOutageIs503: a read none of whose replicas answers is a
+// cluster outage — 503, retry later — not a bad request.
+func TestHTTPClusterOutageIs503(t *testing.T) {
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { kv.Close() })
+	st, err := core.Open(ctx, core.Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Commit(ctx, types.InvalidVersion, core.Change{Puts: map[types.Key][]byte{"a": []byte("1")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(st))
+	t.Cleanup(ts.Close)
+	if err := kv.SetNodeUp(0, false); err != nil {
+		t.Fatal(err)
+	}
+	resp, _, _ := getStream(t, ts.URL+"/version/0")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("GET /version/0 with every replica down: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestHTTPFlushStatus: /flush answers a refused flush with the status every
+// other route gives the same error — 403 on a read-only store, not 500.
+func TestHTTPFlushStatus(t *testing.T) {
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { kv.Close() })
+	st, err := core.Open(ctx, core.Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Commit(ctx, types.InvalidVersion, core.Change{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := core.Load(ctx, core.Config{KV: kv, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(ro))
+	t.Cleanup(ts.Close)
+	if resp := postJSON(t, ts.URL+"/flush", nil, nil); resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("POST /flush on a read-only store: status %d, want 403", resp.StatusCode)
 	}
 }
 

@@ -22,7 +22,8 @@ import (
 // survive one node being killed and restarted (writes routed around,
 // reads recovering from replicas), and a close/reopen of the whole stack
 // must return identical query results, exactly like the single-process
-// disklog test.
+// TestStoreReopen. Its daemons run disklog, the second durable engine;
+// TestRemoteClusterLSMEndToEnd is the same deployment on lsm.
 func TestRemoteClusterEndToEnd(t *testing.T) {
 	const nNodes = 3
 

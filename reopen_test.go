@@ -10,13 +10,13 @@ import (
 	"rstore"
 )
 
-// TestDisklogStoreReopen is the durability acceptance test at the library
-// level: a store committed on the disklog backend, closed, and reopened from
-// the same data directory must return identical results for every version,
-// record, and history query.
-func TestDisklogStoreReopen(t *testing.T) {
+// TestStoreReopen is the durability acceptance test at the library level: a
+// store committed on the lsm backend, closed, and reopened from the same
+// data directory must return identical results for every version, record,
+// and history query.
+func TestStoreReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := rstore.Config{Engine: rstore.EngineDisklog, DataDir: dir, BatchSize: 2}
+	cfg := rstore.Config{Engine: rstore.EngineLSM, DataDir: dir, BatchSize: 2}
 
 	st, err := rstore.Open(context.Background(), cfg)
 	if err != nil {
@@ -87,7 +87,7 @@ func TestDisklogStoreReopen(t *testing.T) {
 		t.Fatalf("commit on closed store: %v", err)
 	}
 
-	re, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineDisklog, DataDir: dir})
+	re, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineLSM, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestDisklogStoreReopen(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineDisklog, DataDir: dir})
+	re2, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineLSM, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,10 @@ func TestDisklogStoreReopen(t *testing.T) {
 	}
 }
 
-// TestLoadMissingDisklogStore: loading an empty data directory fails with
+// TestLoadMissingStore: loading an empty data directory fails with
 // ErrNotFound rather than fabricating an empty store.
-func TestLoadMissingDisklogStore(t *testing.T) {
-	_, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineDisklog, DataDir: t.TempDir()})
+func TestLoadMissingStore(t *testing.T) {
+	_, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineLSM, DataDir: t.TempDir()})
 	if !errors.Is(err, rstore.ErrNotFound) {
 		t.Fatalf("load of empty dir: %v", err)
 	}

@@ -10,14 +10,14 @@ import (
 	"time"
 
 	"rstore"
-	"rstore/internal/engine/disklog"
+	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/remote"
 	"rstore/internal/engine/remote/engined"
 	"rstore/internal/types"
 )
 
 // repairCluster is the 3-daemon harness of the repair acceptance test:
-// real disklog backends behind TCP, each restartable in place, with the
+// real lsm backends behind TCP, each restartable in place, with the
 // backend handles exposed so the test can assert what each replica holds
 // ON DISK — the whole point of repair is that convergence reaches the
 // backend, not just the merged read view.
@@ -25,7 +25,7 @@ type repairCluster struct {
 	t        *testing.T
 	dirs     []string
 	addrs    []string
-	backends []*disklog.Backend
+	backends []*lsm.Backend
 	servers  []*engined.Server
 }
 
@@ -35,13 +35,13 @@ func startRepairCluster(t *testing.T, n int) *repairCluster {
 		t:        t,
 		dirs:     make([]string, n),
 		addrs:    make([]string, n),
-		backends: make([]*disklog.Backend, n),
+		backends: make([]*lsm.Backend, n),
 		servers:  make([]*engined.Server, n),
 	}
 	root := t.TempDir()
 	for i := 0; i < n; i++ {
 		c.dirs[i] = filepath.Join(root, fmt.Sprintf("node-%d", i))
-		be, err := disklog.Open(c.dirs[i], disklog.Options{})
+		be, err := lsm.Open(c.dirs[i], lsm.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func (c *repairCluster) kill(i int) {
 // restart reopens node i from its data directory on the same address.
 func (c *repairCluster) restart(i int) {
 	c.t.Helper()
-	be, err := disklog.Open(c.dirs[i], disklog.Options{})
+	be, err := lsm.Open(c.dirs[i], lsm.Options{})
 	if err != nil {
 		c.t.Fatal(err)
 	}

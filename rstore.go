@@ -157,13 +157,10 @@ type ClusterStats = kvstore.Stats
 const (
 	// EngineMemory is the default in-process map backend; nothing persists.
 	EngineMemory = kvstore.EngineMemory
-	// EngineDisklog is the log-structured disk backend: append-only segment
-	// files with fsync-on-batch durability, replayed on open.
-	EngineDisklog = kvstore.EngineDisklog
-	// EngineLSM is the log-structured merge-tree disk backend: a WAL-backed
-	// memtable flushed into immutable, bloom-filtered, block-cached
-	// SSTables, with size-tiered compaction. Same durability contract as
-	// EngineDisklog; much faster point reads on overwrite-heavy data.
+	// EngineLSM is the durable backend: a log-structured merge tree, whose
+	// write-ahead-logged memtable flushes into immutable, bloom-filtered,
+	// block-cached SSTables, with size-tiered compaction. A batch is fsynced
+	// before it is acknowledged.
 	EngineLSM = kvstore.EngineLSM
 	// EngineRemote speaks the engine wire protocol to one storage daemon
 	// (cmd/rstore-node) per ClusterConfig.NodeAddrs entry: a real

@@ -4,10 +4,15 @@
 #
 # Usage: scripts/check.sh [section ...]
 #
-# Sections: gofmt vet staticcheck rstore-vet docs benchmark fuzz, and
-# compare <base-ref>. No arguments runs the default gate (everything except
-# fuzz, which CI runs as a separate smoke because it costs tens of seconds,
-# and compare, which costs minutes and needs a ref). benchmark covers
+# Sections: gofmt vet staticcheck rstore-vet docs benchmark daemons fuzz,
+# and compare <base-ref>. No arguments runs the default gate (everything
+# except daemons, fuzz and compare: daemons starts processes on fixed
+# loopback ports 17420-17422 and 18099, fuzz costs tens of seconds, and
+# compare costs minutes and needs a ref). daemons smokes the shipped
+# binaries on their defaults: three rstore-node (lsm) and an rstore-server
+# over them at rf 2, a commit and a read through HTTP, a SIGTERM of
+# everything, a restart that must read the same records, and the rstore
+# CLI's init/commit/get on its default data directory. benchmark covers
 # the nested rstore/benchmark module, which `go build ./... && go test
 # ./...` at the root skips: it compiles against this module's internal
 # packages, so an API drift there is otherwise invisible until the
@@ -97,6 +102,84 @@ run_compare() {
   bash benchmark/run.sh --compare "$work/base.ndjson" "$work/head.ndjson"
 }
 
+run_daemons() {
+  echo "== daemons"
+  (
+    work=$(mktemp -d)
+    pids=()
+    stop() {
+      for p in "${pids[@]}"; do kill -TERM "$p" 2>/dev/null || true; done
+      for p in "${pids[@]}"; do wait "$p" 2>/dev/null || true; done
+      pids=()
+    }
+    trap 'stop; rm -rf "$work"' EXIT
+    go build -o "$work/bin/" ./cmd/rstore-node ./cmd/rstore-server ./cmd/rstore
+    addrs=127.0.0.1:17420,127.0.0.1:17421,127.0.0.1:17422
+    server=http://127.0.0.1:18099
+    wait_for() { # wait_for <what> <command...>: retry for 10 s
+      what=$1
+      shift
+      for _ in $(seq 100); do
+        if "$@" >/dev/null 2>&1; then return 0; fi
+        sleep 0.1
+      done
+      echo "daemons: timed out waiting for $what"
+      cat "$work"/*.log
+      return 1
+    }
+    start() {
+      for i in 0 1 2; do
+        "$work/bin/rstore-node" -addr "127.0.0.1:$((17420 + i))" -data "$work/node$i" >>"$work/node$i.log" 2>&1 &
+        pids+=($!)
+      done
+      for i in 0 1 2; do
+        wait_for "rstore-node $i" grep -q "rstore-node serving" "$work/node$i.log"
+      done
+      "$work/bin/rstore-server" -addr 127.0.0.1:18099 -backend remote -rf 2 -node-addrs "$addrs" >>"$work/server.log" 2>&1 &
+      pids+=($!)
+      wait_for rstore-server curl -sf "$server/stats"
+    }
+    records() { curl -sf "$server/version/main" | grep '"record"' | sort; }
+
+    start
+    for i in 0 1 2; do
+      if ! head -n1 "$work/node$i/MANIFEST" | grep -q '^rstore-lsm '; then
+        echo "daemons: rstore-node $i on its defaults wrote no lsm MANIFEST"
+        ls -l "$work/node$i"
+        exit 1
+      fi
+    done
+    v=$(curl -sf -X POST -d '{"parent":-1,"puts":{"doc":"'"$(printf '{"x":1}' | base64)"'"},"branch":"main"}' "$server/commit" | jq .version)
+    curl -sf -X POST -d '{"parent":'"$v"',"puts":{"doc2":"'"$(printf 'two' | base64)"'"},"branch":"main"}' "$server/commit" >/dev/null
+    before=$(records)
+    if [ "$(echo "$before" | wc -l)" -ne 2 ]; then
+      echo "daemons: /version/main read $before, want two records"
+      exit 1
+    fi
+    stop
+    start
+    grep -q "reopened 2 versions" "$work/server.log"
+    after=$(records)
+    if [ "$before" != "$after" ]; then
+      echo "daemons: /version/main changed across a restart:"
+      echo "$before"
+      echo "$after"
+      exit 1
+    fi
+    stop
+
+    mkdir "$work/cli"
+    cd "$work/cli"
+    "$work/bin/rstore" init
+    "$work/bin/rstore" commit -put 'doc={"x":1}'
+    got=$("$work/bin/rstore" get -key doc -branch main)
+    if [ "$got" != '{"x":1}' ] || [ ! -f .rstore/node-0/MANIFEST ]; then
+      echo "daemons: the CLI's default store read $got"
+      exit 1
+    fi
+  )
+}
+
 run_fuzz() {
   echo "== fuzz smoke"
   go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
@@ -126,13 +209,14 @@ while [ $# -gt 0 ]; do
   rstore-vet) run_rstore_vet ;;
   docs) run_docs ;;
   benchmark) run_benchmark ;;
+  daemons) run_daemons ;;
   fuzz) run_fuzz ;;
   compare)
     shift
     run_compare "${1:?compare needs a base ref: scripts/check.sh compare <base-ref>}"
     ;;
   *)
-    echo "unknown section: $1 (known: gofmt vet staticcheck rstore-vet docs benchmark fuzz compare)"
+    echo "unknown section: $1 (known: gofmt vet staticcheck rstore-vet docs benchmark daemons fuzz compare)"
     exit 2
     ;;
   esac
