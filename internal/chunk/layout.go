@@ -22,18 +22,14 @@ type Loc struct {
 // NoChunk marks a record no chunk holds yet.
 const NoChunk = ID(^uint32(0))
 
-// Projection is the version→chunk index of paper §2.4 as a Layout sees it:
-// it reports a version's chunks when the version is placed (§3.1 builds chunk
-// maps and the projection together), and reads a parent's span back to derive
-// its child's. *index.Projections implements it.
-type Projection interface {
-	ObserveVersionChunk(v types.VersionID, c ID)
-	VersionChunks(v types.VersionID) []ID
-}
-
 // Layout is the physical placement of a corpus's records — the record→Loc
-// catalog and, per chunk, its Map and the first slot of each of its segments
-// — and the only writer of any of them. It grows by
+// catalog, per chunk its Map and the first slot of each of its segments, and
+// the version→chunks projection of paper §2.4 (Fig 3b) — and the only writer
+// of any of them. The projection is lossy in the paper's sense (it names
+// chunks, not slots; the maps say which slots) and a function of the maps,
+// built with them (§3.1), so it is never persisted. The paper's second
+// projection, key→chunks, is not kept: Loc and corpus.KeyRecords answer
+// "where are this key's records" exactly. It grows by
 // two mutators: AddChunk adds a group of items Code laid out as the next
 // chunk, and PlaceVersion gives a version its slot bitmaps. Offline partitioning (§3)
 // drives them over the whole corpus on a fresh Layout, online partitioning
@@ -44,20 +40,41 @@ type Projection interface {
 // placed. Chunk ids are dense in the order chunks are added. Not safe for
 // concurrent mutation.
 type Layout struct {
-	c    *corpus.Corpus
-	proj Projection
-	locs []Loc      // record id → location; ids past the end are unplaced
-	maps []*Map     // chunk id → chunk map
-	segs [][]uint32 // chunk id → first slot of each segment, ascending from 0
+	c     *corpus.Corpus
+	locs  []Loc                    // record id → location; ids past the end are unplaced
+	maps  []*Map                   // chunk id → chunk map
+	segs  [][]uint32               // chunk id → first slot of each segment, ascending from 0
+	spans map[types.VersionID][]ID // version → the chunks holding its records, ascending
 	// delta is what AddChunk and PlaceVersion added to the maps since the
 	// last TakeDelta: per chunk, a Map of the new versions' parent diffs.
 	delta map[ID]*Map
 }
 
-// NewLayout returns an empty layout of c's records that fills proj.
-func NewLayout(c *corpus.Corpus, proj Projection) *Layout {
-	return &Layout{c: c, proj: proj}
+// NewLayout returns an empty layout of c's records.
+func NewLayout(c *corpus.Corpus) *Layout {
+	return &Layout{c: c, spans: make(map[types.VersionID][]ID)}
 }
+
+// VersionChunks returns the chunks holding records of version v, ascending.
+// Shared; callers must not mutate.
+func (l *Layout) VersionChunks(v types.VersionID) []ID { return l.spans[v] }
+
+// VersionSpan returns |chunks(v)| — the span of a full version retrieval.
+func (l *Layout) VersionSpan(v types.VersionID) int { return len(l.spans[v]) }
+
+// TotalVersionSpan sums the span over all versions — the headline
+// partitioning-quality metric of the paper's Figs 8–10.
+func (l *Layout) TotalVersionSpan() int {
+	total := 0
+	for _, s := range l.spans {
+		total += len(s)
+	}
+	return total
+}
+
+// VersionIndexBytes estimates the version→chunks projection's footprint as
+// the paper reports it: the adjacency lists stored as 4-byte ids.
+func (l *Layout) VersionIndexBytes() int64 { return int64(4 * l.TotalVersionSpan()) }
 
 // NumChunks returns the number of chunks laid out; it is the next chunk's id.
 func (l *Layout) NumChunks() int { return len(l.maps) }
@@ -272,17 +289,13 @@ func (l *Layout) RestoreChunk(cid ID, stored Stored) error {
 // placement record kept of them (TakeDelta) — ascending by chunk, each within
 // its chunk's slots: in a chunk with a diff, the parent's bitmap XOR the diff;
 // in any other, the parent's own, shared. The parent must have its bitmaps,
-// every chunk of diffs must be open. v's span is reported to the projection in
-// chunk order.
+// every chunk of diffs must be open. v's span is recorded in chunk order.
 func (l *Layout) ApplyDiffs(v, parent types.VersionID, diffs []Slots) error {
-	var parentChunks []ID // ascending
-	if parent != types.InvalidVersion {
-		parentChunks = l.proj.VersionChunks(parent)
-	}
+	parentChunks := l.spans[parent] // ascending; none for a root
 	hold := func(cid ID, bm *bitset.BitSet) {
 		if !bm.Empty() {
 			l.maps[cid].Versions[v] = bm
-			l.proj.ObserveVersionChunk(v, cid)
+			l.spans[v] = append(l.spans[v], cid)
 		}
 	}
 	for _, d := range diffs {

@@ -9,20 +9,6 @@ import (
 	"rstore/internal/types"
 )
 
-// fakeProj is a Projection that records what a Layout reports, in order.
-type fakeProj struct {
-	versions map[types.VersionID][]ID
-}
-
-func newFakeProj() *fakeProj {
-	return &fakeProj{versions: map[types.VersionID][]ID{}}
-}
-
-func (p *fakeProj) ObserveVersionChunk(v types.VersionID, c ID) {
-	p.versions[v] = append(p.versions[v], c)
-}
-func (p *fakeProj) VersionChunks(v types.VersionID) []ID { return p.versions[v] }
-
 // recordItems wraps every record of c as a one-member item; item index =
 // record id.
 func recordItems(c *corpus.Corpus) []Item {
@@ -66,9 +52,9 @@ func storedOf(t testing.TB, values [][]byte) Stored {
 }
 
 // checkLayout compares every version's slot bitmaps, resolved through the
-// layout's Locs, with the corpus's ground truth (Members), and the reported
+// layout's Locs, with the corpus's ground truth (Members), and the recorded
 // spans with the maps.
-func checkLayout(t *testing.T, c *corpus.Corpus, l *Layout, p *fakeProj) {
+func checkLayout(t *testing.T, c *corpus.Corpus, l *Layout) {
 	t.Helper()
 	for v := types.VersionID(0); int(v) < c.NumVersions(); v++ {
 		want, err := c.Members(v)
@@ -92,8 +78,8 @@ func checkLayout(t *testing.T, c *corpus.Corpus, l *Layout, p *fakeProj) {
 				t.Fatalf("v%d: record %d at %+v not in its chunk's map", v, rec, loc)
 			}
 		}
-		if !slices.Equal(p.versions[v], span) {
-			t.Fatalf("v%d: reported span %v, maps say %v", v, p.versions[v], span)
+		if !slices.Equal(l.VersionChunks(v), span) || l.VersionSpan(v) != len(span) {
+			t.Fatalf("v%d: recorded span %v, maps say %v", v, l.VersionChunks(v), span)
 		}
 	}
 }
@@ -107,8 +93,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	items := recordItems(c)
 
 	// Offline: two chunks, then every version in id order.
-	proj := newFakeProj()
-	l := NewLayout(c, proj)
+	l := NewLayout(c)
 	for _, idxs := range [][]uint32{{1, 0}, {3, 2}} {
 		if _, err := addChunk(l, items, idxs); err != nil {
 			t.Fatal(err)
@@ -126,7 +111,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkLayout(t, c, l, proj)
+	checkLayout(t, c, l)
 	// The delta states each version as a diff against its parent: version 2
 	// holds in chunk 0 what version 1 holds, so chunk 0 does not list it — and
 	// the layout shares the one bitmap.
@@ -146,8 +131,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 
 	// Online: version 0 with its chunk, then the batch {1, 2} with a second
 	// chunk; the second delta holds only the batch's diffs.
-	proj2 := newFakeProj()
-	l2 := NewLayout(c, proj2)
+	l2 := NewLayout(c)
 	if l2.Loc(3).Chunk != NoChunk {
 		t.Fatal("unplaced record has a chunk")
 	}
@@ -168,7 +152,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkLayout(t, c, l2, proj2)
+	checkLayout(t, c, l2)
 	second := l2.TakeDelta()
 	if len(second[0].Versions) != 1 || second[0].Versions[1] == nil || second[0].NumSlots != 2 {
 		t.Fatalf("second delta of chunk 0: %+v", second[0])
@@ -176,8 +160,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 
 	// Restore: fold both deltas, in order, over the decoded payloads — a
 	// delta's new chunks, then its versions, then the new chunks' records.
-	proj3 := newFakeProj()
-	l3 := NewLayout(c, proj3)
+	l3 := NewLayout(c)
 	if err := l3.RestoreChunk(1, storedOf(t, p1)); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("chunk 1 restored before chunk 0: %v", err)
 	}
@@ -209,7 +192,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 			}
 		}
 	}
-	checkLayout(t, c, l3, proj3)
+	checkLayout(t, c, l3)
 	if err := l3.ApplyDiffs(2, 1, []Slots{{2, second[1].Versions[2]}}); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("a diff in a chunk that is not open: %v", err)
 	}
@@ -234,7 +217,7 @@ func TestLayoutRejectsBadAssignments(t *testing.T) {
 	c := miniCorpus(t)
 	items := recordItems(c)
 
-	l := NewLayout(c, newFakeProj())
+	l := NewLayout(c)
 	if _, err := addChunk(l, items, []uint32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +229,7 @@ func TestLayoutRejectsBadAssignments(t *testing.T) {
 	}
 
 	// Record 0 (live in v0) left out.
-	l = NewLayout(c, newFakeProj())
+	l = NewLayout(c)
 	if _, err := addChunk(l, items, []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}

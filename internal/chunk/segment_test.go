@@ -312,7 +312,7 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 	}
 	rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
 
-	l := NewLayout(c, newFakeProj())
+	l := NewLayout(c)
 	values, err := addChunk(l, items, idxs)
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 			charged += len(it.Encoded)
 		}
 	}
-	values, err = addChunk(NewLayout(c, newFakeProj()), items, singles)
+	values, err = addChunk(NewLayout(c), items, singles)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestOnlineFrontierPlacement(t *testing.T) {
 			bound := (openBytes + capacity - 1) / capacity
 			for v := cur.last + 1; int(v) < s.NumVersions(); v++ {
 				touched := 0
-				for _, c := range s.proj.VersionChunks(v) {
+				for _, c := range s.layout.VersionChunks(v) {
 					if openChunks[c] || closedChunks[c] {
 						touched++
 					}

@@ -44,8 +44,8 @@ func (s *Store) Info() Info {
 		Records:           s.corpus.NumRecords(),
 		Keys:              s.corpus.NumKeys(),
 		Chunks:            s.layout.NumChunks(),
-		TotalVersionSpan:  s.proj.TotalVersionSpan(),
-		VersionIndexBytes: s.proj.SizeBytes(),
+		TotalVersionSpan:  s.layout.TotalVersionSpan(),
+		VersionIndexBytes: s.layout.VersionIndexBytes(),
 		KeyIndexBytes:     kb,
 		Branches:          len(s.branches),
 	}

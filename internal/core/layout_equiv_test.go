@@ -32,7 +32,7 @@ func deltaCKs(c *corpus.Corpus, v types.VersionID) (adds, dels []types.Composite
 }
 
 // checkSamePlacement requires two stores to hold the same physical placement
-// — every record's Loc, every chunk map bitmap, and both projections — and
+// — every record's Loc, every chunk map bitmap, and every version's chunks — and
 // the same tree-edge delta for every version: a reloaded store derives the
 // deltas of placed versions from the bitmaps, the writer kept the ones it
 // was given.
@@ -67,7 +67,7 @@ func checkSamePlacement(t *testing.T, phase string, live, re *Store) {
 		t.Fatalf("%s: %d versions live, %d reloaded", phase, live.graph.NumVersions(), re.graph.NumVersions())
 	}
 	for v := types.VersionID(0); int(v) < live.graph.NumVersions(); v++ {
-		if a, b := live.proj.VersionChunks(v), re.proj.VersionChunks(v); !slices.Equal(a, b) {
+		if a, b := live.layout.VersionChunks(v), re.layout.VersionChunks(v); !slices.Equal(a, b) {
 			t.Fatalf("%s: version %d spans %v live, %v reloaded", phase, v, a, b)
 		}
 		if a, b := live.graph.Parents(v), re.graph.Parents(v); !slices.Equal(a, b) {
@@ -86,9 +86,6 @@ func checkSamePlacement(t *testing.T, phase string, live, re *Store) {
 		if a, b := live.keySpan(k), re.keySpan(k); a != b {
 			t.Fatalf("%s: key %s spans %d chunks live, %d reloaded", phase, k, a, b)
 		}
-	}
-	if live.proj.NumVersions() != re.proj.NumVersions() {
-		t.Fatalf("%s: projection sizes differ", phase)
 	}
 }
 

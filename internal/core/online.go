@@ -94,7 +94,7 @@ func (s *Store) flushLocked(ctx context.Context) error {
 		}
 		ins = append(ins, in)
 	}
-	return s.place(ctx, "flush", ins, placement{gen: s.gen, layout: s.layout, proj: s.proj, first: pending[0]})
+	return s.place(ctx, "flush", ins, placement{gen: s.gen, layout: s.layout, first: pending[0]})
 }
 
 // splitAtFrontier classifies the batch's new records (items: one per

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"rstore/internal/chunk"
-	"rstore/internal/index"
 	"rstore/internal/kvstore"
 	"rstore/internal/partition"
 	"rstore/internal/subchunk"
@@ -39,18 +38,16 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 	// A full repartition supersedes every previously written chunk and
 	// placement record: a fresh layout, ids and record log restarting at 0,
 	// under the next generation (see publish).
-	proj := index.New()
-	return s.place(ctx, "materialize", []*partition.Input{res.In}, placement{gen: s.gen + 1, layout: chunk.NewLayout(s.corpus, proj), proj: proj})
+	return s.place(ctx, "materialize", []*partition.Input{res.In}, placement{gen: s.gen + 1, layout: chunk.NewLayout(s.corpus)})
 }
 
 // placement is one placement run's outcome on its way to the KVS: a layout
 // (the live one, grown by a flush; a fresh one, built by a repartition), the
-// projection it fills, the generation it is written under, and the first
-// of the versions the run placed — it places [first, NumVersions).
+// generation it is written under, and the first of the versions the run
+// placed — it places [first, NumVersions).
 type placement struct {
 	gen    uint32
 	layout *chunk.Layout
-	proj   *index.Projections
 	first  types.VersionID
 }
 
@@ -211,7 +208,7 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 	}
 
 	oldGen, oldPin, oldLayout, oldPlacements := s.gen, s.pin, s.layout, s.numPlacements
-	s.gen, s.layout, s.proj, s.numPlacements = p.gen, p.layout, p.proj, idx+1
+	s.gen, s.layout, s.numPlacements = p.gen, p.layout, idx+1
 	if p.gen != oldGen {
 		s.pin = newGenPin()
 	}

@@ -393,7 +393,7 @@ func FuzzApplyPlacement(f *testing.F) {
 			for _, id := range members {
 				byDeltas = append(byDeltas, fmt.Sprint(s.corpus.Record(id).CK))
 			}
-			for _, cid := range s.proj.VersionChunks(v) {
+			for _, cid := range s.layout.VersionChunks(v) {
 				s.layout.Map(cid).SlotsOf(v).ForEach(func(slot uint32) bool {
 					byBitmaps = append(byBitmaps, fmt.Sprint(fx.chunks[cid].Records[slot].CK))
 					return true

@@ -103,7 +103,7 @@ func (s *Store) GetVersion(ctx context.Context, v types.VersionID) *Cursor {
 		if err != nil || anchor == types.InvalidVersion {
 			return p, err
 		}
-		for _, cid := range s.proj.VersionChunks(anchor) {
+		for _, cid := range s.layout.VersionChunks(anchor) {
 			p.chunks = append(p.chunks, s.planChunk(cid, s.layout.Map(cid).SlotsOf(anchor)))
 		}
 		return p, nil
@@ -514,7 +514,7 @@ func (s *Store) fetchSegments(ctx context.Context, gen uint32, chunks []chunkRea
 func (s *Store) VersionSpan(v types.VersionID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proj.VersionSpan(v)
+	return s.layout.VersionSpan(v)
 }
 
 // KeySpan exposes the key span — the chunks holding records of key, which a
@@ -541,5 +541,5 @@ func (s *Store) keySpan(key types.Key) int {
 func (s *Store) TotalVersionSpan() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.proj.TotalVersionSpan()
+	return s.layout.TotalVersionSpan()
 }

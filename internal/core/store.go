@@ -12,7 +12,6 @@ import (
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
 	"rstore/internal/corpus"
-	"rstore/internal/index"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
@@ -26,10 +25,9 @@ type Store struct {
 
 	graph  *vgraph.Graph
 	corpus *corpus.Corpus
-	proj   *index.Projections
 
-	// Physical placement state. layout holds the record→chunk/slot catalog
-	// and the chunk maps, and fills proj; the maps live here, not beside the
+	// Physical placement state. layout holds the record→chunk/slot catalog,
+	// the chunk maps and the version→chunks projection; the maps live here, not beside the
 	// payloads in the KVS: queries read slot bitmaps from them, flush extends
 	// them, and Load folds them back out of the placement log.
 	layout *chunk.Layout
@@ -82,14 +80,13 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 // newStore returns an empty store over cfg.KV.
 func newStore(cfg Config, ownsKV bool) *Store {
 	g := vgraph.New()
-	c, proj := corpus.New(g), index.New()
+	c := corpus.New(g)
 	return &Store{
 		cfg:       cfg,
 		kv:        cfg.KV,
 		graph:     g,
 		corpus:    c,
-		proj:      proj,
-		layout:    chunk.NewLayout(c, proj),
+		layout:    chunk.NewLayout(c),
 		pin:       newGenPin(),
 		keyStates: newKeyStateCache(4),
 		branches:  map[string]types.VersionID{"main": types.InvalidVersion},

@@ -15,7 +15,7 @@ import (
 )
 
 // This file holds the structural write paths: the merged iteration shared
-// by scans/recovery/compaction, the cutting writer, memtable flush, log
+// by scans/recovery/compaction, the table writer, memtable flush, log
 // replacement, retirement of dead tables, and the one merge path
 // (mergeJob) behind both size-tiered compaction after a flush and the full
 // merge of engine.Compactor.
@@ -26,8 +26,7 @@ import (
 // acknowledged write.
 
 // source is one sorted input of a merged iteration: a memtable or SSTable
-// iterator positioned on internal keys. key/value slices may be
-// invalidated by next.
+// iterator of one run. key/value slices may be invalidated by next.
 type source interface {
 	valid() bool
 	key() []byte
@@ -86,108 +85,52 @@ func (b *Backend) allocSeqLocked() int64 {
 	return seq
 }
 
-// tableOut is one SSTable a cutting write sealed, still under its temporary
-// name (sstPath(seq) + ".tmp").
+// tableOut is one SSTable a write sealed, still under its temporary name
+// (sstPath(seq) + ".tmp").
 type tableOut struct {
-	table  string // the user table every key of the file belongs to
+	table  string // the user table whose run it joins
 	seq    int64
 	values int64 // value entries written
 	tomb   int64 // logical weight of the tombstones written
 }
 
-// cutWriter streams one key-ordered pass of internal keys into SSTables,
-// starting a new file wherever the user table changes — an internal key's
-// table prefix makes each table's keys contiguous — so that no file ever
-// holds keys of two user tables. Flush and every merge write through it.
-// The one tombstone rule lives here: an output that becomes the oldest
-// table of its run (position 0) drops its tombstones, because nothing older
-// is left for them to shadow; a table left with no entry is not written at
-// all.
-type cutWriter struct {
-	b       *Backend
-	nextSeq func() int64
-	// position says where in table's run the output will stand.
-	position func(table string) int
-	// failBeforeFooter is handed to every file's writer (crash injection).
-	failBeforeFooter bool
-
-	prefix []byte     // internal-key prefix of the current user table; nil before the first key
-	cur    tableOut   // the current user table's output, meaningful while sw != nil
-	drop   bool       // the current table's output drops its tombstones
-	sw     *sstWriter // nil until the current table has an entry to keep
-	outs   []tableOut
-}
-
-func (cw *cutWriter) add(key, value []byte, tomb bool) error {
-	if cw.prefix == nil || !bytes.HasPrefix(key, cw.prefix) {
-		if err := cw.cut(); err != nil {
-			return err
+// writeTable streams one key-ordered pass of a run's entries — feed pushes
+// them into add — into one SSTable; flush and every merge write through it.
+// The one tombstone rule lives here: an output that becomes the oldest table
+// of its run drops its tombstones, because nothing older is left for them to
+// shadow; an output left with no entry is not written at all (nil). On error
+// nothing is left behind but an injected crash's file. Safe without b.mu
+// when nextSeq is.
+func (b *Backend) writeTable(nextSeq func() int64, oldest, failBeforeFooter bool, feed func(add func(key, value []byte, tomb bool) error) error) (*tableOut, error) {
+	var out tableOut
+	var sw *sstWriter
+	err := feed(func(key, value []byte, tomb bool) error {
+		if tomb && oldest {
+			return nil
 		}
-		table, userKey, err := splitIKey(key)
-		if err != nil {
-			return err
+		if sw == nil {
+			out.seq = nextSeq()
+			w, err := newSSTWriter(b.sstPath(out.seq) + ".tmp")
+			if err != nil {
+				return err
+			}
+			w.failBeforeFooter = failBeforeFooter
+			sw = w
 		}
-		cw.prefix = append(cw.prefix[:0], key[:len(key)-len(userKey)]...)
-		cw.cur = tableOut{table: table}
-		cw.drop = cw.position(table) == 0
-	}
-	if tomb && cw.drop {
-		return nil
-	}
-	if cw.sw == nil {
-		cw.cur.seq = cw.nextSeq()
-		sw, err := newSSTWriter(cw.b.sstPath(cw.cur.seq) + ".tmp")
-		if err != nil {
-			return err
-		}
-		sw.failBeforeFooter = cw.failBeforeFooter
-		cw.sw = sw
-	}
-	return cw.sw.add(key, value, tomb)
-}
-
-// cut seals the current user table's file, if it has one.
-func (cw *cutWriter) cut() error {
-	if cw.sw == nil {
-		return nil
-	}
-	if err := cw.sw.finish(); err != nil {
-		return err
-	}
-	cw.cur.values, cw.cur.tomb = cw.sw.values, cw.sw.logicalTomb
-	cw.outs = append(cw.outs, cw.cur)
-	cw.sw = nil
-	return nil
-}
-
-// abort closes the file being written and, unless cause is an injected
-// crash, removes everything the pass produced.
-func (cw *cutWriter) abort(cause error) {
-	if cw.sw != nil {
-		cw.sw.abort(cw.b.sstPath(cw.cur.seq)+".tmp", cause)
-	}
-	if !errors.Is(cause, ErrCrashed) {
-		for _, o := range cw.outs {
-			os.Remove(cw.b.sstPath(o.seq) + ".tmp")
-		}
-	}
-}
-
-// writeTables runs one cutting write: feed pushes the pass's entries, in key
-// order, into add. The sealed outputs are returned in key order of their
-// user tables; on error nothing is left behind. Safe without b.mu when
-// nextSeq and position are.
-func (b *Backend) writeTables(nextSeq func() int64, position func(table string) int, failBeforeFooter bool, feed func(add func(key, value []byte, tomb bool) error) error) ([]tableOut, error) {
-	cw := &cutWriter{b: b, nextSeq: nextSeq, position: position, failBeforeFooter: failBeforeFooter}
-	err := feed(cw.add)
-	if err == nil {
-		err = cw.cut()
-	}
-	if err != nil {
-		cw.abort(err)
+		return sw.add(key, value, tomb)
+	})
+	if sw == nil {
 		return nil, err
 	}
-	return cw.outs, nil
+	if err == nil {
+		err = sw.finish()
+	}
+	if err != nil {
+		sw.abort(b.sstPath(out.seq)+".tmp", err)
+		return nil, err
+	}
+	out.values, out.tomb = sw.values, sw.logicalTomb
+	return &out, nil
 }
 
 // publishLocked renames sealed outputs to their final names and makes the
@@ -195,7 +138,7 @@ func (b *Backend) writeTables(nextSeq func() int64, position func(table string) 
 // them. Callers hold b.mu exclusively.
 func (b *Backend) publishLocked(outs []tableOut, crash string) error {
 	for i, o := range outs {
-		//lint:rstore-vet fsyncrename: every output was sealed by cutWriter.cut (sstWriter.finish syncs) before it reached this commit phase
+		//lint:rstore-vet fsyncrename: every output was sealed by writeTable (sstWriter.finish syncs) before it reached this commit phase
 		if err := os.Rename(b.sstPath(o.seq)+".tmp", b.sstPath(o.seq)); err != nil {
 			return fmt.Errorf("lsm: %w", err)
 		}
@@ -241,35 +184,50 @@ func (b *Backend) writeManifestLocked(edit map[string][]*sstable, logOf func(r *
 	return nil
 }
 
-// flushLocked writes the memtable to new SSTables, one per user table it
-// holds, and retires the logs: a table whose log holds something gets a
-// fresh empty one, a table whose log is empty none. Commit order: files
-// sealed → fresh logs created → files renamed into place → MANIFEST rename
-// (the commit point) → in-memory swap and old-log unlinks. A crash before
-// the MANIFEST leaves the old logs authoritative and the new files as
-// debris. Callers hold b.mu exclusively.
+// flushLocked writes each run's memtable to a new SSTable of its run and
+// retires the logs: a table whose log holds something gets a fresh empty
+// one, a table whose log is empty none. Commit order: files sealed → fresh
+// logs created → files renamed into place → MANIFEST rename (the commit
+// point) → in-memory swap and old-log unlinks. A crash before the MANIFEST
+// leaves the old logs authoritative and the new files as debris. Callers
+// hold b.mu exclusively.
 func (b *Backend) flushLocked(ctx context.Context) error {
-	if b.mem.count == 0 {
+	if b.buffered == 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	newest := func(table string) int { return len(b.runs[table].tables) }
-	outs, err := b.writeTables(b.allocSeqLocked, newest, b.crash == "mid-flush", func(add func(key, value []byte, tomb bool) error) error {
-		for it := b.mem.iter(nil); it.valid(); it.next() {
-			if err := add(it.key(), it.value(), it.tomb()); err != nil {
-				return err
-			}
+	var outs []tableOut
+	for _, name := range b.runNames() {
+		r := b.runs[name]
+		if r.mem.count == 0 {
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		out, err := b.writeTable(b.allocSeqLocked, len(r.tables) == 0, b.crash == "mid-flush", func(add func(key, value []byte, tomb bool) error) error {
+			for it := r.mem.iter(); it.valid(); it.next() {
+				if err := add(it.key(), it.value(), it.tomb()); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			if !errors.Is(err, ErrCrashed) {
+				for _, o := range outs {
+					os.Remove(b.sstPath(o.seq) + ".tmp")
+				}
+			}
+			return err
+		}
+		if out != nil {
+			out.table = name
+			outs = append(outs, *out)
+		}
 	}
 	fresh := map[*run]*wal{}
 	edit := make(map[string][]*sstable, len(outs))
-	// abandon drops what the flush built; like a cutting write's, an injected
+	// abandon drops what the flush built; like a table write's, an injected
 	// crash leaves the files where they are.
 	abandon := func(cause error) error {
 		for _, w := range fresh {
@@ -322,8 +280,11 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 		if r.log != nil {
 			r.log.dirSynced = true
 		}
+		if r.mem.count > 0 {
+			r.mem = newMemtable()
+		}
 	}
-	b.mem = newMemtable()
+	b.buffered = 0
 	return nil
 }
 
@@ -345,7 +306,7 @@ func discardLog(w *wal) {
 	}
 }
 
-// replaceLogLocked replaces r's log with one holding only table's memtable
+// replaceLogLocked replaces r's log with one holding only its memtable's
 // entries — a put or delete record each, logLive bytes in all — without a
 // MANIFEST commit: the new log is written and fsynced beside the old one,
 // under the temporary name, and renamed over it, keeping its name, and the
@@ -356,14 +317,13 @@ func discardLog(w *wal) {
 // which no call acknowledged as durable. Callers hold b.mu exclusively.
 func (b *Backend) replaceLogLocked(table string, r *run) error {
 	buf := make([]byte, 0, r.logLive)
-	prefix := tablePrefix(table)
-	for it := b.mem.iter(prefix); it.valid() && bytes.HasPrefix(it.key(), prefix); it.next() {
+	for it := r.mem.iter(); it.valid(); it.next() {
 		kind := reclog.KindPut
 		if it.tomb() {
 			kind = reclog.KindDel
 		}
 		at := len(buf)
-		buf = reclog.AppendBody(append(buf, make([]byte, reclog.FrameSize)...), kind, table, string(it.key()[len(prefix):]), it.value())
+		buf = reclog.AppendBody(append(buf, make([]byte, reclog.FrameSize)...), kind, table, string(it.key()), it.value())
 		reclog.PutHeader(buf[at:], buf[at+reclog.FrameSize:])
 	}
 	old := r.log
@@ -589,21 +549,21 @@ func (job mergeJob) stage(name string) {
 	}
 }
 
-// writeMerged k-way-merges the job's victims through the cutting writer and
-// opens the output, still at its temporary name; nt is nil when nothing
+// writeMerged k-way-merges the job's victims through writeTable and opens
+// the output, still at its temporary name; nt is nil when nothing
 // survived the merge. It holds no b.mu — SSTables are immutable — so a
 // victim retired, wiped by Reset or closed meanwhile fails its read, which
 // installMerge takes for the abandonment it is.
 func (b *Backend) writeMerged(ctx context.Context, job mergeJob) (nt *sstable, err error) {
 	sources := make([]source, len(job.victims))
 	for i, t := range job.victims {
-		it, err := t.iterGE(nil, b.cache)
+		it, err := t.iter(b.cache)
 		if err != nil {
 			return nil, err
 		}
 		sources[i] = it
 	}
-	outs, err := b.writeTables(func() int64 { return job.seq }, func(string) int { return job.lo }, job.crash == "mid-merge", func(add func(key, value []byte, tomb bool) error) error {
+	out, err := b.writeTable(func() int64 { return job.seq }, job.lo == 0, job.crash == "mid-merge", func(add func(key, value []byte, tomb bool) error) error {
 		return mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -611,7 +571,7 @@ func (b *Backend) writeMerged(ctx context.Context, job mergeJob) (nt *sstable, e
 			return add(key, value, tomb)
 		}, nil)
 	})
-	if err != nil || len(outs) == 0 {
+	if err != nil || out == nil {
 		return nil, err
 	}
 	tmp := b.sstPath(job.seq) + ".tmp"
@@ -692,7 +652,7 @@ func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error 
 	return nil
 }
 
-// Compact flushes the memtable and then merges each run with anything
+// Compact flushes the memtables and then merges each run with anything
 // reclaimable into one table, dropping shadowed versions and all
 // tombstones. Each run is one merge job, so reads and writes go on beside
 // it.

@@ -80,7 +80,7 @@ func TestCompactCrashRecovery(t *testing.T) {
 				}
 				extra[k] = v
 				b.mu.RLock()
-				n := b.mem.count
+				n := b.buffered
 				b.mu.RUnlock()
 				if n > 0 {
 					return extra
@@ -150,7 +150,7 @@ func TestWALTornTailRecovery(t *testing.T) {
 // TestRunCrashRecovery covers the two crash windows per-table runs add,
 // neither reachable through Compact:
 //
-//   - flush-part-renamed: a flush of a memtable holding several user tables
+//   - flush-part-renamed: a flush of several user tables' memtables
 //     has renamed the first of its SSTables into place, the others are
 //     still *.tmp, and the MANIFEST names none of them; recovery must drop
 //     them all and serve from the WAL.

@@ -3,22 +3,22 @@
 // suits read-heavy, version-dense workloads (the RStore premise — many
 // overlapping versions under heavy read traffic).
 //
-// Writes land in a sorted in-memory memtable (a skiplist) after being made
-// durable in a checksummed write-ahead log of their user table's own; a
-// write call that leaves its table's log mostly dead replaces it with one
-// holding only the table's memtable entries (replaceLogLocked), so a drained
-// table's dead records leave the disk without waiting for the next flush. A
-// full memtable is flushed into
-// immutable sorted-string tables (SSTables) with a per-block restart-point
-// format, a block index, and a bloom filter — one file per user table the
-// memtable holds, because the keys of one user table tend to live and die
-// together and the keys of two do not. Each user table so has its own
-// age-ordered run of SSTables. Point reads probe the memtable, then the
-// SSTables of the key's run from newest to oldest — the bloom filter skips
-// tables that cannot hold the key, and a shared LRU block cache (the one
-// cache on the read path: blocks are immutable, so it needs no
-// invalidation) serves hot blocks without touching disk. Within a run,
-// size-tiered compaction merges windows of adjacent tables, dropping
+// Every user table is a tree of its own, a run: a checksummed write-ahead
+// log, a sorted in-memory memtable (a skiplist) and an age-ordered list of
+// immutable sorted-string tables (SSTables), all holding the table's own
+// keys — the keys of one user table tend to live and die together and the
+// keys of two do not. A write is made durable in its table's log, then lands
+// in its table's memtable; a write call that leaves its table's log mostly
+// dead replaces it with one holding only the memtable's entries
+// (replaceLogLocked), so a drained table's dead records leave the disk
+// without waiting for the next flush. One budget covers every run's
+// memtable: when their sum is full, each is flushed into a new SSTable of
+// its run (per-block restart points, a block index, a bloom filter). Point
+// reads probe the run's memtable, then its SSTables from newest to oldest —
+// the bloom filter skips tables that cannot hold the key, and a shared LRU
+// block cache (the one cache on the read path: blocks are immutable, so it
+// needs no invalidation) serves hot blocks without touching disk. Within a
+// run, size-tiered compaction merges windows of adjacent tables, dropping
 // shadowed versions; a full merge (the Compactor interface) merges each run
 // into one table — both the same way, reading and writing SSTables while
 // reads and writes go on (mergeJob); and a table whose every entry is
@@ -35,7 +35,6 @@
 package lsm
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -54,9 +53,9 @@ import (
 
 // Options tune a Backend; the zero value selects production defaults.
 type Options struct {
-	// MemtableBytes is the approximate resident size at which the memtable
-	// is flushed to an SSTable (default 4 MiB). Tests set it small to force
-	// flushes.
+	// MemtableBytes is the approximate resident size of all the runs'
+	// memtables together at which each is flushed to an SSTable of its run
+	// (default 4 MiB). Tests set it small to force flushes.
 	MemtableBytes int64
 
 	// MaxTables is the SSTable count of one user table's run that triggers
@@ -109,13 +108,14 @@ type Backend struct {
 	// epoch counts Resets; a compaction validates it before committing so a
 	// concurrent wipe can never resurrect merged data.
 	epoch   int64
-	mem     *memtable
 	nextSeq int64
 	// runs holds the state of every user table written since Open or Reset
 	// (and of every one with an SSTable): the engine is built for the
 	// handful of tables its callers use, so an emptied run is kept, not
 	// collected.
 	runs map[string]*run
+	// buffered is Σ mem.bytes over the runs: the flush trigger.
+	buffered int64
 	// bytes is Σ len(value) over live keys — the BytesStored contract.
 	bytes int64
 	// compacted accumulates bytes reclaimed by merges and retirements
@@ -140,8 +140,7 @@ type Backend struct {
 	mergePause func(stage string)
 }
 
-// run is one user table's share of the tree. Memtable and internal-key
-// format are shared across runs; everything on disk is not.
+// run is one user table's tree: its log, its memtable and its SSTables.
 type run struct {
 	// log is this user table's write-ahead log, nil until the table's first
 	// write since Open, Reset or a flush that found its log empty.
@@ -150,6 +149,8 @@ type run struct {
 	// take, one put or delete record each (replaceLogLocked writes exactly
 	// that); log.size - logLive is the log's dead weight.
 	logLive int64
+	// mem holds the table's writes since the last flush.
+	mem *memtable
 	// tables are this user table's SSTables in age order: oldest first,
 	// newest last. None holds a key of another user table.
 	tables []*sstable
@@ -170,7 +171,7 @@ type run struct {
 func (b *Backend) runLocked(table string) *run {
 	r := b.runs[table]
 	if r == nil {
-		r = &run{}
+		r = &run{mem: newMemtable()}
 		b.runs[table] = r
 	}
 	return r
@@ -212,7 +213,6 @@ func Open(dir string, opts Options) (*Backend, error) {
 		dir:  dir,
 		opts: opts.withDefaults(),
 		lock: lock,
-		mem:  newMemtable(),
 		runs: map[string]*run{},
 	}
 	b.cache = b.opts.Cache
@@ -288,10 +288,10 @@ func (b *Backend) recover() error {
 	return b.retireLocked()
 }
 
-// replayLog replays log seq into the memtable and makes it table's log. An
-// unnamed log belongs to the table its first record names; one with no
-// intact record is a crash's leftover from right after its creation, and
-// is removed. A log holding keys of two tables, or a second log of one
+// replayLog replays log seq into table's memtable and makes it table's log.
+// An unnamed log belongs to the table its first record names; one with no
+// intact record is a crash's leftover from right after its creation, and is
+// removed. A log holding keys of two tables, or a second log of one
 // table, is corruption.
 func (b *Backend) replayLog(seq int64, table string, named bool) error {
 	known := named
@@ -302,11 +302,10 @@ func (b *Backend) replayLog(seq int64, table string, named bool) error {
 		if t != table {
 			return fmt.Errorf("%w: lsm log %d holds keys of tables %q and %q", types.ErrCorrupt, seq, table, t)
 		}
-		ik := ikey(t, key)
 		if kind == reclog.KindDel {
-			return b.applyDelLocked(t, ik)
+			return b.applyDelLocked(t, []byte(key))
 		}
-		return b.applyPutLocked(t, ik, append([]byte(nil), value...))
+		return b.applyPutLocked(t, []byte(key), append([]byte(nil), value...))
 	})
 	if err != nil {
 		return err
@@ -362,20 +361,17 @@ func (b *Backend) removeDebris(referenced map[string]bool, firstUnnamed int64) (
 	return unnamed, nil
 }
 
-// rebuildAccounting replays a merged scan of r's mounted tables (no
-// memtable yet) to reconstruct live bytes, the run's key count, and each
-// table's live counters.
+// rebuildAccounting replays a merged scan of r's mounted tables (its
+// memtable is empty yet, so every entry comes from one of them) to
+// reconstruct live bytes, the run's key count, and each table's live
+// counters.
 func (b *Backend) rebuildAccounting(r *run) error {
-	sources := make([]source, len(r.tables))
-	for i, t := range r.tables {
-		it, err := t.iterGE(nil, b.cache)
-		if err != nil {
-			return err
-		}
-		sources[i] = it
+	sources, err := r.sources(b.cache)
+	if err != nil {
+		return err
 	}
 	dead := make([]int64, len(r.tables))
-	err := mergeSources(sources,
+	err = mergeSources(sources,
 		func(key, value []byte, tomb bool, src int) error {
 			if tomb {
 				dead[src] += logicalSize(len(key), len(value))
@@ -399,65 +395,34 @@ func (b *Backend) rebuildAccounting(r *run) error {
 	return nil
 }
 
-// appendIKey appends the internal key for (table, key) to dst: uvarint(
-// len(table)) table key. The uvarint prefix is self-delimiting, so distinct
-// tables produce prefix-free ranges and bytewise order groups each table's
-// keys contiguously.
-func appendIKey(dst []byte, table, key string) []byte {
-	dst = codec.PutUvarint(dst, uint64(len(table)))
-	dst = append(dst, table...)
-	return append(dst, key...)
-}
-
-// ikey builds the internal key for (table, key) in a fresh allocation.
-func ikey(table, key string) []byte {
-	out := make([]byte, 0, codec.UvarintLen(uint64(len(table)))+len(table)+len(key))
-	return appendIKey(out, table, key)
-}
-
-// tablePrefix is the internal-key prefix shared by every key of table.
-func tablePrefix(table string) []byte {
-	out := codec.PutUvarint(nil, uint64(len(table)))
-	return append(out, table...)
-}
-
-// prefixSuccessor returns the smallest byte string greater than every
-// string with prefix p (nil when p is all 0xff: no upper bound).
-func prefixSuccessor(p []byte) []byte {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] != 0xff {
-			out := append([]byte(nil), p[:i+1]...)
-			out[i]++
-			return out
+// sources lists r's merge sources in age order: its SSTables, oldest
+// first, then its memtable.
+func (r *run) sources(cache *BlockCache) ([]source, error) {
+	sources := make([]source, 0, len(r.tables)+1)
+	for _, t := range r.tables {
+		it, err := t.iter(cache)
+		if err != nil {
+			return nil, err
 		}
+		sources = append(sources, it)
 	}
-	return nil
+	return append(sources, r.mem.iter()), nil
 }
 
-// splitIKey inverts ikey.
-func splitIKey(ik []byte) (table, key string, err error) {
-	l, rest, err := codec.Uvarint(ik)
-	if err != nil || uint64(len(rest)) < l {
-		return "", "", fmt.Errorf("%w: lsm internal key", types.ErrCorrupt)
-	}
-	return string(rest[:l]), string(rest[l:]), nil
-}
-
-// findLocked finds the newest version of ik, a key of table: (value, the
-// SSTable holding it or nil for the memtable, found). A tombstone anywhere
-// newest means not found. The value aliases the memtable or a cached block;
-// callers hold b.mu (any mode) and must not retain or mutate it past the
-// lock.
-func (b *Backend) findLocked(table string, ik []byte) (value []byte, src *sstable, found bool, err error) {
-	if v, tomb, ok := b.mem.get(ik); ok {
-		return v, nil, !tomb, nil
-	}
-	r := b.runs[table]
+// findLocked finds the newest version of key in r (nil: a table never
+// written): (value, the SSTable holding it or nil for the memtable, found).
+// A tombstone anywhere newest means not found. The value aliases the
+// memtable or a cached block; callers hold b.mu (any mode) and must not
+// retain or mutate it past the lock.
+func (b *Backend) findLocked(r *run, key []byte) (value []byte, src *sstable, found bool, err error) {
 	if r == nil {
 		return nil, nil, false, nil
 	}
+	if v, tomb, ok := r.mem.get(key); ok {
+		return v, nil, !tomb, nil
+	}
 	for i := len(r.tables) - 1; i >= 0; i-- {
-		v, tomb, ok, err := r.tables[i].get(ik, b.cache)
+		v, tomb, ok, err := r.tables[i].get(key, b.cache)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -468,67 +433,69 @@ func (b *Backend) findLocked(table string, ik []byte) (value []byte, src *sstabl
 	return nil, nil, false, nil
 }
 
-// shadowLocked takes the version of ik that a write is about to supersede
+// shadowLocked takes the version of key that a write is about to supersede
 // out of the live accounting, wherever it lives.
-func (b *Backend) shadowLocked(src *sstable, ik, prev []byte) {
+func (b *Backend) shadowLocked(src *sstable, key, prev []byte) {
 	b.bytes -= int64(len(prev))
 	if src == nil {
 		return
 	}
-	src.live -= logicalSize(len(ik), len(prev))
+	src.live -= logicalSize(len(key), len(prev))
 	if src.liveEntries--; src.liveEntries == 0 {
 		b.retirable = true
 	}
 }
 
-// applyPutLocked installs value (already copied) under ik, updating live
-// accounting: a shadowed older version stops being live wherever it lives.
-func (b *Backend) applyPutLocked(table string, ik, value []byte) error {
-	prev, src, found, err := b.findLocked(table, ik)
+// applyPutLocked installs value under key (both already copied), updating
+// live accounting: a shadowed older version stops being live wherever it
+// lives.
+func (b *Backend) applyPutLocked(table string, key, value []byte) error {
+	r := b.runLocked(table)
+	prev, src, found, err := b.findLocked(r, key)
 	if err != nil {
 		return err
 	}
-	r := b.runLocked(table)
 	if found {
-		b.shadowLocked(src, ik, prev)
+		b.shadowLocked(src, key, prev)
 	} else {
 		r.keys++
 	}
 	b.bytes += int64(len(value))
-	r.setMemLocked(b.mem, table, ik, value, false)
+	b.setMemLocked(r, table, key, value, false)
 	return nil
 }
 
-// applyDelLocked installs a tombstone under ik if the key currently exists;
+// applyDelLocked installs a tombstone under key if the key currently exists;
 // deleting a missing key is a no-op that writes nothing.
-func (b *Backend) applyDelLocked(table string, ik []byte) error {
-	prev, src, found, err := b.findLocked(table, ik)
+func (b *Backend) applyDelLocked(table string, key []byte) error {
+	r := b.runs[table]
+	prev, src, found, err := b.findLocked(r, key)
 	if err != nil || !found {
 		return err
 	}
-	r := b.runs[table] // a key was found, so the run exists
-	b.shadowLocked(src, ik, prev)
+	b.shadowLocked(src, key, prev)
 	r.keys--
-	r.setMemLocked(b.mem, table, ik, nil, true)
+	b.setMemLocked(r, table, key, nil, true)
 	return nil
 }
 
-// setMemLocked installs an entry of r's table in the memtable — which
-// changes the table's contents, and what its log holds live: the record of
-// the entry it replaces is dead from now on.
-func (r *run) setMemLocked(mem *memtable, table string, ik, value []byte, tomb bool) {
-	prevLen, _, existed := mem.set(ik, value, tomb)
-	r.logLive += logRecordLen(table, ik, len(value))
+// setMemLocked installs an entry in r's memtable — which changes the
+// table's contents, and what its log holds live: the record of the entry it
+// replaces is dead from now on.
+func (b *Backend) setMemLocked(r *run, table string, key, value []byte, tomb bool) {
+	before := r.mem.bytes
+	prevLen, existed := r.mem.set(key, value, tomb)
+	b.buffered += r.mem.bytes - before
+	r.logLive += logRecordLen(table, len(key), len(value))
 	if existed {
-		r.logLive -= logRecordLen(table, ik, prevLen)
+		r.logLive -= logRecordLen(table, len(key), prevLen)
 	}
 	r.gen++
 }
 
 // logRecordLen is the length of a put (valueLen bytes) or delete (none)
-// record of ik, a key of table.
-func logRecordLen(table string, ik []byte, valueLen int) int64 {
-	keyLen := len(ik) - codec.BytesLen(len(table))
+// record of a keyLen-byte key of table.
+func logRecordLen(table string, keyLen, valueLen int) int64 {
 	return int64(reclog.FrameSize + 1 + codec.BytesLen(len(table)) + codec.BytesLen(keyLen) + valueLen)
 }
 
@@ -562,7 +529,7 @@ func (b *Backend) applyWrite(ctx context.Context, table string, apply func() err
 	if err := b.retireLocked(); err != nil {
 		return false, err
 	}
-	if b.mem.bytes >= b.opts.MemtableBytes {
+	if b.buffered >= b.opts.MemtableBytes {
 		return true, b.flushLocked(ctx)
 	}
 	if r := b.runs[table]; r != nil && r.log != nil {
@@ -607,7 +574,7 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 		if err := w.appendRecord(reclog.KindPut, table, key, value); err != nil {
 			return err
 		}
-		return b.applyPutLocked(table, ikey(table, key), append([]byte(nil), value...))
+		return b.applyPutLocked(table, []byte(key), append([]byte(nil), value...))
 	})
 }
 
@@ -636,7 +603,7 @@ func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.E
 		}
 		// Applied in order, so a later entry for the same key wins.
 		for _, e := range entries {
-			if err := b.applyPutLocked(table, ikey(table, e.Key), append([]byte(nil), e.Value...)); err != nil {
+			if err := b.applyPutLocked(table, []byte(e.Key), append([]byte(nil), e.Value...)); err != nil {
 				return err
 			}
 		}
@@ -654,10 +621,7 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 	if b.closed {
 		return nil, false, types.ErrClosed
 	}
-	// Short keys build their internal form on the stack: a point read
-	// should not allocate for its key.
-	var ikb [96]byte
-	v, _, found, err := b.findLocked(table, appendIKey(ikb[:0], table, key))
+	v, _, found, err := b.findLocked(b.runs[table], []byte(key))
 	if err != nil || !found {
 		return nil, false, err
 	}
@@ -668,9 +632,9 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 // key writes nothing.
 func (b *Backend) Delete(ctx context.Context, table, key string) error {
 	return b.write(ctx, table, func() error {
-		ik := ikey(table, key)
+		k := []byte(key)
 		// Look before logging: a no-op delete must not grow the log.
-		_, _, found, err := b.findLocked(table, ik)
+		_, _, found, err := b.findLocked(b.runs[table], k)
 		if err != nil || !found {
 			return err
 		}
@@ -681,12 +645,12 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 		if err := w.appendRecord(reclog.KindDel, table, key, nil); err != nil {
 			return err
 		}
-		return b.applyDelLocked(table, ik)
+		return b.applyDelLocked(table, k)
 	})
 }
 
-// errStopScan aborts a merged scan early (fn returned false, or the range
-// end was passed); it never escapes to callers.
+// errStopScan aborts a merged scan early (fn returned false); it never
+// escapes to callers.
 var errStopScan = errors.New("lsm: stop scan")
 
 // Scan visits every live key of table in key order. Values passed to fn may
@@ -704,36 +668,23 @@ func (b *Backend) Scan(ctx context.Context, table string, fn func(key string, va
 }
 
 // scanLocked is the one merged walk behind Scan, HashTree and HashRange: it
-// visits every live (userKey, value) of table through the table's run and
-// the memtable, newest version winning, tombstones skipped, until visit
-// returns false. Callers hold b.mu (any mode).
-func (b *Backend) scanLocked(ctx context.Context, table string, visit func(userKey string, value []byte) bool) error {
-	prefix := tablePrefix(table)
-	end := prefixSuccessor(prefix)
-	var sources []source
-	if r := b.runs[table]; r != nil {
-		sources = make([]source, 0, len(r.tables)+1)
-		for _, t := range r.tables {
-			it, err := t.iterGE(nil, b.cache)
-			if err != nil {
-				return err
-			}
-			sources = append(sources, it)
-		}
+// visits every live (key, value) of table through the table's run, newest
+// version winning, tombstones skipped, until visit returns false. Callers
+// hold b.mu (any mode).
+func (b *Backend) scanLocked(ctx context.Context, table string, visit func(key string, value []byte) bool) error {
+	r := b.runs[table]
+	if r == nil {
+		return nil
 	}
-	sources = append(sources, b.mem.iter(prefix)) // newest last
-	err := mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
+	sources, err := r.sources(b.cache)
+	if err != nil {
+		return err
+	}
+	err = mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Only the memtable can run past the table: it holds every run's keys.
-		if end != nil && bytes.Compare(key, end) >= 0 {
-			return errStopScan
-		}
-		if tomb {
-			return nil
-		}
-		if !visit(string(key[len(prefix):]), value) {
+		if !tomb && !visit(string(key), value) {
 			return errStopScan
 		}
 		return nil
@@ -822,8 +773,7 @@ func (b *Backend) Reset(ctx context.Context) error {
 	b.epoch++
 	oldRuns, oldTables := b.runs, b.allTables()
 	b.runs = map[string]*run{}
-	b.mem = newMemtable()
-	b.bytes = 0
+	b.buffered, b.bytes = 0, 0
 	b.retirable = false
 	for _, r := range oldRuns {
 		discardLog(r.log)

@@ -27,7 +27,7 @@ import (
 //
 // Format, line by line:
 //
-//	rstore-lsm v3
+//	rstore-lsm v4
 //	next <seq>            — next unused file sequence number
 //	wal <seq> <table>     — one per user table with a log, wal-<seq>.log
 //	sst <seq> <table>     — one per live SSTable
@@ -36,12 +36,13 @@ import (
 // All wal lines come before the sst lines; no table has two wal lines, no
 // two lines share a sequence number, and every one is below next.
 //
-// A v1 manifest (one SSTable list for every table) and a v2 one (one log for
-// every table) are refused: every such directory holds a store older than
-// core reads.
+// A v1 manifest (one SSTable list for every table), a v2 one (one log for
+// every table) and a v3 one (SSTable keys prefixed with their table) are
+// refused: a v1 or v2 directory holds a store older than core reads, and a
+// v3 one SSTables this build does not read.
 const (
 	manifestName   = "MANIFEST"
-	manifestHeader = "rstore-lsm v3"
+	manifestHeader = "rstore-lsm v4"
 )
 
 // manifestFile is one wal or sst line.
@@ -98,8 +99,8 @@ func parseManifest(data string) (manifest, error) {
 		return manifest{}, fmt.Errorf("%w: lsm manifest: "+format, append([]any{types.ErrCorrupt}, args...)...)
 	}
 	lines := strings.Split(strings.TrimSuffix(data, "\n"), "\n")
-	if old, ok := strings.CutPrefix(lines[0], "rstore-lsm "); ok && (old == "v1" || old == "v2") {
-		return corrupt("%s (this build reads v3; re-initialize the store)", old)
+	if old, ok := strings.CutPrefix(lines[0], "rstore-lsm "); ok && (old == "v1" || old == "v2" || old == "v3") {
+		return corrupt("%s (this build reads v4; re-initialize the store)", old)
 	}
 	if len(lines) < 2 || lines[0] != manifestHeader {
 		return corrupt("header %q", lines[0])

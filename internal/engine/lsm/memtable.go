@@ -2,8 +2,8 @@ package lsm
 
 import "bytes"
 
-// The memtable is a skiplist over internal keys (see ikey in lsm.go),
-// holding every write since the last flush in sorted order: point lookups
+// The memtable is a skiplist over one run's keys, holding every write to
+// its user table since the last flush in sorted order: point lookups
 // and ordered iteration are both O(log n), and a flush walks level 0
 // sequentially to emit an already-sorted SSTable. Entries are either values
 // or tombstones; a tombstone must be kept as a real entry (not a map
@@ -17,7 +17,7 @@ import "bytes"
 const memMaxHeight = 16
 
 type memNode struct {
-	key   []byte // internal key (table-prefixed)
+	key   []byte
 	value []byte
 	tomb  bool
 	next  []*memNode
@@ -28,8 +28,9 @@ type memtable struct {
 	height int
 	rnd    uint64
 	count  int
-	// bytes approximates resident size (keys + values + tower overhead) for
-	// the flush trigger; exact live-payload accounting lives on the Backend.
+	// bytes approximates resident size (keys + values + tower overhead);
+	// the Backend sums it over the runs for the flush trigger, and keeps
+	// exact live-payload accounting itself.
 	bytes int64
 }
 
@@ -83,16 +84,16 @@ func (m *memtable) get(key []byte) ([]byte, bool, bool) {
 
 // set installs value (or a tombstone) under key, replacing any existing
 // entry in place, and reports what it replaced: the previous value length,
-// whether the previous entry was a tombstone, and whether one existed.
-// Both key and value must already be safe to retain (copied by the caller).
-func (m *memtable) set(key, value []byte, tomb bool) (prevLen int, prevTomb, existed bool) {
+// and whether an entry existed. Both key and value must already be safe to
+// retain (copied by the caller).
+func (m *memtable) set(key, value []byte, tomb bool) (prevLen int, existed bool) {
 	var prev [memMaxHeight]*memNode
 	n := m.findGE(key, &prev)
 	if n != nil && bytes.Equal(n.key, key) {
-		prevLen, prevTomb = len(n.value), n.tomb
-		m.bytes += int64(len(value) - len(n.value))
+		prevLen = len(n.value)
+		m.bytes += int64(len(value) - prevLen)
 		n.value, n.tomb = value, tomb
-		return prevLen, prevTomb, true
+		return prevLen, true
 	}
 	h := m.randHeight()
 	if h > m.height {
@@ -108,7 +109,7 @@ func (m *memtable) set(key, value []byte, tomb bool) (prevLen int, prevTomb, exi
 	}
 	m.count++
 	m.bytes += int64(len(key) + len(value) + 48) // 48 ~ node + tower overhead
-	return 0, false, false
+	return 0, false
 }
 
 // memIter walks the memtable in key order; it implements the source
@@ -117,14 +118,8 @@ type memIter struct {
 	n *memNode
 }
 
-// iter positions at the first entry with key >= start (all entries when
-// start is nil).
-func (m *memtable) iter(start []byte) *memIter {
-	if start == nil {
-		return &memIter{n: m.head.next[0]}
-	}
-	return &memIter{n: m.findGE(start, nil)}
-}
+// iter positions at the first entry.
+func (m *memtable) iter() *memIter { return &memIter{n: m.head.next[0]} }
 
 func (it *memIter) valid() bool   { return it.n != nil }
 func (it *memIter) key() []byte   { return it.n.key }

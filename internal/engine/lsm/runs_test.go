@@ -2,10 +2,8 @@ package lsm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -16,10 +14,9 @@ import (
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
-	"rstore/internal/types"
 )
 
-// flushT forces the memtable out, as a full one would go.
+// flushT forces the memtables out, as a full budget would.
 func flushT(t *testing.T, b *Backend) {
 	t.Helper()
 	b.mu.Lock()
@@ -66,50 +63,41 @@ func mustGet(t *testing.T, b engine.Backend, table, key string) (string, bool) {
 	return string(v), ok
 }
 
-// checkRunInvariants recounts, from the files and the memtable, what the
-// engine keeps incrementally: every SSTable holds keys of its own run only,
-// its liveEntries is the number of its value entries nothing newer
-// shadows, no run starts with a dead table (retirement ran), a run's
-// logLive is what its memtable entries take as log records, a run with
-// memtable entries has a log of its own, and the directory holds exactly
-// the mounted files and the open logs.
+// checkRunInvariants recounts, from the files and the memtables, what the
+// engine keeps incrementally: each SSTable's liveEntries is the number of its
+// value entries nothing newer shadows, no run starts with a dead table
+// (retirement ran), a run's logLive is what its memtable entries take as log
+// records, a run with memtable entries has a log of its own, the flush
+// trigger's byte count is the sum of the memtables', and the directory holds
+// exactly the mounted files and the open logs.
 func checkRunInvariants(t *testing.T, b *Backend) {
 	t.Helper()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	var mounted, logs []string
+	var buffered int64
 	for name, r := range b.runs {
 		var logLive int64
-		for it := b.mem.iter(tablePrefix(name)); it.valid() && strings.HasPrefix(string(it.key()), string(tablePrefix(name))); it.next() {
-			logLive += logRecordLen(name, it.key(), len(it.value()))
+		for it := r.mem.iter(); it.valid(); it.next() {
+			logLive += logRecordLen(name, len(it.key()), len(it.value()))
 		}
 		if logLive != r.logLive || logLive > 0 && r.log == nil {
 			t.Fatalf("run %q: logLive = %d, recount %d, log %v", name, r.logLive, logLive, r.log != nil)
 		}
+		buffered += r.mem.bytes
 		if r.log != nil {
 			logs = append(logs, filepath.Base(r.log.path))
 		}
-		prefix := tablePrefix(name)
-		end := prefixSuccessor(prefix)
-		sources := make([]source, 0, len(r.tables)+1)
 		for _, st := range r.tables {
 			mounted = append(mounted, filepath.Base(st.path))
-			it, err := st.iterGE(nil, b.cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sources = append(sources, it)
 		}
-		sources = append(sources, b.mem.iter(prefix))
+		sources, err := r.sources(b.cache)
+		if err != nil {
+			t.Fatal(err)
+		}
 		liveEntries := make([]int64, len(r.tables))
 		keys := 0
-		err := mergeSources(sources, func(key, _ []byte, tomb bool, src int) error {
-			if string(key) >= string(end) {
-				return errStopScan
-			}
-			if !strings.HasPrefix(string(key), string(prefix)) {
-				return fmt.Errorf("run %q holds key %q of another table", name, key)
-			}
+		err = mergeSources(sources, func(_, _ []byte, tomb bool, src int) error {
 			if !tomb {
 				keys++
 				if src < len(r.tables) {
@@ -118,7 +106,7 @@ func checkRunInvariants(t *testing.T, b *Backend) {
 			}
 			return nil
 		}, nil)
-		if err != nil && !errors.Is(err, errStopScan) {
+		if err != nil {
 			t.Fatal(err)
 		}
 		if keys != r.keys {
@@ -132,6 +120,9 @@ func checkRunInvariants(t *testing.T, b *Backend) {
 		if len(r.tables) > 0 && r.tables[0].liveEntries == 0 {
 			t.Fatalf("run %q starts with a dead table: retirement did not run", name)
 		}
+	}
+	if buffered != b.buffered {
+		t.Fatalf("memtable bytes = %d, sum over the runs %d", b.buffered, buffered)
 	}
 	sort.Strings(mounted)
 	if onDisk := sstOnDisk(t, b.dir); !reflect.DeepEqual(onDisk, mounted) && len(onDisk)+len(mounted) > 0 {
@@ -596,7 +587,7 @@ func TestReadsAndWritesBesideTierMerge(t *testing.T) {
 	checkRunInvariants(t, b)
 }
 
-// TestManyTablesInOneFlush flushes one memtable holding 200 user tables —
+// TestManyTablesInOneFlush flushes the memtables of 200 user tables at once —
 // far more than the handful the engine is built for — and reads everything
 // back, before and after a reopen.
 func TestManyTablesInOneFlush(t *testing.T) {
@@ -672,24 +663,5 @@ func TestHashMemoIsPerTable(t *testing.T) {
 	}
 	if d, err := b.HashTree(ctx, "B", 16); err != nil || d.Root == first.Root {
 		t.Fatalf("delete in B served the stale digest (err %v)", err)
-	}
-}
-
-// TestOpenRefusesV1Directory: a v1 MANIFEST (one age-ordered list of
-// SSTables shared by every user table) was last written by builds whose
-// stores core no longer reads, so Open refuses it and names the fix.
-func TestOpenRefusesV1Directory(t *testing.T) {
-	dir := t.TempDir()
-	v1 := "rstore-lsm v1\nnext 5\nwal 4\nsst 1\nsst 3\n"
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(dir, Options{})
-	if err == nil {
-		b.Close()
-		t.Fatal("a v1 directory opened")
-	}
-	if !errors.Is(err, types.ErrCorrupt) || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "re-initialize") {
-		t.Fatalf("refusal %q does not name v1 and the fix", err)
 	}
 }

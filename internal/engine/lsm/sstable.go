@@ -339,8 +339,9 @@ func openSSTable(path string, seq int64) (*sstable, error) {
 	indexLen := int64(binary.LittleEndian.Uint64(footer[8:16]))
 	bloomOff := int64(binary.LittleEndian.Uint64(footer[16:24]))
 	bloomLen := int64(binary.LittleEndian.Uint64(footer[24:32]))
-	if indexOff < 0 || indexLen < 4 || bloomOff < 0 || bloomLen < 4 ||
-		indexOff+indexLen > size || bloomOff+bloomLen > size {
+	// Compared without sums, which wrap for handles near 2^63.
+	inFile := func(off, n int64) bool { return off >= 0 && off <= size && n >= 4 && n <= size-off }
+	if !inFile(indexOff, indexLen) || !inFile(bloomOff, bloomLen) {
 		f.Close()
 		return nil, fmt.Errorf("%w: lsm sstable %s footer handles out of range", types.ErrCorrupt, path)
 	}
@@ -382,7 +383,7 @@ func openSSTable(path string, seq int64) (*sstable, error) {
 			f.Close()
 			return nil, fmt.Errorf("%w: lsm sstable %s index entry", types.ErrCorrupt, path)
 		}
-		if int64(off)+int64(length) > indexOff {
+		if off > uint64(indexOff) || length > uint64(indexOff)-off {
 			f.Close()
 			return nil, fmt.Errorf("%w: lsm sstable %s index handle out of range", types.ErrCorrupt, path)
 		}
@@ -441,6 +442,9 @@ func blockEntries(body []byte) (entries []byte, restarts []byte, n int, err erro
 // decodeEntry reads one entry at pos, appending the unshared suffix onto
 // key[:shared]. It returns the rebuilt key, value, kind, and next position.
 func decodeEntry(entries []byte, pos int, key []byte) ([]byte, []byte, byte, int, error) {
+	if pos > len(entries) {
+		return nil, nil, 0, 0, fmt.Errorf("%w: lsm block entry offset %d", types.ErrCorrupt, pos)
+	}
 	rest := entries[pos:]
 	shared, rest, err := codec.Uvarint(rest)
 	if err != nil {
@@ -454,7 +458,7 @@ func decodeEntry(entries []byte, pos int, key []byte) ([]byte, []byte, byte, int
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("%w: lsm block entry", types.ErrCorrupt)
 	}
-	if len(rest) < 1 || int(shared) > len(key) || uint64(len(rest)-1) < unshared+vlen {
+	if len(rest) < 1 || shared > uint64(len(key)) || unshared > uint64(len(rest)-1) || vlen > uint64(len(rest)-1)-unshared {
 		return nil, nil, 0, 0, fmt.Errorf("%w: lsm block entry bounds", types.ErrCorrupt)
 	}
 	kind := rest[0]
@@ -536,43 +540,20 @@ type sstIter struct {
 	t     *sstable
 	cache *BlockCache
 
-	bi       int // current block index
-	entries  []byte
-	pos      int
-	curKey   []byte
-	curVal   []byte
-	curKind  byte
-	valid_   bool
-	finished bool
+	bi      int // current block index
+	entries []byte
+	pos     int
+	curKey  []byte
+	curVal  []byte
+	curKind byte
+	valid_  bool
 }
 
-// iter positions at the first entry with key >= start (the whole table when
-// start is nil). The error, if any, is surfaced through the iterator's
-// first next().
-func (t *sstable) iterGE(start []byte, cache *BlockCache) (*sstIter, error) {
-	it := &sstIter{t: t, cache: cache}
-	bi := 0
-	if start != nil {
-		bi = sort.Search(len(t.index), func(i int) bool {
-			return bytes.Compare(t.index[i].lastKey, start) >= 0
-		})
-	}
-	if bi == len(t.index) {
-		it.finished = true
-		return it, nil
-	}
-	if err := it.loadBlockAt(bi); err != nil {
-		return nil, err
-	}
+// iter positions at the table's first entry.
+func (t *sstable) iter(cache *BlockCache) (*sstIter, error) {
+	it := &sstIter{t: t, cache: cache, bi: -1}
 	if err := it.advance(); err != nil {
 		return nil, err
-	}
-	if start != nil {
-		for it.valid_ && bytes.Compare(it.curKey, start) < 0 {
-			if err := it.advance(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return it, nil
 }
@@ -594,7 +575,7 @@ func (it *sstIter) loadBlockAt(bi int) error {
 func (it *sstIter) advance() error {
 	for it.pos >= len(it.entries) {
 		if it.bi+1 >= len(it.t.index) {
-			it.valid_, it.finished = false, true
+			it.valid_ = false
 			return nil
 		}
 		if err := it.loadBlockAt(it.bi + 1); err != nil {

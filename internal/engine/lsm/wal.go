@@ -11,13 +11,13 @@ import (
 	"rstore/internal/types"
 )
 
-// The write-ahead logs make the memtable durable: every mutation is framed,
+// The write-ahead logs make the memtables durable: every mutation is framed,
 // checksummed, and appended to its user table's wal-<seq>.log before it
-// touches the skiplist. Frame, put and delete records are reclog's — the
+// touches the table's skiplist. Frame, put and delete records are reclog's — the
 // bytes of a disklog segment — so a torn write from a crash can only affect
 // the un-acknowledged tail, which replay detects by checksum and truncates.
 // A log dies two ways. A flush retires every log at once: once the
-// memtable's contents are committed to SSTables via the MANIFEST, the old
+// memtables' contents are committed to SSTables via the MANIFEST, the old
 // logs are deleted and each table that had something logged gets a fresh
 // empty one. And a write call that leaves its table's log mostly dead
 // replaces the log with one holding only the table's memtable entries

@@ -6,7 +6,6 @@ import (
 	"rstore/internal/bitset"
 	"rstore/internal/chunk"
 	"rstore/internal/corpus"
-	"rstore/internal/index"
 	"rstore/internal/partition"
 	"rstore/internal/subchunk"
 	"rstore/internal/types"
@@ -112,10 +111,9 @@ func TestChunkSizesRespectSlack(t *testing.T) {
 // through chunk.Code and Layout.AddChunk, then every version placed in id
 // order. It returns each chunk's records as its segment values decode, in
 // slot order.
-func layOut(t *testing.T, c *corpus.Corpus, items []chunk.Item, chunks [][]uint32) (*index.Projections, *chunk.Layout, [][]types.Record) {
+func layOut(t *testing.T, c *corpus.Corpus, items []chunk.Item, chunks [][]uint32) (*chunk.Layout, [][]types.Record) {
 	t.Helper()
-	proj := index.New()
-	lay := chunk.NewLayout(c, proj)
+	lay := chunk.NewLayout(c)
 	stored := make([][]types.Record, len(chunks))
 	for i, idxs := range chunks {
 		coded, err := chunk.Code(items, idxs)
@@ -138,7 +136,7 @@ func layOut(t *testing.T, c *corpus.Corpus, items []chunk.Item, chunks [][]uint3
 			t.Fatal(err)
 		}
 	}
-	return proj, lay, stored
+	return lay, stored
 }
 
 // TestBuildAndExtractVersions builds physical chunks for each algorithm and
@@ -155,7 +153,7 @@ func TestBuildAndExtractVersions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
 		}
-		proj, lay, stored := layOut(t, c, in.Items, a.Chunks)
+		lay, stored := layOut(t, c, in.Items, a.Chunks)
 
 		for v := types.VersionID(0); int(v) < c.NumVersions(); v++ {
 			want, err := c.Members(v)
@@ -163,7 +161,7 @@ func TestBuildAndExtractVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make(map[types.CompositeKey][]byte)
-			for _, cid := range proj.VersionChunks(v) {
+			for _, cid := range lay.VersionChunks(v) {
 				recs := stored[cid]
 				slots := lay.Map(cid).SlotsOf(v)
 				if slots == nil {
@@ -230,7 +228,7 @@ func TestSubchunkRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: partition: %v", k, err)
 		}
-		proj, lay, stored := layOut(t, c, res.In.Items, a.Chunks)
+		lay, stored := layOut(t, c, res.In.Items, a.Chunks)
 
 		// Spot-check a few versions end to end.
 		for _, v := range []types.VersionID{0, types.VersionID(c.NumVersions() / 2), types.VersionID(c.NumVersions() - 1)} {
@@ -239,7 +237,7 @@ func TestSubchunkRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			gotSet := make(map[types.CompositeKey]string)
-			for _, cid := range proj.VersionChunks(v) {
+			for _, cid := range lay.VersionChunks(v) {
 				recs := stored[cid]
 				slots := lay.Map(cid).SlotsOf(v)
 				if slots == nil {

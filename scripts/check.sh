@@ -186,6 +186,7 @@ run_fuzz() {
   go test -fuzz=FuzzMessages -fuzztime=20s -run '^$' ./internal/engine/remote/wire/
   go test -fuzz=FuzzScanFrames -fuzztime=10s -run '^$' ./internal/engine/reclog/
   go test -fuzz=FuzzManifest -fuzztime=10s -run '^$' ./internal/engine/lsm/
+  go test -fuzz=FuzzOpenSSTable -fuzztime=10s -run '^$' ./internal/engine/lsm/
   go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzVerdict -fuzztime=10s -run '^$' ./internal/kvstore/
   go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
