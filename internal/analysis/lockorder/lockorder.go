@@ -80,7 +80,7 @@ func run(pass *rvet.Pass, table []Edge) error {
 		s:        s,
 		local:    local,
 		allowed:  allowed,
-		reported: make(map[[2]string]bool),
+		reported: make(map[siteEdge]bool),
 	}
 	decls := make([]*ast.FuncDecl, 0, len(g.Decls))
 	for _, fd := range g.Decls {
@@ -101,7 +101,14 @@ type checker struct {
 	s        *summarizer
 	local    map[*types.Func]locks
 	allowed  map[[2]string]bool
-	reported map[[2]string]bool // one report per edge per package
+	reported map[siteEdge]bool // one report per edge per site
+}
+
+// siteEdge is an undeclared edge at one acquisition or call site. Reports are
+// per site, not per edge, so an escape silences its own site and no other.
+type siteEdge struct {
+	from, to string
+	pos      token.Pos
 }
 
 // checkBody scans body with the given held locks (nil for a fresh
@@ -244,7 +251,7 @@ func (c *checker) checkEdge(from, to string, pos token.Pos, via string) {
 	if from == to || c.allowed[[2]string{from, to}] {
 		return
 	}
-	key := [2]string{from, to}
+	key := siteEdge{from, to, pos}
 	if c.reported[key] {
 		return
 	}

@@ -1,6 +1,7 @@
 package lockorder
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestEscapeRequiresReason(t *testing.T) {
 		switch {
 		case strings.Contains(d.Message, "requires a reason"):
 			reasonless = true
-		case d.Analyzer == Analyzer.Name:
+		case d.Analyzer == Analyzer.Name && strings.Contains(d.Message, "T.a -> "):
 			findings++
 		}
 	}
@@ -74,5 +75,30 @@ func TestEscapeRequiresReason(t *testing.T) {
 	}
 	if findings != 1 {
 		t.Errorf("a reason-less escape must not suppress: got %d findings, want 1 (diags: %v)", findings, diags)
+	}
+}
+
+// TestEscapeSilencesOnlyItsSite: reports are deduplicated per site, so an
+// escape on one site of an edge leaves every other site of it reported.
+func TestEscapeSilencesOnlyItsSite(t *testing.T) {
+	diags := rvettest.Diagnostics(t, NewAnalyzer(nil), "testdata/escapes", "rstore/internal/server")
+	var lines []int
+	for _, d := range diags {
+		if d.Analyzer == Analyzer.Name && strings.Contains(d.Message, "T.c -> rstore/internal/server.T.d") {
+			lines = append(lines, d.Pos.Line)
+		}
+	}
+	src, err := os.ReadFile("testdata/escapes/escapes.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0 // the line of Unescaped's t.d.Lock(), the one unescaped site of c -> d
+	for i, line := range strings.Split(string(src), "\n") {
+		if strings.Contains(line, "the one c -> d finding") {
+			want = i + 1
+		}
+	}
+	if len(lines) != 1 || lines[0] != want {
+		t.Errorf("c -> d reported at lines %v, want line %d alone (diags: %v)", lines, want, diags)
 	}
 }

@@ -38,18 +38,23 @@ var Table = []Edge{
 		Reason: "merges under compactMu read their victims through the block cache with mu released; cache shards are leaf locks",
 	},
 	{
-		From:   "rstore/internal/core.Store.mu",
+		From:   "rstore/internal/core.Store.wmu",
+		To:     "rstore/internal/core.Store.mu",
+		Reason: "a core writer holds wmu across its storage I/O and takes mu only to install the results in memory; plans take mu alone and never wmu",
+	},
+	{
+		From:   "rstore/internal/core.Store.wmu",
 		To:     "rstore/internal/kvstore.repairer.mu",
-		Reason: "core commits under Store.mu write through kvstore, whose read-repair bookkeeping takes its own short-lived locks; kvstore never calls back into core",
+		Reason: "core writers write through kvstore under wmu, and its read-repair bookkeeping takes its own short-lived locks; kvstore never calls back into core",
 	},
 	{
-		From:   "rstore/internal/core.Store.mu",
+		From:   "rstore/internal/core.Store.wmu",
 		To:     "rstore/internal/kvstore.repairer.hmu",
-		Reason: "core commits under Store.mu can park hints in kvstore; the hint-queue lock is a leaf and kvstore never calls back into core",
+		Reason: "core writers can park hints in kvstore under wmu; the hint-queue lock is a leaf and kvstore never calls back into core",
 	},
 	{
-		From:   "rstore/internal/core.Store.mu",
+		From:   "rstore/internal/core.Store.wmu",
 		To:     "rstore/internal/kvstore.repairer.tmu",
-		Reason: "core commits under Store.mu can record repair targets in kvstore; the target-table lock is a leaf and kvstore never calls back into core",
+		Reason: "core writers can record repair targets in kvstore under wmu; the target-table lock is a leaf and kvstore never calls back into core",
 	},
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -101,10 +102,10 @@ func within(t *testing.T, what string, op func() error) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("%s beside a stalled cursor: %v", what, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 	case <-time.After(time.Second):
-		t.Fatalf("%s waited more than a second on a stalled cursor", what)
+		t.Fatalf("%s waited more than a second", what)
 	}
 }
 
@@ -151,18 +152,18 @@ func TestBesideReaderWritersDoNotWait(t *testing.T) {
 	rest, stop := stalledCursor(t, st, 1)
 	defer stop()
 
-	within(t, "a commit", func() error {
+	within(t, "a commit beside a stalled cursor", func() error {
 		_, err := st.Commit(ctx, 1, Change{Puts: map[types.Key][]byte{"doc-10": []byte("v2")}})
 		return err
 	})
-	within(t, "a batch-closing commit", func() error {
+	within(t, "a batch-closing commit beside a stalled cursor", func() error {
 		_, err := st.Commit(ctx, 2, Change{Puts: map[types.Key][]byte{"doc-11": []byte("v3")}})
 		return err
 	})
 	if n := st.PendingVersions(); n != 0 {
 		t.Fatalf("%d versions pending: the third commit did not close the batch", n)
 	}
-	within(t, "a Materialize", func() error { return st.Materialize(ctx) })
+	within(t, "a Materialize beside a stalled cursor", func() error { return st.Materialize(ctx) })
 	sameRecords(t, "stalled cursor of version 1", rest(), want)
 }
 
@@ -175,7 +176,7 @@ func TestBesideReaderFlushDrainsOverlay(t *testing.T) {
 	rest, stop := stalledCursor(t, st, 1)
 	defer stop()
 
-	within(t, "a flush", func() error { return st.Flush(ctx) })
+	within(t, "a flush beside a stalled cursor", func() error { return st.Flush(ctx) })
 	pending := 0
 	if err := kv.Scan(ctx, TableDeltaStore, func(string, []byte) bool { pending++; return true }); err != nil {
 		t.Fatal(err)
@@ -201,7 +202,7 @@ func TestBesideReaderMaterializeDefersSweep(t *testing.T) {
 	rest, stop := stalledCursor(t, st, 1)
 	defer stop()
 
-	within(t, "a Materialize", func() error { return st.Materialize(ctx) })
+	within(t, "a Materialize beside a stalled cursor", func() error { return st.Materialize(ctx) })
 	if st.gen != 1 {
 		t.Fatalf("generation %d after Materialize, want 1", st.gen)
 	}
@@ -234,7 +235,7 @@ func TestBesideReaderCrashBeforeSweep(t *testing.T) {
 	_, stop := stalledCursor(t, st, 1)
 	defer stop()
 
-	within(t, "a Materialize", func() error { return st.Materialize(ctx) })
+	within(t, "a Materialize beside a stalled cursor", func() error { return st.Materialize(ctx) })
 	if gens := scanChunkGens(t, kv); gens[0] == 0 {
 		t.Fatalf("precondition: the pinned generation is gone before the crash: %v", gens)
 	}
@@ -349,7 +350,7 @@ func TestBesideReaderClose(t *testing.T) {
 		t.Fatalf("first record: %v", err)
 	}
 
-	within(t, "Close", st.Close)
+	within(t, "Close beside a stalled cursor", st.Close)
 	got := 1
 	for _, err, ok := next(); ok; _, err, ok = next() {
 		if err != nil {
@@ -366,38 +367,134 @@ func TestBesideReaderClose(t *testing.T) {
 	t.Fatalf("cursor resumed after Close streamed %d of %d records and ended without an error", got, len(puts))
 }
 
-// deltaStallBackend is a memory backend that, once armed, answers no read of
-// the write store until the test ends.
-type deltaStallBackend struct {
+// gateBackend is a memory backend that, once armed, holds every call of some
+// operations on one table: each announces itself on entered and waits until
+// the gate opens or its context ends.
+type gateBackend struct {
 	*memory.Backend
-	armed   atomic.Bool
+	gate atomic.Pointer[gate]
+}
+
+// gate is what a gateBackend holds: the calls of ops ("get", "scan",
+// "batchput") on table.
+type gate struct {
+	table   string
+	ops     []string
+	entered chan struct{} // a token per held call; 16 outnumbers any test's held calls, and a full buffer drops tokens
 	release chan struct{}
 }
 
-func (b *deltaStallBackend) stall(ctx context.Context, table string) error {
-	if table != TableDeltaStore || !b.armed.Load() {
+// openGated returns a store over a one-node cluster of a gateBackend, set up
+// as besideReaderStore sets one up; the gate opens when the test ends.
+func openGated(t *testing.T) (*Store, *gateBackend) {
+	t.Helper()
+	be := &gateBackend{Backend: memory.New()}
+	t.Cleanup(be.open)
+	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return be, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return besideReaderStoreOver(t, kv, 0), be
+}
+
+// hold arms b to hold the calls of ops on table.
+func (b *gateBackend) hold(table string, ops ...string) *gate {
+	g := &gate{table: table, ops: ops, entered: make(chan struct{}, 16), release: make(chan struct{})}
+	b.gate.Store(g)
+	return g
+}
+
+// open disarms b and lets every held call through.
+func (b *gateBackend) open() {
+	if g := b.gate.Swap(nil); g != nil {
+		close(g.release)
+	}
+}
+
+// reached waits for a call to enter g.
+func (g *gate) reached(t *testing.T, what string) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never reached the held call", what)
+	}
+}
+
+func (b *gateBackend) wait(ctx context.Context, op, table string) error {
+	g := b.gate.Load()
+	if g == nil || g.table != table || !slices.Contains(g.ops, op) {
 		return nil
 	}
 	select {
-	case <-b.release:
+	case g.entered <- struct{}{}:
+	default:
+	}
+	select {
+	case <-g.release:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-func (b *deltaStallBackend) Get(ctx context.Context, table, key string) ([]byte, bool, error) {
-	if err := b.stall(ctx, table); err != nil {
+func (b *gateBackend) Get(ctx context.Context, table, key string) ([]byte, bool, error) {
+	if err := b.wait(ctx, "get", table); err != nil {
 		return nil, false, err
 	}
 	return b.Backend.Get(ctx, table, key)
 }
 
-func (b *deltaStallBackend) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
-	if err := b.stall(ctx, table); err != nil {
+func (b *gateBackend) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
+	if err := b.wait(ctx, "scan", table); err != nil {
 		return err
 	}
 	return b.Backend.Scan(ctx, table, fn)
+}
+
+func (b *gateBackend) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
+	if err := b.wait(ctx, "batchput", table); err != nil {
+		return err
+	}
+	return b.Backend.BatchPut(ctx, table, entries)
+}
+
+// besideQueries are the queries a plan answers from memory, of version 1 of a
+// besideReaderStore: GetVersion, GetRange, GetRecord of each key of recs (the
+// version's records) and GetHistory of four keys.
+func besideQueries(ctx context.Context, recs []types.Record) map[string]func(st *Store) ([]types.Record, error) {
+	return map[string]func(st *Store) ([]types.Record, error){
+		"GetVersion": func(st *Store) ([]types.Record, error) {
+			got, _, err := st.GetVersionAll(ctx, 1)
+			return got, err
+		},
+		"GetRange": func(st *Store) ([]types.Record, error) {
+			got, _, err := st.GetRangeAll(ctx, KeyRange("doc-03", "new-1"), 1)
+			return got, err
+		},
+		"GetRecord": func(st *Store) ([]types.Record, error) {
+			var out []types.Record
+			for _, r := range recs {
+				rec, _, err := st.GetRecord(ctx, r.CK.Key, 1)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, rec)
+			}
+			return out, nil
+		},
+		"GetHistory": func(st *Store) ([]types.Record, error) {
+			var out []types.Record
+			for _, k := range []types.Key{"doc-00", "doc-05", "doc-10", "new-0"} {
+				hist, _, err := st.GetHistoryAll(ctx, k)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, hist...)
+			}
+			return out, nil
+		},
+	}
 }
 
 // TestBesideReaderPendingPlan: a query plans from memory alone, so no read of
@@ -408,13 +505,7 @@ func (b *deltaStallBackend) Scan(ctx context.Context, table string, fn func(key 
 // caller mutates reads back unchanged for the next.
 func TestBesideReaderPendingPlan(t *testing.T) {
 	ctx := context.Background()
-	be := &deltaStallBackend{Backend: memory.New(), release: make(chan struct{})}
-	t.Cleanup(func() { close(be.release) })
-	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return be, nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := besideReaderStoreOver(t, kv, 0)
+	st, be := openGated(t)
 	twin, _ := besideReaderStore(t, 0)
 	if err := twin.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -423,38 +514,7 @@ func TestBesideReaderPendingPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := map[string]func(st *Store) ([]types.Record, error){
-		"GetVersion": func(st *Store) ([]types.Record, error) {
-			recs, _, err := st.GetVersionAll(ctx, 1)
-			return recs, err
-		},
-		"GetRange": func(st *Store) ([]types.Record, error) {
-			recs, _, err := st.GetRangeAll(ctx, KeyRange("doc-03", "new-1"), 1)
-			return recs, err
-		},
-		"GetRecord": func(st *Store) ([]types.Record, error) {
-			var recs []types.Record
-			for _, r := range held {
-				rec, _, err := st.GetRecord(ctx, r.CK.Key, 1)
-				if err != nil {
-					return nil, err
-				}
-				recs = append(recs, rec)
-			}
-			return recs, nil
-		},
-		"GetHistory": func(st *Store) ([]types.Record, error) {
-			var recs []types.Record
-			for _, k := range []types.Key{"doc-00", "doc-05", "doc-10", "new-0"} {
-				hist, _, err := st.GetHistoryAll(ctx, k)
-				if err != nil {
-					return nil, err
-				}
-				recs = append(recs, hist...)
-			}
-			return recs, nil
-		},
-	}
+	queries := besideQueries(ctx, held)
 	want := map[string][]types.Record{}
 	for what, query := range queries {
 		if want[what], err = query(twin); err != nil {
@@ -462,7 +522,7 @@ func TestBesideReaderPendingPlan(t *testing.T) {
 		}
 	}
 
-	be.armed.Store(true)
+	be.hold(TableDeltaStore, "get", "scan")
 	type answer struct {
 		what string
 		recs []types.Record
@@ -475,7 +535,7 @@ func TestBesideReaderPendingPlan(t *testing.T) {
 			answers <- answer{what, recs, err}
 		}()
 	}
-	within(t, "a commit", func() error {
+	within(t, "a commit beside reads of the write store", func() error {
 		_, err := st.Commit(ctx, 1, Change{Puts: map[types.Key][]byte{"doc-19": []byte("v2")}})
 		return err
 	})

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"rstore/internal/corpus"
-	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
 
@@ -15,6 +14,10 @@ import (
 // from another system) into an empty store and materializes it offline with
 // the configured partitioner. The store takes ownership of the corpus.
 func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
+	// Both locks for the whole run: a plan made between the adoption and the
+	// placement would see versions that have no chunks.
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.mutable(); err != nil {
@@ -32,7 +35,8 @@ func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
 	// and the materialize below has nothing to drain.
 	s.placed = s.graph.NumVersions()
 	s.sortedKeys = slices.Sorted(slices.Values(c.Keys()))
-	if err := s.materializeLocked(ctx); err != nil {
+	//lint:rstore-vet lockorder: BulkLoad holds s.mu across its writes, as the flush does, until the placement builds on the side (ROADMAP 13(b))
+	if err := s.materialize(ctx, held); err != nil {
 		// Whatever stopped it, the adopted versions count as placed and are
 		// not: nothing may build on this store.
 		return s.poison(err)
@@ -47,59 +51,31 @@ func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
 // they re-introduce an existing record (merge traffic). The first commit
 // (parents = [InvalidVersion]) creates the root.
 func (s *Store) CommitDelta(ctx context.Context, parents []types.VersionID, delta *types.Delta) (types.VersionID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mutable(); err != nil {
-		return types.InvalidVersion, err
-	}
-	if len(parents) == 0 {
-		return types.InvalidVersion, fmt.Errorf("rstore: commit needs a parent")
-	}
-	// Validate against the predicted id before mutating the graph (failed
-	// commits must leave no trace).
-	v := types.VersionID(s.graph.NumVersions())
-	if parents[0] == types.InvalidVersion {
-		if s.graph.NumVersions() != 0 {
-			return types.InvalidVersion, fmt.Errorf("rstore: root version already exists")
+	return s.commit(ctx, parents, func(v types.VersionID) (*types.Delta, map[types.Key]types.CompositeKey, error) {
+		if !delta.IsConsistent() {
+			return nil, nil, fmt.Errorf("%w: version %d", types.ErrInconsistentDelta, v)
 		}
-	} else if err := validParents(s.graph, parents); err != nil {
-		return types.InvalidVersion, err
-	}
-	if !delta.IsConsistent() {
-		return types.InvalidVersion, fmt.Errorf("%w: version %d", types.ErrInconsistentDelta, v)
-	}
-	// Fresh adds must originate here; re-adds must already exist.
-	for _, r := range delta.Adds {
-		if r.CK.Version != v {
-			if _, ok := s.corpus.IDForCK(r.CK); !ok {
-				return types.InvalidVersion, fmt.Errorf("rstore: delta add %v neither originates at %d nor exists", r.CK, v)
+		// Fresh adds must originate here; re-adds must already exist.
+		for _, r := range delta.Adds {
+			if r.CK.Version != v {
+				if _, ok := s.corpus.IDForCK(r.CK); !ok {
+					return nil, nil, fmt.Errorf("rstore: delta add %v neither originates at %d nor exists", r.CK, v)
+				}
 			}
 		}
-	}
-	for _, ck := range delta.Dels {
-		if _, ok := s.corpus.IDForCK(ck); !ok {
-			return types.InvalidVersion, fmt.Errorf("%w: delta deletes unknown record %v", types.ErrNotFound, ck)
+		for _, ck := range delta.Dels {
+			if _, ok := s.corpus.IDForCK(ck); !ok {
+				return nil, nil, fmt.Errorf("%w: delta deletes unknown record %v", types.ErrNotFound, ck)
+			}
 		}
-	}
-
-	// The corpus keeps the added records and a flush codes chunks from them:
-	// they carry the store's copies of the caller's values.
-	owned := &types.Delta{Adds: make([]types.Record, len(delta.Adds)), Dels: delta.Dels}
-	for i, r := range delta.Adds {
-		owned.Adds[i] = types.Record{CK: r.CK, Value: bytes.Clone(r.Value)}
-	}
-	delta = owned
-
-	// Durable write first (see CommitMerge): a failure or cancellation here
-	// leaves no in-memory trace.
-	if err := s.kv.BatchPut(ctx, TableDeltaStore, []kvstore.Entry{{Key: deltaKey(v), Value: encodeDeltaEntry(parents, delta)}}); err != nil {
-		return types.InvalidVersion, err
-	}
-
-	if err := s.commitTail(ctx, v, parents, delta); err != nil {
-		return types.InvalidVersion, err
-	}
-	return v, nil
+		// The corpus keeps the added records and a flush codes chunks from
+		// them: they carry the store's copies of the caller's values.
+		owned := &types.Delta{Adds: make([]types.Record, len(delta.Adds)), Dels: delta.Dels}
+		for i, r := range delta.Adds {
+			owned.Adds[i] = types.Record{CK: r.CK, Value: bytes.Clone(r.Value)}
+		}
+		return owned, nil, nil
+	})
 }
 
 // ChunkStorageBytes sums what placement persists: the chunk payloads plus the

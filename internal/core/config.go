@@ -36,12 +36,15 @@
 //     be found empty.
 //
 // A Store is safe for concurrent use, but it must be the only writer of its
-// underlying cluster: commits, flushes, and Materialize coordinate through
-// the Store's own locks, not through the storage layer, which offers no
-// cross-client atomicity (see the internal/engine and internal/kvstore
-// package comments on the one-logical-writer contract). Queries return
-// streaming cursors whose records are private copies — callers may retain
-// them freely.
+// underlying cluster: writers coordinate through the Store's own locks, not
+// through the storage layer, which offers no cross-client atomicity (see the
+// internal/engine and internal/kvstore package comments on the
+// one-logical-writer contract). Writers serialise on a writer lock held
+// across their storage I/O and take the store lock only to install what
+// they have made durable (the flush and BulkLoad still hold it across their
+// writes), so a plan waits for no commit, repartition or root write.
+// Queries return streaming cursors whose records are private copies —
+// callers may retain them freely.
 //
 // The layer diagram lives in docs/ARCHITECTURE.md; every on-disk format the
 // engine persists through the cluster (root v8, placement log, delta store,

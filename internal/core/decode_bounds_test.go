@@ -77,7 +77,7 @@ func TestDecodersRefuseWideOrRepeatedIDs(t *testing.T) {
 				return err
 			}
 			st.branches["main"] = 5 // a root no writer saves: the store holds version 0 alone
-			if err := st.saveRoot(ctx); err != nil {
+			if err := st.saveRoot(ctx, st.branches); err != nil {
 				return err
 			}
 			_, err = Load(ctx, Config{KV: kv})

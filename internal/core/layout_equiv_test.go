@@ -256,7 +256,7 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 					t.Fatal(err)
 				}
 				if st.NumChunks() >= before+2 {
-					splitFlushes++ // more than one chunk: flushLocked split the batch at the frontier
+					splitFlushes++ // more than one chunk: the flush split the batch at the frontier
 				}
 				reload(fmt.Sprintf("after the flush at step %d", step))
 			case step%10 == 0:

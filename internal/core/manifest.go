@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -42,24 +43,25 @@ func placementKey(gen, idx uint32) string { return fmt.Sprintf("g%08x-p%08x", ge
 
 // saveRoot persists the root: format version, placement generation, and how
 // much of that generation is committed — chunk count, placement-record
-// count, placed-version count — plus the branches. Its write is the commit
-// point of every flush and repartition; everything it counts is already
-// durable. Called under s.mu.
-func (s *Store) saveRoot(ctx context.Context) error {
+// count, placed-version count — plus branches, the map it is given (SetBranch
+// writes the one it is about to install). Its write is the commit point of
+// every flush and repartition; everything it counts is already durable.
+// Called under s.wmu.
+func (s *Store) saveRoot(ctx context.Context, branches map[string]types.VersionID) error {
 	buf := codec.PutUvarint(nil, manifestVersion)
 	buf = codec.PutUvarint(buf, uint64(s.gen))
 	buf = codec.PutUvarint(buf, uint64(s.layout.NumChunks()))
 	buf = codec.PutUvarint(buf, uint64(s.numPlacements))
 	buf = codec.PutUvarint(buf, uint64(s.placed))
-	names := make([]string, 0, len(s.branches))
-	for name := range s.branches {
+	names := make([]string, 0, len(branches))
+	for name := range branches {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	buf = codec.PutUvarint(buf, uint64(len(names)))
 	for _, name := range names {
 		buf = codec.PutString(buf, name)
-		buf = codec.PutUvarint(buf, uint64(s.branches[name]))
+		buf = codec.PutUvarint(buf, uint64(branches[name]))
 	}
 	// BatchPut rather than Put: the root is the recovery root, and the
 	// batch path is the one durable backends fsync before acknowledging.
@@ -314,12 +316,12 @@ func Exists(ctx context.Context, kv *kvstore.Store) (bool, error) {
 // fresh store: the root is what Load replays later-acknowledged commits
 // against (flush and SetBranch refresh it as a side effect).
 func (s *Store) Checkpoint(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	return s.saveRoot(ctx)
+	return s.saveRoot(ctx, s.branches)
 }
 
 // Load reopens a store previously persisted to kv: the root names the
@@ -394,11 +396,8 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		parts[cid] = append(parts[cid], part)
 		return true
 	})
-	if scanErr != nil {
-		return fail(scanErr)
-	}
-	if loadErr != nil {
-		return fail(loadErr)
+	if err := cmp.Or(scanErr, loadErr); err != nil {
+		return fail(err)
 	}
 	// A counted chunk is whole or the store is corrupt: its segments must be
 	// all there and in their places (JoinSegments), and hold the slots its map
@@ -429,11 +428,8 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		}
 		return true
 	})
-	if scanErr != nil {
-		return fail(scanErr)
-	}
-	if loadErr != nil {
-		return fail(loadErr)
+	if err := cmp.Or(scanErr, loadErr); err != nil {
+		return fail(err)
 	}
 
 	// Placement log: records [0, numPlacements) of the root's generation,
@@ -452,11 +448,8 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		}
 		return true
 	})
-	if scanErr != nil {
-		return fail(scanErr)
-	}
-	if loadErr != nil {
-		return fail(loadErr)
+	if err := cmp.Or(scanErr, loadErr); err != nil {
+		return fail(err)
 	}
 	// The fold registers every chunked record once and every placed version:
 	// size the corpus for them before it starts.

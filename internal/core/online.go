@@ -40,15 +40,19 @@ import (
 // non-cancellable context here unless abandoning the store on interruption
 // is acceptable.
 func (s *Store) Flush(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	return s.flushLocked(ctx)
+	return s.flush(ctx)
 }
 
-func (s *Store) flushLocked(ctx context.Context) error {
+// flush places the pending versions. Callers hold s.wmu; it holds s.mu
+// throughout, because place grows the live layout that plans share.
+func (s *Store) flush(ctx context.Context) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	pending := s.pending()
 	if len(pending) == 0 {
 		return nil
@@ -94,7 +98,8 @@ func (s *Store) flushLocked(ctx context.Context) error {
 		}
 		ins = append(ins, in)
 	}
-	return s.place(ctx, "flush", ins, placement{gen: s.gen, layout: s.layout, first: pending[0]})
+	//lint:rstore-vet lockorder: the flush holds s.mu across its writes until it builds its chunks and bitmaps on the side (ROADMAP 13(b))
+	return s.place(ctx, "flush", ins, placement{gen: s.gen, layout: s.layout, first: pending[0]}, held)
 }
 
 // splitAtFrontier classifies the batch's new records (items: one per

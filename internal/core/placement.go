@@ -19,15 +19,18 @@ import (
 // placement generation. It is the bulk-load path and doubles as the periodic
 // full repartitioning that §4 recommends combining with online batching.
 func (s *Store) Materialize(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	return s.materializeLocked(ctx)
+	return s.materialize(ctx, s.locked)
 }
 
-func (s *Store) materializeLocked(ctx context.Context) error {
+// materialize repartitions onto a fresh layout, which no plan reads until
+// publish swaps it in: its caller need hold only s.wmu, and install runs the
+// swap under s.mu (place).
+func (s *Store) materialize(ctx context.Context, install func(func())) error {
 	if s.graph.NumVersions() == 0 {
 		return nil
 	}
@@ -38,7 +41,7 @@ func (s *Store) materializeLocked(ctx context.Context) error {
 	// A full repartition supersedes every previously written chunk and
 	// placement record: a fresh layout, ids and record log restarting at 0,
 	// under the next generation (see publish).
-	return s.place(ctx, "materialize", []*partition.Input{res.In}, placement{gen: s.gen + 1, layout: chunk.NewLayout(s.corpus)})
+	return s.place(ctx, "materialize", []*partition.Input{res.In}, placement{gen: s.gen + 1, layout: chunk.NewLayout(s.corpus)}, install)
 }
 
 // placement is one placement run's outcome on its way to the KVS: a layout
@@ -57,7 +60,8 @@ type placement struct {
 // order — parents before children — and publish. A flush passes its batch's
 // instances (one, or the open and the closed one) and the live layout; a
 // repartition the whole-corpus instance and a fresh layout under the next
-// generation.
+// generation. install runs publish's memory step under s.mu: s.locked takes
+// the lock, held serves a caller that holds it already.
 //
 // Chunks are laid out in three stages: the partitioner's assignment, then
 // every chunk coded on a pool of goroutines (chunk.Code, ordered), then —
@@ -65,7 +69,7 @@ type placement struct {
 // (Layout.AddChunk) and its segments handed to the chunk writer, which has one
 // group in flight. Ids, keys and bytes are what coding the chunks one by one
 // gives.
-func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p placement) (err error) {
+func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p placement, install func(func())) (err error) {
 	type job struct {
 		items []chunk.Item
 		idxs  []uint32
@@ -126,7 +130,7 @@ func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p 
 			return fmt.Errorf("rstore: %s: %w", op, err)
 		}
 	}
-	return s.publish(ctx, p, &w)
+	return s.publish(ctx, p, &w, install)
 }
 
 // chunkGroupBytes is the payload a chunk-write group is sent at: 4 MiB of
@@ -191,10 +195,12 @@ func (w *chunkWriter) wait() error {
 // under the NEXT generation's keys, so nothing is overwritten in place: until
 // the root — which names the generation — commits, the old root still pairs
 // with the old generation's intact entries. The store adopts p once its chunks
-// and record are durable, just before the root is written from it. A
-// superseded generation that a query stream still reads is deleted when the
-// last such stream ends (genPin); a crash before that leaves it to Load.
-func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error {
+// and record are durable, just before the root is written from it: the swap
+// of generation, layout, counts and pin is publish's one memory step, which
+// install runs under s.mu. A superseded generation that a query stream still
+// reads is deleted when the last such stream ends (genPin); a crash before
+// that leaves it to Load.
+func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter, install func(func())) error {
 	drain := s.pending()
 	if err := w.wait(); err != nil {
 		return err
@@ -208,12 +214,14 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 	}
 
 	oldGen, oldPin, oldLayout, oldPlacements := s.gen, s.pin, s.layout, s.numPlacements
-	s.gen, s.layout, s.numPlacements = p.gen, p.layout, idx+1
-	if p.gen != oldGen {
-		s.pin = newGenPin()
-	}
-	s.placed = s.graph.NumVersions()
-	if err := s.saveRoot(ctx); err != nil {
+	install(func() {
+		s.gen, s.layout, s.numPlacements = p.gen, p.layout, idx+1
+		if p.gen != oldGen {
+			s.pin = newGenPin()
+		}
+		s.placed = s.graph.NumVersions()
+	})
+	if err := s.saveRoot(ctx, s.branches); err != nil {
 		return err // the root still names oldGen: the store never lets go of it
 	}
 

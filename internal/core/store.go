@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -17,8 +18,14 @@ import (
 	"rstore/internal/vgraph"
 )
 
-// Store is the RStore engine instance.
+// Store is the RStore engine instance. Two locks guard it, always taken in
+// the order wmu → mu. wmu serialises writers and is held across their
+// storage I/O; only its holders change the fields below, so a writer reads
+// them under wmu alone. mu guards memory only: a writer write-locks it to
+// install what it has made durable, and a plan read-locks it. The flush and
+// BulkLoad still hold mu across their writes (ROADMAP 13(b)).
 type Store struct {
+	wmu sync.Mutex
 	mu  sync.RWMutex
 	cfg Config
 	kv  *kvstore.Store
@@ -95,7 +102,7 @@ func newStore(cfg Config, ownsKV bool) *Store {
 }
 
 // numPending counts the committed versions awaiting placement. Callers hold
-// s.mu, as for pending.
+// s.wmu or s.mu, as for pending.
 func (s *Store) numPending() int { return s.graph.NumVersions() - s.placed }
 
 // pending lists the committed versions awaiting placement, in commit order.
@@ -143,14 +150,14 @@ func (s *Store) PendingVersions() int {
 // fetch from a cluster Close closed ends with an error wrapping
 // types.ErrClosed.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if s.closed {
 		return nil
 	}
 	if !s.cfg.ReadOnly && s.failed == nil {
 		//lint:rstore-vet ctxfirst: Close is a durability point — the final flush must not inherit a cancelled request context
-		if err := s.flushLocked(context.Background()); err != nil {
+		if err := s.flush(context.Background()); err != nil {
 			return err
 		}
 	}
@@ -176,50 +183,63 @@ func (s *Store) Commit(ctx context.Context, parent types.VersionID, ch Change) (
 // §2.5). Secondary parents record provenance and are not consulted for
 // contents.
 func (s *Store) CommitMerge(ctx context.Context, parents []types.VersionID, ch Change) (types.VersionID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.commit(ctx, parents, func(v types.VersionID) (*types.Delta, map[types.Key]types.CompositeKey, error) {
+		return s.deriveDelta(parents, v, ch)
+	})
+}
+
+// commit is the one commit path. Under s.wmu it checks parents against the
+// PREDICTED version id v, has derive make v's delta (and v's key state, if
+// it knows it), and writes the delta through the batch path, the one durable
+// backends fsync before acknowledging; only then does it take s.mu to apply
+// v. A commit that fails before, a cancelled write included, leaves no trace
+// (the graph has no rollback); once the self-describing entry is durable the
+// commit stands, and Load replays it. A commit that fills the batch flushes.
+func (s *Store) commit(ctx context.Context, parents []types.VersionID, derive func(v types.VersionID) (*types.Delta, map[types.Key]types.CompositeKey, error)) (types.VersionID, error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if err := s.mutable(); err != nil {
 		return types.InvalidVersion, err
 	}
 	if len(parents) == 0 {
 		return types.InvalidVersion, fmt.Errorf("rstore: commit needs a parent")
 	}
-
-	// Validate everything against the PREDICTED version id before touching
-	// the graph: a failed commit must leave no trace (the graph has no
-	// rollback, and a graph/corpus mismatch would corrupt the store).
 	v := types.VersionID(s.graph.NumVersions())
 	if parents[0] == types.InvalidVersion {
 		if s.graph.NumVersions() != 0 {
 			return types.InvalidVersion, fmt.Errorf("rstore: root version already exists")
 		}
-		if len(ch.Deletes) != 0 {
-			return types.InvalidVersion, fmt.Errorf("rstore: root commit cannot delete keys")
-		}
 	} else if err := validParents(s.graph, parents); err != nil {
 		return types.InvalidVersion, err
 	}
-	delta, state, err := s.deriveDelta(parents, v, ch)
+	delta, state, err := derive(v)
 	if err != nil {
-		return types.InvalidVersion, fmt.Errorf("rstore: commit: %w", err)
+		return types.InvalidVersion, err
 	}
-
-	// Persist the delta BEFORE touching in-memory state: a commit that
-	// fails here — including a context cancelled mid-write — leaves no
-	// trace, whereas mutating the graph first would strand a version whose
-	// delta never became durable (the graph has no rollback, and the next
-	// flush would find the delta missing). The entry is self-describing
-	// (it carries its parents), so a crash after this write replays it on
-	// Load, honoring Commit's durability promise. This goes through the
-	// batch path — the one durable backends fsync before acknowledging.
 	if err := s.kv.BatchPut(ctx, TableDeltaStore, []kvstore.Entry{{Key: deltaKey(v), Value: encodeDeltaEntry(parents, delta)}}); err != nil {
 		return types.InvalidVersion, err
 	}
 
-	if err := s.commitTail(ctx, v, parents, delta); err != nil {
+	s.locked(func() {
+		if err = s.applyVersion(v, parents, delta); err == nil {
+			s.noteNewKeys(delta)
+		}
+	})
+	if err != nil {
 		return types.InvalidVersion, err
 	}
-	s.keyStates.put(v, state)
+	if state != nil {
+		s.keyStates.put(v, state)
+	}
+	if s.cfg.BatchSize > 0 && s.numPending() >= s.cfg.BatchSize {
+		// Detached from the caller's cancellation: the commit already
+		// stands (its delta is durable), and an interrupted flush poisons
+		// the store — a per-request ctx must not be able to do that as a
+		// side effect of the commit that happened to close the batch.
+		if err := s.flush(context.WithoutCancel(ctx)); err != nil {
+			return types.InvalidVersion, err
+		}
+	}
 	return v, nil
 }
 
@@ -249,23 +269,6 @@ func (s *Store) applyVersion(v types.VersionID, parents []types.VersionID, delta
 	return nil
 }
 
-// commitTail finishes a commit whose delta entry is durable: apply it, index
-// its new keys, and close the batch if it is full.
-func (s *Store) commitTail(ctx context.Context, v types.VersionID, parents []types.VersionID, delta *types.Delta) error {
-	if err := s.applyVersion(v, parents, delta); err != nil {
-		return err
-	}
-	s.noteNewKeys(delta)
-	if s.cfg.BatchSize > 0 && s.numPending() >= s.cfg.BatchSize {
-		// Detached from the caller's cancellation: the commit already
-		// stands (its delta is durable), and an interrupted flush poisons
-		// the store — a per-request ctx must not be able to do that as a
-		// side effect of the commit that happened to close the batch.
-		return s.flushLocked(context.WithoutCancel(ctx))
-	}
-	return nil
-}
-
 // validParents enforces every graph.AddVersion precondition — existing,
 // distinct parents — BEFORE the commit's durable delta write. The check
 // must be exhaustive: a delta entry written for a commit the graph then
@@ -291,13 +294,16 @@ func (s *Store) deriveDelta(parents []types.VersionID, v types.VersionID, ch Cha
 	delta := &types.Delta{}
 	var state map[types.Key]types.CompositeKey
 	if parents[0] == types.InvalidVersion {
+		if len(ch.Deletes) != 0 {
+			return nil, nil, fmt.Errorf("rstore: root commit cannot delete keys")
+		}
 		state = make(map[types.Key]types.CompositeKey, len(ch.Puts))
 	} else {
 		parentState, err := s.resolveKeyState(parents[0])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("rstore: commit: %w", err)
 		}
-		state = cloneKeyState(parentState)
+		state = maps.Clone(parentState)
 	}
 
 	// Deterministic ordering: sorted keys.
@@ -319,11 +325,11 @@ func (s *Store) deriveDelta(parents []types.VersionID, v types.VersionID, ch Cha
 	}
 	for _, k := range ch.Deletes {
 		if _, doubled := ch.Puts[k]; doubled {
-			return nil, nil, fmt.Errorf("rstore: key %q both put and deleted", string(k))
+			return nil, nil, fmt.Errorf("rstore: commit: key %q both put and deleted", string(k))
 		}
 		old, ok := state[k]
 		if !ok {
-			return nil, nil, &types.KeyNotFoundError{Key: k, Version: parents[0]}
+			return nil, nil, fmt.Errorf("rstore: commit: %w", &types.KeyNotFoundError{Key: k, Version: parents[0]})
 		}
 		delta.Dels = append(delta.Dels, old)
 		delete(state, k)
@@ -381,21 +387,37 @@ func (s *Store) noteNewKeys(delta *types.Delta) {
 // Branch management: lightweight named pointers, VCS-style (§2.4 AS
 // commands).
 
-// SetBranch points a branch name at a version and persists the root.
+// SetBranch points a branch name at a version once a root naming it is durable.
 func (s *Store) SetBranch(ctx context.Context, name string, v types.VersionID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
 	if v != types.InvalidVersion && !s.graph.Valid(v) {
 		return &types.VersionUnknownError{Version: v}
 	}
-	s.branches[name] = v
-	return s.saveRoot(ctx)
+	branches := maps.Clone(s.branches)
+	branches[name] = v
+	if err := s.saveRoot(ctx, branches); err != nil {
+		return err
+	}
+	s.locked(func() { s.branches = branches })
+	return nil
 }
 
-// mutable reports whether writes are currently allowed. Callers hold s.mu.
+// locked runs a writer's memory step, the install of what it has made
+// durable, with s.mu write-locked. Callers hold s.wmu and not s.mu.
+func (s *Store) locked(install func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	install()
+}
+
+// held runs the memory step of a writer that already holds s.mu.
+func held(install func()) { install() }
+
+// mutable reports whether writes are currently allowed. Callers hold s.wmu.
 func (s *Store) mutable() error {
 	if s.closed {
 		return types.ErrClosed
@@ -465,14 +487,6 @@ func (c *keyStateCache) put(v types.VersionID, st map[types.Key]types.CompositeK
 		}
 	}
 	c.m[v] = st
-}
-
-func cloneKeyState(st map[types.Key]types.CompositeKey) map[types.Key]types.CompositeKey {
-	out := make(map[types.Key]types.CompositeKey, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
 }
 
 // deltaKey renders the delta-store key of a version.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -451,6 +452,39 @@ func TestCommitDuplicateParentsLeavesNoTrace(t *testing.T) {
 	}
 	if rec, _, err := re.GetRecord(ctx, "a", v1); err != nil || string(rec.Value) != "1" {
 		t.Fatalf("reopened store: %q %v", rec.Value, err)
+	}
+}
+
+// TestSetBranchFailedRootLeavesNoTrace: SetBranch installs a branch only once
+// the root naming it is durable. One whose root write fails leaves Tip and
+// Branches as they were, and a later Checkpoint persists no trace of it.
+func TestSetBranchFailedRootLeavesNoTrace(t *testing.T) {
+	ctx := context.Background()
+	st, kv, backends := openFaulty(t, 1)
+	v0, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: map[types.Key][]byte{"a": []byte("0")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends[0].arm(func(table string) bool { return table == TableMeta })
+	if err := st.SetBranch(ctx, "dev", v0); !errors.Is(err, errInjected) {
+		t.Fatalf("SetBranch over a failing root write: %v, want the injected error", err)
+	}
+	backends[0].arm(nil)
+	if v, err := st.Tip("dev"); err == nil {
+		t.Fatalf("the failed SetBranch left dev at version %d", v)
+	}
+	if got := st.Branches(); !slices.Equal(got, []string{"main"}) {
+		t.Fatalf("branches after the failed SetBranch: %v, want [main]", got)
+	}
+	if err := st.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Load(ctx, Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Branches(); !slices.Equal(got, []string{"main"}) {
+		t.Fatalf("branches after Checkpoint and Load: %v, want [main]", got)
 	}
 }
 
