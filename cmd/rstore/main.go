@@ -177,17 +177,16 @@ func run(ctx context.Context, args []string) error {
 		return nil
 
 	case "log":
-		g := st.Graph()
 		for v := st.NumVersions() - 1; v >= 0; v-- {
 			vv := rstore.VersionID(v)
-			parents := g.Parents(vv)
+			parents := st.Parents(vv)
 			tag := ""
 			for _, b := range st.Branches() {
 				if tip, err := st.Tip(b); err == nil && tip == vv {
 					tag += " <- " + b
 				}
 			}
-			fmt.Printf("version %-4d parents=%v depth=%d%s\n", v, parents, g.Depth(vv), tag)
+			fmt.Printf("version %-4d parents=%v depth=%d%s\n", v, parents, st.Depth(vv), tag)
 		}
 		return nil
 

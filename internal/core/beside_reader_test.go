@@ -384,9 +384,17 @@ type gate struct {
 	release chan struct{}
 }
 
-// openGated returns a store over a one-node cluster of a gateBackend, set up
-// as besideReaderStore sets one up; the gate opens when the test ends.
+// openGated returns a store over a gatedCluster, set up as besideReaderStore
+// sets one up.
 func openGated(t *testing.T) (*Store, *gateBackend) {
+	t.Helper()
+	kv, be := gatedCluster(t)
+	return besideReaderStoreOver(t, kv, 0), be
+}
+
+// gatedCluster returns a one-node cluster of a gateBackend; the gate opens
+// when the test ends.
+func gatedCluster(t *testing.T) (*kvstore.Store, *gateBackend) {
 	t.Helper()
 	be := &gateBackend{Backend: memory.New()}
 	t.Cleanup(be.open)
@@ -394,7 +402,7 @@ func openGated(t *testing.T) (*Store, *gateBackend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return besideReaderStoreOver(t, kv, 0), be
+	return kv, be
 }
 
 // hold arms b to hold the calls of ops on table.

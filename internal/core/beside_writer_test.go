@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"rstore/internal/types"
+	"rstore/internal/workload"
 )
 
 // A writer holds the writer lock across its storage I/O and takes the store
@@ -14,10 +17,10 @@ import (
 // and query beside it.
 
 // TestBesideWriterHeldWrites: while the cluster holds a commit's delta write,
-// Materialize's chunk or placement write, or the root write of SetBranch or
-// Checkpoint, GetVersion, GetRange, GetRecord and GetHistory answer
-// byte-exact within a second, and the writer completes once the write is let
-// go.
+// a flush's or Materialize's chunk or placement write, or the root write of
+// SetBranch or Checkpoint, GetVersion, GetRange, GetRecord and GetHistory
+// answer byte-exact within a second, and the writer completes once the write
+// is let go.
 func TestBesideWriterHeldWrites(t *testing.T) {
 	ctx := context.Background()
 	writers := []struct {
@@ -28,6 +31,8 @@ func TestBesideWriterHeldWrites(t *testing.T) {
 			_, err := st.Commit(ctx, 1, Change{Puts: map[types.Key][]byte{"doc-19": []byte("v2")}})
 			return err
 		}},
+		{"a flush's chunk write", TableChunks, func(st *Store) error { return st.Flush(ctx) }},
+		{"a flush's placement write", TablePlacement, func(st *Store) error { return st.Flush(ctx) }},
 		{"Materialize's chunk write", TableChunks, func(st *Store) error { return st.Materialize(ctx) }},
 		{"Materialize's placement write", TablePlacement, func(st *Store) error { return st.Materialize(ctx) }},
 		{"SetBranch's root write", TableMeta, func(st *Store) error { return st.SetBranch(ctx, "dev", 1) }},
@@ -115,5 +120,63 @@ func TestBesideWriterOrder(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatalf("commit %d did not return within a second of the release", i+1)
 		}
+	}
+}
+
+// TestBesideWriterBulkLoad: a plan sees a bulk-loading store empty until the
+// load installs the corpus with its chunks. While the cluster holds the
+// load's chunk write, NumVersions answers 0 and GetVersion(0) that the
+// version is unknown within a second; once the write is let go, every version
+// reads byte-exact.
+func TestBesideWriterBulkLoad(t *testing.T) {
+	ctx := context.Background()
+	c, err := workload.Generate(workload.Spec{
+		Name: "beside-bulk", Versions: 12, AvgDepth: 4, RecordsPerVersion: 30,
+		UpdatePct: 0.2, Update: workload.RandomUpdate, RecordSize: 64, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]types.Record, c.NumVersions())
+	for v := range want {
+		members, err := c.Members(types.VersionID(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range members {
+			want[v] = append(want[v], c.Record(id))
+		}
+		types.SortRecords(want[v])
+	}
+	kv, be := gatedCluster(t)
+	st, err := Open(ctx, Config{KV: kv, ChunkCapacity: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g := be.hold(TableChunks, "batchput")
+	done := make(chan error, 1)
+	go func() { done <- st.BulkLoad(ctx, c) }()
+	g.reached(t, "BulkLoad")
+	within(t, "NumVersions beside a bulk load", func() error {
+		if n := st.NumVersions(); n != 0 {
+			return fmt.Errorf("%d versions before the load's chunks are written", n)
+		}
+		return nil
+	})
+	within(t, "GetVersion beside a bulk load", func() error {
+		if _, _, err := st.GetVersionAll(ctx, 0); !errors.Is(err, types.ErrVersionUnknown) {
+			return fmt.Errorf("GetVersion(0) before the load's chunks are written: %v, want version unknown", err)
+		}
+		return nil
+	})
+	be.open()
+	within(t, "BulkLoad once let go", func() error { return <-done })
+	for v := range want {
+		got, _, err := st.GetVersionAll(ctx, types.VersionID(v))
+		if err != nil {
+			t.Fatalf("GetVersion(%d) after the load: %v", v, err)
+		}
+		sameRecords(t, fmt.Sprintf("version %d after the load", v), got, want[v])
 	}
 }

@@ -12,14 +12,12 @@ import (
 
 // BulkLoad adopts a pre-built corpus (e.g. a generated dataset or an export
 // from another system) into an empty store and materializes it offline with
-// the configured partitioner. The store takes ownership of the corpus.
+// the configured partitioner. The store takes ownership of the corpus. Plans
+// see the empty store until publish installs the corpus, its sorted keys and
+// its layout in one step: never versions that have no chunks.
 func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
-	// Both locks for the whole run: a plan made between the adoption and the
-	// placement would see versions that have no chunks.
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.mutable(); err != nil {
 		return err
 	}
@@ -29,16 +27,10 @@ func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
 	if err := c.Graph().Validate(); err != nil {
 		return err
 	}
-	s.graph = c.Graph()
-	s.corpus = c
-	// Adopted versions never sat in the write store: nothing is pending,
-	// and the materialize below has nothing to drain.
-	s.placed = s.graph.NumVersions()
-	s.sortedKeys = slices.Sorted(slices.Values(c.Keys()))
-	//lint:rstore-vet lockorder: BulkLoad holds s.mu across its writes, as the flush does, until the placement builds on the side (ROADMAP 13(b))
-	if err := s.materialize(ctx, held); err != nil {
-		// Whatever stopped it, the adopted versions count as placed and are
-		// not: nothing may build on this store.
+	// Adopted versions never sat in the write store: nothing is pending, and
+	// the placement has nothing to drain.
+	if err := s.materialize(ctx, placement{corpus: c, keys: slices.Sorted(slices.Values(c.Keys()))}); err != nil {
+		// Whatever stopped it, nothing may build on this store.
 		return s.poison(err)
 	}
 	return nil

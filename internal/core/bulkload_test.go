@@ -104,13 +104,6 @@ func TestCommitDeltaValidation(t *testing.T) {
 	if len(s.Branches()) == 0 {
 		t.Fatal("no branches")
 	}
-	// Query stats accumulate across a mixed path.
-	var qs QueryStats
-	qs.add(QueryStats{Span: 1, Requests: 2, BytesRead: 3, Records: 4, WastedChunks: 5})
-	qs.add(QueryStats{Span: 1})
-	if qs.Span != 2 || qs.Requests != 2 || qs.BytesRead != 3 || qs.Records != 4 || qs.WastedChunks != 5 {
-		t.Fatalf("stats add: %+v", qs)
-	}
 	_ = errors.Is
 }
 

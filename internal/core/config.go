@@ -41,8 +41,7 @@
 // internal/engine and internal/kvstore package comments on the
 // one-logical-writer contract). Writers serialise on a writer lock held
 // across their storage I/O and take the store lock only to install what
-// they have made durable (the flush and BulkLoad still hold it across their
-// writes), so a plan waits for no commit, repartition or root write.
+// they have made durable, so a plan waits for no writer's I/O.
 // Queries return streaming cursors whose records are private copies —
 // callers may retain them freely.
 //
@@ -194,15 +193,6 @@ type QueryStats struct {
 	// exactly before they fetch, so it stays 0; the field remains for the
 	// clients and benchmarks that report it.
 	WastedChunks int
-}
-
-func (q *QueryStats) add(other QueryStats) {
-	q.Span += other.Span
-	q.Requests += other.Requests
-	q.BytesRead += other.BytesRead
-	q.SimElapsed += other.SimElapsed
-	q.Records += other.Records
-	q.WastedChunks += other.WastedChunks
 }
 
 // Change is the user-facing commit payload: new values for inserted or

@@ -203,9 +203,14 @@ func TestFlushCrashMatrix(t *testing.T) {
 			last.arm(nil)
 			switch stage.name {
 			case "between-segments":
-				// The poisoned store's layout knows how the batch's chunks
-				// were cut: some of them must be on disk in part.
-				partial := partialChunks(storedSegments(t, kv, st.gen), st.layout)
+				// Some of the batch's chunks must be on disk in part: a
+				// segment of theirs landed, and the last node refused another.
+				stored, partial := storedSegments(t, kv, st.gen), []chunk.ID{}
+				for _, key := range last.refused {
+					if g, cid, _, ok := chunk.ParseSegmentKey(key); ok && g == st.gen && stored[cid] > 0 {
+						partial = append(partial, cid)
+					}
+				}
 				if len(partial) == 0 || slices.Min(partial) < chunk.ID(seeded) {
 					t.Fatalf("precondition: partially written chunks %v, want some, all at or past chunk %d", partial, seeded)
 				}
@@ -555,7 +560,7 @@ func TestFailedMaterializePoisonsStore(t *testing.T) {
 			t.Errorf("%s on a poisoned store: %v, want ErrPoisoned naming the cause", name, err)
 		}
 	}
-	checkVersions(t, st, want) // still served from the generation the root names
+	checkVersions(t, st, want) // served from g+1, installed before its record: its chunks are durable
 	if err := st.Close(); err != nil {
 		t.Fatalf("close of a poisoned store: %v", err)
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "rstore/internal/types"
-
 // Info is a snapshot of store-level statistics, the numbers the paper
 // reports when sizing indexes and storage (§2.4).
 type Info struct {
@@ -49,15 +47,4 @@ func (s *Store) Info() Info {
 		KeyIndexBytes:     kb,
 		Branches:          len(s.branches),
 	}
-}
-
-// Versions lists all committed version ids in commit order.
-func (s *Store) Versions() []types.VersionID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]types.VersionID, s.graph.NumVersions())
-	for i := range out {
-		out[i] = types.VersionID(i)
-	}
-	return out
 }

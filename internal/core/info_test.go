@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-
-	"rstore/internal/types"
 )
 
 func TestInfo(t *testing.T) {
@@ -31,11 +29,6 @@ func TestInfo(t *testing.T) {
 	if info.Branches == 0 {
 		t.Fatal("no branches reported (main exists)")
 	}
-
-	vs := s.Versions()
-	if len(vs) != info.Versions || vs[0] != 0 || vs[len(vs)-1] != types.VersionID(info.Versions-1) {
-		t.Fatalf("Versions() = %v", vs)
-	}
 }
 
 func TestInfoEmptyStore(t *testing.T) {
@@ -46,8 +39,5 @@ func TestInfoEmptyStore(t *testing.T) {
 	info := s.Info()
 	if info.Versions != 0 || info.Records != 0 || info.Chunks != 0 {
 		t.Fatalf("empty store info: %+v", info)
-	}
-	if len(s.Versions()) != 0 {
-		t.Fatal("empty store has versions")
 	}
 }

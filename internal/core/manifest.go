@@ -131,11 +131,7 @@ func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.
 	buf := codec.PutUvarint(nil, uint64(first))
 	buf = codec.PutUvarint(buf, uint64(s.graph.NumVersions()-int(first)))
 	for v := first; int(v) < s.graph.NumVersions(); v++ {
-		parents := s.graph.Parents(v)
-		buf = codec.PutUvarint(buf, uint64(len(parents)))
-		for _, p := range parents {
-			buf = codec.PutUvarint(buf, uint64(p))
-		}
+		buf = appendParents(buf, s.graph.Parents(v))
 	}
 	cids := make([]chunk.ID, 0, len(diffs))
 	for cid := range diffs {
@@ -175,23 +171,8 @@ func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
 	}
 	parents := make([][]types.VersionID, n)
 	for i := range parents {
-		var np uint64
-		if np, rest, err = codec.Uvarint(rest); err != nil {
-			return err
-		}
-		if np > uint64(len(rest)) {
-			return fmt.Errorf("%w: version %d counts %d parents in %d bytes", types.ErrCorrupt, first+uint64(i), np, len(rest))
-		}
-		parents[i] = make([]types.VersionID, np)
-		for j := range parents[i] {
-			var p uint64
-			if p, rest, err = codec.Uvarint(rest); err != nil {
-				return err
-			}
-			if p > math.MaxUint32 {
-				return fmt.Errorf("%w: version %d names parent %d", types.ErrCorrupt, first+uint64(i), p)
-			}
-			parents[i][j] = types.VersionID(p)
+		if parents[i], rest, err = parentsFrom(rest); err != nil {
+			return fmt.Errorf("version %d: %w", first+uint64(i), err)
 		}
 	}
 

@@ -29,6 +29,7 @@ type faultBackend struct {
 	fail     func(table string) bool // nil = healthy
 	inFlight atomic.Int32            // BatchPuts entered and not yet returned
 	writes   atomic.Int64            // Put and BatchPut calls, failed ones included
+	refused  []string                // keys of the BatchPuts it failed, under mu
 }
 
 var errInjected = errors.New("injected crash")
@@ -58,6 +59,11 @@ func (b *faultBackend) BatchPut(ctx context.Context, table string, entries []eng
 	b.inFlight.Add(1)
 	defer b.inFlight.Add(-1)
 	if b.failing(table) {
+		b.mu.Lock()
+		for _, e := range entries {
+			b.refused = append(b.refused, e.Key)
+		}
+		b.mu.Unlock()
 		return errInjected
 	}
 	return b.Backend.BatchPut(ctx, table, entries)

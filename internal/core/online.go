@@ -30,10 +30,13 @@ import (
 // What a flush persists is what the batch adds, whatever the store already
 // holds: each new chunk's payload, written once and never again, then one
 // placement record (the batch's graph edges and slot bitmaps), then the root.
+// Queries go on beside it: the batch is partitioned, coded and written with
+// the store lock released, and the live layout grows in publish's one install
+// step, once the new chunks are durable.
 //
 // Flush honors ctx for its KVS writes. An error mid-flush — including a
 // cancellation — never corrupts the persisted state (publish's crash
-// ordering means Load repairs it), but it leaves this process's in-memory
+// ordering means Load repairs it), but it may leave this process's in-memory
 // placement ahead of what was persisted, so the Store refuses every further
 // mutation with types.ErrPoisoned: reads keep answering, Close skips its
 // final flush, and Load recovers every acknowledged commit. Prefer a
@@ -48,11 +51,8 @@ func (s *Store) Flush(ctx context.Context) error {
 	return s.flush(ctx)
 }
 
-// flush places the pending versions. Callers hold s.wmu; it holds s.mu
-// throughout, because place grows the live layout that plans share.
+// flush places the pending versions. Callers hold s.wmu and not s.mu.
 func (s *Store) flush(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	pending := s.pending()
 	if len(pending) == 0 {
 		return nil
@@ -98,8 +98,7 @@ func (s *Store) flush(ctx context.Context) error {
 		}
 		ins = append(ins, in)
 	}
-	//lint:rstore-vet lockorder: the flush holds s.mu across its writes until it builds its chunks and bitmaps on the side (ROADMAP 13(b))
-	return s.place(ctx, "flush", ins, placement{gen: s.gen, layout: s.layout, first: pending[0]}, held)
+	return s.place(ctx, ins, placement{op: "flush", corpus: s.corpus, keys: s.sortedKeys, layout: s.layout, gen: s.gen, first: pending[0]})
 }
 
 // splitAtFrontier classifies the batch's new records (items: one per

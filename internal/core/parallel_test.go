@@ -93,9 +93,9 @@ func (d doublePlacer) Partition(in *partition.Input) (*partition.Assignment, err
 }
 
 // TestBulkLoadDoublePlacedRecordJoinsCoders: an assignment that places a
-// record twice fails where the record's second chunk is bound — chunk 3, with
-// the chunks after it being coded — with the error a one-by-one layout gave,
-// poisons the store, and leaves no coding goroutine behind.
+// record twice fails where the record's second chunk is bound — chunk 3 — with
+// the error a one-by-one layout gave, poisons the store, and leaves no coding
+// goroutine behind.
 func TestBulkLoadDoublePlacedRecordJoinsCoders(t *testing.T) {
 	ctx := context.Background()
 	const k = 3

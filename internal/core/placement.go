@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"rstore/internal/chunk"
+	"rstore/internal/corpus"
 	"rstore/internal/kvstore"
 	"rstore/internal/partition"
 	"rstore/internal/subchunk"
@@ -24,52 +26,70 @@ func (s *Store) Materialize(ctx context.Context) error {
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	return s.materialize(ctx, s.locked)
+	return s.materialize(ctx, placement{corpus: s.corpus, keys: s.sortedKeys})
 }
 
-// materialize repartitions onto a fresh layout, which no plan reads until
-// publish swaps it in: its caller need hold only s.wmu, and install runs the
-// swap under s.mu (place).
-func (s *Store) materialize(ctx context.Context, install func(func())) error {
-	if s.graph.NumVersions() == 0 {
+// materialize repartitions p.corpus onto a fresh layout. Callers hold s.wmu.
+func (s *Store) materialize(ctx context.Context, p placement) error {
+	if p.corpus.NumVersions() == 0 {
 		return nil
 	}
-	res, err := subchunk.Build(s.corpus, s.cfg.SubChunkK, s.cfg.ChunkCapacity)
+	res, err := subchunk.Build(p.corpus, s.cfg.SubChunkK, s.cfg.ChunkCapacity)
 	if err != nil {
 		return fmt.Errorf("rstore: materialize: %w", err)
 	}
 	// A full repartition supersedes every previously written chunk and
 	// placement record: a fresh layout, ids and record log restarting at 0,
 	// under the next generation (see publish).
-	return s.place(ctx, "materialize", []*partition.Input{res.In}, placement{gen: s.gen + 1, layout: chunk.NewLayout(s.corpus)}, install)
+	p.op, p.gen, p.layout = "materialize", s.gen+1, chunk.NewLayout(p.corpus)
+	return s.place(ctx, []*partition.Input{res.In}, p)
 }
 
-// placement is one placement run's outcome on its way to the KVS: a layout
-// (the live one, grown by a flush; a fresh one, built by a repartition), the
-// generation it is written under, and the first of the versions the run
-// placed — it places [first, NumVersions).
+// placement is one placement run on its way to the KVS and into memory: a
+// corpus and its sorted keys (the store's, or those BulkLoad adopts), the
+// layout it grows (the live one, by a flush; a fresh one, by a repartition)
+// under generation gen with the versions [first, corpus.NumVersions()), and
+// the chunks place coded and wrote, in id order, without their values.
 type placement struct {
-	gen    uint32
+	op     string
+	corpus *corpus.Corpus
+	keys   []types.Key
 	layout *chunk.Layout
+	gen    uint32
 	first  types.VersionID
+	coded  []*chunk.Coded
+}
+
+// bind adds p's chunks to p.layout and gives its versions their slot bitmaps
+// in id order, parents first.
+func (p *placement) bind() error {
+	for _, c := range p.coded {
+		if _, err := p.layout.AddChunk(c); err != nil {
+			return err
+		}
+	}
+	for v := p.first; int(v) < p.corpus.NumVersions(); v++ {
+		if err := p.layout.PlaceVersion(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // place is the one placement mechanism (§3.1 offline, §4 online): partition
-// each instance, lay the chunks of their assignments out on p.layout in
-// instance order, give every version from p.first on its slot bitmaps in id
-// order — parents before children — and publish. A flush passes its batch's
-// instances (one, or the open and the closed one) and the live layout; a
-// repartition the whole-corpus instance and a fresh layout under the next
-// generation. install runs publish's memory step under s.mu: s.locked takes
-// the lock, held serves a caller that holds it already.
+// each instance, code and write the chunks of their assignments in instance
+// order, and publish. A flush passes its batch's instances (one, or the open
+// and the closed one) and the live layout; a repartition the whole-corpus
+// instance and a fresh layout under the next generation. Callers hold s.wmu
+// alone: place changes no memory a plan reads.
 //
-// Chunks are laid out in three stages: the partitioner's assignment, then
-// every chunk coded on a pool of goroutines (chunk.Code, ordered), then —
-// on this goroutine, in chunk-id order — each one bound to the layout
-// (Layout.AddChunk) and its segments handed to the chunk writer, which has one
-// group in flight. Ids, keys and bytes are what coding the chunks one by one
-// gives.
-func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p placement, install func(func())) (err error) {
+// Chunks are written in three stages: the partitioner's assignment, then
+// every chunk coded on a pool of goroutines (chunk.Code, ordered), then — on
+// this goroutine, in chunk-id order — its segments handed to the chunk writer,
+// which has one group in flight, under the id bind will give the chunk:
+// p.layout.NumChunks()+i for the i-th, as only s.wmu holders add chunks. Ids,
+// keys and bytes are what coding the chunks one by one gives.
+func (s *Store) place(ctx context.Context, ins []*partition.Input, p placement) (err error) {
 	type job struct {
 		items []chunk.Item
 		idxs  []uint32
@@ -78,40 +98,35 @@ func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p 
 	for _, in := range ins {
 		assign, err := s.cfg.Partitioner.Partition(in)
 		if err != nil {
-			return fmt.Errorf("rstore: %s: %s: %w", op, s.cfg.Partitioner.Name(), err)
+			return fmt.Errorf("rstore: %s: %s: %w", p.op, s.cfg.Partitioner.Name(), err)
 		}
 		for _, idxs := range assign.Chunks {
 			jobs = append(jobs, job{in.Items, idxs})
 		}
 	}
 
-	// From the first layout mutation on, memory (and then the KVS) runs
-	// ahead of the persisted root until publish has written it: an error
-	// anywhere in between poisons the store.
+	// From the first chunk write on, the KVS (and, from publish's install,
+	// memory) runs ahead of the persisted root until publish has written it:
+	// an error anywhere in between poisons the store.
 	defer func() {
 		if err != nil {
-			err = s.poison(err)
+			err = s.poison(fmt.Errorf("rstore: %s: %w", p.op, err))
 		}
 	}()
 	w := chunkWriter{kv: s.kv}
 	defer w.wait() // no chunk write outlives place, however it returns
 	err = ordered(len(jobs), func(i int) (*chunk.Coded, error) {
-		coded, err := chunk.Code(jobs[i].items, jobs[i].idxs)
-		if err != nil {
-			return nil, fmt.Errorf("rstore: %s: %w", op, err)
-		}
-		return coded, nil
-	}, func(_ int, coded *chunk.Coded) error {
-		cid, err := p.layout.AddChunk(coded)
-		if err != nil {
-			return fmt.Errorf("rstore: %s: %w", op, err)
-		}
+		return chunk.Code(jobs[i].items, jobs[i].idxs)
+	}, func(i int, coded *chunk.Coded) error {
 		// A chunk's segments travel in one group; the ring may still spread
 		// them over several nodes.
+		cid := chunk.ID(p.layout.NumChunks() + i)
 		for seg, value := range coded.Values {
 			w.group = append(w.group, kvstore.Entry{Key: chunk.SegmentKey(p.gen, cid, uint32(seg)), Value: value})
 			w.size += len(value)
 		}
+		coded.Values = nil // the writer has them; the layout needs only the slots
+		p.coded = append(p.coded, coded)
 		if w.size >= chunkGroupBytes {
 			return w.send(ctx)
 		}
@@ -120,17 +135,10 @@ func (s *Store) place(ctx context.Context, op string, ins []*partition.Input, p 
 	if err != nil {
 		return err
 	}
-	// The last group (a flush's only one) is written while the versions are
-	// placed.
 	if err := w.send(ctx); err != nil {
 		return err
 	}
-	for v := p.first; int(v) < s.graph.NumVersions(); v++ {
-		if err := p.layout.PlaceVersion(v); err != nil {
-			return fmt.Errorf("rstore: %s: %w", op, err)
-		}
-	}
-	return s.publish(ctx, p, &w, install)
+	return s.publish(ctx, p, &w)
 }
 
 // chunkGroupBytes is the payload a chunk-write group is sent at: 4 MiB of
@@ -194,33 +202,52 @@ func (w *chunkWriter) wait() error {
 // tombstone's timestamp settles on the next read. A repartition's entries land
 // under the NEXT generation's keys, so nothing is overwritten in place: until
 // the root — which names the generation — commits, the old root still pairs
-// with the old generation's intact entries. The store adopts p once its chunks
-// and record are durable, just before the root is written from it: the swap
-// of generation, layout, counts and pin is publish's one memory step, which
-// install runs under s.mu. A superseded generation that a query stream still
-// reads is deleted when the last such stream ends (genPin); a crash before
-// that leaves it to Load.
-func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter, install func(func())) error {
-	drain := s.pending()
-	if err := w.wait(); err != nil {
+// with the old generation's intact entries.
+//
+// The store installs p in one step under s.mu once its chunks are durable:
+// corpus, keys, layout, generation, counts and pin. p is bound beside the last
+// group's write on a fresh layout, which no plan reads, and inside the install
+// on the live one — O(batch) memory work — so a plan sees all of the run or
+// none of it, and waits for none of its I/O. A superseded generation that a
+// query stream still reads is deleted when the last such stream ends (genPin);
+// a crash before that leaves it to Load.
+func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error {
+	var err error
+	live := p.layout == s.layout
+	if !live {
+		err = p.bind()
+	}
+	if err = cmp.Or(err, w.wait()); err != nil {
 		return err
+	}
+	drained := make([]string, 0, s.numPending())
+	for v := s.placed; v < s.graph.NumVersions(); v++ {
+		drained = append(drained, deltaKey(types.VersionID(v)))
 	}
 	idx := s.numPlacements // a flush appends to the log, a new generation starts one
 	if p.gen != s.gen {
 		idx = 0
 	}
-	if err := s.savePlacement(ctx, p.gen, idx, p.first, p.layout.TakeDelta()); err != nil {
-		return err
-	}
-
 	oldGen, oldPin, oldLayout, oldPlacements := s.gen, s.pin, s.layout, s.numPlacements
-	install(func() {
+	s.locked(func() {
+		if live {
+			if err = p.bind(); err != nil {
+				return
+			}
+		}
+		s.graph, s.corpus, s.sortedKeys = p.corpus.Graph(), p.corpus, p.keys
 		s.gen, s.layout, s.numPlacements = p.gen, p.layout, idx+1
 		if p.gen != oldGen {
 			s.pin = newGenPin()
 		}
 		s.placed = s.graph.NumVersions()
 	})
+	if err != nil {
+		return err
+	}
+	if err := s.savePlacement(ctx, p.gen, idx, p.first, p.layout.TakeDelta()); err != nil {
+		return err
+	}
 	if err := s.saveRoot(ctx, s.branches); err != nil {
 		return err // the root still names oldGen: the store never lets go of it
 	}
@@ -247,10 +274,6 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter, instal
 		if err := oldPin.release(ctx); err != nil {
 			return err
 		}
-	}
-	drained := make([]string, len(drain))
-	for i, v := range drain {
-		drained[i] = deltaKey(v)
 	}
 	return deleteKeys(ctx, s.kv, TableDeltaStore, drained)
 }

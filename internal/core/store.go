@@ -22,8 +22,8 @@ import (
 // the order wmu → mu. wmu serialises writers and is held across their
 // storage I/O; only its holders change the fields below, so a writer reads
 // them under wmu alone. mu guards memory only: a writer write-locks it to
-// install what it has made durable, and a plan read-locks it. The flush and
-// BulkLoad still hold mu across their writes (ROADMAP 13(b)).
+// install what it has made durable, and a plan read-locks it, so a plan
+// waits for no writer's I/O.
 type Store struct {
 	wmu sync.Mutex
 	mu  sync.RWMutex
@@ -117,8 +117,27 @@ func (s *Store) pending() []types.VersionID {
 // KV exposes the backing cluster (stats, cost model).
 func (s *Store) KV() *kvstore.Store { return s.kv }
 
-// Graph exposes the version graph for provenance queries.
-func (s *Store) Graph() *vgraph.Graph { return s.graph }
+// Parents returns a copy of version v's parents, primary first, or nil for
+// an unknown version.
+func (s *Store) Parents(v types.VersionID) []types.VersionID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if !s.validVersion(v) {
+		return nil
+	}
+	return slices.Clone(s.graph.Parents(v))
+}
+
+// Depth returns version v's depth in the version tree (the root's is 1), or 0
+// for an unknown version.
+func (s *Store) Depth(v types.VersionID) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if !s.validVersion(v) {
+		return 0
+	}
+	return s.graph.Depth(v)
+}
 
 // NumVersions returns the number of committed versions.
 func (s *Store) NumVersions() int {
@@ -414,9 +433,6 @@ func (s *Store) locked(install func()) {
 	install()
 }
 
-// held runs the memory step of a writer that already holds s.mu.
-func held(install func()) { install() }
-
 // mutable reports whether writes are currently allowed. Callers hold s.wmu.
 func (s *Store) mutable() error {
 	if s.closed {
@@ -497,39 +513,51 @@ func deltaKey(v types.VersionID) string { return fmt.Sprintf("d%08x", uint32(v))
 // a commit acknowledged after the last flush is replayed on Load
 // from its delta entry alone, honoring Commit's durability promise.
 func encodeDeltaEntry(parents []types.VersionID, d *types.Delta) []byte {
-	buf := codec.PutUvarint(nil, uint64(len(parents)))
-	for _, p := range parents {
-		buf = codec.PutUvarint(buf, uint64(uint32(p)))
-	}
-	return codec.PutDelta(buf, d)
+	return codec.PutDelta(appendParents(nil, parents), d)
 }
 
-// decodeDeltaEntry refuses, as types.ErrCorrupt, a parent count the entry
-// has no bytes for (each parent takes at least one) and a parent id wider
-// than a VersionID.
 func decodeDeltaEntry(buf []byte) ([]types.VersionID, *types.Delta, error) {
-	np, rest, err := codec.Uvarint(buf)
+	parents, rest, err := parentsFrom(buf)
 	if err != nil {
-		return nil, nil, err
-	}
-	if np > uint64(len(rest)) {
-		return nil, nil, fmt.Errorf("%w: delta entry claims %d parents in %d bytes", types.ErrCorrupt, np, len(rest))
-	}
-	parents := make([]types.VersionID, np)
-	for i := range parents {
-		var p uint64
-		p, rest, err = codec.Uvarint(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		if p > math.MaxUint32 {
-			return nil, nil, fmt.Errorf("%w: delta entry parent %d", types.ErrCorrupt, p)
-		}
-		parents[i] = types.VersionID(p)
+		return nil, nil, fmt.Errorf("delta entry: %w", err)
 	}
 	d, err := codec.DecodeDelta(rest)
 	if err != nil {
 		return nil, nil, err
 	}
 	return parents, d, nil
+}
+
+// appendParents / parentsFrom code a parent list, in a delta entry and in a
+// placement record alike: a count, then each id, all uvarints. parentsFrom
+// refuses, as types.ErrCorrupt, a count the buffer has no bytes for (each
+// parent takes at least one) and an id wider than a VersionID.
+func appendParents(buf []byte, parents []types.VersionID) []byte {
+	buf = codec.PutUvarint(buf, uint64(len(parents)))
+	for _, p := range parents {
+		buf = codec.PutUvarint(buf, uint64(p))
+	}
+	return buf
+}
+
+func parentsFrom(buf []byte) ([]types.VersionID, []byte, error) {
+	np, rest, err := codec.Uvarint(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	if np > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("%w: %d parents in %d bytes", types.ErrCorrupt, np, len(rest))
+	}
+	parents := make([]types.VersionID, np)
+	for i := range parents {
+		var p uint64
+		if p, rest, err = codec.Uvarint(rest); err != nil {
+			return nil, nil, err
+		}
+		if p > math.MaxUint32 {
+			return nil, nil, fmt.Errorf("%w: parent %d", types.ErrCorrupt, p)
+		}
+		parents[i] = types.VersionID(p)
+	}
+	return parents, rest, nil
 }

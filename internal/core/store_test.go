@@ -378,7 +378,7 @@ func TestEngineMergeCommit(t *testing.T) {
 	}
 	m.commit(v1, chM, v3)
 
-	if got := s.Graph().Parents(v3); len(got) != 2 || got[0] != v1 || got[1] != v2 {
+	if got := s.Parents(v3); len(got) != 2 || got[0] != v1 || got[1] != v2 {
 		t.Fatalf("merge parents = %v", got)
 	}
 	if err := s.Materialize(context.Background()); err != nil {
@@ -537,4 +537,54 @@ func TestCommitOwnsItsValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after Load", re)
+}
+
+// TestParentsBesideCommit: Parents and Depth read the version graph under the
+// store's read lock, so a caller beside a chain of commits sees every version
+// it asks about whole — its parent and its depth — and, under -race, races
+// none of them.
+func TestParentsBesideCommit(t *testing.T) {
+	ctx := context.Background()
+	st, err := Open(ctx, Config{ChunkCapacity: 1024, BatchSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: map[types.Key][]byte{"k": []byte("0")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const commits = 200
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 1; i <= commits && err == nil; i++ {
+			v, err = st.Commit(ctx, v, Change{Puts: map[types.Key][]byte{"k": []byte(fmt.Sprint(i))}})
+		}
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		n := types.VersionID(st.NumVersions())
+		for u := types.VersionID(1); u < n; u++ {
+			if p := st.Parents(u); len(p) != 1 || p[0] != u-1 {
+				t.Fatalf("Parents(%d) = %v, want [%d]", u, p, u-1)
+			}
+			if d := st.Depth(u); d != int(u)+1 {
+				t.Fatalf("Depth(%d) = %d, want %d", u, d, u+1)
+			}
+		}
+		if p, d := st.Parents(commits+1), st.Depth(commits+1); p != nil || d != 0 {
+			t.Fatalf("unknown version %d: Parents %v, Depth %d", commits+1, p, d)
+		}
+	}
+	if st.NumVersions() != commits+1 {
+		t.Fatalf("%d versions, want %d", st.NumVersions(), commits+1)
+	}
 }

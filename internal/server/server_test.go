@@ -388,7 +388,7 @@ func TestHTTPMergeCommit(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("merge commit: %d", resp.StatusCode)
 	}
-	parents := st.Graph().Parents(types.VersionID(cr.Version))
+	parents := st.Parents(types.VersionID(cr.Version))
 	if len(parents) != 2 || parents[0] != 1 || parents[1] != 2 {
 		t.Fatalf("merge parents: %v", parents)
 	}

@@ -139,7 +139,7 @@ func TestFacadeBranchWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Graph().IsMerge(vm) {
+	if len(st.Parents(vm)) != 2 {
 		t.Fatal("merge not recorded")
 	}
 	bs := st.Branches()
