@@ -11,6 +11,27 @@ func TestEngineScope(t *testing.T) {
 	rvettest.Run(t, Analyzer, "testdata/engine", "rstore/internal/engine/fixture")
 }
 
+// TestSeamBypass: in lsm, disklog and reclog every os file-system call
+// and flock is reported...
+func TestSeamBypass(t *testing.T) {
+	for _, path := range []string{"rstore/internal/engine/lsm", "rstore/internal/engine/disklog", "rstore/internal/engine/reclog"} {
+		rvettest.Run(t, Analyzer, "testdata/bypass", path)
+	}
+}
+
+// ...but in reclog's os.go, the seam's host implementation.
+func TestSeamFileExempt(t *testing.T) {
+	rvettest.Run(t, Analyzer, "testdata/seamfile", "rstore/internal/engine/reclog")
+}
+
+// TestBypassRuleScope: the engine fixture reaches os directly and is not
+// one of the three packages.
+func TestBypassRuleScope(t *testing.T) {
+	for _, d := range rvettest.Diagnostics(t, Analyzer, "testdata/bypass", "rstore/internal/engine/fixture") {
+		t.Errorf("bypass rule fired outside lsm, disklog and reclog: %s", d)
+	}
+}
+
 func TestOutOfScope(t *testing.T) {
 	rvettest.Run(t, Analyzer, "testdata/unscoped", "rstore/internal/bench/fixture")
 }

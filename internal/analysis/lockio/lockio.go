@@ -8,9 +8,11 @@
 // I/O outside its pool lock.
 //
 // In the engine packages the write side of the rule is supplemented: file
-// mutation (Sync/Write/Rename/Remove/Create) under a read lock (RLock) is
-// flagged too — readers sharing an RWMutex must never pay write-I/O
-// latency, and a writer disguised as a reader defeats the lock's point.
+// mutation under a read lock (RLock) is flagged too — a write or sync of an
+// *os.File or a reclog.File (the engines' file-system seam), and a rename,
+// remove, open, mkdir or directory sync through os or reclog.FS. Readers
+// sharing an RWMutex must never pay write-I/O latency, and a writer
+// disguised as a reader defeats the lock's point.
 //
 // The analysis is intraprocedural and straight-line: a lock region opens
 // at x.Lock()/x.RLock() and closes at the next matching x.Unlock()/
@@ -132,21 +134,36 @@ func reportBlocking(pass *rvet.Pass, call *ast.CallExpr, st *lockState, engineSc
 			return
 		}
 	}
-	if engineScope && st.anyReadHeld() {
-		if rvet.IsMethodCall(info, call, "os", "File", "Sync") ||
-			rvet.IsMethodCall(info, call, "os", "File", "Write") ||
-			rvet.IsMethodCall(info, call, "os", "File", "WriteString") ||
-			rvet.IsMethodCall(info, call, "os", "File", "WriteAt") {
+	if !engineScope || !st.anyReadHeld() {
+		return
+	}
+	for _, m := range fileWrites {
+		if rvet.IsMethodCall(info, call, m[0], m[1], m[2]) {
 			pass.Reportf(call.Pos(), "file write/sync under a read lock: readers sharing this RWMutex would pay write-I/O latency")
 			return
 		}
-		for _, name := range [4]string{"Rename", "Remove", "Create", "OpenFile"} {
-			if rvet.IsPkgCall(info, call, "os", name) {
-				pass.Reportf(call.Pos(), "os.%s under a read lock: directory mutation belongs on the write side", name)
-				return
-			}
+	}
+	for _, name := range [4]string{"Rename", "Remove", "Create", "OpenFile"} {
+		if rvet.IsPkgCall(info, call, "os", name) {
+			pass.Reportf(call.Pos(), "os.%s under a read lock: directory mutation belongs on the write side", name)
+			return
 		}
 	}
+	for _, name := range [5]string{"Rename", "Remove", "OpenFile", "Mkdir", "SyncDir"} {
+		if rvet.IsMethodCall(info, call, reclogPath, "FS", name) {
+			pass.Reportf(call.Pos(), "reclog.FS.%s under a read lock: directory mutation belongs on the write side", name)
+			return
+		}
+	}
+}
+
+const reclogPath = "rstore/internal/engine/reclog"
+
+// fileWrites are the file writes and syncs, as (package, type, method):
+// *os.File's and those of the engines' file-system seam.
+var fileWrites = [...][3]string{
+	{"os", "File", "Sync"}, {"os", "File", "Write"}, {"os", "File", "WriteString"}, {"os", "File", "WriteAt"},
+	{reclogPath, "File", "Sync"}, {reclogPath, "File", "Write"}, {reclogPath, "File", "WriteAt"}, {reclogPath, "File", "Truncate"},
 }
 
 func (st *lockState) anyReadHeld() bool {

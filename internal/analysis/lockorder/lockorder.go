@@ -19,7 +19,11 @@
 //
 // Like lockio, the held-set tracking is straight-line per function;
 // function-literal bodies and `go` statements run on their own schedule
-// and are analyzed with an empty held set. Callee lock sets are the
+// and are analyzed with an empty held set — except a literal passed to a
+// package-local function that calls that parameter with locks held (core's
+// Store.locked runs its install step under Store.mu): the literal runs
+// then, and is analyzed with those locks held on top of its caller's.
+// Callee lock sets are the
 // may-acquire closure of the callee's own goroutine (literals and spawned
 // goroutines excluded), so an undeclared edge means "this call path can
 // block on that lock while holding this one".
@@ -30,6 +34,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -81,16 +86,38 @@ func run(pass *rvet.Pass, table []Edge) error {
 		local:    local,
 		allowed:  allowed,
 		reported: make(map[siteEdge]bool),
+		holds:    make(map[*types.Func]map[int][]string),
+		bound:    make(map[*ast.FuncLit]bool),
 	}
-	decls := make([]*ast.FuncDecl, 0, len(g.Decls))
-	for _, fd := range g.Decls {
-		decls = append(decls, fd)
+	fns := make([]*types.Func, 0, len(g.Decls))
+	for fn := range g.Decls {
+		fns = append(fns, fn)
 	}
-	sort.Slice(decls, func(i, j int) bool { return decls[i].Pos() < decls[j].Pos() })
-	for _, fd := range decls {
-		c.checkBody(fd.Body, nil)
+	sort.Slice(fns, func(i, j int) bool { return g.Decls[fns[i]].Pos() < g.Decls[fns[j]].Pos() })
+	// A quiet first walk finds the locks each function holds when it calls
+	// a func parameter; the second checks, reporting.
+	c.quiet = true
+	for _, fn := range fns {
+		c.cur, c.params = fn, funcParams(fn)
+		c.checkBody(g.Decls[fn].Body, nil)
+	}
+	c.quiet, c.params = false, nil
+	for _, fn := range fns {
+		c.checkBody(g.Decls[fn].Body, nil)
 	}
 	return nil
+}
+
+// funcParams maps fn's parameters of func type to their positions.
+func funcParams(fn *types.Func) map[types.Object]int {
+	params := make(map[types.Object]int)
+	sig := fn.Type().(*types.Signature).Params()
+	for i := range sig.Len() {
+		if _, ok := sig.At(i).Type().Underlying().(*types.Signature); ok {
+			params[sig.At(i)] = i
+		}
+	}
+	return params
 }
 
 // checker walks one package's function bodies in statement order,
@@ -102,6 +129,23 @@ type checker struct {
 	local    map[*types.Func]locks
 	allowed  map[[2]string]bool
 	reported map[siteEdge]bool // one report per edge per site
+
+	// holds maps a function to the locks it holds when it calls a func
+	// parameter, by the parameter's position; bound marks the literals
+	// analyzed with such locks held. quiet (the first walk) reports nothing
+	// and fills holds for cur, whose func parameters are params.
+	holds  map[*types.Func]map[int][]string
+	bound  map[*ast.FuncLit]bool
+	quiet  bool
+	cur    *types.Func
+	params map[types.Object]int
+}
+
+// reportf reports unless the walk is the quiet one.
+func (c *checker) reportf(pos token.Pos, format string, args ...any) {
+	if !c.quiet {
+		c.pass.Reportf(pos, format, args...)
+	}
 }
 
 // siteEdge is an undeclared edge at one acquisition or call site. Reports are
@@ -124,8 +168,11 @@ func (c *checker) checkBody(body *ast.BlockStmt, heldOrder []string) {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			// A literal runs on its own schedule (callback, goroutine,
-			// defer chain): empty held set, like lockio.
-			c.checkBody(n.Body, nil)
+			// defer chain): empty held set, like lockio — unless the call it
+			// is passed to runs it with locks held (below).
+			if !c.bound[n] {
+				c.checkBody(n.Body, nil)
+			}
 			return false
 		case *ast.GoStmt:
 			// A spawned goroutine's acquisitions are concurrent with the
@@ -167,7 +214,7 @@ func (c *checker) checkBody(body *ast.BlockStmt, heldOrder []string) {
 					// set for the acquisitions that follow.
 					if !isTry(n) {
 						if _, again := held[name]; again {
-							c.pass.Reportf(n.Pos(), "%s is acquired while already held: recursive or instance-ordered locking cannot be ranked — restructure", name)
+							c.reportf(n.Pos(), "%s is acquired while already held: recursive or instance-ordered locking cannot be ranked — restructure", name)
 							return true
 						}
 						for _, h := range heldOrder {
@@ -191,11 +238,28 @@ func (c *checker) checkBody(body *ast.BlockStmt, heldOrder []string) {
 				}
 				return true
 			}
-			if len(heldOrder) == 0 {
-				return true
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(heldOrder) > 0 {
+				if i, ok := c.params[info.Uses[id]]; ok {
+					if c.holds[c.cur] == nil {
+						c.holds[c.cur] = make(map[int][]string)
+					}
+					c.holds[c.cur][i] = union(c.holds[c.cur][i], heldOrder)
+				}
 			}
 			callee := rvet.Callee(info, n)
 			if callee == nil {
+				return true
+			}
+			for i, locks := range c.holds[callee] {
+				if i >= len(n.Args) {
+					continue
+				}
+				if lit, ok := ast.Unparen(n.Args[i]).(*ast.FuncLit); ok {
+					c.bound[lit] = true
+					c.checkBody(lit.Body, union(heldOrder, locks))
+				}
+			}
+			if len(heldOrder) == 0 {
 				return true
 			}
 			var set locks
@@ -206,7 +270,7 @@ func (c *checker) checkBody(body *ast.BlockStmt, heldOrder []string) {
 			}
 			for _, l := range sorted(set) {
 				if _, again := held[l]; again {
-					c.pass.Reportf(n.Pos(), "call to %s can re-acquire %s, which is already held here: self-deadlock", callee.Name(), l)
+					c.reportf(n.Pos(), "call to %s can re-acquire %s, which is already held here: self-deadlock", callee.Name(), l)
 					continue
 				}
 				for _, h := range heldOrder {
@@ -248,7 +312,7 @@ func isTry(call *ast.CallExpr) bool {
 
 // checkEdge validates one observed acquisition edge against the table.
 func (c *checker) checkEdge(from, to string, pos token.Pos, via string) {
-	if from == to || c.allowed[[2]string{from, to}] {
+	if from == to || c.allowed[[2]string{from, to}] || c.quiet {
 		return
 	}
 	key := siteEdge{from, to, pos}
@@ -463,6 +527,17 @@ func tableCycle(table []Edge) []string {
 		}
 	}
 	return nil
+}
+
+// union is a's locks followed by those of b it lacks, in order.
+func union(a, b []string) []string {
+	out := append([]string(nil), a...)
+	for _, l := range b {
+		if !slices.Contains(out, l) {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 func sorted(set locks) []string {

@@ -80,3 +80,26 @@ func (t *T) Unordered() {
 	t.c.Lock()
 	t.c.Unlock()
 }
+
+// locked runs fn with a held: the shape of core's Store.locked.
+func (t *T) locked(fn func()) {
+	t.a.Lock()
+	defer t.a.Unlock()
+	fn()
+}
+
+// A literal passed to locked runs with a held, so the call in it that takes
+// c is the edge a -> c; the declared a -> b beside it is not reported.
+func (t *T) ThroughClosure() {
+	t.locked(func() {
+		t.b.Lock()
+		t.b.Unlock()
+		t.lockC() // want "lock-order edge rstore/internal/server\\.T\\.a -> rstore/internal/server\\.T\\.c \\(via the call to lockC\\)"
+	})
+}
+
+// The same call outside the literal holds nothing.
+func (t *T) OutsideClosure() {
+	t.locked(func() {})
+	t.lockC()
+}

@@ -176,27 +176,47 @@ func TestCompactThenWrite(t *testing.T) {
 	}
 }
 
-// TestCompactCrashRecovery injects a crash at each of Compact's dangerous
-// points (via the shared enginetest harness) and proves reopening the
-// directory reads exactly the pre-compaction contents, deleted keys still
-// deleted:
+// TestCrashAnywhere crashes the engine after every mutating file-system
+// call of the shared workload, in both images (enginetest.CrashAnywhere).
+// The workload must reach the three moments Compact once named for crash
+// injection, each after the mutating call where it stood:
 //
-//   - mid-reappend: half of the victims' live records are in the active
-//     segment a second time, unsynced; every victim is intact.
-//   - appended: all of them are, fsynced; no victim is unlinked.
-//   - mid-unlink: the older half of the victims is gone; replay reads a
-//     suffix of the log.
-//
-// No point leaves a file that is not a segment.
-func TestCompactCrashRecovery(t *testing.T) {
-	enginetest.CompactCrashRecovery(t, enginetest.Harness{
-		Open: func(t *testing.T, dir string) enginetest.Crasher {
-			return openT(t, dir, Options{SegmentBytes: 4 << 10})
+//	mid-reappend  a write of re-appended live records, another still to go
+//	appended      the sync of the active segment after the re-append, before the first unlink
+//	mid-unlink    the unlink of a victim segment, another still to go
+func TestCrashAnywhere(t *testing.T) {
+	compacting := func(c []enginetest.Call, i int, op string) bool {
+		return i < len(c) && c[i].Op == op && c[i].Phase == "compact"
+	}
+	enginetest.CrashAnywhere(t, enginetest.Crash{
+		Open: func(fsys *enginetest.MemFS, dir string) (enginetest.Engine, error) {
+			b, err := open(fsys, dir, Options{SegmentBytes: 1 << 10})
+			if err != nil {
+				return nil, err
+			}
+			return b, nil
 		},
-		Points:      []string{"mid-reappend", "appended", "mid-unlink"},
-		CrashErr:    ErrCrashed,
+		DataGlobs:   []string{"seg-*.log"},
 		DebrisGlobs: []string{"*.cmp", "*.tmp"},
-		DiskBytes:   diskBytes,
+		Points: []enginetest.Point{
+			{Name: "mid-reappend", At: func(c []enginetest.Call, i int) bool {
+				if !compacting(c, i, "write") {
+					return false
+				}
+				for i++; i < len(c) && c[i].Phase == "compact" && c[i].Op != "remove"; i++ {
+					if c[i].Op == "write" {
+						return true
+					}
+				}
+				return false
+			}},
+			{Name: "appended", At: func(c []enginetest.Call, i int) bool {
+				return compacting(c, i, "sync") && compacting(c, i+1, "remove")
+			}},
+			{Name: "mid-unlink", At: func(c []enginetest.Call, i int) bool {
+				return compacting(c, i, "remove") && compacting(c, i+1, "remove")
+			}},
+		},
 	})
 }
 
@@ -339,7 +359,7 @@ func TestTornCompactHeaderDoesNotSupersede(t *testing.T) {
 	b := openT(t, dir, Options{SegmentBytes: 4 << 10})
 	const nKeys = 100
 	want := overwriteWorkload(t, b, nKeys, 2)
-	if b.Segments() < 2 {
+	if len(b.segs) < 2 {
 		t.Fatal("test needs multiple segments")
 	}
 	lastID := b.segs[len(b.segs)-1].id

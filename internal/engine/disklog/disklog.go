@@ -7,8 +7,9 @@
 // No binary and no engine name selects it: lsm is the product's durable
 // engine. disklog is the second durable implementation of engine.Backend,
 // against which the conformance suite (internal/engine/conformance_test.go,
-// enginetest's crash rows) holds the contract, and the benchmark's
-// --backend disklog.
+// enginetest.CrashAnywhere) holds the contract, and the benchmark's
+// --backend disklog. Like lsm it makes every file operation through a
+// reclog.FS, reclog.OS under Open.
 //
 // Durability contract: BatchPut fsyncs before acknowledging (fsync-on-batch,
 // the unit RStore's flush path commits in), Close fsyncs, and single Put /
@@ -39,7 +40,8 @@
 // duplicates; and once they start, what survives a crash is a suffix of the
 // log, in which a put can be missing before the tombstone that shadows it
 // but never the reverse. Plain replay reads every such directory to the
-// same contents.
+// same contents. Reset relies on the same rule: it logs a tombstone for
+// every live key, fsynced, before it unlinks anything.
 //
 // # On-disk format
 //
@@ -49,8 +51,8 @@ package disklog
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -89,7 +91,7 @@ type ref struct {
 // segment is one append-only log file.
 type segment struct {
 	id   int
-	f    *os.File
+	f    reclog.File
 	size int64 // append offset
 	live int64 // bytes of records the index still references (incl. framing)
 }
@@ -97,9 +99,10 @@ type segment struct {
 // Backend is a log-structured disk engine.Backend (and engine.Compactor).
 type Backend struct {
 	mu      sync.RWMutex
+	fs      reclog.FS
 	dir     string
 	opts    Options
-	lock    *os.File         // flock-held LOCK file; released on Close
+	lock    io.Closer        // the directory lock; released on Close
 	segs    []*segment       // ordered by id; the last one is the active writer
 	segByID map[int]*segment // same segments, addressed by id (refs hold ids)
 	index   map[string]map[string]ref
@@ -114,11 +117,6 @@ type Backend struct {
 	// Reset intervened: its victims are gone, and re-appending what it read
 	// from them would resurrect wiped data.
 	epoch int64
-
-	// compactCrash names the active crash-injection point (SetCrashPoint;
-	// "" in production): Compact aborts there with ErrCrashed, leaving the
-	// directory exactly as a power failure would.
-	compactCrash string
 }
 
 var (
@@ -128,33 +126,36 @@ var (
 	_ engine.HashRanger = (*Backend)(nil)
 )
 
-// ErrCrashed reports that a crash-injection point armed by SetCrashPoint
-// fired (tests only): Compact was aborted at the named step, leaving the
-// directory exactly as a power failure there would.
-var ErrCrashed = errors.New("disklog: injected crash")
-
 // Open opens (creating if needed) a disklog backend rooted at dir, replaying
 // existing segments to rebuild the key index. The directory is exclusively
 // flock-ed for the lifetime of the backend: two processes appending to the
 // same segments with independent offsets would corrupt committed records.
 func Open(dir string, opts Options) (*Backend, error) {
+	return open(reclog.OS, dir, opts)
+}
+
+// open is Open on any file system.
+func open(fsys reclog.FS, dir string, opts Options) (*Backend, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := reclog.MkdirAll(fsys, dir); err != nil {
 		return nil, fmt.Errorf("disklog: %w", err)
 	}
-	lock, err := reclog.Lock(dir)
+	lock, err := fsys.Lock(dir)
 	if err != nil {
 		return nil, err
 	}
 	b := &Backend{
-		dir: dir, opts: opts, lock: lock,
+		fs: fsys, dir: dir, opts: opts, lock: lock,
 		segByID: make(map[int]*segment),
 		index:   make(map[string]map[string]ref),
 	}
 	if err := b.recover(); err != nil {
-		b.closeFiles()
+		for _, s := range b.segs {
+			s.f.Close()
+		}
+		lock.Close()
 		return nil, err
 	}
 	return b, nil
@@ -167,7 +168,7 @@ func (b *Backend) recover() error {
 		return err
 	}
 	for i, id := range ids {
-		f, err := os.OpenFile(b.segPath(id), os.O_RDWR, 0)
+		f, err := b.fs.OpenFile(b.segPath(id), os.O_RDWR, 0)
 		if err != nil {
 			return fmt.Errorf("disklog: %w", err)
 		}
@@ -184,20 +185,23 @@ func (b *Backend) recover() error {
 	return nil
 }
 
-// listSegmentIDs globs the directory's segment files and returns their ids
+// listSegmentIDs lists the directory's segment files and returns their ids
 // in ascending order. Any seg-*.log name that does not parse is a stray
 // file and errors — it would otherwise be silently ignored by replay and
 // then corrupt the id sequence when a legitimate segment reuses its name.
 func (b *Backend) listSegmentIDs() ([]int, error) {
-	names, err := filepath.Glob(filepath.Join(b.dir, "seg-*.log"))
+	names, err := b.fs.ReadDir(b.dir)
 	if err != nil {
 		return nil, fmt.Errorf("disklog: %w", err)
 	}
-	ids := make([]int, 0, len(names))
+	var ids []int
 	for _, name := range names {
+		if ok, _ := filepath.Match("seg-*.log", name); !ok {
+			continue
+		}
 		var id int
-		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%06d.log", &id); err != nil {
-			return nil, fmt.Errorf("disklog: stray segment file %q", name)
+		if _, err := fmt.Sscanf(name, "seg-%06d.log", &id); err != nil {
+			return nil, fmt.Errorf("disklog: stray segment file %q", filepath.Join(b.dir, name))
 		}
 		ids = append(ids, id)
 	}
@@ -212,11 +216,11 @@ func (b *Backend) segPath(id int) string {
 // addSegment creates and activates a fresh segment file, fsyncing the
 // directory so the new entry itself survives a power failure.
 func (b *Backend) addSegment(id int) error {
-	f, err := os.OpenFile(b.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := b.fs.OpenFile(b.segPath(id), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("disklog: %w", err)
 	}
-	if err := reclog.SyncDir(b.dir); err != nil {
+	if err := b.fs.SyncDir(b.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -235,34 +239,17 @@ func (b *Backend) retire(n int) error {
 	old := b.segs[:n]
 	b.segs = b.segs[n:]
 	var firstErr error
-	for i, s := range old {
-		if b.compactCrash == "mid-unlink" && i == n/2 {
-			return ErrCrashed
-		}
+	for _, s := range old {
 		delete(b.segByID, s.id)
 		s.f.Close()
-		if err := os.Remove(b.segPath(s.id)); err != nil && firstErr == nil {
+		if err := b.fs.Remove(b.segPath(s.id)); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("disklog: %w", err)
 		}
 	}
-	if err := reclog.SyncDir(b.dir); err != nil && firstErr == nil {
+	if err := b.fs.SyncDir(b.dir); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// forget empties the index and retires every segment but the newest.
-func (b *Backend) forget() error {
-	b.index = make(map[string]map[string]ref)
-	b.bytes = 0
-	return b.retire(len(b.segs) - 1)
-}
-
-func (b *Backend) closeFiles() {
-	for _, s := range b.segs {
-		s.f.Close()
-	}
-	b.lock.Close() // releases the flock
 }
 
 // replay scans one segment, applying its records to the index. Corruption at
@@ -599,21 +586,12 @@ func (b *Backend) BytesStored() int64 {
 	return b.bytes
 }
 
-// Segments reports how many segment files back the log, for rotation tests
-// and ops introspection.
-func (b *Backend) Segments() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.segs)
-}
-
-// Reset drops every table and key (engine.Resetter): it activates a fresh
-// segment, empties the index, and unlinks every previous segment file.
-// Disklog has no manifest, so the wipe commits segment by segment rather
-// than atomically: a crash mid-reset replays whichever suffix of segments
-// survived — somewhere between the old contents and empty, with deleted
-// keys still deleted (retire). The epoch bump makes an in-flight compaction
-// stop instead of re-appending what it read from a freed segment.
+// Reset drops every table and key (engine.Resetter). Disklog has no
+// manifest, so the wipe commits through the log: a tombstone for every live
+// key is appended and fsynced — from then on every suffix of the log replays
+// empty — and only then is a fresh segment activated and every previous one
+// unlinked, oldest first (retire). The epoch bump makes an in-flight
+// compaction stop instead of re-appending what it read from a freed segment.
 func (b *Backend) Reset(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -623,36 +601,29 @@ func (b *Backend) Reset(ctx context.Context) error {
 	if b.closed {
 		return types.ErrClosed
 	}
+	var buf []byte
+	for table, kv := range b.index {
+		for key := range kv {
+			buf = appendRecord(buf, reclog.KindDel, table, key, nil)
+		}
+	}
+	if len(buf) > 0 {
+		seg, _, err := b.write(buf)
+		if err != nil {
+			return err
+		}
+		b.index, b.bytes = make(map[string]map[string]ref), 0
+		if err := seg.f.Sync(); err != nil {
+			return fmt.Errorf("disklog: %w", err)
+		}
+	}
 	// Ids keep counting upward so the new active segment replays after any
 	// old segment a crash leaves behind.
 	if err := b.addSegment(b.segs[len(b.segs)-1].id + 1); err != nil {
 		return err
 	}
 	b.epoch++
-	return b.forget()
-}
-
-// SetCrashPoint arms a crash-injection point (tests only): Compact aborts
-// with ErrCrashed at the named step, leaving the directory exactly as a
-// power failure there would. Recognized points: "mid-reappend" (half of the
-// victims' live records appended again, nothing fsynced), "appended" (all
-// of them, fsynced, no victim unlinked), "mid-unlink" (half of the victims
-// unlinked). Empty disarms.
-func (b *Backend) SetCrashPoint(point string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.compactCrash = point
-}
-
-// Kill simulates process death (tests only): every descriptor and the
-// directory flock are dropped with no syncing and no cleanup, leaving the
-// on-disk state exactly as the crash left it. The backend is unusable
-// afterwards; reopen the directory with Open.
-func (b *Backend) Kill() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	b.closeFiles()
+	return b.retire(len(b.segs) - 1)
 }
 
 // statsLocked snapshots the reclaim state; callers hold b.mu (any mode).
@@ -685,7 +656,7 @@ func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, 
 type moved struct {
 	table, key string
 	old        ref
-	src        *os.File
+	src        reclog.File
 	end        int
 }
 
@@ -736,7 +707,7 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 			}
 		}
 	}
-	epoch, crash := b.epoch, b.compactCrash
+	epoch := b.epoch
 	b.mu.Unlock()
 
 	// Reading the victims in log order turns the rewrite into sequential
@@ -760,9 +731,6 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	for rest := items; len(rest) > 0; {
 		if err := ctx.Err(); err != nil {
 			return engine.CompactionStats{}, err
-		}
-		if crash == "mid-reappend" && len(rest) <= len(items)/2 {
-			return engine.CompactionStats{}, ErrCrashed
 		}
 		buf = buf[:0]
 		n := 0
@@ -826,9 +794,6 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	}
 	if err := b.segs[len(b.segs)-1].f.Sync(); err != nil {
 		return engine.CompactionStats{}, fmt.Errorf("disklog: %w", err)
-	}
-	if crash == "appended" {
-		return engine.CompactionStats{}, ErrCrashed
 	}
 	reclaimed := -appended
 	for _, v := range b.segs[:nVictims] {

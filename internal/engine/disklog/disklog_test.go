@@ -87,7 +87,7 @@ func TestSegmentRotationAndReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := b.Segments(); n < 2 {
+	if n := len(b.segs); n < 2 {
 		t.Fatalf("no rotation happened: %d segments", n)
 	}
 	// Overwrites land in later segments and must shadow earlier ones.
@@ -100,8 +100,8 @@ func TestSegmentRotationAndReopen(t *testing.T) {
 
 	r := openT(t, dir, Options{SegmentBytes: 256})
 	defer r.Close()
-	if r.Segments() < 2 {
-		t.Fatalf("reopen lost segments: %d", r.Segments())
+	if len(r.segs) < 2 {
+		t.Fatalf("reopen lost segments: %d", len(r.segs))
 	}
 	if v, ok, _ := r.Get(context.Background(), "t", "k00"); !ok || string(v) != "new" {
 		t.Fatalf("k00 = %q (ok=%v), want new", v, ok)
@@ -169,7 +169,7 @@ func TestCorruptionInOlderSegmentIsFatal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.Segments() < 2 {
+	if len(b.segs) < 2 {
 		t.Fatal("test needs multiple segments")
 	}
 	if err := b.Close(); err != nil {

@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"os"
@@ -99,9 +98,8 @@ type tableOut struct {
 // The one tombstone rule lives here: an output that becomes the oldest table
 // of its run drops its tombstones, because nothing older is left for them to
 // shadow; an output left with no entry is not written at all (nil). On error
-// nothing is left behind but an injected crash's file. Safe without b.mu
-// when nextSeq is.
-func (b *Backend) writeTable(nextSeq func() int64, oldest, failBeforeFooter bool, feed func(add func(key, value []byte, tomb bool) error) error) (*tableOut, error) {
+// nothing is left behind. Safe without b.mu when nextSeq is.
+func (b *Backend) writeTable(nextSeq func() int64, oldest bool, feed func(add func(key, value []byte, tomb bool) error) error) (*tableOut, error) {
 	var out tableOut
 	var sw *sstWriter
 	err := feed(func(key, value []byte, tomb bool) error {
@@ -110,11 +108,10 @@ func (b *Backend) writeTable(nextSeq func() int64, oldest, failBeforeFooter bool
 		}
 		if sw == nil {
 			out.seq = nextSeq()
-			w, err := newSSTWriter(b.sstPath(out.seq) + ".tmp")
+			w, err := newSSTWriter(b.fs, b.sstPath(out.seq)+".tmp")
 			if err != nil {
 				return err
 			}
-			w.failBeforeFooter = failBeforeFooter
 			sw = w
 		}
 		return sw.add(key, value, tomb)
@@ -126,7 +123,8 @@ func (b *Backend) writeTable(nextSeq func() int64, oldest, failBeforeFooter bool
 		err = sw.finish()
 	}
 	if err != nil {
-		sw.abort(b.sstPath(out.seq)+".tmp", err)
+		sw.f.Close()
+		b.fs.Remove(b.sstPath(out.seq) + ".tmp")
 		return nil, err
 	}
 	out.values, out.tomb = sw.values, sw.logicalTomb
@@ -136,17 +134,14 @@ func (b *Backend) writeTable(nextSeq func() int64, oldest, failBeforeFooter bool
 // publishLocked renames sealed outputs to their final names and makes the
 // directory entries durable. They are still debris until a MANIFEST names
 // them. Callers hold b.mu exclusively.
-func (b *Backend) publishLocked(outs []tableOut, crash string) error {
-	for i, o := range outs {
+func (b *Backend) publishLocked(outs []tableOut) error {
+	for _, o := range outs {
 		//lint:rstore-vet fsyncrename: every output was sealed by writeTable (sstWriter.finish syncs) before it reached this commit phase
-		if err := os.Rename(b.sstPath(o.seq)+".tmp", b.sstPath(o.seq)); err != nil {
+		if err := b.fs.Rename(b.sstPath(o.seq)+".tmp", b.sstPath(o.seq)); err != nil {
 			return fmt.Errorf("lsm: %w", err)
 		}
-		if crash == "flush-part-renamed" && i == 0 && len(outs) > 1 {
-			return ErrCrashed
-		}
 	}
-	return reclog.SyncDir(b.dir)
+	return b.fs.SyncDir(b.dir)
 }
 
 // commitLocked is the commit point of every structural change: it writes a
@@ -175,7 +170,7 @@ func (b *Backend) writeManifestLocked(edit map[string][]*sstable, logOf func(r *
 			m.ssts = append(m.ssts, manifestFile{seq: t.seq, table: name})
 		}
 	}
-	if err := writeManifest(b.dir, m); err != nil {
+	if err := writeManifest(b.fs, b.dir, m); err != nil {
 		return err
 	}
 	for name, tables := range edit {
@@ -204,7 +199,7 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 		if r.mem.count == 0 {
 			continue
 		}
-		out, err := b.writeTable(b.allocSeqLocked, len(r.tables) == 0, b.crash == "mid-flush", func(add func(key, value []byte, tomb bool) error) error {
+		out, err := b.writeTable(b.allocSeqLocked, len(r.tables) == 0, func(add func(key, value []byte, tomb bool) error) error {
 			for it := r.mem.iter(); it.valid(); it.next() {
 				if err := add(it.key(), it.value(), it.tomb()); err != nil {
 					return err
@@ -213,10 +208,8 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 			return nil
 		})
 		if err != nil {
-			if !errors.Is(err, ErrCrashed) {
-				for _, o := range outs {
-					os.Remove(b.sstPath(o.seq) + ".tmp")
-				}
+			for _, o := range outs {
+				b.fs.Remove(b.sstPath(o.seq) + ".tmp")
 			}
 			return err
 		}
@@ -227,14 +220,11 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 	}
 	fresh := map[*run]*wal{}
 	edit := make(map[string][]*sstable, len(outs))
-	// abandon drops what the flush built; like a table write's, an injected
-	// crash leaves the files where they are.
+	// abandon drops what the flush built.
 	abandon := func(cause error) error {
 		for _, w := range fresh {
 			w.close()
-			if !errors.Is(cause, ErrCrashed) {
-				os.Remove(w.path)
-			}
+			b.fs.Remove(w.path)
 		}
 		for _, tables := range edit {
 			tables[len(tables)-1].close()
@@ -245,8 +235,7 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 		if r.log == nil || r.log.size == 0 {
 			continue
 		}
-		seq := b.allocSeqLocked()
-		w, err := createWAL(b.walPath(seq), seq)
+		w, err := b.createWAL(b.allocSeqLocked())
 		if err != nil {
 			return abandon(err)
 		}
@@ -254,14 +243,11 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 		fresh[r] = w
 	}
 	// One directory fsync covers the new logs and the renamed tables.
-	if err := b.publishLocked(outs, b.crash); err != nil {
+	if err := b.publishLocked(outs); err != nil {
 		return abandon(err)
 	}
-	if b.crash == "flush-renamed" {
-		return abandon(ErrCrashed)
-	}
 	for _, o := range outs {
-		nt, err := openSSTable(b.sstPath(o.seq), o.seq)
+		nt, err := openSSTable(b.fs, b.sstPath(o.seq), o.seq)
 		if err != nil {
 			return abandon(err)
 		}
@@ -275,7 +261,7 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 		return abandon(err)
 	}
 	for _, r := range b.runs {
-		discardLog(r.log) // debris from here on: see discardTables
+		b.discardLog(r.log) // debris from here on: see discardTables
 		r.log, r.logLive = fresh[r], 0
 		if r.log != nil {
 			r.log.dirSynced = true
@@ -291,18 +277,18 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 // discardTables closes and unlinks tables a committed MANIFEST no longer
 // names. No directory fsync follows: an unlink the disk forgets leaves
 // debris that Open deletes, and every caller is on the write path.
-func discardTables(victims []*sstable) {
+func (b *Backend) discardTables(victims []*sstable) {
 	for _, t := range victims {
 		t.close()
-		os.Remove(t.path)
+		b.fs.Remove(t.path)
 	}
 }
 
 // discardLog is discardTables for a log (nil: none).
-func discardLog(w *wal) {
+func (b *Backend) discardLog(w *wal) {
 	if w != nil {
 		w.close()
-		os.Remove(w.path)
+		b.fs.Remove(w.path)
 	}
 }
 
@@ -328,31 +314,24 @@ func (b *Backend) replaceLogLocked(table string, r *run) error {
 	}
 	old := r.log
 	tmp := old.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := b.fs.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("lsm: %w", err)
 	}
 	if _, err = f.Write(buf); err == nil {
 		err = f.Sync()
 	}
-	if err == nil && b.crash == "replace-written" {
-		f.Close()
-		return ErrCrashed
-	}
 	if err == nil {
-		err = os.Rename(tmp, old.path)
+		err = b.fs.Rename(tmp, old.path)
 	}
 	if err != nil {
 		f.Close()
-		os.Remove(tmp)
+		b.fs.Remove(tmp)
 		return fmt.Errorf("lsm: replacing log %d: %w", old.seq, err)
 	}
 	size := int64(len(buf))
-	r.log = &wal{f: f, path: old.path, seq: old.seq, size: size, synced: size, buf: old.buf}
+	r.log = &wal{fs: b.fs, f: f, path: old.path, seq: old.seq, size: size, synced: size, buf: old.buf}
 	old.close()
-	if b.crash == "replace-renamed" {
-		return ErrCrashed
-	}
 	return r.log.sync() // the directory: a later sync of the new file must not be of an unlinked inode
 }
 
@@ -402,10 +381,7 @@ func (b *Backend) retireLocked() error {
 	for _, t := range victims {
 		b.compacted += t.size
 	}
-	if b.crash == "retire-manifested" {
-		return ErrCrashed
-	}
-	discardTables(victims)
+	b.discardTables(victims)
 	return nil
 }
 
@@ -505,8 +481,7 @@ type mergeJob struct {
 	// young end, so victims captured at 0 are at 0 for as long as they stay.
 	lo    int
 	epoch int64
-	seq   int64 // the output's file sequence, allocated up front
-	crash string
+	seq   int64              // the output's file sequence, allocated up front
 	pause func(stage string) // b.mergePause at capture
 }
 
@@ -530,7 +505,6 @@ func (b *Backend) captureMerge(table string, pick func(tables []*sstable) (lo, n
 		lo:      lo,
 		epoch:   b.epoch,
 		seq:     b.allocSeqLocked(),
-		crash:   b.crash,
 		pause:   b.mergePause,
 	}, true
 }
@@ -563,7 +537,7 @@ func (b *Backend) writeMerged(ctx context.Context, job mergeJob) (nt *sstable, e
 		}
 		sources[i] = it
 	}
-	out, err := b.writeTable(func() int64 { return job.seq }, job.lo == 0, job.crash == "mid-merge", func(add func(key, value []byte, tomb bool) error) error {
+	out, err := b.writeTable(func() int64 { return job.seq }, job.lo == 0, func(add func(key, value []byte, tomb bool) error) error {
 		return mergeSources(sources, func(key, value []byte, tomb bool, _ int) error {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -575,8 +549,8 @@ func (b *Backend) writeMerged(ctx context.Context, job mergeJob) (nt *sstable, e
 		return nil, err
 	}
 	tmp := b.sstPath(job.seq) + ".tmp"
-	if nt, err = openSSTable(tmp, job.seq); err != nil {
-		os.Remove(tmp)
+	if nt, err = openSSTable(b.fs, tmp, job.seq); err != nil {
+		b.fs.Remove(tmp)
 	}
 	return nt, err
 }
@@ -601,7 +575,7 @@ func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error 
 	if lo < 0 || hi > len(r.tables) || !slices.Equal(r.tables[lo:hi], job.victims) {
 		if nt != nil {
 			nt.close()
-			os.Remove(nt.path)
+			b.fs.Remove(nt.path)
 		}
 		return nil
 	}
@@ -615,10 +589,7 @@ func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error 
 		nt.path = b.sstPath(nt.seq)
 		newTables = slices.Insert(newTables, lo, nt)
 	}
-	err := b.publishLocked(outs, "")
-	if err == nil && job.crash == "merge-renamed" {
-		err = ErrCrashed
-	}
+	err := b.publishLocked(outs)
 	if err == nil {
 		err = b.commitLocked(map[string][]*sstable{job.table: newTables})
 	}
@@ -643,12 +614,7 @@ func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error 
 	if reclaimed > 0 {
 		b.compacted += reclaimed
 	}
-	if job.crash == "merge-manifested" {
-		// The commit happened but the victims were not yet deleted; they
-		// are debris the next Open removes.
-		return ErrCrashed
-	}
-	discardTables(job.victims)
+	b.discardTables(job.victims)
 	return nil
 }
 

@@ -2,9 +2,9 @@ package lsm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -43,52 +43,116 @@ func diskBytes(t *testing.T, dir string) int64 {
 	return total
 }
 
-// TestCompactCrashRecovery runs the shared crash-injection suite over every
-// dangerous point of the flush/merge pipeline:
-//
-//   - mid-flush / mid-merge: the output SSTable is half-written with no
-//     footer; recovery must delete the .tmp debris and serve from the WAL
-//     and intact tables.
-//   - flush-renamed / merge-renamed: the SSTable is complete and renamed
-//     into place but the MANIFEST never committed it; recovery must drop the
-//     unreferenced file (for a flush the WAL is still authoritative).
-//   - merge-manifested: the MANIFEST committed the merge but the victim
-//     tables were never deleted; recovery must remove them instead of
-//     mounting them (which would double-count and resurrect tombstoned
-//     keys dropped by the merge).
-func TestCompactCrashRecovery(t *testing.T) {
-	enginetest.CompactCrashRecovery(t, enginetest.Harness{
-		Open: func(t *testing.T, dir string) enginetest.Crasher {
-			return openT(t, dir, Options{MemtableBytes: 4 << 10})
-		},
-		Points:      []string{"mid-flush", "flush-renamed", "mid-merge", "merge-renamed", "merge-manifested"},
-		CrashErr:    ErrCrashed,
-		DebrisGlobs: []string{"*.tmp"},
-		DiskBytes:   diskBytes,
-		// Compact reaches the flush points only through a non-empty
-		// memtable, and the workload's tail may have landed exactly on a
-		// flush boundary — top the memtable up until it holds something.
-		Prepare: func(t *testing.T, c enginetest.Crasher) map[string]string {
-			b := c.(*Backend)
-			ctx := context.Background()
-			extra := map[string]string{}
-			for i := 0; ; i++ {
-				k := fmt.Sprintf("extra-%02d", i)
-				v := k + " resident"
-				if err := b.Put(ctx, "t", k, []byte(v)); err != nil {
-					t.Fatal(err)
-				}
-				extra[k] = v
-				b.mu.RLock()
-				n := b.buffered
-				b.mu.RUnlock()
-				if n > 0 {
-					return extra
-				}
+// TestCompactCrashRecovery crashes lsm after every mutating file-system call
+// of the shared workload (crashAnywhere) and asserts the workload reaches the
+// flush/merge pipeline's crash points (compactPoints).
+func TestCompactCrashRecovery(t *testing.T) { crashAnywhere(t, compactPoints) }
+
+// TestRunCrashRecovery is TestCompactCrashRecovery for the per-table runs'
+// crash points (runPoints).
+func TestRunCrashRecovery(t *testing.T) { crashAnywhere(t, runPoints) }
+
+// TestLogCrashRecovery is TestCompactCrashRecovery for the per-table logs'
+// crash points (logPoints).
+func TestLogCrashRecovery(t *testing.T) { crashAnywhere(t, logPoints) }
+
+// crashAnywhere runs enginetest.CrashAnywhere over lsm, in both crash images,
+// at a configuration small enough for the workload to flush, merge and
+// replace logs often; points are the crash points it must reach.
+func crashAnywhere(t *testing.T, points []enginetest.Point) {
+	enginetest.CrashAnywhere(t, enginetest.Crash{
+		Open: func(fsys *enginetest.MemFS, dir string) (enginetest.Engine, error) {
+			b, err := open(fsys, dir, Options{MemtableBytes: 4 << 10, MaxTables: tierWidth})
+			if err != nil {
+				return nil, err
 			}
+			// A merge's calls are labelled as such from its first stage on.
+			b.setMergePause(func(string) {
+				if p := fsys.Phase(); !merging(enginetest.Call{Phase: p}) {
+					fsys.SetPhase(p + " merge")
+				}
+			})
+			return b, nil
 		},
+		DataGlobs:   []string{"sst-*.sst", "wal-*.log"},
+		DebrisGlobs: []string{"*.tmp"},
+		Check: func(t *testing.T, b enginetest.Engine) {
+			checkRunInvariants(t, b.(*Backend)) // incl.: the directory holds exactly the mounted tables and the open logs
+		},
+		Points: points,
 	})
 }
+
+// The ten crash points lsm once named, each mapped to the mutating call
+// after which it stood.
+//
+// compactPoints, the flush/merge pipeline:
+//
+//	mid-flush           a flush's write of an SSTable under its .tmp name, before its sync
+//	flush-renamed       the directory sync after a flush's SSTable renames, before MANIFEST.tmp is created
+//	mid-merge           a merge's write of its output under its .tmp name
+//	merge-renamed       the directory sync after a merge's output is renamed into place
+//	merge-manifested    the directory sync of a merge's MANIFEST, before its victims are removed
+var compactPoints = []enginetest.Point{
+	{Name: "mid-flush", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "write", "sst-*.sst.tmp") && !merging(c[i])
+	}},
+	{Name: "flush-renamed", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i-1, "rename", "sst-*.sst.tmp") && is(c, i, "syncdir", "*") && !merging(c[i]) && is(c, i+1, "create", "MANIFEST.tmp")
+	}},
+	{Name: "mid-merge", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "write", "sst-*.sst.tmp") && merging(c[i])
+	}},
+	{Name: "merge-renamed", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i-1, "rename", "sst-*.sst.tmp") && is(c, i, "syncdir", "*") && merging(c[i])
+	}},
+	{Name: "merge-manifested", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i-1, "rename", "MANIFEST.tmp") && is(c, i, "syncdir", "*") && merging(c[i]) && is(c, i+1, "remove", "sst-*.sst")
+	}},
+}
+
+// runPoints, the per-table runs:
+//
+//	flush-part-renamed  a flush's rename of its first SSTable into place, another still to go
+//	retire-manifested   the directory sync of a retirement's MANIFEST, before the dead tables are removed
+var runPoints = []enginetest.Point{
+	{Name: "flush-part-renamed", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "rename", "sst-*.sst.tmp") && !merging(c[i]) && is(c, i+1, "rename", "sst-*.sst.tmp")
+	}},
+	{Name: "retire-manifested", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i-1, "rename", "MANIFEST.tmp") && is(c, i, "syncdir", "*") && !merging(c[i]) &&
+			c[i].Phase != "reset" && is(c, i+1, "remove", "sst-*.sst")
+	}},
+}
+
+// logPoints, the per-table logs:
+//
+//	log-created         the creation of a table's first log, before the write call appends to it
+//	replace-written     the sync of a replacement log under its .tmp name, before its rename
+//	replace-renamed     the rename of a replacement log over its table's log, before the directory sync
+var logPoints = []enginetest.Point{
+	{Name: "log-created", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "create", "wal-*.log") && is(c, i+1, "write", "wal-*.log") && c[i+1].Path == c[i].Path
+	}},
+	{Name: "replace-written", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "sync", "wal-*.log.tmp")
+	}},
+	{Name: "replace-renamed", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "rename", "wal-*.log.tmp") && is(c, i+1, "syncdir", "*")
+	}},
+}
+
+// is reports whether calls[i] exists and is op on a file matching glob.
+func is(calls []enginetest.Call, i int, op, glob string) bool {
+	if i < 0 || i >= len(calls) || calls[i].Op != op {
+		return false
+	}
+	ok, _ := path.Match(glob, path.Base(calls[i].Path))
+	return ok
+}
+
+// merging reports whether c was made by a merge.
+func merging(c enginetest.Call) bool { return strings.HasSuffix(c.Phase, " merge") }
 
 // TestWALTornTailRecovery is lsm's half of the torn-tail contract disklog
 // proves for its segments: a crash mid-append leaves garbage after the last
@@ -147,94 +211,6 @@ func TestWALTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestRunCrashRecovery covers the two crash windows per-table runs add,
-// neither reachable through Compact:
-//
-//   - flush-part-renamed: a flush of several user tables' memtables
-//     has renamed the first of its SSTables into place, the others are
-//     still *.tmp, and the MANIFEST names none of them; recovery must drop
-//     them all and serve from the WAL.
-//   - retire-manifested: the MANIFEST committed a retirement but the dead
-//     tables were never unlinked; recovery must remove them instead of
-//     mounting them.
-func TestRunCrashRecovery(t *testing.T) {
-	ctx := context.Background()
-	for _, point := range []string{"flush-part-renamed", "retire-manifested"} {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			b := openT(t, dir, Options{})
-			want := map[[2]string]string{}
-			put := func(table, key, value string) {
-				t.Helper()
-				// BatchPut is acknowledged only once fsynced.
-				if err := b.BatchPut(ctx, table, []engine.Entry{{Key: key, Value: []byte(value)}}); err != nil {
-					t.Fatal(err)
-				}
-				want[[2]string{table, key}] = value
-			}
-			for i := 0; i < 20; i++ {
-				put("keep", fmt.Sprintf("k%02d", i), fmt.Sprintf("kept %d", i))
-				put("churn", fmt.Sprintf("c%02d", i), fmt.Sprintf("doomed %d", i))
-			}
-			flushT(t, b) // one table per run
-			put("keep", "k-late", "in the log only")
-			put("third", "x", "so the flush has three files to rename")
-
-			b.SetCrashPoint(point)
-			var err error
-			if point == "flush-part-renamed" {
-				put("churn", "c-late", "acknowledged before the flush began")
-				b.mu.Lock()
-				err = b.flushLocked(ctx)
-				b.mu.Unlock()
-			} else {
-				// Kill the churn table's every entry: the delete that takes
-				// the last one retires the table and crashes on the way.
-				for i := 0; i < 20 && err == nil; i++ {
-					k := fmt.Sprintf("c%02d", i)
-					delete(want, [2]string{"churn", k})
-					err = b.Delete(ctx, "churn", k)
-				}
-			}
-			if !errors.Is(err, ErrCrashed) {
-				t.Fatalf("crash hook %q did not fire: %v", point, err)
-			}
-			b.Kill()
-
-			for _, when := range []string{"recovery", "clean reopen"} {
-				r := openT(t, dir, Options{})
-				for k, wv := range want {
-					if v, ok, err := r.Get(ctx, k[0], k[1]); err != nil || !ok || string(v) != wv {
-						t.Fatalf("%s: %s/%s = %q (ok=%v err=%v), want %q", when, k[0], k[1], v, ok, err, wv)
-					}
-				}
-				if point == "retire-manifested" {
-					if v, ok, _ := r.Get(ctx, "churn", "c00"); ok {
-						t.Fatalf("%s: deleted key resurrected as %q", when, v)
-					}
-					if files := runFiles(r, "churn"); len(files) != 0 {
-						t.Fatalf("%s: retired tables mounted again: %v", when, files)
-					}
-				}
-				if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
-					t.Fatalf("%s: debris survived: %v", when, debris)
-				}
-				checkRunInvariants(t, r) // incl.: the directory holds exactly the mounted tables
-				st, err := r.CompactionStats(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := diskBytes(t, dir); got != st.DiskBytes {
-					t.Fatalf("%s: stats say %d disk bytes, filesystem says %d", when, st.DiskBytes, got)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // logBytes sums the write-ahead logs under dir straight from the filesystem.
 func logBytes(t *testing.T, dir string) int64 {
 	t.Helper()
@@ -259,127 +235,11 @@ func logBytes(t *testing.T, dir string) int64 {
 func TestDeadLogsShrink(t *testing.T) {
 	const memtable = 8 << 20
 	enginetest.DeadLogsShrink(t, enginetest.Harness{
-		Open: func(t *testing.T, dir string) enginetest.Crasher {
+		Open: func(t *testing.T, dir string) enginetest.Engine {
 			return openT(t, dir, Options{MemtableBytes: memtable})
 		},
 		DiskBytes: diskBytes,
 		LogBytes:  logBytes,
 		LogFloor:  memtable / 16,
 	})
-}
-
-// TestLogCrashRecovery covers the crash windows of per-table logs:
-//
-//   - log-created: a table's first log exists, empty, and the write call
-//     that created it never appended to it; recovery must remove it and
-//     serve exactly the acknowledged writes.
-//   - replace-written / replace-renamed: a batch that killed most of its
-//     table's log was fsynced, and the replacement log is written and
-//     fsynced under its temporary name (before the rename), or renamed over
-//     the old log (before the directory fsync). The batch was durable before
-//     the replacement began, so both sides must replay to the state the
-//     call left — every acknowledged write and the batch — and the deletes
-//     of keys an SSTable holds must still hide them.
-func TestLogCrashRecovery(t *testing.T) {
-	ctx := context.Background()
-	for _, point := range []string{"log-created", "replace-written", "replace-renamed"} {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			b := openT(t, dir, Options{})
-			want := map[[2]string]string{}
-			batch := func(table string, keys []string, value func(i int) string) error {
-				ents := make([]engine.Entry, len(keys))
-				for i, k := range keys {
-					ents[i] = engine.Entry{Key: k, Value: []byte(value(i))}
-				}
-				err := b.BatchPut(ctx, table, ents)
-				if err == nil || point != "log-created" {
-					for i, k := range keys {
-						want[[2]string{table, k}] = value(i)
-					}
-				}
-				return err
-			}
-			early := []string{"e0", "e1", "e2", "e3"}
-			if err := batch("deltas", early, func(int) string { return "in an SSTable" }); err != nil {
-				t.Fatal(err)
-			}
-			flushT(t, b)
-			for _, k := range early[:2] {
-				if err := b.Delete(ctx, "deltas", k); err != nil {
-					t.Fatal(err)
-				}
-				delete(want, [2]string{"deltas", k})
-			}
-			var deltas []string
-			for i := 0; i < 48; i++ {
-				deltas = append(deltas, fmt.Sprintf("d%02d", i))
-			}
-			big := strings.Repeat("delta ", 2<<10)
-			for i := 0; i < len(deltas); i += 16 {
-				if err := batch("deltas", deltas[i:i+16], func(int) string { return big }); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := batch("chunks", []string{"c0", "c1"}, func(i int) string { return fmt.Sprint("chunk ", i) }); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Put(ctx, "deltas", "unsynced", []byte("put")); err != nil {
-				t.Fatal(err)
-			}
-			want[[2]string{"deltas", "unsynced"}] = "put"
-
-			b.SetCrashPoint(point)
-			var err error
-			if point == "log-created" {
-				err = batch("fresh", []string{"f0"}, func(int) string { return "never acknowledged" })
-			} else {
-				// The drain: every delta overwritten with a tombstone-sized value.
-				err = batch("deltas", deltas, func(int) string { return "tombstone" })
-			}
-			if !errors.Is(err, ErrCrashed) {
-				t.Fatalf("crash hook %q did not fire: %v", point, err)
-			}
-			b.Kill()
-
-			for _, when := range []string{"recovery", "clean reopen"} {
-				r := openT(t, dir, Options{})
-				for _, table := range []string{"deltas", "chunks", "fresh"} {
-					got := map[string]string{}
-					if err := r.Scan(ctx, table, func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
-						t.Fatal(err)
-					}
-					for k, v := range got {
-						if want[[2]string{table, k}] != v {
-							t.Fatalf("%s: %s/%s = %.20q, want %.20q", when, table, k, v, want[[2]string{table, k}])
-						}
-					}
-					for k := range want {
-						if _, ok := got[k[1]]; k[0] == table && !ok {
-							t.Fatalf("%s: %s/%s lost", when, k[0], k[1])
-						}
-					}
-				}
-				if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
-					t.Fatalf("%s: debris survived: %v", when, debris)
-				}
-				checkRunInvariants(t, r) // incl.: the directory holds exactly the open logs
-				st, err := r.CompactionStats(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := diskBytes(t, dir); got != st.DiskBytes {
-					t.Fatalf("%s: stats say %d disk bytes, filesystem says %d", when, st.DiskBytes, got)
-				}
-				// The table written next after recovery logs and syncs as before.
-				if err := r.BatchPut(ctx, "deltas", []engine.Entry{{Key: "after-" + when, Value: []byte("x")}}); err != nil {
-					t.Fatal(err)
-				}
-				want[[2]string{"deltas", "after-" + when}] = "x"
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
 }

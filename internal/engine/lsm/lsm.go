@@ -30,16 +30,18 @@
 // Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (at most one per
 // user table), sst-<seq>.sst (run and age per the MANIFEST). The directory is
 // flock-ed for the lifetime of the backend: one logical writer per data
-// directory. See docs/FORMATS.md for the normative byte
-// formats.
+// directory. Every file operation goes through a reclog.FS — reclog.OS under
+// Open; the crash tests (crash_test.go) put an in-memory one under open
+// and recovers the directory after each of them. See docs/FORMATS.md for the
+// normative byte formats.
 package lsm
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -81,11 +83,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ErrCrashed reports that a crash-injection point fired (tests only): the
-// backend stopped mid-operation exactly as a power failure would, and must
-// be Kill-ed and reopened.
-var ErrCrashed = errors.New("lsm: injected crash")
-
 var (
 	_ engine.Backend    = (*Backend)(nil)
 	_ engine.Compactor  = (*Backend)(nil)
@@ -96,10 +93,11 @@ var (
 // Backend is the LSM engine for one node's data directory. It implements
 // engine.Backend, engine.Compactor, engine.Resetter, and engine.HashRanger.
 type Backend struct {
+	fs    reclog.FS
 	dir   string
 	opts  Options
 	cache *BlockCache
-	lock  *os.File // flock-held LOCK file; released on Close
+	lock  io.Closer // the directory lock; released on Close
 
 	// mu guards all mutable state below. The write path (Put/Delete/
 	// BatchPut/flush) holds it exclusively; reads share it.
@@ -133,8 +131,6 @@ type Backend struct {
 	// victim tables. It is taken before mu, never under it.
 	compactMu sync.Mutex
 
-	// crash names the active crash-injection point ("" in production).
-	crash string
 	// mergePause, when set (tests only), is called by every merge at its
 	// stages; see setMergePause.
 	mergePause func(stage string)
@@ -202,14 +198,20 @@ func (b *Backend) allTables() []*sstable {
 // scanned to rebuild accounting, and every table's log is replayed into a
 // fresh memtable (truncating a torn tail).
 func Open(dir string, opts Options) (*Backend, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return open(reclog.OS, dir, opts)
+}
+
+// open is Open on any file system.
+func open(fsys reclog.FS, dir string, opts Options) (*Backend, error) {
+	if err := reclog.MkdirAll(fsys, dir); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	lock, err := reclog.Lock(dir)
+	lock, err := fsys.Lock(dir)
 	if err != nil {
 		return nil, err
 	}
 	b := &Backend{
+		fs:   fsys,
 		dir:  dir,
 		opts: opts.withDefaults(),
 		lock: lock,
@@ -230,7 +232,7 @@ func Open(dir string, opts Options) (*Backend, error) {
 // belongs to is the one its records name. Table key spaces are disjoint, so
 // the logs replay in any order.
 func (b *Backend) recover() error {
-	m, exists, err := readManifest(b.dir)
+	m, exists, err := readManifest(b.fs, b.dir)
 	if err != nil {
 		return err
 	}
@@ -241,7 +243,7 @@ func (b *Backend) recover() error {
 			return err
 		}
 		b.nextSeq = 1
-		return writeManifest(b.dir, manifest{nextSeq: b.nextSeq})
+		return writeManifest(b.fs, b.dir, manifest{nextSeq: b.nextSeq})
 	}
 	b.nextSeq = m.nextSeq
 	referenced := map[string]bool{}
@@ -256,7 +258,7 @@ func (b *Backend) recover() error {
 		return err
 	}
 	for _, mt := range m.ssts {
-		t, err := openSSTable(b.sstPath(mt.seq), mt.seq)
+		t, err := openSSTable(b.fs, b.sstPath(mt.seq), mt.seq)
 		if err != nil {
 			return err
 		}
@@ -295,7 +297,7 @@ func (b *Backend) recover() error {
 // table, is corruption.
 func (b *Backend) replayLog(seq int64, table string, named bool) error {
 	known := named
-	w, err := replayWAL(b.walPath(seq), seq, func(kind byte, t, key string, value []byte) error {
+	w, err := replayWAL(b.fs, b.walPath(seq), seq, func(kind byte, t, key string, value []byte) error {
 		if !known {
 			table, known = t, true
 		}
@@ -312,7 +314,7 @@ func (b *Backend) replayLog(seq int64, table string, named bool) error {
 	}
 	if !known {
 		w.close()
-		return os.Remove(w.path)
+		return b.fs.Remove(w.path)
 	}
 	w.dirSynced = named // a named log's entry was fsynced before the MANIFEST named it
 	r := b.runLocked(table)
@@ -329,13 +331,12 @@ func (b *Backend) replayLog(seq int64, table string, named bool) error {
 // sequence numbers it returns. Foreign files (GEOMETRY and friends) are
 // left alone.
 func (b *Backend) removeDebris(referenced map[string]bool, firstUnnamed int64) (unnamed []int64, err error) {
-	entries, err := os.ReadDir(b.dir)
+	names, err := b.fs.ReadDir(b.dir)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	removed := false
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		if referenced[name] {
 			continue
 		}
@@ -350,13 +351,13 @@ func (b *Backend) removeDebris(referenced map[string]bool, firstUnnamed int64) (
 		if !ours {
 			continue
 		}
-		if err := os.Remove(filepath.Join(b.dir, name)); err != nil {
+		if err := b.fs.Remove(filepath.Join(b.dir, name)); err != nil {
 			return nil, fmt.Errorf("lsm: %w", err)
 		}
 		removed = true
 	}
 	if removed {
-		return unnamed, reclog.SyncDir(b.dir)
+		return unnamed, b.fs.SyncDir(b.dir)
 	}
 	return unnamed, nil
 }
@@ -552,14 +553,11 @@ func (b *Backend) logLocked(table string) (*wal, error) {
 		return r.log, nil
 	}
 	seq := b.allocSeqLocked()
-	w, err := createWAL(b.walPath(seq), seq)
+	w, err := b.createWAL(seq)
 	if err != nil {
 		return nil, err
 	}
 	r.log = w
-	if b.crash == "log-created" {
-		return nil, ErrCrashed
-	}
 	return w, nil
 }
 
@@ -766,7 +764,7 @@ func (b *Backend) Reset(ctx context.Context) error {
 	if b.closed {
 		return types.ErrClosed
 	}
-	if err := writeManifest(b.dir, manifest{nextSeq: b.nextSeq}); err != nil {
+	if err := writeManifest(b.fs, b.dir, manifest{nextSeq: b.nextSeq}); err != nil {
 		return err
 	}
 	// Committed: tear down the old state (the digest memos go with the runs).
@@ -776,22 +774,10 @@ func (b *Backend) Reset(ctx context.Context) error {
 	b.buffered, b.bytes = 0, 0
 	b.retirable = false
 	for _, r := range oldRuns {
-		discardLog(r.log)
+		b.discardLog(r.log)
 	}
-	discardTables(oldTables)
-	return reclog.SyncDir(b.dir)
-}
-
-// SetCrashPoint arms a crash-injection point (tests only): the named
-// internal step fails with ErrCrashed exactly where a power failure would
-// cut. Recognized points: "mid-flush", "flush-part-renamed",
-// "flush-renamed", "mid-merge", "merge-renamed", "merge-manifested",
-// "retire-manifested", "log-created", "replace-written",
-// "replace-renamed". Empty disarms.
-func (b *Backend) SetCrashPoint(point string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.crash = point
+	b.discardTables(oldTables)
+	return b.fs.SyncDir(b.dir)
 }
 
 // setMergePause installs a hook (tests only) that every merge captured from

@@ -1,9 +1,10 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -58,8 +59,8 @@ type manifest struct {
 }
 
 // writeManifest atomically commits m.
-func writeManifest(dir string, m manifest) error {
-	return reclog.WriteFileAtomic(filepath.Join(dir, manifestName), func(w io.Writer) error {
+func writeManifest(fsys reclog.FS, dir string, m manifest) error {
+	return reclog.WriteFileAtomic(fsys, filepath.Join(dir, manifestName), func(w io.Writer) error {
 		_, err := io.WriteString(w, formatManifest(m))
 		return err
 	})
@@ -81,9 +82,9 @@ func formatManifest(m manifest) string {
 // readManifest parses dir/MANIFEST. exists is false when the file is absent
 // (a directory never initialized, or a crash before first commit); any
 // other defect is corruption, not a fresh start.
-func readManifest(dir string) (m manifest, exists bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
+func readManifest(fsys reclog.FS, dir string) (m manifest, exists bool, err error) {
+	data, err := reclog.ReadFile(fsys, filepath.Join(dir, manifestName))
+	if errors.Is(err, fs.ErrNotExist) {
 		return manifest{}, false, nil
 	}
 	if err != nil {

@@ -54,6 +54,23 @@ func sstOnDisk(t *testing.T, dir string) []string {
 	return names
 }
 
+// filesOnDisk lists the files of b's directory, on b's file system, that
+// match glob.
+func filesOnDisk(t *testing.T, b *Backend, glob string) []string {
+	t.Helper()
+	names, err := b.fs.ReadDir(b.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, name := range names {
+		if ok, _ := filepath.Match(glob, name); ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 func mustGet(t *testing.T, b engine.Backend, table, key string) (string, bool) {
 	t.Helper()
 	v, ok, err := b.Get(context.Background(), table, key)
@@ -125,18 +142,11 @@ func checkRunInvariants(t *testing.T, b *Backend) {
 		t.Fatalf("memtable bytes = %d, sum over the runs %d", b.buffered, buffered)
 	}
 	sort.Strings(mounted)
-	if onDisk := sstOnDisk(t, b.dir); !reflect.DeepEqual(onDisk, mounted) && len(onDisk)+len(mounted) > 0 {
+	if onDisk := filesOnDisk(t, b, "sst-*.sst"); !reflect.DeepEqual(onDisk, mounted) && len(onDisk)+len(mounted) > 0 {
 		t.Fatalf("directory holds %v, mounted %v", onDisk, mounted)
 	}
 	sort.Strings(logs)
-	onDisk, err := filepath.Glob(filepath.Join(b.dir, "wal-*.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range onDisk {
-		onDisk[i] = filepath.Base(p)
-	}
-	if !reflect.DeepEqual(onDisk, logs) && len(onDisk)+len(logs) > 0 {
+	if onDisk := filesOnDisk(t, b, "wal-*.log"); !reflect.DeepEqual(onDisk, logs) && len(onDisk)+len(logs) > 0 {
 		t.Fatalf("directory holds logs %v, open %v", onDisk, logs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"rstore/internal/codec"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
@@ -128,7 +128,7 @@ func buildBloom(hashes []uint64) []byte {
 // fsynced) but does not rename or register it — that is the caller's commit
 // protocol.
 type sstWriter struct {
-	f   *os.File
+	f   reclog.File
 	w   *bufio.Writer
 	off int64
 
@@ -140,19 +140,14 @@ type sstWriter struct {
 	index  []byte
 	hashes []uint64
 
-	// failBeforeFooter makes finish abort after the data blocks but before
-	// the footer (crash injection): the file is left partial, exactly as a
-	// power failure mid-flush would.
-	failBeforeFooter bool
-
 	// values/logicalTomb feed accounting: how many value entries were
 	// written, and the logical size of the tombstones beside them.
 	values      int64
 	logicalTomb int64
 }
 
-func newSSTWriter(path string) (*sstWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+func newSSTWriter(fsys reclog.FS, path string) (*sstWriter, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
@@ -229,10 +224,6 @@ func (sw *sstWriter) finish() error {
 	if err := sw.finishBlock(); err != nil {
 		return err
 	}
-	if sw.failBeforeFooter {
-		sw.w.Flush() // data blocks on disk, no footer: a torn flush
-		return ErrCrashed
-	}
 	indexOff := sw.off
 	sw.index = binary.LittleEndian.AppendUint32(sw.index, crc32.ChecksumIEEE(sw.index))
 	if _, err := sw.w.Write(sw.index); err != nil {
@@ -264,16 +255,6 @@ func (sw *sstWriter) finish() error {
 	return sw.f.Close()
 }
 
-// abort closes the partial file. An injected crash leaves it on disk (the
-// process "died" with the file half-written; recovery must delete it as
-// debris); any other failure cleans up immediately.
-func (sw *sstWriter) abort(path string, cause error) {
-	sw.f.Close()
-	if !errors.Is(cause, ErrCrashed) {
-		os.Remove(path)
-	}
-}
-
 // indexEntry locates one data block: the largest key it contains and its
 // file handle.
 type indexEntry struct {
@@ -289,7 +270,7 @@ type sstable struct {
 	id    uint64 // block-cache identity, unique per open table per process
 	seq   int64  // file sequence (naming, MANIFEST)
 	path  string
-	f     *os.File
+	f     reclog.File
 	size  int64
 	index []indexEntry
 	bloom []byte
@@ -307,32 +288,31 @@ type sstable struct {
 
 // openSSTable maps and verifies a table file: footer magic and checksum,
 // then the index and bloom blocks (each crc-checked in full).
-func openSSTable(path string, seq int64) (*sstable, error) {
-	f, err := os.Open(path)
+func openSSTable(fsys reclog.FS, path string, seq int64) (_ *sstable, err error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
+	defer func() {
+		if err != nil {
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	size := st.Size()
 	if size < sstFooterSize {
-		f.Close()
 		return nil, fmt.Errorf("%w: lsm sstable %s truncated (%d bytes)", types.ErrCorrupt, path, size)
 	}
 	var footer [sstFooterSize]byte
 	if _, err := f.ReadAt(footer[:], size-sstFooterSize); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
 	if binary.LittleEndian.Uint32(footer[36:40]) != sstMagic {
-		f.Close()
 		return nil, fmt.Errorf("%w: lsm sstable %s bad magic", types.ErrCorrupt, path)
 	}
 	if binary.LittleEndian.Uint32(footer[32:36]) != crc32.ChecksumIEEE(footer[0:32]) {
-		f.Close()
 		return nil, fmt.Errorf("%w: lsm sstable %s footer checksum", types.ErrCorrupt, path)
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(footer[0:8]))
@@ -342,7 +322,6 @@ func openSSTable(path string, seq int64) (*sstable, error) {
 	// Compared without sums, which wrap for handles near 2^63.
 	inFile := func(off, n int64) bool { return off >= 0 && off <= size && n >= 4 && n <= size-off }
 	if !inFile(indexOff, indexLen) || !inFile(bloomOff, bloomLen) {
-		f.Close()
 		return nil, fmt.Errorf("%w: lsm sstable %s footer handles out of range", types.ErrCorrupt, path)
 	}
 	readChecked := func(off, n int64, what string) ([]byte, error) {
@@ -358,33 +337,27 @@ func openSSTable(path string, seq int64) (*sstable, error) {
 	}
 	rawIndex, err := readChecked(indexOff, indexLen, "index")
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	bloom, err := readChecked(bloomOff, bloomLen, "bloom")
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	var index []indexEntry
 	for len(rawIndex) > 0 {
 		key, rest, err := codec.Bytes(rawIndex)
 		if err != nil {
-			f.Close()
 			return nil, fmt.Errorf("%w: lsm sstable %s index entry", types.ErrCorrupt, path)
 		}
 		off, rest, err := codec.Uvarint(rest)
 		if err != nil {
-			f.Close()
 			return nil, fmt.Errorf("%w: lsm sstable %s index entry", types.ErrCorrupt, path)
 		}
 		length, rest2, err := codec.Uvarint(rest)
 		if err != nil {
-			f.Close()
 			return nil, fmt.Errorf("%w: lsm sstable %s index entry", types.ErrCorrupt, path)
 		}
 		if off > uint64(indexOff) || length > uint64(indexOff)-off {
-			f.Close()
 			return nil, fmt.Errorf("%w: lsm sstable %s index handle out of range", types.ErrCorrupt, path)
 		}
 		index = append(index, indexEntry{lastKey: append([]byte(nil), key...), off: int64(off), length: int64(length)})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rstore/internal/codec"
+	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
 
@@ -129,7 +130,7 @@ func readTable(t *testing.T, data []byte) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := openSSTable(path, 1)
+	st, err := openSSTable(reclog.OS, path, 1)
 	if err != nil {
 		return err
 	}
@@ -166,7 +167,7 @@ func TestSSTableDecodeBounds(t *testing.T) {
 // corrupt — it never panics.
 func FuzzOpenSSTable(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "sst-000001.sst")
-	sw, err := newSSTWriter(path)
+	sw, err := newSSTWriter(reclog.OS, path)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -31,7 +31,8 @@ const walBatch byte = 3
 
 // wal is an open write-ahead log file positioned at its append offset.
 type wal struct {
-	f    *os.File
+	fs   reclog.FS
+	f    reclog.File
 	path string
 	seq  int64
 	size int64
@@ -45,12 +46,14 @@ type wal struct {
 	buf       []byte // the one frame buffer: header and body of the record being appended
 }
 
-func createWAL(path string, seq int64) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+// createWAL creates log seq.
+func (b *Backend) createWAL(seq int64) (*wal, error) {
+	path := b.walPath(seq)
+	f, err := b.fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
-	return &wal{f: f, path: path, seq: seq}, nil
+	return &wal{fs: b.fs, f: f, path: path, seq: seq}, nil
 }
 
 // frame returns the frame buffer, sized once for a body of n bytes and
@@ -119,7 +122,7 @@ func (w *wal) sync() error {
 		w.synced = w.size
 	}
 	if !w.dirSynced {
-		if err := reclog.SyncDir(filepath.Dir(w.path)); err != nil {
+		if err := w.fs.SyncDir(filepath.Dir(w.path)); err != nil {
 			return fmt.Errorf("lsm: wal sync: %w", err)
 		}
 		w.dirSynced = true
@@ -136,8 +139,8 @@ func (w *wal) close() error { return w.f.Close() }
 // broken one followed by more intact data — cannot be distinguished from a
 // torn tail and is handled the same way: everything from the first broken
 // record on is discarded.
-func replayWAL(path string, seq int64, apply func(kind byte, table, key string, value []byte) error) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+func replayWAL(fsys reclog.FS, path string, seq int64, apply func(kind byte, table, key string, value []byte) error) (*wal, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
@@ -162,7 +165,7 @@ func replayWAL(path string, seq int64, apply func(kind byte, table, key string, 
 		f.Close()
 		return nil, fmt.Errorf("lsm: wal %d: %w", seq, err)
 	}
-	return &wal{f: f, path: path, seq: seq, size: end}, nil
+	return &wal{fs: fsys, f: f, path: path, seq: seq, size: end}, nil
 }
 
 // replayBatch applies the entries of a walBatch body (behind its kind byte)

@@ -1,9 +1,10 @@
 // Package reclog owns what the two disk engines (disklog, lsm) share and
 // nothing else: the checksummed record frame of a disklog segment and an lsm
 // write-ahead log, one scanner over a file of such frames, the put/delete
-// body both write, and the directory discipline — the LOCK file, the
-// directory fsync, and the atomic replacement of a small file. Normative
-// byte layouts are in docs/FORMATS.md.
+// body both write, and the file-system seam both write through (FS, with OS
+// the host's) with its directory discipline — the lock, the directory fsync,
+// the durable creation of a directory, and the atomic replacement of a small
+// file. Normative byte layouts are in docs/FORMATS.md.
 //
 //	frame := length(uint32 LE, of body) crc32(uint32 LE, IEEE, of body) body
 //	body  := kind(1 byte) table(uvarint-len string) key(uvarint-len string) value
@@ -14,12 +15,14 @@ package reclog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
-	"syscall"
 
 	"rstore/internal/codec"
 	"rstore/internal/types"
@@ -129,46 +132,85 @@ func Scan(r io.ReaderAt, size int64, visit func(body []byte, off int64) error) (
 
 // DropTail cuts f back to the end Scan reported and fsyncs, so the next
 // append starts on a clean frame and the cut itself survives a crash.
-func DropTail(f *os.File, end int64) error {
+func DropTail(f File, end int64) error {
 	if err := f.Truncate(end); err != nil {
 		return err
 	}
 	return f.Sync()
 }
 
-// Lock takes an exclusive, non-blocking flock on dir/LOCK: one process per
-// data directory. Closing the file releases it, and it dies with the
-// process, so a crash never wedges the directory.
-func Lock(dir string) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("reclog: %s is in use by another process: %w", dir, err)
-	}
-	return f, nil
+// FS is the one file-system seam of the disk engines: lsm, disklog and
+// WriteFileAtomic make every file operation through it, so that a test can
+// put a disk that knows what is synced under them (enginetest.MemFS) and
+// crash them after any call. OS is the host's.
+type FS interface {
+	// OpenFile opens or creates name with os.OpenFile's flags.
+	OpenFile(name string, flag int, perm os.FileMode) (File, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	// ReadDir lists the names in dir, sorted.
+	ReadDir(dir string) ([]string, error)
+	// Mkdir creates one directory: fs.ErrExist if it exists, fs.ErrNotExist
+	// if its parent does not. Callers create through MkdirAll.
+	Mkdir(dir string) error
+	// SyncDir fsyncs a directory, making its entries — files created,
+	// renamed or unlinked in it — durable.
+	SyncDir(dir string) error
+	// Lock takes an exclusive, non-blocking lock on dir: one process per
+	// data directory. Closing releases it, and it dies with the process, so
+	// a crash never wedges the directory.
+	Lock(dir string) (io.Closer, error)
 }
 
-// SyncDir fsyncs a directory, making its entries — files created, renamed
-// or unlinked in it — durable.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
+// File is an open file of an FS. Its methods are declared here, not
+// embedded, so that the analyzers can tell a write or sync through the
+// seam from any other io.Writer's.
+type File interface {
+	ReadAt(p []byte, off int64) (int, error)
+	WriteAt(p []byte, off int64) (int, error)
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Stat() (os.FileInfo, error)
+	Close() error
+}
+
+// MkdirAll creates dir and every missing parent, and syncs the parent of
+// each directory it creates: a data directory a power loss can take takes
+// every acknowledged write with it.
+func MkdirAll(fsys FS, dir string) error {
+	err := fsys.Mkdir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = MkdirAll(fsys, filepath.Dir(dir)); err == nil {
+			err = fsys.Mkdir(dir)
+		}
+	}
+	if errors.Is(err, fs.ErrExist) {
+		return nil
+	}
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	return d.Sync()
+	return fsys.SyncDir(filepath.Dir(dir))
+}
+
+// ReadFile returns the contents of the file at path.
+func ReadFile(fsys FS, path string) ([]byte, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(io.NewSectionReader(f, 0, math.MaxInt64))
 }
 
 // WriteFileAtomic replaces the file at path with what write produces: the
 // bytes go to path+".tmp", are fsynced, renamed over path, and the directory
 // is fsynced. A crash or a failed write leaves the previous file (or none)
 // and at most a stale .tmp, which the next call truncates.
-func WriteFileAtomic(path string, write func(io.Writer) error) error {
+func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
@@ -179,13 +221,13 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = fsys.Rename(tmp, path)
 	}
 	if err == nil {
-		err = SyncDir(filepath.Dir(path))
+		err = fsys.SyncDir(filepath.Dir(path))
 	}
 	if err != nil {
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return nil

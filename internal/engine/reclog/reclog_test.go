@@ -164,12 +164,12 @@ func TestWriteFileAtomic(t *testing.T) {
 		}
 		return string(got)
 	}
-	if err := WriteFileAtomic(path, write("one")); err != nil || read() != "one" {
+	if err := WriteFileAtomic(OS, path, write("one")); err != nil || read() != "one" {
 		t.Fatalf("first write: %v, %q", err, read())
 	}
 	// A writer that fails half-way leaves the previous file and no .tmp.
 	failed := errors.New("disk full")
-	err := WriteFileAtomic(path, func(w io.Writer) error {
+	err := WriteFileAtomic(OS, path, func(w io.Writer) error {
 		io.WriteString(w, "tw")
 		return failed
 	})
@@ -183,22 +183,22 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := os.WriteFile(path+".tmp", []byte("stale and longer"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, write("two")); err != nil || read() != "two" {
+	if err := WriteFileAtomic(OS, path, write("two")); err != nil || read() != "two" {
 		t.Fatalf("write over a stale .tmp: %v, %q", err, read())
 	}
 }
 
 func TestLockExcludes(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Lock(dir)
+	l, err := OS.Lock(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lock(dir); err == nil {
+	if _, err := OS.Lock(dir); err == nil {
 		t.Fatal("second lock of a held directory succeeded")
 	}
 	l.Close()
-	l2, err := Lock(dir)
+	l2, err := OS.Lock(dir)
 	if err != nil {
 		t.Fatalf("lock after release: %v", err)
 	}

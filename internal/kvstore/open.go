@@ -149,7 +149,7 @@ const (
 )
 
 func checkGeometry(dir string, nodes int) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := reclog.MkdirAll(reclog.OS, dir); err != nil {
 		return fmt.Errorf("kvstore: %w", err)
 	}
 	path := filepath.Join(dir, geometryFile)
@@ -183,7 +183,7 @@ func checkGeometry(dir string, nodes int) error {
 // no GEOMETRY or a whole one, never an empty file that would wedge the
 // directory as "corrupt".
 func writeGeometry(path string, nodes int) error {
-	return reclog.WriteFileAtomic(path, func(w io.Writer) error {
+	return reclog.WriteFileAtomic(reclog.OS, path, func(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "nodes=%d format=%s\n", nodes, storedFormat)
 		return err
 	})
