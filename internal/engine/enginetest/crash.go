@@ -64,11 +64,17 @@ func (op crashOp) String() string {
 }
 
 // crashWorkload is the one deterministic workload CrashAnywhere drives: at
-// lsm's 4 KiB memtable and four-table tier and disklog's 1 KiB segments it
-// reaches, in order, a table's first log; a flush of several tables'
-// memtables; flushes of one and the tier merge they end in; a drain that
-// leaves a log mostly dead (log replacement); deletes that kill a flushed
-// table's every entry (retirement); a Compact; a Reset; and a Close.
+// lsm's 4 KiB memtable and four-table tier — a sorted batch of 4 KiB or more
+// is ingested, a batch under 512 bytes never — and disklog's 1 KiB segments
+// it reaches, in order, a table's first log; a
+// flush of several tables' memtables; flushes of one and the tier merge they
+// end in; an ingest right after an unsynced put to its table; a drain that
+// leaves a log mostly dead (log replacement); an ingest over keys a table
+// holds and one beside them; deletes that kill a flushed table's every entry
+// (retirement); a Compact; a Reset; and a Close. Every batch meant for the
+// log stays under the ingest threshold, and each round of chunk batches
+// writes most of the keys of the round before it again, so that its flushed
+// table overlaps the others, which stay live, and tiering merges them.
 func crashWorkload() []crashOp {
 	val := func(tag string, i, n int) []byte {
 		return []byte(fmt.Sprintf("%s-%d-%s", tag, i, strings.Repeat("v", n)))
@@ -87,18 +93,23 @@ func crashWorkload() []crashOp {
 		return crashOp{kind: "delete", table: table, entries: []engine.Entry{{Key: key}}}
 	}
 	ops := []crashOp{
-		batch("chunks", "c", "a", 0, 4, 500),
 		put("meta", "m0", []byte("root-0")),
 		put("meta", "m1", []byte("root-1")),
-		batch("chunks", "c", "a", 4, 8, 500), // flushes chunks and meta
 	}
-	for i := 8; i < 40; i += 8 { // each flushes chunks alone; the third merges
-		ops = append(ops, batch("chunks", "c", "b", i, i+8, 520))
+	// Each round's fifth batch flushes: the first round's chunks and meta,
+	// the others chunks alone; the fourth round's flush merges.
+	for round, tag := range []string{"a", "b", "c", "d"} {
+		for i := 12 * round; i < 12*round+60; i += 12 {
+			ops = append(ops, batch("chunks", "c", tag, i, i+12, 20))
+		}
 	}
 	ops = append(ops,
 		put("deltas", "d-unsynced", []byte("single")),
-		batch("deltas", "d", "big", 0, 4, 700),
-		batch("deltas", "d", "drained", 0, 4, 1), // the log is mostly dead
+		batch("deltas", "d", "ingested", 10, 14, 1100), // the put must not be lost to it
+		batch("deltas", "d", "big", 0, 4, 100),
+		batch("deltas", "d", "drained", 0, 4, 1),   // the log is mostly dead
+		batch("chunks", "c", "over", 0, 6, 700),    // ingested over merged keys
+		batch("chunks", "x", "beside", 0, 4, 1100), // ingested beside every table
 		put("chunks", "c00", val("c", 0, 20)),
 		del("meta", "m0"),
 		del("meta", "m1"), // meta's flushed table dies

@@ -16,8 +16,8 @@ import (
 // This file holds the structural write paths: the merged iteration shared
 // by scans/recovery/compaction, the table writer, memtable flush, log
 // replacement, retirement of dead tables, and the one merge path
-// (mergeJob) behind both size-tiered compaction after a flush and the full
-// merge of engine.Compactor.
+// (mergeJob) behind both size-tiered compaction after a flush or an ingest
+// and the full merge of engine.Compactor. The ingest is in ingest.go.
 //
 // Every path commits through the MANIFEST rename (see manifest.go) and is
 // ordered so that a crash at any point leaves either the old state or the
@@ -94,7 +94,8 @@ type tableOut struct {
 }
 
 // writeTable streams one key-ordered pass of a run's entries — feed pushes
-// them into add — into one SSTable; flush and every merge write through it.
+// them into add — into one SSTable; flush, ingest and every merge write
+// through it.
 // The one tombstone rule lives here: an output that becomes the oldest table
 // of its run drops its tombstones, because nothing older is left for them to
 // shadow; an output left with no entry is not written at all (nil). On error
@@ -131,10 +132,11 @@ func (b *Backend) writeTable(nextSeq func() int64, oldest bool, feed func(add fu
 	return &out, nil
 }
 
-// publishLocked renames sealed outputs to their final names and makes the
+// publish renames sealed outputs to their final names and makes the
 // directory entries durable. They are still debris until a MANIFEST names
-// them. Callers hold b.mu exclusively.
-func (b *Backend) publishLocked(outs []tableOut) error {
+// them. It touches no state b.mu guards: flush and merges call it holding
+// b.mu, the ingest without.
+func (b *Backend) publish(outs []tableOut) error {
 	for _, o := range outs {
 		//lint:rstore-vet fsyncrename: every output was sealed by writeTable (sstWriter.finish syncs) before it reached this commit phase
 		if err := b.fs.Rename(b.sstPath(o.seq)+".tmp", b.sstPath(o.seq)); err != nil {
@@ -243,7 +245,7 @@ func (b *Backend) flushLocked(ctx context.Context) error {
 		fresh[r] = w
 	}
 	// One directory fsync covers the new logs and the renamed tables.
-	if err := b.publishLocked(outs); err != nil {
+	if err := b.publish(outs); err != nil {
 		return abandon(err)
 	}
 	for _, o := range outs {
@@ -397,13 +399,14 @@ func sizeClass(size int64) int {
 // tierWidth is how many adjacent tables a size-tiered merge takes.
 const tierWidth = 4
 
-// tierCompact is size-tiered compaction. A write call that flushed runs it
-// on its own goroutine once b.mu is released — the writer pays for the
-// merges it triggered, and reads and writes go on beside them: while a run
-// holds MaxTables tables or more, its cheapest window of tierWidth
-// (pickWindow) is merged. It is skipped while another merge holds
-// compactMu: a Compact absorbs the backlog, and what another writer's tier
-// loop has already walked past waits for the next flush.
+// tierCompact is size-tiered compaction. A write call that flushed or
+// ingested runs it on its own goroutine once b.mu is released — the writer
+// pays for the merges it triggered, and reads and writes go on beside them:
+// while a run holds MaxTables tables or more that overlap another, the
+// cheapest window of tierWidth of those (tierPick) is merged. It is skipped
+// while another merge holds compactMu: a Compact absorbs the backlog, and
+// what another writer's tier loop has already walked past waits for the
+// next flush.
 func (b *Backend) tierCompact(ctx context.Context) error {
 	if !b.compactMu.TryLock() {
 		return nil
@@ -412,15 +415,9 @@ func (b *Backend) tierCompact(ctx context.Context) error {
 	b.mu.RLock()
 	names := b.runNames()
 	b.mu.RUnlock()
-	tier := func(tables []*sstable) (lo, n int) {
-		if len(tables) < b.opts.MaxTables || len(tables) < tierWidth {
-			return 0, 0
-		}
-		return pickWindow(tables, tierWidth), tierWidth
-	}
 	for _, name := range names {
 		for {
-			job, ok := b.captureMerge(name, tier)
+			job, ok := b.captureMerge(name, b.tierPick)
 			if !ok {
 				break
 			}
@@ -432,13 +429,58 @@ func (b *Backend) tierCompact(ctx context.Context) error {
 	return nil
 }
 
-// wholeRun is Compact's window: the whole run, when a merge reclaims
-// anything from it — more than one table, or dead weight in the one.
-func wholeRun(tables []*sstable) (lo, n int) {
+// wholeRun is Compact's pick: the whole run, when a merge reclaims anything
+// from it — more than one table, or dead weight in the one.
+func wholeRun(tables []*sstable) []*sstable {
 	if len(tables) == 1 && tables[0].size <= tables[0].live {
-		return 0, 0
+		return nil
 	}
-	return 0, len(tables)
+	return tables
+}
+
+// tierPick is tiering's pick. A table whose key range meets no other
+// table's of its run is never rewritten by it (leveldb's trivial move: a
+// merge would copy it unchanged), so a run of write-once tables in key
+// order is merged by nobody. Once the others, its peers, number MaxTables,
+// pickWindow chooses tierWidth consecutive peers. The tables such a window
+// steps over meet no peer's range, so their keys are none of the victims',
+// and the output may take the oldest victim's place in age order.
+func (b *Backend) tierPick(tables []*sstable) []*sstable {
+	alone := isolated(tables)
+	var peers []*sstable
+	for i, t := range tables {
+		if !alone[i] {
+			peers = append(peers, t)
+		}
+	}
+	if len(peers) < b.opts.MaxTables || len(peers) < tierWidth {
+		return nil
+	}
+	lo := pickWindow(peers, tierWidth)
+	return peers[lo : lo+tierWidth]
+}
+
+// isolated reports, per table, whether its key range meets no other
+// table's. In first-key order, a table meets an earlier one exactly when
+// some earlier last key reaches its first key, and a later one exactly when
+// the next table's first key is within its range.
+func isolated(tables []*sstable) []bool {
+	order := make([]int, len(tables))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(i, j int) int { return bytes.Compare(tables[i].first, tables[j].first) })
+	alone := make([]bool, len(tables))
+	var reach []byte // the largest last key of the tables before order[k]
+	for k, i := range order {
+		t := tables[i]
+		alone[i] = (k == 0 || bytes.Compare(reach, t.first) < 0) &&
+			(k == len(order)-1 || bytes.Compare(t.last, tables[order[k+1]].first) < 0)
+		if k == 0 || bytes.Compare(t.last, reach) > 0 {
+			reach = t.last
+		}
+	}
+	return alone
 }
 
 // pickWindow chooses the start of the width-wide contiguous window of
@@ -466,13 +508,15 @@ func pickWindow(tables []*sstable, width int) int {
 	return best
 }
 
-// mergeJob is one merge: a contiguous window of one run's tables merged
-// into at most one table. Both kinds of merge — the size-tiered window a
-// flushing write call leaves behind (tierCompact) and each run of a Compact
-// — go one way: captureMerge takes the job under b.mu, writeMerged reads the
-// victims and writes the output with no b.mu held, and installMerge mounts
-// the output only if the victims are still where the job found them.
-// compactMu is held throughout, so two merges never share a victim.
+// mergeJob is one merge: some of one run's tables, in age order, merged
+// into at most one table that takes the oldest one's place — a window of
+// consecutive tables, save that it may step over tables whose key ranges
+// meet none of the victims'. Both kinds of merge — the size-tiered window a flushing
+// or ingesting write call leaves behind (tierCompact) and each run of a
+// Compact — go one way: captureMerge takes the job under b.mu, writeMerged
+// reads the victims and writes the output with no b.mu held, and
+// installMerge mounts the output only if the victims are all still in their
+// run. compactMu is held throughout, so two merges never share a victim.
 type mergeJob struct {
 	table   string
 	victims []*sstable // age order
@@ -482,44 +526,45 @@ type mergeJob struct {
 	lo    int
 	epoch int64
 	seq   int64              // the output's file sequence, allocated up front
-	pause func(stage string) // b.mergePause at capture
+	pause func(stage string) // b.pause at capture
 }
 
-// captureMerge captures the window pick chooses in table's run (n == 0 for
-// none); ok is false when there is no job: no such run, nothing picked, or
-// the backend closed.
-func (b *Backend) captureMerge(table string, pick func(tables []*sstable) (lo, n int)) (job mergeJob, ok bool) {
+// captureMerge captures the victims pick chooses in table's run; ok is
+// false when there is no job: no such run, nothing picked, or the backend
+// closed.
+func (b *Backend) captureMerge(table string, pick func(tables []*sstable) []*sstable) (job mergeJob, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	r := b.runs[table]
 	if b.closed || r == nil {
 		return mergeJob{}, false
 	}
-	lo, n := pick(r.tables)
-	if n == 0 {
+	victims := pick(r.tables)
+	if len(victims) == 0 {
 		return mergeJob{}, false
 	}
 	return mergeJob{
 		table:   table,
-		victims: slices.Clone(r.tables[lo : lo+n]),
-		lo:      lo,
+		victims: slices.Clone(victims),
+		lo:      slices.Index(r.tables, victims[0]),
 		epoch:   b.epoch,
 		seq:     b.allocSeqLocked(),
-		pause:   b.mergePause,
+		pause:   b.pause,
 	}, true
 }
 
 // merge runs a captured job to its end: the output mounted, or abandoned.
 func (b *Backend) merge(ctx context.Context, job mergeJob) error {
-	job.stage("captured")
+	stage(job.pause, "captured")
 	nt, err := b.writeMerged(ctx, job)
-	job.stage("written")
+	stage(job.pause, "written")
 	return b.installMerge(job, nt, err)
 }
 
-func (job mergeJob) stage(name string) {
-	if job.pause != nil {
-		job.pause(name)
+// stage calls a pause hook (see setPause), if there is one.
+func stage(pause func(stage string), name string) {
+	if pause != nil {
+		pause(name)
 	}
 }
 
@@ -556,23 +601,32 @@ func (b *Backend) writeMerged(ctx context.Context, job mergeJob) (nt *sstable, e
 }
 
 // installMerge is the one commit of every merge. If the job's victims are
-// still contiguous in their run, under the job's epoch, on an open backend,
-// the output is renamed into place, a MANIFEST commits it in their stead, it
-// inherits their live weight (overwrites during the merge already took
-// theirs down), and they are unlinked. Otherwise a retirement, Reset or
-// Close took them meanwhile — and a flush may since have dropped tombstones
-// on the strength of their run being empty, which the output must not undo
-// — so the output is removed, and mergeErr, which may be nothing but the
-// read of a victim closed under the merge, is that same abandonment.
+// all still in their run, under the job's epoch, on an open backend, the
+// output is renamed into place, a MANIFEST commits it in the oldest one's
+// place and the others' stead, it inherits their live weight (overwrites
+// during the merge already took theirs down), and they are unlinked.
+// Otherwise a retirement, Reset or Close took them meanwhile — and a flush
+// may since have dropped tombstones on the strength of their run being
+// empty, which the output must not undo — so the output is removed, and
+// mergeErr, which may be nothing but the read of a victim closed under the
+// merge, is that same abandonment. (Nothing but retirement, Reset and merges
+// removes a table, and nothing but a flush or an ingest, at the young end,
+// adds one: victims all still there are still in their order, and the
+// tables between them still the ones the job stepped over.)
 func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	r, lo := b.runs[job.table], -1
+	var newTables []*sstable // the run without the victims
 	if !b.closed && b.epoch == job.epoch && r != nil {
 		lo = slices.Index(r.tables, job.victims[0])
+		for _, t := range r.tables {
+			if !slices.Contains(job.victims, t) {
+				newTables = append(newTables, t)
+			}
+		}
 	}
-	hi := lo + len(job.victims)
-	if lo < 0 || hi > len(r.tables) || !slices.Equal(r.tables[lo:hi], job.victims) {
+	if lo < 0 || len(r.tables)-len(newTables) != len(job.victims) {
 		if nt != nil {
 			nt.close()
 			b.fs.Remove(nt.path)
@@ -582,14 +636,13 @@ func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error 
 	if mergeErr != nil {
 		return mergeErr
 	}
-	newTables := slices.Concat(r.tables[:lo], r.tables[hi:])
 	var outs []tableOut
 	if nt != nil {
 		outs = []tableOut{{table: job.table, seq: nt.seq}}
 		nt.path = b.sstPath(nt.seq)
 		newTables = slices.Insert(newTables, lo, nt)
 	}
-	err := b.publishLocked(outs)
+	err := b.publish(outs)
 	if err == nil {
 		err = b.commitLocked(map[string][]*sstable{job.table: newTables})
 	}

@@ -56,6 +56,10 @@ func TestRunCrashRecovery(t *testing.T) { crashAnywhere(t, runPoints) }
 // crash points (logPoints).
 func TestLogCrashRecovery(t *testing.T) { crashAnywhere(t, logPoints) }
 
+// TestIngestCrashRecovery is TestCompactCrashRecovery for the ingest's crash
+// points (ingestPoints).
+func TestIngestCrashRecovery(t *testing.T) { crashAnywhere(t, ingestPoints) }
+
 // crashAnywhere runs enginetest.CrashAnywhere over lsm, in both crash images,
 // at a configuration small enough for the workload to flush, merge and
 // replace logs often; points are the crash points it must reach.
@@ -66,10 +70,15 @@ func crashAnywhere(t *testing.T, points []enginetest.Point) {
 			if err != nil {
 				return nil, err
 			}
-			// A merge's calls are labelled as such from its first stage on.
-			b.setMergePause(func(string) {
-				if p := fsys.Phase(); !merging(enginetest.Call{Phase: p}) {
-					fsys.SetPhase(p + " merge")
+			// A merge's and an ingest's calls are labelled as such from their
+			// first stage on.
+			b.setPause(func(stage string) {
+				label := " merge"
+				if strings.HasPrefix(stage, "ingest") {
+					label = " ingest"
+				}
+				if p := fsys.Phase(); !strings.HasSuffix(p, label) {
+					fsys.SetPhase(p + label)
 				}
 			})
 			return b, nil
@@ -84,7 +93,7 @@ func crashAnywhere(t *testing.T, points []enginetest.Point) {
 }
 
 // The ten crash points lsm once named, each mapped to the mutating call
-// after which it stood.
+// after which it stood, and the ingest's two.
 //
 // compactPoints, the flush/merge pipeline:
 //
@@ -95,10 +104,10 @@ func crashAnywhere(t *testing.T, points []enginetest.Point) {
 //	merge-manifested    the directory sync of a merge's MANIFEST, before its victims are removed
 var compactPoints = []enginetest.Point{
 	{Name: "mid-flush", At: func(c []enginetest.Call, i int) bool {
-		return is(c, i, "write", "sst-*.sst.tmp") && !merging(c[i])
+		return is(c, i, "write", "sst-*.sst.tmp") && flushing(c[i])
 	}},
 	{Name: "flush-renamed", At: func(c []enginetest.Call, i int) bool {
-		return is(c, i-1, "rename", "sst-*.sst.tmp") && is(c, i, "syncdir", "*") && !merging(c[i]) && is(c, i+1, "create", "MANIFEST.tmp")
+		return is(c, i-1, "rename", "sst-*.sst.tmp") && is(c, i, "syncdir", "*") && flushing(c[i]) && is(c, i+1, "create", "MANIFEST.tmp")
 	}},
 	{Name: "mid-merge", At: func(c []enginetest.Call, i int) bool {
 		return is(c, i, "write", "sst-*.sst.tmp") && merging(c[i])
@@ -117,10 +126,10 @@ var compactPoints = []enginetest.Point{
 //	retire-manifested   the directory sync of a retirement's MANIFEST, before the dead tables are removed
 var runPoints = []enginetest.Point{
 	{Name: "flush-part-renamed", At: func(c []enginetest.Call, i int) bool {
-		return is(c, i, "rename", "sst-*.sst.tmp") && !merging(c[i]) && is(c, i+1, "rename", "sst-*.sst.tmp")
+		return is(c, i, "rename", "sst-*.sst.tmp") && flushing(c[i]) && is(c, i+1, "rename", "sst-*.sst.tmp")
 	}},
 	{Name: "retire-manifested", At: func(c []enginetest.Call, i int) bool {
-		return is(c, i-1, "rename", "MANIFEST.tmp") && is(c, i, "syncdir", "*") && !merging(c[i]) &&
+		return is(c, i-1, "rename", "MANIFEST.tmp") && is(c, i, "syncdir", "*") && flushing(c[i]) &&
 			c[i].Phase != "reset" && is(c, i+1, "remove", "sst-*.sst")
 	}},
 }
@@ -142,6 +151,19 @@ var logPoints = []enginetest.Point{
 	}},
 }
 
+// ingestPoints, the ingest (new with it, not once named):
+//
+//	ingest-synced       the sync of an ingested table under its .tmp name, before any MANIFEST names it
+//	ingest-manifested   the directory sync of the MANIFEST that names an ingested table
+var ingestPoints = []enginetest.Point{
+	{Name: "ingest-synced", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "sync", "sst-*.sst.tmp") && ingesting(c[i])
+	}},
+	{Name: "ingest-manifested", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i-1, "rename", "MANIFEST.tmp") && is(c, i, "syncdir", "*") && ingesting(c[i])
+	}},
+}
+
 // is reports whether calls[i] exists and is op on a file matching glob.
 func is(calls []enginetest.Call, i int, op, glob string) bool {
 	if i < 0 || i >= len(calls) || calls[i].Op != op {
@@ -153,6 +175,12 @@ func is(calls []enginetest.Call, i int, op, glob string) bool {
 
 // merging reports whether c was made by a merge.
 func merging(c enginetest.Call) bool { return strings.HasSuffix(c.Phase, " merge") }
+
+// ingesting reports whether c was made by an ingest.
+func ingesting(c enginetest.Call) bool { return strings.HasSuffix(c.Phase, " ingest") }
+
+// flushing reports whether c was made by neither a merge nor an ingest.
+func flushing(c enginetest.Call) bool { return !merging(c) && !ingesting(c) }
 
 // TestWALTornTailRecovery is lsm's half of the torn-tail contract disklog
 // proves for its segments: a crash mid-append leaves garbage after the last

@@ -7,25 +7,30 @@
 // log, a sorted in-memory memtable (a skiplist) and an age-ordered list of
 // immutable sorted-string tables (SSTables), all holding the table's own
 // keys — the keys of one user table tend to live and die together and the
-// keys of two do not. A write is made durable in its table's log, then lands
-// in its table's memtable; a write call that leaves its table's log mostly
+// keys of two do not. Most writes are made durable in their table's log,
+// then land in its memtable; a write call that leaves its table's log mostly
 // dead replaces it with one holding only the memtable's entries
 // (replaceLogLocked), so a drained table's dead records leave the disk
 // without waiting for the next flush. One budget covers every run's
 // memtable: when their sum is full, each is flushed into a new SSTable of
-// its run (per-block restart points, a block index, a bloom filter). Point
-// reads probe the run's memtable, then its SSTables from newest to oldest —
-// the bloom filter skips tables that cannot hold the key, and a shared LRU
-// block cache (the one cache on the read path: blocks are immutable, so it
-// needs no invalidation) serves hot blocks without touching disk. Within a
-// run, size-tiered compaction merges windows of adjacent tables, dropping
-// shadowed versions; a full merge (the Compactor interface) merges each run
+// its run (per-block restart points, a block index, a bloom filter). A
+// large sorted batch that the memtables have no room for and no memtable key
+// falls among — the write-once chunk segments of a placement run — skips
+// the log and the memtable: it is ingested, written straight into a new
+// SSTable of its run with no lock held and added by a MANIFEST edit
+// (ingest.go). Point reads probe the run's memtable, then its SSTables from
+// newest to oldest — the key range and the bloom filter skip tables that
+// cannot hold the key, and a shared LRU block cache (the one cache on the
+// read path: blocks are immutable, so it needs no invalidation) serves hot
+// blocks without touching disk. Within a run, size-tiered compaction merges windows of tables whose key ranges
+// overlap, dropping shadowed versions, and leaves a table that overlaps no
+// other where it is; a full merge (the Compactor interface) merges each run
 // into one table — both the same way, reading and writing SSTables while
 // reads and writes go on (mergeJob); and a table whose every entry is
 // shadowed is unlinked without being read (retireLocked). The MANIFEST
 // names the live files; its atomic rename is the commit point for every
-// structural change, which is what makes flush, compaction, retirement and
-// reset crash-safe.
+// structural change, which is what makes flush, ingest, compaction,
+// retirement and reset crash-safe.
 //
 // Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (at most one per
 // user table), sst-<seq>.sst (run and age per the MANIFEST). The directory is
@@ -100,7 +105,8 @@ type Backend struct {
 	lock  io.Closer // the directory lock; released on Close
 
 	// mu guards all mutable state below. The write path (Put/Delete/
-	// BatchPut/flush) holds it exclusively; reads share it.
+	// BatchPut/flush) holds it exclusively — an ingest only to check its
+	// batch and to install its table; reads share it.
 	mu     sync.RWMutex
 	closed bool
 	// epoch counts Resets; a compaction validates it before committing so a
@@ -131,9 +137,9 @@ type Backend struct {
 	// victim tables. It is taken before mu, never under it.
 	compactMu sync.Mutex
 
-	// mergePause, when set (tests only), is called by every merge at its
-	// stages; see setMergePause.
-	mergePause func(stage string)
+	// pause, when set (tests only), is called by every merge and ingest at
+	// their stages; see setPause.
+	pause func(stage string)
 }
 
 // run is one user table's tree: its log, its memtable and its SSTables.
@@ -576,13 +582,22 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 	})
 }
 
-// BatchPut appends the whole batch as one checksummed record of the table's
-// log and fsyncs before acknowledging, so the batch replays whole or not at
-// all — the single record's crc32 is what makes fsync-on-batch atomic under
-// torn writes.
+// BatchPut makes the whole batch durable before acknowledging, and a crash
+// keeps all of it or none. A batch of strictly ascending keys, of at least
+// an eighth of MemtableBytes and more than the memtables have room for, that
+// no key of the table's memtable falls among is ingested: written as one new
+// SSTable of the table's run and committed by the MANIFEST (ingest.go).
+// Every other batch is appended as one checksummed record of the table's
+// log, and fsynced — the single record's crc32 is what makes fsync-on-batch
+// atomic under torn writes.
 func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
 	if len(entries) == 0 {
 		return ctx.Err()
+	}
+	if payload, ok := b.ingestable(entries); ok {
+		if ingested, err := b.ingest(ctx, table, entries, payload); ingested || err != nil {
+			return err
+		}
 	}
 	return b.write(ctx, table, func() error {
 		w, err := b.logLocked(table)
@@ -780,14 +795,17 @@ func (b *Backend) Reset(ctx context.Context) error {
 	return b.fs.SyncDir(b.dir)
 }
 
-// setMergePause installs a hook (tests only) that every merge captured from
-// then on calls, holding compactMu and nothing else, with "captured" before
-// it reads its victims and "written" between writing its output and
-// installing it. A hook that blocks holds the merge there. Nil removes it.
-func (b *Backend) setMergePause(pause func(stage string)) {
+// setPause installs a hook (tests only) that every merge captured from then
+// on calls, holding compactMu and nothing else, with "captured" before it
+// reads its victims and "written" between writing its output and installing
+// it; and that every ingest started from then on calls, holding no lock,
+// with "ingesting" before it writes its table and "ingested" between making
+// the table durable and installing it. A hook that blocks holds the merge
+// or the ingest there. Nil removes it.
+func (b *Backend) setPause(pause func(stage string)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.mergePause = pause
+	b.pause = pause
 }
 
 // Kill simulates process death (tests only): every file handle and the

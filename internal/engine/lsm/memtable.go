@@ -82,6 +82,13 @@ func (m *memtable) get(key []byte) ([]byte, bool, bool) {
 	return n.value, n.tomb, true
 }
 
+// holdsWithin reports whether some entry's key, tombstones included, lies in
+// [lo, hi].
+func (m *memtable) holdsWithin(lo, hi []byte) bool {
+	n := m.findGE(lo, nil)
+	return n != nil && bytes.Compare(n.key, hi) <= 0
+}
+
 // set installs value (or a tombstone) under key, replacing any existing
 // entry in place, and reports what it replaced: the previous value length,
 // and whether an entry existed. Both key and value must already be safe to

@@ -428,7 +428,8 @@ func TestDeadTableAboveLiveNeighbourStays(t *testing.T) {
 // after it has written its output. Mounting the output then would bring the
 // values back: it must be removed, and the call that ran the merge has not
 // failed. The block cache holds one block per shard, so the merge reads most
-// victim blocks from files closed under it.
+// victim blocks from files closed under it. The batches are shaped as
+// tierBatch says, so that the tier merge happens at all.
 func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 	ctx := context.Background()
 	value := []byte(strings.Repeat("v", 1000))
@@ -445,10 +446,9 @@ func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 					}
 					var keys []string
 					batch := func(n int) error {
-						ents := make([]engine.Entry, n)
-						for i := range ents {
-							ents[i] = engine.Entry{Key: fmt.Sprintf("k%04d", len(keys)), Value: value}
-							keys = append(keys, ents[i].Key)
+						ents := tierBatch(len(keys), n, value)
+						for _, e := range ents {
+							keys = append(keys, e.Key)
 						}
 						return b.BatchPut(ctx, "t", ents)
 					}
@@ -461,7 +461,7 @@ func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 					}
 
 					raced := false
-					b.setMergePause(func(at string) {
+					b.setPause(func(at string) {
 						if at != stage || raced {
 							return
 						}
@@ -522,6 +522,19 @@ func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 	}
 }
 
+// tierBatch is a batch of n distinct keys, the keys from+0 to from+n-1 of a
+// sequence whose every batch's keys interleave with every other's: the
+// tables its batches are flushed into overlap, so tiering merges them,
+// where tables of disjoint key ranges would be left alone. Its keys descend,
+// so a batch of them takes the log and is not ingested.
+func tierBatch(from, n int, value []byte) []engine.Entry {
+	ents := make([]engine.Entry, n)
+	for i := range ents {
+		ents[n-1-i] = engine.Entry{Key: fmt.Sprintf("k%04d-%04d", i, from), Value: value}
+	}
+	return ents
+}
+
 // TestReadsAndWritesBesideTierMerge holds a write call's tier merge between
 // writing its output and installing it: a Get on the same backend and a Put
 // to another table must not wait for the merge.
@@ -532,11 +545,8 @@ func TestReadsAndWritesBesideTierMerge(t *testing.T) {
 	value := []byte(strings.Repeat("v", 1000))
 	next := 0
 	batch := func(n int) error {
-		ents := make([]engine.Entry, n)
-		for i := range ents {
-			ents[i] = engine.Entry{Key: fmt.Sprintf("k%04d", next), Value: value}
-			next++
-		}
+		ents := tierBatch(next, n, value)
+		next += n
 		return b.BatchPut(ctx, "t", ents)
 	}
 	for i := 0; i < tierWidth-1; i++ {
@@ -549,7 +559,7 @@ func TestReadsAndWritesBesideTierMerge(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(release) })
 	defer unblock()
-	b.setMergePause(func(stage string) {
+	b.setPause(func(stage string) {
 		if stage == "written" {
 			close(held)
 			<-release
@@ -578,9 +588,10 @@ func TestReadsAndWritesBesideTierMerge(t *testing.T) {
 		}
 	}
 	within("Get beside the merge", func() error {
-		v, ok, err := b.Get(ctx, "t", "k0000")
+		first := tierBatch(0, 1, value)[0].Key
+		v, ok, err := b.Get(ctx, "t", first)
 		if err == nil && (!ok || string(v) != string(value)) {
-			err = fmt.Errorf("k0000 = %d bytes, ok=%v", len(v), ok)
+			err = fmt.Errorf("%s = %d bytes, ok=%v", first, len(v), ok)
 		}
 		return err
 	})

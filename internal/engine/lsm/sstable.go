@@ -264,8 +264,8 @@ type indexEntry struct {
 }
 
 // sstable is an open, immutable table of one user table's run: file handle,
-// decoded index, bloom filter, and the two live counters accounting
-// maintains under the backend's mutex.
+// decoded index, bloom filter, key range, and the two live counters
+// accounting maintains under the backend's mutex.
 type sstable struct {
 	id    uint64 // block-cache identity, unique per open table per process
 	seq   int64  // file sequence (naming, MANIFEST)
@@ -274,6 +274,11 @@ type sstable struct {
 	size  int64
 	index []indexEntry
 	bloom []byte
+	// first and last are the smallest and the largest key the table holds,
+	// tombstones included: the first entry of its first block, and its last
+	// block's index key. A read skips a table whose range misses its key,
+	// and tiering leaves a table whose range meets no other table's alone.
+	first, last []byte
 
 	// live is the logical payload not shadowed by newer entries; dead =
 	// size - live drives compaction victim selection. Guarded by the
@@ -287,7 +292,9 @@ type sstable struct {
 }
 
 // openSSTable maps and verifies a table file: footer magic and checksum,
-// then the index and bloom blocks (each crc-checked in full).
+// then the index and bloom blocks (each crc-checked in full), and reads its
+// first key from its first block. A table with no block is corrupt: no
+// writer makes one.
 func openSSTable(fsys reclog.FS, path string, seq int64) (_ *sstable, err error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -295,6 +302,7 @@ func openSSTable(fsys reclog.FS, path string, seq int64) (_ *sstable, err error)
 	}
 	defer func() {
 		if err != nil {
+			f.Close()
 		}
 	}()
 	st, err := f.Stat()
@@ -363,10 +371,30 @@ func openSSTable(fsys reclog.FS, path string, seq int64) (_ *sstable, err error)
 		index = append(index, indexEntry{lastKey: append([]byte(nil), key...), off: int64(off), length: int64(length)})
 		rawIndex = rest2
 	}
-	return &sstable{
+	if len(index) == 0 {
+		return nil, fmt.Errorf("%w: lsm sstable %s holds no block", types.ErrCorrupt, path)
+	}
+	t := &sstable{
 		id: tableID.Add(1), seq: seq, path: path, f: f, size: size,
-		index: index, bloom: bloom,
-	}, nil
+		index: index, bloom: bloom, last: index[len(index)-1].lastKey,
+	}
+	body, err := t.loadBlock(0, nil)
+	if err != nil {
+		return nil, err
+	}
+	entries, _, _, err := blockEntries(body)
+	if err != nil {
+		return nil, err
+	}
+	if t.first, _, _, _, err = decodeEntry(entries, 0, nil); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// overlaps reports whether the key ranges of t and u meet.
+func (t *sstable) overlaps(u *sstable) bool {
+	return bytes.Compare(t.first, u.last) <= 0 && bytes.Compare(u.first, t.last) <= 0
 }
 
 func (t *sstable) close() error { return t.f.Close() }
@@ -442,11 +470,11 @@ func decodeEntry(entries []byte, pos int, key []byte) ([]byte, []byte, byte, int
 	return key, val, kind, next, nil
 }
 
-// get point-looks-up key in the table: bloom probe, index binary search,
-// block load, restart binary search, linear scan. The returned value
-// aliases the cached block.
+// get point-looks-up key in the table: range check, bloom probe, index
+// binary search, block load, restart binary search, linear scan. The
+// returned value aliases the cached block.
 func (t *sstable) get(key []byte, cache *BlockCache) (val []byte, tomb, ok bool, err error) {
-	if !bloomMayContain(t.bloom, key) {
+	if bytes.Compare(key, t.first) < 0 || bytes.Compare(key, t.last) > 0 || !bloomMayContain(t.bloom, key) {
 		return nil, false, false, nil
 	}
 	i := sort.Search(len(t.index), func(i int) bool {

@@ -193,3 +193,69 @@ func FuzzOpenSSTable(f *testing.F) {
 		}
 	})
 }
+
+// TestOpenSSTableClosesOnError: a table refused as corrupt — truncated, or
+// with a checksum that fails — leaves no file open, and one opened holds
+// one until it is closed.
+func TestOpenSSTableClosesOnError(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sst-000001.sst")
+	sw, err := newSSTWriter(reclog.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		if err := sw.add([]byte{'k', byte('a' + i/26), byte('a' + i%26)}, []byte("value"), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.finish(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexOff := binary.LittleEndian.Uint64(good[len(good)-sstFooterSize:])
+	flip := func(at int) []byte {
+		data := slices.Clone(good)
+		data[at] ^= 0xff
+		return data
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"shorter than a footer", good[:sstFooterSize-1]},
+		{"truncated", good[:len(good)/2]},
+		{"first block checksum", flip(0)},
+		{"index checksum", flip(int(indexOff))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fsys := &countingFS{FS: reclog.OS}
+			if _, err := openSSTable(fsys, path, 1); !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("open gives %v, want ErrCorrupt", err)
+			}
+			if n := fsys.open.Load(); n != 0 {
+				t.Fatalf("%d files left open", n)
+			}
+		})
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fsys := &countingFS{FS: reclog.OS}
+	st, err := openSSTable(fsys, path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fsys.open.Load(); n != 1 {
+		t.Fatalf("an open table holds %d files", n)
+	}
+	if err := st.close(); err != nil || fsys.open.Load() != 0 {
+		t.Fatalf("closed: %v, %d files open", err, fsys.open.Load())
+	}
+}
