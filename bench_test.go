@@ -123,30 +123,40 @@ func BenchmarkSubchunkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCommit measures online ingest throughput (delta store writes +
-// periodic batch flushes).
+// BenchmarkCommit measures online ingest: a chain of one-key commits at the
+// tip of a placed base version of 1 k and 100 k keys, each a delta store
+// write, every 32nd closing a batch that a flush places. A commit resolves
+// only the key it touches, so its cost does not grow with the base version.
 func BenchmarkCommit(b *testing.B) {
-	st, err := rstore.Open(context.Background(), rstore.Config{ChunkCapacity: 64 << 10, BatchSize: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	parent, err := st.Commit(context.Background(), rstore.NoParent, rstore.Change{Puts: map[rstore.Key][]byte{
-		"seed": []byte("s"),
-	}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch := rstore.Change{Puts: map[rstore.Key][]byte{
-			rstore.Key(fmt.Sprintf("k%06d", i%1000)): []byte(fmt.Sprintf(`{"i":%d}`, i)),
-		}}
-		v, err := st.Commit(context.Background(), parent, ch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		parent = v
+	for _, n := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			ctx := context.Background()
+			st, err := rstore.Open(ctx, rstore.Config{ChunkCapacity: 64 << 10, BatchSize: 32})
+			if err != nil {
+				b.Fatal(err)
+			}
+			root := rstore.Change{Puts: make(map[rstore.Key][]byte, n)}
+			for i := range n {
+				root.Puts[rstore.Key(fmt.Sprintf("k%06d", i))] = []byte(fmt.Sprintf(`{"i":%d}`, i))
+			}
+			parent, err := st.Commit(ctx, rstore.NoParent, root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Flush(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ch := rstore.Change{Puts: map[rstore.Key][]byte{
+					rstore.Key(fmt.Sprintf("k%06d", i%n)): []byte(fmt.Sprintf(`{"i":%d}`, i)),
+				}}
+				if parent, err = st.Commit(ctx, parent, ch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -7,7 +7,11 @@
 // Architecture mirrors the paper's three modules:
 //
 //   - Data Ingest: Commit assigns version ids, derives composite-key deltas,
-//     and parks them in the delta store (a KVS table) for batching.
+//     and parks them in the delta store (a KVS table) for batching. A
+//     commit resolves only the keys its change touches, the way a read
+//     plans one key: the parent's pending overlay, then the placed
+//     anchor's record; CommitDelta checks a client's delta against the
+//     parent the same way.
 //   - Data Placement: one mechanism (place) over two inputs. Materialize
 //     partitions everything offline onto a fresh chunk.Layout under the
 //     next generation; the online path (§4) partitions each batch of new

@@ -300,7 +300,9 @@ func (s *Store) resolve(plan func() (*readPlan, error)) (*readPlan, error) {
 // accepts (nil: all), sorted by composite key. It returns the anchor,
 // InvalidVersion when all of v is pending. The corpus holds every pending
 // delta, values included (applyVersion registered it, and the flush that
-// places it codes its chunks from there): a plan reads memory only.
+// places it codes its chunks from there): a plan reads memory only. Callers
+// hold s.mu, or s.wmu alone: a commit resolves the keys it touches with it
+// (holding).
 func (s *Store) planOverlay(v types.VersionID, keep func(types.Key) bool) (*readPlan, types.VersionID, error) {
 	if !s.validVersion(v) {
 		return nil, types.InvalidVersion, &types.VersionUnknownError{Version: v}
@@ -354,10 +356,12 @@ func (s *Store) anchorOf(v types.VersionID) (types.VersionID, []types.VersionID)
 
 // locate resolves the record of key that placed version v holds to its id
 // and slot: of the key's records (corpus.KeyRecords), the one whose slot v's
-// bitmap in that record's chunk has set. All of it is in memory; nothing is
-// fetched.
+// bitmap in that record's chunk has set. It walks them newest first, so at a
+// tip the live record is the first it tests. All of it is in memory; nothing
+// is fetched. Callers hold s.mu, or s.wmu alone: only wmu holders change the
+// corpus and the layout.
 func (s *Store) locate(key types.Key, v types.VersionID) (uint32, chunk.Loc, bool) {
-	for _, rec := range s.corpus.KeyRecords(key) {
+	for _, rec := range slices.Backward(s.corpus.KeyRecords(key)) {
 		loc := s.layout.Loc(rec)
 		if loc.Chunk == chunk.NoChunk {
 			continue

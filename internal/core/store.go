@@ -60,9 +60,6 @@ type Store struct {
 	// the persisted root; mutable refuses with it.
 	failed error
 
-	// keyStates caches resolved key→record maps for recent commit parents.
-	keyStates *keyStateCache
-
 	// sortedKeys supports range retrieval.
 	sortedKeys []types.Key
 
@@ -89,15 +86,14 @@ func newStore(cfg Config, ownsKV bool) *Store {
 	g := vgraph.New()
 	c := corpus.New(g)
 	return &Store{
-		cfg:       cfg,
-		kv:        cfg.KV,
-		graph:     g,
-		corpus:    c,
-		layout:    chunk.NewLayout(c),
-		pin:       newGenPin(),
-		keyStates: newKeyStateCache(4),
-		branches:  map[string]types.VersionID{"main": types.InvalidVersion},
-		ownsKV:    ownsKV,
+		cfg:      cfg,
+		kv:       cfg.KV,
+		graph:    g,
+		corpus:   c,
+		layout:   chunk.NewLayout(c),
+		pin:      newGenPin(),
+		branches: map[string]types.VersionID{"main": types.InvalidVersion},
+		ownsKV:   ownsKV,
 	}
 }
 
@@ -202,19 +198,19 @@ func (s *Store) Commit(ctx context.Context, parent types.VersionID, ch Change) (
 // §2.5). Secondary parents record provenance and are not consulted for
 // contents.
 func (s *Store) CommitMerge(ctx context.Context, parents []types.VersionID, ch Change) (types.VersionID, error) {
-	return s.commit(ctx, parents, func(v types.VersionID) (*types.Delta, map[types.Key]types.CompositeKey, error) {
+	return s.commit(ctx, parents, func(v types.VersionID) (*types.Delta, error) {
 		return s.deriveDelta(parents, v, ch)
 	})
 }
 
 // commit is the one commit path. Under s.wmu it checks parents against the
-// PREDICTED version id v, has derive make v's delta (and v's key state, if
-// it knows it), and writes the delta through the batch path, the one durable
-// backends fsync before acknowledging; only then does it take s.mu to apply
-// v. A commit that fails before, a cancelled write included, leaves no trace
-// (the graph has no rollback); once the self-describing entry is durable the
-// commit stands, and Load replays it. A commit that fills the batch flushes.
-func (s *Store) commit(ctx context.Context, parents []types.VersionID, derive func(v types.VersionID) (*types.Delta, map[types.Key]types.CompositeKey, error)) (types.VersionID, error) {
+// PREDICTED version id v, has derive make v's delta, and writes the delta
+// through the batch path, the one durable backends fsync before
+// acknowledging; only then does it take s.mu to apply v. A commit that fails
+// before, a cancelled write included, leaves no trace (the graph has no
+// rollback); once the self-describing entry is durable the commit stands,
+// and Load replays it. A commit that fills the batch flushes.
+func (s *Store) commit(ctx context.Context, parents []types.VersionID, derive func(v types.VersionID) (*types.Delta, error)) (types.VersionID, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if err := s.mutable(); err != nil {
@@ -231,7 +227,7 @@ func (s *Store) commit(ctx context.Context, parents []types.VersionID, derive fu
 	} else if err := validParents(s.graph, parents); err != nil {
 		return types.InvalidVersion, err
 	}
-	delta, state, err := derive(v)
+	delta, err := derive(v)
 	if err != nil {
 		return types.InvalidVersion, err
 	}
@@ -246,9 +242,6 @@ func (s *Store) commit(ctx context.Context, parents []types.VersionID, derive fu
 	})
 	if err != nil {
 		return types.InvalidVersion, err
-	}
-	if state != nil {
-		s.keyStates.put(v, state)
 	}
 	if s.cfg.BatchSize > 0 && s.numPending() >= s.cfg.BatchSize {
 		// Detached from the caller's cancellation: the commit already
@@ -308,71 +301,73 @@ func validParents(g *vgraph.Graph, parents []types.VersionID) error {
 }
 
 // deriveDelta turns a user Change into a composite-key delta against the
-// primary parent, resolving the old record of every touched key.
-func (s *Store) deriveDelta(parents []types.VersionID, v types.VersionID, ch Change) (*types.Delta, map[types.Key]types.CompositeKey, error) {
-	delta := &types.Delta{}
-	var state map[types.Key]types.CompositeKey
+// primary parent, resolving the old record of every touched key (held) and
+// of no other.
+func (s *Store) deriveDelta(parents []types.VersionID, v types.VersionID, ch Change) (*types.Delta, error) {
+	// Deterministic ordering: sorted keys.
+	putKeys := slices.Sorted(maps.Keys(ch.Puts))
+	held := map[types.Key]types.CompositeKey{}
 	if parents[0] == types.InvalidVersion {
 		if len(ch.Deletes) != 0 {
-			return nil, nil, fmt.Errorf("rstore: root commit cannot delete keys")
+			return nil, fmt.Errorf("rstore: root commit cannot delete keys")
 		}
-		state = make(map[types.Key]types.CompositeKey, len(ch.Puts))
 	} else {
-		parentState, err := s.resolveKeyState(parents[0])
-		if err != nil {
-			return nil, nil, fmt.Errorf("rstore: commit: %w", err)
+		var err error
+		if held, err = s.holding(parents[0], append(putKeys, ch.Deletes...)); err != nil {
+			return nil, fmt.Errorf("rstore: commit: %w", err)
 		}
-		state = maps.Clone(parentState)
 	}
 
-	// Deterministic ordering: sorted keys.
-	putKeys := make([]types.Key, 0, len(ch.Puts))
-	for k := range ch.Puts {
-		putKeys = append(putKeys, k)
-	}
-	sort.Slice(putKeys, func(i, j int) bool { return putKeys[i] < putKeys[j] })
-
+	delta := &types.Delta{}
 	for _, k := range putKeys {
-		if old, ok := state[k]; ok {
+		if old, ok := held[k]; ok {
 			delta.Dels = append(delta.Dels, old)
 		}
 		ck := types.CompositeKey{Key: k, Version: v}
 		// The corpus keeps the record and a flush codes chunks from it: the
 		// value is the store's copy, not the caller's buffer.
 		delta.Adds = append(delta.Adds, types.Record{CK: ck, Value: bytes.Clone(ch.Puts[k])})
-		state[k] = ck
 	}
 	for _, k := range ch.Deletes {
 		if _, doubled := ch.Puts[k]; doubled {
-			return nil, nil, fmt.Errorf("rstore: commit: key %q both put and deleted", string(k))
+			return nil, fmt.Errorf("rstore: commit: key %q both put and deleted", string(k))
 		}
-		old, ok := state[k]
+		old, ok := held[k]
 		if !ok {
-			return nil, nil, fmt.Errorf("rstore: commit: %w", &types.KeyNotFoundError{Key: k, Version: parents[0]})
+			return nil, fmt.Errorf("rstore: commit: %w", &types.KeyNotFoundError{Key: k, Version: parents[0]})
 		}
 		delta.Dels = append(delta.Dels, old)
-		delete(state, k)
+		delete(held, k)
 	}
-	return delta, state, nil
+	return delta, nil
 }
 
-// resolveKeyState returns the key→composite-key map of a version, from the
-// commit cache or by materializing through the corpus.
-func (s *Store) resolveKeyState(v types.VersionID) (map[types.Key]types.CompositeKey, error) {
-	if st, ok := s.keyStates.get(v); ok {
-		return st, nil
+// holding resolves the record version v holds of each of keys, as GetRange
+// plans one key: the record the pending path from v's placed anchor adds,
+// else the anchor's own (locate) unless that path masks it. A key v does not
+// hold is absent. Callers hold s.mu, or s.wmu alone.
+func (s *Store) holding(v types.VersionID, keys []types.Key) (map[types.Key]types.CompositeKey, error) {
+	touched := make(map[types.Key]bool, len(keys))
+	for _, k := range keys {
+		touched[k] = true
 	}
-	members, err := s.corpus.Members(v)
+	p, anchor, err := s.planOverlay(v, func(k types.Key) bool { return touched[k] })
 	if err != nil {
 		return nil, err
 	}
-	st := make(map[types.Key]types.CompositeKey, len(members))
-	for _, id := range members {
-		r := s.corpus.Record(id)
-		st[r.CK.Key] = r.CK
+	out := make(map[types.Key]types.CompositeKey, len(touched))
+	for _, r := range p.adds {
+		out[r.CK.Key] = r.CK
 	}
-	s.keyStates.put(v, st)
-	return st, nil
+	for k := range touched {
+		if _, ok := out[k]; ok || anchor == types.InvalidVersion {
+			continue
+		}
+		if rec, _, ok := s.locate(k, anchor); ok && !p.masked[s.corpus.Record(rec).CK] {
+			out[k] = s.corpus.Record(rec).CK
+		}
+	}
+	return out, nil
 }
 
 // noteNewKeys maintains the sorted key list for range queries: the delta's
@@ -475,34 +470,6 @@ func (s *Store) Branches() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// keyStateCache is a tiny LRU of version → key state used by commit chains.
-type keyStateCache struct {
-	cap   int
-	order []types.VersionID
-	m     map[types.VersionID]map[types.Key]types.CompositeKey
-}
-
-func newKeyStateCache(cap int) *keyStateCache {
-	return &keyStateCache{cap: cap, m: make(map[types.VersionID]map[types.Key]types.CompositeKey)}
-}
-
-func (c *keyStateCache) get(v types.VersionID) (map[types.Key]types.CompositeKey, bool) {
-	st, ok := c.m[v]
-	return st, ok
-}
-
-func (c *keyStateCache) put(v types.VersionID, st map[types.Key]types.CompositeKey) {
-	if _, ok := c.m[v]; !ok {
-		c.order = append(c.order, v)
-		if len(c.order) > c.cap {
-			evict := c.order[0]
-			c.order = c.order[1:]
-			delete(c.m, evict)
-		}
-	}
-	c.m[v] = st
 }
 
 // deltaKey renders the delta-store key of a version.

@@ -193,7 +193,8 @@ func (c *Corpus) TotalBytes() int64 {
 }
 
 // Validate cross-checks structural invariants: every delete targets a record
-// present in the parent version and every add is absent from it. Cost is
+// present in the parent version, every add is absent from it, and no version
+// holds two records of one key. Cost is
 // proportional to total delta volume; intended for
 // tests and loaders.
 func (c *Corpus) Validate() error {
@@ -204,7 +205,8 @@ func (c *Corpus) Validate() error {
 		return fmt.Errorf("corpus: %d versions in graph, %d deltas", c.graph.NumVersions(), len(c.adds))
 	}
 	var firstErr error
-	members := bitset.New(len(c.recs))
+	// members holds the walked version's record ids, keys their key ids.
+	members, keys := bitset.New(len(c.recs)), bitset.New(len(c.keyList))
 	var walk func(v types.VersionID) bool
 	walk = func(v types.VersionID) bool {
 		for _, id := range c.dels[v] {
@@ -213,13 +215,19 @@ func (c *Corpus) Validate() error {
 				return false
 			}
 			members.Clear(id)
+			keys.Clear(c.recKeys[id])
 		}
 		for _, id := range c.adds[v] {
 			if members.Contains(id) {
 				firstErr = fmt.Errorf("corpus: version %d adds %v already present", v, c.recs[id].CK)
 				return false
 			}
+			if keys.Contains(c.recKeys[id]) {
+				firstErr = fmt.Errorf("corpus: version %d adds %v while it holds another record of %q", v, c.recs[id].CK, c.recs[id].CK.Key)
+				return false
+			}
 			members.Set(id)
+			keys.Set(c.recKeys[id])
 		}
 		for _, ch := range c.graph.Children(v) {
 			if !walk(ch) {
@@ -228,9 +236,11 @@ func (c *Corpus) Validate() error {
 		}
 		for _, id := range c.adds[v] {
 			members.Clear(id)
+			keys.Clear(c.recKeys[id])
 		}
 		for _, id := range c.dels[v] {
 			members.Set(id)
+			keys.Set(c.recKeys[id])
 		}
 		return true
 	}

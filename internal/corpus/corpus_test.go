@@ -164,6 +164,48 @@ func TestMergeReAdd(t *testing.T) {
 	}
 }
 
+// TestValidateOneRecordPerKey: a version holding two records of one key is
+// refused, whether it adds one beside the other, beside one only a sibling
+// deleted, or deletes the record only a sibling holds; siblings that each
+// rewrite a key, or each add one, are not.
+func TestValidateOneRecordPerKey(t *testing.T) {
+	build := func(deltas ...*types.Delta) *Corpus {
+		g := vgraph.New()
+		g.AddRoot()
+		for range deltas[1:] {
+			g.AddVersion(0)
+		}
+		c := New(g)
+		for v, d := range deltas {
+			if err := c.AddVersionDelta(types.VersionID(v), d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	root := &types.Delta{Adds: []types.Record{rec("a", 0), rec("b", 0)}}
+	for _, c := range []struct {
+		name   string
+		corpus *Corpus
+		ok     bool
+	}{
+		{"add beside", build(root, &types.Delta{Adds: []types.Record{rec("a", 1)}}), false},
+		{"sibling's delete", build(root,
+			&types.Delta{Adds: []types.Record{rec("a", 1)}, Dels: []types.CompositeKey{ck("a", 0)}},
+			&types.Delta{Adds: []types.Record{rec("a", 2)}, Dels: []types.CompositeKey{ck("a", 1)}}), false},
+		{"add beside a sibling's delete", build(root,
+			&types.Delta{Dels: []types.CompositeKey{ck("b", 0)}},
+			&types.Delta{Adds: []types.Record{rec("b", 2)}}), false},
+		{"siblings rewrite a and add c", build(root,
+			&types.Delta{Adds: []types.Record{rec("a", 1), rec("c", 1)}, Dels: []types.CompositeKey{ck("a", 0)}},
+			&types.Delta{Adds: []types.Record{rec("a", 2), rec("c", 2)}, Dels: []types.CompositeKey{ck("a", 0)}}), true},
+	} {
+		if err := c.corpus.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v", c.name, err)
+		}
+	}
+}
+
 func TestVersionBytes(t *testing.T) {
 	c := buildExample2(t)
 	b0, err := c.VersionBytes(0)
