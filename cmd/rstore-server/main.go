@@ -6,15 +6,11 @@
 //
 //	rstore-server -addr :8080 -nodes 4 -rf 2
 //	rstore-server -addr :8080 -backend lsm -data /var/lib/rstore
-//	rstore-server -addr :8080 -backend lsm -data /var/lib/rstore -compact-interval 10m
 //	rstore-server -addr :8080 -rf 2 -backend remote -node-addrs host1:7420,host2:7420,host3:7420
 //
-// With -compact-interval set (lsm or remote backends), the
-// server watches the cluster's live ratio (live bytes / disk bytes, on
-// /stats) and compacts every node's storage whenever it falls below
-// -compact-live-ratio, reclaiming the dead bytes overwritten document
-// versions leave behind. A backend with nothing to compact is reported
-// once at startup instead of on every tick.
+// The dead bytes that overwritten document versions leave behind are the
+// lsm engine's to reclaim, on every node, locally or behind a daemon; the
+// cluster's live ratio (live bytes / disk bytes) is on /stats.
 //
 // With -backend lsm every node's data lives under the -data directory and
 // survives restarts: the server replays it on boot and reopens the store if
@@ -74,8 +70,6 @@ func main() {
 		hintEvery = flag.Duration("hint-interval", 0, "hint drain cadence for replication repair (0 = default 1s)")
 		tombTTL   = flag.Duration("tombstone-ttl", 0, "collect tombstones older than this once all replicas agree (0 = ack-based GC only)")
 		aeEvery   = flag.Duration("anti-entropy-interval", 0, "background hash-tree replica sync cadence (0 = off; needs -rf > 1)")
-		compEvery = flag.Duration("compact-interval", 0, "check the cluster's live ratio and compact at this cadence (0 = off; lsm and remote backends)")
-		compRatio = flag.Float64("compact-live-ratio", 0.6, "compact when live bytes / disk bytes falls below this (with -compact-interval)")
 	)
 	flag.Parse()
 
@@ -140,51 +134,6 @@ func main() {
 		}
 	}
 
-	// Background storage reclaim: overwritten document versions and GC'd
-	// tombstones leave dead bytes in disk-backed storage; compact whenever
-	// the cluster-wide live ratio sinks below the threshold. Engines without
-	// compaction are reported once — at startup for a local memory cluster,
-	// on first occurrence for remote daemons — instead of spamming the log
-	// on every tick.
-	compactCtx, stopCompact := context.WithCancel(ctx)
-	var compactDone chan struct{}
-	switch {
-	case *compEvery > 0 && *backend == rstore.EngineMemory:
-		log.Printf("rstore-server: backend memory does not support compaction; -compact-interval ignored")
-	case *compEvery > 0:
-		compactDone = make(chan struct{})
-		go func() {
-			defer close(compactDone)
-			t := time.NewTicker(*compEvery)
-			defer t.Stop()
-			loggedNoCompaction := false
-			for {
-				select {
-				case <-compactCtx.Done():
-					return
-				case <-t.C:
-				}
-				cs := kv.Stats(compactCtx)
-				if cs.DiskBytes == 0 || cs.LiveRatio >= *compRatio {
-					continue
-				}
-				reclaimed, err := kv.Compact(compactCtx)
-				switch {
-				case errors.Is(err, rstore.ErrNoCompaction):
-					if !loggedNoCompaction {
-						loggedNoCompaction = true
-						log.Printf("rstore-server: compact: %v (logged once)", err)
-					}
-				case err != nil:
-					log.Printf("rstore-server: compact: %v", err)
-				}
-				if reclaimed > 0 {
-					log.Printf("rstore-server: compacted %d bytes (live ratio was %.2f)", reclaimed, cs.LiveRatio)
-				}
-			}
-		}()
-	}
-
 	srv := &http.Server{
 		Addr:    *addr,
 		Handler: server.New(st),
@@ -206,11 +155,6 @@ func main() {
 		log.Fatal(err)
 	case s := <-sig:
 		log.Printf("rstore-server: %v: draining", s)
-	}
-	// Stop background compaction before the store (and its backends) close.
-	stopCompact()
-	if compactDone != nil {
-		<-compactDone
 	}
 	// Drain in-flight requests (streaming queries included) before closing
 	// the store; stragglers are cut off at the deadline.

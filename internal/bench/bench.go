@@ -246,7 +246,6 @@ func Experiments() []Experiment {
 		{"ablation-slack", "ablation: chunk slack allowance sweep", RunAblationSlack},
 		{"ablation-replication", "extension: replication + read balancing (paper future work)", RunAblationReplication},
 		{"repair", "extension: replication repair — hinted handoff + read repair convergence\n(always in-process: needs failure injection)", RunRepair},
-		{"compact", "extension: disklog segment compaction — disk bytes before/after an\noverwrite-heavy workload (always on a private disklog cluster)", RunCompact},
 		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica, disklog vs lsm (always in-process:\ndivergence injection needs the backend handles)", RunAntiEntropy},
 	}
 }

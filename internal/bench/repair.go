@@ -135,8 +135,8 @@ func RunRepair(opts Options) ([]*Table, error) {
 }
 
 // loadKeys writes keys [0, n) of table "t" in BatchPut groups, and deleteKeys
-// removes them in one BatchDelete: the repair, antientropy and compact
-// experiments measure convergence and reclaim, not load, and a per-key write
+// removes them in one BatchDelete: the repair and antientropy experiments
+// measure convergence, not load, and a per-key write
 // is a durable batch of one — an fsync per key on the disk engines.
 func loadKeys(ctx context.Context, kv *kvstore.Store, n int, key func(int) string, val func(int) []byte) error {
 	const batch = 256

@@ -402,11 +402,11 @@ const tierWidth = 4
 // tierCompact is size-tiered compaction. A write call that flushed or
 // ingested runs it on its own goroutine once b.mu is released — the writer
 // pays for the merges it triggered, and reads and writes go on beside them:
-// while a run holds MaxTables tables or more that overlap another, the
-// cheapest window of tierWidth of those (tierPick) is merged. It is skipped
-// while another merge holds compactMu: a Compact absorbs the backlog, and
-// what another writer's tier loop has already walked past waits for the
-// next flush.
+// while a run is less than half live, it is merged whole, and while it holds
+// MaxTables tables or more that overlap another, the cheapest window of
+// tierWidth of those is merged (tierPick). It is skipped while another merge
+// holds compactMu: a Compact absorbs the backlog, and what another writer's
+// tier loop has already walked past waits for the next flush.
 func (b *Backend) tierCompact(ctx context.Context) error {
 	if !b.compactMu.TryLock() {
 		return nil
@@ -429,8 +429,9 @@ func (b *Backend) tierCompact(ctx context.Context) error {
 	return nil
 }
 
-// wholeRun is Compact's pick: the whole run, when a merge reclaims anything
-// from it — more than one table, or dead weight in the one.
+// wholeRun is Compact's pick, and tierPick's for a run less than half live:
+// the whole run, when a merge reclaims anything from it — more than one
+// table, or dead weight in the one.
 func wholeRun(tables []*sstable) []*sstable {
 	if len(tables) == 1 && tables[0].size <= tables[0].live {
 		return nil
@@ -438,14 +439,30 @@ func wholeRun(tables []*sstable) []*sstable {
 	return tables
 }
 
-// tierPick is tiering's pick. A table whose key range meets no other
-// table's of its run is never rewritten by it (leveldb's trivial move: a
-// merge would copy it unchanged), so a run of write-once tables in key
-// order is merged by nobody. Once the others, its peers, number MaxTables,
-// pickWindow chooses tierWidth consecutive peers. The tables such a window
-// steps over meet no peer's range, so their keys are none of the victims',
-// and the output may take the oldest victim's place in age order.
+// minLiveShare is the live share of its file bytes below which a run of two
+// tables or more is merged whole: such a merge writes less than it
+// reclaims, and the run's next merge of this kind waits until as many
+// bytes again have died. A run of one table is never merged by the tier
+// loop — its merge would leave one table again.
+const minLiveShare = 0.5
+
+// tierPick is tiering's pick. A run less than minLiveShare live is taken
+// whole, as Compact takes it (wholeRun), whatever its tables' key ranges.
+// Otherwise a table whose key range meets no other table's of its run is
+// never rewritten by it (leveldb's trivial move: a merge would copy it
+// unchanged), so a run of write-once tables in key order is merged by
+// nobody. Once the others, its peers, number MaxTables, pickWindow chooses
+// tierWidth consecutive peers. The tables such a window steps over meet no
+// peer's range, so their keys are none of the victims', and the output may
+// take the oldest victim's place in age order.
 func (b *Backend) tierPick(tables []*sstable) []*sstable {
+	var live, size int64
+	for _, t := range tables {
+		live, size = live+clampedLive(t), size+t.size
+	}
+	if len(tables) > 1 && float64(live) < minLiveShare*float64(size) {
+		return wholeRun(tables)
+	}
 	alone := isolated(tables)
 	var peers []*sstable
 	for i, t := range tables {
@@ -511,12 +528,13 @@ func pickWindow(tables []*sstable, width int) int {
 // mergeJob is one merge: some of one run's tables, in age order, merged
 // into at most one table that takes the oldest one's place — a window of
 // consecutive tables, save that it may step over tables whose key ranges
-// meet none of the victims'. Both kinds of merge — the size-tiered window a flushing
-// or ingesting write call leaves behind (tierCompact) and each run of a
-// Compact — go one way: captureMerge takes the job under b.mu, writeMerged
-// reads the victims and writes the output with no b.mu held, and
-// installMerge mounts the output only if the victims are all still in their
-// run. compactMu is held throughout, so two merges never share a victim.
+// meet none of the victims', or a whole run. Every merge — the window or the
+// half-dead run a flushing or ingesting write call leaves behind
+// (tierCompact) and each run of a Compact — goes one way: captureMerge takes
+// the job under b.mu, writeMerged reads the victims and writes the output
+// with no b.mu held, and installMerge mounts the output only if the victims
+// are all still in their run. compactMu is held throughout, so two merges
+// never share a victim.
 type mergeJob struct {
 	table   string
 	victims []*sstable // age order
@@ -730,11 +748,15 @@ func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, 
 	for _, t := range b.allTables() {
 		st.Segments++
 		st.DiskBytes += t.size
-		// Logical weights against physical sizes: prefix compression can make
-		// the dead weight exceed the file, and a merge output is smaller than
-		// the live weight it inherits by its victims' footers, filters and
-		// indexes. Clamp for reporting.
-		st.LiveBytes += min(max(t.live, 0), t.size)
+		st.LiveBytes += clampedLive(t)
 	}
 	return st, nil
+}
+
+// clampedLive is t's live weight within [0, its size]. Logical weights
+// against physical sizes: prefix compression can make the dead weight exceed
+// the file, and a merge output is smaller than the live weight it inherits
+// by its victims' footers, filters and indexes.
+func clampedLive(t *sstable) int64 {
+	return min(max(t.live, 0), t.size)
 }

@@ -24,10 +24,12 @@
 // read path: blocks are immutable, so it needs no invalidation) serves hot
 // blocks without touching disk. Within a run, size-tiered compaction merges windows of tables whose key ranges
 // overlap, dropping shadowed versions, and leaves a table that overlaps no
-// other where it is; a full merge (the Compactor interface) merges each run
-// into one table — both the same way, reading and writing SSTables while
-// reads and writes go on (mergeJob); and a table whose every entry is
-// shadowed is unlinked without being read (retireLocked). The MANIFEST
+// other where it is; a run less than half live is merged into one table,
+// as a full merge (the Compactor interface) merges each run — all the same
+// way, reading and writing SSTables while reads and writes go on
+// (mergeJob); and a table whose every entry is shadowed is unlinked without
+// being read (retireLocked). The engine reclaims its dead bytes itself, on
+// the write calls that flush or ingest: no caller needs to. The MANIFEST
 // names the live files; its atomic rename is the commit point for every
 // structural change, which is what makes flush, ingest, compaction,
 // retirement and reset crash-safe.

@@ -269,9 +269,10 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, payload, resp []byte) ([
 		rep.Err = s.be.BatchPut(s.baseCtx, req.Table, req.Entries)
 
 	case wire.OpMultiGet:
-		// A batch whose combined values exceed MaxFrame fails the frame
-		// write and drops the connection; the cluster layer falls back to
-		// per-key reads for such batches.
+		// A batch whose combined values exceed wire.MaxFrame (1 GiB) fails
+		// the frame write and drops the connection, and no layer splits it.
+		// Callers keep batches far below that: core's largest is one query
+		// round, the segments of queryFetchBatch chunks (a few MiB).
 		rep.Values, rep.Present = make([][]byte, len(req.Keys)), make([]bool, len(req.Keys))
 		for i, k := range req.Keys {
 			if rep.Values[i], rep.Present[i], rep.Err = s.be.Get(s.baseCtx, req.Table, k); rep.Err != nil {

@@ -52,8 +52,10 @@
 //
 // # Storage reclaim
 //
-// Backends that implement engine.Compactor (lsm, locally or behind a
-// daemon) expose their dead-byte accounting through Stats
-// (DiskBytes, LiveBytes, LiveRatio, CompactedBytes) and are compacted
-// cluster-wide by Store.Compact; engines without compaction are skipped.
+// Reclaiming dead bytes is each node's engine's own job: lsm, locally or
+// behind a daemon, merges a run less than half live on the write call that
+// flushes it, and nothing above the engine asks it to. Backends that
+// implement engine.Compactor expose their dead-byte accounting through
+// Stats (DiskBytes, LiveBytes, LiveRatio, CompactedBytes); engines without
+// it count zero.
 package kvstore

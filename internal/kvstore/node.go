@@ -130,16 +130,7 @@ func (n *node) stored(ctx context.Context) (int64, error) {
 	return be.BytesStored(), nil
 }
 
-// compact reclaims dead storage on the node's backend; compactStats reads
-// the reclaim state without compacting.
-func (n *node) compact(ctx context.Context) (engine.CompactionStats, error) {
-	be, err := n.live()
-	if err != nil {
-		return engine.CompactionStats{}, err
-	}
-	return engine.Compact(ctx, be)
-}
-
+// compactStats reads the reclaim state of the node's backend.
 func (n *node) compactStats(ctx context.Context) (engine.CompactionStats, error) {
 	be, err := n.live()
 	if err != nil {

@@ -61,7 +61,6 @@ func TestAbsentSeamRule(t *testing.T) {
 				call func() error
 				want error
 			}{
-				{"compact", func() error { _, err := n.compact(ctx); return err }, engine.ErrNoCompaction},
 				{"compactStats", func() error { _, err := n.compactStats(ctx); return err }, engine.ErrNoCompaction},
 				{"reset", func() error { return n.reset(ctx) }, engine.ErrNoReset},
 				{"hashTree", func() error { _, err := n.hashTree(ctx, "t", engine.DefaultHashFanout); return err }, engine.ErrNoHashRange},
@@ -76,9 +75,6 @@ func TestAbsentSeamRule(t *testing.T) {
 				}
 			}
 
-			if reclaimed, err := s.Compact(ctx); err != nil || reclaimed != 0 {
-				t.Errorf("Store.Compact = %d, %v; want the node skipped", reclaimed, err)
-			}
 			if err := s.Reset(ctx); !errors.Is(err, engine.ErrNoReset) {
 				t.Errorf("Store.Reset = %v, want ErrNoReset", err)
 			}
@@ -167,7 +163,6 @@ func TestInjectedDownNodeNeverTouchesBackend(t *testing.T) {
 		{"scan", func() error { return n.scan(ctx, "t", func(string, []byte) bool { return true }) }},
 		{"tables", func() error { _, err := n.tables(ctx); return err }},
 		{"stored", func() error { _, err := n.stored(ctx); return err }},
-		{"compact", func() error { _, err := n.compact(ctx); return err }},
 		{"compactStats", func() error { _, err := n.compactStats(ctx); return err }},
 		{"reset", func() error { return n.reset(ctx) }},
 		{"hashTree", func() error { _, err := n.hashTree(ctx, "t", 4); return err }},

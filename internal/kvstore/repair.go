@@ -39,6 +39,12 @@ import (
 //     every replica agreeing on the tombstone — so TTL collection can never
 //     re-expose data held by a stale or unreachable replica.
 //
+// Write-backs are a bounded queue, tombstone collections are not: a
+// collection is scheduled once, when the last acknowledgment arrives, and
+// nothing reschedules one that is dropped — a large BatchDelete schedules
+// one per key at once. So collections wait in a list of their own that the
+// same workers drain, as long as it grows, and never in the queue.
+//
 // All repair writes carry the winning envelope with its ORIGINAL
 // timestamp: replaying one is idempotent, cannot reorder against newer
 // writes, and is applied conditionally (writeBack re-checks the target's
@@ -83,8 +89,8 @@ type RepairOptions struct {
 const (
 	// repairWorkers sizes the repair worker pool.
 	repairWorkers = 2
-	// repairQueueLen bounds the pending repair queue; repairs past the
-	// bound are dropped and counted in Stats.RepairDropped.
+	// repairQueueLen bounds the pending write-back queue; write-backs past
+	// the bound are dropped and counted in Stats.RepairDropped.
 	repairQueueLen = 256
 )
 
@@ -125,8 +131,12 @@ type repairer struct {
 	// that never observe divergence spawn no goroutines.
 	tasks     chan repairTask
 	startWork sync.Once
-	mu        sync.Mutex // guards inflight
+	mu        sync.Mutex // guards inflight and gcs
 	inflight  map[string]bool
+	// gcs are the collections scheduled and not yet taken by a worker;
+	// gcKick wakes one to take them.
+	gcs    []repairTask
+	gcKick chan struct{}
 
 	// Hinted handoff. The drain loop starts lazily on the first parked or
 	// recovered hint.
@@ -168,6 +178,7 @@ func newRepairer(s *Store, opts RepairOptions) *repairer {
 		cancel:   cancel,
 		tasks:    make(chan repairTask, repairQueueLen),
 		inflight: make(map[string]bool),
+		gcKick:   make(chan struct{}, 1),
 		hints:    make(map[int]*hintQueue),
 		kick:     make(chan struct{}, 1),
 		tombs:    make(map[string]*tombWait),
@@ -203,9 +214,10 @@ func (t repairTask) dedupKey() string {
 	return k
 }
 
-// enqueue hands a task to the worker pool. Tasks for a key already being
+// enqueue hands a task to the worker pool: a write-back to the bounded
+// queue, a collection to the gcs list. Tasks for a key already being
 // repaired coalesce (dropped silently — the in-flight repair converges the
-// same replicas); tasks past the queue bound are dropped and counted.
+// same replicas); write-backs past the queue bound are dropped and counted.
 func (r *repairer) enqueue(t repairTask) {
 	if len(t.targets) == 0 {
 		return
@@ -228,13 +240,20 @@ func (r *repairer) enqueue(t repairTask) {
 		return
 	}
 	r.inflight[k] = true
+	if t.gc {
+		r.gcs = append(r.gcs, t)
+		r.mu.Unlock()
+		select {
+		case r.gcKick <- struct{}{}:
+		default: // a kick is pending: its worker takes this one too
+		}
+		return
+	}
 	r.mu.Unlock()
 	select {
 	case r.tasks <- t:
 	default:
-		r.mu.Lock()
-		delete(r.inflight, k)
-		r.mu.Unlock()
+		r.finish(t)
 		r.repairDropped.Add(1)
 	}
 }
@@ -247,11 +266,25 @@ func (r *repairer) worker() {
 			return
 		case t := <-r.tasks:
 			r.run(t)
+			r.finish(t)
+		case <-r.gcKick:
 			r.mu.Lock()
-			delete(r.inflight, t.dedupKey())
+			gcs := r.gcs
+			r.gcs = nil
 			r.mu.Unlock()
+			for _, t := range gcs {
+				r.run(t)
+				r.finish(t)
+			}
 		}
 	}
+}
+
+// finish ends t's coalescing window.
+func (r *repairer) finish(t repairTask) {
+	r.mu.Lock()
+	delete(r.inflight, t.dedupKey())
+	r.mu.Unlock()
 }
 
 // settle acts on one key's verdict (v.win >= 0) — the one place an observed
@@ -403,6 +436,7 @@ func (r *repairer) resetState() {
 	r.hmu.Unlock()
 	r.mu.Lock()
 	r.inflight = make(map[string]bool)
+	r.gcs = nil
 	r.mu.Unlock()
 	r.tmu.Lock()
 	r.tombs = make(map[string]*tombWait)

@@ -462,6 +462,52 @@ func TestDeleteConverges(t *testing.T) {
 	}
 }
 
+// TestLargeBatchDeleteCollectsEveryTombstone: deletes in groups of 1 024
+// keys, the group size core deletes in, every tombstone acknowledged by both
+// replicas at once. Each one's collection is queued as the batch returns,
+// far more than the repair queue holds; none may be dropped, or its
+// tombstones stay on the nodes for good — nobody reads those keys again.
+func TestLargeBatchDeleteCollectsEveryTombstone(t *testing.T) {
+	const nKeys, group = 5000, 1024
+	s, backends := openRepair(t, 3, 2, RepairOptions{})
+	ctx := context.Background()
+	keys := make([]string, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%05d", i)
+	}
+	for lo := 0; lo < nKeys; lo += group {
+		var entries []Entry
+		for _, key := range keys[lo:min(lo+group, nKeys)] {
+			entries = append(entries, Entry{Key: key, Value: []byte("v")})
+		}
+		if err := s.BatchPut(ctx, "t", entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lo := 0; lo < nKeys; lo += group {
+		if err := s.BatchDelete(ctx, "t", keys[lo:min(lo+group, nKeys)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	left := func() int {
+		n := 0
+		for _, be := range backends {
+			if err := be.Scan(ctx, "t", func(string, []byte) bool { n++; return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for left() > 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := s.Stats(ctx)
+	if n := left(); n > 0 || st.RepairDropped != 0 || st.TombstonesGCed != nKeys {
+		t.Fatalf("%d tombstone copies left on the nodes, RepairDropped %d, TombstonesGCed %d of %d", n, st.RepairDropped, st.TombstonesGCed, nKeys)
+	}
+}
+
 // TestTombstoneTTLRequiresAgreement pins the TTL-collection safety gate: an
 // expired tombstone is NOT collected while any replica still holds older
 // state (collecting it would resurrect the value), and IS collected once a

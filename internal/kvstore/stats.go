@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"rstore/internal/engine"
 )
 
 // ChargeScan adds client-side scan cost for n bytes to the virtual clock and
@@ -32,7 +30,7 @@ type Stats struct {
 	// instance (a reopened client starts at zero, though it inherits and
 	// re-counts durable hints it recovers).
 	RepairWrites   int64 // winning envelopes written back to losing replicas
-	RepairDropped  int64 // repair tasks dropped on a full queue
+	RepairDropped  int64 // write-backs dropped on a full queue
 	HintsQueued    int64 // writes parked for down replicas (lifetime)
 	HintsReplayed  int64 // parked writes delivered to recovered replicas
 	HintsPending   int64 // parked writes currently awaiting replay
@@ -45,8 +43,8 @@ type Stats struct {
 	AEKeysRepaired int64 // differing keys handed to the repair writer
 	AEBytesHashed  int64 // key+value bytes digested by tree sweeps
 
-	// Storage reclaim, summed over reachable nodes whose backend supports
-	// compaction (lsm, local or behind a daemon);
+	// Storage reclaim, summed over reachable nodes whose backend reports it
+	// (lsm, local or behind a daemon, which reclaims its dead bytes itself);
 	// all zero on a pure memory cluster. Byte counts include record framing,
 	// so DiskBytes-LiveBytes is exactly what a full compaction would reclaim.
 	DiskBytes      int64   // total log/segment/sstable bytes on disk
@@ -114,36 +112,6 @@ func (s *Store) Stats(ctx context.Context) Stats {
 		st.LiveRatio = float64(st.LiveBytes) / float64(st.DiskBytes)
 	}
 	return st
-}
-
-// Compact asks every node whose backend supports compaction
-// (engine.Compactor) to reclaim dead storage, and reports the bytes
-// reclaimed across the cluster by this call. Nodes without compaction
-// support are skipped; down or unreachable nodes are skipped too — like
-// Stats, storage that cannot be observed cannot be compacted, and the node
-// can be compacted again once it returns. Hard backend errors are
-// aggregated per node.
-func (s *Store) Compact(ctx context.Context) (reclaimed int64, err error) {
-	var errs []error
-	for _, n := range s.nodes {
-		before, err := n.compactStats(ctx)
-		if errors.Is(err, engine.ErrNoCompaction) || isUnavailable(err) {
-			continue
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("kvstore: compact node %d: %w", n.id, err))
-			continue
-		}
-		after, err := n.compact(ctx)
-		if err != nil {
-			if !isUnavailable(err) {
-				errs = append(errs, fmt.Errorf("kvstore: compact node %d: %w", n.id, err))
-			}
-			continue
-		}
-		reclaimed += after.CompactedBytes - before.CompactedBytes
-	}
-	return reclaimed, errors.Join(errs...)
 }
 
 // Reset wipes every node's backend empty (engine.Resetter) so benchmarks

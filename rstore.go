@@ -106,11 +106,9 @@ var (
 	ErrClosed            = types.ErrClosed
 	ErrReadOnly          = types.ErrReadOnly
 	ErrPoisoned          = types.ErrPoisoned
-	// ErrNoCompaction / ErrNoReset report that a cluster node's backend
-	// does not implement the optional compaction / wipe extensions (see
-	// kvstore.Store.Compact and kvstore.Store.Reset).
-	ErrNoCompaction = engine.ErrNoCompaction
-	ErrNoReset      = engine.ErrNoReset
+	// ErrNoReset reports that a cluster node's backend does not implement
+	// the optional wipe extension (see kvstore.Store.Reset).
+	ErrNoReset = engine.ErrNoReset
 	// ErrNoHashRange reports that a cluster node's backend does not
 	// implement the optional hash-tree extension the anti-entropy loop
 	// requires (see RepairOptions.AntiEntropyInterval).
