@@ -15,7 +15,8 @@ import (
 // (SegmentTarget of single-record items): encoding, decoding every slot, and
 // decoding one slot in the middle as a point read does. §5.1 documents of 256
 // and 512 bytes are run lists against the first whose literals are 64 symbols,
-// six bits; English prose shares no offsets with its anchor and is literals
+// six bits, nearly all of them taking the segment's template for their heads;
+// English prose shares no offsets with its anchor and is literals
 // throughout, of some seventy symbols of which a few are rare; rows of numbers
 // are literals of thirteen, four bits; random blobs are all stored raw and
 // their segment states width 8. MB/s counts the segment's plain bytes — what
@@ -56,7 +57,7 @@ func BenchmarkSegmentCodec(b *testing.B) {
 					f()
 				}
 				b.ReportMetric(float64(len(seg))/float64(plain), "stored/plain")
-				b.ReportMetric(float64(seg[0]), "width")
+				b.ReportMetric(float64(seg[0]&^templated), "width")
 			})
 		}
 		buf := make([]byte, 0, plain)

@@ -39,7 +39,8 @@ func FuzzDecodeSegment(f *testing.F) {
 	}
 	// Segments of documents, whose values are run lists against the first: one
 	// record an item, and sub-chunks of four; of two, whose few literals stay
-	// bytes, and of forty, whose literals pay for a table and are packed.
+	// bytes and whose one list is its own, and of forty, whose literals pay
+	// for a table and are packed and whose lists are the segment's template.
 	for _, k := range []int{1, 4} {
 		for _, keys := range []int{2, 40} {
 			_, items := revisionItems(f, keys, k, documents(docgen.New(int64(k)), 96))
@@ -47,12 +48,28 @@ func FuzzDecodeSegment(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			if packed := seg[0] < 8; packed != (keys == 40) {
-				f.Fatalf("the seed segment of %d documents has literals of %d bits", keys, seg[0])
+			packed, shared := seg[0]&^templated < 8, seg[0]&templated != 0
+			if packed != (keys == 40) || shared != (keys == 40) {
+				f.Fatalf("the seed segment of %d documents has code %#x", keys, seg[0])
 			}
 			f.Add(seg)
 		}
 	}
+	// A segment of forty documents of which every third is shifted by a byte
+	// against the anchor: they keep lists of their own beside the template.
+	doc := documents(docgen.New(3), 96)
+	_, items = revisionItems(f, 40, 1, func(key types.Key, prev []byte) []byte {
+		v := doc(key, prev)
+		if key[len(key)-1]%3 == 1 {
+			v = append([]byte{' '}, v...)
+		}
+		return v
+	})
+	seg, err := appendSegment(nil, 0, items, allOf(items))
+	if err != nil || seg[0]&templated == 0 {
+		f.Fatalf("the seed segment of shifted documents has code %#x, %v", seg[0], err)
+	}
+	f.Add(seg)
 	f.Add([]byte{})
 	f.Add([]byte{8, 0, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{8, 0, 1, 1, 0, 0xff, 0xff, 0x03})

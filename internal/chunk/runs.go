@@ -23,8 +23,13 @@ import (
 // symbols follow". The value's length is the sum of the runs'. Only positional
 // redundancy is taken: a value whose layout shifts against the anchor is
 // literals from the shift on. There is no chain and no state — a value needs
-// the segment's literal code, the anchor and its own run list, nothing else
-// of the segment.
+// the segment's code, the anchor and its own run list, nothing else of the
+// segment.
+//
+// Most values of a segment spell the same heads, so a segment may state one
+// list of them once, in its code, as its template: a run list whose heads are
+// empty takes the template's. (A value of no bytes is always stored raw, so
+// an empty list states nothing else.)
 //
 // The literals of all of a list's runs are one bit string, written once per
 // value after the heads, in the code the segment's head states (litCode): a
@@ -32,20 +37,28 @@ import (
 // byte up and on into the next byte; the bits left in the string's last byte
 // are zero.
 
-// litCode is a segment's literal code: the width in bits of a literal symbol
-// and the bytes that have one. Below width 8, code i stands for table[i], and
-// the top code, 2^width − 1, is the escape: the eight bits after it are the
-// byte itself, one the table does not hold. At width 8 a symbol is the byte
-// and there is neither table nor escape. The width byte names the coder: a
-// segment coded some other way is another value of it.
+// litCode is a segment's code: the width in bits of a literal symbol, the
+// bytes that have one, and the template, if the segment has one. Below width
+// 8, code i stands for table[i], and the top code, 2^width − 1, is the escape:
+// the eight bits after it are the byte itself, one the table does not hold. At
+// width 8 a symbol is the byte and there is neither table nor escape. The kind
+// byte names the coder: its low four bits are the width, and 16 more says a
+// template follows the table; a segment coded some other way is another value
+// of it.
 //
-//	code := width:byte  table:byte{2^width − 1}      table ascending; none at width 8
+//	code := kind:byte  table:byte{2^width − 1}  template:bytes?     table ascending; none at width 8
+//	kind := templated<<4 | width
 type litCode struct {
-	width uint
-	table []byte
+	width    uint
+	table    []byte
+	template []byte // run heads, as codeRuns makes them; nil: none
 }
 
-// maxCodeLen is the most bytes a code takes in a segment: width 7's.
+// templated is the kind byte's bit for a code with a template.
+const templated = 1 << 4
+
+// maxCodeLen is the most bytes a code without a template takes in a segment:
+// width 7's. A template is paid for by the heads it spares its users.
 const maxCodeLen = 1 + 127
 
 // litCounts counts literal bytes, in four tables that a byte takes turns in so
@@ -110,17 +123,18 @@ func chooseCode(h *litCounts) litCode {
 		table[i] = byte(order[i])
 	}
 	slices.Sort(table)
-	return litCode{width, table}
+	return litCode{width: width, table: table}
 }
 
 // parseCode reads the code a segment begins with. It is ErrCorrupt for the
-// width to be outside 1…8, for the table to be cut short, and for its bytes
-// not to ascend — so none is there twice and a table is spelled one way.
+// kind to be other than a width of 1…8, templated or not, for the table to be
+// cut short, for its bytes not to ascend — so none is there twice and a table
+// is spelled one way — and for a template to be cut short or empty.
 func parseCode(buf []byte) (c litCode, rest []byte, err error) {
-	if len(buf) == 0 || buf[0] < 1 || buf[0] > 8 {
+	if len(buf) == 0 || buf[0]&^templated < 1 || buf[0]&^templated > 8 {
 		return c, nil, fmt.Errorf("%w: segment without a literal width of 1 to 8", types.ErrCorrupt)
 	}
-	c.width = uint(buf[0])
+	c.width = uint(buf[0] &^ templated)
 	n := 0
 	if c.width < 8 {
 		n = 1<<c.width - 1
@@ -134,12 +148,26 @@ func parseCode(buf []byte) (c litCode, rest []byte, err error) {
 			return c, nil, fmt.Errorf("%w: segment's literal table does not ascend at entry %d", types.ErrCorrupt, i)
 		}
 	}
-	return c, buf[1+n:], nil
+	rest = buf[1+n:]
+	if buf[0]&templated != 0 {
+		if c.template, rest, err = codec.Bytes(rest); err != nil || len(c.template) == 0 {
+			return c, nil, fmt.Errorf("%w: segment's template is cut short or empty", types.ErrCorrupt)
+		}
+	}
+	return c, rest, nil
 }
 
 // appendTo appends the code as a segment states it.
 func (c litCode) appendTo(dst []byte) []byte {
-	return append(append(dst, byte(c.width)), c.table...)
+	kind := byte(c.width)
+	if c.template != nil {
+		kind |= templated
+	}
+	dst = append(append(dst, kind), c.table...)
+	if c.template != nil {
+		dst = codec.PutBytes(dst, c.template)
+	}
+	return dst
 }
 
 // packTable is a code laid out by byte: entry [k][b] is b's code k widths up,
@@ -150,7 +178,7 @@ type packTable [4][256]uint32
 
 const escaped = 1 << 31
 
-// fill lays code c, of a width below 8, out in t. (At width 8 appendRuns
+// fill lays code c, of a width below 8, out in t. (At width 8 appendLits
 // copies bytes and reads no table.)
 func (t *packTable) fill(c litCode) {
 	esc := uint32(1)<<c.width - 1
@@ -185,11 +213,14 @@ func (t *unpackTable) fill(c litCode) {
 // varints, so shorter ones save nothing.
 const minCopy = 4
 
-// codeRuns appends to heads the run heads that rebuild value from anchor and
-// counts the bytes of their literals — value's, where the heads say — in hist.
-func codeRuns(heads, anchor, value []byte, hist *litCounts) []byte {
+// codeRuns appends to heads the run heads that rebuild value from anchor — a
+// value's own list, which chooseTemplate weighs against the segment's others —
+// counts the bytes of their literals in hist, and returns how many of value's
+// bytes they copy.
+func codeRuns(heads, anchor, value []byte, hist *litCounts) ([]byte, int) {
 	common := min(len(anchor), len(value)) // past it there is nothing to copy
-	for pos := 0; pos < len(value); {      // pos ≤ common: a literal ends inside it or at value's end
+	copied := 0
+	for pos := 0; pos < len(value); { // pos ≤ common: a literal ends inside it or at value's end
 		n := matchLen(anchor[pos:common], value[pos:common])
 		pos += n
 		lit := literalLen(anchor[pos:common], value[pos:])
@@ -197,14 +228,14 @@ func codeRuns(heads, anchor, value []byte, hist *litCounts) []byte {
 		heads = codec.PutUvarint(heads, uint64(lit))
 		hist.add(value[pos : pos+lit])
 		pos += lit
+		copied += n
 	}
-	return heads
+	return heads, copied
 }
 
-// appendRuns appends to dst the run list of heads, which codeRuns made of
-// value, with its literals in code c, laid out by t.
-func (c litCode) appendRuns(dst []byte, t *packTable, heads, value []byte) []byte {
-	dst = codec.PutBytes(dst, heads)
+// appendLits appends to dst the literals of heads' runs, which fit value, in
+// code c, laid out by t: a run list once its heads are before them.
+func (c litCode) appendLits(dst []byte, t *packTable, heads, value []byte) []byte {
 	if c.width == 8 {
 		for pos := 0; len(heads) > 0; {
 			n, lit, head := runHead(heads)
@@ -320,16 +351,23 @@ func literalLen(a, v []byte) int {
 }
 
 // decodeRuns rebuilds the value a run list in code c states against anchor,
-// as a slice of its own, provided it is no longer than budget. It is
-// ErrCorrupt for the heads to reach past the list's end or to end inside a
-// run, for a copy to reach past the anchor's end, for a run to count more
-// symbols than the literals have bits left for, for the literals to end inside
-// an escape, to escape a byte the table holds, or to go on past the last
-// symbol — by a byte, or by a bit that is set.
+// as a slice of its own, provided it is no longer than budget; a list whose
+// heads are empty takes the code's template. It is ErrCorrupt for the heads to
+// reach past the list's end or to end inside a run, for them to be empty where
+// the code has no template, for a copy to reach past the anchor's end, for a
+// run to count more symbols than the literals have bits left for, for the
+// literals to end inside an escape, to escape a byte the table holds, or to go
+// on past the last symbol — by a byte, or by a bit that is set.
 func (c litCode) decodeRuns(anchor, runs []byte, budget uint64, t *unpackTable) ([]byte, error) {
 	heads, lits, err := codec.Bytes(runs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: run list ends inside its heads", types.ErrCorrupt)
+	}
+	if len(heads) == 0 {
+		if c.template == nil {
+			return nil, fmt.Errorf("%w: run list without heads in a segment without a template", types.ErrCorrupt)
+		}
+		heads = c.template
 	}
 	// Checked and sized first, so the value is allocated once, exactly, and
 	// from nothing the list does not pay for: a symbol takes width bits at least.

@@ -19,17 +19,18 @@ import (
 // of that one list would choose.
 func codeOf(anchor, value []byte) (heads []byte, c litCode) {
 	var hist litCounts
-	heads = codeRuns(nil, anchor, value, &hist)
+	heads, _ = codeRuns(nil, anchor, value, &hist)
 	return heads, chooseCode(&hist)
 }
 
-// appendRuns is litCode.appendRuns with the table laid out for the one call.
+// appendRuns appends the run list of heads, which fit value, in code c: the
+// heads, then their literals, the table laid out for the one call.
 func appendRuns(dst []byte, c litCode, heads, value []byte) []byte {
 	var t packTable
 	if c.width < 8 {
 		t.fill(c)
 	}
-	return c.appendRuns(dst, &t, heads, value)
+	return c.appendLits(codec.PutBytes(dst, heads), &t, heads, value)
 }
 
 // decodeRuns is litCode.decodeRuns with the table laid out for the one call.
@@ -74,7 +75,7 @@ func skewedCode(width uint) litCode {
 	}
 	table = table[:1<<width-1]
 	slices.Sort(table)
-	return litCode{width, table}
+	return litCode{width: width, table: table}
 }
 
 // TestRunsRoundTrip: over anchor × value shapes and every width, decode(encode)
@@ -263,6 +264,81 @@ func TestChooseCode(t *testing.T) {
 	}
 }
 
+// TestChooseTemplate: of a segment's documents — most spelling one list of
+// heads, many a list that copies a byte or two more where a literal happened
+// to match the anchor (a key's digit, a field's first or last byte), every
+// seventh shifted by a byte — every one but the shifted takes the template;
+// the literal counts the code is chosen from are then those of the lists that
+// will be written. Random blobs, which share no layout, get no template.
+func TestChooseTemplate(t *testing.T) {
+	gen := docgen.New(47)
+	anchor := gen.Document("key-000000", 256)
+	var values [][]byte
+	for i := 1; i < 60; i++ {
+		v := gen.Document(types.Key(fmt.Sprintf("key-%06d", i)), 256)
+		if i%7 == 3 {
+			v = append([]byte{' '}, v[:len(v)-1]...)
+		}
+		values = append(values, v)
+	}
+	uses, hist, template := weighTemplate(anchor, values)
+	if template == nil {
+		t.Fatal("documents of one layout got no template")
+	}
+	var recount litCounts
+	differing := 0 // users whose own list is not the template
+	for i, v := range values {
+		heads, _ := codeRuns(nil, anchor, v, &litCounts{})
+		if uses[i] == (i%7 == 2) { // values[i] is document i+1
+			t.Errorf("document %d takes the template: %v", i+1, uses[i])
+		}
+		if uses[i] {
+			if !bytes.Equal(heads, template) {
+				differing++
+			}
+			heads = template
+		}
+		for pos := 0; len(heads) > 0; {
+			n, lit, head := runHead(heads)
+			recount.add(v[pos+int(n) : pos+int(n+lit)])
+			pos, heads = pos+int(n+lit), heads[head:]
+		}
+	}
+	if differing < 10 {
+		t.Errorf("%d of the documents that take the template have lists of their own that differ", differing)
+	}
+	for b := range 256 {
+		if got, want := hist[0][b]+hist[1][b]+hist[2][b]+hist[3][b], recount[0][b]+recount[1][b]+recount[2][b]+recount[3][b]; got != want {
+			t.Errorf("byte %#x counted %d times, stated as a literal %d times", b, got, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(47))
+	for i := range values {
+		values[i] = make([]byte, 256)
+		rng.Read(values[i])
+	}
+	if uses, _, template := weighTemplate(anchor, values); template != nil || slices.Contains(uses, true) {
+		t.Errorf("random blobs got a template of %d bytes", len(template))
+	}
+}
+
+// weighTemplate runs what appendSegment does before it chooses the code: the
+// values' own lists against anchor, then the template.
+func weighTemplate(anchor []byte, values [][]byte) (uses []bool, hist *litCounts, template []byte) {
+	hist = &litCounts{}
+	lists := make([]list, len(values))
+	for i, v := range values {
+		lists[i].value = v
+		lists[i].heads, lists[i].copied = codeRuns(nil, anchor, v, hist)
+	}
+	template = chooseTemplate(lists, hist)
+	for _, l := range lists {
+		uses = append(uses, l.uses)
+	}
+	return uses, hist, template
+}
+
 // TestDecodeRunsRejects: the ways a run list can lie, bytewise and packed.
 func TestDecodeRunsRejects(t *testing.T) {
 	anchor := []byte("0123456789")
@@ -275,7 +351,7 @@ func TestDecodeRunsRejects(t *testing.T) {
 	}
 	// Two bits a symbol: a, b, c and the escape. "abca" is 00 01 10 00 from the
 	// low bit up, 0x24; "ab!" is 00 01 11 and 0x21 above them, six and eight bits.
-	two := litCode{2, []byte("abc")}
+	two := litCode{width: 2, table: []byte("abc")}
 	if got, err := decodeRuns(two, anchor, list("\x24", head(4, 4)), math.MaxUint64); err != nil || string(got) != "0123abca" {
 		t.Fatalf("decoded %q, %v", got, err)
 	}
@@ -316,7 +392,8 @@ func TestDecodeRunsRejects(t *testing.T) {
 // arbitrary anchor never panic — a read past the anchor or the list would —
 // and never build a value past the budget or past what anchor and list can
 // state between them, a symbol a bit; a list that is accepted states a value
-// that codes and decodes back to itself.
+// that codes and decodes back to itself. Seeds include a code with a
+// template and a list that takes it.
 func FuzzValueRuns(f *testing.F) {
 	gen := docgen.New(7)
 	anchor := gen.Document("key-000001", 256)
@@ -327,6 +404,9 @@ func FuzzValueRuns(f *testing.F) {
 			f.Add(c.appendTo(nil), anchor, runs, uint16(len(value)))
 			f.Add(c.appendTo(nil), anchor, runs, uint16(len(value)-1))
 		}
+		// The heads as the code's template, and the list's own empty.
+		templated := litCode{width: 8, template: heads}
+		f.Add(templated.appendTo(nil), anchor, templated.appendLits([]byte{0}, nil, heads, value), uint16(len(value)))
 	}
 	f.Add([]byte{8}, []byte{}, []byte{0}, uint16(0))
 	f.Add([]byte{8}, []byte("abcd"), []byte{8, 4, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0}, uint16(1000))
@@ -348,7 +428,7 @@ func FuzzValueRuns(f *testing.F) {
 			t.Fatalf("anchor of %d, list of %d, budget %d: a value of %d bytes (cap %d)", len(anchor), len(runs), budget, len(value), cap(value))
 		}
 		var hist litCounts
-		heads := codeRuns(nil, anchor, value, &hist)
+		heads, _ := codeRuns(nil, anchor, value, &hist)
 		again := appendRuns(nil, c, heads, value)
 		if len(again) >= len(value) {
 			return // stored raw

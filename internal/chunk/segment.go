@@ -31,9 +31,15 @@ const SegmentTarget = 64 << 10
 // segment's stored size. Deltas compound — a member is a delta of a member
 // that is a delta — so a few hostile bytes could otherwise declare values
 // that double per member; sub-chunks of real records inflate by about their
-// member count. A run list cannot compound (its value is no longer than the
-// anchor and, a literal a bit, eight times the list, both of them bytes the
-// segment holds) and inflates a segment of like records by less than fifty.
+// member count. A run list cannot compound: its value is no longer than the
+// anchor and, a literal a bit, eight times its literals, bytes the segment
+// holds, and no value is built from another. One that takes the template's
+// heads may hold no literal at all and so state the anchor's length in a
+// byte: what such values decode to is bounded not by their own bytes but by
+// the budget, which every value the decoder builds is charged before it is
+// allocated, whatever stated it. n of them over an anchor of a bytes decode
+// to n·a at most, which stays within 4 096 × (n + a) unless n and a are both
+// past 4 096. Segments of like records inflate by less than fifty.
 const maxInflate = 1 << 12
 
 // SegmentKey renders the backing-store key of segment seg of chunk id,
@@ -82,32 +88,34 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 //	record := version:uvarint  body:bytes
 //	member := version:uvarint  parent:varint  body:bytes
 //
-// code is the segment's literal code (litCode, runs.go). head is
-// shared<<2 | raw<<1 | multi: the item's primary key is the first shared bytes
-// of the previous item's key (none for the first item of a segment) followed
-// by suffix, and multi is set for an item of more than one member, whose
-// members keep EncodeItem's order and parent indexes. The body of an item's
-// representative — a record's, a sub-chunk's first member's — is its value
-// when raw is set and a run list against the segment's anchor (runs.go) when
-// it is not; the anchor is the first item's representative value, always raw,
-// and raw is the escape of any later value the run list would not shorten, so
-// an item takes no more bytes here than in Item.Encoded. The other members
-// keep EncodeItem's bodies: a bdiff delta of their parent member, or their
-// value where that is not shorter.
+// code is the segment's code (litCode, runs.go): its literal code and its
+// template, if it has one. head is shared<<2 | raw<<1 | multi: the item's
+// primary key is the first shared bytes of the previous item's key (none for
+// the first item of a segment) followed by suffix, and multi is set for an
+// item of more than one member, whose members keep EncodeItem's order and
+// parent indexes. The body of an item's representative — a record's, a
+// sub-chunk's first member's — is its value when raw is set and a run list
+// against the segment's anchor (runs.go) when it is not, with empty heads
+// where it takes the template's; the anchor is the first item's
+// representative value, always raw, and raw is the escape of any later value
+// the run list would not shorten, so an item takes no more bytes here than in
+// Item.Encoded. The other members keep EncodeItem's bodies: a bdiff delta of
+// their parent member, or their value where that is not shorter.
 //
 // The items are gone over twice: once to find every representative's runs
-// against the anchor and count the literal bytes in them, which choose the
-// code, and once to write.
+// against the anchor, from which the template is chosen and the literals the
+// lists will state are counted, which choose the code, and once to write.
 func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byte, error) {
 	// What the first pass read of each item: its member count, its first
-	// member, the other members' bytes, and where its run heads end.
+	// member, the other members' bytes, and where its run heads end. lists[i]
+	// is the own list of each representative but the anchor's.
 	type parsed struct {
 		n     uint64
 		first member
 		rest  []byte
 		heads int
 	}
-	reps := make([]parsed, len(idxs))
+	reps, lists := make([]parsed, len(idxs)), make([]list, len(idxs))
 	var anchor []byte
 	var heads []byte // every later representative's run heads, one after the other
 	var hist litCounts
@@ -123,11 +131,20 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 		if i == 0 {
 			anchor = r.first.body
 		} else {
-			heads = codeRuns(heads, anchor, r.first.body, &hist)
+			lists[i].value = r.first.body
+			heads, lists[i].copied = codeRuns(heads, anchor, r.first.body, &hist)
 		}
 		r.heads = len(heads)
 	}
+	var template []byte
+	if len(lists) > 1 {
+		for i := 1; i < len(lists); i++ {
+			lists[i].heads = heads[reps[i-1].heads:reps[i].heads]
+		}
+		template = chooseTemplate(lists[1:], &hist)
+	}
 	code := chooseCode(&hist)
+	code.template = template
 	var table packTable
 	if code.width < 8 {
 		table.fill(code)
@@ -146,7 +163,13 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 		}
 		m := r.first
 		if i > 0 {
-			if runs = code.appendRuns(runs[:0], &table, heads[reps[i-1].heads:r.heads], m.body); len(runs) < len(m.body) {
+			heads := lists[i].heads
+			if lists[i].uses {
+				heads, runs = template, append(runs[:0], 0) // no heads of its own
+			} else {
+				runs = codec.PutBytes(runs[:0], heads)
+			}
+			if runs = code.appendLits(runs, &table, heads, m.body); len(runs) < len(m.body) {
 				raw, m.body = 0, runs
 			}
 		}
@@ -206,8 +229,9 @@ func parseMember(buf []byte) (m member, rest []byte, err error) {
 // items no selected slot falls in are skipped, not copied; an item of several
 // members is decoded whole when any of them is selected, since members are
 // deltas of one another. A representative stored as a run list is rebuilt
-// from the segment's literal code, the anchor, which is read where it lies in
-// buf, and its own list: no other item of the segment is touched for it.
+// from the segment's code — its literal code and template —, the anchor, which
+// is read where it lies in buf, and its own list: no other item of the
+// segment is touched for it.
 func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, recs []types.Record, err error) {
 	code, rest, err := parseCode(buf)
 	if err != nil {

@@ -128,10 +128,12 @@ func TestSegmentRoundTrip(t *testing.T) {
 // ErrCorrupt, and the two counts are checked against the bytes that are left
 // before anything is sized by them. (The inflation budget is shown on delta
 // members, which compound. Run lists are charged to it as well, but a value
-// they state is no longer than anchor and list together, so a segment of run
-// lists alone cannot reach 4 096 × its size below ≈ 100 KB — a case that
-// allocates 400 MB before it is refused; TestRunsRoundTrip and FuzzValueRuns
-// hold decodeRuns to a budget directly.)
+// they state is no longer than the anchor and eight times its literals, and an
+// item takes five bytes at least, so a segment of run lists alone — even of
+// items that take a template and hold no literal — cannot reach 4 096 × its
+// size below ≈ 80 KB, a case that allocates ≈ 330 MB before it is refused;
+// TestRunsRoundTrip, FuzzValueRuns and the templated value at the end hold
+// decodeRuns to a budget directly.)
 func TestDecodeSegmentRejects(t *testing.T) {
 	c := miniCorpus(t)
 	items := append(recordItems(c), chainItem(t, c))
@@ -161,6 +163,12 @@ func TestDecodeSegmentRejects(t *testing.T) {
 	if _, _, recs, err := DecodeSegment(coded(two, "\x74\x08", 4, 2, 3, 1), nil); err != nil || len(recs) != 2 || string(recs[1].Value) != "0123ab678!" {
 		t.Fatalf("the hand-built packed segment: %v, %v", recs, err)
 	}
+	// The same with the heads stated once, as the segment's template, and an
+	// empty list in the item that takes them.
+	template := func(heads ...byte) []byte { return cat([]byte{8 | templated}, codec.PutBytes(nil, heads)) }
+	if _, _, recs, err := DecodeSegment(coded(template(4, 2, 4, 0), "xy"), nil); err != nil || len(recs) != 2 || string(recs[1].Value) != "0123xy6789" {
+		t.Fatalf("the hand-built templated segment: %v, %v", recs, err)
+	}
 	// A chain whose every member is 32 copies of its parent — 64 B, 2 KiB,
 	// 64 KiB … 2 GiB — each a bdiff of ≈ 100 bytes: a length, then 32 × (copy,
 	// offset 0, the parent's length).
@@ -176,38 +184,50 @@ func TestDecodeSegmentRejects(t *testing.T) {
 		t.Fatalf("the inflating chain is %d bytes itself", len(inflating))
 	}
 	for name, seg := range map[string][]byte{
-		"members inflating 32× each":      inflating,
-		"trailing bytes":                  append(bytes.Clone(good), 7),
-		"truncated":                       good[:len(good)-1],
-		"empty":                           nil,
-		"width 0":                         cat([]byte{0}, good[1:]),
-		"width 9":                         cat([]byte{9}, good[1:]),
-		"table cut short":                 {6, 'a', 'b', 'c'},
-		"table with a byte twice":         coded([]byte{2, 'a', 'b', 'b'}, "\x74\x08", 4, 2, 3, 1),
-		"table out of order":              coded([]byte{2, 'a', 'c', 'b'}, "\x74\x08", 4, 2, 3, 1),
-		"first slot past uint32":          cat(bytewise, codec.PutUvarint(nil, 1<<32), []byte{0}),
-		"item count past the payload":     cat(bytewise, []byte{0}, codec.PutUvarint(nil, 1<<40), item(0, rawBit, "k"), record),
-		"shared prefix past the key":      cat(bytewise, []byte{0, 2}, item(0, rawBit, "ab"), record, item(3, rawBit, "c"), record),
-		"shared prefix in first item":     cat(bytewise, []byte{0, 1}, item(1, rawBit, "k"), record),
-		"member count past the payload":   cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), codec.PutUvarint(nil, 1<<40), record),
-		"zero members":                    cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{0}),
-		"member delta of a later member":  cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{2}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte("v")), []byte{4}, codec.PutVarint(nil, 1), codec.PutBytes(nil, []byte("d"))),
-		"run list in the first item":      cat(bytewise, []byte{0, 1}, item(0, 0, "k"), []byte{3}, codec.PutBytes(nil, []byte{2, 0, 1, 'v'})),
-		"run list in a first sub-chunk":   cat(bytewise, []byte{0, 1}, item(0, multiBit, "k"), []byte{1}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte{2, 0, 1, 'v'})),
-		"copy past the anchor's end":      coded(bytewise, "xy", 4, 2, 5, 0),
-		"literals cut short":              coded(bytewise, "xy", 4, 3),
-		"literals left over":              coded(bytewise, "xyz", 4, 2, 4, 0),
-		"heads cut inside a run":          coded(bytewise, "xy", 4, 2, 4),
-		"run list with a parent":          cat(bytewise, []byte{0, 2}, anchor, item(0, multiBit, "b"), []byte{1}, []byte{3}, codec.PutVarint(nil, 0), codec.PutBytes(nil, []byte{2, 10, 0})),
-		"more symbols than bits":          coded(two, "\x74\x08", 4, 2, 3, 7),
-		"escape cut by the list's end":    coded(two, "\x34", 4, 3),
-		"escape of a byte of the table":   coded(two, "\x74\x18", 4, 2, 3, 1),
-		"a byte after the last symbol":    coded(two, "\x74\x08\x00", 4, 2, 3, 1),
-		"a set bit after the last symbol": coded(two, "\x74\x48", 4, 2, 3, 1),
+		"members inflating 32× each":       inflating,
+		"trailing bytes":                   append(bytes.Clone(good), 7),
+		"truncated":                        good[:len(good)-1],
+		"empty":                            nil,
+		"width 0":                          cat([]byte{0}, good[1:]),
+		"width 9":                          cat([]byte{9}, good[1:]),
+		"table cut short":                  {6, 'a', 'b', 'c'},
+		"table with a byte twice":          coded([]byte{2, 'a', 'b', 'b'}, "\x74\x08", 4, 2, 3, 1),
+		"table out of order":               coded([]byte{2, 'a', 'c', 'b'}, "\x74\x08", 4, 2, 3, 1),
+		"first slot past uint32":           cat(bytewise, codec.PutUvarint(nil, 1<<32), []byte{0}),
+		"item count past the payload":      cat(bytewise, []byte{0}, codec.PutUvarint(nil, 1<<40), item(0, rawBit, "k"), record),
+		"shared prefix past the key":       cat(bytewise, []byte{0, 2}, item(0, rawBit, "ab"), record, item(3, rawBit, "c"), record),
+		"shared prefix in first item":      cat(bytewise, []byte{0, 1}, item(1, rawBit, "k"), record),
+		"member count past the payload":    cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), codec.PutUvarint(nil, 1<<40), record),
+		"zero members":                     cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{0}),
+		"member delta of a later member":   cat(bytewise, []byte{0, 1}, item(0, rawBit|multiBit, "k"), []byte{2}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte("v")), []byte{4}, codec.PutVarint(nil, 1), codec.PutBytes(nil, []byte("d"))),
+		"run list in the first item":       cat(bytewise, []byte{0, 1}, item(0, 0, "k"), []byte{3}, codec.PutBytes(nil, []byte{2, 0, 1, 'v'})),
+		"run list in a first sub-chunk":    cat(bytewise, []byte{0, 1}, item(0, multiBit, "k"), []byte{1}, []byte{3}, codec.PutVarint(nil, -1), codec.PutBytes(nil, []byte{2, 0, 1, 'v'})),
+		"copy past the anchor's end":       coded(bytewise, "xy", 4, 2, 5, 0),
+		"literals cut short":               coded(bytewise, "xy", 4, 3),
+		"literals left over":               coded(bytewise, "xyz", 4, 2, 4, 0),
+		"heads cut inside a run":           coded(bytewise, "xy", 4, 2, 4),
+		"run list with a parent":           cat(bytewise, []byte{0, 2}, anchor, item(0, multiBit, "b"), []byte{1}, []byte{3}, codec.PutVarint(nil, 0), codec.PutBytes(nil, []byte{2, 10, 0})),
+		"more symbols than bits":           coded(two, "\x74\x08", 4, 2, 3, 7),
+		"escape cut by the list's end":     coded(two, "\x34", 4, 3),
+		"escape of a byte of the table":    coded(two, "\x74\x18", 4, 2, 3, 1),
+		"a byte after the last symbol":     coded(two, "\x74\x08\x00", 4, 2, 3, 1),
+		"a set bit after the last symbol":  coded(two, "\x74\x48", 4, 2, 3, 1),
+		"empty heads without a template":   coded(bytewise, ""),
+		"template cut short":               {8 | templated, 4, 4, 2},
+		"empty template":                   cat([]byte{8 | templated, 0}, good[1:]),
+		"template in the first item":       cat(template(0, 2), []byte{0, 1}, item(0, 0, "a"), []byte{3}, codec.PutBytes(nil, []byte{0, 'x', 'y'})),
+		"template copying past the anchor": coded(template(4, 2, 5, 0), "xy"),
+		"template past the literals":       coded(template(4, 2, 1, 1), "x"),
 	} {
 		if _, _, recs, err := DecodeSegment(seg, nil); !errors.Is(err, types.ErrCorrupt) || recs != nil {
 			t.Errorf("%s: %d records, %v", name, len(recs), err)
 		}
+	}
+	// A value the template states is charged to the inflation budget like
+	// any other, however few bytes its own list takes.
+	c10, _, _ := parseCode(template(4, 2, 4, 0))
+	if got, err := decodeRuns(c10, []byte("0123456789"), []byte{0, 'x', 'y'}, 9); !errors.Is(err, types.ErrCorrupt) || got != nil {
+		t.Errorf("a templated value of 10 bytes decoded within a budget of 9: %q, %v", got, err)
 	}
 }
 

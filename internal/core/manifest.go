@@ -20,10 +20,15 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 8 packs the literals of
-// a segment's run lists at the width of the segment's own alphabet, which the
-// segment states in its first byte (chunk/runs.go) — the next value coder is
-// another value of that byte, not another version here; version 7 stored a
+// manifestVersion guards the on-disk format. Version 9 lets a segment state
+// the run heads most of its values share once, as its template, and the
+// values that take them an empty list of their own; it marks the template
+// with another value of its first byte (chunk/runs.go), which a version-8
+// build does not know, so it is refused here instead of misread there. A
+// version-8 store is read as it is — its segments have no template — and
+// becomes version 9 with the next root it writes. Version 8 packed the
+// literals of a segment's run lists at the width of the segment's own
+// alphabet, which the segment states in that byte; version 7 stored a
 // segment's values as run lists of bytes against its first, where version 6
 // wrote every value raw; version 6 stated a version's slot
 // bitmaps in the placement records as diffs against its tree parent's, where
@@ -34,7 +39,11 @@ const manifestKey = "manifest"
 // both, a version-2 store carried chunk maps inside the chunk values, version
 // 1 used unprefixed chunk keys, and all seven must be re-initialized, not
 // misread.
-const manifestVersion = 8
+const manifestVersion = 9
+
+// templateless is the last manifest version whose segments have no template:
+// this build reads its stores as they are.
+const templateless = 8
 
 // placementKey renders the key of the idx-th placement record of a
 // generation; like chunk.SegmentKey it carries the generation, so a full
@@ -77,9 +86,9 @@ func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if ver != manifestVersion {
-		return 0, fmt.Errorf("%w: manifest version %d (this build reads %d; re-initialize the store)",
-			types.ErrCorrupt, ver, manifestVersion)
+	if ver != manifestVersion && ver != templateless {
+		return 0, fmt.Errorf("%w: manifest version %d (this build reads %d and %d; re-initialize the store)",
+			types.ErrCorrupt, ver, templateless, manifestVersion)
 	}
 	var fields [5]uint64 // gen, chunks, placement records, placed versions, branches
 	for i := range fields {

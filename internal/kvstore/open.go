@@ -40,11 +40,13 @@ type Config struct {
 	// ReplicationFactor is the number of replicas per key. Defaults to 1,
 	// capped at Nodes.
 	ReplicationFactor int
-	// ReadBalance spreads multi-get reads across live replicas (token-aware
-	// round-robin, like Cassandra drivers) instead of always reading the
-	// primary. With ReplicationFactor > 1 this shortens the per-node serial
-	// queue that bounds batch retrieval — the replication effect the
-	// paper's conclusion flags for future study.
+	// ReadBalance picks which replica the simulated cost model (Cost)
+	// charges a multi-get key to: the least loaded live replica so far in
+	// the batch instead of the first that looks up. It changes no read — a
+	// multi-get asks every replica of every key either way and serves the
+	// judged winner. With ReplicationFactor > 1 it shortens the simulated
+	// per-node serial queue that bounds batch retrieval — the replication
+	// effect the paper's conclusion flags for future study.
 	ReadBalance bool
 	// Cost is the latency model; zero value disables simulated timing.
 	Cost CostModel

@@ -33,6 +33,7 @@ import (
 
 	"rstore/internal/core"
 	"rstore/internal/engine"
+	"rstore/internal/engine/remote/wire"
 	"rstore/internal/types"
 )
 
@@ -44,11 +45,14 @@ type Server struct {
 	// (encode failures after headers are sent, skipped branch tips).
 	// Defaults to log.Printf; replace via SetLogf (tests, custom sinks).
 	logf func(format string, args ...any)
+	// maxBody bounds what is read of a commit's or a branch update's body:
+	// wire.MaxFrame, the most one request to a node may carry.
+	maxBody int64
 }
 
 // New builds a server over a store.
 func New(store *core.Store) *Server {
-	s := &Server{store: store, mux: http.NewServeMux(), logf: log.Printf}
+	s := &Server{store: store, mux: http.NewServeMux(), logf: log.Printf, maxBody: wire.MaxFrame}
 	s.mux.HandleFunc("POST /commit", s.handleCommit)
 	s.mux.HandleFunc("GET /version/{id}", s.handleVersion)
 	s.mux.HandleFunc("GET /version/{id}/record/{key}", s.handleRecord)
@@ -146,8 +150,7 @@ type BranchesResponse struct {
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	var req CommitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad commit body: %w", err))
+	if !s.decodeBody(w, r, "commit", &req) {
 		return
 	}
 	ch := core.Change{Puts: map[types.Key][]byte{}}
@@ -401,8 +404,7 @@ func (s *Server) handleSetBranch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Version int64 `json:"version"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, "branch", &req) {
 		return
 	}
 	v, err := versionFromWire(req.Version)
@@ -479,6 +481,23 @@ func statusOf(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// decodeBody decodes r's JSON body, the named kind of request, into v and
+// reports whether it did; if not, it has answered: 413 once the body runs
+// past s.maxBody bytes, which are all that is read of it, else 400.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, kind string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s body larger than %d bytes", kind, tooLarge.Limit))
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", kind, err))
+	default:
+		return true
+	}
+	return false
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"rstore/internal/core"
 	"rstore/internal/engine"
+	"rstore/internal/engine/remote/wire"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
@@ -490,6 +492,64 @@ func TestHTTPMalformedCommitJSON(t *testing.T) {
 		t.Fatalf("mistyped commit JSON: status %d", resp2.StatusCode)
 	}
 	errBody(t, resp2)
+}
+
+// TestHTTPBodyBound: a commit or branch body that runs past the server's
+// bound is answered 413, and no more than the bound and a byte of it is read.
+// (The bound is a frame of the wire, 1 GiB; it is lowered here to 1 KiB.)
+func TestHTTPBodyBound(t *testing.T) {
+	st, err := core.Open(context.Background(), core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st)
+	if srv.maxBody != wire.MaxFrame {
+		t.Fatalf("the server reads bodies of up to %d bytes, want %d", srv.maxBody, wire.MaxFrame)
+	}
+	srv.maxBody = 1 << 10
+	for _, tc := range []struct{ method, path, prefix string }{
+		{http.MethodPost, "/commit", `{"parent": -1, "puts": {"k": "`},
+		{http.MethodPut, "/branch/dev", `{"version": 1`},
+	} {
+		// The prefix, then a MiB of a base64 value or of a version's digits.
+		body := &countingReader{r: io.MultiReader(strings.NewReader(tc.prefix), io.LimitReader(endless('0'), 1<<20))}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s of a MiB: status %d, %s", tc.method, tc.path, rec.Code, rec.Body)
+		}
+		if body.n > srv.maxBody+1 {
+			t.Errorf("%s %s: %d bytes of the body read, the bound is %d", tc.method, tc.path, body.n, srv.maxBody)
+		}
+	}
+	// A body within the bound is served.
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/commit", strings.NewReader(`{"parent": -1, "puts": {"k": "dg=="}}`)))
+	if rec.Code != http.StatusOK {
+		t.Errorf("a commit within the bound: status %d, %s", rec.Code, rec.Body)
+	}
+}
+
+// endless reads as the byte b, forever.
+type endless byte
+
+func (e endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(e)
+	}
+	return len(p), nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 func TestHTTPSetBranchErrors(t *testing.T) {
