@@ -20,7 +20,7 @@ func main() {
 	ctx := context.Background()
 	// One shared 4-node cluster with replication.
 	kv, err := rstore.OpenCluster(ctx, rstore.ClusterConfig{
-		Nodes: 4, ReplicationFactor: 2, ReadBalance: true,
+		Nodes: 4, ReplicationFactor: 2,
 		Cost: rstore.DefaultCostModel(),
 	})
 	if err != nil {

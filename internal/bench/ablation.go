@@ -15,7 +15,7 @@ import (
 
 // The ablation experiments isolate design decisions DESIGN.md calls out:
 // the Bottom-Up partial-chunk merge, the shingle vector length, the chunk
-// slack allowance, and read replication — the last being the paper's
+// slack allowance, and replication — the last being the paper's
 // explicitly named future-work item ("explore the effect of replication as
 // it reduces the cost of version reconstruction").
 
@@ -140,9 +140,9 @@ func RunAblationSlack(opts Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// RunAblationReplication measures the paper's future-work item: replication
-// with read balancing spreads a version retrieval's chunk fetches over more
-// replicas, cutting the per-node serial queue that bounds the batch.
+// RunAblationReplication measures the paper's future-work item: what each
+// extra replica costs in storage, and what it does to a version retrieval's
+// simulated latency.
 func RunAblationReplication(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	spec := workload.Spec{
@@ -152,22 +152,15 @@ func RunAblationReplication(opts Options) ([]*Table, error) {
 		UpdatePct:         0.10, Update: workload.RandomUpdate,
 		RecordSize: scaled(1024, opts.SizeFrac, 64), Seed: opts.Seed,
 	}
-	c, err := workload.Generate(spec)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:        "ablation-replication",
-		Title:     "replication + read balancing (8 nodes), Q1 latency",
+		Title:     "replication (8 nodes), Q1 latency",
 		PaperNote: "paper conclusion: replication 'reduces the cost of version reconstruction but increases the cost of storing'",
-		Headers:   []string{"rf", "read balance", "Q1 avg", "stored bytes"},
+		Headers:   []string{"rf", "Q1 avg", "stored bytes"},
 	}
-	for _, cfg := range []struct {
-		rf      int
-		balance bool
-	}{{1, false}, {2, false}, {2, true}, {3, true}} {
+	for _, rf := range []int{1, 2, 3} {
 		kv, err := opts.OpenCluster(kvstore.Config{
-			Nodes: 8, ReplicationFactor: cfg.rf, ReadBalance: cfg.balance,
+			Nodes: 8, ReplicationFactor: rf,
 			Cost: kvstore.DefaultCostModel(),
 		})
 		if err != nil {
@@ -178,22 +171,17 @@ func RunAblationReplication(opts Options) ([]*Table, error) {
 			return nil, err
 		}
 		eng := &baseline.Chunked{Store: st}
-		// Regenerate: BulkLoad takes ownership of the corpus.
-		cc, err := workload.Generate(spec)
+		// A fresh corpus per cluster: BulkLoad takes ownership of it.
+		c, err := workload.Generate(spec)
 		if err != nil {
 			return nil, err
 		}
-		_ = c
-		if err := eng.Build(cc); err != nil {
+		if err := eng.Build(c); err != nil {
 			return nil, err
 		}
-		w := workload.NewWorkload(cc, opts.Seed+9)
+		w := workload.NewWorkload(c, opts.Seed+9)
 		q1 := w.FullVersionQueries(opts.Queries)
-		balance := "off"
-		if cfg.balance {
-			balance = "on"
-		}
-		t.AddRow(d(cfg.rf), balance, fmtDur(runQueries(eng, q1)), mb(kv.Stats(context.Background()).BytesStored))
+		t.AddRow(d(rf), fmtDur(runQueries(eng, q1)), mb(kv.Stats(context.Background()).BytesStored))
 	}
 	return []*Table{t}, nil
 }

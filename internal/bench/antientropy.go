@@ -8,21 +8,18 @@ import (
 	"time"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/kvstore"
 )
 
-// RunAntiEntropy measures the Merkle-tree anti-entropy extension: what a
-// clean background sweep costs (bytes hashed per rotation when nothing
-// diverged — the steady-state tax), and how fast the loop finds and
-// repairs a 1%-diverged replica whose damage was injected behind the
+// RunAntiEntropy measures the Merkle-tree anti-entropy extension on lsm
+// nodes: what a clean background sweep costs (bytes hashed per rotation
+// when nothing diverged — the steady-state tax, which lsm's
+// generation-keyed digest memo keeps small), and how fast the loop finds
+// and repairs a 1%-diverged replica whose damage was injected behind the
 // store's back (no hints parked, read repair off, zero client reads).
-// Head-to-head disklog vs lsm because the engines differ exactly where
-// anti-entropy hurts: disklog re-sweeps the table for every digest, while
-// the lsm engine's generation-keyed memo answers an unchanged table's
-// digest without touching data. Always in-process — divergence injection
-// needs the backend handles — so the substrate override is ignored.
+// Always in-process — divergence injection needs the backend handles — so
+// the substrate override is ignored.
 func RunAntiEntropy(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	baseKeys := scaled(4000, opts.RecordFrac, 64)
@@ -37,34 +34,20 @@ func RunAntiEntropy(opts Options) ([]*Table, error) {
 
 	t := &Table{
 		ID:        "antientropy",
-		Title:     fmt.Sprintf("merkle anti-entropy: clean-sweep cost and 1%%-divergence convergence (3 nodes, rf=3, %dB values)", valSize),
+		Title:     fmt.Sprintf("merkle anti-entropy: clean-sweep cost and 1%%-divergence convergence (3 lsm nodes, rf=3, %dB values)", valSize),
 		PaperNote: "extension beyond the paper: background replica sync under the paper's replicated KVS assumption",
-		Headers:   []string{"engine", "keys", "load", "clean sweep MB", "diverged", "converge ms", "keys repaired", "repair MB hashed"},
+		Headers:   []string{"keys", "load", "clean sweep MB", "diverged", "converge ms", "keys repaired", "repair MB hashed"},
 		Metrics:   map[string]float64{},
 	}
-
-	engines := []struct {
-		name string
-		open func(string) (engine.Backend, error)
-	}{
-		{"disklog", func(d string) (engine.Backend, error) {
-			return disklog.Open(d, disklog.Options{SegmentBytes: 256 << 10})
-		}},
-		{"lsm", func(d string) (engine.Backend, error) {
-			return lsm.Open(d, lsm.Options{MemtableBytes: 256 << 10})
-		}},
-	}
-	for _, eng := range engines {
-		for _, nKeys := range []int{baseKeys, 4 * baseKeys} {
-			if err := runAntiEntropyOn(ctx, t, dir, eng.name, eng.open, nKeys, valSize); err != nil {
-				return nil, fmt.Errorf("bench antientropy: %s/%d: %w", eng.name, nKeys, err)
-			}
+	for _, nKeys := range []int{baseKeys, 4 * baseKeys} {
+		if err := runAntiEntropyOn(ctx, t, dir, nKeys, valSize); err != nil {
+			return nil, fmt.Errorf("bench antientropy: lsm/%d: %w", nKeys, err)
 		}
 	}
 	return []*Table{t}, nil
 }
 
-func runAntiEntropyOn(ctx context.Context, t *Table, dir, name string, open func(string) (engine.Backend, error), nKeys, valSize int) error {
+func runAntiEntropyOn(ctx context.Context, t *Table, dir string, nKeys, valSize int) error {
 	backends := make([]engine.Backend, 3)
 	kv, err := kvstore.Open(ctx, kvstore.Config{
 		Nodes: 3, ReplicationFactor: 3,
@@ -74,7 +57,7 @@ func runAntiEntropyOn(ctx context.Context, t *Table, dir, name string, open func
 			DisableHints:        true,
 		},
 		NewBackend: func(id int) (engine.Backend, error) {
-			be, err := open(filepath.Join(dir, fmt.Sprintf("%s-%d-%d", name, nKeys, id)))
+			be, err := lsm.Open(filepath.Join(dir, fmt.Sprintf("lsm-%d-%d", nKeys, id)), lsm.Options{MemtableBytes: 256 << 10})
 			backends[id] = be
 			return be, err
 		},
@@ -143,10 +126,10 @@ func runAntiEntropyOn(ctx context.Context, t *Table, dir, name string, open func
 
 	repaired := int(post.AEKeysRepaired - pre.AEKeysRepaired)
 	repairMB := float64(post.AEBytesHashed-pre.AEBytesHashed) / (1 << 20)
-	t.AddRow(name, d(nKeys), secs(load.Seconds()), fmt.Sprintf("%.2f", cleanMBPerRotation),
+	t.AddRow(d(nKeys), secs(load.Seconds()), fmt.Sprintf("%.2f", cleanMBPerRotation),
 		d(nDiverge), fmt.Sprintf("%.1f", float64(converge.Microseconds())/1000),
 		d(repaired), fmt.Sprintf("%.2f", repairMB))
-	prefix := fmt.Sprintf("%s_%d_", name, nKeys)
+	prefix := fmt.Sprintf("lsm_%d_", nKeys)
 	t.Metrics[prefix+"converge_ms"] = float64(converge.Microseconds()) / 1000
 	t.Metrics[prefix+"clean_sweep_mb"] = cleanMBPerRotation
 	t.Metrics[prefix+"repair_mb_hashed"] = repairMB

@@ -244,9 +244,9 @@ func Experiments() []Experiment {
 		{"ablation-merge", "ablation: Bottom-Up partial-chunk merging on/off", RunAblationMerge},
 		{"ablation-shingles", "ablation: shingle vector length sweep", RunAblationShingles},
 		{"ablation-slack", "ablation: chunk slack allowance sweep", RunAblationSlack},
-		{"ablation-replication", "extension: replication + read balancing (paper future work)", RunAblationReplication},
-		{"repair", "extension: replication repair — hinted handoff + read repair convergence\n(always in-process: needs failure injection)", RunRepair},
-		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica, disklog vs lsm (always in-process:\ndivergence injection needs the backend handles)", RunAntiEntropy},
+		{"ablation-replication", "extension: replication (paper future work)", RunAblationReplication},
+		{"repair", "extension: replication repair — hinted handoff + read repair convergence\n(always in-process: takes memory nodes down)", RunRepair},
+		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica on lsm nodes (always in-process:\ndivergence injection needs the backend handles)", RunAntiEntropy},
 	}
 }
 

@@ -5,15 +5,17 @@ import (
 	"fmt"
 	"time"
 
+	"rstore/internal/engine"
+	"rstore/internal/engine/memory"
 	"rstore/internal/kvstore"
 )
 
 // RunRepair measures the replication-repair extension: what a node outage
 // costs the write path (hint parking), how fast a restarted replica
 // converges through hint drain, and what the read-repair path costs when
-// hints are disabled. It always runs on an in-process memory cluster —
-// repair needs failure injection (SetNodeUp), which real remote daemons
-// refuse — so the substrate override is deliberately ignored.
+// hints are disabled. It always runs on an in-process memory cluster — an
+// outage is a memory node taken down (memory.Backend.SetDown) — so the
+// substrate override is deliberately ignored.
 func RunRepair(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	nKeys := scaled(4000, opts.RecordFrac, 64)
@@ -54,7 +56,7 @@ func RunRepair(opts Options) ([]*Table, error) {
 	// Phase 1-3 on one cluster: healthy writes (repair idle), degraded
 	// writes (hints parked per missed replica write), and hint-drain
 	// convergence after the node returns.
-	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 4, ReplicationFactor: 3, Repair: fast})
+	kv, nodes, err := memCluster(ctx, kvstore.Config{Nodes: 4, ReplicationFactor: 3, Repair: fast})
 	if err != nil {
 		return nil, err
 	}
@@ -66,9 +68,7 @@ func RunRepair(opts Options) ([]*Table, error) {
 	}
 	row("healthy writes", nKeys, time.Since(start), kv.Stats(ctx))
 
-	if err := kv.SetNodeUp(0, false); err != nil {
-		return nil, err
-	}
+	nodes[0].SetDown(true)
 	start = time.Now()
 	if err := loadKeys(ctx, kv, nKeys, key, func(int) []byte { return val(1) }); err != nil {
 		return nil, err
@@ -80,9 +80,7 @@ func RunRepair(opts Options) ([]*Table, error) {
 	row("degraded writes (1 node down)", nKeys+nDel, time.Since(start), kv.Stats(ctx))
 
 	start = time.Now()
-	if err := kv.SetNodeUp(0, true); err != nil {
-		return nil, err
-	}
+	nodes[0].SetDown(false)
 	if err := waitUntil("hint drain", func() bool { return kv.Stats(ctx).HintsPending == 0 }); err != nil {
 		return nil, err
 	}
@@ -93,7 +91,7 @@ func RunRepair(opts Options) ([]*Table, error) {
 	// stale replica observed by the full read sweep.
 	noHints := fast
 	noHints.DisableHints = true
-	kv2, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 4, ReplicationFactor: 3, Repair: noHints})
+	kv2, nodes2, err := memCluster(ctx, kvstore.Config{Nodes: 4, ReplicationFactor: 3, Repair: noHints})
 	if err != nil {
 		return nil, err
 	}
@@ -101,15 +99,11 @@ func RunRepair(opts Options) ([]*Table, error) {
 	if err := loadKeys(ctx, kv2, nKeys, key, func(int) []byte { return val(0) }); err != nil {
 		return nil, err
 	}
-	if err := kv2.SetNodeUp(0, false); err != nil {
-		return nil, err
-	}
+	nodes2[0].SetDown(true)
 	if err := loadKeys(ctx, kv2, nKeys, key, func(int) []byte { return val(1) }); err != nil {
 		return nil, err
 	}
-	if err := kv2.SetNodeUp(0, true); err != nil {
-		return nil, err
-	}
+	nodes2[0].SetDown(false)
 	start = time.Now()
 	for i := 0; i < nKeys; i++ {
 		if _, err := kv2.Get(ctx, "t", key(i)); err != nil {
@@ -132,6 +126,18 @@ func RunRepair(opts Options) ([]*Table, error) {
 	row("read repair sweep (hints off)", nKeys, time.Since(start), kv2.Stats(ctx))
 
 	return []*Table{t}, nil
+}
+
+// memCluster opens a cluster of cfg's shape over memory nodes and returns
+// them, so that an experiment can take one down.
+func memCluster(ctx context.Context, cfg kvstore.Config) (*kvstore.Store, []*memory.Backend, error) {
+	nodes := make([]*memory.Backend, cfg.Nodes)
+	cfg.NewBackend = func(id int) (engine.Backend, error) {
+		nodes[id] = memory.New()
+		return nodes[id], nil
+	}
+	kv, err := kvstore.Open(ctx, cfg)
+	return kv, nodes, err
 }
 
 // loadKeys writes keys [0, n) of table "t" in BatchPut groups, and deleteKeys

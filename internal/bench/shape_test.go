@@ -153,8 +153,7 @@ func TestShapeFig13(t *testing.T) {
 	}
 }
 
-// TestShapeReplication asserts read balancing with higher rf does not slow
-// queries down.
+// TestShapeReplication asserts a higher rf does not slow queries down.
 func TestShapeReplication(t *testing.T) {
 	tables, err := RunAblationReplication(shapeOpts())
 	if err != nil {
@@ -162,12 +161,12 @@ func TestShapeReplication(t *testing.T) {
 	}
 	rows := tables[0].Rows
 	q1 := func(row []string) float64 {
-		return cellFloat(t, row[2][:len(row[2])-2]) // strip "ms"
+		return cellFloat(t, row[1][:len(row[1])-2]) // strip "ms"
 	}
 	base := q1(rows[0])           // rf=1
-	best := q1(rows[len(rows)-1]) // rf=3 balanced
+	best := q1(rows[len(rows)-1]) // rf=3
 	if best > base*1.05 {
-		t.Errorf("replication+balancing slowed Q1: %.3f → %.3f ms", base, best)
+		t.Errorf("replication slowed Q1: %.3f → %.3f ms", base, best)
 	}
 }
 

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"rstore/internal/intset"
 	"rstore/internal/types"
 )
 
@@ -125,5 +128,79 @@ func TestLCA(t *testing.T) {
 	}
 	if _, err := s.LCA(0, 99); !errors.Is(err, types.ErrVersionUnknown) {
 		t.Fatalf("unknown version: %v", err)
+	}
+}
+
+// memberSetDiff is Diff by definition: both versions' member sets, built
+// from the root, subtracted both ways.
+func memberSetDiff(t *testing.T, s *Store, a, b types.VersionID) *VersionDiff {
+	t.Helper()
+	ma, err := s.corpus.Members(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := s.corpus.Members(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &VersionDiff{}
+	removedKeys := map[types.Key]bool{}
+	for _, id := range intset.Diff(ma, mb) {
+		ck := s.corpus.Record(id).CK
+		d.Removed = append(d.Removed, ck)
+		removedKeys[ck.Key] = true
+	}
+	for _, id := range intset.Diff(mb, ma) {
+		ck := s.corpus.Record(id).CK
+		d.Added = append(d.Added, ck)
+		if removedKeys[ck.Key] {
+			d.Modified = append(d.Modified, ck.Key)
+		}
+	}
+	types.SortCompositeKeys(d.Added)
+	types.SortCompositeKeys(d.Removed)
+	return d
+}
+
+// TestDiffEqualsMemberSetDiff: the diff composed along a → LCA → b is the
+// member-set diff on every ordered pair of versions of the golden corpus and
+// of a branchy session — merges that re-add records another branch placed,
+// and a version that deletes everything, included.
+func TestDiffEqualsMemberSetDiff(t *testing.T) {
+	ctx := context.Background()
+	golden, _ := openGolden(t, Config{})
+	replayGolden(t, golden)
+
+	branchy, err := Open(ctx, Config{ChunkCapacity: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, sc := range branchySession(rng, 60, 24, func(k, step int) []byte { return payload(rng, k, step) }).commits {
+		if _, err := branchy.CommitDelta(ctx, sc.parents, sc.delta); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for name, s := range map[string]*Store{"golden": golden, "branchy": branchy} {
+		n := types.VersionID(s.NumVersions())
+		changed := 0
+		for a := types.VersionID(0); a < n; a++ {
+			for b := types.VersionID(0); b < n; b++ {
+				got, err := s.Diff(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := memberSetDiff(t, s, a, b); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: Diff(%d, %d) = %+v, member sets give %+v", name, a, b, got, want)
+				}
+				if len(got.Modified) > 0 {
+					changed++
+				}
+			}
+		}
+		if changed == 0 {
+			t.Fatalf("%s: no pair of versions differs", name)
+		}
 	}
 }

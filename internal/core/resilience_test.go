@@ -6,9 +6,27 @@ import (
 	"sync"
 	"testing"
 
+	"rstore/internal/engine"
+	"rstore/internal/engine/memory"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
 )
+
+// openMemCluster opens a cluster of cfg's shape over memory nodes and
+// returns them, so that a test can take one down.
+func openMemCluster(t testing.TB, cfg kvstore.Config) (*kvstore.Store, []*memory.Backend) {
+	t.Helper()
+	nodes := make([]*memory.Backend, cfg.Nodes)
+	cfg.NewBackend = func(id int) (engine.Backend, error) {
+		nodes[id] = memory.New()
+		return nodes[id], nil
+	}
+	kv, err := kvstore.Open(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kv, nodes
+}
 
 // TestConcurrentQueries hammers all query paths from many goroutines while
 // the store is static — the read paths must be race-free (run with -race).
@@ -94,40 +112,30 @@ func TestConcurrentCommitsAndQueries(t *testing.T) {
 // TestQueriesSurviveNodeFailure verifies the engine keeps answering when a
 // replica node dies under ReplicationFactor 2.
 func TestQueriesSurviveNodeFailure(t *testing.T) {
-	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 4, ReplicationFactor: 2, Cost: kvstore.DefaultCostModel()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kv, nodes := openMemCluster(t, kvstore.Config{Nodes: 4, ReplicationFactor: 2, Cost: kvstore.DefaultCostModel()})
 	s, m := buildStore(t, Config{KV: kv, ChunkCapacity: 1024, BatchSize: 5}, 18, 25, 12)
 	if err := s.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	checkAllVersions(t, s, m)
 	// Kill each node in turn; all data must stay reachable.
-	for n := 0; n < 4; n++ {
-		if err := kv.SetNodeUp(n, false); err != nil {
-			t.Fatal(err)
-		}
+	for _, n := range nodes {
+		n.SetDown(true)
 		checkAllVersions(t, s, m)
-		if err := kv.SetNodeUp(n, true); err != nil {
-			t.Fatal(err)
-		}
+		n.SetDown(false)
 	}
 }
 
 // TestUnreplicatedFailureSurfacesError: with rf=1 a dead node must produce
 // an error, not silent data loss.
 func TestUnreplicatedFailureSurfacesError(t *testing.T) {
-	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 3, ReplicationFactor: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kv, nodes := openMemCluster(t, kvstore.Config{Nodes: 3, ReplicationFactor: 1})
 	s, _ := buildStore(t, Config{KV: kv, ChunkCapacity: 512, BatchSize: 4}, 12, 30, 13)
 	if err := s.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < 3; n++ {
-		kv.SetNodeUp(n, false)
+	for _, n := range nodes {
+		n.SetDown(true)
 	}
 	if _, _, err := s.GetVersionAll(context.Background(), 0); err == nil {
 		t.Fatal("query against fully-dead cluster succeeded")

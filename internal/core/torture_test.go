@@ -21,13 +21,10 @@ func TestTortureSoak(t *testing.T) {
 		t.Skip("soak test")
 	}
 	rng := rand.New(rand.NewSource(271828))
-	kv, err := kvstore.Open(context.Background(), kvstore.Config{
-		Nodes: 5, ReplicationFactor: 2, ReadBalance: true,
+	kv, nodes := openMemCluster(t, kvstore.Config{
+		Nodes: 5, ReplicationFactor: 2,
 		Cost: kvstore.DefaultCostModel(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		KV: kv, ChunkCapacity: 512, BatchSize: 7, // a batch is 1.2–1.8 KB: every flush splits open from closed
 		SubChunkK: 3, Partitioner: partition.BottomUp{Beta: 16},
@@ -154,14 +151,10 @@ func TestTortureSoak(t *testing.T) {
 	checkpoint("after-materialize")
 
 	// Phase 3: node failures (replicated, so everything must keep working).
-	for n := 0; n < 5; n++ {
-		if err := kv.SetNodeUp(n, false); err != nil {
-			t.Fatal(err)
-		}
+	for n, nd := range nodes {
+		nd.SetDown(true)
 		checkpoint(fmt.Sprintf("node-%d-down", n))
-		if err := kv.SetNodeUp(n, true); err != nil {
-			t.Fatal(err)
-		}
+		nd.SetDown(false)
 	}
 
 	// Phase 4: more commits on top of the materialized state, then reload

@@ -1,11 +1,14 @@
 // Package memory implements engine.Backend with per-table in-process maps —
 // the original substrate of the simulated cluster, now behind the backend
 // seam. It is the default engine: nothing persists, but it is fast and
-// allocation-exact, which the cost-model experiments depend on.
+// allocation-exact, which the cost-model experiments depend on. It also
+// simulates a node outage (SetDown), the one fault a simulated cluster
+// injects: the store above sees what a refused connection would show it.
 package memory
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -18,6 +21,7 @@ import (
 type Backend struct {
 	mu     sync.RWMutex
 	closed bool
+	down   bool                         // SetDown: every call but Close answers errDown
 	data   map[string]map[string][]byte // table → key → value
 	// bytesStored tracks the resident payload volume for storage accounting.
 	bytesStored int64
@@ -26,6 +30,31 @@ type Backend struct {
 // New returns an empty in-memory backend.
 func New() *Backend {
 	return &Backend{data: make(map[string]map[string][]byte)}
+}
+
+// errDown answers every call to a backend that SetDown took down.
+var errDown = fmt.Errorf("memory: backend down (simulated outage): %w", engine.ErrUnavailable)
+
+// SetDown simulates an outage: while down, every operation except Close
+// returns an error wrapping engine.ErrUnavailable and changes nothing, and
+// BytesStored reports 0, as for a node that cannot be reached. The data
+// survives; SetDown(false) brings it back.
+func (b *Backend) SetDown(down bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.down = down
+}
+
+// usableLocked is the check every operation but Close makes first, under
+// the lock it takes: closed, or down.
+func (b *Backend) usableLocked() error {
+	if b.closed {
+		return types.ErrClosed
+	}
+	if b.down {
+		return errDown
+	}
+	return nil
 }
 
 var (
@@ -41,8 +70,8 @@ func (b *Backend) Put(ctx context.Context, table, key string, value []byte) erro
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return err
 	}
 	b.putLocked(table, key, value)
 	return nil
@@ -71,8 +100,8 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if b.closed {
-		return nil, false, types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return nil, false, err
 	}
 	v, ok := b.data[table][key]
 	if !ok {
@@ -90,8 +119,8 @@ func (b *Backend) Delete(ctx context.Context, table, key string) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return err
 	}
 	if old, ok := b.data[table][key]; ok {
 		b.bytesStored -= int64(len(old))
@@ -109,8 +138,8 @@ func (b *Backend) BatchPut(ctx context.Context, table string, entries []engine.E
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return err
 	}
 	for _, e := range entries {
 		b.putLocked(table, e.Key, e.Value)
@@ -128,8 +157,8 @@ func (b *Backend) Scan(ctx context.Context, table string, fn func(key string, va
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if b.closed {
-		return types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return err
 	}
 	i := 0
 	for k, v := range b.data[table] {
@@ -152,8 +181,8 @@ func (b *Backend) Tables(ctx context.Context) ([]string, error) {
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if b.closed {
-		return nil, types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return nil, err
 	}
 	out := make([]string, 0, len(b.data))
 	for t, kv := range b.data {
@@ -168,6 +197,9 @@ func (b *Backend) Tables(ctx context.Context) ([]string, error) {
 func (b *Backend) BytesStored() int64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	if b.down {
+		return 0
+	}
 	return b.bytesStored
 }
 
@@ -182,8 +214,8 @@ func (b *Backend) HashTree(ctx context.Context, table string, fanout int) (engin
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if b.closed {
-		return engine.TreeDigest{}, types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return engine.TreeDigest{}, err
 	}
 	th := engine.NewTreeHasher(fanout)
 	i := 0
@@ -209,8 +241,8 @@ func (b *Backend) HashRange(ctx context.Context, table string, fanout, bucket in
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if b.closed {
-		return nil, types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return nil, err
 	}
 	var out []engine.KeyHash
 	i := 0
@@ -235,8 +267,8 @@ func (b *Backend) Reset(ctx context.Context) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
+	if err := b.usableLocked(); err != nil {
+		return err
 	}
 	b.data = make(map[string]map[string][]byte)
 	b.bytesStored = 0

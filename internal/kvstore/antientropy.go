@@ -26,8 +26,8 @@ const aeFanout = engine.DefaultHashFanout
 // was parked, and a key nobody reads stays wrong forever. The anti-entropy
 // loop closes that gap Dynamo-style, with hash trees instead of reads:
 //
-//	tick ─ pick one replica pair (round-robin, skipping down /
-//	       breaker-open nodes)
+//	tick ─ walk the replica pairs round-robin until one syncs (a pair
+//	       with an unreachable node fails fast at its first call)
 //	     ─ per table: fetch both nodes' tree digests (engine.HashRanger;
 //	       one frame each on remote nodes); equal roots → done, the common
 //	       case costs two digest exchanges and zero key transfers
@@ -42,8 +42,8 @@ const aeFanout = engine.DefaultHashFanout
 //	       regressed — and a tombstone every replica holds, or holds nothing
 //	       against, is acknowledged and offered to TTL collection.
 //
-// One pair per tick bounds the background load to two tree sweeps per
-// interval regardless of cluster size; every pair is visited as ticks
+// One completed pair per tick bounds the background load to two tree sweeps
+// per interval regardless of cluster size; every pair is visited as ticks
 // accumulate. The loop runs on the repairer's lifecycle context — it is
 // only started when ReplicationFactor > 1, so the repairer always exists —
 // and is stopped by Store.Close before the repair workers it feeds.
@@ -98,23 +98,25 @@ func (a *antiEntropy) run() {
 	}
 }
 
-// syncOnce advances the pair cursor to the next replica pair with both
-// nodes up and syncs it. With every pair down (or a single-node cluster)
-// the tick is a no-op.
+// syncOnce walks the replica pairs from the cursor until one sync
+// completes, at most once around all pairs. A pair with an unreachable node
+// fails fast — at Tables, or on a remote node's breaker — and the walk moves
+// on. With no pair completing (or a single-node cluster) the tick is a
+// no-op.
 func (a *antiEntropy) syncOnce() {
 	n := len(a.s.nodes)
 	total := n * (n - 1) / 2
-	if total == 0 {
-		return
-	}
 	for tries := 0; tries < total; tries++ {
+		select {
+		case <-a.stop:
+			return
+		default:
+		}
 		i, j := pairAt(a.pair%total, n)
 		a.pair++
-		if !a.s.nodes[i].isUp() || !a.s.nodes[j].isUp() {
-			continue
+		if a.syncPair(a.s.repair.ctx, i, j) {
+			return
 		}
-		a.syncPair(a.s.repair.ctx, i, j)
-		return
 	}
 }
 
@@ -131,16 +133,17 @@ func pairAt(p, n int) (int, int) {
 	return 0, 1
 }
 
-// syncPair converges every shared table of nodes i and j. Kvstore-private
-// tables ("!hints", "!cluster") are skipped: hints are node-local
-// bookkeeping and identity pins are meant to differ per node.
-func (a *antiEntropy) syncPair(ctx context.Context, i, j int) {
+// syncPair converges every shared table of nodes i and j and reports
+// whether the sync completed. Kvstore-private tables ("!hints", "!cluster")
+// are skipped: hints are node-local bookkeeping and identity pins are meant
+// to differ per node.
+func (a *antiEntropy) syncPair(ctx context.Context, i, j int) bool {
 	seen := map[string]bool{}
 	var tables []string
 	for _, nid := range [2]int{i, j} {
-		ts, err := a.s.nodes[nid].tables(ctx)
+		ts, err := a.s.nodes[nid].be.Tables(ctx)
 		if err != nil {
-			return // node vanished mid-tick; the next tick retries
+			return false // unreachable, or vanished mid-tick
 		}
 		for _, t := range ts {
 			if len(t) > 0 && t[0] == '!' {
@@ -156,14 +159,15 @@ func (a *antiEntropy) syncPair(ctx context.Context, i, j int) {
 	for _, table := range tables {
 		select {
 		case <-a.stop:
-			return
+			return false
 		default:
 		}
 		if !a.syncTable(ctx, i, j, table) {
-			return
+			return false
 		}
 	}
 	a.syncs.Add(1)
+	return true
 }
 
 // syncTable diffs one table across the pair and queues repairs for the
@@ -171,11 +175,11 @@ func (a *antiEntropy) syncPair(ctx context.Context, i, j int) {
 // unreachable, or a backend lacks hashing) and the pair round should not
 // be counted.
 func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) bool {
-	di, err := a.s.nodes[i].hashTree(ctx, table, aeFanout)
+	di, err := engine.HashTree(ctx, a.s.nodes[i].be, table, aeFanout)
 	if err != nil {
 		return false
 	}
-	dj, err := a.s.nodes[j].hashTree(ctx, table, aeFanout)
+	dj, err := engine.HashTree(ctx, a.s.nodes[j].be, table, aeFanout)
 	if err != nil {
 		return false
 	}
@@ -192,11 +196,11 @@ func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) boo
 			continue
 		}
 		a.rangesDiffed.Add(1)
-		ki, err := a.s.nodes[i].hashRange(ctx, table, aeFanout, b)
+		ki, err := engine.HashRange(ctx, a.s.nodes[i].be, table, aeFanout, b)
 		if err != nil {
 			return false
 		}
-		kj, err := a.s.nodes[j].hashRange(ctx, table, aeFanout, b)
+		kj, err := engine.HashRange(ctx, a.s.nodes[j].be, table, aeFanout, b)
 		if err != nil {
 			return false
 		}

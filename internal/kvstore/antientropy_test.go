@@ -147,15 +147,11 @@ func TestAntiEntropySuppressesTombstoneResurrection(t *testing.T) {
 	// off: node 2 keeps the live value, and the tombstone on nodes 0/1 can
 	// never be GC'd (its ack set is stuck at 2 of 3) until AE intervenes.
 	old := mustRaw(t, backends[1], "t", "ghost")
-	if err := s.SetNodeUp(2, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[2].SetDown(true)
 	if err := s.Delete(ctx, "t", "ghost"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetNodeUp(2, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[2].SetDown(false)
 	// Resurrect the old value over node 1's tombstone behind the store's
 	// back — older timestamp, so LWW must reject it.
 	if err := backends[1].Put(ctx, "t", "ghost", old); err != nil {
@@ -210,9 +206,9 @@ func TestAntiEntropyRespectsRingPlacement(t *testing.T) {
 	}
 }
 
-// TestAntiEntropySkipsDownNodes: a pair with a down node is skipped, and
-// divergence created while it was down is repaired once it returns — even
-// with hints off, so the AE loop is the only path home.
+// TestAntiEntropySkipsDownNodes: the loop keeps syncing the live pair while
+// a node is down, and divergence created while it was down is repaired once
+// it returns — even with hints off, so the AE loop is the only path home.
 func TestAntiEntropySkipsDownNodes(t *testing.T) {
 	s, backends := openRepair(t, 3, 3, fastAE())
 	ctx := context.Background()
@@ -220,21 +216,14 @@ func TestAntiEntropySkipsDownNodes(t *testing.T) {
 	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetNodeUp(2, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[2].SetDown(true)
 	if err := s.Put(ctx, "t", "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	// Let the loop spin against the downed node; it must keep syncing the
-	// live pair without error and without touching node 2's backend.
+	// live pair.
 	waitFor(t, "sync rounds with a node down", func() bool { return s.Stats(ctx).AESyncs >= 3 })
-	if raw := mustRaw(t, backends[2], "t", "k"); string(raw[EnvelopeOverhead:]) != "v1" {
-		t.Fatalf("downed node was written to: %q", raw)
-	}
-	if err := s.SetNodeUp(2, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[2].SetDown(false)
 	waitFor(t, "returned node caught up by anti-entropy", func() bool {
 		return rawEqual(t, backends[0], backends[2], "t", "k")
 	})
@@ -272,5 +261,39 @@ func TestAntiEntropyCollectsOrphanTombstone(t *testing.T) {
 	// Refused repairs must not be counted: nothing here was repairable.
 	if got := s.Stats(ctx).AEKeysRepaired; got != 0 {
 		t.Fatalf("AEKeysRepaired = %d, want 0 (a tombstone-vs-absent pair is not a repair)", got)
+	}
+}
+
+// TestAntiEntropyTickSyncsLivePair: with one of three nodes down, a single
+// tick walks past the pairs it cannot sync and syncs the live one, whichever
+// pair the cursor starts at.
+func TestAntiEntropyTickSyncsLivePair(t *testing.T) {
+	for start := 0; start < 3; start++ {
+		t.Run(fmt.Sprintf("cursor=%d", start), func(t *testing.T) {
+			s, backends := openRepair(t, 3, 3, fastAE())
+			ctx := context.Background()
+			if err := s.Put(ctx, "t", "k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			s.ae.close() // the tick below is the only one
+			a := newAntiEntropy(s, fastAE())
+			a.pair = start
+			// Divergence behind the store's back on node 2, node 0 down: only
+			// the pair (1, 2) can find it.
+			if err := backends[2].Delete(ctx, "t", "k"); err != nil {
+				t.Fatal(err)
+			}
+			backends[0].SetDown(true)
+			a.syncOnce()
+			if got := a.syncs.Load(); got != 1 {
+				t.Fatalf("one tick completed %d syncs, want 1", got)
+			}
+			if i, j := pairAt((a.pair-1)%3, 3); i != 1 || j != 2 {
+				t.Fatalf("the tick synced (%d, %d), want (1, 2)", i, j)
+			}
+			waitFor(t, "node 2 repaired", func() bool {
+				return rawEqual(t, backends[1], backends[2], "t", "k")
+			})
+		})
 	}
 }

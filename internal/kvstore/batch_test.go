@@ -119,10 +119,8 @@ func TestBatchPutCheaperThanSequentialPuts(t *testing.T) {
 }
 
 func TestBatchPutSurvivesReplicaFailure(t *testing.T) {
-	s := open(t, 4, 2)
-	if err := s.SetNodeUp(1, false); err != nil {
-		t.Fatal(err)
-	}
+	s, backends := openMem(t, Config{Nodes: 4, ReplicationFactor: 2})
+	backends[1].SetDown(true)
 	var entries []Entry
 	for i := 0; i < 100; i++ {
 		entries = append(entries, Entry{Key: fmt.Sprintf("k%03d", i), Value: []byte{byte(i)}})
@@ -140,11 +138,9 @@ func TestBatchPutSurvivesReplicaFailure(t *testing.T) {
 }
 
 func TestBatchPutAllReplicasDownIsAnError(t *testing.T) {
-	s := open(t, 2, 1)
+	s, backends := openMem(t, Config{Nodes: 2, ReplicationFactor: 1})
 	owner := s.ring.primary("a")
-	if err := s.SetNodeUp(owner, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[owner].SetDown(true)
 	err := s.BatchPut(context.Background(), "t", []Entry{{Key: "a", Value: []byte("1")}})
 	if err == nil || !strings.Contains(err.Error(), "all replicas down") {
 		t.Fatalf("batch to fully-dead replica set: %v", err)
@@ -152,21 +148,17 @@ func TestBatchPutAllReplicasDownIsAnError(t *testing.T) {
 }
 
 func TestDeleteAllReplicasDownIsAnError(t *testing.T) {
-	s := open(t, 2, 1)
+	s, backends := openMem(t, Config{Nodes: 2, ReplicationFactor: 1})
 	if err := s.Put(context.Background(), "t", "a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	owner := s.ring.primary("a")
-	if err := s.SetNodeUp(owner, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[owner].SetDown(true)
 	if err := s.Delete(context.Background(), "t", "a"); err == nil {
 		t.Fatal("delete with every replica down succeeded (tombstone took hold nowhere)")
 	}
 	// Back up: delete works and is idempotent again.
-	if err := s.SetNodeUp(owner, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[owner].SetDown(false)
 	if err := s.Delete(context.Background(), "t", "a"); err != nil {
 		t.Fatal(err)
 	}

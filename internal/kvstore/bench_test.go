@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-func benchStore(b *testing.B, nodes, rf int, balance bool) (*Store, []string) {
+func benchStore(b *testing.B, nodes, rf int) (*Store, []string) {
 	b.Helper()
 	s, err := Open(context.Background(), Config{
-		Nodes: nodes, ReplicationFactor: rf, ReadBalance: balance,
+		Nodes: nodes, ReplicationFactor: rf,
 		Cost: DefaultCostModel(),
 	})
 	if err != nil {
@@ -27,7 +27,7 @@ func benchStore(b *testing.B, nodes, rf int, balance bool) (*Store, []string) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	s, keys := benchStore(b, 4, 2, false)
+	s, keys := benchStore(b, 4, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -38,7 +38,7 @@ func BenchmarkGet(b *testing.B) {
 }
 
 func BenchmarkPut(b *testing.B) {
-	s, _ := benchStore(b, 4, 2, false)
+	s, _ := benchStore(b, 4, 2)
 	val := make([]byte, 512)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -50,19 +50,13 @@ func BenchmarkPut(b *testing.B) {
 }
 
 func BenchmarkMultiGet(b *testing.B) {
-	for _, cfg := range []struct {
-		name    string
-		balance bool
-	}{{"primary", false}, {"balanced", true}} {
-		s, keys := benchStore(b, 8, 3, cfg.balance)
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := s.MultiGet(context.Background(), "t", keys)
-				if err != nil || len(res.Missing) != 0 {
-					b.Fatalf("%v %v", res.Missing, err)
-				}
-			}
-		})
+	s, keys := benchStore(b, 8, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.MultiGet(context.Background(), "t", keys)
+		if err != nil || len(res.Missing) != 0 {
+			b.Fatalf("%v %v", res.Missing, err)
+		}
 	}
 }

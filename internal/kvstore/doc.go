@@ -2,11 +2,12 @@
 // layers on (paper §2.4 "Backend Key-value Store"). It reproduces the
 // properties RStore depends on — basic get/put, key partitioning across
 // nodes, replication, parallel multi-key fetch — as a cluster of storage
-// nodes behind a consistent-hash ring. Each node holds one engine.Backend
-// — the only seam between this package and a storage node — behind a
-// failure-injection flag (node.go): an in-process engine, or the wire
-// client from internal/engine/remote against a real rstore-node daemon,
-// which is a Backend like the others. A calibrated network cost model
+// nodes behind a consistent-hash ring. Each node is one engine.Backend —
+// the only seam between this package and a storage node (node.go): an
+// in-process engine, or the wire client from internal/engine/remote against
+// a real rstore-node daemon, which is a Backend like the others. A node is
+// down when its calls answer engine.ErrUnavailable; in-process, the memory
+// engine simulates that (memory.Backend.SetDown). A calibrated network cost model
 // drives a virtual clock so experiments report Cassandra-like retrieval
 // times deterministically.
 //

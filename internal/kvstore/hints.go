@@ -108,7 +108,7 @@ func (r *repairer) addHints(ctx context.Context, park int, specs []hintSpec) {
 	for i, sp := range specs {
 		entries[i] = engine.Entry{Key: hintKey(sp.target, r.s.nextTS()), Value: encodeHint(sp.table, sp.key, sp.env)}
 	}
-	if err := r.s.nodes[park].batchPut(ctx, hintsTable, entries); err != nil {
+	if err := r.s.nodes[park].be.BatchPut(ctx, hintsTable, entries); err != nil {
 		return
 	}
 	r.hmu.Lock()
@@ -148,7 +148,7 @@ func (r *repairer) recoverHints(ctx context.Context) {
 		wg.Add(1)
 		go func(i int, nd *node) {
 			defer wg.Done()
-			_ = nd.scan(ctx, hintsTable, func(k string, _ []byte) bool {
+			_ = nd.be.Scan(ctx, hintsTable, func(k string, _ []byte) bool {
 				if target, ok := parseHintKey(k); ok && target < len(r.s.nodes) {
 					perNode[i] = append(perNode[i], hintRef{park: nd.id, hkey: k})
 				}
@@ -192,8 +192,10 @@ func (r *repairer) ensureDrain() {
 }
 
 // kickDrain wakes the drain loop immediately and clears per-target
-// backoff — called when a node is known to have just come back (failure
-// injection flipping it up), so tests and operators see prompt convergence.
+// backoff. Its one caller is a dialed node's breaker closing (Open wires
+// the listener): the node is known to have just come back, so its parked
+// writes replay now rather than after the backoff. Other nodes are found
+// up by the drain loop's own ticks.
 func (r *repairer) kickDrain() {
 	r.hmu.Lock()
 	for _, q := range r.hints {
@@ -281,7 +283,7 @@ func (r *repairer) drainTarget(target int) {
 // replayed by another client.
 func (r *repairer) replayHint(ctx context.Context, target int, ref hintRef) bool {
 	park := r.s.nodes[ref.park]
-	raw, ok, err := park.get(ctx, hintsTable, ref.hkey)
+	raw, ok, err := park.be.Get(ctx, hintsTable, ref.hkey)
 	if err != nil {
 		return false
 	}
@@ -296,6 +298,6 @@ func (r *repairer) replayHint(ctx context.Context, target int, ref hintRef) bool
 		}
 	}
 	// Delivered, or undecodable and so undeliverable: the record is spent.
-	_ = park.del(ctx, hintsTable, ref.hkey)
+	_ = park.be.Delete(ctx, hintsTable, ref.hkey)
 	return true
 }

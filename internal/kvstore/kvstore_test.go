@@ -9,16 +9,33 @@ import (
 	"testing"
 	"time"
 
+	"rstore/internal/engine"
+	"rstore/internal/engine/memory"
 	"rstore/internal/types"
 )
 
 func open(t testing.TB, nodes, rf int) *Store {
 	t.Helper()
-	s, err := Open(context.Background(), Config{Nodes: nodes, ReplicationFactor: rf, Cost: DefaultCostModel()})
+	s, _ := openMem(t, Config{Nodes: nodes, ReplicationFactor: rf, Cost: DefaultCostModel()})
+	return s
+}
+
+// openMem opens a cluster of cfg's shape over memory backends it returns,
+// so that a test can read a replica directly or take it down
+// (memory.Backend.SetDown).
+func openMem(t testing.TB, cfg Config) (*Store, []*memory.Backend) {
+	t.Helper()
+	backends := make([]*memory.Backend, cfg.Nodes)
+	cfg.NewBackend = func(id int) (engine.Backend, error) {
+		backends[id] = memory.New()
+		return backends[id], nil
+	}
+	s, err := Open(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	t.Cleanup(func() { s.Close() })
+	return s, backends
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -102,16 +119,14 @@ func TestMultiGet(t *testing.T) {
 }
 
 func TestReplicationSurvivesNodeFailure(t *testing.T) {
-	s := open(t, 4, 2)
+	s, backends := openMem(t, Config{Nodes: 4, ReplicationFactor: 2})
 	for i := 0; i < 200; i++ {
 		if err := s.Put(context.Background(), "t", fmt.Sprintf("k%03d", i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Kill one node: every key must still be readable from its replica.
-	if err := s.SetNodeUp(2, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[2].SetDown(true)
 	for i := 0; i < 200; i++ {
 		got, err := s.Get(context.Background(), "t", fmt.Sprintf("k%03d", i))
 		if err != nil || got[0] != byte(i) {
@@ -124,22 +139,64 @@ func TestReplicationSurvivesNodeFailure(t *testing.T) {
 		t.Fatalf("MultiGet after failure: %v %v", res.Missing, err)
 	}
 	// Recovery.
-	if err := s.SetNodeUp(2, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[2].SetDown(false)
 	if _, err := s.Get(context.Background(), "t", "k000"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestUnreplicatedFailureIsAnError(t *testing.T) {
-	s := open(t, 2, 1)
+	s, backends := openMem(t, Config{Nodes: 2, ReplicationFactor: 1})
 	s.Put(context.Background(), "t", "a", []byte("1"))
 	// Find which node holds "a" and kill it.
 	owner := s.ring.primary("a")
-	s.SetNodeUp(owner, false)
+	backends[owner].SetDown(true)
 	if _, err := s.Get(context.Background(), "t", "a"); err == nil {
 		t.Fatal("read from fully-dead replica set succeeded")
+	}
+}
+
+// TestMultiGetChargesFirstAnsweringReplica: with a replica down, the
+// simulated cost of a MultiGet key goes to the first of its replicas, in
+// ring order, that answered — never to the down node.
+func TestMultiGetChargesFirstAnsweringReplica(t *testing.T) {
+	cost := DefaultCostModel()
+	cost.Parallelism = 1 << 10 // the busiest node, not the client lanes, bounds the batch
+	s, backends := openMem(t, Config{Nodes: 3, ReplicationFactor: 2, Cost: cost})
+	ctx := context.Background()
+	var keys []string
+	for i := 0; i < 60; i++ {
+		k := fmt.Sprintf("k%03d", i)
+		keys = append(keys, k)
+		if err := s.Put(ctx, "t", k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const down = 1
+	backends[down].SetDown(true)
+	res, err := s.MultiGet(ctx, "t", keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered, primary := map[int][]int{}, map[int][]int{}
+	for i, k := range keys {
+		if string(res.Values[i]) != k {
+			t.Fatalf("%s = %q with node %d down", k, res.Values[i], down)
+		}
+		replicas := s.ring.replicas(k, 2)
+		first := replicas[0]
+		if first == down {
+			first = replicas[1]
+		}
+		answered[first] = append(answered[first], len(k))
+		primary[replicas[0]] = append(primary[replicas[0]], len(k))
+	}
+	want := cost.batchElapsed(answered)
+	if want == cost.batchElapsed(primary) {
+		t.Fatal("precondition: charging the primaries costs the same as charging the replicas that answered")
+	}
+	if res.Elapsed != want {
+		t.Fatalf("Elapsed = %v, want %v (each key charged to its first replica that answered)", res.Elapsed, want)
 	}
 }
 

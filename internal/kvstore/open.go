@@ -40,14 +40,6 @@ type Config struct {
 	// ReplicationFactor is the number of replicas per key. Defaults to 1,
 	// capped at Nodes.
 	ReplicationFactor int
-	// ReadBalance picks which replica the simulated cost model (Cost)
-	// charges a multi-get key to: the least loaded live replica so far in
-	// the batch instead of the first that looks up. It changes no read — a
-	// multi-get asks every replica of every key either way and serves the
-	// judged winner. With ReplicationFactor > 1 it shortens the simulated
-	// per-node serial queue that bounds batch retrieval — the replication
-	// effect the paper's conclusion flags for future study.
-	ReadBalance bool
 	// Cost is the latency model; zero value disables simulated timing.
 	Cost CostModel
 	// Engine selects the per-node storage backend: EngineMemory (the
@@ -271,9 +263,9 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		}
 	}
 	// A remote node recovering from probation (breaker closing) kicks hint
-	// drain so writes parked while it was down replay promptly — the wire
-	// counterpart of SetNodeUp's nudge. Wired last so the callback never
-	// observes a half-built Store.
+	// drain so writes parked while it was down replay promptly — the one
+	// kick there is. Wired last so the callback never observes a half-built
+	// Store.
 	for _, n := range s.nodes {
 		if n.rc != nil {
 			n.rc.SetStateListener(func(up bool) {
@@ -315,7 +307,7 @@ func (s *Store) pinRemoteGeometry(ctx context.Context) error {
 	}
 	for _, n := range s.nodes {
 		want := fmt.Sprintf("%d of %d rf=%d format=%s", n.id, len(s.nodes), s.cfg.ReplicationFactor, storedFormat)
-		raw, ok, err := n.get(ctx, clusterTable, nodeIDKey)
+		raw, ok, err := n.be.Get(ctx, clusterTable, nodeIDKey)
 		if isUnavailable(err) {
 			continue
 		}
@@ -350,7 +342,7 @@ func (s *Store) pinRemoteGeometry(ctx context.Context) error {
 		}
 		if writePin {
 			env := envelope(envValue, s.nextTS(), []byte(want))
-			if err := n.put(ctx, clusterTable, nodeIDKey, env); err != nil && !isUnavailable(err) {
+			if err := n.be.Put(ctx, clusterTable, nodeIDKey, env); err != nil && !isUnavailable(err) {
 				return fmt.Errorf("kvstore: node %d geometry pin: %w", n.id, err)
 			}
 		}

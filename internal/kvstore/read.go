@@ -69,7 +69,6 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: %s %s: %w", op, table, err)
 	}
-	load := make([]int, len(s.nodes))
 	perNode := make(map[int][]int) // serving node → its response sizes
 	for i, rd := range reads {
 		v := judge(rd.obs)
@@ -90,21 +89,15 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 		// The simulated batch cost (per-node serial service, client-side
 		// lanes) charges the key to one serving replica — one request per
 		// key, replica consultation modeled as free digest reads, as a write
-		// charges once despite its fan-out: the first replica that looks up,
-		// or with read balancing the least loaded such (O(1) load counters).
-		// isUp() is only a hint (a remote node's liveness is discovered per
-		// request), which is why the read above asked every replica anyway;
-		// with none looking up the primary is charged.
-		n := -1
+		// charges once despite its fan-out: the first replica that answered,
+		// or the primary when none did.
+		n := rd.obs[0].node
 		for _, o := range rd.obs {
-			if s.nodes[o.node].isUp() && (n < 0 || (s.cfg.ReadBalance && load[o.node] < load[n])) {
+			if o.state != obsUnreachable {
 				n = o.node
+				break
 			}
 		}
-		if n < 0 {
-			n = rd.obs[0].node
-		}
-		load[n]++
 		perNode[n] = append(perNode[n], len(res.Values[i]))
 		res.BytesRead += int64(len(res.Values[i]))
 	}
@@ -130,7 +123,9 @@ type keyRead struct {
 // wire round trip per node instead of one per key per replica. A node whose
 // batch failed as unavailable answers obsUnreachable for all its keys; the
 // wire client has by then spent its own retry schedule on it, so there is
-// no second one here. Hard errors abort. The read path and the anti-entropy
+// no second one here. That observation is the only liveness signal a read
+// has: multiGet charges its simulated cost to the first replica that did
+// not answer obsUnreachable. Hard errors abort. The read path and the anti-entropy
 // loop both observe replicas through it.
 func (s *Store) readReplicas(ctx context.Context, table string, keys []string) ([]keyRead, error) {
 	type batch struct {
@@ -160,7 +155,7 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 		wg.Add(1)
 		go func(nid int, b *batch) {
 			defer wg.Done()
-			b.vals, b.present, b.err = s.nodes[nid].multiGet(ctx, table, b.keys)
+			b.vals, b.present, b.err = engine.MultiGet(ctx, s.nodes[nid].be, table, b.keys)
 		}(nid, b)
 	}
 	wg.Wait()
@@ -233,7 +228,7 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 	unreachable := make([]bool, len(s.nodes))
 	unavailable := 0
 	for _, n := range s.nodes {
-		err := n.scan(ctx, table, func(k string, raw []byte) bool {
+		err := n.be.Scan(ctx, table, func(k string, raw []byte) bool {
 			sk := seen[k]
 			if sk == nil {
 				replicas := s.ring.replicas(k, s.cfg.ReplicationFactor)
@@ -322,7 +317,7 @@ func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key 
 		if stop || envErr != nil {
 			break
 		}
-		err := n.scan(ctx, table, func(k string, v []byte) bool {
+		err := n.be.Scan(ctx, table, func(k string, v []byte) bool {
 			if s.ring.primary(k) != n.id {
 				return true // visited via its primary owner
 			}

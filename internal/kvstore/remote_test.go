@@ -284,7 +284,7 @@ func TestReadsOutvoteStaleReplica(t *testing.T) {
 	waitFor(t, "restarted node out of probation", func() bool { return s.Stats(ctx).BreakerOpen == 0 })
 	stale := 0
 	for i := 1; i < 80; i += 5 {
-		if raw, ok, _ := s.nodes[2].get(ctx, "t", keys[i]); ok {
+		if raw, ok, _ := s.nodes[2].be.Get(ctx, "t", keys[i]); ok {
 			if payload, _, _, _ := unenvelope(raw); string(payload) == "v-"+keys[i] {
 				stale++
 			}
@@ -309,17 +309,6 @@ func TestRemoteClusterAllReplicasDownIsAnError(t *testing.T) {
 	}
 	if err := s.Put(context.Background(), "t", "a", []byte("2")); err == nil {
 		t.Fatal("write to fully-dead replica set succeeded")
-	}
-}
-
-func TestRemoteClusterRejectsFailureInjection(t *testing.T) {
-	addrs, _ := startNodes(t, 1)
-	s := openRemote(t, addrs, 1)
-	if err := s.SetNodeUp(0, false); err == nil || !strings.Contains(err.Error(), "stop the daemon") {
-		t.Fatalf("failure injection on a remote node: %v, want the stop-the-daemon refusal", err)
-	}
-	if !s.nodes[0].isUp() {
-		t.Fatal("refused injection still took the node down")
 	}
 }
 
@@ -359,26 +348,10 @@ func TestCloseIdempotentAndAggregated(t *testing.T) {
 	}
 }
 
-// Satellite: stats skip down nodes instead of touching their backend.
-
-// pollingBackend counts BytesStored calls so the test can prove a down
-// node's backend is never consulted.
-type pollingBackend struct {
-	engine.Backend
-	polls *int
-}
-
-func (b pollingBackend) BytesStored() int64 { *b.polls++; return b.Backend.BytesStored() }
+// Satellite: a down node contributes 0 to the stats.
 
 func TestStatsSkipDownNodes(t *testing.T) {
-	polls := make([]int, 2)
-	s, err := Open(context.Background(), Config{Nodes: 2, NewBackend: func(id int) (engine.Backend, error) {
-		return pollingBackend{Backend: memory.New(), polls: &polls[id]}, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, backends := openMem(t, Config{Nodes: 2})
 	for i := 0; i < 32; i++ {
 		if err := s.Put(context.Background(), "t", fmt.Sprintf("k%02d", i), []byte("xxxx")); err != nil {
 			t.Fatal(err)
@@ -388,10 +361,7 @@ func TestStatsSkipDownNodes(t *testing.T) {
 	if all <= 0 {
 		t.Fatalf("BytesStored = %d", all)
 	}
-	if err := s.SetNodeUp(1, false); err != nil {
-		t.Fatal(err)
-	}
-	polls[1] = 0
+	backends[1].SetDown(true)
 	down := s.Stats(context.Background()).BytesStored
 	if down <= 0 || down >= all {
 		t.Fatalf("BytesStored with node 1 down = %d (all up: %d)", down, all)
@@ -399,20 +369,13 @@ func TestStatsSkipDownNodes(t *testing.T) {
 	if nb := s.NodeBytes(context.Background()); nb[1] != 0 {
 		t.Fatalf("down node reports %d bytes", nb[1])
 	}
-	if polls[1] != 0 {
-		t.Fatalf("down node's backend polled %d times", polls[1])
-	}
 }
 
 // Scan feeds recovery and snapshots, so it must refuse to present a
 // truncated view instead of silently skipping nodes whose keys have no
 // other replica.
 func TestScanRefusesIncompleteView(t *testing.T) {
-	s, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, backends := openMem(t, Config{Nodes: 3, ReplicationFactor: 2})
 	for i := 0; i < 60; i++ {
 		if err := s.Put(context.Background(), "t", fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -425,36 +388,26 @@ func TestScanRefusesIncompleteView(t *testing.T) {
 	}
 	// One node down at rf=2: every key still has a live replica, so the
 	// sweep is complete.
-	if err := s.SetNodeUp(0, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[0].SetDown(true)
 	if n, err := count(); err != nil || n != 60 {
 		t.Fatalf("scan with 1/3 nodes down: n=%d err=%v", n, err)
 	}
 	// Two nodes down at rf=2: some key's whole replica set may be gone.
-	if err := s.SetNodeUp(1, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[1].SetDown(true)
 	if _, err := count(); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("scan with 2/3 nodes down at rf=2: %v", err)
 	}
 }
 
 func TestUnreplicatedScanRefusesDownNode(t *testing.T) {
-	s, err := Open(context.Background(), Config{Nodes: 2, ReplicationFactor: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s, backends := openMem(t, Config{Nodes: 2, ReplicationFactor: 1})
 	for i := 0; i < 20; i++ {
 		if err := s.Put(context.Background(), "t", fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetNodeUp(1, false); err != nil {
-		t.Fatal(err)
-	}
-	err = s.Scan(context.Background(), "t", func(string, []byte) bool { return true })
+	backends[1].SetDown(true)
+	err := s.Scan(context.Background(), "t", func(string, []byte) bool { return true })
 	if err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("unreplicated scan with a down node: %v", err)
 	}

@@ -372,7 +372,7 @@ func (r *repairer) run(t repairTask) {
 // back is the caller's call.
 func (r *repairer) writeBack(ctx context.Context, target int, t repairTask) bool {
 	n := r.s.nodes[target]
-	raw, ok, err := n.get(ctx, t.table, t.key)
+	raw, ok, err := n.be.Get(ctx, t.table, t.key)
 	if err != nil {
 		return false
 	}
@@ -384,7 +384,7 @@ func (r *repairer) writeBack(ctx context.Context, target int, t repairTask) bool
 		}
 	}
 	if apply {
-		if err := n.put(ctx, t.table, t.key, t.env); err != nil {
+		if err := n.be.Put(ctx, t.table, t.key, t.env); err != nil {
 			return false
 		}
 		r.repairWrites.Add(1)
@@ -409,7 +409,7 @@ func (r *repairer) writeBack(ctx context.Context, target int, t repairTask) bool
 // deployment (§2.4), where delete-then-recreate of one key is never
 // concurrent.
 func (r *repairer) gcReplica(ctx context.Context, n *node, t repairTask) bool {
-	raw, ok, err := n.get(ctx, t.table, t.key)
+	raw, ok, err := n.be.Get(ctx, t.table, t.key)
 	if err != nil {
 		return false
 	}
@@ -420,7 +420,7 @@ func (r *repairer) gcReplica(ctx context.Context, n *node, t repairTask) bool {
 	if err != nil || !tomb || ts != t.ts {
 		return false
 	}
-	return n.del(ctx, t.table, t.key) == nil
+	return n.be.Delete(ctx, t.table, t.key) == nil
 }
 
 // resetState drops all in-memory repair bookkeeping after a cluster wipe

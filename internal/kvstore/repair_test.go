@@ -20,21 +20,7 @@ import (
 // merged read view.
 func openRepair(t testing.TB, nodes, rf int, opts RepairOptions) (*Store, []*memory.Backend) {
 	t.Helper()
-	backends := make([]*memory.Backend, nodes)
-	s, err := Open(context.Background(), Config{
-		Nodes:             nodes,
-		ReplicationFactor: rf,
-		Repair:            opts,
-		NewBackend: func(id int) (engine.Backend, error) {
-			backends[id] = memory.New()
-			return backends[id], nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s, backends
+	return openMem(t, Config{Nodes: nodes, ReplicationFactor: rf, Repair: opts})
 }
 
 // fastRepair is the test tuning: tight drain cadence, no long backoff.
@@ -83,15 +69,11 @@ func TestReadRepairOverwritesStaleReplica(t *testing.T) {
 	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetNodeUp(1, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[1].SetDown(true)
 	if err := s.Put(ctx, "t", "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetNodeUp(1, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[1].SetDown(false)
 	// Node 1 is stale but present on disk.
 	if raw, ok := rawGet(t, backends[1], "t", "k"); !ok || bytes.Equal(raw, mustRaw(t, backends[0], "t", "k")) {
 		t.Fatalf("precondition: node 1 should hold the stale version (present=%v)", ok)
@@ -125,15 +107,11 @@ func TestReadRepairFillsMissingKey(t *testing.T) {
 	s, backends := openRepair(t, 3, 3, opts)
 	ctx := context.Background()
 
-	if err := s.SetNodeUp(2, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[2].SetDown(true)
 	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetNodeUp(2, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[2].SetDown(false)
 	if _, ok := rawGet(t, backends[2], "t", "k"); ok {
 		t.Fatal("precondition: node 2 should miss the key")
 	}
@@ -158,17 +136,13 @@ func TestScanQueuesReadRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetNodeUp(0, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[0].SetDown(true)
 	for i := 0; i < 20; i++ {
 		if err := s.Put(ctx, "t", fmt.Sprintf("k%02d", i), []byte("v2")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetNodeUp(0, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[0].SetDown(false)
 	if err := s.Scan(ctx, "t", func(string, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -211,21 +185,14 @@ func TestHintedHandoffDrainsWithoutReads(t *testing.T) {
 	replicas := s.ring.replicas(key, 2)
 	a, b := replicas[0], replicas[1]
 
-	if err := s.SetNodeUp(b, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[b].SetDown(true)
 	if err := s.Put(ctx, "t", key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(ctx); st.HintsQueued != 1 || st.HintsPending != 1 {
 		t.Fatalf("after missed write: queued=%d pending=%d, want 1/1", st.HintsQueued, st.HintsPending)
 	}
-	if _, ok := rawGet(t, backends[b], "t", key); ok {
-		t.Fatal("down replica has the key?")
-	}
-	if err := s.SetNodeUp(b, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[b].SetDown(false)
 	waitFor(t, "hint drained to restarted replica", func() bool {
 		return rawEqual(t, backends[a], backends[b], "t", key)
 	})
@@ -260,9 +227,7 @@ func TestHintBatchPutAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := s1.SetNodeUp(1, false); err != nil {
-		t.Fatal(err)
-	}
+	shared[1].SetDown(true)
 	var entries []Entry
 	for i := 0; i < 30; i++ {
 		entries = append(entries, Entry{Key: fmt.Sprintf("k%02d", i), Value: []byte("v1")})
@@ -277,6 +242,7 @@ func TestHintBatchPutAndRecovery(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	shared[1].SetDown(false)
 
 	// A fresh client recovers the durable hints and delivers them.
 	s2, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, Repair: fastRepair(), NewBackend: newBackend})
@@ -347,19 +313,11 @@ func TestTombstoneGCAfterHintAck(t *testing.T) {
 	if err := s.Put(ctx, "t", key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetNodeUp(b, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[b].SetDown(true)
 	if err := s.Delete(ctx, "t", key); err != nil {
 		t.Fatal(err)
 	}
-	// The lagging replica still holds the live value on disk.
-	if raw, ok := rawGet(t, backends[b], "t", key); !ok || raw[0] != envValue {
-		t.Fatal("precondition: lagging replica should hold the old value")
-	}
-	if err := s.SetNodeUp(b, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[b].SetDown(false)
 	waitFor(t, "tombstone delivered, acked, and collected", func() bool {
 		for _, be := range backends {
 			if _, ok := rawGet(t, be, "t", key); ok {
@@ -416,9 +374,7 @@ func TestDeleteConverges(t *testing.T) {
 			if err := s.BatchPut(ctx, "t", entries); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.SetNodeUp(down, false); err != nil {
-				t.Fatal(err)
-			}
+			backends[down].SetDown(true)
 			before := s.Stats(ctx).Requests
 			deleted := append(slices.Clone(keys), "never-written")
 			if n == 1 {
@@ -438,9 +394,7 @@ func TestDeleteConverges(t *testing.T) {
 					t.Fatalf("%s after its delete: %v", key, err)
 				}
 			}
-			if err := s.SetNodeUp(down, true); err != nil {
-				t.Fatal(err)
-			}
+			backends[down].SetDown(false)
 			waitFor(t, "tombstones delivered, acked, and collected", func() bool {
 				for _, be := range backends {
 					for _, key := range deleted {

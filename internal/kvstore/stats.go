@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"rstore/internal/engine"
 )
 
 // ChargeScan adds client-side scan cost for n bytes to the virtual clock and
@@ -101,7 +103,7 @@ func (s *Store) Stats(ctx context.Context) Stats {
 		}
 		// Unsupported or unreachable nodes contribute zero, mirroring the
 		// BytesStored probes.
-		if cs, err := n.compactStats(ctx); err == nil {
+		if cs, err := engine.ReadCompactionStats(ctx, n.be); err == nil {
 			st.DiskBytes += cs.DiskBytes
 			st.LiveBytes += cs.LiveBytes
 			st.CompactedBytes += cs.CompactedBytes
@@ -129,7 +131,7 @@ func (s *Store) Stats(ctx context.Context) Stats {
 func (s *Store) Reset(ctx context.Context) error {
 	var errs []error
 	for _, n := range s.nodes {
-		if err := n.reset(ctx); err != nil {
+		if err := engine.Reset(ctx, n.be); err != nil {
 			errs = append(errs, fmt.Errorf("kvstore: reset node %d: %w", n.id, err))
 		}
 	}
@@ -150,21 +152,6 @@ func (s *Store) ResetClock() {
 	s.bytesRead.Store(0)
 	s.bytesPut.Store(0)
 	s.writeCalls.Store(0)
-}
-
-// SetNodeUp marks a node up or down, for failure-injection tests. Remote
-// nodes refuse: their availability is a property of the real process, not
-// a flag (stop the daemon instead). Reviving a node nudges the hint drain
-// loop so parked writes replay promptly.
-func (s *Store) SetNodeUp(id int, up bool) error {
-	if id < 0 || id >= len(s.nodes) {
-		return fmt.Errorf("kvstore: no node %d", id)
-	}
-	err := s.nodes[id].setUp(up)
-	if err == nil && up && s.repair != nil {
-		s.repair.kickDrain()
-	}
-	return err
 }
 
 // NodeBytes returns resident bytes per node, for balance checks; ctx

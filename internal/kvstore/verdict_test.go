@@ -132,9 +132,7 @@ func TestVerdictCallersAgree(t *testing.T) {
 					}
 				}
 				if sc.down >= 0 {
-					if err := s.SetNodeUp(sc.down, false); err != nil {
-						t.Fatal(err)
-					}
+					backends[sc.down].SetDown(true)
 				}
 				if ob.observe != nil {
 					if got, err := ob.observe(ctx, s); err != nil || got != sc.serves {
@@ -146,12 +144,21 @@ func TestVerdictCallersAgree(t *testing.T) {
 						s.ae.syncOnce() // the loop's tick, driven by hand (its own is an hour away)
 					}
 					for n, want := range sc.settled {
+						if n == sc.down {
+							continue // read once it is back, below
+						}
 						if raw, ok := rawGet(t, backends[n], "t", key); ok != (want != nil) || !bytes.Equal(raw, want) {
 							return false
 						}
 					}
 					return true
 				})
+				if sc.down >= 0 {
+					backends[sc.down].SetDown(false)
+					if raw, ok := rawGet(t, backends[sc.down], "t", key); ok != (sc.settled[sc.down] != nil) || !bytes.Equal(raw, sc.settled[sc.down]) {
+						t.Fatalf("down node %d holds %q, want %q", sc.down, raw, sc.settled[sc.down])
+					}
+				}
 				if sc.name == "tombstone vs nothing" {
 					if st := s.Stats(ctx); st.RepairWrites != 0 || st.TombstonesGCed != 1 {
 						t.Fatalf("RepairWrites = %d, TombstonesGCed = %d; want 0 and 1", st.RepairWrites, st.TombstonesGCed)
@@ -235,18 +242,14 @@ func TestScanDetectsDivergencePastSixtyFourNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lagging = nodes - 1 // a node id no 64-bit mask can hold
-	if err := s.SetNodeUp(lagging, false); err != nil {
-		t.Fatal(err)
-	}
+	backends[lagging].SetDown(true)
 	for i := range entries {
 		entries[i].Value = []byte("v2")
 	}
 	if err := s.BatchPut(ctx, "t", entries); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetNodeUp(lagging, true); err != nil {
-		t.Fatal(err)
-	}
+	backends[lagging].SetDown(false)
 	stale := 0
 	for _, e := range entries {
 		if slices.Contains(s.ring.replicas(e.Key, 2), lagging) {

@@ -95,7 +95,7 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 		wg.Add(1)
 		go func(nid int, group []engine.Entry) {
 			defer wg.Done()
-			nodeErr[nid] = s.nodes[nid].batchPut(ctx, table, group)
+			nodeErr[nid] = s.nodes[nid].be.BatchPut(ctx, table, group)
 		}(nid, group)
 	}
 	wg.Wait()

@@ -13,6 +13,7 @@ import (
 
 	"rstore/internal/core"
 	"rstore/internal/engine"
+	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote/wire"
 	"rstore/internal/kvstore"
 	"rstore/internal/types"
@@ -314,7 +315,8 @@ func TestHTTPRefusesOutOfRangeVersions(t *testing.T) {
 // cluster outage — 503, retry later — not a bad request.
 func TestHTTPClusterOutageIs503(t *testing.T) {
 	ctx := context.Background()
-	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	be := memory.New()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return be, nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,9 +333,7 @@ func TestHTTPClusterOutageIs503(t *testing.T) {
 	}
 	ts := httptest.NewServer(New(st))
 	t.Cleanup(ts.Close)
-	if err := kv.SetNodeUp(0, false); err != nil {
-		t.Fatal(err)
-	}
+	be.SetDown(true)
 	resp, _, _ := getStream(t, ts.URL+"/version/0")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("GET /version/0 with every replica down: status %d, want 503", resp.StatusCode)
