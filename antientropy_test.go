@@ -129,7 +129,7 @@ func TestAntiEntropyEndToEnd(t *testing.T) {
 		if !tablesEqual(t0, scanTable(t, c, 1, "t")) || !tablesEqual(t0, scanTable(t, c, 2, "t")) {
 			return false
 		}
-		nb := kv.NodeBytes(ctx)
+		nb := c.bytesStored()
 		return nb[0] == nb[1] && nb[1] == nb[2]
 	})
 

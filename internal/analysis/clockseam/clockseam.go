@@ -1,10 +1,10 @@
 // Package clockseam forbids direct time.Now reads in the LWW / envelope /
 // repair code paths: rstore/internal/kvstore must take wall-clock
 // timestamps through the walltime accessor in clock.go, the package's one
-// designated clock seam. LWW correctness (envelope timestamps, hint
-// backoff scheduling, tombstone GC) hinges on every timestamp flowing
-// through one swappable source — a stray time.Now() reintroduces the
-// untestable clock the seam exists to remove.
+// designated clock seam. LWW correctness (envelope timestamps, tombstone
+// GC) hinges on every timestamp flowing through one swappable source — a
+// stray time.Now() reintroduces the untestable clock the seam exists to
+// remove.
 package clockseam
 
 import (

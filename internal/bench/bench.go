@@ -87,22 +87,21 @@ func (o Options) OpenCluster(cfg kvstore.Config) (*kvstore.Store, error) {
 	return kvstore.Open(context.Background(), cfg)
 }
 
-// OpenStore opens a store whose private cluster (cfg.KV == nil) runs on
-// the backend Options selects. The store owns that cluster, so the usual
-// st.Close() cleans it up.
-func (o Options) OpenStore(cfg core.Config) (*core.Store, error) {
-	if cfg.KV == nil {
-		eng, dir, addrs := o.substrate()
-		if eng != "" {
-			cfg.Engine, cfg.DataDir, cfg.NodeAddrs = eng, dir, addrs
-			if eng == kvstore.EngineRemote {
-				if err := resetDaemons(addrs); err != nil {
-					return nil, err
-				}
-			}
-		}
+// OpenStore opens a store over a fresh one-node cluster (or, on remote,
+// the daemons) of the backend Options selects. The store does not own the
+// cluster: the caller closes both.
+func (o Options) OpenStore(cfg core.Config) (*core.Store, *kvstore.Store, error) {
+	kv, err := o.OpenCluster(kvstore.Config{Cost: kvstore.DefaultCostModel()})
+	if err != nil {
+		return nil, nil, err
 	}
-	return core.Open(context.Background(), cfg)
+	cfg.KV = kv
+	st, err := core.Open(context.Background(), cfg)
+	if err != nil {
+		kv.Close()
+		return nil, nil, err
+	}
+	return st, kv, nil
 }
 
 // resetDaemons wipes every remote daemon through the wire reset op so the

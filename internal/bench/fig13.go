@@ -63,14 +63,17 @@ func RunFig13(opts Options) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := opts.OpenStore(core.Config{ChunkCapacity: capacity})
+			st, kv, err := opts.OpenStore(core.Config{ChunkCapacity: capacity})
 			if err != nil {
 				return nil, err
 			}
-			if err := st.BulkLoad(context.Background(), prefix); err != nil {
+			err = st.BulkLoad(context.Background(), prefix)
+			offline[cp] = st.TotalVersionSpan()
+			st.Close()
+			kv.Close()
+			if err != nil {
 				return nil, err
 			}
-			offline[cp] = st.TotalVersionSpan()
 		}
 
 		t := &Table{
@@ -94,38 +97,51 @@ func RunFig13(opts Options) ([]*Table, error) {
 			if batch < 1 {
 				batch = 1
 			}
-			st, err := opts.OpenStore(core.Config{ChunkCapacity: capacity, BatchSize: batch})
+			st, kv, err := opts.OpenStore(core.Config{ChunkCapacity: capacity, BatchSize: batch})
 			if err != nil {
 				return nil, err
 			}
-			row := []string{d(batch)}
-			next := 0
-			for v := 0; v < n; v++ {
-				vv := types.VersionID(v)
-				delta := deltaOf(c, vv)
-				parents := []types.VersionID{types.InvalidVersion}
-				if v != 0 {
-					parents = append([]types.VersionID(nil), c.Graph().Parents(vv)...)
-				}
-				if _, err := st.CommitDelta(context.Background(), parents, delta); err != nil {
-					return nil, fmt.Errorf("fig13: %s batch=%d v=%d: %w", ds.name, batch, v, err)
-				}
-				if next < len(checkpoints) && v+1 == checkpoints[next] {
-					if err := st.Flush(context.Background()); err != nil {
-						return nil, err
-					}
-					span, cp := st.TotalVersionSpan(), checkpoints[next]
-					t.Metrics[fmt.Sprintf("online_span_batch%d_at%d", batch, cp)] = float64(span)
-					t.Metrics[fmt.Sprintf("offline_span_at%d", cp)] = float64(offline[cp])
-					row = append(row, f2(float64(span)/float64(offline[cp])))
-					next++
-				}
+			row, err := onlineRow(st, c, batch, checkpoints, offline, t.Metrics)
+			st.Close()
+			kv.Close()
+			if err != nil {
+				return nil, fmt.Errorf("fig13: %s batch=%d: %w", ds.name, batch, err)
 			}
 			t.AddRow(row...)
 		}
 		tables = append(tables, t)
 	}
 	return tables, nil
+}
+
+// onlineRow replays c through st's online path and returns one table row:
+// the batch size, then at each checkpoint the online span over the offline
+// one. It records both spans in metrics.
+func onlineRow(st *core.Store, c *corpus.Corpus, batch int, checkpoints []int, offline map[int]int, metrics map[string]float64) ([]string, error) {
+	row := []string{d(batch)}
+	next := 0
+	for v := 0; v < c.NumVersions(); v++ {
+		vv := types.VersionID(v)
+		delta := deltaOf(c, vv)
+		parents := []types.VersionID{types.InvalidVersion}
+		if v != 0 {
+			parents = append([]types.VersionID(nil), c.Graph().Parents(vv)...)
+		}
+		if _, err := st.CommitDelta(context.Background(), parents, delta); err != nil {
+			return nil, fmt.Errorf("v=%d: %w", v, err)
+		}
+		if next < len(checkpoints) && v+1 == checkpoints[next] {
+			if err := st.Flush(context.Background()); err != nil {
+				return nil, err
+			}
+			span, cp := st.TotalVersionSpan(), checkpoints[next]
+			metrics[fmt.Sprintf("online_span_batch%d_at%d", batch, cp)] = float64(span)
+			metrics[fmt.Sprintf("offline_span_at%d", cp)] = float64(offline[cp])
+			row = append(row, f2(float64(span)/float64(offline[cp])))
+			next++
+		}
+	}
+	return row, nil
 }
 
 // deltaOf rebuilds a version's delta (with payloads) from the corpus.

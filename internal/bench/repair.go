@@ -51,7 +51,7 @@ func RunRepair(opts Options) ([]*Table, error) {
 		}
 		return fmt.Errorf("bench repair: timed out waiting for %s", what)
 	}
-	fast := kvstore.RepairOptions{HintInterval: time.Millisecond, HintMaxBackoff: 10 * time.Millisecond}
+	fast := kvstore.RepairOptions{HintInterval: time.Millisecond}
 
 	// Phase 1-3 on one cluster: healthy writes (repair idle), degraded
 	// writes (hints parked per missed replica write), and hint-drain

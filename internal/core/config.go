@@ -39,6 +39,10 @@
 //     (key→chunks) and its index-ANDing are not kept: nothing is fetched to
 //     be found empty.
 //
+// A Store does not configure the cluster it sits on: it only gets from and
+// puts to it (§2.4). The caller opens the cluster (kvstore.Open) with its
+// engine, nodes and replication, and hands it over in Config.KV.
+//
 // A Store is safe for concurrent use, but it must be the only writer of its
 // underlying cluster: writers coordinate through the Store's own locks, not
 // through the storage layer, which offers no cross-client atomicity (see the
@@ -65,30 +69,11 @@ import (
 
 // Config configures a Store.
 type Config struct {
-	// KV is the backing cluster. Nil creates a private single-node store
-	// whose backend Engine and DataDir select; the Store then owns that
-	// cluster and closes it on Close.
+	// KV is the backing cluster, opened by the caller (rstore.OpenCluster
+	// or kvstore.Open) with whatever engine, nodes and replication it
+	// needs; the caller closes it. Nil gives the Store a private one-node
+	// in-process memory cluster, which Close closes.
 	KV *kvstore.Store
-	// Engine selects the storage backend of the private cluster created
-	// when KV is nil: kvstore.EngineMemory (default), kvstore.EngineLSM, or
-	// kvstore.EngineRemote. Ignored when KV is set.
-	Engine string
-	// DataDir is the data directory of the private cluster. Required when
-	// Engine is kvstore.EngineLSM.
-	DataDir string
-	// NodeAddrs lists the storage daemon addresses of the private cluster
-	// (one node per address, in ring order). Required when Engine is
-	// kvstore.EngineRemote.
-	NodeAddrs []string
-	// ReplicationFactor is the number of replicas per key in the private
-	// cluster (default 1; capped at the node count). With more than one
-	// replica the cluster self-heals divergence via replication repair —
-	// see Repair. Ignored when KV is set.
-	ReplicationFactor int
-	// Repair tunes the private cluster's replication repair (read repair,
-	// hinted handoff, tombstone GC); the zero value gives defaults.
-	// Ignored when KV is set.
-	Repair kvstore.RepairOptions
 	// Partitioner is the chunking algorithm; nil means BottomUp.
 	Partitioner partition.Algorithm
 	// ChunkCapacity is the nominal chunk size C (default 1 MiB, the paper's
@@ -116,23 +101,11 @@ type Config struct {
 
 // withDefaults fills in defaults; ownsKV reports that a private cluster was
 // created for this store and should be closed with it. ctx bounds the
-// private cluster's open (remote geometry probe, hint recovery).
+// private cluster's open.
 func (c Config) withDefaults(ctx context.Context) (Config, bool, error) {
 	ownsKV := false
 	if c.KV == nil {
-		nodes := 1
-		if c.Engine == kvstore.EngineRemote {
-			nodes = len(c.NodeAddrs) // the address list is the cluster shape
-		}
-		kv, err := kvstore.Open(ctx, kvstore.Config{
-			Nodes:             nodes,
-			ReplicationFactor: c.ReplicationFactor,
-			Cost:              kvstore.DefaultCostModel(),
-			Engine:            c.Engine,
-			Dir:               c.DataDir,
-			NodeAddrs:         c.NodeAddrs,
-			Repair:            c.Repair,
-		})
+		kv, err := kvstore.Open(ctx, kvstore.Config{Cost: kvstore.DefaultCostModel()})
 		if err != nil {
 			return c, false, err
 		}

@@ -71,8 +71,8 @@ type Store struct {
 	ownsKV bool
 }
 
-// Open creates an empty store. ctx bounds the open itself (a private
-// cluster's geometry probe and hint recovery), not the Store's lifetime.
+// Open creates an empty store. ctx bounds the open itself, not the Store's
+// lifetime.
 func Open(ctx context.Context, cfg Config) (*Store, error) {
 	cfg, ownsKV, err := cfg.withDefaults(ctx)
 	if err != nil {
@@ -158,7 +158,7 @@ func (s *Store) PendingVersions() int {
 
 // Close flushes pending versions (writable stores only; a poisoned store
 // skips it and leaves them to Load), marks the store closed, and — when the
-// store created its own private cluster — closes the cluster's backends too.
+// store opened its own private cluster (Config.KV nil) — closes it too.
 // The final flush runs under the background context: Close is a durability
 // point, not a cancellable query. Closing twice is a no-op. Close does not
 // wait for cursors that are still streaming: one that has segments left to

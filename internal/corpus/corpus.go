@@ -169,19 +169,6 @@ func (c *Corpus) Members(v types.VersionID) (intset.Set, error) {
 	return cur, nil
 }
 
-// VersionBytes returns the total payload volume of version v.
-func (c *Corpus) VersionBytes(v types.VersionID) (int64, error) {
-	members, err := c.Members(v)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, id := range members {
-		total += int64(c.recs[id].Size())
-	}
-	return total, nil
-}
-
 // TotalBytes returns the total payload volume across all distinct records —
 // the "size of unique records" statistic of Table 2.
 func (c *Corpus) TotalBytes() int64 {

@@ -206,19 +206,12 @@ func TestValidateOneRecordPerKey(t *testing.T) {
 	}
 }
 
-func TestVersionBytes(t *testing.T) {
+func TestTotalBytes(t *testing.T) {
 	c := buildExample2(t)
-	b0, err := c.VersionBytes(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 records of 2-byte payloads + overhead.
-	want := int64(4 * (2 + types.RecordOverhead))
-	if b0 != want {
-		t.Fatalf("VersionBytes(0) = %d, want %d", b0, want)
-	}
-	if c.TotalBytes() <= b0 {
-		t.Fatal("TotalBytes must cover all distinct records")
+	// Nine distinct records of 2-byte payloads + overhead.
+	want := int64(9 * (2 + types.RecordOverhead))
+	if got := c.TotalBytes(); got != want {
+		t.Fatalf("TotalBytes = %d, want %d", got, want)
 	}
 }
 

@@ -133,25 +133,6 @@ func Union(a, b Set) Set {
 	return out
 }
 
-// SplitBy partitions a into (a ∩ b, a \ b) in a single pass.
-func SplitBy(a, b Set) (in, notIn Set) {
-	if len(b) == 0 {
-		return nil, a.Clone()
-	}
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			in = append(in, v)
-		} else {
-			notIn = append(notIn, v)
-		}
-	}
-	return in, notIn
-}
-
 // Equal reports element-wise equality.
 func Equal(a, b Set) bool {
 	if len(a) != len(b) {

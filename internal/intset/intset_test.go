@@ -83,10 +83,6 @@ func TestOpsAgainstModel(t *testing.T) {
 		if got, want := Union(a, b), model(a, b, "union"); !Equal(got, want) {
 			t.Fatalf("Union(%v,%v) = %v, want %v", a, b, got, want)
 		}
-		in, notIn := SplitBy(a, b)
-		if !Equal(in, model(a, b, "intersect")) || !Equal(notIn, model(a, b, "diff")) {
-			t.Fatalf("SplitBy(%v,%v) = %v / %v", a, b, in, notIn)
-		}
 	}
 }
 

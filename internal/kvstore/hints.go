@@ -18,8 +18,11 @@ import (
 // table, key, winning envelope) durably in the !hints table of a replica
 // that did take the write — through the engine seam, so lsm and remote
 // deployments keep hints across client restarts — and a drain loop replays
-// the hints (with per-target exponential backoff) once the target is
-// observed up again.
+// the hints once the target answers again. The loop keeps no schedule of
+// its own per target: it retries every tick, which costs little because a
+// down node refuses at once — a memory node answers engine.ErrUnavailable,
+// a dialed node's open breaker fails fast without a dial — and a dialed
+// node's breaker closing wakes it at once (kickDrain).
 
 // hintsTable is the kvstore-private table hints are parked in. Like
 // !cluster it is node-local bookkeeping, not data: excluded from Dump, and
@@ -32,13 +35,6 @@ const hintsTable = "!hints"
 type hintRef struct {
 	park int
 	hkey string
-}
-
-// hintQueue is the per-target drain state.
-type hintQueue struct {
-	pending []hintRef // replay order (hint keys embed a monotonic sequence)
-	backoff time.Duration
-	next    time.Time // do not re-probe the target before this
 }
 
 // hintKey renders the durable key of one hint: the target node and a
@@ -113,22 +109,12 @@ func (r *repairer) addHints(ctx context.Context, park int, specs []hintSpec) {
 	}
 	r.hmu.Lock()
 	for i, sp := range specs {
-		r.queueHintLocked(sp.target, hintRef{park: park, hkey: entries[i].Key})
+		r.hints[sp.target] = append(r.hints[sp.target], hintRef{park: park, hkey: entries[i].Key})
 	}
 	r.hmu.Unlock()
 	r.hintsQueued.Add(int64(len(specs)))
 	r.hintsPending.Add(int64(len(specs)))
 	r.ensureDrain()
-}
-
-// queueHintLocked appends ref to target's drain queue; r.hmu must be held.
-func (r *repairer) queueHintLocked(target int, ref hintRef) {
-	q := r.hints[target]
-	if q == nil {
-		q = &hintQueue{}
-		r.hints[target] = q
-	}
-	q.pending = append(q.pending, ref)
 }
 
 // recoverHints rebuilds the in-memory hint index from the !hints tables of
@@ -163,13 +149,13 @@ func (r *repairer) recoverHints(ctx context.Context) {
 	for _, refs := range perNode {
 		for _, ref := range refs {
 			target, _ := parseHintKey(ref.hkey)
-			r.queueHintLocked(target, ref)
+			r.hints[target] = append(r.hints[target], ref)
 			n++
 		}
 	}
 	for _, q := range r.hints {
 		// Backend scans are unordered; hint keys embed the write sequence.
-		sort.Slice(q.pending, func(i, j int) bool { return q.pending[i].hkey < q.pending[j].hkey })
+		sort.Slice(q, func(i, j int) bool { return q[i].hkey < q[j].hkey })
 	}
 	r.hmu.Unlock()
 	if n > 0 {
@@ -191,24 +177,18 @@ func (r *repairer) ensureDrain() {
 	})
 }
 
-// kickDrain wakes the drain loop immediately and clears per-target
-// backoff. Its one caller is a dialed node's breaker closing (Open wires
-// the listener): the node is known to have just come back, so its parked
-// writes replay now rather than after the backoff. Other nodes are found
-// up by the drain loop's own ticks.
+// kickDrain wakes the drain loop now instead of at its next tick. Its one
+// caller is a dialed node's breaker closing (Open wires the listener): the
+// node has just come back, so its parked writes replay at once.
 func (r *repairer) kickDrain() {
-	r.hmu.Lock()
-	for _, q := range r.hints {
-		q.next = time.Time{}
-		q.backoff = 0
-	}
-	r.hmu.Unlock()
 	select {
 	case r.kick <- struct{}{}:
 	default:
 	}
 }
 
+// drainLoop replays pending hints on every tick and every kick, one target
+// after another in node order.
 func (r *repairer) drainLoop() {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.opts.HintInterval)
@@ -220,11 +200,10 @@ func (r *repairer) drainLoop() {
 		case <-tick.C:
 		case <-r.kick:
 		}
-		now := walltime()
-		var due []int
 		r.hmu.Lock()
+		due := make([]int, 0, len(r.hints))
 		for target, q := range r.hints {
-			if len(q.pending) > 0 && !now.Before(q.next) {
+			if len(q) > 0 {
 				due = append(due, target)
 			}
 		}
@@ -237,10 +216,9 @@ func (r *repairer) drainLoop() {
 }
 
 // drainTarget replays parked hints to one target in order until the queue
-// empties or the target (or a parking node) proves unreachable, in which
-// case the target backs off exponentially.
+// empties or the target (or a parking node) proves unreachable; the rest
+// wait for the next tick or kick.
 func (r *repairer) drainTarget(target int) {
-	ctx := r.ctx
 	for {
 		select {
 		case <-r.stop:
@@ -249,27 +227,18 @@ func (r *repairer) drainTarget(target int) {
 		}
 		r.hmu.Lock()
 		q := r.hints[target]
-		if q == nil || len(q.pending) == 0 {
-			if q != nil {
-				q.backoff = 0
-			}
+		if len(q) == 0 {
 			r.hmu.Unlock()
 			return
 		}
-		ref := q.pending[0]
+		ref := q[0]
 		r.hmu.Unlock()
 
-		if !r.replayHint(ctx, target, ref) {
-			r.hmu.Lock()
-			q.backoff = max(2*q.backoff, r.opts.HintInterval)
-			q.backoff = min(q.backoff, r.opts.HintMaxBackoff)
-			q.next = walltime().Add(q.backoff)
-			r.hmu.Unlock()
+		if !r.replayHint(r.ctx, target, ref) {
 			return
 		}
 		r.hmu.Lock()
-		q.pending = q.pending[1:]
-		q.backoff = 0
+		r.hints[target] = r.hints[target][1:]
 		r.hmu.Unlock()
 		r.hintsPending.Add(-1)
 		r.hintsReplayed.Add(1)

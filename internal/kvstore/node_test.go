@@ -73,10 +73,6 @@ func TestAbsentSeamRule(t *testing.T) {
 					t.Errorf("%s: %v classifies as unavailable; the node was reached", c.op, err)
 				}
 			}
-
-			if err := s.Reset(ctx); !errors.Is(err, engine.ErrNoReset) {
-				t.Errorf("Store.Reset = %v, want ErrNoReset", err)
-			}
 		})
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
@@ -171,12 +174,11 @@ func TestRemoteClusterRoutesAroundDeadNode(t *testing.T) {
 		t.Fatalf("batchput with node down: %v", err)
 	}
 
-	// Stats skip the unreachable node instead of blocking or lying.
-	if st := s.Stats(context.Background()); st.BytesStored <= 0 {
-		t.Fatalf("BytesStored with node down = %d", st.BytesStored)
-	}
-	if nb := s.NodeBytes(context.Background()); nb[1] != 0 {
-		t.Fatalf("dead node reports %d bytes", nb[1])
+	// Stats skip the unreachable node instead of blocking or lying: what
+	// they report is what the two live daemons hold.
+	live := nodes[0].be.BytesStored() + nodes[2].be.BytesStored()
+	if st := s.Stats(context.Background()); st.BytesStored != live {
+		t.Fatalf("BytesStored with node down = %d, want the live daemons' %d", st.BytesStored, live)
 	}
 
 	// Restart: the node comes back (stale for writes made while down —
@@ -363,11 +365,8 @@ func TestStatsSkipDownNodes(t *testing.T) {
 	}
 	backends[1].SetDown(true)
 	down := s.Stats(context.Background()).BytesStored
-	if down <= 0 || down >= all {
-		t.Fatalf("BytesStored with node 1 down = %d (all up: %d)", down, all)
-	}
-	if nb := s.NodeBytes(context.Background()); nb[1] != 0 {
-		t.Fatalf("down node reports %d bytes", nb[1])
+	if down <= 0 || down >= all || down != backends[0].BytesStored() {
+		t.Fatalf("BytesStored with node 1 down = %d (all up: %d, node 0: %d)", down, all, backends[0].BytesStored())
 	}
 }
 
@@ -533,5 +532,68 @@ func TestRemoteClusterRefusesReplicationFactorChange(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "re-initialize") {
 			t.Fatalf("open at rf %d over legacy pins: %v, want a re-initialize refusal", rf, err)
 		}
+	}
+}
+
+// TestHintReplayDialsWithinBreakerBudget: the hint drain retries a down
+// dialed node every tick, and it is the breaker that keeps those retries
+// off the network. Node 2 accepts each connection and closes it at once,
+// so every exchange fails and the breaker stays open; over 30 ticks with
+// hints pending, the node sees no dial beyond the breaker's own probes and
+// one more trip's worth of attempts.
+func TestHintReplayDialsWithinBreakerBudget(t *testing.T) {
+	addrs, _ := startNodes(t, 2)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var accepts atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			c.Close()
+		}
+	}()
+	addrs = append(addrs, ln.Addr().String())
+
+	const interval = 10 * time.Millisecond
+	opts := remoteOpts()
+	opts.BreakerThreshold = 3
+	s, err := Open(context.Background(), Config{
+		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2, Remote: opts,
+		Repair: RepairOptions{HintInterval: interval},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	for i := 0; i < 40; i++ {
+		if err := s.Put(ctx, "t", fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	down := s.nodes[2].rc
+	if !down.BreakerOpen() {
+		t.Fatal("precondition: node 2's breaker should be open")
+	}
+	if s.Stats(ctx).HintsPending == 0 {
+		t.Fatal("precondition: no hints parked for node 2")
+	}
+
+	dials, probes := accepts.Load(), down.BreakerStats().Probes
+	time.Sleep(30 * interval)
+	if s.Stats(ctx).HintsPending == 0 {
+		t.Fatal("hints drained to a node that refuses every exchange")
+	}
+	dials, probes = accepts.Load()-dials, down.BreakerStats().Probes-probes
+	t.Logf("node 2: %d dials, %d probes over 30 ticks", dials, probes)
+	if budget := probes + int64(opts.BreakerThreshold*opts.Attempts); dials > budget {
+		t.Fatalf("node 2 dialed %d times over 30 ticks; the breaker allows %d (%d probes)", dials, budget, probes)
 	}
 }

@@ -58,19 +58,20 @@ import (
 // RepairOptions tunes the replication-repair subsystem. The zero value
 // enables read repair and hinted handoff with default sizing whenever
 // ReplicationFactor > 1; at ReplicationFactor 1 there is nothing to
-// repair and the subsystem is not started.
+// repair and the subsystem is not started. No option schedules retries
+// against a down node: hint replay follows the node's own liveness (a
+// down memory node refuses at once, a dialed node's breaker fails fast
+// and announces its recovery).
 type RepairOptions struct {
 	// DisableReadRepair turns off winner write-back on reads and scans.
 	DisableReadRepair bool
 	// DisableHints turns off hint parking and draining for writes that
 	// skip a down replica.
 	DisableHints bool
-	// HintInterval is the base cadence of the hint drain loop and the
-	// initial per-target retry backoff (default 1s).
+	// HintInterval is the cadence of the hint drain loop (default 1s):
+	// each tick replays every target's pending hints in order until the
+	// first failure. A dialed node's breaker closing also wakes the loop.
 	HintInterval time.Duration
-	// HintMaxBackoff caps the per-target exponential backoff between
-	// replay attempts against a still-down node (default 30s).
-	HintMaxBackoff time.Duration
 	// TombstoneTTL, when positive, garbage-collects any tombstone older
 	// than the TTL once a read observes every replica of the key agreeing
 	// on it. Zero keeps acknowledgment-based GC only. It exists to collect
@@ -97,9 +98,6 @@ const (
 func (o RepairOptions) withDefaults() RepairOptions {
 	if o.HintInterval <= 0 {
 		o.HintInterval = time.Second
-	}
-	if o.HintMaxBackoff <= 0 {
-		o.HintMaxBackoff = 30 * time.Second
 	}
 	return o
 }
@@ -140,8 +138,8 @@ type repairer struct {
 
 	// Hinted handoff. The drain loop starts lazily on the first parked or
 	// recovered hint.
-	hmu        sync.Mutex // guards hints
-	hints      map[int]*hintQueue
+	hmu        sync.Mutex        // guards hints
+	hints      map[int][]hintRef // per target, in replay order (hint keys embed a monotonic sequence)
 	startDrain sync.Once
 	kick       chan struct{}
 
@@ -179,7 +177,7 @@ func newRepairer(s *Store, opts RepairOptions) *repairer {
 		tasks:    make(chan repairTask, repairQueueLen),
 		inflight: make(map[string]bool),
 		gcKick:   make(chan struct{}, 1),
-		hints:    make(map[int]*hintQueue),
+		hints:    make(map[int][]hintRef),
 		kick:     make(chan struct{}, 1),
 		tombs:    make(map[string]*tombWait),
 		stop:     make(chan struct{}),
@@ -421,26 +419,6 @@ func (r *repairer) gcReplica(ctx context.Context, n *node, t repairTask) bool {
 		return false
 	}
 	return n.be.Delete(ctx, t.table, t.key) == nil
-}
-
-// resetState drops all in-memory repair bookkeeping after a cluster wipe
-// (Store.Reset): parked-hint indexes, read-repair dedup state, and
-// tombstone waits all describe data that no longer exists, and replaying
-// a stale hint would resurrect it.
-func (r *repairer) resetState() {
-	r.hmu.Lock()
-	for _, q := range r.hints {
-		r.hintsPending.Add(-int64(len(q.pending)))
-	}
-	r.hints = make(map[int]*hintQueue)
-	r.hmu.Unlock()
-	r.mu.Lock()
-	r.inflight = make(map[string]bool)
-	r.gcs = nil
-	r.mu.Unlock()
-	r.tmu.Lock()
-	r.tombs = make(map[string]*tombWait)
-	r.tmu.Unlock()
 }
 
 // ---- Tombstone GC ----

@@ -23,9 +23,9 @@ func openRepair(t testing.TB, nodes, rf int, opts RepairOptions) (*Store, []*mem
 	return openMem(t, Config{Nodes: nodes, ReplicationFactor: rf, Repair: opts})
 }
 
-// fastRepair is the test tuning: tight drain cadence, no long backoff.
+// fastRepair is the test tuning: a tight drain cadence.
 func fastRepair() RepairOptions {
-	return RepairOptions{HintInterval: 2 * time.Millisecond, HintMaxBackoff: 10 * time.Millisecond}
+	return RepairOptions{HintInterval: 2 * time.Millisecond}
 }
 
 func waitFor(t testing.TB, what string, cond func() bool) {
@@ -208,6 +208,38 @@ func TestHintedHandoffDrainsWithoutReads(t *testing.T) {
 		}
 		return n == 0
 	})
+}
+
+// TestHintReplayAfterLongOutage: the drain keeps no backoff of its own, so
+// a target that was down for many ticks gets its hints within a few ticks
+// of coming back — not at the end of a retry schedule that grew while it
+// was down.
+func TestHintReplayAfterLongOutage(t *testing.T) {
+	s, backends := openRepair(t, 3, 2, RepairOptions{HintInterval: 10 * time.Millisecond})
+	ctx := context.Background()
+
+	key := "outage-key"
+	target := s.ring.replicas(key, 2)[1]
+	backends[target].SetDown(true)
+	if err := s.Put(ctx, "t", key, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats(ctx).HintsPending; got != 1 {
+		t.Fatalf("pending hints = %d, want 1", got)
+	}
+	time.Sleep(3 * time.Second)
+	backends[target].SetDown(false)
+
+	back := time.Now()
+	for s.Stats(ctx).HintsPending != 0 {
+		if time.Since(back) > 2*time.Second {
+			t.Fatal("hint still pending 2 s after the target came back")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if waited := time.Since(back); waited > 200*time.Millisecond {
+		t.Fatalf("hint replayed %v after the target came back, want within 200ms", waited)
+	}
 }
 
 // TestHintBatchPutAndRecovery: hints parked by BatchPut survive a client

@@ -2,8 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"time"
 
 	"rstore/internal/engine"
@@ -114,54 +112,4 @@ func (s *Store) Stats(ctx context.Context) Stats {
 		st.LiveRatio = float64(st.LiveBytes) / float64(st.DiskBytes)
 	}
 	return st
-}
-
-// Reset wipes every node's backend empty (engine.Resetter) so benchmarks
-// and end-to-end tests can reuse a running cluster — and, on a remote
-// cluster, its daemons — between phases instead of reopening everything.
-// The caller must quiesce concurrent writers first: a write racing the
-// wipe may land on either side of it. Nodes whose backend does not
-// implement Resetter surface engine.ErrNoReset, and any per-node failure
-// (including unavailability) is an error — a half-wiped cluster would
-// resurrect old data through replication repair — with failures
-// aggregated per node. In-memory repair bookkeeping (parked-hint indexes,
-// tombstone waits) is dropped alongside the data it describes, and remote
-// geometry pins, wiped with everything else, are re-pinned before
-// returning.
-func (s *Store) Reset(ctx context.Context) error {
-	var errs []error
-	for _, n := range s.nodes {
-		if err := engine.Reset(ctx, n.be); err != nil {
-			errs = append(errs, fmt.Errorf("kvstore: reset node %d: %w", n.id, err))
-		}
-	}
-	if s.repair != nil {
-		s.repair.resetState()
-	}
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	return s.pinRemoteGeometry(ctx)
-}
-
-// ResetClock zeroes the virtual clock and counters (between experiment
-// phases).
-func (s *Store) ResetClock() {
-	s.simClock.Store(0)
-	s.reqCount.Store(0)
-	s.bytesRead.Store(0)
-	s.bytesPut.Store(0)
-	s.writeCalls.Store(0)
-}
-
-// NodeBytes returns resident bytes per node, for balance checks; ctx
-// bounds the probes. Down or unreachable nodes report zero.
-func (s *Store) NodeBytes(ctx context.Context) []int64 {
-	out := make([]int64, len(s.nodes))
-	for i, n := range s.nodes {
-		if b, err := n.stored(ctx); err == nil {
-			out[i] = b
-		}
-	}
-	return out
 }

@@ -80,15 +80,6 @@ type Delta struct {
 	Dels []CompositeKey
 }
 
-// AddKeys returns the composite keys of the added records.
-func (d *Delta) AddKeys() []CompositeKey {
-	cks := make([]CompositeKey, len(d.Adds))
-	for i, r := range d.Adds {
-		cks[i] = r.CK
-	}
-	return cks
-}
-
 // IsConsistent reports whether the delta satisfies the consistency condition
 // of §3.2: the positive and negative sets are disjoint.
 func (d *Delta) IsConsistent() bool {

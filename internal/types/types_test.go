@@ -72,10 +72,6 @@ func TestDeltaAccessors(t *testing.T) {
 		},
 		Dels: []CompositeKey{{"a", 0}},
 	}
-	keys := d.AddKeys()
-	if len(keys) != 2 || keys[0] != (CompositeKey{"a", 1}) || keys[1] != (CompositeKey{"b", 1}) {
-		t.Errorf("AddKeys = %v", keys)
-	}
 	wantBytes := (2 + RecordOverhead) + (1 + RecordOverhead)
 	if got := d.Bytes(); got != wantBytes {
 		t.Errorf("Bytes = %d, want %d", got, wantBytes)

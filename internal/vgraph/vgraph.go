@@ -21,10 +21,9 @@ import (
 // version has id i, the root is always 0. The zero value is an empty graph;
 // add the root with AddRoot.
 type Graph struct {
-	parents   [][]types.VersionID // parents[v][0] is the primary (tree) parent
-	children  [][]types.VersionID // primary-edge children (tree children)
-	mergeKids [][]types.VersionID // children reachable via secondary edges
-	depth     []int32             // root has depth 1
+	parents  [][]types.VersionID // parents[v][0] is the primary (tree) parent
+	children [][]types.VersionID // primary-edge children (tree children)
+	depth    []int32             // root has depth 1
 }
 
 // New returns an empty graph.
@@ -41,7 +40,6 @@ func (g *Graph) AddRoot() (types.VersionID, error) {
 	}
 	g.parents = append(g.parents, nil)
 	g.children = append(g.children, nil)
-	g.mergeKids = append(g.mergeKids, nil)
 	g.depth = append(g.depth, 1)
 	return 0, nil
 }
@@ -68,12 +66,8 @@ func (g *Graph) AddVersion(parents ...types.VersionID) (types.VersionID, error) 
 	copy(ps, parents)
 	g.parents = append(g.parents, ps)
 	g.children = append(g.children, nil)
-	g.mergeKids = append(g.mergeKids, nil)
 	g.depth = append(g.depth, g.depth[parents[0]]+1)
 	g.children[parents[0]] = append(g.children[parents[0]], id)
-	for _, p := range parents[1:] {
-		g.mergeKids[p] = append(g.mergeKids[p], id)
-	}
 	return id, nil
 }
 
@@ -96,15 +90,6 @@ func (g *Graph) Parents(v types.VersionID) []types.VersionID { return g.parents[
 // Children returns the tree children of v (primary-edge derivations only).
 // The slice is shared; callers must not mutate it.
 func (g *Graph) Children(v types.VersionID) []types.VersionID { return g.children[v] }
-
-// MergeChildren returns versions that merged v through a secondary edge.
-func (g *Graph) MergeChildren(v types.VersionID) []types.VersionID { return g.mergeKids[v] }
-
-// IsMerge reports whether v has more than one parent.
-func (g *Graph) IsMerge(v types.VersionID) bool { return len(g.parents[v]) > 1 }
-
-// IsLeaf reports whether v has no tree children.
-func (g *Graph) IsLeaf(v types.VersionID) bool { return len(g.children[v]) == 0 }
 
 // Depth returns the tree depth of v; the root has depth 1 (matching the
 // paper's dataset statistics, where a 300-version chain has depth 300).
@@ -133,27 +118,6 @@ func (g *Graph) AvgLeafDepth() float64 {
 		total += g.Depth(l)
 	}
 	return float64(total) / float64(len(leaves))
-}
-
-// MaxDepth returns the maximum tree depth.
-func (g *Graph) MaxDepth() int {
-	best := 0
-	for v := range g.parents {
-		if int(g.depth[v]) > best {
-			best = int(g.depth[v])
-		}
-	}
-	return best
-}
-
-// IsChain reports whether the tree is a linear chain.
-func (g *Graph) IsChain() bool {
-	for v := range g.parents {
-		if len(g.children[v]) > 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // PathFromRoot returns the tree path root…v inclusive.
@@ -233,20 +197,6 @@ func (g *Graph) BFSOrder() []types.VersionID {
 		queue = append(queue, g.children[v]...)
 	}
 	return out
-}
-
-// SubtreeSize returns the number of versions in the tree subtree rooted at v
-// (including v).
-func (g *Graph) SubtreeSize(v types.VersionID) int {
-	size := 0
-	stack := []types.VersionID{v}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		size++
-		stack = append(stack, g.children[u]...)
-	}
-	return size
 }
 
 // Validate checks structural invariants: dense ids, acyclic parent links,

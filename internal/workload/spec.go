@@ -140,18 +140,6 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("workload: no dataset %q in catalog", name)
 }
 
-// ScalingSpecs returns the Fig 12 weak-scaling datasets G and H at a node
-// count: versions double with the cluster, mirroring "approximately double
-// the amount of data by doubling the number of versions".
-func ScalingSpecs(nodes int) []Spec {
-	base := nodes // 1,2,4,8,12,16 scale multipliers applied by caller
-	_ = base
-	return []Spec{
-		{Name: "G", Versions: 10000, AvgDepth: 170, RecordsPerVersion: 50000, UpdatePct: 0.10, Update: RandomUpdate},
-		{Name: "H", Versions: 2000, AvgDepth: 100, RecordsPerVersion: 100000, UpdatePct: 0.10, Update: RandomUpdate, RecordSize: 2800},
-	}
-}
-
 // KeyFor renders the i-th auto-incremented primary key. Keys are
 // fixed-width so lexicographic order matches numeric order, which makes
 // range queries well-defined.

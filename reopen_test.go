@@ -8,17 +8,27 @@ import (
 	"testing"
 
 	"rstore"
+	"rstore/internal/kvstore"
 )
 
+// openLSM opens a one-node lsm cluster in dir; the caller closes it.
+func openLSM(t *testing.T, dir string) *kvstore.Store {
+	t.Helper()
+	kv, err := rstore.OpenCluster(context.Background(), rstore.ClusterConfig{Engine: rstore.EngineLSM, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kv
+}
+
 // TestStoreReopen is the durability acceptance test at the library level: a
-// store committed on the lsm backend, closed, and reopened from the same
-// data directory must return identical results for every version, record,
-// and history query.
+// store committed on an lsm cluster, closed with its cluster, and reopened
+// from the same data directory must return identical results for every
+// version, record, and history query.
 func TestStoreReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := rstore.Config{Engine: rstore.EngineLSM, DataDir: dir, BatchSize: 2}
-
-	st, err := rstore.Open(context.Background(), cfg)
+	kv := openLSM(t, dir)
+	st, err := rstore.Open(context.Background(), rstore.Config{KV: kv, BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +92,19 @@ func TestStoreReopen(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The store is closed: its private cluster's files are released.
 	if _, err := st.Commit(context.Background(), v2, rstore.Change{}); !errors.Is(err, rstore.ErrClosed) {
 		t.Fatalf("commit on closed store: %v", err)
 	}
+	// Closing the cluster releases its files for the next open.
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	re, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineLSM, DataDir: dir})
+	kv = openLSM(t, dir)
+	re, err := rstore.Load(context.Background(), rstore.Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	after := snapshot(re)
 	for v, want := range before {
 		got := after[v]
@@ -132,7 +145,12 @@ func TestStoreReopen(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineLSM, DataDir: dir})
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv = openLSM(t, dir)
+	defer kv.Close()
+	re2, err := rstore.Load(context.Background(), rstore.Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +164,9 @@ func TestStoreReopen(t *testing.T) {
 // TestLoadMissingStore: loading an empty data directory fails with
 // ErrNotFound rather than fabricating an empty store.
 func TestLoadMissingStore(t *testing.T) {
-	_, err := rstore.Load(context.Background(), rstore.Config{Engine: rstore.EngineLSM, DataDir: t.TempDir()})
+	kv := openLSM(t, t.TempDir())
+	defer kv.Close()
+	_, err := rstore.Load(context.Background(), rstore.Config{KV: kv})
 	if !errors.Is(err, rstore.ErrNotFound) {
 		t.Fatalf("load of empty dir: %v", err)
 	}

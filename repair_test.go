@@ -65,6 +65,17 @@ func startRepairCluster(t *testing.T, n int) *repairCluster {
 	return c
 }
 
+// bytesStored reads each live replica's resident bytes off its backend.
+func (c *repairCluster) bytesStored() []int64 {
+	out := make([]int64, len(c.backends))
+	for i, be := range c.backends {
+		if be != nil {
+			out[i] = be.BytesStored()
+		}
+	}
+	return out
+}
+
 // kill is a real process death: socket refused, backend files released.
 func (c *repairCluster) kill(i int) {
 	c.t.Helper()
@@ -133,7 +144,7 @@ func TestRepairEndToEnd(t *testing.T) {
 	key := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
 
 	kv, err := rstore.OpenCluster(context.Background(), c.config(rstore.RepairOptions{
-		HintInterval: 10 * time.Millisecond, HintMaxBackoff: 100 * time.Millisecond,
+		HintInterval: 10 * time.Millisecond,
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +209,7 @@ func TestRepairEndToEnd(t *testing.T) {
 	}
 	// With every key converged and the bookkeeping tables symmetric, the
 	// replicas hold identical resident volumes.
-	nb := kv.NodeBytes(ctx)
+	nb := c.bytesStored()
 	if nb[0] != nb[1] || nb[1] != nb[2] {
 		t.Fatalf("replica volumes diverge after repair: %v", nb)
 	}
@@ -264,7 +275,7 @@ func TestRepairHintsSurviveClientRestart(t *testing.T) {
 	c.restart(0)
 
 	kv2, err := rstore.OpenCluster(context.Background(), c.config(rstore.RepairOptions{
-		HintInterval: 10 * time.Millisecond, HintMaxBackoff: 100 * time.Millisecond,
+		HintInterval: 10 * time.Millisecond,
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -106,9 +106,6 @@ var (
 	ErrClosed            = types.ErrClosed
 	ErrReadOnly          = types.ErrReadOnly
 	ErrPoisoned          = types.ErrPoisoned
-	// ErrNoReset reports that a cluster node's backend does not implement
-	// the optional wipe extension (see kvstore.Store.Reset).
-	ErrNoReset = engine.ErrNoReset
 	// ErrNoHashRange reports that a cluster node's backend does not
 	// implement the optional hash-tree extension the anti-entropy loop
 	// requires (see RepairOptions.AntiEntropyInterval).
@@ -116,10 +113,10 @@ var (
 )
 
 // Open creates a store. With a zero Config it runs on a private single-node
-// in-process cluster with the calibrated cost model, Bottom-Up partitioning,
-// 1 MiB chunks, and no record-level compression. ctx bounds the open itself
-// (a private cluster's geometry probe and hint recovery), not the Store's
-// lifetime.
+// in-process memory cluster with the calibrated cost model, Bottom-Up
+// partitioning, 1 MiB chunks, and no record-level compression; a durable
+// or remote store runs on a cluster opened with OpenCluster and passed as
+// Config.KV. ctx bounds the open itself, not the Store's lifetime.
 func Open(ctx context.Context, cfg Config) (*Store, error) { return core.Open(ctx, cfg) }
 
 // Load reopens a store persisted in cfg.KV; ctx bounds the recovery scans.
@@ -142,16 +139,15 @@ func KeyRangeFrom(lo Key) Range { return core.KeyRangeFrom(lo) }
 type ClusterConfig = kvstore.Config
 
 // RepairOptions tunes replication repair — read repair, hinted handoff,
-// and tombstone GC — for ClusterConfig.Repair (and Config.Repair on a
-// private cluster). The zero value enables repair with defaults whenever
-// ClusterConfig.ReplicationFactor > 1.
+// and tombstone GC — for ClusterConfig.Repair. The zero value enables
+// repair with defaults whenever ClusterConfig.ReplicationFactor > 1.
 type RepairOptions = kvstore.RepairOptions
 
 // ClusterStats is a snapshot of cluster counters, including replication
 // repair traffic (see kvstore.Store.Stats).
 type ClusterStats = kvstore.Stats
 
-// Backend engine names for ClusterConfig.Engine / Config.Engine.
+// Backend engine names for ClusterConfig.Engine.
 const (
 	// EngineMemory is the default in-process map backend; nothing persists.
 	EngineMemory = kvstore.EngineMemory

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"os"
 	"testing"
 
 	"rstore"
@@ -80,6 +82,60 @@ func Example() {
 	old, _, _ := st.GetRecord(context.Background(), "patient-1", v0)
 	fmt.Printf("now: %s, then: %s\n", rec.Value, old.Value)
 	// Output: now: {"age":53}, then: {"age":52}
+}
+
+// ExampleOpenCluster keeps a store on a durable lsm cluster: commit, close
+// the store and then the cluster, reopen the cluster and Load the store
+// back from its data directory.
+func ExampleOpenCluster() {
+	ctx := context.Background()
+	dir, err := os.MkdirTemp("", "rstore-example")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+
+	// Each cluster node keeps its files in dir/node-N.
+	cluster := rstore.ClusterConfig{Engine: rstore.EngineLSM, Dir: dir}
+	kv, err := rstore.OpenCluster(ctx, cluster)
+	if err != nil {
+		log.Fatal(err)
+	}
+	st, err := rstore.Open(ctx, rstore.Config{KV: kv})
+	if err != nil {
+		log.Fatal(err)
+	}
+	v0, err := st.Commit(ctx, rstore.NoParent, rstore.Change{Puts: map[rstore.Key][]byte{
+		"doc": []byte(`{"rev":0}`),
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// A store does not close the cluster it was handed: close both.
+	if err := st.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	// Later: the same results, read back from the data directory.
+	kv, err = rstore.OpenCluster(ctx, cluster)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer kv.Close()
+	st, err = rstore.Load(ctx, rstore.Config{KV: kv})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer st.Close()
+	rec, _, err := st.GetRecord(ctx, "doc", v0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s\n", rec.Value)
+	// Output: {"rev":0}
 }
 
 // ExampleStore_GetHistory shows record-evolution retrieval.
