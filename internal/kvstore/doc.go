@@ -29,8 +29,10 @@
 //     whether all replicas agree — for reads, replicated Scans and the
 //     anti-entropy loop (antientropy.go) alike; repairer.settle acts on it;
 //   - one conditional write-back (repair.go, writeBack): read repair,
-//     anti-entropy repair and hint replay apply an envelope only over
-//     strictly older state, and absence acknowledges a tombstone.
+//     anti-entropy repair and hint replay copy a key from a source replica
+//     (the winner's, or a hint's parking node), applying what it holds at
+//     that moment only over strictly older state, and absence acknowledges
+//     a tombstone.
 //
 // # One logical writer per cluster
 //

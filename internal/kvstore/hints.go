@@ -15,26 +15,30 @@ import (
 
 // Hinted handoff, the part of replication repair (repair.go) that needs no
 // read: a write that had to skip a down replica parks a hint (target node,
-// table, key, winning envelope) durably in the !hints table of a replica
-// that did take the write — through the engine seam, so lsm and remote
-// deployments keep hints across client restarts — and a drain loop replays
-// the hints once the target answers again. The loop keeps no schedule of
-// its own per target: it retries every tick, which costs little because a
-// down node refuses at once — a memory node answers engine.ErrUnavailable,
-// a dialed node's open breaker fails fast without a dial — and a dialed
-// node's breaker closing wakes it at once (kickDrain).
+// table, key) durably in the !hints table of a replica that did take the
+// write — through the engine seam, so lsm and remote deployments keep hints
+// across client restarts — and a drain loop replays the hints once the
+// target answers again. Replaying a hint is a write-back (repair.go) of its
+// key from the parking replica, which holds the write or a newer state. The
+// loop keeps no schedule of its own per target: it retries every tick,
+// which costs little because a down node refuses at once — a memory node
+// answers engine.ErrUnavailable, a dialed node's open breaker fails fast
+// without a dial — and a dialed node's breaker closing wakes it at once
+// (kickDrain).
 
 // hintsTable is the kvstore-private table hints are parked in. Like
-// !cluster it is node-local bookkeeping, not data: excluded from Dump, and
-// written/read per node directly (hints are not themselves replicated).
+// !cluster it is node-local bookkeeping, not data: the ring does not place
+// it and anti-entropy skips it; it is written and read per node directly
+// (hints are not themselves replicated).
 const hintsTable = "!hints"
 
-// hintRef locates one durable hint record: parked on node park under key
-// hkey of the !hints table. The record itself holds the payload; keeping
-// only the reference in memory bounds the index to O(pending hints) keys.
+// hintRef is one durable hint record, parked on node park under key hkey
+// of the !hints table, and the key it owes. A record is a few tens of
+// bytes, so the index holds it whole and replay reads nothing back.
 type hintRef struct {
-	park int
-	hkey string
+	park       int
+	hkey       string
+	table, key string
 }
 
 // hintKey renders the durable key of one hint: the target node and a
@@ -58,37 +62,27 @@ func parseHintKey(k string) (target int, ok bool) {
 	return t, true
 }
 
-// encodeHint packs the replay payload: destination table, key, and the
-// winning envelope.
-func encodeHint(table, key string, env []byte) []byte {
-	var buf []byte
-	buf = codec.PutString(buf, table)
-	buf = codec.PutString(buf, key)
-	buf = codec.PutBytes(buf, env)
-	return buf
+// encodeHint packs the record of a hint: the table and key it owes.
+func encodeHint(table, key string) []byte {
+	return codec.PutString(codec.PutString(nil, table), key)
 }
 
-func decodeHint(raw []byte) (table, key string, env []byte, err error) {
+// decodeHint reads a hint record's table and key. Anything after them is
+// ignored: earlier builds appended the missed envelope, and such a record
+// replays like a new one.
+func decodeHint(raw []byte) (table, key string, err error) {
 	table, rest, err := codec.String(raw)
 	if err != nil {
-		return "", "", nil, err
+		return "", "", err
 	}
-	key, rest, err = codec.String(rest)
-	if err != nil {
-		return "", "", nil, err
-	}
-	env, _, err = codec.Bytes(rest)
-	if err != nil {
-		return "", "", nil, err
-	}
-	return table, key, env, nil
+	key, _, err = codec.String(rest)
+	return table, key, err
 }
 
 // hintSpec is one write missed by a down replica, to be parked durably.
 type hintSpec struct {
 	target     int
 	table, key string
-	env        []byte
 }
 
 // addHints durably parks hints on node park (a replica that accepted the
@@ -102,14 +96,14 @@ func (r *repairer) addHints(ctx context.Context, park int, specs []hintSpec) {
 	}
 	entries := make([]engine.Entry, len(specs))
 	for i, sp := range specs {
-		entries[i] = engine.Entry{Key: hintKey(sp.target, r.s.nextTS()), Value: encodeHint(sp.table, sp.key, sp.env)}
+		entries[i] = engine.Entry{Key: hintKey(sp.target, r.s.nextTS()), Value: encodeHint(sp.table, sp.key)}
 	}
 	if err := r.s.nodes[park].be.BatchPut(ctx, hintsTable, entries); err != nil {
 		return
 	}
 	r.hmu.Lock()
 	for i, sp := range specs {
-		r.hints[sp.target] = append(r.hints[sp.target], hintRef{park: park, hkey: entries[i].Key})
+		r.hints[sp.target] = append(r.hints[sp.target], hintRef{park: park, hkey: entries[i].Key, table: sp.table, key: sp.key})
 	}
 	r.hmu.Unlock()
 	r.hintsQueued.Add(int64(len(specs)))
@@ -123,7 +117,8 @@ func (r *repairer) addHints(ctx context.Context, park int, specs []hintSpec) {
 // runs inside Open, and on a remote cluster a down node costs a full
 // dial-retry cycle — serial scans would stack that latency in front of
 // every Open. Hints on nodes unreachable right now are picked up by
-// whichever client opens after they return.
+// whichever client opens after they return. A record that does not decode
+// owes nothing anyone can deliver, and is removed.
 func (r *repairer) recoverHints(ctx context.Context) {
 	if r.opts.DisableHints {
 		return
@@ -134,12 +129,21 @@ func (r *repairer) recoverHints(ctx context.Context) {
 		wg.Add(1)
 		go func(i int, nd *node) {
 			defer wg.Done()
-			_ = nd.be.Scan(ctx, hintsTable, func(k string, _ []byte) bool {
-				if target, ok := parseHintKey(k); ok && target < len(r.s.nodes) {
-					perNode[i] = append(perNode[i], hintRef{park: nd.id, hkey: k})
+			var corrupt []string
+			_ = nd.be.Scan(ctx, hintsTable, func(k string, v []byte) bool {
+				if target, ok := parseHintKey(k); !ok || target >= len(r.s.nodes) {
+					return true
+				}
+				if table, key, err := decodeHint(v); err == nil {
+					perNode[i] = append(perNode[i], hintRef{park: nd.id, hkey: k, table: table, key: key})
+				} else {
+					corrupt = append(corrupt, k)
 				}
 				return true
 			})
+			for _, k := range corrupt {
+				_ = nd.be.Delete(ctx, hintsTable, k)
+			}
 		}(i, nd)
 	}
 	wg.Wait()
@@ -245,28 +249,15 @@ func (r *repairer) drainTarget(target int) {
 	}
 }
 
-// replayHint delivers one parked hint — a repair task with one target, read
-// back from its parking node — then removes the parked record. False means
+// replayHint delivers one parked hint — a write-back of its key from the
+// parking node to the target — then removes the parked record. False means
 // "try this target again later" (park or target unreachable); true consumes
-// the hint — including hints that turn out to be stale, corrupt, or already
-// replayed by another client.
+// the hint — including one whose key the park no longer holds, and one
+// another client already replayed, which delivers nothing new.
 func (r *repairer) replayHint(ctx context.Context, target int, ref hintRef) bool {
-	park := r.s.nodes[ref.park]
-	raw, ok, err := park.be.Get(ctx, hintsTable, ref.hkey)
-	if err != nil {
+	if !r.writeBack(ctx, ref.park, []int{target}, ref.table, ref.key) {
 		return false
 	}
-	if !ok {
-		return true // another client replayed and removed it
-	}
-	if table, key, env, err := decodeHint(raw); err == nil {
-		if _, ts, tomb, err := unenvelope(env); err == nil {
-			if !r.writeBack(ctx, target, repairTask{table: table, key: key, env: env, ts: ts, tomb: tomb}) {
-				return false
-			}
-		}
-	}
-	// Delivered, or undecodable and so undeliverable: the record is spent.
-	_ = park.be.Delete(ctx, hintsTable, ref.hkey)
+	_ = r.s.nodes[ref.park].be.Delete(ctx, hintsTable, ref.hkey)
 	return true
 }

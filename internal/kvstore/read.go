@@ -83,7 +83,7 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 			res.Values[i] = rd.payload[v.win]
 		}
 		if s.repair != nil && v.win >= 0 {
-			s.repair.settle(table, keys[i], rd.obs, v, rd.payload[v.win], !s.repair.opts.DisableReadRepair)
+			s.repair.settle(table, keys[i], rd.obs, v, !s.repair.opts.DisableReadRepair)
 		}
 
 		// The simulated batch cost (per-node serial service, client-side
@@ -192,13 +192,12 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 // order, skipping tombstones; values are copied before fn sees them.
 // Backend failures surface as the returned error.
 //
-// Scan feeds recovery (core's Load), snapshots, and index rebuilds, so it
-// must not silently present a partial table: if enough nodes are
-// unreachable that some key's entire replica set may have been
-// unobservable (at ReplicationFactor 1, any down node), Scan errors
-// instead of returning a truncated view — a Load over a truncated view
-// would re-issue version ids and overwrite acknowledged commits. With
-// fewer failures the sweep is complete and proceeds.
+// Scan feeds recovery (core's Load), so it must not silently present a
+// partial table: if enough nodes are unreachable that some key's entire
+// replica set may have been unobservable (at ReplicationFactor 1, any down
+// node), Scan errors instead of returning a truncated view — a Load over a
+// truncated view would re-issue version ids and overwrite acknowledged
+// commits. With fewer failures the sweep is complete and proceeds.
 //
 // Without replication each node streams its own keys. With replication the
 // primary-owned restriction would be wrong twice over — a key's primary may
@@ -216,10 +215,10 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 	// it beats is overwritten in place; tombstones buffer nothing). Holding
 	// the winners in memory is deliberate: the alternative — resolve
 	// timestamps first, then re-read each winner — costs one network round
-	// trip per key, and Scan's consumers (Load, Dump, index rebuilds) are
-	// whole-table operations that buffer comparable state themselves. A
-	// streaming merge-scan would need ordered per-node iteration, which
-	// engine.Backend does not promise.
+	// trip per key, and Scan's consumer (core's Load) is a whole-table
+	// operation that buffers comparable state itself. A streaming
+	// merge-scan would need ordered per-node iteration, which engine.Backend
+	// does not promise.
 	//
 	// The recorded observations make the sweep a whole-table divergence
 	// detector: each key is judged once the sweep is over, and stale or
@@ -283,7 +282,7 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 			return fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
 		}
 		if v.win >= 0 && s.repair != nil {
-			s.repair.settle(table, k, sk.obs, v, sk.value, !s.repair.opts.DisableReadRepair)
+			s.repair.settle(table, k, sk.obs, v, !s.repair.opts.DisableReadRepair)
 		}
 		if v.win < 0 || sk.obs[v.win].tomb {
 			delete(seen, k)

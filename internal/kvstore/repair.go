@@ -20,14 +20,14 @@ import (
 //     or an anti-entropy sweep judges a key (verdict.go) and finds a live
 //     replica holding an older version than the LWW winner — or missing the
 //     key, or carrying a value a tombstone deleted, or bytes that are no
-//     envelope at all — settle queues the winning envelope for write-back
-//     to the losing replicas, asynchronously, through a small worker pool
-//     with per-key deduplication and a bounded queue (an unmergeable
-//     backlog is dropped and counted, never allowed to stall reads).
+//     envelope at all — settle queues a write-back of the key from the
+//     winner's replica to the losing replicas, asynchronously, through a
+//     small worker pool with per-key deduplication.
 //
-//   - Hinted handoff (hints.go): a write that had to skip a down replica is
-//     parked durably beside one that took it and replayed when the node
-//     returns, so a restarted node converges without waiting to be read.
+//   - Hinted handoff (hints.go): a write that had to skip a down replica
+//     parks a hint naming the key beside a replica that took it, replayed
+//     when the node returns, so a restarted node converges without waiting
+//     to be read.
 //
 //   - Tombstone GC: deletes write tombstones so lagging replicas cannot
 //     resurrect data, but a tombstone whose delete every replica has
@@ -39,26 +39,28 @@ import (
 //     every replica agreeing on the tombstone — so TTL collection can never
 //     re-expose data held by a stale or unreachable replica.
 //
-// Write-backs are a bounded queue, tombstone collections are not: a
-// collection is scheduled once, when the last acknowledgment arrives, and
-// nothing reschedules one that is dropped — a large BatchDelete schedules
-// one per key at once. So collections wait in a list of their own that the
-// same workers drain, as long as it grows, and never in the queue.
+// A repair names a key, never its bytes: a write-back (a hint replay too)
+// copies whatever its source replica holds when it runs — so one queued
+// before a delete whose tombstone is since collected finds nothing to copy,
+// and cannot resurrect the value — and a collection carries only its
+// tombstone's timestamp. A task is a few tens of bytes, so write-backs and
+// collections share one work list that drops nothing, its length bounded
+// by the number of divergent keys. Collections need that: each is scheduled
+// once, when the last acknowledgment arrives, one per key of a BatchDelete.
 //
-// All repair writes carry the winning envelope with its ORIGINAL
-// timestamp: replaying one is idempotent, cannot reorder against newer
-// writes, and is applied conditionally (writeBack re-checks the target's
-// current version first) so a replica that converged through another path
-// is never regressed. They go through Backend.Put, which durable engines do
-// not fsync: a write-back lost to a crash leaves the replica as diverged as
-// it was found, for the next observation to find again — and a hint whose
-// delivery was lost that way was for a write its parking replica holds
-// durably.
+// A write-back keeps the source's ORIGINAL timestamp: replaying one is
+// idempotent, cannot reorder against newer writes, and is applied
+// conditionally (writeBack re-checks the target's current version first) so
+// a replica that converged through another path is never regressed. It goes
+// through Backend.Put, which durable engines do not fsync: a write-back lost
+// to a crash leaves the replica as diverged as it was found, for the next
+// observation to find again — and a hint whose delivery was lost that way
+// named a key its parking replica holds durably.
 
 // RepairOptions tunes the replication-repair subsystem. The zero value
-// enables read repair and hinted handoff with default sizing whenever
-// ReplicationFactor > 1; at ReplicationFactor 1 there is nothing to
-// repair and the subsystem is not started. No option schedules retries
+// enables read repair and hinted handoff, at the default drain cadence,
+// whenever ReplicationFactor > 1; at ReplicationFactor 1 there is nothing
+// to repair and the subsystem is not started. No option schedules retries
 // against a down node: hint replay follows the node's own liveness (a
 // down memory node refuses at once, a dialed node's breaker fails fast
 // and announces its recovery).
@@ -87,13 +89,8 @@ type RepairOptions struct {
 	AntiEntropyInterval time.Duration
 }
 
-const (
-	// repairWorkers sizes the repair worker pool.
-	repairWorkers = 2
-	// repairQueueLen bounds the pending write-back queue; write-backs past
-	// the bound are dropped and counted in Stats.RepairDropped.
-	repairQueueLen = 256
-)
+// repairWorkers sizes the repair worker pool.
+const repairWorkers = 2
 
 func (o RepairOptions) withDefaults() RepairOptions {
 	if o.HintInterval <= 0 {
@@ -102,14 +99,14 @@ func (o RepairOptions) withDefaults() RepairOptions {
 	return o
 }
 
-// repairTask is one unit of asynchronous convergence work on a key: either
-// writing the winning envelope to the losing replicas, or (gc) physically
-// removing a fully-acknowledged tombstone from its replicas.
+// repairTask is one unit of asynchronous convergence work on a key, and
+// holds no value bytes: either copying the key from replica src to the
+// losing replicas, or (gc) physically removing the fully-acknowledged
+// tombstone at ts from its replicas.
 type repairTask struct {
 	table, key string
-	env        []byte // winning envelope (owned copy; nil for gc tasks)
-	ts         uint64
-	tomb       bool
+	src        int    // the winner's node (write-backs)
+	ts         uint64 // the tombstone's timestamp (gc tasks)
 	gc         bool
 	targets    []int
 }
@@ -125,16 +122,15 @@ type repairer struct {
 	s    *Store
 	opts RepairOptions
 
-	// Read-repair pool. Workers start lazily on the first task so stores
+	// The work list: write-backs and collections in arrival order, each
+	// dedupKey queued or running at most once (inflight); wake rouses a
+	// worker to take from it (next). Workers start lazily on the first task so stores
 	// that never observe divergence spawn no goroutines.
-	tasks     chan repairTask
 	startWork sync.Once
-	mu        sync.Mutex // guards inflight and gcs
+	mu        sync.Mutex // guards queue and inflight
+	queue     []repairTask
 	inflight  map[string]bool
-	// gcs are the collections scheduled and not yet taken by a worker;
-	// gcKick wakes one to take them.
-	gcs    []repairTask
-	gcKick chan struct{}
+	wake      chan struct{}
 
 	// Hinted handoff. The drain loop starts lazily on the first parked or
 	// recovered hint.
@@ -158,7 +154,6 @@ type repairer struct {
 
 	// Counters, surfaced through Stats.
 	repairWrites  atomic.Int64
-	repairDropped atomic.Int64
 	hintsQueued   atomic.Int64
 	hintsReplayed atomic.Int64
 	hintsPending  atomic.Int64
@@ -174,9 +169,8 @@ func newRepairer(s *Store, opts RepairOptions) *repairer {
 		opts:     opts,
 		ctx:      ctx,
 		cancel:   cancel,
-		tasks:    make(chan repairTask, repairQueueLen),
 		inflight: make(map[string]bool),
-		gcKick:   make(chan struct{}, 1),
+		wake:     make(chan struct{}, 1),
 		hints:    make(map[int][]hintRef),
 		kick:     make(chan struct{}, 1),
 		tombs:    make(map[string]*tombWait),
@@ -212,10 +206,9 @@ func (t repairTask) dedupKey() string {
 	return k
 }
 
-// enqueue hands a task to the worker pool: a write-back to the bounded
-// queue, a collection to the gcs list. Tasks for a key already being
-// repaired coalesce (dropped silently — the in-flight repair converges the
-// same replicas); write-backs past the queue bound are dropped and counted.
+// enqueue appends a task to the work list. A task for a key already queued
+// or being repaired coalesces with it (dropped silently — the earlier task
+// converges the same replicas); nothing else is ever dropped.
 func (r *repairer) enqueue(t repairTask) {
 	if len(t.targets) == 0 {
 		return
@@ -233,88 +226,77 @@ func (r *repairer) enqueue(t repairTask) {
 	})
 	k := t.dedupKey()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.inflight[k] {
-		r.mu.Unlock()
 		return
 	}
 	r.inflight[k] = true
-	if t.gc {
-		r.gcs = append(r.gcs, t)
-		r.mu.Unlock()
-		select {
-		case r.gcKick <- struct{}{}:
-		default: // a kick is pending: its worker takes this one too
-		}
-		return
-	}
-	r.mu.Unlock()
+	r.queue = append(r.queue, t)
 	select {
-	case r.tasks <- t:
-	default:
-		r.finish(t)
-		r.repairDropped.Add(1)
+	case r.wake <- struct{}{}:
+	default: // a wake is pending: its worker takes this task too
 	}
 }
 
+// worker runs the work list's tasks, oldest first, one at a time; while
+// more remain it wakes another worker, so the workers share a burst.
 func (r *repairer) worker() {
 	defer r.wg.Done()
 	for {
 		select {
 		case <-r.stop:
 			return
-		case t := <-r.tasks:
-			r.run(t)
-			r.finish(t)
-		case <-r.gcKick:
-			r.mu.Lock()
-			gcs := r.gcs
-			r.gcs = nil
-			r.mu.Unlock()
-			for _, t := range gcs {
-				r.run(t)
-				r.finish(t)
+		case <-r.wake:
+		}
+		for {
+			select {
+			case <-r.stop:
+				return
+			default:
 			}
+			r.mu.Lock()
+			if len(r.queue) == 0 {
+				r.mu.Unlock()
+				break
+			}
+			t := r.queue[0]
+			if r.queue = r.queue[1:]; len(r.queue) == 0 {
+				r.queue = nil // release a burst's backing array
+			} else {
+				select {
+				case r.wake <- struct{}{}:
+				default: // a wake is pending
+				}
+			}
+			r.mu.Unlock()
+			r.run(t)
+			r.mu.Lock()
+			delete(r.inflight, t.dedupKey()) // t's coalescing window ends
+			r.mu.Unlock()
 		}
 	}
 }
 
-// finish ends t's coalescing window.
-func (r *repairer) finish(t repairTask) {
-	r.mu.Lock()
-	delete(r.inflight, t.dedupKey())
-	r.mu.Unlock()
-}
-
 // settle acts on one key's verdict (v.win >= 0) — the one place an observed
-// divergence turns into work, whoever observed it. The winner, obs[v.win]
-// with value bytes payload, is queued for write-back to the losers when
+// divergence turns into work, whoever observed it. The losers are queued
+// for a write-back from the winner's replica, obs[v.win].node, when
 // writeBack is set (reads and scans clear it when read repair is disabled;
 // anti-entropy always writes). A tombstone every replica holds, or holds
 // nothing against, is thereby acknowledged by all of them and, past
 // TombstoneTTL, collected whether or not anyone was waiting for the
 // acknowledgments (Tombstone GC above says why only then). It reports
 // whether a write-back was queued.
-func (r *repairer) settle(table, key string, obs []observation, v verdict, payload []byte, writeBack bool) bool {
+func (r *repairer) settle(table, key string, obs []observation, v verdict, writeBack bool) bool {
 	w := obs[v.win]
 	queued := len(v.losers) > 0 && writeBack
 	if queued {
-		flag := byte(envValue)
-		if w.tomb {
-			flag = envTombstone
-		}
-		// envelope() builds a fresh buffer, so the queued task owns its
-		// bytes (payload may alias a result or scan buffer).
-		r.enqueue(repairTask{
-			table: table, key: key,
-			env: envelope(flag, w.ts, payload), ts: w.ts, tomb: w.tomb,
-			targets: v.losers,
-		})
+		r.enqueue(repairTask{table: table, key: key, src: w.node, targets: v.losers})
 	}
 	if w.tomb && v.complete {
 		replicas := make([]int, len(obs))
 		for i, o := range obs {
 			replicas[i] = o.node
-			r.tombAck(table, key, w.ts, o.node)
+			r.tombAck(table, key, w.ts, true, o.node)
 		}
 		if ttl := r.opts.TombstoneTTL; ttl > 0 && time.Since(time.Unix(0, int64(w.ts))) >= ttl {
 			r.scheduleGC(table, key, w.ts, replicas)
@@ -327,22 +309,17 @@ func (r *repairer) settle(table, key string, obs []observation, v verdict, paylo
 // deletion for gc tasks. Everything is best effort — a replica that cannot
 // be repaired now will be caught by the next observation or hint replay.
 func (r *repairer) run(t repairTask) {
+	if !t.gc {
+		r.writeBack(r.ctx, t.src, t.targets, t.table, t.key)
+		return
+	}
 	gcOK := false
 	for _, nid := range t.targets {
-		select {
-		case <-r.stop:
-			return
-		default:
+		if r.gcReplica(r.ctx, r.s.nodes[nid], t) {
+			gcOK = true
 		}
-		if t.gc {
-			if r.gcReplica(r.ctx, r.s.nodes[nid], t) {
-				gcOK = true
-			}
-			continue
-		}
-		r.writeBack(r.ctx, nid, t)
 	}
-	if t.gc && gcOK {
+	if gcOK {
 		r.tombstonesGC.Add(1)
 		// A TTL-scheduled collection may still have a (now moot) ack wait
 		// registered; drop it so the tracker cannot grow unboundedly.
@@ -356,41 +333,58 @@ func (r *repairer) run(t repairTask) {
 }
 
 // writeBack is the conditional write-back, the only one: read repair,
-// anti-entropy repair and hint replay all deliver through it. It re-reads
-// what target holds and applies t's envelope only over strictly older state
-// (or as the tombstone side of a timestamp tie) — the replica may have
+// anti-entropy repair and hint replay all deliver through it. It reads what
+// replica src holds under the key now, once, and copies it to each target;
+// nothing there (the key was deleted and collected since, or lost with src)
+// or bytes that are no envelope deliver nothing. For each target it re-reads
+// what the target holds and applies src's envelope only over strictly older
+// state (or as the tombstone side of a timestamp tie) — the replica may have
 // converged through another path since, and an older envelope must never
 // regress it. Two cases have no timestamp to compare: bytes that are no
 // envelope are overwritten (skipping would leave the corruption in place
 // forever, and any well-formed envelope is an improvement); and over nothing
 // a value is written but a tombstone is not (nothing there can resurrect,
-// and re-creating the tombstone would undo its GC). Once target holds t's
-// state or newer — or nothing, for a tombstone — it has acknowledged the
-// tombstone. False: target could not be read or written; whether to come
-// back is the caller's call.
-func (r *repairer) writeBack(ctx context.Context, target int, t repairTask) bool {
-	n := r.s.nodes[target]
-	raw, ok, err := n.be.Get(ctx, t.table, t.key)
+// and re-creating the tombstone would undo its GC). A target then holding
+// src's state or newer — or nothing, against a tombstone — has acknowledged
+// it (tombAck). False: src or some target could not be read, or a target not
+// written; whether to come back is the caller's call.
+func (r *repairer) writeBack(ctx context.Context, src int, targets []int, table, key string) bool {
+	env, ok, err := r.s.nodes[src].be.Get(ctx, table, key)
 	if err != nil {
 		return false
 	}
-	apply := !t.tomb
-	if ok {
-		apply = true
-		if _, ts, tomb, err := unenvelope(raw); err == nil {
-			apply = t.ts > ts || (t.ts == ts && t.tomb && !tomb)
+	if !ok {
+		return true
+	}
+	_, ts, tomb, err := unenvelope(env)
+	if err != nil {
+		return true
+	}
+	delivered := true
+	for _, nid := range targets {
+		n := r.s.nodes[nid]
+		raw, ok, err := n.be.Get(ctx, table, key)
+		if err != nil {
+			delivered = false
+			continue
 		}
-	}
-	if apply {
-		if err := n.be.Put(ctx, t.table, t.key, t.env); err != nil {
-			return false
+		apply := !tomb
+		if ok {
+			apply = true
+			if _, cur, curTomb, err := unenvelope(raw); err == nil {
+				apply = ts > cur || (ts == cur && tomb && !curTomb)
+			}
 		}
-		r.repairWrites.Add(1)
+		if apply {
+			if err := n.be.Put(ctx, table, key, env); err != nil {
+				delivered = false
+				continue
+			}
+			r.repairWrites.Add(1)
+		}
+		r.tombAck(table, key, ts, tomb, nid)
 	}
-	if t.tomb {
-		r.tombAck(t.table, t.key, t.ts, target)
-	}
-	return true
+	return delivered
 }
 
 // gcReplica physically deletes a fully-acknowledged tombstone from one
@@ -406,6 +400,12 @@ func (r *repairer) writeBack(ctx context.Context, target int, t repairTask) bool
 // then this matches the engine's documented single-logical-writer
 // deployment (§2.4), where delete-then-recreate of one key is never
 // concurrent.
+//
+// writeBack has a window of the same class, one delivery's read-to-write
+// time: a delete landing, and collected from the target, after it read its
+// source gets the old value written back over nothing. The same kind of
+// engine op would close it: a compare-and-put on what the target held
+// before the source was read.
 func (r *repairer) gcReplica(ctx context.Context, n *node, t repairTask) bool {
 	raw, ok, err := n.be.Get(ctx, t.table, t.key)
 	if err != nil {
@@ -436,13 +436,22 @@ func (r *repairer) trackTombstone(table, key string, ts uint64, pending, replica
 	r.tmu.Unlock()
 }
 
-// tombAck records that one replica now holds (or provably does not need)
-// the tombstone; the last acknowledgment schedules physical collection.
-func (r *repairer) tombAck(table, key string, ts uint64, nid int) {
+// tombAck records the state at ts (a tombstone if tomb) that replica nid
+// now holds, or provably does not need. The awaited tombstone acknowledges
+// it, and the last acknowledgment schedules physical collection. A newer
+// state supersedes the delete and ends the wait: that write, owed to every
+// replica, replaces the tombstone wherever it lands, and collecting the
+// tombstone after it would delete nothing.
+func (r *repairer) tombAck(table, key string, ts uint64, tomb bool, nid int) {
 	k := taskKey(table, key)
 	r.tmu.Lock()
 	w := r.tombs[k]
-	if w == nil || w.ts != ts {
+	if w == nil || ts < w.ts || (ts == w.ts && !tomb) {
+		r.tmu.Unlock()
+		return
+	}
+	if ts > w.ts {
+		delete(r.tombs, k)
 		r.tmu.Unlock()
 		return
 	}
@@ -459,5 +468,5 @@ func (r *repairer) tombAck(table, key string, ts uint64, nid int) {
 
 // scheduleGC queues the tombstone's collection; the task keeps replicas.
 func (r *repairer) scheduleGC(table, key string, ts uint64, replicas []int) {
-	r.enqueue(repairTask{table: table, key: key, ts: ts, tomb: true, gc: true, targets: replicas})
+	r.enqueue(repairTask{table: table, key: key, ts: ts, gc: true, targets: replicas})
 }

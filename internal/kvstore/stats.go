@@ -29,8 +29,7 @@ type Stats struct {
 	// Replication repair (repair.go). Lifetime counters are per Store
 	// instance (a reopened client starts at zero, though it inherits and
 	// re-counts durable hints it recovers).
-	RepairWrites   int64 // winning envelopes written back to losing replicas
-	RepairDropped  int64 // write-backs dropped on a full queue
+	RepairWrites   int64 // envelopes copied to losing replicas (any repair path)
 	HintsQueued    int64 // writes parked for down replicas (lifetime)
 	HintsReplayed  int64 // parked writes delivered to recovered replicas
 	HintsPending   int64 // parked writes currently awaiting replay
@@ -74,7 +73,6 @@ func (s *Store) Stats(ctx context.Context) Stats {
 	}
 	if r := s.repair; r != nil {
 		st.RepairWrites = r.repairWrites.Load()
-		st.RepairDropped = r.repairDropped.Load()
 		st.HintsQueued = r.hintsQueued.Load()
 		st.HintsReplayed = r.hintsReplayed.Load()
 		st.HintsPending = r.hintsPending.Load()

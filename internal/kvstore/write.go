@@ -141,8 +141,9 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 	}
 	if s.repair != nil && anyMissed {
 		// Park the missed writes, batched per parking node (the first
-		// replica that acknowledged each entry) so the hint log costs one
-		// durable batch per park, not one per key.
+		// replica that acknowledged each entry, so it holds the write a
+		// replay copies) so the hint log costs one durable batch per park,
+		// not one per key.
 		perPark := make(map[int][]hintSpec)
 		for nid, idxs := range perNode {
 			if nodeErr[nid] == nil {
@@ -150,9 +151,7 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 			}
 			for _, i := range idxs {
 				park := committed[i]
-				perPark[park] = append(perPark[park], hintSpec{
-					target: nid, table: table, key: entries[i].Key, env: envs[i],
-				})
+				perPark[park] = append(perPark[park], hintSpec{target: nid, table: table, key: entries[i].Key})
 			}
 		}
 		for park, specs := range perPark {
