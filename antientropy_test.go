@@ -88,7 +88,7 @@ func TestAntiEntropyEndToEnd(t *testing.T) {
 	}
 
 	// A delete node 2 never hears about (it is dead and hints are off):
-	// the tombstone on nodes 0/1 is stuck at 2 of 3 acks, un-GC-able, and
+	// the tombstone on nodes 0/1 is held by 2 of 3 replicas, un-GC-able, and
 	// node 2 comes back still holding the live value — a resurrection
 	// candidate only anti-entropy can put down.
 	if err := kv.Put(ctx, "t", "ghost", []byte("alive")); err != nil {
@@ -124,7 +124,7 @@ func TestAntiEntropyEndToEnd(t *testing.T) {
 	poll(t, "anti-entropy converged all replicas byte-identically", func() bool {
 		t0 := scanTable(t, c, 0, "t")
 		if _, ok := t0["ghost"]; ok {
-			return false // tombstone spread but not yet fully acked + GC'd
+			return false // tombstone spread but not yet GC'd
 		}
 		if !tablesEqual(t0, scanTable(t, c, 1, "t")) || !tablesEqual(t0, scanTable(t, c, 2, "t")) {
 			return false

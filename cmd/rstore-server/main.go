@@ -68,7 +68,6 @@ func main() {
 		dataDir   = flag.String("data", "rstore-data", "data directory for -backend lsm")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote")
 		hintEvery = flag.Duration("hint-interval", 0, "hint drain cadence for replication repair (0 = default 1s)")
-		tombTTL   = flag.Duration("tombstone-ttl", 0, "collect tombstones older than this once all replicas agree (0 = ack-based GC only)")
 		aeEvery   = flag.Duration("anti-entropy-interval", 0, "background hash-tree replica sync cadence (0 = off; needs -rf > 1)")
 	)
 	flag.Parse()
@@ -76,7 +75,7 @@ func main() {
 	cluster := rstore.ClusterConfig{
 		Nodes: *nodes, ReplicationFactor: *rf, Cost: rstore.DefaultCostModel(),
 		Engine: *backend, Dir: *dataDir,
-		Repair: rstore.RepairOptions{HintInterval: *hintEvery, TombstoneTTL: *tombTTL, AntiEntropyInterval: *aeEvery},
+		Repair: rstore.RepairOptions{HintInterval: *hintEvery, AntiEntropyInterval: *aeEvery},
 	}
 	if *aeEvery > 0 && *rf <= 1 {
 		log.Printf("rstore-server: -anti-entropy-interval needs -rf > 1; ignored")

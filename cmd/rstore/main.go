@@ -55,14 +55,12 @@ func run(ctx context.Context, args []string) error {
 	dataDir := global.String("data", ".rstore", "data directory for -backend lsm")
 	nodeAddrs := global.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote")
 	rf := global.Int("rf", 1, "replication factor (-backend remote; repair keeps replicas converged).\nThe cluster is pinned at the value init used: a command passing another is refused")
-	tombTTL := global.Duration("tombstone-ttl", 0, "collect tombstones older than this once all replicas agree (0 = ack-based GC only)")
 	if err := global.Parse(args); err != nil {
 		return err
 	}
 	env := cliEnv{
 		backend: *backend, data: *dataDir,
 		addrs: rstore.SplitNodeAddrs(*nodeAddrs), rf: *rf,
-		repair: rstore.RepairOptions{TombstoneTTL: *tombTTL},
 	}
 	switch env.backend {
 	case rstore.EngineLSM:
@@ -328,7 +326,6 @@ type cliEnv struct {
 	data    string   // lsm data directory
 	addrs   []string // rstore-node addresses (remote backend)
 	rf      int      // replication factor (remote backend)
-	repair  rstore.RepairOptions
 }
 
 // where names the place the store lives, for messages.
@@ -346,7 +343,7 @@ func (e cliEnv) openCluster(ctx context.Context) (*kvstore.Store, error) {
 	if e.backend == rstore.EngineRemote {
 		return rstore.OpenCluster(ctx, rstore.ClusterConfig{
 			Engine: e.backend, NodeAddrs: e.addrs,
-			ReplicationFactor: e.rf, Repair: e.repair,
+			ReplicationFactor: e.rf,
 		})
 	}
 	return rstore.OpenCluster(ctx, rstore.ClusterConfig{Nodes: 1, Engine: e.backend, Dir: e.data})

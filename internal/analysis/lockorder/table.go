@@ -54,7 +54,7 @@ var Table = []Edge{
 	},
 	{
 		From:   "rstore/internal/core.Store.wmu",
-		To:     "rstore/internal/kvstore.repairer.tmu",
-		Reason: "core writers can record repair targets in kvstore under wmu; the target-table lock is a leaf and kvstore never calls back into core",
+		To:     "rstore/internal/kvstore.repairer.kmu",
+		Reason: "core writers mark the keys they write in kvstore under wmu; kmu is a leaf held only for map updates, a write waiting out a key's collection releases it (sync.Cond), and the collection never calls back into core",
 	},
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rstore/internal/chunk"
 	"rstore/internal/codec"
@@ -618,5 +619,59 @@ func TestDrainedDeltasLeaveNoLog(t *testing.T) {
 	st := kv.Stats(ctx)
 	if ratio := float64(st.DiskBytes) / float64(st.BytesStored); ratio > 1.02 {
 		t.Fatalf("the disks hold %d bytes for %d stored (%.3f×): drained deltas stayed logged", st.DiskBytes, st.BytesStored, ratio)
+	}
+}
+
+// TestDeletesLeaveNoTombstones: every flush drains the delta store and a
+// repartition replaces a whole placement generation, so a store deletes on
+// every batch. Each delete's tombstone is collected once every replica holds
+// it — at rf 1 as at rf 2 — so after 64 one-key commits in batches of 4 and
+// a Materialize, no node holds a tombstone, with nothing read in between.
+func TestDeletesLeaveNoTombstones(t *testing.T) {
+	for _, rf := range []int{1, 2} {
+		t.Run(fmt.Sprintf("rf=%d", rf), func(t *testing.T) {
+			ctx := context.Background()
+			kv, nodes := openMemCluster(t, kvstore.Config{Nodes: 2, ReplicationFactor: rf})
+			defer kv.Close()
+			s, err := Open(ctx, Config{KV: kv, BatchSize: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := types.InvalidVersion
+			for i := 0; i < 64; i++ {
+				ch := Change{Puts: map[types.Key][]byte{key(i % 8): []byte(fmt.Sprintf("v%d", i))}}
+				if v, err = s.Commit(ctx, v, ch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Materialize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// tombs counts the tombstones the nodes hold per table: LWW
+			// envelopes with flag 1 and no payload (docs/FORMATS.md).
+			tombs := func() map[string]int {
+				out := map[string]int{}
+				for _, table := range []string{TableChunks, TableDeltaStore, TablePlacement} {
+					for _, be := range nodes {
+						if err := be.Scan(ctx, table, func(_ string, raw []byte) bool {
+							if len(raw) == kvstore.EnvelopeOverhead && raw[0] == 1 {
+								out[table]++
+							}
+							return true
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				return out
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for len(tombs()) > 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if left := tombs(); len(left) > 0 {
+				t.Fatalf("tombstones left per table: %v (TombstonesGCed %d)", left, kv.Stats(ctx).TombstonesGCed)
+			}
+		})
 	}
 }

@@ -40,13 +40,13 @@ const aeFanout = engine.DefaultHashFanout
 //	       which re-checks the target's current version before applying, so
 //	       a replica that converged through another path meanwhile is never
 //	       regressed — and a tombstone every replica holds, or holds nothing
-//	       against, is acknowledged and offered to TTL collection.
+//	       against, is collected.
 //
 // One completed pair per tick bounds the background load to two tree sweeps
 // per interval regardless of cluster size; every pair is visited as ticks
-// accumulate. The loop runs on the repairer's lifecycle context — it is
-// only started when ReplicationFactor > 1, so the repairer always exists —
-// and is stopped by Store.Close before the repair workers it feeds.
+// accumulate. The loop runs on the repairer's lifecycle context, is only
+// started when ReplicationFactor > 1, and is stopped by Store.Close before
+// the repair workers it feeds.
 type antiEntropy struct {
 	s        *Store
 	interval time.Duration
@@ -223,7 +223,7 @@ func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) boo
 	// its replicas, once, so the winner is the cluster's and not the pair's.
 	// A pair like (tombstone, wiped replica) has no loser — the writer would
 	// refuse a tombstone over nothing — and converges through settle's
-	// acknowledgment of a complete verdict instead of re-diffing forever.
+	// collection of a complete verdict instead of re-diffing forever.
 	reads, err := a.s.readReplicas(ctx, table, keys)
 	if err != nil {
 		return false

@@ -133,9 +133,9 @@ func TestAntiEntropyRepairsSilentDivergence(t *testing.T) {
 
 // TestAntiEntropySuppressesTombstoneResurrection: a replica where a deleted
 // key has silently come back to life (e.g. restored from an old backup) is
-// re-killed by the surviving tombstone, and the tombstone's ack set —
-// incomplete because one replica missed the delete — is finished by the AE
-// repairs so GC can finally collect it everywhere.
+// re-killed by the surviving tombstone, and the tombstone — held by only
+// some replicas because one missed the delete — is spread by the AE repairs
+// to all of them, so GC can finally collect it everywhere.
 func TestAntiEntropySuppressesTombstoneResurrection(t *testing.T) {
 	s, backends := openRepair(t, 3, 3, fastAE())
 	ctx := context.Background()
@@ -145,7 +145,7 @@ func TestAntiEntropySuppressesTombstoneResurrection(t *testing.T) {
 	}
 	// Capture the live envelope, then delete with node 2 down and hints
 	// off: node 2 keeps the live value, and the tombstone on nodes 0/1 can
-	// never be GC'd (its ack set is stuck at 2 of 3) until AE intervenes.
+	// never be GC'd (one replica does not hold it) until AE intervenes.
 	old := mustRaw(t, backends[1], "t", "ghost")
 	backends[2].SetDown(true)
 	if err := s.Delete(ctx, "t", "ghost"); err != nil {
@@ -158,12 +158,12 @@ func TestAntiEntropySuppressesTombstoneResurrection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Convergence: the tombstone spreads to nodes 1 and 2, their repair
-	// writes complete the ack set, and GC erases it — so the settled state
-	// is "absent everywhere", never the resurrected value. Requiring full
-	// collection also pins the repair-queue regression where a GC task
-	// scheduled during its own tombstone repair coalesced against it and
-	// was dropped forever.
+	// Convergence: the tombstone spreads to nodes 1 and 2, the key is judged
+	// again with every replica holding it, and GC erases it — so the settled
+	// state is "absent everywhere", never the resurrected value. Requiring
+	// full collection also pins the repair-queue regression where a GC task
+	// scheduled during its own tombstone repair coalesced against it and was
+	// dropped: with every tree equal again, nothing would diff the key anew.
 	waitFor(t, "resurrection suppressed and tombstone collected everywhere", func() bool {
 		for _, be := range backends {
 			if _, ok := rawGet(t, be, "t", "ghost"); ok {
@@ -233,24 +233,20 @@ func TestAntiEntropySkipsDownNodes(t *testing.T) {
 }
 
 // TestAntiEntropyCollectsOrphanTombstone pins the liveness of the
-// (tombstone, nothing) pair — the shape a wiped-and-restored replica or a
-// process restart leaves behind, since ack tracking is in-memory. The
-// repair writer rightly refuses to write a tombstone over nothing, so a
-// pair judged on its own would re-diff this key on every sweep forever:
+// (tombstone, nothing) pair — the shape a wiped-and-restored replica, or a
+// client closed before its collections ran, leaves behind. The repair
+// writer rightly refuses to write a tombstone over nothing, so a pair
+// judged on its own would re-diff this key on every sweep forever:
 // AEKeysRepaired climbing without bound while no write ever happens and
-// the tombstone is never collected. Judged across all its replicas, the
-// key must (a) be collected through the TTL fallback once they all agree,
-// and (b) count zero key repairs on the way.
+// the tombstone is never collected. Judged across all its replicas, under
+// default options, the key must (a) be collected since they all agree, and
+// (b) count zero key repairs on the way.
 func TestAntiEntropyCollectsOrphanTombstone(t *testing.T) {
-	opts := fastAE()
-	opts.TombstoneTTL = time.Millisecond
-	s, backends := openRepair(t, 3, 3, opts)
+	s, backends := openRepair(t, 3, 3, fastAE())
 	ctx := context.Background()
 
-	// The orphan: planted straight into one backend with an ancient
-	// timestamp, as if written by a previous process whose tracker died.
-	// This store has no tombWait entry for it, so ack-based GC can never
-	// fire — only the TTL observation can.
+	// The orphan: planted straight into one backend, as if written by a
+	// previous client; this one never wrote the delete.
 	if err := backends[0].Put(ctx, "t", "ghost", envelope(envTombstone, 1, nil)); err != nil {
 		t.Fatal(err)
 	}

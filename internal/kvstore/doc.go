@@ -22,17 +22,18 @@
 //   - one write (write.go, batchWrite): Put, Delete, BatchPut and BatchDelete
 //     are one per-node-grouped, fsynced engine batch that routes around down
 //     replicas, parks hints for them (hints.go: the durable !hints table,
-//     replayed on recovery) and registers tombstones for collection;
+//     replayed on recovery) and collects a tombstone every replica took;
 //   - one read (read.go, readReplicas): Get and MultiGet ask every replica of
 //     every key, in one batched request per node;
 //   - one verdict (verdict.go, judge): the winner, the losers to overwrite and
 //     whether all replicas agree — for reads, replicated Scans and the
-//     anti-entropy loop (antientropy.go) alike; repairer.settle acts on it;
+//     anti-entropy loop (antientropy.go) alike; repairer.settle acts on it,
+//     and collects a tombstone every replica holds, or holds nothing against;
 //   - one conditional write-back (repair.go, writeBack): read repair,
 //     anti-entropy repair and hint replay copy a key from a source replica
 //     (the winner's, or a hint's parking node), applying what it holds at
-//     that moment only over strictly older state, and absence acknowledges
-//     a tombstone.
+//     that moment only over strictly older state; a tombstone it delivers
+//     is judged again, so that its collection follows.
 //
 // # One logical writer per cluster
 //
@@ -45,6 +46,9 @@
 // daemon's ring position, the cluster shape, and the replication factor so
 // a client opening with a reordered/resized address list or a different
 // -rf is refused instead of silently corrupting placement or replication.
+// A client that only reads (core's read-only replicas) still writes: it
+// writes back the losers it observes, and collects the tombstones it
+// observes on every replica.
 //
 // # Value ownership
 //

@@ -117,8 +117,9 @@ func (r *repairer) addHints(ctx context.Context, park int, specs []hintSpec) {
 // runs inside Open, and on a remote cluster a down node costs a full
 // dial-retry cycle — serial scans would stack that latency in front of
 // every Open. Hints on nodes unreachable right now are picked up by
-// whichever client opens after they return. A record that does not decode
-// owes nothing anyone can deliver, and is removed.
+// whichever client opens after they return. A record that does not decode,
+// or whose key names no node of this cluster, owes nothing anyone can
+// deliver, and is removed.
 func (r *repairer) recoverHints(ctx context.Context) {
 	if r.opts.DisableHints {
 		return
@@ -131,10 +132,9 @@ func (r *repairer) recoverHints(ctx context.Context) {
 			defer wg.Done()
 			var corrupt []string
 			_ = nd.be.Scan(ctx, hintsTable, func(k string, v []byte) bool {
-				if target, ok := parseHintKey(k); !ok || target >= len(r.s.nodes) {
-					return true
-				}
-				if table, key, err := decodeHint(v); err == nil {
+				target, ok := parseHintKey(k)
+				table, key, err := decodeHint(v)
+				if ok && target < len(r.s.nodes) && err == nil {
 					perNode[i] = append(perNode[i], hintRef{park: nd.id, hkey: k, table: table, key: key})
 				} else {
 					corrupt = append(corrupt, k)

@@ -25,9 +25,8 @@ import (
 // order after the previous client's as long as wall clocks move forward.
 // Deletes are tombstone writes: a replica that missed the delete is
 // outvoted by the tombstone's newer timestamp instead of resurrecting the
-// value. Tombstones are garbage-collected once every replica of the key
-// has acknowledged one (or, optionally, after RepairOptions.TombstoneTTL);
-// see repair.go.
+// value. A tombstone is garbage-collected once every replica of the key is
+// seen holding it, or holding nothing; see repair.go.
 
 const (
 	envValue     = 0

@@ -58,7 +58,8 @@ type Config struct {
 	Remote remote.Options
 	// Repair tunes replication repair — read repair, hinted handoff, and
 	// tombstone GC (see repair.go). The zero value enables repair with
-	// defaults whenever ReplicationFactor > 1.
+	// defaults whenever ReplicationFactor > 1; tombstones are collected at
+	// every ReplicationFactor.
 	Repair RepairOptions
 	// NewBackend, when set, overrides Engine/Dir with a custom backend
 	// factory (tests, out-of-tree engines).
@@ -196,8 +197,9 @@ type Store struct {
 	nodes  []*node
 	closed atomic.Bool
 	lastTS atomic.Uint64 // LWW write clock (see lww.go)
-	// repair is the replication-repair subsystem (repair.go); nil at
-	// ReplicationFactor 1, where replicas cannot diverge.
+	// repair is the replication-repair subsystem (repair.go), at every
+	// ReplicationFactor: at 1, where replicas cannot diverge, it only
+	// collects tombstones.
 	repair *repairer
 	// ae is the background anti-entropy loop (antientropy.go); nil unless
 	// RepairOptions.AntiEntropyInterval is set and ReplicationFactor > 1.
@@ -238,6 +240,9 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		}
 	}
 	s := &Store{cfg: cfg, ring: newRing(cfg.Nodes)}
+	// Built before any node opens: Close, which the failure paths below
+	// run, stops it.
+	s.repair = newRepairer(s, cfg.Repair)
 	for i := 0; i < cfg.Nodes; i++ {
 		n, err := open(i)
 		if err != nil {
@@ -251,7 +256,6 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	if cfg.ReplicationFactor > 1 {
-		s.repair = newRepairer(s, cfg.Repair)
 		// Resume draining hints a previous client parked (durable in the
 		// !hints tables); unreachable nodes are simply skipped.
 		s.repair.recoverHints(ctx)
@@ -269,7 +273,7 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	for _, n := range s.nodes {
 		if n.rc != nil {
 			n.rc.SetStateListener(func(up bool) {
-				if up && s.repair != nil {
+				if up {
 					s.repair.kickDrain()
 				}
 			})
@@ -369,10 +373,8 @@ func (s *Store) Close() error {
 		// Stop the anti-entropy loop before the repairer it enqueues into.
 		s.ae.close()
 	}
-	if s.repair != nil {
-		// Stop repair workers before their nodes' backends go away.
-		s.repair.close()
-	}
+	// Stop repair workers before their nodes' backends go away.
+	s.repair.close()
 	var errs []error
 	for _, n := range s.nodes {
 		if err := n.be.Close(); err != nil {

@@ -82,7 +82,7 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 		default:
 			res.Values[i] = rd.payload[v.win]
 		}
-		if s.repair != nil && v.win >= 0 {
+		if v.win >= 0 {
 			s.repair.settle(table, keys[i], rd.obs, v, !s.repair.opts.DisableReadRepair)
 		}
 
@@ -281,7 +281,7 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 		if v.corrupt {
 			return fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
 		}
-		if v.win >= 0 && s.repair != nil {
+		if v.win >= 0 {
 			s.repair.settle(table, k, sk.obs, v, !s.repair.opts.DisableReadRepair)
 		}
 		if v.win < 0 || sk.obs[v.win].tomb {
@@ -308,7 +308,8 @@ type scanKey struct {
 
 // scanUnreplicated streams each node's primarily-owned keys — with one
 // replica per key there is nothing to reconcile, so no buffering is
-// needed, but any unreachable node makes the view incomplete.
+// needed, but any unreachable node makes the view incomplete. A tombstone
+// it skips is its one replica's whole state, so it is collected.
 func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
 	stop := false
 	var envErr error
@@ -320,12 +321,13 @@ func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key 
 			if s.ring.primary(k) != n.id {
 				return true // visited via its primary owner
 			}
-			payload, _, tomb, err := unenvelope(v)
+			payload, ts, tomb, err := unenvelope(v)
 			if err != nil {
 				envErr = err
 				return false
 			}
 			if tomb {
+				s.repair.scheduleGC(table, k, ts, []int{n.id})
 				return true
 			}
 			cp := make([]byte, len(payload))

@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,14 +29,23 @@ import (
 //     to be read.
 //
 //   - Tombstone GC: deletes write tombstones so lagging replicas cannot
-//     resurrect data, but a tombstone whose delete every replica has
-//     acknowledged protects nothing. Acknowledgments are tracked across the
-//     delete itself, hint replays, and read repairs; once complete, the
-//     tombstone is physically removed from all replicas. A configurable
-//     TombstoneTTL additionally collects tombstones whose ack tracking was
-//     lost (a restarted cluster client), but only when a read observed
-//     every replica agreeing on the tombstone — so TTL collection can never
-//     re-expose data held by a stale or unreachable replica.
+//     resurrect data, but a tombstone every replica holds protects nothing.
+//     The rule is one: a tombstone that a complete verdict shows on every
+//     replica (each holds it, or holds nothing) is physically removed from
+//     all of them, whatever its age and whoever wrote it. Every observation
+//     feeds it through settle — the write itself, a read, a Scan, an
+//     anti-entropy round, and the re-judgment that follows a write-back
+//     delivering a tombstone (read repair, hint replay) — so the repairer
+//     keeps no memory of deletes, and one a previous client wrote, or whose
+//     collection Close dropped, is collected by the next that observes it.
+//     No age is needed for safety. Collection needs a complete verdict, so
+//     every replica was reachable and none holds an older value to
+//     resurrect. gcReplica re-checks each replica's timestamp before
+//     deleting, so a newer write survives. And no queued delivery carries
+//     bytes older than its source's current state (below), so none can
+//     bring a value back under a tombstone collected after it was queued.
+//     This Store's own writes of a key wait out its collection (run);
+//     the read-then-write windows gcReplica describes remain for others.
 //
 // A repair names a key, never its bytes: a write-back (a hint replay too)
 // copies whatever its source replica holds when it runs — so one queued
@@ -45,8 +53,9 @@ import (
 // and cannot resurrect the value — and a collection carries only its
 // tombstone's timestamp. A task is a few tens of bytes, so write-backs and
 // collections share one work list that drops nothing, its length bounded
-// by the number of divergent keys. Collections need that: each is scheduled
-// once, when the last acknowledgment arrives, one per key of a BatchDelete.
+// by the number of divergent keys. Collections need that: a BatchDelete
+// schedules one per key, and nothing schedules one again until the key is
+// observed.
 //
 // A write-back keeps the source's ORIGINAL timestamp: replaying one is
 // idempotent, cannot reorder against newer writes, and is applied
@@ -60,10 +69,10 @@ import (
 // RepairOptions tunes the replication-repair subsystem. The zero value
 // enables read repair and hinted handoff, at the default drain cadence,
 // whenever ReplicationFactor > 1; at ReplicationFactor 1 there is nothing
-// to repair and the subsystem is not started. No option schedules retries
-// against a down node: hint replay follows the node's own liveness (a
-// down memory node refuses at once, a dialed node's breaker fails fast
-// and announces its recovery).
+// to repair, and the subsystem only collects tombstones. No option
+// schedules retries against a down node: hint replay follows the node's
+// own liveness (a down memory node refuses at once, a dialed node's
+// breaker fails fast and announces its recovery).
 type RepairOptions struct {
 	// DisableReadRepair turns off winner write-back on reads and scans.
 	DisableReadRepair bool
@@ -74,12 +83,6 @@ type RepairOptions struct {
 	// each tick replays every target's pending hints in order until the
 	// first failure. A dialed node's breaker closing also wakes the loop.
 	HintInterval time.Duration
-	// TombstoneTTL, when positive, garbage-collects any tombstone older
-	// than the TTL once a read observes every replica of the key agreeing
-	// on it. Zero keeps acknowledgment-based GC only. It exists to collect
-	// tombstones whose acknowledgment tracking died with a previous
-	// cluster client.
-	TombstoneTTL time.Duration
 	// AntiEntropyInterval, when positive, starts the background
 	// anti-entropy loop (antientropy.go): each interval one replica pair's
 	// hash trees are compared and any divergence — including divergence no
@@ -101,21 +104,14 @@ func (o RepairOptions) withDefaults() RepairOptions {
 
 // repairTask is one unit of asynchronous convergence work on a key, and
 // holds no value bytes: either copying the key from replica src to the
-// losing replicas, or (gc) physically removing the fully-acknowledged
-// tombstone at ts from its replicas.
+// losing replicas, or (gc) physically removing the tombstone at ts, which
+// every replica was seen holding, from its replicas.
 type repairTask struct {
 	table, key string
 	src        int    // the winner's node (write-backs)
 	ts         uint64 // the tombstone's timestamp (gc tasks)
 	gc         bool
 	targets    []int
-}
-
-// tombWait tracks which replicas of a deleted key have not yet
-// acknowledged its tombstone.
-type tombWait struct {
-	ts      uint64
-	pending []int
 }
 
 type repairer struct {
@@ -132,15 +128,22 @@ type repairer struct {
 	inflight  map[string]bool
 	wake      chan struct{}
 
+	// A collection and this Store's own write of the same key exclude each
+	// other: gcReplica re-checks a replica and then deletes, and a write
+	// landing in between would go with the tombstone — at rf 1, from the
+	// only replica. busy[k] counts the writes placing k, or is -1 while k
+	// is collected; a write waits for a collection to end (freed), and a
+	// collection skips a key being written, which supersedes its tombstone.
+	kmu   sync.Mutex
+	busy  map[tableKey]int
+	freed *sync.Cond
+
 	// Hinted handoff. The drain loop starts lazily on the first parked or
 	// recovered hint.
 	hmu        sync.Mutex        // guards hints
 	hints      map[int][]hintRef // per target, in replay order (hint keys embed a monotonic sequence)
 	startDrain sync.Once
 	kick       chan struct{}
-
-	tmu   sync.Mutex // guards tombs
-	tombs map[string]*tombWait
 
 	// ctx is the repairer's lifecycle root: background convergence —
 	// read-repair write-backs, hint replay, tombstone GC — runs on the
@@ -164,17 +167,45 @@ func newRepairer(s *Store, opts RepairOptions) *repairer {
 	opts = opts.withDefaults()
 	//lint:rstore-vet ctxfirst: the repairer is a lifecycle root — its convergence work outlives any caller's request context and is cancelled by close()
 	ctx, cancel := context.WithCancel(context.Background())
-	return &repairer{
+	r := &repairer{
 		s:        s,
 		opts:     opts,
 		ctx:      ctx,
 		cancel:   cancel,
 		inflight: make(map[string]bool),
 		wake:     make(chan struct{}, 1),
+		busy:     make(map[tableKey]int),
 		hints:    make(map[int][]hintRef),
 		kick:     make(chan struct{}, 1),
-		tombs:    make(map[string]*tombWait),
 		stop:     make(chan struct{}),
+	}
+	r.freed = sync.NewCond(&r.kmu)
+	return r
+}
+
+type tableKey struct{ table, key string }
+
+// placing marks the entries' keys as written by this Store, once no
+// collection of them is under way, until the returned func is called.
+func (r *repairer) placing(table string, entries []Entry) (done func()) {
+	r.kmu.Lock()
+	for _, e := range entries {
+		k := tableKey{table, e.Key}
+		for r.busy[k] < 0 {
+			r.freed.Wait()
+		}
+		r.busy[k]++
+	}
+	r.kmu.Unlock()
+	return func() {
+		r.kmu.Lock()
+		for _, e := range entries {
+			k := tableKey{table, e.Key}
+			if r.busy[k]--; r.busy[k] == 0 {
+				delete(r.busy, k)
+			}
+		}
+		r.kmu.Unlock()
 	}
 }
 
@@ -192,12 +223,10 @@ func (r *repairer) close() {
 func taskKey(table, key string) string { return table + "\x00" + key }
 
 // dedupKey is the in-flight coalescing identity. GC tasks carry a marker:
-// a tombstone repair whose final acknowledgment completes DURING run() —
-// the anti-entropy path, where the repair write itself is the last ack —
-// schedules the collection while its own key is still marked in-flight,
-// and coalescing the GC against the repair that spawned it would drop the
-// collection forever (the ack set is already consumed, so nothing would
-// ever reschedule it).
+// a write-back that delivers a tombstone judges the key again DURING run()
+// and schedules its collection while its own key is still marked
+// in-flight, and coalescing the GC against the write-back that spawned it
+// would drop the collection until the key is next observed.
 func (t repairTask) dedupKey() string {
 	k := taskKey(t.table, t.key)
 	if t.gc {
@@ -282,10 +311,8 @@ func (r *repairer) worker() {
 // for a write-back from the winner's replica, obs[v.win].node, when
 // writeBack is set (reads and scans clear it when read repair is disabled;
 // anti-entropy always writes). A tombstone every replica holds, or holds
-// nothing against, is thereby acknowledged by all of them and, past
-// TombstoneTTL, collected whether or not anyone was waiting for the
-// acknowledgments (Tombstone GC above says why only then). It reports
-// whether a write-back was queued.
+// nothing against, is queued for collection (Tombstone GC above says why
+// that is safe). It reports whether a write-back was queued.
 func (r *repairer) settle(table, key string, obs []observation, v verdict, writeBack bool) bool {
 	w := obs[v.win]
 	queued := len(v.losers) > 0 && writeBack
@@ -296,11 +323,8 @@ func (r *repairer) settle(table, key string, obs []observation, v verdict, write
 		replicas := make([]int, len(obs))
 		for i, o := range obs {
 			replicas[i] = o.node
-			r.tombAck(table, key, w.ts, true, o.node)
 		}
-		if ttl := r.opts.TombstoneTTL; ttl > 0 && time.Since(time.Unix(0, int64(w.ts))) >= ttl {
-			r.scheduleGC(table, key, w.ts, replicas)
-		}
+		r.scheduleGC(table, key, w.ts, replicas)
 	}
 	return queued
 }
@@ -313,22 +337,26 @@ func (r *repairer) run(t repairTask) {
 		r.writeBack(r.ctx, t.src, t.targets, t.table, t.key)
 		return
 	}
+	k := tableKey{t.table, t.key}
+	r.kmu.Lock()
+	if r.busy[k] != 0 {
+		r.kmu.Unlock()
+		return
+	}
+	r.busy[k] = -1
+	r.kmu.Unlock()
 	gcOK := false
 	for _, nid := range t.targets {
 		if r.gcReplica(r.ctx, r.s.nodes[nid], t) {
 			gcOK = true
 		}
 	}
+	r.kmu.Lock()
+	delete(r.busy, k)
+	r.freed.Broadcast()
+	r.kmu.Unlock()
 	if gcOK {
 		r.tombstonesGC.Add(1)
-		// A TTL-scheduled collection may still have a (now moot) ack wait
-		// registered; drop it so the tracker cannot grow unboundedly.
-		k := taskKey(t.table, t.key)
-		r.tmu.Lock()
-		if w := r.tombs[k]; w != nil && w.ts == t.ts {
-			delete(r.tombs, k)
-		}
-		r.tmu.Unlock()
 	}
 }
 
@@ -344,10 +372,11 @@ func (r *repairer) run(t repairTask) {
 // envelope are overwritten (skipping would leave the corruption in place
 // forever, and any well-formed envelope is an improvement); and over nothing
 // a value is written but a tombstone is not (nothing there can resurrect,
-// and re-creating the tombstone would undo its GC). A target then holding
-// src's state or newer — or nothing, against a tombstone — has acknowledged
-// it (tombAck). False: src or some target could not be read, or a target not
-// written; whether to come back is the caller's call.
+// and re-creating the tombstone would undo its GC). A tombstone delivered to
+// every target is judged once more across all the key's replicas, and
+// settled without write-backs: that is how a hint replay or a read repair
+// ends in the tombstone's collection. False: src or some target could not be
+// read, or a target not written; whether to come back is the caller's call.
 func (r *repairer) writeBack(ctx context.Context, src int, targets []int, table, key string) bool {
 	env, ok, err := r.s.nodes[src].be.Get(ctx, table, key)
 	if err != nil {
@@ -382,24 +411,30 @@ func (r *repairer) writeBack(ctx context.Context, src int, targets []int, table,
 			}
 			r.repairWrites.Add(1)
 		}
-		r.tombAck(table, key, ts, tomb, nid)
+	}
+	if tomb && delivered {
+		if reads, err := r.s.readReplicas(ctx, table, []string{key}); err == nil {
+			if v := judge(reads[0].obs); v.win >= 0 {
+				r.settle(table, key, reads[0].obs, v, false)
+			}
+		}
 	}
 	return delivered
 }
 
-// gcReplica physically deletes a fully-acknowledged tombstone from one
-// replica, re-checking that the replica still holds exactly that tombstone
-// (a newer write must survive).
+// gcReplica physically deletes a tombstone every replica was seen holding
+// from one replica, re-checking that the replica still holds exactly that
+// tombstone (a newer write must survive).
 //
-// The re-check-then-delete pair is not atomic: a writer re-creating the
-// SAME key concurrently with its delete can land a put inside the window
-// and have it removed from this replica (other replicas still hold it, so
-// LWW reads survive and read repair restores the loser; losing the write
+// The re-check-then-delete pair is not atomic. This Store's own writes of
+// the key wait for it (run, placing), but a write from anywhere else — a
+// second client, or a write-back — can land a put inside the window and
+// have it removed from this replica (other replicas still hold it, so LWW
+// reads survive and read repair restores the loser; losing the write
 // everywhere needs the race won on every replica independently). A
 // compare-and-delete op on engine.Backend would close the window; until
 // then this matches the engine's documented single-logical-writer
-// deployment (§2.4), where delete-then-recreate of one key is never
-// concurrent.
+// deployment (§2.4).
 //
 // writeBack has a window of the same class, one delivery's read-to-write
 // time: a delete landing, and collected from the target, after it read its
@@ -419,51 +454,6 @@ func (r *repairer) gcReplica(ctx context.Context, n *node, t repairTask) bool {
 		return false
 	}
 	return n.be.Delete(ctx, t.table, t.key) == nil
-}
-
-// ---- Tombstone GC ----
-
-// trackTombstone registers a freshly written tombstone and the replicas
-// that have not yet acknowledged it. With no laggards the tombstone is
-// immediately eligible for collection.
-func (r *repairer) trackTombstone(table, key string, ts uint64, pending, replicas []int) {
-	if len(pending) == 0 {
-		r.scheduleGC(table, key, ts, replicas)
-		return
-	}
-	r.tmu.Lock()
-	r.tombs[taskKey(table, key)] = &tombWait{ts: ts, pending: pending}
-	r.tmu.Unlock()
-}
-
-// tombAck records the state at ts (a tombstone if tomb) that replica nid
-// now holds, or provably does not need. The awaited tombstone acknowledges
-// it, and the last acknowledgment schedules physical collection. A newer
-// state supersedes the delete and ends the wait: that write, owed to every
-// replica, replaces the tombstone wherever it lands, and collecting the
-// tombstone after it would delete nothing.
-func (r *repairer) tombAck(table, key string, ts uint64, tomb bool, nid int) {
-	k := taskKey(table, key)
-	r.tmu.Lock()
-	w := r.tombs[k]
-	if w == nil || ts < w.ts || (ts == w.ts && !tomb) {
-		r.tmu.Unlock()
-		return
-	}
-	if ts > w.ts {
-		delete(r.tombs, k)
-		r.tmu.Unlock()
-		return
-	}
-	w.pending = slices.DeleteFunc(w.pending, func(n int) bool { return n == nid })
-	done := len(w.pending) == 0
-	if done {
-		delete(r.tombs, k)
-	}
-	r.tmu.Unlock()
-	if done {
-		r.scheduleGC(table, key, ts, r.s.ring.replicas(key, r.s.cfg.ReplicationFactor))
-	}
 }
 
 // scheduleGC queues the tombstone's collection; the task keeps replicas.

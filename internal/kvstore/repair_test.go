@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,18 +248,10 @@ func TestHintReplayAfterLongOutage(t *testing.T) {
 // restart (they live in the !hints table through the engine seam) and are
 // drained by the next client.
 func TestHintBatchPutAndRecovery(t *testing.T) {
-	shared := make([]*memory.Backend, 3)
-	for i := range shared {
-		shared[i] = memory.New()
-	}
-	newBackend := func(id int) (engine.Backend, error) { return keepOpen{shared[id]}, nil }
-
+	shared := newBackends(3)
 	slow := fastRepair()
 	slow.HintInterval = time.Hour // park only; the next client drains
-	s1, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, Repair: slow, NewBackend: newBackend})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := openOver(t, shared, 2, slow)
 	ctx := context.Background()
 	shared[1].SetDown(true)
 	var entries []Entry
@@ -278,11 +271,7 @@ func TestHintBatchPutAndRecovery(t *testing.T) {
 	shared[1].SetDown(false)
 
 	// A fresh client recovers the durable hints and delivers them.
-	s2, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, Repair: fastRepair(), NewBackend: newBackend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
+	s2 := openOver(t, shared, 2, fastRepair())
 	if got := s2.Stats(ctx).HintsPending; got != missed {
 		t.Fatalf("recovered %d hints, want %d", got, missed)
 	}
@@ -337,9 +326,10 @@ func TestHintCannotResurrectCollectedDelete(t *testing.T) {
 // builds, which appended the missed envelope: the envelope is ignored, a
 // newer state on the parking node is delivered instead, a hint whose key
 // the parking node no longer holds is consumed without a write, and a
-// record that does not decode is removed.
+// record that does not decode, or names a node the cluster does not have,
+// is removed.
 func TestHintDeliversParkingNodeState(t *testing.T) {
-	shared := []*memory.Backend{memory.New(), memory.New()}
+	shared := newBackends(2)
 	ctx := context.Background()
 	oldRecord := func(key string, env []byte) []byte {
 		return codec.PutBytes(codec.PutString(codec.PutString(nil, "t"), key), env)
@@ -352,15 +342,11 @@ func TestHintDeliversParkingNodeState(t *testing.T) {
 		{Key: hintKey(1, 1), Value: oldRecord("kept", envelope(envValue, 100, []byte("older")))},
 		{Key: hintKey(1, 2), Value: oldRecord("gone", envelope(envValue, 100, []byte("deleted since")))},
 		{Key: hintKey(1, 3), Value: []byte{0xff}},
+		{Key: hintKey(5, 4), Value: encodeHint("t", "kept")},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	newBackend := func(id int) (engine.Backend, error) { return shared[id], nil }
-	s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2, Repair: fastRepair(), NewBackend: newBackend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openOver(t, shared, 2, fastRepair())
 
 	waitFor(t, "recovered hints drained", func() bool { return s.Stats(ctx).HintsPending == 0 })
 	if raw, ok := rawGet(t, shared[1], "t", "kept"); !ok || !bytes.Equal(raw, newer) {
@@ -415,37 +401,86 @@ type keepOpen struct{ engine.Backend }
 
 func (keepOpen) Close() error { return nil }
 
-// TestTombstoneGCAllAcked: a delete acknowledged by every replica leaves
-// no tombstone behind.
-func TestTombstoneGCAllAcked(t *testing.T) {
-	s, backends := openRepair(t, 3, 2, fastRepair())
-	ctx := context.Background()
+// refuseDelete is a node whose physical deletes fail, so that no collection
+// a client over it queues ever takes effect.
+type refuseDelete struct{ engine.Backend }
 
-	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
+func (refuseDelete) Delete(context.Context, string, string) error {
+	return errors.New("delete refused")
+}
+
+// openOver opens a cluster client over backends that outlive it, as each
+// client of a durable cluster reopens the same nodes.
+func openOver(t testing.TB, backends []*memory.Backend, rf int, opts RepairOptions) *Store {
+	t.Helper()
+	s, err := Open(context.Background(), Config{Nodes: len(backends), ReplicationFactor: rf, Repair: opts,
+		NewBackend: func(id int) (engine.Backend, error) { return keepOpen{backends[id]}, nil }})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(ctx, "t", "k"); err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+func newBackends(n int) []*memory.Backend {
+	backends := make([]*memory.Backend, n)
+	for i := range backends {
+		backends[i] = memory.New()
 	}
-	waitFor(t, "fully-acked tombstone physically removed", func() bool {
-		for _, be := range backends {
-			if _, ok := rawGet(t, be, "t", "k"); ok {
-				return false
-			}
+	return backends
+}
+
+// rawLeft counts the entries, tombstones included, that the backends hold
+// in table.
+func rawLeft(t testing.TB, backends []*memory.Backend, table string) int {
+	t.Helper()
+	n := 0
+	for _, be := range backends {
+		if err := be.Scan(context.Background(), table, func(string, []byte) bool { n++; return true }); err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if st := s.Stats(ctx); st.TombstonesGCed != 1 {
-		t.Fatalf("TombstonesGCed = %d, want 1", st.TombstonesGCed)
 	}
-	if _, err := s.Get(ctx, "t", "k"); !errors.Is(err, types.ErrNotFound) {
-		t.Fatalf("after GC: %v", err)
+	return n
+}
+
+// TestTombstoneGCAllAcked: a delete every replica took leaves no tombstone
+// behind — at rf 1 too, where the delete's one replica is every replica.
+func TestTombstoneGCAllAcked(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		nodes, rf, n int
+	}{
+		{name: "rf=2", nodes: 3, rf: 2, n: 1},
+		{name: "rf=1", nodes: 1, rf: 1, n: 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, backends := openRepair(t, tc.nodes, tc.rf, fastRepair())
+			ctx := context.Background()
+			for i := 0; i < tc.n; i++ {
+				key := fmt.Sprintf("k%03d", i)
+				if err := s.Put(ctx, "t", key, []byte("v1")); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Delete(ctx, "t", key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "tombstones physically removed", func() bool {
+				return rawLeft(t, backends, "t") == 0 && s.Stats(ctx).TombstonesGCed >= int64(tc.n)
+			})
+			if st := s.Stats(ctx); st.TombstonesGCed != int64(tc.n) {
+				t.Fatalf("TombstonesGCed = %d, want %d", st.TombstonesGCed, tc.n)
+			}
+			if _, err := s.Get(ctx, "t", "k000"); !errors.Is(err, types.ErrNotFound) {
+				t.Fatalf("after GC: %v", err)
+			}
+		})
 	}
 }
 
 // TestTombstoneGCAfterHintAck: a replica that missed the delete receives
-// the tombstone by hint replay; its acknowledgment completes the set and
-// the tombstone is collected everywhere.
+// the tombstone by hint replay; the delivery leaves every replica holding
+// it, and the tombstone is collected everywhere.
 func TestTombstoneGCAfterHintAck(t *testing.T) {
 	opts := fastRepair()
 	opts.DisableReadRepair = true
@@ -462,7 +497,7 @@ func TestTombstoneGCAfterHintAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	backends[b].SetDown(false)
-	waitFor(t, "tombstone delivered, acked, and collected", func() bool {
+	waitFor(t, "tombstone delivered and collected", func() bool {
 		for _, be := range backends {
 			if _, ok := rawGet(t, be, "t", key); ok {
 				return false
@@ -479,11 +514,10 @@ func TestTombstoneGCAfterHintAck(t *testing.T) {
 	}
 }
 
-// TestRecreateDuringOutageEndsTombstoneWait: a key deleted and then written
-// again while one replica is down. Both hints deliver the newer value, so
-// the tombstone is never acknowledged by that replica — and its wait must
-// end anyway, or the tracker keeps one entry per delete-then-recreate.
-func TestRecreateDuringOutageEndsTombstoneWait(t *testing.T) {
+// TestRecreateDuringOutageConverges: a key deleted and then written again
+// while one replica is down. Both hints deliver the newer value, so the
+// returned replica ends holding it, never the tombstone.
+func TestRecreateDuringOutageConverges(t *testing.T) {
 	s, backends := openRepair(t, 2, 2, fastRepair())
 	ctx := context.Background()
 
@@ -502,11 +536,60 @@ func TestRecreateDuringOutageEndsTombstoneWait(t *testing.T) {
 	if !rawEqual(t, backends[0], backends[1], "t", "k") {
 		t.Fatal("the returned replica does not hold the recreated value")
 	}
-	s.repair.tmu.Lock()
-	n := len(s.repair.tombs)
-	s.repair.tmu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d tombstone waits left after the drain, want 0", n)
+}
+
+// gatedDelete is a node whose first physical delete stops at a gate: entered
+// closes when it arrives, and it goes on once release closes.
+type gatedDelete struct {
+	engine.Backend
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gatedDelete) Delete(ctx context.Context, table, key string) error {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Backend.Delete(ctx, table, key)
+}
+
+// TestRecreateDuringCollectionSurvives: at rf 1, a key deleted and written
+// again while its tombstone's collection has re-checked the replica but not
+// yet deleted. The write waits for the collection, so the new value is not
+// deleted with the tombstone — there is no other replica to bring it back.
+func TestRecreateDuringCollectionSurvives(t *testing.T) {
+	ctx := context.Background()
+	g := &gatedDelete{Backend: memory.New(), entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := Open(ctx, Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return g, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var release sync.Once
+	open := func() { release.Do(func() { close(g.release) }) }
+	defer s.Close()
+	defer open()
+
+	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(ctx, "t", "k"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the tombstone's collection never reached its delete")
+	}
+	put := make(chan error, 1)
+	go func() { put <- s.Put(ctx, "t", "k", []byte("v2")) }()
+	time.Sleep(10 * time.Millisecond) // room for the write to land inside the collection
+	open()
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(ctx, "t", "k"); err != nil || string(got) != "v2" {
+		t.Fatalf("Get after the recreate = %q, %v; want v2", got, err)
 	}
 }
 
@@ -570,7 +653,7 @@ func TestDeleteConverges(t *testing.T) {
 				}
 			}
 			backends[down].SetDown(false)
-			waitFor(t, "tombstones delivered, acked, and collected", func() bool {
+			waitFor(t, "tombstones delivered and collected", func() bool {
 				for _, be := range backends {
 					for _, key := range deleted {
 						if _, ok := rawGet(t, be, "t", key); ok {
@@ -592,7 +675,7 @@ func TestDeleteConverges(t *testing.T) {
 }
 
 // TestLargeBatchDeleteCollectsEveryTombstone: deletes in groups of 1 024
-// keys, the group size core deletes in, every tombstone acknowledged by both
+// keys, the group size core deletes in, every tombstone taken by both
 // replicas at once. Each one's collection is queued as the batch returns,
 // thousands at once; none may be lost, or its tombstones stay on the nodes
 // for good — nobody reads those keys again.
@@ -618,70 +701,143 @@ func TestLargeBatchDeleteCollectsEveryTombstone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	left := func() int {
-		n := 0
-		for _, be := range backends {
-			if err := be.Scan(ctx, "t", func(string, []byte) bool { n++; return true }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return n
-	}
 	deadline := time.Now().Add(10 * time.Second)
-	for left() > 0 && time.Now().Before(deadline) {
+	// A collection counts itself after its deletes, so wait for both.
+	for (rawLeft(t, backends, "t") > 0 || s.Stats(ctx).TombstonesGCed < nKeys) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	st := s.Stats(ctx)
-	if n := left(); n > 0 || st.TombstonesGCed != nKeys {
+	if n := rawLeft(t, backends, "t"); n > 0 || st.TombstonesGCed != nKeys {
 		t.Fatalf("%d tombstone copies left on the nodes, TombstonesGCed %d of %d", n, st.TombstonesGCed, nKeys)
 	}
 }
 
-// TestTombstoneTTLRequiresAgreement pins the TTL-collection safety gate: an
-// expired tombstone is NOT collected while any replica still holds older
-// state (collecting it would resurrect the value), and IS collected once a
-// read observes every replica agreeing on it. The tracker knows nothing of
-// this tombstone (it was written by a "previous client" — directly into
-// the backends), so only the TTL path can collect it.
-func TestTombstoneTTLRequiresAgreement(t *testing.T) {
-	opts := fastRepair()
-	opts.TombstoneTTL = time.Nanosecond // everything is expired
-	s, backends := openRepair(t, 2, 2, opts)
+// TestRestartedClientCollectsTombstone: a delete one replica missed, its
+// writer closed before the hint drained. The next client replays the hint,
+// and that delivery — the first time both replicas hold the tombstone —
+// ends in its collection, though this client never wrote the delete.
+func TestRestartedClientCollectsTombstone(t *testing.T) {
+	backends := newBackends(2)
 	ctx := context.Background()
-
-	key := "ttl-key"
-	replicas := s.ring.replicas(key, 2)
-	a, b := replicas[0], replicas[1]
-	// Replica a: tombstone at ts=200. Replica b: stale live value at ts=100.
-	if err := backends[a].Put(ctx, "t", key, envelope(envTombstone, 200, nil)); err != nil {
+	s1 := openOver(t, backends, 2, RepairOptions{HintInterval: time.Hour})
+	if err := s1.Put(ctx, "t", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := backends[b].Put(ctx, "t", key, envelope(envValue, 100, []byte("stale"))); err != nil {
+	backends[1].SetDown(true)
+	if err := s1.Delete(ctx, "t", "k"); err != nil {
 		t.Fatal(err)
 	}
-
-	// First read: tombstone wins, read repair starts converging b, but the
-	// replicas did not agree — the tombstone must survive.
-	if _, err := s.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
-		t.Fatalf("Get = %v, want not found", err)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, "stale replica overwritten by the tombstone", func() bool {
-		raw, ok := rawGet(t, backends[b], "t", key)
-		return ok && raw[0] == envTombstone
+	backends[1].SetDown(false)
+
+	s2 := openOver(t, backends, 2, fastRepair())
+	waitFor(t, "hint replayed and tombstone collected", func() bool {
+		st := s2.Stats(ctx)
+		return st.HintsReplayed == 1 && st.TombstonesGCed >= 1 && rawLeft(t, backends, "t") == 0
 	})
-	if _, ok := rawGet(t, backends[a], "t", key); !ok {
+	if got := s2.Stats(ctx).TombstonesGCed; got != 1 {
+		t.Fatalf("TombstonesGCed = %d, want 1", got)
+	}
+}
+
+// TestScanAfterCloseCollectsTombstones: Close drops the collections still
+// queued, so a large BatchDelete closed at once leaves tombstones on every
+// replica. Here the writer's nodes refuse physical deletes, so it leaves
+// them all, whatever the timing. The next client's Scan — what core's Load
+// runs — sees each one on all its replicas and collects it; at rf 1 too,
+// where Scan reads each node alone.
+func TestScanAfterCloseCollectsTombstones(t *testing.T) {
+	const nKeys = 1024
+	for _, tc := range []struct{ nodes, rf int }{{3, 2}, {2, 1}} {
+		t.Run(fmt.Sprintf("rf=%d", tc.rf), func(t *testing.T) {
+			backends := newBackends(tc.nodes)
+			ctx := context.Background()
+			s1, err := Open(ctx, Config{Nodes: tc.nodes, ReplicationFactor: tc.rf,
+				NewBackend: func(id int) (engine.Backend, error) { return refuseDelete{keepOpen{backends[id]}}, nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s1.Close() })
+			keys := make([]string, nKeys)
+			entries := make([]Entry, nKeys)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%05d", i)
+				entries[i] = Entry{Key: keys[i], Value: []byte("v")}
+			}
+			if err := s1.BatchPut(ctx, "t", entries); err != nil {
+				t.Fatal(err)
+			}
+			if err := s1.BatchDelete(ctx, "t", keys); err != nil {
+				t.Fatal(err)
+			}
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := rawLeft(t, backends, "t"); n != nKeys*tc.rf {
+				t.Fatalf("%d tombstone copies left by the writer, want %d", n, nKeys*tc.rf)
+			}
+
+			s2 := openOver(t, backends, tc.rf, RepairOptions{})
+			if err := s2.Scan(ctx, "t", func(k string, _ []byte) bool {
+				t.Fatalf("Scan served deleted key %s", k)
+				return false
+			}); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "every tombstone collected", func() bool { return rawLeft(t, backends, "t") == 0 })
+		})
+	}
+}
+
+// TestTombstoneCollectionWaitsForAgreement pins the collection's safety
+// gate: a tombstone is NOT collected while a replica still holds older state
+// (collecting it would resurrect the value), and IS collected, whatever its
+// age, once every replica is seen holding it. Both states are planted
+// straight into the backends, as a previous client would have left them.
+func TestTombstoneCollectionWaitsForAgreement(t *testing.T) {
+	backends := newBackends(2)
+	ctx := context.Background()
+	const key = "k"
+	// Node 0: tombstone at ts=200. Node 1: stale live value at ts=100.
+	if err := backends[0].Put(ctx, "t", key, envelope(envTombstone, 200, nil)); err != nil {
+		t.Fatal(err)
+	}
+	stale := envelope(envValue, 100, []byte("stale"))
+	if err := backends[1].Put(ctx, "t", key, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	// With nothing to repair the disagreement, reads and scans see it every
+	// time: the tombstone must survive them all.
+	s1 := openOver(t, backends, 2, RepairOptions{DisableReadRepair: true, HintInterval: time.Hour})
+	for i := 0; i < 20; i++ {
+		if _, err := s1.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
+			t.Fatalf("Get = %v, want not found", err)
+		}
+		if err := s1.Scan(ctx, "t", func(string, []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // room for a wrongly queued collection to run
+	if raw, ok := rawGet(t, backends[0], "t", key); !ok || raw[0] != envTombstone {
 		t.Fatal("tombstone collected while a replica was stale — resurrection hazard")
 	}
+	if raw, _ := rawGet(t, backends[1], "t", key); !bytes.Equal(raw, stale) {
+		t.Fatalf("node 1 holds %q with read repair off, want the stale value", raw)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Now reads observe full agreement; TTL collection may proceed.
-	waitFor(t, "expired tombstone collected after agreement", func() bool {
-		if _, err := s.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
-			t.Fatalf("Get = %v", err)
-		}
-		_, oka := rawGet(t, backends[a], "t", key)
-		_, okb := rawGet(t, backends[b], "t", key)
-		return !oka && !okb
-	})
+	// Under default options the read writes the tombstone back over the
+	// stale value, and the replicas, agreeing, are collected.
+	s2 := openOver(t, backends, 2, RepairOptions{})
+	if _, err := s2.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
+		t.Fatalf("Get = %v, want not found", err)
+	}
+	waitFor(t, "tombstone collected after agreement", func() bool { return rawLeft(t, backends, "t") == 0 })
 }
 
 // TestLWWTieBreakDeterministic pins the equal-timestamp resolution order:

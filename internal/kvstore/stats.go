@@ -16,8 +16,8 @@ func (s *Store) ChargeScan(n int) time.Duration {
 	return d
 }
 
-// Stats is a snapshot of cluster counters. The repair fields are zero
-// when replication repair is off (ReplicationFactor 1).
+// Stats is a snapshot of cluster counters. At ReplicationFactor 1 the
+// repair fields other than TombstonesGCed stay zero.
 type Stats struct {
 	Requests    int64
 	BytesRead   int64
@@ -71,13 +71,12 @@ func (s *Store) Stats(ctx context.Context) Stats {
 		WriteCalls: s.writeCalls.Load(),
 		SimElapsed: time.Duration(s.simClock.Load()),
 	}
-	if r := s.repair; r != nil {
-		st.RepairWrites = r.repairWrites.Load()
-		st.HintsQueued = r.hintsQueued.Load()
-		st.HintsReplayed = r.hintsReplayed.Load()
-		st.HintsPending = r.hintsPending.Load()
-		st.TombstonesGCed = r.tombstonesGC.Load()
-	}
+	r := s.repair
+	st.RepairWrites = r.repairWrites.Load()
+	st.HintsQueued = r.hintsQueued.Load()
+	st.HintsReplayed = r.hintsReplayed.Load()
+	st.HintsPending = r.hintsPending.Load()
+	st.TombstonesGCed = r.tombstonesGC.Load()
 	if a := s.ae; a != nil {
 		st.AESyncs = a.syncs.Load()
 		st.AERangesDiffed = a.rangesDiffed.Load()

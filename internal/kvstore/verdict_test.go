@@ -75,7 +75,6 @@ func TestVerdictCallersAgree(t *testing.T) {
 		name    string
 		planted [3][]byte // raw bytes per node; nil = holds nothing
 		down    int       // node taken down before the observation; -1 = none
-		ttl     time.Duration
 		serves  string    // "" = not found
 		settled [3][]byte // what every replica must come to hold
 	}{
@@ -83,10 +82,10 @@ func TestVerdictCallersAgree(t *testing.T) {
 			serves: "v2", settled: [3][]byte{val(200, "v2"), val(200, "v2"), val(200, "v2")}},
 		{name: "missing", planted: [3][]byte{val(100, "v"), nil, val(100, "v")}, down: -1,
 			serves: "v", settled: [3][]byte{val(100, "v"), val(100, "v"), val(100, "v")}},
-		{name: "tombstone vs nothing", planted: [3][]byte{tomb(100), nil, nil}, down: -1, ttl: time.Nanosecond,
-			settled: [3][]byte{nil, nil, nil}}, // agreed on and expired: collected, never spread
+		{name: "tombstone vs nothing", planted: [3][]byte{tomb(100), nil, nil}, down: -1,
+			settled: [3][]byte{nil, nil, nil}}, // agreed on: collected, never spread
 		{name: "timestamp tie", planted: [3][]byte{val(500, "a"), tomb(500), val(500, "c")}, down: -1,
-			settled: [3][]byte{tomb(500), tomb(500), tomb(500)}},
+			settled: [3][]byte{nil, nil, nil}}, // spread, then agreed on and collected
 		{name: "unparsable", planted: [3][]byte{garbage, val(100, "v"), val(100, "v")}, down: -1,
 			serves: "v", settled: [3][]byte{val(100, "v"), val(100, "v"), val(100, "v")}},
 		{name: "unreachable", planted: [3][]byte{val(50, "v0"), val(100, "v1"), val(200, "v2")}, down: 0,
@@ -119,7 +118,7 @@ func TestVerdictCallersAgree(t *testing.T) {
 		for _, ob := range observers {
 			t.Run(sc.name+"/"+ob.name, func(t *testing.T) {
 				ctx := context.Background()
-				opts := RepairOptions{DisableHints: true, TombstoneTTL: sc.ttl}
+				opts := RepairOptions{DisableHints: true}
 				if ob.observe == nil {
 					opts.DisableReadRepair, opts.AntiEntropyInterval = true, time.Hour
 				}

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"rstore/internal/engine"
@@ -39,10 +40,11 @@ func (s *Store) BatchPut(ctx context.Context, table string, entries []Entry) err
 // A replica that misses the delete (down at the time) is outvoted by the
 // tombstone's newer timestamp when it comes back, instead of resurrecting the
 // value — and, with repair enabled, receives the tombstone by hint replay.
-// Once every replica has acknowledged a tombstone (now, or later through
-// hints and read repair), it is physically collected (repair.go). Deleting a
-// missing key is not an error, but — matching BatchPut — deleting a key while
-// its every replica is down is: the tombstone took hold nowhere.
+// Once every replica is seen holding a tombstone (now, or later through
+// hints, reads, Scans and anti-entropy), it is physically collected
+// (repair.go). Deleting a missing key is not an error, but — matching
+// BatchPut — deleting a key while its every replica is down is: the
+// tombstone took hold nowhere.
 func (s *Store) BatchDelete(ctx context.Context, table string, keys []string) error {
 	entries := make([]Entry, len(keys))
 	for i, key := range keys {
@@ -83,6 +85,7 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 	// of one that did not: it is routed around, its entries survive on their
 	// other replicas. Hard errors are reported in node order for determinism.
 	nodeErr := make([]error, len(s.nodes))
+	done := s.repair.placing(table, entries)
 	var wg sync.WaitGroup
 	for nid, idxs := range perNode {
 		if len(idxs) == 0 {
@@ -99,6 +102,7 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 		}(nid, group)
 	}
 	wg.Wait()
+	done()
 	anyMissed := false
 	for nid, err := range nodeErr {
 		if err != nil && !isUnavailable(err) {
@@ -124,22 +128,17 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 		}
 		bytes += int64(len(e.Value))
 	}
-	if s.repair != nil && flag == envTombstone {
-		// Register each tombstone's ack wait BEFORE parking hints: a hint
-		// replayed the instant it is parked (the target flapped back up
-		// mid-drain) must find the wait registered, or its acknowledgment
-		// would be dropped and the tombstone never collected.
+	if flag == envTombstone {
+		// A tombstone every replica took is seen on all of them now, and
+		// collected; one some replica missed waits for the hint replay, or
+		// the observation, that finds them all holding it.
 		for i, e := range entries {
-			var pending []int // the replicas that missed it; mostly none
-			for _, n := range replicasOf[i] {
-				if nodeErr[n] != nil {
-					pending = append(pending, n)
-				}
+			if !slices.ContainsFunc(replicasOf[i], func(n int) bool { return nodeErr[n] != nil }) {
+				s.repair.scheduleGC(table, e.Key, ts, replicasOf[i])
 			}
-			s.repair.trackTombstone(table, e.Key, ts, pending, replicasOf[i])
 		}
 	}
-	if s.repair != nil && anyMissed {
+	if anyMissed {
 		// Park the missed writes, batched per parking node (the first
 		// replica that acknowledged each entry, so it holds the write a
 		// replay copies) so the hint log costs one durable batch per park,

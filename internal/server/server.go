@@ -436,7 +436,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"total_span":   s.store.TotalVersionSpan(),
 		"bytes_stored": kv.BytesStored,
 		"requests":     kv.Requests,
-		// Replication repair traffic (zero at replication factor 1).
+		// Replication repair traffic (at replication factor 1, only
+		// tombstones_gced counts).
 		"repair_writes":   kv.RepairWrites,
 		"hints_pending":   kv.HintsPending,
 		"hints_replayed":  kv.HintsReplayed,

@@ -134,7 +134,7 @@ func poll(t *testing.T, what string, cond func() bool) {
 // kill a storage daemon, overwrite and delete through the survivors,
 // restart it, and require that its ON-DISK state converges to the LWW
 // winners with no explicit client read of the repaired keys (hinted
-// handoff), that fully-acknowledged tombstones are physically collected
+// handoff), that tombstones every replica holds are physically collected
 // everywhere, and — separately, with hints disabled — that a single read
 // repairs a stale replica (read repair).
 func TestRepairEndToEnd(t *testing.T) {
@@ -188,8 +188,8 @@ func TestRepairEndToEnd(t *testing.T) {
 			return ok && bytes.Equal(got, want)
 		})
 	}
-	// Deleted keys: the tombstone reached node 1 (completing the ack set),
-	// so it must be physically collected from EVERY replica.
+	// Deleted keys: the tombstone reached node 1, so every replica holds it
+	// and it must be physically collected from EVERY replica.
 	for i := 10; i < 15; i++ {
 		poll(t, fmt.Sprintf("tombstone for %s collected everywhere", key(i)), func() bool {
 			for n := 0; n < 3; n++ {

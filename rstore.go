@@ -140,7 +140,9 @@ type ClusterConfig = kvstore.Config
 
 // RepairOptions tunes replication repair — read repair, hinted handoff,
 // and tombstone GC — for ClusterConfig.Repair. The zero value enables
-// repair with defaults whenever ClusterConfig.ReplicationFactor > 1.
+// repair with defaults whenever ClusterConfig.ReplicationFactor > 1;
+// tombstones every replica holds are collected at every replication
+// factor.
 type RepairOptions = kvstore.RepairOptions
 
 // ClusterStats is a snapshot of cluster counters, including replication
