@@ -28,12 +28,12 @@
 //   - one verdict (verdict.go, judge): the winner, the losers to overwrite and
 //     whether all replicas agree — for reads, replicated Scans and the
 //     anti-entropy loop (antientropy.go) alike; repairer.settle acts on it,
-//     and collects a tombstone every replica holds, or holds nothing against;
+//     and collects a tombstone a minute old that all replicas agree on;
 //   - one conditional write-back (repair.go, writeBack): read repair,
 //     anti-entropy repair and hint replay copy a key from a source replica
 //     (the winner's, or a hint's parking node), applying what it holds at
 //     that moment only over strictly older state; a tombstone it delivers
-//     is judged again, so that its collection follows.
+//     is queued for collection at once.
 //
 // # One logical writer per cluster
 //
@@ -47,8 +47,9 @@
 // a client opening with a reordered/resized address list or a different
 // -rf is refused instead of silently corrupting placement or replication.
 // A client that only reads (core's read-only replicas) still writes: it
-// writes back the losers it observes, and collects the tombstones it
-// observes on every replica.
+// writes back the losers it observes, and collects the tombstones it sees
+// on every replica once older than tombGrace (younger ones are left to
+// their writer, which may be rewriting the key).
 //
 // # Value ownership
 //

@@ -309,7 +309,8 @@ type scanKey struct {
 // scanUnreplicated streams each node's primarily-owned keys — with one
 // replica per key there is nothing to reconcile, so no buffering is
 // needed, but any unreachable node makes the view incomplete. A tombstone
-// it skips is its one replica's whole state, so it is collected.
+// it skips is its one replica's whole state, so it is collected once older
+// than tombGrace, as settle would.
 func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
 	stop := false
 	var envErr error
@@ -327,7 +328,9 @@ func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key 
 				return false
 			}
 			if tomb {
-				s.repair.scheduleGC(table, k, ts, []int{n.id})
+				if aged(ts) {
+					s.repair.scheduleGC(table, k, ts, []int{n.id})
+				}
 				return true
 			}
 			cp := make([]byte, len(payload))

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,43 +29,37 @@ import (
 //     when the node returns, so a restarted node converges without waiting
 //     to be read.
 //
-//   - Tombstone GC: deletes write tombstones so lagging replicas cannot
-//     resurrect data, but a tombstone every replica holds protects nothing.
-//     The rule is one: a tombstone that a complete verdict shows on every
-//     replica (each holds it, or holds nothing) is physically removed from
-//     all of them, whatever its age and whoever wrote it. Every observation
-//     feeds it through settle — the write itself, a read, a Scan, an
-//     anti-entropy round, and the re-judgment that follows a write-back
-//     delivering a tombstone (read repair, hint replay) — so the repairer
-//     keeps no memory of deletes, and one a previous client wrote, or whose
-//     collection Close dropped, is collected by the next that observes it.
-//     No age is needed for safety. Collection needs a complete verdict, so
-//     every replica was reachable and none holds an older value to
-//     resurrect. gcReplica re-checks each replica's timestamp before
-//     deleting, so a newer write survives. And no queued delivery carries
-//     bytes older than its source's current state (below), so none can
-//     bring a value back under a tombstone collected after it was queued.
-//     This Store's own writes of a key wait out its collection (run);
-//     the read-then-write windows gcReplica describes remain for others.
+//   - Tombstone GC: a tombstone every replica holds protects nothing, so
+//     one every replica is seen holding (or holding nothing) is removed
+//     from all of them, whoever wrote it. The write itself, a read, a Scan
+//     or an anti-entropy round (settle), and a write-back delivering a
+//     tombstone all feed that rule, so the repairer keeps no memory of
+//     deletes, and a tombstone a closed client left is collected by the
+//     next that observes it. It is safe at any age: every replica answered
+//     and none holds an older value, gcReplica re-checks each before
+//     deleting, and no queued delivery carries bytes older than its source
+//     holds now (below). Age guards gcReplica's own window: a write landing
+//     between its re-check and delete goes with the tombstone, at rf 1 from
+//     the only replica. This Store's writes wait out its collections (run),
+//     but a writer may rewrite a key it just deleted (core's Load deletes a
+//     crashed flush's chunks, and its next flush reuses their ids), so only
+//     a delete and the write-back completing it collect at once; a mere
+//     observation, maybe another client's, waits for tombGrace.
 //
 // A repair names a key, never its bytes: a write-back (a hint replay too)
-// copies whatever its source replica holds when it runs — so one queued
-// before a delete whose tombstone is since collected finds nothing to copy,
-// and cannot resurrect the value — and a collection carries only its
-// tombstone's timestamp. A task is a few tens of bytes, so write-backs and
-// collections share one work list that drops nothing, its length bounded
-// by the number of divergent keys. Collections need that: a BatchDelete
-// schedules one per key, and nothing schedules one again until the key is
-// observed.
+// copies whatever its source replica holds when it runs, so one queued
+// before a delete whose tombstone is since collected finds nothing to copy;
+// a collection carries only its tombstone's timestamp. Tasks are a few tens
+// of bytes, so write-backs and collections share one work list that drops
+// nothing, bounded by the number of divergent keys (a BatchDelete queues a
+// collection per key, and nothing queues one again until the key is seen).
 //
-// A write-back keeps the source's ORIGINAL timestamp: replaying one is
-// idempotent, cannot reorder against newer writes, and is applied
-// conditionally (writeBack re-checks the target's current version first) so
-// a replica that converged through another path is never regressed. It goes
-// through Backend.Put, which durable engines do not fsync: a write-back lost
-// to a crash leaves the replica as diverged as it was found, for the next
-// observation to find again — and a hint whose delivery was lost that way
-// named a key its parking replica holds durably.
+// A write-back keeps the source's ORIGINAL timestamp, so replaying one is
+// idempotent and cannot reorder against newer writes. It goes through
+// Backend.Put, which durable engines do not fsync: one lost to a crash
+// leaves the replica as diverged as it was found, for the next observation
+// to find again (a lost hint delivery named a key its parking replica holds
+// durably).
 
 // RepairOptions tunes the replication-repair subsystem. The zero value
 // enables read repair and hinted handoff, at the default drain cadence,
@@ -95,23 +90,22 @@ type RepairOptions struct {
 // repairWorkers sizes the repair worker pool.
 const repairWorkers = 2
 
-func (o RepairOptions) withDefaults() RepairOptions {
-	if o.HintInterval <= 0 {
-		o.HintInterval = time.Second
-	}
-	return o
-}
+// tombGrace is how old, by this client's clock, a tombstone must be before
+// an observation collects it (Tombstone GC above): room for its writer's
+// rewrite of the key, and for clock skew between clients.
+const tombGrace = time.Minute
 
 // repairTask is one unit of asynchronous convergence work on a key, and
 // holds no value bytes: either copying the key from replica src to the
-// losing replicas, or (gc) physically removing the tombstone at ts, which
-// every replica was seen holding, from its replicas.
+// losing replicas, or (gc) removing the tombstone at ts from its replicas,
+// all seen holding it but those in verify, which are read first.
 type repairTask struct {
 	table, key string
 	src        int    // the winner's node (write-backs)
 	ts         uint64 // the tombstone's timestamp (gc tasks)
 	gc         bool
 	targets    []int
+	verify     []int
 }
 
 type repairer struct {
@@ -164,7 +158,9 @@ type repairer struct {
 }
 
 func newRepairer(s *Store, opts RepairOptions) *repairer {
-	opts = opts.withDefaults()
+	if opts.HintInterval <= 0 {
+		opts.HintInterval = time.Second
+	}
 	//lint:rstore-vet ctxfirst: the repairer is a lifecycle root — its convergence work outlives any caller's request context and is cancelled by close()
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &repairer{
@@ -223,10 +219,10 @@ func (r *repairer) close() {
 func taskKey(table, key string) string { return table + "\x00" + key }
 
 // dedupKey is the in-flight coalescing identity. GC tasks carry a marker:
-// a write-back that delivers a tombstone judges the key again DURING run()
-// and schedules its collection while its own key is still marked
-// in-flight, and coalescing the GC against the write-back that spawned it
-// would drop the collection until the key is next observed.
+// a write-back that delivers a tombstone schedules its collection DURING
+// run(), while its own key is still marked in-flight, and coalescing the GC
+// against the write-back that spawned it would drop the collection until
+// the key is next observed.
 func (t repairTask) dedupKey() string {
 	k := taskKey(t.table, t.key)
 	if t.gc {
@@ -310,16 +306,16 @@ func (r *repairer) worker() {
 // divergence turns into work, whoever observed it. The losers are queued
 // for a write-back from the winner's replica, obs[v.win].node, when
 // writeBack is set (reads and scans clear it when read repair is disabled;
-// anti-entropy always writes). A tombstone every replica holds, or holds
-// nothing against, is queued for collection (Tombstone GC above says why
-// that is safe). It reports whether a write-back was queued.
+// anti-entropy always writes). A tombstone older than tombGrace that every
+// replica holds, or holds nothing against, is queued for collection
+// (Tombstone GC above). It reports whether a write-back was queued.
 func (r *repairer) settle(table, key string, obs []observation, v verdict, writeBack bool) bool {
 	w := obs[v.win]
 	queued := len(v.losers) > 0 && writeBack
 	if queued {
 		r.enqueue(repairTask{table: table, key: key, src: w.node, targets: v.losers})
 	}
-	if w.tomb && v.complete {
+	if w.tomb && v.complete && aged(w.ts) {
 		replicas := make([]int, len(obs))
 		for i, o := range obs {
 			replicas[i] = o.node
@@ -328,6 +324,9 @@ func (r *repairer) settle(table, key string, obs []observation, v verdict, write
 	}
 	return queued
 }
+
+// aged reports whether a tombstone stamped ts is older than tombGrace.
+func aged(ts uint64) bool { return walltime().UnixNano()-int64(ts) >= int64(tombGrace) }
 
 // run converges one key: write-back for repair tasks, conditional physical
 // deletion for gc tasks. Everything is best effort — a replica that cannot
@@ -345,17 +344,21 @@ func (r *repairer) run(t repairTask) {
 	}
 	r.busy[k] = -1
 	r.kmu.Unlock()
-	gcOK := false
+	collected, agreed := false, true
+	for _, nid := range t.verify { // not yet seen holding the tombstone
+		_, ok := r.holds(r.ctx, r.s.nodes[nid], t)
+		agreed = agreed && ok
+	}
 	for _, nid := range t.targets {
-		if r.gcReplica(r.ctx, r.s.nodes[nid], t) {
-			gcOK = true
+		if agreed && r.gcReplica(r.ctx, r.s.nodes[nid], t) {
+			collected = true
 		}
 	}
 	r.kmu.Lock()
 	delete(r.busy, k)
 	r.freed.Broadcast()
 	r.kmu.Unlock()
-	if gcOK {
+	if collected {
 		r.tombstonesGC.Add(1)
 	}
 }
@@ -363,20 +366,17 @@ func (r *repairer) run(t repairTask) {
 // writeBack is the conditional write-back, the only one: read repair,
 // anti-entropy repair and hint replay all deliver through it. It reads what
 // replica src holds under the key now, once, and copies it to each target;
-// nothing there (the key was deleted and collected since, or lost with src)
-// or bytes that are no envelope deliver nothing. For each target it re-reads
-// what the target holds and applies src's envelope only over strictly older
-// state (or as the tombstone side of a timestamp tie) — the replica may have
-// converged through another path since, and an older envelope must never
-// regress it. Two cases have no timestamp to compare: bytes that are no
-// envelope are overwritten (skipping would leave the corruption in place
-// forever, and any well-formed envelope is an improvement); and over nothing
-// a value is written but a tombstone is not (nothing there can resurrect,
-// and re-creating the tombstone would undo its GC). A tombstone delivered to
-// every target is judged once more across all the key's replicas, and
-// settled without write-backs: that is how a hint replay or a read repair
-// ends in the tombstone's collection. False: src or some target could not be
-// read, or a target not written; whether to come back is the caller's call.
+// nothing there (deleted and collected since, or lost with src) or bytes
+// that are no envelope deliver nothing. Each target is re-read, and src's
+// envelope applied only over strictly older state (or as the tombstone side
+// of a timestamp tie): the replica may have converged another way since,
+// and must never regress. Without a timestamp to compare, bytes that are no
+// envelope are overwritten (any envelope is an improvement), and over
+// nothing a value is written but a tombstone is not (nothing there can
+// resurrect, and re-creating it would undo its GC). A tombstone delivered
+// to every target is queued for collection at once, which first reads the
+// replicas this delivery did not (verify), off the drain's path. False: src
+// or some target could not be read, or a target not written.
 func (r *repairer) writeBack(ctx context.Context, src int, targets []int, table, key string) bool {
 	env, ok, err := r.s.nodes[src].be.Get(ctx, table, key)
 	if err != nil {
@@ -413,47 +413,48 @@ func (r *repairer) writeBack(ctx context.Context, src int, targets []int, table,
 		}
 	}
 	if tomb && delivered {
-		if reads, err := r.s.readReplicas(ctx, table, []string{key}); err == nil {
-			if v := judge(reads[0].obs); v.win >= 0 {
-				r.settle(table, key, reads[0].obs, v, false)
-			}
-		}
+		replicas := r.s.ring.replicas(key, r.s.cfg.ReplicationFactor)
+		verify := slices.DeleteFunc(slices.Clone(replicas), func(nid int) bool {
+			return nid == src || slices.Contains(targets, nid)
+		})
+		r.enqueue(repairTask{table: table, key: key, ts: ts, gc: true, targets: replicas, verify: verify})
 	}
 	return delivered
 }
 
 // gcReplica physically deletes a tombstone every replica was seen holding
-// from one replica, re-checking that the replica still holds exactly that
-// tombstone (a newer write must survive).
+// from one replica, re-checking that it still holds exactly that tombstone
+// (a newer write must survive).
 //
-// The re-check-then-delete pair is not atomic. This Store's own writes of
-// the key wait for it (run, placing), but a write from anywhere else — a
-// second client, or a write-back — can land a put inside the window and
-// have it removed from this replica (other replicas still hold it, so LWW
-// reads survive and read repair restores the loser; losing the write
-// everywhere needs the race won on every replica independently). A
-// compare-and-delete op on engine.Backend would close the window; until
-// then this matches the engine's documented single-logical-writer
-// deployment (§2.4).
-//
-// writeBack has a window of the same class, one delivery's read-to-write
-// time: a delete landing, and collected from the target, after it read its
-// source gets the old value written back over nothing. The same kind of
-// engine op would close it: a compare-and-put on what the target held
-// before the source was read.
+// The re-check and delete are two calls. This Store's own writes of the key
+// wait for them (run, placing), but a put from a second client or a
+// write-back can land in between and be removed from this replica (the
+// other replicas keep it, and read repair restores it; losing it everywhere
+// needs the race won on each replica). A compare-and-delete on
+// engine.Backend would close the window; until then this matches the
+// single-logical-writer deployment (§2.4), and observers leave tombstones
+// younger than tombGrace alone. writeBack has a window of the same class: a
+// delete landing, and collected from the target, after it read its source
+// gets the old value written back over nothing; a compare-and-put on what
+// the target held would close it.
 func (r *repairer) gcReplica(ctx context.Context, n *node, t repairTask) bool {
-	raw, ok, err := n.be.Get(ctx, t.table, t.key)
-	if err != nil {
-		return false
-	}
-	if !ok {
-		return true // already gone
-	}
-	_, ts, tomb, err := unenvelope(raw)
-	if err != nil || !tomb || ts != t.ts {
-		return false
+	held, agrees := r.holds(ctx, n, t)
+	if !held {
+		return agrees // already gone, or not t's tombstone
 	}
 	return n.be.Delete(ctx, t.table, t.key) == nil
+}
+
+// holds reads replica n under t's key: held when it holds exactly t's
+// tombstone; agrees when it holds that, or nothing.
+func (r *repairer) holds(ctx context.Context, n *node, t repairTask) (held, agrees bool) {
+	raw, ok, err := n.be.Get(ctx, t.table, t.key)
+	if err != nil || !ok {
+		return false, err == nil
+	}
+	_, ts, tomb, err := unenvelope(raw)
+	held = err == nil && tomb && ts == t.ts
+	return held, held
 }
 
 // scheduleGC queues the tombstone's collection; the task keeps replicas.

@@ -593,6 +593,96 @@ func TestRecreateDuringCollectionSurvives(t *testing.T) {
 	}
 }
 
+// TestCollectionChecksEveryReplica: a write-back that delivers a tombstone
+// queues its collection without reading the key's other replicas, so the
+// collection reads them first: with one still holding an older value (a
+// second loser whose own delivery has not come yet), it deletes no copy of
+// the tombstone, or that value would come back.
+func TestCollectionChecksEveryReplica(t *testing.T) {
+	s, backends := openRepair(t, 3, 3, RepairOptions{DisableReadRepair: true, DisableHints: true})
+	ctx := context.Background()
+	stale := envelope(envValue, 100, []byte("stale"))
+	for n, raw := range [][]byte{envelope(envTombstone, 200, nil), stale, stale} {
+		if err := backends[n].Put(ctx, "t", "k", raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.repair.writeBack(ctx, 0, []int{1}, "t", "k") {
+		t.Fatal("delivery failed")
+	}
+	waitFor(t, "the collection to run", func() bool {
+		s.repair.mu.Lock()
+		defer s.repair.mu.Unlock()
+		return len(s.repair.inflight) == 0
+	})
+	for n := 0; n < 2; n++ {
+		if raw, ok := rawGet(t, backends[n], "t", "k"); !ok || raw[0] != envTombstone {
+			t.Fatalf("node %d: tombstone collected while node 2 held an older value — resurrection hazard", n)
+		}
+	}
+	if _, err := s.Get(ctx, "t", "k"); !errors.Is(err, types.ErrNotFound) {
+		t.Fatalf("Get = %v, want not found", err)
+	}
+}
+
+// TestObserverSparesYoungTombstone: two clients of one rf-1 node. The
+// writer's delete leaves its tombstone (its node refuses the physical
+// delete, standing in for a collection not yet run), and another client
+// Scans and Gets the key while the writer writes it again. Had the reader
+// collected the fresh tombstone, a write landing between its re-check and
+// its delete would go with the tombstone, from the only replica; it must
+// leave the tombstone to its writer, and the new write must survive.
+func TestObserverSparesYoungTombstone(t *testing.T) {
+	ctx := context.Background()
+	mem := memory.New()
+	writer, err := Open(ctx, Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return refuseDelete{keepOpen{mem}}, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	if err := writer.Put(ctx, "t", "k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Delete(ctx, "t", "k"); err != nil {
+		t.Fatal(err)
+	}
+
+	g := &gatedDelete{Backend: keepOpen{mem}, entered: make(chan struct{}), release: make(chan struct{})}
+	reader, err := Open(ctx, Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return g, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var release sync.Once
+	open := func() { release.Do(func() { close(g.release) }) }
+	defer reader.Close()
+	defer open()
+	if err := reader.Scan(ctx, "t", func(string, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reader.Get(ctx, "t", "k"); !errors.Is(err, types.ErrNotFound) {
+		t.Fatalf("reader Get = %v, want not found", err)
+	}
+	collecting := false
+	select {
+	case <-g.entered: // the reader's collection re-checked the replica and stopped at its delete
+		collecting = true
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := writer.Put(ctx, "t", "k", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	if collecting {
+		waitFor(t, "the reader's collection to end", func() bool { return reader.Stats(ctx).TombstonesGCed > 0 })
+	}
+	if err := reader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := writer.Get(ctx, "t", "k"); err != nil || string(got) != "v2" {
+		t.Fatalf("Get after the rewrite = %q, %v; want v2", got, err)
+	}
+}
+
 // TestDeleteConverges: a delete of one key (Delete) and of many (BatchDelete)
 // is the same write — gone for readers at once, the replica that was down
 // handed its tombstones by hint replay, and every tombstone collected once all
@@ -742,12 +832,21 @@ func TestRestartedClientCollectsTombstone(t *testing.T) {
 	}
 }
 
+// advanceClock moves the package's wall clock d ahead until the test ends.
+// Call it with no client running.
+func advanceClock(t testing.TB, d time.Duration) {
+	prev := walltime
+	walltime = func() time.Time { return prev().Add(d) }
+	t.Cleanup(func() { walltime = prev })
+}
+
 // TestScanAfterCloseCollectsTombstones: Close drops the collections still
 // queued, so a large BatchDelete closed at once leaves tombstones on every
 // replica. Here the writer's nodes refuse physical deletes, so it leaves
 // them all, whatever the timing. The next client's Scan — what core's Load
-// runs — sees each one on all its replicas and collects it; at rf 1 too,
-// where Scan reads each node alone.
+// runs — sees each one on all its replicas; it leaves them while younger
+// than tombGrace, and collects them once older; at rf 1 too, where Scan
+// reads each node alone.
 func TestScanAfterCloseCollectsTombstones(t *testing.T) {
 	const nKeys = 1024
 	for _, tc := range []struct{ nodes, rf int }{{3, 2}, {2, 1}} {
@@ -779,13 +878,25 @@ func TestScanAfterCloseCollectsTombstones(t *testing.T) {
 				t.Fatalf("%d tombstone copies left by the writer, want %d", n, nKeys*tc.rf)
 			}
 
+			scan := func(s *Store) {
+				if err := s.Scan(ctx, "t", func(k string, _ []byte) bool {
+					t.Fatalf("Scan served deleted key %s", k)
+					return false
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			s2 := openOver(t, backends, tc.rf, RepairOptions{})
-			if err := s2.Scan(ctx, "t", func(k string, _ []byte) bool {
-				t.Fatalf("Scan served deleted key %s", k)
-				return false
-			}); err != nil {
+			scan(s2)
+			if err := s2.Close(); err != nil {
 				t.Fatal(err)
 			}
+			if n := rawLeft(t, backends, "t"); n != nKeys*tc.rf {
+				t.Fatalf("a Scan within tombGrace left %d tombstone copies, want %d", n, nKeys*tc.rf)
+			}
+
+			advanceClock(t, tombGrace)
+			scan(openOver(t, backends, tc.rf, RepairOptions{}))
 			waitFor(t, "every tombstone collected", func() bool { return rawLeft(t, backends, "t") == 0 })
 		})
 	}
