@@ -36,9 +36,9 @@ const aeFanout = engine.DefaultHashFanout
 //	     ─ each differing key: read ALL its replicas' envelopes (one batched
 //	       MultiGet per node, the read path's readReplicas), judge them as a
 //	       read would (verdict.go), and settle the verdict as a read would
-//	       (repair.go): losers go to the one conditional repair writer —
-//	       which re-checks the target's current version before applying, so
-//	       a replica that converged through another path meanwhile is never
+//	       (repair.go): a key with losers is queued for converge, the one
+//	       repair, which reads all its replicas again when it runs, so a
+//	       replica that converged through another path meanwhile is never
 //	       regressed — and a tombstone every replica holds, or holds nothing
 //	       against, is collected.
 //
@@ -60,7 +60,7 @@ type antiEntropy struct {
 	// Counters, surfaced through Stats.
 	syncs        atomic.Int64 // completed pair syncs
 	rangesDiffed atomic.Int64 // unequal buckets drilled into
-	keysRepaired atomic.Int64 // differing keys handed to the repair writer
+	keysRepaired atomic.Int64 // differing keys queued for repair
 	bytesHashed  atomic.Int64 // key+value bytes digested by tree sweeps
 }
 
@@ -221,8 +221,8 @@ func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) boo
 	}
 	// The pair only located the divergence; each key is judged across all of
 	// its replicas, once, so the winner is the cluster's and not the pair's.
-	// A pair like (tombstone, wiped replica) has no loser — the writer would
-	// refuse a tombstone over nothing — and converges through settle's
+	// A pair like (tombstone, wiped replica) has no loser — no tombstone is
+	// written over nothing — and converges through settle's
 	// collection of a complete verdict instead of re-diffing forever.
 	reads, err := a.s.readReplicas(ctx, table, keys)
 	if err != nil {

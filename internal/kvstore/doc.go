@@ -27,13 +27,14 @@
 //     every key, in one batched request per node;
 //   - one verdict (verdict.go, judge): the winner, the losers to overwrite and
 //     whether all replicas agree — for reads, replicated Scans and the
-//     anti-entropy loop (antientropy.go) alike; repairer.settle acts on it,
-//     and collects a tombstone a minute old that all replicas agree on;
-//   - one conditional write-back (repair.go, writeBack): read repair,
-//     anti-entropy repair and hint replay copy a key from a source replica
-//     (the winner's, or a hint's parking node), applying what it holds at
-//     that moment only over strictly older state; a tombstone it delivers
-//     is queued for collection at once.
+//     anti-entropy loop (antientropy.go) alike; repairer.settle queues a key
+//     with losers, or with a tombstone a minute old all replicas agree on;
+//   - one repair (repair.go, converge), reusing the one read and the one
+//     verdict: read repair, anti-entropy repair, hint replay and tombstone
+//     collection name a key, read all its replicas at once, judge them,
+//     put the winner to the losers and collect a tombstone every replica
+//     then holds, re-reading each replica before its delete — at once
+//     after a delete, a hint replay or its own delivery.
 //
 // # One logical writer per cluster
 //

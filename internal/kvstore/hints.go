@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,8 +19,9 @@ import (
 // table, key) durably in the !hints table of a replica that did take the
 // write — through the engine seam, so lsm and remote deployments keep hints
 // across client restarts — and a drain loop replays the hints once the
-// target answers again. Replaying a hint is a write-back (repair.go) of its
-// key from the parking replica, which holds the write or a newer state. The
+// target answers again. Replaying a hint converges its key (repair.go): all
+// its replicas are read, the parking one among them, which holds the write
+// or a newer state, and the winner is written to the target. The
 // loop keeps no schedule of its own per target: it retries every tick,
 // which costs little because a down node refuses at once — a memory node
 // answers engine.ErrUnavailable, a dialed node's open breaker fails fast
@@ -249,13 +251,17 @@ func (r *repairer) drainTarget(target int) {
 	}
 }
 
-// replayHint delivers one parked hint — a write-back of its key from the
-// parking node to the target — then removes the parked record. False means
-// "try this target again later" (park or target unreachable); true consumes
-// the hint — including one whose key the park no longer holds, and one
-// another client already replayed, which delivers nothing new.
+// replayHint converges one parked hint's key (a fresh task: a tombstone
+// every replica then holds is queued for collection at once, off the
+// drain's path), then removes the parked record. False means "try this
+// target again later": the key was not judged, or the target or the
+// parking node — whose state the winner must have been judged against —
+// did not answer or did not take the winner. True consumes the hint —
+// including one whose key no replica holds any more, and one another
+// client already replayed.
 func (r *repairer) replayHint(ctx context.Context, target int, ref hintRef) bool {
-	if !r.writeBack(ctx, ref.park, []int{target}, ref.table, ref.key) {
+	missed, judged := r.converge(ctx, repairTask{table: ref.table, key: ref.key, fresh: true}, false)
+	if !judged || slices.Contains(missed, target) || slices.Contains(missed, ref.park) {
 		return false
 	}
 	_ = r.s.nodes[ref.park].be.Delete(ctx, hintsTable, ref.hkey)

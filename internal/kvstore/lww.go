@@ -16,8 +16,9 @@ import (
 // write timestamp and a tombstone flag, and reads consult every replica
 // and take the newest version (Cassandra's conflict rule; verdict.go).
 // Outvoting alone leaves the losing replica wrong on disk; the repair
-// subsystem (repair.go) writes the winner back to losers (read repair) and
-// queues writes missed by down nodes (hinted handoff, hints.go).
+// subsystem (repair.go) converges the key — writes the winner to the losers —
+// when a read observes them (read repair) and when a node that missed
+// writes returns (hinted handoff, hints.go).
 //
 // Envelope layout: flag (1 byte: value|tombstone) | timestamp (8 bytes LE,
 // nanoseconds) | payload. Timestamps come from a per-cluster-client hybrid

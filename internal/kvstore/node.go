@@ -3,8 +3,12 @@ package kvstore
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 
 	"rstore/internal/engine"
+	"rstore/internal/engine/lsm"
+	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
 )
 
@@ -42,4 +46,39 @@ func (n *node) stored(ctx context.Context) (int64, error) {
 		return n.rc.Stored(ctx)
 	}
 	return n.be.BytesStored(), nil
+}
+
+// inProcess reports whether every node named is an in-process engine
+// (memory, lsm): its calls return sooner than a goroutine starts and wakes
+// its caller, where any other backend — a daemon's wire client, or a
+// wrapper a NewBackend factory returns — may wait on a network.
+func (s *Store) inProcess(nodes []int) bool {
+	return !slices.ContainsFunc(nodes, func(nid int) bool {
+		switch s.nodes[nid].be.(type) {
+		case *memory.Backend, *lsm.Backend:
+			return false
+		}
+		return true
+	})
+}
+
+// fanOut runs op(i, nodes[i]) for every node: at once when overlap is set,
+// the first on the calling goroutine, and otherwise one after another.
+func fanOut(nodes []int, overlap bool, op func(i, nid int)) {
+	if !overlap || len(nodes) < 2 {
+		for i, nid := range nodes {
+			op(i, nid)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i, nid := range nodes[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op(i+1, nid)
+		}()
+	}
+	op(0, nodes[0])
+	wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"rstore/internal/engine"
@@ -135,7 +134,8 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 		err     error
 		next    int // the next answer to hand out (below)
 	}
-	batches := make(map[int]*batch)
+	batches := make([]*batch, len(s.nodes)) // by node id
+	var nids []int                          // the nodes asked, in first-asked order
 	replicasOf := make([][]int, len(keys))
 	total := 0
 	for i, k := range keys {
@@ -145,21 +145,20 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 			if b == nil {
 				b = &batch{}
 				batches[r] = b
+				nids = append(nids, r)
 			}
 			b.keys = append(b.keys, k)
 			total++
 		}
 	}
-	var wg sync.WaitGroup
-	for nid, b := range batches {
-		wg.Add(1)
-		go func(nid int, b *batch) {
-			defer wg.Done()
-			b.vals, b.present, b.err = engine.MultiGet(ctx, s.nodes[nid].be, table, b.keys)
-		}(nid, b)
-	}
-	wg.Wait()
-	for nid, b := range batches {
+	// The nodes are asked at once, but a one-key read of in-process
+	// engines asks them in turn (inProcess).
+	fanOut(nids, len(keys) > 1 || !s.inProcess(nids), func(_, nid int) {
+		b := batches[nid]
+		b.vals, b.present, b.err = engine.MultiGet(ctx, s.nodes[nid].be, table, b.keys)
+	})
+	for _, nid := range nids {
+		b := batches[nid]
 		if b.err != nil && !isUnavailable(b.err) {
 			return nil, fmt.Errorf("node %d: %w", nid, b.err)
 		}
@@ -329,7 +328,7 @@ func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key 
 			}
 			if tomb {
 				if aged(ts) {
-					s.repair.scheduleGC(table, k, ts, []int{n.id})
+					s.repair.enqueue(repairTask{table: table, key: k})
 				}
 				return true
 			}

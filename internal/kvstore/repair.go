@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,52 +13,56 @@ import (
 // LWW envelopes (lww.go) let reads outvote a stale replica, but outvoting
 // is camouflage, not a cure — the losing replica keeps serving old bytes
 // from its backend forever, and every read of the key pays the conflict
-// resolution again. Dynamo-style repair fixes the divergence at the source:
+// resolution again. Dynamo-style repair fixes the divergence at the source,
+// and every repair is one function, converge: it reads all of a key's
+// replicas at once (readReplicas), judges their answers (judge), writes the
+// winner to the losers, and collects a tombstone every replica then holds.
+// Its triggers:
 //
-//   - Read repair: when a replicated read (Get, MultiGet), a replicated Scan
-//     or an anti-entropy sweep judges a key (verdict.go) and finds a live
-//     replica holding an older version than the LWW winner — or missing the
-//     key, or carrying a value a tombstone deleted, or bytes that are no
-//     envelope at all — settle queues a write-back of the key from the
-//     winner's replica to the losing replicas, asynchronously, through a
-//     small worker pool with per-key deduplication.
+//   - Read repair: a replicated read (Get, MultiGet), a replicated Scan or
+//     an anti-entropy sweep whose verdict (verdict.go) has losers — replicas
+//     holding an older version, nothing, a value a tombstone deleted, or
+//     bytes that are no envelope — queues the key (settle) for a worker.
 //
 //   - Hinted handoff (hints.go): a write that had to skip a down replica
-//     parks a hint naming the key beside a replica that took it, replayed
-//     when the node returns, so a restarted node converges without waiting
-//     to be read.
+//     parks a hint naming the key beside a replica that took it; when the
+//     node returns, the drain converges the key, so a restarted node
+//     catches up without waiting to be read.
 //
 //   - Tombstone GC: a tombstone every replica holds protects nothing, so
 //     one every replica is seen holding (or holding nothing) is removed
-//     from all of them, whoever wrote it. The write itself, a read, a Scan
-//     or an anti-entropy round (settle), and a write-back delivering a
-//     tombstone all feed that rule, so the repairer keeps no memory of
-//     deletes, and a tombstone a closed client left is collected by the
-//     next that observes it. It is safe at any age: every replica answered
-//     and none holds an older value, gcReplica re-checks each before
-//     deleting, and no queued delivery carries bytes older than its source
-//     holds now (below). Age guards gcReplica's own window: a write landing
-//     between its re-check and delete goes with the tombstone, at rf 1 from
-//     the only replica. This Store's writes wait out its collections (run),
-//     but a writer may rewrite a key it just deleted (core's Load deletes a
-//     crashed flush's chunks, and its next flush reuses their ids), so only
-//     a delete and the write-back completing it collect at once; a mere
-//     observation, maybe another client's, waits for tombGrace.
+//     from all of them, whoever wrote it. The write itself, a read, a Scan,
+//     an anti-entropy round and a hint replay all feed that rule, so the
+//     repairer keeps no memory of deletes, and a tombstone a closed client
+//     left is collected by the next that observes it. It is safe at any
+//     age: every replica answered and none holds an older value, and each
+//     replica is re-read just before its delete. Age guards the window
+//     between that re-check and the delete: a write landing in it goes with
+//     the tombstone from that replica, at rf 1 from the only one. This
+//     Store's writes wait out its repairs (placing), but a writer may
+//     rewrite a key it just deleted (core's Load deletes a crashed flush's
+//     chunks, and its next flush reuses their ids), so only a delete, a hint
+//     replay and a converge delivering the tombstone collect at once; a
+//     mere observation, maybe another client's, waits for tombGrace.
 //
-// A repair names a key, never its bytes: a write-back (a hint replay too)
-// copies whatever its source replica holds when it runs, so one queued
-// before a delete whose tombstone is since collected finds nothing to copy;
-// a collection carries only its tombstone's timestamp. Tasks are a few tens
-// of bytes, so write-backs and collections share one work list that drops
-// nothing, bounded by the number of divergent keys (a BatchDelete queues a
-// collection per key, and nothing queues one again until the key is seen).
+// A task names a key, never its bytes: the winner is the newest state any
+// replica holds when it runs, so a delivery never regresses a replica that
+// converged another way, and one queued before a delete whose tombstone is
+// since collected finds nothing to copy. Tasks are a few tens of bytes, so
+// the work list drops nothing, bounded by the number of divergent keys.
+// A delivery keeps the winner's ORIGINAL timestamp, so repeating one is
+// idempotent. It goes through Backend.Put, which durable engines do not
+// fsync: one lost to a crash leaves the replica as diverged as it was
+// found, for the next observation to find again.
 //
-// A write-back keeps the source's ORIGINAL timestamp, so replaying one is
-// idempotent and cannot reorder against newer writes. It goes through
-// Backend.Put, which durable engines do not fsync: one lost to a crash
-// leaves the replica as diverged as it was found, for the next observation
-// to find again (a lost hint delivery named a key its parking replica holds
-// durably).
+// Until engine.Backend has conditional ops, another client's write landing
+// between a collection's re-check of a replica and its delete there goes
+// with the tombstone from that replica (the next replica's re-check finds
+// the write and spares it, and read repair restores it; losing it
+// everywhere needs the race won on each replica in turn), and one landing
+// between converge's read and its Put is overwritten by the older winner,
+// for the next observation to repair: the single-logical-writer deployment
+// (§2.4).
 
 // RepairOptions tunes the replication-repair subsystem. The zero value
 // enables read repair and hinted handoff, at the default drain cadence,
@@ -95,39 +98,35 @@ const repairWorkers = 2
 // rewrite of the key, and for clock skew between clients.
 const tombGrace = time.Minute
 
-// repairTask is one unit of asynchronous convergence work on a key, and
-// holds no value bytes: either copying the key from replica src to the
-// losing replicas, or (gc) removing the tombstone at ts from its replicas,
-// all seen holding it but those in verify, which are read first.
+// repairTask is one unit of asynchronous convergence work: a key, and
+// whether its tombstone may be collected at once, whatever its age (a
+// delete's own collection, or a hint replay).
 type repairTask struct {
 	table, key string
-	src        int    // the winner's node (write-backs)
-	ts         uint64 // the tombstone's timestamp (gc tasks)
-	gc         bool
-	targets    []int
-	verify     []int
+	fresh      bool
 }
 
 type repairer struct {
 	s    *Store
 	opts RepairOptions
 
-	// The work list: write-backs and collections in arrival order, each
-	// dedupKey queued or running at most once (inflight); wake rouses a
-	// worker to take from it (next). Workers start lazily on the first task so stores
-	// that never observe divergence spawn no goroutines.
+	// The work list: keys in arrival order, each queued at most once
+	// (queued holds its task's fresh); wake rouses a worker to take from it.
+	// Workers start lazily on the first task so stores that never observe
+	// divergence spawn no goroutines.
 	startWork sync.Once
-	mu        sync.Mutex // guards queue and inflight
-	queue     []repairTask
-	inflight  map[string]bool
+	mu        sync.Mutex // guards queue and queued
+	queue     []tableKey
+	queued    map[tableKey]bool
 	wake      chan struct{}
 
-	// A collection and this Store's own write of the same key exclude each
-	// other: gcReplica re-checks a replica and then deletes, and a write
-	// landing in between would go with the tombstone — at rf 1, from the
-	// only replica. busy[k] counts the writes placing k, or is -1 while k
-	// is collected; a write waits for a collection to end (freed), and a
-	// collection skips a key being written, which supersedes its tombstone.
+	// A repair and this Store's own write of the same key exclude each
+	// other: converge reads and then writes or deletes, and a write landing
+	// in between would be overwritten, or go with the tombstone — at rf 1,
+	// from the only replica. busy[k] counts the writes placing k, or is -1
+	// while k converges; a write waits for a repair to end (freed), as does
+	// a second repair of k, and a repair skips a key being written, which
+	// supersedes it.
 	kmu   sync.Mutex
 	busy  map[tableKey]int
 	freed *sync.Cond
@@ -164,16 +163,16 @@ func newRepairer(s *Store, opts RepairOptions) *repairer {
 	//lint:rstore-vet ctxfirst: the repairer is a lifecycle root — its convergence work outlives any caller's request context and is cancelled by close()
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &repairer{
-		s:        s,
-		opts:     opts,
-		ctx:      ctx,
-		cancel:   cancel,
-		inflight: make(map[string]bool),
-		wake:     make(chan struct{}, 1),
-		busy:     make(map[tableKey]int),
-		hints:    make(map[int][]hintRef),
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
+		s:      s,
+		opts:   opts,
+		ctx:    ctx,
+		cancel: cancel,
+		queued: make(map[tableKey]bool),
+		wake:   make(chan struct{}, 1),
+		busy:   make(map[tableKey]int),
+		hints:  make(map[int][]hintRef),
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
 	}
 	r.freed = sync.NewCond(&r.kmu)
 	return r
@@ -182,7 +181,7 @@ func newRepairer(s *Store, opts RepairOptions) *repairer {
 type tableKey struct{ table, key string }
 
 // placing marks the entries' keys as written by this Store, once no
-// collection of them is under way, until the returned func is called.
+// repair of them is under way, until the returned func is called.
 func (r *repairer) placing(table string, entries []Entry) (done func()) {
 	r.kmu.Lock()
 	for _, e := range entries {
@@ -216,28 +215,11 @@ func (r *repairer) close() {
 	r.wg.Wait()
 }
 
-func taskKey(table, key string) string { return table + "\x00" + key }
-
-// dedupKey is the in-flight coalescing identity. GC tasks carry a marker:
-// a write-back that delivers a tombstone schedules its collection DURING
-// run(), while its own key is still marked in-flight, and coalescing the GC
-// against the write-back that spawned it would drop the collection until
-// the key is next observed.
-func (t repairTask) dedupKey() string {
-	k := taskKey(t.table, t.key)
-	if t.gc {
-		k += "\x00gc"
-	}
-	return k
-}
-
 // enqueue appends a task to the work list. A task for a key already queued
-// or being repaired coalesces with it (dropped silently — the earlier task
-// converges the same replicas); nothing else is ever dropped.
+// coalesces with it, and a fresh one makes it fresh; one for a key being
+// converged queues behind that run, which may have read the key before the
+// change that queued it. Nothing is ever dropped.
 func (r *repairer) enqueue(t repairTask) {
-	if len(t.targets) == 0 {
-		return
-	}
 	select {
 	case <-r.stop:
 		return // closing; nothing may start workers anymore
@@ -249,14 +231,15 @@ func (r *repairer) enqueue(t repairTask) {
 			go r.worker()
 		}
 	})
-	k := t.dedupKey()
+	k := tableKey{t.table, t.key}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.inflight[k] {
+	if fresh, ok := r.queued[k]; ok {
+		r.queued[k] = fresh || t.fresh
 		return
 	}
-	r.inflight[k] = true
-	r.queue = append(r.queue, t)
+	r.queued[k] = t.fresh
+	r.queue = append(r.queue, k)
 	select {
 	case r.wake <- struct{}{}:
 	default: // a wake is pending: its worker takes this task too
@@ -284,7 +267,7 @@ func (r *repairer) worker() {
 				r.mu.Unlock()
 				break
 			}
-			t := r.queue[0]
+			k := r.queue[0]
 			if r.queue = r.queue[1:]; len(r.queue) == 0 {
 				r.queue = nil // release a burst's backing array
 			} else {
@@ -293,34 +276,25 @@ func (r *repairer) worker() {
 				default: // a wake is pending
 				}
 			}
+			fresh := r.queued[k]
+			delete(r.queued, k)
 			r.mu.Unlock()
-			r.run(t)
-			r.mu.Lock()
-			delete(r.inflight, t.dedupKey()) // t's coalescing window ends
-			r.mu.Unlock()
+			r.converge(r.ctx, repairTask{table: k.table, key: k.key, fresh: fresh}, true)
 		}
 	}
 }
 
 // settle acts on one key's verdict (v.win >= 0) — the one place an observed
-// divergence turns into work, whoever observed it. The losers are queued
-// for a write-back from the winner's replica, obs[v.win].node, when
-// writeBack is set (reads and scans clear it when read repair is disabled;
-// anti-entropy always writes). A tombstone older than tombGrace that every
-// replica holds, or holds nothing against, is queued for collection
-// (Tombstone GC above). It reports whether a write-back was queued.
-func (r *repairer) settle(table, key string, obs []observation, v verdict, writeBack bool) bool {
+// divergence turns into work, whoever observed it. The key is queued when
+// the verdict has losers and writeLosers is set (reads and scans clear it
+// when read repair is disabled; anti-entropy always writes), or when it
+// shows a tombstone older than tombGrace on every replica (Tombstone GC
+// above). It reports whether a write-back was queued.
+func (r *repairer) settle(table, key string, obs []observation, v verdict, writeLosers bool) bool {
 	w := obs[v.win]
-	queued := len(v.losers) > 0 && writeBack
-	if queued {
-		r.enqueue(repairTask{table: table, key: key, src: w.node, targets: v.losers})
-	}
-	if w.tomb && v.complete && aged(w.ts) {
-		replicas := make([]int, len(obs))
-		for i, o := range obs {
-			replicas[i] = o.node
-		}
-		r.scheduleGC(table, key, w.ts, replicas)
+	queued := len(v.losers) > 0 && writeLosers
+	if queued || (w.tomb && v.complete && aged(w.ts)) {
+		r.enqueue(repairTask{table: table, key: key})
 	}
 	return queued
 }
@@ -328,136 +302,94 @@ func (r *repairer) settle(table, key string, obs []observation, v verdict, write
 // aged reports whether a tombstone stamped ts is older than tombGrace.
 func aged(ts uint64) bool { return walltime().UnixNano()-int64(ts) >= int64(tombGrace) }
 
-// run converges one key: write-back for repair tasks, conditional physical
-// deletion for gc tasks. Everything is best effort — a replica that cannot
-// be repaired now will be caught by the next observation or hint replay.
-func (r *repairer) run(t repairTask) {
-	if !t.gc {
-		r.writeBack(r.ctx, t.src, t.targets, t.table, t.key)
-		return
-	}
+// converge is the repair, the only one: the workers run it for read repair,
+// anti-entropy repair and tombstone collection, and the hint drain for a
+// replay. It reads every replica of the key at once (in turn over
+// in-process engines: inProcess), judges the answers, and puts the winner
+// to every loser — the apply rules are judge's (verdict.go). A tombstone
+// winner every replica then holds (or holds
+// nothing) is collected when the task is fresh, this run delivered it, or
+// it is older than tombGrace: with collect set, here, from one holder after
+// another, each re-read just before its delete, so a write landing between
+// one holder's re-check and delete goes with the tombstone from that
+// replica only and the next re-check spares it; without collect (the hint
+// drain), by a fresh task queued off the caller's path. Everything is best
+// effort: a replica that cannot be repaired now is caught by the next
+// observation or hint replay.
+//
+// It reports the replicas that did not answer or did not take the winner,
+// and judged false when it did not judge the key: a read failed, or a
+// write of this Store's was placing the key, which supersedes the repair.
+func (r *repairer) converge(ctx context.Context, t repairTask, collect bool) (missed []int, judged bool) {
 	k := tableKey{t.table, t.key}
 	r.kmu.Lock()
-	if r.busy[k] != 0 {
+	for r.busy[k] < 0 {
+		r.freed.Wait()
+	}
+	if r.busy[k] > 0 {
 		r.kmu.Unlock()
-		return
+		return nil, false
 	}
 	r.busy[k] = -1
 	r.kmu.Unlock()
-	collected, agreed := false, true
-	for _, nid := range t.verify { // not yet seen holding the tombstone
-		_, ok := r.holds(r.ctx, r.s.nodes[nid], t)
-		agreed = agreed && ok
-	}
-	for _, nid := range t.targets {
-		if agreed && r.gcReplica(r.ctx, r.s.nodes[nid], t) {
-			collected = true
-		}
-	}
-	r.kmu.Lock()
-	delete(r.busy, k)
-	r.freed.Broadcast()
-	r.kmu.Unlock()
-	if collected {
-		r.tombstonesGC.Add(1)
-	}
-}
+	defer func() {
+		r.kmu.Lock()
+		delete(r.busy, k)
+		r.freed.Broadcast()
+		r.kmu.Unlock()
+	}()
 
-// writeBack is the conditional write-back, the only one: read repair,
-// anti-entropy repair and hint replay all deliver through it. It reads what
-// replica src holds under the key now, once, and copies it to each target;
-// nothing there (deleted and collected since, or lost with src) or bytes
-// that are no envelope deliver nothing. Each target is re-read, and src's
-// envelope applied only over strictly older state (or as the tombstone side
-// of a timestamp tie): the replica may have converged another way since,
-// and must never regress. Without a timestamp to compare, bytes that are no
-// envelope are overwritten (any envelope is an improvement), and over
-// nothing a value is written but a tombstone is not (nothing there can
-// resurrect, and re-creating it would undo its GC). A tombstone delivered
-// to every target is queued for collection at once, which first reads the
-// replicas this delivery did not (verify), off the drain's path. False: src
-// or some target could not be read, or a target not written.
-func (r *repairer) writeBack(ctx context.Context, src int, targets []int, table, key string) bool {
-	env, ok, err := r.s.nodes[src].be.Get(ctx, table, key)
+	reads, err := r.s.readReplicas(ctx, t.table, []string{t.key})
 	if err != nil {
-		return false
+		return nil, false
 	}
-	if !ok {
-		return true
-	}
-	_, ts, tomb, err := unenvelope(env)
-	if err != nil {
-		return true
-	}
-	delivered := true
-	for _, nid := range targets {
-		n := r.s.nodes[nid]
-		raw, ok, err := n.be.Get(ctx, table, key)
-		if err != nil {
-			delivered = false
-			continue
+	rd, v := reads[0], judge(reads[0].obs)
+	for _, o := range rd.obs {
+		if o.state == obsUnreachable {
+			missed = append(missed, o.node)
 		}
-		apply := !tomb
-		if ok {
-			apply = true
-			if _, cur, curTomb, err := unenvelope(raw); err == nil {
-				apply = ts > cur || (ts == cur && tomb && !curTomb)
-			}
-		}
-		if apply {
-			if err := n.be.Put(ctx, table, key, env); err != nil {
-				delivered = false
-				continue
-			}
+	}
+	if v.win < 0 {
+		return missed, true
+	}
+	w := rd.obs[v.win]
+	flag := byte(envValue)
+	if w.tomb {
+		flag = envTombstone
+	}
+	env := envelope(flag, w.ts, rd.payload[v.win])
+	failed := make([]bool, len(v.losers))
+	fanOut(v.losers, !r.s.inProcess(v.losers), func(i, nid int) { failed[i] = r.s.nodes[nid].be.Put(ctx, t.table, t.key, env) != nil })
+	for i, nid := range v.losers {
+		if failed[i] {
+			missed = append(missed, nid)
+		} else {
 			r.repairWrites.Add(1)
 		}
 	}
-	if tomb && delivered {
-		replicas := r.s.ring.replicas(key, r.s.cfg.ReplicationFactor)
-		verify := slices.DeleteFunc(slices.Clone(replicas), func(nid int) bool {
-			return nid == src || slices.Contains(targets, nid)
-		})
-		r.enqueue(repairTask{table: table, key: key, ts: ts, gc: true, targets: replicas, verify: verify})
+	if !w.tomb || len(missed) > 0 || !(t.fresh || len(v.losers) > 0 || aged(w.ts)) {
+		return missed, true
 	}
-	return delivered
-}
-
-// gcReplica physically deletes a tombstone every replica was seen holding
-// from one replica, re-checking that it still holds exactly that tombstone
-// (a newer write must survive).
-//
-// The re-check and delete are two calls. This Store's own writes of the key
-// wait for them (run, placing), but a put from a second client or a
-// write-back can land in between and be removed from this replica (the
-// other replicas keep it, and read repair restores it; losing it everywhere
-// needs the race won on each replica). A compare-and-delete on
-// engine.Backend would close the window; until then this matches the
-// single-logical-writer deployment (§2.4), and observers leave tombstones
-// younger than tombGrace alone. writeBack has a window of the same class: a
-// delete landing, and collected from the target, after it read its source
-// gets the old value written back over nothing; a compare-and-put on what
-// the target held would close it.
-func (r *repairer) gcReplica(ctx context.Context, n *node, t repairTask) bool {
-	held, agrees := r.holds(ctx, n, t)
-	if !held {
-		return agrees // already gone, or not t's tombstone
+	if !collect {
+		r.enqueue(repairTask{table: t.table, key: t.key, fresh: true})
+		return missed, true
 	}
-	return n.be.Delete(ctx, t.table, t.key) == nil
-}
-
-// holds reads replica n under t's key: held when it holds exactly t's
-// tombstone; agrees when it holds that, or nothing.
-func (r *repairer) holds(ctx context.Context, n *node, t repairTask) (held, agrees bool) {
-	raw, ok, err := n.be.Get(ctx, t.table, t.key)
-	if err != nil || !ok {
-		return false, err == nil
+	collected := false
+	for _, o := range rd.obs {
+		if o.state == obsAbsent {
+			continue
+		}
+		be := r.s.nodes[o.node].be
+		raw, ok, err := be.Get(ctx, t.table, t.key)
+		if err != nil || !ok {
+			continue
+		}
+		if _, ts, tomb, err := unenvelope(raw); err == nil && tomb && ts == w.ts && be.Delete(ctx, t.table, t.key) == nil {
+			collected = true
+		}
 	}
-	_, ts, tomb, err := unenvelope(raw)
-	held = err == nil && tomb && ts == t.ts
-	return held, held
-}
-
-// scheduleGC queues the tombstone's collection; the task keeps replicas.
-func (r *repairer) scheduleGC(table, key string, ts uint64, replicas []int) {
-	r.enqueue(repairTask{table: table, key: key, ts: ts, gc: true, targets: replicas})
+	if collected {
+		r.tombstonesGC.Add(1)
+	}
+	return missed, true
 }

@@ -538,19 +538,25 @@ func TestRecreateDuringOutageConverges(t *testing.T) {
 	}
 }
 
-// gatedDelete is a node whose first physical delete stops at a gate: entered
-// closes when it arrives, and it goes on once release closes.
-type gatedDelete struct {
-	engine.Backend
+// gate stops the first call that reaches it: entered closes when it
+// arrives, and it goes on once release closes.
+type gate struct {
 	entered, release chan struct{}
 	once             sync.Once
 }
 
-func (g *gatedDelete) Delete(ctx context.Context, table, key string) error {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.release
-	})
+func newGate() *gate { return &gate{entered: make(chan struct{}), release: make(chan struct{})} }
+
+func (g *gate) pass() { g.once.Do(func() { close(g.entered); <-g.release }) }
+
+// gatedDelete is a node whose first physical delete stops at a gate.
+type gatedDelete struct {
+	engine.Backend
+	*gate
+}
+
+func (g gatedDelete) Delete(ctx context.Context, table, key string) error {
+	g.pass()
 	return g.Backend.Delete(ctx, table, key)
 }
 
@@ -560,7 +566,7 @@ func (g *gatedDelete) Delete(ctx context.Context, table, key string) error {
 // deleted with the tombstone — there is no other replica to bring it back.
 func TestRecreateDuringCollectionSurvives(t *testing.T) {
 	ctx := context.Background()
-	g := &gatedDelete{Backend: memory.New(), entered: make(chan struct{}), release: make(chan struct{})}
+	g := gatedDelete{memory.New(), newGate()}
 	s, err := Open(ctx, Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return g, nil }})
 	if err != nil {
 		t.Fatal(err)
@@ -593,11 +599,12 @@ func TestRecreateDuringCollectionSurvives(t *testing.T) {
 	}
 }
 
-// TestCollectionChecksEveryReplica: a write-back that delivers a tombstone
-// queues its collection without reading the key's other replicas, so the
-// collection reads them first: with one still holding an older value (a
-// second loser whose own delivery has not come yet), it deletes no copy of
-// the tombstone, or that value would come back.
+// TestCollectionChecksEveryReplica: a converge that delivers a tombstone
+// collects it only once every replica answered and took or held it. Here
+// one replica still holding an older value is down while the key
+// converges: the tombstone reaches the other stale replica, but no copy of
+// it is deleted, or that value would come back — and the down replica's
+// value is left as it was, for its own repair.
 func TestCollectionChecksEveryReplica(t *testing.T) {
 	s, backends := openRepair(t, 3, 3, RepairOptions{DisableReadRepair: true, DisableHints: true})
 	ctx := context.Background()
@@ -607,18 +614,22 @@ func TestCollectionChecksEveryReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.repair.writeBack(ctx, 0, []int{1}, "t", "k") {
-		t.Fatal("delivery failed")
+	backends[2].SetDown(true)
+	missed, judged := s.repair.converge(ctx, repairTask{table: "t", key: "k", fresh: true}, true)
+	backends[2].SetDown(false)
+	if !judged || !slices.Equal(missed, []int{2}) {
+		t.Fatalf("converge reports %v missed (judged %v), want [2]", missed, judged)
 	}
-	waitFor(t, "the collection to run", func() bool {
-		s.repair.mu.Lock()
-		defer s.repair.mu.Unlock()
-		return len(s.repair.inflight) == 0
-	})
 	for n := 0; n < 2; n++ {
 		if raw, ok := rawGet(t, backends[n], "t", "k"); !ok || raw[0] != envTombstone {
 			t.Fatalf("node %d: tombstone collected while node 2 held an older value — resurrection hazard", n)
 		}
+	}
+	if raw, _ := rawGet(t, backends[2], "t", "k"); !bytes.Equal(raw, stale) {
+		t.Fatalf("node 2 holds %q, want its stale value untouched", raw)
+	}
+	if st := s.Stats(ctx); st.RepairWrites != 1 || st.TombstonesGCed != 0 {
+		t.Fatalf("RepairWrites %d, TombstonesGCed %d; want 1 and 0", st.RepairWrites, st.TombstonesGCed)
 	}
 	if _, err := s.Get(ctx, "t", "k"); !errors.Is(err, types.ErrNotFound) {
 		t.Fatalf("Get = %v, want not found", err)
@@ -647,7 +658,7 @@ func TestObserverSparesYoungTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g := &gatedDelete{Backend: keepOpen{mem}, entered: make(chan struct{}), release: make(chan struct{})}
+	g := gatedDelete{keepOpen{mem}, newGate()}
 	reader, err := Open(ctx, Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return g, nil }})
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ type Stats struct {
 	// via RepairOptions.AntiEntropyInterval.
 	AESyncs        int64 // completed replica-pair sync rounds
 	AERangesDiffed int64 // unequal tree buckets drilled into
-	AEKeysRepaired int64 // differing keys handed to the repair writer
+	AEKeysRepaired int64 // differing keys queued for repair
 	AEBytesHashed  int64 // key+value bytes digested by tree sweeps
 
 	// Storage reclaim, summed over reachable nodes whose backend reports it

@@ -134,7 +134,7 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 		// the observation, that finds them all holding it.
 		for i, e := range entries {
 			if !slices.ContainsFunc(replicasOf[i], func(n int) bool { return nodeErr[n] != nil }) {
-				s.repair.scheduleGC(table, e.Key, ts, replicasOf[i])
+				s.repair.enqueue(repairTask{table: table, key: e.Key, fresh: true})
 			}
 		}
 	}

@@ -4,11 +4,15 @@
 #
 # Usage: scripts/check.sh [section ...]
 #
-# Sections: gofmt vet staticcheck rstore-vet docs benchmark daemons fuzz,
-# and compare <base-ref>. No arguments runs the default gate (everything
+# Sections: gofmt vet staticcheck rstore-vet docs ci-names benchmark daemons
+# fuzz, and compare <base-ref>. No arguments runs the default gate (everything
 # except daemons, fuzz and compare: daemons starts processes on fixed
 # loopback ports 17420-17422 and 18099, fuzz costs tens of seconds, and
-# compare costs minutes and needs a ref). daemons smokes the shipped
+# compare costs minutes and needs a ref). ci-names fails when a test
+# selector of CI or of this script names nothing: each alternative of a go
+# test run, bench or fuzz pattern in .github/workflows/ci.yml and here must
+# match some func Test, Benchmark or Fuzz in the repository, or the step
+# it belongs to quietly runs less than it says. daemons smokes the shipped
 # binaries on their defaults: three rstore-node (lsm) and an rstore-server
 # over them at rf 2, a commit and a read through HTTP, a SIGTERM of
 # everything, a restart that must read the same records, and the rstore
@@ -64,6 +68,27 @@ run_rstore_vet() {
 run_docs() {
   echo "== docs"
   ./scripts/check-docs.sh
+}
+
+run_ci_names() {
+  echo "== ci-names"
+  names=$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]+' . | cut -d' ' -f2 | sort -u)
+  flag=$'(^|[[:space:]])-(run|bench|fuzz)[= ](\'[^\']*\'|"[^"]*"|[^[:space:]\'"]+)'
+  status=0
+  for f in .github/workflows/ci.yml scripts/check.sh; do
+    while IFS= read -r pattern; do
+      IFS='|' read -ra alts <<<"$pattern"
+      for alt in "${alts[@]}"; do
+        alt=${alt%%/*} # a subtest selector: its top-level part
+        case "$alt" in '' | '^$') continue ;; esac
+        if ! grep -qE -- "$alt" <<<"$names"; then
+          echo "$f: test selector '$alt' (of '$pattern') matches no test, benchmark or fuzz target"
+          status=1
+        fi
+      done
+    done < <(grep -vE '^[[:space:]]*#' "$f" | grep -oE -- "$flag" | sed -E $'s/^[[:space:]]*-(run|bench|fuzz)[= ]//; s/^[\'"]//; s/[\'"]$//')
+  done
+  return $status
 }
 
 run_benchmark() {
@@ -200,7 +225,7 @@ run_fuzz() {
 }
 
 if [ $# -eq 0 ]; then
-  set -- gofmt vet staticcheck rstore-vet docs benchmark
+  set -- gofmt vet staticcheck rstore-vet docs ci-names benchmark
 fi
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -209,6 +234,7 @@ while [ $# -gt 0 ]; do
   staticcheck) run_staticcheck ;;
   rstore-vet) run_rstore_vet ;;
   docs) run_docs ;;
+  ci-names) run_ci_names ;;
   benchmark) run_benchmark ;;
   daemons) run_daemons ;;
   fuzz) run_fuzz ;;
@@ -217,7 +243,7 @@ while [ $# -gt 0 ]; do
     run_compare "${1:?compare needs a base ref: scripts/check.sh compare <base-ref>}"
     ;;
   *)
-    echo "unknown section: $1 (known: gofmt vet staticcheck rstore-vet docs benchmark daemons fuzz compare)"
+    echo "unknown section: $1 (known: gofmt vet staticcheck rstore-vet docs ci-names benchmark daemons fuzz compare)"
     exit 2
     ;;
   esac
