@@ -14,14 +14,17 @@ import (
 // BenchmarkSegmentCodec measures the segment grammar on one full segment
 // (SegmentTarget of single-record items): encoding, decoding every slot, and
 // decoding one slot in the middle as a point read does. §5.1 documents of 256
-// and 512 bytes are run lists against the first whose literals are 64 symbols,
-// six bits, nearly all of them taking the segment's template for their heads;
+// and 512 bytes are run lists against the first whose literals are 62 symbols,
+// six bits — the closing quote and brace they share with the anchor are the
+// template's last copy — nearly all of them taking the segment's template for
+// their heads and framed without their lengths;
 // English prose shares no offsets with its anchor and is literals
 // throughout, of some seventy symbols of which a few are rare; rows of numbers
 // are literals of thirteen, four bits; random blobs are all stored raw and
 // their segment states width 8. MB/s counts the segment's plain bytes — what
 // its items were charged — on every line, so they compare; stored/plain is the
-// segment value's size against the same, width the bits of a literal.
+// segment value's size against the same, width the bits of a literal, and
+// framing-B/value and literal-bits/value where the stored bytes go (anatomy).
 func BenchmarkSegmentCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	for _, tc := range []struct {
@@ -49,6 +52,8 @@ func BenchmarkSegmentCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var parts anatomy
+		parts.add(b, seg)
 		run := func(op string, f func()) {
 			b.Run(tc.name+"/"+op, func(b *testing.B) {
 				b.SetBytes(int64(plain))
@@ -57,7 +62,8 @@ func BenchmarkSegmentCodec(b *testing.B) {
 					f()
 				}
 				b.ReportMetric(float64(len(seg))/float64(plain), "stored/plain")
-				b.ReportMetric(float64(seg[0]&^templated), "width")
+				b.ReportMetric(float64(seg[0]&^(templated|implied)), "width")
+				parts.report(b)
 			})
 		}
 		buf := make([]byte, 0, plain)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"rstore/internal/bdiff"
 	"rstore/internal/bitset"
 	"rstore/internal/codec"
 	"rstore/internal/docgen"
@@ -48,7 +49,7 @@ func FuzzDecodeSegment(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			packed, shared := seg[0]&^templated < 8, seg[0]&templated != 0
+			packed, shared := seg[0]&^(templated|implied) < 8, seg[0]&templated != 0
 			if packed != (keys == 40) || shared != (keys == 40) {
 				f.Fatalf("the seed segment of %d documents has code %#x", keys, seg[0])
 			}
@@ -202,6 +203,106 @@ func FuzzPackedLiterals(f *testing.F) {
 		}
 		if len(seg) > bytewise+len(values)+8 {
 			t.Fatalf("width %d: %d values of %d bytes as items stored in %d", seg[0], len(values), bytewise, len(seg))
+		}
+	})
+}
+
+// FuzzSegmentRoundTrip: arbitrary records — keys of one width, short or
+// sharing sixteen bytes or more with their neighbours, or of several
+// widths; values that keep the anchor's layout with a few bytes changed, some
+// a few bytes shorter, values that share nothing with it, empty values; items
+// of one record and sub-chunks of up to four — go through appendSegment and
+// come back from DecodeSegment byte for byte, whole and slot by slot, and the
+// segment is no longer than the items' own encodings by more than a table
+// and a byte an item.
+func FuzzSegmentRoundTrip(f *testing.F) {
+	doc := docgen.New(54).Document("key-000000", 96)
+	for _, keys := range []uint8{0, 1, 2} {
+		for _, sub := range []bool{false, true} {
+			f.Add(bytes.Repeat([]byte{2, 7, 'x', 3, 9, '1', 1, 'a', 'b', 0, 6, 40, 'q'}, 8), keys, sub)
+		}
+	}
+	f.Add(doc, uint8(0), false)
+	f.Add([]byte{}, uint8(1), true)
+	f.Fuzz(func(t *testing.T, data []byte, keys uint8, sub bool) {
+		// One control byte an item: its low two bits the kind of value, the
+		// next four how many bytes data changes or gives, the top two how
+		// many more members a sub-chunk has.
+		var items []Item
+		var want []types.Record
+		for i := 0; len(data) > 0 && len(items) < 64; i++ {
+			c := data[0]
+			data = data[1:]
+			n := min(int(c>>2&15), len(data)/2)
+			var v []byte
+			switch c & 3 {
+			case 1: // shares nothing with the anchor
+				v, data = bytes.Clone(data[:n]), data[n:]
+			case 2, 3: // the anchor's layout, n bytes changed; one byte shorter per change too
+				v = bytes.Clone(doc)
+				for ; n > 0; n, data = n-1, data[2:] {
+					v[int(data[0])%len(v)] = data[1]
+				}
+				if c&3 == 3 {
+					v = v[:len(v)-int(c>>2&15)]
+				}
+			}
+			var key types.Key
+			switch keys % 3 {
+			case 0:
+				key = types.Key(fmt.Sprintf("key-%06d", i))
+			case 1:
+				key = types.Key(fmt.Sprintf("k%d", i*i))
+			default:
+				key = types.Key(fmt.Sprintf("a-shared-key-prefix-%04d", i)) // sharing 20–23 bytes: two bytes of head where shared<<3
+
+			}
+			values := [][]byte{v}
+			for m := 0; sub && m < int(c>>6); m++ {
+				next := append(bytes.Clone(values[m]), byte(m))
+				values = append(values, next)
+			}
+			enc := codec.PutUvarint(nil, uint64(len(values)))
+			for m, v := range values {
+				ck := types.CompositeKey{Key: key, Version: types.VersionID(3 + m)}
+				enc = codec.PutCompositeKey(enc, ck)
+				body, parent := v, int64(-1)
+				if m > 0 {
+					if body, parent = bdiff.Encode(nil, values[m-1], v), int64(m-1); len(body) >= len(v) {
+						body, parent = v, -2
+					}
+				}
+				enc = codec.PutBytes(codec.PutVarint(enc, parent), body)
+				want = append(want, types.Record{CK: ck, Value: v})
+			}
+			items = append(items, Item{Encoded: enc})
+		}
+		if len(items) == 0 {
+			return
+		}
+		seg, err := appendSegment(nil, 5, items, allOf(items))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, slots, recs, err := DecodeSegment(seg, nil)
+		if err != nil || first != 5 || slots != len(want) || len(recs) != len(want) {
+			t.Fatalf("decode: first %d, %d slots, %d records of %d, %v", first, slots, len(recs), len(want), err)
+		}
+		for i, r := range want {
+			if recs[i].CK != r.CK || !bytes.Equal(recs[i].Value, r.Value) {
+				t.Fatalf("code %#x: slot %d decoded to %v = %q, want %v = %q", seg[0], i, recs[i].CK, recs[i].Value, r.CK, r.Value)
+			}
+			_, _, one, err := DecodeSegment(seg, bitset.FromSlice([]uint32{5 + uint32(i)}))
+			if err != nil || len(one) != 1 || one[0].CK != r.CK || !bytes.Equal(one[0].Value, r.Value) {
+				t.Fatalf("code %#x: slot %d alone: %d records, %v", seg[0], i, len(one), err)
+			}
+		}
+		encoded := 0
+		for _, it := range items {
+			encoded += len(it.Encoded)
+		}
+		if len(seg) > encoded+len(items)+8+maxCodeLen {
+			t.Fatalf("code %#x: %d items encoded in %d bytes stored in %d", seg[0], len(items), encoded, len(seg))
 		}
 	})
 }

@@ -29,7 +29,10 @@ import (
 // Most values of a segment spell the same heads, so a segment may state one
 // list of them once, in its code, as its template: a run list whose heads are
 // empty takes the template's. (A value of no bytes is always stored raw, so
-// an empty list states nothing else.)
+// an empty list states nothing else.) A segment whose code says so frames
+// such a value by an item head of its own instead (segment.go): then it
+// writes neither the empty heads nor the body's length, since its literals
+// take the bits the template's runs count.
 //
 // The literals of all of a list's runs are one bit string, written once per
 // value after the heads, in the code the segment's head states (litCode): a
@@ -38,24 +41,35 @@ import (
 // are zero.
 
 // litCode is a segment's code: the width in bits of a literal symbol, the
-// bytes that have one, and the template, if the segment has one. Below width
-// 8, code i stands for table[i], and the top code, 2^width − 1, is the escape:
-// the eight bits after it are the byte itself, one the table does not hold. At
-// width 8 a symbol is the byte and there is neither table nor escape. The kind
-// byte names the coder: its low four bits are the width, and 16 more says a
-// template follows the table; a segment coded some other way is another value
-// of it.
+// bytes that have one, the template, if the segment has one, and how its items
+// are framed. Below width 8, code i stands for table[i], and the top code,
+// 2^width − 1, is the escape: the eight bits after it are the byte itself, one
+// the table does not hold. At width 8 a symbol is the byte and there is
+// neither table nor escape. The kind byte names the coder: its low four bits
+// are the width, 16 more says a template follows the table, and 32 more, set
+// only beside 16, says the items' framing leaves out what the code implies
+// (segment.go) and that a key width follows the template — every item's key
+// has that many bytes, 0 for keys of several widths; a segment coded some
+// other way is another value of it.
 //
-//	code := kind:byte  table:byte{2^width − 1}  template:bytes?     table ascending; none at width 8
-//	kind := templated<<4 | width
+//	code := kind:byte  table:byte{2^width − 1}  template:bytes?  keyWidth:uvarint?     table ascending; none at width 8
+//	kind := implied<<5 | templated<<4 | width
 type litCode struct {
 	width    uint
 	table    []byte
 	template []byte // run heads, as codeRuns makes them; nil: none
+
+	implied  bool
+	keyWidth int // of every key, where implied; 0: keys of several widths
+	tmplLen  int // the bytes of a template user's literals none of which escapes: ⌈Σlit·width/8⌉ of the template
 }
 
-// templated is the kind byte's bit for a code with a template.
-const templated = 1 << 4
+// templated and implied are the kind byte's bits for a code with a template,
+// and for one whose items leave out what it implies.
+const (
+	templated = 1 << 4
+	implied   = 1 << 5
+)
 
 // maxCodeLen is the most bytes a code without a template takes in a segment:
 // width 7's. A template is paid for by the heads it spares its users.
@@ -127,14 +141,17 @@ func chooseCode(h *litCounts) litCode {
 }
 
 // parseCode reads the code a segment begins with. It is ErrCorrupt for the
-// kind to be other than a width of 1…8, templated or not, for the table to be
-// cut short, for its bytes not to ascend — so none is there twice and a table
-// is spelled one way — and for a template to be cut short or empty.
+// kind to be other than a width of 1…8, templated or not, implied or not but
+// implied only where templated, for the table to be cut short, for its bytes
+// not to ascend — so none is there twice and a table is spelled one way — for
+// a template to be cut short, empty, to end inside a run or to count more
+// literals than the segment has bits, and for a key width to be cut short or
+// wider than the segment.
 func parseCode(buf []byte) (c litCode, rest []byte, err error) {
-	if len(buf) == 0 || buf[0]&^templated < 1 || buf[0]&^templated > 8 {
+	if len(buf) == 0 || buf[0]&^(templated|implied) < 1 || buf[0]&^(templated|implied) > 8 || buf[0]&(templated|implied) == implied {
 		return c, nil, fmt.Errorf("%w: segment without a literal width of 1 to 8", types.ErrCorrupt)
 	}
-	c.width = uint(buf[0] &^ templated)
+	c.width = uint(buf[0] &^ (templated | implied))
 	n := 0
 	if c.width < 8 {
 		n = 1<<c.width - 1
@@ -150,11 +167,38 @@ func parseCode(buf []byte) (c litCode, rest []byte, err error) {
 	}
 	rest = buf[1+n:]
 	if buf[0]&templated != 0 {
-		if c.template, rest, err = codec.Bytes(rest); err != nil || len(c.template) == 0 {
+		var template []byte
+		if template, rest, err = codec.Bytes(rest); err != nil || len(template) == 0 {
 			return c, nil, fmt.Errorf("%w: segment's template is cut short or empty", types.ErrCorrupt)
 		}
+		if !c.withTemplate(template, uint64(8*len(buf))) {
+			return c, nil, fmt.Errorf("%w: segment's template ends inside a run or counts more literals than the segment has bits", types.ErrCorrupt)
+		}
+	}
+	if buf[0]&implied != 0 {
+		var w uint64
+		if w, rest, err = codec.Uvarint(rest); err != nil || w > uint64(len(rest)) {
+			return c, nil, fmt.Errorf("%w: segment's key width is cut short or wider than the segment", types.ErrCorrupt)
+		}
+		c.implied, c.keyWidth = true, int(w)
 	}
 	return c, rest, nil
+}
+
+// withTemplate makes heads c's template, and tmplLen what a user's literals
+// take where none escapes. It reports false, and changes nothing, where the
+// heads end inside a run or count more than limit literals.
+func (c *litCode) withTemplate(heads []byte, limit uint64) bool {
+	lits := uint64(0)
+	for rest := heads; len(rest) > 0; {
+		_, lit, head := runHead(rest)
+		if lits += lit; head == 0 || lit > limit || lits > limit {
+			return false
+		}
+		rest = rest[head:]
+	}
+	c.template, c.tmplLen = heads, int((lits*uint64(c.width)+7)/8)
+	return true
 }
 
 // appendTo appends the code as a segment states it.
@@ -163,9 +207,15 @@ func (c litCode) appendTo(dst []byte) []byte {
 	if c.template != nil {
 		kind |= templated
 	}
+	if c.implied {
+		kind |= implied
+	}
 	dst = append(append(dst, kind), c.table...)
 	if c.template != nil {
 		dst = codec.PutBytes(dst, c.template)
+	}
+	if c.implied {
+		dst = codec.PutUvarint(dst, uint64(c.keyWidth))
 	}
 	return dst
 }
@@ -193,6 +243,17 @@ func (t *packTable) fill(c litCode) {
 	}
 }
 
+// holds reports whether the code t lays out has a code of its own for every
+// byte h counts: at width 8, where t is left zero, it has.
+func (t *packTable) holds(h *litCounts) bool {
+	for b := range t[0] {
+		if t[0][b]&escaped != 0 && h[0][b]|h[1][b]|h[2][b]|h[3][b] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // unpackTable is a code laid out by symbol: the byte each code stands for,
 // indexed without a bounds check, and the bytes that have one, a bit each.
 type unpackTable struct {
@@ -210,27 +271,57 @@ func (t *unpackTable) fill(c litCode) {
 }
 
 // minCopy is the shortest match a literal run ends for: a copy costs two
-// varints, so shorter ones save nothing.
+// varints, so shorter ones save nothing — but at the value's end, where the
+// copy is the template's and its users pay nothing for it.
 const minCopy = 4
 
 // codeRuns appends to heads the run heads that rebuild value from anchor — a
 // value's own list, which chooseTemplate weighs against the segment's others —
 // counts the bytes of their literals in hist, and returns how many of value's
-// bytes they copy.
-func codeRuns(heads, anchor, value []byte, hist *litCounts) ([]byte, int) {
+// bytes they copy. Where the last literal run reaches the value's end inside
+// the anchor, the bytes it ends with that are the anchor's, fewer than
+// minCopy, are a last copy of their own, of tail bytes: a template that ends
+// so spares its users those literals, and a value that keeps its own list
+// gives them back (untail), since two bytes of heads cost more than the
+// three symbols at most they spare.
+func codeRuns(heads, anchor, value []byte, hist *litCounts) (_ []byte, copied, tail int) {
 	common := min(len(anchor), len(value)) // past it there is nothing to copy
-	copied := 0
-	for pos := 0; pos < len(value); { // pos ≤ common: a literal ends inside it or at value's end
+	for pos := 0; pos < len(value); {      // pos ≤ common: a literal ends inside it or at value's end
 		n := matchLen(anchor[pos:common], value[pos:common])
 		pos += n
 		lit := literalLen(anchor[pos:common], value[pos:])
+		if pos+lit == common && common == len(value) {
+			for tail < lit && value[common-1-tail] == anchor[common-1-tail] {
+				tail++
+			}
+		}
 		heads = codec.PutUvarint(heads, uint64(n))
-		heads = codec.PutUvarint(heads, uint64(lit))
-		hist.add(value[pos : pos+lit])
+		heads = codec.PutUvarint(heads, uint64(lit-tail))
+		hist.add(value[pos : pos+lit-tail])
+		if tail > 0 {
+			heads = append(heads, byte(tail), 0)
+		}
 		pos += lit
-		copied += n
+		copied += n + tail
 	}
-	return heads, copied
+	return heads, copied, tail
+}
+
+// untail appends to dst heads, a list codeRuns made whose last run copies the
+// tail bytes value ends with, with those stated as the literals of the run
+// before, and counts their bytes in hist.
+func untail(dst, heads, value []byte, tail int, hist *litCounts) []byte {
+	last := 0 // where the run before the tail's starts
+	for at := 0; ; {
+		_, _, head := runHead(heads[at:])
+		if at+head == len(heads) {
+			break
+		}
+		last, at = at, at+head
+	}
+	n, lit, _ := runHead(heads[last:])
+	hist.add(value[len(value)-tail:])
+	return codec.PutUvarint(codec.PutUvarint(append(dst, heads[:last]...), n), lit+uint64(tail))
 }
 
 // appendLits appends to dst the literals of heads' runs, which fit value, in
@@ -353,11 +444,8 @@ func literalLen(a, v []byte) int {
 // decodeRuns rebuilds the value a run list in code c states against anchor,
 // as a slice of its own, provided it is no longer than budget; a list whose
 // heads are empty takes the code's template. It is ErrCorrupt for the heads to
-// reach past the list's end or to end inside a run, for them to be empty where
-// the code has no template, for a copy to reach past the anchor's end, for a
-// run to count more symbols than the literals have bits left for, for the
-// literals to end inside an escape, to escape a byte the table holds, or to go
-// on past the last symbol — by a byte, or by a bit that is set.
+// reach past the list's end, for them to be empty where the code has no
+// template, and for what rebuild refuses.
 func (c litCode) decodeRuns(anchor, runs []byte, budget uint64, t *unpackTable) ([]byte, error) {
 	heads, lits, err := codec.Bytes(runs)
 	if err != nil {
@@ -369,6 +457,16 @@ func (c litCode) decodeRuns(anchor, runs []byte, budget uint64, t *unpackTable) 
 		}
 		heads = c.template
 	}
+	return c.rebuild(anchor, heads, lits, budget, t)
+}
+
+// rebuild rebuilds the value that heads and the literals lits, in code c,
+// state against anchor, as decodeRuns does. It is ErrCorrupt for the heads to
+// end inside a run, for a copy to reach past the anchor's end, for a run to
+// count more symbols than the literals have bits left for, for the literals to
+// end inside an escape, to escape a byte the table holds, or to go on past the
+// last symbol — by a byte, or by a bit that is set.
+func (c litCode) rebuild(anchor, heads, lits []byte, budget uint64, t *unpackTable) ([]byte, error) {
 	// Checked and sized first, so the value is allocated once, exactly, and
 	// from nothing the list does not pay for: a symbol takes width bits at least.
 	size, room := 0, uint64(8*len(lits))/uint64(c.width)

@@ -19,7 +19,7 @@ import (
 // of that one list would choose.
 func codeOf(anchor, value []byte) (heads []byte, c litCode) {
 	var hist litCounts
-	heads, _ = codeRuns(nil, anchor, value, &hist)
+	heads, _, _ = codeRuns(nil, anchor, value, &hist)
 	return heads, chooseCode(&hist)
 }
 
@@ -206,6 +206,30 @@ func TestRunsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTailCopy: a literal run that reaches the value's end stops where the
+// bytes the value ends with are the anchor's — fewer than four — and those are
+// a last copy of their own, which decodes; a value that keeps a list of its
+// own states them as literals again (untail), and counts them.
+func TestTailCopy(t *testing.T) {
+	anchor, value := []byte(`{"k":"abcd","v":"wxyz"}`), []byte(`{"k":"ABCD","v":"WXYZ"}`)
+	var hist litCounts
+	heads, copied, tail := codeRuns(nil, anchor, value, &hist)
+	if !bytes.Equal(heads, []byte{6, 4, 7, 4, 2, 0}) || copied != 15 || tail != 2 {
+		t.Fatalf("heads %v, %d bytes copied, a tail of %d", heads, copied, tail)
+	}
+	if got, err := decodeRuns(litCode{width: 8}, anchor, appendRuns(nil, litCode{width: 8}, heads, value), math.MaxUint64); err != nil || !bytes.Equal(got, value) {
+		t.Fatalf("decoded %q, %v", got, err)
+	}
+	if own := untail(nil, heads, value, tail, &hist); !bytes.Equal(own, []byte{6, 4, 7, 6}) {
+		t.Fatalf("untailed to %v", own)
+	}
+	for b, want := range map[byte]uint32{'A': 1, 'Z': 1, '"': 1, '}': 1, '{': 0} {
+		if got := hist[0][b] + hist[1][b] + hist[2][b] + hist[3][b]; got != want {
+			t.Errorf("%q counted %d times, want %d", b, got, want)
+		}
+	}
+}
+
 // TestChooseCode: the width is the cheapest for the counts, table included;
 // the table is the most frequent bytes, ascending, filled up with the lowest
 // bytes that do not occur; width 8 takes ties and segments without literals.
@@ -267,9 +291,10 @@ func TestChooseCode(t *testing.T) {
 // TestChooseTemplate: of a segment's documents — most spelling one list of
 // heads, many a list that copies a byte or two more where a literal happened
 // to match the anchor (a key's digit, a field's first or last byte), every
-// seventh shifted by a byte — every one but the shifted takes the template;
-// the literal counts the code is chosen from are then those of the lists that
-// will be written. Random blobs, which share no layout, get no template.
+// seventh shifted by a byte — every one but the shifted takes the template,
+// which ends with a copy of their closing two bytes; the literal counts the
+// code is chosen from are then those of the lists that will be written.
+// Random blobs, which share no layout, get no template.
 func TestChooseTemplate(t *testing.T) {
 	gen := docgen.New(47)
 	anchor := gen.Document("key-000000", 256)
@@ -285,12 +310,25 @@ func TestChooseTemplate(t *testing.T) {
 	if template == nil {
 		t.Fatal("documents of one layout got no template")
 	}
+	// They end as the anchor does, with a closing quote and brace, which
+	// the template copies.
+	var last [2]uint64
+	for rest := template; len(rest) > 0; {
+		n, lit, head := runHead(rest)
+		last, rest = [2]uint64{n, lit}, rest[head:]
+	}
+	if last != [2]uint64{2, 0} || !bytes.HasSuffix(anchor, []byte(`"}`)) {
+		t.Errorf("the template ends with the run %v", last)
+	}
 	var recount litCounts
 	differing := 0 // users whose own list is not the template
 	for i, v := range values {
-		heads, _ := codeRuns(nil, anchor, v, &litCounts{})
+		heads, _, tail := codeRuns(nil, anchor, v, &litCounts{})
 		if uses[i] == (i%7 == 2) { // values[i] is document i+1
 			t.Errorf("document %d takes the template: %v", i+1, uses[i])
+		}
+		if !uses[i] && tail > 0 {
+			heads = untail(nil, heads, v, tail, &litCounts{})
 		}
 		if uses[i] {
 			if !bytes.Equal(heads, template) {
@@ -330,9 +368,10 @@ func weighTemplate(anchor []byte, values [][]byte) (uses []bool, hist *litCounts
 	lists := make([]list, len(values))
 	for i, v := range values {
 		lists[i].value = v
-		lists[i].heads, lists[i].copied = codeRuns(nil, anchor, v, hist)
+		lists[i].heads, lists[i].copied, lists[i].tail = codeRuns(nil, anchor, v, hist)
 	}
 	template = chooseTemplate(lists, hist)
+	untailOwn(lists, hist)
 	for _, l := range lists {
 		uses = append(uses, l.uses)
 	}
@@ -428,7 +467,7 @@ func FuzzValueRuns(f *testing.F) {
 			t.Fatalf("anchor of %d, list of %d, budget %d: a value of %d bytes (cap %d)", len(anchor), len(runs), budget, len(value), cap(value))
 		}
 		var hist litCounts
-		heads, _ := codeRuns(nil, anchor, value, &hist)
+		heads, _, _ := codeRuns(nil, anchor, value, &hist)
 		again := appendRuns(nil, c, heads, value)
 		if len(again) >= len(value) {
 			return // stored raw

@@ -129,9 +129,10 @@ func TestSegmentRoundTrip(t *testing.T) {
 // before anything is sized by them. (The inflation budget is shown on delta
 // members, which compound. Run lists are charged to it as well, but a value
 // they state is no longer than the anchor and eight times its literals, and an
-// item takes five bytes at least, so a segment of run lists alone — even of
-// items that take a template and hold no literal — cannot reach 4 096 × its
-// size below ≈ 80 KB, a case that allocates ≈ 330 MB before it is refused;
+// item takes two bytes at least — a tmpl record of the key of the item before
+// it, under a template without literals — so a segment of run lists alone
+// cannot reach 4 096 × its size below ≈ 32 KB, a case that allocates
+// ≈ 130 MB before it is refused;
 // TestRunsRoundTrip, FuzzValueRuns and the templated value at the end hold
 // decodeRuns to a budget directly.)
 func TestDecodeSegmentRejects(t *testing.T) {
@@ -168,6 +169,19 @@ func TestDecodeSegmentRejects(t *testing.T) {
 	template := func(heads ...byte) []byte { return cat([]byte{8 | templated}, codec.PutBytes(nil, heads)) }
 	if _, _, recs, err := DecodeSegment(coded(template(4, 2, 4, 0), "xy"), nil); err != nil || len(recs) != 2 || string(recs[1].Value) != "0123xy6789" {
 		t.Fatalf("the hand-built templated segment: %v, %v", recs, err)
+	}
+	// The same under the implied framing: a head of shared<<3 | tmpl<<2 |
+	// raw<<1 | multi, keys of the code's width, 2, with no length, and a
+	// template user's literals without heads or a length.
+	implicit := func(keyWidth byte, heads ...byte) []byte {
+		return cat([]byte{8 | templated | implied}, codec.PutBytes(nil, heads), []byte{keyWidth})
+	}
+	const tmplBit = 4
+	head3 := func(shared, flags uint64) []byte { return codec.PutUvarint(nil, shared<<3|flags) }
+	anchor2 := cat(head3(0, rawBit), []byte("ka"), []byte{3}, codec.PutBytes(nil, []byte("0123456789")))
+	if _, _, recs, err := DecodeSegment(cat(implicit(2, 4, 2, 4, 0), []byte{0, 2}, anchor2, head3(1, tmplBit), []byte("b"), []byte{3}, []byte("xy")), nil); err != nil ||
+		len(recs) != 2 || string(recs[1].CK.Key) != "kb" || string(recs[1].Value) != "0123xy6789" {
+		t.Fatalf("the hand-built implied segment: %v, %v", recs, err)
 	}
 	// A chain whose every member is 32 copies of its parent — 64 B, 2 KiB,
 	// 64 KiB … 2 GiB — each a bdiff of ≈ 100 bytes: a length, then 32 × (copy,
@@ -218,6 +232,13 @@ func TestDecodeSegmentRejects(t *testing.T) {
 		"template in the first item":       cat(template(0, 2), []byte{0, 1}, item(0, 0, "a"), []byte{3}, codec.PutBytes(nil, []byte{0, 'x', 'y'})),
 		"template copying past the anchor": coded(template(4, 2, 5, 0), "xy"),
 		"template past the literals":       coded(template(4, 2, 1, 1), "x"),
+		"implied without a template":       cat([]byte{8 | implied, 0}, []byte{0, 1}, item(0, rawBit, "a"), record),
+		"template ending inside a run":     cat(implicit(0, 4, 2, 4), []byte{0, 1}, item(0, rawBit, "a"), record),
+		"tmpl head on the first item":      cat(implicit(2, 0, 2), []byte{0, 1}, head3(0, tmplBit), []byte("ka"), []byte{3}, []byte("xy")),
+		"tmpl head on a raw item":          cat(implicit(2, 4, 2, 4, 0), []byte{0, 2}, anchor2, head3(1, tmplBit|rawBit), []byte("b"), []byte{3}, []byte("xy")),
+		"tmpl head on a sub-chunk":         cat(implicit(2, 4, 2, 4, 0), []byte{0, 2}, anchor2, head3(1, tmplBit|multiBit), []byte("b"), []byte{1, 3}, codec.PutVarint(nil, -1), []byte("xy")),
+		"tmpl literals past the end":       cat(implicit(2, 4, 2, 4, 0), []byte{0, 2}, anchor2, head3(1, tmplBit), []byte("b"), []byte{3}, []byte("x")),
+		"key width below an item's shared": cat(implicit(2, 4, 2, 4, 0), []byte{0, 2}, anchor2, head3(3, tmplBit), []byte{3}, []byte("xy")),
 	} {
 		if _, _, recs, err := DecodeSegment(seg, nil); !errors.Is(err, types.ErrCorrupt) || recs != nil {
 			t.Errorf("%s: %d records, %v", name, len(recs), err)

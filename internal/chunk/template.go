@@ -16,13 +16,14 @@ import (
 // value that takes them stores an empty list of its own and its literals.
 
 // A list is a value and its own run list, as codeRuns made it against the
-// anchor: its heads and how many of the value's bytes they copy; and whether
-// the value takes the segment's template instead.
+// anchor: its heads, how many of the value's bytes they copy and how many of
+// those are its tail copy; and whether the value takes the segment's template
+// instead.
 type list struct {
-	value  []byte
-	heads  []byte
-	copied int
-	uses   bool
+	value        []byte
+	heads        []byte
+	copied, tail int
+	uses         bool
 }
 
 // chooseTemplate picks a segment's template among lists, whose literals hist
@@ -74,6 +75,20 @@ func chooseTemplate(lists []list, hist *litCounts) []byte {
 		from = f.movesEnd
 	}
 	return lists[best].heads
+}
+
+// untailOwn has each of lists that keeps a list of its own give its tail copy
+// back (untail) and hist count the literals that makes, so the code is chosen
+// from the literals written.
+func untailOwn(lists []list, hist *litCounts) {
+	var untailed []byte // the lists that gave one back, one after the other
+	for i := range lists {
+		if l := &lists[i]; !l.uses && l.tail > 0 {
+			at := len(untailed)
+			untailed = untail(untailed, l.heads, l.value, l.tail, hist)
+			l.heads = untailed[at:len(untailed):len(untailed)]
+		}
+	}
 }
 
 // A weighing is what chooseTemplate weighs templates over: the lists, grouped
@@ -207,11 +222,13 @@ func (t *template) of(l list) {
 // restate reports whether t fits the value whose own list is own, of t.size
 // bytes, and lists in t.moves the stretches where own copies and t does not.
 // A list codeRuns made copies every stretch of four bytes or more that its
-// value shares with the anchor at the same offset, and from offset 0 as far
-// as the two agree, and t's copies are such stretches of another value; so
-// where t copies and own does not, the value is not the anchor's and t does
-// not fit. Where the two lists' heads are the same bytes, they are skipped at
-// once.
+// value shares with the anchor at the same offset, from offset 0 as far as the
+// two agree, and, where its literals run on to the value's end inside the
+// anchor, the bytes the value ends with as far back as they are the anchor's
+// — its tail; t's copies are such stretches of another value of t.size bytes,
+// its tail included; so where t copies and own does not, the value is not the
+// anchor's and t does not fit. Where the two lists' heads are the same bytes,
+// they are skipped at once.
 func (t *template) restate(own []byte) bool {
 	t.moves = t.moves[:0]
 	tc, oc := cursor{heads: t.heads}, cursor{heads: own}

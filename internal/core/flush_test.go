@@ -302,10 +302,11 @@ func TestFlushKVCallsBounded(t *testing.T) {
 // read a bit off) and a format-7 root (the same fields, over segments that
 // begin with their first slot where this build reads a literal width, and
 // whose run lists mix heads and literal bytes) must be refused with the
-// re-initialize error, not misread.
+// re-initialize error, not misread; so must a root of a version after this
+// build's.
 func TestLoadRefusesOlderManifest(t *testing.T) {
 	ctx := context.Background()
-	for _, ver := range []uint64{2, 3, 4, 5, 6, 7} {
+	for _, ver := range []uint64{2, 3, 4, 5, 6, 7, manifestVersion + 1} {
 		kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
 		if err != nil {
 			t.Fatal(err)

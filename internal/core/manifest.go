@@ -20,30 +20,32 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 9 lets a segment state
-// the run heads most of its values share once, as its template, and the
-// values that take them an empty list of their own; it marks the template
-// with another value of its first byte (chunk/runs.go), which a version-8
-// build does not know, so it is refused here instead of misread there. A
-// version-8 store is read as it is — its segments have no template — and
-// becomes version 9 with the next root it writes. Version 8 packed the
-// literals of a segment's run lists at the width of the segment's own
-// alphabet, which the segment states in that byte; version 7 stored a
-// segment's values as run lists of bytes against its first, where version 6
-// wrote every value raw; version 6 stated a version's slot
-// bitmaps in the placement records as diffs against its tree parent's, where
-// version 5 wrote them whole; version 5 stored a chunk as key-ordered,
-// front-coded segment values (chunk.SegmentKey) in place of one payload;
-// version 4 took the versions' composite-key deltas out of the placement
-// records, whose slot bitmaps already imply them; a version-3 store wrote
-// both, a version-2 store carried chunk maps inside the chunk values, version
-// 1 used unprefixed chunk keys, and all seven must be re-initialized, not
-// misread.
-const manifestVersion = 9
+// manifestVersion guards the on-disk format. Version 10 lets a segment's
+// items leave out what its code implies — a template user's empty heads and
+// body length, a key's suffix length where every key of the segment has one
+// width — and marks that with another value of the segment's first byte
+// (chunk/runs.go), which a version-9 build does not know, so it is refused
+// here instead of misread there. A version-8 or version-9 store is read as it
+// is — its segments never set that bit — and becomes version 10 with the
+// next root it writes. Version 9 let a segment state the run heads most of its
+// values share once, as its template; version 8 packed the literals of a
+// segment's run lists at the width of the segment's own alphabet, which the
+// segment states in that byte; version 7 stored a segment's values as run
+// lists of bytes against its first, where version 6 wrote every value raw;
+// version 6 stated a version's slot bitmaps in the placement records as diffs
+// against its tree parent's, where version 5 wrote them whole; version 5
+// stored a chunk as key-ordered, front-coded segment values
+// (chunk.SegmentKey) in place of one payload; version 4 took the versions'
+// composite-key deltas out of the placement records, whose slot bitmaps
+// already imply them; a version-3 store wrote both, a version-2 store carried
+// chunk maps inside the chunk values, version 1 used unprefixed chunk keys,
+// and all seven must be re-initialized, not misread.
+const manifestVersion = 10
 
-// templateless is the last manifest version whose segments have no template:
-// this build reads its stores as they are.
-const templateless = 8
+// oldestReadable is the oldest manifest version this build reads: every
+// segment of a version-8 or version-9 store is one a version-10 build could
+// have written.
+const oldestReadable = 8
 
 // placementKey renders the key of the idx-th placement record of a
 // generation; like chunk.SegmentKey it carries the generation, so a full
@@ -86,9 +88,9 @@ func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if ver != manifestVersion && ver != templateless {
-		return 0, fmt.Errorf("%w: manifest version %d (this build reads %d and %d; re-initialize the store)",
-			types.ErrCorrupt, ver, templateless, manifestVersion)
+	if ver < oldestReadable || ver > manifestVersion {
+		return 0, fmt.Errorf("%w: manifest version %d (this build reads %d to %d; re-initialize the store)",
+			types.ErrCorrupt, ver, oldestReadable, manifestVersion)
 	}
 	var fields [5]uint64 // gen, chunks, placement records, placed versions, branches
 	for i := range fields {

@@ -221,6 +221,7 @@ run_fuzz() {
   go test -fuzz=FuzzDecodeMap -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzValueRuns -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzPackedLiterals -fuzztime=10s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzSegmentRoundTrip -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzDecodeGroup -fuzztime=10s -run '^$' ./internal/baseline/
 }
 
