@@ -62,7 +62,6 @@ func main() {
 		nodes     = flag.Int("nodes", 1, "cluster nodes")
 		rf        = flag.Int("rf", 1, "replication factor")
 		batch     = flag.Int("batch", 16, "online partitioning batch size")
-		k         = flag.Int("k", 1, "max sub-chunk size (record compression)")
 		chunkKB   = flag.Int("chunk-kb", 1024, "chunk capacity in KiB")
 		backend   = flag.String("backend", "memory", "storage backend: memory|lsm|remote")
 		dataDir   = flag.String("data", "rstore-data", "data directory for -backend lsm")
@@ -73,7 +72,7 @@ func main() {
 	flag.Parse()
 
 	cluster := rstore.ClusterConfig{
-		Nodes: *nodes, ReplicationFactor: *rf, Cost: rstore.DefaultCostModel(),
+		Nodes: *nodes, ReplicationFactor: *rf,
 		Engine: *backend, Dir: *dataDir,
 		Repair: rstore.RepairOptions{HintInterval: *hintEvery, AntiEntropyInterval: *aeEvery},
 	}
@@ -92,9 +91,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := rstore.Config{
-		KV: kv, BatchSize: *batch, SubChunkK: *k, ChunkCapacity: *chunkKB << 10,
-	}
+	cfg := rstore.Config{KV: kv, BatchSize: *batch, ChunkCapacity: *chunkKB << 10}
 
 	// Durable backends hold the store in the backend itself (data
 	// directory or remote nodes); reopen it if one was committed there.
@@ -142,8 +139,8 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("rstore-server listening on %s (nodes=%d rf=%d batch=%d k=%d backend=%s)",
-			*addr, *nodes, *rf, *batch, *k, *backend)
+		log.Printf("rstore-server listening on %s (nodes=%d rf=%d batch=%d backend=%s)",
+			*addr, kv.Nodes(), *rf, *batch, *backend)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -47,7 +47,7 @@ func render(title string, words []string) []byte {
 	return []byte(fmt.Sprintf(`{"title":%q,"body":%q}`, title, strings.Join(words, " ")))
 }
 
-func run(k int) (storageMB float64, q1ms, q3ms float64, span int) {
+func run(k int) (storageMB float64, q1, q3 rstore.QueryStats) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(99))
 	st, err := rstore.Open(ctx, rstore.Config{ChunkCapacity: 64 << 10, SubChunkK: k})
@@ -84,34 +84,35 @@ func run(k int) (storageMB float64, q1ms, q3ms float64, span int) {
 		log.Fatal(err)
 	}
 
-	_, q1, err := st.GetVersionAll(ctx, tip)
+	_, q1, err = st.GetVersionAll(ctx, tip)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, q3, err := st.GetHistoryAll(ctx, articleKey(7))
+	_, q3, err = st.GetHistoryAll(ctx, articleKey(7))
 	if err != nil {
 		log.Fatal(err)
 	}
-	return float64(st.ChunkStorageBytes(ctx)) / (1 << 20),
-		float64(q1.SimElapsed.Microseconds()) / 1000,
-		float64(q3.SimElapsed.Microseconds()) / 1000,
-		q1.Span
+	return float64(st.ChunkStorageBytes(ctx)) / (1 << 20), q1, q3
+}
+
+// fetched renders what a query read: chunks consulted, requests issued and
+// bytes transferred.
+func fetched(st rstore.QueryStats) string {
+	return fmt.Sprintf("span %d, %d req, %.1fKB", st.Span, st.Requests, float64(st.BytesRead)/(1<<10))
 }
 
 func main() {
 	fmt.Printf("%d articles × %d revisions, ~%d-word bodies, 5-word edits\n\n",
 		articles, revisions, bodyWords)
-	fmt.Printf("%-22s %-12s %-12s %-12s\n", "config", "chunk store", "Q1 latency", "Q3 latency")
+	fmt.Printf("%-22s %-12s %-26s %-26s\n", "config", "chunk store", "Q1 fetched", "Q3 fetched")
 	for _, k := range []int{1, 8} {
-		storage, q1, q3, _ := run(k)
+		storage, q1, q3 := run(k)
 		label := "no compression (k=1)"
 		if k > 1 {
 			label = fmt.Sprintf("sub-chunks (k=%d)", k)
 		}
-		fmt.Printf("%-22s %-12s %-12s %-12s\n", label,
-			fmt.Sprintf("%.2fMB", storage),
-			fmt.Sprintf("%.2fms", q1),
-			fmt.Sprintf("%.2fms", q3))
+		fmt.Printf("%-22s %-12s %-26s %-26s\n", label,
+			fmt.Sprintf("%.2fMB", storage), fetched(q1), fetched(q3))
 	}
 	fmt.Println("\nsub-chunking stores near-duplicate revisions as binary deltas against")
 	fmt.Println("their parent revision, cutting chunk storage while keeping every")

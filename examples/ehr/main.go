@@ -114,8 +114,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncardio training snapshot v%d: %d records, span=%d chunks, %.2fms simulated\n",
-		cardio, len(recs), stats.Span, float64(stats.SimElapsed.Microseconds())/1000)
+	fmt.Printf("\ncardio training snapshot v%d: %d records, span=%d chunks, %d requests, %.1fKB fetched\n",
+		cardio, len(recs), stats.Span, stats.Requests, float64(stats.BytesRead)/(1<<10))
 
 	// (2) Partial version retrieval: one ward's slice of the roster.
 	lo, hi := patientKey(100), patientKey(150)

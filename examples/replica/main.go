@@ -19,10 +19,7 @@ import (
 func main() {
 	ctx := context.Background()
 	// One shared 4-node cluster with replication.
-	kv, err := rstore.OpenCluster(ctx, rstore.ClusterConfig{
-		Nodes: 4, ReplicationFactor: 2,
-		Cost: rstore.DefaultCostModel(),
-	})
+	kv, err := rstore.OpenCluster(ctx, rstore.ClusterConfig{Nodes: 4, ReplicationFactor: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,8 +78,8 @@ func main() {
 		}
 		n++
 	}
-	fmt.Printf("replica streamed tip: %d records, span=%d, %.2fms simulated\n",
-		n, cur.Stats().Span, cur.Stats().SimElapsedMS)
+	fmt.Printf("replica streamed tip: %d records, span=%d, %d requests, %d bytes fetched\n",
+		n, cur.Stats().Span, cur.Stats().Requests, cur.Stats().BytesRead)
 
 	history, _, err := reader.GetHistoryAll(ctx, "sensor-1")
 	if err != nil {

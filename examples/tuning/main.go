@@ -36,8 +36,8 @@ func main() {
 	fmt.Printf("dataset: %d versions, %d unique records, %.1fMB unique volume\n\n",
 		c.NumVersions(), c.NumRecords(), float64(c.TotalBytes())/(1<<20))
 
-	fmt.Printf("%-14s %-10s %-4s %-9s %-14s %-12s %-12s\n",
-		"partitioner", "chunk", "k", "#chunks", "total span", "storage", "Q1 latency")
+	fmt.Printf("%-14s %-10s %-4s %-9s %-14s %-12s %-12s %-12s\n",
+		"partitioner", "chunk", "k", "#chunks", "total span", "storage", "Q1 requests", "Q1 fetched")
 
 	type knob struct {
 		name string
@@ -72,14 +72,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-14s %-10s %-4d %-9d %-14d %-12s %-12s\n",
+		fmt.Printf("%-14s %-10s %-4d %-9d %-14d %-12s %-12d %-12s\n",
 			kn.name,
 			fmt.Sprintf("%dKB", kn.cap>>10),
 			kn.k,
 			st.NumChunks(),
 			st.TotalVersionSpan(),
 			fmt.Sprintf("%.2fMB", float64(st.ChunkStorageBytes(context.Background()))/(1<<20)),
-			fmt.Sprintf("%.2fms", float64(q1.SimElapsed.Microseconds())/1000),
+			q1.Requests,
+			fmt.Sprintf("%.1fKB", float64(q1.BytesRead)/(1<<10)),
 		)
 	}
 

@@ -28,7 +28,7 @@ func testCorpus(t testing.TB) *corpus.Corpus {
 func engines(t testing.TB) []baseline.Engine {
 	t.Helper()
 	newKV := func() *kvstore.Store {
-		kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 2, Cost: kvstore.DefaultCostModel()})
+		kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -137,14 +137,12 @@ func (d *Delta) fetchPath(path []types.VersionID, stats *Stats) ([]*types.Delta,
 	stats.Span += len(keys)
 	stats.Requests += res.Requests
 	stats.BytesRead += res.BytesRead
-	stats.SimElapsed += res.Elapsed
 	out := make([]*types.Delta, len(res.Values))
 	for i, val := range res.Values {
 		dd, err := codec.DecodeDelta(val)
 		if err != nil {
 			return nil, err
 		}
-		stats.SimElapsed += d.KV.ChargeScan(len(val))
 		out[i] = dd
 	}
 	return out, nil

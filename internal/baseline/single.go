@@ -91,7 +91,6 @@ func (s *Single) fetch(cks []types.CompositeKey, stats *Stats) ([]types.Record, 
 	stats.Span += len(cks)
 	stats.Requests += res.Requests
 	stats.BytesRead += res.BytesRead
-	stats.SimElapsed += res.Elapsed
 	out := make([]types.Record, 0, len(cks))
 	for i, val := range res.Values {
 		if val == nil {

@@ -157,7 +157,6 @@ func (s *Subchunk) fetchGroups(keys []types.Key, v types.VersionID, stats *Stats
 	stats.Span += len(keys)
 	stats.Requests += res.Requests
 	stats.BytesRead += res.BytesRead
-	stats.SimElapsed += res.Elapsed
 	out := make([]*types.Record, len(keys))
 	for i, val := range res.Values {
 		if val == nil {
@@ -167,7 +166,6 @@ func (s *Subchunk) fetchGroups(keys []types.Key, v types.VersionID, stats *Stats
 		if err != nil {
 			return nil, err
 		}
-		stats.SimElapsed += s.KV.ChargeScan(len(val))
 		found := false
 		for j := range recs {
 			if visibleAt(s.c, recs[j].CK.Version, dels[j], v) {
@@ -255,12 +253,10 @@ func (s *Subchunk) GetHistory(key types.Key) ([]types.Record, Stats, error) {
 	stats.Span = 1
 	stats.Requests = 1
 	stats.BytesRead = int64(len(val))
-	stats.SimElapsed += s.KV.Cost().PerRequest
 	recs, _, err := decodeGroup(val)
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.SimElapsed += s.KV.ChargeScan(len(val))
 	types.SortRecords(recs)
 	stats.Records = len(recs)
 	return recs, stats, nil

@@ -181,7 +181,7 @@ func RunAblationReplication(opts Options) ([]*Table, error) {
 		}
 		w := workload.NewWorkload(c, opts.Seed+9)
 		q1 := w.FullVersionQueries(opts.Queries)
-		t.AddRow(d(rf), fmtDur(runQueries(eng, q1)), mb(kv.Stats(context.Background()).BytesStored))
+		t.AddRow(d(rf), fmtDur(runQueries(kv, eng, q1)), mb(kv.Stats(context.Background()).BytesStored))
 	}
 	return []*Table{t}, nil
 }

@@ -79,9 +79,9 @@ func RunFig12(opts Options) ([]*Table, error) {
 			}
 			t.AddRow(
 				d(nodes), d(versions),
-				fmtDur(runQueries(eng, q1)),
+				fmtDur(runQueries(kv, eng, q1)),
 				f1(float64(spanSum)/float64(len(q1))),
-				fmtDur(runQueries(eng, q3)),
+				fmtDur(runQueries(kv, eng, q3)),
 				f1(float64(keySpanSum)/float64(len(q3))),
 			)
 		}

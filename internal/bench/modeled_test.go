@@ -32,11 +32,11 @@ var modeledGolden = map[string][]string{
 		"25 | 2.192ms | 2.410ms | 2.192ms | - | 8.474ms",
 	},
 	"fig11-A0-q3": {
-		"1 | 0.874ms | 0.873ms | 0.874ms | 15.921ms | 0.650ms",
-		"2 | 0.657ms | 0.657ms | 0.875ms | - | 0.650ms",
-		"5 | 0.656ms | 0.656ms | 0.656ms | - | 0.650ms",
-		"12 | 0.656ms | 0.656ms | 0.656ms | - | 0.650ms",
-		"25 | 0.656ms | 0.656ms | 0.656ms | - | 0.650ms",
+		"1 | 0.874ms | 0.873ms | 0.874ms | 15.921ms | 0.651ms",
+		"2 | 0.657ms | 0.657ms | 0.875ms | - | 0.651ms",
+		"5 | 0.656ms | 0.656ms | 0.656ms | - | 0.651ms",
+		"12 | 0.656ms | 0.656ms | 0.656ms | - | 0.651ms",
+		"25 | 0.656ms | 0.656ms | 0.656ms | - | 0.651ms",
 	},
 	"fig11-C0-q1": {
 		"1 | 3.494ms | 5.454ms | 5.456ms | 5.256ms | 15.703ms",
@@ -53,11 +53,11 @@ var modeledGolden = map[string][]string{
 		"25 | 0.876ms | 0.876ms | 0.876ms | - | 2.398ms",
 	},
 	"fig11-C0-q3": {
-		"1 | 2.181ms | 1.746ms | 1.963ms | 17.736ms | 0.650ms",
-		"2 | 0.874ms | 1.310ms | 1.528ms | - | 0.650ms",
-		"5 | 0.655ms | 0.656ms | 0.655ms | - | 0.650ms",
-		"12 | 0.655ms | 0.655ms | 0.655ms | - | 0.650ms",
-		"25 | 0.655ms | 0.655ms | 0.655ms | - | 0.650ms",
+		"1 | 2.181ms | 1.746ms | 1.963ms | 17.736ms | 0.653ms",
+		"2 | 0.874ms | 1.310ms | 1.528ms | - | 0.653ms",
+		"5 | 0.655ms | 0.656ms | 0.655ms | - | 0.653ms",
+		"12 | 0.655ms | 0.655ms | 0.655ms | - | 0.653ms",
+		"25 | 0.655ms | 0.655ms | 0.655ms | - | 0.653ms",
 	},
 	"fig12-G": {
 		"1 | 16 | 8.514ms | 13.0 | 1.528ms | 2.3",

@@ -60,7 +60,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"rstore/internal/kvstore"
 	"rstore/internal/partition"
@@ -105,7 +104,7 @@ type Config struct {
 func (c Config) withDefaults(ctx context.Context) (Config, bool, error) {
 	ownsKV := false
 	if c.KV == nil {
-		kv, err := kvstore.Open(ctx, kvstore.Config{Cost: kvstore.DefaultCostModel()})
+		kv, err := kvstore.Open(ctx, kvstore.Config{})
 		if err != nil {
 			return c, false, err
 		}
@@ -160,9 +159,6 @@ type QueryStats struct {
 	Requests int
 	// BytesRead is the response volume: the fetched segments' bytes.
 	BytesRead int64
-	// SimElapsed is the simulated retrieval time under the cluster's cost
-	// model (request overhead + transfer + client-side scan).
-	SimElapsed time.Duration
 	// Records is the number of records returned.
 	Records int
 	// WastedChunks counts fetched chunks that contained no requested

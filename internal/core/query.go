@@ -506,10 +506,8 @@ func (s *Store) fetchSegments(ctx context.Context, gen uint32, chunks []chunkRea
 	}
 	stats.Requests += res.Requests
 	stats.BytesRead += res.BytesRead
-	stats.SimElapsed += res.Elapsed
 	for i, value := range res.Values {
 		reads[i].value = value
-		stats.SimElapsed += s.kv.ChargeScan(len(value))
 	}
 	return reads, nil
 }

@@ -14,7 +14,7 @@ import (
 // same cluster (the paper's multi-AS deployment, §2.4): it serves every
 // query but rejects all mutations.
 func TestReadReplica(t *testing.T) {
-	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 3, ReplicationFactor: 2, Cost: kvstore.DefaultCostModel()})
+	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 3, ReplicationFactor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ func TestConcurrentCommitsAndQueries(t *testing.T) {
 // TestQueriesSurviveNodeFailure verifies the engine keeps answering when a
 // replica node dies under ReplicationFactor 2.
 func TestQueriesSurviveNodeFailure(t *testing.T) {
-	kv, nodes := openMemCluster(t, kvstore.Config{Nodes: 4, ReplicationFactor: 2, Cost: kvstore.DefaultCostModel()})
+	kv, nodes := openMemCluster(t, kvstore.Config{Nodes: 4, ReplicationFactor: 2})
 	s, m := buildStore(t, Config{KV: kv, ChunkCapacity: 1024, BatchSize: 5}, 18, 25, 12)
 	if err := s.Flush(context.Background()); err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func (s *Store) pending() []types.VersionID {
 	return out
 }
 
-// KV exposes the backing cluster (stats, cost model).
+// KV exposes the backing cluster (its stats).
 func (s *Store) KV() *kvstore.Store { return s.kv }
 
 // Parents returns a copy of version v's parents, primary first, or nil for

@@ -399,9 +399,6 @@ func TestEngineQueryStatsSanity(t *testing.T) {
 	if stats.Span == 0 || stats.Requests == 0 || stats.BytesRead == 0 {
 		t.Fatalf("implausible stats: %+v", stats)
 	}
-	if stats.SimElapsed <= 0 {
-		t.Fatalf("no simulated time accrued: %+v", stats)
-	}
 }
 
 // A commit rejected by the version graph (duplicate parents) must leave no

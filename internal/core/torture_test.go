@@ -21,10 +21,7 @@ func TestTortureSoak(t *testing.T) {
 		t.Skip("soak test")
 	}
 	rng := rand.New(rand.NewSource(271828))
-	kv, nodes := openMemCluster(t, kvstore.Config{
-		Nodes: 5, ReplicationFactor: 2,
-		Cost: kvstore.DefaultCostModel(),
-	})
+	kv, nodes := openMemCluster(t, kvstore.Config{Nodes: 5, ReplicationFactor: 2})
 	cfg := Config{
 		KV: kv, ChunkCapacity: 512, BatchSize: 7, // a batch is 1.2–1.8 KB: every flush splits open from closed
 		SubChunkK: 3, Partitioner: partition.BottomUp{Beta: 16},

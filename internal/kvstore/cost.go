@@ -5,9 +5,11 @@ import "time"
 // CostModel captures the network/CPU cost parameters of the backing cluster.
 // RStore's design revolves around the observation (paper §2.3) that the
 // number of requests to the KVS dominates retrieval cost; the model charges
-// a fixed per-request overhead plus transfer and scan time, and the Store
-// accumulates the result on a virtual clock so experiments report
-// deterministic, Cassandra-shaped latencies regardless of host speed.
+// a fixed per-request overhead plus transfer and scan time. The Store prices
+// each read with it on the cluster's clock, Stats.SimElapsed, and nothing
+// else: the clock is the paper's figure drivers' stopwatch, so they report
+// deterministic, Cassandra-shaped latencies regardless of host speed. Writes
+// are not priced, and nothing above the Store carries modeled time.
 //
 // Defaults are calibrated against the paper's §2.3 measurement: ~100K unit
 // requests took 65.42s, i.e. ≈0.65ms per request end to end.

@@ -7,9 +7,10 @@
 // in-process engine, or the wire client from internal/engine/remote against
 // a real rstore-node daemon, which is a Backend like the others. A node is
 // down when its calls answer engine.ErrUnavailable; in-process, the memory
-// engine simulates that (memory.Backend.SetDown). A calibrated network cost model
-// drives a virtual clock so experiments report Cassandra-like retrieval
-// times deterministically.
+// engine simulates that (memory.Backend.SetDown). A calibrated cost model
+// (cost.go) prices every read on the cluster's clock, Stats.SimElapsed,
+// which the paper's figure drivers read as their stopwatch: it reports
+// Cassandra-like retrieval times deterministically.
 //
 // # Replication, LWW envelopes, and repair
 //

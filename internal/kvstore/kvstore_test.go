@@ -113,7 +113,7 @@ func TestMultiGet(t *testing.T) {
 	if len(res.Missing) != 2 || res.Missing[0] != 100 || res.Missing[1] != 101 {
 		t.Fatalf("Missing = %v", res.Missing)
 	}
-	if res.Requests != 102 || res.BytesRead == 0 || res.Elapsed <= 0 {
+	if res.Requests != 102 || res.BytesRead == 0 {
 		t.Fatalf("stats: %+v", res)
 	}
 }
@@ -157,8 +157,9 @@ func TestUnreplicatedFailureIsAnError(t *testing.T) {
 }
 
 // TestMultiGetChargesFirstAnsweringReplica: with a replica down, the
-// simulated cost of a MultiGet key goes to the first of its replicas, in
-// ring order, that answered — never to the down node.
+// modeled time of a MultiGet key goes to the first of its replicas, in ring
+// order, that answered — never to the down node — and the clock moves by
+// that batch time plus the scan of the values returned.
 func TestMultiGetChargesFirstAnsweringReplica(t *testing.T) {
 	cost := DefaultCostModel()
 	cost.Parallelism = 1 << 10 // the busiest node, not the client lanes, bounds the batch
@@ -174,6 +175,7 @@ func TestMultiGetChargesFirstAnsweringReplica(t *testing.T) {
 	}
 	const down = 1
 	backends[down].SetDown(true)
+	before := s.Stats(ctx).SimElapsed
 	res, err := s.MultiGet(ctx, "t", keys)
 	if err != nil {
 		t.Fatal(err)
@@ -191,12 +193,35 @@ func TestMultiGetChargesFirstAnsweringReplica(t *testing.T) {
 		answered[first] = append(answered[first], len(k))
 		primary[replicas[0]] = append(primary[replicas[0]], len(k))
 	}
-	want := cost.batchElapsed(answered)
-	if want == cost.batchElapsed(primary) {
+	if cost.batchElapsed(answered) == cost.batchElapsed(primary) {
 		t.Fatal("precondition: charging the primaries costs the same as charging the replicas that answered")
 	}
-	if res.Elapsed != want {
-		t.Fatalf("Elapsed = %v, want %v (each key charged to its first replica that answered)", res.Elapsed, want)
+	want := cost.batchElapsed(answered) + cost.scanCost(int(res.BytesRead))
+	if got := s.Stats(ctx).SimElapsed - before; got != want {
+		t.Fatalf("the clock moved %v, want %v (each key charged to its first replica that answered, plus the scan)", got, want)
+	}
+}
+
+// TestMultiGetPricesMissingKeysAtZeroBytes: a key no replica holds, never
+// written or deleted, is one request that returned nothing.
+func TestMultiGetPricesMissingKeysAtZeroBytes(t *testing.T) {
+	s := open(t, 3, 2)
+	ctx := context.Background()
+	if err := s.Put(ctx, "t", "gone", make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(ctx, "t", "gone"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"never", "gone"} {
+		before := s.Stats(ctx).SimElapsed
+		if _, err := s.Get(ctx, "t", k); !errors.Is(err, types.ErrNotFound) {
+			t.Fatalf("Get %s: %v, want ErrNotFound", k, err)
+		}
+		want := s.cfg.Cost.batchElapsed(map[int][]int{0: {0}})
+		if got := s.Stats(ctx).SimElapsed - before; got != want {
+			t.Fatalf("Get %s moved the clock %v, want %v", k, got, want)
+		}
 	}
 }
 
@@ -356,7 +381,6 @@ func TestStatsAndClock(t *testing.T) {
 	s := open(t, 2, 1)
 	s.Put(context.Background(), "t", "a", make([]byte, 1000))
 	s.Get(context.Background(), "t", "a")
-	s.ChargeScan(1000)
 	st := s.Stats(context.Background())
 	if st.Requests < 2 || st.BytesRead < 1000 || st.BytesPut < 1000 || st.SimElapsed <= 0 {
 		t.Fatalf("stats: %+v", st)

@@ -40,7 +40,9 @@ type Config struct {
 	// ReplicationFactor is the number of replicas per key. Defaults to 1,
 	// capped at Nodes.
 	ReplicationFactor int
-	// Cost is the latency model; zero value disables simulated timing.
+	// Cost is the model that prices reads on the cluster's clock,
+	// Stats.SimElapsed, for the paper's figure drivers; the zero value
+	// prices nothing.
 	Cost CostModel
 	// Engine selects the per-node storage backend: EngineMemory (the
 	// default), EngineLSM, or EngineRemote.
@@ -205,9 +207,9 @@ type Store struct {
 	// RepairOptions.AntiEntropyInterval is set and ReplicationFactor > 1.
 	ae *antiEntropy
 
-	// Virtual clock and counters (atomics; Store is safe for concurrent
+	// Modeled clock and counters (atomics; Store is safe for concurrent
 	// use).
-	simClock   atomic.Int64 // accumulated simulated time, ns
+	simClock   atomic.Int64 // modeled read time under cfg.Cost, ns
 	reqCount   atomic.Int64
 	bytesRead  atomic.Int64
 	bytesPut   atomic.Int64
@@ -386,6 +388,3 @@ func (s *Store) Close() error {
 
 // Nodes returns the cluster size.
 func (s *Store) Nodes() int { return s.cfg.Nodes }
-
-// Cost returns the configured cost model.
-func (s *Store) Cost() CostModel { return s.cfg.Cost }

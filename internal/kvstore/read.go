@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"rstore/internal/engine"
 	"rstore/internal/types"
@@ -35,9 +34,6 @@ type MultiGetResult struct {
 	Requests int
 	// BytesRead is the total response volume.
 	BytesRead int64
-	// Elapsed is the simulated wall time of the batch under the cost model
-	// (parallel lanes, per-node serialization).
-	Elapsed time.Duration
 }
 
 // MultiGet fetches many keys from one table — the access pattern of
@@ -85,11 +81,10 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 			s.repair.settle(table, keys[i], rd.obs, v, !s.repair.opts.DisableReadRepair)
 		}
 
-		// The simulated batch cost (per-node serial service, client-side
+		// The modeled batch time (per-node serial service, client-side
 		// lanes) charges the key to one serving replica — one request per
-		// key, replica consultation modeled as free digest reads, as a write
-		// charges once despite its fan-out: the first replica that answered,
-		// or the primary when none did.
+		// key, replica consultation modeled as free digest reads: the first
+		// replica that answered, or the primary when none did.
 		n := rd.obs[0].node
 		for _, o := range rd.obs {
 			if o.state != obsUnreachable {
@@ -101,10 +96,10 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 		res.BytesRead += int64(len(res.Values[i]))
 	}
 	res.Requests = len(keys)
-	res.Elapsed = s.cfg.Cost.batchElapsed(perNode)
 	s.reqCount.Add(int64(res.Requests))
 	s.bytesRead.Add(res.BytesRead)
-	s.simClock.Add(int64(res.Elapsed))
+	// The batch's modeled time, plus the client's scan of what it returned.
+	s.simClock.Add(int64(s.cfg.Cost.batchElapsed(perNode) + s.cfg.Cost.scanCost(int(res.BytesRead))))
 	return res, nil
 }
 
@@ -123,7 +118,7 @@ type keyRead struct {
 // batch failed as unavailable answers obsUnreachable for all its keys; the
 // wire client has by then spent its own retry schedule on it, so there is
 // no second one here. That observation is the only liveness signal a read
-// has: multiGet charges its simulated cost to the first replica that did
+// has: multiGet charges its modeled time to the first replica that did
 // not answer obsUnreachable. Hard errors abort. The read path and the anti-entropy
 // loop both observe replicas through it.
 func (s *Store) readReplicas(ctx context.Context, table string, keys []string) ([]keyRead, error) {

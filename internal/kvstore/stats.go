@@ -7,24 +7,15 @@ import (
 	"rstore/internal/engine"
 )
 
-// ChargeScan adds client-side scan cost for n bytes to the virtual clock and
-// returns the charged duration. The query module calls it when extracting
-// records from retrieved chunks.
-func (s *Store) ChargeScan(n int) time.Duration {
-	d := s.cfg.Cost.scanCost(n)
-	s.simClock.Add(int64(d))
-	return d
-}
-
 // Stats is a snapshot of cluster counters. At ReplicationFactor 1 the
 // repair fields other than TombstonesGCed stay zero.
 type Stats struct {
 	Requests    int64
 	BytesRead   int64
 	BytesPut    int64
-	WriteCalls  int64 // Put, BatchPut, Delete and BatchDelete calls, whatever they carried
-	SimElapsed  time.Duration
-	BytesStored int64 // resident across nodes (including replicas)
+	WriteCalls  int64         // Put, BatchPut, Delete and BatchDelete calls, whatever they carried
+	SimElapsed  time.Duration // every read's modeled time under Config.Cost: the figure drivers' stopwatch
+	BytesStored int64         // resident across nodes (including replicas)
 
 	// Replication repair (repair.go). Lifetime counters are per Store
 	// instance (a reopened client starts at zero, though it inherits and

@@ -28,9 +28,8 @@ func (s *Store) Delete(ctx context.Context, table, key string) error {
 // BatchPut stores many values in one table, grouping the writes per replica
 // node and committing each group through the node's backend in a single
 // call — one durability sync per node per batch instead of one per key.
-// It fails only if some entry has no live replica or a backend errors;
-// simulated timing follows the MultiGet batch model (per-node serial
-// service, parallel client lanes).
+// It fails only if some entry has no live replica or a backend errors.
+// Like every write, it leaves the modeled clock (Stats.SimElapsed) alone.
 func (s *Store) BatchPut(ctx context.Context, table string, entries []Entry) error {
 	return s.batchWrite(ctx, "batchput", table, envValue, entries)
 }
@@ -158,16 +157,8 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 		}
 	}
 
-	// Simulated timing: per-primary serial service, client-side lanes
-	// (replica fan-out is free). A one-entry batch costs one requestCost.
-	perPrimary := make(map[int][]int)
-	for i, e := range entries {
-		p := replicasOf[i][0]
-		perPrimary[p] = append(perPrimary[p], len(e.Value))
-	}
 	s.bytesPut.Add(bytes)
 	s.reqCount.Add(int64(len(entries)))
-	s.simClock.Add(int64(s.cfg.Cost.batchElapsed(perPrimary)))
 	return nil
 }
 

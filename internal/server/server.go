@@ -124,19 +124,17 @@ type StreamLine struct {
 
 // StatsJSON mirrors core.QueryStats.
 type StatsJSON struct {
-	Span         int     `json:"span"`
-	Requests     int     `json:"requests"`
-	BytesRead    int64   `json:"bytes_read"`
-	SimElapsedMS float64 `json:"sim_elapsed_ms"`
-	Records      int     `json:"records"`
-	WastedChunks int     `json:"wasted_chunks"`
+	Span         int   `json:"span"`
+	Requests     int   `json:"requests"`
+	BytesRead    int64 `json:"bytes_read"`
+	Records      int   `json:"records"`
+	WastedChunks int   `json:"wasted_chunks"`
 }
 
 func statsJSON(st core.QueryStats) StatsJSON {
 	return StatsJSON{
 		Span: st.Span, Requests: st.Requests, BytesRead: st.BytesRead,
-		SimElapsedMS: float64(st.SimElapsed.Microseconds()) / 1000,
-		Records:      st.Records, WastedChunks: st.WastedChunks,
+		Records: st.Records, WastedChunks: st.WastedChunks,
 	}
 }
 

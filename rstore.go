@@ -113,10 +113,10 @@ var (
 )
 
 // Open creates a store. With a zero Config it runs on a private single-node
-// in-process memory cluster with the calibrated cost model, Bottom-Up
-// partitioning, 1 MiB chunks, and no record-level compression; a durable
-// or remote store runs on a cluster opened with OpenCluster and passed as
-// Config.KV. ctx bounds the open itself, not the Store's lifetime.
+// in-process memory cluster, with Bottom-Up partitioning, 1 MiB chunks, and
+// no record-level compression; a durable or remote store runs on a cluster
+// opened with OpenCluster and passed as Config.KV. ctx bounds the open
+// itself, not the Store's lifetime.
 func Open(ctx context.Context, cfg Config) (*Store, error) { return core.Open(ctx, cfg) }
 
 // Load reopens a store persisted in cfg.KV; ctx bounds the recovery scans.
@@ -165,9 +165,6 @@ const (
 	EngineRemote = kvstore.EngineRemote
 )
 
-// CostModel is the cluster's simulated network cost model.
-type CostModel = kvstore.CostModel
-
 // OpenCluster creates a distributed key-value cluster (in-process or, with
 // EngineRemote, over real storage daemons) to back one or more stores. ctx
 // bounds the open's wire round-trips (geometry probe, hint recovery), not
@@ -180,10 +177,6 @@ func OpenCluster(ctx context.Context, cfg ClusterConfig) (*kvstore.Store, error)
 // ClusterConfig.NodeAddrs form (whitespace trimmed, empty elements
 // dropped).
 func SplitNodeAddrs(list string) []string { return kvstore.SplitNodeAddrs(list) }
-
-// DefaultCostModel returns the Cassandra-calibrated cost model (see
-// internal/kvstore).
-func DefaultCostModel() CostModel { return kvstore.DefaultCostModel() }
 
 // Partitioning algorithms for Config.Partitioner.
 

@@ -13,9 +13,7 @@ import (
 
 // TestFacadeEndToEnd drives the whole public API surface.
 func TestFacadeEndToEnd(t *testing.T) {
-	kv, err := rstore.OpenCluster(context.Background(), rstore.ClusterConfig{
-		Nodes: 3, ReplicationFactor: 2, Cost: rstore.DefaultCostModel(),
-	})
+	kv, err := rstore.OpenCluster(context.Background(), rstore.ClusterConfig{Nodes: 3, ReplicationFactor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

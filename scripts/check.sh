@@ -4,10 +4,10 @@
 #
 # Usage: scripts/check.sh [section ...]
 #
-# Sections: gofmt vet staticcheck rstore-vet docs ci-names benchmark daemons
-# fuzz, and compare <base-ref>. No arguments runs the default gate (everything
-# except daemons, fuzz and compare: daemons starts processes on fixed
-# loopback ports 17420-17422 and 18099, fuzz costs tens of seconds, and
+# Sections: gofmt vet staticcheck rstore-vet docs ci-names benchmark examples
+# daemons fuzz, and compare <base-ref>. No arguments runs the default gate
+# (everything except daemons, fuzz and compare: daemons starts processes on
+# fixed loopback ports 17420-17422 and 18099, fuzz costs tens of seconds, and
 # compare costs minutes and needs a ref). ci-names fails when a test
 # selector of CI or of this script names nothing: each alternative of a go
 # test run, bench or fuzz pattern in .github/workflows/ci.yml and here must
@@ -21,10 +21,13 @@
 # ./...` at the root skips: it compiles against this module's internal
 # packages, so an API drift there is otherwise invisible until the
 # benchmark pipeline runs (~10 s, incl. a 1/20-scale smoke of every
-# workload). compare checks the working tree against <base-ref> on the
-# gated metrics of BENCHMARK.json: the base is checked out into a temporary
-# git worktree, every workload runs three times per side, alternating which
-# side goes first, and `benchmark/run.sh --compare` is the verdict (~6 min).
+# workload). examples runs every examples/* program, each about a second,
+# and fails on a non-zero exit (the build alone does not run them); a
+# failing program's output is printed. compare checks the working tree
+# against <base-ref> on the gated metrics of BENCHMARK.json: the base is
+# checked out into a temporary git worktree, every workload runs three
+# times per side, alternating which side goes first, and
+# `benchmark/run.sh --compare` is the verdict (~6 min).
 # Runs are 8 s windows: ingest commits a fixed 54 times per second of
 # --seconds and refuses a run that gives a class too few samples (300
 # commits, 20 batch closings), which rules out anything under 6.
@@ -104,6 +107,23 @@ run_benchmark() {
     go vet ./...
     go test ./...
   )
+}
+
+run_examples() {
+  echo "== examples"
+  bin=$(mktemp -d)
+  go build -o "$bin/" ./examples/...
+  status=0
+  for dir in examples/*/; do
+    name=$(basename "$dir")
+    if ! "$bin/$name" >"$bin/$name.out" 2>&1; then
+      echo "examples: $name failed:"
+      cat "$bin/$name.out"
+      status=1
+    fi
+  done
+  rm -rf "$bin"
+  return $status
 }
 
 run_compare() {
@@ -226,7 +246,7 @@ run_fuzz() {
 }
 
 if [ $# -eq 0 ]; then
-  set -- gofmt vet staticcheck rstore-vet docs ci-names benchmark
+  set -- gofmt vet staticcheck rstore-vet docs ci-names benchmark examples
 fi
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -237,6 +257,7 @@ while [ $# -gt 0 ]; do
   docs) run_docs ;;
   ci-names) run_ci_names ;;
   benchmark) run_benchmark ;;
+  examples) run_examples ;;
   daemons) run_daemons ;;
   fuzz) run_fuzz ;;
   compare)
@@ -244,7 +265,7 @@ while [ $# -gt 0 ]; do
     run_compare "${1:?compare needs a base ref: scripts/check.sh compare <base-ref>}"
     ;;
   *)
-    echo "unknown section: $1 (known: gofmt vet staticcheck rstore-vet docs ci-names benchmark daemons fuzz compare)"
+    echo "unknown section: $1 (known: gofmt vet staticcheck rstore-vet docs ci-names benchmark examples daemons fuzz compare)"
     exit 2
     ;;
   esac
