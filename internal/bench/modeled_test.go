@@ -14,9 +14,111 @@ import (
 // digit. These tests pin them, so a change to how reads are priced, or to
 // what a query reads, shows up as the cells it moved.
 
-// modeledGolden holds every row of fig11, fig12 and ablation-replication at
-// microOpts, cells joined by " | ", by table id.
+// modeledGolden holds every row of table1, table-chunksize, fig8, fig10,
+// fig11, fig12 and ablation-replication at microOpts, cells joined by " | ",
+// by table id.
 var modeledGolden = map[string][]string{
+	"table1": {
+		"Chunked (RStore) | 0.00MB | 0.00MB | 2.0 | 2.1KB | 1.0",
+		"DELTA | 0.01MB | 0.01MB | 12.7 | 4.2KB | 6.0",
+		"SUBCHUNK | 0.01MB | 0.01MB | 64.0 | 0.3KB | 1.0",
+		"SINGLE | 0.01MB | 0.01MB | 64.0 | 0.1KB | 1.0",
+	},
+	"table-chunksize": {
+		"1 | 2000 | 0.19MB | 1.302s",
+		"10 | 1289 | 1.23MB | 0.853s",
+		"100 | 200 | 1.91MB | 0.153s",
+		"1000 | 20 | 1.91MB | 0.036s",
+		"10000 | 2 | 1.91MB | 0.024s",
+	},
+	"fig8a": {
+		"A0 | 113 | 114 | 160 | 160 | 189",
+		"A1 | 112 | 113 | 116 | 116 | 129",
+		"A2 | 112 | 113 | 116 | 116 | 129",
+		"B0 | 153 | 153 | 156 | 157 | 172",
+		"B1 | 152 | 151 | 156 | 157 | 172",
+		"B2 | 158 | 151 | 162 | 163 | 180",
+	},
+	"fig8b": {
+		"C0 | 526 | 659 | 578 | 578 | 838",
+		"C1 | 523 | 492 | 474 | 510 | 659",
+		"C2 | 567 | 558 | 517 | 578 | 659",
+		"D0 | 526 | 659 | 578 | 578 | 838",
+		"D1 | 523 | 492 | 474 | 510 | 659",
+		"D2 | 567 | 558 | 517 | 578 | 659",
+	},
+	"fig10-A0-pd10": {
+		"1 | 0.99 | 2452 | 5284 | 2726",
+		"2 | 1.66 | 2737 | 4690 | 3065",
+		"5 | 2.82 | 3677 | 4979 | 3896",
+		"12 | 3.85 | 5292 | 6396 | 5335",
+		"25 | 4.33 | 7334 | 8964 | 7141",
+		"50 | 4.50 | 8488 | 10138 | 8370",
+	},
+	"fig10-A0-pd5": {
+		"1 | 0.99 | 2452 | 5284 | 2726",
+		"2 | 1.76 | 2728 | 4677 | 3025",
+		"5 | 3.30 | 3292 | 4468 | 3506",
+		"12 | 4.96 | 4142 | 5175 | 4141",
+		"25 | 5.87 | 5267 | 6914 | 5096",
+		"50 | 6.22 | 5663 | 7226 | 5423",
+	},
+	"fig10-A0-pd1": {
+		"1 | 0.99 | 2452 | 5284 | 2726",
+		"2 | 1.82 | 2548 | 4395 | 2828",
+		"5 | 3.70 | 2895 | 3974 | 3031",
+		"12 | 6.11 | 3435 | 4296 | 3365",
+		"25 | 7.64 | 3970 | 5238 | 3725",
+		"50 | 8.27 | 4127 | 5508 | 3951",
+	},
+	"fig10-C0-pd10": {
+		"1 | 0.99 | 927 | 963 | 1107",
+		"2 | 1.32 | 1001 | 1086 | 1092",
+		"5 | 2.27 | 1040 | 1149 | 1120",
+		"12 | 3.64 | 1152 | 1160 | 1152",
+		"25 | 3.72 | 1152 | 1152 | 1152",
+		"50 | 3.72 | 1152 | 1152 | 1152",
+	},
+	"fig10-C0-pd5": {
+		"1 | 0.99 | 927 | 963 | 1107",
+		"2 | 1.35 | 923 | 962 | 987",
+		"5 | 2.53 | 934 | 1006 | 1011",
+		"12 | 4.61 | 933 | 896 | 905",
+		"25 | 4.75 | 896 | 896 | 896",
+		"50 | 4.75 | 896 | 896 | 896",
+	},
+	"fig10-C0-pd1": {
+		"1 | 0.99 | 927 | 963 | 1107",
+		"2 | 1.37 | 923 | 962 | 987",
+		"5 | 2.73 | 915 | 942 | 911",
+		"12 | 5.56 | 805 | 776 | 768",
+		"25 | 5.77 | 768 | 768 | 768",
+		"50 | 5.77 | 768 | 768 | 768",
+	},
+	"fig10-D0-pd10": {
+		"1 | 0.99 | 927 | 963 | 1107",
+		"2 | 1.32 | 1001 | 1086 | 1092",
+		"5 | 2.27 | 1040 | 1149 | 1120",
+		"12 | 3.64 | 1152 | 1160 | 1152",
+		"25 | 3.72 | 1152 | 1152 | 1152",
+		"50 | 3.72 | 1152 | 1152 | 1152",
+	},
+	"fig10-D0-pd5": {
+		"1 | 0.99 | 927 | 963 | 1107",
+		"2 | 1.35 | 923 | 962 | 987",
+		"5 | 2.53 | 934 | 1006 | 1011",
+		"12 | 4.61 | 933 | 896 | 905",
+		"25 | 4.75 | 896 | 896 | 896",
+		"50 | 4.75 | 896 | 896 | 896",
+	},
+	"fig10-D0-pd1": {
+		"1 | 0.99 | 927 | 963 | 1107",
+		"2 | 1.37 | 923 | 962 | 987",
+		"5 | 2.73 | 915 | 942 | 911",
+		"12 | 5.56 | 805 | 776 | 768",
+		"25 | 5.77 | 768 | 768 | 768",
+		"50 | 5.77 | 768 | 768 | 768",
+	},
 	"fig11-A0-q1": {
 		"1 | 11.594ms | 14.216ms | 13.340ms | 9.072ms | 71.079ms",
 		"2 | 14.029ms | 15.997ms | 14.467ms | - | 71.079ms",
@@ -85,7 +187,9 @@ var modeledGolden = map[string][]string{
 func TestModeledFiguresRepeat(t *testing.T) {
 	got := map[string][]string{}
 	var order []string
-	for _, run := range []func(Options) ([]*Table, error){RunFig11, RunFig12, RunAblationReplication} {
+	for _, run := range []func(Options) ([]*Table, error){
+		RunTable1, RunChunkSize, RunFig8, RunFig10, RunFig11, RunFig12, RunAblationReplication,
+	} {
 		tables, err := run(microOpts())
 		if err != nil {
 			t.Fatal(err)
