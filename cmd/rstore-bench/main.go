@@ -10,10 +10,10 @@
 //
 // Output is printed as aligned text tables, one per paper artifact, each
 // annotated with the paper's reported shape for comparison. With -json, a
-// machine-readable BENCH_<exp>.json snapshot (backend, workload
-// parameters, tables, and key metrics such as throughput and latency
-// percentiles) is written per experiment into the given directory, so the
-// perf trajectory is tracked across changes instead of quoted in prose.
+// machine-readable BENCH_<exp>.json snapshot (workload parameters, tables,
+// and key metrics such as throughput and latency percentiles) is written
+// per experiment into the given directory, so the perf trajectory is
+// tracked across changes instead of quoted in prose.
 package main
 
 import (
@@ -23,26 +23,21 @@ import (
 	"path/filepath"
 	"time"
 
-	"rstore"
 	"rstore/internal/bench"
 )
 
 func main() { os.Exit(run()) }
 
-// run carries the real main so deferred cleanup (the auto-created lsm
-// temp directory) survives every exit path.
+// run carries the real main: its result is the exit status.
 func run() int {
 	var (
-		exp       = flag.String("exp", "", "experiment id (see -list)")
-		all       = flag.Bool("all", false, "run every experiment")
-		list      = flag.Bool("list", false, "list experiments")
-		scale     = flag.String("scale", "quick", "dataset scale: quick|full")
-		queries   = flag.Int("queries", 0, "override query sample size")
-		seed      = flag.Int64("seed", 0, "override RNG seed")
-		backend   = flag.String("backend", "memory", "cluster storage backend: memory|lsm|remote")
-		dataDir   = flag.String("data", "", "data directory for -backend lsm (each cluster gets a subdirectory)")
-		nodeAddrs = flag.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote\n(the address list fixes the node count; each cluster a run opens wipes the\ndaemons first via the wire reset op, so one daemon set serves a whole run)")
-		jsonDir   = flag.String("json", "", "write a BENCH_<exp>.json snapshot per experiment into this directory")
+		exp     = flag.String("exp", "", "experiment id (see -list)")
+		all     = flag.Bool("all", false, "run every experiment")
+		list    = flag.Bool("list", false, "list experiments")
+		scale   = flag.String("scale", "quick", "dataset scale: quick|full")
+		queries = flag.Int("queries", 0, "override query sample size")
+		seed    = flag.Int64("seed", 0, "override RNG seed")
+		jsonDir = flag.String("json", "", "write a BENCH_<exp>.json snapshot per experiment into this directory")
 	)
 	flag.Parse()
 
@@ -63,32 +58,6 @@ func run() int {
 	if *seed != 0 {
 		opts.Seed = *seed
 	}
-	switch *backend {
-	case "", "memory":
-	case "lsm":
-		opts.Engine = *backend
-		opts.DataDir = *dataDir
-		if opts.DataDir == "" {
-			d, err := os.MkdirTemp("", "rstore-bench-")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rstore-bench:", err)
-				return 1
-			}
-			defer os.RemoveAll(d)
-			opts.DataDir = d
-		}
-	case "remote":
-		opts.Engine = *backend
-		opts.NodeAddrs = rstore.SplitNodeAddrs(*nodeAddrs)
-		if len(opts.NodeAddrs) == 0 {
-			fmt.Fprintln(os.Stderr, "rstore-bench: -backend remote needs -node-addrs")
-			return 2
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "rstore-bench: unknown -backend %q\n", *backend)
-		return 2
-	}
-
 	var runs []bench.Experiment
 	switch {
 	case *all:

@@ -13,11 +13,11 @@ import (
 	"rstore/internal/workload"
 )
 
-// The ablation experiments isolate design decisions DESIGN.md calls out:
-// the Bottom-Up partial-chunk merge, the shingle vector length, the chunk
-// slack allowance, and replication — the last being the paper's
-// explicitly named future-work item ("explore the effect of replication as
-// it reduces the cost of version reconstruction").
+// The ablation experiments isolate design decisions of the paper's
+// partitioning and storage: the Bottom-Up partial-chunk merge, the shingle
+// vector length, the chunk slack allowance, and replication — the last
+// being the paper's explicitly named future-work item ("explore the effect
+// of replication as it reduces the cost of version reconstruction").
 
 // RunAblationMerge compares Bottom-Up with and without end-of-run partial
 // merging: merging trades a few extra spans for markedly fewer chunks
@@ -159,7 +159,7 @@ func RunAblationReplication(opts Options) ([]*Table, error) {
 		Headers:   []string{"rf", "Q1 avg", "stored bytes"},
 	}
 	for _, rf := range []int{1, 2, 3} {
-		kv, err := opts.OpenCluster(kvstore.Config{
+		kv, err := kvstore.Open(context.Background(), kvstore.Config{
 			Nodes: 8, ReplicationFactor: rf,
 			Cost: kvstore.DefaultCostModel(),
 		})

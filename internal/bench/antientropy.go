@@ -18,8 +18,6 @@ import (
 // generation-keyed digest memo keeps small), and how fast the loop finds
 // and repairs a 1%-diverged replica whose damage was injected behind the
 // store's back (no hints parked, read repair off, zero client reads).
-// Always in-process — divergence injection needs the backend handles — so
-// the substrate override is ignored.
 func RunAntiEntropy(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	baseKeys := scaled(4000, opts.RecordFrac, 64)

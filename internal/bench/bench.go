@@ -1,25 +1,18 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§2.3, §5, Table 1–2, Fig 8–13) as printable tables. Each
-// experiment runs on proportionally scaled datasets (DESIGN.md §1) and
-// reports the same rows/series as the paper; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// experiment runs on proportionally scaled datasets (workload.Spec.Scaled)
+// over in-process clusters and reports the same rows/series as the
+// paper; each table's PaperNote states what the paper reported, for shape
+// comparison.
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
-	"sync/atomic"
-
-	"rstore/internal/core"
-	"rstore/internal/engine/remote"
-	"rstore/internal/kvstore"
 )
 
-// Options controls experiment scale and the storage substrate the
-// experiment clusters run on.  Zero scale fields take Quick() values.
+// Options controls experiment scale. Zero fields take Quick() values.
 type Options struct {
 	// VersionFrac and RecordFrac scale dataset versions / records per
 	// version relative to the paper's Table 2 parameters.
@@ -32,99 +25,6 @@ type Options struct {
 	Queries int
 	// Seed drives all generators.
 	Seed int64
-
-	// Engine overrides the storage backend every experiment cluster runs
-	// on: kvstore.EngineMemory (the default — allocation-exact, what the
-	// calibrated cost model assumes), kvstore.EngineLSM (each cluster gets a
-	// fresh subdirectory of DataDir), or kvstore.EngineRemote (the cluster
-	// runs on the rstore-node daemons in NodeAddrs — the address list fixes
-	// the node count, overriding each experiment's nominal topology). Every cluster
-	// a run opens wipes the daemons first through the wire protocol's
-	// reset op, so one running daemon set serves a whole run and each
-	// cluster still starts clean.
-	Engine string
-	// DataDir hosts per-cluster data directories when Engine is
-	// kvstore.EngineLSM.
-	DataDir string
-	// NodeAddrs lists rstore-node addresses when Engine is
-	// kvstore.EngineRemote.
-	NodeAddrs []string
-}
-
-// clusterSeq hands each disk-backed experiment cluster a fresh directory:
-// a data directory is single-cluster (LOCK, GEOMETRY pinning).
-var clusterSeq atomic.Int64
-
-// substrate resolves the engine override into (engine, data directory,
-// node addresses) — the single source of truth for both helpers below.
-// Empty engine means the experiment's nominal in-memory cluster stands.
-func (o Options) substrate() (eng, dir string, addrs []string) {
-	switch o.Engine {
-	case "", kvstore.EngineMemory:
-		return "", "", nil
-	case kvstore.EngineRemote:
-		return kvstore.EngineRemote, "", o.NodeAddrs
-	default:
-		// lsm and any future disk-backed engine: fresh directory per
-		// cluster.
-		return o.Engine, filepath.Join(o.DataDir, fmt.Sprintf("cluster-%03d", clusterSeq.Add(1))), nil
-	}
-}
-
-// OpenCluster opens an experiment cluster of the nominal shape cfg on the
-// backend Options selects.
-func (o Options) OpenCluster(cfg kvstore.Config) (*kvstore.Store, error) {
-	eng, dir, addrs := o.substrate()
-	if eng != "" {
-		cfg.Engine, cfg.Dir, cfg.NodeAddrs = eng, dir, addrs
-		if eng == kvstore.EngineRemote {
-			cfg.Nodes = 0 // the address list is the cluster shape
-			if err := resetDaemons(addrs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return kvstore.Open(context.Background(), cfg)
-}
-
-// OpenStore opens a store over a fresh one-node cluster (or, on remote,
-// the daemons) of the backend Options selects. The store does not own the
-// cluster: the caller closes both.
-func (o Options) OpenStore(cfg core.Config) (*core.Store, *kvstore.Store, error) {
-	kv, err := o.OpenCluster(kvstore.Config{Cost: kvstore.DefaultCostModel()})
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.KV = kv
-	st, err := core.Open(context.Background(), cfg)
-	if err != nil {
-		kv.Close()
-		return nil, nil, err
-	}
-	return st, kv, nil
-}
-
-// resetDaemons wipes every remote daemon through the wire reset op so the
-// cluster about to open starts clean — data, geometry pins, and parked
-// hints from the previous experiment cluster all go. Raw engine clients
-// are used on purpose: a kvstore.Store cannot open until the stale pins
-// are gone.
-func resetDaemons(addrs []string) error {
-	ctx := context.Background()
-	for _, a := range addrs {
-		c, err := remote.Dial(a, remote.Options{})
-		if err != nil {
-			return fmt.Errorf("bench: reset daemon %s: %w", a, err)
-		}
-		err = c.Reset(ctx)
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("bench: reset daemon %s: %w", a, err)
-		}
-	}
-	return nil
 }
 
 // Quick returns the fast-iteration scale used by `go test -bench` defaults:
@@ -244,8 +144,8 @@ func Experiments() []Experiment {
 		{"ablation-shingles", "ablation: shingle vector length sweep", RunAblationShingles},
 		{"ablation-slack", "ablation: chunk slack allowance sweep", RunAblationSlack},
 		{"ablation-replication", "extension: replication (paper future work)", RunAblationReplication},
-		{"repair", "extension: replication repair — hinted handoff + read repair convergence\n(always in-process: takes memory nodes down)", RunRepair},
-		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica on lsm nodes (always in-process:\ndivergence injection needs the backend handles)", RunAntiEntropy},
+		{"repair", "extension: replication repair — hinted handoff + read repair convergence", RunRepair},
+		{"antientropy", "extension: merkle-tree anti-entropy — clean-sweep cost and convergence\ntime for a 1%-diverged replica on lsm nodes", RunAntiEntropy},
 	}
 }
 

@@ -42,7 +42,7 @@ func RunFig11(opts Options) ([]*Table, error) {
 		q3 := w.RecordEvolutionQueries(opts.Queries)
 
 		// SUBCHUNK reference (caption values in the paper).
-		sc := &baseline.Subchunk{KV: mustKV(opts, 4)}
+		sc := &baseline.Subchunk{KV: mustKV(4)}
 		if err := sc.Build(c); err != nil {
 			return nil, err
 		}
@@ -51,7 +51,7 @@ func RunFig11(opts Options) ([]*Table, error) {
 		scQ3 := runQueries(sc.KV, sc, q3)
 
 		// DELTA at k=1.
-		dl := &baseline.Delta{KV: mustKV(opts, 4), Capacity: capacity}
+		dl := &baseline.Delta{KV: mustKV(4), Capacity: capacity}
 		if err := dl.Build(c); err != nil {
 			return nil, err
 		}
@@ -83,7 +83,7 @@ func RunFig11(opts Options) ([]*Table, error) {
 					func() partition.Algorithm { return partition.DepthFirst{} },
 					func() partition.Algorithm { return partition.Shingle{Seed: opts.Seed} },
 				} {
-					kv := mustKV(opts, 4)
+					kv := mustKV(4)
 					st, err := core.Open(context.Background(), core.Config{
 						KV: kv, Partitioner: mk(), ChunkCapacity: capacity, SubChunkK: k,
 					})
@@ -140,8 +140,8 @@ func fmtDur(v time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(v.Microseconds())/1000)
 }
 
-func mustKV(opts Options, nodes int) *kvstore.Store {
-	kv, err := opts.OpenCluster(kvstore.Config{Nodes: nodes, Cost: kvstore.DefaultCostModel()})
+func mustKV(nodes int) *kvstore.Store {
+	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: nodes, Cost: kvstore.DefaultCostModel()})
 	if err != nil {
 		panic(err) // Open only fails on invalid config; nodes is fixed here
 	}

@@ -51,7 +51,7 @@ func RunFig12(opts Options) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig12: %s/%d: %w", ds.name, nodes, err)
 			}
-			kv, err := opts.OpenCluster(kvstore.Config{
+			kv, err := kvstore.Open(context.Background(), kvstore.Config{
 				Nodes: nodes, ReplicationFactor: min(2, nodes), Cost: kvstore.DefaultCostModel(),
 			})
 			if err != nil {

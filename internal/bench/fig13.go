@@ -7,6 +7,7 @@ import (
 
 	"rstore/internal/core"
 	"rstore/internal/corpus"
+	"rstore/internal/kvstore"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
 	"rstore/internal/workload"
@@ -63,7 +64,7 @@ func RunFig13(opts Options) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, kv, err := opts.OpenStore(core.Config{ChunkCapacity: capacity})
+			st, kv, err := openStore(core.Config{ChunkCapacity: capacity})
 			if err != nil {
 				return nil, err
 			}
@@ -97,7 +98,7 @@ func RunFig13(opts Options) ([]*Table, error) {
 			if batch < 1 {
 				batch = 1
 			}
-			st, kv, err := opts.OpenStore(core.Config{ChunkCapacity: capacity, BatchSize: batch})
+			st, kv, err := openStore(core.Config{ChunkCapacity: capacity, BatchSize: batch})
 			if err != nil {
 				return nil, err
 			}
@@ -177,4 +178,20 @@ func prefixCorpus(c *corpus.Corpus, n int) (*corpus.Corpus, error) {
 		}
 	}
 	return out, nil
+}
+
+// openStore opens a store over a fresh in-process cluster. The store does
+// not own the cluster: the caller closes both.
+func openStore(cfg core.Config) (*core.Store, *kvstore.Store, error) {
+	kv, err := kvstore.Open(context.Background(), kvstore.Config{Cost: kvstore.DefaultCostModel()})
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.KV = kv
+	st, err := core.Open(context.Background(), cfg)
+	if err != nil {
+		kv.Close()
+		return nil, nil, err
+	}
+	return st, kv, nil
 }

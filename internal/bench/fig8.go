@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"rstore/internal/baseline"
@@ -74,7 +75,7 @@ func RunFig8(opts Options) ([]*Table, error) {
 				}
 				row = append(row, d(partition.TotalSpan(in, a)))
 			}
-			row = append(row, d(deltaSpan(opts, c, capacity)))
+			row = append(row, d(deltaSpan(c, capacity)))
 			t.AddRow(row...)
 		}
 		tables = append(tables, t)
@@ -84,8 +85,8 @@ func RunFig8(opts Options) ([]*Table, error) {
 
 // deltaSpan computes the DELTA baseline's total version span without
 // issuing queries.
-func deltaSpan(opts Options, c *corpus.Corpus, capacity int) int {
-	kv, err := opts.OpenCluster(kvstore.Config{Nodes: 1})
+func deltaSpan(c *corpus.Corpus, capacity int) int {
+	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1})
 	if err != nil {
 		return -1
 	}

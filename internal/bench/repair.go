@@ -14,9 +14,8 @@ import (
 // RunRepair measures the replication-repair extension: what a node outage
 // costs the write path (hint parking), how fast a restarted replica
 // converges through hint drain, and what the read-repair path costs when
-// hints are disabled. It always runs on an in-process memory cluster — an
-// outage is a memory node taken down (memory.Backend.SetDown) — so the
-// substrate override is deliberately ignored.
+// hints are disabled. An outage is a memory node taken down
+// (memory.Backend.SetDown).
 func RunRepair(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	nKeys := scaled(4000, opts.RecordFrac, 64)

@@ -8,10 +8,10 @@ import (
 	"rstore/internal/workload"
 )
 
-// Shape regression tests: the qualitative claims EXPERIMENTS.md makes about
-// each regenerated artifact are asserted here, so a change that silently
-// breaks a paper-shape property fails CI. They run at a small scale chosen
-// to keep the suite fast while preserving the shapes.
+// Shape regression tests: the qualitative shape each regenerated artifact's
+// PaperNote reports from the paper is asserted here, so a change that
+// silently breaks a paper-shape property fails CI. They run at a small scale
+// chosen to keep the suite fast while preserving the shapes.
 
 func shapeOpts() Options {
 	return Options{VersionFrac: 0.01, RecordFrac: 0.01, SizeFrac: 0.1, Queries: 6, Seed: 42}

@@ -9,13 +9,12 @@ import (
 
 // Snapshot is the machine-readable record of one experiment run, written
 // as BENCH_<exp>.json so future PRs extend a tracked perf trajectory
-// instead of quoting anecdotes. It carries the substrate and workload
-// parameters alongside the rendered tables and each table's key numbers
+// instead of quoting anecdotes. It carries the workload parameters
+// alongside the rendered tables and each table's key numbers
 // (Table.Metrics), so a snapshot is comparable without re-deriving context
 // from prose.
 type Snapshot struct {
 	Experiment  string          `json:"experiment"`
-	Backend     string          `json:"backend"` // substrate override; "memory" when none
 	VersionFrac float64         `json:"version_frac"`
 	RecordFrac  float64         `json:"record_frac"`
 	SizeFrac    float64         `json:"size_frac"`
@@ -37,13 +36,8 @@ type SnapshotTable struct {
 // NewSnapshot assembles the snapshot for one completed experiment.
 func NewSnapshot(expID string, o Options, elapsed time.Duration, tables []*Table) Snapshot {
 	o = o.withDefaults()
-	backend := o.Engine
-	if backend == "" {
-		backend = "memory"
-	}
 	s := Snapshot{
 		Experiment:  expID,
-		Backend:     backend,
 		VersionFrac: o.VersionFrac,
 		RecordFrac:  o.RecordFrac,
 		SizeFrac:    o.SizeFrac,

@@ -45,7 +45,7 @@ func RunTable1(opts Options) ([]*Table, error) {
 	}
 
 	newKV := func() (*kvstore.Store, error) {
-		return opts.OpenCluster(kvstore.Config{Nodes: 4, Cost: kvstore.DefaultCostModel()})
+		return kvstore.Open(context.Background(), kvstore.Config{Nodes: 4, Cost: kvstore.DefaultCostModel()})
 	}
 	chunkCap := 64 * (s + types.RecordOverhead) // s_c = 64 records
 

@@ -54,7 +54,7 @@
 // callers may retain them freely.
 //
 // The layer diagram lives in docs/ARCHITECTURE.md; every on-disk format the
-// engine persists through the cluster (root v8, placement log, delta store,
+// engine persists through the cluster (root v10, placement log, delta store,
 // chunk segments and their generations) is specified in docs/FORMATS.md.
 package core
 

@@ -236,36 +236,6 @@ func (c *betweenBatches) Err() error {
 	return nil
 }
 
-// TestCompactAbandonedAcrossReset: a Reset between two batches of a
-// compaction unlinks its victims; the compaction stops without an error and
-// without appending a wiped record, and the directory reopens empty.
-func TestCompactAbandonedAcrossReset(t *testing.T) {
-	dir := t.TempDir()
-	b := openT(t, dir, Options{SegmentBytes: 4 << 10})
-	overwriteWorkload(t, b, 200, 4)
-	ctx := &betweenBatches{Context: context.Background()}
-	ctx.do = func() {
-		if err := b.Reset(context.Background()); err != nil {
-			t.Error(err)
-		}
-	}
-	st, err := b.Compact(ctx)
-	if err != nil || ctx.calls < 3 {
-		t.Fatalf("compaction across a Reset: %v after %d context checks", err, ctx.calls)
-	}
-	if st.LiveBytes != 0 || st.Segments != 1 || b.BytesStored() != 0 {
-		t.Fatalf("after the Reset: %+v, %d bytes stored", st, b.BytesStored())
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := openT(t, dir, Options{SegmentBytes: 4 << 10})
-	defer r.Close()
-	if tables, err := r.Tables(context.Background()); err != nil || len(tables) != 0 {
-		t.Fatalf("tables after Reset and reopen: %v (%v)", tables, err)
-	}
-}
-
 // TestCompactSkipsWhatChangedMeanwhile: keys overwritten or deleted after
 // the victims were listed and before their batch lands are squeezed out of
 // the batch, wherever in it they sit; the newer write stands, live and after

@@ -40,8 +40,7 @@
 // duplicates; and once they start, what survives a crash is a suffix of the
 // log, in which a put can be missing before the tombstone that shadows it
 // but never the reverse. Plain replay reads every such directory to the
-// same contents. Reset relies on the same rule: it logs a tombstone for
-// every live key, fsynced, before it unlinks anything.
+// same contents.
 //
 // # On-disk format
 //
@@ -113,16 +112,11 @@ type Backend struct {
 	// it (they take mu, which compaction holds one batch at a time).
 	compactMu sync.Mutex
 	compacted int64 // cumulative bytes reclaimed by compaction
-	// epoch counts Resets. Compact snapshots it at phase 1 and stops when a
-	// Reset intervened: its victims are gone, and re-appending what it read
-	// from them would resurrect wiped data.
-	epoch int64
 }
 
 var (
 	_ engine.Backend    = (*Backend)(nil)
 	_ engine.Compactor  = (*Backend)(nil)
-	_ engine.Resetter   = (*Backend)(nil)
 	_ engine.HashRanger = (*Backend)(nil)
 )
 
@@ -586,46 +580,6 @@ func (b *Backend) BytesStored() int64 {
 	return b.bytes
 }
 
-// Reset drops every table and key (engine.Resetter). Disklog has no
-// manifest, so the wipe commits through the log: a tombstone for every live
-// key is appended and fsynced — from then on every suffix of the log replays
-// empty — and only then is a fresh segment activated and every previous one
-// unlinked, oldest first (retire). The epoch bump makes an in-flight
-// compaction stop instead of re-appending what it read from a freed segment.
-func (b *Backend) Reset(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
-	}
-	var buf []byte
-	for table, kv := range b.index {
-		for key := range kv {
-			buf = appendRecord(buf, reclog.KindDel, table, key, nil)
-		}
-	}
-	if len(buf) > 0 {
-		seg, _, err := b.write(buf)
-		if err != nil {
-			return err
-		}
-		b.index, b.bytes = make(map[string]map[string]ref), 0
-		if err := seg.f.Sync(); err != nil {
-			return fmt.Errorf("disklog: %w", err)
-		}
-	}
-	// Ids keep counting upward so the new active segment replays after any
-	// old segment a crash leaves behind.
-	if err := b.addSegment(b.segs[len(b.segs)-1].id + 1); err != nil {
-		return err
-	}
-	b.epoch++
-	return b.retire(len(b.segs) - 1)
-}
-
 // statsLocked snapshots the reclaim state; callers hold b.mu (any mode).
 func (b *Backend) statsLocked() engine.CompactionStats {
 	st := engine.CompactionStats{CompactedBytes: b.compacted, Segments: len(b.segs)}
@@ -707,7 +661,6 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 			}
 		}
 	}
-	epoch := b.epoch
 	b.mu.Unlock()
 
 	// Reading the victims in log order turns the rewrite into sequential
@@ -748,10 +701,9 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 		rest = rest[n:]
 
 		b.mu.Lock()
-		st, stop, err := b.compactStopped(epoch, readErr)
-		if stop {
+		if err := b.compactStopped(readErr); err != nil {
 			b.mu.Unlock()
-			return st, err
+			return engine.CompactionStats{}, err
 		}
 		// Squeeze the records that lost their key out of the buffer.
 		kept, w, start := batch[:0], 0, 0
@@ -789,8 +741,8 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	// rotations only append, so they still are.
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if st, stop, err := b.compactStopped(epoch, nil); stop {
-		return st, err
+	if err := b.compactStopped(nil); err != nil {
+		return engine.CompactionStats{}, err
 	}
 	if err := b.segs[len(b.segs)-1].f.Sync(); err != nil {
 		return engine.CompactionStats{}, fmt.Errorf("disklog: %w", err)
@@ -806,20 +758,17 @@ func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	return b.statsLocked(), nil
 }
 
-// compactStopped reports, under b.mu, whether a compaction begun at epoch
-// must stop, and with what: the backend closed, a Reset unlinked the victims
-// (nothing is left to do: not an error), or a victim could not be read —
-// checked last, because the first two close the files it reads.
-func (b *Backend) compactStopped(epoch int64, readErr error) (st engine.CompactionStats, stop bool, err error) {
+// compactStopped reports, under b.mu, why a compaction must stop, if it
+// must: the backend closed, or a victim could not be read — checked last,
+// because a Close closes the files it reads.
+func (b *Backend) compactStopped(readErr error) error {
 	switch {
 	case b.closed:
-		return st, true, types.ErrClosed
-	case b.epoch != epoch:
-		return b.statsLocked(), true, nil
+		return types.ErrClosed
 	case readErr != nil:
-		return st, true, fmt.Errorf("disklog: %w", readErr)
+		return fmt.Errorf("disklog: %w", readErr)
 	}
-	return st, false, nil
+	return nil
 }
 
 // Close fsyncs the active segment, closes all files, and releases the

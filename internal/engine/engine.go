@@ -46,9 +46,10 @@
 // outside the contract (see the tombstone-GC follow-up in ROADMAP.md).
 //
 // Backends that reclaim dead storage additionally implement the optional
-// Compactor interface — one of four optional seams (MultiGetter, Compactor,
-// Resetter, HashRanger) discovered by type assertion; seams.go holds the
-// one rule for what a caller gets when a seam is absent.
+// Compactor interface — one of three optional seams with implementers
+// (MultiGetter, Compactor, HashRanger) discovered by type assertion;
+// seams.go holds the one rule for what a caller gets when a seam is absent.
+// Resetter is declared but implemented by no engine (see its comment).
 package engine
 
 import (
@@ -178,20 +179,17 @@ func (s CompactionStats) LiveRatio() float64 {
 	return float64(s.LiveBytes) / float64(s.DiskBytes)
 }
 
-// ErrNoReset reports that a backend does not implement Resetter (or, over
-// the wire, that the daemon's backend does not).
+// ErrNoReset and Resetter have no implementer or caller in this module: no
+// engine, layer or binary wipes a node. They stay only because the
+// benchmark's API contract (benchmark/README.md) lists them and
+// benchmark/trace.go and its test reference them; ROADMAP item 11's step 1
+// removes the names.
+
+// ErrNoReset reports that a backend does not implement Resetter.
 var ErrNoReset = errors.New("engine: backend does not support reset")
 
-// Resetter is the optional wipe extension of Backend: Reset drops every
-// table and key, returning the backend to its freshly-opened empty state
-// without closing it. Benchmarks and end-to-end tests use it to reuse a
-// running daemon between phases instead of restarting the process.
-// Durable backends make the wipe crash-safe, and what both guarantee is
-// that deleted data is never resurrected: lsm commits the wipe with one
-// MANIFEST rename (a crash recovers the old contents or empty), disklog
-// unlinks its segments oldest-first (a crash recovers a suffix of the log —
-// anything between the old contents and empty, every deleted key still
-// deleted).
+// Resetter is a wipe extension of Backend that no engine implements: Reset
+// would drop every table and key without closing the backend.
 type Resetter interface {
 	Reset(ctx context.Context) error
 }

@@ -12,12 +12,10 @@ import (
 	"rstore/internal/engine"
 )
 
-// Engine is what the harnesses drive: a durable backend that compacts and
-// resets.
+// Engine is what the harnesses drive: a durable backend that compacts.
 type Engine interface {
 	engine.Backend
 	engine.Compactor
-	engine.Resetter
 }
 
 // Crash describes one durable engine to CrashAnywhere.
@@ -44,14 +42,14 @@ type Point struct {
 }
 
 // crashOp is one step of the workload: a put, delete or batch to one
-// table, or a Compact, Reset or Close of them all.
+// table, or a Compact or Close of them all.
 type crashOp struct {
 	kind, table string
 	entries     []engine.Entry
 }
 
 // durable reports whether op's acknowledgement makes table's every earlier
-// write durable: a batch to it, or a Compact, Reset or Close.
+// write durable: a batch to it, or a Compact or Close.
 func (op crashOp) durable(table string) bool {
 	return op.table == table && op.kind == "batch" || op.table == ""
 }
@@ -71,7 +69,7 @@ func (op crashOp) String() string {
 // end in; an ingest right after an unsynced put to its table; a drain that
 // leaves a log mostly dead (log replacement); an ingest over keys a table
 // holds and one beside them; deletes that kill a flushed table's every entry
-// (retirement); a Compact; a Reset; and a Close. Every batch meant for the
+// (retirement); a Compact; and a Close. Every batch meant for the
 // log stays under the ingest threshold, and each round of chunk batches
 // writes most of the keys of the round before it again, so that its flushed
 // table overlaps the others, which stay live, and tiering merges them.
@@ -116,7 +114,6 @@ func crashWorkload() []crashOp {
 		del("chunks", "c01"),
 		crashOp{kind: "compact"},
 		put("meta", "m2", []byte("root-2")),
-		crashOp{kind: "reset"},
 		batch("chunks", "c", "after", 0, 2, 30),
 		put("meta", "m3", []byte("root-3")),
 		del("chunks", "c00"),
@@ -148,8 +145,8 @@ type crashRun struct {
 // directory entries). Each table of a recovered image must read, by Scan, as
 // its model after some prefix of its operations: at least every
 // acknowledged one after a process death, and every one acknowledged before
-// the table's last durable acknowledgement (a batch to it, a Compact, a
-// Reset) after a power loss. The image must also hold no debris, pass
+// the table's last durable acknowledgement (a batch to it, a Compact) after
+// a power loss. The image must also hold no debris, pass
 // h.Check, count in DiskBytes exactly its data files, take a batch and a
 // Compact, and, closed cleanly, reopen to the same contents without
 // deleting anything.
@@ -181,8 +178,6 @@ func CrashAnywhere(t *testing.T, h Crash) {
 			err = b.BatchPut(ctx, op.table, op.entries)
 		case "compact":
 			_, err = b.Compact(ctx)
-		case "reset":
-			err = b.Reset(ctx)
 		case "close":
 			err = b.Close()
 		}
@@ -259,8 +254,6 @@ func (r *crashRun) model(table string, n int) map[string]string {
 
 func (r *crashRun) apply(m map[string]string, table string, op crashOp) {
 	switch {
-	case op.kind == "reset":
-		clear(m)
 	case op.table != table:
 	case op.kind == "delete":
 		delete(m, op.entries[0].Key)

@@ -542,7 +542,6 @@ type mergeJob struct {
 	// output takes: at 0 it drops its tombstones. A run only grows at its
 	// young end, so victims captured at 0 are at 0 for as long as they stay.
 	lo    int
-	epoch int64
 	seq   int64              // the output's file sequence, allocated up front
 	pause func(stage string) // b.pause at capture
 }
@@ -565,7 +564,6 @@ func (b *Backend) captureMerge(table string, pick func(tables []*sstable) []*sst
 		table:   table,
 		victims: slices.Clone(victims),
 		lo:      slices.Index(r.tables, victims[0]),
-		epoch:   b.epoch,
 		seq:     b.allocSeqLocked(),
 		pause:   b.pause,
 	}, true
@@ -589,8 +587,8 @@ func stage(pause func(stage string), name string) {
 // writeMerged k-way-merges the job's victims through writeTable and opens
 // the output, still at its temporary name; nt is nil when nothing
 // survived the merge. It holds no b.mu — SSTables are immutable — so a
-// victim retired, wiped by Reset or closed meanwhile fails its read, which
-// installMerge takes for the abandonment it is.
+// victim retired or closed meanwhile fails its read, which installMerge
+// takes for the abandonment it is.
 func (b *Backend) writeMerged(ctx context.Context, job mergeJob) (nt *sstable, err error) {
 	sources := make([]source, len(job.victims))
 	for i, t := range job.victims {
@@ -619,24 +617,24 @@ func (b *Backend) writeMerged(ctx context.Context, job mergeJob) (nt *sstable, e
 }
 
 // installMerge is the one commit of every merge. If the job's victims are
-// all still in their run, under the job's epoch, on an open backend, the
-// output is renamed into place, a MANIFEST commits it in the oldest one's
-// place and the others' stead, it inherits their live weight (overwrites
-// during the merge already took theirs down), and they are unlinked.
-// Otherwise a retirement, Reset or Close took them meanwhile — and a flush
-// may since have dropped tombstones on the strength of their run being
-// empty, which the output must not undo — so the output is removed, and
-// mergeErr, which may be nothing but the read of a victim closed under the
-// merge, is that same abandonment. (Nothing but retirement, Reset and merges
-// removes a table, and nothing but a flush or an ingest, at the young end,
-// adds one: victims all still there are still in their order, and the
-// tables between them still the ones the job stepped over.)
+// all still in their run, on an open backend, the output is renamed into
+// place, a MANIFEST commits it in the oldest one's place and the others'
+// stead, it inherits their live weight (overwrites during the merge already
+// took theirs down), and they are unlinked. Otherwise a retirement or Close
+// took them meanwhile — and a flush may since have dropped tombstones on the
+// strength of their run being empty, which the output must not undo — so the
+// output is removed, and mergeErr, which may be nothing but the read of a
+// victim closed under the merge, is that same abandonment. (Nothing but
+// retirement and merges removes a table, and nothing but a flush or an
+// ingest, at the young end, adds one: victims all still there are still in
+// their order, and the tables between them still the ones the job stepped
+// over.)
 func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	r, lo := b.runs[job.table], -1
 	var newTables []*sstable // the run without the victims
-	if !b.closed && b.epoch == job.epoch && r != nil {
+	if !b.closed && r != nil {
 		lo = slices.Index(r.tables, job.victims[0])
 		for _, t := range r.tables {
 			if !slices.Contains(job.victims, t) {

@@ -130,7 +130,7 @@ var runPoints = []enginetest.Point{
 	}},
 	{Name: "retire-manifested", At: func(c []enginetest.Call, i int) bool {
 		return is(c, i-1, "rename", "MANIFEST.tmp") && is(c, i, "syncdir", "*") && flushing(c[i]) &&
-			c[i].Phase != "reset" && is(c, i+1, "remove", "sst-*.sst")
+			is(c, i+1, "remove", "sst-*.sst")
 	}},
 }
 

@@ -68,10 +68,9 @@ func (b *Backend) HashTree(ctx context.Context, table string, fanout int) (engin
 	}
 	// Install under the write lock only if no mutation landed meanwhile;
 	// gen is immutable while any read lock is held, so the captured value
-	// identifies exactly the state that was scanned. (A Reset replaces the
-	// run itself.)
+	// identifies exactly the state that was scanned.
 	b.mu.Lock()
-	if !b.closed && b.runs[table] == r && r.gen == gen {
+	if !b.closed && r.gen == gen {
 		if r.memo == nil {
 			r.memo = map[int]hashMemoEntry{}
 		}

@@ -93,12 +93,11 @@ func (o Options) withDefaults() Options {
 var (
 	_ engine.Backend    = (*Backend)(nil)
 	_ engine.Compactor  = (*Backend)(nil)
-	_ engine.Resetter   = (*Backend)(nil)
 	_ engine.HashRanger = (*Backend)(nil)
 )
 
 // Backend is the LSM engine for one node's data directory. It implements
-// engine.Backend, engine.Compactor, engine.Resetter, and engine.HashRanger.
+// engine.Backend, engine.Compactor and engine.HashRanger.
 type Backend struct {
 	fs    reclog.FS
 	dir   string
@@ -109,14 +108,11 @@ type Backend struct {
 	// mu guards all mutable state below. The write path (Put/Delete/
 	// BatchPut/flush) holds it exclusively — an ingest only to check its
 	// batch and to install its table; reads share it.
-	mu     sync.RWMutex
-	closed bool
-	// epoch counts Resets; a compaction validates it before committing so a
-	// concurrent wipe can never resurrect merged data.
-	epoch   int64
+	mu      sync.RWMutex
+	closed  bool
 	nextSeq int64
-	// runs holds the state of every user table written since Open or Reset
-	// (and of every one with an SSTable): the engine is built for the
+	// runs holds the state of every user table written since Open (and of
+	// every one with an SSTable): the engine is built for the
 	// handful of tables its callers use, so an emptied run is kept, not
 	// collected.
 	runs map[string]*run
@@ -147,7 +143,7 @@ type Backend struct {
 // run is one user table's tree: its log, its memtable and its SSTables.
 type run struct {
 	// log is this user table's write-ahead log, nil until the table's first
-	// write since Open, Reset or a flush that found its log empty.
+	// write since Open or a flush that found its log empty.
 	log *wal
 	// logLive is what a log holding only this table's memtable entries would
 	// take, one put or delete record each (replaceLogLocked writes exactly
@@ -766,35 +762,6 @@ func (b *Backend) Close() error {
 		err = fmt.Errorf("lsm: %w", cerr)
 	}
 	return err
-}
-
-// Reset wipes the store back to empty in one crash-safe step: a MANIFEST
-// naming no file is committed, and every old file is then deleted. The
-// epoch bump makes any in-flight compaction abandon its output rather than
-// resurrect wiped data.
-func (b *Backend) Reset(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return types.ErrClosed
-	}
-	if err := writeManifest(b.fs, b.dir, manifest{nextSeq: b.nextSeq}); err != nil {
-		return err
-	}
-	// Committed: tear down the old state (the digest memos go with the runs).
-	b.epoch++
-	oldRuns, oldTables := b.runs, b.allTables()
-	b.runs = map[string]*run{}
-	b.buffered, b.bytes = 0, 0
-	b.retirable = false
-	for _, r := range oldRuns {
-		b.discardLog(r.log)
-	}
-	b.discardTables(oldTables)
-	return b.fs.SyncDir(b.dir)
 }
 
 // setPause installs a hook (tests only) that every merge captured from then

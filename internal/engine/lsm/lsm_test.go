@@ -8,10 +8,9 @@ import (
 )
 
 // TestGetSeesLatestAcrossStructuralChanges drives the sequences that would
-// expose a stale read: read-then-overwrite-then-read, read-then-delete,
-// compaction between reads, and Reset. A tiny memtable keeps data flowing
-// through SSTables so reads take the full table path through the block
-// cache.
+// expose a stale read: read-then-overwrite-then-read, read-then-delete and
+// compaction between reads. A tiny memtable keeps data flowing through
+// SSTables so reads take the full table path through the block cache.
 func TestGetSeesLatestAcrossStructuralChanges(t *testing.T) {
 	ctx := context.Background()
 	b := openT(t, t.TempDir(), Options{MemtableBytes: 1 << 10})
@@ -68,15 +67,6 @@ func TestGetSeesLatestAcrossStructuralChanges(t *testing.T) {
 	}
 	if v, ok := get("k01"); ok {
 		t.Fatalf("after delete: got %q, want miss", v)
-	}
-
-	// Reset empties the store; blocks of the wiped tables may stay cached
-	// but no table refers to them.
-	if err := b.Reset(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := get("k02"); ok {
-		t.Fatalf("after reset: got %q, want miss", v)
 	}
 }
 

@@ -424,100 +424,92 @@ func TestDeadTableAboveLiveNeighbourStays(t *testing.T) {
 // the tier merge a write call's flush triggers — reads its victims and
 // writes its output with no lock held. Meanwhile the victims can be retired
 // (their entries die, the run empties, and a flush drops the tombstones on
-// the strength of that) or wiped by Reset, before the merge reads them or
-// after it has written its output. Mounting the output then would bring the
-// values back: it must be removed, and the call that ran the merge has not
-// failed. The block cache holds one block per shard, so the merge reads most
-// victim blocks from files closed under it. The batches are shaped as
-// tierBatch says, so that the tier merge happens at all.
+// the strength of that), before the merge reads them or after it has
+// written its output. Mounting the output then would bring the values back:
+// it must be removed, and the call that ran the merge has not failed. The
+// block cache holds one block per shard, so the merge reads most victim
+// blocks from files closed under it. The batches are shaped as tierBatch
+// says, so that the tier merge happens at all.
 func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 	ctx := context.Background()
 	value := []byte(strings.Repeat("v", 1000))
 	for _, merge := range []string{"compact", "tier"} {
-		for _, race := range []string{"retire", "reset"} {
-			for _, stage := range []string{"captured", "written"} {
-				t.Run(merge+"/"+race+"/"+stage, func(t *testing.T) {
-					dir := t.TempDir()
-					opts := Options{MemtableBytes: 64 << 10, MaxTables: tierWidth, Cache: NewBlockCache(1)}
-					b := openT(t, dir, opts)
-					defer func() { b.Close() }()
-					if err := b.Put(ctx, "bystander", "x", []byte("y")); err != nil {
+		for _, stage := range []string{"captured", "written"} {
+			t.Run(merge+"/retire/"+stage, func(t *testing.T) {
+				dir := t.TempDir()
+				opts := Options{MemtableBytes: 64 << 10, MaxTables: tierWidth, Cache: NewBlockCache(1)}
+				b := openT(t, dir, opts)
+				defer func() { b.Close() }()
+				if err := b.Put(ctx, "bystander", "x", []byte("y")); err != nil {
+					t.Fatal(err)
+				}
+				var keys []string
+				batch := func(n int) error {
+					ents := tierBatch(len(keys), n, value)
+					for _, e := range ents {
+						keys = append(keys, e.Key)
+					}
+					return b.BatchPut(ctx, "t", ents)
+				}
+				// Forty 1 KB values are ten blocks a table, and no flush.
+				for i := 0; i < tierWidth-1; i++ {
+					if err := batch(40); err != nil {
 						t.Fatal(err)
 					}
-					var keys []string
-					batch := func(n int) error {
-						ents := tierBatch(len(keys), n, value)
-						for _, e := range ents {
-							keys = append(keys, e.Key)
-						}
-						return b.BatchPut(ctx, "t", ents)
+					flushT(t, b)
+				}
+
+				raced := false
+				b.setPause(func(at string) {
+					if at != stage || raced {
+						return
 					}
-					// Forty 1 KB values are ten blocks a table, and no flush.
-					for i := 0; i < tierWidth-1; i++ {
-						if err := batch(40); err != nil {
+					raced = true
+					for _, k := range keys {
+						if err := b.Delete(ctx, "t", k); err != nil {
 							t.Fatal(err)
 						}
-						flushT(t, b)
 					}
-
-					raced := false
-					b.setPause(func(at string) {
-						if at != stage || raced {
-							return
-						}
-						raced = true
-						if race == "reset" {
-							if err := b.Reset(ctx); err != nil {
-								t.Fatal(err)
-							}
-							return
-						}
-						for _, k := range keys {
-							if err := b.Delete(ctx, "t", k); err != nil {
-								t.Fatal(err)
-							}
-						}
-						flushT(t, b)
-						if got := runFiles(b, "t"); len(got) != 0 {
-							t.Fatalf("run not retired: %v", got)
-						}
-					})
-					var err error
-					if merge == "compact" {
-						_, err = b.Compact(ctx)
-					} else {
-						err = batch(70) // the flush makes tierWidth tables
-					}
-					if err != nil {
-						t.Fatalf("%s beside the race: %v", merge, err)
-					}
-					if !raced {
-						t.Fatal("no merge reached the race")
-					}
-
-					for _, when := range []string{"after the race", "after reopen"} {
-						if got := runFiles(b, "t"); len(got) != 0 {
-							t.Fatalf("%s: abandoned merge output was mounted: %v", when, got)
-						}
-						if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
-							t.Fatalf("%s: abandoned merge output left behind: %v", when, debris)
-						}
-						for _, k := range keys {
-							if v, ok := mustGet(t, b, "t", k); ok {
-								t.Fatalf("%s: %s resurrected as %q", when, k, v)
-							}
-						}
-						if v, ok := mustGet(t, b, "bystander", "x"); ok != (race == "retire") || (ok && v != "y") {
-							t.Fatalf("%s: bystander = %q ok=%v", when, v, ok)
-						}
-						checkRunInvariants(t, b)
-						if err := b.Close(); err != nil {
-							t.Fatal(err)
-						}
-						b = openT(t, dir, opts)
+					flushT(t, b)
+					if got := runFiles(b, "t"); len(got) != 0 {
+						t.Fatalf("run not retired: %v", got)
 					}
 				})
-			}
+				var err error
+				if merge == "compact" {
+					_, err = b.Compact(ctx)
+				} else {
+					err = batch(70) // the flush makes tierWidth tables
+				}
+				if err != nil {
+					t.Fatalf("%s beside the race: %v", merge, err)
+				}
+				if !raced {
+					t.Fatal("no merge reached the race")
+				}
+
+				for _, when := range []string{"after the race", "after reopen"} {
+					if got := runFiles(b, "t"); len(got) != 0 {
+						t.Fatalf("%s: abandoned merge output was mounted: %v", when, got)
+					}
+					if debris, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(debris) != 0 {
+						t.Fatalf("%s: abandoned merge output left behind: %v", when, debris)
+					}
+					for _, k := range keys {
+						if v, ok := mustGet(t, b, "t", k); ok {
+							t.Fatalf("%s: %s resurrected as %q", when, k, v)
+						}
+					}
+					if v, ok := mustGet(t, b, "bystander", "x"); !ok || v != "y" {
+						t.Fatalf("%s: bystander = %q ok=%v", when, v, ok)
+					}
+					checkRunInvariants(t, b)
+					if err := b.Close(); err != nil {
+						t.Fatal(err)
+					}
+					b = openT(t, dir, opts)
+				}
+			})
 		}
 	}
 }

@@ -59,7 +59,6 @@ func (b *Backend) usableLocked() error {
 
 var (
 	_ engine.Backend    = (*Backend)(nil)
-	_ engine.Resetter   = (*Backend)(nil)
 	_ engine.HashRanger = (*Backend)(nil)
 )
 
@@ -258,21 +257,6 @@ func (b *Backend) HashRange(ctx context.Context, table string, fanout, bucket in
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-// Reset drops every table and key (engine.Resetter).
-func (b *Backend) Reset(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.usableLocked(); err != nil {
-		return err
-	}
-	b.data = make(map[string]map[string][]byte)
-	b.bytesStored = 0
-	return nil
 }
 
 // Close marks the backend closed; subsequent operations fail.

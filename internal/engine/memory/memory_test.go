@@ -40,7 +40,6 @@ func TestDownBackend(t *testing.T) {
 		{"MultiGet", func() error { _, _, err := engine.MultiGet(ctx, b, "t", []string{"a"}); return err }},
 		{"HashTree", func() error { _, err := engine.HashTree(ctx, b, "t", engine.DefaultHashFanout); return err }},
 		{"HashRange", func() error { _, err := engine.HashRange(ctx, b, "t", engine.DefaultHashFanout, 0); return err }},
-		{"Reset", func() error { return engine.Reset(ctx, b) }},
 	}
 	for _, op := range ops {
 		if err := op.call(); !errors.Is(err, engine.ErrUnavailable) {

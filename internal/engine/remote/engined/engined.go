@@ -311,9 +311,6 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, payload, resp []byte) ([
 	case wire.OpCompactStats:
 		rep.Stats, rep.Err = engine.ReadCompactionStats(s.baseCtx, s.be)
 
-	case wire.OpReset:
-		rep.Err = engine.Reset(s.baseCtx, s.be)
-
 	case wire.OpHashTree:
 		rep.Tree, rep.Err = engine.HashTree(s.baseCtx, s.be, req.Table, req.Fanout)
 
@@ -325,8 +322,8 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, payload, resp []byte) ([
 	default:
 		return resp, fmt.Errorf("engined: op %d has no dispatch arm", req.Op)
 	}
-	// The deadline starts after the backend call: a merge, a wipe or a
-	// full-table sweep may run longer than any write should stall.
+	// The deadline starts after the backend call: a merge or a full-table
+	// sweep may run longer than any write should stall.
 	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	resp = wire.AppendReply(resp[:0], req.Op, rep)
 	return resp, wire.WriteFrame(bw, resp)

@@ -78,19 +78,18 @@ type Options struct {
 	ProbeMaxBackoff time.Duration
 }
 
-// compactTimeout bounds the wait for an OpCompact (or OpReset) response
-// instead of Options.IOTimeout: a segment merge over a large store
-// legitimately runs for minutes, and timing it out client-side would both
-// fail the call and queue a duplicate merge on every retry. A caller wanting
-// a shorter bound sets a context deadline.
+// compactTimeout bounds the wait for an OpCompact response instead of
+// Options.IOTimeout: a segment merge over a large store legitimately runs
+// for minutes, and timing it out client-side would both fail the call and
+// queue a duplicate merge on every retry. A caller wanting a shorter bound
+// sets a context deadline.
 const compactTimeout = 15 * time.Minute
 
-// exchangeTimeout is the per-exchange deadline of op. Only the merge and the
-// wipe (it deletes files) earn compactTimeout; a stats read is a cheap point
-// request, and Stats probes every node with it — a hung node must cost
-// IOTimeout there.
+// exchangeTimeout is the per-exchange deadline of op. Only the merge earns
+// compactTimeout; a stats read is a cheap point request, and Stats probes
+// every node with it — a hung node must cost IOTimeout there.
 func (o Options) exchangeTimeout(op byte) time.Duration {
-	if op == wire.OpCompact || op == wire.OpReset {
+	if op == wire.OpCompact {
 		return compactTimeout
 	}
 	return o.IOTimeout
@@ -139,7 +138,6 @@ var (
 	_ engine.Backend     = (*Client)(nil)
 	_ engine.Compactor   = (*Client)(nil)
 	_ engine.MultiGetter = (*Client)(nil)
-	_ engine.Resetter    = (*Client)(nil)
 	_ engine.HashRanger  = (*Client)(nil)
 )
 
@@ -484,14 +482,6 @@ func (c *Client) Compact(ctx context.Context) (engine.CompactionStats, error) {
 func (c *Client) CompactionStats(ctx context.Context) (engine.CompactionStats, error) {
 	rep, err := c.call(ctx, wire.Request{Op: wire.OpCompactStats})
 	return rep.Stats, err
-}
-
-// Reset wipes the node's backend empty (engine.Resetter). A node whose
-// backend cannot reset surfaces as engine.ErrNoReset (a hard error, not
-// unavailability).
-func (c *Client) Reset(ctx context.Context) error {
-	_, err := c.call(ctx, wire.Request{Op: wire.OpReset})
-	return err
 }
 
 // HashTree fetches the node's hash-tree digest of one table

@@ -23,7 +23,7 @@ import (
 //	         | OpMultiGet  table(string) count(uvarint) count × key(string)
 //	         | OpHashTree  table(string) fanout(uvarint)
 //	         | OpHashRange table(string) fanout(uvarint) bucket(uvarint)
-//	         | OpTables | OpBytesStored | OpPing | OpCompact | OpCompactStats | OpReset
+//	         | OpTables | OpBytesStored | OpPing | OpCompact | OpCompactStats
 //
 //	reply to any op           := StErr text(raw)   — or, when the op succeeded:
 //	reply to OpGet            := StOK value(raw) | StNotFound
@@ -74,7 +74,7 @@ func EncodeRequest(r Request) []byte {
 	}
 	buf = append(buf, r.Op)
 	switch r.Op {
-	case OpTables, OpBytesStored, OpPing, OpCompact, OpCompactStats, OpReset:
+	case OpTables, OpBytesStored, OpPing, OpCompact, OpCompactStats:
 		return buf
 	}
 	buf = codec.PutString(buf, r.Table)
@@ -113,7 +113,7 @@ func ParseRequest(payload []byte) (Request, error) {
 	}
 	r, d := Request{Op: payload[0]}, reader{rest: payload[1:]}
 	switch r.Op {
-	case OpTables, OpBytesStored, OpPing, OpCompact, OpCompactStats, OpReset:
+	case OpTables, OpBytesStored, OpPing, OpCompact, OpCompactStats:
 	case OpPut:
 		r.Table, r.Key, r.Value = d.str(), d.str(), d.tail()
 	case OpGet, OpDelete:
@@ -315,7 +315,7 @@ func ParseReply(r Request, payload []byte) (Reply, error) {
 // one as its exact text however the backend wrapped it, and the client maps
 // that text back, so errors.Is holds across TCP. Every other node-side error
 // arrives as a plain hard error carrying the node's text.
-var sentinels = []error{types.ErrClosed, engine.ErrNoCompaction, engine.ErrNoReset, engine.ErrNoHashRange}
+var sentinels = []error{types.ErrClosed, engine.ErrNoCompaction, engine.ErrNoHashRange}
 
 // PutErr appends the StErr body that reports err.
 func PutErr(buf []byte, err error) []byte {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rstore/internal/engine"
@@ -54,8 +55,6 @@ var golden = []struct {
 		rep: Reply{Stats: engine.CompactionStats{DiskBytes: 1000, LiveBytes: 300, CompactedBytes: 700, Segments: 3}}, repHex: "01e807ac02bc0503"},
 	{name: "compact stats", req: Request{Op: OpCompactStats}, reqHex: "0a",
 		rep: Reply{Stats: engine.CompactionStats{DiskBytes: 1000, LiveBytes: 300, Segments: 5}}, repHex: "01e807ac020005"},
-	{name: "reset", req: Request{Op: OpReset}, reqHex: "0b",
-		repHex: "01"},
 	{name: "multiget", req: Request{Op: OpMultiGet, Table: "t", Keys: []string{"a", "missing", "b"}}, reqHex: "0c0174030161076d697373696e670162",
 		rep: Reply{Values: [][]byte{[]byte("1"), nil, nil}, Present: []bool{true, false, true}}, repHex: "0103010131000100"},
 	{name: "hash tree", req: Request{Op: OpHashTree, Table: "t", Fanout: 4}, reqHex: "0d017404",
@@ -99,11 +98,17 @@ func TestGoldenMessages(t *testing.T) {
 		}
 	}
 	for op := OpPut; op <= OpHashRange; op++ {
-		if !seen[op] {
+		if !seen[op] && op != retiredOp {
 			t.Errorf("op %d has no golden message", op)
 		}
 	}
+	if _, err := ParseRequest([]byte{retiredOp}); !errors.Is(err, types.ErrCorrupt) || !strings.Contains(err.Error(), "unknown op") {
+		t.Errorf("retired op %d: %v, want an unknown op", retiredOp, err)
+	}
 }
+
+// retiredOp is the code the node-wipe op held; no op reuses it.
+const retiredOp = 11
 
 // TestGoldenErrors: the StErr text of each sentinel — however the backend
 // wrapped it — and of a plain error, and what the client makes of them.
@@ -114,7 +119,6 @@ func TestGoldenErrors(t *testing.T) {
 	}{
 		{types.ErrClosed, "027273746f72653a2073746f726520636c6f736564"},
 		{engine.ErrNoCompaction, "02656e67696e653a206261636b656e6420646f6573206e6f7420737570706f727420636f6d70616374696f6e"},
-		{engine.ErrNoReset, "02656e67696e653a206261636b656e6420646f6573206e6f7420737570706f7274207265736574"},
 		{engine.ErrNoHashRange, "02656e67696e653a206261636b656e6420646f6573206e6f7420737570706f727420686173682072616e676573"},
 	} {
 		lit := unhex(t, g.repHex)

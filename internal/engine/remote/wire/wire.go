@@ -46,11 +46,9 @@ const (
 	// with the engine.ErrNoCompaction text.
 	OpCompact
 	OpCompactStats
-	// OpReset asks the node to wipe its backend empty (engine.Resetter) so a
-	// running daemon can be reused between benchmark or test phases. A node
-	// whose backend cannot reset replies StErr with the engine.ErrNoReset
-	// text.
-	OpReset
+	// Code 11 is retired (it wiped a node's backend); it stays blank so
+	// the codes after it keep their values, and ParseRequest refuses it.
+	_
 	// OpMultiGet reads N keys of one table in a single round trip. Results
 	// are returned in request order and their count always equals the
 	// request's. This is the batched read the cluster's MultiGet path rides

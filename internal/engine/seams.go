@@ -3,7 +3,7 @@ package engine
 import "context"
 
 // The absent-seam rule, written once. A Backend's optional extensions
-// (MultiGetter, Compactor, Resetter, HashRanger) are discovered by type
+// (MultiGetter, Compactor, HashRanger) are discovered by type
 // assertion; the holders of a bare Backend — a kvstore node, the engined
 // dispatch loop — go through the functions below instead of asserting
 // themselves, so "the seam is missing" means the same thing on every
@@ -43,14 +43,6 @@ func ReadCompactionStats(ctx context.Context, be Backend) (CompactionStats, erro
 		return c.CompactionStats(ctx)
 	}
 	return CompactionStats{}, ErrNoCompaction
-}
-
-// Reset runs be's Resetter.Reset, or reports ErrNoReset.
-func Reset(ctx context.Context, be Backend) error {
-	if r, ok := be.(Resetter); ok {
-		return r.Reset(ctx)
-	}
-	return ErrNoReset
 }
 
 // HashTree runs be's HashRanger.HashTree, or reports ErrNoHashRange.

@@ -238,8 +238,10 @@ func BenchmarkRepairSweep(b *testing.B) {
 					if err := s.BatchPut(ctx, "t", entries); err != nil {
 						b.Fatal(err)
 					}
-					if err := bes[1].(engine.Resetter).Reset(ctx); err != nil {
-						b.Fatal(err)
+					for _, e := range entries { // wipe the replica
+						if err := bes[1].Delete(ctx, "t", e.Key); err != nil {
+							b.Fatal(err)
+						}
 					}
 					b.StartTimer()
 					if byGet {

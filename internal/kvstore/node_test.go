@@ -61,7 +61,6 @@ func TestAbsentSeamRule(t *testing.T) {
 				want error
 			}{
 				{"compactStats", func() error { _, err := engine.ReadCompactionStats(ctx, n.be); return err }, engine.ErrNoCompaction},
-				{"reset", func() error { return engine.Reset(ctx, n.be) }, engine.ErrNoReset},
 				{"hashTree", func() error { _, err := engine.HashTree(ctx, n.be, "t", engine.DefaultHashFanout); return err }, engine.ErrNoHashRange},
 				{"hashRange", func() error { _, err := engine.HashRange(ctx, n.be, "t", engine.DefaultHashFanout, 0); return err }, engine.ErrNoHashRange},
 			} {

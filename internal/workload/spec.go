@@ -79,8 +79,7 @@ func (s Spec) withDefaults() Spec {
 // Scaled returns a proportionally shrunk copy: versionFrac scales the
 // version count, recordFrac the records per version, sizeFrac the record
 // size. Scaling preserves the relative quantities the paper's figures
-// report (spans, ratios, crossovers) while keeping laptop-scale runtimes;
-// see DESIGN.md §1.
+// report (spans, ratios, crossovers) while keeping laptop-scale runtimes.
 func (s Spec) Scaled(versionFrac, recordFrac, sizeFrac float64) Spec {
 	out := s
 	out.Versions = scaleInt(s.Versions, versionFrac, 3)
