@@ -416,7 +416,7 @@ var specL = workload.Spec{
 // BenchmarkLoad measures reopening a bulk-loaded store the shape and size of
 // benchmark/'s dataset L (a 200-version tree, ≈ 64 MB of user bytes, ≈ 490 k
 // tree-edge delta entries): root, chunk scan and decode, placement-log fold.
-// B/op and allocs/op are what one Load allocates on top of the stored bytes
+// B/op and allocs/op are what one Open allocates on top of the stored bytes
 // it must read; MB/s is user payload per wall-clock second.
 func BenchmarkLoad(b *testing.B) {
 	ctx := context.Background()
@@ -447,7 +447,7 @@ func BenchmarkLoad(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				re, err := rstore.Load(ctx, rstore.Config{KV: kv})
+				re, err := rstore.Open(ctx, rstore.Config{KV: kv})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -94,40 +94,17 @@ func main() {
 	cfg := rstore.Config{KV: kv, BatchSize: *batch, ChunkCapacity: *chunkKB << 10}
 
 	// Durable backends hold the store in the backend itself (data
-	// directory or remote nodes); reopen it if one was committed there.
-	durable := *backend != rstore.EngineMemory
-	where := *dataDir
-	if *backend == rstore.EngineRemote {
-		where = "nodes " + strings.Join(cluster.NodeAddrs, ",")
+	// directory or remote nodes): Open reopens what is committed there.
+	st, err := rstore.Open(ctx, cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	var st *rstore.Store
-	if durable {
-		exists, err := rstore.Exists(ctx, kv)
-		if err != nil {
-			log.Fatalf("probe %s: %v", where, err)
+	if *backend != rstore.EngineMemory {
+		where := *dataDir
+		if *backend == rstore.EngineRemote {
+			where = "nodes " + strings.Join(cluster.NodeAddrs, ",")
 		}
-		if exists {
-			st, err = rstore.Load(ctx, cfg)
-			if err != nil {
-				log.Fatalf("load %s: %v", where, err)
-			}
-			log.Printf("reopened %d versions from %s", st.NumVersions(), where)
-		}
-	}
-	if st == nil {
-		st, err = rstore.Open(ctx, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if durable {
-			// Establish the recovery root immediately: without one,
-			// commits acknowledged before the first flush/SetBranch could
-			// not be replayed after a crash.
-			if err := st.Checkpoint(ctx); err != nil {
-				log.Fatalf("checkpoint %s: %v", where, err)
-			}
-		}
+		log.Printf("reopened %d versions from %s", st.NumVersions(), where)
 	}
 
 	srv := &http.Server{

@@ -78,26 +78,15 @@ func run(ctx context.Context, args []string) error {
 	cmd, cmdArgs := rest[0], rest[1:]
 
 	if cmd == "init" {
-		kv, err := env.openCluster(ctx)
+		kv, st, err := env.open(ctx)
 		if err != nil {
 			return err
 		}
 		// Idempotent with persist's close; releases the data directory's
 		// lock on every error path too.
 		defer kv.Close()
-		// A point probe, not a full Load: only a cleanly-missing manifest
-		// means "not initialized"; I/O errors must surface, not be silently
-		// re-initialized over.
-		exists, err := rstore.Exists(ctx, kv)
-		if err != nil {
-			return err
-		}
-		if exists {
+		if st.NumVersions() > 0 {
 			return fmt.Errorf("store already initialized in %s", env.where())
-		}
-		st, err := rstore.Open(ctx, rstore.Config{KV: kv})
-		if err != nil {
-			return err
 		}
 		mctx := context.WithoutCancel(ctx)
 		if _, err := st.Commit(mctx, rstore.NoParent, rstore.Change{}); err != nil {
@@ -349,8 +338,23 @@ func (e cliEnv) openCluster(ctx context.Context) (*kvstore.Store, error) {
 	return rstore.OpenCluster(ctx, rstore.ClusterConfig{Nodes: 1, Engine: e.backend, Dir: e.data})
 }
 
-// load reopens the store init created: from the data directory, or from
-// the remote nodes' contents.
+// open opens the cluster and the store it holds, an empty one if it holds
+// none; the caller closes the cluster.
+func (e cliEnv) open(ctx context.Context) (*kvstore.Store, *rstore.Store, error) {
+	kv, err := e.openCluster(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := rstore.Open(ctx, rstore.Config{KV: kv})
+	if err != nil {
+		kv.Close()
+		return nil, nil, fmt.Errorf("open store %s: %w", e.where(), err)
+	}
+	return kv, st, nil
+}
+
+// load opens the store init created: from the data directory, or from the
+// remote nodes' contents. A store without versions is one init never made.
 func (e cliEnv) load(ctx context.Context) (*kvstore.Store, *rstore.Store, error) {
 	if e.backend != rstore.EngineRemote {
 		// Opening a missing directory would create it.
@@ -358,14 +362,13 @@ func (e cliEnv) load(ctx context.Context) (*kvstore.Store, *rstore.Store, error)
 			return nil, nil, fmt.Errorf("open store %s (run init first): %w", e.data, err)
 		}
 	}
-	kv, err := e.openCluster(ctx)
+	kv, st, err := e.open(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := rstore.Load(ctx, rstore.Config{KV: kv})
-	if err != nil {
+	if st.NumVersions() == 0 {
 		kv.Close()
-		return nil, nil, fmt.Errorf("open store %s (run init first): %w", e.where(), err)
+		return nil, nil, fmt.Errorf("no store in %s (run init first)", e.where())
 	}
 	return kv, st, nil
 }

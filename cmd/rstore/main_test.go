@@ -198,6 +198,33 @@ func TestCLIRefusesBadVersions(t *testing.T) {
 	}
 }
 
+// TestCLINeedsInit: a directory that holds no store — missing, or existing
+// but empty — is refused by every command but init with "run init first",
+// and init refuses a directory that holds a version.
+func TestCLINeedsInit(t *testing.T) {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.d")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range []string{filepath.Join(dir, "missing.d"), empty} {
+		for _, args := range [][]string{{"log"}, {"commit", "-put", "a=1"}, {"get", "-key", "a", "-branch", "main"}, {"stats"}} {
+			if err := runCLI(t, data, args...); err == nil || !strings.Contains(err.Error(), "run init first") {
+				t.Fatalf("%v in %s: %v, want run init first", args, filepath.Base(data), err)
+			}
+		}
+	}
+	if err := runCLI(t, empty, "init"); err != nil {
+		t.Fatalf("init of an empty directory: %v", err)
+	}
+	if err := runCLI(t, empty, "init"); err == nil || !strings.Contains(err.Error(), "already initialized") {
+		t.Fatalf("second init: %v, want already initialized", err)
+	}
+	if got, err := outputCLI(t, empty, "branch"); err != nil || got != "main         v0\n" {
+		t.Fatalf("branch after the refused init = %q, %v", got, err)
+	}
+}
+
 func TestCLIErrors(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "x.d")

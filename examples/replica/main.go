@@ -56,7 +56,7 @@ func main() {
 
 	// Read-only replica over the same cluster: loads placement state from
 	// the KVS, serves every query, rejects writes.
-	replicaStore, err := rstore.Load(ctx, rstore.Config{KV: kv, ReadOnly: true})
+	replicaStore, err := rstore.Open(ctx, rstore.Config{KV: kv, ReadOnly: true})
 	if err != nil {
 		log.Fatal(err)
 	}

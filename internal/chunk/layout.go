@@ -200,8 +200,8 @@ func (l *Layout) AddChunk(c *Coded) (ID, error) {
 // diffs — per chunk, the slots it takes out of or puts into the parent's
 // bitmap there; a delete of a record the parent does not hold, or an add of
 // one it does, changes nothing — notes them in the pending delta, and folds
-// them as Load will (ApplyDiffs). The parent must be placed and every record
-// of v's delta must be in a chunk.
+// them as core.Open will (ApplyDiffs). The parent must be placed and every
+// record of v's delta must be in a chunk.
 func (l *Layout) PlaceVersion(v types.VersionID) error {
 	parent := l.c.Graph().Parent(v)
 	perChunk := make(map[ID]*bitset.BitSet)

@@ -49,7 +49,7 @@ const maxInflate = 1 << 12
 // overwrite entries in place and a crash mid-rewrite would strand the old
 // root against new contents; with it, each generation writes fresh keys and
 // the root swap (the root names the generation) is the atomic commit point.
-// Load garbage-collects keys of superseded generations.
+// core.Open garbage-collects keys of superseded generations.
 func SegmentKey(gen uint32, id ID, seg uint32) string {
 	return fmt.Sprintf("g%08x-c%08x-s%08x", gen, id, seg)
 }

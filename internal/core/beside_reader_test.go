@@ -221,7 +221,7 @@ func TestBesideReaderMaterializeDefersSweep(t *testing.T) {
 
 // TestBesideReaderCrashBeforeSweep: a crash after Materialize swapped the
 // generation, while a cursor still held the old one, leaves nothing of the old
-// generation once Load has run, and every version reads as it did.
+// generation once Open has run, and every version reads as it did.
 func TestBesideReaderCrashBeforeSweep(t *testing.T) {
 	ctx := context.Background()
 	st, kv := besideReaderStore(t, 0)
@@ -240,19 +240,19 @@ func TestBesideReaderCrashBeforeSweep(t *testing.T) {
 		t.Fatalf("precondition: the pinned generation is gone before the crash: %v", gens)
 	}
 	// The crash: st is abandoned, cursor and all; a new process loads.
-	re, err := Load(ctx, Config{KV: kv, ChunkCapacity: 256})
+	re, err := Open(ctx, Config{KV: kv, ChunkCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if chunks, records := scanChunkGens(t, kv), placementGens(t, kv); chunks[0] != 0 || records[0] != 0 {
-		t.Fatalf("after Load: chunk generations %v, placement generations %v; want none of generation 0", chunks, records)
+		t.Fatalf("after Open: chunk generations %v, placement generations %v; want none of generation 0", chunks, records)
 	}
 	for v := range want {
 		got, _, err := re.GetVersionAll(ctx, types.VersionID(v))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRecords(t, fmt.Sprintf("version %d after Load", v), got, want[v])
+		sameRecords(t, fmt.Sprintf("version %d after Open", v), got, want[v])
 	}
 }
 

@@ -41,7 +41,11 @@
 //
 // A Store does not configure the cluster it sits on: it only gets from and
 // puts to it (§2.4). The caller opens the cluster (kvstore.Open) with its
-// engine, nodes and replication, and hands it over in Config.KV.
+// engine, nodes and replication, and hands it over in Config.KV. Open is
+// the only constructor, and the store it returns is what the cluster holds:
+// the placed chunks the root commits plus the delta store's pending
+// commits, replayed — an empty store where the cluster holds none, whose
+// root a writable Open writes at once.
 //
 // A Store is safe for concurrent use, but it must be the only writer of its
 // underlying cluster: writers coordinate through the Store's own locks, not
@@ -94,7 +98,8 @@ type Config struct {
 	// ReadOnly rejects all mutations (Commit/Flush/Materialize/SetBranch).
 	// The paper notes multiple application servers may front one cluster
 	// with the caveat that shared mutable state is unsupported (§2.4);
-	// read-only replicas opened with Load are the safe multi-AS deployment.
+	// read-only replicas are the safe multi-AS deployment. A ReadOnly Open
+	// writes nothing, not even the root of a new store.
 	ReadOnly bool
 }
 
@@ -129,7 +134,7 @@ const (
 	// id and segment index (chunk.SegmentKey), each written once and never
 	// rewritten. The paper stores the chunk map M_Ci alongside each chunk so
 	// one fetch returns both; here the application server holds every map in
-	// memory (in Store.layout, rebuilt from TablePlacement on Load), so a
+	// memory (in Store.layout, rebuilt from TablePlacement on Open), so a
 	// fetch needs only the segments its slots fall in and a new version never
 	// rewrites a chunk to extend its map.
 	TableChunks = "chunks"
@@ -140,7 +145,7 @@ const (
 	TablePlacement = "placement"
 	// TableDeltaStore holds pending version deltas awaiting batch
 	// placement (§4's write store): written by Commit, drained by the flush
-	// that places them, and read only by Load, which replays them. Queries
+	// that places them, and read only by Open, which replays them. Queries
 	// take pending deltas from the corpus.
 	TableDeltaStore = "deltastore"
 	// TableMeta holds the root (placement generation, committed counts,

@@ -15,7 +15,7 @@ import (
 // TestDecodersRefuseWideOrRepeatedIDs: the placement log, its chunk maps and
 // the root name versions and generations as uvarints, and a VersionID is 32
 // bits. An id wider than that, a chunk map listing a version twice or out of
-// order, and a branch tip naming a version Load did not load are all
+// order, and a branch tip naming a version Open did not load are all
 // types.ErrCorrupt — read on, each would fold onto some other version.
 func TestDecodersRefuseWideOrRepeatedIDs(t *testing.T) {
 	ctx := context.Background()
@@ -80,7 +80,7 @@ func TestDecodersRefuseWideOrRepeatedIDs(t *testing.T) {
 			if err := st.saveRoot(ctx, st.branches); err != nil {
 				return err
 			}
-			_, err = Load(ctx, Config{KV: kv})
+			_, err = Open(ctx, Config{KV: kv})
 			return err
 		}},
 	} {

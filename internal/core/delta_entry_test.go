@@ -10,7 +10,7 @@ import (
 	"rstore/internal/types"
 )
 
-// FuzzDecodeDeltaEntry: Load decodes delta-store entries straight off the
+// FuzzDecodeDeltaEntry: Open decodes delta-store entries straight off the
 // KVS to replay them, so decodeDeltaEntry must refuse what it
 // cannot read with types.ErrCorrupt — never panic, never size an allocation
 // by a count the entry has no bytes for, never truncate a parent id — and

@@ -141,7 +141,7 @@ func TestFlushWriteVolumeDoesNotAge(t *testing.T) {
 // between two segments of one chunk, after the chunk write, after the
 // placement record, after the root (the commit point), and with the
 // delta-drain batch landed on one node and not the other —
-// and checks that Load recovers every version byte-exact, that the recovered
+// and checks that Open recovers every version byte-exact, that the recovered
 // store commits and flushes again (reusing the orphaned chunk ids and record
 // index), and that the result survives another reload.
 func TestFlushCrashMatrix(t *testing.T) {
@@ -225,7 +225,7 @@ func TestFlushCrashMatrix(t *testing.T) {
 				}
 			}
 
-			re, err := Load(ctx, Config{KV: kv, ChunkCapacity: stage.capacity})
+			re, err := Open(ctx, Config{KV: kv, ChunkCapacity: stage.capacity})
 			if err != nil {
 				t.Fatalf("load after interrupted flush: %v", err)
 			}
@@ -243,7 +243,7 @@ func TestFlushCrashMatrix(t *testing.T) {
 				t.Fatalf("chunks %v are still stored in part after load and re-flush", partial)
 			}
 
-			re2, err := Load(ctx, Config{KV: kv, ChunkCapacity: stage.capacity})
+			re2, err := Open(ctx, Config{KV: kv, ChunkCapacity: stage.capacity})
 			if err != nil {
 				t.Fatalf("reload: %v", err)
 			}
@@ -321,7 +321,7 @@ func TestLoadRefusesOlderManifest(t *testing.T) {
 		if err := kv.Put(ctx, TableMeta, manifestKey, root); err != nil {
 			t.Fatal(err)
 		}
-		_, err = Load(ctx, Config{KV: kv})
+		_, err = Open(ctx, Config{KV: kv})
 		if !errors.Is(err, types.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "re-initialize the store") {
 			t.Fatalf("load of a v%d manifest: %v", ver, err)
 		}
@@ -349,20 +349,20 @@ func TestLoadDetectsMissingPlacementRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := Load(ctx, Config{KV: kv}); err != nil {
+	if _, err := Open(ctx, Config{KV: kv}); err != nil {
 		t.Fatalf("intact log: %v", err)
 	}
 	if err := kv.Delete(ctx, TablePlacement, placementKey(st.gen, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(ctx, Config{KV: kv}); !errors.Is(err, types.ErrCorrupt) {
+	if _, err := Open(ctx, Config{KV: kv}); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("load with placement record 1 of 3 missing: %v", err)
 	}
 }
 
 // TestDamagedSegmentsAreCorrupt: a chunk the root counts is whole or the
 // store is corrupt. With one segment of it missing — first, middle or last —
-// or two stored under each other's keys, Load refuses with ErrCorrupt rather
+// or two stored under each other's keys, Open refuses with ErrCorrupt rather
 // than open a shorter or shuffled chunk, and a store that is already open
 // answers a read that needs the damaged segment with ErrCorrupt too.
 func TestDamagedSegmentsAreCorrupt(t *testing.T) {
@@ -409,8 +409,8 @@ func TestDamagedSegmentsAreCorrupt(t *testing.T) {
 	keyIn := func(i int) types.Key { return key(int(segs[i])) }
 	check := func(damage string, touched ...int) {
 		t.Helper()
-		if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); !errors.Is(err, types.ErrCorrupt) {
-			t.Errorf("%s: Load returned %v, want ErrCorrupt", damage, err)
+		if _, err := Open(ctx, Config{KV: kv, ReadOnly: true}); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%s: Open returned %v, want ErrCorrupt", damage, err)
 		}
 		for _, i := range touched {
 			if _, _, err := st.GetRecord(ctx, keyIn(i), v0); !errors.Is(err, types.ErrCorrupt) {
@@ -437,7 +437,7 @@ func TestDamagedSegmentsAreCorrupt(t *testing.T) {
 		check(fmt.Sprintf("segments %d and %d stored under each other's keys", swap[0], swap[1]), swap[0], swap[1])
 	}
 
-	if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); err != nil {
+	if _, err := Open(ctx, Config{KV: kv, ReadOnly: true}); err != nil {
 		t.Fatalf("the segments, put back: %v", err)
 	}
 	for i := range segs {
@@ -451,7 +451,7 @@ func TestDamagedSegmentsAreCorrupt(t *testing.T) {
 // advanced the in-memory layout. The store must refuse every further mutation
 // — a later batch-closing commit would otherwise find the unwritten records
 // "placed", write no payload for them, and commit a root counting chunks that
-// were never stored — while reads and Close keep working and Load recovers
+// were never stored — while reads and Close keep working and Open recovers
 // every acknowledged version.
 func TestFailedPublishPoisonsStore(t *testing.T) {
 	ctx := context.Background()
@@ -513,7 +513,7 @@ func TestFailedPublishPoisonsStore(t *testing.T) {
 		t.Fatalf("close of a poisoned store: %v", err)
 	}
 
-	re, err := Load(ctx, cfg)
+	re, err := Open(ctx, cfg)
 	if err != nil {
 		t.Fatalf("load after the failed flush: %v", err)
 	}
@@ -524,7 +524,7 @@ func TestFailedPublishPoisonsStore(t *testing.T) {
 	if err := re.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := Load(ctx, cfg)
+	re2, err := Open(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,6 @@ func TestFailedMaterializePoisonsStore(t *testing.T) {
 		"Flush":       st.Flush(ctx),
 		"Materialize": st.Materialize(ctx),
 		"SetBranch":   st.SetBranch(ctx, "main", tip),
-		"Checkpoint":  st.Checkpoint(ctx),
 	} {
 		if !errors.Is(err, types.ErrPoisoned) || !strings.Contains(err.Error(), errInjected.Error()) {
 			t.Errorf("%s on a poisoned store: %v, want ErrPoisoned naming the cause", name, err)
@@ -567,7 +566,7 @@ func TestFailedMaterializePoisonsStore(t *testing.T) {
 		t.Fatalf("close of a poisoned store: %v", err)
 	}
 
-	re, err := Load(ctx, Config{KV: kv, ChunkCapacity: 256})
+	re, err := Open(ctx, Config{KV: kv, ChunkCapacity: 256})
 	if err != nil {
 		t.Fatalf("load after the failed materialize: %v", err)
 	}

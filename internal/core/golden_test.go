@@ -398,7 +398,7 @@ func setRootVersion(t *testing.T, kv *kvstore.Store, ver uint64) uint64 {
 func loadsAndUpgrades(t *testing.T, kv *kvstore.Store, c *corpus.Corpus, ver uint64) {
 	t.Helper()
 	ctx := context.Background()
-	re, err := Load(ctx, Config{KV: kv})
+	re, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatalf("load of a version-%d store: %v", ver, err)
 	}

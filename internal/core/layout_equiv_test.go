@@ -181,7 +181,7 @@ func branchySession(rng *rand.Rand, commits, nkeys int, value func(k, step int) 
 
 // TestLiveEqualsReloadedPlacement: the layout a store grows in memory — by
 // flushes on the live layout, by a repartition on a fresh one — is the layout
-// Load folds back out of what they persisted, and the deltas Load reads off
+// Open folds back out of what they persisted, and the deltas Open reads off
 // the persisted bitmaps are the ones the writer was given. A random session
 // of branched delta commits (including merges that re-add records another
 // branch already placed, and a version that deletes everything, under which
@@ -222,7 +222,7 @@ func TestLiveEqualsReloadedPlacement(t *testing.T) {
 			t.Helper()
 			ro := cfg
 			ro.ReadOnly = true // compare without repairing: the live store is still the writer
-			re, err := Load(ctx, ro)
+			re, err := Open(ctx, ro)
 			if err != nil {
 				t.Fatalf("seed %d %s: load: %v", seed, phase, err)
 			}

@@ -262,7 +262,7 @@ func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
 // parent's, never both — an add where v holds it, a delete otherwise — and
 // resolves through the chunks' decoded records, which every slot of a diff
 // indexes (chunk.DecodeMap saw to it). Adds and deletes each come out in
-// ascending (chunk, slot) order, which is the order Load hands out record ids
+// ascending (chunk, slot) order, which is the order Open hands out record ids
 // in.
 func (s *Store) deltaFromDiffs(v types.VersionID, diffs []chunk.Slots, chunks []chunk.Stored) *types.Delta {
 	delta := &types.Delta{}
@@ -290,35 +290,20 @@ func (s *Store) replayVersion(v types.VersionID, parents []types.VersionID, delt
 	return nil
 }
 
-// Exists reports whether kv holds a persisted store (a root entry),
-// without the cost — or the repair side effects — of a full Load.
-func Exists(ctx context.Context, kv *kvstore.Store) (bool, error) {
-	_, err := kv.Get(ctx, TableMeta, manifestKey)
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, types.ErrNotFound) {
-		return false, nil
-	}
-	return false, err
-}
-
-// Checkpoint persists the root without running placement. Open writes
-// nothing, so a durable deployment must checkpoint once after creating a
-// fresh store: the root is what Load replays later-acknowledged commits
-// against (flush and SetBranch refresh it as a side effect).
-func (s *Store) Checkpoint(ctx context.Context) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	return s.saveRoot(ctx, s.branches)
-}
-
-// Load reopens a store previously persisted to kv: the root names the
-// placement generation and how much of it is committed, each chunk's segment
-// entries decode and join to its records in slot order, and the generation's
+// Open opens the store kept in cfg.KV; it is the only way to get a Store.
+// ctx bounds the open itself, not the Store's lifetime.
+//
+// A cluster with no root and no chunk segment or placement record holds a
+// new store: Open replays its delta entries — the acknowledged commits of a
+// crash before the first flush — and a writable Open then writes the root,
+// so that every later commit replays against it; a ReadOnly one writes
+// nothing. No root beside segments or placement records is types.ErrCorrupt,
+// and nothing is deleted: the root's replicas may only be down, and every
+// key would read as debris against the zero root.
+//
+// Otherwise Open reopens what the root commits: it names the placement
+// generation and how much of it is committed, each chunk's segment entries
+// decode and join to its records in slot order, and the generation's
 // placement records fold in order (applyPlacement): the chunks a record
 // introduces open (chunk.Layout.RestoreChunk), each version's bitmaps are
 // rebuilt from its parent's and its diffs (chunk.Layout.ApplyDiffs) and its
@@ -329,7 +314,7 @@ func (s *Store) Checkpoint(ctx context.Context) error {
 // one. A branch tip naming a version the fold and the replay below did not
 // load is types.ErrCorrupt.
 //
-// Load also finishes what a crash interrupted. Flush persists in the order
+// Open also finishes what a crash interrupted. Flush persists in the order
 // chunks → placement record → root → delta-store drain, so a crash leaves at
 // most (a) chunk entries and a placement record past the root's counts —
 // skipped and (on writable stores) deleted here, after which the
@@ -338,8 +323,8 @@ func (s *Store) Checkpoint(ctx context.Context) error {
 // decoded, and deleted by a writable store. Commits acknowledged after the
 // last flush are replayed from their self-describing delta entries: the
 // contiguous run starting at the root's placed-version count, the only
-// entries Load decodes.
-func Load(ctx context.Context, cfg Config) (*Store, error) {
+// entries Open decodes.
+func Open(ctx context.Context, cfg Config) (*Store, error) {
 	cfg, ownsKV, err := cfg.withDefaults(ctx)
 	if err != nil {
 		return nil, err
@@ -352,13 +337,16 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	raw, err := kv.Get(ctx, TableMeta, manifestKey)
-	if err != nil {
-		return fail(fmt.Errorf("rstore: load: %w", err))
+	fresh := errors.Is(err, types.ErrNotFound)
+	if err != nil && !fresh {
+		return fail(fmt.Errorf("rstore: open: %w", err))
 	}
 	s := newStore(cfg, ownsKV)
-	numChunks, err := s.loadRoot(raw)
-	if err != nil {
-		return fail(err)
+	var numChunks uint32
+	if !fresh {
+		if numChunks, err = s.loadRoot(raw); err != nil {
+			return fail(err)
+		}
 	}
 
 	// Recover record payloads and slot layouts from the live chunks' segments.
@@ -443,6 +431,10 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 	if err := cmp.Or(scanErr, loadErr); err != nil {
 		return fail(err)
 	}
+	if fresh && len(debrisChunks)+len(debrisPlacements) > 0 {
+		return fail(fmt.Errorf("%w: no root, but %d chunk segments and %d placement records",
+			types.ErrCorrupt, len(debrisChunks), len(debrisPlacements)))
+	}
 	// The fold registers every chunked record once and every placed version:
 	// size the corpus for them before it starts.
 	records := 0
@@ -500,6 +492,14 @@ func Load(ctx context.Context, cfg Config) (*Store, error) {
 				return fail(err)
 			}
 		}
+		if fresh {
+			if err := s.saveRoot(ctx, s.branches); err != nil {
+				return fail(err)
+			}
+		}
 	}
 	return s, nil
 }
+
+// Load is Open, under the name the benchmark module still calls.
+func Load(ctx context.Context, cfg Config) (*Store, error) { return Open(ctx, cfg) }

@@ -208,7 +208,7 @@ func scanChunkGens(t *testing.T, kv *kvstore.Store) map[uint32]int {
 // TestMaterializeCrashBeforeManifest is the regression test for the
 // in-place repartition hazard: a crash after the new chunk entries are
 // written but before the manifest commits must leave the old manifest
-// paired with the old, INTACT chunk generation. Load then serves the
+// paired with the old, INTACT chunk generation. Open then serves the
 // pre-repartition state exactly and clears the uncommitted generation's
 // debris.
 func TestMaterializeCrashBeforeManifest(t *testing.T) {
@@ -227,7 +227,7 @@ func TestMaterializeCrashBeforeManifest(t *testing.T) {
 		t.Fatalf("precondition: uncommitted generation debris expected, got %v", gens)
 	}
 
-	re, err := Load(ctx, Config{KV: kv})
+	re, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatalf("load after interrupted materialize: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestMaterializeCrashBeforeManifest(t *testing.T) {
 	if len(gens) != 1 || gens[1] == 0 {
 		t.Fatalf("after clean materialize: generations %v, want only gen 1", gens)
 	}
-	re2, err := Load(ctx, Config{KV: kv})
+	re2, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestMaterializeCrashMidChunkWrite(t *testing.T) {
 		b.arm(nil)
 	}
 
-	re, err := Load(ctx, Config{KV: kv})
+	re, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatalf("load after mid-write crash: %v", err)
 	}
@@ -298,7 +298,7 @@ func TestMaterializeCrashMidChunkWrite(t *testing.T) {
 // TestMaterializeCrashBetweenSegments: the segments of one chunk are KVS
 // entries of their own and the ring may put them on different nodes, so a
 // repartition can die with some segments of a chunk written and others not.
-// The half-written chunks belong to a generation no root names: Load serves
+// The half-written chunks belong to a generation no root names: Open serves
 // the previous generation and deletes them segment by segment, and a repeated
 // Materialize writes them whole.
 func TestMaterializeCrashBetweenSegments(t *testing.T) {
@@ -333,7 +333,7 @@ func TestMaterializeCrashBetweenSegments(t *testing.T) {
 	backends[1].arm(nil)
 	landed := storedSegments(t, kv, 1) // judged below, against the cuts of the run that succeeds
 
-	re, err := Load(ctx, Config{KV: kv, ChunkCapacity: capacity})
+	re, err := Open(ctx, Config{KV: kv, ChunkCapacity: capacity})
 	if err != nil {
 		t.Fatalf("load after a crash between segments: %v", err)
 	}
@@ -353,7 +353,7 @@ func TestMaterializeCrashBetweenSegments(t *testing.T) {
 	if gens, partial := scanChunkGens(t, kv), partialChunks(storedSegments(t, kv, 1), re.layout); len(gens) != 1 || len(partial) != 0 {
 		t.Fatalf("after the repeated materialize: generations %v, chunks stored in part %v", gens, partial)
 	}
-	re2, err := Load(ctx, Config{KV: kv, ChunkCapacity: capacity})
+	re2, err := Open(ctx, Config{KV: kv, ChunkCapacity: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func seedGroups(t *testing.T, st *Store) map[types.VersionID]map[string]string {
 
 // TestMaterializeCrashBetweenGroups: the chunk write of a repartition is a
 // pipeline of groups, and it may die on any of them. Whichever group fails,
-// no later group is started, the store is poisoned, Load serves the previous
+// no later group is started, the store is poisoned, Open serves the previous
 // generation byte-exact and deletes the groups that did land, and a repeated
 // Materialize succeeds.
 func TestMaterializeCrashBetweenGroups(t *testing.T) {
@@ -423,7 +423,7 @@ func TestMaterializeCrashBetweenGroups(t *testing.T) {
 				t.Fatalf("commit after the failed materialize: %v, want ErrPoisoned", err)
 			}
 
-			re, err := Load(ctx, Config{KV: kv, ChunkCapacity: 256})
+			re, err := Open(ctx, Config{KV: kv, ChunkCapacity: 256})
 			if err != nil {
 				t.Fatalf("load after a crash on group %d: %v", k, err)
 			}
@@ -445,7 +445,7 @@ func TestMaterializeCrashBetweenGroups(t *testing.T) {
 // TestMaterializeCancelledMidPipeline cancels the context while the second
 // group is in flight: Materialize returns the cancellation, no chunk write is
 // still running when it does (place awaits its goroutine on every path), the
-// store is poisoned and Load recovers the previous generation.
+// store is poisoned and Open recovers the previous generation.
 func TestMaterializeCancelledMidPipeline(t *testing.T) {
 	st, kv, backends := openFaulty(t, 1)
 	want := seedGroups(t, st)
@@ -474,7 +474,7 @@ func TestMaterializeCancelledMidPipeline(t *testing.T) {
 	if err := st.Flush(context.Background()); !errors.Is(err, types.ErrPoisoned) {
 		t.Fatalf("flush after the cancelled materialize: %v, want ErrPoisoned", err)
 	}
-	re, err := Load(context.Background(), Config{KV: kv, ChunkCapacity: 256})
+	re, err := Open(context.Background(), Config{KV: kv, ChunkCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

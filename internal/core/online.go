@@ -36,10 +36,10 @@ import (
 //
 // Flush honors ctx for its KVS writes. An error mid-flush — including a
 // cancellation — never corrupts the persisted state (publish's crash
-// ordering means Load repairs it), but it may leave this process's in-memory
+// ordering means Open repairs it), but it may leave this process's in-memory
 // placement ahead of what was persisted, so the Store refuses every further
 // mutation with types.ErrPoisoned: reads keep answering, Close skips its
-// final flush, and Load recovers every acknowledged commit. Prefer a
+// final flush, and Open recovers every acknowledged commit. Prefer a
 // non-cancellable context here unless abandoning the store on interruption
 // is acceptable.
 func (s *Store) Flush(ctx context.Context) error {

@@ -185,7 +185,7 @@ func (w *chunkWriter) wait() error {
 	return w.err
 }
 
-// publish persists a placement run in the one crash order Load repairs:
+// publish persists a placement run in the one crash order Open repairs:
 // chunk segments (w's groups, each one batched write — grouped per replica
 // node, one durability sync per node — and every one acknowledged before
 // anything else is written) → placement record → root, the commit point →
@@ -193,11 +193,11 @@ func (w *chunkWriter) wait() error {
 // delete per table, deleteKeys). A crash before the root — between two groups
 // as much as after the last — leaves chunks and maybe a record the root does
 // not count — past its counts, or under a generation it does not name — which
-// Load skips and deletes (the versions are still pending and re-flush under
+// Open skips and deletes (the versions are still pending and re-flush under
 // the same ids); a crash after it leaves only a stale generation and stale
-// delta entries that Load garbage-collects. A batch is split per node, so a
+// delta entries that Open garbage-collects. A batch is split per node, so a
 // crash can also leave some segments of a chunk without the others — the chunk
-// is past the root's count all the same, and Load deletes what landed — or a
+// is past the root's count all the same, and Open deletes what landed — or a
 // drain that reached one replica of an entry and not the other, which the
 // tombstone's timestamp settles on the next read. A repartition's entries land
 // under the NEXT generation's keys, so nothing is overwritten in place: until
@@ -210,7 +210,7 @@ func (w *chunkWriter) wait() error {
 // on the live one — O(batch) memory work — so a plan sees all of the run or
 // none of it, and waits for none of its I/O. A superseded generation that a
 // query stream still reads is deleted when the last such stream ends (genPin);
-// a crash before that leaves it to Load.
+// a crash before that leaves it to Open.
 func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error {
 	var err error
 	live := p.layout == s.layout
@@ -252,7 +252,7 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 		return err // the root still names oldGen: the store never lets go of it
 	}
 
-	// The superseded generation's keys are computable, no scan; Load's
+	// The superseded generation's keys are computable, no scan; Open's
 	// other-generation sweep is the backstop for anything older.
 	if p.gen != oldGen {
 		var segments []string

@@ -78,7 +78,7 @@ func wholeRecord(t *testing.T, st *Store) placementParts {
 
 // TestLoadRejectsCorruptPlacementRecord: whatever a placement record says
 // that the chunks, the root or the records before it contradict comes back
-// from Load as ErrCorrupt — bitmaps and deltas are both folded from the
+// from Open as ErrCorrupt — bitmaps and deltas are both folded from the
 // record's diffs, so a diff is checked against the chunk it indexes before
 // anything is.
 func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
@@ -181,21 +181,21 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 		if err := kv.Put(ctx, TablePlacement, key, rec); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); !errors.Is(err, types.ErrCorrupt) {
-			t.Errorf("%s: Load returned %v, want ErrCorrupt", tc.name, err)
+		if _, err := Open(ctx, Config{KV: kv, ReadOnly: true}); !errors.Is(err, types.ErrCorrupt) {
+			t.Errorf("%s: Open returned %v, want ErrCorrupt", tc.name, err)
 		}
 	}
 
 	if err := kv.Put(ctx, TablePlacement, key, stored); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(ctx, Config{KV: kv, ReadOnly: true}); err != nil {
+	if _, err := Open(ctx, Config{KV: kv, ReadOnly: true}); err != nil {
 		t.Fatalf("the stored record, put back: %v", err)
 	}
 }
 
 // TestFoldRebuildsBitmapsFromDiffs: placement records state a version as its
-// diffs against its tree parent, and Load must come back with the bitmaps the
+// diffs against its tree parent, and Open must come back with the bitmaps the
 // writer holds whole. Seeded branchy sessions, bulk loaded and committed
 // online in batches of 16, are reloaded after every flush, with a pending
 // tail, and after a Materialize, and compared with the live store bitmap by
@@ -226,7 +226,7 @@ func TestFoldRebuildsBitmapsFromDiffs(t *testing.T) {
 				t.Helper()
 				ro := cfg
 				ro.ReadOnly = true // the live store is still the writer
-				re, err := Load(ctx, ro)
+				re, err := Open(ctx, ro)
 				if err != nil {
 					t.Fatalf("%s %s: load: %v", phase, when, err)
 				}
@@ -239,9 +239,6 @@ func TestFoldRebuildsBitmapsFromDiffs(t *testing.T) {
 				}
 				reload("after the bulk load")
 			} else {
-				if err := st.Checkpoint(ctx); err != nil { // a root for the first pending tail to load under
-					t.Fatal(err)
-				}
 				for v, sc := range se.commits {
 					if got, err := st.CommitDelta(ctx, sc.parents, sc.delta); err != nil || int(got) != v {
 						t.Fatalf("%s: commit %d: %d, %v", phase, v, got, err)
@@ -290,7 +287,7 @@ func TestFoldRebuildsBitmapsFromDiffs(t *testing.T) {
 	}
 }
 
-// foldFixture is what Load hands applyPlacement for one store: the decoded
+// foldFixture is what Open hands applyPlacement for one store: the decoded
 // chunks and the generation's placement records in order.
 type foldFixture struct {
 	chunks  []chunk.Stored
@@ -298,7 +295,7 @@ type foldFixture struct {
 }
 
 // storedChunks reads the chunks of st's generation back from their segment
-// values, as Load does.
+// values, as Open does.
 func storedChunks(t testing.TB, st *Store, kv *kvstore.Store) []chunk.Stored {
 	t.Helper()
 	parts := make([][]chunk.Part, st.NumChunks())

@@ -269,7 +269,7 @@ func (s *Store) query(ctx context.Context, plan func() (*readPlan, error)) *Curs
 			return
 		}
 		defer func() {
-			// A sweep that fails leaves debris Load deletes, as a crash before
+			// A sweep that fails leaves debris Open deletes, as a crash before
 			// it would; the records were delivered whole all the same.
 			_ = p.pin.release(context.WithoutCancel(ctx))
 		}()

@@ -23,7 +23,7 @@ func TestReadReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replica, err := Load(context.Background(), Config{KV: kv, ReadOnly: true})
+	replica, err := Open(context.Background(), Config{KV: kv, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestReadReplica(t *testing.T) {
 	}
 
 	// A freshly loaded replica sees the updates.
-	replica2, err := Load(context.Background(), Config{KV: kv, ReadOnly: true})
+	replica2, err := Open(context.Background(), Config{KV: kv, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

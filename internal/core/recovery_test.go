@@ -27,7 +27,7 @@ func openDiskStore(t *testing.T, dir string, cfg Config) (*kvstore.Store, *Store
 
 // TestLoadReplaysUnmanifestedCommits: a commit is acknowledged once its
 // delta entry is durable, even if the process dies before the next manifest
-// save. Load must replay it from the delta store.
+// save. Open must replay it from the delta store.
 func TestLoadReplaysUnmanifestedCommits(t *testing.T) {
 	dir := t.TempDir()
 	kv, st := openDiskStore(t, dir, Config{})
@@ -61,7 +61,7 @@ func TestLoadReplaysUnmanifestedCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Load(context.Background(), Config{KV: kv2})
+	re, err := Open(context.Background(), Config{KV: kv2})
 	if err != nil {
 		t.Fatalf("load after crash: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestLoadReplaysUnmanifestedCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv3.Close()
-	re2, err := Load(context.Background(), Config{KV: kv3})
+	re2, err := Open(context.Background(), Config{KV: kv3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +107,12 @@ func TestLoadReplaysUnmanifestedCommits(t *testing.T) {
 	}
 }
 
-// TestCheckpointEnablesRootReplay: a fresh durable store that checkpointed
-// (as the server does on boot) can crash before its first flush without
-// losing acknowledged commits — even the root.
-func TestCheckpointEnablesRootReplay(t *testing.T) {
+// TestOpenReplaysCommitBeforeFirstFlush: a fresh durable store can crash
+// before its first flush without losing acknowledged commits — even the
+// root version: Open wrote the root they replay against.
+func TestOpenReplaysCommitBeforeFirstFlush(t *testing.T) {
 	dir := t.TempDir()
 	kv, st := openDiskStore(t, dir, Config{})
-	if err := st.Checkpoint(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	v0, err := st.Commit(context.Background(), types.InvalidVersion, Change{Puts: map[types.Key][]byte{
 		"a": []byte("a0"),
 	}})
@@ -126,15 +123,8 @@ func TestCheckpointEnablesRootReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kv2, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1, Engine: kvstore.EngineLSM, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	kv2, re := openDiskStore(t, dir, Config{})
 	defer kv2.Close()
-	re, err := Load(context.Background(), Config{KV: kv2})
-	if err != nil {
-		t.Fatalf("load after pre-flush crash: %v", err)
-	}
 	if re.NumVersions() != 1 || re.PendingVersions() != 1 {
 		t.Fatalf("replay: %d versions, %d pending", re.NumVersions(), re.PendingVersions())
 	}
@@ -144,9 +134,157 @@ func TestCheckpointEnablesRootReplay(t *testing.T) {
 	}
 }
 
+// TestReopenContinuesVersionIds: a second Open over a closed store sees
+// every version it holds, and its next commit gets the next id, not the
+// root's.
+func TestReopenContinuesVersionIds(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	kv, st := openDiskStore(t, dir, Config{})
+	parent := types.InvalidVersion
+	for i := range 3 {
+		v, err := st.Commit(ctx, parent, Change{Puts: map[types.Key][]byte{"a": {byte('0' + i)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent = v
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kv2, re := openDiskStore(t, dir, Config{})
+	defer kv2.Close()
+	if re.NumVersions() != 3 {
+		t.Fatalf("reopened %d versions, want 3", re.NumVersions())
+	}
+	v, err := re.Commit(ctx, parent, Change{Puts: map[types.Key][]byte{"b": []byte("b3")}})
+	if err != nil || v != 3 {
+		t.Fatalf("commit after reopen: version %d, %v; want 3", v, err)
+	}
+	if rec, _, err := re.GetRecord(ctx, "a", v); err != nil || string(rec.Value) != "2" {
+		t.Fatalf("a@v3 = %v, %v", rec, err)
+	}
+}
+
+// TestOpenRefusesRootlessPlacement: chunk segments or placement records with
+// no root beside them are a root that cannot be read, not a new store. Open
+// refuses with types.ErrCorrupt, writable or not, and changes no key.
+func TestOpenRefusesRootlessPlacement(t *testing.T) {
+	ctx := context.Background()
+	for _, keep := range []string{TableChunks, TablePlacement} {
+		t.Run(keep, func(t *testing.T) {
+			kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv.Close()
+			st, err := Open(ctx, Config{KV: kv})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: map[types.Key][]byte{"a": []byte("a0")}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The root goes, and of the placement state only one table stays.
+			for _, table := range []string{TableMeta, TableChunks, TablePlacement} {
+				if table == keep {
+					continue
+				}
+				if err := deleteKeys(ctx, kv, table, tableKeys(t, kv, table)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(tableKeys(t, kv, keep)) == 0 {
+				t.Fatalf("no %s keys to keep", keep)
+			}
+			tables := []string{TableMeta, TableChunks, TablePlacement, TableDeltaStore}
+			before, _ := storedDigest(t, kv, tables...)
+			for _, readOnly := range []bool{false, true} {
+				if _, err := Open(ctx, Config{KV: kv, ReadOnly: readOnly}); !errors.Is(err, types.ErrCorrupt) {
+					t.Fatalf("Open (read-only %v) without a root: %v, want ErrCorrupt", readOnly, err)
+				}
+				if after, _ := storedDigest(t, kv, tables...); after != before {
+					t.Fatalf("Open (read-only %v) changed what the cluster stores", readOnly)
+				}
+			}
+		})
+	}
+}
+
+// TestReadOnlyOpenWritesNothing: a ReadOnly Open of an empty cluster writes
+// no root, and one of a cluster whose only state is delta entries — a crash
+// before the first root was written — replays them in memory and writes
+// nothing either; the next writable Open writes the root.
+func TestReadOnlyOpenWritesNothing(t *testing.T) {
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	if _, err := Open(ctx, Config{KV: kv, ReadOnly: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := kv.Stats(ctx).WriteCalls; n != 0 {
+		t.Fatalf("a read-only Open of an empty cluster made %d write calls", n)
+	}
+
+	st, err := Open(ctx, Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: map[types.Key][]byte{"a": []byte("a0")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := deleteKeys(ctx, kv, TableMeta, tableKeys(t, kv, TableMeta)); err != nil {
+		t.Fatal(err)
+	}
+	writes := kv.Stats(ctx).WriteCalls
+	ro, err := Open(ctx, Config{KV: kv, ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ro.NumVersions() != 1 {
+		t.Fatalf("read-only Open replayed %d versions, want 1", ro.NumVersions())
+	}
+	if n := kv.Stats(ctx).WriteCalls - writes; n != 0 {
+		t.Fatalf("a read-only Open of a rootless store made %d write calls", n)
+	}
+	if len(tableKeys(t, kv, TableMeta)) != 0 {
+		t.Fatal("a read-only Open wrote a root")
+	}
+	re, err := Open(ctx, Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.NumVersions() != 1 || len(tableKeys(t, kv, TableMeta)) != 1 {
+		t.Fatalf("writable Open of a rootless store: %d versions, root keys %v", re.NumVersions(), tableKeys(t, kv, TableMeta))
+	}
+}
+
+// tableKeys lists table's keys in kv, in scan order.
+func tableKeys(t *testing.T, kv *kvstore.Store, table string) []string {
+	t.Helper()
+	var keys []string
+	if err := kv.Scan(context.Background(), table, func(key string, _ []byte) bool {
+		keys = append(keys, key)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
 // TestLoadToleratesInterruptedFlush simulates a flush that crashed after
 // writing its chunk payloads and its placement record but before the root:
-// Load must skip the orphan chunk and the orphan record, repair the KVS, and
+// Open must skip the orphan chunk and the orphan record, repair the KVS, and
 // leave the store fully usable — the re-flush reuses both ids.
 func TestLoadToleratesInterruptedFlush(t *testing.T) {
 	ctx := context.Background()
@@ -200,7 +338,7 @@ func TestLoadToleratesInterruptedFlush(t *testing.T) {
 		}
 	}
 
-	re, err := Load(ctx, Config{KV: kv})
+	re, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatalf("load with orphan chunk and record: %v", err)
 	}
@@ -228,7 +366,7 @@ func TestLoadToleratesInterruptedFlush(t *testing.T) {
 	if err := re.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := Load(ctx, Config{KV: kv})
+	re2, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +380,7 @@ func TestLoadToleratesInterruptedFlush(t *testing.T) {
 
 // TestLoadCleansStaleDeltas: delta entries for versions the manifest already
 // placed (a crash between the manifest save and the write-store drain) are
-// ignored and garbage-collected by a writable Load.
+// ignored and garbage-collected by a writable Open.
 func TestLoadCleansStaleDeltas(t *testing.T) {
 	kv, err := kvstore.Open(context.Background(), kvstore.Config{Nodes: 1})
 	if err != nil {
@@ -268,7 +406,7 @@ func TestLoadCleansStaleDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Load(context.Background(), Config{KV: kv})
+	re, err := Open(context.Background(), Config{KV: kv})
 	if err != nil {
 		t.Fatalf("load with stale delta: %v", err)
 	}
@@ -286,7 +424,7 @@ func TestLoadCleansStaleDeltas(t *testing.T) {
 
 // TestLoadSkipsCorruptPlacedDelta: a leftover delta entry of a placed
 // version (a crash between a flush's root and its drain) is deleted unread,
-// so one that reads back corrupt does not stop Load: the store opens, serves
+// so one that reads back corrupt does not stop Open: the store opens, serves
 // every version byte-exact, and the entry is gone.
 func TestLoadSkipsCorruptPlacedDelta(t *testing.T) {
 	ctx := context.Background()
@@ -305,7 +443,7 @@ func TestLoadSkipsCorruptPlacedDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Load(ctx, cfg)
+	re, err := Open(ctx, cfg)
 	if err != nil {
 		t.Fatalf("load beside a corrupt placed delta: %v", err)
 	}

@@ -80,10 +80,10 @@ func (h *resolveHarness) flush() {
 	}
 }
 
-// reload replaces the store by one Load opens over the same cluster.
+// reload replaces the store by one Open returns over the same cluster.
 func (h *resolveHarness) reload() {
 	h.t.Helper()
-	re, err := Load(context.Background(), Config{KV: h.kv, ChunkCapacity: 512})
+	re, err := Open(context.Background(), Config{KV: h.kv, ChunkCapacity: 512})
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func (h *resolveHarness) check() {
 // touches holds in its parent, over every shape a parent takes — placed;
 // pending over a placed anchor, the key modified, deleted, deleted and put
 // again, or re-added by a merge in the overlay; pending with no anchor; the
-// first commit after Load; a non-tip version whose descendants rewrote the
+// first commit after Open; a non-tip version whose descendants rewrote the
 // key. The commit's version must match the model, the corpus must validate,
 // and a delete of a key the parent does not hold is a KeyNotFoundError.
 func TestCommitResolvesTouchedKeys(t *testing.T) {

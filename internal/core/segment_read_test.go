@@ -160,7 +160,7 @@ func checkStoredSegments(t *testing.T, phase string, s *Store, kv *kvstore.Store
 // that deletes everything, histories of up to a dozen records per key), bulk
 // loaded with sub-chunks of 1 and 4 and committed online in batches large
 // enough to split at the frontier, every GetVersion, GetRange, GetRecord and
-// GetHistory equals the session's own account — before and after Load, and
+// GetHistory equals the session's own account — before and after Open, and
 // with a pending tail — while chunks span several segments, so answers come
 // from the right segment and the right slot of it or not at all. A third
 // session mixes, inside every segment, what the run lists against a segment's
@@ -284,7 +284,7 @@ func TestSegmentedReadsMatchOracle(t *testing.T) {
 			}
 			checkReadsMatchSession(t, phase, st, se, nkeys)
 
-			re, err := Load(ctx, cfg)
+			re, err := Open(ctx, cfg)
 			if err != nil {
 				t.Fatalf("%s: load: %v", phase, err)
 			}

@@ -36,7 +36,7 @@ type Store struct {
 	// Physical placement state. layout holds the record→chunk/slot catalog,
 	// the chunk maps and the version→chunks projection; the maps live here, not beside the
 	// payloads in the KVS: queries read slot bitmaps from them, flush extends
-	// them, and Load folds them back out of the placement log.
+	// them, and Open folds them back out of the placement log.
 	layout *chunk.Layout
 	// numPlacements counts the placement records of the current generation.
 	numPlacements uint32
@@ -69,16 +69,6 @@ type Store struct {
 	// ownsKV marks a private cluster created by withDefaults; Close closes
 	// it along with the store.
 	ownsKV bool
-}
-
-// Open creates an empty store. ctx bounds the open itself, not the Store's
-// lifetime.
-func Open(ctx context.Context, cfg Config) (*Store, error) {
-	cfg, ownsKV, err := cfg.withDefaults(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return newStore(cfg, ownsKV), nil
 }
 
 // newStore returns an empty store over cfg.KV.
@@ -157,8 +147,9 @@ func (s *Store) PendingVersions() int {
 }
 
 // Close flushes pending versions (writable stores only; a poisoned store
-// skips it and leaves them to Load), marks the store closed, and — when the
-// store opened its own private cluster (Config.KV nil) — closes it too.
+// skips it and leaves them to the next Open), marks the store closed, and —
+// when the store opened its own private cluster (Config.KV nil) — closes it
+// too.
 // The final flush runs under the background context: Close is a durability
 // point, not a cancellable query. Closing twice is a no-op. Close does not
 // wait for cursors that are still streaming: one that has segments left to
@@ -209,7 +200,7 @@ func (s *Store) CommitMerge(ctx context.Context, parents []types.VersionID, ch C
 // acknowledging; only then does it take s.mu to apply v. A commit that fails
 // before, a cancelled write included, leaves no trace (the graph has no
 // rollback); once the self-describing entry is durable the commit stands,
-// and Load replays it. A commit that fills the batch flushes.
+// and Open replays it. A commit that fills the batch flushes.
 func (s *Store) commit(ctx context.Context, parents []types.VersionID, derive func(v types.VersionID) (*types.Delta, error)) (types.VersionID, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -257,7 +248,7 @@ func (s *Store) commit(ctx context.Context, parents []types.VersionID, derive fu
 
 // applyVersion registers version v with the graph and the corpus — the one
 // "apply" of the persist-first rule: every caller has v's delta durable
-// (the commit paths just wrote it, Load just read it back). parents[0] ==
+// (the commit paths just wrote it, Open just read it back). parents[0] ==
 // InvalidVersion, or no parents, marks the root.
 func (s *Store) applyVersion(v types.VersionID, parents []types.VersionID, delta *types.Delta) error {
 	var got types.VersionID
@@ -284,7 +275,7 @@ func (s *Store) applyVersion(v types.VersionID, parents []types.VersionID, delta
 // validParents enforces every graph.AddVersion precondition — existing,
 // distinct parents — BEFORE the commit's durable delta write. The check
 // must be exhaustive: a delta entry written for a commit the graph then
-// rejects would sit at exactly the next version id, where Load's replay
+// rejects would sit at exactly the next version id, where Open's replay
 // would hit the same rejection and refuse to open the store.
 func validParents(g *vgraph.Graph, parents []types.VersionID) error {
 	for i, p := range parents {
@@ -477,7 +468,7 @@ func deltaKey(v types.VersionID) string { return fmt.Sprintf("d%08x", uint32(v))
 
 // encodeDeltaEntry / decodeDeltaEntry persist a version's parents and delta
 // in the write store. Carrying the parents makes each entry self-describing:
-// a commit acknowledged after the last flush is replayed on Load
+// a commit acknowledged after the last flush is replayed by the next Open
 // from its delta entry alone, honoring Commit's durability promise.
 func encodeDeltaEntry(parents []types.VersionID, d *types.Delta) []byte {
 	return codec.PutDelta(appendParents(nil, parents), d)

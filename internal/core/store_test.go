@@ -272,9 +272,9 @@ func TestEngineReload(t *testing.T) {
 	// SetBranch persisted the root; the pending tail (17 versions, batches
 	// of 5) is not in the placement log and replays from the delta store.
 
-	re, err := Load(context.Background(), Config{KV: kv, ChunkCapacity: 1024, BatchSize: 5})
+	re, err := Open(context.Background(), Config{KV: kv, ChunkCapacity: 1024, BatchSize: 5})
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	checkAllVersions(t, re, m)
 	if tip, err := re.Tip("dev"); err != nil || tip != 3 {
@@ -404,7 +404,7 @@ func TestEngineQueryStatsSanity(t *testing.T) {
 // A commit rejected by the version graph (duplicate parents) must leave no
 // trace — neither in memory nor, critically, in the delta store: a durably
 // written delta for a rejected commit would sit at exactly the next version
-// id, where Load's replay would hit the same rejection and refuse to open
+// id, where Open's replay would hit the same rejection and refuse to open
 // the store forever.
 func TestCommitDuplicateParentsLeavesNoTrace(t *testing.T) {
 	ctx := context.Background()
@@ -443,9 +443,9 @@ func TestCommitDuplicateParentsLeavesNoTrace(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Load(ctx, Config{KV: kv})
+	re, err := Open(ctx, Config{KV: kv})
 	if err != nil {
-		t.Fatalf("Load after rejected commit: %v", err)
+		t.Fatalf("Open after rejected commit: %v", err)
 	}
 	if rec, _, err := re.GetRecord(ctx, "a", v1); err != nil || string(rec.Value) != "1" {
 		t.Fatalf("reopened store: %q %v", rec.Value, err)
@@ -454,7 +454,7 @@ func TestCommitDuplicateParentsLeavesNoTrace(t *testing.T) {
 
 // TestSetBranchFailedRootLeavesNoTrace: SetBranch installs a branch only once
 // the root naming it is durable. One whose root write fails leaves Tip and
-// Branches as they were, and a later Checkpoint persists no trace of it.
+// Branches as they were, and a later flush's root persists no trace of it.
 func TestSetBranchFailedRootLeavesNoTrace(t *testing.T) {
 	ctx := context.Background()
 	st, kv, backends := openFaulty(t, 1)
@@ -473,15 +473,15 @@ func TestSetBranchFailedRootLeavesNoTrace(t *testing.T) {
 	if got := st.Branches(); !slices.Equal(got, []string{"main"}) {
 		t.Fatalf("branches after the failed SetBranch: %v, want [main]", got)
 	}
-	if err := st.Checkpoint(ctx); err != nil {
+	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Load(ctx, Config{KV: kv})
+	re, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := re.Branches(); !slices.Equal(got, []string{"main"}) {
-		t.Fatalf("branches after Checkpoint and Load: %v, want [main]", got)
+		t.Fatalf("branches after a flush and Open: %v, want [main]", got)
 	}
 }
 
@@ -489,7 +489,7 @@ func TestSetBranchFailedRootLeavesNoTrace(t *testing.T) {
 // given — the corpus serves pending reads from it and the flush codes chunks
 // from it. A caller that rewrites its buffers after Commit, CommitMerge or
 // CommitDelta returns changes no committed version: not read while pending,
-// not once the flush placed it, not after Load.
+// not once the flush placed it, not after Open.
 func TestCommitOwnsItsValues(t *testing.T) {
 	ctx := context.Background()
 	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
@@ -529,11 +529,11 @@ func TestCommitOwnsItsValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after the flush", st)
-	re, err := Load(ctx, Config{KV: kv})
+	re, err := Open(ctx, Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("after Load", re)
+	check("after Open", re)
 }
 
 // TestParentsBesideCommit: Parents and Depth read the version graph under the

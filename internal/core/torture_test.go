@@ -172,7 +172,7 @@ func TestTortureSoak(t *testing.T) {
 	}
 	checkpoint("after-more-commits")
 
-	re, err := Load(context.Background(), Config{KV: kv, ChunkCapacity: 512, BatchSize: 7})
+	re, err := Open(context.Background(), Config{KV: kv, ChunkCapacity: 512, BatchSize: 7})
 	if err != nil {
 		t.Fatalf("reload: %v", err)
 	}

@@ -186,10 +186,10 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 // order, skipping tombstones; values are copied before fn sees them.
 // Backend failures surface as the returned error.
 //
-// Scan feeds recovery (core's Load), so it must not silently present a
+// Scan feeds recovery (core's Open), so it must not silently present a
 // partial table: if enough nodes are unreachable that some key's entire
 // replica set may have been unobservable (at ReplicationFactor 1, any down
-// node), Scan errors instead of returning a truncated view — a Load over a
+// node), Scan errors instead of returning a truncated view — an Open over a
 // truncated view would re-issue version ids and overwrite acknowledged
 // commits. With fewer failures the sweep is complete and proceeds.
 //
@@ -209,7 +209,7 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 	// it beats is overwritten in place; tombstones buffer nothing). Holding
 	// the winners in memory is deliberate: the alternative — resolve
 	// timestamps first, then re-read each winner — costs one network round
-	// trip per key, and Scan's consumer (core's Load) is a whole-table
+	// trip per key, and Scan's consumer (core's Open) is a whole-table
 	// operation that buffers comparable state itself. A streaming
 	// merge-scan would need ordered per-node iteration, which engine.Backend
 	// does not promise.

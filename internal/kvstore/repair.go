@@ -40,7 +40,7 @@ import (
 //     between that re-check and the delete: a write landing in it goes with
 //     the tombstone from that replica, at rf 1 from the only one. This
 //     Store's writes wait out its repairs (placing), but a writer may
-//     rewrite a key it just deleted (core's Load deletes a crashed flush's
+//     rewrite a key it just deleted (core's Open deletes a crashed flush's
 //     chunks, and its next flush reuses their ids), so only a delete, a hint
 //     replay and a converge delivering the tombstone collect at once; a
 //     mere observation, maybe another client's, waits for tombGrace.

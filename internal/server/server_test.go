@@ -359,7 +359,7 @@ func TestHTTPFlushStatus(t *testing.T) {
 	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := core.Load(ctx, core.Config{KV: kv, ReadOnly: true})
+	ro, err := core.Open(ctx, core.Config{KV: kv, ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,11 +233,7 @@ func TestRemoteClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exists, err := rstore.Exists(context.Background(), kv2)
-	if err != nil || !exists {
-		t.Fatalf("Exists after reopen: %v %v", exists, err)
-	}
-	st2, err := rstore.Load(context.Background(), rstore.Config{KV: kv2})
+	st2, err := rstore.Open(context.Background(), rstore.Config{KV: kv2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +413,7 @@ func TestRemoteClusterLSMEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := rstore.Load(context.Background(), rstore.Config{KV: kv2})
+	st2, err := rstore.Open(context.Background(), rstore.Config{KV: kv2})
 	if err != nil {
 		t.Fatal(err)
 	}

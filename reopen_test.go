@@ -101,7 +101,7 @@ func TestStoreReopen(t *testing.T) {
 	}
 
 	kv = openLSM(t, dir)
-	re, err := rstore.Load(context.Background(), rstore.Config{KV: kv})
+	re, err := rstore.Open(context.Background(), rstore.Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestStoreReopen(t *testing.T) {
 	}
 	kv = openLSM(t, dir)
 	defer kv.Close()
-	re2, err := rstore.Load(context.Background(), rstore.Config{KV: kv})
+	re2, err := rstore.Open(context.Background(), rstore.Config{KV: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +161,22 @@ func TestStoreReopen(t *testing.T) {
 	}
 }
 
-// TestLoadMissingStore: loading an empty data directory fails with
-// ErrNotFound rather than fabricating an empty store.
-func TestLoadMissingStore(t *testing.T) {
+// TestOpenEmptyDirectory: an empty data directory opens as an empty store:
+// no version, main at no version, and the first commit is the root.
+func TestOpenEmptyDirectory(t *testing.T) {
 	kv := openLSM(t, t.TempDir())
 	defer kv.Close()
-	_, err := rstore.Load(context.Background(), rstore.Config{KV: kv})
-	if !errors.Is(err, rstore.ErrNotFound) {
-		t.Fatalf("load of empty dir: %v", err)
+	st, err := rstore.Open(context.Background(), rstore.Config{KV: kv})
+	if err != nil {
+		t.Fatalf("open of an empty dir: %v", err)
+	}
+	if n := st.NumVersions(); n != 0 {
+		t.Fatalf("an empty dir opened with %d versions", n)
+	}
+	if tip, err := st.Tip("main"); err != nil || tip != rstore.NoParent {
+		t.Fatalf("main in an empty store: %d, %v", tip, err)
+	}
+	if v, err := st.Commit(context.Background(), rstore.NoParent, rstore.Change{}); err != nil || v != 0 {
+		t.Fatalf("first commit: version %d, %v", v, err)
 	}
 }

@@ -30,6 +30,15 @@
 //	}})
 //	rec, _, _ := st.GetRecord(ctx, "patient-1", v1)
 //
+// # Durability
+//
+// A durable store lives in a cluster opened with OpenCluster (an lsm data
+// directory, or rstore-node daemons) and passed as Config.KV. Open is the
+// one call that opens it, the first time and every time after: it returns
+// what the cluster holds — the placed versions plus every commit
+// acknowledged since the last flush — or an empty store where it holds
+// none.
+//
 // # Contexts and streaming queries
 //
 // Every operation that touches the backing cluster takes a
@@ -112,19 +121,15 @@ var (
 	ErrNoHashRange = engine.ErrNoHashRange
 )
 
-// Open creates a store. With a zero Config it runs on a private single-node
-// in-process memory cluster, with Bottom-Up partitioning, 1 MiB chunks, and
-// no record-level compression; a durable or remote store runs on a cluster
-// opened with OpenCluster and passed as Config.KV. ctx bounds the open
-// itself, not the Store's lifetime.
+// Open opens the store kept in cfg.KV: what its root commits, plus the
+// commits acknowledged since the last flush, replayed; a cluster that holds
+// no store yet gives an empty one, whose root a writable Open writes at once.
+// With a zero Config it runs on a private single-node in-process memory
+// cluster, with Bottom-Up partitioning, 1 MiB chunks, and no record-level
+// compression; a durable or remote store runs on a cluster opened with
+// OpenCluster and passed as Config.KV, and reopening it is the same call.
+// ctx bounds the open itself, not the Store's lifetime.
 func Open(ctx context.Context, cfg Config) (*Store, error) { return core.Open(ctx, cfg) }
-
-// Load reopens a store persisted in cfg.KV; ctx bounds the recovery scans.
-func Load(ctx context.Context, cfg Config) (*Store, error) { return core.Load(ctx, cfg) }
-
-// Exists reports whether kv holds a persisted store, without the cost of a
-// full Load.
-func Exists(ctx context.Context, kv *kvstore.Store) (bool, error) { return core.Exists(ctx, kv) }
 
 // KeyRange is the bounded key range [lo, hi) for Store.GetRange.
 func KeyRange(lo, hi Key) Range { return core.KeyRange(lo, hi) }

@@ -83,8 +83,8 @@ func Example() {
 }
 
 // ExampleOpenCluster keeps a store on a durable lsm cluster: commit, close
-// the store and then the cluster, reopen the cluster and Load the store
-// back from its data directory.
+// the store and then the cluster, reopen the cluster and Open the store
+// again: the same call reads it back from its data directory.
 func ExampleOpenCluster() {
 	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "rstore-example")
@@ -123,7 +123,7 @@ func ExampleOpenCluster() {
 		log.Fatal(err)
 	}
 	defer kv.Close()
-	st, err = rstore.Load(ctx, rstore.Config{KV: kv})
+	st, err = rstore.Open(ctx, rstore.Config{KV: kv})
 	if err != nil {
 		log.Fatal(err)
 	}
