@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -404,7 +403,7 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		if int(v) < s.placed {
 			placedDeltas = append(placedDeltas, key)
 		} else {
-			deltas[types.VersionID(v)] = bytes.Clone(value)
+			deltas[types.VersionID(v)] = value
 		}
 		return true
 	})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,18 +43,14 @@ const aeFanout = engine.DefaultHashFanout
 //
 // One completed pair per tick bounds the background load to two tree sweeps
 // per interval regardless of cluster size; every pair is visited as ticks
-// accumulate. The loop runs on the repairer's lifecycle context, is only
-// started when ReplicationFactor > 1, and is stopped by Store.Close before
-// the repair workers it feeds.
+// accumulate. The loop is only started when ReplicationFactor > 1, and runs
+// on the repairer's lifecycle: its context, its stop and its wait group, so
+// Store.Close stops it with the repair workers it feeds.
 type antiEntropy struct {
 	s        *Store
 	interval time.Duration
 
 	pair int // round-robin cursor over replica pairs
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 
 	// Counters, surfaced through Stats.
 	syncs        atomic.Int64 // completed pair syncs
@@ -64,33 +59,17 @@ type antiEntropy struct {
 	bytesHashed  atomic.Int64 // key+value bytes digested by tree sweeps
 }
 
-func newAntiEntropy(s *Store, opts RepairOptions) *antiEntropy {
-	return &antiEntropy{
-		s:        s,
-		interval: opts.AntiEntropyInterval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-}
-
-func (a *antiEntropy) start() {
-	go a.run()
-}
-
-// close stops the loop and waits for an in-flight tick to finish, so no
-// sync touches node backends after Store.Close moves on to closing them.
-func (a *antiEntropy) close() {
-	a.stopOnce.Do(func() { close(a.stop) })
-	<-a.done
-}
-
+// run ticks until the repairer stops; it is counted in the repairer's wait
+// group, so no sync touches node backends after Store.Close moves on to
+// closing them.
 func (a *antiEntropy) run() {
-	defer close(a.done)
+	r := a.s.repair
+	defer r.wg.Done()
 	tick := time.NewTicker(a.interval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-a.stop:
+		case <-r.stop:
 			return
 		case <-tick.C:
 		}
@@ -108,7 +87,7 @@ func (a *antiEntropy) syncOnce() {
 	total := n * (n - 1) / 2
 	for tries := 0; tries < total; tries++ {
 		select {
-		case <-a.stop:
+		case <-a.s.repair.stop:
 			return
 		default:
 		}
@@ -158,7 +137,7 @@ func (a *antiEntropy) syncPair(ctx context.Context, i, j int) bool {
 	sort.Strings(tables)
 	for _, table := range tables {
 		select {
-		case <-a.stop:
+		case <-a.s.repair.stop:
 			return false
 		default:
 		}

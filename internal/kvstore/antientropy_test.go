@@ -266,13 +266,14 @@ func TestAntiEntropyCollectsOrphanTombstone(t *testing.T) {
 func TestAntiEntropyTickSyncsLivePair(t *testing.T) {
 	for start := 0; start < 3; start++ {
 		t.Run(fmt.Sprintf("cursor=%d", start), func(t *testing.T) {
-			s, backends := openRepair(t, 3, 3, fastAE())
+			opts := fastAE()
+			opts.AntiEntropyInterval = time.Hour // the tick below is the only one
+			s, backends := openRepair(t, 3, 3, opts)
 			ctx := context.Background()
 			if err := s.Put(ctx, "t", "k", []byte("v")); err != nil {
 				t.Fatal(err)
 			}
-			s.ae.close() // the tick below is the only one
-			a := newAntiEntropy(s, fastAE())
+			a := s.ae
 			a.pair = start
 			// Divergence behind the store's back on node 2, node 0 down: only
 			// the pair (1, 2) can find it.

@@ -27,8 +27,9 @@
 //   - one read (read.go, readReplicas): Get and MultiGet ask every replica of
 //     every key, in one batched request per node;
 //   - one verdict (verdict.go, judge): the winner, the losers to overwrite and
-//     whether all replicas agree — for reads, replicated Scans and the
-//     anti-entropy loop (antientropy.go) alike; repairer.settle queues a key
+//     whether all replicas agree — for reads, Scans (each key judged once
+//     its last replica has answered) and the anti-entropy loop
+//     (antientropy.go) alike; repairer.settle queues a key
 //     with losers, or with a tombstone a minute old all replicas agree on;
 //   - one repair (repair.go, converge), reusing the one read and the one
 //     verdict: read repair, anti-entropy repair, hint replay and tombstone
@@ -55,9 +56,9 @@
 //
 // # Value ownership
 //
-// Get and MultiGet return private copies the caller may retain and mutate.
-// Scan hands the callback values that may alias backend buffers — copy
-// before retaining (the envelopes are stripped either way). Entry values
+// Get and MultiGet return private copies the caller may retain and mutate,
+// and Scan hands the callback each value as its own copy (the envelopes are
+// stripped either way). Entry values
 // passed to Put/BatchPut are not retained after the call returns.
 //
 // # Storage reclaim

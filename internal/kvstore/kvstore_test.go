@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -225,35 +227,131 @@ func TestMultiGetPricesMissingKeysAtZeroBytes(t *testing.T) {
 	}
 }
 
+// TestScanVisitsEachKeyOnce: every live key is handed over once, with its
+// newest value, at every replication factor, and an early stop returns nil
+// and hands over nothing more. The rows make the same writes — an
+// overwrite, a delete, and bytes the store never wrote on a key's second
+// replica in ring order, which its first replica outvotes at rf 2 and 3 and
+// which is no replica of the key at rf 1 — so each hands over the same set.
 func TestScanVisitsEachKeyOnce(t *testing.T) {
-	s := open(t, 4, 3) // replication would triple naive scans
-	want := map[string]string{}
-	for i := 0; i < 150; i++ {
-		k := fmt.Sprintf("k%03d", i)
-		want[k] = k
-		s.Put(context.Background(), "t", k, []byte(k))
+	for _, tc := range []struct{ nodes, rf int }{
+		{4, 3}, // replication would triple naive scans
+		{3, 2},
+		{3, 1},
+	} {
+		t.Run(fmt.Sprintf("rf=%d", tc.rf), func(t *testing.T) {
+			s, backends := openMem(t, Config{Nodes: tc.nodes, ReplicationFactor: tc.rf})
+			ctx := context.Background()
+			want := map[string]string{}
+			for i := 0; i < 150; i++ {
+				k := fmt.Sprintf("k%03d", i)
+				want[k] = k
+				if err := s.Put(ctx, "t", k, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Put(ctx, "t", "k000", []byte("overwritten")); err != nil {
+				t.Fatal(err)
+			}
+			want["k000"] = "overwritten"
+			if err := s.Delete(ctx, "t", "k001"); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, "k001")
+			if err := backends[s.ring.replicas("k002", 2)[1]].Put(ctx, "t", "k002", []byte("garbage")); err != nil {
+				t.Fatal(err)
+			}
+
+			got := map[string]string{}
+			if err := s.Scan(ctx, "t", func(k string, v []byte) bool {
+				if _, dup := got[k]; dup {
+					t.Fatalf("key %s visited twice", k)
+				}
+				got[k] = string(v)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("scanned %d keys, want %d: %v", len(got), len(want), got)
+			}
+
+			count := 0
+			if err := s.Scan(ctx, "t", func(string, []byte) bool { count++; return count < 5 }); err != nil || count != 5 {
+				t.Fatalf("early stop visited %d, %v", count, err)
+			}
+		})
 	}
-	got := map[string]int{}
-	s.Scan(context.Background(), "t", func(k string, v []byte) bool {
-		got[k]++
-		if string(v) != want[k] {
-			t.Fatalf("scan %s = %q", k, v)
-		}
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("scanned %d keys, want %d", len(got), len(want))
-	}
-	for k, n := range got {
-		if n != 1 {
-			t.Fatalf("key %s visited %d times", k, n)
-		}
-	}
-	// Early stop.
-	count := 0
-	s.Scan(context.Background(), "t", func(string, []byte) bool { count++; return count < 5 })
-	if count != 5 {
-		t.Fatalf("early stop visited %d", count)
+}
+
+// scanHook calls before when its backend's sweep of a table begins.
+type scanHook struct {
+	engine.Backend
+	before func(table string)
+}
+
+func (b scanHook) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
+	b.before(table)
+	return b.Backend.Scan(ctx, table, fn)
+}
+
+// TestScanHandsKeyOverOnceItsReplicasAnswer: Scan hands a key over as soon
+// as the last of its replicas has answered, not once every node has. At rf
+// 2 on 3 nodes, every key replicated on nodes 0 and 1 has been handed over
+// before node 2's sweep begins; at rf 1 on 2 nodes, node 0's keys before
+// node 1's sweep.
+func TestScanHandsKeyOverOnceItsReplicasAnswer(t *testing.T) {
+	for _, tc := range []struct{ nodes, rf int }{{3, 2}, {2, 1}} {
+		t.Run(fmt.Sprintf("rf=%d", tc.rf), func(t *testing.T) {
+			ctx := context.Background()
+			last := tc.nodes - 1
+			seen := map[string]bool{}
+			var early, missed []string // keys with no replica on the last node; those not yet seen
+			swept := false
+			s, err := Open(ctx, Config{Nodes: tc.nodes, ReplicationFactor: tc.rf,
+				NewBackend: func(id int) (engine.Backend, error) {
+					if id != last {
+						return memory.New(), nil
+					}
+					return scanHook{memory.New(), func(table string) {
+						if table != "t" {
+							return
+						}
+						swept = true
+						for _, k := range early {
+							if !seen[k] {
+								missed = append(missed, k)
+							}
+						}
+					}}, nil
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < 60; i++ {
+				k := fmt.Sprintf("k%02d", i)
+				if err := s.Put(ctx, "t", k, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Contains(s.ring.replicas(k, tc.rf), last) {
+					early = append(early, k)
+				}
+			}
+			if len(early) == 0 {
+				t.Fatal("every key has a replica on the last node: the test checks nothing")
+			}
+			if err := s.Scan(ctx, "t", func(k string, _ []byte) bool { seen[k] = true; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if !swept || len(seen) != 60 {
+				t.Fatalf("node %d swept: %v; %d keys handed over, want 60", last, swept, len(seen))
+			}
+			if len(missed) > 0 {
+				t.Fatalf("%d of %d keys without a replica on node %d were not handed over before its sweep began: %v",
+					len(missed), len(early), last, missed)
+			}
+		})
 	}
 }
 

@@ -263,9 +263,10 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		s.repair.recoverHints(ctx)
 		if cfg.Repair.AntiEntropyInterval > 0 {
 			// Started after the repairer: the loop routes every repair it
-			// finds through the repairer's workers and lifecycle context.
-			s.ae = newAntiEntropy(s, cfg.Repair)
-			s.ae.start()
+			// finds through the repairer's workers and runs on its lifecycle.
+			s.ae = &antiEntropy{s: s, interval: cfg.Repair.AntiEntropyInterval}
+			s.repair.wg.Add(1)
+			go s.ae.run()
 		}
 	}
 	// A remote node recovering from probation (breaker closing) kicks hint
@@ -371,11 +372,8 @@ func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	if s.ae != nil {
-		// Stop the anti-entropy loop before the repairer it enqueues into.
-		s.ae.close()
-	}
-	// Stop repair workers before their nodes' backends go away.
+	// Stop the repair workers, the hint drain and the anti-entropy loop
+	// before their nodes' backends go away.
 	s.repair.close()
 	var errs []error
 	for _, n := range s.nodes {

@@ -183,59 +183,84 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 }
 
 // Scan visits every live key/value of a table exactly once, in unspecified
-// order, skipping tombstones; values are copied before fn sees them.
-// Backend failures surface as the returned error.
+// order, skipping tombstones. Each value fn sees is its own copy, which fn
+// may keep. Backend failures surface as the returned error, and fn may have
+// seen keys before Scan returns one.
 //
 // Scan feeds recovery (core's Open), so it must not silently present a
-// partial table: if enough nodes are unreachable that some key's entire
+// partial table: once enough nodes are unreachable that some key's entire
 // replica set may have been unobservable (at ReplicationFactor 1, any down
-// node), Scan errors instead of returning a truncated view — an Open over a
-// truncated view would re-issue version ids and overwrite acknowledged
-// commits. With fewer failures the sweep is complete and proceeds.
+// node), Scan errors instead of going on with a truncated view — an Open
+// over a truncated view would re-issue version ids and overwrite
+// acknowledged commits. With fewer failures the sweep is complete.
 //
-// Without replication each node streams its own keys. With replication the
-// primary-owned restriction would be wrong twice over — a key's primary may
-// be down (its replicas still hold the data) or freshly restarted and stale
-// (holding an old version) — so Scan sweeps every reachable node and serves
-// each key's winning version, judged as a read judges it (verdict.go).
+// The sweep visits the nodes in id order, and a key is decided from the
+// replicas that hold it, as a read decides it (verdict.go): once the last of
+// its replicas has answered — in that node's callback when the node reports
+// the key, or at the end of the node's sweep when it does not — the key is
+// judged, settled (stale or missing replicas are queued for read repair, an
+// aged tombstone for collection) and handed to fn. Only a key some replica
+// has reported and a later one has yet to answer is held, with a copy of
+// its newest version so far; at ReplicationFactor 1 a key's one replica is
+// also its last, so the sweep streams.
 func (s *Store) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
-	if s.cfg.ReplicationFactor <= 1 {
-		return s.scanUnreplicated(ctx, table, fn)
-	}
-
-	// Sweep all reachable nodes, recording what each of a key's replicas
-	// holds and retaining a copy of the newest version seen so far (scan
-	// values alias backend buffers, so the leader must be copied; a version
-	// it beats is overwritten in place; tombstones buffer nothing). Holding
-	// the winners in memory is deliberate: the alternative — resolve
-	// timestamps first, then re-read each winner — costs one network round
-	// trip per key, and Scan's consumer (core's Open) is a whole-table
-	// operation that buffers comparable state itself. A streaming
-	// merge-scan would need ordered per-node iteration, which engine.Backend
-	// does not promise.
-	//
-	// The recorded observations make the sweep a whole-table divergence
-	// detector: each key is judged once the sweep is over, and stale or
-	// missing replicas are queued for read repair.
-	seen := make(map[string]*scanKey)
+	rf := s.cfg.ReplicationFactor
+	waiting := make([]map[string]*scanKey, len(s.nodes)) // by the id of the key's last replica
 	unreachable := make([]bool, len(s.nodes))
 	unavailable := 0
+	var direct scanKey // a key reported by its last replica, with nothing held
+	var replicas []int // the reported key's, reused from key to key
+	var failed error
+	stopped := false
+	// hand judges a key every replica of which has answered and hands its
+	// winner to fn. What a node reported before its sweep failed stands;
+	// what it did not report is unknown, not absent.
+	hand := func(k string, sk *scanKey) bool {
+		for j, o := range sk.obs {
+			if o.state == obsAbsent && unreachable[o.node] {
+				sk.obs[j].state = obsUnreachable
+			}
+		}
+		v := judge(sk.obs)
+		if v.win < 0 {
+			// Some replica reported the key, so none parsed.
+			failed = fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
+			return false
+		}
+		s.repair.settle(table, k, sk.obs, v, !s.repair.opts.DisableReadRepair)
+		if !sk.obs[v.win].tomb && !fn(k, sk.value) {
+			stopped = true
+		}
+		return !stopped
+	}
 	for _, n := range s.nodes {
 		err := n.be.Scan(ctx, table, func(k string, raw []byte) bool {
-			sk := seen[k]
-			if sk == nil {
-				replicas := s.ring.replicas(k, s.cfg.ReplicationFactor)
-				sk = &scanKey{obs: make([]observation, len(replicas)), lead: -1}
-				for j, r := range replicas {
-					sk.obs[j] = observation{node: r, state: obsAbsent}
-				}
-				seen[k] = sk
-			}
-			j := slices.IndexFunc(sk.obs, func(o observation) bool { return o.node == n.id })
+			replicas = s.ring.replicasInto(replicas, k, rf)
+			j := slices.Index(replicas, n.id)
 			if j < 0 {
 				// A copy on a node the ring does not place the key on is no
 				// replica's answer: reads never consult it either.
 				return true
+			}
+			last := slices.Max(replicas)
+			sk := waiting[last][k]
+			switch {
+			case sk != nil && last == n.id:
+				delete(waiting[last], k)
+			case sk == nil:
+				sk = &direct
+				if last != n.id {
+					sk = &scanKey{}
+					if waiting[last] == nil {
+						waiting[last] = make(map[string]*scanKey)
+					}
+					waiting[last][k] = sk
+				}
+				// The value starts empty: each key handed gets its own copy.
+				*sk = scanKey{obs: sk.obs[:0], lead: -1}
+				for _, r := range replicas {
+					sk.obs = append(sk.obs, observation{node: r, state: obsAbsent})
+				}
 			}
 			var payload []byte
 			sk.obs[j], payload = observe(n.id, raw, true, nil)
@@ -243,107 +268,41 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 				sk.lead = j
 				sk.value = append(sk.value[:0], payload...)
 			}
-			return true
+			return last != n.id || hand(k, sk)
 		})
+		if failed != nil || stopped {
+			return failed
+		}
 		if isUnavailable(err) {
 			unreachable[n.id] = true
-			unavailable++
-			continue
-		}
-		if err != nil {
+			if unavailable++; unavailable >= rf {
+				// Every key has ReplicationFactor distinct replicas, so with
+				// fewer nodes down each key was observable on at least one;
+				// at that threshold some key may have had no reachable
+				// replica.
+				return fmt.Errorf("kvstore: scan %s: %d nodes unavailable at replication factor %d: view would be incomplete: %w",
+					table, unavailable, rf, engine.ErrUnavailable)
+			}
+		} else if err != nil {
 			return fmt.Errorf("kvstore: scan %s: %w", table, err)
 		}
-	}
-	if unavailable >= s.cfg.ReplicationFactor {
-		// Every key has ReplicationFactor distinct replicas, so with fewer
-		// nodes down each key was observable on at least one; at or past
-		// that threshold some key may have had no reachable replica.
-		return fmt.Errorf("kvstore: scan %s: %d nodes unavailable at replication factor %d: view would be incomplete: %w",
-			table, unavailable, s.cfg.ReplicationFactor, engine.ErrUnavailable)
-	}
-
-	// Judge every key before fn sees any, so a table that cannot be served
-	// whole is refused whole. What a node reported before its scan failed
-	// stands; what it did not report is unknown, not absent.
-	for k, sk := range seen {
-		for j, o := range sk.obs {
-			if o.state == obsAbsent && unreachable[o.node] {
-				sk.obs[j].state = obsUnreachable
+		for k, sk := range waiting[n.id] {
+			if !hand(k, sk) {
+				return failed
 			}
 		}
-		v := judge(sk.obs)
-		if v.corrupt {
-			return fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
-		}
-		if v.win >= 0 {
-			s.repair.settle(table, k, sk.obs, v, !s.repair.opts.DisableReadRepair)
-		}
-		if v.win < 0 || sk.obs[v.win].tomb {
-			delete(seen, k)
-		}
-	}
-	for k, sk := range seen {
-		if !fn(k, sk.value) {
-			return nil
-		}
+		waiting[n.id] = nil
 	}
 	return nil
 }
 
-// scanKey is a replicated Scan's per-key state: one observation per replica
-// of the key (ring order; absent until the replica's node reports it), and
-// the payload of the newest version reported so far, obs[lead] — which is
-// the winner judge picks once every node has reported.
+// scanKey is what Scan holds of a key until its last replica answers: one
+// observation per replica of the key (ring order; absent until the
+// replica's node reports it), and a copy of the newest version reported so
+// far, obs[lead] — which is the winner judge picks once every replica has
+// answered.
 type scanKey struct {
 	obs   []observation
 	lead  int
 	value []byte
-}
-
-// scanUnreplicated streams each node's primarily-owned keys — with one
-// replica per key there is nothing to reconcile, so no buffering is
-// needed, but any unreachable node makes the view incomplete. A tombstone
-// it skips is its one replica's whole state, so it is collected once older
-// than tombGrace, as settle would.
-func (s *Store) scanUnreplicated(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
-	stop := false
-	var envErr error
-	for _, n := range s.nodes {
-		if stop || envErr != nil {
-			break
-		}
-		err := n.be.Scan(ctx, table, func(k string, v []byte) bool {
-			if s.ring.primary(k) != n.id {
-				return true // visited via its primary owner
-			}
-			payload, ts, tomb, err := unenvelope(v)
-			if err != nil {
-				envErr = err
-				return false
-			}
-			if tomb {
-				if aged(ts) {
-					s.repair.enqueue(repairTask{table: table, key: k})
-				}
-				return true
-			}
-			cp := make([]byte, len(payload))
-			copy(cp, payload)
-			if !fn(k, cp) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if isUnavailable(err) {
-			return fmt.Errorf("kvstore: scan %s: node %d unavailable with no replicas: view would be incomplete: %w", table, n.id, engine.ErrUnavailable)
-		}
-		if err != nil {
-			return fmt.Errorf("kvstore: scan %s: %w", table, err)
-		}
-	}
-	if envErr != nil {
-		return fmt.Errorf("kvstore: scan %s: %w", table, envErr)
-	}
-	return nil
 }

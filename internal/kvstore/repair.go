@@ -19,10 +19,10 @@ import (
 // winner to the losers, and collects a tombstone every replica then holds.
 // Its triggers:
 //
-//   - Read repair: a replicated read (Get, MultiGet), a replicated Scan or
-//     an anti-entropy sweep whose verdict (verdict.go) has losers — replicas
-//     holding an older version, nothing, a value a tombstone deleted, or
-//     bytes that are no envelope — queues the key (settle) for a worker.
+//   - Read repair: a read (Get, MultiGet), a Scan or an anti-entropy sweep
+//     whose verdict (verdict.go) has losers — replicas holding an older
+//     version, nothing, a value a tombstone deleted, or bytes that are no
+//     envelope — queues the key (settle) for a worker.
 //
 //   - Hinted handoff (hints.go): a write that had to skip a down replica
 //     parks a hint naming the key beside a replica that took it; when the
@@ -204,9 +204,9 @@ func (r *repairer) placing(table string, entries []Entry) (done func()) {
 	}
 }
 
-// close stops the workers and the drain loop and waits for in-flight
-// repair operations to finish (they are bounded: per-op transports either
-// fail fast or retry a bounded number of times).
+// close stops the workers, the drain loop and the anti-entropy loop and
+// waits for in-flight repair operations to finish (they are bounded: per-op
+// transports either fail fast or retry a bounded number of times).
 func (r *repairer) close() {
 	r.stopOnce.Do(func() {
 		close(r.stop)

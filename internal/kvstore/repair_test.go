@@ -1015,30 +1015,52 @@ func TestLWWTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-// TestScanValueIsolation pins the ownership contract of Store.Scan: the
-// values handed to fn are copies — mutating or retaining them cannot
-// corrupt backend state, on either the replicated or the unreplicated
-// path (the memory engine's backend-level Scan DOES alias its storage).
+// TestScanValueIsolation pins the ownership contract of Store.Scan: every
+// value handed to fn is its own copy — retaining one keeps it as it was
+// handed over, whatever the sweep hands over after it, and mutating it
+// cannot corrupt backend state (the memory engine's backend-level Scan DOES
+// alias its storage). At rf 2, keys are handed over both as their last
+// replica reports them and at the end of its sweep, and a key whose first
+// replica lost it is decided from its last alone.
 func TestScanValueIsolation(t *testing.T) {
 	for _, rf := range []int{1, 2} {
-		s, _ := openRepair(t, 2, rf, RepairOptions{DisableReadRepair: true, DisableHints: true})
+		s, backends := openRepair(t, 3, rf, RepairOptions{DisableReadRepair: true, DisableHints: true})
 		ctx := context.Background()
-		if err := s.Put(ctx, "t", "k", []byte("pristine")); err != nil {
-			t.Fatal(err)
-		}
-		var retained []byte
-		if err := s.Scan(ctx, "t", func(_ string, v []byte) bool {
-			retained = v
-			for i := range v {
-				v[i] = 'X' // hostile consumer scribbles on the value
+		want := map[string]string{}
+		for i := 0; i < 40; i++ {
+			k := fmt.Sprintf("k%02d", i)
+			want[k] = fmt.Sprintf("pristine-%02d", i)
+			if err := s.Put(ctx, "t", k, []byte(want[k])); err != nil {
+				t.Fatal(err)
 			}
+			if rf > 1 && i%4 == 0 {
+				if err := backends[s.ring.replicas(k, rf)[0]].Delete(ctx, "t", k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		retained := map[string][]byte{}
+		if err := s.Scan(ctx, "t", func(k string, v []byte) bool {
+			retained[k] = v
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if got, err := s.Get(ctx, "t", "k"); err != nil || string(got) != "pristine" {
-			t.Fatalf("rf=%d: backend corrupted through scan value: %q %v", rf, got, err)
+		if len(retained) != len(want) {
+			t.Fatalf("rf=%d: scanned %d keys, want %d", rf, len(retained), len(want))
 		}
-		_ = retained
+		for k, v := range retained {
+			if string(v) != want[k] {
+				t.Fatalf("rf=%d: %s retained as %q, now %q", rf, k, want[k], v)
+			}
+			for i := range v {
+				v[i] = 'X' // hostile consumer scribbles on the value
+			}
+		}
+		for k := range want {
+			if got, err := s.Get(ctx, "t", k); err != nil || string(got) != want[k] {
+				t.Fatalf("rf=%d: backend corrupted through scan value: %s = %q %v", rf, k, got, err)
+			}
+		}
 	}
 }

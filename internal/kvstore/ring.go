@@ -45,6 +45,11 @@ func mix64(x uint64) uint64 {
 // replicas returns the first rf distinct nodes clockwise from the key's hash
 // position, in preference order.
 func (r *ring) replicas(key string, rf int) []int {
+	return r.replicasInto(nil, key, rf)
+}
+
+// replicasInto is replicas, returned in buf's storage when it has room.
+func (r *ring) replicasInto(buf []int, key string, rf int) []int {
 	if rf > r.nodes {
 		rf = r.nodes
 	}
@@ -53,7 +58,10 @@ func (r *ring) replicas(key string, rf int) []int {
 	if i == len(r.points) {
 		i = 0
 	}
-	out := make([]int, 0, rf)
+	out := buf[:0]
+	if cap(out) < rf {
+		out = make([]int, 0, rf)
+	}
 	seen := make(map[int]struct{}, rf)
 	for len(out) < rf {
 		p := r.points[i]

@@ -2,10 +2,10 @@ package kvstore
 
 // The divergence verdict: the one place that decides, from what a key's
 // replicas answered, which version wins, which replicas must be overwritten
-// with it, and whether they were all seen to agree. The read path, a
-// replicated Scan and the anti-entropy loop gather observations their own
-// way and all hand them to judge; what a verdict sets in motion is
-// repairer.settle's business (repair.go).
+// with it, and whether they were all seen to agree. The read path, Scan and
+// the anti-entropy loop gather observations their own way and all hand them
+// to judge; what a verdict sets in motion is repairer.settle's business
+// (repair.go).
 
 // replicaState is how one replica answered for one key.
 type replicaState uint8
