@@ -2,10 +2,9 @@
 // for tests, a volatile -backend memory) served over TCP with the engine
 // wire protocol, so a cluster of real machines can replace the
 // in-process simulator. Point a cluster at a set of nodes with `-backend
-// remote -node-addrs host1:7420,host2:7420,...` on cmd/rstore,
-// cmd/rstore-server, or cmd/rstore-bench (or
-// rstore.ClusterConfig{Engine: rstore.EngineRemote, NodeAddrs: ...} from
-// the library).
+// remote -node-addrs host1:7420,host2:7420,...` on cmd/rstore or
+// cmd/rstore-server (or rstore.ClusterConfig{Engine: rstore.EngineRemote,
+// NodeAddrs: ...} from the library).
 //
 // Usage:
 //

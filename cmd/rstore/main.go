@@ -44,10 +44,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "rstore:", err)
+		fmt.Fprintln(os.Stderr, "rstore:", libError{err})
 		os.Exit(1)
 	}
 }
+
+// libError is an error of the rstore library as the CLI reports it. The
+// library's errors name it ("rstore: ..."), and so does the line main
+// prints, so the name is dropped here to appear once.
+type libError struct{ error }
+
+func (e libError) Error() string { return strings.TrimPrefix(e.error.Error(), "rstore: ") }
+func (e libError) Unwrap() error { return e.error }
 
 func run(ctx context.Context, args []string) error {
 	global := flag.NewFlagSet("rstore", flag.ContinueOnError)
@@ -348,7 +356,7 @@ func (e cliEnv) open(ctx context.Context) (*kvstore.Store, *rstore.Store, error)
 	st, err := rstore.Open(ctx, rstore.Config{KV: kv})
 	if err != nil {
 		kv.Close()
-		return nil, nil, fmt.Errorf("open store %s: %w", e.where(), err)
+		return nil, nil, fmt.Errorf("open store %s: %w", e.where(), libError{err})
 	}
 	return kv, st, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"rstore"
+	"rstore/internal/engine/memory"
+	"rstore/internal/engine/remote/engined"
 )
 
 // runCLI drives the command on its default backend, lsm in the data
@@ -260,6 +263,41 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := runCLI(t, data, "checkout"); err == nil {
 		t.Fatal("checkout without version accepted")
+	}
+}
+
+// TestCLIOpenErrorNamesRstoreOnce: a store whose root cannot be read — its
+// daemons are gone — fails to open with the store's nodes and the cause in
+// the message, and the line main prints says "rstore:" once, though the
+// library's error names it too.
+func TestCLIOpenErrorNamesRstoreOnce(t *testing.T) {
+	var addrs []string
+	var srvs []*engined.Server
+	for range 2 {
+		srv, err := engined.Start("127.0.0.1:0", memory.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs = append(srvs, srv)
+		addrs = append(addrs, srv.Addr().String())
+	}
+	data := t.TempDir()
+	cluster := []string{"-backend", "remote", "-node-addrs", strings.Join(addrs, ",")}
+	if err := runCLI(t, data, append(cluster, "init")...); err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range srvs {
+		srv.Close()
+	}
+	err := runCLI(t, data, append(cluster, "log")...)
+	if err == nil {
+		t.Fatal("log with every daemon down succeeded")
+	}
+	line := fmt.Sprintln("rstore:", libError{err})
+	if !strings.HasPrefix(line, "rstore: open store nodes "+strings.Join(addrs, ",")+": ") ||
+		!strings.Contains(line, "all replicas down") || strings.Count(line, "rstore:") != 1 {
+		t.Fatalf("printed %q, want one \"rstore:\", the nodes and the cause", line)
 	}
 }
 

@@ -31,7 +31,8 @@
 // unsynced calls carry only repair write-backs (one lost leaves a replica as
 // diverged as it was found, to be found again), the removal of spent hints
 // and collected tombstones (one lost is repeated: replay and collection are
-// idempotent) and the remote geometry pin (rewritten by the next open).
+// idempotent) and the cluster pin of an lsm or remote cluster (rewritten by
+// the next open).
 //
 // # Deployment caveat: one logical writer
 //

@@ -332,8 +332,7 @@ func (b *Backend) replayLog(seq int64, table string, named bool) error {
 
 // removeDebris deletes every lsm-owned file (sst-*.sst, wal-*.log, *.tmp)
 // not in referenced, except the logs numbered firstUnnamed or later, whose
-// sequence numbers it returns. Foreign files (GEOMETRY and friends) are
-// left alone.
+// sequence numbers it returns. Foreign files are left alone.
 func (b *Backend) removeDebris(referenced map[string]bool, firstUnnamed int64) (unnamed []int64, err error) {
 	names, err := b.fs.ReadDir(b.dir)
 	if err != nil {

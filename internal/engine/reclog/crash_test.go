@@ -9,11 +9,11 @@ import (
 	"rstore/internal/engine/reclog"
 )
 
-// TestWriteFileAtomicCrashAnywhere replaces a file — the lsm MANIFEST,
-// kvstore's GEOMETRY — with a crash after every mutating call, over none and
-// over an older file, with a stale .tmp longer than either in the way. Each
-// process-death and each power-loss image holds the old file (or none) or
-// the new one, whole, beside at most a .tmp, which the next call truncates.
+// TestWriteFileAtomicCrashAnywhere replaces a file — the lsm MANIFEST —
+// with a crash after every mutating call, over none and over an older file,
+// with a stale .tmp longer than either in the way. Each process-death and
+// each power-loss image holds the old file (or none) or the new one, whole,
+// beside at most a .tmp, which the next call truncates.
 func TestWriteFileAtomicCrashAnywhere(t *testing.T) {
 	const dir, path = "/data", "/data/FILE"
 	write := func(s string) func(io.Writer) error {

@@ -211,35 +211,6 @@ func TestOpenUnknownEngineFails(t *testing.T) {
 	}
 }
 
-// TestGeometryPinned: a data directory records the node count it was
-// created with; reopening with a different count would rehash keys onto
-// the wrong nodes, so it must refuse.
-func TestGeometryPinned(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(context.Background(), Config{Nodes: 3, Engine: EngineLSM, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(context.Background(), "t", "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(context.Background(), Config{Nodes: 2, Engine: EngineLSM, Dir: dir}); err == nil {
-		t.Fatal("reopen with different node count accepted")
-	}
-	// Same geometry reopens fine; rf changes are allowed.
-	r, err := Open(context.Background(), Config{Nodes: 3, ReplicationFactor: 2, Engine: EngineLSM, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got, err := r.Get(context.Background(), "t", "k"); err != nil || string(got) != "v" {
-		t.Fatalf("k = %q, %v", got, err)
-	}
-}
-
 // spyBackend counts how a node's backend is written to.
 type spyBackend struct {
 	engine.Backend

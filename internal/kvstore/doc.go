@@ -45,10 +45,11 @@
 // repair and tombstone GC issue would interleave under concurrent writing
 // clients (see the internal/engine package comment). Deployments enforce
 // this with the data directory's flock locally and by convention (one
-// rstore-server per daemon set) remotely; the !cluster table pins each
-// daemon's ring position, the cluster shape, and the replication factor so
-// a client opening with a reordered/resized address list or a different
-// -rf is refused instead of silently corrupting placement or replication.
+// rstore-server per daemon set) remotely; the !cluster table pins each lsm
+// node's or daemon's ring position, the cluster shape, and the replication
+// factor so a client opening with a reordered/resized node list or a
+// different -rf is refused instead of silently corrupting placement or
+// replication.
 // A client that only reads (core's read-only replicas) still writes: it
 // writes back the losers it observes, and collects the tombstones it sees
 // on every replica once older than tombGrace (younger ones are left to

@@ -27,8 +27,8 @@ type node struct {
 	// rc is be again, as its concrete type, for the nodes kvstore dialed
 	// itself (EngineRemote without Config.NewBackend), and nil otherwise.
 	// It is the one fact the remote-cluster behaviours key on: an erroring
-	// storage probe, geometry pins on the daemons, and the breaker's
-	// recovery listener that kicks the hint drain.
+	// storage probe and the breaker's recovery listener that kicks the hint
+	// drain.
 	rc *remote.Client
 }
 

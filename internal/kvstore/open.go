@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -13,7 +11,6 @@ import (
 	"rstore/internal/engine"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
-	"rstore/internal/engine/reclog"
 	"rstore/internal/engine/remote"
 )
 
@@ -82,7 +79,7 @@ func (cfg *Config) opener() (func(id int) (*node, error), error) {
 			// budget instead of N private ones sized blind to each other.
 			cache := lsm.NewBlockCache(0)
 			mk = func(id int) (engine.Backend, error) {
-				return lsm.Open(filepath.Join(cfg.Dir, fmt.Sprintf("node-%d", id)), lsm.Options{Cache: cache})
+				return lsm.Open(cfg.nodeDir(id), lsm.Options{Cache: cache})
 			}
 		case EngineRemote:
 			if cfg.Nodes <= 0 {
@@ -115,6 +112,11 @@ func (cfg *Config) opener() (func(id int) (*node, error), error) {
 	}, nil
 }
 
+// nodeDir is the data directory of EngineLSM's node id.
+func (cfg *Config) nodeDir(id int) string {
+	return filepath.Join(cfg.Dir, fmt.Sprintf("node-%d", id))
+}
+
 // SplitNodeAddrs parses a comma-separated daemon address list into
 // Config.NodeAddrs form, trimming whitespace and dropping empty elements.
 // The CLIs share it so -node-addrs handling cannot diverge.
@@ -128,63 +130,9 @@ func SplitNodeAddrs(list string) []string {
 	return out
 }
 
-// geometryFile records the cluster shape a disk-backed data directory was
-// created with, plus the stored-value format. Keys hash onto nodes by the
-// ring, so reopening a directory with a different node count would look up
-// keys on the wrong nodes and silently present a partial (or empty) store;
-// refuse instead. The format tag exists because raw (pre-LWW) values would
-// not fail cleanly through unenvelope — a raw value starting with a 0x00
-// or 0x01 byte would be silently misparsed — so a directory without the
-// current tag must be refused outright, not read. The replication factor
-// is not pinned: the primary replica stays first under any rf, so reads
-// keep finding their data.
-const (
-	geometryFile = "GEOMETRY"
-	// storedFormat names the on-backend value encoding; bump when it
-	// changes incompatibly. "lww1" is the envelope of lww.go.
-	storedFormat = "lww1"
-)
-
-func checkGeometry(dir string, nodes int) error {
-	if err := reclog.MkdirAll(reclog.OS, dir); err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	path := filepath.Join(dir, geometryFile)
-	b, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return writeGeometry(path, nodes)
-	}
-	if err != nil {
-		return fmt.Errorf("kvstore: %w", err)
-	}
-	var got int
-	var format string
-	if _, err := fmt.Sscanf(string(b), "nodes=%d format=%s", &got, &format); err != nil {
-		// A bare "nodes=N" line is a directory written before value
-		// formats existed (raw values, unreadable now).
-		if _, err := fmt.Sscanf(string(b), "nodes=%d", &got); err == nil {
-			return fmt.Errorf("kvstore: data directory %s was written with a pre-%s value format and cannot be read; recreate it", dir, storedFormat)
-		}
-		return fmt.Errorf("kvstore: corrupt geometry file %s: %q", path, b)
-	}
-	if format != storedFormat {
-		return fmt.Errorf("kvstore: data directory %s uses value format %q, this build reads %q", dir, format, storedFormat)
-	}
-	if got != nodes {
-		return fmt.Errorf("kvstore: data directory %s was created with %d nodes, reopened with %d", dir, got, nodes)
-	}
-	return nil
-}
-
-// writeGeometry durably records the node count, atomically: a crash leaves
-// no GEOMETRY or a whole one, never an empty file that would wedge the
-// directory as "corrupt".
-func writeGeometry(path string, nodes int) error {
-	return reclog.WriteFileAtomic(reclog.OS, path, func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, "nodes=%d format=%s\n", nodes, storedFormat)
-		return err
-	})
-}
+// storedFormat names the on-backend value encoding; bump when it changes
+// incompatibly. "lww1" is the envelope of lww.go.
+const storedFormat = "lww1"
 
 // Store is an in-process distributed key-value store: the substrate RStore
 // persists chunks, chunk maps, indexes, and delta batches into. It exposes
@@ -217,8 +165,10 @@ type Store struct {
 }
 
 // Open creates a cluster, opening one backend (or wire client) per node.
-// ctx bounds the open itself — the remote geometry probe and durable-hint
-// recovery round-trips — not the lifetime of the returned Store.
+// An lsm or remote cluster checks its shape against the pin each node holds,
+// and pins it on a node that holds none (pinCluster). ctx bounds the open
+// itself — the pin round-trips and durable-hint recovery — not the lifetime
+// of the returned Store.
 func Open(ctx context.Context, cfg Config) (*Store, error) {
 	open, err := cfg.opener()
 	if err != nil {
@@ -233,13 +183,8 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	if cfg.ReplicationFactor > cfg.Nodes {
 		cfg.ReplicationFactor = cfg.Nodes
 	}
-	if cfg.NewBackend == nil && cfg.Engine == EngineLSM {
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("kvstore: engine %q needs Config.Dir", cfg.Engine)
-		}
-		if err := checkGeometry(cfg.Dir, cfg.Nodes); err != nil {
-			return nil, err
-		}
+	if cfg.NewBackend == nil && cfg.Engine == EngineLSM && cfg.Dir == "" {
+		return nil, fmt.Errorf("kvstore: engine %q needs Config.Dir", cfg.Engine)
 	}
 	s := &Store{cfg: cfg, ring: newRing(cfg.Nodes)}
 	// Built before any node opens: Close, which the failure paths below
@@ -253,7 +198,7 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		}
 		s.nodes = append(s.nodes, n)
 	}
-	if err := s.pinRemoteGeometry(ctx); err != nil {
+	if err := s.pinCluster(ctx); err != nil {
 		s.Close()
 		return nil, err
 	}
@@ -285,47 +230,51 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// dialed reports whether kvstore dialed its nodes itself (all of them or
-// none: one opener serves the whole cluster), so that each node operation
-// is a network round trip to a daemon that outlives this Store.
-func (s *Store) dialed() bool { return s.nodes[0].rc != nil }
-
-// clusterTable is a kvstore-private table holding per-daemon identity
-// records. It is written and read directly per node (bypassing the ring).
+// clusterTable is a kvstore-private table holding each node's pin of the
+// cluster's shape. It is written and read directly per node (bypassing the
+// ring).
 const (
 	clusterTable = "!cluster"
 	nodeIDKey    = "node-id"
 )
 
-// pinRemoteGeometry is the remote counterpart of the GEOMETRY file: each
-// daemon records which ring position (and cluster size) it serves plus the cluster's replication factor, so reopening the same
-// daemons with the address list reordered or resized — or with a different
-// -rf, which would silently under- (or over-) replicate every new write —
-// is refused instead of accepted. Unreachable daemons are skipped —
-// opening with a node down is allowed, and a mismatched daemon will still
-// be caught on any open that can reach it. A pin written before the
-// replication factor was recorded is refused: the store under it is older
-// than core reads. Clusters kvstore did not dial pin nothing: their
-// shape is pinned by the GEOMETRY file, or is the NewBackend factory's
-// business.
-func (s *Store) pinRemoteGeometry(ctx context.Context) error {
-	if !s.dialed() {
+// pinCluster records on each node which ring position (and cluster size)
+// it serves plus the cluster's replication factor, so reopening the same
+// nodes reordered or resized — which would look keys up on the wrong
+// nodes — or with a different rf, which would silently under- (or over-)
+// replicate every new write, is refused instead of accepted. Unreachable
+// nodes are skipped: opening with a node down is allowed, and a mismatched
+// node will still be caught on any open that can reach it. A pin written
+// before the replication factor was recorded is refused: the store under
+// it is older than core reads. The pin is an unsynced Put, durable by the
+// node's Close; one a crash loses is written again by the next open.
+//
+// Only the nodes kvstore opened by engine name onto storage that outlives
+// the Store — lsm directories and daemons — hold a pin; a memory cluster
+// keeps nothing to reopen, and a NewBackend cluster's shape is its
+// factory's business.
+func (s *Store) pinCluster(ctx context.Context) error {
+	if s.cfg.NewBackend != nil || (s.cfg.Engine != EngineLSM && s.cfg.Engine != EngineRemote) {
 		return nil
 	}
 	for _, n := range s.nodes {
+		where := s.cfg.nodeDir(n.id)
+		if n.rc != nil {
+			where = "daemon " + n.rc.Addr()
+		}
 		want := fmt.Sprintf("%d of %d rf=%d format=%s", n.id, len(s.nodes), s.cfg.ReplicationFactor, storedFormat)
 		raw, ok, err := n.be.Get(ctx, clusterTable, nodeIDKey)
 		if isUnavailable(err) {
 			continue
 		}
 		if err != nil {
-			return fmt.Errorf("kvstore: node %d geometry probe: %w", n.id, err)
+			return fmt.Errorf("kvstore: %s: cluster pin: %w", where, err)
 		}
 		writePin := !ok
 		if ok {
 			payload, _, tomb, err := unenvelope(raw)
 			if err != nil {
-				return fmt.Errorf("kvstore: node %d geometry probe: %w", n.id, err)
+				return fmt.Errorf("kvstore: %s: cluster pin: %w", where, err)
 			}
 			switch {
 			case tomb:
@@ -333,24 +282,24 @@ func (s *Store) pinRemoteGeometry(ctx context.Context) error {
 			case string(payload) == want:
 				continue
 			case string(payload) == fmt.Sprintf("%d of %d format=%s", n.id, len(s.nodes), storedFormat):
-				return fmt.Errorf("kvstore: daemon %s holds a pin %q in the format from before the replication factor was pinned: re-initialize the cluster",
-					n.rc.Addr(), payload)
+				return fmt.Errorf("kvstore: %s holds a pin %q in the format from before the replication factor was pinned: re-initialize the cluster",
+					where, payload)
 			default:
 				var pid, pn, prf int
 				var pfmt string
 				if _, err := fmt.Sscanf(string(payload), "%d of %d rf=%d format=%s", &pid, &pn, &prf, &pfmt); err == nil &&
 					pid == n.id && pn == len(s.nodes) && pfmt == storedFormat && prf != s.cfg.ReplicationFactor {
-					return fmt.Errorf("kvstore: cluster is pinned at replication factor %d but was opened with %d: new writes would be %s-replicated (wipe the daemons or reopen with -rf %d)",
-						prf, s.cfg.ReplicationFactor, underOver(s.cfg.ReplicationFactor < prf), prf)
+					return fmt.Errorf("kvstore: %s: cluster is pinned at replication factor %d but was opened with %d: new writes would be %s-replicated (re-initialize the cluster or reopen with -rf %d)",
+						where, prf, s.cfg.ReplicationFactor, underOver(s.cfg.ReplicationFactor < prf), prf)
 				}
-				return fmt.Errorf("kvstore: daemon %s is pinned as node %q but the address list opens it as %q: node addresses reordered or resized",
-					n.rc.Addr(), payload, want)
+				return fmt.Errorf("kvstore: %s is pinned as node %q but opened as %q: cluster nodes reordered or resized",
+					where, payload, want)
 			}
 		}
 		if writePin {
 			env := envelope(envValue, s.nextTS(), []byte(want))
 			if err := n.be.Put(ctx, clusterTable, nodeIDKey, env); err != nil && !isUnavailable(err) {
-				return fmt.Errorf("kvstore: node %d geometry pin: %w", n.id, err)
+				return fmt.Errorf("kvstore: %s: cluster pin: %w", where, err)
 			}
 		}
 	}

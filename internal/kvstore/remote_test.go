@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rstore/internal/engine"
+	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
 	"rstore/internal/engine/remote/engined"
@@ -412,126 +413,173 @@ func TestUnreplicatedScanRefusesDownNode(t *testing.T) {
 	}
 }
 
-// The remote counterpart of the GEOMETRY pin: reopening the same daemons
-// with the address list reordered (or resized) must be refused — keys
-// would hash to the wrong nodes.
-func TestRemoteClusterRefusesReorderedAddresses(t *testing.T) {
-	addrs, _ := startNodes(t, 3)
-	s := openRemote(t, addrs, 1)
-	if err := s.Put(context.Background(), "t", "a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+// pinCase is one reopen of a three-node rf-2 cluster that holds "a" = "1".
+// order lists the nodes the reopen is given, by position: 3 is a fourth,
+// fresh node.
+type pinCase struct {
+	name   string
+	order  []int
+	rf     int
+	legacy bool   // every node's pin is first rewritten in the form from before rf was pinned
+	want   string // the refusal, "" for an open that must read "a" back
+}
 
-	swapped := []string{addrs[1], addrs[0], addrs[2]}
-	if _, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: swapped, Remote: remoteOpts()}); err == nil ||
-		!strings.Contains(err.Error(), "reordered or resized") {
-		t.Fatalf("reordered address list: %v", err)
-	}
-	shrunk := addrs[:2]
-	if _, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: shrunk, Remote: remoteOpts()}); err == nil {
-		t.Fatal("resized address list accepted")
-	}
+var pinCases = []pinCase{
+	{name: "reordered", order: []int{1, 0, 2}, rf: 2, want: "reordered or resized"},
+	{name: "shrunk", order: []int{0, 1}, rf: 2, want: "reordered or resized"},
+	{name: "grown", order: []int{0, 1, 2, 3}, rf: 2, want: "reordered or resized"},
+	{name: "rf raised", order: []int{0, 1, 2}, rf: 3, want: "replication factor 2 but was opened with 3"},
+	{name: "rf lowered", order: []int{0, 1, 2}, rf: 1, want: "replication factor 2 but was opened with 1"},
+	{name: "legacy pin", order: []int{0, 1, 2}, rf: 2, legacy: true, want: "re-initialize"},
+	{name: "reopen", order: []int{0, 1, 2}, rf: 2},
+}
 
-	// The correct list keeps working.
-	s2, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, Remote: remoteOpts()})
-	if err != nil {
-		t.Fatal(err)
+// pinCluster is four nodes of one engine, the first three of which are
+// the cluster: open opens the nodes order names at rf, name is how a
+// refusal names node i of such an open, and put writes node i's pin
+// directly, with the cluster closed.
+type pinCluster struct {
+	open func(order []int, rf int) (*Store, error)
+	name func(order []int, i int) string
+	put  func(i int, value []byte) error
+}
+
+// TestClusterPin: every node of an lsm or remote cluster pins its ring
+// position, the cluster size and the replication factor in !cluster, so a
+// reopen with the nodes reordered or resized — keys would hash onto the
+// wrong nodes — or at another rf, which would under- or over-replicate
+// every new write, is refused, and so is a pin from before rf was pinned.
+// The refusal names the node. A refused open changes nothing: the correct
+// reopen then reads every key back.
+func TestClusterPin(t *testing.T) {
+	engines := []struct {
+		name  string
+		start func(t *testing.T) pinCluster
+	}{
+		{EngineLSM, func(t *testing.T) pinCluster {
+			// Node directories live apart; each open links them into a fresh
+			// Dir in the order it is given, as moving them on disk would.
+			places := t.TempDir()
+			place := func(k int) string { return filepath.Join(places, fmt.Sprint(k)) }
+			var dir string
+			return pinCluster{
+				open: func(order []int, rf int) (*Store, error) {
+					dir = t.TempDir()
+					for j, k := range order {
+						if err := os.MkdirAll(place(k), 0o755); err != nil {
+							t.Fatal(err)
+						}
+						if err := os.Symlink(place(k), filepath.Join(dir, fmt.Sprintf("node-%d", j))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return Open(context.Background(), Config{Engine: EngineLSM, Dir: dir, Nodes: len(order), ReplicationFactor: rf})
+				},
+				name: func(_ []int, i int) string { return filepath.Join(dir, fmt.Sprintf("node-%d", i)) },
+				put: func(i int, value []byte) error {
+					be, err := lsm.Open(place(i), lsm.Options{})
+					if err != nil {
+						return err
+					}
+					if err := be.Put(context.Background(), clusterTable, nodeIDKey, value); err != nil {
+						be.Close()
+						return err
+					}
+					return be.Close()
+				},
+			}
+		}},
+		{EngineRemote, func(t *testing.T) pinCluster {
+			addrs, nodes := startNodes(t, 4)
+			return pinCluster{
+				open: func(order []int, rf int) (*Store, error) {
+					var list []string
+					for _, k := range order {
+						list = append(list, addrs[k])
+					}
+					return Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: list, ReplicationFactor: rf, Remote: remoteOpts()})
+				},
+				name: func(order []int, i int) string { return "daemon " + addrs[order[i]] },
+				put: func(i int, value []byte) error {
+					return nodes[i].be.Put(context.Background(), clusterTable, nodeIDKey, value)
+				},
+			}
+		}},
 	}
-	defer s2.Close()
-	if v, err := s2.Get(context.Background(), "t", "a"); err != nil || string(v) != "1" {
-		t.Fatalf("reopen with correct order: %q %v", v, err)
+	for _, e := range engines {
+		for _, tc := range pinCases {
+			t.Run(e.name+"/"+tc.name, func(t *testing.T) {
+				ctx := context.Background()
+				c := e.start(t)
+				initial := []int{0, 1, 2}
+				s, err := c.open(initial, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Put(ctx, "t", "a", []byte("1")); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if tc.legacy {
+					for i := range initial {
+						legacy := fmt.Sprintf("%d of %d format=%s", i, len(initial), storedFormat)
+						if err := c.put(i, envelope(envValue, 1, []byte(legacy))); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+
+				r, err := c.open(tc.order, tc.rf)
+				if tc.want != "" {
+					if err == nil {
+						r.Close()
+						t.Fatalf("open accepted, want a refusal with %q", tc.want)
+					}
+					if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), c.name(tc.order, 0)) {
+						t.Fatalf("open: %v, want %q naming %s", err, tc.want, c.name(tc.order, 0))
+					}
+					if tc.legacy {
+						return
+					}
+					if r, err = c.open(initial, 2); err != nil {
+						t.Fatalf("correct reopen after the refusal: %v", err)
+					}
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				if v, err := r.Get(ctx, "t", "a"); err != nil || string(v) != "1" {
+					t.Fatalf("a = %q, %v", v, err)
+				}
+			})
+		}
 	}
 }
 
-// A data directory from before the LWW value format must be refused with
-// a clear message, not misparsed.
-func TestRefusesPreLWWDirectory(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "GEOMETRY"), []byte("nodes=1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(context.Background(), Config{Engine: EngineLSM, Dir: dir})
-	if err == nil || !strings.Contains(err.Error(), "pre-lww1 value format") {
-		t.Fatalf("pre-LWW directory: %v", err)
-	}
-}
-
-// A crash while the pin was being written leaves GEOMETRY.tmp, empty or cut
-// short, and no GEOMETRY: the directory is fresh, not corrupt. (Written in
-// place, the same crash left an empty GEOMETRY that every later open
-// refused.)
-func TestGeometryCrashLeavesFreshDirectory(t *testing.T) {
-	for _, torn := range []string{"", "nodes="} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "GEOMETRY.tmp"), []byte(torn), 0o644); err != nil {
+// TestUnpinnedClusters: a memory cluster keeps nothing to reopen, and a
+// NewBackend cluster's shape is its factory's business, so neither writes a
+// !cluster key.
+func TestUnpinnedClusters(t *testing.T) {
+	ctx := context.Background()
+	for name, cfg := range map[string]Config{
+		"memory":     {Nodes: 3, ReplicationFactor: 2},
+		"NewBackend": {Nodes: 3, ReplicationFactor: 2, NewBackend: func(int) (engine.Backend, error) { return memory.New(), nil }},
+	} {
+		s, err := Open(ctx, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(context.Background(), Config{Engine: EngineLSM, Dir: dir, Nodes: 2})
-		if err != nil {
-			t.Fatalf("open beside a GEOMETRY.tmp of %q: %v", torn, err)
+		if err := s.Put(ctx, "t", "a", []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range s.nodes {
+			if _, ok, err := n.be.Get(ctx, clusterTable, nodeIDKey); ok || err != nil {
+				t.Fatalf("%s: node %d holds a cluster pin (%v)", name, n.id, err)
+			}
 		}
 		s.Close()
-		if pin, err := os.ReadFile(filepath.Join(dir, "GEOMETRY")); err != nil || string(pin) != "nodes=2 format=lww1\n" {
-			t.Fatalf("GEOMETRY = %q (%v)", pin, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "GEOMETRY.tmp")); !os.IsNotExist(err) {
-			t.Fatalf("GEOMETRY.tmp survived: %v", err)
-		}
-		if _, err := Open(context.Background(), Config{Engine: EngineLSM, Dir: dir, Nodes: 3}); err == nil {
-			t.Fatal("the pin does not hold: reopened with another node count")
-		}
-	}
-}
-
-// The replication factor is pinned alongside the ring geometry: reopening
-// the same daemons with a different -rf would silently under- (or over-)
-// replicate every new write, so it must be refused, and so are legacy pins
-// written before rf was recorded.
-func TestRemoteClusterRefusesReplicationFactorChange(t *testing.T) {
-	addrs, nodes := startNodes(t, 3)
-	s := openRemote(t, addrs, 2)
-	if err := s.Put(context.Background(), "t", "a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 1, Remote: remoteOpts()})
-	if err == nil || !strings.Contains(err.Error(), "replication factor") {
-		t.Fatalf("rf change 2 -> 1: %v, want a pinned-replication-factor refusal", err)
-	}
-	_, err = Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 3, Remote: remoteOpts()})
-	if err == nil || !strings.Contains(err.Error(), "replication factor") {
-		t.Fatalf("rf change 2 -> 3: %v, want a pinned-replication-factor refusal", err)
-	}
-
-	// The pinned factor keeps working.
-	s2 := openRemote(t, addrs, 2)
-	if v, err := s2.Get(context.Background(), "t", "a"); err != nil || string(v) != "1" {
-		t.Fatalf("reopen at pinned rf: %q %v", v, err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A legacy pin (written before rf was recorded) is refused whatever rf
-	// the open asks for: the cluster must be re-initialized.
-	for i, tn := range nodes {
-		legacy := fmt.Sprintf("%d of %d format=%s", i, len(nodes), storedFormat)
-		env := envelope(envValue, 1, []byte(legacy))
-		if err := tn.be.Put(context.Background(), clusterTable, nodeIDKey, env); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, rf := range []int{2, 3} {
-		_, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: rf, Remote: remoteOpts()})
-		if err == nil || !strings.Contains(err.Error(), "re-initialize") {
-			t.Fatalf("open at rf %d over legacy pins: %v, want a re-initialize refusal", rf, err)
-		}
 	}
 }
 

@@ -172,7 +172,7 @@ const (
 
 // OpenCluster creates a distributed key-value cluster (in-process or, with
 // EngineRemote, over real storage daemons) to back one or more stores. ctx
-// bounds the open's wire round-trips (geometry probe, hint recovery), not
+// bounds the open's wire round-trips (cluster pin, hint recovery), not
 // the cluster's lifetime.
 func OpenCluster(ctx context.Context, cfg ClusterConfig) (*kvstore.Store, error) {
 	return kvstore.Open(ctx, cfg)

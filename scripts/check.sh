@@ -15,8 +15,10 @@
 # it belongs to quietly runs less than it says. daemons smokes the shipped
 # binaries on their defaults: three rstore-node (lsm) and an rstore-server
 # over them at rf 2, a commit and a read through HTTP, a SIGTERM of
-# everything, a restart that must read the same records, and the rstore
-# CLI's init/commit/get on its default data directory. benchmark covers
+# everything, a restart at rf 1 that must be refused and one at rf 2 that
+# must read the same records, an lsm server at two nodes whose restart at
+# three must be refused, and the rstore CLI's init/commit/get on its
+# default data directory. benchmark covers
 # the nested rstore/benchmark module, which `go build ./... && go test
 # ./...` at the root skips: it compiles against this module's internal
 # packages, so an API drift there is otherwise invisible until the
@@ -172,7 +174,7 @@ run_daemons() {
       cat "$work"/*.log
       return 1
     }
-    start() {
+    start_nodes() {
       for i in 0 1 2; do
         "$work/bin/rstore-node" -addr "127.0.0.1:$((17420 + i))" -data "$work/node$i" >>"$work/node$i.log" 2>&1 &
         pids+=($!)
@@ -180,9 +182,28 @@ run_daemons() {
       for i in 0 1 2; do
         wait_for "rstore-node $i" grep -q "rstore-node serving" "$work/node$i.log"
       done
-      "$work/bin/rstore-server" -addr 127.0.0.1:18099 -backend remote -rf 2 -node-addrs "$addrs" >>"$work/server.log" 2>&1 &
+    }
+    start_server() { # start_server <rstore-server flags...>
+      "$work/bin/rstore-server" -addr 127.0.0.1:18099 "$@" >>"$work/server.log" 2>&1 &
       pids+=($!)
       wait_for rstore-server curl -sf "$server/stats"
+    }
+    start() {
+      start_nodes
+      start_server -backend remote -rf 2 -node-addrs "$addrs"
+    }
+    refused() { # refused <want> <rstore-server flags...>: the server must exit non-zero saying want
+      want=$1
+      shift
+      if "$work/bin/rstore-server" -addr 127.0.0.1:18099 "$@" >"$work/refused.out" 2>&1; then
+        echo "daemons: rstore-server $* started, want a refusal"
+        exit 1
+      fi
+      if ! grep -q "$want" "$work/refused.out"; then
+        echo "daemons: rstore-server $* failed without \"$want\":"
+        cat "$work/refused.out"
+        exit 1
+      fi
     }
     records() { curl -sf "$server/version/main" | grep '"record"' | sort; }
 
@@ -202,7 +223,11 @@ run_daemons() {
       exit 1
     fi
     stop
-    start
+    start_nodes
+    # The daemons are pinned at rf 2: a server at another rf is refused, and
+    # the correct restart still serves both records.
+    refused "cluster is pinned at replication factor 2 but was opened with 1" -backend remote -rf 1 -node-addrs "$addrs"
+    start_server -backend remote -rf 2 -node-addrs "$addrs"
     grep -q "reopened 2 versions" "$work/server.log"
     after=$(records)
     if [ "$before" != "$after" ]; then
@@ -212,6 +237,12 @@ run_daemons() {
       exit 1
     fi
     stop
+
+    # An lsm data directory carries the same pin: opened at two nodes, it
+    # refuses a restart at three.
+    start_server -backend lsm -nodes 2 -data "$work/lsm.d"
+    stop
+    refused "reordered or resized" -backend lsm -nodes 3 -data "$work/lsm.d"
 
     mkdir "$work/cli"
     cd "$work/cli"
