@@ -444,117 +444,145 @@ type pinCluster struct {
 	put  func(i int, value []byte) error
 }
 
-// TestClusterPin: every node of an lsm or remote cluster pins its ring
-// position, the cluster size and the replication factor in !cluster, so a
-// reopen with the nodes reordered or resized — keys would hash onto the
-// wrong nodes — or at another rf, which would under- or over-replicate
-// every new write, is refused, and so is a pin from before rf was pinned.
-// The refusal names the node. A refused open changes nothing: the correct
-// reopen then reads every key back.
-func TestClusterPin(t *testing.T) {
-	engines := []struct {
-		name  string
-		start func(t *testing.T) pinCluster
-	}{
-		{EngineLSM, func(t *testing.T) pinCluster {
-			// Node directories live apart; each open links them into a fresh
-			// Dir in the order it is given, as moving them on disk would.
-			places := t.TempDir()
-			place := func(k int) string { return filepath.Join(places, fmt.Sprint(k)) }
-			var dir string
-			return pinCluster{
-				open: func(order []int, rf int) (*Store, error) {
-					dir = t.TempDir()
-					for j, k := range order {
-						if err := os.MkdirAll(place(k), 0o755); err != nil {
-							t.Fatal(err)
-						}
-						if err := os.Symlink(place(k), filepath.Join(dir, fmt.Sprintf("node-%d", j))); err != nil {
-							t.Fatal(err)
-						}
-					}
-					return Open(context.Background(), Config{Engine: EngineLSM, Dir: dir, Nodes: len(order), ReplicationFactor: rf})
-				},
-				name: func(_ []int, i int) string { return filepath.Join(dir, fmt.Sprintf("node-%d", i)) },
-				put: func(i int, value []byte) error {
-					be, err := lsm.Open(place(i), lsm.Options{})
-					if err != nil {
-						return err
-					}
-					if err := be.Put(context.Background(), clusterTable, nodeIDKey, value); err != nil {
-						be.Close()
-						return err
-					}
-					return be.Close()
-				},
-			}
-		}},
-		{EngineRemote, func(t *testing.T) pinCluster {
-			addrs, nodes := startNodes(t, 4)
-			return pinCluster{
-				open: func(order []int, rf int) (*Store, error) {
-					var list []string
-					for _, k := range order {
-						list = append(list, addrs[k])
-					}
-					return Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: list, ReplicationFactor: rf, Remote: remoteOpts()})
-				},
-				name: func(order []int, i int) string { return "daemon " + addrs[order[i]] },
-				put: func(i int, value []byte) error {
-					return nodes[i].be.Put(context.Background(), clusterTable, nodeIDKey, value)
-				},
-			}
-		}},
-	}
-	for _, e := range engines {
+// Every node of an lsm or remote cluster pins its ring position, the
+// cluster size and the replication factor in !cluster, so a reopen with the
+// nodes reordered or resized — keys would hash onto the wrong nodes — or at
+// another rf, which would under- or over-replicate every new write, is
+// refused, and so is a pin from before rf was pinned. The refusal names the
+// node. A refused open changes nothing: the correct reopen then reads every
+// key back.
+
+// TestGeometryPinned runs every pin case against lsm node directories.
+func TestGeometryPinned(t *testing.T) {
+	runPinCases(t, lsmPinCluster, pinCases)
+}
+
+// TestRemoteClusterRefusesReorderedAddresses runs the cases that change the
+// address list against rstore-node daemons.
+func TestRemoteClusterRefusesReorderedAddresses(t *testing.T) {
+	runPinCases(t, remotePinCluster, pinCasesNamed("reordered", "shrunk", "grown", "reopen"))
+}
+
+// TestRemoteClusterRefusesReplicationFactorChange runs the cases that change
+// or predate the pinned rf against rstore-node daemons.
+func TestRemoteClusterRefusesReplicationFactorChange(t *testing.T) {
+	runPinCases(t, remotePinCluster, pinCasesNamed("rf raised", "rf lowered", "legacy pin"))
+}
+
+func pinCasesNamed(names ...string) []pinCase {
+	var out []pinCase
+	for _, name := range names {
 		for _, tc := range pinCases {
-			t.Run(e.name+"/"+tc.name, func(t *testing.T) {
-				ctx := context.Background()
-				c := e.start(t)
-				initial := []int{0, 1, 2}
-				s, err := c.open(initial, 2)
-				if err != nil {
+			if tc.name == name {
+				out = append(out, tc)
+			}
+		}
+	}
+	if len(out) != len(names) {
+		panic(fmt.Sprintf("pinCasesNamed(%q): %d cases", names, len(out)))
+	}
+	return out
+}
+
+func lsmPinCluster(t *testing.T) pinCluster {
+	// Node directories live apart; each open links them into a fresh
+	// Dir in the order it is given, as moving them on disk would.
+	places := t.TempDir()
+	place := func(k int) string { return filepath.Join(places, fmt.Sprint(k)) }
+	var dir string
+	return pinCluster{
+		open: func(order []int, rf int) (*Store, error) {
+			dir = t.TempDir()
+			for j, k := range order {
+				if err := os.MkdirAll(place(k), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Put(ctx, "t", "a", []byte("1")); err != nil {
+				if err := os.Symlink(place(k), filepath.Join(dir, fmt.Sprintf("node-%d", j))); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Close(); err != nil {
-					t.Fatal(err)
+			}
+			return Open(context.Background(), Config{Engine: EngineLSM, Dir: dir, Nodes: len(order), ReplicationFactor: rf})
+		},
+		name: func(_ []int, i int) string { return filepath.Join(dir, fmt.Sprintf("node-%d", i)) },
+		put: func(i int, value []byte) error {
+			be, err := lsm.Open(place(i), lsm.Options{})
+			if err != nil {
+				return err
+			}
+			if err := be.Put(context.Background(), clusterTable, nodeIDKey, value); err != nil {
+				be.Close()
+				return err
+			}
+			return be.Close()
+		},
+	}
+}
+
+func remotePinCluster(t *testing.T) pinCluster {
+	addrs, nodes := startNodes(t, 4)
+	return pinCluster{
+		open: func(order []int, rf int) (*Store, error) {
+			var list []string
+			for _, k := range order {
+				list = append(list, addrs[k])
+			}
+			return Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: list, ReplicationFactor: rf, Remote: remoteOpts()})
+		},
+		name: func(order []int, i int) string { return "daemon " + addrs[order[i]] },
+		put: func(i int, value []byte) error {
+			return nodes[i].be.Put(context.Background(), clusterTable, nodeIDKey, value)
+		},
+	}
+}
+
+func runPinCases(t *testing.T, start func(t *testing.T) pinCluster, cases []pinCase) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			c := start(t)
+			initial := []int{0, 1, 2}
+			s, err := c.open(initial, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(ctx, "t", "a", []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.legacy {
+				for i := range initial {
+					legacy := fmt.Sprintf("%d of %d format=%s", i, len(initial), storedFormat)
+					if err := c.put(i, envelope(envValue, 1, []byte(legacy))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			r, err := c.open(tc.order, tc.rf)
+			if tc.want != "" {
+				if err == nil {
+					r.Close()
+					t.Fatalf("open accepted, want a refusal with %q", tc.want)
+				}
+				if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), c.name(tc.order, 0)) {
+					t.Fatalf("open: %v, want %q naming %s", err, tc.want, c.name(tc.order, 0))
 				}
 				if tc.legacy {
-					for i := range initial {
-						legacy := fmt.Sprintf("%d of %d format=%s", i, len(initial), storedFormat)
-						if err := c.put(i, envelope(envValue, 1, []byte(legacy))); err != nil {
-							t.Fatal(err)
-						}
-					}
+					return
 				}
-
-				r, err := c.open(tc.order, tc.rf)
-				if tc.want != "" {
-					if err == nil {
-						r.Close()
-						t.Fatalf("open accepted, want a refusal with %q", tc.want)
-					}
-					if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), c.name(tc.order, 0)) {
-						t.Fatalf("open: %v, want %q naming %s", err, tc.want, c.name(tc.order, 0))
-					}
-					if tc.legacy {
-						return
-					}
-					if r, err = c.open(initial, 2); err != nil {
-						t.Fatalf("correct reopen after the refusal: %v", err)
-					}
-				} else if err != nil {
-					t.Fatal(err)
+				if r, err = c.open(initial, 2); err != nil {
+					t.Fatalf("correct reopen after the refusal: %v", err)
 				}
-				defer r.Close()
-				if v, err := r.Get(ctx, "t", "a"); err != nil || string(v) != "1" {
-					t.Fatalf("a = %q, %v", v, err)
-				}
-			})
-		}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if v, err := r.Get(ctx, "t", "a"); err != nil || string(v) != "1" {
+				t.Fatalf("a = %q, %v", v, err)
+			}
+		})
 	}
 }
 
