@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rstore"
+	"rstore/internal/engine/lsm"
 )
 
 // Divergence-injection acceptance test for Merkle-tree anti-entropy.
@@ -24,7 +25,7 @@ import (
 
 // scanTable snapshots a replica's full on-disk table through its backend
 // handle, values copied (Scan may alias backend buffers).
-func scanTable(t *testing.T, c *repairCluster, node int, table string) map[string][]byte {
+func scanTable(t *testing.T, c *daemonCluster, node int, table string) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	err := c.backends[node].Scan(context.Background(), table, func(key string, value []byte) bool {
@@ -52,7 +53,7 @@ func tablesEqual(a, b map[string][]byte) bool {
 
 func TestAntiEntropyEndToEnd(t *testing.T) {
 	const nKeys = 40
-	c := startRepairCluster(t, 3)
+	c := startDaemons(t, 3, lsm.Options{})
 	ctx := context.Background()
 	key := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
 
@@ -170,7 +171,7 @@ func TestAntiEntropyEndToEnd(t *testing.T) {
 // converges afterwards.
 func TestAntiEntropySurvivesNodeRestartMidSync(t *testing.T) {
 	const nKeys = 20
-	c := startRepairCluster(t, 3)
+	c := startDaemons(t, 3, lsm.Options{})
 	ctx := context.Background()
 	key := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
 

@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string) error {
 	cmd, cmdArgs := rest[0], rest[1:]
 
 	if cmd == "init" {
-		kv, st, err := env.open(ctx)
+		kv, st, err := env.open(ctx, false)
 		if err != nil {
 			return err
 		}
@@ -113,12 +113,8 @@ func run(ctx context.Context, args []string) error {
 		return nil
 	}
 
-	kv, st, err := env.load(ctx)
-	if err != nil {
-		return err
-	}
-	defer kv.Close() // syncs and releases the data directory or the connections
-
+	// Each command parses its flags, then loads the store. Only commit and
+	// branch -name load it writable: a read never writes.
 	switch cmd {
 	case "commit":
 		fs := flag.NewFlagSet("commit", flag.ContinueOnError)
@@ -129,6 +125,11 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
+		kv, st, err := env.load(ctx, false)
+		if err != nil {
+			return err
+		}
+		defer kv.Close() // syncs and releases the data directory or the connections
 		parent, err := st.Tip(*branch)
 		if err != nil {
 			return err
@@ -172,6 +173,11 @@ func run(ctx context.Context, args []string) error {
 		return nil
 
 	case "log":
+		kv, st, err := env.load(ctx, true)
+		if err != nil {
+			return err
+		}
+		defer kv.Close()
 		for v := st.NumVersions() - 1; v >= 0; v-- {
 			vv := rstore.VersionID(v)
 			parents := st.Parents(vv)
@@ -193,6 +199,11 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
+		kv, st, err := env.load(ctx, true)
+		if err != nil {
+			return err
+		}
+		defer kv.Close()
 		v, err := resolveVersion(st, *version, *branch)
 		if err != nil {
 			return err
@@ -227,6 +238,11 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
+		kv, st, err := env.load(ctx, true)
+		if err != nil {
+			return err
+		}
+		defer kv.Close()
 		v, err := resolveVersion(st, *version, *branch)
 		if err != nil {
 			return err
@@ -244,6 +260,11 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
+		kv, st, err := env.load(ctx, true)
+		if err != nil {
+			return err
+		}
+		defer kv.Close()
 		// Stream: revisions print as their chunks arrive.
 		cur := st.GetHistory(ctx, rstore.Key(*key))
 		for r, err := range cur.Records() {
@@ -261,6 +282,11 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
+		kv, st, err := env.load(ctx, *name == "")
+		if err != nil {
+			return err
+		}
+		defer kv.Close()
 		if *name == "" {
 			for _, b := range st.Branches() {
 				tip, _ := st.Tip(b)
@@ -282,6 +308,11 @@ func run(ctx context.Context, args []string) error {
 		return nil
 
 	case "stats":
+		kv, st, err := env.load(ctx, true)
+		if err != nil {
+			return err
+		}
+		defer kv.Close()
 		s := kv.Stats(ctx)
 		fmt.Printf("versions:      %d\n", st.NumVersions())
 		fmt.Printf("chunks:        %d\n", st.NumChunks())
@@ -347,13 +378,13 @@ func (e cliEnv) openCluster(ctx context.Context) (*kvstore.Store, error) {
 }
 
 // open opens the cluster and the store it holds, an empty one if it holds
-// none; the caller closes the cluster.
-func (e cliEnv) open(ctx context.Context) (*kvstore.Store, *rstore.Store, error) {
+// none, read-only if readOnly; the caller closes the cluster.
+func (e cliEnv) open(ctx context.Context, readOnly bool) (*kvstore.Store, *rstore.Store, error) {
 	kv, err := e.openCluster(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := rstore.Open(ctx, rstore.Config{KV: kv})
+	st, err := rstore.Open(ctx, rstore.Config{KV: kv, ReadOnly: readOnly})
 	if err != nil {
 		kv.Close()
 		return nil, nil, fmt.Errorf("open store %s: %w", e.where(), libError{err})
@@ -363,14 +394,15 @@ func (e cliEnv) open(ctx context.Context) (*kvstore.Store, *rstore.Store, error)
 
 // load opens the store init created: from the data directory, or from the
 // remote nodes' contents. A store without versions is one init never made.
-func (e cliEnv) load(ctx context.Context) (*kvstore.Store, *rstore.Store, error) {
+// A data directory without init's node-0 is refused before anything opens:
+// opening it would create the node's files, its pin and a root.
+func (e cliEnv) load(ctx context.Context, readOnly bool) (*kvstore.Store, *rstore.Store, error) {
 	if e.backend != rstore.EngineRemote {
-		// Opening a missing directory would create it.
-		if _, err := os.Stat(e.data); err != nil {
+		if _, err := os.Stat(filepath.Join(e.data, "node-0")); err != nil {
 			return nil, nil, fmt.Errorf("open store %s (run init first): %w", e.data, err)
 		}
 	}
-	kv, st, err := e.open(ctx)
+	kv, st, err := e.open(ctx, readOnly)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -191,7 +192,7 @@ func TestCLIRefusesBadVersions(t *testing.T) {
 			t.Fatalf("%v: %v, want a refusal", args, err)
 		}
 	}
-	kv, st, err := cliEnv{backend: rstore.EngineLSM, data: data}.load(context.Background())
+	kv, st, err := cliEnv{backend: rstore.EngineLSM, data: data}.load(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +226,35 @@ func TestCLINeedsInit(t *testing.T) {
 	}
 	if got, err := outputCLI(t, empty, "branch"); err != nil || got != "main         v0\n" {
 		t.Fatalf("branch after the refused init = %q, %v", got, err)
+	}
+}
+
+// TestCLIReadsWriteNothing: a read command on an existing directory that
+// holds no store is refused and leaves the directory as it found it — no
+// node files, no cluster pin, no root.
+func TestCLIReadsWriteNothing(t *testing.T) {
+	data := t.TempDir()
+	for _, args := range [][]string{
+		{"log"},
+		{"checkout", "-branch", "main"},
+		{"get", "-key", "a", "-branch", "main"},
+		{"history", "-key", "a"},
+		{"stats"},
+		{"branch"},
+	} {
+		if err := runCLI(t, data, args...); err == nil || !strings.Contains(err.Error(), "run init first") {
+			t.Fatalf("%v on an empty directory: %v, want run init first", args, err)
+		}
+		var files []string
+		filepath.WalkDir(data, func(path string, _ fs.DirEntry, err error) error {
+			if path != data {
+				files = append(files, path)
+			}
+			return err
+		})
+		if len(files) != 0 {
+			t.Fatalf("%v on an empty directory wrote %v", args, files)
+		}
 	}
 }
 

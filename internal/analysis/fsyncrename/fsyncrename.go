@@ -17,7 +17,7 @@
 // replay, commit helpers fed a sealed temp file) carry a reasoned escape.
 //
 // The seam is what lets the engines' tests crash them after any file
-// operation, so in the non-test files of lsm, disklog and reclog a second
+// operation, so in the non-test files of lsm and reclog a second
 // rule reports every file operation that goes around it — a call of an os
 // file-system function, a method of an os type, syscall.Flock — except in
 // reclog's os.go, the seam's one implementation on the host.
@@ -35,11 +35,11 @@ import (
 // Analyzer is the fsyncrename rule.
 var Analyzer = &rvet.Analyzer{
 	Name: "fsyncrename",
-	Doc: "a rename committing durable engine state needs a file Sync before and a directory fsync after; lsm, disklog and reclog touch files only through reclog.FS\n\n" +
+	Doc: "a rename committing durable engine state needs a file Sync before and a directory fsync after; lsm and reclog touch files only through reclog.FS\n\n" +
 		"Scope: rstore/internal/engine/..., non-test files. A rename is os.Rename or\n" +
 		"reclog.FS's Rename; a file sync (*os.File).Sync or reclog.File's Sync, or a\n" +
 		"call to a package-local function that transitively makes one; a directory\n" +
-		"fsync reclog.FS's SyncDir, or a call reaching it. In lsm, disklog and reclog\n" +
+		"fsync reclog.FS's SyncDir, or a call reaching it. In lsm and reclog\n" +
 		"every os file-system call and syscall.Flock is reported, reclog's os.go\n" +
 		"(the seam's host implementation) excepted.",
 	Run: run,
@@ -115,7 +115,7 @@ func run(pass *rvet.Pass) error {
 	}
 
 	// The seam's bypass rule.
-	if !pass.InScope("rstore/internal/engine/lsm", "rstore/internal/engine/disklog", reclogPath) {
+	if !pass.InScope("rstore/internal/engine/lsm", reclogPath) {
 		return nil
 	}
 	for _, f := range pass.Files() {

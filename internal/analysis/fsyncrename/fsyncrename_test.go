@@ -11,10 +11,10 @@ func TestEngineScope(t *testing.T) {
 	rvettest.Run(t, Analyzer, "testdata/engine", "rstore/internal/engine/fixture")
 }
 
-// TestSeamBypass: in lsm, disklog and reclog every os file-system call
+// TestSeamBypass: in lsm and reclog every os file-system call
 // and flock is reported...
 func TestSeamBypass(t *testing.T) {
-	for _, path := range []string{"rstore/internal/engine/lsm", "rstore/internal/engine/disklog", "rstore/internal/engine/reclog"} {
+	for _, path := range []string{"rstore/internal/engine/lsm", "rstore/internal/engine/reclog"} {
 		rvettest.Run(t, Analyzer, "testdata/bypass", path)
 	}
 }
@@ -25,10 +25,10 @@ func TestSeamFileExempt(t *testing.T) {
 }
 
 // TestBypassRuleScope: the engine fixture reaches os directly and is not
-// one of the three packages.
+// one of the two packages.
 func TestBypassRuleScope(t *testing.T) {
 	for _, d := range rvettest.Diagnostics(t, Analyzer, "testdata/bypass", "rstore/internal/engine/fixture") {
-		t.Errorf("bypass rule fired outside lsm, disklog and reclog: %s", d)
+		t.Errorf("bypass rule fired outside lsm and reclog: %s", d)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"rstore/internal/engine/reclog"
 )
 
-// In lsm, disklog and reclog a file operation that goes around reclog.FS is
+// In lsm and reclog a file operation that goes around reclog.FS is
 // one the crash tests never see.
 
 func direct(dir, tmp, dst string, data []byte) error {

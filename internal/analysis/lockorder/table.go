@@ -18,11 +18,6 @@ type Edge struct {
 // blocks on From's holders — justify it in Reason.
 var Table = []Edge{
 	{
-		From:   "rstore/internal/engine/disklog.Backend.compactMu",
-		To:     "rstore/internal/engine/disklog.Backend.mu",
-		Reason: "compaction serializes on compactMu for its whole run and takes mu only for short index/segment swaps; mu holders never touch compactMu",
-	},
-	{
 		From:   "rstore/internal/engine/lsm.Backend.compactMu",
 		To:     "rstore/internal/engine/lsm.Backend.mu",
 		Reason: "every merge (Compact's and the tier loop a flushing write call runs after releasing mu) holds compactMu throughout and takes mu only to capture its victims and to install its output; mu holders never take compactMu",

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
@@ -33,13 +32,6 @@ type backendRow struct {
 
 // backends enumerates every implementation under test.
 func backends() map[string]backendRow {
-	openDisklog := func(t *testing.T, dir string, opts disklog.Options) engine.Backend {
-		b, err := disklog.Open(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	// LSM with a memtable small enough that the suite constantly flushes,
 	// so reads cross the memtable/SSTable boundary and the size-tiered
 	// compactor fires mid-test.
@@ -52,16 +44,7 @@ func backends() map[string]backendRow {
 	}
 	return map[string]backendRow{
 		"memory": {open: func(*testing.T, string) engine.Backend { return memory.New() }},
-		"disklog": {durable: true, open: func(t *testing.T, dir string) engine.Backend {
-			return openDisklog(t, dir, disklog.Options{})
-		}},
-		// Disklog with a compaction forced after every mutation: segment
-		// rewrites, index swaps, and victim unlinks race the whole suite,
-		// and none of it may be observable through the Backend contract.
-		"disklog-compacting": {durable: true, open: func(t *testing.T, dir string) engine.Backend {
-			return compactingBackend{openDisklog(t, dir, disklog.Options{SegmentBytes: 512})}
-		}},
-		"lsm": {durable: true, open: openLSM},
+		"lsm":    {durable: true, open: openLSM},
 		// LSM with a full merge forced after every mutation: flush, merge,
 		// MANIFEST commits, and victim unlinks race the whole suite.
 		"lsm-compacting": {durable: true, open: func(t *testing.T, dir string) engine.Backend {

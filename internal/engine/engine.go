@@ -4,9 +4,8 @@
 // key-value substrate (§2.4); this interface is our substrate boundary, so
 // the engines — in-memory maps (memory), an LSM tree (lsm), and a client of
 // an engine served over TCP (remote) — swap under the same cluster, core,
-// and query layers. lsm is the one durable engine a binary or an engine name
-// selects; disklog, a segment log, is the second durable implementation the
-// conformance suite holds the contract against.
+// and query layers. lsm is the one durable engine; the conformance suite
+// holds all three to the same contract.
 //
 // Every data operation takes a context.Context as its first parameter and
 // must honor cancellation and deadlines: an implementation that can block —
@@ -23,10 +22,10 @@
 // alias internal buffers and must not be retained or mutated.
 //
 // BatchPut is the durable write: a durable backend fsyncs before it
-// acknowledges. Put and Delete need not be synced — disklog makes them
-// durable no later than the next BatchPut or Close, lsm (a log per user
-// table) no later than the next BatchPut to the same table — so a caller may
-// use them only for writes it can afford to lose in a crash. kvstore does:
+// acknowledges. Put and Delete need not be synced — lsm (a log per user
+// table) makes them durable no later than the next BatchPut to the same
+// table or Close — so a caller may use them only for writes it can afford
+// to lose in a crash. kvstore does:
 // every replicated data write, per-key ones included, is a BatchPut, and the
 // unsynced calls carry only repair write-backs (one lost leaves a replica as
 // diverged as it was found, to be found again), the removal of spent hints
@@ -158,7 +157,7 @@ var ErrNoCompaction = errors.New("engine: backend does not support compaction")
 // byte counts include record framing, so DiskBytes-LiveBytes is exactly the
 // volume a full compaction could reclaim from sealed storage.
 type CompactionStats struct {
-	// DiskBytes is the total size of the backend's log/segment files.
+	// DiskBytes is the total size of the backend's log and table files.
 	DiskBytes int64
 	// LiveBytes is the portion of DiskBytes that compaction cannot reclaim:
 	// records the key index still references. The rest is dead —
@@ -167,7 +166,7 @@ type CompactionStats struct {
 	// CompactedBytes is the cumulative volume reclaimed by compaction over
 	// the lifetime of this backend instance.
 	CompactedBytes int64
-	// Segments is the number of log files backing the store.
+	// Segments is the number of log and table files backing the store.
 	Segments int
 }
 

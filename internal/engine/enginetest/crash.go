@@ -21,7 +21,7 @@ type Engine interface {
 // Crash describes one durable engine to CrashAnywhere.
 type Crash struct {
 	// Open opens (or recovers) the engine rooted at dir on fsys, configured
-	// small enough for the workload to flush, merge and rotate often.
+	// small enough for the workload to flush and merge often.
 	Open func(fsys *MemFS, dir string) (Engine, error)
 	// DataGlobs match the names of the files CompactionStats.DiskBytes
 	// counts; DebrisGlobs those no recovery may leave.
@@ -63,8 +63,7 @@ func (op crashOp) String() string {
 
 // crashWorkload is the one deterministic workload CrashAnywhere drives: at
 // lsm's 4 KiB memtable and four-table tier — a sorted batch of 4 KiB or more
-// is ingested, a batch under 512 bytes never — and disklog's 1 KiB segments
-// it reaches, in order, a table's first log; a
+// is ingested, a batch under 512 bytes never — it reaches, in order, a table's first log; a
 // flush of several tables' memtables; flushes of one and the tier merge they
 // end in; an ingest right after an unsynced put to its table; a drain that
 // leaves a log mostly dead (log replacement); an ingest over keys a table

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 )
@@ -229,50 +228,43 @@ func TestHashTreeReopenStability(t *testing.T) {
 	const table = "stable"
 	const fanout = 32
 	ctx := context.Background()
-	engines := map[string]func(dir string) (engine.Backend, error){
-		"disklog": func(dir string) (engine.Backend, error) {
-			return disklog.Open(dir, disklog.Options{})
-		},
-		// Tiny memtable so the content spans WAL, flushed SSTables, and
-		// merged SSTables when it comes back.
-		"lsm": func(dir string) (engine.Backend, error) {
-			return lsm.Open(dir, lsm.Options{MemtableBytes: 512})
-		},
+	// Tiny memtable so the content spans WAL, flushed SSTables, and merged
+	// SSTables when it comes back.
+	open := func(dir string) (engine.Backend, error) {
+		return lsm.Open(dir, lsm.Options{MemtableBytes: 512})
 	}
-	for name, open := range engines {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			b, err := open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(7))
-			randMutations(t, rng, b, table, 200)
-			before, err := b.(engine.HashRanger).HashTree(ctx, table, fanout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("lsm", func(t *testing.T) {
+		dir := t.TempDir()
+		b, err := open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		randMutations(t, rng, b, table, 200)
+		before, err := b.(engine.HashRanger).HashTree(ctx, table, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			b, err = open(dir)
-			if err != nil {
-				t.Fatal(err)
+		b, err = open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		after, err := b.(engine.HashRanger).HashTree(ctx, table, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Root != before.Root {
+			t.Fatalf("root changed across reopen: %x vs %x", after.Root, before.Root)
+		}
+		for i := range before.Leaves {
+			if after.Leaves[i] != before.Leaves[i] {
+				t.Fatalf("leaf %d changed across reopen: %+v vs %+v", i, after.Leaves[i], before.Leaves[i])
 			}
-			defer b.Close()
-			after, err := b.(engine.HashRanger).HashTree(ctx, table, fanout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.Root != before.Root {
-				t.Fatalf("root changed across reopen: %x vs %x", after.Root, before.Root)
-			}
-			for i := range before.Leaves {
-				if after.Leaves[i] != before.Leaves[i] {
-					t.Fatalf("leaf %d changed across reopen: %+v vs %+v", i, after.Leaves[i], before.Leaves[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }

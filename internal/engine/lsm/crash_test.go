@@ -182,10 +182,9 @@ func ingesting(c enginetest.Call) bool { return strings.HasSuffix(c.Phase, " ing
 // flushing reports whether c was made by neither a merge nor an ingest.
 func flushing(c enginetest.Call) bool { return !merging(c) && !ingesting(c) }
 
-// TestWALTornTailRecovery is lsm's half of the torn-tail contract disklog
-// proves for its segments: a crash mid-append leaves garbage after the last
-// acknowledged record; replay must truncate it, serve every acknowledged
-// write, and leave the log appendable.
+// TestWALTornTailRecovery is the torn-tail contract: a crash mid-append
+// leaves garbage after the last acknowledged record; replay must truncate
+// it, serve every acknowledged write, and leave the log appendable.
 func TestWALTornTailRecovery(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()

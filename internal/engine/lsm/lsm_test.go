@@ -210,3 +210,41 @@ func TestBlockCacheSharedAcrossBackends(t *testing.T) {
 		t.Fatal("reads did not go through the shared cache")
 	}
 }
+
+// TestDirectoryLocked: two live backends on one directory would append to
+// the same logs with independent offsets and shred committed records; the
+// second open is refused until the first closes.
+func TestDirectoryLocked(t *testing.T) {
+	dir := t.TempDir()
+	b := openT(t, dir, Options{})
+	if _, err := Open(dir, Options{}); err == nil {
+		t.Fatal("second open of a live directory succeeded")
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := openT(t, dir, Options{}).Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteMissingWritesNothing: deleting a key its table does not hold,
+// or from a table that holds nothing, appends nothing to any log.
+func TestDeleteMissingWritesNothing(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	b := openT(t, dir, Options{})
+	defer b.Close()
+	if err := b.Put(ctx, "t", "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	before := diskBytes(t, dir)
+	for _, table := range []string{"t", "other"} {
+		if err := b.Delete(ctx, table, "never-existed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := diskBytes(t, dir); got != before {
+		t.Fatalf("no-op deletes grew the logs from %d to %d bytes", before, got)
+	}
+}

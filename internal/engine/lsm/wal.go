@@ -13,9 +13,9 @@ import (
 
 // The write-ahead logs make the memtables durable: every mutation is framed,
 // checksummed, and appended to its user table's wal-<seq>.log before it
-// touches the table's skiplist. Frame, put and delete records are reclog's — the
-// bytes of a disklog segment — so a torn write from a crash can only affect
-// the un-acknowledged tail, which replay detects by checksum and truncates.
+// touches the table's skiplist. Frame, put and delete records are reclog's,
+// so a torn write from a crash can only affect the un-acknowledged tail,
+// which replay detects by checksum and truncates.
 // A log dies two ways. A flush retires every log at once: once the
 // memtables' contents are committed to SSTables via the MANIFEST, the old
 // logs are deleted and each table that had something logged gets a fresh

@@ -1,8 +1,8 @@
-// Package reclog owns what the two disk engines (disklog, lsm) share and
-// nothing else: the checksummed record frame of a disklog segment and an lsm
-// write-ahead log, one scanner over a file of such frames, the put/delete
-// body both write, and the file-system seam both write through (FS, with OS
-// the host's) with its directory discipline — the lock, the directory fsync,
+// Package reclog owns lsm's durable files below the engine itself: the
+// checksummed record frame of an lsm write-ahead log (the remote wire's
+// frame too), one scanner over a file of such frames, the put/delete body
+// lsm writes, and the file-system seam it writes through (FS, with OS the
+// host's) with its directory discipline — the lock, the directory fsync,
 // the durable creation of a directory, and the atomic replacement of a small
 // file. Normative byte layouts are in docs/FORMATS.md.
 //
@@ -139,7 +139,7 @@ func DropTail(f File, end int64) error {
 	return f.Sync()
 }
 
-// FS is the one file-system seam of the disk engines: lsm, disklog and
+// FS is the one file-system seam of the disk engine: lsm and
 // WriteFileAtomic make every file operation through it, so that a test can
 // put a disk that knows what is synced under them (enginetest.MemFS) and
 // crash them after any call. OS is the host's.

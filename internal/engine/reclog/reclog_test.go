@@ -12,7 +12,7 @@ import (
 	"rstore/internal/types"
 )
 
-// record frames one put or delete the way both engines do.
+// record frames one put or delete the way lsm does.
 func record(kind byte, table, key string, value []byte) []byte {
 	rec := AppendBody(make([]byte, FrameSize), kind, table, key, value)
 	PutHeader(rec, rec[FrameSize:])

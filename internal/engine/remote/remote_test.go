@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"rstore/internal/engine"
-	"rstore/internal/engine/disklog"
+	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
 	"rstore/internal/engine/remote/engined"
@@ -313,13 +313,14 @@ func TestBigValuesCrossTheWire(t *testing.T) {
 	}
 }
 
-// TestCompactOverTheWire: a disklog-backed daemon compacts on client demand,
+// TestCompactOverTheWire: an lsm-backed daemon compacts on client demand,
 // the stats round-trip, and every value survives the rewrite.
 func TestCompactOverTheWire(t *testing.T) {
-	be, err := disklog.Open(t.TempDir(), disklog.Options{SegmentBytes: 4 << 10})
+	be, err := lsm.Open(t.TempDir(), lsm.Options{MemtableBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer be.Close()
 	srv, err := engined.Start("127.0.0.1:0", be)
 	if err != nil {
 		t.Fatal(err)
@@ -331,12 +332,13 @@ func TestCompactOverTheWire(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Overwrite-heavy history: every key rewritten five times, a few deleted.
-	for rev := 0; rev < 5; rev++ {
-		for i := 0; i < 100; i++ {
+	// Every key written, the first 40 rewritten and the first 10 of those
+	// deleted: the run stays more than half live, so lsm leaves it unmerged.
+	val := func(k string, rev int) string { return fmt.Sprintf("%s rev-%d %s", k, rev, strings.Repeat("x", 64)) }
+	for _, n := range []int{100, 40} {
+		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("k%03d", i)
-			v := fmt.Sprintf("%s rev-%d %s", k, rev, strings.Repeat("x", 64))
-			if err := c.Put(context.Background(), "t", k, []byte(v)); err != nil {
+			if err := c.Put(context.Background(), "t", k, []byte(val(k, n))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -351,18 +353,15 @@ func TestCompactOverTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.DiskBytes == 0 || before.LiveRatio() > 0.5 {
-		t.Fatalf("workload not dead-heavy enough: %+v", before)
+	if before.LiveRatio() == 1 {
+		t.Fatalf("workload left nothing dead: %+v", before)
 	}
 	after, err := c.Compact(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.DiskBytes > before.DiskBytes/2 {
-		t.Fatalf("remote compact reclaimed too little: %d -> %d", before.DiskBytes, after.DiskBytes)
-	}
-	if after.CompactedBytes != before.DiskBytes-after.DiskBytes {
-		t.Fatalf("CompactedBytes = %d, want %d", after.CompactedBytes, before.DiskBytes-after.DiskBytes)
+	if after.DiskBytes >= before.DiskBytes || after.CompactedBytes <= before.CompactedBytes || after.LiveRatio() != 1 {
+		t.Fatalf("remote compact left dead bytes: %+v -> %+v", before, after)
 	}
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%03d", i)
@@ -376,7 +375,11 @@ func TestCompactOverTheWire(t *testing.T) {
 			}
 			continue
 		}
-		if want := fmt.Sprintf("%s rev-4 %s", k, strings.Repeat("x", 64)); !ok || string(v) != want {
+		want := val(k, 100)
+		if i < 40 {
+			want = val(k, 40)
+		}
+		if !ok || string(v) != want {
 			t.Fatalf("%s = %q (ok=%v) after remote compact", k, v, ok)
 		}
 	}

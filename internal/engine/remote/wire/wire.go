@@ -11,8 +11,7 @@
 //
 // The checksum makes a half-written or bit-flipped frame detectable at the
 // receiver instead of being decoded into garbage operations. It is the frame
-// of a disklog segment and an lsm write-ahead log, and reclog's header code
-// writes and checks it.
+// of an lsm write-ahead log, and reclog's header code writes and checks it.
 //
 // Request payloads start with an op byte; response payloads start with a
 // status byte. Strings and byte strings are uvarint-length-prefixed

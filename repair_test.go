@@ -16,23 +16,26 @@ import (
 	"rstore/internal/types"
 )
 
-// repairCluster is the 3-daemon harness of the repair acceptance test:
-// real lsm backends behind TCP, each restartable in place, with the
-// backend handles exposed so the test can assert what each replica holds
-// ON DISK — the whole point of repair is that convergence reaches the
-// backend, not just the merged read view.
-type repairCluster struct {
+// daemonCluster is the harness of the deployment, repair and anti-entropy
+// acceptance tests: real lsm backends behind TCP, each restartable in
+// place, with the backend handles exposed so a test can assert what each
+// replica holds ON DISK — the whole point of repair is that convergence
+// reaches the backend, not just the merged read view.
+type daemonCluster struct {
 	t        *testing.T
+	opts     lsm.Options
 	dirs     []string
 	addrs    []string
 	backends []*lsm.Backend
 	servers  []*engined.Server
 }
 
-func startRepairCluster(t *testing.T, n int) *repairCluster {
+// startDaemons starts n daemons, each over its own lsm directory.
+func startDaemons(t *testing.T, n int, opts lsm.Options) *daemonCluster {
 	t.Helper()
-	c := &repairCluster{
+	c := &daemonCluster{
 		t:        t,
+		opts:     opts,
 		dirs:     make([]string, n),
 		addrs:    make([]string, n),
 		backends: make([]*lsm.Backend, n),
@@ -41,7 +44,7 @@ func startRepairCluster(t *testing.T, n int) *repairCluster {
 	root := t.TempDir()
 	for i := 0; i < n; i++ {
 		c.dirs[i] = filepath.Join(root, fmt.Sprintf("node-%d", i))
-		be, err := lsm.Open(c.dirs[i], lsm.Options{})
+		be, err := lsm.Open(c.dirs[i], opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +69,7 @@ func startRepairCluster(t *testing.T, n int) *repairCluster {
 }
 
 // bytesStored reads each live replica's resident bytes off its backend.
-func (c *repairCluster) bytesStored() []int64 {
+func (c *daemonCluster) bytesStored() []int64 {
 	out := make([]int64, len(c.backends))
 	for i, be := range c.backends {
 		if be != nil {
@@ -77,7 +80,7 @@ func (c *repairCluster) bytesStored() []int64 {
 }
 
 // kill is a real process death: socket refused, backend files released.
-func (c *repairCluster) kill(i int) {
+func (c *daemonCluster) kill(i int) {
 	c.t.Helper()
 	c.servers[i].Close()
 	if err := c.backends[i].Close(); err != nil {
@@ -86,10 +89,18 @@ func (c *repairCluster) kill(i int) {
 	c.servers[i], c.backends[i] = nil, nil
 }
 
+// crash kills node i hard: socket refused, descriptors dropped unsynced
+// (lsm.Backend.Kill), so its restart replays logs and clears debris.
+func (c *daemonCluster) crash(i int) {
+	c.servers[i].Close()
+	c.backends[i].Kill()
+	c.servers[i], c.backends[i] = nil, nil
+}
+
 // restart reopens node i from its data directory on the same address.
-func (c *repairCluster) restart(i int) {
+func (c *daemonCluster) restart(i int) {
 	c.t.Helper()
-	be, err := lsm.Open(c.dirs[i], lsm.Options{})
+	be, err := lsm.Open(c.dirs[i], c.opts)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -101,7 +112,7 @@ func (c *repairCluster) restart(i int) {
 }
 
 // raw reads a replica's on-disk state directly through its backend handle.
-func (c *repairCluster) raw(i int, table, key string) ([]byte, bool) {
+func (c *daemonCluster) raw(i int, table, key string) ([]byte, bool) {
 	c.t.Helper()
 	v, ok, err := c.backends[i].Get(context.Background(), table, key)
 	if err != nil {
@@ -110,7 +121,7 @@ func (c *repairCluster) raw(i int, table, key string) ([]byte, bool) {
 	return v, ok
 }
 
-func (c *repairCluster) config(opts rstore.RepairOptions) rstore.ClusterConfig {
+func (c *daemonCluster) config(opts rstore.RepairOptions) rstore.ClusterConfig {
 	return rstore.ClusterConfig{
 		Engine: rstore.EngineRemote, NodeAddrs: c.addrs, ReplicationFactor: len(c.addrs),
 		Remote: remote.Options{Attempts: 2, Backoff: time.Millisecond},
@@ -139,7 +150,7 @@ func poll(t *testing.T, what string, cond func() bool) {
 // repairs a stale replica (read repair).
 func TestRepairEndToEnd(t *testing.T) {
 	const nKeys = 20
-	c := startRepairCluster(t, 3)
+	c := startDaemons(t, 3, lsm.Options{})
 	ctx := context.Background()
 	key := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
 
@@ -251,7 +262,7 @@ func TestRepairEndToEnd(t *testing.T) {
 // engine seam — a cluster client that dies after parking hints leaves them
 // in the !hints table, and the next client recovers and drains them.
 func TestRepairHintsSurviveClientRestart(t *testing.T) {
-	c := startRepairCluster(t, 3)
+	c := startDaemons(t, 3, lsm.Options{})
 	ctx := context.Background()
 
 	slow := rstore.RepairOptions{HintInterval: time.Hour} // park only
