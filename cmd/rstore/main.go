@@ -113,8 +113,10 @@ func run(ctx context.Context, args []string) error {
 		return nil
 	}
 
-	// Each command parses its flags, then loads the store. Only commit and
-	// branch -name load it writable: a read never writes.
+	// Each command parses its flags into a body; one load then runs it. Only
+	// commit and branch -name load the store writable: a read never writes.
+	var body func(kv *kvstore.Store, st *rstore.Store) error
+	writable := false
 	switch cmd {
 	case "commit":
 		fs := flag.NewFlagSet("commit", flag.ContinueOnError)
@@ -125,71 +127,66 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
-		kv, st, err := env.load(ctx, false)
-		if err != nil {
-			return err
-		}
-		defer kv.Close() // syncs and releases the data directory or the connections
-		parent, err := st.Tip(*branch)
-		if err != nil {
-			return err
-		}
-		ch := rstore.Change{Puts: map[rstore.Key][]byte{}}
-		for _, p := range puts {
-			k, v, ok := strings.Cut(p, "=")
-			if !ok {
-				return fmt.Errorf("bad -put %q (want key=value)", p)
+		writable = true
+		body = func(kv *kvstore.Store, st *rstore.Store) error {
+			parent, err := st.Tip(*branch)
+			if err != nil {
+				return err
 			}
-			var val []byte
-			if strings.HasPrefix(v, "@") {
-				val, err = os.ReadFile(v[1:])
-				if err != nil {
-					return err
+			ch := rstore.Change{Puts: map[rstore.Key][]byte{}}
+			for _, p := range puts {
+				k, v, ok := strings.Cut(p, "=")
+				if !ok {
+					return fmt.Errorf("bad -put %q (want key=value)", p)
 				}
-			} else {
-				val = []byte(v)
+				var val []byte
+				if strings.HasPrefix(v, "@") {
+					val, err = os.ReadFile(v[1:])
+					if err != nil {
+						return err
+					}
+				} else {
+					val = []byte(v)
+				}
+				ch.Puts[rstore.Key(k)] = val
 			}
-			ch.Puts[rstore.Key(k)] = val
+			for _, k := range dels {
+				ch.Deletes = append(ch.Deletes, rstore.Key(k))
+			}
+			mctx := context.WithoutCancel(ctx)
+			v, err := st.Commit(mctx, parent, ch)
+			if err != nil {
+				return err
+			}
+			if err := st.Flush(mctx); err != nil {
+				return err
+			}
+			if err := st.SetBranch(mctx, *branch, v); err != nil {
+				return err
+			}
+			if err := persist(kv, st); err != nil {
+				return err
+			}
+			fmt.Printf("committed version %d on %s (%d puts, %d deletes)\n",
+				v, *branch, len(ch.Puts), len(ch.Deletes))
+			return nil
 		}
-		for _, k := range dels {
-			ch.Deletes = append(ch.Deletes, rstore.Key(k))
-		}
-		mctx := context.WithoutCancel(ctx)
-		v, err := st.Commit(mctx, parent, ch)
-		if err != nil {
-			return err
-		}
-		if err := st.Flush(mctx); err != nil {
-			return err
-		}
-		if err := st.SetBranch(mctx, *branch, v); err != nil {
-			return err
-		}
-		if err := persist(kv, st); err != nil {
-			return err
-		}
-		fmt.Printf("committed version %d on %s (%d puts, %d deletes)\n",
-			v, *branch, len(ch.Puts), len(ch.Deletes))
-		return nil
 
 	case "log":
-		kv, st, err := env.load(ctx, true)
-		if err != nil {
-			return err
-		}
-		defer kv.Close()
-		for v := st.NumVersions() - 1; v >= 0; v-- {
-			vv := rstore.VersionID(v)
-			parents := st.Parents(vv)
-			tag := ""
-			for _, b := range st.Branches() {
-				if tip, err := st.Tip(b); err == nil && tip == vv {
-					tag += " <- " + b
+		body = func(_ *kvstore.Store, st *rstore.Store) error {
+			for v := st.NumVersions() - 1; v >= 0; v-- {
+				vv := rstore.VersionID(v)
+				parents := st.Parents(vv)
+				tag := ""
+				for _, b := range st.Branches() {
+					if tip, err := st.Tip(b); err == nil && tip == vv {
+						tag += " <- " + b
+					}
 				}
+				fmt.Printf("version %-4d parents=%v depth=%d%s\n", v, parents, st.Depth(vv), tag)
 			}
-			fmt.Printf("version %-4d parents=%v depth=%d%s\n", v, parents, st.Depth(vv), tag)
+			return nil
 		}
-		return nil
 
 	case "checkout":
 		fs := flag.NewFlagSet("checkout", flag.ContinueOnError)
@@ -199,36 +196,33 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
-		kv, st, err := env.load(ctx, true)
-		if err != nil {
-			return err
-		}
-		defer kv.Close()
-		v, err := resolveVersion(st, *version, *branch)
-		if err != nil {
-			return err
-		}
-		recs, stats, err := st.GetVersionAll(ctx, v)
-		if err != nil {
-			return err
-		}
-		if *out == "" {
-			for _, r := range recs {
-				fmt.Printf("%s (origin v%d, %d bytes)\n", r.CK.Key, r.CK.Version, len(r.Value))
-			}
-		} else {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
+		body = func(_ *kvstore.Store, st *rstore.Store) error {
+			v, err := resolveVersion(st, *version, *branch)
+			if err != nil {
 				return err
 			}
-			for _, r := range recs {
-				name := filepath.Join(*out, sanitize(string(r.CK.Key)))
-				if err := os.WriteFile(name, r.Value, 0o644); err != nil {
+			recs, stats, err := st.GetVersionAll(ctx, v)
+			if err != nil {
+				return err
+			}
+			if *out == "" {
+				for _, r := range recs {
+					fmt.Printf("%s (origin v%d, %d bytes)\n", r.CK.Key, r.CK.Version, len(r.Value))
+				}
+			} else {
+				if err := os.MkdirAll(*out, 0o755); err != nil {
 					return err
 				}
+				for _, r := range recs {
+					name := filepath.Join(*out, sanitize(string(r.CK.Key)))
+					if err := os.WriteFile(name, r.Value, 0o644); err != nil {
+						return err
+					}
+				}
 			}
+			fmt.Printf("checked out version %d: %d records (span=%d chunks)\n", v, len(recs), stats.Span)
+			return nil
 		}
-		fmt.Printf("checked out version %d: %d records (span=%d chunks)\n", v, len(recs), stats.Span)
-		return nil
 
 	case "get":
 		fs := flag.NewFlagSet("get", flag.ContinueOnError)
@@ -238,21 +232,18 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
-		kv, st, err := env.load(ctx, true)
-		if err != nil {
-			return err
+		body = func(_ *kvstore.Store, st *rstore.Store) error {
+			v, err := resolveVersion(st, *version, *branch)
+			if err != nil {
+				return err
+			}
+			rec, _, err := st.GetRecord(ctx, rstore.Key(*key), v)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s\n", rec.Value)
+			return nil
 		}
-		defer kv.Close()
-		v, err := resolveVersion(st, *version, *branch)
-		if err != nil {
-			return err
-		}
-		rec, _, err := st.GetRecord(ctx, rstore.Key(*key), v)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s\n", rec.Value)
-		return nil
 
 	case "history":
 		fs := flag.NewFlagSet("history", flag.ContinueOnError)
@@ -260,20 +251,17 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
-		kv, st, err := env.load(ctx, true)
-		if err != nil {
-			return err
-		}
-		defer kv.Close()
-		// Stream: revisions print as their chunks arrive.
-		cur := st.GetHistory(ctx, rstore.Key(*key))
-		for r, err := range cur.Records() {
-			if err != nil {
-				return err
+		body = func(_ *kvstore.Store, st *rstore.Store) error {
+			// Stream: revisions print as their chunks arrive.
+			cur := st.GetHistory(ctx, rstore.Key(*key))
+			for r, err := range cur.Records() {
+				if err != nil {
+					return err
+				}
+				fmt.Printf("v%-4d %s\n", r.CK.Version, r.Value)
 			}
-			fmt.Printf("v%-4d %s\n", r.CK.Version, r.Value)
+			return nil
 		}
-		return nil
 
 	case "branch":
 		fs := flag.NewFlagSet("branch", flag.ContinueOnError)
@@ -282,48 +270,50 @@ func run(ctx context.Context, args []string) error {
 		if err := fs.Parse(cmdArgs); err != nil {
 			return err
 		}
-		kv, st, err := env.load(ctx, *name == "")
-		if err != nil {
-			return err
-		}
-		defer kv.Close()
-		if *name == "" {
-			for _, b := range st.Branches() {
-				tip, _ := st.Tip(b)
-				fmt.Printf("%-12s v%d\n", b, tip)
+		writable = *name != ""
+		body = func(kv *kvstore.Store, st *rstore.Store) error {
+			if *name == "" {
+				for _, b := range st.Branches() {
+					tip, _ := st.Tip(b)
+					fmt.Printf("%-12s v%d\n", b, tip)
+				}
+				return nil
 			}
+			v, err := resolveVersion(st, *version, "")
+			if err != nil {
+				return err
+			}
+			if err := st.SetBranch(context.WithoutCancel(ctx), *name, v); err != nil {
+				return err
+			}
+			if err := persist(kv, st); err != nil {
+				return err
+			}
+			fmt.Printf("branch %s -> v%d\n", *name, v)
 			return nil
 		}
-		v, err := resolveVersion(st, *version, "")
-		if err != nil {
-			return err
-		}
-		if err := st.SetBranch(context.WithoutCancel(ctx), *name, v); err != nil {
-			return err
-		}
-		if err := persist(kv, st); err != nil {
-			return err
-		}
-		fmt.Printf("branch %s -> v%d\n", *name, v)
-		return nil
 
 	case "stats":
-		kv, st, err := env.load(ctx, true)
-		if err != nil {
-			return err
+		body = func(kv *kvstore.Store, st *rstore.Store) error {
+			s := kv.Stats(ctx)
+			fmt.Printf("versions:      %d\n", st.NumVersions())
+			fmt.Printf("chunks:        %d\n", st.NumChunks())
+			fmt.Printf("pending:       %d\n", st.PendingVersions())
+			fmt.Printf("total span:    %d\n", st.TotalVersionSpan())
+			fmt.Printf("stored bytes:  %d\n", s.BytesStored)
+			return nil
 		}
-		defer kv.Close()
-		s := kv.Stats(ctx)
-		fmt.Printf("versions:      %d\n", st.NumVersions())
-		fmt.Printf("chunks:        %d\n", st.NumChunks())
-		fmt.Printf("pending:       %d\n", st.PendingVersions())
-		fmt.Printf("total span:    %d\n", st.TotalVersionSpan())
-		fmt.Printf("stored bytes:  %d\n", s.BytesStored)
-		return nil
 
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+
+	kv, st, err := env.load(ctx, !writable)
+	if err != nil {
+		return err
+	}
+	defer kv.Close() // syncs and releases the data directory or the connections
+	return body(kv, st)
 }
 
 func resolveVersion(st *rstore.Store, version int, branch string) (rstore.VersionID, error) {

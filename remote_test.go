@@ -234,6 +234,9 @@ func TestRemoteClusterLSMEndToEnd(t *testing.T) {
 	if reclaimed <= 0 {
 		t.Fatalf("the daemons reclaimed %d bytes on their own", reclaimed)
 	}
+	if got := capture(t, st, versions); !reflect.DeepEqual(before, got) {
+		t.Fatal("query results changed after the daemons' merges")
+	}
 
 	// Kill node 1 hard. Reads recover from surviving replicas; writes
 	// route around.
