@@ -35,10 +35,10 @@ const NoChunk = ID(^uint32(0))
 // drives them over the whole corpus on a fresh Layout, online partitioning
 // (§4) over one batch on the live one ("existing records keep their
 // chunks"), and RestoreChunk, ApplyDiffs and BindRecords fold what they
-// persisted back in at load time. A version's bitmap in a chunk its delta
-// does not touch is its tree parent's, shared: bitmaps are immutable once
-// placed. Chunk ids are dense in the order chunks are added. Not safe for
-// concurrent mutation.
+// persisted, with what Implied derives, back in at load time. A version's
+// bitmap in a chunk its delta does not touch is its tree parent's, shared:
+// bitmaps are immutable once placed. Chunk ids are dense in the order chunks
+// are added. Not safe for concurrent mutation.
 type Layout struct {
 	c     *corpus.Corpus
 	locs  []Loc                    // record id → location; ids past the end are unplaced
@@ -46,8 +46,13 @@ type Layout struct {
 	segs  [][]uint32               // chunk id → first slot of each segment, ascending from 0
 	spans map[types.VersionID][]ID // version → the chunks holding its records, ascending
 	// delta is what AddChunk and PlaceVersion added to the maps since the
-	// last TakeDelta: per chunk, a Map of the new versions' parent diffs.
+	// last TakeDelta: per chunk, a Map of the new versions' parent diffs less
+	// what composite keys imply.
 	delta map[ID]*Map
+	// putBy is PlaceVersion's scratch, key id → 1 + the last version placed
+	// that creates a record of the key: the deletes of that version's parent
+	// records of the key are implied.
+	putBy []types.VersionID
 }
 
 // NewLayout returns an empty layout of c's records.
@@ -199,15 +204,29 @@ func (l *Layout) AddChunk(c *Coded) (ID, error) {
 // the records v deletes, plus the records it adds. It states v's delta as
 // diffs — per chunk, the slots it takes out of or puts into the parent's
 // bitmap there; a delete of a record the parent does not hold, or an add of
-// one it does, changes nothing — notes them in the pending delta, and folds
-// them as core.Open will (ApplyDiffs). The parent must be placed and every
-// record of v's delta must be in a chunk.
+// one it does, changes nothing — and folds them as core.Open will
+// (ApplyDiffs). The pending delta keeps of them only what composite keys do
+// not imply (Implied): merge re-adds, records whose composite keys name
+// another version, and deletes of keys v does not put again. The parent must
+// be placed, every record of v's delta must be in a chunk, and every record
+// v's composite keys name must be one v adds (corpus.AddVersionDelta).
 func (l *Layout) PlaceVersion(v types.VersionID) error {
 	parent := l.c.Graph().Parent(v)
-	perChunk := make(map[ID]*bitset.BitSet)
+	if n := l.c.NumKeys(); len(l.putBy) < n {
+		l.putBy = append(l.putBy, make([]types.VersionID, n-len(l.putBy))...)
+	}
+	for _, rec := range l.c.Adds(v) {
+		if l.c.Record(rec).CK.Version == v {
+			l.putBy[l.c.KeyOf(rec)] = v + 1
+		}
+	}
+	// whole and stated hold, per chunk, v's diff there and what of it the
+	// delta states.
+	whole, stated := make(map[ID]*bitset.BitSet), make(map[ID]*bitset.BitSet)
 	// differ notes record rec's slot as one v differs from its parent in,
-	// provided the parent holds the record (a delete) or does not (an add).
-	differ := func(rec uint32, role string, held bool) error {
+	// provided the parent holds the record (a delete) or does not (an add),
+	// and states it unless composite keys imply it.
+	differ := func(rec uint32, role string, held, implied bool) error {
 		loc := l.Loc(rec)
 		if loc.Chunk == NoChunk {
 			return fmt.Errorf("chunk: record %d %s version %d but unplaced", rec, role, v)
@@ -216,28 +235,39 @@ func (l *Layout) PlaceVersion(v types.VersionID) error {
 		if was := m.SlotsOf(parent); (was != nil && was.Contains(loc.Slot)) != held {
 			return nil
 		}
-		if perChunk[loc.Chunk] == nil {
-			perChunk[loc.Chunk] = bitset.New(m.NumSlots)
+		setSlot(whole, loc, m.NumSlots)
+		if !implied {
+			setSlot(stated, loc, m.NumSlots)
 		}
-		perChunk[loc.Chunk].Set(loc.Slot)
 		return nil
 	}
 	for _, rec := range l.c.Dels(v) {
-		if err := differ(rec, "deleted by", true); err != nil {
+		if err := differ(rec, "deleted by", true, l.putBy[l.c.KeyOf(rec)] == v+1); err != nil {
 			return err
 		}
 	}
 	for _, rec := range l.c.Adds(v) {
-		if err := differ(rec, "live in", false); err != nil {
+		if err := differ(rec, "live in", false, l.c.Record(rec).CK.Version == v); err != nil {
 			return err
 		}
 	}
-	diffs := make([]Slots, 0, len(perChunk))
-	for _, cid := range slices.Sorted(maps.Keys(perChunk)) {
-		diffs = append(diffs, Slots{cid, perChunk[cid]})
-		l.noteDelta(cid).Versions[v] = perChunk[cid]
+	diffs := make([]Slots, 0, len(whole))
+	for _, cid := range slices.Sorted(maps.Keys(whole)) {
+		diffs = append(diffs, Slots{cid, whole[cid]})
+		if stated[cid] != nil {
+			l.noteDelta(cid).Versions[v] = stated[cid]
+		}
 	}
 	return l.ApplyDiffs(v, parent, diffs)
+}
+
+// setSlot adds loc's slot to its chunk's set in diffs, a chunk of numSlots
+// slots, opening the set.
+func setSlot(diffs map[ID]*bitset.BitSet, loc Loc, numSlots int) {
+	if diffs[loc.Chunk] == nil {
+		diffs[loc.Chunk] = bitset.New(numSlots)
+	}
+	diffs[loc.Chunk].Set(loc.Slot)
 }
 
 // noteDelta returns chunk cid's entry in the pending delta, opening it.
@@ -252,13 +282,16 @@ func (l *Layout) noteDelta(cid ID) *Map {
 }
 
 // TakeDelta returns what AddChunk and PlaceVersion added to the chunk maps
-// since the previous call, as parent diffs, and starts afresh: per chunk
-// added or changed since, a Map holding — for every version placed since whose
-// bitmap there differs from its tree parent's — the XOR of the two (against
-// the empty set for a root version or a chunk the parent has nothing in). A
-// version the Map does not list holds in that chunk what its parent holds. It
-// is the chunk-map half of a placement record; RestoreChunk and ApplyDiffs
-// read it back.
+// since the previous call, as parent diffs less what composite keys imply,
+// and starts afresh: per chunk added since, or in which a version placed
+// since states a slot, a Map holding — for every version placed since whose
+// bitmap there differs from its tree parent's in a slot composite keys do not
+// imply — those slots of the XOR of the two (against the empty set for a root
+// version or a chunk the parent has nothing in). What a version's Maps state
+// and what its composite keys imply (Implied.Or) together are its diffs; a
+// version neither names in a chunk holds there what its parent holds. It is
+// the chunk-map half of a placement record; RestoreChunk, Implied and
+// ApplyDiffs read it back.
 func (l *Layout) TakeDelta() map[ID]*Map {
 	d := l.delta
 	l.delta = nil

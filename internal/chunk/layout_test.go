@@ -5,8 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"rstore/internal/bitset"
 	"rstore/internal/corpus"
 	"rstore/internal/types"
+	"rstore/internal/vgraph"
 )
 
 // recordItems wraps every record of c as a one-member item; item index =
@@ -112,15 +114,18 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 		}
 	}
 	checkLayout(t, c, l)
-	// The delta states each version as a diff against its parent: version 2
-	// holds in chunk 0 what version 1 holds, so chunk 0 does not list it — and
-	// the layout shares the one bitmap.
+	// Each version differs from its parent only where composite keys say so —
+	// a record is new in the version its key names, and supersedes its key's
+	// record in the parent — so the delta lists the two chunks it introduces,
+	// for their slot counts, and states no version; the restore below has
+	// Implied derive the diffs. Version 2 holds in chunk 0 what version 1
+	// holds, and the layout shares the one bitmap.
 	whole := l.TakeDelta()
-	if len(whole) != 2 || len(whole[0].Versions) != 2 || len(whole[1].Versions) != 2 || whole[0].Versions[2] != nil {
+	if len(whole) != 2 || whole[0].NumSlots != 2 || whole[1].NumSlots != 2 || len(whole[0].Versions)+len(whole[1].Versions) != 0 {
 		t.Fatalf("delta of a full build: %v", whole)
 	}
-	if got := whole[1].Versions[2].Slice(); !slices.Equal(got, []uint32{0, 1}) {
-		t.Fatalf("version 2 swaps doc@1 for doc@2 in chunk 1, its diff is %v", got)
+	if got := l.Map(1).SlotsOf(2).Slice(); !slices.Equal(got, []uint32{1}) {
+		t.Fatalf("version 2 swaps doc@1 for doc@2 in chunk 1, and holds there %v", got)
 	}
 	if l.Map(0).SlotsOf(2) != l.Map(0).SlotsOf(1) {
 		t.Fatal("version 2 has a bitmap of its own in a chunk its delta does not touch")
@@ -154,8 +159,8 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	}
 	checkLayout(t, c, l2)
 	second := l2.TakeDelta()
-	if len(second[0].Versions) != 1 || second[0].Versions[1] == nil || second[0].NumSlots != 2 {
-		t.Fatalf("second delta of chunk 0: %+v", second[0])
+	if second[0] != nil || second[1] == nil || len(second[1].Versions) != 0 || second[1].NumSlots != 2 {
+		t.Fatalf("second delta: %+v (version 1's delete of doc@0 in chunk 0 is implied)", second)
 	}
 
 	// Restore: fold both deltas, in order, over the decoded payloads — a
@@ -165,6 +170,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 		t.Fatalf("chunk 1 restored before chunk 0: %v", err)
 	}
 	stored := []Stored{storedOf(t, p0), storedOf(t, p1)}
+	implied := NewImplied(stored)
 	for _, step := range []struct {
 		delta    map[ID]*Map
 		versions []types.VersionID
@@ -182,6 +188,10 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 					diffs = append(diffs, Slots{cid, m.Versions[v]})
 				}
 			}
+			diffs, err := implied.Or(l3, v, c.Graph().Parent(v), diffs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := l3.ApplyDiffs(v, c.Graph().Parent(v), diffs); err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +203,7 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 		}
 	}
 	checkLayout(t, c, l3)
-	if err := l3.ApplyDiffs(2, 1, []Slots{{2, second[1].Versions[2]}}); !errors.Is(err, types.ErrCorrupt) {
+	if err := l3.ApplyDiffs(2, 1, []Slots{{2, bitset.New(2)}}); !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("a diff in a chunk that is not open: %v", err)
 	}
 	for rec := uint32(0); rec < 4; rec++ {
@@ -240,4 +250,75 @@ func TestLayoutRejectsBadAssignments(t *testing.T) {
 	if err := l.PlaceVersion(1); err == nil {
 		t.Fatal("unplaced deleted record accepted")
 	}
+}
+
+// TestPlaceVersionStatesWhatKeysDoNotImply: a version's pending delta keeps
+// only the slots its composite keys do not imply — a delete of a key it does
+// not put again, and a merge's re-add of a record another version's key
+// names — and Implied gives the rest back: folding what was kept rebuilds
+// every bitmap.
+func TestPlaceVersionStatesWhatKeysDoNotImply(t *testing.T) {
+	g := vgraph.New()
+	v0, _ := g.AddRoot()
+	v1, _ := g.AddVersion(v0)
+	if _, err := g.AddVersion(v1, v0); err != nil {
+		t.Fatal(err)
+	}
+	rec := func(k string, v types.VersionID) types.Record {
+		return types.Record{CK: types.CompositeKey{Key: types.Key(k), Version: v}, Value: []byte(k + " value")}
+	}
+	c := corpus.New(g)
+	for v, d := range []*types.Delta{
+		{Adds: []types.Record{rec("a", 0), rec("b", 0), rec("c", 0)}},
+		// a@1 supersedes a@0: both implied; b@0's delete is stated.
+		{Adds: []types.Record{rec("a", 1)}, Dels: []types.CompositeKey{{Key: "a", Version: 0}, {Key: "b", Version: 0}}},
+		// b@0 comes back through the merge with version 0: stated; c@2 and
+		// the delete of c@0 are implied.
+		{Adds: []types.Record{rec("b", 0), rec("c", 2)}, Dels: []types.CompositeKey{{Key: "c", Version: 0}}},
+	} {
+		if err := c.AddVersionDelta(types.VersionID(v), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := NewLayout(c)
+	values, err := addChunk(l, recordItems(c), []uint32{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := types.VersionID(0); v < 3; v++ {
+		if err := l.PlaceVersion(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkLayout(t, c, l)
+	b0, _ := c.IDForCK(types.CompositeKey{Key: "b", Version: 0})
+	slot := l.Loc(b0).Slot
+	delta := l.TakeDelta()
+	if len(delta) != 1 || len(delta[0].Versions) != 2 ||
+		!slices.Equal(delta[0].Versions[1].Slice(), []uint32{slot}) || !slices.Equal(delta[0].Versions[2].Slice(), []uint32{slot}) {
+		t.Fatalf("delta %v: want versions 1 and 2 to state b@0's slot %d alone", delta[0], slot)
+	}
+
+	re := NewLayout(c)
+	st := storedOf(t, values)
+	if err := re.RestoreChunk(0, st); err != nil {
+		t.Fatal(err)
+	}
+	implied := NewImplied([]Stored{st})
+	for v := types.VersionID(0); v < 3; v++ {
+		var diffs []Slots
+		if bits := delta[0].Versions[v]; bits != nil {
+			diffs = []Slots{{0, bits.Clone()}}
+		}
+		if diffs, err = implied.Or(re, v, g.Parent(v), diffs); err != nil {
+			t.Fatal(err)
+		}
+		if err := re.ApplyDiffs(v, g.Parent(v), diffs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := re.BindRecords(0, st); err != nil {
+		t.Fatal(err)
+	}
+	checkLayout(t, c, re)
 }

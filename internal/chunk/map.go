@@ -17,7 +17,8 @@ import (
 // information of the full key×version×chunk matrix, exploiting its sparsity
 // with per-version bitmaps. A Layout holds whole bitmaps; the Maps it hands
 // out to be persisted (TakeDelta) hold, under the same shape, each version's
-// difference from its tree parent.
+// difference from its tree parent less the slots composite keys imply
+// (Implied).
 type Map struct {
 	// NumSlots is the number of record slots in the chunk.
 	NumSlots int

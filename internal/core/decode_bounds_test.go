@@ -42,7 +42,7 @@ func TestDecodersRefuseWideOrRepeatedIDs(t *testing.T) {
 	}{
 		{"placement-record parent 2^32", func() error {
 			// Versions 0 and 1; version 1's parent is 2^32, not version 0.
-			return newStore(Config{}, false).applyPlacement(uvarints(0, 2, 0, 1, 1<<32, 0), nil)
+			return newStore(Config{}, false).applyPlacement(uvarints(0, 2, 0, 1, 1<<32, 0), nil, chunk.NewImplied(nil))
 		}},
 		{"chunk-map version 2^32+3", func() error {
 			_, err := chunk.DecodeMap(chunkMap(1<<32+3), 64)

@@ -19,31 +19,35 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 10 lets a segment's
-// items leave out what its code implies — a template user's empty heads and
-// body length, a key's suffix length where every key of the segment has one
-// width — and marks that with another value of the segment's first byte
-// (chunk/runs.go), which a version-9 build does not know, so it is refused
-// here instead of misread there. A version-8 or version-9 store is read as it
-// is — its segments never set that bit — and becomes version 10 with the
-// next root it writes. Version 9 let a segment state the run heads most of its
-// values share once, as its template; version 8 packed the literals of a
-// segment's run lists at the width of the segment's own alphabet, which the
-// segment states in that byte; version 7 stored a segment's values as run
-// lists of bytes against its first, where version 6 wrote every value raw;
-// version 6 stated a version's slot bitmaps in the placement records as diffs
-// against its tree parent's, where version 5 wrote them whole; version 5
-// stored a chunk as key-ordered, front-coded segment values
-// (chunk.SegmentKey) in place of one payload; version 4 took the versions'
-// composite-key deltas out of the placement records, whose slot bitmaps
-// already imply them; a version-3 store wrote both, a version-2 store carried
-// chunk maps inside the chunk values, version 1 used unprefixed chunk keys,
-// and all seven must be re-initialized, not misread.
-const manifestVersion = 10
+// manifestVersion guards the on-disk format. Version 11 lets a placement
+// record leave out of a version's diffs the slots composite keys imply — the
+// records whose composite keys name the version, and the records of their keys
+// its tree parent holds (chunk.Implied) — which a version-10 build would fold
+// into versions that lack their own records, so it is refused here instead. A
+// version-8 to version-10 store is read as it is — its diffs state every slot,
+// the implied ones included, and the fold adds those once — and becomes
+// version 11 with the next root it writes. Version 10 let a segment's items
+// leave out what its code implies — a template user's empty heads and body
+// length, a key's suffix length where every key of the segment has one width —
+// and marks that with another value of the segment's first byte
+// (chunk/runs.go), which a version-9 build does not know. Version 9 let a
+// segment state the run heads most of its values share once, as its template;
+// version 8 packed the literals of a segment's run lists at the width of the
+// segment's own alphabet, which the segment states in that byte; version 7
+// stored a segment's values as run lists of bytes against its first, where
+// version 6 wrote every value raw; version 6 stated a version's slot bitmaps
+// in the placement records as diffs against its tree parent's, where version
+// 5 wrote them whole; version 5 stored a chunk as key-ordered, front-coded
+// segment values (chunk.SegmentKey) in place of one payload; version 4 took
+// the versions' composite-key deltas out of the placement records, whose slot
+// bitmaps already imply them; a version-3 store wrote both, a version-2 store
+// carried chunk maps inside the chunk values, version 1 used unprefixed chunk
+// keys, and all seven must be re-initialized, not misread.
+const manifestVersion = 11
 
 // oldestReadable is the oldest manifest version this build reads: every
-// segment of a version-8 or version-9 store is one a version-10 build could
-// have written.
+// segment of a version-8 to version-10 store is one a version-11 build could
+// have written, and every placement record one it reads as it was meant.
 const oldestReadable = 8
 
 // placementKey renders the key of the idx-th placement record of a
@@ -127,16 +131,20 @@ func (s *Store) loadRoot(buf []byte) (numChunks uint32, err error) {
 
 // savePlacement writes placement record idx of generation gen: the parent
 // edges of versions [first, NumVersions), and what those versions change in
-// the chunk maps — per chunk the record introduces or one of its versions
-// differs from its tree parent in, the slot count and, per such version, the
-// XOR of its slot bitmap with the parent's (chunk.Layout.TakeDelta); a
-// version a chunk does not list holds there what its parent holds. The diffs
-// are the only statement of which records a version holds, and they are its
-// tree-edge delta — a slot of a diff is an add where the version holds it, a
-// delete where the parent does (applyPlacement); the record values live in
-// the chunks. Online flushes append one record per batch; a full repartition
-// writes one record holding everything. The record only counts once the root
-// does (publish).
+// the chunk maps — per chunk the record introduces, its slot count, and per
+// chunk in which one of its versions differs from its tree parent in a slot
+// composite keys do not imply, per such version those slots of the XOR of its
+// slot bitmap with the parent's (chunk.Layout.TakeDelta): a merge's re-add of
+// a record whose composite key names another version, and a delete of a key
+// the version does not put again. The slots of the records a version creates,
+// whose composite keys name it, and of the records of those keys its parent
+// holds are implied and left out (chunk.Implied); a version a chunk does not
+// list differs there from its parent in the implied slots alone. What the
+// record states and what the keys imply are a version's tree-edge delta — a
+// slot is an add where the version holds it, a delete where the parent does
+// (applyPlacement); the record values live in the chunks. Online flushes
+// append one record per batch; a full repartition writes one record holding
+// everything. The record only counts once the root does (publish).
 func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.VersionID, diffs map[chunk.ID]*chunk.Map) error {
 	buf := codec.PutUvarint(nil, uint64(first))
 	buf = codec.PutUvarint(buf, uint64(s.graph.NumVersions()-int(first)))
@@ -157,14 +165,18 @@ func (s *Store) savePlacement(ctx context.Context, gen, idx uint32, first types.
 }
 
 // applyPlacement folds one placement record into a store being loaded.
-// chunks[c] is what chunk c's segments decoded to. The record's diffs are
-// decoded first, each against the slot count of the chunk it indexes, and the
-// chunks it introduces are opened; each of its versions, in id order — parents
-// first — then gets its bitmaps back from its parent's and its diffs
-// (chunk.Layout.ApplyDiffs) and, read off the same diffs, the tree-edge
-// delta that extends the graph and the corpus; only then do the new chunks'
-// records, which the versions just registered, take their places.
-func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
+// chunks[c] is what chunk c's segments decoded to, and implied indexes their
+// composite keys. The record's diffs are decoded first, each against the slot
+// count of the chunk it indexes, and the chunks it introduces are opened;
+// each of its versions, in id order — parents first — then gets the slots
+// composite keys imply ORed into its diffs (chunk.Implied.Or: the records
+// whose keys name it and those their keys held in its parent; a v8–v10
+// record states them already, and ORing them changes nothing), its bitmaps
+// back from its parent's and those diffs (chunk.Layout.ApplyDiffs) and, read
+// off the same diffs, the tree-edge delta that extends the graph and the
+// corpus; only then do the new chunks' records, which the versions just
+// registered, take their places.
+func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored, implied *chunk.Implied) error {
 	first, rest, err := codec.Uvarint(buf)
 	if err != nil {
 		return err
@@ -241,6 +253,10 @@ func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored) error {
 				return fmt.Errorf("%w: version %d placed before its parent %d", types.ErrCorrupt, v, parent)
 			}
 		}
+		vdiffs, err := implied.Or(s.layout, v, parent, vdiffs)
+		if err != nil {
+			return err
+		}
 		if err := s.layout.ApplyDiffs(v, parent, vdiffs); err != nil {
 			return err
 		}
@@ -302,11 +318,13 @@ func (s *Store) replayVersion(v types.VersionID, parents []types.VersionID, delt
 //
 // Otherwise Open reopens what the root commits: it names the placement
 // generation and how much of it is committed, each chunk's segment entries
-// decode and join to its records in slot order, and the generation's
-// placement records fold in order (applyPlacement): the chunks a record
-// introduces open (chunk.Layout.RestoreChunk), each version's bitmaps are
-// rebuilt from its parent's and its diffs (chunk.Layout.ApplyDiffs) and its
-// delta, read off the same diffs, goes into the graph and the corpus, and the
+// decode and join to its records in slot order, their composite keys are
+// indexed once (chunk.NewImplied), and the generation's placement records
+// fold in order (applyPlacement): the chunks a record introduces open
+// (chunk.Layout.RestoreChunk), each version's diffs — what the record states
+// and what composite keys imply — rebuild its bitmaps from its parent's
+// (chunk.Layout.ApplyDiffs) and its delta, read off the same diffs, goes into
+// the graph and the corpus, and the
 // new chunks' records take their slots (chunk.Layout.BindRecords), filling
 // the locations, chunk maps and the projection. Record ids are handed out in
 // that fold's order and are local to the process; nothing persisted names
@@ -441,11 +459,12 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		records += len(st.Records)
 	}
 	s.corpus.Grow(records, s.placed+len(deltas))
+	implied := chunk.NewImplied(chunks)
 	for idx, rec := range placements {
 		if rec == nil {
 			return fail(fmt.Errorf("%w: placement record %s missing", types.ErrCorrupt, placementKey(s.gen, uint32(idx))))
 		}
-		if err := s.applyPlacement(rec, chunks); err != nil {
+		if err := s.applyPlacement(rec, chunks, implied); err != nil {
 			return fail(err)
 		}
 	}

@@ -49,24 +49,37 @@ func (p placementParts) encode() []byte {
 
 // wholeRecord takes apart the one record a bulk-loaded store wrote: every
 // version's parents and, per chunk, every version's diff against its tree
-// parent — computed here from the live layout's whole bitmaps, not taken from
-// the layout's own delta.
+// parent less the slots composite keys imply — computed here from the live
+// layout's whole bitmaps and the corpus, not taken from the layout's own
+// delta. A slot of a diff is implied where its record's composite key names
+// the version, or where the parent holds it and the version has a record of
+// its key that names the version.
 func wholeRecord(t *testing.T, st *Store) placementParts {
 	t.Helper()
 	var p placementParts
 	for v := types.VersionID(0); int(v) < st.graph.NumVersions(); v++ {
 		p.parents = append(p.parents, slices.Clone(st.graph.Parents(v)))
 	}
+	cks := slotKeys(st)
 	for cid := chunk.ID(0); int(cid) < st.NumChunks(); cid++ {
 		live := st.layout.Map(cid)
 		m := chunk.NewMap(live.NumSlots)
 		for v := types.VersionID(0); int(v) < st.graph.NumVersions(); v++ {
+			parent := st.graph.Parent(v)
 			diff := bitset.New(live.NumSlots)
-			for _, u := range []types.VersionID{v, st.graph.Parent(v)} {
+			for _, u := range []types.VersionID{v, parent} {
 				if bits := live.SlotsOf(u); bits != nil { // nil also for the root's InvalidVersion parent
 					diff.Xor(bits)
 				}
 			}
+			diff.ForEach(func(slot uint32) bool {
+				ck := cks[cid][slot]
+				_, supersedes := st.corpus.IDForCK(types.CompositeKey{Key: ck.Key, Version: v})
+				if ck.Version == v || (supersedes && live.SlotsOf(parent).Contains(slot)) {
+					diff.Clear(slot)
+				}
+				return true
+			})
 			if !diff.Empty() {
 				m.Versions[v] = diff
 			}
@@ -74,6 +87,20 @@ func wholeRecord(t *testing.T, st *Store) placementParts {
 		p.maps = append(p.maps, mapPart{cid, m})
 	}
 	return p
+}
+
+// slotKeys returns, per chunk of st, the composite key of the record in each
+// slot.
+func slotKeys(st *Store) [][]types.CompositeKey {
+	cks := make([][]types.CompositeKey, st.NumChunks())
+	for cid := range cks {
+		cks[cid] = make([]types.CompositeKey, st.layout.Map(chunk.ID(cid)).NumSlots)
+	}
+	for rec := 0; rec < st.corpus.NumRecords(); rec++ {
+		loc := st.layout.Loc(uint32(rec))
+		cks[loc.Chunk][loc.Slot] = st.corpus.Record(uint32(rec)).CK
+	}
+	return cks
 }
 
 // TestLoadRejectsCorruptPlacementRecord: whatever a placement record says
@@ -99,13 +126,16 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 	if numVersions < 10 || numChunks < 3 {
 		t.Fatalf("%d versions in %d chunks: too small to corrupt", numVersions, numChunks)
 	}
-	// someBitmap picks a diff of chunk map m, the lowest version's.
-	someBitmap := func(m *chunk.Map) *bitset.BitSet {
-		vs := make([]types.VersionID, 0, len(m.Versions))
-		for v := range m.Versions {
-			vs = append(vs, v)
+	// A record the last version creates: no version before it can hold it.
+	last := types.VersionID(numVersions - 1)
+	lastAt := chunk.Loc{Chunk: chunk.NoChunk}
+	for cid, cks := range slotKeys(st) {
+		if slot := slices.IndexFunc(cks, func(ck types.CompositeKey) bool { return ck.Version == last }); slot >= 0 {
+			lastAt = chunk.Loc{Chunk: chunk.ID(cid), Slot: uint32(slot)}
 		}
-		return m.Versions[slices.Min(vs)]
+	}
+	if lastAt.Chunk == chunk.NoChunk {
+		t.Fatalf("version %d created no record", last)
 	}
 
 	for _, tc := range []struct {
@@ -113,7 +143,7 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 		corrupt func(p *placementParts) []byte // nil: p, changed in place, re-encoded
 	}{
 		{"a diff names a slot past the chunk's records", func(p *placementParts) []byte {
-			someBitmap(p.maps[1].m).Set(uint32(p.maps[1].m.NumSlots))
+			p.maps[1].m.Versions[1] = bitset.FromSlice([]uint32{uint32(p.maps[1].m.NumSlots)})
 			return nil
 		}},
 		{"a chunk map counts other slots than its chunk holds", func(p *placementParts) []byte {
@@ -160,8 +190,12 @@ func TestLoadRejectsCorruptPlacementRecord(t *testing.T) {
 			p.maps = p.maps[:numChunks-1]
 			return nil
 		}},
-		{"a chunk no version's diff claims a record of", func(p *placementParts) []byte {
-			clear(p.maps[numChunks-1].m.Versions)
+		{"a version takes up a record whose key names a later version", func(p *placementParts) []byte {
+			m := p.maps[lastAt.Chunk].m
+			if m.Versions[0] == nil {
+				m.Versions[0] = bitset.New(m.NumSlots)
+			}
+			m.Versions[0].Set(lastAt.Slot)
 			return nil
 		}},
 		{"a version count no record could hold", func(*placementParts) []byte {
@@ -288,9 +322,11 @@ func TestFoldRebuildsBitmapsFromDiffs(t *testing.T) {
 }
 
 // foldFixture is what Open hands applyPlacement for one store: the decoded
-// chunks and the generation's placement records in order.
+// chunks, their index of what composite keys imply, and the generation's
+// placement records in order.
 type foldFixture struct {
 	chunks  []chunk.Stored
+	implied *chunk.Implied
 	records [][]byte
 }
 
@@ -327,6 +363,7 @@ func takeFoldFixture(t testing.TB, st *Store, kv *kvstore.Store) foldFixture {
 	t.Helper()
 	ctx := context.Background()
 	fx := foldFixture{chunks: storedChunks(t, st, kv), records: make([][]byte, st.numPlacements)}
+	fx.implied = chunk.NewImplied(fx.chunks)
 	for idx := range fx.records {
 		var err error
 		if fx.records[idx], err = kv.Get(ctx, TablePlacement, placementKey(st.gen, uint32(idx))); err != nil {
@@ -336,15 +373,90 @@ func takeFoldFixture(t testing.TB, st *Store, kv *kvstore.Store) foldFixture {
 	return fx
 }
 
+// shapedFixture is a store of three flushes, each one placement record: the
+// root's six keys; version 1, which puts a new key — a new chunk, whose one
+// record its key implies — and deletes another, the record's one stated
+// slot; and version 2, a merge with version 0 that takes the deleted record
+// up again, the one stated slot of its record, and rewrites a key.
+func shapedFixture(t testing.TB) foldFixture {
+	t.Helper()
+	ctx := context.Background()
+	st, kv := openGolden(t, Config{})
+	puts := map[types.Key][]byte{}
+	for _, k := range []types.Key{"a", "b", "c", "d", "e", "f"} {
+		puts[k] = []byte("the first value of " + k)
+	}
+	commits := []func() (types.VersionID, error){
+		func() (types.VersionID, error) { return st.Commit(ctx, types.InvalidVersion, Change{Puts: puts}) },
+		func() (types.VersionID, error) {
+			return st.Commit(ctx, 0, Change{Puts: map[types.Key][]byte{"g": []byte("new in 1")}, Deletes: []types.Key{"b"}})
+		},
+		func() (types.VersionID, error) {
+			return st.CommitDelta(ctx, []types.VersionID{1, 0}, &types.Delta{
+				Adds: []types.Record{{CK: types.CompositeKey{Key: "b", Version: 0}, Value: puts["b"]}, {CK: types.CompositeKey{Key: "a", Version: 2}, Value: []byte("rewritten in 2")}},
+				Dels: []types.CompositeKey{{Key: "a", Version: 0}},
+			})
+		},
+	}
+	for i, commit := range commits {
+		if v, err := commit(); err != nil || int(v) != i {
+			t.Fatalf("commit %d: %d, %v", i, v, err)
+		}
+		if err := st.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return takeFoldFixture(t, st, kv)
+}
+
+// decodeParts takes a placement record apart, by the grammar encode writes.
+func decodeParts(t testing.TB, rec []byte, chunks []chunk.Stored) placementParts {
+	t.Helper()
+	var p placementParts
+	next := func() uint64 {
+		u, rest, err := codec.Uvarint(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = rest
+		return u
+	}
+	p.first = next()
+	p.parents = make([][]types.VersionID, next())
+	for i := range p.parents {
+		for n := next(); n > 0; n-- {
+			p.parents[i] = append(p.parents[i], types.VersionID(next()))
+		}
+	}
+	for n := next(); n > 0; n-- {
+		cid := chunk.ID(next())
+		enc, rest, err := codec.Bytes(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = rest
+		m, err := chunk.DecodeMap(enc, len(chunks[cid].Records))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.maps = append(p.maps, mapPart{cid, m})
+	}
+	return p
+}
+
 // FuzzApplyPlacement: the fold of a placement record must answer arbitrary
 // bytes with ErrCorrupt — never a panic, an index out of range or an
 // allocation sized by the input's claims — and whatever it accepts must hang
 // together: every version holds, by the deltas read off its diffs, exactly
 // the records the slot bitmaps rebuilt from the same diffs name. Seeded with
-// the golden corpus's records: the one record of a bulk load (at 0), and each
-// record of a replay in online batches of four, folded after the ones before
-// it (at i+1); and a record of two versions whose second names parent 2³²,
-// which a fold that truncated ids would take for version 0.
+// the golden corpus's records: the one record of a bulk load, and each record
+// of a replay in online batches of four, folded after the ones before it; a
+// record of two versions whose second names parent 2³², which a fold that
+// truncated ids would take for version 0; and the last two records of
+// shapedFixture, each folded after the ones before it: one that lists a new
+// chunk with no version and states a delete alone, and one that states a
+// merge's re-add. The fold derives the rest of each version's diffs from
+// the chunks' composite keys. Each seed's at is its index in cases.
 func FuzzApplyPlacement(f *testing.F) {
 	st, kv := openGolden(f, Config{})
 	if err := st.BulkLoad(context.Background(), goldenCorpus(f)); err != nil {
@@ -354,28 +466,57 @@ func FuzzApplyPlacement(f *testing.F) {
 	st, kv = openGolden(f, Config{BatchSize: 4})
 	replayGolden(f, st)
 	online := takeFoldFixture(f, st, kv)
+	shaped := shapedFixture(f)
 
+	// cases[at] folds fx.records[:before] and then the input.
+	type foldCase struct {
+		fx     foldFixture
+		before int
+	}
+	cases := []foldCase{{bulk, 0}}
 	f.Add(bulk.records[0], uint8(0))
 	for i, rec := range online.records {
-		f.Add(rec, uint8(i+1))
+		f.Add(rec, uint8(len(cases)))
+		cases = append(cases, foldCase{online, i})
 	}
 	var wide []byte // versions [0, 2): the root, then one of parent 2³²; no chunk maps
 	for _, u := range []uint64{0, 2, 0, 1, 1 << 32, 0} {
 		wide = codec.PutUvarint(wide, u)
 	}
 	f.Add(wide, uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, at uint8) {
-		fx, before := bulk, 0
-		if at > 0 {
-			fx, before = online, int(at-1)%len(online.records)
+
+	// The shaped records, checked to state what they are seeds of.
+	if len(shaped.records) != 3 {
+		f.Fatalf("the shaped store wrote %d placement records, want 3", len(shaped.records))
+	}
+	deleteOnly, reAdd := decodeParts(f, shaped.records[1], shaped.chunks), decodeParts(f, shaped.records[2], shaped.chunks)
+	stated := func(p placementParts) (versions int) {
+		for _, mp := range p.maps {
+			versions += len(mp.m.Versions)
 		}
+		return versions
+	}
+	newChunk := deleteOnly.maps[len(deleteOnly.maps)-1]
+	if stated(deleteOnly) != 1 || len(newChunk.m.Versions) != 0 || int(newChunk.cid) != len(shaped.chunks)-2 {
+		f.Fatalf("version 1's record lists chunks %v: want a new chunk with no version, beside the one slot of its delete", deleteOnly.maps)
+	}
+	if stated(reAdd) != 1 || reAdd.maps[0].m.Versions[2].Count() != 1 {
+		f.Fatalf("version 2's record lists chunks %v: want the one slot of its re-add", reAdd.maps)
+	}
+	for before := 1; before <= 2; before++ {
+		f.Add(shaped.records[before], uint8(len(cases)))
+		cases = append(cases, foldCase{shaped, before})
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, at uint8) {
+		c := cases[int(at)%len(cases)]
 		s := newStore(Config{}, false)
-		for _, rec := range fx.records[:before] {
-			if err := s.applyPlacement(rec, fx.chunks); err != nil {
+		for _, rec := range c.fx.records[:c.before] {
+			if err := s.applyPlacement(rec, c.fx.chunks, c.fx.implied); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.applyPlacement(data, fx.chunks); err != nil {
+		if err := s.applyPlacement(data, c.fx.chunks, c.fx.implied); err != nil {
 			if !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("a refused record is not ErrCorrupt: %v", err)
 			}
@@ -392,7 +533,7 @@ func FuzzApplyPlacement(f *testing.F) {
 			}
 			for _, cid := range s.layout.VersionChunks(v) {
 				s.layout.Map(cid).SlotsOf(v).ForEach(func(slot uint32) bool {
-					byBitmaps = append(byBitmaps, fmt.Sprint(fx.chunks[cid].Records[slot].CK))
+					byBitmaps = append(byBitmaps, fmt.Sprint(c.fx.chunks[cid].Records[slot].CK))
 					return true
 				})
 			}

@@ -111,8 +111,10 @@ func (c *Corpus) Dels(v types.VersionID) intset.Set { return c.dels[v] }
 // (versions register densely, in commit order) and must already exist in the
 // graph. Added records receive fresh ids unless their composite key is
 // already registered (which happens for records arriving through merge
-// edges: the tree delta re-adds an existing record). Deleted composite keys
-// must be registered.
+// edges: the tree delta re-adds an existing record); a record first added
+// must name v in its composite key, as placement records leave the slots of
+// the records a version creates to their composite keys (chunk.Implied).
+// Deleted composite keys must be registered.
 func (c *Corpus) AddVersionDelta(v types.VersionID, delta *types.Delta) error {
 	if int(v) != len(c.adds) {
 		return fmt.Errorf("corpus: version %d registered out of order (have %d)", v, len(c.adds))
@@ -127,6 +129,9 @@ func (c *Corpus) AddVersionDelta(v types.VersionID, delta *types.Delta) error {
 	for _, r := range delta.Adds {
 		id, ok := c.byCK[r.CK]
 		if !ok {
+			if r.CK.Version != v {
+				return fmt.Errorf("corpus: version %d adds %v, which no version has added and which it does not name", v, r.CK)
+			}
 			id = uint32(len(c.recs))
 			c.recs = append(c.recs, r)
 			c.byCK[r.CK] = id

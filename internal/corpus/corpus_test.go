@@ -129,6 +129,14 @@ func TestAddVersionDeltaErrors(t *testing.T) {
 	if !errors.Is(err, types.ErrInconsistentDelta) {
 		t.Errorf("inconsistent delta: %v", err)
 	}
+	// A first add of a record whose composite key names another version:
+	// placement would credit it to that version.
+	g3 := vgraph.New()
+	g3.AddRoot()
+	c3 := New(g3)
+	if err := c3.AddVersionDelta(0, &types.Delta{Adds: []types.Record{rec("a", 3)}}); err == nil {
+		t.Error("a new record naming another version accepted")
+	}
 }
 
 func TestMergeReAdd(t *testing.T) {

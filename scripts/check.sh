@@ -222,6 +222,21 @@ run_daemons() {
       echo "daemons: /version/main read $before, want two records"
       exit 1
     fi
+    # The CLI's read commands beside the live server open the cluster
+    # read-only: they answer from the server's acknowledged commits and
+    # delete nothing, which the restart below reads back.
+    cli=("$work/bin/rstore" -backend remote -rf 2 -node-addrs "$addrs")
+    got=$("${cli[@]}" get -key doc -branch main)
+    if [ "$got" != '{"x":1}' ]; then
+      echo "daemons: rstore get beside the server read $got"
+      exit 1
+    fi
+    log=$("${cli[@]}" log)
+    if [ "$(echo "$log" | grep -c '^version ')" -ne 2 ] || ! echo "$log" | grep -q '^version 1 .*<- main$'; then
+      echo "daemons: rstore log beside the server printed:"
+      echo "$log"
+      exit 1
+    fi
     stop
     start_nodes
     # The daemons are pinned at rf 2: a server at another rf is refused, and
