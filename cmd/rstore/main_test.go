@@ -258,6 +258,32 @@ func TestCLIReadsWriteNothing(t *testing.T) {
 	}
 }
 
+// TestCLIReadOfFreshClusterPinsNothing: a read against fresh daemons finds
+// no store and says so, and pins nothing on them, so an init at another
+// replication factor after it is accepted and its root reads back.
+func TestCLIReadOfFreshClusterPinsNothing(t *testing.T) {
+	var addrs []string
+	for range 2 {
+		srv, err := engined.Start("127.0.0.1:0", memory.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, srv.Addr().String())
+	}
+	data := t.TempDir()
+	cluster := []string{"-backend", "remote", "-node-addrs", strings.Join(addrs, ",")}
+	if err := runCLI(t, data, append(cluster, "-rf", "1", "log")...); err == nil || !strings.Contains(err.Error(), "run init first") {
+		t.Fatalf("log on fresh daemons: %v, want run init first", err)
+	}
+	if err := runCLI(t, data, append(cluster, "-rf", "2", "init")...); err != nil {
+		t.Fatalf("init at rf 2 after the read: %v", err)
+	}
+	if got, err := outputCLI(t, data, append(cluster, "-rf", "2", "branch")...); err != nil || got != "main         v0\n" {
+		t.Fatalf("branch after init = %q, %v", got, err)
+	}
+}
+
 func TestCLIErrors(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "x.d")

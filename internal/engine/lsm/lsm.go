@@ -31,8 +31,8 @@
 // being read (retireLocked). The engine reclaims its dead bytes itself, on
 // the write calls that flush or ingest: no caller needs to. The MANIFEST
 // names the live files; its atomic rename is the commit point for every
-// structural change, which is what makes flush, ingest, compaction,
-// retirement and reset crash-safe.
+// structural change, which is what makes flush, ingest, compaction and
+// retirement crash-safe.
 //
 // Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (at most one per
 // user table), sst-<seq>.sst (run and age per the MANIFEST). The directory is

@@ -17,7 +17,7 @@ import (
 // file with the user table it belongs to — each table's write-ahead log and
 // the SSTables of its run — committed by write-to-temp + fsync + rename +
 // directory fsync. The rename is the single commit point for flush,
-// compaction, retirement and reset. An sst-*.sst the MANIFEST does not name
+// ingest, compaction and retirement. An sst-*.sst the MANIFEST does not name
 // is debris from a crash between file creation and commit, and Open deletes
 // it; so is a wal-*.log it does not name, unless the log's sequence number
 // is at or past next: such a log was created after the commit, as a table's

@@ -1,9 +1,8 @@
 package remote
 
 import (
-	"bufio"
+	"context"
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,13 +47,15 @@ type BreakerStats struct {
 // drain.
 type breaker struct {
 	c *Client
+	// ctx scopes the prober and its probes; close (the client's Close)
+	// cancels it, so a probe stuck on a hung node ends with the client.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu          sync.Mutex
 	consecutive int  // unavailability verdicts since the last completed exchange
 	open        bool // in probation: fail fast, prober running
 	probing     bool // prober goroutine live
-	stopped     bool // client closed
-	stop        chan struct{}
 	listener    func(up bool)
 
 	trips     atomic.Int64
@@ -63,7 +64,9 @@ type breaker struct {
 }
 
 func newBreaker(c *Client) *breaker {
-	return &breaker{c: c, stop: make(chan struct{})}
+	//lint:rstore-vet ctxfirst: the prober is a lifecycle root — its probes derive from it and the client's Close cancels it
+	ctx, cancel := context.WithCancel(context.Background())
+	return &breaker{c: c, ctx: ctx, cancel: cancel}
 }
 
 // fastFail reports whether the operation should be rejected without
@@ -99,7 +102,7 @@ func (b *breaker) recordFailure() {
 	b.mu.Lock()
 	b.consecutive++
 	tripped := false
-	if !b.open && !b.stopped && b.consecutive >= b.c.opts.BreakerThreshold {
+	if !b.open && b.ctx.Err() == nil && b.consecutive >= b.c.opts.BreakerThreshold {
 		b.open = true
 		tripped = true
 		b.trips.Add(1)
@@ -124,19 +127,19 @@ func (b *breaker) probeLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-b.stop:
+		case <-b.ctx.Done():
 			return
 		case <-t.C:
 		}
 		b.mu.Lock()
-		if !b.open || b.stopped {
+		if !b.open || b.ctx.Err() != nil {
 			b.probing = false
 			b.mu.Unlock()
 			return
 		}
 		b.mu.Unlock()
 		b.probes.Add(1)
-		if b.c.probeOnce() {
+		if b.c.probeOnce(b.ctx) {
 			b.mu.Lock()
 			b.open = false
 			b.consecutive = 0
@@ -155,15 +158,9 @@ func (b *breaker) probeLoop() {
 	}
 }
 
-// close stops the prober permanently (client Close).
-func (b *breaker) close() {
-	b.mu.Lock()
-	if !b.stopped {
-		b.stopped = true
-		close(b.stop)
-	}
-	b.mu.Unlock()
-}
+// close stops the prober permanently, a probe in flight included (client
+// Close).
+func (b *breaker) close() { b.cancel() }
 
 func (b *breaker) stats() BreakerStats {
 	b.mu.Lock()
@@ -178,34 +175,18 @@ func (b *breaker) stats() BreakerStats {
 }
 
 // probeOnce is one single-attempt reachability check: one dial, one ping
-// exchange, no retries and no pool — the whole point of the breaker is
-// that a dead node costs exactly one dial per probe interval.
-func (c *Client) probeOnce() bool {
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
-	nc, err := d.Dial("tcp", c.addr)
+// exchange on that fresh connection, no retries and no pool — the whole
+// point of the breaker is that a dead node costs exactly one dial per probe
+// interval.
+func (c *Client) probeOnce(ctx context.Context) bool {
+	cn, err := c.dial(ctx)
 	if err != nil {
 		return false
 	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(c.opts.IOTimeout))
+	defer cn.nc.Close()
 	ping := wire.Request{Op: wire.OpPing}
-	if err := wire.WriteFrame(nc, wire.EncodeRequest(ping)); err != nil {
-		return false
-	}
-	payload, err := wire.ReadFrame(bufio.NewReader(nc), nil)
-	if err != nil {
-		return false
-	}
-	rep, err := wire.ParseReply(ping, payload)
-	return err == nil && rep.Err == nil
-}
-
-// BreakerOpen reports whether the failure detector currently holds the node
-// in probation (operations fail fast until a probe succeeds).
-func (c *Client) BreakerOpen() bool {
-	c.br.mu.Lock()
-	defer c.br.mu.Unlock()
-	return c.br.open
+	_, err = cn.exchange(ctx, c.opts.IOTimeout, ping, wire.EncodeRequest(ping), func(wire.Reply) (more, abandon bool) { return false, false })
+	return err == nil
 }
 
 // BreakerStats snapshots the failure detector's state and counters.

@@ -7,6 +7,7 @@ package remote_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote"
 	"rstore/internal/engine/remote/engined"
+	"rstore/internal/engine/remote/wire"
 )
 
 // slamListener accepts and immediately closes every connection, counting
@@ -76,7 +78,7 @@ func trip(t *testing.T, c *remote.Client, n int) {
 			t.Fatalf("verdict %d: %v", i, err)
 		}
 	}
-	if !c.BreakerOpen() {
+	if !c.BreakerStats().Open {
 		t.Fatalf("breaker not open after %d verdicts", n)
 	}
 }
@@ -188,7 +190,7 @@ func TestBreakerRecoversWhenNodeReturns(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("breaker never recovered after node restart")
 	}
-	if c.BreakerOpen() {
+	if c.BreakerStats().Open {
 		t.Fatal("breaker still open after recovery notification")
 	}
 	// And the client is fully usable again.
@@ -231,10 +233,61 @@ func TestProbationOpsNeverDial(t *testing.T) {
 			t.Fatalf("probation put %d: %v", i, err)
 		}
 	}
-	if !c.BreakerOpen() {
+	if !c.BreakerStats().Open {
 		t.Fatal("breaker closed without a probe or completed exchange")
 	}
 	if st := c.BreakerStats(); st.Probes != 0 {
 		t.Fatalf("parked prober still probed %d times", st.Probes)
+	}
+}
+
+// TestCloseEndsAProbeInFlight: a probe that reached a node which accepts
+// and then never answers ends with the client's Close, not after
+// DialTimeout + IOTimeout: the node sees the probe's connection close.
+func TestCloseEndsAProbeInFlight(t *testing.T) {
+	s := newSlamListener(t)
+	opts := breakerOpts()
+	opts.IOTimeout = time.Minute
+	c, err := remote.Dial(s.addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := s.addr()
+	trip(t, c, 2)
+	s.close()
+
+	// The hung node: it reads what a probe sends and never replies.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1)
+	go func() {
+		if nc, err := ln.Accept(); err == nil {
+			held <- nc
+		}
+	}()
+	var nc net.Conn
+	select {
+	case nc = <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no probe reached the hung node")
+	}
+	defer nc.Close()
+	// Wait for the ping to arrive whole, so the probe is in its exchange.
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := wire.ReadFrame(nc, nil); err != nil {
+		t.Fatalf("probe sent no ping: %v", err)
+	}
+
+	start := time.Now()
+	c.Close()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("the probe's connection outlived Close: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("the probe's connection closed %v after Close", d)
 	}
 }

@@ -25,90 +25,66 @@ import (
 // Server serves one backend on one listener.
 type Server struct {
 	be engine.Backend
+	ln net.Listener
 
-	// baseCtx scopes every backend operation the server issues; Close
-	// cancels it so in-flight work aborts, Shutdown leaves it live until
-	// the drain deadline passes.
+	// baseCtx scopes every backend operation the server issues; stopping
+	// cancels it once the drain is over or its grace has run out.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 
 	mu     sync.Mutex
-	ln     net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// New builds a server over a backend; call Serve to start it.
-func New(be engine.Backend) *Server {
-	//lint:rstore-vet ctxfirst: the daemon is a lifecycle root — per-connection contexts derive from it and Close/Shutdown cancel it
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{be: be, baseCtx: ctx, cancelBase: cancel, conns: make(map[net.Conn]struct{})}
-}
-
-// Start listens on addr (host:port; port 0 picks a free one) and serves in
-// the background. The chosen address is available via Addr.
+// Start listens on addr (host:port; port 0 picks a free one) and serves be
+// in the background until Close or Shutdown. The chosen address is
+// available via Addr.
 func Start(addr string, be engine.Backend) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("engined: %w", err)
 	}
-	s := New(be)
-	s.ln = ln // assigned before Serve so Addr works immediately
+	//lint:rstore-vet ctxfirst: the daemon is a lifecycle root — per-connection contexts derive from it and Close/Shutdown cancel it
+	ctx, cancel := context.WithCancel(context.Background())
+	s := &Server{be: be, ln: ln, baseCtx: ctx, cancelBase: cancel, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.Serve(ln)
-	}()
+	go s.serve()
 	return s, nil
 }
 
-// Addr returns the listener's address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
+// Addr returns the listener's address.
+func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Serve accepts connections on ln until Close, returning nil once closed.
-// Accept errors while the server is live (fd exhaustion, transient network
-// failures) are retried with capped backoff rather than killing the loop —
-// a storage daemon that silently stops accepting while its process stays
-// up (holding the data directory lock) is the worst failure mode.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("engined: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
+// serve accepts connections until the server stops. Accept errors while the
+// server is live (fd exhaustion, transient network failures) are retried
+// with capped backoff rather than killing the loop — a storage daemon that
+// silently stops accepting while its process stays up (holding the data
+// directory lock) is the worst failure mode.
+func (s *Server) serve() {
+	defer s.wg.Done()
 	backoff := 5 * time.Millisecond
 	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
+		nc, err := s.ln.Accept()
+		if err == nil {
+			backoff = 5 * time.Millisecond
+		}
+		s.mu.Lock()
+		if s.closed {
 			s.mu.Unlock()
-			if closed {
-				return nil
+			if nc != nil {
+				nc.Close()
 			}
+			return
+		}
+		if err != nil {
+			s.mu.Unlock()
 			time.Sleep(backoff)
 			if backoff *= 2; backoff > time.Second {
 				backoff = time.Second
 			}
 			continue
-		}
-		backoff = 5 * time.Millisecond
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			return nil
 		}
 		s.conns[nc] = struct{}{}
 		s.wg.Add(1)
@@ -123,43 +99,24 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, severs every open connection, cancels in-flight
-// backend operations, and waits for the per-connection goroutines. The
-// backend is left open (the caller owns it). Closing twice is a no-op.
+// Close stops the server at once: Shutdown with no grace. Every open
+// connection is severed and in-flight backend operations are cancelled.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for nc := range s.conns {
-		conns = append(conns, nc)
-	}
-	s.mu.Unlock()
-	// Sever connections outside the table lock: Close can block on a
-	// lingering peer, and handleConn goroutines need mu to deregister.
-	for _, nc := range conns {
-		nc.Close()
-	}
-	s.cancelBase()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	cancel()
+	s.Shutdown(ctx)
 	return nil
 }
 
-// Shutdown drains the server gracefully: it stops accepting, lets every
-// in-flight request finish writing its response, and closes connections as
-// they go idle (each pooled client connection is nudged with an immediate
-// read deadline, so blocked between-request reads return right away while
-// responses in progress complete — the read deadline only bites on the NEXT
+// Shutdown stops the server, the one way it stops: it stops accepting,
+// lets every in-flight request finish writing its response, and closes
+// connections as they go idle (each is nudged with an immediate read
+// deadline, so a blocked between-request read returns at once while a
+// response in progress completes — the deadline only bites on the NEXT
 // request read). If ctx ends before the drain completes, the remaining
-// connections are severed hard and ctx's error is returned. The backend is
-// left open either way; Shutdown twice (or after Close) is a no-op.
+// connections are severed, in-flight backend operations are cancelled,
+// and ctx's error is returned once their goroutines are gone. The backend
+// is left open (the caller owns it); stopping twice is a no-op.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -167,24 +124,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.closed = true
-	ln := s.ln
 	for nc := range s.conns {
 		nc.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
+	s.ln.Close()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		s.cancelBase()
-		return nil
 	case <-ctx.Done():
+		err = ctx.Err()
+		// Sever outside the table lock: Close can block on a lingering
+		// peer, and handleConn goroutines need mu to deregister.
 		s.mu.Lock()
 		conns := make([]net.Conn, 0, len(s.conns))
 		for nc := range s.conns {
@@ -194,10 +150,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for _, nc := range conns {
 			nc.Close()
 		}
-		s.cancelBase()
-		<-done
-		return ctx.Err()
 	}
+	s.cancelBase()
+	<-done
+	return err
 }
 
 // handleConn serves framed requests until the peer hangs up or a frame is
@@ -305,9 +261,6 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, payload, resp []byte) ([
 	// The arms below go through the engine package's seam helpers: a backend
 	// without the seam answers with the matching ErrNo* sentinel, which the
 	// wire sends as its exact text.
-	case wire.OpCompact:
-		rep.Stats, rep.Err = engine.Compact(s.baseCtx, s.be)
-
 	case wire.OpCompactStats:
 		rep.Stats, rep.Err = engine.ReadCompactionStats(s.baseCtx, s.be)
 
@@ -322,8 +275,8 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, payload, resp []byte) ([
 	default:
 		return resp, fmt.Errorf("engined: op %d has no dispatch arm", req.Op)
 	}
-	// The deadline starts after the backend call: a merge or a full-table
-	// sweep may run longer than any write should stall.
+	// The deadline starts after the backend call: a digest of a large table
+	// may take longer than any write should stall.
 	nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	resp = wire.AppendReply(resp[:0], req.Op, rep)
 	return resp, wire.WriteFrame(bw, resp)

@@ -53,7 +53,7 @@ func TestShutdownDrainsIdleConnections(t *testing.T) {
 	}
 
 	// The daemon is gone; the backend is untouched and still the caller's.
-	if err := c.Ping(ctx); err == nil {
+	if _, err := c.Tables(ctx); err == nil {
 		t.Fatal("daemon still serving after shutdown")
 	}
 	if v, ok, err := be.Get(ctx, "t", "k"); err != nil || !ok || string(v) != "v" {
@@ -77,9 +77,20 @@ func (b *touched) BatchPut(ctx context.Context, table string, entries []engine.E
 	return b.Backend.BatchPut(ctx, table, entries)
 }
 
+func (b *touched) Compact(context.Context) (engine.CompactionStats, error) {
+	b.calls.Add(1)
+	return engine.CompactionStats{}, nil
+}
+
+func (b *touched) CompactionStats(context.Context) (engine.CompactionStats, error) {
+	b.calls.Add(1)
+	return engine.CompactionStats{}, nil
+}
+
 // TestHostilePeerCannotWedgeTheDaemon: a request that is not one the grammar
-// allows closes its connection without an answer and without a backend call,
-// and the daemon goes on serving the next connection.
+// allows — a retired op from an older client among them — closes its
+// connection without an answer and without a backend call, and the daemon
+// goes on serving the next connection.
 func TestHostilePeerCannotWedgeTheDaemon(t *testing.T) {
 	be := &touched{Backend: memory.New()}
 	srv, err := engined.Start("127.0.0.1:0", be)
@@ -105,6 +116,8 @@ func TestHostilePeerCannotWedgeTheDaemon(t *testing.T) {
 	get := wire.EncodeRequest(wire.Request{Op: wire.OpGet, Table: "t", Key: "k"})
 	for name, payload := range map[string][]byte{
 		"unknown op":               {0x7f},
+		"retired compact op":       {9},
+		"retired wipe op":          {11},
 		"empty frame":              {},
 		"batchput count > body":    {wire.OpBatchPut, 1, 't', 0xff, 0xff, 0x03, 1, 'k', 1, 'v'},
 		"multiget count > body":    {wire.OpMultiGet, 1, 't', 0xff, 0xff, 0x03, 1, 'k'},
@@ -129,5 +142,86 @@ func TestHostilePeerCannotWedgeTheDaemon(t *testing.T) {
 	// The same connection shape, well-formed, does reach it.
 	if reply, err := exchange(get); err != nil || len(reply) != 1 || reply[0] != wire.StNotFound || be.calls.Load() != 1 {
 		t.Errorf("well-formed get: %x, %v, %d backend calls", reply, err, be.calls.Load())
+	}
+}
+
+// stuckScan is a backend whose Scan delivers one entry — larger than the
+// daemon's write buffer, so it reaches the client unflushed — and then
+// waits for its context, reporting the context's error when it ends.
+type stuckScan struct {
+	engine.Backend
+	ended chan error
+}
+
+func (b *stuckScan) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
+	fn("k", make([]byte, 64<<10))
+	<-ctx.Done()
+	b.ended <- ctx.Err()
+	return ctx.Err()
+}
+
+// TestStopSeversAScanInFlight: Close, and Shutdown under a context that has
+// already ended, sever a Scan that is streaming and cancel its backend call
+// — neither waits for it to finish.
+func TestStopSeversAScanInFlight(t *testing.T) {
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, stop := range map[string]func(*engined.Server) error{
+		"Close":    (*engined.Server).Close,
+		"Shutdown": func(s *engined.Server) error { return s.Shutdown(ended) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			be := &stuckScan{Backend: memory.New(), ended: make(chan error, 1)}
+			srv, err := engined.Start("127.0.0.1:0", be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := remote.Dial(srv.Addr().String(), remote.Options{Attempts: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			streaming := make(chan struct{})
+			scanned := make(chan error, 1)
+			go func() {
+				scanned <- c.Scan(context.Background(), "t", func(string, []byte) bool {
+					close(streaming)
+					return true
+				})
+			}()
+			select {
+			case <-streaming:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the scan never streamed")
+			}
+
+			stopped := make(chan error, 1)
+			go func() { stopped <- stop(srv) }()
+			select {
+			case err := <-be.ended:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("backend scan ended with %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the backend scan was not cancelled")
+			}
+			select {
+			case err := <-stopped:
+				if name == "Shutdown" && !errors.Is(err, context.Canceled) {
+					t.Errorf("Shutdown returned %v, want the context's error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the server did not stop")
+			}
+			select {
+			case err := <-scanned:
+				if !errors.Is(err, engine.ErrUnavailable) {
+					t.Errorf("severed scan: %v, want ErrUnavailable", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the client's scan was not severed")
+			}
+		})
 	}
 }

@@ -24,7 +24,10 @@ func TestConnScratchNotPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer be.Close()
-	s := New(be)
+	s, err := Start("127.0.0.1:0", be)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s.Close()
 	nc, peer := net.Pipe() // serveOp only sets deadlines on it
 	defer nc.Close()

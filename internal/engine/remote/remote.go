@@ -22,8 +22,8 @@
 // request. A successful probe closes the breaker and notifies the state
 // listener (see breaker.go).
 //
-// Every operation honors its context end to end: dials go through
-// net.Dialer.DialContext, retry backoff sleeps are interruptible, and a
+// Every operation honors its context end to end: a dial (Client.dial)
+// gives up when it ends, retry backoff sleeps are interruptible, and a
 // context that ends mid-exchange slams the connection deadline so even a
 // blocked read (including between streamed Scan frames) returns promptly.
 // A context-terminated operation surfaces wrapped in engine.ErrUnavailable
@@ -76,23 +76,6 @@ type Options struct {
 	// ProbeMaxBackoff caps the probe backoff — the longest a recovered node
 	// waits before the breaker notices. Default 5s.
 	ProbeMaxBackoff time.Duration
-}
-
-// compactTimeout bounds the wait for an OpCompact response instead of
-// Options.IOTimeout: a segment merge over a large store legitimately runs
-// for minutes, and timing it out client-side would both fail the call and
-// queue a duplicate merge on every retry. A caller wanting a shorter bound
-// sets a context deadline.
-const compactTimeout = 15 * time.Minute
-
-// exchangeTimeout is the per-exchange deadline of op. Only the merge earns
-// compactTimeout; a stats read is a cheap point request, and Stats probes
-// every node with it — a hung node must cost IOTimeout there.
-func (o Options) exchangeTimeout(op byte) time.Duration {
-	if op == wire.OpCompact {
-		return compactTimeout
-	}
-	return o.IOTimeout
 }
 
 func (o Options) withDefaults() Options {
@@ -184,6 +167,13 @@ func (c *Client) checkout(ctx context.Context) (*conn, error) {
 		return cn, nil
 	}
 	c.mu.Unlock()
+	return c.dial(ctx)
+}
+
+// dial opens a new connection to the node under ctx, the one way the
+// client reaches it: operations through checkout, the breaker's probe
+// directly.
+func (c *Client) dial(ctx context.Context) (*conn, error) {
 	d := net.Dialer{Timeout: c.opts.DialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
@@ -304,7 +294,6 @@ func (c *Client) do(ctx context.Context, r wire.Request, canRetry func() bool, h
 		// paying for reachability checks now.
 		return c.unavailable(errProbation)
 	}
-	iot := c.opts.exchangeTimeout(r.Op)
 	var lastErr error
 	for attempt := 0; attempt < c.opts.Attempts; attempt++ {
 		if attempt > 0 {
@@ -330,7 +319,7 @@ func (c *Client) do(ctx context.Context, r wire.Request, canRetry func() bool, h
 			lastErr = err // dial failure: transient by definition
 			continue
 		}
-		abandon, err := cn.exchange(ctx, iot, r, req, handle)
+		abandon, err := cn.exchange(ctx, c.opts.IOTimeout, r, req, handle)
 		if err == nil {
 			c.br.recordSuccess()
 			if abandon {
@@ -467,18 +456,17 @@ func (c *Client) BytesStored() int64 {
 	return n
 }
 
-// Compact asks the node to compact its backend and returns the
-// post-compaction stats (engine.Compactor). A retried request is safe: a
-// second compaction over just-compacted storage finds nothing to reclaim.
-// A node whose backend cannot compact surfaces as engine.ErrNoCompaction (a
-// hard error, not unavailability).
-func (c *Client) Compact(ctx context.Context) (engine.CompactionStats, error) {
-	rep, err := c.call(ctx, wire.Request{Op: wire.OpCompact})
-	return rep.Stats, err
+// Compact answers engine.ErrNoCompaction without a round trip: a node
+// reclaims its dead bytes on its own write calls, and no client asks it
+// to. The method is here only because engine.Compactor pairs it with
+// CompactionStats.
+func (c *Client) Compact(context.Context) (engine.CompactionStats, error) {
+	return engine.CompactionStats{}, engine.ErrNoCompaction
 }
 
-// CompactionStats reports the node's storage-reclaim state without
-// compacting (engine.Compactor).
+// CompactionStats reports the node's storage-reclaim state
+// (engine.Compactor). A node whose backend cannot compact surfaces as
+// engine.ErrNoCompaction (a hard error, not unavailability).
 func (c *Client) CompactionStats(ctx context.Context) (engine.CompactionStats, error) {
 	rep, err := c.call(ctx, wire.Request{Op: wire.OpCompactStats})
 	return rep.Stats, err
@@ -504,12 +492,6 @@ func (c *Client) HashRange(ctx context.Context, table string, fanout, bucket int
 	}
 	rep, err := c.call(ctx, wire.Request{Op: wire.OpHashRange, Table: table, Fanout: fanout, Bucket: bucket})
 	return rep.KeyHashes, err
-}
-
-// Ping round-trips a no-op request, reporting node reachability.
-func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, wire.Request{Op: wire.OpPing})
-	return err
 }
 
 // Close releases the client's connections. The node and its data are

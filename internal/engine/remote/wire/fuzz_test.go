@@ -73,9 +73,11 @@ func FuzzMessages(f *testing.F) {
 	f.Add(OpPing, []byte{})
 	f.Add(OpPut, []byte{StErr, 'd', 'i', 's', 'k'})
 	f.Add(OpCompactStats, append([]byte{StErr}, types.ErrClosed.Error()...))
-	// The retired op code, bare and with a body, is refused as unknown.
-	f.Add(byte(0), []byte{retiredOp})
-	f.Add(byte(0), []byte{retiredOp, 1, 't'})
+	// The retired op codes, bare and with a body, are refused as unknown.
+	for _, op := range retiredOps {
+		f.Add(byte(0), []byte{op})
+		f.Add(byte(0), []byte{op, 1, 't'})
+	}
 	// Counts the body cannot hold, and a leaf count past MaxHashFanout, must
 	// be refused before anything is allocated.
 	huge := binary.AppendUvarint(nil, 1<<40)

@@ -23,7 +23,7 @@ import (
 //	         | OpMultiGet  table(string) count(uvarint) count × key(string)
 //	         | OpHashTree  table(string) fanout(uvarint)
 //	         | OpHashRange table(string) fanout(uvarint) bucket(uvarint)
-//	         | OpTables | OpBytesStored | OpPing | OpCompact | OpCompactStats
+//	         | OpTables | OpBytesStored | OpPing | OpCompactStats
 //
 //	reply to any op           := StErr text(raw)   — or, when the op succeeded:
 //	reply to OpGet            := StOK value(raw) | StNotFound
@@ -31,7 +31,7 @@ import (
 //	reply to OpMultiGet       := StOK count(uvarint) count × (0x00 | 0x01 value(bytes))
 //	reply to OpTables         := StOK count(uvarint) count × name(string)
 //	reply to OpBytesStored    := StOK bytes(uvarint)
-//	reply to OpCompact[Stats] := StOK disk(uvarint) live(uvarint) compacted(uvarint) segments(uvarint)
+//	reply to OpCompactStats   := StOK disk(uvarint) live(uvarint) compacted(uvarint) segments(uvarint)
 //	reply to OpHashTree       := StOK root(u64le) bytes(uvarint) count(uvarint) count × (hash(u64le) keys(uvarint))
 //	reply to OpHashRange      := StOK count(uvarint) count × (key(string) hash(u64le))
 //	reply to the others       := StOK
@@ -74,7 +74,7 @@ func EncodeRequest(r Request) []byte {
 	}
 	buf = append(buf, r.Op)
 	switch r.Op {
-	case OpTables, OpBytesStored, OpPing, OpCompact, OpCompactStats:
+	case OpTables, OpBytesStored, OpPing, OpCompactStats:
 		return buf
 	}
 	buf = codec.PutString(buf, r.Table)
@@ -113,7 +113,7 @@ func ParseRequest(payload []byte) (Request, error) {
 	}
 	r, d := Request{Op: payload[0]}, reader{rest: payload[1:]}
 	switch r.Op {
-	case OpTables, OpBytesStored, OpPing, OpCompact, OpCompactStats:
+	case OpTables, OpBytesStored, OpPing, OpCompactStats:
 	case OpPut:
 		r.Table, r.Key, r.Value = d.str(), d.str(), d.tail()
 	case OpGet, OpDelete:
@@ -168,7 +168,7 @@ type Reply struct {
 	Present   []bool                 // OpMultiGet: which Values exist
 	Tables    []string               // OpTables
 	Stored    int64                  // OpBytesStored
-	Stats     engine.CompactionStats // OpCompact, OpCompactStats
+	Stats     engine.CompactionStats // OpCompactStats
 	Tree      engine.TreeDigest      // OpHashTree
 	KeyHashes []engine.KeyHash       // OpHashRange
 }
@@ -207,7 +207,7 @@ func AppendReply(buf []byte, op byte, rep Reply) []byte {
 		}
 	case OpBytesStored:
 		buf = codec.PutUvarint(buf, uint64(rep.Stored))
-	case OpCompact, OpCompactStats:
+	case OpCompactStats:
 		buf = codec.PutUvarint(buf, uint64(rep.Stats.DiskBytes))
 		buf = codec.PutUvarint(buf, uint64(rep.Stats.LiveBytes))
 		buf = codec.PutUvarint(buf, uint64(rep.Stats.CompactedBytes))
@@ -279,7 +279,7 @@ func ParseReply(r Request, payload []byte) (Reply, error) {
 			}
 		case OpBytesStored:
 			rep.Stored = int64(d.uvarint())
-		case OpCompact, OpCompactStats:
+		case OpCompactStats:
 			rep.Stats = engine.CompactionStats{
 				DiskBytes:      int64(d.uvarint()),
 				LiveBytes:      int64(d.uvarint()),

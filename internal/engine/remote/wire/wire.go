@@ -39,14 +39,16 @@ const (
 	OpTables
 	OpBytesStored
 	OpPing
-	// OpCompact asks the node to compact its backend (engine.Compactor) and
-	// reply with the post-compaction stats; OpCompactStats reads the stats
-	// without compacting. A node whose backend cannot compact replies StErr
+	// Code 9 is retired: it compacted a node's backend on a client's
+	// demand, and a node reclaims on its own write calls. A retired code
+	// stays blank so the codes after it keep their values, and
+	// ParseRequest refuses it as an unknown op.
+	_
+	// OpCompactStats reads the node's storage-reclaim stats
+	// (engine.Compactor). A node whose backend cannot compact replies StErr
 	// with the engine.ErrNoCompaction text.
-	OpCompact
 	OpCompactStats
-	// Code 11 is retired (it wiped a node's backend); it stays blank so
-	// the codes after it keep their values, and ParseRequest refuses it.
+	// Code 11 is retired: it wiped a node's backend.
 	_
 	// OpMultiGet reads N keys of one table in a single round trip. Results
 	// are returned in request order and their count always equals the

@@ -28,14 +28,6 @@ func MultiGet(ctx context.Context, be Backend, table string, keys []string) (val
 	return values, present, nil
 }
 
-// Compact runs be's Compactor.Compact, or reports ErrNoCompaction.
-func Compact(ctx context.Context, be Backend) (CompactionStats, error) {
-	if c, ok := be.(Compactor); ok {
-		return c.Compact(ctx)
-	}
-	return CompactionStats{}, ErrNoCompaction
-}
-
 // ReadCompactionStats runs be's Compactor.CompactionStats, or reports
 // ErrNoCompaction.
 func ReadCompactionStats(ctx context.Context, be Backend) (CompactionStats, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/lsm"
@@ -30,6 +31,26 @@ type node struct {
 	// storage probe and the breaker's recovery listener that kicks the hint
 	// drain.
 	rc *remote.Client
+	// pin is the cluster pin Open found missing on this node, to be written
+	// before the first write kvstore sends it (pinFirst); nil once written,
+	// and for a node that needs none.
+	pin atomic.Pointer[[]byte]
+}
+
+// pinFirst writes the node's due cluster pin, if it has one: every write
+// kvstore sends a node — a batchWrite group, a repair's converging Put —
+// calls it first, so a node holds its pin before it holds any data.
+// Concurrent first writes may both send it; the pin is the same bytes.
+func (n *node) pinFirst(ctx context.Context) error {
+	env := n.pin.Load()
+	if env == nil {
+		return nil
+	}
+	if err := n.be.Put(ctx, clusterTable, nodeIDKey, *env); err != nil {
+		return err
+	}
+	n.pin.CompareAndSwap(env, nil)
+	return nil
 }
 
 // isUnavailable classifies an error as transient node unavailability:

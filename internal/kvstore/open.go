@@ -165,10 +165,11 @@ type Store struct {
 }
 
 // Open creates a cluster, opening one backend (or wire client) per node.
-// An lsm or remote cluster checks its shape against the pin each node holds,
-// and pins it on a node that holds none (pinCluster). ctx bounds the open
-// itself — the pin round-trips and durable-hint recovery — not the lifetime
-// of the returned Store.
+// An lsm or remote cluster checks its shape against the pin each node holds
+// (pinCluster); a node that holds none is pinned by the first write sent to
+// it, so an open that only reads leaves its nodes as it found them. ctx
+// bounds the open itself — the pin reads and durable-hint recovery — not
+// the lifetime of the returned Store.
 func Open(ctx context.Context, cfg Config) (*Store, error) {
 	open, err := cfg.opener()
 	if err != nil {
@@ -238,16 +239,22 @@ const (
 	nodeIDKey    = "node-id"
 )
 
-// pinCluster records on each node which ring position (and cluster size)
-// it serves plus the cluster's replication factor, so reopening the same
-// nodes reordered or resized — which would look keys up on the wrong
-// nodes — or with a different rf, which would silently under- (or over-)
-// replicate every new write, is refused instead of accepted. Unreachable
-// nodes are skipped: opening with a node down is allowed, and a mismatched
-// node will still be caught on any open that can reach it. A pin written
-// before the replication factor was recorded is refused: the store under
-// it is older than core reads. The pin is an unsynced Put, durable by the
-// node's Close; one a crash loses is written again by the next open.
+// pinCluster checks on each node the pin of which ring position (and
+// cluster size) it serves plus the cluster's replication factor, so
+// reopening the same nodes reordered or resized — which would look keys up
+// on the wrong nodes — or with a different rf, which would silently under-
+// (or over-) replicate every new write, is refused instead of accepted.
+// Unreachable nodes are skipped: opening with a node down is allowed, and a
+// mismatched node will still be caught on any open that can reach it. A pin
+// written before the replication factor was recorded is refused: the store
+// under it is older than core reads.
+//
+// A node that holds no pin is not pinned here but by the first write
+// kvstore sends it (node.pinFirst): a read of a fresh cluster — a command
+// that finds no store and says "run init first" — must not fix the shape
+// the init after it chooses. The pin is an unsynced Put, durable by the
+// node's Close; one a crash loses is written again by the next open's
+// first write.
 //
 // Only the nodes kvstore opened by engine name onto storage that outlives
 // the Store — lsm directories and daemons — hold a pin; a memory cluster
@@ -298,9 +305,7 @@ func (s *Store) pinCluster(ctx context.Context) error {
 		}
 		if writePin {
 			env := envelope(envValue, s.nextTS(), []byte(want))
-			if err := n.be.Put(ctx, clusterTable, nodeIDKey, env); err != nil && !isUnavailable(err) {
-				return fmt.Errorf("kvstore: %s: cluster pin: %w", where, err)
-			}
+			n.pin.Store(&env)
 		}
 	}
 	return nil

@@ -545,8 +545,15 @@ func runPinCases(t *testing.T, start func(t *testing.T) pinCluster, cases []pinC
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Put(ctx, "t", "a", []byte("1")); err != nil {
+			// A node is pinned by its first write, and every refusal below
+			// needs the node it names pinned: a batch that reaches all three.
+			if err := s.BatchPut(ctx, "t", []Entry{{Key: "a", Value: []byte("1")}, {Key: "b"}, {Key: "c"}, {Key: "d"}}); err != nil {
 				t.Fatal(err)
+			}
+			for _, n := range s.nodes {
+				if n.pin.Load() != nil {
+					t.Fatalf("node %d took no write: its pin is still due", n.id)
+				}
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -583,6 +590,36 @@ func runPinCases(t *testing.T, start func(t *testing.T) pinCluster, cases []pinC
 				t.Fatalf("a = %q, %v", v, err)
 			}
 		})
+	}
+}
+
+// TestReadingOpenPinsNothing: an open that only reads leaves a fresh node
+// unpinned, so the next open may choose another shape; the first write
+// pins it.
+func TestReadingOpenPinsNothing(t *testing.T) {
+	ctx := context.Background()
+	c := lsmPinCluster(t)
+	for _, rf := range []int{1, 2} {
+		s, err := c.open([]int{0, 1}, rf)
+		if err != nil {
+			t.Fatalf("open at rf %d after a read: %v", rf, err)
+		}
+		if _, err := s.Get(ctx, "t", "a"); !errors.Is(err, types.ErrNotFound) {
+			t.Fatalf("get on a fresh cluster: %v", err)
+		}
+		s.Close()
+	}
+	s, err := c.open([]int{0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(ctx, "t", "a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if s, err := c.open([]int{0, 1}, 1); err == nil {
+		s.Close()
+		t.Fatal("open at rf 1 after a write at rf 2 accepted")
 	}
 }
 
@@ -655,7 +692,7 @@ func TestHintReplayDialsWithinBreakerBudget(t *testing.T) {
 		}
 	}
 	down := s.nodes[2].rc
-	if !down.BreakerOpen() {
+	if !down.BreakerStats().Open {
 		t.Fatal("precondition: node 2's breaker should be open")
 	}
 	if s.Stats(ctx).HintsPending == 0 {

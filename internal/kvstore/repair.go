@@ -359,7 +359,10 @@ func (r *repairer) converge(ctx context.Context, t repairTask, collect bool) (mi
 	}
 	env := envelope(flag, w.ts, rd.payload[v.win])
 	failed := make([]bool, len(v.losers))
-	fanOut(v.losers, !r.s.inProcess(v.losers), func(i, nid int) { failed[i] = r.s.nodes[nid].be.Put(ctx, t.table, t.key, env) != nil })
+	fanOut(v.losers, !r.s.inProcess(v.losers), func(i, nid int) {
+		n := r.s.nodes[nid]
+		failed[i] = n.pinFirst(ctx) != nil || n.be.Put(ctx, t.table, t.key, env) != nil
+	})
 	for i, nid := range v.losers {
 		if failed[i] {
 			missed = append(missed, nid)

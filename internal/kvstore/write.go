@@ -97,7 +97,10 @@ func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, ent
 		wg.Add(1)
 		go func(nid int, group []engine.Entry) {
 			defer wg.Done()
-			nodeErr[nid] = s.nodes[nid].be.BatchPut(ctx, table, group)
+			n := s.nodes[nid]
+			if nodeErr[nid] = n.pinFirst(ctx); nodeErr[nid] == nil {
+				nodeErr[nid] = n.be.BatchPut(ctx, table, group)
+			}
 		}(nid, group)
 	}
 	wg.Wait()

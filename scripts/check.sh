@@ -13,8 +13,9 @@
 # test run, bench or fuzz pattern in .github/workflows/ci.yml and here must
 # match some func Test, Benchmark or Fuzz in the repository, or the step
 # it belongs to quietly runs less than it says. daemons smokes the shipped
-# binaries on their defaults: three rstore-node (lsm) and an rstore-server
-# over them at rf 2, a commit and a read through HTTP, a SIGTERM of
+# binaries on their defaults: three rstore-node (lsm), an rstore log of them
+# while fresh that must say "run init first" and pin nothing, an
+# rstore-server over them at rf 2, a commit and a read through HTTP, a SIGTERM of
 # everything, a restart at rf 1 that must be refused and one at rf 2 that
 # must read the same records, an lsm server at two nodes whose restart at
 # three must be refused, and the rstore CLI's init/commit/get on its
@@ -188,10 +189,6 @@ run_daemons() {
       pids+=($!)
       wait_for rstore-server curl -sf "$server/stats"
     }
-    start() {
-      start_nodes
-      start_server -backend remote -rf 2 -node-addrs "$addrs"
-    }
     refused() { # refused <want> <rstore-server flags...>: the server must exit non-zero saying want
       want=$1
       shift
@@ -207,7 +204,19 @@ run_daemons() {
     }
     records() { curl -sf "$server/version/main" | grep '"record"' | sort; }
 
-    start
+    start_nodes
+    # A read of the fresh daemons finds no store and pins nothing on them:
+    # the rf-2 server after it initializes the cluster.
+    if "$work/bin/rstore" -backend remote -rf 1 -node-addrs "$addrs" log >"$work/fresh.out" 2>&1; then
+      echo "daemons: rstore log on fresh daemons succeeded, want \"run init first\""
+      exit 1
+    fi
+    if ! grep -q "run init first" "$work/fresh.out"; then
+      echo "daemons: rstore log on fresh daemons failed without \"run init first\":"
+      cat "$work/fresh.out"
+      exit 1
+    fi
+    start_server -backend remote -rf 2 -node-addrs "$addrs"
     for i in 0 1 2; do
       if ! head -n1 "$work/node$i/MANIFEST" | grep -q '^rstore-lsm '; then
         echo "daemons: rstore-node $i on its defaults wrote no lsm MANIFEST"
