@@ -19,7 +19,7 @@ import (
 // by table id.
 var modeledGolden = map[string][]string{
 	"table1": {
-		"Chunked (RStore) | 0.00MB | 0.00MB | 2.0 | 2.1KB | 1.0",
+		"Chunked (RStore) | 0.00MB | 0.00MB | 2.0 | 2.0KB | 1.0",
 		"DELTA | 0.01MB | 0.01MB | 12.7 | 4.2KB | 6.0",
 		"SUBCHUNK | 0.01MB | 0.01MB | 64.0 | 0.3KB | 1.0",
 		"SINGLE | 0.01MB | 0.01MB | 64.0 | 0.1KB | 1.0",
@@ -120,67 +120,67 @@ var modeledGolden = map[string][]string{
 		"50 | 5.77 | 768 | 768 | 768",
 	},
 	"fig11-A0-q1": {
-		"1 | 11.594ms | 14.216ms | 13.340ms | 9.072ms | 71.079ms",
-		"2 | 14.029ms | 15.997ms | 14.467ms | - | 71.079ms",
-		"5 | 16.445ms | 16.229ms | 17.101ms | - | 71.079ms",
-		"12 | 16.445ms | 16.229ms | 17.101ms | - | 71.079ms",
-		"25 | 16.445ms | 16.229ms | 17.101ms | - | 71.079ms",
+		"1 | 11.588ms | 14.209ms | 13.333ms | 9.072ms | 71.079ms",
+		"2 | 14.024ms | 15.991ms | 14.461ms | - | 71.079ms",
+		"5 | 16.440ms | 16.224ms | 17.096ms | - | 71.079ms",
+		"12 | 16.440ms | 16.224ms | 17.096ms | - | 71.079ms",
+		"25 | 16.440ms | 16.224ms | 17.096ms | - | 71.079ms",
 	},
 	"fig11-A0-q2": {
-		"1 | 5.031ms | 5.250ms | 4.594ms | 11.724ms | 8.474ms",
-		"2 | 2.411ms | 2.192ms | 1.974ms | - | 8.474ms",
-		"5 | 2.192ms | 2.410ms | 2.192ms | - | 8.474ms",
-		"12 | 2.192ms | 2.410ms | 2.192ms | - | 8.474ms",
-		"25 | 2.192ms | 2.410ms | 2.192ms | - | 8.474ms",
+		"1 | 5.028ms | 5.247ms | 4.591ms | 11.724ms | 8.474ms",
+		"2 | 2.410ms | 2.191ms | 1.973ms | - | 8.474ms",
+		"5 | 2.191ms | 2.409ms | 2.191ms | - | 8.474ms",
+		"12 | 2.191ms | 2.409ms | 2.191ms | - | 8.474ms",
+		"25 | 2.191ms | 2.409ms | 2.191ms | - | 8.474ms",
 	},
 	"fig11-A0-q3": {
-		"1 | 0.874ms | 0.873ms | 0.874ms | 15.921ms | 0.651ms",
-		"2 | 0.657ms | 0.657ms | 0.875ms | - | 0.651ms",
+		"1 | 0.873ms | 0.873ms | 0.873ms | 15.921ms | 0.651ms",
+		"2 | 0.657ms | 0.656ms | 0.875ms | - | 0.651ms",
 		"5 | 0.656ms | 0.656ms | 0.656ms | - | 0.651ms",
 		"12 | 0.656ms | 0.656ms | 0.656ms | - | 0.651ms",
 		"25 | 0.656ms | 0.656ms | 0.656ms | - | 0.651ms",
 	},
 	"fig11-C0-q1": {
-		"1 | 3.494ms | 5.454ms | 5.456ms | 5.256ms | 15.703ms",
-		"2 | 4.812ms | 6.557ms | 6.995ms | - | 15.703ms",
-		"5 | 9.403ms | 8.967ms | 8.749ms | - | 15.703ms",
-		"12 | 9.191ms | 9.191ms | 9.191ms | - | 15.703ms",
-		"25 | 9.191ms | 9.191ms | 9.191ms | - | 15.703ms",
+		"1 | 3.492ms | 5.453ms | 5.455ms | 5.256ms | 15.703ms",
+		"2 | 4.811ms | 6.555ms | 6.993ms | - | 15.703ms",
+		"5 | 9.402ms | 8.966ms | 8.747ms | - | 15.703ms",
+		"12 | 9.190ms | 9.190ms | 9.190ms | - | 15.703ms",
+		"25 | 9.190ms | 9.190ms | 9.190ms | - | 15.703ms",
 	},
 	"fig11-C0-q2": {
-		"1 | 2.400ms | 1.309ms | 2.835ms | 4.820ms | 2.398ms",
+		"1 | 2.399ms | 1.308ms | 2.835ms | 4.820ms | 2.398ms",
 		"2 | 1.967ms | 1.092ms | 2.184ms | - | 2.398ms",
-		"5 | 1.530ms | 1.094ms | 1.530ms | - | 2.398ms",
+		"5 | 1.530ms | 1.093ms | 1.529ms | - | 2.398ms",
 		"12 | 0.876ms | 0.876ms | 0.876ms | - | 2.398ms",
 		"25 | 0.876ms | 0.876ms | 0.876ms | - | 2.398ms",
 	},
 	"fig11-C0-q3": {
-		"1 | 2.181ms | 1.746ms | 1.963ms | 17.736ms | 0.653ms",
-		"2 | 0.874ms | 1.310ms | 1.528ms | - | 0.653ms",
+		"1 | 2.181ms | 1.745ms | 1.963ms | 17.736ms | 0.653ms",
+		"2 | 0.874ms | 1.310ms | 1.527ms | - | 0.653ms",
 		"5 | 0.655ms | 0.656ms | 0.655ms | - | 0.653ms",
 		"12 | 0.655ms | 0.655ms | 0.655ms | - | 0.653ms",
 		"25 | 0.655ms | 0.655ms | 0.655ms | - | 0.653ms",
 	},
 	"fig12-G": {
-		"1 | 16 | 8.514ms | 13.0 | 1.528ms | 2.3",
-		"2 | 16 | 4.588ms | 11.3 | 1.528ms | 3.0",
-		"4 | 32 | 5.462ms | 14.0 | 1.747ms | 4.7",
-		"8 | 64 | 5.029ms | 18.7 | 1.530ms | 6.3",
-		"12 | 96 | 4.377ms | 22.7 | 2.843ms | 12.7",
-		"16 | 128 | 4.594ms | 21.3 | 2.846ms | 17.0",
+		"1 | 16 | 8.512ms | 13.0 | 1.528ms | 2.3",
+		"2 | 16 | 4.587ms | 11.3 | 1.527ms | 3.0",
+		"4 | 32 | 5.461ms | 14.0 | 1.747ms | 4.7",
+		"8 | 64 | 5.028ms | 18.7 | 1.530ms | 6.3",
+		"12 | 96 | 4.376ms | 22.7 | 2.842ms | 12.7",
+		"16 | 128 | 4.592ms | 21.3 | 2.845ms | 17.0",
 	},
 	"fig12-H": {
-		"1 | 16 | 11.353ms | 17.3 | 1.964ms | 3.0",
-		"2 | 16 | 6.991ms | 15.7 | 0.874ms | 2.3",
-		"4 | 16 | 4.593ms | 16.3 | 0.874ms | 2.7",
-		"8 | 25 | 4.812ms | 18.0 | 0.875ms | 3.3",
-		"12 | 38 | 3.502ms | 16.0 | 1.094ms | 5.0",
-		"16 | 51 | 2.851ms | 19.3 | 1.531ms | 6.7",
+		"1 | 16 | 11.350ms | 17.3 | 1.964ms | 3.0",
+		"2 | 16 | 6.989ms | 15.7 | 0.874ms | 2.3",
+		"4 | 16 | 4.591ms | 16.3 | 0.874ms | 2.7",
+		"8 | 25 | 4.811ms | 18.0 | 0.874ms | 3.3",
+		"12 | 38 | 3.501ms | 16.0 | 1.094ms | 5.0",
+		"16 | 51 | 2.850ms | 19.3 | 1.531ms | 6.7",
 	},
 	"ablation-replication": {
-		"1 | 4.375ms | 0.02MB",
-		"2 | 4.375ms | 0.03MB",
-		"3 | 4.375ms | 0.05MB",
+		"1 | 4.374ms | 0.02MB",
+		"2 | 4.374ms | 0.03MB",
+		"3 | 4.374ms | 0.05MB",
 	},
 }
 

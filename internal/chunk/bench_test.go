@@ -62,7 +62,7 @@ func BenchmarkSegmentCodec(b *testing.B) {
 					f()
 				}
 				b.ReportMetric(float64(len(seg))/float64(plain), "stored/plain")
-				b.ReportMetric(float64(seg[0]&^(templated|implied)), "width")
+				b.ReportMetric(float64(seg[0]&^(templated|implied|keyed)), "width")
 				parts.report(b)
 			})
 		}

@@ -49,7 +49,7 @@ func FuzzDecodeSegment(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			packed, shared := seg[0]&^(templated|implied) < 8, seg[0]&templated != 0
+			packed, shared := seg[0]&^(templated|implied|keyed) < 8, seg[0]&templated != 0
 			if packed != (keys == 40) || shared != (keys == 40) {
 				f.Fatalf("the seed segment of %d documents has code %#x", keys, seg[0])
 			}

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -34,6 +35,15 @@ import (
 // writes neither the empty heads nor the body's length, since its literals
 // take the bits the template's runs count.
 //
+// A value that names itself spells its own key where the anchor spells the
+// anchor's: §5.1's documents open with their "id". So a segment whose anchor
+// spells the key of its item, one of minCopy bytes or more, may say so in its
+// code (keyed), and then every later representative whose key has that width
+// is coded against the anchor with its own key written over the anchor's, at
+// the first offset the anchor spells it (keyedAnchor): a key is stated once,
+// in the item's framing, and its value copies it. The decoder has read the
+// item's key before its value, so the rule costs no byte.
+//
 // The literals of all of a list's runs are one bit string, written once per
 // value after the heads, in the code the segment's head states (litCode): a
 // symbol is width bits, least significant bit first, from the low bit of a
@@ -41,19 +51,21 @@ import (
 // are zero.
 
 // litCode is a segment's code: the width in bits of a literal symbol, the
-// bytes that have one, the template, if the segment has one, and how its items
-// are framed. Below width 8, code i stands for table[i], and the top code,
+// bytes that have one, the template, if the segment has one, how its items
+// are framed, and whether its later values are coded against the anchor with
+// their own keys over the anchor's. Below width 8, code i stands for table[i], and the top code,
 // 2^width − 1, is the escape: the eight bits after it are the byte itself, one
 // the table does not hold. At width 8 a symbol is the byte and there is
 // neither table nor escape. The kind byte names the coder: its low four bits
 // are the width, 16 more says a template follows the table, and 32 more, set
 // only beside 16, says the items' framing leaves out what the code implies
 // (segment.go) and that a key width follows the template — every item's key
-// has that many bytes, 0 for keys of several widths; a segment coded some
-// other way is another value of it.
+// has that many bytes, 0 for keys of several widths; 64 more, beside any of
+// them, says the segment is keyed; a segment coded some other way is another
+// value of it.
 //
 //	code := kind:byte  table:byte{2^width − 1}  template:bytes?  keyWidth:uvarint?     table ascending; none at width 8
-//	kind := implied<<5 | templated<<4 | width
+//	kind := keyed<<6 | implied<<5 | templated<<4 | width
 type litCode struct {
 	width    uint
 	table    []byte
@@ -62,13 +74,17 @@ type litCode struct {
 	implied  bool
 	keyWidth int // of every key, where implied; 0: keys of several widths
 	tmplLen  int // the bytes of a template user's literals none of which escapes: ⌈Σlit·width/8⌉ of the template
+
+	keyed bool // the anchor spells its item's key, and later values' keys are spliced over it
 }
 
-// templated and implied are the kind byte's bits for a code with a template,
-// and for one whose items leave out what it implies.
+// templated, implied and keyed are the kind byte's bits for a code with a
+// template, for one whose items leave out what it implies, and for one whose
+// values are coded against the anchor with their own keys.
 const (
 	templated = 1 << 4
 	implied   = 1 << 5
+	keyed     = 1 << 6
 )
 
 // maxCodeLen is the most bytes a code without a template takes in a segment:
@@ -142,16 +158,17 @@ func chooseCode(h *litCounts) litCode {
 
 // parseCode reads the code a segment begins with. It is ErrCorrupt for the
 // kind to be other than a width of 1…8, templated or not, implied or not but
-// implied only where templated, for the table to be cut short, for its bytes
+// implied only where templated, keyed or not, for the table to be cut short, for its bytes
 // not to ascend — so none is there twice and a table is spelled one way — for
 // a template to be cut short, empty, to end inside a run or to count more
 // literals than the segment has bits, and for a key width to be cut short or
 // wider than the segment.
 func parseCode(buf []byte) (c litCode, rest []byte, err error) {
-	if len(buf) == 0 || buf[0]&^(templated|implied) < 1 || buf[0]&^(templated|implied) > 8 || buf[0]&(templated|implied) == implied {
+	const flags = templated | implied | keyed
+	if len(buf) == 0 || buf[0]&^flags < 1 || buf[0]&^flags > 8 || buf[0]&(templated|implied) == implied {
 		return c, nil, fmt.Errorf("%w: segment without a literal width of 1 to 8", types.ErrCorrupt)
 	}
-	c.width = uint(buf[0] &^ (templated | implied))
+	c.width, c.keyed = uint(buf[0]&^flags), buf[0]&keyed != 0
 	n := 0
 	if c.width < 8 {
 		n = 1<<c.width - 1
@@ -209,6 +226,9 @@ func (c litCode) appendTo(dst []byte) []byte {
 	}
 	if c.implied {
 		kind |= implied
+	}
+	if c.keyed {
+		kind |= keyed
 	}
 	dst = append(append(dst, kind), c.table...)
 	if c.template != nil {
@@ -274,6 +294,38 @@ func (t *unpackTable) fill(c litCode) {
 // varints, so shorter ones save nothing — but at the value's end, where the
 // copy is the template's and its users pay nothing for it.
 const minCopy = 4
+
+// A keyedAnchor is a segment's anchor as its later values are coded against
+// it: where the segment is keyed, with a value's own key over the anchor's
+// where the two have one width, in one buffer of the segment's whose key bytes
+// alone each such value overwrites.
+type keyedAnchor struct {
+	anchor []byte
+	at, n  int // where the anchor spells its key and the key's width; at < 0: not keyed
+	buf    []byte
+}
+
+// keyOffset is where anchor first spells key, of minCopy bytes or more: the
+// offset a keyed segment splices its later keys at. −1 where there is none.
+func keyOffset(anchor, key []byte) int {
+	if len(key) < minCopy {
+		return -1
+	}
+	return bytes.Index(anchor, key)
+}
+
+// against returns the bytes a representative of key is coded against. They
+// are k's until it is next asked.
+func (k *keyedAnchor) against(key []byte) []byte {
+	if k.at < 0 || len(key) != k.n {
+		return k.anchor
+	}
+	if k.buf == nil {
+		k.buf = bytes.Clone(k.anchor)
+	}
+	copy(k.buf[k.at:], key)
+	return k.buf
+}
 
 // codeRuns appends to heads the run heads that rebuild value from anchor — a
 // value's own list, which chooseTemplate weighs against the segment's others —

@@ -93,8 +93,8 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 //	member := version:uvarint  parent:varint  body:bytes
 //
 // code is the segment's code (litCode, runs.go): its literal code, its
-// template, if it has one, and whether it is implied, which only a templated
-// code may be, and then its key width. head is shared<<2 | raw<<1 | multi, and
+// template, if it has one, whether it is implied, which only a templated code
+// may be, and then its key width, and whether it is keyed. head is shared<<2 | raw<<1 | multi, and
 // shared<<3 | tmpl<<2 | raw<<1 | multi where the code is implied: the item's
 // primary key is the first shared bytes of the previous item's key (none for
 // the first item of a segment) followed by suffix, and multi is set for an
@@ -103,7 +103,10 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 // sub-chunk's first member's — is its value when raw is set and a run list
 // against the segment's anchor (runs.go) when it is not, with empty heads
 // where it takes the template's; the anchor is the first item's
-// representative value, always raw, and raw is the escape of any later value
+// representative value, always raw, and, where the code is keyed, a
+// representative whose key has the width of the first item's is stated against
+// the anchor with its own key written over the first item's, where the anchor
+// first spells that (keyedAnchor, runs.go); raw is the escape of any later value
 // the run list would not shorten, so an item takes no more bytes here than in
 // Item.Encoded. tmpl is set for a record, not the first, not raw, that takes
 // the template and whose literals escape nowhere: its body is then its
@@ -130,7 +133,8 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 		heads  int
 	}
 	reps, lists := make([]parsed, len(idxs)), make([]list, len(idxs))
-	var anchor, prev []byte
+	var anchor keyedAnchor
+	var prev []byte
 	var heads []byte // every later representative's run heads, one after the other
 	var hist litCounts
 	keyWidth := -1 // of every key so far; 0 once two differ
@@ -144,10 +148,10 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 			return nil, err
 		}
 		if i == 0 {
-			anchor = r.first.body
+			anchor = keyedAnchor{anchor: r.first.body, at: keyOffset(r.first.body, r.first.key), n: len(r.first.key)}
 		} else {
 			lists[i].value = r.first.body
-			heads, lists[i].copied, lists[i].tail = codeRuns(heads, anchor, r.first.body, &hist)
+			heads, lists[i].copied, lists[i].tail = codeRuns(heads, anchor.against(r.first.key), r.first.body, &hist)
 		}
 		r.heads = len(heads)
 		r.shared, prev = matchLen(prev, r.first.key), r.first.key
@@ -166,6 +170,7 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 		untailOwn(lists[1:], &hist)
 	}
 	code := chooseCode(&hist)
+	code.keyed = anchor.at >= 0
 	var table packTable
 	if code.width < 8 {
 		table.fill(code)
@@ -290,8 +295,11 @@ func parseMember(buf []byte) (m member, rest []byte, err error) {
 // members is decoded whole when any of them is selected, since members are
 // deltas of one another. A representative stored as a run list is rebuilt
 // from the segment's code — its literal code and template —, the anchor, which
-// is read where it lies in buf, and its own list, or, for a tmpl record, its
-// literals: no other item of the segment is touched for it.
+// is read where it lies in buf, with the item's key over the anchor's where
+// the code is keyed, and its own list, or, for a tmpl record, its literals: no
+// other item of the segment is touched for it. It is ErrCorrupt for a keyed
+// segment's anchor not to spell its item's key, or that key to be shorter
+// than minCopy.
 func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, recs []types.Record, err error) {
 	code, rest, err := parseCode(buf)
 	if err != nil {
@@ -312,6 +320,9 @@ func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, re
 	if f > math.MaxUint32 || n > uint64(len(rest)) {
 		return 0, 0, nil, fmt.Errorf("%w: segment at slot %d counts %d items in %d bytes", types.ErrCorrupt, f, n, len(rest))
 	}
+	if code.keyed && n == 0 {
+		return 0, 0, nil, fmt.Errorf("%w: keyed segment without an anchor", types.ErrCorrupt)
+	}
 	if want == nil {
 		recs = make([]types.Record, 0, n)
 	}
@@ -321,7 +332,8 @@ func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, re
 	if code.implied {
 		shift = 3
 	}
-	var key, anchor []byte
+	var key []byte
+	anchor := keyedAnchor{at: -1}
 	var group []types.Record // the members of one multi-member item, reused
 	for i := uint64(0); i < n; i++ {
 		var head uint64
@@ -393,7 +405,12 @@ func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, re
 				body, rest = rest[:code.tmplLen], rest[code.tmplLen:]
 			}
 			if i == 0 && m == 0 {
-				anchor = body
+				anchor.anchor = body
+				if code.keyed {
+					if anchor.at, anchor.n = keyOffset(body, key), len(key); anchor.at < 0 {
+						return 0, 0, nil, fmt.Errorf("%w: keyed segment's anchor does not spell its key of %d bytes", types.ErrCorrupt, len(key))
+					}
+				}
 			}
 			if !selected {
 				continue
@@ -401,12 +418,12 @@ func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, re
 			var value []byte
 			switch {
 			case tmpl:
-				if value, err = code.rebuild(anchor, code.template, body, budget, &table); err != nil {
+				if value, err = code.rebuild(anchor.against(key), code.template, body, budget, &table); err != nil {
 					return 0, 0, nil, fmt.Errorf("segment item %d: %w", i, err)
 				}
 				budget -= uint64(len(value))
 			case m == 0 && !raw && parent < 0:
-				if value, err = code.decodeRuns(anchor, body, budget, &table); err != nil {
+				if value, err = code.decodeRuns(anchor.against(key), body, budget, &table); err != nil {
 					return 0, 0, nil, fmt.Errorf("segment item %d: %w", i, err)
 				}
 				budget -= uint64(len(value))

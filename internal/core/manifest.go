@@ -19,14 +19,19 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 11 lets a placement
-// record leave out of a version's diffs the slots composite keys imply — the
-// records whose composite keys name the version, and the records of their keys
-// its tree parent holds (chunk.Implied) — which a version-10 build would fold
-// into versions that lack their own records, so it is refused here instead. A
-// version-8 to version-10 store is read as it is — its diffs state every slot,
-// the implied ones included, and the fold adds those once — and becomes
-// version 11 with the next root it writes. Version 10 let a segment's items
+// manifestVersion guards the on-disk format. Version 12 lets a segment be
+// keyed: its anchor spells its first item's key, and every later value whose
+// key has that width is coded against the anchor with its own key written over
+// the anchor's, which a version-11 build would decode against the anchor as it
+// is, so it is refused here instead; its segments mark it with another value
+// of their first byte (chunk/runs.go). A version-8 to version-11 store is read
+// as it is, and becomes version 12 with the next root it writes. Version 11
+// let a placement record leave out of a version's diffs the slots composite
+// keys imply — the records whose composite keys name the version, and the
+// records of their keys its tree parent holds (chunk.Implied) — which a
+// version-10 build would fold into versions that lack their own records; a
+// version-8 to version-10 store's diffs state every slot, the implied ones
+// included, and the fold adds those once. Version 10 let a segment's items
 // leave out what its code implies — a template user's empty heads and body
 // length, a key's suffix length where every key of the segment has one width —
 // and marks that with another value of the segment's first byte
@@ -43,10 +48,10 @@ const manifestKey = "manifest"
 // bitmaps already imply them; a version-3 store wrote both, a version-2 store
 // carried chunk maps inside the chunk values, version 1 used unprefixed chunk
 // keys, and all seven must be re-initialized, not misread.
-const manifestVersion = 11
+const manifestVersion = 12
 
 // oldestReadable is the oldest manifest version this build reads: every
-// segment of a version-8 to version-10 store is one a version-11 build could
+// segment of a version-8 to version-11 store is one a version-12 build could
 // have written, and every placement record one it reads as it was meant.
 const oldestReadable = 8
 
