@@ -245,7 +245,13 @@ func (s *Server) serveOp(nc net.Conn, bw *bufio.Writer, payload, resp []byte) ([
 			// outlast one writeTimeout; a stalled peer must not.
 			nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			resp = wire.AppendReply(resp[:0], wire.OpScan, wire.Reply{More: true, Key: key, Value: value})
-			streamErr = wire.WriteFrame(bw, resp)
+			if streamErr = wire.WriteFrame(bw, resp); streamErr == nil {
+				// Flushed entry by entry: a backend that yields small entries
+				// slowly must not keep what it has yielded in the buffer while
+				// the client's per-frame IOTimeout runs. An entry of the
+				// buffer's size or more is written through unbuffered anyway.
+				streamErr = bw.Flush()
+			}
 			return streamErr == nil
 		})
 		if streamErr != nil {

@@ -145,6 +145,67 @@ func TestHostilePeerCannotWedgeTheDaemon(t *testing.T) {
 	}
 }
 
+// slowScan is a backend whose Scan yields one entry of a byte and then waits
+// until released, as a backend that yields slowly does between entries.
+type slowScan struct {
+	engine.Backend
+	release chan struct{}
+}
+
+func (b *slowScan) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
+	fn("k", []byte{1})
+	select {
+	case <-b.release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestScanStreamsEachEntry: an entry a backend's Scan yields reaches the
+// client while the backend is still scanning, however small it is — a
+// daemon that buffered it until more came would let the client's per-frame
+// IOTimeout run out against a node that is making progress.
+func TestScanStreamsEachEntry(t *testing.T) {
+	be := &slowScan{Backend: memory.New(), release: make(chan struct{})}
+	srv, err := engined.Start("127.0.0.1:0", be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := remote.Dial(srv.Addr().String(), remote.Options{Attempts: 1, IOTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got := make(chan string, 1)
+	scanned := make(chan error, 1)
+	go func() {
+		scanned <- c.Scan(context.Background(), "t", func(key string, value []byte) bool {
+			got <- key
+			return true
+		})
+	}()
+	select {
+	case key := <-got:
+		if key != "k" {
+			t.Errorf("streamed key %q, want k", key)
+		}
+	case <-time.After(5 * time.Second):
+		close(be.release)
+		t.Fatal("the entry did not reach the client while the backend was scanning")
+	}
+	close(be.release)
+	select {
+	case err := <-scanned:
+		if err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the scan did not end once the backend was released")
+	}
+}
+
 // stuckScan is a backend whose Scan delivers one entry — larger than the
 // daemon's write buffer, so it reaches the client unflushed — and then
 // waits for its context, reporting the context's error when it ends.
