@@ -10,9 +10,12 @@ import (
 // values; what it stores as it is — raw values, the anchor among them, and
 // delta members; and framing, everything else — the code and the header,
 // item heads, keys, counts, versions, parents, lengths and a value's own run
-// heads. values counts its records.
+// heads. values counts its records, segments the segments added and keyed
+// those whose values take their keys from the anchor (runs.go), which leaves
+// the grammar of their items as it is: a keyed value copies its key where it
+// would state it as literals.
 type anatomy struct {
-	values                     int
+	values, segments, keyed    int
 	framing, literals, asBytes int
 }
 
@@ -25,6 +28,10 @@ func (a *anatomy) add(tb testing.TB, seg []byte) {
 	// The segment decodes, so none of the reads below fails.
 	coded := a.literals + a.asBytes
 	code, rest, _ := parseCode(seg)
+	a.segments++
+	if code.keyed {
+		a.keyed++
+	}
 	_, rest, _ = codec.Uvarint(rest) // the first slot
 	n, rest, _ := codec.Uvarint(rest)
 	shift := 2
@@ -68,8 +75,10 @@ func (a *anatomy) add(tb testing.TB, seg []byte) {
 	a.framing += len(seg) - (a.literals + a.asBytes - coded)
 }
 
-// report reports a's framing bytes and literal bits per value on b.
+// report reports a's framing bytes and literal bits per value, and the share
+// of its segments that are keyed, on b.
 func (a anatomy) report(b *testing.B) {
 	b.ReportMetric(float64(a.framing)/float64(a.values), "framing-B/value")
 	b.ReportMetric(float64(8*a.literals)/float64(a.values), "literal-bits/value")
+	b.ReportMetric(float64(a.keyed)/float64(a.segments), "keyed/segment")
 }

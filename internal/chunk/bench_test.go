@@ -17,14 +17,16 @@ import (
 // and 512 bytes are run lists against the first whose literals are 62 symbols,
 // six bits — the closing quote and brace they share with the anchor are the
 // template's last copy — nearly all of them taking the segment's template for
-// their heads and framed without their lengths;
+// their heads and framed without their lengths, and copying their own keys,
+// which their "id" fields spell, from the anchor (the segment is keyed);
 // English prose shares no offsets with its anchor and is literals
 // throughout, of some seventy symbols of which a few are rare; rows of numbers
 // are literals of thirteen, four bits; random blobs are all stored raw and
 // their segment states width 8. MB/s counts the segment's plain bytes — what
 // its items were charged — on every line, so they compare; stored/plain is the
 // segment value's size against the same, width the bits of a literal, and
-// framing-B/value and literal-bits/value where the stored bytes go (anatomy).
+// framing-B/value and literal-bits/value where the stored bytes go, and
+// keyed/segment whether the segment is keyed (anatomy).
 func BenchmarkSegmentCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	for _, tc := range []struct {

@@ -54,7 +54,7 @@ func miniCorpus(t testing.TB) *corpus.Corpus {
 
 // decodeItem returns the records of an item's encoding, read back the way the
 // store reads them: as a segment of that one item.
-func decodeItem(t *testing.T, enc []byte) []types.Record {
+func decodeItem(t testing.TB, enc []byte) []types.Record {
 	t.Helper()
 	seg, err := appendSegment(nil, 0, []Item{{Encoded: enc}}, []uint32{0})
 	if err != nil {

@@ -71,6 +71,36 @@ func FuzzDecodeSegment(f *testing.F) {
 		f.Fatalf("the seed segment of shifted documents has code %#x, %v", seg[0], err)
 	}
 	f.Add(seg)
+	// Keyed segments: documents that spell their keys, coded with each
+	// value's own key over the anchor's; the same with the anchor's key
+	// spelled otherwise, which the decoder refuses; and one whose keys are of
+	// two widths, of which only the anchor's is spliced.
+	_, items = revisionItems(f, 40, 1, documents(docgen.New(5), 96))
+	if seg, err = appendSegment(nil, 0, items, allOf(items)); err != nil || seg[0]&keyed == 0 {
+		f.Fatalf("the seed segment of documents has code %#x, %v", seg[0], err)
+	}
+	f.Add(seg)
+	anchor := decodeItem(f, items[0].Encoded)[0]
+	at := bytes.Index(seg, anchor.Value) + keyOffset(anchor.Value, []byte(anchor.CK.Key))
+	unspelled := bytes.Clone(seg)
+	unspelled[at] ^= 0x20
+	if _, _, _, err := DecodeSegment(unspelled, nil); !errors.Is(err, types.ErrCorrupt) {
+		f.Fatalf("a keyed segment whose anchor does not spell its key: %v", err)
+	}
+	f.Add(unspelled)
+	mixed := make([]Item, 40)
+	for i := range mixed {
+		key := fmt.Sprintf("key-%06d", i)
+		if i%4 == 3 {
+			key = fmt.Sprintf("key-%d", i)
+		}
+		enc := codec.PutCompositeKey(codec.PutUvarint(nil, 1), types.CompositeKey{Key: types.Key(key), Version: 2})
+		mixed[i].Encoded = codec.PutBytes(codec.PutVarint(enc, -1), docgen.New(int64(i)).Document(types.Key(key), 96))
+	}
+	if seg, err = appendSegment(nil, 0, mixed, allOf(mixed)); err != nil || seg[0]&keyed == 0 {
+		f.Fatalf("the seed segment of keys of two widths has code %#x, %v", seg[0], err)
+	}
+	f.Add(seg)
 	f.Add([]byte{})
 	f.Add([]byte{8, 0, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{8, 0, 1, 1, 0, 0xff, 0xff, 0x03})

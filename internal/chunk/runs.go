@@ -297,12 +297,21 @@ const minCopy = 4
 
 // A keyedAnchor is a segment's anchor as its later values are coded against
 // it: where the segment is keyed, with a value's own key over the anchor's
-// where the two have one width, in one buffer of the segment's whose key bytes
-// alone each such value overwrites.
+// where the two have one width. The encoder builds those bytes in one buffer
+// of the segment's whose key bytes alone each such value overwrites; the
+// decoder writes the key over the value it rebuilds once the anchor is in.
 type keyedAnchor struct {
 	anchor []byte
-	at, n  int // where the anchor spells its key and the key's width; at < 0: not keyed
-	buf    []byte
+	at, n  int    // where the anchor spells its key and the key's width; at < 0: not keyed
+	buf    []byte // against's
+}
+
+// A splice is what a keyed segment writes over its anchor for one value: the
+// value's own key at the offset the anchor spells its own. The zero splice
+// writes nothing.
+type splice struct {
+	at  int
+	key []byte
 }
 
 // keyOffset is where anchor first spells key, of minCopy bytes or more: the
@@ -314,16 +323,25 @@ func keyOffset(anchor, key []byte) int {
 	return bytes.Index(anchor, key)
 }
 
+// splice returns what a representative of key writes over the anchor.
+func (k *keyedAnchor) splice(key []byte) splice {
+	if k.at < 0 || len(key) != k.n {
+		return splice{}
+	}
+	return splice{k.at, key}
+}
+
 // against returns the bytes a representative of key is coded against. They
 // are k's until it is next asked.
 func (k *keyedAnchor) against(key []byte) []byte {
-	if k.at < 0 || len(key) != k.n {
+	s := k.splice(key)
+	if s.key == nil {
 		return k.anchor
 	}
 	if k.buf == nil {
 		k.buf = bytes.Clone(k.anchor)
 	}
-	copy(k.buf[k.at:], key)
+	copy(k.buf[s.at:], s.key)
 	return k.buf
 }
 
@@ -493,12 +511,13 @@ func literalLen(a, v []byte) int {
 	return len(v)
 }
 
-// decodeRuns rebuilds the value a run list in code c states against anchor,
-// as a slice of its own, provided it is no longer than budget; a list whose
+// decodeRuns rebuilds the value a run list in code c states against anchor
+// with s written over it, as a slice of its own, provided it is no longer than
+// budget; a list whose
 // heads are empty takes the code's template. It is ErrCorrupt for the heads to
 // reach past the list's end, for them to be empty where the code has no
 // template, and for what rebuild refuses.
-func (c litCode) decodeRuns(anchor, runs []byte, budget uint64, t *unpackTable) ([]byte, error) {
+func (c litCode) decodeRuns(anchor []byte, s splice, runs []byte, budget uint64, t *unpackTable) ([]byte, error) {
 	heads, lits, err := codec.Bytes(runs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: run list ends inside its heads", types.ErrCorrupt)
@@ -509,16 +528,16 @@ func (c litCode) decodeRuns(anchor, runs []byte, budget uint64, t *unpackTable) 
 		}
 		heads = c.template
 	}
-	return c.rebuild(anchor, heads, lits, budget, t)
+	return c.rebuild(anchor, s, heads, lits, budget, t)
 }
 
 // rebuild rebuilds the value that heads and the literals lits, in code c,
-// state against anchor, as decodeRuns does. It is ErrCorrupt for the heads to
+// state against anchor with s written over it, as decodeRuns does. It is ErrCorrupt for the heads to
 // end inside a run, for a copy to reach past the anchor's end, for a run to
 // count more symbols than the literals have bits left for, for the literals to
 // end inside an escape, to escape a byte the table holds, or to go on past the
 // last symbol — by a byte, or by a bit that is set.
-func (c litCode) rebuild(anchor, heads, lits []byte, budget uint64, t *unpackTable) ([]byte, error) {
+func (c litCode) rebuild(anchor []byte, s splice, heads, lits []byte, budget uint64, t *unpackTable) ([]byte, error) {
 	// Checked and sized first, so the value is allocated once, exactly, and
 	// from nothing the list does not pay for: a symbol takes width bits at least.
 	size, room := 0, uint64(8*len(lits))/uint64(c.width)
@@ -541,9 +560,10 @@ func (c litCode) rebuild(anchor, heads, lits []byte, budget uint64, t *unpackTab
 		return nil, fmt.Errorf("%w: run list states a value of %d bytes, past what the segment may inflate to", types.ErrCorrupt, size)
 	}
 	// Copies are at the same offset in both: the anchor goes in whole, in one
-	// move, and the literals are laid over it.
+	// move, the splice over it, and the literals over both.
 	value := make([]byte, size)
 	copy(value, anchor)
+	copy(value[min(s.at, size):], s.key)
 	var used int // bits of lits the symbols took
 	if c.width == 8 {
 		for pos, rest := 0, heads; len(rest) > 0; {

@@ -37,7 +37,7 @@ func appendRuns(dst []byte, c litCode, heads, value []byte) []byte {
 func decodeRuns(c litCode, anchor, runs []byte, budget uint64) ([]byte, error) {
 	var t unpackTable
 	t.fill(c)
-	return c.decodeRuns(anchor, runs, budget, &t)
+	return c.decodeRuns(anchor, splice{}, runs, budget, &t)
 }
 
 // runsRoundTrip states value against anchor in code c and, when the list came

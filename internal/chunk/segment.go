@@ -418,12 +418,12 @@ func DecodeSegment(buf []byte, want *bitset.BitSet) (first uint32, slots int, re
 			var value []byte
 			switch {
 			case tmpl:
-				if value, err = code.rebuild(anchor.against(key), code.template, body, budget, &table); err != nil {
+				if value, err = code.rebuild(anchor.anchor, anchor.splice(key), code.template, body, budget, &table); err != nil {
 					return 0, 0, nil, fmt.Errorf("segment item %d: %w", i, err)
 				}
 				budget -= uint64(len(value))
 			case m == 0 && !raw && parent < 0:
-				if value, err = code.decodeRuns(anchor.against(key), body, budget, &table); err != nil {
+				if value, err = code.decodeRuns(anchor.anchor, anchor.splice(key), body, budget, &table); err != nil {
 					return 0, 0, nil, fmt.Errorf("segment item %d: %w", i, err)
 				}
 				budget -= uint64(len(value))

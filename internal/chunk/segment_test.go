@@ -183,6 +183,15 @@ func TestDecodeSegmentRejects(t *testing.T) {
 		len(recs) != 2 || string(recs[1].CK.Key) != "kb" || string(recs[1].Value) != "0123xy6789" {
 		t.Fatalf("the hand-built implied segment: %v, %v", recs, err)
 	}
+	// A keyed segment: its anchor spells its key, "key1", at offset 3, and a
+	// run list that copies all twelve bytes of it copies the item's own key
+	// there, where the item's key has that width, and the anchor's elsewhere.
+	keyedAnchor := cat([]byte{8 | keyed}, []byte{0, 3}, item(0, rawBit, "key1"), []byte{3}, codec.PutBytes(nil, []byte("id=key1;0123")))
+	copyAll := cat([]byte{3}, codec.PutBytes(nil, codec.PutBytes(nil, []byte{12, 0})))
+	if _, _, recs, err := DecodeSegment(cat(keyedAnchor, item(3, 0, "2"), copyAll, item(3, 0, "10"), copyAll), nil); err != nil || len(recs) != 3 ||
+		string(recs[1].Value) != "id=key2;0123" || string(recs[2].Value) != "id=key1;0123" {
+		t.Fatalf("the hand-built keyed segment: %v, %v", recs, err)
+	}
 	// A chain whose every member is 32 copies of its parent — 64 B, 2 KiB,
 	// 64 KiB … 2 GiB — each a bdiff of ≈ 100 bytes: a length, then 32 × (copy,
 	// offset 0, the parent's length).
@@ -239,6 +248,9 @@ func TestDecodeSegmentRejects(t *testing.T) {
 		"tmpl head on a sub-chunk":         cat(implicit(2, 4, 2, 4, 0), []byte{0, 2}, anchor2, head3(1, tmplBit|multiBit), []byte("b"), []byte{1, 3}, codec.PutVarint(nil, -1), []byte("xy")),
 		"tmpl literals past the end":       cat(implicit(2, 4, 2, 4, 0), []byte{0, 2}, anchor2, head3(1, tmplBit), []byte("b"), []byte{3}, []byte("x")),
 		"key width below an item's shared": cat(implicit(2, 4, 2, 4, 0), []byte{0, 2}, anchor2, head3(3, tmplBit), []byte{3}, []byte("xy")),
+		"keyed anchor without its key":     cat([]byte{8 | keyed}, []byte{0, 1}, item(0, rawBit, "key2"), []byte{3}, codec.PutBytes(nil, []byte("id=key1;0123"))),
+		"keyed key shorter than minCopy":   cat([]byte{8 | keyed}, []byte{0, 1}, item(0, rawBit, "v"), record),
+		"keyed without an anchor":          cat([]byte{8 | keyed}, []byte{0, 0}),
 	} {
 		if _, _, recs, err := DecodeSegment(seg, nil); !errors.Is(err, types.ErrCorrupt) || recs != nil {
 			t.Errorf("%s: %d records, %v", name, len(recs), err)
