@@ -51,18 +51,18 @@ import (
 // are zero.
 
 // litCode is a segment's code: the width in bits of a literal symbol, the
-// bytes that have one, the template, if the segment has one, how its items
-// are framed, and whether its later values are coded against the anchor with
-// their own keys over the anchor's. Below width 8, code i stands for table[i], and the top code,
-// 2^width − 1, is the escape: the eight bits after it are the byte itself, one
-// the table does not hold. At width 8 a symbol is the byte and there is
-// neither table nor escape. The kind byte names the coder: its low four bits
-// are the width, 16 more says a template follows the table, and 32 more, set
-// only beside 16, says the items' framing leaves out what the code implies
-// (segment.go) and that a key width follows the template — every item's key
-// has that many bytes, 0 for keys of several widths; 64 more, beside any of
-// them, says the segment is keyed; a segment coded some other way is another
-// value of it.
+// bytes that have one, the template, if the segment has one, how its items are
+// framed, and whether its later values are coded against the anchor with their
+// own keys over the anchor's. Below width 8, code i stands for table[i], and
+// the top code, 2^width − 1, is the escape: the eight bits after it are the
+// byte itself, one the table does not hold. At width 8 a symbol is the byte
+// and there is neither table nor escape. The kind byte names the coder: its
+// low four bits are the width, 16 more says a template follows the table, and
+// 32 more, set only beside 16, says the items' framing leaves out what the
+// code implies (segment.go) and that a key width follows the template — every
+// item's key has that many bytes, 0 for keys of several widths; 64 more,
+// beside any of them, says the segment is keyed; a segment coded some other
+// way is another value of it.
 //
 //	code := kind:byte  table:byte{2^width − 1}  template:bytes?  keyWidth:uvarint?     table ascending; none at width 8
 //	kind := keyed<<6 | implied<<5 | templated<<4 | width
@@ -158,11 +158,11 @@ func chooseCode(h *litCounts) litCode {
 
 // parseCode reads the code a segment begins with. It is ErrCorrupt for the
 // kind to be other than a width of 1…8, templated or not, implied or not but
-// implied only where templated, keyed or not, for the table to be cut short, for its bytes
-// not to ascend — so none is there twice and a table is spelled one way — for
-// a template to be cut short, empty, to end inside a run or to count more
-// literals than the segment has bits, and for a key width to be cut short or
-// wider than the segment.
+// implied only where templated, keyed or not, for the table to be cut short,
+// for its bytes not to ascend — so none is there twice and a table is spelled
+// one way — for a template to be cut short, empty, to end inside a run or to
+// count more literals than the segment has bits, and for a key width to be cut
+// short or wider than the segment.
 func parseCode(buf []byte) (c litCode, rest []byte, err error) {
 	const flags = templated | implied | keyed
 	if len(buf) == 0 || buf[0]&^flags < 1 || buf[0]&^flags > 8 || buf[0]&(templated|implied) == implied {
@@ -513,10 +513,9 @@ func literalLen(a, v []byte) int {
 
 // decodeRuns rebuilds the value a run list in code c states against anchor
 // with s written over it, as a slice of its own, provided it is no longer than
-// budget; a list whose
-// heads are empty takes the code's template. It is ErrCorrupt for the heads to
-// reach past the list's end, for them to be empty where the code has no
-// template, and for what rebuild refuses.
+// budget; a list whose heads are empty takes the code's template. It is
+// ErrCorrupt for the heads to reach past the list's end, for them to be empty
+// where the code has no template, and for what rebuild refuses.
 func (c litCode) decodeRuns(anchor []byte, s splice, runs []byte, budget uint64, t *unpackTable) ([]byte, error) {
 	heads, lits, err := codec.Bytes(runs)
 	if err != nil {
@@ -532,11 +531,12 @@ func (c litCode) decodeRuns(anchor []byte, s splice, runs []byte, budget uint64,
 }
 
 // rebuild rebuilds the value that heads and the literals lits, in code c,
-// state against anchor with s written over it, as decodeRuns does. It is ErrCorrupt for the heads to
-// end inside a run, for a copy to reach past the anchor's end, for a run to
-// count more symbols than the literals have bits left for, for the literals to
-// end inside an escape, to escape a byte the table holds, or to go on past the
-// last symbol — by a byte, or by a bit that is set.
+// state against anchor with s written over it, as decodeRuns does. It is
+// ErrCorrupt for the heads to end inside a run, for a copy to reach past the
+// anchor's end, for a run to count more symbols than the literals have bits
+// left for, for the literals to end inside an escape, to escape a byte the
+// table holds, or to go on past the last symbol — by a byte, or by a bit that
+// is set.
 func (c litCode) rebuild(anchor []byte, s splice, heads, lits []byte, budget uint64, t *unpackTable) ([]byte, error) {
 	// Checked and sized first, so the value is allocated once, exactly, and
 	// from nothing the list does not pay for: a symbol takes width bits at least.

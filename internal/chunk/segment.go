@@ -94,22 +94,22 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 //
 // code is the segment's code (litCode, runs.go): its literal code, its
 // template, if it has one, whether it is implied, which only a templated code
-// may be, and then its key width, and whether it is keyed. head is shared<<2 | raw<<1 | multi, and
-// shared<<3 | tmpl<<2 | raw<<1 | multi where the code is implied: the item's
-// primary key is the first shared bytes of the previous item's key (none for
-// the first item of a segment) followed by suffix, and multi is set for an
-// item of more than one member, whose members keep EncodeItem's order and
-// parent indexes. The body of an item's representative — a record's, a
-// sub-chunk's first member's — is its value when raw is set and a run list
-// against the segment's anchor (runs.go) when it is not, with empty heads
-// where it takes the template's; the anchor is the first item's
+// may be, and then its key width, and whether it is keyed. head is
+// shared<<2 | raw<<1 | multi, and shared<<3 | tmpl<<2 | raw<<1 | multi where
+// the code is implied: the item's primary key is the first shared bytes of the previous
+// item's key (none for the first item of a segment) followed by suffix, and
+// multi is set for an item of more than one member, whose members keep
+// EncodeItem's order and parent indexes. The body of an item's representative
+// — a record's, a sub-chunk's first member's — is its value when raw is set
+// and a run list against the segment's anchor (runs.go) when it is not, with
+// empty heads where it takes the template's; the anchor is the first item's
 // representative value, always raw, and, where the code is keyed, a
 // representative whose key has the width of the first item's is stated against
 // the anchor with its own key written over the first item's, where the anchor
-// first spells that (keyedAnchor, runs.go); raw is the escape of any later value
-// the run list would not shorten, so an item takes no more bytes here than in
-// Item.Encoded. tmpl is set for a record, not the first, not raw, that takes
-// the template and whose literals escape nowhere: its body is then its
+// first spells that (keyedAnchor, runs.go); raw is the escape of any later
+// value the run list would not shorten, so an item takes no more bytes here
+// than in Item.Encoded. tmpl is set for a record, not the first, not raw, that
+// takes the template and whose literals escape nowhere: its body is then its
 // literals alone, with neither the empty heads nor a length, as many bytes as
 // the template's runs count symbols at the code's width. The other members
 // keep EncodeItem's bodies: a bdiff delta of their parent member, or their
