@@ -58,7 +58,7 @@
 // callers may retain them freely.
 //
 // The layer diagram lives in docs/ARCHITECTURE.md; every on-disk format the
-// engine persists through the cluster (root v11, placement log, delta store,
+// engine persists through the cluster (root v12, placement log, delta store,
 // chunk segments and their generations) is specified in docs/FORMATS.md.
 package core
 
