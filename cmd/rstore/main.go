@@ -298,6 +298,7 @@ func run(ctx context.Context, args []string) error {
 			s := kv.Stats(ctx)
 			fmt.Printf("versions:      %d\n", st.NumVersions())
 			fmt.Printf("chunks:        %d\n", st.NumChunks())
+			fmt.Printf("copies:        %d\n", st.Info().Copies)
 			fmt.Printf("pending:       %d\n", st.PendingVersions())
 			fmt.Printf("total span:    %d\n", st.TotalVersionSpan())
 			fmt.Printf("stored bytes:  %d\n", s.BytesStored)

@@ -15,21 +15,31 @@ import (
 // creates, a slot of v's diff, and so is, for each key v creates a record of,
 // the record of that key v's tree parent holds, which v's record supersedes.
 // It indexes the chunks' records once, by the version their composite keys
-// name and by their key. Every Loc it holds is the position of a record in
-// the chunks it was built over, and nothing in it is sized by a count the
-// chunks' bytes claim. Not safe for concurrent use: Or keeps scratch in it.
+// name and by their key. A composite key may sit in more than one chunk, when
+// a flush copied its record forward (Layout.AddChunk): its first copy, in the
+// chunk of lowest id, is its creation, and the later ones are only records of
+// its key, which the lookup of what the parent holds tests like any other.
+// Every Loc it holds is the position of a record in the chunks it was built
+// over, and nothing in it is sized by a count the chunks' bytes claim. Not
+// safe for concurrent use: Or keeps scratch in it.
 type Implied struct {
 	versions map[types.VersionID]uint32 // version → its group of created
 	keys     map[types.Key]uint32       // key → its group of records
 	// created holds, per version group, the slots of the records whose
 	// composite keys name the version, in ascending (chunk, slot) order, and
-	// at the same index createdKey their key groups and recordAt where records
-	// holds them; records holds, per key group, the slots of the key's
-	// records, newest version first. Group g of either is
-	// [start[g], start[g+1]) of it.
+	// at the same index createdKey their key groups, recordAt where records
+	// holds them and later whether an earlier chunk holds the composite key
+	// too; records holds, per key group, the slots of the key's records,
+	// newest version first, a version's copies in ascending chunk order. Group
+	// g of either is [start[g], start[g+1]) of it.
 	createdStart, recordsStart []uint32
 	created, records           []Loc
 	createdKey, recordAt       []uint32
+	later                      *bitset.BitSet
+	// copies lists, per composite key in more than one chunk, every chunk's
+	// slot of it, creation first, and copied marks those slots per chunk.
+	copies map[types.CompositeKey][]Loc
+	copied map[ID]*bitset.BitSet
 	// held and diff are Or's scratch, one entry per chunk: the bitmap there
 	// of the tree parent of the version Or is given, and that version's
 	// diff; nil outside a call.
@@ -90,16 +100,56 @@ func NewImplied(chunks []Stored) *Implied {
 		newest[g] = uint32(g)
 	}
 	slices.SortFunc(newest, func(a, b uint32) int { return cmp.Compare(named[b], named[a]) })
-	ix.records, ix.recordAt = make([]Loc, n), make([]uint32, n)
+	// A version's records of one key follow each other in the key's group,
+	// lowest chunk first: a second one is a copy (filled[k] is 1 + the
+	// version group last filled into key group k).
+	ix.records, ix.recordAt, ix.later = make([]Loc, n), make([]uint32, n), bitset.New(n)
+	filled := make([]uint32, len(ix.keys))
 	for _, g := range newest {
 		for at := ix.createdStart[g]; at < ix.createdStart[g+1]; at++ {
 			k := ix.createdKey[at]
+			if filled[k] == g+1 {
+				loc := ix.created[at]
+				ck := chunks[loc.Chunk].Records[loc.Slot].CK
+				if ix.copies == nil {
+					ix.copies, ix.copied = map[types.CompositeKey][]Loc{}, map[ID]*bitset.BitSet{}
+				}
+				if ix.copies[ck] == nil {
+					ix.copies[ck] = []Loc{ix.records[knext[k]-1]}
+					ix.markCopied(ix.records[knext[k]-1], chunks)
+				}
+				ix.copies[ck] = append(ix.copies[ck], loc)
+				ix.markCopied(loc, chunks)
+				ix.later.Set(at)
+			}
+			filled[k] = g + 1
 			ix.records[knext[k]], ix.recordAt[at] = ix.created[at], knext[k]
 			knext[k]++
 		}
 	}
 	return ix
 }
+
+// markCopied notes loc as a slot of a composite key in more than one chunk.
+func (ix *Implied) markCopied(loc Loc, chunks []Stored) {
+	if ix.copied[loc.Chunk] == nil {
+		ix.copied[loc.Chunk] = bitset.New(len(chunks[loc.Chunk].Records))
+	}
+	ix.copied[loc.Chunk].Set(loc.Slot)
+}
+
+// Copies returns the slots of composite key ck in each chunk that holds it,
+// its creation first, when there are more than one; nil otherwise.
+func (ix *Implied) Copies(ck types.CompositeKey) []Loc { return ix.copies[ck] }
+
+// IsCopy reports whether the record at loc sits in more than one chunk.
+func (ix *Implied) IsCopy(loc Loc) bool {
+	bits := ix.copied[loc.Chunk]
+	return bits != nil && bits.Contains(loc.Slot)
+}
+
+// NumCopied returns how many composite keys sit in more than one chunk.
+func (ix *Implied) NumCopied() int { return len(ix.copies) }
 
 // starts counts the members of each of n groups, of[i] being member i's, and
 // returns where each group begins among them all — n+1 offsets, the last the
@@ -118,10 +168,10 @@ func starts(of []uint32, n int) (start, next []uint32) {
 // Or adds to diffs — version v's, as a placement record states them,
 // ascending by chunk, each over its chunk's slots — the slots composite keys
 // imply, and returns v's whole diffs, ascending by chunk: the records whose
-// composite keys name v and, for each of their keys, the record of it parent,
-// v's tree parent, holds in l — the newest one naming a version before v, as
-// a version holds one record of a key and only records of its ancestors,
-// which precede it. A slot both state is stated once, so diffs that already
+// composite keys name v, at their creation, and, for each of their keys, the
+// record of it parent, v's tree parent, holds in l — the newest one naming a
+// version before v, at the copy parent holds, as a version holds one record
+// of a key and only records of its ancestors, which precede it. A slot both state is stated once, so diffs that already
 // hold every implied slot — a record of format v10 or before — come back as
 // they are. l must hold parent's bitmaps; a chunk that holds a record naming
 // v but is not open in l is types.ErrCorrupt. Or may change the bitmaps of
@@ -163,6 +213,9 @@ func (ix *Implied) Or(l *Layout, v, parent types.VersionID, diffs []Slots) ([]Sl
 		ix.diff[loc.Chunk].Set(loc.Slot)
 	}
 	for i := ix.createdStart[g]; i < ix.createdStart[g+1]; i++ {
+		if ix.later.Contains(i) {
+			continue // a copy: v created the record at its first
+		}
 		loc, k := ix.created[i], ix.createdKey[i]
 		if int(loc.Chunk) >= l.NumChunks() {
 			return nil, fmt.Errorf("%w: chunk %d holds a record of version %d, and %d chunks are open", types.ErrCorrupt, loc.Chunk, v, l.NumChunks())

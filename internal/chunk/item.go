@@ -158,6 +158,10 @@ const itemSpan = 4096
 // writes an item's Parents, and an append copies it.
 var rawParents = []int32{-1}
 
+// RecordPackedSize is the capacity a one-member item of record r is charged
+// (Item.PackedSize of RecordItems').
+func RecordPackedSize(r types.Record) int { return recordItemLen(r) + itemOverhead }
+
 // recordItemLen is the length of EncodeItem's bytes for record r alone.
 func recordItemLen(r types.Record) int {
 	return 1 + codec.UvarintLen(uint64(len(r.CK.Key))) + len(r.CK.Key) + codec.UvarintLen(uint64(r.CK.Version)) +

@@ -23,32 +23,41 @@ type Loc struct {
 const NoChunk = ID(^uint32(0))
 
 // Layout is the physical placement of a corpus's records — the record→Loc
-// catalog, per chunk its Map and the first slot of each of its segments, and
-// the version→chunks projection of paper §2.4 (Fig 3b) — and the only writer
-// of any of them. The projection is lossy in the paper's sense (it names
-// chunks, not slots; the maps say which slots) and a function of the maps,
-// built with them (§3.1), so it is never persisted. The paper's second
-// projection, key→chunks, is not kept: Loc and corpus.KeyRecords answer
-// "where are this key's records" exactly. It grows by
-// two mutators: AddChunk adds a group of items Code laid out as the next
-// chunk, and PlaceVersion gives a version its slot bitmaps. Offline partitioning (§3)
-// drives them over the whole corpus on a fresh Layout, online partitioning
-// (§4) over one batch on the live one ("existing records keep their
-// chunks"), and RestoreChunk, ApplyDiffs and BindRecords fold what they
-// persisted, with what Implied derives, back in at load time. A version's
-// bitmap in a chunk its delta does not touch is its tree parent's, shared:
-// bitmaps are immutable once placed. Chunk ids are dense in the order chunks
-// are added. Not safe for concurrent mutation.
+// catalog, per chunk its Map, the record in each of its slots and the first
+// slot of each of its segments, and the version→chunks projection of paper
+// §2.4 (Fig 3b) — and the only writer of any of them. The projection is lossy
+// in the paper's sense (it names chunks, not slots; the maps say which slots)
+// and a function of the maps, built with them (§3.1), so it is never
+// persisted. The paper's second projection, key→chunks, is not kept: Loc and
+// corpus.KeyRecords answer "where are this key's records" exactly. It grows
+// by two mutators: AddChunk adds a group of items Code laid out as the next
+// chunk, and PlaceVersion gives a version its slot bitmaps. Offline
+// partitioning (§3) drives them over the whole corpus on a fresh Layout, one
+// copy of each record, online partitioning (§4) over one batch on the live
+// one, and RestoreChunk, ApplyDiffs and BindRecords fold what they persisted,
+// with what Implied derives, back in at load time. Online, existing records
+// keep their chunks, except that a batch may copy forward the few records a
+// nearly dead chunk still holds at its tips: a record then sits in more than
+// one chunk, Loc names its newest copy, and each version holds at most one
+// copy of it — the versions placed since read the newest, older ones keep
+// their slots. A version's bitmap in a chunk its delta does not touch is its
+// tree parent's, shared: bitmaps are immutable once placed. Chunk ids are
+// dense in the order chunks are added. Not safe for concurrent mutation.
 type Layout struct {
 	c     *corpus.Corpus
-	locs  []Loc                    // record id → location; ids past the end are unplaced
+	locs  []Loc                    // record id → newest copy; ids past the end are unplaced
+	older map[uint32][]Loc         // record id → its older copies, oldest first; records of one copy are absent
 	maps  []*Map                   // chunk id → chunk map
+	recs  [][]uint32               // chunk id → the record in each slot
 	segs  [][]uint32               // chunk id → first slot of each segment, ascending from 0
 	spans map[types.VersionID][]ID // version → the chunks holding its records, ascending
 	// delta is what AddChunk and PlaceVersion added to the maps since the
 	// last TakeDelta: per chunk, a Map of the new versions' parent diffs less
 	// what composite keys imply.
 	delta map[ID]*Map
+	// copied lists the records AddChunk bound as copies since the last
+	// TakeDelta: the versions PlaceVersion places next move to them.
+	copied []uint32
 	// putBy is PlaceVersion's scratch, key id → 1 + the last version placed
 	// that creates a record of the key: the deletes of that version's parent
 	// records of the key are implied.
@@ -92,7 +101,8 @@ func (l *Layout) Map(c ID) *Map { return l.maps[c] }
 // chunk's slot count. Shared; callers must not mutate.
 func (l *Layout) Segments(c ID) []uint32 { return l.segs[c] }
 
-// Loc returns where record rec lives; Chunk is NoChunk until a chunk holds it.
+// Loc returns where record rec lives — its newest copy; Chunk is NoChunk
+// until a chunk holds it.
 func (l *Layout) Loc(rec uint32) Loc {
 	if int(rec) >= len(l.locs) {
 		return Loc{Chunk: NoChunk}
@@ -100,26 +110,86 @@ func (l *Layout) Loc(rec uint32) Loc {
 	return l.locs[rec]
 }
 
+// Older returns the copies of record rec before its newest, oldest first:
+// none unless a flush copied it forward. Shared; callers must not mutate.
+func (l *Layout) Older(rec uint32) []Loc { return l.older[rec] }
+
+// Copied returns how many records sit in more than one chunk.
+func (l *Layout) Copied() int { return len(l.older) }
+
+// Records returns the record in each of chunk c's slots. Shared; callers
+// must not mutate.
+func (l *Layout) Records(c ID) []uint32 { return l.recs[c] }
+
+// Held returns the copy of record rec that version v's bitmaps hold, newest
+// first, and false when v holds none.
+func (l *Layout) Held(rec uint32, v types.VersionID) (Loc, bool) {
+	loc := l.Loc(rec)
+	if loc.Chunk == NoChunk {
+		return Loc{}, false
+	}
+	if l.holds(v, loc) {
+		return loc, true
+	}
+	for _, old := range slices.Backward(l.older[rec]) {
+		if l.holds(v, old) {
+			return old, true
+		}
+	}
+	return Loc{}, false
+}
+
+// holds reports whether version v's bitmap in loc's chunk has its slot.
+func (l *Layout) holds(v types.VersionID, loc Loc) bool {
+	bits := l.maps[loc.Chunk].SlotsOf(v)
+	return bits != nil && bits.Contains(loc.Slot)
+}
+
 // openChunk appends the next chunk, of numSlots slots cut into segments at the
 // slots of segs, with an empty map; bindRecords says which records fill it.
 func (l *Layout) openChunk(numSlots int, segs []uint32) ID {
 	l.maps = append(l.maps, NewMap(numSlots))
+	l.recs = append(l.recs, nil)
 	l.segs = append(l.segs, segs)
 	return ID(len(l.maps) - 1)
 }
 
-// bindRecords sets the Loc of chunk cid's records, recs in slot order.
-func (l *Layout) bindRecords(cid ID, recs []uint32) error {
-	for slot, rec := range recs {
-		if at := l.Loc(rec).Chunk; at != NoChunk {
-			return fmt.Errorf("chunk: record %d assigned to chunks %d and %d", rec, at, cid)
+// checkRecords refuses recs, the records of chunk cid in slot order, when
+// one of them fills two slots: a chunk holds a record once. A record an
+// earlier chunk holds is a copy (bindRecords).
+func checkRecords(cid ID, recs []uint32) error {
+	sorted := slices.Clone(recs)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return fmt.Errorf("chunk: record %d assigned to chunk %d twice", sorted[i], cid)
 		}
+	}
+	return nil
+}
+
+// bindRecords fills chunk cid, the newest bound, with recs, its records in
+// slot order (checkRecords passed them), and returns those an earlier chunk
+// already held: each is a copy, whose Loc moves to cid and whose earlier one
+// joins its older copies.
+func (l *Layout) bindRecords(cid ID, recs []uint32) (copies []uint32) {
+	for _, rec := range recs {
 		for int(rec) >= len(l.locs) {
 			l.locs = append(l.locs, Loc{Chunk: NoChunk})
 		}
+	}
+	for slot, rec := range recs {
+		if at := l.locs[rec]; at.Chunk != NoChunk {
+			if l.older == nil {
+				l.older = make(map[uint32][]Loc)
+			}
+			l.older[rec] = append(l.older[rec], at)
+			copies = append(copies, rec)
+		}
 		l.locs[rec] = Loc{Chunk: cid, Slot: uint32(slot)}
 	}
-	return nil
+	l.recs[cid] = recs
+	return copies
 }
 
 // Coded is a chunk as Code lays it out, before it has an id: the records
@@ -188,28 +258,51 @@ func Code(items []Item, idxs []uint32) (*Coded, error) {
 	return c, nil
 }
 
-// AddChunk adds a coded chunk as the next one and returns its id: each of
-// its records' Loc is set and its (still empty) map is opened. A record some
-// chunk already holds is an error, and adds no chunk.
+// AddChunk adds a coded chunk as the next one and returns its id: its (still
+// empty) map is opened and each of its records' Loc set to its slot. A record
+// an earlier chunk holds is a copy: the versions PlaceVersion places next read
+// it from this chunk. A record the chunk holds twice is an error, and adds no
+// chunk and moves no Loc.
 func (l *Layout) AddChunk(c *Coded) (ID, error) {
 	cid := ID(len(l.maps))
-	if err := l.bindRecords(cid, c.Records); err != nil {
+	if err := checkRecords(cid, c.Records); err != nil {
 		return NoChunk, err
 	}
 	l.noteDelta(l.openChunk(len(c.Records), c.Segments))
+	l.copied = append(l.copied, l.bindRecords(cid, c.Records)...)
 	return cid, nil
+}
+
+// CheckOneCopy refuses chunk cid when an earlier chunk holds one of its
+// records: a layout of a whole corpus holds each record once.
+func (l *Layout) CheckOneCopy(cid ID) error {
+	if len(l.older) == 0 {
+		return nil
+	}
+	for _, rec := range l.recs[cid] {
+		if old := l.older[rec]; len(old) > 0 {
+			return fmt.Errorf("chunk: record %d assigned to chunks %d and %d", rec, old[0].Chunk, cid)
+		}
+	}
+	return nil
 }
 
 // PlaceVersion gives version v its slot bitmaps: its tree parent's, minus
 // the records v deletes, plus the records it adds. It states v's delta as
 // diffs — per chunk, the slots it takes out of or puts into the parent's
-// bitmap there; a delete of a record the parent does not hold, or an add of
-// one it does, changes nothing — and folds them as core.Open will
-// (ApplyDiffs). The pending delta keeps of them only what composite keys do
-// not imply (Implied): merge re-adds, records whose composite keys name
-// another version, and deletes of keys v does not put again. The parent must
-// be placed, every record of v's delta must be in a chunk, and every record
-// v's composite keys name must be one v adds (corpus.AddVersionDelta).
+// bitmap there: a delete takes out the copy of its record the parent holds,
+// an add puts in the newest copy, and a delete of a record the parent does
+// not hold, or an add of one it does, changes nothing — and folds them as
+// core.Open will (ApplyDiffs). It also moves v to the copies AddChunk made
+// since the last TakeDelta: a record copied since that the parent holds at an
+// older copy, and that v does not delete, is a slot out of the old copy's
+// chunk and a slot into the new one's. Only a batch's subtree roots have such
+// a parent; every later version inherits the new copy. The pending delta
+// keeps of the diffs only what composite keys do not imply (Implied): merge
+// re-adds, records whose composite keys name another version, deletes of keys
+// v does not put again, and moves. The parent must be placed, every record of
+// v's delta must be in a chunk, and every record v's composite keys name must
+// be one v adds (corpus.AddVersionDelta).
 func (l *Layout) PlaceVersion(v types.VersionID) error {
 	parent := l.c.Graph().Parent(v)
 	if n := l.c.NumKeys(); len(l.putBy) < n {
@@ -223,22 +316,29 @@ func (l *Layout) PlaceVersion(v types.VersionID) error {
 	// whole and stated hold, per chunk, v's diff there and what of it the
 	// delta states.
 	whole, stated := make(map[ID]*bitset.BitSet), make(map[ID]*bitset.BitSet)
+	mark := func(loc Loc, implied bool) {
+		setSlot(whole, loc, l.maps[loc.Chunk].NumSlots)
+		if !implied {
+			setSlot(stated, loc, l.maps[loc.Chunk].NumSlots)
+		}
+	}
 	// differ notes record rec's slot as one v differs from its parent in,
-	// provided the parent holds the record (a delete) or does not (an add),
-	// and states it unless composite keys imply it.
+	// provided the parent holds the record (a delete, of the copy it holds)
+	// or does not (an add, of the newest), and states it unless composite
+	// keys imply it.
 	differ := func(rec uint32, role string, held, implied bool) error {
 		loc := l.Loc(rec)
 		if loc.Chunk == NoChunk {
 			return fmt.Errorf("chunk: record %d %s version %d but unplaced", rec, role, v)
 		}
-		m := l.maps[loc.Chunk]
-		if was := m.SlotsOf(parent); (was != nil && was.Contains(loc.Slot)) != held {
+		at, ok := l.Held(rec, parent)
+		if ok != held {
 			return nil
 		}
-		setSlot(whole, loc, m.NumSlots)
-		if !implied {
-			setSlot(stated, loc, m.NumSlots)
+		if held {
+			loc = at
 		}
+		mark(loc, implied)
 		return nil
 	}
 	for _, rec := range l.c.Dels(v) {
@@ -249,6 +349,12 @@ func (l *Layout) PlaceVersion(v types.VersionID) error {
 	for _, rec := range l.c.Adds(v) {
 		if err := differ(rec, "live in", false, l.c.Record(rec).CK.Version == v); err != nil {
 			return err
+		}
+	}
+	for _, rec := range l.copied {
+		if at, ok := l.Held(rec, parent); ok && at != l.Loc(rec) && !l.c.Dels(v).Contains(rec) {
+			mark(at, false)
+			mark(l.Loc(rec), false)
 		}
 	}
 	diffs := make([]Slots, 0, len(whole))
@@ -294,7 +400,7 @@ func (l *Layout) noteDelta(cid ID) *Map {
 // ApplyDiffs read it back.
 func (l *Layout) TakeDelta() map[ID]*Map {
 	d := l.delta
-	l.delta = nil
+	l.delta, l.copied = nil, nil
 	return d
 }
 
@@ -352,9 +458,11 @@ func (l *Layout) ApplyDiffs(v, parent types.VersionID, diffs []Slots) error {
 	return nil
 }
 
-// BindRecords completes a chunk RestoreChunk opened: every record its segments
-// decoded to must by now be registered in the corpus — some version's bitmap
-// claims it — and takes its slot as its Loc.
+// BindRecords completes a chunk RestoreChunk opened, the chunks of a
+// placement record in id order: every record its segments decoded to must by
+// now be registered in the corpus — some version's bitmap claims it — and
+// takes its slot as its Loc. A record an earlier chunk holds is a copy, as
+// AddChunk made it; one the chunk holds twice is types.ErrCorrupt.
 func (l *Layout) BindRecords(cid ID, stored Stored) error {
 	recs := make([]uint32, len(stored.Records))
 	for slot, r := range stored.Records {
@@ -364,9 +472,10 @@ func (l *Layout) BindRecords(cid ID, stored Stored) error {
 		}
 		recs[slot] = rec
 	}
-	if err := l.bindRecords(cid, recs); err != nil {
+	if err := checkRecords(cid, recs); err != nil {
 		return fmt.Errorf("%w: %v", types.ErrCorrupt, err)
 	}
+	l.bindRecords(cid, recs)
 	return nil
 }
 

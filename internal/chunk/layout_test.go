@@ -75,9 +75,8 @@ func checkLayout(t *testing.T, c *corpus.Corpus, l *Layout) {
 			t.Fatalf("v%d: maps hold %d slots, version has %d records", v, n, len(want))
 		}
 		for _, rec := range want {
-			loc := l.Loc(rec)
-			if loc.Chunk == NoChunk || !l.Map(loc.Chunk).SlotsOf(v).Contains(loc.Slot) {
-				t.Fatalf("v%d: record %d at %+v not in its chunk's map", v, rec, loc)
+			if _, ok := l.Held(rec, v); !ok {
+				t.Fatalf("v%d: record %d at %+v (older copies %v) not in its chunk's map", v, rec, l.Loc(rec), l.Older(rec))
 			}
 		}
 		if !slices.Equal(l.VersionChunks(v), span) || l.VersionSpan(v) != len(span) {
@@ -221,8 +220,9 @@ func TestLayoutOfflineOnlineRestore(t *testing.T) {
 	}
 }
 
-// TestLayoutRejectsBadAssignments: a record assigned to two chunks, an item
-// index past the items, and a live record no chunk holds.
+// TestLayoutRejectsBadAssignments: a record assigned to one chunk twice, an
+// item index past the items, and a live record no chunk holds. A record an
+// earlier chunk holds is a copy, not an error.
 func TestLayoutRejectsBadAssignments(t *testing.T) {
 	c := miniCorpus(t)
 	items := recordItems(c)
@@ -231,8 +231,18 @@ func TestLayoutRejectsBadAssignments(t *testing.T) {
 	if _, err := addChunk(l, items, []uint32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := addChunk(l, items, []uint32{1, 2, 3}); err == nil {
-		t.Fatal("record in two chunks accepted")
+	was := l.Loc(1)
+	if _, err := addChunk(l, items, []uint32{1, 2, 3}); err != nil {
+		t.Fatalf("a copy of record 1 refused: %v", err)
+	}
+	if l.Loc(1).Chunk != 1 || !slices.Equal(l.Older(1), []Loc{was}) || l.Copied() != 1 {
+		t.Fatalf("record 1 copied: at %+v, older copies %v, %d records copied", l.Loc(1), l.Older(1), l.Copied())
+	}
+	if err := l.CheckOneCopy(1); err == nil {
+		t.Fatal("a chunk holding a copy passes CheckOneCopy")
+	}
+	if _, err := addChunk(l, items, []uint32{2, 2}); err == nil {
+		t.Fatal("record twice in one chunk accepted")
 	}
 	if _, err := addChunk(l, items, []uint32{9}); err == nil {
 		t.Fatal("item index past the items accepted")
@@ -321,4 +331,137 @@ func TestPlaceVersionStatesWhatKeysDoNotImply(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLayout(t, c, re)
+}
+
+// TestRefusedAddChunkMovesNoLoc: a chunk AddChunk refuses — one record in two
+// of its slots — adds no chunk and leaves every Loc as it was, so the next
+// chunk takes the refused one's id and the refused one's records stay where
+// they were.
+func TestRefusedAddChunkMovesNoLoc(t *testing.T) {
+	c := miniCorpus(t)
+	items := recordItems(c)
+	l := NewLayout(c)
+	if _, err := addChunk(l, items, []uint32{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	var before []Loc
+	for rec := uint32(0); rec < 4; rec++ {
+		before = append(before, l.Loc(rec))
+	}
+	// Slots doc@1, doc@2, doc@2: the refusal comes at the third slot.
+	if _, err := addChunk(l, items, []uint32{2, 3, 3}); err == nil {
+		t.Fatal("record twice in one chunk accepted")
+	}
+	for rec := uint32(0); rec < 4; rec++ {
+		if l.Loc(rec) != before[rec] || len(l.Older(rec)) != 0 {
+			t.Fatalf("record %d at %+v (older %v) after a refused chunk, was %+v", rec, l.Loc(rec), l.Older(rec), before[rec])
+		}
+	}
+	if l.NumChunks() != 1 {
+		t.Fatalf("%d chunks after a refused one, want 1", l.NumChunks())
+	}
+	if _, err := addChunk(l, items, []uint32{2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for v := types.VersionID(0); v < 3; v++ {
+		if err := l.PlaceVersion(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkLayout(t, c, l)
+}
+
+// TestPlaceVersionMovesCopies: a batch whose chunk copies a placed record
+// forward moves its subtree root to the copy — a slot out of the old chunk,
+// a slot into the new one, both stated — and the root's child inherits it;
+// the version before the batch keeps the old slot, and a history of the
+// record's key finds both. Implied leaves the copy out of the record's
+// creation, and the fold of the two deltas rebuilds every bitmap, Loc and
+// older copy.
+func TestPlaceVersionMovesCopies(t *testing.T) {
+	c := miniCorpus(t) // v0 {doc@0, other@0}, v1 doc@0 → doc@1, v2 doc@1 → doc@2
+	items := recordItems(c)
+	l := NewLayout(c)
+	p0, err := addChunk(l, items, []uint32{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.PlaceVersion(0); err != nil {
+		t.Fatal(err)
+	}
+	first := l.TakeDelta()
+	old := l.Loc(1) // other@0 in chunk 0
+	p1, err := addChunk(l, items, []uint32{2, 3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := types.VersionID(1); v < 3; v++ {
+		if err := l.PlaceVersion(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkLayout(t, c, l)
+	copied := l.Loc(1)
+	if copied.Chunk != 1 || !slices.Equal(l.Older(1), []Loc{old}) {
+		t.Fatalf("other@0 at %+v, older copies %v", copied, l.Older(1))
+	}
+	for v, want := range []Loc{old, copied, copied} {
+		if at, ok := l.Held(1, types.VersionID(v)); !ok || at != want {
+			t.Fatalf("version %d holds other@0 at %+v (%v), want %+v", v, at, ok, want)
+		}
+	}
+	for v, want := range [][]ID{{0}, {1}, {1}} {
+		if got := l.VersionChunks(types.VersionID(v)); !slices.Equal(got, want) {
+			t.Fatalf("version %d spans %v, want %v", v, got, want)
+		}
+	}
+	second := l.TakeDelta()
+	if len(second) != 2 || len(second[0].Versions) != 1 || len(second[1].Versions) != 1 ||
+		!slices.Equal(second[0].Versions[1].Slice(), []uint32{old.Slot}) || !slices.Equal(second[1].Versions[1].Slice(), []uint32{copied.Slot}) {
+		t.Fatalf("second delta %v: want version 1 to state the move of other@0 alone, %+v → %+v", second, old, copied)
+	}
+
+	stored := []Stored{storedOf(t, p0), storedOf(t, p1)}
+	implied := NewImplied(stored)
+	if got := implied.Copies(types.CompositeKey{Key: "other", Version: 0}); !slices.Equal(got, []Loc{old, copied}) || implied.NumCopied() != 1 {
+		t.Fatalf("Implied finds other@0 at %v (%d copied), want %v", got, implied.NumCopied(), []Loc{old, copied})
+	}
+	re := NewLayout(c)
+	for _, step := range []struct {
+		delta    map[ID]*Map
+		versions []types.VersionID
+	}{{first, []types.VersionID{0}}, {second, []types.VersionID{1, 2}}} {
+		opened := ID(re.NumChunks())
+		for cid := opened; step.delta[cid] != nil; cid++ {
+			if err := re.RestoreChunk(cid, stored[cid]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, v := range step.versions {
+			var diffs []Slots
+			for cid := ID(0); int(cid) < re.NumChunks(); cid++ {
+				if m := step.delta[cid]; m != nil && m.Versions[v] != nil {
+					diffs = append(diffs, Slots{cid, m.Versions[v].Clone()})
+				}
+			}
+			diffs, err := implied.Or(re, v, c.Graph().Parent(v), diffs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := re.ApplyDiffs(v, c.Graph().Parent(v), diffs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for cid := opened; int(cid) < re.NumChunks(); cid++ {
+			if err := re.BindRecords(cid, stored[cid]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkLayout(t, c, re)
+	for rec := uint32(0); rec < 4; rec++ {
+		if re.Loc(rec) != l.Loc(rec) || !slices.Equal(re.Older(rec), l.Older(rec)) {
+			t.Fatalf("record %d restored at %+v (older %v), was %+v (older %v)", rec, re.Loc(rec), re.Older(rec), l.Loc(rec), l.Older(rec))
+		}
+	}
 }

@@ -10,7 +10,8 @@ import (
 	"rstore/internal/types"
 )
 
-// chunkOf returns the chunk holding record ck.
+// chunkOf returns the chunk the batch that added record ck placed it in: its
+// first copy, where a later flush copied it forward.
 func chunkOf(t *testing.T, s *Store, ck types.CompositeKey) chunk.ID {
 	t.Helper()
 	rec, ok := s.corpus.IDForCK(ck)
@@ -20,6 +21,9 @@ func chunkOf(t *testing.T, s *Store, ck types.CompositeKey) chunk.ID {
 	loc := s.layout.Loc(rec)
 	if loc.Chunk == chunk.NoChunk {
 		t.Fatalf("record %v unplaced", ck)
+	}
+	if older := s.layout.Older(rec); len(older) > 0 {
+		return older[0].Chunk
 	}
 	return loc.Chunk
 }

@@ -13,6 +13,11 @@ type Info struct {
 	Keys int
 	// Chunks is the number of materialized chunks.
 	Chunks int
+	// Copies is the number of records stored in more than one chunk: those a
+	// flush copied forward out of a nearly dead chunk (Flush), the price of
+	// online placement that does not decay. A repartition stores each record
+	// once.
+	Copies int
 	// TotalVersionSpan is Σ_v |chunks(v)| — the partitioning-quality
 	// metric.
 	TotalVersionSpan int
@@ -42,6 +47,7 @@ func (s *Store) Info() Info {
 		Records:           s.corpus.NumRecords(),
 		Keys:              s.corpus.NumKeys(),
 		Chunks:            s.layout.NumChunks(),
+		Copies:            s.layout.Copied(),
 		TotalVersionSpan:  s.layout.TotalVersionSpan(),
 		VersionIndexBytes: s.layout.VersionIndexBytes(),
 		KeyIndexBytes:     kb,

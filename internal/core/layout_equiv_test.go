@@ -32,7 +32,8 @@ func deltaCKs(c *corpus.Corpus, v types.VersionID) (adds, dels []types.Composite
 }
 
 // checkSamePlacement requires two stores to hold the same physical placement
-// — every record's Loc, every chunk map bitmap, and every version's chunks — and
+// — every record's Loc and older copies, every chunk map bitmap, and every
+// version's chunks — and
 // the same tree-edge delta for every version: a reloaded store derives the
 // deltas of placed versions from the bitmaps, the writer kept the ones it
 // was given.
@@ -47,8 +48,9 @@ func checkSamePlacement(t *testing.T, phase string, live, re *Store) {
 	for id := uint32(0); int(id) < live.corpus.NumRecords(); id++ {
 		ck := live.corpus.Record(id).CK
 		rid, ok := re.corpus.IDForCK(ck)
-		if !ok || live.layout.Loc(id) != re.layout.Loc(rid) {
-			t.Fatalf("%s: record %v at %+v live, %+v reloaded", phase, ck, live.layout.Loc(id), re.layout.Loc(rid))
+		if !ok || live.layout.Loc(id) != re.layout.Loc(rid) || !slices.Equal(live.layout.Older(id), re.layout.Older(rid)) {
+			t.Fatalf("%s: record %v at %+v (older copies %v) live, %+v (%v) reloaded", phase, ck,
+				live.layout.Loc(id), live.layout.Older(id), re.layout.Loc(rid), re.layout.Older(rid))
 		}
 	}
 	for cid := chunk.ID(0); int(cid) < live.NumChunks(); cid++ {

@@ -19,13 +19,20 @@ import (
 // predates format 3 so that older manifests are found and refused.
 const manifestKey = "manifest"
 
-// manifestVersion guards the on-disk format. Version 12 lets a segment be
+// manifestVersion guards the on-disk format. Version 13 lets a flush copy a
+// record forward: a composite key may sit in more than one chunk of a
+// generation, its first its creation (chunk.Implied), and a placement record
+// may state a move — a version that takes a record out of one chunk and puts
+// it into another, which is no change of its records (deltaFromDiffs). A
+// version-12 build would refuse the second chunk's record as assigned to two
+// chunks, so it is refused here instead. A version-8 to version-12 store is
+// read as it is, and becomes version 13 with the next root it writes. Version
+// 12 let a segment be
 // keyed: its anchor spells its first item's key, and every later value whose
 // key has that width is coded against the anchor with its own key written over
 // the anchor's, which a version-11 build would decode against the anchor as it
-// is, so it is refused here instead; its segments mark it with another value
-// of their first byte (chunk/runs.go). A version-8 to version-11 store is read
-// as it is, and becomes version 12 with the next root it writes. Version 11
+// is, so it is refused there; its segments mark it with another value of
+// their first byte (chunk/runs.go). Version 11
 // let a placement record leave out of a version's diffs the slots composite
 // keys imply — the records whose composite keys name the version, and the
 // records of their keys its tree parent holds (chunk.Implied) — which a
@@ -48,10 +55,10 @@ const manifestKey = "manifest"
 // bitmaps already imply them; a version-3 store wrote both, a version-2 store
 // carried chunk maps inside the chunk values, version 1 used unprefixed chunk
 // keys, and all seven must be re-initialized, not misread.
-const manifestVersion = 12
+const manifestVersion = 13
 
 // oldestReadable is the oldest manifest version this build reads: every
-// segment of a version-8 to version-11 store is one a version-12 build could
+// segment of a version-8 to version-12 store is one a version-13 build could
 // have written, and every placement record one it reads as it was meant.
 const oldestReadable = 8
 
@@ -265,7 +272,11 @@ func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored, implied *chunk
 		if err := s.layout.ApplyDiffs(v, parent, vdiffs); err != nil {
 			return err
 		}
-		if err := s.replayVersion(v, parents[i], s.deltaFromDiffs(v, vdiffs, chunks)); err != nil {
+		delta, err := s.deltaFromDiffs(v, vdiffs, chunks, implied)
+		if err != nil {
+			return err
+		}
+		if err := s.replayVersion(v, parents[i], delta); err != nil {
 			return err
 		}
 	}
@@ -283,22 +294,55 @@ func (s *Store) applyPlacement(buf []byte, chunks []chunk.Stored, implied *chunk
 // resolves through the chunks' decoded records, which every slot of a diff
 // indexes (chunk.DecodeMap saw to it). Adds and deletes each come out in
 // ascending (chunk, slot) order, which is the order Open hands out record ids
-// in.
-func (s *Store) deltaFromDiffs(v types.VersionID, diffs []chunk.Slots, chunks []chunk.Stored) *types.Delta {
+// in. Where a composite key sits in more than one chunk (implied.Copies), v
+// must hold it at one of them at most, or the store is corrupt, and an add of
+// it at one slot beside a delete of it at another is a move: v reads the
+// record from another copy, and holds what its parent held.
+func (s *Store) deltaFromDiffs(v types.VersionID, diffs []chunk.Slots, chunks []chunk.Stored, implied *chunk.Implied) (*types.Delta, error) {
 	delta := &types.Delta{}
+	var copied []types.CompositeKey // of the adds, those in more than one chunk
 	for _, d := range diffs {
 		held := s.layout.Map(d.Chunk).SlotsOf(v) // nil: v emptied the chunk
 		d.Bits.ForEach(func(slot uint32) bool {
 			r := chunks[d.Chunk].Records[slot]
 			if held != nil && held.Contains(slot) {
 				delta.Adds = append(delta.Adds, r)
+				if implied.IsCopy(chunk.Loc{Chunk: d.Chunk, Slot: slot}) {
+					copied = append(copied, r.CK)
+				}
 			} else {
 				delta.Dels = append(delta.Dels, r.CK)
 			}
 			return true
 		})
 	}
-	return delta
+	if len(copied) == 0 {
+		return delta, nil
+	}
+	moved := map[types.CompositeKey]bool{}
+	for _, ck := range copied {
+		held := 0
+		for _, loc := range implied.Copies(ck) {
+			if int(loc.Chunk) < s.layout.NumChunks() {
+				if bits := s.layout.Map(loc.Chunk).SlotsOf(v); bits != nil && bits.Contains(loc.Slot) {
+					held++
+				}
+			}
+		}
+		if held > 1 {
+			return nil, fmt.Errorf("%w: version %d holds record %v in %d chunks", types.ErrCorrupt, v, ck, held)
+		}
+		moved[ck] = false
+	}
+	delta.Dels = slices.DeleteFunc(delta.Dels, func(ck types.CompositeKey) bool {
+		_, ok := moved[ck]
+		if ok {
+			moved[ck] = true
+		}
+		return ok
+	})
+	delta.Adds = slices.DeleteFunc(delta.Adds, func(r types.Record) bool { return moved[r.CK] })
+	return delta, nil
 }
 
 // replayVersion re-registers version v — from a placement record or a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"slices"
 
 	"rstore/internal/bitset"
@@ -16,6 +17,18 @@ import (
 // to the batch subtree, existing records keep their chunks (no
 // re-partitioning), and the in-memory chunk maps and the version→chunks
 // projection gain the new versions.
+//
+// Existing records keep their chunks with one exception, which keeps a
+// version's span from decaying into a tail of old chunks that each still
+// hold a few of its records: a placed chunk whose records alive at some
+// pending leaf pack into more than nothing and at most
+// ChunkCapacity/copyForwardShare bytes (4 KiB of a 1 MiB chunk) has those
+// records copied forward into the batch's open chunks. The batch's versions,
+// and every later one, read them from there, and the old chunk drops out of
+// their span; older versions keep reading the old slots (chunk.Layout). A
+// chunk is copied from at most once on a chain — its records then live
+// elsewhere at the tips — so the copies cost at most 1/copyForwardShare of
+// the stored bytes.
 //
 // The batch subtree's leaves are not the end of its records' lives: a
 // record still alive at a pending leaf (open) is read by every descendant
@@ -81,18 +94,24 @@ func (s *Store) flush(ctx context.Context) error {
 	// A batch that fits one chunk is one instance and one chunk. A larger
 	// one is split at the frontier: the open records, which every later
 	// version may read, are chunked apart from the closed ones, which only
-	// the batch's own versions read — open chunks first.
+	// the batch's own versions read — open chunks first. The records copied
+	// forward are open: they join the first group, ranked with it.
 	groups := [][]chunk.Item{items}
 	if size > s.cfg.ChunkCapacity {
 		opened, closed := s.splitAtFrontier(pending, items)
 		groups = [][]chunk.Item{opened, closed}
 	}
-	var ins []*partition.Input // stays empty: a batch that adds no record adds no chunk
+	copies := s.copyForward(pending)
+	if len(copies) > 0 {
+		groups[0] = append(groups[0], chunk.RecordItems(s.corpus, copies)...)
+		chunk.RankItems(s.corpus, groups[0])
+	}
+	var ins []*partition.Input // stays empty: a batch that adds and copies no record adds no chunk
 	for _, group := range groups {
 		if len(group) == 0 {
 			continue
 		}
-		in, err := s.batchInstance(pending, group)
+		in, err := s.batchInstance(pending, group, copies)
 		if err != nil {
 			return err
 		}
@@ -162,11 +181,141 @@ func (s *Store) splitAtFrontier(pending []types.VersionID, items []chunk.Item) (
 	return opened, closed
 }
 
+// copyForwardShare bounds what a flush copies forward (Flush): the records
+// of a placed chunk alive at the batch's tips, when they pack into at most
+// ChunkCapacity/copyForwardShare bytes — 4 KiB of a 1 MiB chunk, about seven
+// records of 512 B. It is the most stored bytes a chunk adds as copies.
+const copyForwardShare = 256
+
+// copyForward returns, ascending, the placed records a flush copies forward:
+// per placed chunk, the records some pending leaf holds there, when they
+// pack into more than nothing and at most ChunkCapacity/copyForwardShare
+// bytes. What a leaf holds is what the placed parent of its pending subtree
+// holds, as the parent's bitmaps say, less and plus what the deltas on the
+// path delete and add.
+func (s *Store) copyForward(pending []types.VersionID) []uint32 {
+	live := map[chunk.ID]*bitset.BitSet{} // per placed chunk, the slots some pending leaf holds
+	for _, v := range pending {
+		if p := s.graph.Parent(v); p != types.InvalidVersion && p < pending[0] {
+			s.leafSlots(v, p, live) // the root of a pending subtree
+		}
+	}
+	limit := s.cfg.ChunkCapacity / copyForwardShare
+	var out []uint32
+	for _, cid := range slices.Sorted(maps.Keys(live)) {
+		recs, size := s.layout.Records(cid), 0
+		live[cid].ForEach(func(slot uint32) bool {
+			size += chunk.RecordPackedSize(s.corpus.Record(recs[slot]))
+			return size <= limit
+		})
+		if size > 0 && size <= limit {
+			live[cid].ForEach(func(slot uint32) bool {
+				out = append(out, recs[slot])
+				return true
+			})
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out) // two parents may hold one record at two copies
+}
+
+// leafSlots adds to live, per placed chunk, the slots the leaves of the
+// pending subtree rooted at root hold: parent's, root's tree parent, less
+// the placed records the subtree deletes on the way to the leaf and plus
+// those it re-adds — at the copy parent holds, or else the newest.
+func (s *Store) leafSlots(root, parent types.VersionID, live map[chunk.ID]*bitset.BitSet) {
+	// The placed records the subtree's deltas name, where the walk finds
+	// them, and whether it finds them alive (at) and alive at some leaf.
+	index := map[uint32]uint32{}
+	var locs []chunk.Loc
+	var subtree []types.VersionID
+	for stack := []types.VersionID{root}; len(stack) > 0; {
+		v := stack[len(stack)-1]
+		stack = append(stack[:len(stack)-1], s.graph.Children(v)...)
+		subtree = append(subtree, v)
+	}
+	at := bitset.New(0)
+	for _, v := range subtree {
+		for _, recs := range [2][]uint32{s.corpus.Dels(v), s.corpus.Adds(v)} {
+			for _, rec := range recs {
+				if _, seen := index[rec]; seen || s.layout.Loc(rec).Chunk == chunk.NoChunk {
+					continue
+				}
+				index[rec] = uint32(len(locs))
+				loc, held := s.layout.Held(rec, parent)
+				if held {
+					at.Set(uint32(len(locs)))
+				} else {
+					loc = s.layout.Loc(rec)
+				}
+				locs = append(locs, loc)
+			}
+		}
+	}
+	held := at.Clone()
+	somewhere := bitset.New(len(locs))
+	set := func(recs []uint32, alive bool) {
+		for _, rec := range recs {
+			if i, ok := index[rec]; !ok {
+				continue
+			} else if alive {
+				at.Set(i)
+			} else {
+				at.Clear(i)
+			}
+		}
+	}
+	var walk func(v types.VersionID)
+	walk = func(v types.VersionID) {
+		set(s.corpus.Dels(v), false)
+		set(s.corpus.Adds(v), true)
+		children := s.graph.Children(v) // of a pending version: all pending
+		if len(children) == 0 {
+			somewhere.Or(at)
+		}
+		for _, c := range children {
+			walk(c)
+		}
+		set(s.corpus.Adds(v), false) // undo, for v's siblings
+		set(s.corpus.Dels(v), true)
+	}
+	walk(root)
+
+	slots := func(cid chunk.ID) *bitset.BitSet {
+		if live[cid] == nil {
+			live[cid] = bitset.New(s.layout.Map(cid).NumSlots)
+		}
+		return live[cid]
+	}
+	// What parent holds, less what the deltas touch, plus what of that is
+	// alive at a leaf.
+	gone := map[chunk.ID]*bitset.BitSet{}
+	held.ForEach(func(i uint32) bool {
+		if gone[locs[i].Chunk] == nil {
+			gone[locs[i].Chunk] = bitset.New(s.layout.Map(locs[i].Chunk).NumSlots)
+		}
+		gone[locs[i].Chunk].Set(locs[i].Slot)
+		return true
+	})
+	for _, cid := range s.layout.VersionChunks(parent) {
+		bits := s.layout.Map(cid).SlotsOf(parent).Clone()
+		if gone[cid] != nil {
+			bits.AndNot(gone[cid])
+		}
+		slots(cid).Or(bits)
+	}
+	somewhere.ForEach(func(i uint32) bool {
+		slots(locs[i].Chunk).Set(locs[i].Slot)
+		return true
+	})
+}
+
 // batchInstance builds a partitioning instance over items, single-record
-// items of the batch: a virtual empty root stands in for the
-// already-partitioned store, with the pending versions hanging off it in
-// commit order and their deltas projected onto the items' records.
-func (s *Store) batchInstance(pending []types.VersionID, items []chunk.Item) (*partition.Input, error) {
+// items of the batch: a virtual root stands in for the already-partitioned
+// store, holding the records copied forward (copies) that are among the
+// items, with the pending versions hanging off it in commit order and their
+// deltas projected onto the items' records.
+func (s *Store) batchInstance(pending []types.VersionID, items []chunk.Item, copies []uint32) (*partition.Input, error) {
 	itemIdx := make(map[uint32]uint32, len(items))
 	for i, it := range items {
 		itemIdx[it.Members[0]] = uint32(i)
@@ -177,7 +326,7 @@ func (s *Store) batchInstance(pending []types.VersionID, items []chunk.Item) (*p
 		return nil, err
 	}
 	mapped := make(map[types.VersionID]types.VersionID, len(pending))
-	adds := [][]uint32{nil} // virtual root: nothing
+	adds := [][]uint32{filterMapIDs(copies, itemIdx)} // virtual root: the copies
 	dels := [][]uint32{nil}
 	for _, v := range pending {
 		parent := s.graph.Parent(v)
@@ -202,9 +351,10 @@ func (s *Store) batchInstance(pending []types.VersionID, items []chunk.Item) (*p
 	}, nil
 }
 
-// filterMapIDs projects record ids into an instance's item space, dropping
-// records outside it: those that already have a placement (old records
-// re-appearing through merges) and those of the batch's other instance.
+// filterMapIDs projects record ids into an instance's item space, ascending,
+// dropping records outside it: those that already have a placement (old
+// records re-appearing through merges) and are not copied forward, and those
+// of the batch's other instance.
 func filterMapIDs(ids []uint32, itemIdx map[uint32]uint32) []uint32 {
 	var out []uint32
 	for _, id := range ids {
@@ -212,5 +362,6 @@ func filterMapIDs(ids []uint32, itemIdx map[uint32]uint32) []uint32 {
 			out = append(out, ii)
 		}
 	}
+	slices.Sort(out) // copies follow the new records, whose ids are higher
 	return out
 }

@@ -40,21 +40,23 @@ func (s *Store) materialize(ctx context.Context, p placement) error {
 	}
 	// A full repartition supersedes every previously written chunk and
 	// placement record: a fresh layout, ids and record log restarting at 0,
-	// under the next generation (see publish).
-	p.op, p.gen, p.layout = "materialize", s.gen+1, chunk.NewLayout(p.corpus)
+	// under the next generation (see publish), one copy of each record.
+	p.op, p.gen, p.layout, p.fresh = "materialize", s.gen+1, chunk.NewLayout(p.corpus), true
 	return s.place(ctx, []*partition.Input{res.In}, p)
 }
 
 // placement is one placement run on its way to the KVS and into memory: a
 // corpus and its sorted keys (the store's, or those BulkLoad adopts), the
-// layout it grows (the live one, by a flush; a fresh one, by a repartition)
-// under generation gen with the versions [first, corpus.NumVersions()), and
-// the chunks place coded and wrote, in id order, without their values.
+// layout it grows (the live one, by a flush; a fresh one, by a repartition,
+// which holds each record once) under generation gen with the versions
+// [first, corpus.NumVersions()), and the chunks place coded and wrote, in id
+// order, without their values.
 type placement struct {
 	op     string
 	corpus *corpus.Corpus
 	keys   []types.Key
 	layout *chunk.Layout
+	fresh  bool
 	gen    uint32
 	first  types.VersionID
 	coded  []*chunk.Coded
@@ -64,8 +66,14 @@ type placement struct {
 // in id order, parents first.
 func (p *placement) bind() error {
 	for _, c := range p.coded {
-		if _, err := p.layout.AddChunk(c); err != nil {
+		cid, err := p.layout.AddChunk(c)
+		if err != nil {
 			return err
+		}
+		if p.fresh {
+			if err := p.layout.CheckOneCopy(cid); err != nil {
+				return err
+			}
 		}
 	}
 	for v := p.first; int(v) < p.corpus.NumVersions(); v++ {

@@ -409,6 +409,50 @@ func shapedFixture(t testing.TB) foldFixture {
 	return takeFoldFixture(t, st, kv)
 }
 
+// copiedFixture is a store of two flushes at a chunk capacity of 8 KiB, whose
+// flushes copy forward what a placed chunk holds at the batch's tips when it
+// packs into 32 bytes — two of its records of 14: the root's 1 000 records,
+// two chunks; then version 1, which puts a new key and deletes every record
+// of chunk 0 but two, which its flush copies into its new chunk beside the
+// new record — a move of each, a slot out of chunk 0 and a slot into chunk 2.
+// It returns the store too.
+func copiedFixture(t testing.TB) (foldFixture, *Store) {
+	t.Helper()
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(ctx, Config{KV: kv, ChunkCapacity: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := map[types.Key][]byte{}
+	for i := 0; i < 1000; i++ {
+		puts[types.Key(fmt.Sprintf("k%03d", i))] = []byte("x")
+	}
+	if _, err := st.Commit(ctx, types.InvalidVersion, Change{Puts: puts}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var dels []types.Key
+	for _, rec := range st.layout.Records(0)[2:] {
+		dels = append(dels, st.corpus.Record(rec).CK.Key)
+	}
+	if _, err := st.Commit(ctx, 0, Change{Puts: map[types.Key][]byte{"new": []byte("y")}, Deletes: dels}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Info().Copies; n != 2 || st.NumChunks() != 3 {
+		t.Fatalf("the copied store holds %d copies in %d chunks, want 2 in 3", n, st.NumChunks())
+	}
+	return takeFoldFixture(t, st, kv), st
+}
+
 // decodeParts takes a placement record apart, by the grammar encode writes.
 func decodeParts(t testing.TB, rec []byte, chunks []chunk.Stored) placementParts {
 	t.Helper()
@@ -456,7 +500,15 @@ func decodeParts(t testing.TB, rec []byte, chunks []chunk.Stored) placementParts
 // shapedFixture, each folded after the ones before it: one that lists a new
 // chunk with no version and states a delete alone, and one that states a
 // merge's re-add. The fold derives the rest of each version's diffs from
-// the chunks' composite keys. Each seed's at is its index in cases.
+// the chunks' composite keys. Then copiedFixture's: its second record, which
+// states two moves, each folded after the first; the same with one move's
+// slot out of chunk 0 and the other's slot into chunk 2 left out, a move
+// whose two slots name two composite keys, which leaves version 1 holding one
+// record in two chunks; and its first record folded over chunks whose chunk 0
+// holds, in a slot of its own, a copy of the record version 1 creates in
+// chunk 2 — a copy in a chunk opened before the original's, which the fold of
+// that chunk finds no version has registered. Each seed's at is its index in
+// cases.
 func FuzzApplyPlacement(f *testing.F) {
 	st, kv := openGolden(f, Config{})
 	if err := st.BulkLoad(context.Background(), goldenCorpus(f)); err != nil {
@@ -506,6 +558,53 @@ func FuzzApplyPlacement(f *testing.F) {
 	for before := 1; before <= 2; before++ {
 		f.Add(shaped.records[before], uint8(len(cases)))
 		cases = append(cases, foldCase{shaped, before})
+	}
+
+	copied, cst := copiedFixture(f)
+	f.Add(copied.records[1], uint8(len(cases)))
+	cases = append(cases, foldCase{copied, 1})
+	moves := decodeParts(f, copied.records[1], copied.chunks)
+	out, in := moves.maps[0].m.Versions[1], moves.maps[len(moves.maps)-1].m.Versions[1]
+	var kept []uint32 // chunk 0's slots of the two copied records
+	for slot, rec := range cst.layout.Records(0) {
+		if len(cst.layout.Older(rec)) > 0 {
+			kept = append(kept, uint32(slot))
+		}
+	}
+	if moves.maps[0].cid != 0 || len(kept) != 2 || in.Count() != 2 || !out.Contains(kept[0]) || !out.Contains(kept[1]) {
+		f.Fatalf("version 1's record lists chunks %v: want chunk 0 to state the two moves out, %v, and chunk 2 the two in", moves.maps, kept)
+	}
+	out.Clear(kept[1]) // the second copied record stays in chunk 0 …
+	in.Clear(in.Slice()[0])
+	if cst.corpus.Record(cst.layout.Records(0)[kept[0]]).CK.Key > cst.corpus.Record(cst.layout.Records(0)[kept[1]]).CK.Key {
+		f.Fatal("chunk 0's copied records are out of key order")
+	}
+	// … and comes into chunk 2 as well, where slots follow key order: the
+	// first copied record is out of both.
+	f.Add(moves.encode(), uint8(len(cases)))
+	cases = append(cases, foldCase{copied, 1})
+
+	early := copied
+	early.chunks = slices.Clone(copied.chunks)
+	created := slices.IndexFunc(copied.chunks[2].Records, func(r types.Record) bool { return r.CK.Version == 1 })
+	early.chunks[0].Records = append(slices.Clone(copied.chunks[0].Records), copied.chunks[2].Records[created])
+	early.implied = chunk.NewImplied(early.chunks)
+	root := decodeParts(f, copied.records[0], copied.chunks)
+	root.maps[0].m.NumSlots++
+	early.records = [][]byte{root.encode(), copied.records[1]}
+	f.Add(early.records[0], uint8(len(cases)))
+	cases = append(cases, foldCase{early, 0})
+	for i, want := range []error{nil, types.ErrCorrupt, types.ErrCorrupt} { // the three seeds above fold or not, as they say
+		c, data := cases[len(cases)-3+i], [][]byte{copied.records[1], moves.encode(), early.records[0]}[i]
+		s := newStore(Config{}, false)
+		for _, rec := range c.fx.records[:c.before] {
+			if err := s.applyPlacement(rec, c.fx.chunks, c.fx.implied); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := s.applyPlacement(data, c.fx.chunks, c.fx.implied); !errors.Is(err, want) || (want == nil) != (err == nil) {
+			f.Fatalf("copied seed %d folds with %v, want %v", i, err, want)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, at uint8) {

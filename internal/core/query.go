@@ -151,8 +151,8 @@ func (s *Store) GetRangeAll(ctx context.Context, r Range, v types.VersionID) ([]
 }
 
 // GetHistory streams every record carrying the given primary key across all
-// versions (record evolution, Q3), each read from the segment its slot falls
-// in. Order is unspecified (chunk order); GetHistoryAll sorts by origin
+// versions (record evolution, Q3), each read from the segment its newest copy
+// falls in. Order is unspecified (chunk order); GetHistoryAll sorts by origin
 // version. A key with no records anywhere ends the sequence with a
 // KeyNotFoundError.
 func (s *Store) GetHistory(ctx context.Context, key types.Key) *Cursor {
@@ -356,17 +356,14 @@ func (s *Store) anchorOf(v types.VersionID) (types.VersionID, []types.VersionID)
 
 // locate resolves the record of key that placed version v holds to its id
 // and slot: of the key's records (corpus.KeyRecords), the one whose slot v's
-// bitmap in that record's chunk has set. It walks them newest first, so at a
-// tip the live record is the first it tests. All of it is in memory; nothing
-// is fetched. Callers hold s.mu, or s.wmu alone: only wmu holders change the
-// corpus and the layout.
+// bitmap in that record's chunk has set — for a record a flush copied
+// forward, at the copy v holds (chunk.Layout.Held). It walks them newest
+// first, so at a tip the live record is the first it tests. All of it is in
+// memory; nothing is fetched. Callers hold s.mu, or s.wmu alone: only wmu
+// holders change the corpus and the layout.
 func (s *Store) locate(key types.Key, v types.VersionID) (uint32, chunk.Loc, bool) {
 	for _, rec := range slices.Backward(s.corpus.KeyRecords(key)) {
-		loc := s.layout.Loc(rec)
-		if loc.Chunk == chunk.NoChunk {
-			continue
-		}
-		if bits := s.layout.Map(loc.Chunk).SlotsOf(v); bits != nil && bits.Contains(loc.Slot) {
+		if loc, ok := s.layout.Held(rec, v); ok {
 			return rec, loc, true
 		}
 	}

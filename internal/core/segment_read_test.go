@@ -131,7 +131,7 @@ func checkReadsMatchSession(t *testing.T, phase string, s *Store, se session, nk
 // checks them against the layout: they tile the chunk's slots where the
 // layout says they do, slots follow key order, and every slot decodes — from
 // its own segment alone, so no delta's parent sits across a cut — to the
-// record located there. It returns how many chunks span several segments.
+// record the layout has there, its newest copy or an older one. It returns how many chunks span several segments.
 func checkStoredSegments(t *testing.T, phase string, s *Store, kv *kvstore.Store) (multi int) {
 	t.Helper()
 	for cid, st := range storedChunks(t, s, kv) {
@@ -144,7 +144,7 @@ func checkStoredSegments(t *testing.T, phase string, s *Store, kv *kvstore.Store
 		}
 		for slot, r := range st.Records {
 			id, ok := s.corpus.IDForCK(r.CK)
-			if !ok || s.layout.Loc(id) != (chunk.Loc{Chunk: chunk.ID(cid), Slot: uint32(slot)}) || string(r.Value) != string(s.corpus.Record(id).Value) {
+			if !ok || s.layout.Records(chunk.ID(cid))[slot] != id || string(r.Value) != string(s.corpus.Record(id).Value) {
 				t.Fatalf("%s: chunk %d slot %d holds %v", phase, cid, slot, r.CK)
 			}
 			if slot > 0 && r.CK.Key < st.Records[slot-1].CK.Key {
