@@ -86,6 +86,10 @@ func TestCLILifecycle(t *testing.T) {
 			t.Fatalf("%v: %v", cmd, err)
 		}
 	}
+	// Two one-record commits copy nothing forward.
+	if got, err := outputCLI(t, data, "stats"); err != nil || !strings.Contains(got, "copies:        0\n") {
+		t.Fatalf("stats = %q, %v; want a copies line of 0", got, err)
+	}
 	if err := runCLI(t, data, "get", "-key", "b", "-branch", "main"); err == nil {
 		t.Fatal("deleted key b read at the tip")
 	}

@@ -20,7 +20,10 @@
 //     chunk; a larger one is two instances — its open records, still alive
 //     at a pending leaf and so read by every later version, and its closed
 //     ones, which only the batch's own versions read — chunked apart, open
-//     chunks first. Both paths lay chunks out — as key-ordered segments of
+//     chunks first. The open ones take in the few records a nearly dead
+//     placed chunk still holds at the batch's tips, copied forward, so a
+//     later version's span does not decay into a tail of such chunks.
+//     Both paths lay chunks out — as key-ordered segments of
 //     ≈ 64 KiB, the unit a read transfers — and fill chunk maps and the
 //     version→chunks projection through the same chunk.Layout, and both
 //     persist through publish: new chunk segments, one placement record, the
@@ -58,7 +61,7 @@
 // callers may retain them freely.
 //
 // The layer diagram lives in docs/ARCHITECTURE.md; every on-disk format the
-// engine persists through the cluster (root v12, placement log, delta store,
+// engine persists through the cluster (root v13, placement log, delta store,
 // chunk segments and their generations) is specified in docs/FORMATS.md.
 package core
 

@@ -15,15 +15,15 @@ import (
 // Flush runs online partitioning (paper §4) over all pending versions: the
 // batch's new records are chunked with the configured algorithm restricted
 // to the batch subtree, existing records keep their chunks (no
-// re-partitioning), and the in-memory chunk maps and the version→chunks
-// projection gain the new versions.
+// re-partitioning) but for the copies below, and the in-memory chunk maps
+// and the version→chunks projection gain the new versions.
 //
-// Existing records keep their chunks with one exception, which keeps a
-// version's span from decaying into a tail of old chunks that each still
-// hold a few of its records: a placed chunk whose records alive at some
-// pending leaf pack into more than nothing and at most
-// ChunkCapacity/copyForwardShare bytes (4 KiB of a 1 MiB chunk) has those
-// records copied forward into the batch's open chunks. The batch's versions,
+// A flush copies forward what a nearly dead chunk still holds at the
+// batch's tips, which keeps a version's span from decaying into a tail of
+// old chunks that each still hold a few of its records: a placed chunk
+// whose records alive at some pending leaf pack into more than nothing and
+// at most ChunkCapacity/copyForwardShare bytes (4 KiB of a 1 MiB chunk) has
+// those records copied into the batch's open chunks. The batch's versions,
 // and every later one, read them from there, and the old chunk drops out of
 // their span; older versions keep reading the old slots (chunk.Layout). A
 // chunk is copied from at most once on a chain — its records then live
@@ -148,23 +148,9 @@ func (s *Store) splitAtFrontier(pending []types.VersionID, items []chunk.Item) (
 			}
 		}
 	}
-	var walk func(v types.VersionID)
-	walk = func(v types.VersionID) {
-		set(s.corpus.Dels(v), false)
-		set(s.corpus.Adds(v), true)
-		children := s.graph.Children(v) // of a pending version: all pending
-		if len(children) == 0 {
-			open.Or(live)
-		}
-		for _, c := range children {
-			walk(c)
-		}
-		set(s.corpus.Adds(v), false) // undo, for v's siblings
-		set(s.corpus.Dels(v), true)
-	}
 	for _, v := range pending {
 		if p := s.graph.Parent(v); p == types.InvalidVersion || p < pending[0] {
-			walk(v) // the root of a pending subtree
+			s.walkLeaves(v, set, func() { open.Or(live) }) // the root of a pending subtree
 		}
 	}
 
@@ -219,95 +205,68 @@ func (s *Store) copyForward(pending []types.VersionID) []uint32 {
 	return slices.Compact(out) // two parents may hold one record at two copies
 }
 
-// leafSlots adds to live, per placed chunk, the slots the leaves of the
-// pending subtree rooted at root hold: parent's, root's tree parent, less
-// the placed records the subtree deletes on the way to the leaf and plus
-// those it re-adds — at the copy parent holds, or else the newest.
+// leafSlots adds to live, per placed chunk, the slots some leaf of the
+// pending subtree rooted at root holds: what parent, root's tree parent,
+// holds, less the placed records the subtree deletes on the way to the leaf
+// and plus those it re-adds — each at the copy parent holds, or else the
+// newest.
 func (s *Store) leafSlots(root, parent types.VersionID, live map[chunk.ID]*bitset.BitSet) {
-	// The placed records the subtree's deltas name, where the walk finds
-	// them, and whether it finds them alive (at) and alive at some leaf.
-	index := map[uint32]uint32{}
-	var locs []chunk.Loc
-	var subtree []types.VersionID
-	for stack := []types.VersionID{root}; len(stack) > 0; {
-		v := stack[len(stack)-1]
-		stack = append(stack[:len(stack)-1], s.graph.Children(v)...)
-		subtree = append(subtree, v)
-	}
-	at := bitset.New(0)
-	for _, v := range subtree {
-		for _, recs := range [2][]uint32{s.corpus.Dels(v), s.corpus.Adds(v)} {
-			for _, rec := range recs {
-				if _, seen := index[rec]; seen || s.layout.Loc(rec).Chunk == chunk.NoChunk {
-					continue
-				}
-				index[rec] = uint32(len(locs))
-				loc, held := s.layout.Held(rec, parent)
-				if held {
-					at.Set(uint32(len(locs)))
-				} else {
-					loc = s.layout.Loc(rec)
-				}
-				locs = append(locs, loc)
-			}
-		}
-	}
-	held := at.Clone()
-	somewhere := bitset.New(len(locs))
-	set := func(recs []uint32, alive bool) {
-		for _, rec := range recs {
-			if i, ok := index[rec]; !ok {
-				continue
-			} else if alive {
-				at.Set(i)
-			} else {
-				at.Clear(i)
-			}
-		}
-	}
-	var walk func(v types.VersionID)
-	walk = func(v types.VersionID) {
-		set(s.corpus.Dels(v), false)
-		set(s.corpus.Adds(v), true)
-		children := s.graph.Children(v) // of a pending version: all pending
-		if len(children) == 0 {
-			somewhere.Or(at)
-		}
-		for _, c := range children {
-			walk(c)
-		}
-		set(s.corpus.Adds(v), false) // undo, for v's siblings
-		set(s.corpus.Dels(v), true)
-	}
-	walk(root)
-
-	slots := func(cid chunk.ID) *bitset.BitSet {
-		if live[cid] == nil {
-			live[cid] = bitset.New(s.layout.Map(cid).NumSlots)
-		}
-		return live[cid]
-	}
-	// What parent holds, less what the deltas touch, plus what of that is
-	// alive at a leaf.
-	gone := map[chunk.ID]*bitset.BitSet{}
-	held.ForEach(func(i uint32) bool {
-		if gone[locs[i].Chunk] == nil {
-			gone[locs[i].Chunk] = bitset.New(s.layout.Map(locs[i].Chunk).NumSlots)
-		}
-		gone[locs[i].Chunk].Set(locs[i].Slot)
-		return true
-	})
+	// held is parent's bitmap in each chunk, and at what the version the walk
+	// is at holds there.
+	held, at := make([]*bitset.BitSet, s.layout.NumChunks()), make([]*bitset.BitSet, s.layout.NumChunks())
 	for _, cid := range s.layout.VersionChunks(parent) {
-		bits := s.layout.Map(cid).SlotsOf(parent).Clone()
-		if gone[cid] != nil {
-			bits.AndNot(gone[cid])
-		}
-		slots(cid).Or(bits)
+		held[cid] = s.layout.Map(cid).SlotsOf(parent)
+		at[cid] = held[cid].Clone()
 	}
-	somewhere.ForEach(func(i uint32) bool {
-		slots(locs[i].Chunk).Set(locs[i].Slot)
-		return true
+	s.walkLeaves(root, func(recs []uint32, alive bool) {
+		for _, rec := range recs {
+			loc := s.layout.Loc(rec)
+			if loc.Chunk == chunk.NoChunk {
+				continue // a record of the batch
+			}
+			if held[loc.Chunk] == nil || !held[loc.Chunk].Contains(loc.Slot) {
+				if old, ok := s.layout.Held(rec, parent); ok {
+					loc = old
+				}
+			}
+			if at[loc.Chunk] == nil {
+				at[loc.Chunk] = bitset.New(s.layout.Map(loc.Chunk).NumSlots)
+			}
+			if alive {
+				at[loc.Chunk].Set(loc.Slot)
+			} else {
+				at[loc.Chunk].Clear(loc.Slot)
+			}
+		}
+	}, func() {
+		for cid, bits := range at {
+			if bits == nil {
+				continue
+			}
+			if live[chunk.ID(cid)] == nil {
+				live[chunk.ID(cid)] = bitset.New(s.layout.Map(chunk.ID(cid)).NumSlots)
+			}
+			live[chunk.ID(cid)].Or(bits)
+		}
 	})
+}
+
+// walkLeaves walks the pending subtree rooted at v parents first: on the
+// way down to a version it calls set with the records the version deletes,
+// dead, then with those it adds, alive; at a pending leaf, leaf; on the way
+// back up, set again with the two undone, for the version's siblings.
+func (s *Store) walkLeaves(v types.VersionID, set func(recs []uint32, alive bool), leaf func()) {
+	set(s.corpus.Dels(v), false)
+	set(s.corpus.Adds(v), true)
+	children := s.graph.Children(v) // of a pending version: all pending
+	if len(children) == 0 {
+		leaf()
+	}
+	for _, c := range children {
+		s.walkLeaves(c, set, leaf)
+	}
+	set(s.corpus.Adds(v), false)
+	set(s.corpus.Dels(v), true)
 }
 
 // batchInstance builds a partitioning instance over items, single-record
