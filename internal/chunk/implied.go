@@ -165,17 +165,17 @@ func starts(of []uint32, n int) (start, next []uint32) {
 	return start, slices.Clone(start[:n])
 }
 
-// Or adds to diffs — version v's, as a placement record states them,
-// ascending by chunk, each over its chunk's slots — the slots composite keys
-// imply, and returns v's whole diffs, ascending by chunk: the records whose
-// composite keys name v, at their creation, and, for each of their keys, the
-// record of it parent, v's tree parent, holds in l — the newest one naming a
-// version before v, at the copy parent holds, as a version holds one record
-// of a key and only records of its ancestors, which precede it. A slot both state is stated once, so diffs that already
-// hold every implied slot — a record of format v10 or before — come back as
-// they are. l must hold parent's bitmaps; a chunk that holds a record naming
-// v but is not open in l is types.ErrCorrupt. Or may change the bitmaps of
-// diffs in place.
+// Or adds to diffs — version v's, as a placement record states them, ascending
+// by chunk, each over its chunk's slots — the slots composite keys imply, and
+// returns v's whole diffs, ascending by chunk: the records whose composite keys
+// name v, at their creation, and, for each of their keys, the record of it
+// parent, v's tree parent, holds in l — the newest one naming a version before
+// v, at the copy parent holds, as a version holds one record of a key and only
+// records of its ancestors, which precede it. A slot both state is stated once,
+// so diffs that already hold every implied slot — a record of format v10 or
+// before — come back as they are. l must hold parent's bitmaps; a chunk that
+// holds a record naming v but is not open in l is types.ErrCorrupt. Or may
+// change the bitmaps of diffs in place.
 func (ix *Implied) Or(l *Layout, v, parent types.VersionID, diffs []Slots) ([]Slots, error) {
 	g, ok := ix.versions[v]
 	if !ok {

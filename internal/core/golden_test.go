@@ -438,6 +438,24 @@ func TestLoadReadsVersion8Store(t *testing.T) {
 	loadsAndUpgrades(t, kv, blobCorpus(t), 8)
 }
 
+// TestLoadReadsVersion12Store: the golden corpus replayed in online batches
+// of four — whose chunk segments and placement records are, digest for
+// digest, what a version-12 build writes (TestGoldenStoredBytes: format v13
+// re-pinned its root alone) — under a root set back to version 12 loads,
+// reads back byte for byte, and states the current version in the next root
+// it writes.
+func TestLoadReadsVersion12Store(t *testing.T) {
+	st, kv := openGolden(t, Config{BatchSize: 4})
+	replayGolden(t, st)
+	if st.Info().Copies != 0 {
+		t.Fatalf("the golden replay copied %d records forward; a version-12 build copies none", st.Info().Copies)
+	}
+	if was := setRootVersion(t, kv, 12); was != manifestVersion {
+		t.Fatalf("the root says version %d, want %d", was, manifestVersion)
+	}
+	loadsAndUpgrades(t, kv, goldenCorpus(t), 12)
+}
+
 // TestLoadReadsVersion9Store: v9Corpus as a version-9 build bulk-loaded it
 // (k = 1), every table's entries as they were written, loads,
 // reads back byte for byte, and states the current version in the next root

@@ -22,39 +22,37 @@ const manifestKey = "manifest"
 // manifestVersion guards the on-disk format. Version 13 lets a flush copy a
 // record forward: a composite key may sit in more than one chunk of a
 // generation, its first its creation (chunk.Implied), and a placement record
-// may state a move — a version that takes a record out of one chunk and puts
-// it into another, which is no change of its records (deltaFromDiffs). A
+// may state a move — a version that takes a record out of one chunk and puts it
+// into another, which is no change of its records (deltaFromDiffs). A
 // version-12 build would refuse the second chunk's record as assigned to two
 // chunks, so it is refused here instead. A version-8 to version-12 store is
 // read as it is, and becomes version 13 with the next root it writes. Version
-// 12 let a segment be
-// keyed: its anchor spells its first item's key, and every later value whose
-// key has that width is coded against the anchor with its own key written over
-// the anchor's, which a version-11 build would decode against the anchor as it
-// is, so it is refused there; its segments mark it with another value of
-// their first byte (chunk/runs.go). Version 11
-// let a placement record leave out of a version's diffs the slots composite
-// keys imply — the records whose composite keys name the version, and the
-// records of their keys its tree parent holds (chunk.Implied) — which a
-// version-10 build would fold into versions that lack their own records; a
-// version-8 to version-10 store's diffs state every slot, the implied ones
-// included, and the fold adds those once. Version 10 let a segment's items
-// leave out what its code implies — a template user's empty heads and body
-// length, a key's suffix length where every key of the segment has one width —
-// and marks that with another value of the segment's first byte
-// (chunk/runs.go), which a version-9 build does not know. Version 9 let a
-// segment state the run heads most of its values share once, as its template;
-// version 8 packed the literals of a segment's run lists at the width of the
-// segment's own alphabet, which the segment states in that byte; version 7
-// stored a segment's values as run lists of bytes against its first, where
-// version 6 wrote every value raw; version 6 stated a version's slot bitmaps
-// in the placement records as diffs against its tree parent's, where version
-// 5 wrote them whole; version 5 stored a chunk as key-ordered, front-coded
-// segment values (chunk.SegmentKey) in place of one payload; version 4 took
-// the versions' composite-key deltas out of the placement records, whose slot
-// bitmaps already imply them; a version-3 store wrote both, a version-2 store
-// carried chunk maps inside the chunk values, version 1 used unprefixed chunk
-// keys, and all seven must be re-initialized, not misread.
+// 12 let a segment be keyed: its anchor spells its first item's key, and every
+// later value whose key has that width is coded against the anchor with its own
+// key written over the anchor's, which a version-11 build would decode against
+// the anchor as it is, so it is refused there; its segments mark it with
+// another value of their first byte (chunk/runs.go). Version 11 let a placement
+// record leave out of a version's diffs the slots composite keys imply — the
+// records whose composite keys name the version, and the records of their keys
+// its tree parent holds (chunk.Implied) — which a version-10 build would fold
+// into versions that lack their own records; a version-8 to version-10 store's
+// diffs state every slot, the implied ones included, and the fold adds those
+// once. Version 10 let a segment's items leave out what its code implies — a
+// template user's empty heads and body length, a key's suffix length where
+// every key of the segment has one width — and marks that with another value of
+// the segment's first byte (chunk/runs.go), which a version-9 build does not
+// know. Version 9 let a segment state the run heads most of its values share
+// once, as its template; version 8 packed the literals of a segment's run lists
+// at the width of the segment's own alphabet, which the segment states in that
+// byte; version 7 stored a segment's values as run lists of bytes against its
+// first, where version 6 wrote every value raw; version 6 stated a version's
+// slot bitmaps in the placement records as diffs against its tree parent's,
+// where version 5 wrote them whole; version 5 stored a chunk as key-ordered,
+// front-coded segment values (chunk.SegmentKey) in place of one payload;
+// version 4 took the versions' composite-key deltas out of the placement
+// records, whose slot bitmaps already imply them; a version-3 store wrote both,
+// a version-2 store carried chunk maps inside the chunk values, version 1 used
+// unprefixed chunk keys, and all seven must be re-initialized, not misread.
 const manifestVersion = 13
 
 // oldestReadable is the oldest manifest version this build reads: every
