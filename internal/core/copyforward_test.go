@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -14,8 +15,8 @@ import (
 	"rstore/internal/types"
 )
 
-// copyCapacity is the chunk capacity of the copy-forward tests: about 700 of
-// copyChain's records of ≈ 34 packed bytes to a chunk, and a flush copies
+// copyCapacity is the chunk capacity of the copy-forward tests: about 680 of
+// copyChain's records of ≈ 36 packed bytes to a chunk, and a flush copies
 // forward what a chunk still holds at its tips when that is at most 96 bytes,
 // two of them.
 const copyCapacity = 24 << 10
@@ -76,7 +77,7 @@ func (c *copyChain) commit(parents []types.VersionID, ch Change) types.VersionID
 func (c *copyChain) chain(parent types.VersionID, n, rewrite int) types.VersionID {
 	c.t.Helper()
 	for i := 0; i < n; i++ {
-		held := slices.Sorted(mapKeys(c.states[parent]))
+		held := slices.Sorted(maps.Keys(c.states[parent]))
 		ch := Change{Puts: map[types.Key][]byte{}}
 		for len(ch.Puts) < min(rewrite, len(held)) {
 			k := held[c.rng.Intn(len(held))]
@@ -87,17 +88,8 @@ func (c *copyChain) chain(parent types.VersionID, n, rewrite int) types.VersionI
 	return parent
 }
 
-func mapKeys(m map[types.Key]types.Record) func(func(types.Key) bool) {
-	return func(yield func(types.Key) bool) {
-		for k := range m {
-			if !yield(k) {
-				return
-			}
-		}
-	}
-}
-
-// copied returns the records of st a flush copied forward, ascending by id.
+// copiedRecords returns the records of st a flush copied forward, ascending
+// by id.
 func copiedRecords(st *Store) []uint32 {
 	var out []uint32
 	for rec := uint32(0); int(rec) < st.corpus.NumRecords(); rec++ {
@@ -241,9 +233,9 @@ func TestCopyForwardKeepsEveryVersion(t *testing.T) {
 // TestCopiedRecordsChangeOffTheTip: once records are copied forward, a
 // commit on a version placed before the copy updates one copied record and
 // deletes another — the commit resolves each at the old copy its parent
-// holds — and a merge re-adds a copied record that the version it commits on
-// deleted from the newest copy. Every version reads back, live and reloaded, and the
-// reloaded layout is the live one.
+// holds — and a merge re-adds a copied record that the version it commits
+// on deleted from the newest copy. Every version reads back, live and
+// reloaded, and the reloaded layout is the live one.
 func TestCopiedRecordsChangeOffTheTip(t *testing.T) {
 	ctx := context.Background()
 	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
