@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"maps"
 	"slices"
 
 	"rstore/internal/bitset"
@@ -180,7 +179,7 @@ const copyForwardShare = 256
 // holds, as the parent's bitmaps say, less and plus what the deltas on the
 // path delete and add.
 func (s *Store) copyForward(pending []types.VersionID) []uint32 {
-	live := map[chunk.ID]*bitset.BitSet{} // per placed chunk, the slots some pending leaf holds
+	live := make([]*bitset.BitSet, s.layout.NumChunks()) // per placed chunk, the slots some pending leaf holds
 	for _, v := range pending {
 		if p := s.graph.Parent(v); p != types.InvalidVersion && p < pending[0] {
 			s.leafSlots(v, p, live) // the root of a pending subtree
@@ -188,14 +187,17 @@ func (s *Store) copyForward(pending []types.VersionID) []uint32 {
 	}
 	limit := s.cfg.ChunkCapacity / copyForwardShare
 	var out []uint32
-	for _, cid := range slices.Sorted(maps.Keys(live)) {
-		recs, size := s.layout.Records(cid), 0
-		live[cid].ForEach(func(slot uint32) bool {
+	for cid, slots := range live {
+		if slots == nil {
+			continue
+		}
+		recs, size := s.layout.Records(chunk.ID(cid)), 0
+		slots.ForEach(func(slot uint32) bool {
 			size += chunk.RecordPackedSize(s.corpus.Record(recs[slot]))
 			return size <= limit
 		})
 		if size > 0 && size <= limit {
-			live[cid].ForEach(func(slot uint32) bool {
+			slots.ForEach(func(slot uint32) bool {
 				out = append(out, recs[slot])
 				return true
 			})
@@ -210,7 +212,7 @@ func (s *Store) copyForward(pending []types.VersionID) []uint32 {
 // holds, less the placed records the subtree deletes on the way to the leaf
 // and plus those it re-adds — each at the copy parent holds, or else the
 // newest.
-func (s *Store) leafSlots(root, parent types.VersionID, live map[chunk.ID]*bitset.BitSet) {
+func (s *Store) leafSlots(root, parent types.VersionID, live []*bitset.BitSet) {
 	// held is parent's bitmap in each chunk, and at what the version the walk
 	// is at holds there.
 	held, at := make([]*bitset.BitSet, s.layout.NumChunks()), make([]*bitset.BitSet, s.layout.NumChunks())
@@ -243,10 +245,10 @@ func (s *Store) leafSlots(root, parent types.VersionID, live map[chunk.ID]*bitse
 			if bits == nil {
 				continue
 			}
-			if live[chunk.ID(cid)] == nil {
-				live[chunk.ID(cid)] = bitset.New(s.layout.Map(chunk.ID(cid)).NumSlots)
+			if live[cid] == nil {
+				live[cid] = bitset.New(s.layout.Map(chunk.ID(cid)).NumSlots)
 			}
-			live[chunk.ID(cid)].Or(bits)
+			live[cid].Or(bits)
 		}
 	})
 }
