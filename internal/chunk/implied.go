@@ -148,9 +148,6 @@ func (ix *Implied) IsCopy(loc Loc) bool {
 	return bits != nil && bits.Contains(loc.Slot)
 }
 
-// NumCopied returns how many composite keys sit in more than one chunk.
-func (ix *Implied) NumCopied() int { return len(ix.copies) }
-
 // starts counts the members of each of n groups, of[i] being member i's, and
 // returns where each group begins among them all — n+1 offsets, the last the
 // total — and a copy of the first n to fill them from.

@@ -423,8 +423,14 @@ func TestPlaceVersionMovesCopies(t *testing.T) {
 
 	stored := []Stored{storedOf(t, p0), storedOf(t, p1)}
 	implied := NewImplied(stored)
-	if got := implied.Copies(types.CompositeKey{Key: "other", Version: 0}); !slices.Equal(got, []Loc{old, copied}) || implied.NumCopied() != 1 {
-		t.Fatalf("Implied finds other@0 at %v (%d copied), want %v", got, implied.NumCopied(), []Loc{old, copied})
+	copiedKeys := 0
+	for rec := uint32(0); int(rec) < c.NumRecords(); rec++ {
+		if implied.Copies(c.Record(rec).CK) != nil {
+			copiedKeys++
+		}
+	}
+	if got := implied.Copies(types.CompositeKey{Key: "other", Version: 0}); !slices.Equal(got, []Loc{old, copied}) || copiedKeys != 1 {
+		t.Fatalf("Implied finds other@0 at %v (%d keys copied), want %v", got, copiedKeys, []Loc{old, copied})
 	}
 	re := NewLayout(c)
 	for _, step := range []struct {

@@ -17,8 +17,8 @@ import (
 
 // copyCapacity is the chunk capacity of the copy-forward tests: about 680 of
 // copyChain's records of ≈ 36 packed bytes to a chunk, and a flush copies
-// forward what a chunk still holds at its tips when that is at most 96 bytes,
-// two of them.
+// forward what a chunk still holds at its tips when that is at most 1/256 of
+// the chunk's packed bytes: two records of a full chunk.
 const copyCapacity = 24 << 10
 
 // copyChain is a store under test with the contents of every version it
@@ -98,6 +98,18 @@ func copiedRecords(st *Store) []uint32 {
 		}
 	}
 	return out
+}
+
+// copyPrice returns the packed bytes st's copies store beyond each record's
+// first, and the packed bytes of every chunk.
+func copyPrice(st *Store) (copies, stored int) {
+	for cid := chunk.ID(0); int(cid) < st.NumChunks(); cid++ {
+		stored += st.packedBytes(st.layout.Records(cid))
+	}
+	for _, rec := range copiedRecords(st) {
+		copies += len(st.layout.Older(rec)) * chunk.RecordPackedSize(st.corpus.Record(rec))
+	}
+	return copies, stored
 }
 
 // check reads every version of c back from s whole, a range of a tenth of
@@ -217,17 +229,49 @@ func TestCopyForwardKeepsEveryVersion(t *testing.T) {
 	if span := st.VersionSpan(tip); span >= len(first) {
 		t.Fatalf("the tip reads %d chunks, and %d without its copies", span, len(first))
 	}
-	stored := 0
-	for cid := chunk.ID(0); int(cid) < st.NumChunks(); cid++ {
-		stored += st.layout.Map(cid).NumSlots
-	}
-	extra := stored - info.Records // slots beyond one a record: the copies
-	if price := float64(extra) / float64(info.Records); info.Copies > extra || price > 1.0/copyForwardShare*4 {
-		t.Fatalf("%d records copied, into %d slots beyond the %d records' own: %.4f of the records stored twice", info.Copies, extra, info.Records, price)
+	copyBytes, stored := copyPrice(st)
+	if copyBytes*copyForwardShare > stored {
+		t.Fatalf("%d records copied, %d of %d packed bytes stored: over 1/%d", info.Copies, copyBytes, stored, copyForwardShare)
 	}
 	t.Logf("%d records, %d copies, %d chunks, tip span %d (%d without copies)", info.Records, info.Copies, info.Chunks, st.VersionSpan(tip), len(first))
 	c.check("live", st)
 	c.reload("after the chain", cfg)
+}
+
+// TestSmallFlushesCopyLittle: a store flushed after every commit of one
+// record — as every CLI command's Close flushes — makes a chunk of a record
+// or two per flush, all still alive at the tip. Copying them forward would
+// re-copy every small chunk's survivors on each flush; the copies instead
+// stay within 1/copyForwardShare of the stored bytes at the default capacity.
+func TestSmallFlushesCopyLittle(t *testing.T) {
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(ctx, Config{KV: kv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCopyChain(t, st, 4, 20)
+	tip := types.VersionID(0)
+	for i := 0; i < 300; i++ {
+		k := key(c.keys + i/2) // a new key, then a rewrite of it
+		tip = c.commit([]types.VersionID{tip}, Change{Puts: map[types.Key][]byte{k: c.value(k, len(c.states))}})
+		if err := st.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slots := 0
+	for cid := chunk.ID(0); int(cid) < st.NumChunks(); cid++ {
+		slots += st.layout.Map(cid).NumSlots
+	}
+	records := st.Info().Records
+	copyBytes, stored := copyPrice(st)
+	if (slots-records)*copyForwardShare > records || copyBytes*copyForwardShare > stored {
+		t.Fatalf("%d records in %d slots over %d chunks; copies %d of %d packed bytes", records, slots, st.NumChunks(), copyBytes, stored)
+	}
+	c.check("live", st)
 }
 
 // TestCopiedRecordsChangeOffTheTip: once records are copied forward, a

@@ -21,13 +21,14 @@ import (
 // batch's tips, which keeps a version's span from decaying into a tail of
 // old chunks that each still hold a few of its records: a placed chunk
 // whose records alive at some pending leaf pack into more than nothing and
-// at most ChunkCapacity/copyForwardShare bytes (4 KiB of a 1 MiB chunk) has
-// those records copied into the batch's open chunks. The batch's versions,
-// and every later one, read them from there, and the old chunk drops out of
-// their span; older versions keep reading the old slots (chunk.Layout). A
-// chunk is copied from at most once on a chain — its records then live
-// elsewhere at the tips — so the copies cost at most 1/copyForwardShare of
-// the stored bytes.
+// at most 1/copyForwardShare of the chunk's own packed bytes and of
+// ChunkCapacity (4 KiB of a full 1 MiB chunk) has those records copied into
+// the batch's open chunks. The batch's versions, and every later one, read
+// them from there, and the old chunk drops out of their span; older versions
+// keep reading the old slots (chunk.Layout). A chunk is copied from at most
+// once on a chain — its records then live elsewhere at the tips — and gives
+// at most 1/copyForwardShare of its own bytes, so the copies cost at most
+// 1/copyForwardShare of the stored bytes, however small the flushes are.
 //
 // The batch subtree's leaves are not the end of its records' lives: a
 // record still alive at a pending leaf (open) is read by every descendant
@@ -168,16 +169,18 @@ func (s *Store) splitAtFrontier(pending []types.VersionID, items []chunk.Item) (
 
 // copyForwardShare bounds what a flush copies forward (Flush): the records
 // of a placed chunk alive at the batch's tips, when they pack into at most
-// ChunkCapacity/copyForwardShare bytes — 4 KiB of a 1 MiB chunk, about seven
-// records of 512 B. It is the most stored bytes a chunk adds as copies.
+// 1/copyForwardShare of the chunk's own packed bytes and of ChunkCapacity —
+// 4 KiB of a full 1 MiB chunk, about seven records of 512 B. It is the most a
+// chunk adds to the stored bytes as copies, relative to its own size: a chunk
+// of a few records, as a flush of a commit or two makes, is never copied from.
 const copyForwardShare = 256
 
 // copyForward returns, ascending, the placed records a flush copies forward:
 // per placed chunk, the records some pending leaf holds there, when they
-// pack into more than nothing and at most ChunkCapacity/copyForwardShare
-// bytes. What a leaf holds is what the placed parent of its pending subtree
-// holds, as the parent's bitmaps say, less and plus what the deltas on the
-// path delete and add.
+// pack into more than nothing and at most 1/copyForwardShare of the chunk's
+// packed bytes and of ChunkCapacity. What a leaf holds is what the placed
+// parent of its pending subtree holds, as the parent's bitmaps say, less and
+// plus what the deltas on the path delete and add.
 func (s *Store) copyForward(pending []types.VersionID) []uint32 {
 	live := make([]*bitset.BitSet, s.layout.NumChunks()) // per placed chunk, the slots some pending leaf holds
 	for _, v := range pending {
@@ -185,7 +188,7 @@ func (s *Store) copyForward(pending []types.VersionID) []uint32 {
 			s.leafSlots(v, p, live) // the root of a pending subtree
 		}
 	}
-	limit := s.cfg.ChunkCapacity / copyForwardShare
+	ceiling := s.cfg.ChunkCapacity / copyForwardShare
 	var out []uint32
 	for cid, slots := range live {
 		if slots == nil {
@@ -194,17 +197,27 @@ func (s *Store) copyForward(pending []types.VersionID) []uint32 {
 		recs, size := s.layout.Records(chunk.ID(cid)), 0
 		slots.ForEach(func(slot uint32) bool {
 			size += chunk.RecordPackedSize(s.corpus.Record(recs[slot]))
-			return size <= limit
+			return size <= ceiling
 		})
-		if size > 0 && size <= limit {
-			slots.ForEach(func(slot uint32) bool {
-				out = append(out, recs[slot])
-				return true
-			})
+		if size == 0 || size > ceiling || size*copyForwardShare > s.packedBytes(recs) {
+			continue
 		}
+		slots.ForEach(func(slot uint32) bool {
+			out = append(out, recs[slot])
+			return true
+		})
 	}
 	slices.Sort(out)
 	return slices.Compact(out) // two parents may hold one record at two copies
+}
+
+// packedBytes sums the packed sizes of recs.
+func (s *Store) packedBytes(recs []uint32) int {
+	n := 0
+	for _, rec := range recs {
+		n += chunk.RecordPackedSize(s.corpus.Record(rec))
+	}
+	return n
 }
 
 // leafSlots adds to live, per placed chunk, the slots some leaf of the

@@ -41,7 +41,7 @@ func (s *Store) materialize(ctx context.Context, p placement) error {
 	// A full repartition supersedes every previously written chunk and
 	// placement record: a fresh layout, ids and record log restarting at 0,
 	// under the next generation (see publish), one copy of each record.
-	p.op, p.gen, p.layout, p.fresh = "materialize", s.gen+1, chunk.NewLayout(p.corpus), true
+	p.op, p.gen, p.layout = "materialize", s.gen+1, chunk.NewLayout(p.corpus)
 	return s.place(ctx, []*partition.Input{res.In}, p)
 }
 
@@ -56,21 +56,21 @@ type placement struct {
 	corpus *corpus.Corpus
 	keys   []types.Key
 	layout *chunk.Layout
-	fresh  bool
 	gen    uint32
 	first  types.VersionID
 	coded  []*chunk.Coded
 }
 
 // bind adds p's chunks to p.layout and gives its versions their slot bitmaps
-// in id order, parents first.
-func (p *placement) bind() error {
+// in id order, parents first. On a fresh layout (!live), a repartition's, each
+// record has one copy.
+func (p *placement) bind(live bool) error {
 	for _, c := range p.coded {
 		cid, err := p.layout.AddChunk(c)
 		if err != nil {
 			return err
 		}
-		if p.fresh {
+		if !live {
 			if err := p.layout.CheckOneCopy(cid); err != nil {
 				return err
 			}
@@ -223,7 +223,7 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 	var err error
 	live := p.layout == s.layout
 	if !live {
-		err = p.bind()
+		err = p.bind(live)
 	}
 	if err = cmp.Or(err, w.wait()); err != nil {
 		return err
@@ -239,7 +239,7 @@ func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error 
 	oldGen, oldPin, oldLayout, oldPlacements := s.gen, s.pin, s.layout, s.numPlacements
 	s.locked(func() {
 		if live {
-			if err = p.bind(); err != nil {
+			if err = p.bind(live); err != nil {
 				return
 			}
 		}
