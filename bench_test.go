@@ -82,12 +82,26 @@ func benchCorpus(b *testing.B, versions, records int) *corpus.Corpus {
 	return c
 }
 
-// BenchmarkPartition measures each algorithm's partitioning throughput.
+// BenchmarkPartition measures each algorithm's partitioning throughput, and
+// Bottom-Up's and DepthFirst's on dataset L at full size in 1 MiB chunks, the
+// instance benchmark/'s bulk load partitions (L/…, on 2 vCPUs: Bottom-Up
+// ≈ 37–50 ms since it works in delta time, ≈ 95–125 ms while every version
+// intersected and copied its whole π collection; DepthFirst ≈ 5–10 ms).
 func BenchmarkPartition(b *testing.B) {
 	c := benchCorpus(b, 200, 500)
 	in, err := partition.NewInputFromCorpus(c, 16<<10)
 	if err != nil {
 		b.Fatal(err)
+	}
+	run := func(name string, in *partition.Input, algo partition.Algorithm) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := algo.Partition(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 	for _, algo := range []partition.Algorithm{
 		partition.BottomUp{}, partition.BottomUp{Beta: 20},
@@ -97,14 +111,17 @@ func BenchmarkPartition(b *testing.B) {
 		if bu, ok := algo.(partition.BottomUp); ok && bu.Beta > 0 {
 			name = fmt.Sprintf("%s-beta%d", name, bu.Beta)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := algo.Partition(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		run(name, in, algo)
+	}
+	l, err := workload.Generate(specL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if in, err = partition.NewInputFromCorpus(l, 1<<20); err != nil {
+		b.Fatal(err)
+	}
+	for _, algo := range []partition.Algorithm{partition.BottomUp{}, partition.DepthFirst{}} {
+		run("L/"+algo.Name(), in, algo)
 	}
 }
 
@@ -127,7 +144,55 @@ func BenchmarkSubchunkBuild(b *testing.B) {
 // tip of a placed base version of 1 k and 100 k keys, each a delta store
 // write, every 32nd closing a batch that a flush places. A commit resolves
 // only the key it touches, so its cost does not grow with the base version.
+// The pending=… cases commit 150 keys of 512 B at the end of a path of that
+// many unplaced 150-key commits over a placed 3 000-key version, as ingest's
+// batches do: a commit folds only its own keys' records out of the path, so
+// pending=15 costs ≈ 1.3× what pending=0 does on 2 vCPUs (≈ 3× while it
+// hashed every composite key the path adds or deletes).
 func BenchmarkCommit(b *testing.B) {
+	for _, depth := range []int{0, 15} {
+		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
+			ctx := context.Background()
+			st, err := rstore.Open(ctx, rstore.Config{ChunkCapacity: 64 << 10, BatchSize: 1 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const keys, changes = 3000, 150
+			change := func(i int) rstore.Change {
+				ch := rstore.Change{Puts: make(map[rstore.Key][]byte, changes)}
+				for j := range changes {
+					ch.Puts[rstore.Key(fmt.Sprintf("k%06d", (i*changes+j)%keys))] = []byte(fmt.Sprintf("%0512d", i))
+				}
+				return ch
+			}
+			root := rstore.Change{Puts: make(map[rstore.Key][]byte, keys)}
+			for i := range keys {
+				root.Puts[rstore.Key(fmt.Sprintf("k%06d", i))] = []byte(fmt.Sprintf("%0512d", i))
+			}
+			tip, err := st.Commit(ctx, rstore.NoParent, root)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Flush(ctx); err != nil {
+				b.Fatal(err)
+			}
+			for d := range depth {
+				if tip, err = st.Commit(ctx, tip, change(d)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ch := change(depth + i)
+				b.StartTimer()
+				if _, err := st.Commit(ctx, tip, ch); err != nil { // a sibling of the last: the path stays depth long
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, n := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
 			ctx := context.Background()

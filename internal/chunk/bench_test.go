@@ -48,7 +48,7 @@ func BenchmarkSegmentCodec(b *testing.B) {
 		idxs := allOf(items)
 		plain := 0
 		for _, it := range items {
-			plain += len(it.Encoded)
+			plain += it.EncodedLen()
 		}
 		seg, err := appendSegment(nil, 0, items, idxs)
 		if err != nil {

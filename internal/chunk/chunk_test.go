@@ -3,12 +3,14 @@ package chunk
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"rstore/internal/bitset"
+	"rstore/internal/codec"
 	"rstore/internal/corpus"
 	"rstore/internal/types"
 	"rstore/internal/vgraph"
@@ -52,11 +54,11 @@ func miniCorpus(t testing.TB) *corpus.Corpus {
 	return c
 }
 
-// decodeItem returns the records of an item's encoding, read back the way the
-// store reads them: as a segment of that one item.
-func decodeItem(t testing.TB, enc []byte) []types.Record {
+// decodeItem returns the records of an item, read back the way the store
+// reads them: as a segment of that one item.
+func decodeItem(t testing.TB, it Item) []types.Record {
 	t.Helper()
-	seg, err := appendSegment(nil, 0, []Item{{Encoded: enc}}, []uint32{0})
+	seg, err := appendSegment(nil, 0, []Item{it}, []uint32{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func decodeItem(t testing.TB, enc []byte) []types.Record {
 func TestItemRoundTripSingle(t *testing.T) {
 	c := miniCorpus(t)
 	it := RecordItems(c, []uint32{0})[0]
-	recs := decodeItem(t, it.Encoded)
+	recs := decodeItem(t, it)
 	if len(recs) != 1 || recs[0].CK != c.Record(0).CK {
 		t.Fatalf("decoded %+v", recs)
 	}
@@ -88,7 +90,7 @@ func TestItemRoundTripDeltaChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := decodeItem(t, enc)
+	recs := decodeItem(t, framed(enc))
 	for i, id := range members {
 		want := c.Record(id)
 		if recs[i].CK != want.CK || !bytes.Equal(recs[i].Value, want.Value) {
@@ -127,23 +129,24 @@ func TestItemIncompressibleFallsBackToRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs := decodeItem(t, enc); !bytes.Equal(recs[1].Value, b) {
+	if recs := decodeItem(t, framed(enc)); !bytes.Equal(recs[1].Value, b) {
 		t.Fatal("raw fallback round trip failed")
 	}
 }
 
 // TestEncodeItemSizedOnce: the buffer is allocated once — to the byte for
-// raw members, never short when some members are deltas or raw fallbacks.
+// raw members, never short when some members are deltas or raw fallbacks — and
+// a record's item holds no buffer at all: it borrows its record's value.
 func TestEncodeItemSizedOnce(t *testing.T) {
 	c := miniCorpus(t)
 	for id, it := range recordItems(c) {
-		if len(it.Encoded) != cap(it.Encoded) {
-			t.Errorf("record %d: encoded %d bytes into a buffer of %d", id, len(it.Encoded), cap(it.Encoded))
+		if it.Encoded != nil || &it.Value[0] != &c.Record(uint32(id)).Value[0] {
+			t.Errorf("record %d: its item frames %d bytes of its own, value borrowed: %v", id, len(it.Encoded), &it.Value[0] == &c.Record(uint32(id)).Value[0])
 		}
 	}
 	var bound int
 	for _, it := range RecordItems(c, []uint32{0, 2, 3}) {
-		bound += len(it.Encoded)
+		bound += it.EncodedLen()
 	}
 	enc, err := EncodeItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
 	if err != nil {
@@ -152,15 +155,22 @@ func TestEncodeItemSizedOnce(t *testing.T) {
 	if cap(enc) > bound || len(enc) >= cap(enc) {
 		t.Errorf("delta chain: %d bytes in a buffer of %d; three raw items are %d", len(enc), cap(enc), bound)
 	}
+	it, err := NewItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head := len(enc) - len(it.Encoded); cap(it.Encoded) > bound-head || !bytes.Equal(encodingOf(it), enc) {
+		t.Errorf("delta chain: NewItem framed %d bytes in a buffer of %d, EncodeItem %d", len(it.Encoded), cap(it.Encoded), len(enc))
+	}
 }
 
 // TestRecordItemsMatchEncodeItem: RecordItems spells every record as
 // EncodeItem does and ranks the items' keys in key order — over a whole
-// generated corpus, large enough to be built on several goroutines, and over a
-// run of its records, as a flush asks for its batch.
+// generated corpus and over a run of its records, as a flush asks for its
+// batch.
 func TestRecordItemsMatchEncodeItem(t *testing.T) {
 	c, err := workload.Generate(workload.Spec{
-		Name: "items", Versions: 10, AvgDepth: 3, RecordsPerVersion: 3 * itemSpan / 2,
+		Name: "items", Versions: 10, AvgDepth: 3, RecordsPerVersion: 6000,
 		UpdatePct: 0.2, Update: workload.RandomUpdate, RecordSize: 48, Seed: 5,
 	})
 	if err != nil {
@@ -178,7 +188,7 @@ func TestRecordItemsMatchEncodeItem(t *testing.T) {
 				t.Fatal(err)
 			}
 			it := items[i]
-			if !bytes.Equal(it.Encoded, want) || it.CK != c.Record(id).CK || !slices.Equal(it.Members, []uint32{id}) || !slices.Equal(it.Parents, []int32{-1}) {
+			if !bytes.Equal(encodingOf(it), want) || it.EncodedLen() != len(want) || it.CK != c.Record(id).CK || !slices.Equal(it.Members, []uint32{id}) || !slices.Equal(it.Parents, []int32{-1}) {
 				t.Fatalf("record %d: item %+v, EncodeItem spells it %x", id, it, want)
 			}
 		}
@@ -241,4 +251,31 @@ func TestMapRoundTrip(t *testing.T) {
 	if _, err := DecodeMap(m.AppendBinary(nil), 100); !errors.Is(err, types.ErrCorrupt) {
 		t.Errorf("bitmap naming slot 100 of 100 decoded: %v", err)
 	}
+}
+
+// framed is the item whose EncodeItem bytes are enc: its representative's
+// key, version and value read from them, the other members' framing left as
+// it is. Its Members count the members and name record 0.
+func framed(enc []byte) Item {
+	n, rest, err := codec.Uvarint(enc)
+	if err != nil {
+		panic(err)
+	}
+	first, rest, err := parseMember(rest)
+	if err != nil || first.parent != -1 {
+		panic(fmt.Sprintf("an item's representative: %+v, %v", first, err))
+	}
+	it := Item{CK: types.CompositeKey{Key: types.Key(first.key), Version: types.VersionID(first.version)}, Value: first.body, Members: make([]uint32, n)}
+	if n > 1 {
+		it.Encoded = rest
+	}
+	return it
+}
+
+// encodingOf is EncodeItem's bytes for it.
+func encodingOf(it Item) []byte {
+	enc := codec.PutUvarint(nil, uint64(len(it.Members)))
+	enc = codec.PutCompositeKey(enc, it.CK)
+	enc = codec.PutBytes(codec.PutVarint(enc, -1), it.Value)
+	return append(enc, it.Encoded...)
 }

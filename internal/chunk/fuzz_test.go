@@ -26,11 +26,11 @@ import (
 func FuzzDecodeSegment(f *testing.F) {
 	c := miniCorpus(f)
 	items := recordItems(c)
-	chain, err := EncodeItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
+	chain, err := NewItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	items = append(items, Item{CK: c.Record(0).CK, Members: []uint32{0, 2, 3}, Parents: []int32{-1, 0, 1}, Encoded: chain})
+	items = append(items, chain)
 	for _, idxs := range [][]uint32{{0, 1}, {2, 3}, {4, 1}} {
 		seg, err := appendSegment(nil, 7, items, idxs)
 		if err != nil {
@@ -80,7 +80,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		f.Fatalf("the seed segment of documents has code %#x, %v", seg[0], err)
 	}
 	f.Add(seg)
-	anchor := decodeItem(f, items[0].Encoded)[0]
+	anchor := decodeItem(f, items[0])[0]
 	at := bytes.Index(seg, anchor.Value) + keyOffset(anchor.Value, []byte(anchor.CK.Key))
 	unspelled := bytes.Clone(seg)
 	unspelled[at] ^= 0x20
@@ -95,7 +95,7 @@ func FuzzDecodeSegment(f *testing.F) {
 			key = fmt.Sprintf("key-%d", i)
 		}
 		enc := codec.PutCompositeKey(codec.PutUvarint(nil, 1), types.CompositeKey{Key: types.Key(key), Version: 2})
-		mixed[i].Encoded = codec.PutBytes(codec.PutVarint(enc, -1), docgen.New(int64(i)).Document(types.Key(key), 96))
+		mixed[i] = framed(codec.PutBytes(codec.PutVarint(enc, -1), docgen.New(int64(i)).Document(types.Key(key), 96)))
 	}
 	if seg, err = appendSegment(nil, 0, mixed, allOf(mixed)); err != nil || seg[0]&keyed == 0 {
 		f.Fatalf("the seed segment of keys of two widths has code %#x, %v", seg[0], err)
@@ -206,7 +206,7 @@ func FuzzPackedLiterals(f *testing.F) {
 		for i, v := range values {
 			enc := codec.PutUvarint(nil, 1)
 			enc = codec.PutCompositeKey(enc, types.CompositeKey{Key: types.Key(fmt.Sprintf("key-%03d", i)), Version: 7})
-			items[i].Encoded = codec.PutBytes(codec.PutVarint(enc, -1), v)
+			items[i] = framed(codec.PutBytes(codec.PutVarint(enc, -1), v))
 		}
 		seg, err := appendSegment(nil, 3, items, allOf(items))
 		if err != nil {
@@ -229,7 +229,7 @@ func FuzzPackedLiterals(f *testing.F) {
 		// than the heads' length byte a value.
 		bytewise := 0
 		for _, it := range items {
-			bytewise += len(it.Encoded)
+			bytewise += it.EncodedLen()
 		}
 		if len(seg) > bytewise+len(values)+8 {
 			t.Fatalf("width %d: %d values of %d bytes as items stored in %d", seg[0], len(values), bytewise, len(seg))
@@ -305,7 +305,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 				enc = codec.PutBytes(codec.PutVarint(enc, parent), body)
 				want = append(want, types.Record{CK: ck, Value: v})
 			}
-			items = append(items, Item{Encoded: enc})
+			items = append(items, framed(enc))
 		}
 		if len(items) == 0 {
 			return
@@ -329,7 +329,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 		encoded := 0
 		for _, it := range items {
-			encoded += len(it.Encoded)
+			encoded += it.EncodedLen()
 		}
 		if len(seg) > encoded+len(items)+8+maxCodeLen {
 			t.Fatalf("code %#x: %d items encoded in %d bytes stored in %d", seg[0], len(items), encoded, len(seg))

@@ -13,10 +13,8 @@ package chunk
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 
 	"rstore/internal/bdiff"
 	"rstore/internal/codec"
@@ -31,10 +29,20 @@ type ID = uint32
 // Item is the unit the partitioning algorithms assign to chunks: a sub-chunk
 // of one or more records sharing a primary key (paper §3.4). With
 // compression disabled (k=1) every item holds exactly one record.
+//
+// An item borrows its representative's value from the corpus record rather
+// than copying it: Code reads the value where the corpus keeps it, so a bulk
+// load builds its items without touching the corpus's bytes.
 type Item struct {
 	// CK is the representative composite key (the member whose record is
 	// stored raw; all others are delta-encoded descendants).
 	CK types.CompositeKey
+	// Value is the representative's value, the corpus record's own bytes.
+	Value []byte
+	// Encoded frames the members after the representative as EncodeItem
+	// does: empty for a single-record item, and only for one. With CK and
+	// Value it is all EncodedLen reads, in the item's first 64 bytes.
+	Encoded []byte
 	// Members are the record ids in the item. Members[0] is the
 	// representative.
 	Members []uint32
@@ -42,10 +50,6 @@ type Item struct {
 	// delta-encoded against; Parents[0] is -1 (raw). The parent relation
 	// follows the version tree, so members form a connected subtree (§3.4).
 	Parents []int32
-	// Encoded is the packed sub-chunk (EncodeItem: record framing included).
-	// Its length is what the partitioner charges; Code re-frames it into a
-	// segment, in no more bytes.
-	Encoded []byte
 	// Rank is the place of CK.Key among the primary keys of the items it was
 	// ranked with (RankItems): items of one key share it, and of two keys the
 	// one that sorts first has the smaller. Code orders a chunk's slots by
@@ -54,44 +58,92 @@ type Item struct {
 	Rank uint32
 }
 
+// EncodedLen is the length of EncodeItem's bytes for the item: what the
+// partitioner charges, and what Code re-frames into a segment in no more
+// bytes.
+func (it *Item) EncodedLen() int {
+	n := 1 // the member count of a single-record item
+	if len(it.Encoded) > 0 {
+		n = codec.UvarintLen(uint64(len(it.Members)))
+	}
+	return n + rawMemberLen(it.CK, it.Value) + len(it.Encoded)
+}
+
 // PackedSize is the capacity charged when packing the item into a chunk.
-func (it *Item) PackedSize() int { return len(it.Encoded) + itemOverhead }
+func (it *Item) PackedSize() int { return it.EncodedLen() + itemOverhead }
 
 // itemOverhead approximates per-item framing inside a chunk.
 const itemOverhead = 4
+
+// NewItem builds the sub-chunk of members: the representative's value
+// borrowed from the corpus, every other member framed as EncodeItem frames
+// it. Records are resolved through the corpus.
+func NewItem(c *corpus.Corpus, members []uint32, parents []int32) (Item, error) {
+	if err := checkMembers(members, parents); err != nil {
+		return Item{}, err
+	}
+	r := c.Record(members[0])
+	it := Item{CK: r.CK, Value: r.Value, Members: members, Parents: parents}
+	if len(members) > 1 {
+		var err error
+		it.Encoded, err = appendMembers(make([]byte, 0, membersLen(c, members, 1)), c, members, parents, 1)
+		if err != nil {
+			return Item{}, err
+		}
+	}
+	return it, nil
+}
 
 // EncodeItem serializes a sub-chunk's records: the representative raw, every
 // other member as a binary delta against its parent member. Records are
 // resolved through the corpus.
 func EncodeItem(c *corpus.Corpus, members []uint32, parents []int32) ([]byte, error) {
+	if err := checkMembers(members, parents); err != nil {
+		return nil, err
+	}
+	n := uint64(len(members))
+	buf := codec.PutUvarint(make([]byte, 0, codec.UvarintLen(n)+membersLen(c, members, 0)), n)
+	return appendMembers(buf, c, members, parents, 0)
+}
+
+// checkMembers refuses an item of no members, or of parents that do not
+// match them.
+func checkMembers(members []uint32, parents []int32) error {
 	if len(members) == 0 {
-		return nil, fmt.Errorf("chunk: empty item")
+		return fmt.Errorf("chunk: empty item")
 	}
 	if len(parents) != len(members) {
-		return nil, fmt.Errorf("chunk: %d members but %d parents", len(members), len(parents))
+		return fmt.Errorf("chunk: %d members but %d parents", len(members), len(parents))
 	}
-	// Sized once from the members' keys and values: exact when every member
-	// is stored raw (always, for a single-record item), an upper bound when
-	// some are deltas, which are shorter than the value they replace.
-	size := codec.UvarintLen(uint64(len(members)))
-	for i, id := range members {
-		r := c.Record(id)
+	if parents[0] != -1 {
+		return fmt.Errorf("chunk: representative must have parent -1, got %d", parents[0])
+	}
+	return nil
+}
+
+// membersLen bounds the length of the framing of members[from:]: exact when
+// every member is stored raw, an upper bound when some are deltas, which are
+// shorter than the value they replace.
+func membersLen(c *corpus.Corpus, members []uint32, from int) int {
+	size := 0
+	for i := from; i < len(members); i++ {
+		r := c.Record(members[i])
 		size += codec.UvarintLen(uint64(len(r.CK.Key))) + len(r.CK.Key) + codec.UvarintLen(uint64(r.CK.Version)) +
 			codec.UvarintLen(uint64(2*i+3)) + // the parent index, zigzag: −1 → 1, −2 → 3, p < i → 2p
 			codec.UvarintLen(uint64(len(r.Value))) + len(r.Value)
 	}
-	buf := make([]byte, 0, size)
-	buf = codec.PutUvarint(buf, uint64(len(members)))
-	for i, id := range members {
-		r := c.Record(id)
-		buf = codec.PutCompositeKey(buf, r.CK)
+	return size
+}
+
+// appendMembers appends the framing of members[from:] to dst.
+func appendMembers(dst []byte, c *corpus.Corpus, members []uint32, parents []int32, from int) ([]byte, error) {
+	for i := from; i < len(members); i++ {
+		r := c.Record(members[i])
+		dst = codec.PutCompositeKey(dst, r.CK)
 		p := parents[i]
 		if i == 0 {
-			if p != -1 {
-				return nil, fmt.Errorf("chunk: representative must have parent -1, got %d", p)
-			}
-			buf = codec.PutVarint(buf, -1)
-			buf = codec.PutBytes(buf, r.Value)
+			dst = codec.PutVarint(dst, -1)
+			dst = codec.PutBytes(dst, r.Value)
 			continue
 		}
 		if p < 0 || int(p) >= i {
@@ -102,57 +154,29 @@ func EncodeItem(c *corpus.Corpus, members []uint32, parents []int32) ([]byte, er
 		if len(delta) >= len(r.Value) {
 			// Degenerate delta (incompressible payload): store raw,
 			// flagged by parent -2.
-			buf = codec.PutVarint(buf, -2)
-			buf = codec.PutBytes(buf, r.Value)
+			dst = codec.PutVarint(dst, -2)
+			dst = codec.PutBytes(dst, r.Value)
 		} else {
-			buf = codec.PutVarint(buf, int64(p))
-			buf = codec.PutBytes(buf, delta)
+			dst = codec.PutVarint(dst, int64(p))
+			dst = codec.PutBytes(dst, delta)
 		}
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // RecordItems wraps each record of ids as a 1-member item (the k=1 case), in
-// the order of ids, and ranks them (RankItems). An item's Encoded is
-// EncodeItem's. A large ids is split over GOMAXPROCS goroutines, each cutting
-// its items' bytes from one buffer; all items share one Parents.
+// the order of ids, and ranks them (RankItems). All items share one Parents,
+// and each borrows its record's value.
 func RecordItems(c *corpus.Corpus, ids []uint32) []Item {
 	items := make([]Item, len(ids))
 	members := slices.Clone(ids)
-	build := func(lo, hi int) {
-		size := 0
-		for _, id := range ids[lo:hi] {
-			size += recordItemLen(c.Record(id))
-		}
-		buf := make([]byte, 0, size)
-		for i := lo; i < hi; i++ {
-			r := c.Record(ids[i])
-			start := len(buf)
-			buf = appendRecordItem(buf, r)
-			items[i] = Item{CK: r.CK, Members: members[i : i+1 : i+1], Parents: rawParents, Encoded: buf[start:len(buf):len(buf)]}
-		}
-	}
-	workers := min(runtime.GOMAXPROCS(0), (len(ids)+itemSpan-1)/itemSpan)
-	if workers <= 1 {
-		build(0, len(ids))
-	} else {
-		var wg sync.WaitGroup
-		for w := range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				build(w*len(ids)/workers, (w+1)*len(ids)/workers)
-			}()
-		}
-		wg.Wait()
+	for i, id := range ids {
+		r := c.Record(id)
+		items[i] = Item{CK: r.CK, Value: r.Value, Members: members[i : i+1 : i+1], Parents: rawParents}
 	}
 	RankItems(c, items)
 	return items
 }
-
-// itemSpan is the fewest records RecordItems hands a goroutine of its own: a
-// flush's batch is built where it is asked for.
-const itemSpan = 4096
 
 // rawParents is the Parents of every single-record item, shared: nothing
 // writes an item's Parents, and an append copies it.
@@ -160,21 +184,13 @@ var rawParents = []int32{-1}
 
 // RecordPackedSize is the capacity a one-member item of record r is charged
 // (Item.PackedSize of RecordItems').
-func RecordPackedSize(r types.Record) int { return recordItemLen(r) + itemOverhead }
+func RecordPackedSize(r types.Record) int { return 1 + rawMemberLen(r.CK, r.Value) + itemOverhead }
 
-// recordItemLen is the length of EncodeItem's bytes for record r alone.
-func recordItemLen(r types.Record) int {
-	return 1 + codec.UvarintLen(uint64(len(r.CK.Key))) + len(r.CK.Key) + codec.UvarintLen(uint64(r.CK.Version)) +
-		1 + codec.UvarintLen(uint64(len(r.Value))) + len(r.Value)
-}
-
-// appendRecordItem appends EncodeItem's bytes for record r alone: one member,
-// stored raw.
-func appendRecordItem(dst []byte, r types.Record) []byte {
-	dst = codec.PutUvarint(dst, 1)
-	dst = codec.PutCompositeKey(dst, r.CK)
-	dst = codec.PutVarint(dst, -1)
-	return codec.PutBytes(dst, r.Value)
+// rawMemberLen is the length of EncodeItem's framing of a raw representative
+// of key ck and value value.
+func rawMemberLen(ck types.CompositeKey, value []byte) int {
+	return codec.UvarintLen(uint64(len(ck.Key))) + len(ck.Key) + codec.UvarintLen(uint64(ck.Version)) +
+		1 + codec.UvarintLen(uint64(len(value))) + len(value)
 }
 
 // RankItems sets every item's Rank from its representative's primary key:

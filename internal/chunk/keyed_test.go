@@ -18,7 +18,7 @@ import (
 func keyedItem(key string, value []byte) Item {
 	enc := codec.PutUvarint(nil, 1)
 	enc = codec.PutCompositeKey(enc, types.CompositeKey{Key: types.Key(key), Version: 3})
-	return Item{Encoded: codec.PutBytes(codec.PutVarint(enc, -1), value)}
+	return framed(codec.PutBytes(codec.PutVarint(enc, -1), value))
 }
 
 // itemRecords lists the records items hold, in slot order.
@@ -26,7 +26,7 @@ func itemRecords(t *testing.T, items []Item) []types.Record {
 	t.Helper()
 	var recs []types.Record
 	for _, it := range items {
-		recs = append(recs, decodeItem(t, it.Encoded)...)
+		recs = append(recs, decodeItem(t, it)...)
 	}
 	return recs
 }

@@ -146,7 +146,7 @@ func (l *Layout) holds(v types.VersionID, loc Loc) bool {
 }
 
 // openChunk appends the next chunk, of numSlots slots cut into segments at the
-// slots of segs, with an empty map; bindRecords says which records fill it.
+// slots of segs, with an empty map; its caller says which records fill it.
 func (l *Layout) openChunk(numSlots int, segs []uint32) ID {
 	l.maps = append(l.maps, NewMap(numSlots))
 	l.recs = append(l.recs, nil)
@@ -154,42 +154,38 @@ func (l *Layout) openChunk(numSlots int, segs []uint32) ID {
 	return ID(len(l.maps) - 1)
 }
 
-// checkRecords refuses recs, the records of chunk cid in slot order, when
-// one of them fills two slots: a chunk holds a record once. A record an
-// earlier chunk holds is a copy (bindRecords).
-func checkRecords(cid ID, recs []uint32) error {
-	sorted := slices.Clone(recs)
-	slices.Sort(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return fmt.Errorf("chunk: record %d assigned to chunk %d twice", sorted[i], cid)
-		}
-	}
-	return nil
-}
-
-// bindRecords fills chunk cid, the newest bound, with recs, its records in
-// slot order (checkRecords passed them), and returns those an earlier chunk
-// already held: each is a copy, whose Loc moves to cid and whose earlier one
-// joins its older copies.
-func (l *Layout) bindRecords(cid ID, recs []uint32) (copies []uint32) {
+// bindRecords points the Locs of recs, the records of chunk cid, the newest,
+// in slot order, at their slots, and returns those an earlier chunk already
+// held: each is a copy, whose earlier Loc joins its older copies. A record
+// that fills two slots is refused, with every Loc as it was: a chunk holds a
+// record once.
+func (l *Layout) bindRecords(cid ID, recs []uint32) (copies []uint32, err error) {
 	for _, rec := range recs {
 		for int(rec) >= len(l.locs) {
 			l.locs = append(l.locs, Loc{Chunk: NoChunk})
 		}
 	}
+	prev := make([]Loc, len(recs)) // what each record's Loc was
 	for slot, rec := range recs {
-		if at := l.locs[rec]; at.Chunk != NoChunk {
+		if l.locs[rec].Chunk == cid { // no earlier chunk has cid: this one took it
+			for j := slot - 1; j >= 0; j-- {
+				l.locs[recs[j]] = prev[j]
+			}
+			return nil, fmt.Errorf("chunk: record %d assigned to chunk %d twice", rec, cid)
+		}
+		prev[slot] = l.locs[rec]
+		l.locs[rec] = Loc{Chunk: cid, Slot: uint32(slot)}
+	}
+	for slot, at := range prev {
+		if at.Chunk != NoChunk {
 			if l.older == nil {
 				l.older = make(map[uint32][]Loc)
 			}
-			l.older[rec] = append(l.older[rec], at)
-			copies = append(copies, rec)
+			l.older[recs[slot]] = append(l.older[recs[slot]], at)
+			copies = append(copies, recs[slot])
 		}
-		l.locs[rec] = Loc{Chunk: cid, Slot: uint32(slot)}
 	}
-	l.recs[cid] = recs
-	return copies
+	return copies, nil
 }
 
 // Coded is a chunk as Code lays it out, before it has an id: the records
@@ -214,6 +210,7 @@ func Code(items []Item, idxs []uint32) (*Coded, error) {
 	type slotKey struct {
 		key  uint64 // rank, then version
 		item uint32
+		size uint32 // its EncodedLen
 	}
 	keys := make([]slotKey, len(idxs))
 	for i, ii := range idxs {
@@ -221,9 +218,10 @@ func Code(items []Item, idxs []uint32) (*Coded, error) {
 			return nil, fmt.Errorf("chunk: assignment references item %d of %d", ii, len(items))
 		}
 		it := &items[ii]
-		size += len(it.Encoded)
+		n := it.EncodedLen()
+		size += n
 		members += len(it.Members)
-		keys[i] = slotKey{uint64(it.Rank)<<32 | uint64(it.CK.Version), ii}
+		keys[i] = slotKey{uint64(it.Rank)<<32 | uint64(it.CK.Version), ii, uint32(n)}
 	}
 	slices.SortFunc(keys, func(a, b slotKey) int { return cmp.Compare(a.key, b.key) })
 	order := make([]uint32, len(keys))
@@ -243,7 +241,7 @@ func Code(items []Item, idxs []uint32) (*Coded, error) {
 	for i := 0; i < len(order); {
 		j, packed, first := i, 0, uint32(len(c.Records))
 		for ; j < len(order) && packed < SegmentTarget; j++ {
-			packed += len(items[order[j]].Encoded)
+			packed += int(keys[j].size)
 			c.Records = append(c.Records, items[order[j]].Members...)
 		}
 		start := len(buf)
@@ -265,11 +263,13 @@ func Code(items []Item, idxs []uint32) (*Coded, error) {
 // chunk and moves no Loc.
 func (l *Layout) AddChunk(c *Coded) (ID, error) {
 	cid := ID(len(l.maps))
-	if err := checkRecords(cid, c.Records); err != nil {
+	copies, err := l.bindRecords(cid, c.Records)
+	if err != nil {
 		return NoChunk, err
 	}
 	l.noteDelta(l.openChunk(len(c.Records), c.Segments))
-	l.copied = append(l.copied, l.bindRecords(cid, c.Records)...)
+	l.recs[cid] = c.Records
+	l.copied = append(l.copied, copies...)
 	return cid, nil
 }
 
@@ -472,10 +472,10 @@ func (l *Layout) BindRecords(cid ID, stored Stored) error {
 		}
 		recs[slot] = rec
 	}
-	if err := checkRecords(cid, recs); err != nil {
+	if _, err := l.bindRecords(cid, recs); err != nil {
 		return fmt.Errorf("%w: %v", types.ErrCorrupt, err)
 	}
-	l.bindRecords(cid, recs)
+	l.recs[cid] = recs
 	return nil
 }
 

@@ -21,7 +21,7 @@ import (
 // sub-chunk is an Item, and an Item never straddles two segments.)
 
 // SegmentTarget is the size a segment is cut at: the segment ends with the
-// item that brings its items' packed encodings (Item.Encoded, the bytes the
+// item that brings its items' packed encodings (Item.EncodedLen, the bytes the
 // partitioner charges) to this many. Chosen from a 16/64/256 KiB measurement
 // of point and full-version reads on the benchmark's stack (CHANGES.md, PR 22).
 const SegmentTarget = 64 << 10
@@ -108,7 +108,7 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 // the anchor with its own key written over the first item's, where the anchor
 // first spells that (keyedAnchor, runs.go); raw is the escape of any later
 // value the run list would not shorten, so an item takes no more bytes here
-// than in Item.Encoded. tmpl is set for a record, not the first, not raw, that
+// than in EncodeItem's. tmpl is set for a record, not the first, not raw, that
 // takes the template and whose literals escape nowhere: its body is then its
 // literals alone, with neither the empty heads nor a length, as many bytes as
 // the template's runs count symbols at the code's width. The other members
@@ -121,7 +121,7 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 // between, a templated code is made implied where that spares more bytes than
 // the wider heads and the key width cost.
 func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byte, error) {
-	// What the first pass read of each item: its member count, its first
+	// What the first pass took of each item: its member count, its first
 	// member, the other members' bytes, how many bytes its key shares with
 	// the previous, and where its run heads end. lists[i] is the own list of
 	// each representative but the anchor's.
@@ -138,15 +138,22 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 	var heads []byte // every later representative's run heads, one after the other
 	var hist litCounts
 	keyWidth := -1 // of every key so far; 0 once two differ
+	keyBytes := 0
+	for _, ii := range idxs {
+		keyBytes += len(items[ii].CK.Key)
+	}
+	// The items' keys, one after the other, copied before any value is
+	// read: the corpus holds them apart from the values and from each other.
+	keys := make([]byte, 0, keyBytes)
+	for _, ii := range idxs {
+		keys = append(keys, items[ii].CK.Key...)
+	}
 	for i, ii := range idxs {
-		r := &reps[i]
-		var err error
-		if r.n, r.rest, err = codec.Uvarint(items[ii].Encoded); err != nil {
-			return nil, err
-		}
-		if r.first, r.rest, err = parseMember(r.rest); err != nil {
-			return nil, err
-		}
+		r, it := &reps[i], &items[ii]
+		key := keys[:len(it.CK.Key):len(it.CK.Key)]
+		keys = keys[len(key):]
+		r.n, r.rest = uint64(len(it.Members)), it.Encoded
+		r.first = member{key: key, version: uint64(it.CK.Version), parent: -1, body: it.Value}
 		if i == 0 {
 			anchor = keyedAnchor{anchor: r.first.body, at: keyOffset(r.first.body, r.first.key), n: len(r.first.key)}
 		} else {
@@ -263,7 +270,8 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 	return dst, nil
 }
 
-// member is one member of an Item.Encoded, as EncodeItem framed it.
+// member is one member of an item: its representative, or one of
+// Item.Encoded's, as EncodeItem framed it.
 type member struct {
 	key     []byte
 	version uint64

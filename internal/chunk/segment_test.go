@@ -39,12 +39,11 @@ func TestSegmentKeyFormats(t *testing.T) {
 // chainItem wraps miniCorpus's three doc records as one delta-chain item.
 func chainItem(t testing.TB, c *corpus.Corpus) Item {
 	t.Helper()
-	members, parents := []uint32{0, 2, 3}, []int32{-1, 0, 1}
-	enc, err := EncodeItem(c, members, parents)
+	it, err := NewItem(c, []uint32{0, 2, 3}, []int32{-1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Item{CK: c.Record(0).CK, Members: members, Parents: parents, Encoded: enc}
+	return it
 }
 
 // TestSegmentRoundTrip: a segment of a multi-member item and a single-record
@@ -349,14 +348,14 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 			continue
 		}
 		parents := []int32{-1, 0, 1, 2}
-		enc, err := EncodeItem(c, recs, parents)
+		it, err := NewItem(c, recs, parents)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range recs {
 			itemOf[id] = len(items)
 		}
-		items = append(items, Item{CK: c.Record(recs[0]).CK, Members: recs, Parents: parents, Encoded: enc})
+		items = append(items, it)
 	}
 	RankItems(c, items)
 	idxs := make([]uint32, len(items))
@@ -386,7 +385,7 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 		return s
 	}
 	itemSeg := map[int]int{}
-	packed := make([]int, len(values)) // Σ len(Encoded) of the items in each segment
+	packed := make([]int, len(values)) // Σ EncodedLen of the items in each segment
 	var prev types.CompositeKey
 	for slot, r := range st.Records {
 		id, ok := c.IDForCK(r.CK)
@@ -396,7 +395,7 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 		seg, it := segOf(uint32(slot)), itemOf[id]
 		if at, seen := itemSeg[it]; !seen {
 			itemSeg[it] = seg
-			packed[seg] += len(items[it].Encoded)
+			packed[seg] += items[it].EncodedLen()
 			// Items follow the order of their representatives' keys.
 			if rep := items[it].CK; slot > 0 && (rep.Key < prev.Key || (rep.Key == prev.Key && rep.Version <= prev.Version)) {
 				t.Fatalf("slot %d: item of %v follows item of %v", slot, rep, prev)
@@ -422,7 +421,7 @@ func testAddChunkSegments(t *testing.T, rng *rand.Rand, value func(k types.Key, 
 			singles = append(singles, uint32(i))
 			single++
 			raw += len(c.Record(it.Members[0]).Value)
-			charged += len(it.Encoded)
+			charged += it.EncodedLen()
 		}
 	}
 	values, err = addChunk(NewLayout(c), items, singles)
@@ -475,11 +474,11 @@ func revisionItems(tb testing.TB, keys, k int, value func(key types.Key, prev []
 	}
 	for i := range items {
 		members := c.KeyRecords(types.Key(fmt.Sprintf("key-%06d", i)))
-		enc, err := EncodeItem(c, members, parents)
+		it, err := NewItem(c, members, parents)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		items[i] = Item{CK: c.Record(members[0]).CK, Members: members, Parents: parents, Encoded: enc}
+		items[i] = it
 	}
 	return c, items
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rstore/internal/chunk"
 	"rstore/internal/engine"
@@ -26,10 +27,11 @@ import (
 type faultBackend struct {
 	*memory.Backend
 	mu       sync.Mutex
-	fail     func(table string) bool // nil = healthy
-	inFlight atomic.Int32            // BatchPuts entered and not yet returned
-	writes   atomic.Int64            // Put and BatchPut calls, failed ones included
-	refused  []string                // keys of the BatchPuts it failed, under mu
+	fail     func(table string) bool  // nil = healthy
+	failKeys func(keys []string) bool // fails a chunk BatchPut by its keys; nil = healthy
+	inFlight atomic.Int32             // BatchPuts entered and not yet returned
+	writes   atomic.Int64             // Put and BatchPut calls, failed ones included
+	refused  []string                 // keys of the BatchPuts it failed, under mu
 }
 
 var errInjected = errors.New("injected crash")
@@ -40,10 +42,35 @@ func (b *faultBackend) arm(fail func(table string) bool) {
 	b.mu.Unlock()
 }
 
+// armChunks fails the chunk BatchPuts whose keys fail says to fail: the
+// groups of a placement run, which are in flight two at once, by which group
+// they are rather than by when they arrive.
+func (b *faultBackend) armChunks(fail func(keys []string) bool) {
+	b.mu.Lock()
+	b.failKeys = fail
+	b.mu.Unlock()
+}
+
 func (b *faultBackend) failing(table string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.fail != nil && b.fail(table)
+}
+
+func (b *faultBackend) failingBatch(table string, entries []engine.Entry) bool {
+	if b.failing(table) {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.failKeys == nil || table != TableChunks {
+		return false
+	}
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Key
+	}
+	return b.failKeys(keys)
 }
 
 func (b *faultBackend) Put(ctx context.Context, table, key string, value []byte) error {
@@ -58,7 +85,7 @@ func (b *faultBackend) BatchPut(ctx context.Context, table string, entries []eng
 	b.writes.Add(1)
 	b.inFlight.Add(1)
 	defer b.inFlight.Add(-1)
-	if b.failing(table) {
+	if b.failingBatch(table, entries) {
 		b.mu.Lock()
 		for _, e := range entries {
 			b.refused = append(b.refused, e.Key)
@@ -390,10 +417,10 @@ func seedGroups(t *testing.T, st *Store) map[types.VersionID]map[string]string {
 }
 
 // TestMaterializeCrashBetweenGroups: the chunk write of a repartition is a
-// pipeline of groups, and it may die on any of them. Whichever group fails,
-// no later group is started, the store is poisoned, Open serves the previous
-// generation byte-exact and deletes the groups that did land, and a repeated
-// Materialize succeeds.
+// pipeline of groups, two in flight at once, and it may die on any of them.
+// Whichever group fails, no group is started after the one in flight beside
+// it, the store is poisoned, Open serves the previous generation byte-exact
+// and deletes the groups that did land, and a repeated Materialize succeeds.
 func TestMaterializeCrashBetweenGroups(t *testing.T) {
 	const groups = 3
 	for k := 1; k <= groups; k++ {
@@ -403,20 +430,19 @@ func TestMaterializeCrashBetweenGroups(t *testing.T) {
 			want := seedGroups(t, st)
 
 			writes := 0 // BatchPuts of chunk payloads: only placement issues them
-			backends[0].arm(func(table string) bool {
-				if table == TableChunks {
-					writes++
-				}
-				return table == TableChunks && writes == k
+			backends[0].armChunks(func(keys []string) bool {
+				writes++
+				_, cid, _, _ := chunk.ParseSegmentKey(keys[0])
+				return cid == chunk.ID(4*(k-1)) // four chunks a group
 			})
 			if err := st.Materialize(ctx); !errors.Is(err, errInjected) {
 				t.Fatalf("materialize failing its group %d: %v", k, err)
 			}
-			backends[0].arm(nil)
-			if writes != k {
-				t.Fatalf("%d chunk groups were written, want the pipeline to stop at the failed group %d", writes, k)
+			backends[0].armChunks(nil)
+			if writes < k || writes > min(k+1, groups) {
+				t.Fatalf("%d chunk groups were written, want the pipeline to stop at the failed group %d or the one in flight beside it", writes, k)
 			}
-			if got, landed := scanChunkGens(t, kv)[1], 4*(k-1); got != landed {
+			if got, landed := scanChunkGens(t, kv)[1], 4*(writes-1); got != landed {
 				t.Fatalf("precondition: %d chunks of the uncommitted generation on disk, want %d", got, landed)
 			}
 			if _, err := st.Commit(ctx, types.VersionID(2), Change{Puts: map[types.Key][]byte{"x": []byte("y")}}); !errors.Is(err, types.ErrPoisoned) {
@@ -442,10 +468,82 @@ func TestMaterializeCrashBetweenGroups(t *testing.T) {
 	}
 }
 
+// pairedBackend holds the first chunk group of generation 1 until the second
+// arrives, and fails the second: two groups in flight at once, the younger
+// failing while the older is still being written.
+type pairedBackend struct {
+	*memory.Backend
+	armed  atomic.Bool
+	second chan struct{} // closed when the second group arrives
+}
+
+func (b *pairedBackend) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
+	if gen, cid, _, ok := chunk.ParseSegmentKey(entries[0].Key); table == TableChunks && ok && gen == 1 && b.armed.Load() {
+		switch cid {
+		case 0:
+			select {
+			case <-b.second:
+			case <-time.After(10 * time.Second):
+				return errors.New("the second group was not sent beside the first")
+			}
+		case 4: // four chunks a group
+			close(b.second)
+			return errInjected
+		}
+	}
+	return b.Backend.BatchPut(ctx, table, entries)
+}
+
+// TestTwoGroupsInFlightFailure: a repartition writes two chunk groups at once,
+// and the second fails while the first is still in flight. Materialize
+// returns the failure once both are done, the store is poisoned, Open deletes
+// what the groups beside it wrote and serves the previous generation, and a
+// repeated Materialize reads every version back.
+func TestTwoGroupsInFlightFailure(t *testing.T) {
+	ctx := context.Background()
+	be := &pairedBackend{Backend: memory.New(), second: make(chan struct{})}
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1, NewBackend: func(int) (engine.Backend, error) { return be, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(ctx, Config{KV: kv, ChunkCapacity: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := seedGroups(t, st)
+	be.armed.Store(true)
+	if err := st.Materialize(ctx); !errors.Is(err, errInjected) || !errors.Is(err, types.ErrPoisoned) {
+		t.Fatalf("materialize whose second group fails beside the first: %v", err)
+	}
+	if got := scanChunkGens(t, kv)[1]; got != 4 && got != 8 {
+		t.Fatalf("precondition: %d chunks of the failed generation on disk, want the first group's 4, and the third's if it was sent beside the second", got)
+	}
+	if _, err := st.Commit(ctx, types.VersionID(2), Change{Puts: map[types.Key][]byte{"x": []byte("y")}}); !errors.Is(err, types.ErrPoisoned) {
+		t.Fatalf("commit after the failed materialize: %v, want ErrPoisoned", err)
+	}
+	re, err := Open(ctx, Config{KV: kv, ChunkCapacity: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVersions(t, re, want)
+	if gens := scanChunkGens(t, kv); gens[1] != 0 || gens[0] != 12 {
+		t.Fatalf("after open: generations %v, want only the 12 chunks of generation 0", gens)
+	}
+	be.armed.Store(false)
+	if err := re.Materialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkVersions(t, re, want)
+	if gens := scanChunkGens(t, kv); len(gens) != 1 || gens[1] != 12 {
+		t.Fatalf("after the repeated materialize: generations %v, want only generation 1", gens)
+	}
+}
+
 // TestMaterializeCancelledMidPipeline cancels the context while the second
-// group is in flight: Materialize returns the cancellation, no chunk write is
-// still running when it does (place awaits its goroutine on every path), the
-// store is poisoned and Open recovers the previous generation.
+// group is in flight: Materialize returns the cancellation, no group is
+// started after the one in flight beside it, no chunk write is still running
+// when it returns (place awaits its goroutines on every path), the store is
+// poisoned and Open recovers the previous generation.
 func TestMaterializeCancelledMidPipeline(t *testing.T) {
 	st, kv, backends := openFaulty(t, 1)
 	want := seedGroups(t, st)
@@ -468,8 +566,8 @@ func TestMaterializeCancelledMidPipeline(t *testing.T) {
 		t.Fatalf("materialize under a cancelled context: %v", err)
 	}
 	backends[0].arm(nil)
-	if writes != 2 {
-		t.Fatalf("%d chunk groups were written, want the pipeline to stop at the cancelled group 2", writes)
+	if writes < 2 || writes > 3 {
+		t.Fatalf("%d chunk groups were written, want the pipeline to stop at the cancelled group 2 or the one in flight beside it", writes)
 	}
 	if err := st.Flush(context.Background()); !errors.Is(err, types.ErrPoisoned) {
 		t.Fatalf("flush after the cancelled materialize: %v, want ErrPoisoned", err)

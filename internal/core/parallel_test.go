@@ -124,8 +124,8 @@ func TestBulkLoadDoublePlacedRecordJoinsCoders(t *testing.T) {
 
 // TestBulkLoadCancelledJoinsCoders cancels a bulk load's context while its
 // second chunk group is in flight: BulkLoad returns the cancellation, no
-// chunk write is still running, the store is poisoned, and no coding
-// goroutine is left behind.
+// group is started after the one in flight beside it, no chunk write is still
+// running, the store is poisoned, and no coding goroutine is left behind.
 func TestBulkLoadCancelledJoinsCoders(t *testing.T) {
 	// seedGroups' shape, as a corpus: three versions each rewriting four
 	// documents of a quarter of chunkGroupBytes, each a chunk of its own.
@@ -175,8 +175,8 @@ func TestBulkLoadCancelledJoinsCoders(t *testing.T) {
 		t.Fatalf("bulk load under a cancelled context: %v, want ErrPoisoned wrapping the cancellation", err)
 	}
 	backends[0].arm(nil)
-	if writes != 2 {
-		t.Fatalf("%d chunk groups were written, want the pipeline to stop at the cancelled group 2", writes)
+	if writes < 2 || writes > 3 {
+		t.Fatalf("%d chunk groups were written, want the pipeline to stop at the cancelled group 2 or the one in flight beside it", writes)
 	}
 	settleGoroutines(t, baseline)
 	if err := st.Flush(context.Background()); !errors.Is(err, types.ErrPoisoned) {

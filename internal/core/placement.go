@@ -61,19 +61,23 @@ type placement struct {
 	coded  []*chunk.Coded
 }
 
-// bind adds p's chunks to p.layout and gives its versions their slot bitmaps
-// in id order, parents first. On a fresh layout (!live), a repartition's, each
-// record has one copy.
+// addChunk adds one of p's coded chunks to p.layout. On a fresh layout
+// (!live), a repartition's, each record has one copy.
+func (p *placement) addChunk(c *chunk.Coded, live bool) error {
+	cid, err := p.layout.AddChunk(c)
+	if err != nil || live {
+		return err
+	}
+	return p.layout.CheckOneCopy(cid)
+}
+
+// bind adds the chunks p holds to p.layout — a flush's, which place keeps
+// until the install — and gives its versions their slot bitmaps in id order,
+// parents first.
 func (p *placement) bind(live bool) error {
 	for _, c := range p.coded {
-		cid, err := p.layout.AddChunk(c)
-		if err != nil {
+		if err := p.addChunk(c, live); err != nil {
 			return err
-		}
-		if !live {
-			if err := p.layout.CheckOneCopy(cid); err != nil {
-				return err
-			}
 		}
 	}
 	for v := p.first; int(v) < p.corpus.NumVersions(); v++ {
@@ -94,8 +98,11 @@ func (p *placement) bind(live bool) error {
 // Chunks are written in three stages: the partitioner's assignment, then
 // every chunk coded on a pool of goroutines (chunk.Code, ordered), then — on
 // this goroutine, in chunk-id order — its segments handed to the chunk writer,
-// which has one group in flight, under the id bind will give the chunk:
-// p.layout.NumChunks()+i for the i-th, as only s.wmu holders add chunks. Ids,
+// which has two groups in flight, under the id the layout gives the chunk:
+// p.layout.NumChunks()+i for the i-th, as only s.wmu holders add chunks. On a
+// fresh layout, which no plan reads, the chunk is added to it there too, as it
+// arrives, so only its versions' slot bitmaps are left for publish to bind
+// beside the last groups' writes; a flush's chunks wait for the install. Ids,
 // keys and bytes are what coding the chunks one by one gives.
 func (s *Store) place(ctx context.Context, ins []*partition.Input, p placement) (err error) {
 	type job struct {
@@ -123,18 +130,23 @@ func (s *Store) place(ctx context.Context, ins []*partition.Input, p placement) 
 	}()
 	w := chunkWriter{kv: s.kv}
 	defer w.wait() // no chunk write outlives place, however it returns
+	live, first := p.layout == s.layout, p.layout.NumChunks()
 	err = ordered(len(jobs), func(i int) (*chunk.Coded, error) {
 		return chunk.Code(jobs[i].items, jobs[i].idxs)
 	}, func(i int, coded *chunk.Coded) error {
 		// A chunk's segments travel in one group; the ring may still spread
 		// them over several nodes.
-		cid := chunk.ID(p.layout.NumChunks() + i)
+		cid := chunk.ID(first + i)
 		for seg, value := range coded.Values {
 			w.group = append(w.group, kvstore.Entry{Key: chunk.SegmentKey(p.gen, cid, uint32(seg)), Value: value})
 			w.size += len(value)
 		}
 		coded.Values = nil // the writer has them; the layout needs only the slots
-		p.coded = append(p.coded, coded)
+		if live {
+			p.coded = append(p.coded, coded)
+		} else if err := p.addChunk(coded, live); err != nil {
+			return err
+		}
 		if w.size >= chunkGroupBytes {
 			return w.send(ctx)
 		}
@@ -161,34 +173,57 @@ const chunkGroupBytes = 2 << 20
 // chunkWriter writes a placement run's chunk segments to the KVS as a bounded
 // pipeline: place collects them into a group and sends it once it holds
 // chunkGroupBytes, as one replicated BatchPut on a goroutine of its own, while
-// it builds the next — one group in flight, one being built, so a run holds
-// two groups of payloads however large the corpus and no request grows with
-// it. A failed group fails every later call.
+// it builds the next — chunkGroupsInFlight groups in flight, one being built,
+// so a run holds three groups of payloads however large the corpus and no
+// request grows with it. A failed group fails the call that waits for it and
+// every later one.
 type chunkWriter struct {
-	kv    *kvstore.Store
-	group []kvstore.Entry // being built
-	size  int             // its payload bytes
-	wg    sync.WaitGroup  // the group in flight
-	err   error           // what a group came back with; read after wg.Wait
+	kv       *kvstore.Store
+	group    []kvstore.Entry // being built
+	size     int             // its payload bytes
+	inFlight []chan error    // the groups in flight, oldest first: each says how its write ended
+	wg       sync.WaitGroup  // their goroutines
+	err      error           // the first failure waited for
 }
 
-// send waits for the group in flight and starts writing the one being built.
+// chunkGroupsInFlight is how many groups a chunkWriter writes at once. With
+// one, the consumer waited on each group's acknowledgement before it could
+// hand the next one over, and the coders, a window ahead, stalled behind it;
+// with two, one group is on the wire while the other is acknowledged.
+const chunkGroupsInFlight = 2
+
+// send starts writing the group being built, once fewer than
+// chunkGroupsInFlight groups are in flight, unless a group has failed or ctx
+// is done.
 func (w *chunkWriter) send(ctx context.Context) error {
-	if err := w.wait(); err != nil || len(w.group) == 0 {
-		return err
+	if len(w.inFlight) == chunkGroupsInFlight {
+		w.waitOldest()
 	}
-	group := w.group
+	if w.err = cmp.Or(w.err, ctx.Err()); w.err != nil || len(w.group) == 0 {
+		return w.err
+	}
+	group, done := w.group, make(chan error, 1)
 	w.group, w.size = nil, 0
+	w.inFlight = append(w.inFlight, done)
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		w.err = w.kv.BatchPut(ctx, TableChunks, group)
+		done <- w.kv.BatchPut(ctx, TableChunks, group)
 	}()
 	return nil
 }
 
+// waitOldest waits for the oldest group in flight.
+func (w *chunkWriter) waitOldest() {
+	w.err = cmp.Or(w.err, <-w.inFlight[0])
+	w.inFlight = w.inFlight[1:]
+}
+
 // wait returns once no group is in flight, with the first failure so far.
 func (w *chunkWriter) wait() error {
+	for len(w.inFlight) > 0 {
+		w.waitOldest()
+	}
 	w.wg.Wait()
 	return w.err
 }
@@ -198,8 +233,9 @@ func (w *chunkWriter) wait() error {
 // node, one durability sync per node — and every one acknowledged before
 // anything else is written) → placement record → root, the commit point →
 // cleanup (a superseded generation, then the write-store drain: one batched
-// delete per table, deleteKeys). A crash before the root — between two groups
-// as much as after the last — leaves chunks and maybe a record the root does
+// delete per table, deleteKeys). A crash before the root — with any subset of
+// the groups written, two being in flight at once, as much as after the last —
+// leaves chunks and maybe a record the root does
 // not count — past its counts, or under a generation it does not name — which
 // Open skips and deletes (the versions are still pending and re-flush under
 // the same ids); a crash after it leaves only a stale generation and stale
@@ -213,10 +249,11 @@ func (w *chunkWriter) wait() error {
 // with the old generation's intact entries.
 //
 // The store installs p in one step under s.mu once its chunks are durable:
-// corpus, keys, layout, generation, counts and pin. p is bound beside the last
-// group's write on a fresh layout, which no plan reads, and inside the install
-// on the live one — O(batch) memory work — so a plan sees all of the run or
-// none of it, and waits for none of its I/O. A superseded generation that a
+// corpus, keys, layout, generation, counts and pin. A fresh layout, which no
+// plan reads, took its chunks as place coded them, and its versions get their
+// slot bitmaps here, beside the last groups' writes; the live one binds inside
+// the install — O(batch) memory work — so a plan sees all of the run or none
+// of it, and waits for none of its I/O. A superseded generation that a
 // query stream still reads is deleted when the last such stream ends (genPin);
 // a crash before that leaves it to Open.
 func (s *Store) publish(ctx context.Context, p placement, w *chunkWriter) error {

@@ -296,11 +296,12 @@ func (s *Store) resolve(plan func() (*readPlan, error)) (*readPlan, error) {
 
 // planOverlay starts the plan of a query of version v: it checks v and folds
 // the deltas of the pending versions between v and its placed anchor, root
-// first, into the plan's masked set and its adds — those whose keys keep
-// accepts (nil: all), sorted by composite key. It returns the anchor,
-// InvalidVersion when all of v is pending. The corpus holds every pending
-// delta, values included (applyVersion registered it, and the flush that
-// places it codes its chunks from there): a plan reads memory only. Callers
+// first, into the plan's masked set and its adds, sorted by composite key —
+// of the records whose keys keep accepts (nil: all), so a commit that
+// resolves a few keys hashes those keys' records and no other. It returns
+// the anchor, InvalidVersion when all of v is pending. The corpus holds every
+// pending delta, values included (applyVersion registered it, and the flush
+// that places it codes its chunks from there): a plan reads memory only. Callers
 // hold s.mu, or s.wmu alone: a commit resolves the keys it touches with it
 // (holding).
 func (s *Store) planOverlay(v types.VersionID, keep func(types.Key) bool) (*readPlan, types.VersionID, error) {
@@ -316,18 +317,20 @@ func (s *Store) planOverlay(v types.VersionID, keep func(types.Key) bool) (*read
 	p.masked = make(map[types.CompositeKey]bool)
 	for _, u := range path {
 		for _, id := range s.corpus.Dels(u) {
-			delete(added, id)
-			p.masked[s.corpus.Record(id).CK] = true
+			if ck := s.corpus.Record(id).CK; keep == nil || keep(ck.Key) {
+				delete(added, id)
+				p.masked[ck] = true
+			}
 		}
 		for _, id := range s.corpus.Adds(u) {
-			added[id] = true
-			p.masked[s.corpus.Record(id).CK] = true // a re-add of a placed record is served from the overlay
+			if ck := s.corpus.Record(id).CK; keep == nil || keep(ck.Key) {
+				added[id] = true
+				p.masked[ck] = true // a re-add of a placed record is served from the overlay
+			}
 		}
 	}
 	for id := range added {
-		if r := s.corpus.Record(id); keep == nil || keep(r.CK.Key) {
-			p.adds = append(p.adds, r)
-		}
+		p.adds = append(p.adds, s.corpus.Record(id))
 	}
 	types.SortRecords(p.adds)
 	return p, anchor, nil

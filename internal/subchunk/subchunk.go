@@ -101,8 +101,8 @@ func Build(c *corpus.Corpus, k, capacity int) (*Result, error) {
 		for v := range res.TransformedOf {
 			res.TransformedOf[v] = types.VersionID(v)
 		}
-		for _, it := range in.Items {
-			res.PackedBytes += int64(len(it.Encoded))
+		for i := range in.Items {
+			res.PackedBytes += int64(in.Items[i].EncodedLen())
 		}
 		res.RawBytes = rawBytes(c)
 		return res, nil
@@ -116,17 +116,12 @@ func Build(c *corpus.Corpus, k, capacity int) (*Result, error) {
 	itemOf := make([]uint32, c.NumRecords())
 	var packed int64
 	for gi, g := range groups {
-		enc, err := chunk.EncodeItem(c, g.members, g.parents)
+		it, err := chunk.NewItem(c, g.members, g.parents)
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, chunk.Item{
-			CK:      c.Record(g.members[0]).CK,
-			Members: g.members,
-			Parents: g.parents,
-			Encoded: enc,
-		})
-		packed += int64(len(enc))
+		items = append(items, it)
+		packed += int64(it.EncodedLen())
 		for _, m := range g.members {
 			itemOf[m] = uint32(gi)
 		}

@@ -298,6 +298,7 @@ run_fuzz() {
   go test -fuzz=FuzzPackedLiterals -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzSegmentRoundTrip -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzDecodeGroup -fuzztime=10s -run '^$' ./internal/baseline/
+  go test -fuzz=FuzzBottomUp -fuzztime=10s -run '^$' ./internal/partition/
 }
 
 if [ $# -eq 0 ]; then
