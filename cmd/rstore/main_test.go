@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rstore"
@@ -329,25 +331,31 @@ func TestCLIErrors(t *testing.T) {
 // TestCLIOpenErrorNamesRstoreOnce: a store whose root cannot be read — its
 // daemons are gone — fails to open with the store's nodes and the cause in
 // the message, and the line main prints says "rstore:" once, though the
-// library's error names it too.
+// library's error names it too. The CLI reaches the daemons through relays
+// that keep their addresses to the end: a daemon closed outright gives its
+// port back, and another process's daemon that took it — as one did in a
+// full parallel test run — answers the root read with no root.
 func TestCLIOpenErrorNamesRstoreOnce(t *testing.T) {
 	var addrs []string
 	var srvs []*engined.Server
+	var relays []*relay
 	for range 2 {
 		srv, err := engined.Start("127.0.0.1:0", memory.New())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		srvs = append(srvs, srv)
-		addrs = append(addrs, srv.Addr().String())
+		r := startRelay(t, srv.Addr().String())
+		srvs, relays = append(srvs, srv), append(relays, r)
+		addrs = append(addrs, r.ln.Addr().String())
 	}
 	data := t.TempDir()
 	cluster := []string{"-backend", "remote", "-node-addrs", strings.Join(addrs, ",")}
 	if err := runCLI(t, data, append(cluster, "init")...); err != nil {
 		t.Fatal(err)
 	}
-	for _, srv := range srvs {
+	for i, srv := range srvs {
+		relays[i].cut.Store(true)
 		srv.Close()
 	}
 	err := runCLI(t, data, append(cluster, "log")...)
@@ -359,6 +367,55 @@ func TestCLIOpenErrorNamesRstoreOnce(t *testing.T) {
 		!strings.Contains(line, "all replicas down") || strings.Count(line, "rstore:") != 1 {
 		t.Fatalf("printed %q, want one \"rstore:\", the nodes and the cause", line)
 	}
+}
+
+// A relay holds a listening address for a test's whole life and forwards each
+// connection it accepts to the daemon at to until it is cut; from then on it
+// closes what it accepts at once, as a node that is down drops a connection.
+type relay struct {
+	ln  net.Listener
+	to  string
+	cut atomic.Bool
+}
+
+func startRelay(t *testing.T, to string) *relay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	r := &relay{ln: ln, to: to}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if r.cut.Load() {
+				nc.Close()
+				continue
+			}
+			go r.forward(nc)
+		}
+	}()
+	return r
+}
+
+// forward copies nc's bytes to the daemon and the daemon's back until
+// either side closes.
+func (r *relay) forward(nc net.Conn) {
+	defer nc.Close()
+	up, err := net.Dial("tcp", r.to)
+	if err != nil {
+		return
+	}
+	defer up.Close()
+	go func() {
+		io.Copy(up, nc)
+		up.Close()
+	}()
+	io.Copy(nc, up)
 }
 
 func TestSanitize(t *testing.T) {

@@ -50,7 +50,7 @@ func BenchmarkSegmentCodec(b *testing.B) {
 		for _, it := range items {
 			plain += it.EncodedLen()
 		}
-		seg, err := appendSegment(nil, 0, items, idxs)
+		seg, err := new(coder).appendSegment(nil, 0, items, idxs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,10 +68,12 @@ func BenchmarkSegmentCodec(b *testing.B) {
 				parts.report(b)
 			})
 		}
-		buf := make([]byte, 0, plain)
+		// One coder across the runs, as Code keeps one across a chunk's
+		// segments.
+		var cd coder
 		run("encode", func() {
-			if buf, err = appendSegment(buf[:0], 0, items, idxs); err != nil || len(buf) != len(seg) {
-				b.Fatal(len(buf), err)
+			if cd.seg, err = cd.appendSegment(cd.seg[:0], 0, items, idxs); err != nil || len(cd.seg) != len(seg) {
+				b.Fatal(len(cd.seg), err)
 			}
 		})
 		run("decode", func() {

@@ -58,7 +58,7 @@ func miniCorpus(t testing.TB) *corpus.Corpus {
 // reads them: as a segment of that one item.
 func decodeItem(t testing.TB, it Item) []types.Record {
 	t.Helper()
-	seg, err := appendSegment(nil, 0, []Item{it}, []uint32{0})
+	seg, err := new(coder).appendSegment(nil, 0, []Item{it}, []uint32{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +165,10 @@ func TestEncodeItemSizedOnce(t *testing.T) {
 }
 
 // TestRecordItemsMatchEncodeItem: RecordItems spells every record as
-// EncodeItem does and ranks the items' keys in key order — over a whole
-// generated corpus and over a run of its records, as a flush asks for its
-// batch.
+// EncodeItem does and RankItems ranks the items' keys in key order — over a
+// whole generated corpus and over a run of its records, as a flush asks for
+// its batch. RankAll ranks the whole corpus's items as RankItems does and
+// returns the keys it ranked them by, ascending.
 func TestRecordItemsMatchEncodeItem(t *testing.T) {
 	c, err := workload.Generate(workload.Spec{
 		Name: "items", Versions: 10, AvgDepth: 3, RecordsPerVersion: 6000,
@@ -182,6 +183,7 @@ func TestRecordItemsMatchEncodeItem(t *testing.T) {
 	}
 	for _, ids := range [][]uint32{all, all[len(all)/3 : len(all)/3+50]} {
 		items := RecordItems(c, ids)
+		RankItems(c, items)
 		for i, id := range ids {
 			want, err := EncodeItem(c, []uint32{id}, []int32{-1})
 			if err != nil {
@@ -199,6 +201,17 @@ func TestRecordItemsMatchEncodeItem(t *testing.T) {
 			if (a.CK.Key == b.CK.Key) != (a.Rank == b.Rank) || a.Rank > b.Rank {
 				t.Fatalf("%q ranked %d, %q ranked %d", a.CK.Key, a.Rank, b.CK.Key, b.Rank)
 			}
+		}
+	}
+	items, ranked := RecordItems(c, all), RecordItems(c, all)
+	RankItems(c, ranked)
+	keys := RankAll(c, items)
+	if !slices.Equal(keys, slices.Sorted(slices.Values(c.Keys()))) {
+		t.Fatalf("RankAll returned %d keys, not the corpus's %d in order", len(keys), c.NumKeys())
+	}
+	for i := range items {
+		if items[i].Rank != ranked[i].Rank || keys[items[i].Rank] != items[i].CK.Key {
+			t.Fatalf("record %d: RankAll ranks %q %d, RankItems %d", i, items[i].CK.Key, items[i].Rank, ranked[i].Rank)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func FuzzDecodeSegment(f *testing.F) {
 	}
 	items = append(items, chain)
 	for _, idxs := range [][]uint32{{0, 1}, {2, 3}, {4, 1}} {
-		seg, err := appendSegment(nil, 7, items, idxs)
+		seg, err := new(coder).appendSegment(nil, 7, items, idxs)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func FuzzDecodeSegment(f *testing.F) {
 	for _, k := range []int{1, 4} {
 		for _, keys := range []int{2, 40} {
 			_, items := revisionItems(f, keys, k, documents(docgen.New(int64(k)), 96))
-			seg, err := appendSegment(nil, 0, items, allOf(items))
+			seg, err := new(coder).appendSegment(nil, 0, items, allOf(items))
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		return v
 	})
-	seg, err := appendSegment(nil, 0, items, allOf(items))
+	seg, err := new(coder).appendSegment(nil, 0, items, allOf(items))
 	if err != nil || seg[0]&templated == 0 {
 		f.Fatalf("the seed segment of shifted documents has code %#x, %v", seg[0], err)
 	}
@@ -76,7 +76,7 @@ func FuzzDecodeSegment(f *testing.F) {
 	// spelled otherwise, which the decoder refuses; and one whose keys are of
 	// two widths, of which only the anchor's is spliced.
 	_, items = revisionItems(f, 40, 1, documents(docgen.New(5), 96))
-	if seg, err = appendSegment(nil, 0, items, allOf(items)); err != nil || seg[0]&keyed == 0 {
+	if seg, err = new(coder).appendSegment(nil, 0, items, allOf(items)); err != nil || seg[0]&keyed == 0 {
 		f.Fatalf("the seed segment of documents has code %#x, %v", seg[0], err)
 	}
 	f.Add(seg)
@@ -97,7 +97,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		enc := codec.PutCompositeKey(codec.PutUvarint(nil, 1), types.CompositeKey{Key: types.Key(key), Version: 2})
 		mixed[i] = framed(codec.PutBytes(codec.PutVarint(enc, -1), docgen.New(int64(i)).Document(types.Key(key), 96)))
 	}
-	if seg, err = appendSegment(nil, 0, mixed, allOf(mixed)); err != nil || seg[0]&keyed == 0 {
+	if seg, err = new(coder).appendSegment(nil, 0, mixed, allOf(mixed)); err != nil || seg[0]&keyed == 0 {
 		f.Fatalf("the seed segment of keys of two widths has code %#x, %v", seg[0], err)
 	}
 	f.Add(seg)
@@ -208,7 +208,7 @@ func FuzzPackedLiterals(f *testing.F) {
 			enc = codec.PutCompositeKey(enc, types.CompositeKey{Key: types.Key(fmt.Sprintf("key-%03d", i)), Version: 7})
 			items[i] = framed(codec.PutBytes(codec.PutVarint(enc, -1), v))
 		}
-		seg, err := appendSegment(nil, 3, items, allOf(items))
+		seg, err := new(coder).appendSegment(nil, 3, items, allOf(items))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		if len(items) == 0 {
 			return
 		}
-		seg, err := appendSegment(nil, 5, items, allOf(items))
+		seg, err := new(coder).appendSegment(nil, 5, items, allOf(items))
 		if err != nil {
 			t.Fatal(err)
 		}

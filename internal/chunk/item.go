@@ -51,10 +51,11 @@ type Item struct {
 	// follows the version tree, so members form a connected subtree (§3.4).
 	Parents []int32
 	// Rank is the place of CK.Key among the primary keys of the items it was
-	// ranked with (RankItems): items of one key share it, and of two keys the
-	// one that sorts first has the smaller. Code orders a chunk's slots by
-	// (Rank, CK.Version), which is composite-key order without a string
-	// comparison, so the items of one instance are ranked together.
+	// ranked with (RankItems), or among all of its corpus's keys (RankAll):
+	// items of one key share it, and of two keys the one that sorts first has
+	// the smaller. Code orders a chunk's slots by (Rank, CK.Version), which
+	// is composite-key order without a string comparison, so the items of
+	// one instance are ranked together.
 	Rank uint32
 }
 
@@ -165,8 +166,9 @@ func appendMembers(dst []byte, c *corpus.Corpus, members []uint32, parents []int
 }
 
 // RecordItems wraps each record of ids as a 1-member item (the k=1 case), in
-// the order of ids, and ranks them (RankItems). All items share one Parents,
-// and each borrows its record's value.
+// the order of ids. All items share one Parents, and each borrows its
+// record's value. They are not ranked: rank them together (RankItems,
+// RankAll) before coding.
 func RecordItems(c *corpus.Corpus, ids []uint32) []Item {
 	items := make([]Item, len(ids))
 	members := slices.Clone(ids)
@@ -174,7 +176,6 @@ func RecordItems(c *corpus.Corpus, ids []uint32) []Item {
 		r := c.Record(id)
 		items[i] = Item{CK: r.CK, Value: r.Value, Members: members[i : i+1 : i+1], Parents: rawParents}
 	}
-	RankItems(c, items)
 	return items
 }
 
@@ -205,10 +206,38 @@ func RankItems(c *corpus.Corpus, items []Item) {
 			keys = append(keys, k)
 		}
 	}
-	slices.SortFunc(keys, func(a, b uint32) int { return strings.Compare(string(c.Key(a)), string(c.Key(b))) })
-	for r, k := range keys {
+	for r, k := range sortKeys(c, keys) {
 		rank[k] = uint32(r)
 	}
+	setRanks(c, items, rank)
+}
+
+// RankAll ranks items as RankItems does, by the place of each one's key among
+// all of c's keys, and returns those keys, ascending: a placement run over the
+// whole corpus ranks its items and learns the corpus's key order from one
+// sort.
+func RankAll(c *corpus.Corpus, items []Item) []types.Key {
+	ids := make([]uint32, c.NumKeys())
+	for k := range ids {
+		ids[k] = uint32(k)
+	}
+	keys := make([]types.Key, len(ids))
+	rank := make([]uint32, len(ids))
+	for r, k := range sortKeys(c, ids) {
+		keys[r], rank[k] = c.Key(k), uint32(r)
+	}
+	setRanks(c, items, rank)
+	return keys
+}
+
+// sortKeys sorts the key ids ids by their keys, in place, and returns them.
+func sortKeys(c *corpus.Corpus, ids []uint32) []uint32 {
+	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(string(c.Key(a)), string(c.Key(b))) })
+	return ids
+}
+
+// setRanks sets every item's Rank to rank's entry for its key id.
+func setRanks(c *corpus.Corpus, items []Item, rank []uint32) {
 	for i := range items {
 		items[i].Rank = rank[c.KeyOf(items[i].Members[0])]
 	}

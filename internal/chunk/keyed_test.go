@@ -35,7 +35,7 @@ func itemRecords(t *testing.T, items []Item) []types.Record {
 // their records, whole and slot by slot, and returns it.
 func segmentRoundTrip(t *testing.T, items []Item) []byte {
 	t.Helper()
-	seg, err := appendSegment(nil, 0, items, allOf(items))
+	seg, err := new(coder).appendSegment(nil, 0, items, allOf(items))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestUnkeyedSegmentsUnchanged(t *testing.T) {
 		{"digits", "6849e720b5c9d7d0067e7e521e9db18e28e3072a84f73cfd27a90773fd11ea05", func(types.Key, []byte) []byte { return numbers(rng, 200) }},
 	} {
 		_, items := revisionItems(t, 100, 1, tc.value)
-		seg, err := appendSegment(nil, 0, items, allOf(items))
+		seg, err := new(coder).appendSegment(nil, 0, items, allOf(items))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -204,56 +205,89 @@ type Coded struct {
 // in, so the records of a key range sit in neighbouring slots and a key shares
 // a prefix with its predecessor's; a segment is cut after the item that fills
 // it (SegmentTarget). Code reads items and writes nothing they share: chunks
-// are coded concurrently, and AddChunk takes them in id order.
+// are coded concurrently, and AddChunk takes them in id order. The segments
+// are coded one after the other in one scratch (coder), and each value is
+// returned in memory of its own, of exactly its stored size: the caller owns
+// them, and nothing a later Code call does touches them.
 func Code(items []Item, idxs []uint32) (*Coded, error) {
-	size, members := 0, 0
-	type slotKey struct {
-		key  uint64 // rank, then version
-		item uint32
-		size uint32 // its EncodedLen
-	}
-	keys := make([]slotKey, len(idxs))
+	members := 0
+	keys := make([]slotKey, 2*len(idxs)) // and sortSlots' other half
 	for i, ii := range idxs {
 		if int(ii) >= len(items) {
 			return nil, fmt.Errorf("chunk: assignment references item %d of %d", ii, len(items))
 		}
 		it := &items[ii]
-		n := it.EncodedLen()
-		size += n
 		members += len(it.Members)
-		keys[i] = slotKey{uint64(it.Rank)<<32 | uint64(it.CK.Version), ii, uint32(n)}
+		keys[i] = slotKey{uint64(it.Rank)<<32 | uint64(it.CK.Version), ii, uint32(it.EncodedLen())}
 	}
-	slices.SortFunc(keys, func(a, b slotKey) int { return cmp.Compare(a.key, b.key) })
+	keys = sortSlots(keys[:len(idxs)], keys[len(idxs):])
 	order := make([]uint32, len(keys))
 	for i, k := range keys {
 		order[i] = k.item
 	}
 
-	// One buffer for all segments, sized once: a segment frames an item in no
-	// more bytes than EncodeItem did, plus its literal code and two varints.
-	nsegs := size/SegmentTarget + 1
-	buf := make([]byte, 0, size+nsegs*(maxCodeLen+2*binary.MaxVarintLen32))
-	c := &Coded{
-		Records:  make([]uint32, 0, members),
-		Segments: make([]uint32, 0, nsegs),
-		Values:   make([][]byte, 0, nsegs),
-	}
+	var cd coder
+	c := &Coded{Records: make([]uint32, 0, members)}
 	for i := 0; i < len(order); {
 		j, packed, first := i, 0, uint32(len(c.Records))
 		for ; j < len(order) && packed < SegmentTarget; j++ {
 			packed += int(keys[j].size)
 			c.Records = append(c.Records, items[order[j]].Members...)
 		}
-		start := len(buf)
+		// A segment frames an item in no more bytes than EncodeItem did,
+		// plus its code and two varints: the scratch is sized once, by the
+		// first segment, a full one unless it is the only one.
+		if size := packed + maxCodeLen + 2*binary.MaxVarintLen32; cap(cd.seg) < size {
+			cd.seg = make([]byte, 0, size)
+		}
 		var err error
-		if buf, err = appendSegment(buf, first, items, order[i:j]); err != nil {
+		if cd.seg, err = cd.appendSegment(cd.seg[:0], first, items, order[i:j]); err != nil {
 			return nil, fmt.Errorf("chunk: re-framing an item: %w", err)
 		}
-		c.Values = append(c.Values, buf[start:len(buf):len(buf)])
+		c.Values = append(c.Values, bytes.Clone(cd.seg))
 		c.Segments = append(c.Segments, first)
 		i = j
 	}
 	return c, nil
+}
+
+// A slotKey is an item of a chunk as Code orders it: by key, its
+// representative's rank, then version, which no two of a chunk's items share.
+type slotKey struct {
+	key  uint64 // rank, then version
+	item uint32
+	size uint32 // its EncodedLen
+}
+
+// sortSlots sorts keys by key a byte at a time, from the lowest: a counting
+// pass over each byte in which two keys differ orders them by it, keeping the
+// order of equals, from one of keys and tmp, a slice as long, into the other.
+// It returns whichever of the two ends up holding the sorted keys.
+func sortSlots(keys, tmp []slotKey) []slotKey {
+	var differ uint64
+	for _, k := range keys {
+		differ |= k.key ^ keys[0].key
+	}
+	for shift := uint(0); differ>>shift != 0; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k.key>>shift)]++
+		}
+		sum := 0
+		for b, n := range at {
+			at[b], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			b := byte(k.key >> shift)
+			tmp[at[b]] = k
+			at[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }
 
 // AddChunk adds a coded chunk as the next one and returns its id: its (still

@@ -11,14 +11,16 @@ import (
 	"rstore/internal/vgraph"
 )
 
-// recordItems wraps every record of c as a one-member item; item index =
-// record id.
+// recordItems wraps every record of c as a one-member item, ranked; item
+// index = record id.
 func recordItems(c *corpus.Corpus) []Item {
 	ids := make([]uint32, c.NumRecords())
 	for i := range ids {
 		ids[i] = uint32(i)
 	}
-	return RecordItems(c, ids)
+	items := RecordItems(c, ids)
+	RankAll(c, items)
+	return items
 }
 
 // addChunk codes items[idxs…] as one chunk, adds it to l and returns its

@@ -303,7 +303,7 @@ const minCopy = 4
 type keyedAnchor struct {
 	anchor []byte
 	at, n  int    // where the anchor spells its key and the key's width; at < 0: not keyed
-	buf    []byte // against's
+	buf    []byte // against's: empty until it first splices
 }
 
 // A splice is what a keyed segment writes over its anchor for one value: the
@@ -338,8 +338,8 @@ func (k *keyedAnchor) against(key []byte) []byte {
 	if s.key == nil {
 		return k.anchor
 	}
-	if k.buf == nil {
-		k.buf = bytes.Clone(k.anchor)
+	if len(k.buf) == 0 { // a keyed anchor spells a key, so it is not empty
+		k.buf = append(k.buf, k.anchor...)
 	}
 	copy(k.buf[s.at:], s.key)
 	return k.buf

@@ -370,8 +370,8 @@ func weighTemplate(anchor []byte, values [][]byte) (uses []bool, hist *litCounts
 		lists[i].value = v
 		lists[i].heads, lists[i].copied, lists[i].tail = codeRuns(nil, anchor, v, hist)
 	}
-	template = chooseTemplate(lists, hist)
-	untailOwn(lists, hist)
+	template = new(weighing).chooseTemplate(lists, hist)
+	untailOwn(nil, lists, hist)
 	for _, l := range lists {
 		uses = append(uses, l.uses)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -119,35 +120,26 @@ func ParseSegmentKey(key string) (gen uint32, id ID, seg uint32, ok bool) {
 // against the anchor, from which the template is chosen and the literals the
 // lists will state are counted, which choose the code, and once to write; in
 // between, a templated code is made implied where that spares more bytes than
-// the wider heads and the key width cost.
-func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byte, error) {
-	// What the first pass took of each item: its member count, its first
-	// member, the other members' bytes, how many bytes its key shares with
-	// the previous, and where its run heads end. lists[i] is the own list of
-	// each representative but the anchor's.
-	type parsed struct {
-		n      uint64
-		first  member
-		rest   []byte
-		shared int
-		heads  int
-	}
-	reps, lists := make([]parsed, len(idxs)), make([]list, len(idxs))
-	var anchor keyedAnchor
+// the wider heads and the key width cost. Everything else the segment is
+// built in is cd's scratch; dst is the only memory of the caller's it writes.
+func (cd *coder) appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byte, error) {
+	n := len(idxs)
+	cd.reps = slices.Grow(cd.reps[:0], n)[:n]
+	cd.lists = slices.Grow(cd.lists[:0], n)[:n]
+	clear(cd.lists)
+	reps, lists := cd.reps, cd.lists // lists[i] is the own list of each representative but the anchor's
+	anchor := keyedAnchor{buf: cd.spliced[:0]}
 	var prev []byte
-	var heads []byte // every later representative's run heads, one after the other
+	heads := cd.heads[:0] // every later representative's run heads, one after the other
 	var hist litCounts
 	keyWidth := -1 // of every key so far; 0 once two differ
-	keyBytes := 0
-	for _, ii := range idxs {
-		keyBytes += len(items[ii].CK.Key)
-	}
 	// The items' keys, one after the other, copied before any value is
 	// read: the corpus holds them apart from the values and from each other.
-	keys := make([]byte, 0, keyBytes)
+	keys := cd.keys[:0]
 	for _, ii := range idxs {
 		keys = append(keys, items[ii].CK.Key...)
 	}
+	cd.keys = keys
 	for i, ii := range idxs {
 		r, it := &reps[i], &items[ii]
 		key := keys[:len(it.CK.Key):len(it.CK.Key)]
@@ -155,7 +147,7 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 		r.n, r.rest = uint64(len(it.Members)), it.Encoded
 		r.first = member{key: key, version: uint64(it.CK.Version), parent: -1, body: it.Value}
 		if i == 0 {
-			anchor = keyedAnchor{anchor: r.first.body, at: keyOffset(r.first.body, r.first.key), n: len(r.first.key)}
+			anchor.anchor, anchor.at, anchor.n = r.first.body, keyOffset(r.first.body, r.first.key), len(r.first.key)
 		} else {
 			lists[i].value = r.first.body
 			heads, lists[i].copied, lists[i].tail = codeRuns(heads, anchor.against(r.first.key), r.first.body, &hist)
@@ -168,13 +160,14 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 			keyWidth = 0
 		}
 	}
+	cd.heads, cd.spliced = heads, anchor.buf
 	var template []byte
 	if len(lists) > 1 {
 		for i := 1; i < len(lists); i++ {
 			lists[i].heads = heads[reps[i-1].heads:reps[i].heads]
 		}
-		template = chooseTemplate(lists[1:], &hist)
-		untailOwn(lists[1:], &hist)
+		template = cd.w.chooseTemplate(lists[1:], &hist)
+		cd.untailed = untailOwn(cd.untailed[:0], lists[1:], &hist)
 	}
 	code := chooseCode(&hist)
 	code.keyed = anchor.at >= 0
@@ -217,7 +210,7 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 	if code.implied {
 		shift = 3
 	}
-	var runs []byte // one item's run list at a time, reused
+	runs := cd.runs[:0] // one item's run list at a time
 	for i := range reps {
 		r := &reps[i]
 		m, head := r.first, uint64(2) // raw
@@ -267,7 +260,38 @@ func appendSegment(dst []byte, first uint32, items []Item, idxs []uint32) ([]byt
 			}
 		}
 	}
+	cd.runs = runs
 	return dst, nil
+}
+
+// A coder is the scratch a chunk's segments are coded in, one after the
+// other (Code): what appendSegment takes of each item, the representatives'
+// own run lists, the items' keys, their run heads, one item's run list, the
+// heads untailOwn rewrites, the anchor with a key spliced over it, the
+// weighing of templates, and the segment value. Each segment overwrites what
+// the one before left, so nothing a coder holds may be handed out, and one
+// coder codes one segment at a time.
+type coder struct {
+	reps     []parsed
+	lists    []list
+	keys     []byte
+	heads    []byte
+	runs     []byte
+	untailed []byte
+	spliced  []byte // keyedAnchor.buf
+	w        weighing
+	seg      []byte
+}
+
+// parsed is what appendSegment's first pass takes of an item: its member
+// count, its first member, the other members' bytes, how many bytes its key
+// shares with the previous item's, and where its run heads end.
+type parsed struct {
+	n      uint64
+	first  member
+	rest   []byte
+	shared int
+	heads  int
 }
 
 // member is one member of an item: its representative, or one of

@@ -53,7 +53,7 @@ func chainItem(t testing.TB, c *corpus.Corpus) Item {
 func TestSegmentRoundTrip(t *testing.T) {
 	c := miniCorpus(t)
 	items := append(recordItems(c), chainItem(t, c))
-	seg, err := appendSegment(nil, 40, items, []uint32{4, 1}) // doc@0,1,2 then other@0
+	seg, err := new(coder).appendSegment(nil, 40, items, []uint32{4, 1}) // doc@0,1,2 then other@0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	// The three doc revisions as items of their own: the first is the anchor,
 	// the other two are run lists against it — an edit of eighteen bytes each —
 	// and "tiny" takes the escape. Each decodes from the anchor and itself.
-	seg, err = appendSegment(nil, 0, items, []uint32{0, 2, 3, 1})
+	seg, err = new(coder).appendSegment(nil, 0, items, []uint32{0, 2, 3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 func TestDecodeSegmentRejects(t *testing.T) {
 	c := miniCorpus(t)
 	items := append(recordItems(c), chainItem(t, c))
-	good, err := appendSegment(nil, 0, items, []uint32{0, 1})
+	good, err := new(coder).appendSegment(nil, 0, items, []uint32{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

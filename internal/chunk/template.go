@@ -38,16 +38,17 @@ type list struct {
 // and has hist count the literals they state by it instead of their own. It
 // returns nil, and changes neither, unless the users spare more bytes than
 // the template takes, and unless it copies two bytes or more: else, a literal
-// a byte, a value that used it would be no shorter than raw.
-func chooseTemplate(lists []list, hist *litCounts) []byte {
+// a byte, a value that used it would be no shorter than raw. The template is
+// weighed in w, whose scratch the weighing before left.
+func (w *weighing) chooseTemplate(lists []list, hist *litCounts) []byte {
 	if len(lists) < 2 || !slices.ContainsFunc(lists, func(l list) bool { return l.copied >= 2 }) {
 		return nil // no list copies two bytes, so none can be the template
 	}
-	w := weighing{lists: lists}
+	w.lists = lists
 	w.group()
 	// The most spelled first: most often every value uses it, and no other
 	// is tried.
-	var t template
+	t := &w.t
 	best, users, spared := -1, 0, 0
 	for _, c := range w.mostSpelled() {
 		if c < 0 || w.groups[c].n < 2 || users == len(lists) {
@@ -55,7 +56,7 @@ func chooseTemplate(lists []list, hist *litCounts) []byte {
 		}
 		first := w.groups[c].first
 		t.of(lists[first])
-		if u, s := w.weigh(&t); u > users || u == users && s > spared {
+		if u, s := w.weigh(t); u > users || u == users && s > spared {
 			best, users, spared = first, u, s
 			w.fits, w.bestFits = w.bestFits, w.fits
 			w.moves, w.bestMoves = w.bestMoves, w.moves
@@ -79,9 +80,9 @@ func chooseTemplate(lists []list, hist *litCounts) []byte {
 
 // untailOwn has each of lists that keeps a list of its own give its tail copy
 // back (untail) and hist count the literals that makes, so the code is chosen
-// from the literals written.
-func untailOwn(lists []list, hist *litCounts) {
-	var untailed []byte // the lists that gave one back, one after the other
+// from the literals written. The heads it rewrites are appended to untailed,
+// one list after the other, which it returns: the lists' heads point into it.
+func untailOwn(untailed []byte, lists []list, hist *litCounts) []byte {
 	for i := range lists {
 		if l := &lists[i]; !l.uses && l.tail > 0 {
 			at := len(untailed)
@@ -89,15 +90,18 @@ func untailOwn(lists []list, hist *litCounts) {
 			l.heads = untailed[at:len(untailed):len(untailed)]
 		}
 	}
+	return untailed
 }
 
 // A weighing is what chooseTemplate weighs templates over: the lists, grouped
-// by their heads, and the groups the last template weighed, and the best so
-// far, fit.
+// by their heads, the template being weighed, and the groups it, and the best
+// so far, fit. Its slices are kept from one segment's weighing to the next.
 type weighing struct {
 	lists  []list
 	groups []group
+	links  []int32 // next, then group's hash slots
 	next   []int32 // the next list of the same heads, −1 after the last
+	t      template
 
 	fits, bestFits   []fit
 	moves, bestMoves []move // of each fit in turn
@@ -120,11 +124,13 @@ var headsSeed = maphash.MakeSeed()
 // group groups the lists by their heads, in the order of their first lists.
 func (w *weighing) group() {
 	n := len(w.lists)
-	links := make([]int32, n+1<<bits.Len(uint(2*n)))
-	w.next = links[:n]
-	slots := links[n:] // a group's index and 1; 0: empty
+	size := n + 1<<bits.Len(uint(2*n))
+	w.links = slices.Grow(w.links[:0], size)[:size]
+	w.next = w.links[:n]
+	slots := w.links[n:] // a group's index and 1; 0: empty
+	clear(slots)
 	mask := uint64(len(slots) - 1)
-	w.groups = make([]group, 0, 64)
+	w.groups = w.groups[:0]
 	for i, l := range w.lists {
 		w.next[i] = -1
 		h := maphash.Bytes(headsSeed, l.heads)
@@ -141,8 +147,8 @@ func (w *weighing) group() {
 		}
 	}
 	// Room for what two templates fit: most often a move or two a group.
-	w.fits, w.bestFits = make([]fit, 0, len(w.groups)), make([]fit, 0, len(w.groups))
-	w.moves, w.bestMoves = make([]move, 0, 4*len(w.groups)), make([]move, 0, 4*len(w.groups))
+	w.fits, w.bestFits = slices.Grow(w.fits[:0], len(w.groups)), slices.Grow(w.bestFits[:0], len(w.groups))
+	w.moves, w.bestMoves = slices.Grow(w.moves[:0], 4*len(w.groups)), slices.Grow(w.bestMoves[:0], 4*len(w.groups))
 }
 
 // mostSpelled returns the four largest groups, largest first, the first

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"slices"
 
 	"rstore/internal/corpus"
 	"rstore/internal/types"
@@ -29,7 +28,7 @@ func (s *Store) BulkLoad(ctx context.Context, c *corpus.Corpus) error {
 	}
 	// Adopted versions never sat in the write store: nothing is pending, and
 	// the placement has nothing to drain.
-	if err := s.materialize(ctx, placement{corpus: c, keys: slices.Sorted(slices.Values(c.Keys()))}); err != nil {
+	if err := s.materialize(ctx, placement{corpus: c}); err != nil {
 		// Whatever stopped it, nothing may build on this store.
 		return s.poison(err)
 	}

@@ -86,6 +86,7 @@ func (s *Store) flush(ctx context.Context) error {
 	newIDs = slices.Compact(newIDs)
 
 	items := chunk.RecordItems(s.corpus, newIDs)
+	chunk.RankItems(s.corpus, items)
 	size := 0
 	for i := range items {
 		size += items[i].PackedSize()

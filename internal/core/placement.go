@@ -26,10 +26,12 @@ func (s *Store) Materialize(ctx context.Context) error {
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	return s.materialize(ctx, placement{corpus: s.corpus, keys: s.sortedKeys})
+	return s.materialize(ctx, placement{corpus: s.corpus})
 }
 
 // materialize repartitions p.corpus onto a fresh layout. Callers hold s.wmu.
+// Its sorted keys are the ones the items were ranked by: the corpus's keys
+// are sorted once.
 func (s *Store) materialize(ctx context.Context, p placement) error {
 	if p.corpus.NumVersions() == 0 {
 		return nil
@@ -38,6 +40,7 @@ func (s *Store) materialize(ctx context.Context, p placement) error {
 	if err != nil {
 		return fmt.Errorf("rstore: materialize: %w", err)
 	}
+	p.keys = res.Keys
 	// A full repartition supersedes every previously written chunk and
 	// placement record: a fresh layout, ids and record log restarting at 0,
 	// under the next generation (see publish), one copy of each record.
@@ -46,11 +49,12 @@ func (s *Store) materialize(ctx context.Context, p placement) error {
 }
 
 // placement is one placement run on its way to the KVS and into memory: a
-// corpus and its sorted keys (the store's, or those BulkLoad adopts), the
-// layout it grows (the live one, by a flush; a fresh one, by a repartition,
-// which holds each record once) under generation gen with the versions
-// [first, corpus.NumVersions()), and the chunks place coded and wrote, in id
-// order, without their values.
+// corpus and its sorted keys (the store's, by a flush; by a repartition or a
+// bulk load, those materialize ranked the items by), the layout it grows (the
+// live one, by a flush; a fresh one, by a repartition, which holds each
+// record once) under generation gen with the versions [first,
+// corpus.NumVersions()), and the chunks place coded and wrote, in id order,
+// without their values.
 type placement struct {
 	op     string
 	corpus *corpus.Corpus

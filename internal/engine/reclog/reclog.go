@@ -52,9 +52,14 @@ func CheckBody(n int) error {
 // PutHeader writes the frame header of body — its length and checksum — into
 // hdr[:FrameSize]: the hole in front of the body, or (the wire protocol,
 // which frames its messages the same way) a buffer of its own.
-func PutHeader(hdr, body []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
+func PutHeader(hdr, body []byte) { PutHeaderOf(hdr, len(body), crc32.ChecksumIEEE(body)) }
+
+// PutHeaderOf writes the frame header of a body of n bytes whose checksum is
+// sum: crc32.ChecksumIEEE of the body, or crc32.Update over its pieces in
+// turn where the body is written as pieces (the wire's requests).
+func PutHeaderOf(hdr []byte, n int, sum uint32) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], sum)
 }
 
 // Intact reports whether body is what hdr was written for.

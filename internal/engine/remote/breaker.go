@@ -185,7 +185,7 @@ func (c *Client) probeOnce(ctx context.Context) bool {
 	}
 	defer cn.nc.Close()
 	ping := wire.Request{Op: wire.OpPing}
-	_, err = cn.exchange(ctx, c.opts.IOTimeout, ping, wire.EncodeRequest(ping), func(wire.Reply) (more, abandon bool) { return false, false })
+	_, err = cn.exchange(ctx, c.opts.IOTimeout, ping, func(wire.Reply) (more, abandon bool) { return false, false })
 	return err == nil
 }
 

@@ -124,11 +124,13 @@ var (
 	_ engine.HashRanger  = (*Client)(nil)
 )
 
-// conn is one pooled connection with its buffered reader and reusable
-// receive buffer (trimmed after every exchange: engine.TrimScratch).
+// conn is one pooled connection with its buffered reader, its request
+// writer, and its reusable receive buffer (trimmed after every exchange:
+// engine.TrimScratch).
 type conn struct {
 	nc  net.Conn
 	br  *bufio.Reader
+	rw  wire.RequestWriter
 	buf []byte
 }
 
@@ -198,8 +200,9 @@ func (c *Client) release(cn *conn) {
 	cn.nc.Close()
 }
 
-// exchange sends r — req is its encoding — and hands each reply to handle
-// until it reports that no more are due (only Scan streams more than one).
+// exchange sends r, its values uncopied (wire.RequestWriter), and hands each
+// reply to handle until it reports that no more are due (only Scan streams
+// more than one).
 // A reply that does not decode did not survive the transport; a reply that
 // is the node's own error ends the exchange as that hard error. The returned
 // abandon reports that the connection must not be pooled even though the
@@ -207,7 +210,7 @@ func (c *Client) release(cn *conn) {
 // ways: the per-frame deadline is the earlier of iot and the context
 // deadline, and a cancellation mid-read slams the connection deadline so the
 // blocked read returns immediately.
-func (cn *conn) exchange(ctx context.Context, iot time.Duration, r wire.Request, req []byte, handle func(wire.Reply) (more, abandon bool)) (abandon bool, err error) {
+func (cn *conn) exchange(ctx context.Context, iot time.Duration, r wire.Request, handle func(wire.Reply) (more, abandon bool)) (abandon bool, err error) {
 	// One large response must not pin its size for the life of the pooled
 	// connection.
 	defer func() { cn.buf = engine.TrimScratch(cn.buf) }()
@@ -231,7 +234,7 @@ func (cn *conn) exchange(ctx context.Context, iot time.Duration, r wire.Request,
 		return d
 	}
 	cn.nc.SetDeadline(frameDeadline())
-	if err := wire.WriteFrame(cn.nc, req); err != nil {
+	if err := cn.rw.Write(cn.nc, r); err != nil {
 		return false, transportErr(err)
 	}
 	for {
@@ -280,13 +283,13 @@ func transportErr(err error) error { return transportError{err} }
 // the operation at once and surfaces the context's error wrapped in
 // engine.ErrUnavailable. A non-nil canRetry vetoes retries for operations
 // whose effects already partially reached the caller (a Scan that delivered
-// entries).
+// entries). Each attempt writes r anew on the connection it takes, the same
+// bytes, and none copies r's values into a frame.
 func (c *Client) do(ctx context.Context, r wire.Request, canRetry func() bool, handle func(wire.Reply) (more, abandon bool)) error {
-	req := wire.EncodeRequest(r)
-	if len(req) > wire.MaxFrame {
+	if n := wire.RequestLen(r); n > wire.MaxFrame {
 		// A request no frame can carry is a hard caller error, not node
 		// unavailability — retrying cannot help.
-		return fmt.Errorf("remote %s: request of %d bytes exceeds the %d-byte frame limit", c.addr, len(req), wire.MaxFrame)
+		return fmt.Errorf("remote %s: request of %d bytes exceeds the %d-byte frame limit", c.addr, n, wire.MaxFrame)
 	}
 	if c.br.fastFail() {
 		// Probation: the failure detector already judged the node down, so
@@ -319,7 +322,7 @@ func (c *Client) do(ctx context.Context, r wire.Request, canRetry func() bool, h
 			lastErr = err // dial failure: transient by definition
 			continue
 		}
-		abandon, err := cn.exchange(ctx, c.opts.IOTimeout, r, req, handle)
+		abandon, err := cn.exchange(ctx, c.opts.IOTimeout, r, handle)
 		if err == nil {
 			c.br.recordSuccess()
 			if abandon {

@@ -396,9 +396,9 @@ func TestCompactUnsupportedBackend(t *testing.T) {
 }
 
 // TestBatchPutFrameSizedOnce counts the client's copies instead of guessing
-// them: a BatchPut of n MiB of values allocates at most 1.1 × n MiB — the
-// request frame, sized before it is encoded. Grown by append it was 2.9 × n
-// on this batch.
+// them: a BatchPut of n MiB of values allocates at most 1.1 × n MiB, a frame
+// sized once at most. (The values go to the socket uncopied:
+// TestBatchPutCopiesNoValue holds the client to a sliver of n.)
 // The node is a sink that discards the frame unread, so the count is the
 // client's alone.
 func TestBatchPutFrameSizedOnce(t *testing.T) {

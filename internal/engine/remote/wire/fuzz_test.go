@@ -110,7 +110,19 @@ func fuzzRequest(t *testing.T, payload []byte) {
 	if r.Fanout > engine.MaxHashFanout || r.Bucket > r.Fanout {
 		t.Fatalf("accepted hash bucket %d of %d", r.Bucket, r.Fanout)
 	}
-	again, err := ParseRequest(EncodeRequest(r))
+	enc := EncodeRequest(r)
+	if len(enc) != RequestLen(r) {
+		t.Fatalf("request encodes to %d bytes, RequestLen says %d", len(enc), RequestLen(r))
+	}
+	var want, got bytes.Buffer
+	if err := WriteFrame(&want, enc); err != nil {
+		t.Fatal(err)
+	}
+	var rw RequestWriter
+	if err := rw.Write(&got, r); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("RequestWriter wrote %x (%v), WriteFrame %x", got.Bytes(), err, want.Bytes())
+	}
+	again, err := ParseRequest(enc)
 	if err != nil || !reflect.DeepEqual(again, r) {
 		t.Fatalf("request does not round-trip: %+v, then %+v (%v)", r, again, err)
 	}

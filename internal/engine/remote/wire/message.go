@@ -58,20 +58,49 @@ type Request struct {
 	Bucket  int            // OpHashRange: in [0, Fanout)
 }
 
-// EncodeRequest returns r's payload, op byte first. A request is a frame's
-// whole payload, so there is no buffer to append to.
+// EncodeRequest returns r's payload, op byte first, in a buffer of its own,
+// sized once (RequestLen): grown by append, a frame of megabyte values is
+// copied several times over on its way to its size.
 func EncodeRequest(r Request) []byte {
-	var buf []byte
-	if r.Op == OpBatchPut {
-		// The frame is sized before it is encoded: grown by append, a frame
-		// of megabyte values is copied several times over on its way to its
-		// size.
-		n := 1 + codec.BytesLen(len(r.Table)) + codec.UvarintLen(uint64(len(r.Entries)))
+	return appendRequest(make([]byte, 0, RequestLen(r)), r, func(buf, value []byte) []byte { return append(buf, value...) })
+}
+
+// RequestLen is the length of r's payload: what EncodeRequest returns.
+func RequestLen(r Request) int {
+	n := 1
+	switch r.Op {
+	case OpTables, OpBytesStored, OpPing, OpCompactStats:
+		return n
+	}
+	n += codec.BytesLen(len(r.Table))
+	switch r.Op {
+	case OpPut:
+		n += codec.BytesLen(len(r.Key)) + len(r.Value)
+	case OpGet, OpDelete:
+		n += codec.BytesLen(len(r.Key))
+	case OpBatchPut:
+		n += codec.UvarintLen(uint64(len(r.Entries)))
 		for _, e := range r.Entries {
 			n += codec.BytesLen(len(e.Key)) + codec.BytesLen(len(e.Value))
 		}
-		buf = make([]byte, 0, n)
+	case OpMultiGet:
+		n += codec.UvarintLen(uint64(len(r.Keys)))
+		for _, k := range r.Keys {
+			n += codec.BytesLen(len(k))
+		}
+	case OpHashTree:
+		n += codec.UvarintLen(uint64(r.Fanout))
+	case OpHashRange:
+		n += codec.UvarintLen(uint64(r.Fanout)) + codec.UvarintLen(uint64(r.Bucket))
 	}
+	return n
+}
+
+// appendRequest appends r's payload to buf, all but its values — a Put's, a
+// BatchPut's entries' — each of which it hands to value with the payload
+// before it, to append or to send apart (RequestWriter), and goes on from
+// what value returns.
+func appendRequest(buf []byte, r Request, value func(buf, v []byte) []byte) []byte {
 	buf = append(buf, r.Op)
 	switch r.Op {
 	case OpTables, OpBytesStored, OpPing, OpCompactStats:
@@ -81,14 +110,14 @@ func EncodeRequest(r Request) []byte {
 	switch r.Op {
 	case OpPut:
 		buf = codec.PutString(buf, r.Key)
-		buf = append(buf, r.Value...)
+		buf = value(buf, r.Value)
 	case OpGet, OpDelete:
 		buf = codec.PutString(buf, r.Key)
 	case OpBatchPut:
 		buf = codec.PutUvarint(buf, uint64(len(r.Entries)))
 		for _, e := range r.Entries {
 			buf = codec.PutString(buf, e.Key)
-			buf = codec.PutBytes(buf, e.Value)
+			buf = value(codec.PutUvarint(buf, uint64(len(e.Value))), e.Value)
 		}
 	case OpMultiGet:
 		buf = codec.PutUvarint(buf, uint64(len(r.Keys)))

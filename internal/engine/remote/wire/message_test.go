@@ -115,6 +115,27 @@ func TestGoldenMessages(t *testing.T) {
 // (11) held; no op reuses them.
 var retiredOps = []byte{9, 11}
 
+// TestRequestWriterWritesTheFrame: RequestLen is the length of every golden
+// request, and a RequestWriter, one for all of them in turn, writes each as
+// WriteFrame writes its literal — the values it sends apart from the framing
+// included.
+func TestRequestWriterWritesTheFrame(t *testing.T) {
+	var rw RequestWriter
+	for _, g := range golden {
+		lit := unhex(t, g.reqHex)
+		if got := RequestLen(g.req); got != len(lit) {
+			t.Errorf("%s: RequestLen %d, the request is %d bytes", g.name, got, len(lit))
+		}
+		var want, got bytes.Buffer
+		if err := WriteFrame(&want, lit); err != nil {
+			t.Fatal(err)
+		}
+		if err := rw.Write(&got, g.req); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: written as %x (%v), want %x", g.name, got.Bytes(), err, want.Bytes())
+		}
+	}
+}
+
 // TestGoldenErrors: the StErr text of each sentinel — however the backend
 // wrapped it — and of a plain error, and what the client makes of them.
 func TestGoldenErrors(t *testing.T) {

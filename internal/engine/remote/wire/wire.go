@@ -22,8 +22,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"net"
 
+	"rstore/internal/engine"
 	"rstore/internal/engine/reclog"
 	"rstore/internal/types"
 )
@@ -96,6 +99,55 @@ func WriteFrame(w io.Writer, payload []byte) error {
 		return err
 	}
 	_, err := w.Write(payload)
+	return err
+}
+
+// A RequestWriter writes requests, each as one frame, the bytes WriteFrame
+// writes of EncodeRequest's payload, without copying a Put's or a BatchPut's
+// values: the rest of the payload, its framing, is encoded into the writer's
+// scratch, and the frame goes out as the header, the stretches of framing and
+// the values between them, in one vectored write where w takes one
+// (net.Buffers: writev on a TCP connection). The scratch is kept from one
+// request to the next, and holds no value once a write returns. A writer
+// writes one request at a time.
+type RequestWriter struct {
+	hdr     [reclog.FrameSize]byte
+	framing []byte
+	cuts    []cut
+	pieces  net.Buffers
+}
+
+// A cut is a value written apart from the framing, and where it goes: after
+// framing[:at].
+type cut struct {
+	at    int
+	value []byte
+}
+
+// Write writes r to w as one frame.
+func (rw *RequestWriter) Write(w io.Writer, r Request) error {
+	n := RequestLen(r)
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+	}
+	rw.framing = appendRequest(rw.framing[:0], r, func(buf, value []byte) []byte {
+		rw.cuts = append(rw.cuts, cut{len(buf), value})
+		return buf
+	})
+	pieces, sum, from := append(rw.pieces[:0], rw.hdr[:]), uint32(0), 0
+	for _, c := range rw.cuts {
+		sum = crc32.Update(crc32.Update(sum, crc32.IEEETable, rw.framing[from:c.at]), crc32.IEEETable, c.value)
+		pieces, from = append(pieces, rw.framing[from:c.at], c.value), c.at
+	}
+	sum = crc32.Update(sum, crc32.IEEETable, rw.framing[from:])
+	pieces = append(pieces, rw.framing[from:])
+	reclog.PutHeaderOf(rw.hdr[:], n, sum)
+	out := pieces // WriteTo consumes its slice
+	_, err := out.WriteTo(w)
+	// Let go of the values; a large request's framing is not kept either.
+	clear(rw.cuts)
+	clear(pieces)
+	rw.cuts, rw.pieces, rw.framing = rw.cuts[:0], pieces[:0], engine.TrimScratch(rw.framing)
 	return err
 }
 

@@ -242,9 +242,17 @@ func forEachVersionItems(in *Input, fn func(v uint32, live *bitset.BitSet)) {
 }
 
 // NewInputFromCorpus builds the k=1 (no record-level compression) instance:
-// every record is its own item; deltas carry over directly from the corpus
-// (paper §2.5 Case 1).
+// every record is its own item, ranked (chunk.RankAll); deltas carry over
+// directly from the corpus (paper §2.5 Case 1).
 func NewInputFromCorpus(c *corpus.Corpus, capacity int) (*Input, error) {
+	in := RecordInput(c, capacity)
+	chunk.RankAll(c, in.Items)
+	return in, nil
+}
+
+// RecordInput is NewInputFromCorpus's instance with its items not yet ranked,
+// for a caller that ranks them from a sort of its own.
+func RecordInput(c *corpus.Corpus, capacity int) *Input {
 	ids := make([]uint32, c.NumRecords())
 	for id := range ids {
 		ids[id] = uint32(id)
@@ -263,5 +271,5 @@ func NewInputFromCorpus(c *corpus.Corpus, capacity int) (*Input, error) {
 		Adds:     adds,
 		Dels:     dels,
 		Capacity: capacity,
-	}, nil
+	}
 }

@@ -41,6 +41,9 @@ type Result struct {
 	// carrying its item set (itself if kept, else the nearest kept
 	// ancestor). With k ≤ 1 it is the identity.
 	TransformedOf []types.VersionID
+	// Keys are the corpus's primary keys, ascending: the order the items
+	// were ranked by (chunk.RankAll).
+	Keys []types.Key
 }
 
 // CompressionRatio returns raw/packed volume — the parallel-axis metric of
@@ -85,15 +88,13 @@ func absorb(root uint32, children []*group) *group {
 }
 
 // Build groups the corpus's records into sub-chunks with at most k records
-// each and returns the transformed partitioning instance. k ≤ 1 disables
-// compression (every record its own item, original tree: §2.5 Case 1).
+// each and returns the transformed partitioning instance, its items ranked by
+// one sort of the corpus's keys. k ≤ 1 disables compression (every record its
+// own item, original tree: §2.5 Case 1).
 func Build(c *corpus.Corpus, k, capacity int) (*Result, error) {
 	if k <= 1 {
-		in, err := partition.NewInputFromCorpus(c, capacity)
-		if err != nil {
-			return nil, err
-		}
-		res := &Result{In: in, ItemOf: make([]uint32, c.NumRecords())}
+		in := partition.RecordInput(c, capacity)
+		res := &Result{In: in, ItemOf: make([]uint32, c.NumRecords()), Keys: chunk.RankAll(c, in.Items)}
 		for i := range res.ItemOf {
 			res.ItemOf[i] = uint32(i)
 		}
@@ -126,7 +127,7 @@ func Build(c *corpus.Corpus, k, capacity int) (*Result, error) {
 			itemOf[m] = uint32(gi)
 		}
 	}
-	chunk.RankItems(c, items)
+	keys := chunk.RankAll(c, items)
 
 	in, dropped, transformedOf, err := transformTree(c, items, itemOf, capacity)
 	if err != nil {
@@ -139,6 +140,7 @@ func Build(c *corpus.Corpus, k, capacity int) (*Result, error) {
 		DroppedVersions: dropped,
 		ItemOf:          itemOf,
 		TransformedOf:   transformedOf,
+		Keys:            keys,
 	}, nil
 }
 
