@@ -20,7 +20,17 @@ var Table = []Edge{
 	{
 		From:   "rstore/internal/engine/lsm.Backend.compactMu",
 		To:     "rstore/internal/engine/lsm.Backend.mu",
-		Reason: "every merge (Compact's and the tier loop a flushing write call runs after releasing mu) holds compactMu throughout and takes mu only to capture its victims and to install its output; mu holders never take compactMu",
+		Reason: "every merge (Compact's and the tier loop the worker runs after a flush or an ingest) holds compactMu throughout and takes mu only to capture its victims and to install its output; mu holders never take compactMu",
+	},
+	{
+		From:   "rstore/internal/engine/lsm.Backend.flushMu",
+		To:     "rstore/internal/engine/lsm.Backend.mu",
+		Reason: "a flush of the frozen memtables (the worker's, a stalled write call's, Compact's, Close's) holds flushMu throughout and takes mu only to capture the frozen set and to install its tables; mu holders never take flushMu (a stalled write call releases mu first)",
+	},
+	{
+		From:   "rstore/internal/engine/lsm.Backend.flushMu",
+		To:     "rstore/internal/engine/lsm.cacheShard.mu",
+		Reason: "a flush opens its new tables with mu released, which may touch the block cache; cache shards are leaf locks",
 	},
 	{
 		From:   "rstore/internal/engine/lsm.Backend.mu",

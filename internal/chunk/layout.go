@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"slices"
 
 	"rstore/internal/bitset"
@@ -63,6 +62,17 @@ type Layout struct {
 	// that creates a record of the key: the deletes of that version's parent
 	// records of the key are implied.
 	putBy []types.VersionID
+	// diff is PlaceVersion's other scratch, chunk id → the version's diff in
+	// the chunk and what of it the delta states, nil where it has none;
+	// touched lists the chunks it set, which PlaceVersion clears again.
+	diff    []chunkDiff
+	touched []ID
+}
+
+// chunkDiff is one chunk's part of a version's parent diff (see
+// PlaceVersion): whole is the diff, stated what of it the delta states.
+type chunkDiff struct {
+	whole, stated *bitset.BitSet
 }
 
 // NewLayout returns an empty layout of c's records.
@@ -347,15 +357,31 @@ func (l *Layout) PlaceVersion(v types.VersionID) error {
 			l.putBy[l.c.KeyOf(rec)] = v + 1
 		}
 	}
-	// whole and stated hold, per chunk, v's diff there and what of it the
-	// delta states.
-	whole, stated := make(map[ID]*bitset.BitSet), make(map[ID]*bitset.BitSet)
+	if n := len(l.maps); len(l.diff) < n {
+		l.diff = append(l.diff, make([]chunkDiff, n-len(l.diff))...)
+	}
+	// l.diff holds, per chunk, v's diff there and what of it the delta
+	// states.
 	mark := func(loc Loc, implied bool) {
-		setSlot(whole, loc, l.maps[loc.Chunk].NumSlots)
+		d := &l.diff[loc.Chunk]
+		if d.whole == nil {
+			d.whole = bitset.New(l.maps[loc.Chunk].NumSlots)
+			l.touched = append(l.touched, loc.Chunk)
+		}
+		d.whole.Set(loc.Slot)
 		if !implied {
-			setSlot(stated, loc, l.maps[loc.Chunk].NumSlots)
+			if d.stated == nil {
+				d.stated = bitset.New(l.maps[loc.Chunk].NumSlots)
+			}
+			d.stated.Set(loc.Slot)
 		}
 	}
+	defer func() {
+		for _, cid := range l.touched {
+			l.diff[cid] = chunkDiff{}
+		}
+		l.touched = l.touched[:0]
+	}()
 	// differ notes record rec's slot as one v differs from its parent in,
 	// provided the parent holds the record (a delete, of the copy it holds)
 	// or does not (an add, of the newest), and states it unless composite
@@ -391,23 +417,16 @@ func (l *Layout) PlaceVersion(v types.VersionID) error {
 			mark(l.Loc(rec), false)
 		}
 	}
-	diffs := make([]Slots, 0, len(whole))
-	for _, cid := range slices.Sorted(maps.Keys(whole)) {
-		diffs = append(diffs, Slots{cid, whole[cid]})
-		if stated[cid] != nil {
-			l.noteDelta(cid).Versions[v] = stated[cid]
+	slices.Sort(l.touched)
+	diffs := make([]Slots, 0, len(l.touched))
+	for _, cid := range l.touched {
+		d := l.diff[cid]
+		diffs = append(diffs, Slots{cid, d.whole})
+		if d.stated != nil {
+			l.noteDelta(cid).Versions[v] = d.stated
 		}
 	}
 	return l.ApplyDiffs(v, parent, diffs)
-}
-
-// setSlot adds loc's slot to its chunk's set in diffs, a chunk of numSlots
-// slots, opening the set.
-func setSlot(diffs map[ID]*bitset.BitSet, loc Loc, numSlots int) {
-	if diffs[loc.Chunk] == nil {
-		diffs[loc.Chunk] = bitset.New(numSlots)
-	}
-	diffs[loc.Chunk].Set(loc.Slot)
 }
 
 // noteDelta returns chunk cid's entry in the pending delta, opening it.

@@ -208,5 +208,8 @@ type Compactor interface {
 	Compact(ctx context.Context) (CompactionStats, error)
 
 	// CompactionStats reports the current reclaim state without compacting.
+	// Its numbers are settled: an engine that flushes or merges in the
+	// background (lsm's worker) first finishes what the writes before the
+	// call set off, so a read after a write reports what that write did.
 	CompactionStats(ctx context.Context) (CompactionStats, error)
 }

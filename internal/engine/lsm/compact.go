@@ -14,10 +14,11 @@ import (
 )
 
 // This file holds the structural write paths: the merged iteration shared
-// by scans/recovery/compaction, the table writer, memtable flush, log
-// replacement, retirement of dead tables, and the one merge path
-// (mergeJob) behind both size-tiered compaction after a flush or an ingest
-// and the full merge of engine.Compactor. The ingest is in ingest.go.
+// by scans/recovery/compaction, the table writer, log replacement,
+// retirement of dead tables, and the one merge path (mergeJob) behind both
+// size-tiered compaction after a flush or an ingest and the full merge of
+// engine.Compactor. The swap and the flush are in flush.go, the ingest in
+// ingest.go.
 //
 // Every path commits through the MANIFEST rename (see manifest.go) and is
 // ordered so that a crash at any point leaves either the old state or the
@@ -134,8 +135,8 @@ func (b *Backend) writeTable(nextSeq func() int64, oldest bool, feed func(add fu
 
 // publish renames sealed outputs to their final names and makes the
 // directory entries durable. They are still debris until a MANIFEST names
-// them. It touches no state b.mu guards: flush and merges call it holding
-// b.mu, the ingest without.
+// them. It touches no state b.mu guards: merges call it holding b.mu, the
+// flush and the ingest without.
 func (b *Backend) publish(outs []tableOut) error {
 	for _, o := range outs {
 		//lint:rstore-vet fsyncrename: every output was sealed by writeTable (sstWriter.finish syncs) before it reached this commit phase
@@ -147,22 +148,26 @@ func (b *Backend) publish(outs []tableOut) error {
 }
 
 // commitLocked is the commit point of every structural change: it writes a
-// MANIFEST naming every table's log and every run, with edit's table lists
-// in place of the runs they name, and on success installs them. Callers
-// hold b.mu exclusively.
+// MANIFEST naming every table's logs — a frozen one beside the fresh one
+// while its flush is under way — and every run, with edit's table lists in
+// place of the runs they name, and on success installs them. Callers hold
+// b.mu exclusively.
 func (b *Backend) commitLocked(edit map[string][]*sstable) error {
-	return b.writeManifestLocked(edit, func(r *run) *wal { return r.log })
+	return b.writeManifestLocked(edit, true)
 }
 
-// writeManifestLocked commits the MANIFEST that names, per run, the log
-// logOf picks and the tables edit or the run lists, and on success installs
-// edit.
-func (b *Backend) writeManifestLocked(edit map[string][]*sstable, logOf func(r *run) *wal) error {
+// writeManifestLocked commits the MANIFEST that names, per run, its log, its
+// frozen log before it if withFrozen, and the tables edit or the run lists,
+// and on success installs edit. A flush's commit leaves the frozen logs out.
+func (b *Backend) writeManifestLocked(edit map[string][]*sstable, withFrozen bool) error {
 	m := manifest{nextSeq: b.nextSeq}
 	for _, name := range b.runNames() {
 		r := b.runs[name]
-		if w := logOf(r); w != nil {
-			m.wals = append(m.wals, manifestFile{seq: w.seq, table: name})
+		if f := r.frozen; f != nil && withFrozen {
+			m.wals = append(m.wals, manifestFile{seq: f.log.seq, table: name})
+		}
+		if r.log != nil {
+			m.wals = append(m.wals, manifestFile{seq: r.log.seq, table: name})
 		}
 		tables, edited := edit[name]
 		if !edited {
@@ -178,101 +183,6 @@ func (b *Backend) writeManifestLocked(edit map[string][]*sstable, logOf func(r *
 	for name, tables := range edit {
 		b.runs[name].tables = tables
 	}
-	return nil
-}
-
-// flushLocked writes each run's memtable to a new SSTable of its run and
-// retires the logs: a table whose log holds something gets a fresh empty
-// one, a table whose log is empty none. Commit order: files sealed → fresh
-// logs created → files renamed into place → MANIFEST rename (the commit
-// point) → in-memory swap and old-log unlinks. A crash before the MANIFEST
-// leaves the old logs authoritative and the new files as debris. Callers
-// hold b.mu exclusively.
-func (b *Backend) flushLocked(ctx context.Context) error {
-	if b.buffered == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var outs []tableOut
-	for _, name := range b.runNames() {
-		r := b.runs[name]
-		if r.mem.count == 0 {
-			continue
-		}
-		out, err := b.writeTable(b.allocSeqLocked, len(r.tables) == 0, func(add func(key, value []byte, tomb bool) error) error {
-			for it := r.mem.iter(); it.valid(); it.next() {
-				if err := add(it.key(), it.value(), it.tomb()); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			for _, o := range outs {
-				b.fs.Remove(b.sstPath(o.seq) + ".tmp")
-			}
-			return err
-		}
-		if out != nil {
-			out.table = name
-			outs = append(outs, *out)
-		}
-	}
-	fresh := map[*run]*wal{}
-	edit := make(map[string][]*sstable, len(outs))
-	// abandon drops what the flush built.
-	abandon := func(cause error) error {
-		for _, w := range fresh {
-			w.close()
-			b.fs.Remove(w.path)
-		}
-		for _, tables := range edit {
-			tables[len(tables)-1].close()
-		}
-		return cause
-	}
-	for _, r := range b.runs {
-		if r.log == nil || r.log.size == 0 {
-			continue
-		}
-		w, err := b.createWAL(b.allocSeqLocked())
-		if err != nil {
-			return abandon(err)
-		}
-		w.buf = r.log.buf // the frame buffer serves the next log too: not one allocation per flush
-		fresh[r] = w
-	}
-	// One directory fsync covers the new logs and the renamed tables.
-	if err := b.publish(outs); err != nil {
-		return abandon(err)
-	}
-	for _, o := range outs {
-		nt, err := openSSTable(b.fs, b.sstPath(o.seq), o.seq)
-		if err != nil {
-			return abandon(err)
-		}
-		// Every memtable value entry is globally newest, so the new table's
-		// dead weight is exactly its tombstones.
-		nt.live, nt.liveEntries = nt.size-o.tomb, o.values
-		r := b.runs[o.table]
-		edit[o.table] = append(r.tables[:len(r.tables):len(r.tables)], nt)
-	}
-	if err := b.writeManifestLocked(edit, func(r *run) *wal { return fresh[r] }); err != nil {
-		return abandon(err)
-	}
-	for _, r := range b.runs {
-		b.discardLog(r.log) // debris from here on: see discardTables
-		r.log, r.logLive = fresh[r], 0
-		if r.log != nil {
-			r.log.dirSynced = true
-		}
-		if r.mem.count > 0 {
-			r.mem = newMemtable()
-		}
-	}
-	b.buffered = 0
 	return nil
 }
 
@@ -399,14 +309,13 @@ func sizeClass(size int64) int {
 // tierWidth is how many adjacent tables a size-tiered merge takes.
 const tierWidth = 4
 
-// tierCompact is size-tiered compaction. A write call that flushed or
-// ingested runs it on its own goroutine once b.mu is released — the writer
-// pays for the merges it triggered, and reads and writes go on beside them:
-// while a run is less than half live, it is merged whole, and while it holds
-// MaxTables tables or more that overlap another, the cheapest window of
-// tierWidth of those is merged (tierPick). It is skipped while another merge
-// holds compactMu: a Compact absorbs the backlog, and what another writer's
-// tier loop has already walked past waits for the next flush.
+// tierCompact is size-tiered compaction. The worker runs it after every
+// flush and every ingest (flush.go), so no write call waits for the merges
+// it set off, and reads and writes go on beside them: while a run is less
+// than half live, it is merged whole, and while it holds MaxTables tables or
+// more that overlap another, the cheapest window of tierWidth of those is
+// merged (tierPick). It is skipped while a Compact holds compactMu: the
+// Compact absorbs the backlog.
 func (b *Backend) tierCompact(ctx context.Context) error {
 	if !b.compactMu.TryLock() {
 		return nil
@@ -687,47 +596,54 @@ func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error 
 	return nil
 }
 
-// Compact flushes the memtables and then merges each run with anything
-// reclaimable into one table, dropping shadowed versions and all
+// Compact flushes the memtables (flush) and then merges each run with
+// anything reclaimable into one table, dropping shadowed versions and all
 // tombstones. Each run is one merge job, so reads and writes go on beside
 // it.
 func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.CompactionStats{}, err
 	}
-	b.compactMu.Lock()
-	defer b.compactMu.Unlock()
-
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return engine.CompactionStats{}, types.ErrClosed
-	}
-	err := b.flushLocked(ctx)
-	names := b.runNames()
-	b.mu.Unlock()
-	if err != nil {
+	if err := b.flush(); err != nil {
 		return engine.CompactionStats{}, err
 	}
+	if err := b.mergeAll(ctx); err != nil {
+		return engine.CompactionStats{}, err
+	}
+	return b.CompactionStats(ctx)
+}
+
+// mergeAll is Compact's merges: each run whole, under compactMu.
+func (b *Backend) mergeAll(ctx context.Context) error {
+	b.compactMu.Lock()
+	defer b.compactMu.Unlock()
+	b.mu.RLock()
+	names := b.runNames()
+	b.mu.RUnlock()
 	for _, name := range names {
 		job, ok := b.captureMerge(name, wholeRun)
 		if !ok {
 			continue
 		}
 		if err := b.merge(ctx, job); err != nil {
-			return engine.CompactionStats{}, err
+			return err
 		}
 	}
-	return b.CompactionStats(ctx)
+	return nil
 }
 
 // CompactionStats reports the reclaim state: total file bytes, the portion
 // a full merge must keep, cumulative reclaimed volume, and the file count.
-// A log's live share is what a log holding only its table's memtable
-// entries would take (logLive): Compact's flush turns exactly those into
-// SSTable entries.
+// It first waits for the worker (settle), so that it reports what the
+// writes before it set off — their flush and merges done — and fails with
+// the first error the worker met since the last call. A log's live share
+// is what a log holding only its table's memtable entries would take
+// (logLive): Compact's flush turns exactly those into SSTable entries.
 func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
+		return engine.CompactionStats{}, err
+	}
+	if err := b.settle(ctx); err != nil {
 		return engine.CompactionStats{}, err
 	}
 	b.mu.RLock()
@@ -737,6 +653,11 @@ func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, 
 	}
 	st := engine.CompactionStats{CompactedBytes: b.compacted}
 	for _, r := range b.runs {
+		if f := r.frozen; f != nil { // a flush that failed
+			st.Segments++
+			st.DiskBytes += f.log.size
+			st.LiveBytes += min(f.live, f.log.size)
+		}
 		if r.log != nil {
 			st.Segments++
 			st.DiskBytes += r.log.size

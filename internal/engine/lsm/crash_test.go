@@ -60,36 +60,75 @@ func TestLogCrashRecovery(t *testing.T) { crashAnywhere(t, logPoints) }
 // points (ingestPoints).
 func TestIngestCrashRecovery(t *testing.T) { crashAnywhere(t, ingestPoints) }
 
+// TestFlushCrashRecovery is TestCompactCrashRecovery for the crash points of
+// the swap and the flush of a frozen set (flushPoints).
+func TestFlushCrashRecovery(t *testing.T) { crashAnywhere(t, flushPoints) }
+
 // crashAnywhere runs enginetest.CrashAnywhere over lsm, in both crash images,
 // at a configuration small enough for the workload to flush, merge and
-// replace logs often; points are the crash points it must reach.
+// replace logs often; points are the crash points it must reach. The
+// harness crashes the engine after each file-system call on its own
+// goroutine, so the backend runs without its worker (stepped).
 func crashAnywhere(t *testing.T, points []enginetest.Point) {
 	enginetest.CrashAnywhere(t, enginetest.Crash{
 		Open: func(fsys *enginetest.MemFS, dir string) (enginetest.Engine, error) {
-			b, err := open(fsys, dir, Options{MemtableBytes: 4 << 10, MaxTables: tierWidth})
+			b, err := openInline(fsys, dir, Options{MemtableBytes: 4 << 10, MaxTables: tierWidth})
 			if err != nil {
 				return nil, err
 			}
-			// A merge's and an ingest's calls are labelled as such from their
-			// first stage on.
+			// A flush's, a merge's and an ingest's calls are labelled as such
+			// from their first stage on.
 			b.setPause(func(stage string) {
 				label := " merge"
 				if strings.HasPrefix(stage, "ingest") {
 					label = " ingest"
+				} else if strings.HasPrefix(stage, "flush") {
+					label = " flush"
 				}
 				if p := fsys.Phase(); !strings.HasSuffix(p, label) {
 					fsys.SetPhase(p + label)
 				}
 			})
-			return b, nil
+			return stepped{b}, nil
 		},
 		DataGlobs:   []string{"sst-*.sst", "wal-*.log"},
 		DebrisGlobs: []string{"*.tmp"},
 		Check: func(t *testing.T, b enginetest.Engine) {
-			checkRunInvariants(t, b.(*Backend)) // incl.: the directory holds exactly the mounted tables and the open logs
+			checkRunInvariants(t, b.(stepped).Backend) // incl.: the directory holds exactly the mounted tables and the open logs
 		},
 		Points: points,
 	})
+}
+
+// stepped drives a backend opened without its worker (openInline) the way
+// the worker would, one call at a time: the pass that one write call sets
+// off — the flush of the memtables its swap froze, the tier loop — runs at
+// the end of the next write call, after that call's writes went to the
+// fresh logs beside the frozen ones, or when a caller settles first
+// (CompactionStats, Compact).
+type stepped struct{ *Backend }
+
+func (s stepped) Put(ctx context.Context, table, key string, value []byte) error {
+	return s.step(ctx, func() error { return s.Backend.Put(ctx, table, key, value) })
+}
+
+func (s stepped) Delete(ctx context.Context, table, key string) error {
+	return s.step(ctx, func() error { return s.Backend.Delete(ctx, table, key) })
+}
+
+func (s stepped) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
+	return s.step(ctx, func() error { return s.Backend.BatchPut(ctx, table, entries) })
+}
+
+// step runs op, and then the pass an earlier call left owed.
+func (s stepped) step(ctx context.Context, op func() error) error {
+	s.mu.RLock()
+	owed := s.w.owed
+	s.mu.RUnlock()
+	if err := op(); err != nil || !owed {
+		return err
+	}
+	return s.settle(ctx)
 }
 
 // The ten crash points lsm once named, each mapped to the mutating call
@@ -164,6 +203,40 @@ var ingestPoints = []enginetest.Point{
 	}},
 }
 
+// flushPoints, the swap and the flush of a frozen set:
+//
+//	fresh-log-written   a write to a table's fresh log while the log a swap froze beside it still awaits its flush
+//	flush-mid-table     a flush's write of a frozen memtable's SSTable under its .tmp name
+//	flush-table-renamed the rename of a flush's last SSTable into place, before the directory sync
+//	flush-manifested    the directory sync of a flush's MANIFEST, before the frozen logs are unlinked
+//	frozen-log-unlinked the unlink of one frozen log, another still to go
+var flushPoints = []enginetest.Point{
+	{Name: "fresh-log-written", At: func(c []enginetest.Call, i int) bool {
+		if !is(c, i, "write", "wal-*.log") {
+			return false
+		}
+		for j := i + 1; j < len(c); j++ {
+			if is(c, j, "remove", "wal-*.log") {
+				// Zero-padded sequence numbers: the name orders the logs.
+				return flushed(c[j]) && path.Base(c[j].Path) < path.Base(c[i].Path)
+			}
+		}
+		return false
+	}},
+	{Name: "flush-mid-table", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "write", "sst-*.sst.tmp") && flushed(c[i])
+	}},
+	{Name: "flush-table-renamed", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "rename", "sst-*.sst.tmp") && flushed(c[i]) && is(c, i+1, "syncdir", "*")
+	}},
+	{Name: "flush-manifested", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i-1, "rename", "MANIFEST.tmp") && is(c, i, "syncdir", "*") && flushed(c[i]) && is(c, i+1, "remove", "wal-*.log")
+	}},
+	{Name: "frozen-log-unlinked", At: func(c []enginetest.Call, i int) bool {
+		return is(c, i, "remove", "wal-*.log") && flushed(c[i]) && is(c, i+1, "remove", "wal-*.log")
+	}},
+}
+
 // is reports whether calls[i] exists and is op on a file matching glob.
 func is(calls []enginetest.Call, i int, op, glob string) bool {
 	if i < 0 || i >= len(calls) || calls[i].Op != op {
@@ -181,6 +254,9 @@ func ingesting(c enginetest.Call) bool { return strings.HasSuffix(c.Phase, " ing
 
 // flushing reports whether c was made by neither a merge nor an ingest.
 func flushing(c enginetest.Call) bool { return !merging(c) && !ingesting(c) }
+
+// flushed reports whether c was made by the flush of a frozen set.
+func flushed(c enginetest.Call) bool { return strings.HasSuffix(c.Phase, " flush") }
 
 // TestWALTornTailRecovery is the torn-tail contract: a crash mid-append
 // leaves garbage after the last acknowledged record; replay must truncate

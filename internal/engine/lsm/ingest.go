@@ -18,11 +18,11 @@ import (
 // once. A batch the memtables still have room for takes the log: one write
 // and one fsync until a flush comes, where an ingest costs four fsyncs.
 //
-// The new table is the run's youngest, older only than the memtable, so an
-// ingest needs a batch no memtable entry shadows: one whose key range holds
-// no key of the run's memtable. The older tables it may shadow; the shadow
-// probe that takes their entries out of the live accounting runs only when
-// the batch's range meets one of theirs.
+// The new table is the run's youngest, older only than the memtable and the
+// frozen memtable, so an ingest needs a batch no memtable entry shadows: one
+// whose key range holds no key of either. The older tables it may shadow;
+// the shadow probe that takes their entries out of the live accounting runs
+// only when the batch's range meets one of theirs.
 
 // ingestable reports whether a batch may be ingested, and its payload: its
 // keys strictly ascend, and its payload is at least an eighth of the
@@ -46,9 +46,9 @@ func (b *Backend) ingestable(entries []engine.Entry) (payload int64, ok bool) {
 // MANIFEST naming the table commits it; then the call acknowledges. A crash
 // before the MANIFEST leaves a table no MANIFEST names, which Open deletes.
 // ingested is false, with nothing left behind, when the memtables have room
-// for payload, or when the run's memtable holds a key in the batch's range,
-// at the start or at the install: the batch then takes the log. A call that
-// ingested ends, as a flushing one does, in the tier loop.
+// for payload, or when the run's memtable or frozen memtable holds a key in
+// the batch's range, at the start or at the install: the batch then takes
+// the log. An ingest hands the worker the tier loop, as a flush does.
 func (b *Backend) ingest(ctx context.Context, table string, entries []engine.Entry, payload int64) (ingested bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -59,7 +59,7 @@ func (b *Backend) ingest(ctx context.Context, table string, entries []engine.Ent
 		b.mu.Unlock()
 		return false, types.ErrClosed
 	}
-	if r := b.runs[table]; b.buffered+payload < b.opts.MemtableBytes || r != nil && r.mem.holdsWithin(lo, hi) {
+	if r := b.runs[table]; b.buffered+payload < b.opts.MemtableBytes || r != nil && r.holdsWithin(lo, hi) {
 		b.mu.Unlock()
 		return false, nil
 	}
@@ -89,10 +89,7 @@ func (b *Backend) ingest(ctx context.Context, table string, entries []engine.Ent
 		return false, err
 	}
 	stage(pause, "ingested")
-	if ingested, err = b.installIngest(table, nt, entries); !ingested || err != nil {
-		return false, err
-	}
-	return true, b.tierCompact(ctx)
+	return b.installIngest(table, nt, entries)
 }
 
 // installIngest adds nt, the durable table holding entries, to table's run:
@@ -100,8 +97,9 @@ func (b *Backend) ingest(ctx context.Context, table string, entries []engine.Ent
 // lost to a power failure that keeps the batch — probes the older tables
 // for the entries nt shadows, commits the MANIFEST, and then takes the
 // shadowed entries out of the live accounting and retires the tables that
-// left dead. On any outcome but an installed table, nt goes: unlinked if no
-// MANIFEST can name it, only closed if a failed commit may have.
+// left dead, and hands the worker the tier loop. On any outcome but an
+// installed table, nt goes: unlinked if no MANIFEST can name it, only closed
+// if a failed commit may have.
 func (b *Backend) installIngest(table string, nt *sstable, entries []engine.Entry) (installed bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -114,7 +112,7 @@ func (b *Backend) installIngest(table string, nt *sstable, entries []engine.Entr
 		return drop(types.ErrClosed)
 	}
 	r := b.runLocked(table)
-	if r.mem.holdsWithin(nt.first, nt.last) {
+	if r.holdsWithin(nt.first, nt.last) {
 		return drop(nil) // lost to a write that got there first
 	}
 	if r.log != nil {
@@ -123,14 +121,14 @@ func (b *Backend) installIngest(table string, nt *sstable, entries []engine.Entr
 		}
 	}
 	type shadow struct {
-		src       *sstable
+		src       holder
 		key, prev []byte
 	}
 	var shadowed []shadow
 	if slices.ContainsFunc(r.tables, nt.overlaps) {
 		for _, e := range entries {
 			key := []byte(e.Key)
-			prev, src, found, err := b.findLocked(r, key) // never the memtable's: it holds no key in range
+			prev, src, found, err := b.findLocked(r, key) // never a memtable's: they hold no key in range
 			if err != nil {
 				return drop(err)
 			}
@@ -153,5 +151,6 @@ func (b *Backend) installIngest(table string, nt *sstable, entries []engine.Entr
 		b.bytes += int64(len(e.Value))
 	}
 	r.gen++
+	b.w.kickLocked(true)
 	return true, b.retireLocked()
 }

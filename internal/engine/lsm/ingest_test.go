@@ -361,6 +361,7 @@ func TestTierLeavesDisjointTablesAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		settleT(t, b) // the tier loop the ingest set off
 	}
 	put(sortedBatch("k", "p", 0, 4, 10))
 	put(sortedBatch("x", "alone", 0, 1, 10))

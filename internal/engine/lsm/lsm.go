@@ -12,44 +12,50 @@
 // dead replaces it with one holding only the memtable's entries
 // (replaceLogLocked), so a drained table's dead records leave the disk
 // without waiting for the next flush. One budget covers every run's
-// memtable: when their sum is full, each is flushed into a new SSTable of
-// its run (per-block restart points, a block index, a bloom filter). A
-// large sorted batch that the memtables have no room for and no memtable key
-// falls among — the write-once chunk segments of a placement run — skips
-// the log and the memtable: it is ingested, written straight into a new
-// SSTable of its run with no lock held and added by a MANIFEST edit
-// (ingest.go). Point reads probe the run's memtable, then its SSTables from
-// newest to oldest — the key range and the bloom filter skip tables that
-// cannot hold the key, and a shared LRU block cache (the one cache on the
-// read path: blocks are immutable, so it needs no invalidation) serves hot
-// blocks without touching disk. Within a run, size-tiered compaction merges windows of tables whose key ranges
+// memtable: the write call that fills it freezes each memtable with its log
+// and gives the run a fresh pair (the swap, flush.go), and the Backend's one
+// background worker writes each frozen memtable into a new SSTable of its
+// run (per-block restart points, a block index, a bloom filter) while reads
+// and writes go on. A large sorted batch that the memtables have no room for
+// and no memtable key falls among — the write-once chunk segments of a
+// placement run — skips the log and the memtable: it is ingested, written
+// straight into a new SSTable of its run with no lock held and added by a
+// MANIFEST edit (ingest.go). Point reads probe the run's memtable, then its
+// frozen one, then its SSTables from newest to oldest — the key range and
+// the bloom filter skip tables that cannot hold the key, and a shared LRU
+// block cache (the one cache on the read path: blocks are immutable, so it
+// needs no invalidation) serves hot blocks without touching disk. Within a
+// run, size-tiered compaction merges windows of tables whose key ranges
 // overlap, dropping shadowed versions, and leaves a table that overlaps no
 // other where it is; a run less than half live is merged into one table,
 // as a full merge (the Compactor interface) merges each run — all the same
 // way, reading and writing SSTables while reads and writes go on
 // (mergeJob); and a table whose every entry is shadowed is unlinked without
-// being read (retireLocked). The engine reclaims its dead bytes itself, on
-// the write calls that flush or ingest: no caller needs to. The MANIFEST
-// names the live files; its atomic rename is the commit point for every
-// structural change, which is what makes flush, ingest, compaction and
-// retirement crash-safe.
+// being read (retireLocked). The engine reclaims its dead bytes itself: the
+// worker runs the tier loop after every flush and every ingest, and no
+// caller needs to. The MANIFEST names the live files; its atomic rename is
+// the commit point for every structural change, which is what makes flush,
+// ingest, compaction and retirement crash-safe.
 //
-// Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (at most one per
-// user table), sst-<seq>.sst (run and age per the MANIFEST). The directory is
-// flock-ed for the lifetime of the backend: one logical writer per data
-// directory. Every file operation goes through a reclog.FS — reclog.OS under
-// Open; the crash tests (crash_test.go) put an in-memory one under open
-// and recovers the directory after each of them. See docs/FORMATS.md for the
-// normative byte formats.
+// Directory layout: MANIFEST, LOCK (flock), wal-<seq>.log (one per user
+// table, two while a frozen memtable awaits its flush), sst-<seq>.sst (run
+// and age per the MANIFEST). The directory is flock-ed for the lifetime of
+// the backend: one logical writer per data directory. Every file operation
+// goes through a reclog.FS — reclog.OS under Open; the crash tests
+// (crash_test.go) put an in-memory one under open and recovers the
+// directory after each of them. See docs/FORMATS.md for the normative byte
+// formats.
 package lsm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -63,8 +69,8 @@ import (
 // Options tune a Backend; the zero value selects production defaults.
 type Options struct {
 	// MemtableBytes is the approximate resident size of all the runs'
-	// memtables together at which each is flushed to an SSTable of its run
-	// (default 4 MiB). Tests set it small to force flushes.
+	// memtables together at which each is frozen and flushed to an SSTable
+	// of its run (default 4 MiB). Tests set it small to force flushes.
 	MemtableBytes int64
 
 	// MaxTables is the SSTable count of one user table's run that triggers
@@ -106,8 +112,9 @@ type Backend struct {
 	lock  io.Closer // the directory lock; released on Close
 
 	// mu guards all mutable state below. The write path (Put/Delete/
-	// BatchPut/flush) holds it exclusively — an ingest only to check its
-	// batch and to install its table; reads share it.
+	// BatchPut and the swap) holds it exclusively — an ingest and a flush
+	// only to check or capture their input and to install their tables;
+	// reads share it.
 	mu      sync.RWMutex
 	closed  bool
 	nextSeq int64
@@ -116,8 +123,12 @@ type Backend struct {
 	// handful of tables its callers use, so an emptied run is kept, not
 	// collected.
 	runs map[string]*run
-	// buffered is Σ mem.bytes over the runs: the flush trigger.
+	// buffered is Σ mem.bytes over the runs' active memtables: the swap
+	// trigger.
 	buffered int64
+	// frozen is set from a swap until the flush of the memtables it froze
+	// (run.frozen) commits.
+	frozen bool
 	// bytes is Σ len(value) over live keys — the BytesStored contract.
 	bytes int64
 	// compacted accumulates bytes reclaimed by merges and retirements
@@ -130,27 +141,38 @@ type Backend struct {
 	// write call that did it ends in retireLocked.
 	retirable bool
 
-	// compactMu serializes merges (explicit Compact and post-flush
+	// compactMu serializes merges (explicit Compact and the worker's
 	// size-tiered compaction) so two merges can never race over the same
 	// victim tables. It is taken before mu, never under it.
 	compactMu sync.Mutex
+	// flushMu serializes flushes of the frozen memtables (flushFrozen): the
+	// worker's, and those of a caller that needs one done — a write whose
+	// swap is due while the last frozen set is unflushed, Compact, Close.
+	// It is taken before mu, never under it.
+	flushMu sync.Mutex
 
-	// pause, when set (tests only), is called by every merge and ingest at
-	// their stages; see setPause.
+	// w is the background worker (flush.go).
+	w worker
+
+	// pause, when set (tests only), is called by every flush, merge and
+	// ingest at their stages; see setPause.
 	pause func(stage string)
 }
 
 // run is one user table's tree: its log, its memtable and its SSTables.
 type run struct {
 	// log is this user table's write-ahead log, nil until the table's first
-	// write since Open or a flush that found its log empty.
+	// write since Open.
 	log *wal
 	// logLive is what a log holding only this table's memtable entries would
 	// take, one put or delete record each (replaceLogLocked writes exactly
 	// that); log.size - logLive is the log's dead weight.
 	logLive int64
-	// mem holds the table's writes since the last flush.
+	// mem holds the table's writes since the last swap.
 	mem *memtable
+	// frozen is the memtable and the log the last swap froze, until their
+	// flush commits; nil otherwise.
+	frozen *frozenMem
 	// tables are this user table's SSTables in age order: oldest first,
 	// newest last. None holds a key of another user table.
 	tables []*sstable
@@ -207,6 +229,19 @@ func Open(dir string, opts Options) (*Backend, error) {
 
 // open is Open on any file system.
 func open(fsys reclog.FS, dir string, opts Options) (*Backend, error) {
+	b, err := openInline(fsys, dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	b.w.start(b)
+	return b, nil
+}
+
+// openInline is open without the background worker: the worker's passes
+// run on the callers that wait for them (settle). The crash tests use it,
+// which crash the engine after each of its file-system calls on their own
+// goroutine.
+func openInline(fsys reclog.FS, dir string, opts Options) (*Backend, error) {
 	if err := reclog.MkdirAll(fsys, dir); err != nil {
 		return nil, fmt.Errorf("lsm: %w", err)
 	}
@@ -222,6 +257,7 @@ func open(fsys reclog.FS, dir string, opts Options) (*Backend, error) {
 		runs: map[string]*run{},
 	}
 	b.cache = b.opts.Cache
+	b.w.settled = sync.NewCond(&b.mu)
 	if err := b.recover(); err != nil {
 		b.closeFiles()
 		return nil, err
@@ -232,9 +268,12 @@ func open(fsys reclog.FS, dir string, opts Options) (*Backend, error) {
 // recover mounts what the MANIFEST names and replays the logs. A log the
 // MANIFEST does not name is live if its sequence number is at or past the
 // MANIFEST's next: every commit names every log there is, so such a log was
-// created after the last one, as some table's first, and the table it
-// belongs to is the one its records name. Table key spaces are disjoint, so
-// the logs replay in any order.
+// created after the last one — as some table's first, or by a swap — and
+// the table it belongs to is the one its records name. The logs replay in
+// sequence order: table key spaces are disjoint, and of a table's two logs
+// (a swap's frozen one and the fresh one beside it) the older holds the
+// older writes. A table left with two is left with a frozen memtable, which
+// the worker flushes.
 func (b *Backend) recover() error {
 	m, exists, err := readManifest(b.fs, b.dir)
 	if err != nil {
@@ -277,33 +316,55 @@ func (b *Backend) recover() error {
 	// Replay each log through the normal apply path so memtable state and
 	// accounting (including decrements against just-mounted tables) are
 	// rebuilt exactly as the original writes built them.
-	for _, f := range m.wals {
-		if err := b.replayLog(f.seq, f.table, true); err != nil {
-			return err
-		}
-	}
+	logs := m.wals
 	for _, seq := range unnamed {
 		b.nextSeq = max(b.nextSeq, seq+1)
-		if err := b.replayLog(seq, "", false); err != nil {
+		logs = append(logs, manifestFile{seq: seq})
+	}
+	slices.SortFunc(logs, func(x, y manifestFile) int { return cmp.Compare(x.seq, y.seq) })
+	for _, f := range logs {
+		if err := b.replayLog(f.seq, f.table, f.seq < m.nextSeq); err != nil {
 			return err
 		}
 	}
 	// A crash between a write and the retirement it earned left the dead
 	// tables mounted; the replay has just killed them again.
 	b.retirable = true
+	if b.frozen {
+		b.w.kickLocked(false)
+	}
 	return b.retireLocked()
 }
 
-// replayLog replays log seq into table's memtable and makes it table's log.
-// An unnamed log belongs to the table its first record names; one with no
-// intact record is a crash's leftover from right after its creation, and is
-// removed. A log holding keys of two tables, or a second log of one
-// table, is corruption.
+// replayLog replays log seq into table's memtable and makes it table's log;
+// a table's second log first freezes the memtable and the log the first one
+// left (freezeLocked). An unnamed log belongs to the table its first record
+// names; one with no intact record is a crash's leftover from right after
+// its creation, and is removed. A log holding keys of two tables, or a
+// third log of one table, is corruption.
 func (b *Backend) replayLog(seq int64, table string, named bool) error {
 	known := named
+	second := func(t string) error {
+		r := b.runs[t]
+		if r == nil || r.log == nil {
+			return nil
+		}
+		if r.frozen != nil {
+			return fmt.Errorf("%w: lsm logs %d, %d and %d all hold table %q", types.ErrCorrupt, r.frozen.log.seq, r.log.seq, seq, t)
+		}
+		return b.freezeLocked(r)
+	}
+	if named {
+		if err := second(table); err != nil {
+			return err
+		}
+	}
 	w, err := replayWAL(b.fs, b.walPath(seq), seq, func(kind byte, t, key string, value []byte) error {
 		if !known {
 			table, known = t, true
+			if err := second(t); err != nil {
+				return err
+			}
 		}
 		if t != table {
 			return fmt.Errorf("%w: lsm log %d holds keys of tables %q and %q", types.ErrCorrupt, seq, table, t)
@@ -400,9 +461,9 @@ func (b *Backend) rebuildAccounting(r *run) error {
 }
 
 // sources lists r's merge sources in age order: its SSTables, oldest
-// first, then its memtable.
+// first, then its frozen memtable, then its memtable.
 func (r *run) sources(cache *BlockCache) ([]source, error) {
-	sources := make([]source, 0, len(r.tables)+1)
+	sources := make([]source, 0, len(r.tables)+2)
 	for _, t := range r.tables {
 		it, err := t.iter(cache)
 		if err != nil {
@@ -410,20 +471,44 @@ func (r *run) sources(cache *BlockCache) ([]source, error) {
 		}
 		sources = append(sources, it)
 	}
+	if r.frozen != nil {
+		sources = append(sources, r.frozen.mem.iter())
+	}
 	return append(sources, r.mem.iter()), nil
 }
 
+// holdsWithin reports whether some key of r's memtable or frozen memtable,
+// tombstones included, lies in [lo, hi]: an SSTable holding that range
+// would sit beneath it.
+func (r *run) holdsWithin(lo, hi []byte) bool {
+	return r.mem.holdsWithin(lo, hi) || r.frozen != nil && r.frozen.mem.holdsWithin(lo, hi)
+}
+
+// holder is where a key's newest version lives below the memtable — an
+// SSTable or the frozen memtable — whose live accounting a write that
+// supersedes it takes the version out of.
+type holder interface {
+	// shadow takes a value entry of keyLen and valLen bytes out of the live
+	// accounting and reports whether it was the holder's last.
+	shadow(keyLen, valLen int) (last bool)
+}
+
 // findLocked finds the newest version of key in r (nil: a table never
-// written): (value, the SSTable holding it or nil for the memtable, found).
-// A tombstone anywhere newest means not found. The value aliases the
-// memtable or a cached block; callers hold b.mu (any mode) and must not
-// retain or mutate it past the lock.
-func (b *Backend) findLocked(r *run, key []byte) (value []byte, src *sstable, found bool, err error) {
+// written): (value, its holder or nil for the memtable, found). A tombstone
+// anywhere newest means not found. The value aliases a memtable or a cached
+// block; callers hold b.mu (any mode) and must not retain or mutate it past
+// the lock.
+func (b *Backend) findLocked(r *run, key []byte) (value []byte, src holder, found bool, err error) {
 	if r == nil {
 		return nil, nil, false, nil
 	}
 	if v, tomb, ok := r.mem.get(key); ok {
 		return v, nil, !tomb, nil
+	}
+	if f := r.frozen; f != nil {
+		if v, tomb, ok := f.mem.get(key); ok {
+			return v, f, !tomb, nil
+		}
 	}
 	for i := len(r.tables) - 1; i >= 0; i-- {
 		v, tomb, ok, err := r.tables[i].get(key, b.cache)
@@ -439,13 +524,9 @@ func (b *Backend) findLocked(r *run, key []byte) (value []byte, src *sstable, fo
 
 // shadowLocked takes the version of key that a write is about to supersede
 // out of the live accounting, wherever it lives.
-func (b *Backend) shadowLocked(src *sstable, key, prev []byte) {
+func (b *Backend) shadowLocked(src holder, key, prev []byte) {
 	b.bytes -= int64(len(prev))
-	if src == nil {
-		return
-	}
-	src.live -= logicalSize(len(key), len(prev))
-	if src.liveEntries--; src.liveEntries == 0 {
+	if src != nil && src.shadow(len(key), len(prev)) {
 		b.retirable = true
 	}
 }
@@ -505,23 +586,27 @@ func logRecordLen(table string, keyLen, valueLen int) int64 {
 
 // write runs one write call to table: apply logs and applies its entries
 // under b.mu. The call then retires the tables it killed — first, so that a
-// flush it also triggers sees their runs empty and writes no tombstone on
-// their account — and flushes a full memtable, or else replaces the table's
-// log if the call left it mostly dead. A call that flushed ends, with b.mu
-// released, in the tier loop.
+// swap it also triggers sees their runs empty and its flush writes no
+// tombstone on their account — and swaps a full memtable set out (flush.go),
+// or else replaces the table's log if the call left it mostly dead. A swap
+// due while the last frozen set is still unflushed waits for that flush,
+// with b.mu released: the one wait a write call makes for the worker.
 func (b *Backend) write(ctx context.Context, table string, apply func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	flushed, err := b.applyWrite(ctx, table, apply)
-	if err != nil || !flushed {
-		return err
+	stalled, err := b.applyWrite(table, apply)
+	for stalled && err == nil {
+		if err = b.flushFrozen(); err == nil {
+			stalled, err = b.swapDue()
+		}
 	}
-	return b.tierCompact(ctx)
+	return err
 }
 
-// applyWrite is the part of a write call that holds b.mu.
-func (b *Backend) applyWrite(ctx context.Context, table string, apply func() error) (flushed bool, err error) {
+// applyWrite is the part of a write call that holds b.mu; stalled reports a
+// swap due while a frozen set is unflushed.
+func (b *Backend) applyWrite(table string, apply func() error) (stalled bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -534,7 +619,7 @@ func (b *Backend) applyWrite(ctx context.Context, table string, apply func() err
 		return false, err
 	}
 	if b.buffered >= b.opts.MemtableBytes {
-		return true, b.flushLocked(ctx)
+		return b.swapIfDueLocked()
 	}
 	if r := b.runs[table]; r != nil && r.log != nil {
 		// Mostly dead: more dead bytes than live ones, so a replacement
@@ -731,25 +816,34 @@ func (b *Backend) BytesStored() int64 {
 	return b.bytes
 }
 
-// Close fsyncs the logs (making every write durable) and releases the
-// directory. Close after Close is a no-op.
+// Close stops the worker, flushes the memtables a swap froze, fsyncs the
+// logs (making every write durable) and releases the directory. A merge
+// under way is abandoned. Close after Close is a no-op.
 func (b *Backend) Close() error {
+	b.mu.RLock()
+	closed := b.closed
+	b.mu.RUnlock()
+	if closed {
+		return nil
+	}
+	b.w.stop()
+	ferr := b.flushFrozen()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil
 	}
 	b.closed = true
-	var err error
+	b.w.settled.Broadcast()
+	err := ferr
 	for _, r := range b.runs {
-		if r.log == nil {
-			continue
-		}
-		if serr := r.log.sync(); err == nil {
-			err = serr
-		}
-		if cerr := r.log.close(); err == nil && cerr != nil {
-			err = fmt.Errorf("lsm: %w", cerr)
+		for _, w := range r.logs() {
+			if serr := w.sync(); err == nil {
+				err = serr
+			}
+			if cerr := w.close(); err == nil && cerr != nil {
+				err = fmt.Errorf("lsm: %w", cerr)
+			}
 		}
 	}
 	for _, t := range b.allTables() {
@@ -763,35 +857,56 @@ func (b *Backend) Close() error {
 	return err
 }
 
-// setPause installs a hook (tests only) that every merge captured from then
-// on calls, holding compactMu and nothing else, with "captured" before it
-// reads its victims and "written" between writing its output and installing
-// it; and that every ingest started from then on calls, holding no lock,
-// with "ingesting" before it writes its table and "ingested" between making
-// the table durable and installing it. A hook that blocks holds the merge
-// or the ingest there. Nil removes it.
+// logs lists r's open logs: the frozen one, if any, then the active one,
+// if any.
+func (r *run) logs() []*wal {
+	var logs []*wal
+	if r.frozen != nil {
+		logs = append(logs, r.frozen.log)
+	}
+	if r.log != nil {
+		logs = append(logs, r.log)
+	}
+	return logs
+}
+
+// setPause installs a hook (tests only) that every flush, merge and ingest
+// started from then on calls at its stages, holding no lock but flushMu or
+// compactMu: a flush with "flushing" before it writes the frozen memtables
+// and "flushed" between making their tables durable and installing them; a
+// merge with "captured" before it reads its victims and "written" between
+// writing its output and installing it; an ingest with "ingesting" before it
+// writes its table and "ingested" between making the table durable and
+// installing it. A hook that blocks holds the flush, the merge or the
+// ingest there. Nil removes it.
 func (b *Backend) setPause(pause func(stage string)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.pause = pause
 }
 
-// Kill simulates process death (tests only): every file handle and the
-// directory lock are dropped with no syncing and no cleanup, leaving the
-// on-disk state exactly as the crash left it. The backend is unusable
-// afterwards; reopen the directory with Open.
+// Kill simulates process death (tests only): the worker is stopped, and
+// every file handle and the directory lock are dropped with no syncing and
+// no cleanup, leaving the on-disk state exactly as the crash left it. The
+// backend is unusable afterwards; reopen the directory with Open.
 func (b *Backend) Kill() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.closed = true
+	b.w.settled.Broadcast()
+	b.mu.Unlock()
+	b.w.stop()
+	b.flushMu.Lock() // a flush under way on a caller's goroutine ends first
+	defer b.flushMu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.closeFiles()
 }
 
 // closeFiles drops every descriptor without syncing; callers hold b.mu.
 func (b *Backend) closeFiles() {
 	for _, r := range b.runs {
-		if r.log != nil {
-			r.log.close()
+		for _, w := range r.logs() {
+			w.close()
 		}
 	}
 	for _, t := range b.allTables() {

@@ -30,12 +30,13 @@ import (
 //
 //	rstore-lsm v4
 //	next <seq>            — next unused file sequence number
-//	wal <seq> <table>     — one per user table with a log, wal-<seq>.log
+//	wal <seq> <table>     — one per user table with a log, wal-<seq>.log; two,
+//	                        the frozen one first, while its flush runs
 //	sst <seq> <table>     — one per live SSTable
 //
 // <table> is the user table, quoted as a Go string literal (strconv.Quote).
-// All wal lines come before the sst lines; no table has two wal lines, no
-// two lines share a sequence number, and every one is below next.
+// All wal lines come before the sst lines; no table has more than two wal
+// lines, no two lines share a sequence number, and every one is below next.
 //
 // A v1 manifest (one SSTable list for every table), a v2 one (one log for
 // every table) and a v3 one (SSTable keys prefixed with their table) are
@@ -123,7 +124,7 @@ func parseManifest(data string) (manifest, error) {
 		return corrupt("next line %q", lines[1])
 	}
 	seqs := map[int64]bool{}
-	logged := map[string]bool{}
+	logged := map[string]int{}
 	for _, line := range lines[2:] {
 		kind, _, _ := strings.Cut(line, " ")
 		if kind != "wal" && kind != "sst" || kind == "wal" && len(m.ssts) > 0 {
@@ -145,10 +146,10 @@ func parseManifest(data string) (manifest, error) {
 			m.ssts = append(m.ssts, f)
 			continue
 		}
-		if logged[f.table] {
-			return corrupt("two logs for table %q", f.table)
+		if logged[f.table] == 2 {
+			return corrupt("three logs for table %q", f.table)
 		}
-		logged[f.table] = true
+		logged[f.table]++
 		m.wals = append(m.wals, f)
 	}
 	return m, nil

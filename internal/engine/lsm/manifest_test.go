@@ -20,6 +20,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add("rstore-lsm v2\nnext 5\nwal 4\nsst 1 \"t\"\n")
 	f.Add("rstore-lsm v1\nnext 5\nwal 4\nsst 1\nsst 3\n")
 	f.Add("rstore-lsm v4\nnext 9\nwal 7 \"t\"\nwal 8 \"t\"\n")
+	f.Add("rstore-lsm v4\nnext 9\nwal 6 \"t\"\nwal 7 \"t\"\nwal 8 \"t\"\n")
 	f.Add("rstore-lsm v3\nnext 9\nwal 7 \"t\"\nsst 1 \"t\"\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		m, err := parseManifest(data)

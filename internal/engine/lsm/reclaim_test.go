@@ -29,9 +29,10 @@ func runLiveShare(b *Backend, table string) (tables []*sstable, live, size int64
 // TestTierReclaimsHalfDeadRuns runs random overwrites and deletes — 20 000
 // keys, 4 000 write calls: two in three a BatchPut of up to 50 random keys
 // with ≈ 210-byte values, the third 20 Deletes — at three memtable sizes.
-// Nothing but the engine's own write calls runs. After every call that ran
-// the tier loop (it added a table: a flush, an ingest or a merge), the
-// written run is one table or at least half live.
+// Nothing but the engine's own write calls and its worker runs. After every
+// call that set off the tier loop (once the worker is done, the run has a
+// table it did not have: a flush, an ingest or a merge), the written run is
+// one table or at least half live.
 func TestTierReclaimsHalfDeadRuns(t *testing.T) {
 	for _, memtable := range []int64{64 << 10, 1 << 20, 4 << 20} {
 		t.Run(fmt.Sprint(memtable>>10, "KiB"), func(t *testing.T) {
@@ -61,6 +62,7 @@ func TestTierReclaimsHalfDeadRuns(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				settleT(t, b)
 				after, live, size := runLiveShare(b, "t")
 				if !slices.ContainsFunc(after, func(t *sstable) bool { return !slices.Contains(before, t) }) {
 					continue

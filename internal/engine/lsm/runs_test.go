@@ -16,12 +16,20 @@ import (
 	"rstore/internal/engine/memory"
 )
 
-// flushT forces the memtables out, as a full budget would.
+// flushT forces the memtables out, as a full budget would, save that no
+// tier loop follows.
 func flushT(t *testing.T, b *Backend) {
 	t.Helper()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.flushLocked(context.Background()); err != nil {
+	if err := b.flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// settleT waits until the worker has done the flushes and merges the writes
+// so far set off.
+func settleT(t *testing.T, b *Backend) {
+	t.Helper()
+	if err := b.settle(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,15 +88,17 @@ func mustGet(t *testing.T, b engine.Backend, table, key string) (string, bool) {
 	return string(v), ok
 }
 
-// checkRunInvariants recounts, from the files and the memtables, what the
-// engine keeps incrementally: each SSTable's liveEntries is the number of its
-// value entries nothing newer shadows, no run starts with a dead table
-// (retirement ran), a run's logLive is what its memtable entries take as log
-// records, a run with memtable entries has a log of its own, the flush
-// trigger's byte count is the sum of the memtables', and the directory holds
-// exactly the mounted files and the open logs.
+// checkRunInvariants recounts, once the worker has settled, from the files
+// and the memtables, what the engine keeps incrementally: each SSTable's
+// liveEntries is the number of its value entries nothing newer shadows, no
+// run starts with a dead table (retirement ran), a run's logLive is what its
+// memtable entries take as log records, a run with memtable entries has a
+// log of its own, no frozen memtable is left, the swap trigger's byte count
+// is the sum of the memtables', and the directory holds exactly the mounted
+// files and the open logs.
 func checkRunInvariants(t *testing.T, b *Backend) {
 	t.Helper()
+	settleT(t, b)
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	var mounted, logs []string
@@ -100,6 +110,9 @@ func checkRunInvariants(t *testing.T, b *Backend) {
 		}
 		if logLive != r.logLive || logLive > 0 && r.log == nil {
 			t.Fatalf("run %q: logLive = %d, recount %d, log %v", name, r.logLive, logLive, r.log != nil)
+		}
+		if r.frozen != nil {
+			t.Fatalf("run %q: a frozen memtable outlived the worker's pass", name)
 		}
 		buffered += r.mem.bytes
 		if r.log != nil {
@@ -138,8 +151,8 @@ func checkRunInvariants(t *testing.T, b *Backend) {
 			t.Fatalf("run %q starts with a dead table: retirement did not run", name)
 		}
 	}
-	if buffered != b.buffered {
-		t.Fatalf("memtable bytes = %d, sum over the runs %d", b.buffered, buffered)
+	if buffered != b.buffered || b.frozen {
+		t.Fatalf("memtable bytes = %d, sum over the runs %d; frozen set %v", b.buffered, buffered, b.frozen)
 	}
 	sort.Strings(mounted)
 	if onDisk := filesOnDisk(t, b, "sst-*.sst"); !reflect.DeepEqual(onDisk, mounted) && len(onDisk)+len(mounted) > 0 {
@@ -460,6 +473,8 @@ func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 				}
 
 				raced := false
+				// The tier merge's hook runs on the worker's goroutine: it
+				// reports with t.Error.
 				b.setPause(func(at string) {
 					if at != stage || raced {
 						return
@@ -467,19 +482,21 @@ func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 					raced = true
 					for _, k := range keys {
 						if err := b.Delete(ctx, "t", k); err != nil {
-							t.Fatal(err)
+							t.Error(err)
+							return
 						}
 					}
-					flushT(t, b)
-					if got := runFiles(b, "t"); len(got) != 0 {
-						t.Fatalf("run not retired: %v", got)
+					if err := b.flush(); err != nil {
+						t.Error(err)
+					} else if got := runFiles(b, "t"); len(got) != 0 {
+						t.Errorf("run not retired: %v", got)
 					}
 				})
 				var err error
 				if merge == "compact" {
 					_, err = b.Compact(ctx)
-				} else {
-					err = batch(70) // the flush makes tierWidth tables
+				} else if err = batch(70); err == nil { // the flush makes tierWidth tables
+					err = b.settle(ctx)
 				}
 				if err != nil {
 					t.Fatalf("%s beside the race: %v", merge, err)
@@ -527,9 +544,10 @@ func tierBatch(from, n int, value []byte) []engine.Entry {
 	return ents
 }
 
-// TestReadsAndWritesBesideTierMerge holds a write call's tier merge between
-// writing its output and installing it: a Get on the same backend and a Put
-// to another table must not wait for the merge.
+// TestReadsAndWritesBesideTierMerge holds the tier merge a write call set off
+// between writing its output and installing it: the write call has
+// returned, and a Get on the same backend and a Put to another table must
+// not wait for the merge.
 func TestReadsAndWritesBesideTierMerge(t *testing.T) {
 	ctx := context.Background()
 	b := openT(t, t.TempDir(), Options{MemtableBytes: 64 << 10, MaxTables: tierWidth})
@@ -557,12 +575,11 @@ func TestReadsAndWritesBesideTierMerge(t *testing.T) {
 			<-release
 		}
 	})
-	done := make(chan error, 1)
-	go func() { done <- batch(70) }() // its flush makes tierWidth tables
+	if err := batch(70); err != nil { // its flush makes tierWidth tables
+		t.Fatal(err)
+	}
 	select {
 	case <-held:
-	case err := <-done:
-		t.Fatalf("the write call returned (%v) without a tier merge", err)
 	case <-time.After(10 * time.Second):
 		t.Fatal("no tier merge started")
 	}
@@ -591,9 +608,7 @@ func TestReadsAndWritesBesideTierMerge(t *testing.T) {
 		return b.Put(ctx, "other", "x", []byte("y"))
 	})
 	unblock()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	settleT(t, b)
 	if files := runFiles(b, "t"); len(files) != 1 {
 		t.Fatalf("tier merge not installed: run is %v", files)
 	}

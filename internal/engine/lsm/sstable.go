@@ -399,6 +399,13 @@ func (t *sstable) overlaps(u *sstable) bool {
 
 func (t *sstable) close() error { return t.f.Close() }
 
+// shadow is holder's: one of t's value entries is superseded.
+func (t *sstable) shadow(keyLen, valLen int) bool {
+	t.live -= logicalSize(keyLen, valLen)
+	t.liveEntries--
+	return t.liveEntries == 0
+}
+
 // loadBlock returns data block i, serving from cache when possible. The
 // returned slice is the block body without its trailing crc (restart array
 // and count still attached) and must be treated as read-only.
