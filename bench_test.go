@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -144,6 +145,9 @@ func BenchmarkSubchunkBuild(b *testing.B) {
 // tip of a placed base version of 1 k and 100 k keys, each a delta store
 // write, every 32nd closing a batch that a flush places. A commit resolves
 // only the key it touches, so its cost does not grow with the base version.
+// The import/… cases are the root commit ingest imports, 3 000 records of
+// 512 B on a fresh store, one durable delta entry of ≈ 1.5 MB: B/op counts
+// every copy of it the commit path makes.
 // The pending=… cases commit 150 keys of 512 B at the end of a path of that
 // many unplaced 150-key commits over a placed 3 000-key version, as ingest's
 // batches do: a commit folds only its own keys' records out of the path, so
@@ -190,6 +194,39 @@ func BenchmarkCommit(b *testing.B) {
 				if _, err := st.Commit(ctx, tip, ch); err != nil { // a sibling of the last: the path stays depth long
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+	for _, stack := range benchStacks {
+		b.Run("import/"+stack.name, func(b *testing.B) {
+			ctx := context.Background()
+			root := rstore.Change{Puts: make(map[rstore.Key][]byte, 3000)}
+			for i := range 3000 {
+				root.Puts[rstore.Key(fmt.Sprintf("k%08d", i))] = []byte(fmt.Sprintf("%0512d", i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cfg, stop := stack.start(b)
+				kv, err := kvstore.Open(ctx, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st, err := rstore.Open(ctx, rstore.Config{KV: kv, BatchSize: 1 << 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := st.Commit(ctx, rstore.NoParent, root); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				// Dropped unflushed: a flush would place the import.
+				if err := kv.Close(); err != nil {
+					b.Fatal(err)
+				}
+				stop()
 			}
 		})
 	}
@@ -443,32 +480,58 @@ func BenchmarkBulkLoad(b *testing.B) {
 }
 
 // benchStacks are the two clusters BenchmarkFlushBatch, BenchmarkBulkLoad,
-// BenchmarkLoad and the read benchmarks run over: the in-process memory engine, and the benchmark's stack shape — three
-// lsm nodes behind engined, replication factor 2.
-var benchStacks = []struct {
-	name string
-	open func(b *testing.B) kvstore.Config
-}{
-	{"memory", func(*testing.B) kvstore.Config { return kvstore.Config{} }},
-	{"remote-lsm", func(b *testing.B) kvstore.Config {
+// BenchmarkLoad, BenchmarkCommit's import and the read benchmarks run over:
+// the in-process memory engine, and the benchmark's stack shape — three lsm
+// nodes behind engined, replication factor 2.
+var benchStacks = []benchStack{
+	{"memory", func(*testing.B) (kvstore.Config, func()) { return kvstore.Config{}, func() {} }},
+	{"remote-lsm", func(b *testing.B) (kvstore.Config, func()) {
+		dir, err := os.MkdirTemp("", "bench-stack-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var stops []func()
+		stop := func() {
+			for _, s := range stops {
+				s()
+			}
+			os.RemoveAll(dir)
+		}
 		addrs := make([]string, 3)
 		for i := range addrs {
-			be, err := lsm.Open(filepath.Join(b.TempDir(), fmt.Sprintf("node-%d", i)), lsm.Options{})
+			be, err := lsm.Open(filepath.Join(dir, fmt.Sprintf("node-%d", i)), lsm.Options{})
 			if err != nil {
+				stop()
 				b.Fatal(err)
 			}
 			node, err := engined.Start("127.0.0.1:0", be)
 			if err != nil {
+				be.Close()
+				stop()
 				b.Fatal(err)
 			}
-			b.Cleanup(func() {
+			stops = append(stops, func() {
 				node.Close()
 				be.Close()
 			})
 			addrs[i] = node.Addr().String()
 		}
-		return kvstore.Config{Engine: kvstore.EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2}
+		return kvstore.Config{Engine: kvstore.EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2}, stop
 	}},
+}
+
+// benchStack is a cluster a benchmark runs over: start brings one up and
+// returns its config and the stop that tears it down.
+type benchStack struct {
+	name  string
+	start func(b *testing.B) (kvstore.Config, func())
+}
+
+// open brings up a cluster that lives until b's run ends.
+func (s benchStack) open(b *testing.B) kvstore.Config {
+	cfg, stop := s.start(b)
+	b.Cleanup(stop)
+	return cfg
 }
 
 // specL is the shape and size of benchmark/'s dataset L: a 200-version tree,

@@ -10,6 +10,9 @@
 //
 //	rstore-node -addr :7420 -data /var/lib/rstore-node
 //
+// -debug-addr host:port, off by default, serves net/http/pprof there and
+// nothing else.
+//
 // The node runs no background loop of its own: the lsm engine reclaims its
 // dead bytes on the write calls that flush (a run less than half live is
 // merged into one table), and it memoises each table's hash-tree digest
@@ -42,6 +45,7 @@ import (
 	"rstore/internal/engine/lsm"
 	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote/engined"
+	"rstore/internal/obs"
 )
 
 func main() {
@@ -49,8 +53,18 @@ func main() {
 		addr    = flag.String("addr", ":7420", "listen address")
 		backend = flag.String("backend", "lsm", "storage backend: lsm|memory")
 		dataDir = flag.String("data", "", "data directory (required for lsm)")
+		debug   = flag.String("debug-addr", "", "serve net/http/pprof on this address (off when empty)")
 	)
 	flag.Parse()
+	// First, so that a profile can watch the open too.
+	if *debug != "" {
+		dbg, err := obs.StartDebug(*debug)
+		if err != nil {
+			log.Fatalf("rstore-node: %v", err)
+		}
+		defer dbg.Close()
+		log.Printf("rstore-node: pprof on %s", dbg.Addr)
+	}
 
 	var be engine.Backend
 	var err error

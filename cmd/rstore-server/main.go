@@ -37,7 +37,8 @@
 //	GET  /stats                        store statistics
 //
 // SIGINT/SIGTERM drain in-flight requests via http.Server.Shutdown
-// before closing the store.
+// before closing the store. -debug-addr host:port, off by default, serves
+// net/http/pprof there and nothing else.
 package main
 
 import (
@@ -53,6 +54,7 @@ import (
 	"time"
 
 	"rstore"
+	"rstore/internal/obs"
 	"rstore/internal/server"
 )
 
@@ -68,8 +70,18 @@ func main() {
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote")
 		hintEvery = flag.Duration("hint-interval", 0, "hint drain cadence for replication repair (0 = default 1s)")
 		aeEvery   = flag.Duration("anti-entropy-interval", 0, "background hash-tree replica sync cadence (0 = off; needs -rf > 1)")
+		debug     = flag.String("debug-addr", "", "serve net/http/pprof on this address (off when empty)")
 	)
 	flag.Parse()
+	// First, so that a profile can watch the open too.
+	if *debug != "" {
+		dbg, err := obs.StartDebug(*debug)
+		if err != nil {
+			log.Fatalf("rstore-server: %v", err)
+		}
+		defer dbg.Close()
+		log.Printf("rstore-server: pprof on %s", dbg.Addr)
+	}
 
 	cluster := rstore.ClusterConfig{
 		Nodes: *nodes, ReplicationFactor: *rf,

@@ -141,6 +141,12 @@ func PutCompositeKey(buf []byte, ck types.CompositeKey) []byte {
 	return PutUvarint(buf, uint64(ck.Version))
 }
 
+// compositeKeyLen is the length of ck's encoding: what PutCompositeKey
+// appends.
+func compositeKeyLen(ck types.CompositeKey) int {
+	return BytesLen(len(ck.Key)) + UvarintLen(uint64(ck.Version))
+}
+
 // CompositeKey consumes a composite key.
 func CompositeKey(buf []byte) (types.CompositeKey, []byte, error) {
 	k, rest, err := String(buf)

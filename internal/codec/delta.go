@@ -20,6 +20,18 @@ func PutDelta(buf []byte, d *types.Delta) []byte {
 	return buf
 }
 
+// DeltaLen is the length of d's serialization: what PutDelta appends.
+func DeltaLen(d *types.Delta) int {
+	n := UvarintLen(uint64(len(d.Adds))) + UvarintLen(uint64(len(d.Dels)))
+	for _, r := range d.Adds {
+		n += compositeKeyLen(r.CK) + BytesLen(len(r.Value))
+	}
+	for _, ck := range d.Dels {
+		n += compositeKeyLen(ck)
+	}
+	return n
+}
+
 // Delta consumes a serialized delta.
 func Delta(buf []byte) (*types.Delta, []byte, error) {
 	n, rest, err := Uvarint(buf)

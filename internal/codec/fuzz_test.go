@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"testing"
 
 	"rstore/internal/types"
@@ -39,6 +40,30 @@ func FuzzDecodeDelta(f *testing.F) {
 			for _, r := range got.Adds {
 				_ = r.CK
 			}
+		}
+	})
+}
+
+// FuzzDeltaLen: DeltaLen is exactly what PutDelta appends, for deltas whose
+// counts, key and value lengths and versions cross varint widths. The records
+// are data split at its zero bytes, each half key and half value, with
+// versions v shifted right by their index; dels more deleted keys follow.
+func FuzzDeltaLen(f *testing.F) {
+	f.Add([]byte("key\x00value"), uint32(3), uint8(1))
+	f.Add([]byte{}, uint32(0), uint8(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 600), uint32(1<<31), uint8(200))
+	f.Add(bytes.Repeat([]byte{'a', 0}, 150), ^uint32(0), uint8(130))
+	f.Fuzz(func(t *testing.T, data []byte, v uint32, dels uint8) {
+		d := &types.Delta{}
+		for i, part := range bytes.Split(data, []byte{0}) {
+			ck := types.CompositeKey{Key: types.Key(part[:len(part)/2]), Version: types.VersionID(v >> (i % 32))}
+			d.Adds = append(d.Adds, types.Record{CK: ck, Value: part[len(part)/2:]})
+		}
+		for i := range int(dels) {
+			d.Dels = append(d.Dels, types.CompositeKey{Key: types.Key(data[:min(i, len(data))]), Version: types.VersionID(v << (i % 32))})
+		}
+		if got, want := DeltaLen(d), len(PutDelta(nil, d)); got != want {
+			t.Fatalf("DeltaLen = %d, PutDelta appends %d", got, want)
 		}
 	})
 }

@@ -14,9 +14,9 @@ import (
 // KVS to replay them, so decodeDeltaEntry must refuse what it
 // cannot read with types.ErrCorrupt — never panic, never size an allocation
 // by a count the entry has no bytes for, never truncate a parent id — and
-// what it accepts must survive a re-encode. Seeded with encodeDeltaEntry
-// outputs, the parent count that once reached makeslice unchecked, and a
-// parent id one past 32 bits.
+// what it accepts must survive a re-encode, which allocates the entry at
+// exactly its length. Seeded with encodeDeltaEntry outputs, the parent count
+// that once reached makeslice unchecked, and a parent id one past 32 bits.
 func FuzzDecodeDeltaEntry(f *testing.F) {
 	root := &types.Delta{Adds: []types.Record{{CK: types.CompositeKey{Key: "a", Version: 0}, Value: []byte("a0")}}}
 	merge := &types.Delta{
@@ -43,7 +43,11 @@ func FuzzDecodeDeltaEntry(f *testing.F) {
 			}
 			return
 		}
-		again, d2, err := decodeDeltaEntry(encodeDeltaEntry(parents, d))
+		entry := encodeDeltaEntry(parents, d)
+		if cap(entry) != len(entry) {
+			t.Fatalf("entry of %d bytes allocated at %d", len(entry), cap(entry))
+		}
+		again, d2, err := decodeDeltaEntry(entry)
 		if err != nil || !slices.Equal(again, parents) || !reflect.DeepEqual(d2, d) {
 			t.Fatalf("re-encoded entry decodes to %v %+v (err %v), want %v %+v", again, d2, err, parents, d)
 		}

@@ -309,7 +309,11 @@ func (s *Store) deriveDelta(parents []types.VersionID, v types.VersionID, ch Cha
 		}
 	}
 
-	delta := &types.Delta{}
+	// Each key deletes at most the one record it holds.
+	delta := &types.Delta{
+		Adds: slices.Grow([]types.Record(nil), len(putKeys)),
+		Dels: slices.Grow([]types.CompositeKey(nil), len(held)),
+	}
 	for _, k := range putKeys {
 		if old, ok := held[k]; ok {
 			delta.Dels = append(delta.Dels, old)
@@ -469,9 +473,15 @@ func deltaKey(v types.VersionID) string { return fmt.Sprintf("d%08x", uint32(v))
 // encodeDeltaEntry / decodeDeltaEntry persist a version's parents and delta
 // in the write store. Carrying the parents makes each entry self-describing:
 // a commit acknowledged after the last flush is replayed by the next Open
-// from its delta entry alone, honoring Commit's durability promise.
+// from its delta entry alone, honoring Commit's durability promise. The
+// entry is allocated once, at its length: grown by append, an import
+// commit's megabytes are copied several times over on the way.
 func encodeDeltaEntry(parents []types.VersionID, d *types.Delta) []byte {
-	return codec.PutDelta(appendParents(nil, parents), d)
+	n := codec.UvarintLen(uint64(len(parents))) + codec.DeltaLen(d)
+	for _, p := range parents {
+		n += codec.UvarintLen(uint64(p))
+	}
+	return codec.PutDelta(appendParents(make([]byte, 0, n), parents), d)
 }
 
 func decodeDeltaEntry(buf []byte) ([]types.VersionID, *types.Delta, error) {

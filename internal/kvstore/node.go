@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/lsm"
@@ -31,26 +30,50 @@ type node struct {
 	// storage probe and the breaker's recovery listener that kicks the hint
 	// drain.
 	rc *remote.Client
+	// pinMu guards pin and pinning.
+	pinMu sync.Mutex
 	// pin is the cluster pin Open found missing on this node, to be written
 	// before the first write kvstore sends it (pinFirst); nil once written,
 	// and for a node that needs none.
-	pin atomic.Pointer[[]byte]
+	pin []byte
+	// pinning is closed when the pin's write in flight returns; nil while
+	// none is.
+	pinning chan struct{}
 }
 
 // pinFirst writes the node's due cluster pin, if it has one: every write
 // kvstore sends a node — a batchWrite group, a repair's converging Put —
-// calls it first, so a node holds its pin before it holds any data.
-// Concurrent first writes may both send it; the pin is the same bytes.
+// calls it first, so a node holds its pin before it holds any data. The pin
+// is sent once: a concurrent first write waits for the one in flight (or
+// for its ctx), and if that fails, the next write sends the pin again.
 func (n *node) pinFirst(ctx context.Context) error {
-	env := n.pin.Load()
-	if env == nil {
-		return nil
+	for {
+		n.pinMu.Lock()
+		env, inFlight := n.pin, n.pinning
+		if env != nil && inFlight == nil {
+			done := make(chan struct{})
+			n.pinning = done
+			n.pinMu.Unlock()
+			err := n.be.Put(ctx, clusterTable, nodeIDKey, env)
+			n.pinMu.Lock()
+			if err == nil {
+				n.pin = nil
+			}
+			n.pinning = nil
+			n.pinMu.Unlock()
+			close(done)
+			return err
+		}
+		n.pinMu.Unlock()
+		if env == nil {
+			return nil
+		}
+		select {
+		case <-inFlight: // written, or failed and up for the taking
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	if err := n.be.Put(ctx, clusterTable, nodeIDKey, *env); err != nil {
-		return err
-	}
-	n.pin.CompareAndSwap(env, nil)
-	return nil
 }
 
 // isUnavailable classifies an error as transient node unavailability:

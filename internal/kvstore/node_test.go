@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
@@ -73,5 +75,72 @@ func TestAbsentSeamRule(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pinCounter is a memory backend that counts the cluster pins put to it.
+// The first pin's Put waits for a second one to arrive, or 200 ms, so that a
+// write beside it finds the pin in flight; while fail is set, pins fail.
+type pinCounter struct {
+	*memory.Backend
+	pins   atomic.Int32
+	second chan struct{}
+	fail   atomic.Bool
+}
+
+func (p *pinCounter) Put(ctx context.Context, table, key string, value []byte) error {
+	if table == clusterTable {
+		switch p.pins.Add(1) {
+		case 1:
+			select {
+			case <-p.second:
+			case <-time.After(200 * time.Millisecond):
+			}
+		case 2:
+			close(p.second)
+		}
+		if p.fail.Load() {
+			return errors.New("pin refused")
+		}
+	}
+	return p.Backend.Put(ctx, table, key, value)
+}
+
+// TestPinFirstOnce: two concurrent first writes to a fresh node put its
+// cluster pin once, the second waiting for the first's; a pin that fails is
+// put again by the next write.
+func TestPinFirstOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, failFirst := range []bool{false, true} {
+		be := &pinCounter{Backend: memory.New(), second: make(chan struct{})}
+		be.fail.Store(failFirst)
+		srv, err := engined.Start("127.0.0.1:0", be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		s := openRemote(t, []string{srv.Addr().String()}, 1)
+		errs := make(chan error, 2)
+		for _, k := range []string{"a", "b"} {
+			go func() { errs <- s.Put(ctx, "t", k, []byte(k)) }()
+		}
+		for range 2 {
+			if err := <-errs; (err != nil) != failFirst {
+				t.Fatalf("failing pin %v: a first write returned %v", failFirst, err)
+			}
+		}
+		if got := be.pins.Load(); got != 1 && !failFirst || got != 2 && failFirst {
+			t.Fatalf("failing pin %v: %d pins put", failFirst, got)
+		}
+		if !failFirst {
+			continue
+		}
+		be.fail.Store(false)
+		if err := s.Put(ctx, "t", "c", []byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := be.Backend.Get(ctx, clusterTable, nodeIDKey); !ok || err != nil {
+			t.Fatalf("after a failed pin, the next write left no pin (%v)", err)
+		}
 	}
 }

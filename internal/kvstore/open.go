@@ -304,8 +304,7 @@ func (s *Store) pinCluster(ctx context.Context) error {
 			}
 		}
 		if writePin {
-			env := envelope(envValue, s.nextTS(), []byte(want))
-			n.pin.Store(&env)
+			n.pin = envelope(envValue, s.nextTS(), []byte(want))
 		}
 	}
 	return nil

@@ -551,7 +551,10 @@ func runPinCases(t *testing.T, start func(t *testing.T) pinCluster, cases []pinC
 				t.Fatal(err)
 			}
 			for _, n := range s.nodes {
-				if n.pin.Load() != nil {
+				n.pinMu.Lock()
+				due := n.pin != nil
+				n.pinMu.Unlock()
+				if due {
 					t.Fatalf("node %d took no write: its pin is still due", n.id)
 				}
 			}

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"iter"
 	"log"
 	"net/http"
@@ -147,19 +148,12 @@ type BranchesResponse struct {
 }
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
-	var req CommitRequest
-	if !s.decodeBody(w, r, "commit", &req) {
+	req, ok := s.readCommit(w, r)
+	if !ok {
 		return
 	}
-	ch := core.Change{Puts: map[types.Key][]byte{}}
-	for k, v := range req.Puts {
-		ch.Puts[types.Key(k)] = v
-	}
-	for _, k := range req.Deletes {
-		ch.Deletes = append(ch.Deletes, types.Key(k))
-	}
-	parents := make([]types.VersionID, 0, 1+len(req.Parents))
-	for _, p := range append([]int64{req.Parent}, req.Parents...) {
+	parents := make([]types.VersionID, 0, len(req.parents))
+	for _, p := range req.parents {
 		v, err := versionFromWire(p)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -170,13 +164,13 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	// Detached from the request's cancellation: once a commit starts its
 	// durable write, a dropped client must not abort it half-way.
 	ctx := context.WithoutCancel(r.Context())
-	v, err := s.store.CommitMerge(ctx, parents, ch)
+	v, err := s.store.CommitMerge(ctx, parents, req.change)
 	if err != nil {
 		httpError(w, statusOf(err), err)
 		return
 	}
-	if req.Branch != "" {
-		if err := s.store.SetBranch(ctx, req.Branch, v); err != nil {
+	if req.branch != "" {
+		if err := s.store.SetBranch(ctx, req.branch, v); err != nil {
 			httpError(w, statusOf(err), err)
 			return
 		}
@@ -402,7 +396,7 @@ func (s *Server) handleSetBranch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Version int64 `json:"version"`
 	}
-	if !s.decodeBody(w, r, "branch", &req) {
+	if !s.decodeBody(w, http.MaxBytesReader(w, r.Body, s.maxBody), "branch", &req) {
 		return
 	}
 	v, err := versionFromWire(req.Version)
@@ -482,11 +476,48 @@ func statusOf(err error) int {
 	}
 }
 
-// decodeBody decodes r's JSON body, the named kind of request, into v and
+// readCommit reads a commit's body and reports whether it did; if not, it
+// has answered, as decodeBody does. A body parseCommit takes is parsed
+// once; any other goes to decodeBody, its bytes and the error that ended
+// their read replayed, so status codes and error texts are encoding/json's.
+func (s *Server) readCommit(w http.ResponseWriter, r *http.Request) (commitBody, bool) {
+	var body bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// A Content-Length is only a claim: it sizes the buffer up to
+		// commitPresize, and a larger body grows it as it arrives.
+		body.Grow(int(min(n, commitPresize)) + bytes.MinRead)
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err == nil {
+		if req, ok := parseCommit(body.Bytes()); ok {
+			return req, true
+		}
+	}
+	var rest io.Reader = &body
+	if err != nil {
+		rest = io.MultiReader(&body, failReader{err})
+	}
+	var req CommitRequest
+	if !s.decodeBody(w, rest, "commit", &req) {
+		return commitBody{}, false
+	}
+	return commitBodyOf(req), true
+}
+
+// commitPresize bounds the buffer readCommit sizes by a Content-Length.
+const commitPresize = 4 << 20
+
+// failReader answers every read with err.
+type failReader struct{ err error }
+
+func (f failReader) Read([]byte) (int, error) { return 0, f.err }
+
+// decodeBody decodes a JSON body, the named kind of request, into v and
 // reports whether it did; if not, it has answered: 413 once the body runs
-// past s.maxBody bytes, which are all that is read of it, else 400.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, kind string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+// past s.maxBody bytes (body is read through http.MaxBytesReader, which
+// stops there), else 400.
+func (s *Server) decodeBody(w http.ResponseWriter, body io.Reader, kind string, v any) bool {
+	err := json.NewDecoder(body).Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):

@@ -7,7 +7,7 @@
 # Sections: gofmt vet staticcheck rstore-vet docs ci-names benchmark examples
 # daemons fuzz, and compare <base-ref>. No arguments runs the default gate
 # (everything except daemons, fuzz and compare: daemons starts processes on
-# fixed loopback ports 17420-17422 and 18099, fuzz costs tens of seconds, and
+# fixed loopback ports 17420-17422, 17430-17432, 18099 and 18100, fuzz costs tens of seconds, and
 # compare costs minutes and needs a ref). ci-names fails when a test
 # selector of CI or of this script names nothing: each alternative of a go
 # test run, bench or fuzz pattern in .github/workflows/ci.yml and here must
@@ -15,7 +15,8 @@
 # it belongs to quietly runs less than it says. daemons smokes the shipped
 # binaries on their defaults: three rstore-node (lsm), an rstore log of them
 # while fresh that must say "run init first" and pin nothing, an
-# rstore-server over them at rf 2, a commit and a read through HTTP, a SIGTERM of
+# rstore-server over them at rf 2, a commit and a read through HTTP, a
+# fetch of each daemon's /debug/pprof/ from its -debug-addr, a SIGTERM of
 # everything, a restart at rf 1 that must be refused and one at rf 2 that
 # must read the same records, an lsm server at two nodes whose restart at
 # three must be refused, and the rstore CLI's init/commit/get on its
@@ -177,7 +178,7 @@ run_daemons() {
     }
     start_nodes() {
       for i in 0 1 2; do
-        "$work/bin/rstore-node" -addr "127.0.0.1:$((17420 + i))" -data "$work/node$i" >>"$work/node$i.log" 2>&1 &
+        "$work/bin/rstore-node" -addr "127.0.0.1:$((17420 + i))" -debug-addr "127.0.0.1:$((17430 + i))" -data "$work/node$i" >>"$work/node$i.log" 2>&1 &
         pids+=($!)
       done
       for i in 0 1 2; do
@@ -185,7 +186,7 @@ run_daemons() {
       done
     }
     start_server() { # start_server <rstore-server flags...>
-      "$work/bin/rstore-server" -addr 127.0.0.1:18099 "$@" >>"$work/server.log" 2>&1 &
+      "$work/bin/rstore-server" -addr 127.0.0.1:18099 -debug-addr 127.0.0.1:18100 "$@" >>"$work/server.log" 2>&1 &
       pids+=($!)
       wait_for rstore-server curl -sf "$server/stats"
     }
@@ -231,6 +232,13 @@ run_daemons() {
       echo "daemons: /version/main read $before, want two records"
       exit 1
     fi
+    # Every daemon serves net/http/pprof on its -debug-addr.
+    for debug in 127.0.0.1:17430 127.0.0.1:17431 127.0.0.1:17432 127.0.0.1:18100; do
+      if ! curl -sf "http://$debug/debug/pprof/" | grep -q goroutine; then
+        echo "daemons: no pprof index on -debug-addr $debug"
+        exit 1
+      fi
+    done
     # The CLI's read commands beside the live server open the cluster
     # read-only: they answer from the server's acknowledged commits and
     # delete nothing, which the restart below reads back.
@@ -292,6 +300,8 @@ run_fuzz() {
   go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
   go test -fuzz=FuzzDecodeDeltaEntry -fuzztime=10s -run '^$' ./internal/core/
   go test -fuzz=FuzzDecodeDelta -fuzztime=10s -run '^$' ./internal/codec/
+  go test -fuzz=FuzzDeltaLen -fuzztime=10s -run '^$' ./internal/codec/
+  go test -fuzz=FuzzCommitBody -fuzztime=20s -run '^$' ./internal/server/
   go test -fuzz=FuzzDecodeSegment -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzDecodeMap -fuzztime=10s -run '^$' ./internal/chunk/
   go test -fuzz=FuzzValueRuns -fuzztime=10s -run '^$' ./internal/chunk/
