@@ -18,14 +18,9 @@ type Edge struct {
 // blocks on From's holders — justify it in Reason.
 var Table = []Edge{
 	{
-		From:   "rstore/internal/engine/lsm.Backend.compactMu",
-		To:     "rstore/internal/engine/lsm.Backend.mu",
-		Reason: "every merge (Compact's and the tier loop the worker runs after a flush or an ingest) holds compactMu throughout and takes mu only to capture its victims and to install its output; mu holders never take compactMu",
-	},
-	{
 		From:   "rstore/internal/engine/lsm.Backend.flushMu",
 		To:     "rstore/internal/engine/lsm.Backend.mu",
-		Reason: "a flush of the frozen memtables (the worker's, a stalled write call's, Compact's, Close's) holds flushMu throughout and takes mu only to capture the frozen set and to install its tables; mu holders never take flushMu (a stalled write call releases mu first)",
+		Reason: "a flush of the frozen memtables (the worker's, a stalled write call's, Close's) holds flushMu throughout and takes mu only to capture the frozen set and to install its tables; mu holders never take flushMu (a stalled write call releases mu first)",
 	},
 	{
 		From:   "rstore/internal/engine/lsm.Backend.flushMu",
@@ -36,11 +31,6 @@ var Table = []Edge{
 		From:   "rstore/internal/engine/lsm.Backend.mu",
 		To:     "rstore/internal/engine/lsm.cacheShard.mu",
 		Reason: "writes and reads under mu update the block cache; cache shards are leaf locks protecting only their own map",
-	},
-	{
-		From:   "rstore/internal/engine/lsm.Backend.compactMu",
-		To:     "rstore/internal/engine/lsm.cacheShard.mu",
-		Reason: "merges under compactMu read their victims through the block cache with mu released; cache shards are leaf locks",
 	},
 	{
 		From:   "rstore/internal/core.Store.wmu",

@@ -122,15 +122,6 @@ func (b *BitSet) And(other *BitSet) {
 	}
 }
 
-// AndNot sets b = b \ other.
-func (b *BitSet) AndNot(other *BitSet) {
-	for i := range b.words {
-		if i < len(other.words) {
-			b.words[i] &^= other.words[i]
-		}
-	}
-}
-
 // Xor sets b = b △ other, the positions in exactly one of the two.
 func (b *BitSet) Xor(other *BitSet) {
 	b.grow(len(other.words) - 1)

@@ -56,12 +56,6 @@ func TestSetAlgebra(t *testing.T) {
 		t.Fatalf("And = %v", got)
 	}
 
-	diff := a.Clone()
-	diff.AndNot(b)
-	if got := diff.Slice(); len(got) != 2 || got[0] != 1 || got[1] != 100 {
-		t.Fatalf("AndNot = %v", got)
-	}
-
 	// Xor, shorter into longer and longer into shorter; twice is the identity.
 	for _, pair := range [][2]*BitSet{{a, b}, {b, a}} {
 		xor := pair[0].Clone()

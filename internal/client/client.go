@@ -274,13 +274,6 @@ func (c *Client) GetRange(ctx context.Context, ref string, lo, hi types.Key) (*C
 	return c.query(ctx, path)
 }
 
-// GetRangeFrom streams a version's records with keys at or above lo — the
-// explicit unbounded-high range (no sentinel key involved).
-func (c *Client) GetRangeFrom(ctx context.Context, ref string, lo types.Key) (*Cursor, error) {
-	path := fmt.Sprintf("/version/%s/range?lo=%s", url.PathEscape(ref), url.QueryEscape(string(lo)))
-	return c.query(ctx, path)
-}
-
 // GetRangeAll retrieves a version's records with keys in [lo, hi) as one
 // slice, sorted by composite key — the buffered convenience form of
 // GetRange.

@@ -44,8 +44,9 @@ func backends() map[string]backendRow {
 	return map[string]backendRow{
 		"memory": {open: func(*testing.T, string) engine.Backend { return memory.New() }},
 		"lsm":    {durable: true, open: openLSM},
-		// LSM with a full merge forced after every mutation: flush, merge,
-		// MANIFEST commits, and victim unlinks race the whole suite.
+		// LSM with Compact after every mutation — a flush, and a wait for
+		// the worker's pass to settle: flushes, tier merges, MANIFEST
+		// commits and victim unlinks race the whole suite.
 		"lsm-compacting": {durable: true, open: func(t *testing.T, dir string) engine.Backend {
 			return compactingBackend{openLSM(t, dir)}
 		}},
@@ -95,9 +96,9 @@ func (s served) Close() error {
 }
 
 // compactingBackend wraps any compacting backend so every successful
-// mutation immediately triggers a full compaction cycle. An
-// aggressive-compaction backend must be semantically indistinguishable from
-// a quiescent one.
+// mutation is followed by a Compact: on lsm, a flush and a settled pass of
+// its worker. A backend flushed and settled after every write must be
+// semantically indistinguishable from a quiescent one.
 type compactingBackend struct {
 	engine.Backend
 }
@@ -487,9 +488,9 @@ func TestConformanceChunkShapedValues(t *testing.T) {
 				t.Fatal(err)
 			}
 			verify(t, b)
-			// On lsm a full merge also flushes the memtable, so the second
-			// round of reads is served from sstable blocks. No client asks a
-			// daemon to merge: a remote row merges the engine behind it.
+			// On lsm Compact flushes the memtable, so the second round of
+			// reads is served from sstable blocks. No client asks a daemon
+			// to: a remote row compacts the engine behind it.
 			var merged engine.Backend = b
 			if s, ok := b.(served); ok {
 				merged = s.be

@@ -196,20 +196,23 @@ type Resetter interface {
 
 // Compactor is the optional storage-reclaim extension of Backend: log- or
 // LSM-structured engines accumulate dead bytes (overwritten values,
-// tombstones) that only a merge can give back to the filesystem. Callers
-// obtain it by type assertion; engines with nothing to compact (in-memory
-// maps) simply do not implement it.
+// tombstones) that only a merge can give back to the filesystem, and they
+// decide those merges themselves. Callers obtain it by type assertion;
+// engines with nothing to compact (in-memory maps) simply do not implement
+// it.
 type Compactor interface {
-	// Compact merges dead-heavy storage, rewriting only live records, and
-	// returns the post-compaction stats. It is safe to call concurrently
-	// with reads and writes, must be crash-safe (a crash mid-compaction
-	// loses no acknowledged write), and is a no-op when nothing can be
-	// reclaimed.
+	// Compact flushes and returns once the engine's own reclaim has
+	// settled, with the stats as it left them: it asks for no merge the
+	// engine would not make on its own. It is safe to call concurrently
+	// with reads and writes, must be crash-safe (a crash mid-flush or
+	// mid-merge loses no acknowledged write), and returns ctx's error
+	// promptly once ctx ends.
 	Compact(ctx context.Context) (CompactionStats, error)
 
 	// CompactionStats reports the current reclaim state without compacting.
 	// Its numbers are settled: an engine that flushes or merges in the
 	// background (lsm's worker) first finishes what the writes before the
-	// call set off, so a read after a write reports what that write did.
+	// call set off, so a read after a write reports what that write did;
+	// that wait, too, ends with ctx.
 	CompactionStats(ctx context.Context) (CompactionStats, error)
 }

@@ -68,7 +68,8 @@ func (op crashOp) String() string {
 // end in; an ingest right after an unsynced put to its table; a drain that
 // leaves a log mostly dead (log replacement); an ingest over keys a table
 // holds and one beside them; deletes that kill a flushed table's every entry
-// (retirement); a Compact; and a Close. Every batch meant for the
+// (retirement); a Compact, which flushes and settles the tier loop; and a
+// Close. Every batch meant for the
 // log stays under the ingest threshold, and each round of chunk batches
 // writes most of the keys of the round before it again, so that its flushed
 // table overlaps the others, which stay live, and tiering merges them.

@@ -15,10 +15,9 @@ import (
 
 // This file holds the structural write paths: the merged iteration shared
 // by scans/recovery/compaction, the table writer, log replacement,
-// retirement of dead tables, and the one merge path (mergeJob) behind both
-// size-tiered compaction after a flush or an ingest and the full merge of
-// engine.Compactor. The swap and the flush are in flush.go, the ingest in
-// ingest.go.
+// retirement of dead tables, the size-tiered compaction the worker runs and
+// its one merge path (mergeJob), and engine.Compactor. The swap and the
+// flush are in flush.go, the ingest in ingest.go.
 //
 // Every path commits through the MANIFEST rename (see manifest.go) and is
 // ordered so that a crash at any point leaves either the old state or the
@@ -309,18 +308,13 @@ func sizeClass(size int64) int {
 // tierWidth is how many adjacent tables a size-tiered merge takes.
 const tierWidth = 4
 
-// tierCompact is size-tiered compaction. The worker runs it after every
-// flush and every ingest (flush.go), so no write call waits for the merges
-// it set off, and reads and writes go on beside them: while a run is less
-// than half live, it is merged whole, and while it holds MaxTables tables or
-// more that overlap another, the cheapest window of tierWidth of those is
-// merged (tierPick). It is skipped while a Compact holds compactMu: the
-// Compact absorbs the backlog.
+// tierCompact is size-tiered compaction, the one place lsm merges. The
+// worker's pass runs it after every flush, every ingest and every Compact
+// (flush.go), so no write call waits for the merges it set off, and reads
+// and writes go on beside them: while a run is less than half live, it is
+// merged whole, and while it holds MaxTables tables or more that overlap
+// another, the cheapest window of tierWidth of those is merged (tierPick).
 func (b *Backend) tierCompact(ctx context.Context) error {
-	if !b.compactMu.TryLock() {
-		return nil
-	}
-	defer b.compactMu.Unlock()
 	b.mu.RLock()
 	names := b.runNames()
 	b.mu.RUnlock()
@@ -338,16 +332,6 @@ func (b *Backend) tierCompact(ctx context.Context) error {
 	return nil
 }
 
-// wholeRun is Compact's pick, and tierPick's for a run less than half live:
-// the whole run, when a merge reclaims anything from it — more than one
-// table, or dead weight in the one.
-func wholeRun(tables []*sstable) []*sstable {
-	if len(tables) == 1 && tables[0].size <= tables[0].live {
-		return nil
-	}
-	return tables
-}
-
 // minLiveShare is the live share of its file bytes below which a run of two
 // tables or more is merged whole: such a merge writes less than it
 // reclaims, and the run's next merge of this kind waits until as many
@@ -356,7 +340,7 @@ func wholeRun(tables []*sstable) []*sstable {
 const minLiveShare = 0.5
 
 // tierPick is tiering's pick. A run less than minLiveShare live is taken
-// whole, as Compact takes it (wholeRun), whatever its tables' key ranges.
+// whole, whatever its tables' key ranges.
 // Otherwise a table whose key range meets no other table's of its run is
 // never rewritten by it (leveldb's trivial move: a merge would copy it
 // unchanged), so a run of write-once tables in key order is merged by
@@ -370,7 +354,7 @@ func (b *Backend) tierPick(tables []*sstable) []*sstable {
 		live, size = live+clampedLive(t), size+t.size
 	}
 	if len(tables) > 1 && float64(live) < minLiveShare*float64(size) {
-		return wholeRun(tables)
+		return tables
 	}
 	alone := isolated(tables)
 	var peers []*sstable
@@ -437,12 +421,11 @@ func pickWindow(tables []*sstable, width int) int {
 // mergeJob is one merge: some of one run's tables, in age order, merged
 // into at most one table that takes the oldest one's place — a window of
 // consecutive tables, save that it may step over tables whose key ranges
-// meet none of the victims', or a whole run. Every merge — the window or the
-// half-dead run a flushing or ingesting write call leaves behind
-// (tierCompact) and each run of a Compact — goes one way: captureMerge takes
-// the job under b.mu, writeMerged reads the victims and writes the output
-// with no b.mu held, and installMerge mounts the output only if the victims
-// are all still in their run. compactMu is held throughout, so two merges
+// meet none of the victims', or a whole run less than half live. Every
+// merge goes one way: captureMerge takes the job under b.mu, writeMerged
+// reads the victims and writes the output with no b.mu held, and
+// installMerge mounts the output only if the victims are all still in their
+// run. Only the worker's pass merges, one pass at a time, so two merges
 // never share a victim.
 type mergeJob struct {
 	table   string
@@ -596,49 +579,47 @@ func (b *Backend) installMerge(job mergeJob, nt *sstable, mergeErr error) error 
 	return nil
 }
 
-// Compact flushes the memtables (flush) and then merges each run with
-// anything reclaimable into one table, dropping shadowed versions and all
-// tombstones. Each run is one merge job, so reads and writes go on beside
-// it.
+// Compact flushes the memtables and returns the reclaim state once the
+// engine's own reclaim has settled: it swaps what they hold — after the
+// flush of a frozen set an earlier swap left, if there is one — and hands
+// the worker a pass, whose tier loop merges what tierPick picks and nothing
+// more. It merges nothing itself: everything written before the call is in
+// SSTables when it returns, and the merges are the worker's.
 func (b *Backend) Compact(ctx context.Context) (engine.CompactionStats, error) {
-	if err := ctx.Err(); err != nil {
-		return engine.CompactionStats{}, err
-	}
-	if err := b.flush(); err != nil {
-		return engine.CompactionStats{}, err
-	}
-	if err := b.mergeAll(ctx); err != nil {
-		return engine.CompactionStats{}, err
-	}
-	return b.CompactionStats(ctx)
-}
-
-// mergeAll is Compact's merges: each run whole, under compactMu.
-func (b *Backend) mergeAll(ctx context.Context) error {
-	b.compactMu.Lock()
-	defer b.compactMu.Unlock()
-	b.mu.RLock()
-	names := b.runNames()
-	b.mu.RUnlock()
-	for _, name := range names {
-		job, ok := b.captureMerge(name, wholeRun)
-		if !ok {
-			continue
+	for {
+		if err := ctx.Err(); err != nil {
+			return engine.CompactionStats{}, err
 		}
-		if err := b.merge(ctx, job); err != nil {
-			return err
+		b.mu.Lock()
+		earlier := b.frozen // flushed first, and then the swap
+		var err error
+		if b.closed {
+			err = types.ErrClosed
+		} else {
+			if !earlier && b.buffered > 0 {
+				err = b.swapLocked()
+			}
+			b.w.kickLocked(true)
+		}
+		b.mu.Unlock()
+		if err != nil {
+			return engine.CompactionStats{}, err
+		}
+		st, err := b.CompactionStats(ctx)
+		if err != nil || !earlier {
+			return st, err
 		}
 	}
-	return nil
 }
 
 // CompactionStats reports the reclaim state: total file bytes, the portion
-// a full merge must keep, cumulative reclaimed volume, and the file count.
+// a merge of everything would keep, cumulative reclaimed volume, and the
+// file count.
 // It first waits for the worker (settle), so that it reports what the
 // writes before it set off — their flush and merges done — and fails with
 // the first error the worker met since the last call. A log's live share
 // is what a log holding only its table's memtable entries would take
-// (logLive): Compact's flush turns exactly those into SSTable entries.
+// (logLive): a flush turns exactly those into SSTable entries.
 func (b *Backend) CompactionStats(ctx context.Context) (engine.CompactionStats, error) {
 	if err := ctx.Err(); err != nil {
 		return engine.CompactionStats{}, err

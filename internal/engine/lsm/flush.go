@@ -20,7 +20,8 @@ import (
 // and writes go on into the fresh memtables. A write waits only when its swap
 // is due while the last frozen set is still unflushed: it then flushes that
 // set itself, or waits on flushMu for the worker's flush of it to end.
-// Compact and Close flush through the same flushFrozen.
+// Close flushes through the same flushFrozen, and Compact hands the worker
+// a swap of its own.
 //
 // Until its flush commits, a frozen log is named by every MANIFEST beside its
 // table's fresh log, and recovery replays a table's two logs in sequence
@@ -244,35 +245,10 @@ func (b *Backend) allocSeq() int64 {
 	return b.allocSeqLocked()
 }
 
-// flush freezes what the memtables hold and flushes it, with the frozen set
-// an earlier swap left: everything written before the call is in SSTables
-// when it returns. Compact starts with it; unlike a write call's swap, it
-// sets off no tier loop — Compact merges every run whole next.
-func (b *Backend) flush() error {
-	for {
-		b.mu.Lock()
-		var err error
-		earlier := b.frozen // flushed first, and then the swap
-		switch {
-		case b.closed:
-			err = types.ErrClosed
-		case !earlier && b.buffered > 0:
-			err = b.swapLocked()
-		}
-		b.mu.Unlock()
-		if err == nil {
-			err = b.flushFrozen()
-		}
-		if err != nil || !earlier {
-			return err
-		}
-	}
-}
-
 // worker is a Backend's background worker: one goroutine that, woken by a
-// swap or an ingest, runs a pass — the frozen set's flush, if there is one,
-// then the tier loop. Without a goroutine (openInline) a pass runs on the
-// caller that settles.
+// swap, an ingest or a Compact, runs a pass — the frozen set's flush, if
+// there is one, then the tier loop. Without a goroutine (openInline) a pass
+// runs on the caller that settles, one caller at a time (running).
 type worker struct {
 	wake   chan struct{} // capacity 1; nil without a goroutine
 	done   chan struct{} // closed when the goroutine returns
@@ -282,11 +258,15 @@ type worker struct {
 	// Guarded by b.mu:
 	// owed is set from a kick until a pass finds nothing more due.
 	owed bool
-	// tier says an ingest asked for the tier loop.
+	// tier says an ingest or a Compact asked for the tier loop.
 	tier bool
+	// running is set while a settling caller runs a pass (no goroutine):
+	// at most one pass runs at a time, as on the goroutine.
+	running bool
 	// err is the first error of a pass since the last settle.
 	err error
-	// settled is broadcast when owed clears and when the backend closes.
+	// settled is broadcast when a pass ends, when the backend closes and
+	// when a settling caller's context ends.
 	settled *sync.Cond
 }
 
@@ -327,7 +307,8 @@ func (w *worker) stop() {
 
 // kickLocked hands the worker a pass: the frozen set's flush, which a swap
 // has just set b.frozen for, and the tier loop after it, or the tier loop
-// alone, which an ingest asks for (tier). Callers hold b.mu exclusively.
+// alone, which an ingest or a Compact asks for (tier). Callers hold b.mu
+// exclusively.
 func (w *worker) kickLocked(tier bool) {
 	w.owed = true
 	w.tier = w.tier || tier
@@ -341,7 +322,8 @@ func (w *worker) kickLocked(tier bool) {
 
 // pass is one pass of the worker: the frozen set's flush, if there is one,
 // and then the tier loop, if it flushed or an ingest asked for it — again
-// while a kick during it asked for more.
+// while a kick during it asked for more. It runs on the goroutine, or on a
+// settling caller that set b.w.running.
 func (b *Backend) pass(ctx context.Context) {
 	for {
 		b.mu.Lock()
@@ -357,7 +339,7 @@ func (b *Backend) pass(ctx context.Context) {
 			b.w.err = err
 		}
 		if err != nil || !b.w.tier && !b.frozen || b.closed {
-			b.w.owed = false
+			b.w.owed, b.w.running = false, false
 			b.w.settled.Broadcast()
 			b.mu.Unlock()
 			return
@@ -368,20 +350,29 @@ func (b *Backend) pass(ctx context.Context) {
 
 // settle waits until the worker has nothing left to do — the flush and the
 // merges every write so far set off are done — and returns the first error
-// a pass met since the last settle. Without a goroutine, it runs the pass
-// itself, its merges under ctx.
+// a pass met since the last settle, or ctx's error once ctx ends first.
+// Without a goroutine, it runs the pass itself, its merges under ctx, unless
+// another caller's pass is under way: it then waits for that one.
 func (b *Backend) settle(ctx context.Context) error {
-	if b.w.wake == nil {
-		b.mu.RLock()
-		owed := b.w.owed
-		b.mu.RUnlock()
-		if owed {
-			b.pass(ctx)
-		}
-	}
+	stop := context.AfterFunc(ctx, func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.w.settled.Broadcast()
+	})
+	defer stop()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.w.owed && !b.closed {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if b.w.wake == nil && !b.w.running {
+			b.w.running = true
+			b.mu.Unlock()
+			b.pass(ctx)
+			b.mu.Lock()
+			continue
+		}
 		b.w.settled.Wait()
 	}
 	err := b.w.err

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -278,4 +279,88 @@ func sameAsModel(ctx context.Context, b *Backend, model *memory.Backend) error {
 		}
 	}
 	return nil
+}
+
+// TestSettleHonoursContext holds the worker's pass at each stage of its
+// flush and of the tier merge after it, and calls CompactionStats and
+// Compact beside it under a context that ends after 50 ms: both wait for the
+// worker, and both must return the context's error promptly instead. Once
+// the pass is released, Compact settles it: the run is merged into one
+// table, and the stats count the files on disk.
+func TestSettleHonoursContext(t *testing.T) {
+	value := []byte(strings.Repeat("v", 1000))
+	for _, stage := range []string{"flushing", "flushed", "captured", "written"} {
+		t.Run(stage, func(t *testing.T) {
+			dir := t.TempDir()
+			b := openT(t, dir, Options{MemtableBytes: 64 << 10, MaxTables: tierWidth})
+			defer b.Close()
+			next := 0
+			batch := func(n int) error {
+				ents := tierBatch(next, n, value)
+				next += n
+				return b.BatchPut(context.Background(), "t", ents)
+			}
+			for i := 0; i < tierWidth-1; i++ {
+				if err := batch(40); err != nil {
+					t.Fatal(err)
+				}
+				flushT(t, b)
+			}
+			held, r := make(chan struct{}), make(chan struct{})
+			release := sync.OnceFunc(func() { close(r) })
+			defer release() // before Close, which waits for the worker
+			var once sync.Once
+			b.setPause(func(at string) {
+				if at == stage {
+					once.Do(func() {
+						close(held)
+						<-r
+					})
+				}
+			})
+			if err := batch(70); err != nil { // its swap sets off the flush, and the flush a merge
+				t.Fatal(err)
+			}
+			select {
+			case <-held:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("the pass never reached %q", stage)
+			}
+
+			calls := []struct {
+				name string
+				call func(ctx context.Context) error
+			}{
+				{"CompactionStats", func(ctx context.Context) error { _, err := b.CompactionStats(ctx); return err }},
+				{"Compact", func(ctx context.Context) error { _, err := b.Compact(ctx); return err }},
+			}
+			for _, c := range calls {
+				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				ret := make(chan error, 1)
+				go func() { ret <- c.call(ctx) }()
+				select {
+				case err := <-ret:
+					if !errors.Is(err, context.DeadlineExceeded) {
+						t.Fatalf("%s beside the held pass: %v, want its context's error", c.name, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s outlived its context beside the held pass", c.name)
+				}
+				cancel()
+			}
+
+			release()
+			st, err := b.Compact(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if files := runFiles(b, "t"); len(files) != 1 {
+				t.Fatalf("the released pass left the run as %v, want one table", files)
+			}
+			if disk := diskBytes(t, dir); st.DiskBytes != disk {
+				t.Fatalf("Compact reports %d disk bytes, the files hold %d", st.DiskBytes, disk)
+			}
+			checkRunInvariants(t, b)
+		})
+	}
 }

@@ -27,13 +27,14 @@
 // needs no invalidation) serves hot blocks without touching disk. Within a
 // run, size-tiered compaction merges windows of tables whose key ranges
 // overlap, dropping shadowed versions, and leaves a table that overlaps no
-// other where it is; a run less than half live is merged into one table,
-// as a full merge (the Compactor interface) merges each run — all the same
-// way, reading and writing SSTables while reads and writes go on
-// (mergeJob); and a table whose every entry is shadowed is unlinked without
-// being read (retireLocked). The engine reclaims its dead bytes itself: the
-// worker runs the tier loop after every flush and every ingest, and no
-// caller needs to. The MANIFEST names the live files; its atomic rename is
+// other where it is; a run less than half live is merged into one table —
+// both the same way, reading and writing SSTables while reads and writes go
+// on (mergeJob); and a table whose every entry is shadowed is unlinked
+// without being read (retireLocked). The engine reclaims its dead bytes
+// itself: the worker's tier loop, run after every flush and every ingest,
+// is the one place lsm merges. Compact (the Compactor interface) asks for
+// no merge of its own: it flushes and returns once the worker's pass has
+// settled. The MANIFEST names the live files; its atomic rename is
 // the commit point for every structural change, which is what makes flush,
 // ingest, compaction and retirement crash-safe.
 //
@@ -141,14 +142,16 @@ type Backend struct {
 	// write call that did it ends in retireLocked.
 	retirable bool
 
-	// compactMu serializes merges (explicit Compact and the worker's
-	// size-tiered compaction) so two merges can never race over the same
-	// victim tables. It is taken before mu, never under it.
-	compactMu sync.Mutex
+	// Merges need no lock of their own: only the worker's pass merges
+	// (tierCompact), and at most one pass runs at a time — on the worker's
+	// goroutine, or without one on the settling caller that claimed it
+	// (worker.running) — so two merges never race over the same victim
+	// tables.
+
 	// flushMu serializes flushes of the frozen memtables (flushFrozen): the
 	// worker's, and those of a caller that needs one done — a write whose
-	// swap is due while the last frozen set is unflushed, Compact, Close.
-	// It is taken before mu, never under it.
+	// swap is due while the last frozen set is unflushed, Close. It is
+	// taken before mu, never under it.
 	flushMu sync.Mutex
 
 	// w is the background worker (flush.go).
@@ -200,7 +203,7 @@ func (b *Backend) runLocked(table string) *run {
 }
 
 // runNames lists the runs in name order, the order every multi-run step
-// (MANIFEST lines, tiering, Compact) walks them in; callers hold b.mu.
+// (MANIFEST lines, the swap, tiering) walks them in; callers hold b.mu.
 func (b *Backend) runNames() []string {
 	names := make([]string, 0, len(b.runs))
 	for name := range b.runs {
@@ -871,8 +874,8 @@ func (r *run) logs() []*wal {
 }
 
 // setPause installs a hook (tests only) that every flush, merge and ingest
-// started from then on calls at its stages, holding no lock but flushMu or
-// compactMu: a flush with "flushing" before it writes the frozen memtables
+// started from then on calls at its stages, holding no lock but a flush's
+// flushMu: a flush with "flushing" before it writes the frozen memtables
 // and "flushed" between making their tables durable and installing them; a
 // merge with "captured" before it reads its victims and "written" between
 // writing its output and installing it; an ingest with "ingesting" before it

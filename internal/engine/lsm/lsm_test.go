@@ -9,7 +9,7 @@ import (
 
 // TestGetSeesLatestAcrossStructuralChanges drives the sequences that would
 // expose a stale read: read-then-overwrite-then-read, read-then-delete and
-// compaction between reads. A tiny memtable keeps data flowing through
+// a whole-run merge between reads. A tiny memtable keeps data flowing through
 // SSTables so reads take the full table path through the block cache.
 func TestGetSeesLatestAcrossStructuralChanges(t *testing.T) {
 	ctx := context.Background()
@@ -49,13 +49,14 @@ func TestGetSeesLatestAcrossStructuralChanges(t *testing.T) {
 		t.Fatalf("after overwrite: %q", v)
 	}
 
-	// Compaction moves every row into a single table (new block-cache
-	// identities); logical content is unchanged.
-	if _, err := b.Compact(ctx); err != nil {
-		t.Fatal(err)
+	// A whole-run merge moves every row into a single table (new
+	// block-cache identities); logical content is unchanged.
+	mergeRunT(t, b, "t")
+	if files := runFiles(b, "t"); len(files) != 1 {
+		t.Fatalf("after the merge the run is %v", files)
 	}
 	if v, _ := get("k00"); v != "k00 v1" {
-		t.Fatalf("after compact: %q", v)
+		t.Fatalf("after the merge: %q", v)
 	}
 
 	// Delete a key whose block is cached: the tombstone must win.
@@ -71,7 +72,7 @@ func TestGetSeesLatestAcrossStructuralChanges(t *testing.T) {
 }
 
 // TestGetSeesLatestUnderRacingWriter hammers one hot key set with parallel
-// readers and a writer that flushes and compacts underneath them; under
+// readers and a writer that flushes and merges underneath them; under
 // -race this proves the read path shares nothing unsynchronized with the
 // write path, and under any mode that readers never observe a torn value
 // (every observed value must be one the writer actually wrote).
@@ -120,9 +121,7 @@ func TestGetSeesLatestUnderRacingWriter(t *testing.T) {
 			}
 		}
 		if rev%50 == 0 {
-			if _, err := b.Compact(ctx); err != nil {
-				t.Fatal(err)
-			}
+			mergeRunT(t, b, "t")
 		}
 	}
 	close(stop)
@@ -186,10 +185,8 @@ func TestBlockCacheSharedAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// A full merge flushes the memtable: reads below come from tables.
-		if _, err := bs[n].Compact(ctx); err != nil {
-			t.Fatal(err)
-		}
+		// Reads below come from tables.
+		flushT(t, bs[n])
 	}
 	for pass := 0; pass < 2; pass++ { // second pass is all cache hits
 		for i := 0; i < 64; i++ {

@@ -14,13 +14,56 @@ import (
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
+	"rstore/internal/types"
 )
+
+// flush freezes what the memtables hold and flushes it on its caller, with
+// the frozen set an earlier swap left: everything written before the call
+// is in SSTables when it returns. Unlike a write call's swap or a Compact, it
+// sets off no tier loop.
+func (b *Backend) flush() error {
+	for {
+		b.mu.Lock()
+		var err error
+		earlier := b.frozen // flushed first, and then the swap
+		switch {
+		case b.closed:
+			err = types.ErrClosed
+		case !earlier && b.buffered > 0:
+			err = b.swapLocked()
+		}
+		b.mu.Unlock()
+		if err == nil {
+			err = b.flushFrozen()
+		}
+		if err != nil || !earlier {
+			return err
+		}
+	}
+}
 
 // flushT forces the memtables out, as a full budget would, save that no
 // tier loop follows.
 func flushT(t *testing.T, b *Backend) {
 	t.Helper()
 	if err := b.flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mergeRunT flushes, settles the worker and then merges table's whole run
+// into one table, as no pass does unless the run is less than half live.
+// Nothing beside it may kick the worker: with the worker idle, its merge is
+// the only one.
+func mergeRunT(t *testing.T, b *Backend, table string) {
+	t.Helper()
+	flushT(t, b)
+	settleT(t, b)
+	job, ok := b.captureMerge(table, func(tables []*sstable) []*sstable { return tables })
+	if !ok {
+		return
+	}
+	if err := b.merge(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -433,9 +476,9 @@ func TestDeadTableAboveLiveNeighbourStays(t *testing.T) {
 	}
 }
 
-// TestCompactRacingRetirementAbandonsOutput: every merge — Compact's, and
-// the tier merge a write call's flush triggers — reads its victims and
-// writes its output with no lock held. Meanwhile the victims can be retired
+// TestCompactRacingRetirementAbandonsOutput: every merge — a whole-run merge
+// (mergeRunT), and the tier merge a write call's flush triggers — reads its
+// victims and writes its output with no lock held. Meanwhile the victims can be retired
 // (their entries die, the run empties, and a flush drops the tombstones on
 // the strength of that), before the merge reads them or after it has
 // written its output. Mounting the output then would bring the values back:
@@ -492,14 +535,12 @@ func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 						t.Errorf("run not retired: %v", got)
 					}
 				})
-				var err error
 				if merge == "compact" {
-					_, err = b.Compact(ctx)
-				} else if err = batch(70); err == nil { // the flush makes tierWidth tables
-					err = b.settle(ctx)
-				}
-				if err != nil {
-					t.Fatalf("%s beside the race: %v", merge, err)
+					mergeRunT(t, b, "t")
+				} else if err := batch(70); err != nil { // the flush makes tierWidth tables
+					t.Fatal(err)
+				} else if err := b.settle(ctx); err != nil {
+					t.Fatalf("tier beside the race: %v", err)
 				}
 				if !raced {
 					t.Fatal("no merge reached the race")

@@ -65,8 +65,8 @@
 // # Storage reclaim
 //
 // Reclaiming dead bytes is each node's engine's own job: lsm, locally or
-// behind a daemon, merges a run less than half live on the write call that
-// flushes it, and nothing above the engine asks it to. Backends that
+// behind a daemon, merges a run less than half live in its worker's pass
+// after a flush, and nothing above the engine asks it to. Backends that
 // implement engine.Compactor expose their dead-byte accounting through
 // Stats (DiskBytes, LiveBytes, LiveRatio, CompactedBytes); engines without
 // it count zero.

@@ -63,10 +63,6 @@ type group struct {
 	parents []int32
 }
 
-func newGroup(rec uint32) *group {
-	return &group{members: []uint32{rec}, parents: []int32{-1}}
-}
-
 func (g *group) size() int { return len(g.members) }
 
 // absorb merges child groups under a new root record.

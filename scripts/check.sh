@@ -288,27 +288,29 @@ run_daemons() {
   )
 }
 
+# Each run bounds the minimization of a new input to 1 s: at the default
+# of 60 s an input found early stalls a 10-20 s run at 0 execs/s.
 run_fuzz() {
   echo "== fuzz smoke"
-  go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$' ./internal/engine/remote/wire/
-  go test -fuzz=FuzzMessages -fuzztime=20s -run '^$' ./internal/engine/remote/wire/
-  go test -fuzz=FuzzScanFrames -fuzztime=10s -run '^$' ./internal/engine/reclog/
-  go test -fuzz=FuzzManifest -fuzztime=10s -run '^$' ./internal/engine/lsm/
-  go test -fuzz=FuzzOpenSSTable -fuzztime=10s -run '^$' ./internal/engine/lsm/
-  go test -fuzz=FuzzUnenvelope -fuzztime=10s -run '^$' ./internal/kvstore/
-  go test -fuzz=FuzzVerdict -fuzztime=10s -run '^$' ./internal/kvstore/
-  go test -fuzz=FuzzApplyPlacement -fuzztime=10s -run '^$' ./internal/core/
-  go test -fuzz=FuzzDecodeDeltaEntry -fuzztime=10s -run '^$' ./internal/core/
-  go test -fuzz=FuzzDecodeDelta -fuzztime=10s -run '^$' ./internal/codec/
-  go test -fuzz=FuzzDeltaLen -fuzztime=10s -run '^$' ./internal/codec/
-  go test -fuzz=FuzzCommitBody -fuzztime=20s -run '^$' ./internal/server/
-  go test -fuzz=FuzzDecodeSegment -fuzztime=10s -run '^$' ./internal/chunk/
-  go test -fuzz=FuzzDecodeMap -fuzztime=10s -run '^$' ./internal/chunk/
-  go test -fuzz=FuzzValueRuns -fuzztime=10s -run '^$' ./internal/chunk/
-  go test -fuzz=FuzzPackedLiterals -fuzztime=10s -run '^$' ./internal/chunk/
-  go test -fuzz=FuzzSegmentRoundTrip -fuzztime=10s -run '^$' ./internal/chunk/
-  go test -fuzz=FuzzDecodeGroup -fuzztime=10s -run '^$' ./internal/baseline/
-  go test -fuzz=FuzzBottomUp -fuzztime=10s -run '^$' ./internal/partition/
+  go test -fuzz=FuzzReadFrame -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/engine/remote/wire/
+  go test -fuzz=FuzzMessages -fuzztime=20s -fuzzminimizetime=1s -run '^$' ./internal/engine/remote/wire/
+  go test -fuzz=FuzzScanFrames -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/engine/reclog/
+  go test -fuzz=FuzzManifest -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/engine/lsm/
+  go test -fuzz=FuzzOpenSSTable -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/engine/lsm/
+  go test -fuzz=FuzzUnenvelope -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/kvstore/
+  go test -fuzz=FuzzVerdict -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/kvstore/
+  go test -fuzz=FuzzApplyPlacement -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/core/
+  go test -fuzz=FuzzDecodeDeltaEntry -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/core/
+  go test -fuzz=FuzzDecodeDelta -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/codec/
+  go test -fuzz=FuzzDeltaLen -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/codec/
+  go test -fuzz=FuzzCommitBody -fuzztime=20s -fuzzminimizetime=1s -run '^$' ./internal/server/
+  go test -fuzz=FuzzDecodeSegment -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzDecodeMap -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzValueRuns -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzPackedLiterals -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzSegmentRoundTrip -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/chunk/
+  go test -fuzz=FuzzDecodeGroup -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/baseline/
+  go test -fuzz=FuzzBottomUp -fuzztime=10s -fuzzminimizetime=1s -run '^$' ./internal/partition/
 }
 
 if [ $# -eq 0 ]; then
