@@ -31,6 +31,11 @@ func (b *countingBackend) Get(ctx context.Context, table, key string) ([]byte, b
 	return b.Backend.Get(ctx, table, key)
 }
 
+// MultiGet reads a batch through Get, so the batch's keys are counted too.
+func (b *countingBackend) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	return engine.GetEach(ctx, b, table, keys)
+}
+
 // TestRemoteClusterCancellationStopsNodeScans is the cancellation
 // acceptance test over a real TCP cluster: cancelling a streaming query
 // mid-flight aborts the node-side chunk scan — the daemons' operation

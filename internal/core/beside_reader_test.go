@@ -453,6 +453,11 @@ func (b *gateBackend) Get(ctx context.Context, table, key string) ([]byte, bool,
 	return b.Backend.Get(ctx, table, key)
 }
 
+// MultiGet reads a batch through Get, so a "get" gate holds it too.
+func (b *gateBackend) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	return engine.GetEach(ctx, b, table, keys)
+}
+
 func (b *gateBackend) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
 	if err := b.wait(ctx, "scan", table); err != nil {
 		return err

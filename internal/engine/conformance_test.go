@@ -129,6 +129,16 @@ func (c compactingBackend) Delete(ctx context.Context, table, key string) error 
 	return c.compact(ctx)
 }
 
+// HashTree and HashRange forward the wrapped engine's hash-tree seam, so
+// this row digests a table that every write flushed and settled.
+func (c compactingBackend) HashTree(ctx context.Context, table string, fanout int) (engine.TreeDigest, error) {
+	return engine.HashTree(ctx, c.Backend, table, fanout)
+}
+
+func (c compactingBackend) HashRange(ctx context.Context, table string, fanout, bucket int) ([]engine.KeyHash, error) {
+	return engine.HashRange(ctx, c.Backend, table, fanout, bucket)
+}
+
 // forEachBackend runs fn against every backend implementation.
 func forEachBackend(t *testing.T, fn func(t *testing.T, b engine.Backend)) {
 	for name, row := range backends() {
@@ -349,12 +359,6 @@ func TestConformanceValueIsolation(t *testing.T) {
 
 func TestConformanceMultiGet(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b engine.Backend) {
-		mg, ok := b.(engine.MultiGetter)
-		if !ok {
-			// Optional interface; the remote rows exercise it (and with it
-			// the OpMultiGet wire op over real TCP).
-			t.Skip("backend does not implement engine.MultiGetter")
-		}
 		ctx := context.Background()
 		for i := 0; i < 20; i++ {
 			k := fmt.Sprintf("k%02d", i)
@@ -369,12 +373,22 @@ func TestConformanceMultiGet(t *testing.T) {
 		// Present, absent, duplicate, and empty-valued keys in one batch;
 		// results must come back in request order with count preserved.
 		keys := []string{"k03", "nope", "k17", "k03", "empty", "also-missing"}
-		values, present, err := mg.MultiGet(ctx, "t", keys)
+		values, present, err := b.MultiGet(ctx, "t", keys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(values) != len(keys) || len(present) != len(keys) {
 			t.Fatalf("got %d values, %d flags; want %d each", len(values), len(present), len(keys))
+		}
+		// The batch answers exactly what a Get of each key would.
+		for i, k := range keys {
+			v, ok, err := b.Get(ctx, "t", k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != present[i] || !bytes.Equal(v, values[i]) {
+				t.Fatalf("MultiGet[%d] (%s) = %q present=%v, Get = %q present=%v", i, k, values[i], present[i], v, ok)
+			}
 		}
 		wantPresent := []bool{true, false, true, true, true, false}
 		wantValue := []string{"vk03", "", "vk17", "vk03", "", ""}
@@ -390,7 +404,7 @@ func TestConformanceMultiGet(t *testing.T) {
 		}
 
 		// Batches against an absent table: every key absent, none an error.
-		values, present, err = mg.MultiGet(ctx, "absent", []string{"a", "b"})
+		values, present, err = b.MultiGet(ctx, "absent", []string{"a", "b"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,12 +415,12 @@ func TestConformanceMultiGet(t *testing.T) {
 		}
 
 		// Empty batch is a no-op.
-		if values, present, err = mg.MultiGet(ctx, "t", nil); err != nil || len(values) != 0 || len(present) != 0 {
+		if values, present, err = b.MultiGet(ctx, "t", nil); err != nil || len(values) != 0 || len(present) != 0 {
 			t.Fatalf("empty batch: %v %v %v", values, present, err)
 		}
 
 		// Returned values must not alias backend state.
-		values, _, err = mg.MultiGet(ctx, "t", []string{"k05"})
+		values, _, err = b.MultiGet(ctx, "t", []string{"k05"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +459,7 @@ func TestConformanceChunkShapedValues(t *testing.T) {
 				t.Fatalf("Get(%s): %d bytes ok=%v err=%v, want %d bytes", k, len(v), ok, err, len(want[k]))
 			}
 		}
-		values, present, err := engine.MultiGet(ctx, b, "chunks", keys)
+		values, present, err := b.MultiGet(ctx, "chunks", keys)
 		if err != nil || len(values) != len(keys) || len(present) != len(keys) {
 			t.Fatalf("MultiGet: %d values, %d flags, err=%v", len(values), len(present), err)
 		}
@@ -571,24 +585,36 @@ func TestConformanceClosedOperationsFail(t *testing.T) {
 		if err := b.Scan(context.Background(), "t", func(string, []byte) bool { return true }); err == nil {
 			t.Fatal("Scan after Close succeeded")
 		}
+		// A batch fails whole: no values, no flags.
+		if values, present, err := b.MultiGet(context.Background(), "t", []string{"k", "nope"}); err == nil || values != nil || present != nil {
+			t.Fatalf("MultiGet after Close = %q %v %v, want nil, nil and an error", values, present, err)
+		}
 		if _, err := b.Tables(context.Background()); err == nil {
 			t.Fatal("Tables after Close succeeded")
 		}
 	})
 }
 
+// hashRanger returns b's hash-tree seam. engine.HashRanger is optional,
+// but every conformance row implements it, so its absence fails the test
+// rather than skipping it.
+func hashRanger(t *testing.T, b engine.Backend) engine.HashRanger {
+	t.Helper()
+	hr, ok := b.(engine.HashRanger)
+	if !ok {
+		t.Fatalf("%T does not implement engine.HashRanger", b)
+	}
+	return hr
+}
+
 // TestConformanceHashRange pins the anti-entropy hash seam: every backend
-// that implements engine.HashRanger must produce the same digests for the
-// same logical content — the whole point of the tree is that two replicas
-// built through different engines (or different write orders) agree byte
-// for byte. The remote rows exercise OpHashTree/OpHashRange over real TCP.
+// must produce the same digests for the same logical content — the whole
+// point of the tree is that two replicas built through different engines
+// (or different write orders) agree byte for byte. The remote rows
+// exercise OpHashTree/OpHashRange over real TCP.
 func TestConformanceHashRange(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, b engine.Backend) {
-		hr, ok := b.(engine.HashRanger)
-		if !ok {
-			// Optional interface; all built-in backends implement it.
-			t.Skip("backend does not implement engine.HashRanger")
-		}
+		hr := hashRanger(t, b)
 		ctx := context.Background()
 		const fanout = 8
 

@@ -43,13 +43,16 @@
 // writer at a time — one cluster client per data directory (the durable
 // engines enforce this with an exclusive flock) or per remote daemon. Multiple
 // concurrent *reading* clients are fine; concurrent writing clients are
-// outside the contract (see the tombstone-GC follow-up in ROADMAP.md).
+// outside the contract (ROADMAP.md items 26 and 28: conditional engine
+// writes, then a second writer refused).
 //
-// Backends that reclaim dead storage additionally implement the optional
-// Compactor interface — one of three optional seams with implementers
-// (MultiGetter, Compactor, HashRanger) discovered by type assertion;
-// seams.go holds the one rule for what a caller gets when a seam is absent.
-// Resetter is declared but implemented by no engine (see its comment).
+// Batched reads (MultiGet) are part of Backend; GetEach answers them for a
+// backend with nothing better. Backends that reclaim dead storage or
+// digest their tables additionally implement the optional Compactor and
+// HashRanger interfaces — the two optional seams with implementers,
+// discovered by type assertion; seams.go holds the one rule for what a
+// caller gets when a seam is absent. Resetter is declared but implemented
+// by no engine (see its comment).
 package engine
 
 import (
@@ -93,7 +96,7 @@ func TrimScratch(buf []byte) []byte {
 }
 
 // Backend is a per-node storage engine: a durable (or simulated) map of
-// (table, key) → value with batched writes and full-table scans.
+// (table, key) → value with batched reads and writes and full-table scans.
 type Backend interface {
 	// Put stores value under (table, key), overwriting any previous value.
 	Put(ctx context.Context, table, key string, value []byte) error
@@ -102,6 +105,9 @@ type Backend interface {
 	// whether the key was present; the error is reserved for engine
 	// failures (I/O errors, closed backend), not for missing keys.
 	Get(ctx context.Context, table, key string) ([]byte, bool, error)
+
+	// MultiGet is Get over many keys of one table (MultiGetter).
+	MultiGetter
 
 	// Delete removes (table, key). Deleting a missing key is a no-op.
 	Delete(ctx context.Context, table, key string) error
@@ -134,18 +140,35 @@ type Backend interface {
 	Close() error
 }
 
-// MultiGetter is the optional batched-read extension of Backend: MultiGet
-// resolves many keys of one table in a single call, returning values and
-// presence flags in request order (values[i] and present[i] answer keys[i]).
-// Returned values follow the Get contract — they must not alias backend
-// state. The error is all-or-nothing: a failing backend fails the whole
-// batch rather than returning partial results.
+// MultiGetter is Backend's batched read: MultiGet resolves many keys of one
+// table in a single call, returning values and presence flags in request
+// order (values[i] and present[i] answer keys[i]). Returned values follow
+// the Get contract — they must not alias backend state. The error is
+// all-or-nothing: a failing backend fails the whole batch rather than
+// returning partial results. The remote wire client answers it in one
+// network round trip; an engine with nothing better answers it with
+// GetEach. The name stands apart from Backend because benchmark/trace.go
+// names it.
 //
-// The remote wire client implements it (one network round trip for the
-// whole batch instead of one per key); callers go through the package's
-// MultiGet function, which falls back to per-key Get when it is absent.
+// A wrapper that embeds a Backend and intercepts Get (to count, gate or
+// fail reads) must answer MultiGet too, with GetEach(ctx, w, table, keys)
+// or its own interception: the embedded engine's MultiGet would otherwise
+// serve every batched read — every kvstore read — past the wrapper.
 type MultiGetter interface {
 	MultiGet(ctx context.Context, table string, keys []string) (values [][]byte, present []bool, err error)
+}
+
+// GetEach answers MultiGet with one be.Get per key, in request order, and
+// fails the whole batch at the first error. engined serves OpMultiGet with
+// it too (see its serveOp).
+func GetEach(ctx context.Context, be Backend, table string, keys []string) (values [][]byte, present []bool, err error) {
+	values, present = make([][]byte, len(keys)), make([]bool, len(keys))
+	for i, k := range keys {
+		if values[i], present[i], err = be.Get(ctx, table, k); err != nil {
+			return nil, nil, err
+		}
+	}
+	return values, present, nil
 }
 
 // ErrNoCompaction reports that a backend does not implement Compactor (or,

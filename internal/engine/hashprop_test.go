@@ -97,13 +97,9 @@ func TestHashTreeProperties(t *testing.T) {
 	const fanout = 16
 	ctx := context.Background()
 	forEachBackend(t, func(t *testing.T, b engine.Backend) {
-		hr, ok := b.(engine.HashRanger)
-		if !ok {
-			t.Skip("backend does not implement engine.HashRanger")
-		}
-		var other engine.Backend = memory.New() // reference replica, always hashable
+		hr := hashRanger(t, b)
+		other := memory.New() // reference replica
 		defer other.Close()
-		ohr := other.(engine.HashRanger)
 
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -119,7 +115,7 @@ func TestHashTreeProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			do, err := ohr.HashTree(ctx, table, fanout)
+			do, err := other.HashTree(ctx, table, fanout)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +150,7 @@ func TestHashTreeProperties(t *testing.T) {
 				}
 			}
 			want := diffKeys(content, refContent)
-			do, err = ohr.HashTree(ctx, table, fanout)
+			do, err = other.HashTree(ctx, table, fanout)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +184,7 @@ func TestHashTreeProperties(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lo, err := ohr.HashRange(ctx, table, fanout, i)
+				lo, err := other.HashRange(ctx, table, fanout, i)
 				if err != nil {
 					t.Fatal(err)
 				}

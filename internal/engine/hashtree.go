@@ -32,6 +32,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // ErrNoHashRange reports that a backend does not implement HashRanger (or,
@@ -78,7 +80,9 @@ type KeyHash struct {
 
 // HashRanger is the optional hash-tree extension of Backend. Callers
 // discover it by type assertion; backends that cannot enumerate their
-// contents cheaply simply do not implement it (ErrNoHashRange).
+// contents cheaply simply do not implement it (ErrNoHashRange). An engine
+// with nothing better than a sweep implements it with ScanHashTree and
+// ScanHashRange.
 type HashRanger interface {
 	// HashTree digests every (key, stored-value) of table into a
 	// fanout-bucket tree. A missing table is an empty tree, not an error.
@@ -181,4 +185,38 @@ func (t *TreeHasher) Digest() TreeDigest {
 		root = fnvBytes(root, buf[:])
 	}
 	return TreeDigest{Root: root, Leaves: t.leaves, Bytes: t.bytes}
+}
+
+// ScanHashTree answers HashTree with one Scan of table.
+func ScanHashTree(ctx context.Context, be Backend, table string, fanout int) (TreeDigest, error) {
+	if err := CheckHashFanout(fanout); err != nil {
+		return TreeDigest{}, err
+	}
+	th := NewTreeHasher(fanout)
+	if err := be.Scan(ctx, table, func(k string, v []byte) bool {
+		th.Add(k, v)
+		return true
+	}); err != nil {
+		return TreeDigest{}, err
+	}
+	return th.Digest(), nil
+}
+
+// ScanHashRange answers HashRange with one Scan of table, sorting the
+// bucket's keys (a no-op pass over a key-ordered scan).
+func ScanHashRange(ctx context.Context, be Backend, table string, fanout, bucket int) ([]KeyHash, error) {
+	if err := CheckHashBucket(fanout, bucket); err != nil {
+		return nil, err
+	}
+	var out []KeyHash
+	if err := be.Scan(ctx, table, func(k string, v []byte) bool {
+		if BucketOf(k, fanout) == bucket {
+			out = append(out, KeyHash{Key: k, Hash: EntryHash(k, v)})
+		}
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	slices.SortFunc(out, func(a, b KeyHash) int { return strings.Compare(a.Key, b.Key) })
+	return out, nil
 }

@@ -1,13 +1,13 @@
 package lsm
 
-// The engine.HashRanger implementation: anti-entropy digests over the
-// merged (memtable + the table's run) view, incremental where cheap. A full
-// HashTree sweep costs one merged scan of the table — the same walk as
-// Scan — so the result is memoized per (table, fanout) at the table's
-// logical-content generation (run.gen, bumped by every put/delete applied
-// to that table and by nothing else; flush, merge and retirement preserve
-// logical content, so a digest survives them, and so do the digests of
-// every other table). Repeated anti-entropy rounds over an unchanged table
+// The anti-entropy digests (engine.HashRanger) over the merged (memtable +
+// the table's run) view, incremental where cheap. A full HashTree sweep
+// costs one merged scan of the table — the same walk as Scan — so the
+// result is memoized per (table, fanout) at the table's logical-content
+// generation (run.gen, bumped by every put/delete applied to that table
+// and by nothing else; flush, merge and retirement preserve logical
+// content, so a digest survives them, and so do the digests of every other
+// table). Repeated anti-entropy rounds over an unchanged table
 // therefore cost a map lookup, and the memoized reply reports Bytes = 0:
 // nothing was hashed.
 
@@ -23,8 +23,8 @@ type hashMemoEntry struct {
 	digest engine.TreeDigest
 }
 
-// HashTree digests a table into a fanout-bucket hash tree
-// (engine.HashRanger), serving repeats from the generation-keyed memo.
+// HashTree digests a table into a fanout-bucket hash tree, serving repeats
+// from the generation-keyed memo.
 func (b *Backend) HashTree(ctx context.Context, table string, fanout int) (engine.TreeDigest, error) {
 	if err := engine.CheckHashFanout(fanout); err != nil {
 		return engine.TreeDigest{}, err
@@ -83,30 +83,9 @@ func (b *Backend) HashTree(ctx context.Context, table string, fanout int) (engin
 	return out, nil
 }
 
-// HashRange lists one bucket's keys with their entry hashes
-// (engine.HashRanger); the merged scan is key-ordered, so the result is
-// already ascending.
+// HashRange lists one bucket's keys with their entry hashes in one Scan
+// (engine.ScanHashRange); the merged scan is key-ordered, so the sort it
+// ends with finds the list already ascending.
 func (b *Backend) HashRange(ctx context.Context, table string, fanout, bucket int) ([]engine.KeyHash, error) {
-	if err := engine.CheckHashBucket(fanout, bucket); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if b.closed {
-		return nil, types.ErrClosed
-	}
-	var out []engine.KeyHash
-	err := b.scanLocked(ctx, table, func(userKey string, value []byte) bool {
-		if engine.BucketOf(userKey, fanout) == bucket {
-			out = append(out, engine.KeyHash{Key: userKey, Hash: engine.EntryHash(userKey, value)})
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return engine.ScanHashRange(ctx, b, table, fanout, bucket)
 }

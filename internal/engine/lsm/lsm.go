@@ -74,8 +74,9 @@ type Options struct {
 	// of its run (default 4 MiB). Tests set it small to force flushes.
 	MemtableBytes int64
 
-	// MaxTables is the SSTable count of one user table's run that triggers
-	// size-tiered compaction after a flush (default 8).
+	// MaxTables is how many tables of one user table's run that overlap
+	// another's key range trigger a size-tiered merge (default 8). The
+	// worker's tier loop counts them after every flush, ingest and Compact.
 	MaxTables int
 
 	// Cache is the block cache serving reads. Passing one instance to every
@@ -724,6 +725,11 @@ func (b *Backend) Get(ctx context.Context, table, key string) ([]byte, bool, err
 		return nil, false, err
 	}
 	return append([]byte(nil), v...), true, nil
+}
+
+// MultiGet reads keys one Get at a time (engine.GetEach).
+func (b *Backend) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	return engine.GetEach(ctx, b, table, keys)
 }
 
 // Delete removes (table, key) by writing a tombstone; deleting a missing

@@ -9,7 +9,6 @@ package memory
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"rstore/internal/engine"
@@ -202,61 +201,21 @@ func (b *Backend) BytesStored() int64 {
 	return b.bytesStored
 }
 
-// HashTree digests a table into a fanout-bucket hash tree
-// (engine.HashRanger). The context is checked periodically, like Scan.
-func (b *Backend) HashTree(ctx context.Context, table string, fanout int) (engine.TreeDigest, error) {
-	if err := engine.CheckHashFanout(fanout); err != nil {
-		return engine.TreeDigest{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return engine.TreeDigest{}, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if err := b.usableLocked(); err != nil {
-		return engine.TreeDigest{}, err
-	}
-	th := engine.NewTreeHasher(fanout)
-	i := 0
-	for k, v := range b.data[table] {
-		if i++; i&0x3ff == 0 {
-			if err := ctx.Err(); err != nil {
-				return engine.TreeDigest{}, err
-			}
-		}
-		th.Add(k, v)
-	}
-	return th.Digest(), nil
+// MultiGet reads keys one Get at a time (engine.GetEach).
+func (b *Backend) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	return engine.GetEach(ctx, b, table, keys)
 }
 
-// HashRange lists one bucket's keys with their entry hashes, ascending by
-// key (engine.HashRanger).
+// HashTree digests a table in one Scan (engine.HashRanger,
+// engine.ScanHashTree).
+func (b *Backend) HashTree(ctx context.Context, table string, fanout int) (engine.TreeDigest, error) {
+	return engine.ScanHashTree(ctx, b, table, fanout)
+}
+
+// HashRange lists one bucket's keys in one Scan (engine.HashRanger,
+// engine.ScanHashRange).
 func (b *Backend) HashRange(ctx context.Context, table string, fanout, bucket int) ([]engine.KeyHash, error) {
-	if err := engine.CheckHashBucket(fanout, bucket); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if err := b.usableLocked(); err != nil {
-		return nil, err
-	}
-	var out []engine.KeyHash
-	i := 0
-	for k, v := range b.data[table] {
-		if i++; i&0x3ff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if engine.BucketOf(k, fanout) == bucket {
-			out = append(out, engine.KeyHash{Key: k, Hash: engine.EntryHash(k, v)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
+	return engine.ScanHashRange(ctx, b, table, fanout, bucket)
 }
 
 // Close marks the backend closed; subsequent operations fail.

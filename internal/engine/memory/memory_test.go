@@ -21,7 +21,7 @@ func TestDownBackend(t *testing.T) {
 		}
 	}
 	stored := b.BytesStored()
-	digest, err := engine.HashTree(ctx, b, "t", engine.DefaultHashFanout)
+	digest, err := b.HashTree(ctx, "t", engine.DefaultHashFanout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +37,9 @@ func TestDownBackend(t *testing.T) {
 		{"BatchPut", func() error { return b.BatchPut(ctx, "t", []engine.Entry{{Key: "d", Value: []byte("v-d")}}) }},
 		{"Scan", func() error { return b.Scan(ctx, "t", func(string, []byte) bool { return true }) }},
 		{"Tables", func() error { _, err := b.Tables(ctx); return err }},
-		{"MultiGet", func() error { _, _, err := engine.MultiGet(ctx, b, "t", []string{"a"}); return err }},
-		{"HashTree", func() error { _, err := engine.HashTree(ctx, b, "t", engine.DefaultHashFanout); return err }},
-		{"HashRange", func() error { _, err := engine.HashRange(ctx, b, "t", engine.DefaultHashFanout, 0); return err }},
+		{"MultiGet", func() error { _, _, err := b.MultiGet(ctx, "t", []string{"a"}); return err }},
+		{"HashTree", func() error { _, err := b.HashTree(ctx, "t", engine.DefaultHashFanout); return err }},
+		{"HashRange", func() error { _, err := b.HashRange(ctx, "t", engine.DefaultHashFanout, 0); return err }},
 	}
 	for _, op := range ops {
 		if err := op.call(); !errors.Is(err, engine.ErrUnavailable) {
@@ -54,7 +54,7 @@ func TestDownBackend(t *testing.T) {
 	if got := b.BytesStored(); got != stored {
 		t.Errorf("BytesStored = %d after the outage, was %d", got, stored)
 	}
-	after, err := engine.HashTree(ctx, b, "t", engine.DefaultHashFanout)
+	after, err := b.HashTree(ctx, "t", engine.DefaultHashFanout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,6 +72,11 @@ func (b *touched) Get(ctx context.Context, table, key string) ([]byte, bool, err
 	return b.Backend.Get(ctx, table, key)
 }
 
+// MultiGet reads a batch through Get, so each key counts.
+func (b *touched) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	return engine.GetEach(ctx, b, table, keys)
+}
+
 func (b *touched) BatchPut(ctx context.Context, table string, entries []engine.Entry) error {
 	b.calls.Add(1)
 	return b.Backend.BatchPut(ctx, table, entries)

@@ -118,10 +118,9 @@ type Client struct {
 }
 
 var (
-	_ engine.Backend     = (*Client)(nil)
-	_ engine.Compactor   = (*Client)(nil)
-	_ engine.MultiGetter = (*Client)(nil)
-	_ engine.HashRanger  = (*Client)(nil)
+	_ engine.Backend    = (*Client)(nil)
+	_ engine.Compactor  = (*Client)(nil)
+	_ engine.HashRanger = (*Client)(nil)
 )
 
 // conn is one pooled connection with its buffered reader, its request
@@ -395,10 +394,10 @@ func (c *Client) Get(ctx context.Context, table, key string) ([]byte, bool, erro
 	return rep.Value, rep.Found, err
 }
 
-// MultiGet reads many keys of one table in a single wire round trip
-// (engine.MultiGetter): values and presence flags come back in request
-// order. The whole batch shares one retry schedule, so a dead node costs
-// one operation's worth of attempts regardless of batch size.
+// MultiGet reads many keys of one table in a single wire round trip:
+// values and presence flags come back in request order. The whole batch
+// shares one retry schedule, so a dead node costs one operation's worth of
+// attempts regardless of batch size.
 func (c *Client) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
 	rep, err := c.call(ctx, wire.Request{Op: wire.OpMultiGet, Table: table, Keys: keys})
 	return rep.Values, rep.Present, err

@@ -92,6 +92,11 @@ func (n countingNode) Get(ctx context.Context, table, key string) ([]byte, bool,
 	return n.Backend.Get(ctx, table, key)
 }
 
+// MultiGet reads a batch through Get: one count and one delay a key.
+func (n countingNode) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	return engine.GetEach(ctx, n, table, keys)
+}
+
 func (n countingNode) Put(ctx context.Context, table, key string, value []byte) error {
 	n.count(table, &n.calls.put)
 	return n.Backend.Put(ctx, table, key, value)

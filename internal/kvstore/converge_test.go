@@ -61,6 +61,11 @@ func (n barrierNode) Get(ctx context.Context, table, key string) ([]byte, bool, 
 	return n.Backend.Get(ctx, table, key)
 }
 
+// MultiGet reads a batch through Get, so each key meets the barrier.
+func (n barrierNode) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	return engine.GetEach(ctx, n, table, keys)
+}
+
 // TestRepairReadsReplicasAtOnce: a repair reads all of a key's replicas
 // together, not a source and then each target in turn. Each replica's Get
 // here waits for the other's; the read that observes the missing copy

@@ -20,7 +20,7 @@ import (
 // outage (memory.Backend.SetDown) or a connection is refused. Isolation
 // guarantees (callers never alias node state) are the backend's contract;
 // see engine.Backend. Optional seams the backend lacks answer per the
-// engine package's absent-seam rule (engine.MultiGet and friends).
+// engine package's absent-seam rule (engine.HashTree and friends).
 type node struct {
 	id int
 	be engine.Backend

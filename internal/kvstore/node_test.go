@@ -13,31 +13,46 @@ import (
 	"rstore/internal/engine/remote/engined"
 )
 
+// batchCounter is a memory backend that counts the batched reads it
+// answers itself.
+type batchCounter struct {
+	*memory.Backend
+	batches atomic.Int32
+}
+
+func (b *batchCounter) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	b.batches.Add(1)
+	return b.Backend.MultiGet(ctx, table, keys)
+}
+
 // TestAbsentSeamRule pins the one rule for a backend without the optional
 // seams (internal/engine/seams.go), on the two paths that apply it: a
 // kvstore node holding the bare backend, and engined serving it over TCP.
+// The bare backend is a wrapper that embeds engine.Backend; a batched read
+// through it reaches the wrapped engine's own MultiGet in process, and
+// engined serves the batch key by key through Get.
 func TestAbsentSeamRule(t *testing.T) {
 	ctx := context.Background()
-	bare := func() engine.Backend { return struct{ engine.Backend }{memory.New()} }
 	for _, row := range []struct {
-		name string
-		cfg  func(t *testing.T) Config
+		name    string
+		cfg     func(t *testing.T, be engine.Backend) Config
+		batches int32 // MultiGet calls the wrapped engine answers
 	}{
-		{"in-process", func(*testing.T) Config {
-			return Config{NewBackend: func(int) (engine.Backend, error) { return bare(), nil }}
-		}},
-		{"engined over TCP", func(t *testing.T) Config {
-			be := bare()
+		{"in-process", func(_ *testing.T, be engine.Backend) Config {
+			return Config{NewBackend: func(int) (engine.Backend, error) { return be, nil }}
+		}, 1},
+		{"engined over TCP", func(t *testing.T, be engine.Backend) Config {
 			srv, err := engined.Start("127.0.0.1:0", be)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { srv.Close(); be.Close() })
 			return Config{Engine: EngineRemote, NodeAddrs: []string{srv.Addr().String()}, Remote: remoteOpts()}
-		}},
+		}, 0},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			s, err := Open(ctx, row.cfg(t))
+			inner := &batchCounter{Backend: memory.New()}
+			s, err := Open(ctx, row.cfg(t, struct{ engine.Backend }{inner}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,12 +64,16 @@ func TestAbsentSeamRule(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			values, present, err := engine.MultiGet(ctx, n.be, "t", []string{"c", "nope", "a", "c"})
+			before := inner.batches.Load()
+			values, present, err := n.be.MultiGet(ctx, "t", []string{"c", "nope", "a", "c"})
 			if err != nil {
-				t.Fatalf("multiGet fallback: %v", err)
+				t.Fatalf("multiGet: %v", err)
 			}
 			if got := fmt.Sprintf("%q %v", values, present); got != `["v-c" "" "v-a" "v-c"] [true false true true]` {
-				t.Fatalf("multiGet fallback out of request order: %s", got)
+				t.Fatalf("multiGet out of request order: %s", got)
+			}
+			if got := inner.batches.Load() - before; got != row.batches {
+				t.Errorf("the wrapped engine answered %d batches, want %d", got, row.batches)
 			}
 
 			for _, c := range []struct {

@@ -105,8 +105,8 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 
 // keyRead is what one key's replicas answered: obs[j] is replica j's
 // observation (ring order) and payload[j] its value bytes when it holds a
-// well-formed envelope. The payloads are private copies (engine.MultiGet's
-// contract), so the winner can be returned to the caller as is.
+// well-formed envelope. The payloads are private copies (engine.Backend's
+// MultiGet contract), so the winner can be returned to the caller as is.
 type keyRead struct {
 	obs     []observation
 	payload [][]byte
@@ -150,7 +150,7 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 	// engines asks them in turn (inProcess).
 	fanOut(nids, len(keys) > 1 || !s.inProcess(nids), func(_, nid int) {
 		b := batches[nid]
-		b.vals, b.present, b.err = engine.MultiGet(ctx, s.nodes[nid].be, table, b.keys)
+		b.vals, b.present, b.err = s.nodes[nid].be.MultiGet(ctx, table, b.keys)
 	})
 	for _, nid := range nids {
 		b := batches[nid]

@@ -45,6 +45,11 @@ func (g *gatingBackend) Get(ctx context.Context, table, key string) ([]byte, boo
 	return g.Backend.Get(ctx, table, key)
 }
 
+// MultiGet reads a batch through Get, so the gate sees every key of it.
+func (g *gatingBackend) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	return engine.GetEach(ctx, g, table, keys)
+}
+
 // firstRound is how many segments a query of buildMultiChunkStore's version
 // fetches in its first round: eight chunks (core's fetch batch) of one
 // segment each.
