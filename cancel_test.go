@@ -12,7 +12,6 @@ import (
 	"rstore"
 	"rstore/internal/engine"
 	"rstore/internal/engine/memory"
-	"rstore/internal/engine/remote"
 	"rstore/internal/engine/remote/engined"
 )
 
@@ -55,7 +54,6 @@ func TestRemoteClusterCancellationStopsNodeScans(t *testing.T) {
 	}
 	kv, err := rstore.OpenCluster(context.Background(), rstore.ClusterConfig{
 		Engine: rstore.EngineRemote, NodeAddrs: addrs,
-		Remote: remote.Options{Attempts: 2, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,12 +37,12 @@ type cacheEntry struct {
 	block []byte
 }
 
-// NewBlockCache builds a cache bounded by capBytes of block payload
-// (capBytes <= 0 selects a 32 MiB default).
-func NewBlockCache(capBytes int64) *BlockCache {
-	if capBytes <= 0 {
-		capBytes = 32 << 20
-	}
+// NewBlockCache builds a cache bounded by 32 MiB of block payload.
+func NewBlockCache() *BlockCache { return newBlockCache(32 << 20) }
+
+// newBlockCache builds a cache bounded by capBytes of block payload, at
+// least one byte a shard (lsm's tests set small capacities).
+func newBlockCache(capBytes int64) *BlockCache {
 	c := &BlockCache{}
 	per := capBytes / cacheShards
 	if per < 1 {

@@ -312,7 +312,7 @@ const tierWidth = 4
 // worker's pass runs it after every flush, every ingest and every Compact
 // (flush.go), so no write call waits for the merges it set off, and reads
 // and writes go on beside them: while a run is less than half live, it is
-// merged whole, and while it holds MaxTables tables or more that overlap
+// merged whole, and while it holds maxTables tables or more that overlap
 // another, the cheapest window of tierWidth of those is merged (tierPick).
 func (b *Backend) tierCompact(ctx context.Context) error {
 	b.mu.RLock()
@@ -344,7 +344,7 @@ const minLiveShare = 0.5
 // Otherwise a table whose key range meets no other table's of its run is
 // never rewritten by it (leveldb's trivial move: a merge would copy it
 // unchanged), so a run of write-once tables in key order is merged by
-// nobody. Once the others, its peers, number MaxTables, pickWindow chooses
+// nobody. Once the others, its peers, number maxTables, pickWindow chooses
 // tierWidth consecutive peers. The tables such a window steps over meet no
 // peer's range, so their keys are none of the victims', and the output may
 // take the oldest victim's place in age order.
@@ -363,7 +363,7 @@ func (b *Backend) tierPick(tables []*sstable) []*sstable {
 			peers = append(peers, t)
 		}
 	}
-	if len(peers) < b.opts.MaxTables || len(peers) < tierWidth {
+	if len(peers) < b.opts.maxTables || len(peers) < tierWidth {
 		return nil
 	}
 	lo := pickWindow(peers, tierWidth)

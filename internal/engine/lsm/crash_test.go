@@ -72,7 +72,7 @@ func TestFlushCrashRecovery(t *testing.T) { crashAnywhere(t, flushPoints) }
 func crashAnywhere(t *testing.T, points []enginetest.Point) {
 	enginetest.CrashAnywhere(t, enginetest.Crash{
 		Open: func(fsys *enginetest.MemFS, dir string) (enginetest.Engine, error) {
-			b, err := openInline(fsys, dir, Options{MemtableBytes: 4 << 10, MaxTables: tierWidth})
+			b, err := openInline(fsys, dir, Options{MemtableBytes: 4 << 10, maxTables: tierWidth})
 			if err != nil {
 				return nil, err
 			}

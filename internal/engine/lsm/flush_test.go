@@ -292,7 +292,7 @@ func TestSettleHonoursContext(t *testing.T) {
 	for _, stage := range []string{"flushing", "flushed", "captured", "written"} {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
-			b := openT(t, dir, Options{MemtableBytes: 64 << 10, MaxTables: tierWidth})
+			b := openT(t, dir, Options{MemtableBytes: 64 << 10, maxTables: tierWidth})
 			defer b.Close()
 			next := 0
 			batch := func(n int) error {

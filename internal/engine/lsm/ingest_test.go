@@ -15,7 +15,7 @@ import (
 )
 
 // ingestOpts gives an 8 KiB memtable budget and a 1 KiB ingest threshold.
-var ingestOpts = Options{MemtableBytes: 8 << 10, MaxTables: tierWidth}
+var ingestOpts = Options{MemtableBytes: 8 << 10, maxTables: tierWidth}
 
 // sortedBatch is n entries of 1000-byte values under prefix+"%03d" keys,
 // from, from+step, ..., in ascending order: at ten or more, more than the

@@ -74,26 +74,27 @@ type Options struct {
 	// of its run (default 4 MiB). Tests set it small to force flushes.
 	MemtableBytes int64
 
-	// MaxTables is how many tables of one user table's run that overlap
-	// another's key range trigger a size-tiered merge (default 8). The
-	// worker's tier loop counts them after every flush, ingest and Compact.
-	MaxTables int
-
 	// Cache is the block cache serving reads. Passing one instance to every
 	// backend of a cluster shares its capacity across nodes; nil gives the
-	// backend a private default cache.
+	// backend a private one.
 	Cache *BlockCache
+
+	// maxTables is how many tables of one user table's run that overlap
+	// another's key range trigger a size-tiered merge (8; lsm's tests
+	// lower it). The worker's tier loop counts them after every flush,
+	// ingest and Compact.
+	maxTables int
 }
 
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes <= 0 {
 		o.MemtableBytes = 4 << 20
 	}
-	if o.MaxTables <= 0 {
-		o.MaxTables = 8
+	if o.maxTables <= 0 {
+		o.maxTables = 8
 	}
 	if o.Cache == nil {
-		o.Cache = NewBlockCache(0)
+		o.Cache = NewBlockCache()
 	}
 	return o
 }

@@ -133,7 +133,7 @@ func TestGetSeesLatestUnderRacingWriter(t *testing.T) {
 // admitted alone rather than refused, and the next insert into that shard
 // evicts it, returning the shard to its budget.
 func TestBlockCacheOverShardBlock(t *testing.T) {
-	c := NewBlockCache(cacheShards * 1024) // 1 KiB per shard
+	c := newBlockCache(cacheShards * 1024) // 1 KiB per shard
 	// Three block offsets of table 7 that land in one shard.
 	s := c.shard(cacheKey{7, 0})
 	offs := []int64{0}
@@ -174,7 +174,7 @@ func TestBlockCacheOverShardBlock(t *testing.T) {
 // process-unique, so neither may ever be served the other's block.
 func TestBlockCacheSharedAcrossBackends(t *testing.T) {
 	ctx := context.Background()
-	cache := NewBlockCache(1 << 20)
+	cache := newBlockCache(1 << 20)
 	var bs [2]*Backend
 	for n := range bs {
 		bs[n] = openT(t, t.TempDir(), Options{Cache: cache})

@@ -218,7 +218,7 @@ func TestRunsModelCheck(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
-			opts := Options{MemtableBytes: 1 << 10, MaxTables: 6}
+			opts := Options{MemtableBytes: 1 << 10, maxTables: 6}
 			b := openT(t, dir, opts)
 			defer func() { b.Close() }()
 			model := memory.New()
@@ -340,8 +340,8 @@ func TestRunsModelCheck(t *testing.T) {
 func TestChurnTableLeavesNothingBehind(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	// MaxTables out of reach: no tier merge may excuse a rewrite.
-	b := openT(t, dir, Options{MemtableBytes: 8 << 10, MaxTables: 1 << 20})
+	// maxTables out of reach: no tier merge may excuse a rewrite.
+	b := openT(t, dir, Options{MemtableBytes: 8 << 10, maxTables: 1 << 20})
 	defer b.Close()
 
 	const lifetime = 4
@@ -493,7 +493,7 @@ func TestCompactRacingRetirementAbandonsOutput(t *testing.T) {
 		for _, stage := range []string{"captured", "written"} {
 			t.Run(merge+"/retire/"+stage, func(t *testing.T) {
 				dir := t.TempDir()
-				opts := Options{MemtableBytes: 64 << 10, MaxTables: tierWidth, Cache: NewBlockCache(1)}
+				opts := Options{MemtableBytes: 64 << 10, maxTables: tierWidth, Cache: newBlockCache(1)}
 				b := openT(t, dir, opts)
 				defer func() { b.Close() }()
 				if err := b.Put(ctx, "bystander", "x", []byte("y")); err != nil {
@@ -591,7 +591,7 @@ func tierBatch(from, n int, value []byte) []engine.Entry {
 // not wait for the merge.
 func TestReadsAndWritesBesideTierMerge(t *testing.T) {
 	ctx := context.Background()
-	b := openT(t, t.TempDir(), Options{MemtableBytes: 64 << 10, MaxTables: tierWidth})
+	b := openT(t, t.TempDir(), Options{MemtableBytes: 64 << 10, maxTables: tierWidth})
 	defer b.Close()
 	value := []byte(strings.Repeat("v", 1000))
 	next := 0

@@ -102,7 +102,7 @@ func (b *breaker) recordFailure() {
 	b.mu.Lock()
 	b.consecutive++
 	tripped := false
-	if !b.open && b.ctx.Err() == nil && b.consecutive >= b.c.opts.BreakerThreshold {
+	if !b.open && b.ctx.Err() == nil && b.consecutive >= b.c.pol.BreakerThreshold {
 		b.open = true
 		tripped = true
 		b.trips.Add(1)
@@ -122,7 +122,7 @@ func (b *breaker) recordFailure() {
 // until the node answers, the breaker closes some other way, or the client
 // closes.
 func (b *breaker) probeLoop() {
-	backoff := b.c.opts.ProbeInterval
+	backoff := b.c.pol.ProbeInterval
 	t := time.NewTimer(backoff)
 	defer t.Stop()
 	for {
@@ -151,8 +151,8 @@ func (b *breaker) probeLoop() {
 			}
 			return
 		}
-		if backoff *= 2; backoff > b.c.opts.ProbeMaxBackoff {
-			backoff = b.c.opts.ProbeMaxBackoff
+		if backoff *= 2; backoff > b.c.pol.ProbeMaxBackoff {
+			backoff = b.c.pol.ProbeMaxBackoff
 		}
 		t.Reset(backoff)
 	}
@@ -185,7 +185,7 @@ func (c *Client) probeOnce(ctx context.Context) bool {
 	}
 	defer cn.nc.Close()
 	ping := wire.Request{Op: wire.OpPing}
-	_, err = cn.exchange(ctx, c.opts.IOTimeout, ping, func(wire.Reply) (more, abandon bool) { return false, false })
+	_, err = cn.exchange(ctx, c.pol.IOTimeout, ping, func(wire.Reply) (more, abandon bool) { return false, false })
 	return err == nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,6 +29,9 @@ type slamListener struct {
 	ln     net.Listener
 	dials  atomic.Int64
 	closed chan struct{}
+
+	mu sync.Mutex
+	at []time.Time // when each connection was accepted, before it was closed
 }
 
 func newSlamListener(t *testing.T) *slamListener {
@@ -43,6 +48,9 @@ func newSlamListener(t *testing.T) *slamListener {
 			if err != nil {
 				return
 			}
+			s.mu.Lock()
+			s.at = append(s.at, time.Now())
+			s.mu.Unlock()
 			s.dials.Add(1)
 			c.Close()
 		}
@@ -52,22 +60,26 @@ func newSlamListener(t *testing.T) *slamListener {
 
 func (s *slamListener) addr() string { return s.ln.Addr().String() }
 
+// accepted returns when each connection so far was accepted.
+func (s *slamListener) accepted() []time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.at)
+}
+
 func (s *slamListener) close() {
 	s.ln.Close()
 	<-s.closed
 }
 
-// breakerOpts trips fast and probes on a test-friendly cadence.
-func breakerOpts() remote.Options {
-	return remote.Options{
-		Attempts:         1,
-		Backoff:          time.Millisecond,
-		DialTimeout:      time.Second,
-		IOTimeout:        time.Second,
-		BreakerThreshold: 2,
-		ProbeInterval:    30 * time.Millisecond,
-		ProbeMaxBackoff:  time.Second,
-	}
+// breakerPolicy trips fast and probes on a test-friendly cadence.
+func breakerPolicy() remote.Policy {
+	return tuned(func(p *remote.Policy) {
+		p.Attempts, p.Backoff = 1, time.Millisecond
+		p.DialTimeout, p.IOTimeout = time.Second, time.Second
+		p.BreakerThreshold = 2
+		p.ProbeInterval, p.ProbeMaxBackoff = 30*time.Millisecond, time.Second
+	})
 }
 
 // trip drives the client to BreakerThreshold unavailability verdicts.
@@ -83,10 +95,70 @@ func trip(t *testing.T, c *remote.Client, n int) {
 	}
 }
 
+// TestDefaultPolicy: the policy Dial gives every client is the one remote
+// documents, value by value.
+func TestDefaultPolicy(t *testing.T) {
+	want := remote.Policy{
+		PoolSize:         4,
+		DialTimeout:      2 * time.Second,
+		IOTimeout:        30 * time.Second,
+		Attempts:         3,
+		Backoff:          25 * time.Millisecond,
+		BreakerThreshold: 3,
+		ProbeInterval:    100 * time.Millisecond,
+		ProbeMaxBackoff:  5 * time.Second,
+	}
+	if got := remote.DefaultPolicy(); got != want {
+		t.Fatalf("default policy %+v, want %+v", got, want)
+	}
+}
+
+// TestDefaultsAgainstDeadNode: a client Dial made, against a node that
+// accepts every connection and closes it, dials Attempts times an
+// operation, 25 ms and then 50 ms apart at least, and once BreakerThreshold
+// operations have failed so, the next fails fast, in probation, without a
+// dial.
+func TestDefaultsAgainstDeadNode(t *testing.T) {
+	s := newSlamListener(t)
+	defer s.close()
+	c, err := remote.Dial(s.addr(), remote.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for op := 0; op < remote.BreakerThreshold; op++ {
+		before := len(s.accepted())
+		err := c.Put(ctx, "t", "k", []byte("v"))
+		if !errors.Is(err, engine.ErrUnavailable) || errors.Is(err, remote.ErrProbation) {
+			t.Fatalf("operation %d: %v, want unavailable after its retries", op, err)
+		}
+		at := s.accepted()[before:]
+		if len(at) != remote.Attempts {
+			t.Fatalf("operation %d dialed %d times, want %d", op, len(at), remote.Attempts)
+		}
+		for i, least := range []time.Duration{25 * time.Millisecond, 50 * time.Millisecond} {
+			if gap := at[i+1].Sub(at[i]); gap < least {
+				t.Fatalf("operation %d: dial %d came %v after dial %d, want at least %v", op, i+2, gap, i+1, least)
+			}
+		}
+	}
+	dials := s.dials.Load()
+	if err := c.Put(ctx, "t", "k", []byte("v")); !errors.Is(err, engine.ErrUnavailable) || !errors.Is(err, remote.ErrProbation) {
+		t.Fatalf("operation after %d failed ones: %v, want a fast fail in probation", remote.BreakerThreshold, err)
+	}
+	if got := s.dials.Load() - dials; got != 0 {
+		t.Fatalf("the fast fail dialed %d times", got)
+	}
+	if st := c.BreakerStats(); !st.Open || st.Trips != 1 || st.FastFails != 1 {
+		t.Fatalf("breaker %+v, want open after one trip and one fast fail", st)
+	}
+}
+
 func TestBreakerTripsAndFastFails(t *testing.T) {
 	s := newSlamListener(t)
 	defer s.close()
-	c, err := remote.Dial(s.addr(), breakerOpts())
+	c, err := remote.DialPolicy(s.addr(), breakerPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +189,9 @@ func TestBreakerTripsAndFastFails(t *testing.T) {
 func TestDeadNodeCostsOneProbePerInterval(t *testing.T) {
 	s := newSlamListener(t)
 	defer s.close()
-	opts := breakerOpts()
-	opts.ProbeInterval = 40 * time.Millisecond
-	c, err := remote.Dial(s.addr(), opts)
+	pol := breakerPolicy()
+	pol.ProbeInterval = 40 * time.Millisecond
+	c, err := remote.DialPolicy(s.addr(), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +225,7 @@ func TestDeadNodeCostsOneProbePerInterval(t *testing.T) {
 
 func TestBreakerRecoversWhenNodeReturns(t *testing.T) {
 	s := newSlamListener(t)
-	c, err := remote.Dial(s.addr(), breakerOpts())
+	c, err := remote.DialPolicy(s.addr(), breakerPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +281,9 @@ func TestBreakerRecoversWhenNodeReturns(t *testing.T) {
 // success) proves reachability. This is the gate the dial budget rests on.
 func TestProbationOpsNeverDial(t *testing.T) {
 	s := newSlamListener(t)
-	opts := breakerOpts()
-	opts.ProbeInterval = time.Hour // park the prober
-	c, err := remote.Dial(s.addr(), opts)
+	pol := breakerPolicy()
+	pol.ProbeInterval = time.Hour // park the prober
+	c, err := remote.DialPolicy(s.addr(), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +318,9 @@ func TestProbationOpsNeverDial(t *testing.T) {
 // DialTimeout + IOTimeout: the node sees the probe's connection close.
 func TestCloseEndsAProbeInFlight(t *testing.T) {
 	s := newSlamListener(t)
-	opts := breakerOpts()
-	opts.IOTimeout = time.Minute
-	c, err := remote.Dial(s.addr(), opts)
+	pol := breakerPolicy()
+	pol.IOTimeout = time.Minute
+	c, err := remote.DialPolicy(s.addr(), pol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,9 @@ func TestReceiveBufferIsTrimmed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr().String(), Options{PoolSize: 1})
+	pol := defaultPolicy
+	pol.PoolSize = 1
+	c, err := newClient(srv.Addr().String(), pol)
 	if err != nil {
 		t.Fatal(err)
 	}

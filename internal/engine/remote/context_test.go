@@ -18,7 +18,7 @@ import (
 // both route around the node and see why the attempt ended.
 
 func TestExpiredContextDialIsUnavailableAndDeadlineExceeded(t *testing.T) {
-	c, err := remote.Dial("127.0.0.1:9", remote.Options{Attempts: 3, Backoff: time.Millisecond})
+	c, err := remote.DialPolicy("127.0.0.1:9", tuned(func(p *remote.Policy) { p.Backoff = time.Millisecond }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDeadlineMidExchangeIsUnavailableAndDeadlineExceeded(t *testing.T) {
 		}
 	}()
 
-	c, err := remote.Dial(ln.Addr().String(), remote.Options{Attempts: 3, Backoff: 10 * time.Millisecond})
+	c, err := remote.DialPolicy(ln.Addr().String(), tuned(func(p *remote.Policy) { p.Backoff = 10 * time.Millisecond }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDeadlineMidExchangeIsUnavailableAndDeadlineExceeded(t *testing.T) {
 func TestCancelledContextStopsRetries(t *testing.T) {
 	// No listener at all: every attempt fails; cancelling between backoffs
 	// must stop the retry loop with the context's error in the chain.
-	c, err := remote.Dial("127.0.0.1:9", remote.Options{Attempts: 100, Backoff: 20 * time.Millisecond})
+	c, err := remote.DialPolicy("127.0.0.1:9", tuned(func(p *remote.Policy) { p.Attempts, p.Backoff = 100, 20*time.Millisecond }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestContextCancelAbortsScanMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), remote.Options{Attempts: 1})
+	c, err := remote.DialPolicy(srv.Addr().String(), tuned(func(p *remote.Policy) { p.Attempts = 1 }))
 	if err != nil {
 		t.Fatal(err)
 	}

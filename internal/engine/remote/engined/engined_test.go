@@ -25,7 +25,7 @@ func TestShutdownDrainsIdleConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := remote.Dial(srv.Addr().String(), remote.Options{Attempts: 1})
+	c, err := remote.Dial(srv.Addr().String(), remote.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestScanStreamsEachEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), remote.Options{Attempts: 1, IOTimeout: 30 * time.Second})
+	c, err := remote.Dial(srv.Addr().String(), remote.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestStopSeversAScanInFlight(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			c, err := remote.Dial(srv.Addr().String(), remote.Options{Attempts: 1})
+			c, err := remote.Dial(srv.Addr().String(), remote.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,7 +62,7 @@ func TestBatchPutsOnOneClientReadBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), remote.Options{PoolSize: 2})
+	c, err := remote.DialPolicy(srv.Addr().String(), tuned(func(p *remote.Policy) { p.PoolSize = 2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func (n *frameNode) serve(nc net.Conn) {
 func TestRetriedBatchPutSendsTheSameBytes(t *testing.T) {
 	ctx := context.Background()
 	node := startFrameNode(t, 1) // the second frame: the small batch's first attempt
-	c, err := remote.Dial(node.ln.Addr().String(), remote.Options{PoolSize: 1, Attempts: 3, Backoff: 1})
+	c, err := remote.DialPolicy(node.ln.Addr().String(), tuned(func(p *remote.Policy) { p.PoolSize, p.Backoff = 1, 1 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestBatchPutCopiesNoValue(t *testing.T) {
 			}
 		}
 	}()
-	c, err := remote.Dial(ln.Addr().String(), remote.Options{PoolSize: 1, Attempts: 1})
+	c, err := remote.DialPolicy(ln.Addr().String(), tuned(func(p *remote.Policy) { p.PoolSize, p.Attempts = 1, 1 }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 // tolerate missing keys).
 //
 // A failure detector watches those unavailability verdicts: after
-// Options.BreakerThreshold consecutive verdicts the node enters probation —
+// BreakerThreshold consecutive verdicts the node enters probation —
 // operations fail fast (still wrapped in engine.ErrUnavailable) while a
 // single background prober pings with exponential backoff, so a dead node
 // costs one dial per probe interval instead of a dial-retry schedule per
@@ -46,70 +46,46 @@ import (
 	"rstore/internal/types"
 )
 
-// Options tunes a client. The zero value gives defaults.
-type Options struct {
-	// PoolSize is the number of idle connections kept for reuse; more may
-	// be open at once under concurrency. Default 4.
-	PoolSize int
-	// DialTimeout bounds one connection attempt (a context deadline may
-	// shorten it further). Default 2s.
-	DialTimeout time.Duration
-	// Attempts is how many times an operation is tried before reporting
-	// the node unavailable; each attempt uses a fresh connection when the
-	// previous one failed. Default 3.
-	Attempts int
-	// Backoff is the delay before the second attempt; it doubles per
-	// further attempt. Default 25ms.
-	Backoff time.Duration
-	// IOTimeout bounds each request/response exchange (refreshed per
-	// streamed Scan frame; a context deadline may shorten it further).
-	// Default 30s.
-	IOTimeout time.Duration
-	// BreakerThreshold is how many consecutive unavailability verdicts trip
-	// the circuit breaker (see breaker.go): once tripped, operations fail
-	// fast while a background prober watches for recovery. Default 3 — one
-	// flaky exchange must not put a healthy node in probation.
-	BreakerThreshold int
-	// ProbeInterval is the delay before the breaker's first recovery probe;
-	// it doubles per failed probe up to ProbeMaxBackoff. Default 100ms.
-	ProbeInterval time.Duration
-	// ProbeMaxBackoff caps the probe backoff — the longest a recovered node
-	// waits before the breaker notices. Default 5s.
-	ProbeMaxBackoff time.Duration
+// Options has no fields: every client runs on defaultPolicy. It is kept
+// only for callers that pass its zero value (benchmark/stack.go; ROADMAP
+// item 29).
+type Options struct{}
+
+// Attempts is how many times an operation is tried before the node is
+// reported unavailable, each attempt after a failed one on a fresh
+// connection.
+const Attempts = 3
+
+// BreakerThreshold is how many consecutive unavailability verdicts trip the
+// circuit breaker (see breaker.go): one flaky exchange must not put a
+// healthy node in probation.
+const BreakerThreshold = 3
+
+// policy is how a client pools, retries, times out and probes. Its fields
+// are capitalized for remote's tests, which tune a copy (export_test.go).
+type policy struct {
+	PoolSize, Attempts, BreakerThreshold int
+	DialTimeout, IOTimeout, Backoff      time.Duration
+	ProbeInterval, ProbeMaxBackoff       time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.PoolSize <= 0 {
-		o.PoolSize = 4
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.Attempts <= 0 {
-		o.Attempts = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 25 * time.Millisecond
-	}
-	if o.IOTimeout <= 0 {
-		o.IOTimeout = 30 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 100 * time.Millisecond
-	}
-	if o.ProbeMaxBackoff <= 0 {
-		o.ProbeMaxBackoff = 5 * time.Second
-	}
-	return o
+// defaultPolicy is the policy of every client Dial makes. A context
+// deadline may shorten either timeout.
+var defaultPolicy = policy{
+	PoolSize:         4,                      // idle connections kept for reuse
+	DialTimeout:      2 * time.Second,        // one connection attempt
+	IOTimeout:        30 * time.Second,       // one exchange, refreshed per streamed Scan frame
+	Attempts:         Attempts,               // of one operation
+	Backoff:          25 * time.Millisecond,  // before the second attempt, doubled before each further one
+	BreakerThreshold: BreakerThreshold,       // verdicts in a row that trip the breaker
+	ProbeInterval:    100 * time.Millisecond, // before the first recovery probe, doubled after each failed one
+	ProbeMaxBackoff:  5 * time.Second,        // at most: the longest a recovered node waits to be noticed
 }
 
 // Client is an engine.Backend served by a remote storage node.
 type Client struct {
 	addr string
-	opts Options
+	pol  policy
 	br   *breaker // failure detector (see breaker.go)
 
 	mu     sync.Mutex
@@ -136,11 +112,14 @@ type conn struct {
 // Dial creates a client for the node at addr (host:port). Connecting is
 // lazy — a node that is down at Dial time is simply unavailable until it
 // comes up — so only the address syntax is validated here.
-func Dial(addr string, opts Options) (*Client, error) {
+func Dial(addr string, _ Options) (*Client, error) { return newClient(addr, defaultPolicy) }
+
+// newClient is Dial on policy pol.
+func newClient(addr string, pol policy) (*Client, error) {
 	if _, _, err := net.SplitHostPort(addr); err != nil {
 		return nil, fmt.Errorf("remote: bad node address %q: %w", addr, err)
 	}
-	c := &Client{addr: addr, opts: opts.withDefaults()}
+	c := &Client{addr: addr, pol: pol}
 	c.br = newBreaker(c)
 	return c, nil
 }
@@ -175,7 +154,7 @@ func (c *Client) checkout(ctx context.Context) (*conn, error) {
 // client reaches it: operations through checkout, the breaker's probe
 // directly.
 func (c *Client) dial(ctx context.Context) (*conn, error) {
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
+	d := net.Dialer{Timeout: c.pol.DialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		// A failed dial is a transport verdict like any other: classify it
@@ -190,7 +169,7 @@ func (c *Client) dial(ctx context.Context) (*conn, error) {
 // pool is full or the client closed).
 func (c *Client) release(cn *conn) {
 	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.opts.PoolSize {
+	if !c.closed && len(c.idle) < c.pol.PoolSize {
 		c.idle = append(c.idle, cn)
 		c.mu.Unlock()
 		return
@@ -297,9 +276,9 @@ func (c *Client) do(ctx context.Context, r wire.Request, canRetry func() bool, h
 		return c.unavailable(errProbation)
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.opts.Attempts; attempt++ {
+	for attempt := 0; attempt < c.pol.Attempts; attempt++ {
 		if attempt > 0 {
-			t := time.NewTimer(c.opts.Backoff << (attempt - 1))
+			t := time.NewTimer(c.pol.Backoff << (attempt - 1))
 			select {
 			case <-ctx.Done():
 				t.Stop()
@@ -321,7 +300,7 @@ func (c *Client) do(ctx context.Context, r wire.Request, canRetry func() bool, h
 			lastErr = err // dial failure: transient by definition
 			continue
 		}
-		abandon, err := cn.exchange(ctx, c.opts.IOTimeout, r, handle)
+		abandon, err := cn.exchange(ctx, c.pol.IOTimeout, r, handle)
 		if err == nil {
 			c.br.recordSuccess()
 			if abandon {

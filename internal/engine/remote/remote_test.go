@@ -26,9 +26,16 @@ import (
 	"rstore/internal/types"
 )
 
-// fastOpts keeps retry latency test-friendly.
-func fastOpts() remote.Options {
-	return remote.Options{Attempts: 2, Backoff: 5 * time.Millisecond, DialTimeout: time.Second}
+// tuned returns the policy Dial gives every client, as change leaves it.
+func tuned(change func(p *remote.Policy)) remote.Policy {
+	p := remote.DefaultPolicy()
+	change(&p)
+	return p
+}
+
+// fastPolicy keeps retry latency test-friendly.
+func fastPolicy() remote.Policy {
+	return tuned(func(p *remote.Policy) { p.Attempts, p.Backoff, p.DialTimeout = 2, 5*time.Millisecond, time.Second })
 }
 
 // freePort reserves an address nothing listens on (and then releases it,
@@ -51,7 +58,7 @@ func TestDialValidatesAddress(t *testing.T) {
 }
 
 func TestDownNodeIsUnavailableNotHardError(t *testing.T) {
-	c, err := remote.Dial(freePort(t), fastOpts())
+	c, err := remote.DialPolicy(freePort(t), fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +85,7 @@ func TestBackendErrorIsHardNotUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), fastOpts())
+	c, err := remote.DialPolicy(srv.Addr().String(), fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestClientSurvivesNodeRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr().String()
-	c, err := remote.Dial(addr, fastOpts())
+	c, err := remote.DialPolicy(addr, fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +177,7 @@ func TestRetryRedialsWithinOneOperation(t *testing.T) {
 		}
 	}()
 
-	c, err := remote.Dial(front.Addr().String(), remote.Options{Attempts: 3, Backoff: time.Millisecond})
+	c, err := remote.DialPolicy(front.Addr().String(), tuned(func(p *remote.Policy) { p.Backoff = time.Millisecond }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +211,7 @@ func TestOperationsAfterClientClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), fastOpts())
+	c, err := remote.DialPolicy(srv.Addr().String(), fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +232,7 @@ func TestConcurrentClientsShareOnePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), remote.Options{PoolSize: 2})
+	c, err := remote.DialPolicy(srv.Addr().String(), tuned(func(p *remote.Policy) { p.PoolSize = 2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +265,7 @@ func TestScanEarlyStopLeavesClientUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), fastOpts())
+	c, err := remote.DialPolicy(srv.Addr().String(), fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +297,7 @@ func TestBigValuesCrossTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), fastOpts())
+	c, err := remote.DialPolicy(srv.Addr().String(), fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +333,7 @@ func TestCompactionStatsOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := remote.Dial(srv.Addr().String(), fastOpts())
+	c, err := remote.DialPolicy(srv.Addr().String(), fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +372,7 @@ func TestCompactionStatsOverTheWire(t *testing.T) {
 func TestCompactUnsupportedBackend(t *testing.T) {
 	s := newSlamListener(t)
 	defer s.close()
-	c, err := remote.Dial(s.addr(), fastOpts())
+	c, err := remote.DialPolicy(s.addr(), fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +389,7 @@ func TestCompactUnsupportedBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	mc, err := remote.Dial(srv.Addr().String(), fastOpts())
+	mc, err := remote.DialPolicy(srv.Addr().String(), fastPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +433,7 @@ func TestBatchPutFrameSizedOnce(t *testing.T) {
 		}
 		sunk <- wire.WriteFrame(nc, []byte{wire.StOK})
 	}()
-	c, err := remote.Dial(ln.Addr().String(), remote.Options{Attempts: 1})
+	c, err := remote.DialPolicy(ln.Addr().String(), tuned(func(p *remote.Policy) { p.Attempts = 1 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +499,7 @@ func TestMalformedReplyIsUnavailableNeverPartial(t *testing.T) {
 					}()
 				}
 			}()
-			c, err := remote.Dial(ln.Addr().String(), fastOpts())
+			c, err := remote.DialPolicy(ln.Addr().String(), fastPolicy())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -504,7 +511,7 @@ func TestMalformedReplyIsUnavailableNeverPartial(t *testing.T) {
 			if values != nil || present != nil {
 				t.Fatalf("malformed reply leaked results: %q %v", values, present)
 			}
-			if got, want := len(asked), fastOpts().Attempts; got != want {
+			if got, want := len(asked), fastPolicy().Attempts; got != want {
 				t.Fatalf("the node was asked %d times, want one per attempt (%d)", got, want)
 			}
 		})

@@ -47,7 +47,7 @@ func TestAbsentSeamRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { srv.Close(); be.Close() })
-			return Config{Engine: EngineRemote, NodeAddrs: []string{srv.Addr().String()}, Remote: remoteOpts()}
+			return Config{Engine: EngineRemote, NodeAddrs: []string{srv.Addr().String()}}
 		}, 0},
 	} {
 		t.Run(row.name, func(t *testing.T) {

@@ -30,7 +30,10 @@ const (
 	EngineRemote = "remote"
 )
 
-// Config configures a cluster.
+// Config configures a cluster: its shape, its engine and its repair. The
+// engines take nothing more from it: lsm nodes run on lsm's defaults,
+// sharing one block cache, and the wire client of a remote node on
+// remote's one policy of pooling, retries, timeouts and breaker.
 type Config struct {
 	// Nodes is the cluster size. Defaults to 1.
 	Nodes int
@@ -52,9 +55,6 @@ type Config struct {
 	// shape: Nodes defaults to len(NodeAddrs) and must match it when set,
 	// because keys hash onto nodes by position on the ring.
 	NodeAddrs []string
-	// Remote tunes the wire clients of EngineRemote (pooling, retries,
-	// timeouts); the zero value gives defaults.
-	Remote remote.Options
 	// Repair tunes replication repair — read repair, hinted handoff, and
 	// tombstone GC (see repair.go). The zero value enables repair with
 	// defaults whenever ReplicationFactor > 1; tombstones are collected at
@@ -77,7 +77,7 @@ func (cfg *Config) opener() (func(id int) (*node, error), error) {
 		case EngineLSM:
 			// One cache for the whole cluster: hot blocks compete for a single
 			// budget instead of N private ones sized blind to each other.
-			cache := lsm.NewBlockCache(0)
+			cache := lsm.NewBlockCache()
 			mk = func(id int) (engine.Backend, error) {
 				return lsm.Open(cfg.nodeDir(id), lsm.Options{Cache: cache})
 			}
@@ -92,7 +92,7 @@ func (cfg *Config) opener() (func(id int) (*node, error), error) {
 				return nil, fmt.Errorf("kvstore: engine %q needs Config.NodeAddrs", cfg.Engine)
 			}
 			return func(id int) (*node, error) {
-				c, err := remote.Dial(cfg.NodeAddrs[id], cfg.Remote)
+				c, err := remote.Dial(cfg.NodeAddrs[id], remote.Options{})
 				if err != nil {
 					return nil, err
 				}

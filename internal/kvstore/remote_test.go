@@ -57,14 +57,9 @@ func (tn *testNode) restart(t *testing.T, addr string) {
 	t.Cleanup(func() { srv.Close() })
 }
 
-// remoteOpts keeps retry latency test-friendly.
-func remoteOpts() remote.Options {
-	return remote.Options{Attempts: 2, Backoff: 1e6 /* 1ms */}
-}
-
 func openRemote(t *testing.T, addrs []string, rf int) *Store {
 	t.Helper()
-	s, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: rf, Remote: remoteOpts()})
+	s, err := Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: rf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +202,7 @@ func TestReadsOutvoteStaleReplica(t *testing.T) {
 	ctx := context.Background()
 	addrs, nodes := startNodes(t, 3)
 	s, err := Open(ctx, Config{
-		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2, Remote: remoteOpts(),
+		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2,
 		Repair: RepairOptions{DisableHints: true, DisableReadRepair: true},
 	})
 	if err != nil {
@@ -526,7 +521,7 @@ func remotePinCluster(t *testing.T) pinCluster {
 			for _, k := range order {
 				list = append(list, addrs[k])
 			}
-			return Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: list, ReplicationFactor: rf, Remote: remoteOpts()})
+			return Open(context.Background(), Config{Engine: EngineRemote, NodeAddrs: list, ReplicationFactor: rf})
 		},
 		name: func(order []int, i int) string { return "daemon " + addrs[order[i]] },
 		put: func(i int, value []byte) error {
@@ -678,10 +673,8 @@ func TestHintReplayDialsWithinBreakerBudget(t *testing.T) {
 	addrs = append(addrs, ln.Addr().String())
 
 	const interval = 10 * time.Millisecond
-	opts := remoteOpts()
-	opts.BreakerThreshold = 3
 	s, err := Open(context.Background(), Config{
-		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2, Remote: opts,
+		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2,
 		Repair: RepairOptions{HintInterval: interval},
 	})
 	if err != nil {
@@ -709,7 +702,7 @@ func TestHintReplayDialsWithinBreakerBudget(t *testing.T) {
 	}
 	dials, probes = accepts.Load()-dials, down.BreakerStats().Probes-probes
 	t.Logf("node 2: %d dials, %d probes over 30 ticks", dials, probes)
-	if budget := probes + int64(opts.BreakerThreshold*opts.Attempts); dials > budget {
+	if budget := probes + int64(remote.BreakerThreshold*remote.Attempts); dials > budget {
 		t.Fatalf("node 2 dialed %d times over 30 ticks; the breaker allows %d (%d probes)", dials, budget, probes)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"rstore"
 	"rstore/internal/engine/lsm"
-	"rstore/internal/engine/remote"
 	"rstore/internal/engine/remote/engined"
 	"rstore/internal/types"
 )
@@ -124,7 +123,6 @@ func (c *daemonCluster) raw(i int, table, key string) ([]byte, bool) {
 func (c *daemonCluster) config(opts rstore.RepairOptions) rstore.ClusterConfig {
 	return rstore.ClusterConfig{
 		Engine: rstore.EngineRemote, NodeAddrs: c.addrs, ReplicationFactor: len(c.addrs),
-		Remote: remote.Options{Attempts: 2, Backoff: time.Millisecond},
 		Repair: opts,
 	}
 }

@@ -140,7 +140,10 @@ func KeyRangeFrom(lo Key) Range { return core.KeyRangeFrom(lo) }
 
 // Cluster options for Config.KV.
 
-// ClusterConfig configures the backing key-value cluster.
+// ClusterConfig configures the backing key-value cluster: its shape
+// (Nodes, ReplicationFactor, NodeAddrs), its engine (Engine, Dir) and its
+// repair. Its storage daemons' wire clients run on one fixed policy of
+// pooling, retries, timeouts and circuit breaker that nothing here tunes.
 type ClusterConfig = kvstore.Config
 
 // RepairOptions tunes replication repair — read repair, hinted handoff,
