@@ -3,12 +3,14 @@ package rstore_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
 
 	"rstore"
 	"rstore/internal/engine/lsm"
+	"rstore/internal/kvstore"
 )
 
 // Divergence-injection acceptance test for Merkle-tree anti-entropy.
@@ -19,9 +21,9 @@ import (
 // corruption, an operator's stray write. No hint was ever queued, and if no
 // client happens to read the damaged keys, nothing foreground notices. This
 // test injects exactly that class of damage behind a live TCP cluster's
-// back and requires the background hash-tree sync, alone — hints disabled,
-// read repair disabled, zero client reads of the damaged keys — to bring
-// every replica's bytes back into agreement.
+// back and requires the background hash-tree sync, alone — no hint parked,
+// zero client reads of the damaged keys — to bring every replica's bytes
+// back into agreement.
 
 // scanTable snapshots a replica's full on-disk table through its backend
 // handle, values copied (Scan may alias backend buffers).
@@ -51,17 +53,25 @@ func tablesEqual(a, b map[string][]byte) bool {
 	return true
 }
 
+// tombstoneOver returns a tombstone one tick newer than the value envelope
+// raw, in the store's envelope layout: a flag byte (1: tombstone), then the
+// timestamp, 8 bytes little-endian.
+func tombstoneOver(raw []byte) []byte {
+	tomb := make([]byte, kvstore.EnvelopeOverhead)
+	tomb[0] = 1
+	binary.LittleEndian.PutUint64(tomb[1:], binary.LittleEndian.Uint64(raw[1:])+1)
+	return tomb
+}
+
 func TestAntiEntropyEndToEnd(t *testing.T) {
 	const nKeys = 40
 	c := startDaemons(t, 3, lsm.Options{})
 	ctx := context.Background()
 	key := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
 
-	kv, err := rstore.OpenCluster(ctx, c.config(rstore.RepairOptions{
-		AntiEntropyInterval: 10 * time.Millisecond,
-		DisableReadRepair:   true,
-		DisableHints:        true,
-	}))
+	cfg := c.config()
+	cfg.AntiEntropyInterval = 10 * time.Millisecond
+	kv, err := rstore.OpenCluster(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +98,21 @@ func TestAntiEntropyEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A delete node 2 never hears about (it is dead and hints are off):
-	// the tombstone on nodes 0/1 is held by 2 of 3 replicas, un-GC-able, and
-	// node 2 comes back still holding the live value — a resurrection
-	// candidate only anti-entropy can put down.
+	// A delete node 2 never hears about, planted on nodes 0/1 behind the
+	// store's back, so no hint is parked: the tombstone is held by 2 of 3
+	// replicas, un-GC-able, and node 2 still holds the live value — a
+	// resurrection candidate only anti-entropy can put down.
 	if err := kv.Put(ctx, "t", "ghost", []byte("alive")); err != nil {
 		t.Fatal(err)
 	}
-	c.kill(2)
-	if err := kv.Delete(ctx, "t", "ghost"); err != nil {
-		t.Fatal(err)
+	alive, ok := c.raw(2, "t", "ghost")
+	if !ok {
+		t.Fatal("precondition: node 2 should hold the live value")
 	}
-	c.restart(2)
-	if _, ok := c.raw(2, "t", "ghost"); !ok {
-		t.Fatal("precondition: restarted node should still hold the deleted value")
+	for n := 0; n < 2; n++ {
+		if err := c.backends[n].Put(ctx, "t", "ghost", tombstoneOver(alive)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Silent corruption on node 1, injected straight into its backend
@@ -175,11 +186,9 @@ func TestAntiEntropySurvivesNodeRestartMidSync(t *testing.T) {
 	ctx := context.Background()
 	key := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
 
-	kv, err := rstore.OpenCluster(ctx, c.config(rstore.RepairOptions{
-		AntiEntropyInterval: 5 * time.Millisecond,
-		DisableReadRepair:   true,
-		DisableHints:        true,
-	}))
+	cfg := c.config()
+	cfg.AntiEntropyInterval = 5 * time.Millisecond
+	kv, err := rstore.OpenCluster(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +213,8 @@ func TestAntiEntropySurvivesNodeRestartMidSync(t *testing.T) {
 	// The cluster client's breaker may still consider node 2 down; writes
 	// through the store re-probe it. Write fresh keys so the restarted
 	// node also has post-restart divergence to repair (its breaker window
-	// missed them... or not — either way AE must reconcile).
+	// missed them... or not — either way they must converge, through AE or
+	// through the hints those writes parked).
 	for i := 0; i < 5; i++ {
 		if err := kv.Put(ctx, "t", fmt.Sprintf("late-%02d", i), []byte("late")); err != nil {
 			t.Fatal(err)

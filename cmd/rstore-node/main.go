@@ -1,8 +1,7 @@
-// Command rstore-node runs one storage node: a durable lsm backend (or,
-// for tests, a volatile -backend memory) served over TCP with the engine
-// wire protocol, so a cluster of real machines can replace the
-// in-process simulator. Point a cluster at a set of nodes with `-backend
-// remote -node-addrs host1:7420,host2:7420,...` on cmd/rstore or
+// Command rstore-node runs one storage node: a durable lsm backend served
+// over TCP with the engine wire protocol, so a cluster of real machines can
+// replace the in-process simulator. Point a cluster at a set of nodes with
+// `-backend remote -node-addrs host1:7420,host2:7420,...` on cmd/rstore or
 // cmd/rstore-server (or rstore.ClusterConfig{Engine: rstore.EngineRemote,
 // NodeAddrs: ...} from the library).
 //
@@ -41,9 +40,7 @@ import (
 	"syscall"
 	"time"
 
-	"rstore/internal/engine"
 	"rstore/internal/engine/lsm"
-	"rstore/internal/engine/memory"
 	"rstore/internal/engine/remote/engined"
 	"rstore/internal/obs"
 )
@@ -51,8 +48,7 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":7420", "listen address")
-		backend = flag.String("backend", "lsm", "storage backend: lsm|memory")
-		dataDir = flag.String("data", "", "data directory (required for lsm)")
+		dataDir = flag.String("data", "", "data directory (required)")
 		debug   = flag.String("debug-addr", "", "serve net/http/pprof on this address (off when empty)")
 	)
 	flag.Parse()
@@ -66,20 +62,10 @@ func main() {
 		log.Printf("rstore-node: pprof on %s", dbg.Addr)
 	}
 
-	var be engine.Backend
-	var err error
-	where := *dataDir
-	switch *backend {
-	case "lsm":
-		if *dataDir == "" {
-			log.Fatalf("rstore-node: -backend lsm requires -data")
-		}
-		be, err = lsm.Open(*dataDir, lsm.Options{})
-	case "memory":
-		be, where = memory.New(), "memory (volatile)"
-	default:
-		log.Fatalf("rstore-node: unknown -backend %q (want lsm or memory)", *backend)
+	if *dataDir == "" {
+		log.Fatalf("rstore-node: -data is required")
 	}
+	be, err := lsm.Open(*dataDir, lsm.Options{})
 	if err != nil {
 		log.Fatalf("rstore-node: open %s: %v", *dataDir, err)
 	}
@@ -89,7 +75,7 @@ func main() {
 		log.Fatalf("rstore-node: %v", err)
 	}
 	log.Printf("rstore-node serving %s on %s (%d bytes resident)",
-		where, srv.Addr(), be.BytesStored())
+		*dataDir, srv.Addr(), be.BytesStored())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -101,7 +87,7 @@ func main() {
 		log.Printf("rstore-node: shutdown: %v", err)
 	}
 	if err := be.Close(); err != nil {
-		log.Fatalf("rstore-node: close %s: %v", where, err)
+		log.Fatalf("rstore-node: close %s: %v", *dataDir, err)
 	}
 	log.Printf("rstore-node stopped")
 }

@@ -19,6 +19,8 @@
 // node count; -nodes is ignored) and the store is likewise reopened from
 // the nodes' contents on boot. A -backend memory store lives and dies with
 // the process.
+// At -rf > 1 replicas converge by read repair and hinted handoff, which
+// nothing tunes; -anti-entropy-interval adds a background hash-tree sync.
 //
 // API (JSON; the set-returning queries stream NDJSON — one
 // {"record":...} line per record as chunks arrive, a {"stats":...}
@@ -68,7 +70,6 @@ func main() {
 		backend   = flag.String("backend", "memory", "storage backend: memory|lsm|remote")
 		dataDir   = flag.String("data", "rstore-data", "data directory for -backend lsm")
 		nodeAddrs = flag.String("node-addrs", "", "comma-separated rstore-node addresses for -backend remote")
-		hintEvery = flag.Duration("hint-interval", 0, "hint drain cadence for replication repair (0 = default 1s)")
 		aeEvery   = flag.Duration("anti-entropy-interval", 0, "background hash-tree replica sync cadence (0 = off; needs -rf > 1)")
 		debug     = flag.String("debug-addr", "", "serve net/http/pprof on this address (off when empty)")
 	)
@@ -86,7 +87,7 @@ func main() {
 	cluster := rstore.ClusterConfig{
 		Nodes: *nodes, ReplicationFactor: *rf,
 		Engine: *backend, Dir: *dataDir,
-		Repair: rstore.RepairOptions{HintInterval: *hintEvery, AntiEntropyInterval: *aeEvery},
+		AntiEntropyInterval: *aeEvery,
 	}
 	if *aeEvery > 0 && *rf <= 1 {
 		log.Printf("rstore-server: -anti-entropy-interval needs -rf > 1; ignored")

@@ -17,7 +17,7 @@ import (
 // when nothing diverged — the steady-state tax, which lsm's
 // generation-keyed digest memo keeps small), and how fast the loop finds
 // and repairs a 1%-diverged replica whose damage was injected behind the
-// store's back (no hints parked, read repair off, zero client reads).
+// store's back (no hints parked, zero client reads).
 func RunAntiEntropy(opts Options) ([]*Table, error) {
 	opts = opts.withDefaults()
 	baseKeys := scaled(4000, opts.RecordFrac, 64)
@@ -48,12 +48,7 @@ func RunAntiEntropy(opts Options) ([]*Table, error) {
 func runAntiEntropyOn(ctx context.Context, t *Table, dir string, nKeys, valSize int) error {
 	backends := make([]engine.Backend, 3)
 	kv, err := kvstore.Open(ctx, kvstore.Config{
-		Nodes: 3, ReplicationFactor: 3,
-		Repair: kvstore.RepairOptions{
-			AntiEntropyInterval: time.Millisecond,
-			DisableReadRepair:   true,
-			DisableHints:        true,
-		},
+		Nodes: 3, ReplicationFactor: 3, AntiEntropyInterval: time.Millisecond,
 		NewBackend: func(id int) (engine.Backend, error) {
 			be, err := lsm.Open(filepath.Join(dir, fmt.Sprintf("lsm-%d-%d", nKeys, id)), lsm.Options{MemtableBytes: 256 << 10})
 			backends[id] = be

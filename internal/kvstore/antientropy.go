@@ -209,7 +209,7 @@ func (a *antiEntropy) syncTable(ctx context.Context, i, j int, table string) boo
 	}
 	for idx, key := range keys {
 		rd := reads[idx]
-		if v := judge(rd.obs); v.win >= 0 && a.s.repair.settle(table, key, rd.obs, v, true) {
+		if v := judge(rd.obs); v.win >= 0 && a.s.repair.settle(table, key, rd.obs, v) {
 			a.keysRepaired.Add(1)
 		}
 	}

@@ -8,17 +8,16 @@ import (
 	"time"
 
 	"rstore/internal/engine"
+	"rstore/internal/engine/memory"
 )
 
-// fastAE is the anti-entropy test tuning: tick fast, and shut off both
-// foreground repair channels so any convergence observed below is the AE
-// loop's alone.
-func fastAE() RepairOptions {
-	return RepairOptions{
-		AntiEntropyInterval: 2 * time.Millisecond,
-		DisableReadRepair:   true,
-		DisableHints:        true,
-	}
+// openAE opens a memory cluster whose anti-entropy loop ticks every 2 ms.
+// The tests below make no client read, and plant their divergence behind
+// the store's back with no node down during a write, so nothing queues read
+// repair or parks a hint: any convergence observed is the loop's alone.
+func openAE(t testing.TB, nodes, rf int) (*Store, []*memory.Backend) {
+	t.Helper()
+	return openMem(t, Config{Nodes: nodes, ReplicationFactor: rf, AntiEntropyInterval: 2 * time.Millisecond})
 }
 
 func TestAntiEntropyPairAt(t *testing.T) {
@@ -71,11 +70,11 @@ func TestAntiEntropyDiffKeyHashes(t *testing.T) {
 // enabled — and never on an unreplicated cluster, where there is no peer to
 // sync against.
 func TestAntiEntropyOffByDefault(t *testing.T) {
-	s, _ := openRepair(t, 3, 2, fastRepair())
+	s, _ := openRepair(t, 3, 2)
 	if s.ae != nil {
 		t.Fatal("anti-entropy loop running without AntiEntropyInterval")
 	}
-	s2, _ := openRepair(t, 3, 1, fastAE())
+	s2, _ := openAE(t, 3, 1)
 	if s2.ae != nil {
 		t.Fatal("anti-entropy loop running at replication factor 1")
 	}
@@ -84,11 +83,10 @@ func TestAntiEntropyOffByDefault(t *testing.T) {
 // TestAntiEntropyRepairsSilentDivergence is the core guarantee: a replica
 // corrupted behind the store's back — deleted keys, values regressed to
 // older timestamps, garbage bytes — converges back to its peers through the
-// background loop alone. No client reads (read repair is off), no missed
-// writes (hints are off and no node was ever down): nothing but the hash
-// trees can notice the damage.
+// background loop alone. No client reads, no missed writes (no node was
+// ever down): nothing but the hash trees can notice the damage.
 func TestAntiEntropyRepairsSilentDivergence(t *testing.T) {
-	s, backends := openRepair(t, 3, 3, fastAE())
+	s, backends := openAE(t, 3, 3)
 	ctx := context.Background()
 
 	const n = 24
@@ -137,24 +135,22 @@ func TestAntiEntropyRepairsSilentDivergence(t *testing.T) {
 // some replicas because one missed the delete — is spread by the AE repairs
 // to all of them, so GC can finally collect it everywhere.
 func TestAntiEntropySuppressesTombstoneResurrection(t *testing.T) {
-	s, backends := openRepair(t, 3, 3, fastAE())
+	s, backends := openAE(t, 3, 3)
 	ctx := context.Background()
 
 	if err := s.Put(ctx, "t", "ghost", []byte("alive")); err != nil {
 		t.Fatal(err)
 	}
-	// Capture the live envelope, then delete with node 2 down and hints
-	// off: node 2 keeps the live value, and the tombstone on nodes 0/1 can
-	// never be GC'd (one replica does not hold it) until AE intervenes.
-	old := mustRaw(t, backends[1], "t", "ghost")
-	backends[2].SetDown(true)
-	if err := s.Delete(ctx, "t", "ghost"); err != nil {
+	// A delete only node 0 holds, planted behind the store's back as if
+	// nodes 1 and 2 had missed it with no hint parked: they keep the live
+	// value, and the tombstone can never be GC'd (other replicas do not
+	// hold it) until AE intervenes — newer timestamp, so LWW must let it
+	// win.
+	_, ts, _, err := unenvelope(mustRaw(t, backends[0], "t", "ghost"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	backends[2].SetDown(false)
-	// Resurrect the old value over node 1's tombstone behind the store's
-	// back — older timestamp, so LWW must reject it.
-	if err := backends[1].Put(ctx, "t", "ghost", old); err != nil {
+	if err := backends[0].Put(ctx, "t", "ghost", envelope(envTombstone, ts+1, nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,7 +177,7 @@ func TestAntiEntropySuppressesTombstoneResurrection(t *testing.T) {
 // node legitimately lacks the keys it doesn't replicate. The loop must not
 // "repair" those onto it.
 func TestAntiEntropyRespectsRingPlacement(t *testing.T) {
-	s, backends := openRepair(t, 3, 2, fastAE())
+	s, backends := openAE(t, 3, 2)
 	ctx := context.Background()
 
 	for i := 0; i < 32; i++ {
@@ -207,19 +203,24 @@ func TestAntiEntropyRespectsRingPlacement(t *testing.T) {
 }
 
 // TestAntiEntropySkipsDownNodes: the loop keeps syncing the live pair while
-// a node is down, and divergence created while it was down is repaired once
-// it returns — even with hints off, so the AE loop is the only path home.
+// a node is down, and the divergence the node went down with is repaired
+// once it returns. It was planted behind the store's back, with no hint
+// parked, so the AE loop is the only path home.
 func TestAntiEntropySkipsDownNodes(t *testing.T) {
-	s, backends := openRepair(t, 3, 3, fastAE())
+	s, backends := openAE(t, 3, 3)
 	ctx := context.Background()
 
 	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	backends[2].SetDown(true)
+	old := mustRaw(t, backends[2], "t", "k")
 	if err := s.Put(ctx, "t", "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
+	if err := backends[2].Put(ctx, "t", "k", old); err != nil {
+		t.Fatal(err)
+	}
+	backends[2].SetDown(true)
 	// Let the loop spin against the downed node; it must keep syncing the
 	// live pair.
 	waitFor(t, "sync rounds with a node down", func() bool { return s.Stats(ctx).AESyncs >= 3 })
@@ -238,11 +239,11 @@ func TestAntiEntropySkipsDownNodes(t *testing.T) {
 // writer rightly refuses to write a tombstone over nothing, so a pair
 // judged on its own would re-diff this key on every sweep forever:
 // AEKeysRepaired climbing without bound while no write ever happens and
-// the tombstone is never collected. Judged across all its replicas, under
-// default options, the key must (a) be collected since they all agree, and
-// (b) count zero key repairs on the way.
+// the tombstone is never collected. Judged across all its replicas, the
+// key must (a) be collected since they all agree, and (b) count zero key
+// repairs on the way.
 func TestAntiEntropyCollectsOrphanTombstone(t *testing.T) {
-	s, backends := openRepair(t, 3, 3, fastAE())
+	s, backends := openAE(t, 3, 3)
 	ctx := context.Background()
 
 	// The orphan: planted straight into one backend, as if written by a
@@ -266,9 +267,8 @@ func TestAntiEntropyCollectsOrphanTombstone(t *testing.T) {
 func TestAntiEntropyTickSyncsLivePair(t *testing.T) {
 	for start := 0; start < 3; start++ {
 		t.Run(fmt.Sprintf("cursor=%d", start), func(t *testing.T) {
-			opts := fastAE()
-			opts.AntiEntropyInterval = time.Hour // the tick below is the only one
-			s, backends := openRepair(t, 3, 3, opts)
+			// The tick below is the only one.
+			s, backends := openMem(t, Config{Nodes: 3, ReplicationFactor: 3, AntiEntropyInterval: time.Hour})
 			ctx := context.Background()
 			if err := s.Put(ctx, "t", "k", []byte("v")); err != nil {
 				t.Fatal(err)

@@ -114,9 +114,9 @@ func (n countingNode) BatchPut(ctx context.Context, table string, entries []engi
 
 // openCounting opens a cluster over backends wrapped as countingNodes
 // sharing calls.
-func openCounting(tb testing.TB, bes []engine.Backend, rf int, calls *callCount, delay time.Duration, opts RepairOptions) *Store {
+func openCounting(tb testing.TB, bes []engine.Backend, rf int, calls *callCount, delay time.Duration) *Store {
 	tb.Helper()
-	s, err := Open(context.Background(), Config{Nodes: len(bes), ReplicationFactor: rf, Repair: opts,
+	s, err := Open(context.Background(), Config{Nodes: len(bes), ReplicationFactor: rf,
 		NewBackend: func(id int) (engine.Backend, error) { return countingNode{bes[id], calls, delay}, nil }})
 	if err != nil {
 		tb.Fatal(err)
@@ -126,14 +126,14 @@ func openCounting(tb testing.TB, bes []engine.Backend, rf int, calls *callCount,
 }
 
 // openCountingMem is openCounting over new memory nodes, which it returns.
-func openCountingMem(tb testing.TB, nodes, rf int, calls *callCount, delay time.Duration, opts RepairOptions) (*Store, []*memory.Backend) {
+func openCountingMem(tb testing.TB, nodes, rf int, calls *callCount, delay time.Duration) (*Store, []*memory.Backend) {
 	tb.Helper()
 	mems := newBackends(nodes)
 	bes := make([]engine.Backend, nodes)
 	for i, m := range mems {
 		bes[i] = m
 	}
-	return openCounting(tb, bes, rf, calls, delay, opts), mems
+	return openCounting(tb, bes, rf, calls, delay), mems
 }
 
 // repairNodes is the kind of node a repair benchmark runs on: in-process
@@ -172,11 +172,11 @@ func (k repairNodes) backends(b *testing.B, n int) ([]engine.Backend, []*memory.
 }
 
 // open opens a cluster over bes, behind countingNodes when k has a delay.
-func (k repairNodes) open(b *testing.B, bes []engine.Backend, rf int, calls *callCount, opts RepairOptions) *Store {
+func (k repairNodes) open(b *testing.B, bes []engine.Backend, rf int, calls *callCount) *Store {
 	if k.delay > 0 {
-		return openCounting(b, bes, rf, calls, k.delay, opts)
+		return openCounting(b, bes, rf, calls, k.delay)
 	}
-	s, err := Open(context.Background(), Config{Nodes: len(bes), ReplicationFactor: rf, Repair: opts,
+	s, err := Open(context.Background(), Config{Nodes: len(bes), ReplicationFactor: rf,
 		NewBackend: func(id int) (engine.Backend, error) { return bes[id], nil }})
 	if err != nil {
 		b.Fatal(err)
@@ -238,7 +238,7 @@ func BenchmarkRepairSweep(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					bes, _ := k.backends(b, 2)
-					s := k.open(b, bes, 2, &calls, RepairOptions{DisableHints: true})
+					s := k.open(b, bes, 2, &calls)
 					_, entries := repairKeys()
 					if err := s.BatchPut(ctx, "t", entries); err != nil {
 						b.Fatal(err)
@@ -271,7 +271,8 @@ func BenchmarkRepairSweep(b *testing.B) {
 // BenchmarkTombstoneCollection: 200 tombstones a replica missed at rf 3,
 // delivered by read repair and collected, on in-process memory nodes and
 // on nodes with a round trip; an op is the MultiGet that observes them and
-// ends at the last collection.
+// ends at the last collection. The tombstones are planted on the other two
+// replicas behind the store's back, so no hint is parked for the third.
 func BenchmarkTombstoneCollection(b *testing.B) {
 	for _, k := range []repairNodes{inprocMem, remoteMem} {
 		b.Run(k.name, func(b *testing.B) {
@@ -280,16 +281,20 @@ func BenchmarkTombstoneCollection(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				bes, mems := k.backends(b, 3)
-				s := k.open(b, bes, 3, &calls, RepairOptions{DisableHints: true})
+				s := k.open(b, bes, 3, &calls)
 				keys, entries := repairKeys()
 				if err := s.BatchPut(ctx, "t", entries); err != nil {
 					b.Fatal(err)
 				}
-				mems[2].SetDown(true)
-				if err := s.BatchDelete(ctx, "t", keys); err != nil {
-					b.Fatal(err)
+				tombs := make([]engine.Entry, len(keys))
+				for j, key := range keys {
+					tombs[j] = engine.Entry{Key: key, Value: envelope(envTombstone, s.nextTS(), nil)}
 				}
-				mems[2].SetDown(false)
+				for _, m := range mems[:2] {
+					if err := m.BatchPut(ctx, "t", tombs); err != nil {
+						b.Fatal(err)
+					}
+				}
 				b.StartTimer()
 				if _, err := s.MultiGet(ctx, "t", keys); err != nil {
 					b.Fatal(err)
@@ -306,9 +311,9 @@ func BenchmarkTombstoneCollection(b *testing.B) {
 // BenchmarkHintDrain: 200 writes — values, or tombstones over values — that
 // a down replica missed at rf 2, parked as hints, then drained by a client
 // that recovers them at Open, on in-process memory nodes and on nodes with
-// a round trip. An op starts with a kick of the drain and ends when the
-// last hint is spent; for tombstones collected-ms is the time to the last
-// collection.
+// a round trip. An op starts with that Open, which recovers the hints and
+// kicks the drain, and ends when the last hint is spent; for tombstones
+// collected-ms is the time to the last collection.
 func BenchmarkHintDrain(b *testing.B) {
 	for _, k := range []repairNodes{inprocMem, remoteMem} {
 		for _, tombs := range []bool{false, true} {
@@ -323,7 +328,7 @@ func BenchmarkHintDrain(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					bes, mems := k.backends(b, 2)
-					w := openOver(b, mems, 2, RepairOptions{HintInterval: time.Hour})
+					w := openOver(b, mems, 2) // parks only: node 1 is down until w closes
 					keys, entries := repairKeys()
 					if tombs {
 						if err := w.BatchPut(ctx, "t", entries); err != nil {
@@ -340,15 +345,14 @@ func BenchmarkHintDrain(b *testing.B) {
 					}
 					w.Close()
 					mems[1].SetDown(false)
-					s := k.open(b, bes, 2, &calls, RepairOptions{HintInterval: time.Hour})
-					if n := s.repair.hintsPending.Load(); n != 200 {
-						b.Fatalf("%d hints recovered, want 200", n)
-					}
 					start := time.Now()
 					b.StartTimer()
-					s.repair.kickDrain() // as a dialed node's breaker closing does
+					s := k.open(b, bes, 2, &calls)
 					until(b, "every hint spent", func() bool { return s.repair.hintsPending.Load() == 0 })
 					b.StopTimer()
+					if n := s.repair.hintsQueued.Load(); n != 200 {
+						b.Fatalf("%d hints recovered, want 200", n)
+					}
 					if tombs {
 						until(b, "every tombstone collected", func() bool { return s.repair.tombstonesGC.Load() == 200 })
 						collected += time.Since(start)

@@ -77,7 +77,7 @@ func TestRepairReadsReplicasAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	bar := &replicaBarrier{replicas: 2, arrived: map[string]int{}, open: map[string]chan struct{}{}}
-	s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2, Repair: RepairOptions{DisableHints: true},
+	s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2,
 		NewBackend: func(id int) (engine.Backend, error) { return barrierNode{mems[id], bar}, nil }})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func openWriteBackUnderWay(t *testing.T) (s *Store, mems []*memory.Backend, rele
 		t.Fatal(err)
 	}
 	g := gatedPut{mems[1], newGate()}
-	s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2, Repair: RepairOptions{DisableHints: true},
+	s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2,
 		NewBackend: func(id int) (engine.Backend, error) {
 			if id == 1 {
 				return g, nil
@@ -187,7 +187,7 @@ func TestCollectionSparesForeignWrite(t *testing.T) {
 	ctx := context.Background()
 	mems := newBackends(2)
 	g := newGate()
-	s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2, Repair: RepairOptions{DisableHints: true},
+	s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2,
 		NewBackend: func(id int) (engine.Backend, error) { return gatedDelete{keepOpen{mems[id]}, g}, nil }})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestCollectionSparesForeignWrite(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(g.release) }) }
 	defer release()
-	other := openOver(t, mems, 2, RepairOptions{DisableHints: true})
+	other := openOver(t, mems, 2)
 	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestRepairTraffic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var calls callCount
 			n := len(tc.held)
-			s, mems := openCountingMem(t, n, n, &calls, 0, RepairOptions{DisableReadRepair: true, DisableHints: true})
+			s, mems := openCountingMem(t, n, n, &calls, 0)
 			for i, raw := range tc.held {
 				if raw != nil {
 					if err := mems[i].Put(ctx, "t", "k", raw); err != nil {
@@ -265,7 +265,7 @@ func TestRepairTraffic(t *testing.T) {
 
 	t.Run("rf 2 delete's own collection", func(t *testing.T) {
 		var calls callCount
-		s, mems := openCountingMem(t, 2, 2, &calls, 0, RepairOptions{})
+		s, mems := openCountingMem(t, 2, 2, &calls, 0)
 		if err := s.Put(ctx, "t", "k", []byte("v")); err != nil {
 			t.Fatal(err)
 		}

@@ -22,11 +22,11 @@ import (
 // target answers again. Replaying a hint converges its key (repair.go): all
 // its replicas are read, the parking one among them, which holds the write
 // or a newer state, and the winner is written to the target. The
-// loop keeps no schedule of its own per target: it retries every tick,
-// which costs little because a down node refuses at once — a memory node
-// answers engine.ErrUnavailable, a dialed node's open breaker fails fast
-// without a dial — and a dialed node's breaker closing wakes it at once
-// (kickDrain).
+// loop keeps no schedule of its own per target: it retries every tick
+// (hintInterval), which costs little because a down node refuses at once —
+// a memory node answers engine.ErrUnavailable, a dialed node's open breaker
+// fails fast without a dial — and a dialed node's breaker closing wakes it
+// at once, as does an Open that recovered parked hints (kickDrain).
 
 // hintsTable is the kvstore-private table hints are parked in. Like
 // !cluster it is node-local bookkeeping, not data: the ring does not place
@@ -93,7 +93,7 @@ type hintSpec struct {
 // write itself already succeeded on the live replicas, so a failed park
 // only degrades the down node's convergence to read repair.
 func (r *repairer) addHints(ctx context.Context, park int, specs []hintSpec) {
-	if r.opts.DisableHints || len(specs) == 0 {
+	if len(specs) == 0 {
 		return
 	}
 	entries := make([]engine.Entry, len(specs))
@@ -121,11 +121,9 @@ func (r *repairer) addHints(ctx context.Context, park int, specs []hintSpec) {
 // every Open. Hints on nodes unreachable right now are picked up by
 // whichever client opens after they return. A record that does not decode,
 // or whose key names no node of this cluster, owes nothing anyone can
-// deliver, and is removed.
+// deliver, and is removed. Recovered hints replay at once, not at the
+// first tick.
 func (r *repairer) recoverHints(ctx context.Context) {
-	if r.opts.DisableHints {
-		return
-	}
 	perNode := make([][]hintRef, len(r.s.nodes))
 	var wg sync.WaitGroup
 	for i, nd := range r.s.nodes {
@@ -168,6 +166,7 @@ func (r *repairer) recoverHints(ctx context.Context) {
 		r.hintsQueued.Add(int64(n))
 		r.hintsPending.Add(int64(n))
 		r.ensureDrain()
+		r.kickDrain()
 	}
 }
 
@@ -183,9 +182,10 @@ func (r *repairer) ensureDrain() {
 	})
 }
 
-// kickDrain wakes the drain loop now instead of at its next tick. Its one
-// caller is a dialed node's breaker closing (Open wires the listener): the
-// node has just come back, so its parked writes replay at once.
+// kickDrain wakes the drain loop now instead of at its next tick. Its
+// callers are recoverHints, once it queued the hints a previous client
+// parked, and a dialed node's breaker closing (Open wires the listener):
+// the node has just come back, so its parked writes replay at once.
 func (r *repairer) kickDrain() {
 	select {
 	case r.kick <- struct{}{}:
@@ -197,7 +197,7 @@ func (r *repairer) kickDrain() {
 // after another in node order.
 func (r *repairer) drainLoop() {
 	defer r.wg.Done()
-	tick := time.NewTicker(r.opts.HintInterval)
+	tick := time.NewTicker(hintInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -221,11 +221,21 @@ func (r *repairer) drainLoop() {
 	}
 }
 
-// drainTarget replays parked hints to one target in order until the queue
-// empties or the target (or a parking node) proves unreachable; the rest
-// wait for the next tick or kick.
+// drainTarget replays the hints parked for one target, in order. A replay
+// converges the hint's key (a fresh task: a tombstone every replica then
+// holds is queued for collection at once, off the drain's path) and spends
+// the hint — removes its parked record — once the key was judged with the
+// target and the parking node, whose state the winner must have been judged
+// against, answering and taking the winner; that includes a key no replica
+// holds any more, and a hint another client already replayed. A hint that
+// is not spent stays queued. The pass ends when the target itself missed,
+// and the rest wait for the next tick or kick; on any other failure it goes
+// on to the next hint, since a target's queue holds hints parked on several
+// nodes and one of them being down must not hold up the others. Order does
+// not matter to the outcome: converge delivers the newest state whichever
+// hint names the key.
 func (r *repairer) drainTarget(target int) {
-	for {
+	for i := 0; ; {
 		select {
 		case <-r.stop:
 			return
@@ -233,37 +243,34 @@ func (r *repairer) drainTarget(target int) {
 		}
 		r.hmu.Lock()
 		q := r.hints[target]
-		if len(q) == 0 {
+		if i >= len(q) {
 			r.hmu.Unlock()
 			return
 		}
-		ref := q[0]
+		ref := q[i]
 		r.hmu.Unlock()
 
-		if !r.replayHint(r.ctx, target, ref) {
+		missed, judged := r.converge(r.ctx, repairTask{table: ref.table, key: ref.key, fresh: true}, false)
+		if slices.Contains(missed, target) {
 			return
 		}
+		if !judged || slices.Contains(missed, ref.park) {
+			i++
+			continue
+		}
+		_ = r.s.nodes[ref.park].be.Delete(r.ctx, hintsTable, ref.hkey)
+		// Only this loop removes hints, and addHints only appends, so ref is
+		// still at i. The head goes by reslicing, so a pass that spends the
+		// queue in order stays linear in its length.
 		r.hmu.Lock()
-		r.hints[target] = r.hints[target][1:]
+		q = r.hints[target]
+		if i == 0 {
+			r.hints[target] = q[1:]
+		} else {
+			r.hints[target] = slices.Delete(q, i, i+1)
+		}
 		r.hmu.Unlock()
 		r.hintsPending.Add(-1)
 		r.hintsReplayed.Add(1)
 	}
-}
-
-// replayHint converges one parked hint's key (a fresh task: a tombstone
-// every replica then holds is queued for collection at once, off the
-// drain's path), then removes the parked record. False means "try this
-// target again later": the key was not judged, or the target or the
-// parking node — whose state the winner must have been judged against —
-// did not answer or did not take the winner. True consumes the hint —
-// including one whose key no replica holds any more, and one another
-// client already replayed.
-func (r *repairer) replayHint(ctx context.Context, target int, ref hintRef) bool {
-	missed, judged := r.converge(ctx, repairTask{table: ref.table, key: ref.key, fresh: true}, false)
-	if !judged || slices.Contains(missed, target) || slices.Contains(missed, ref.park) {
-		return false
-	}
-	_ = r.s.nodes[ref.park].be.Delete(ctx, hintsTable, ref.hkey)
-	return true
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"rstore/internal/engine"
 	"rstore/internal/engine/lsm"
@@ -30,10 +31,13 @@ const (
 	EngineRemote = "remote"
 )
 
-// Config configures a cluster: its shape, its engine and its repair. The
-// engines take nothing more from it: lsm nodes run on lsm's defaults,
-// sharing one block cache, and the wire client of a remote node on
-// remote's one policy of pooling, retries, timeouts and breaker.
+// Config configures a cluster: its shape, its engine and its anti-entropy
+// cadence. The engines take nothing more from it: lsm nodes run on lsm's
+// defaults, sharing one block cache, and the wire client of a remote node
+// on remote's one policy of pooling, retries, timeouts and breaker. Nor
+// does repair (repair.go): read repair and hinted handoff run whenever
+// ReplicationFactor > 1, and tombstones every replica holds are collected
+// at every ReplicationFactor.
 type Config struct {
 	// Nodes is the cluster size. Defaults to 1.
 	Nodes int
@@ -55,11 +59,14 @@ type Config struct {
 	// shape: Nodes defaults to len(NodeAddrs) and must match it when set,
 	// because keys hash onto nodes by position on the ring.
 	NodeAddrs []string
-	// Repair tunes replication repair — read repair, hinted handoff, and
-	// tombstone GC (see repair.go). The zero value enables repair with
-	// defaults whenever ReplicationFactor > 1; tombstones are collected at
-	// every ReplicationFactor.
-	Repair RepairOptions
+	// AntiEntropyInterval, when positive and ReplicationFactor > 1, starts
+	// the background anti-entropy loop (antientropy.go): each interval one
+	// replica pair's hash trees are compared and any divergence — including
+	// divergence no read or hint ever observed — is repaired. Zero (the
+	// default) leaves convergence to read repair and hinted handoff.
+	// Requires every node's backend to implement engine.HashRanger (all
+	// built-in engines do).
+	AntiEntropyInterval time.Duration
 	// NewBackend, when set, overrides Engine/Dir with a custom backend
 	// factory (tests, out-of-tree engines).
 	NewBackend func(nodeID int) (engine.Backend, error)
@@ -152,7 +159,7 @@ type Store struct {
 	// collects tombstones.
 	repair *repairer
 	// ae is the background anti-entropy loop (antientropy.go); nil unless
-	// RepairOptions.AntiEntropyInterval is set and ReplicationFactor > 1.
+	// Config.AntiEntropyInterval is set and ReplicationFactor > 1.
 	ae *antiEntropy
 
 	// Modeled clock and counters (atomics; Store is safe for concurrent
@@ -190,7 +197,7 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg, ring: newRing(cfg.Nodes)}
 	// Built before any node opens: Close, which the failure paths below
 	// run, stops it.
-	s.repair = newRepairer(s, cfg.Repair)
+	s.repair = newRepairer(s)
 	for i := 0; i < cfg.Nodes; i++ {
 		n, err := open(i)
 		if err != nil {
@@ -205,20 +212,19 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	}
 	if cfg.ReplicationFactor > 1 {
 		// Resume draining hints a previous client parked (durable in the
-		// !hints tables); unreachable nodes are simply skipped.
+		// !hints tables), at once; unreachable nodes are simply skipped.
 		s.repair.recoverHints(ctx)
-		if cfg.Repair.AntiEntropyInterval > 0 {
+		if cfg.AntiEntropyInterval > 0 {
 			// Started after the repairer: the loop routes every repair it
 			// finds through the repairer's workers and runs on its lifecycle.
-			s.ae = &antiEntropy{s: s, interval: cfg.Repair.AntiEntropyInterval}
+			s.ae = &antiEntropy{s: s, interval: cfg.AntiEntropyInterval}
 			s.repair.wg.Add(1)
 			go s.ae.run()
 		}
 	}
 	// A remote node recovering from probation (breaker closing) kicks hint
-	// drain so writes parked while it was down replay promptly — the one
-	// kick there is. Wired last so the callback never observes a half-built
-	// Store.
+	// drain so writes parked while it was down replay promptly. Wired last
+	// so the callback never observes a half-built Store.
 	for _, n := range s.nodes {
 		if n.rc != nil {
 			n.rc.SetStateListener(func(up bool) {

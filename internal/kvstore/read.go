@@ -78,7 +78,7 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 			res.Values[i] = rd.payload[v.win]
 		}
 		if v.win >= 0 {
-			s.repair.settle(table, keys[i], rd.obs, v, !s.repair.opts.DisableReadRepair)
+			s.repair.settle(table, keys[i], rd.obs, v)
 		}
 
 		// The modeled batch time (per-node serial service, client-side
@@ -227,7 +227,7 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 			failed = fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
 			return false
 		}
-		s.repair.settle(table, k, sk.obs, v, !s.repair.opts.DisableReadRepair)
+		s.repair.settle(table, k, sk.obs, v)
 		if !sk.obs[v.win].tomb && !fn(k, sk.value) {
 			stopped = true
 		}

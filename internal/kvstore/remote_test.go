@@ -195,20 +195,13 @@ func TestRemoteClusterRoutesAroundDeadNode(t *testing.T) {
 // MultiGet, one OpMultiGet per node) and at n = 1 (a Get per key) returns
 // the same values and the same missing set — what was written — across
 // tombstones, a dead node, and the node's stale return: overwrites and
-// deletes it missed must outvote what it still holds. Hints and read repair
-// are off so the restarted replica stays stale and every read has to do the
-// outvoting.
+// deletes it missed must outvote what it still holds. The node returns
+// refusing writes, so neither a hint replay nor a read's write-back repairs
+// it: it stays stale and every read has to do the outvoting.
 func TestReadsOutvoteStaleReplica(t *testing.T) {
 	ctx := context.Background()
 	addrs, nodes := startNodes(t, 3)
-	s, err := Open(ctx, Config{
-		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2,
-		Repair: RepairOptions{DisableHints: true, DisableReadRepair: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s := openRemote(t, addrs, 2)
 
 	want := map[string]string{} // live keys only
 	var keys []string
@@ -278,6 +271,7 @@ func TestReadsOutvoteStaleReplica(t *testing.T) {
 	check("overwritten and deleted with one node down")
 
 	// The node returns holding the old values: it is outvoted, not believed.
+	nodes[2].be = refusePut{nodes[2].be}
 	nodes[2].restart(t, addrs[2])
 	waitFor(t, "restarted node out of probation", func() bool { return s.Stats(ctx).BreakerOpen == 0 })
 	stale := 0
@@ -647,11 +641,11 @@ func TestUnpinnedClusters(t *testing.T) {
 }
 
 // TestHintReplayDialsWithinBreakerBudget: the hint drain retries a down
-// dialed node every tick, and it is the breaker that keeps those retries
-// off the network. Node 2 accepts each connection and closes it at once,
-// so every exchange fails and the breaker stays open; over 30 ticks with
-// hints pending, the node sees no dial beyond the breaker's own probes and
-// one more trip's worth of attempts.
+// dialed node on every tick or kick, and it is the breaker that keeps those
+// retries off the network. Node 2 accepts each connection and closes it at
+// once, so every exchange fails and the breaker stays open; over 30 drain
+// passes, 10 ms apart, with hints pending, the node sees no dial beyond the
+// breaker's own probes and one more trip's worth of attempts.
 func TestHintReplayDialsWithinBreakerBudget(t *testing.T) {
 	addrs, _ := startNodes(t, 2)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -672,15 +666,7 @@ func TestHintReplayDialsWithinBreakerBudget(t *testing.T) {
 	}()
 	addrs = append(addrs, ln.Addr().String())
 
-	const interval = 10 * time.Millisecond
-	s, err := Open(context.Background(), Config{
-		Engine: EngineRemote, NodeAddrs: addrs, ReplicationFactor: 2,
-		Repair: RepairOptions{HintInterval: interval},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openRemote(t, addrs, 2)
 	ctx := context.Background()
 	for i := 0; i < 40; i++ {
 		if err := s.Put(ctx, "t", fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
@@ -696,13 +682,16 @@ func TestHintReplayDialsWithinBreakerBudget(t *testing.T) {
 	}
 
 	dials, probes := accepts.Load(), down.BreakerStats().Probes
-	time.Sleep(30 * interval)
+	for i := 0; i < 30; i++ {
+		s.repair.kickDrain()
+		time.Sleep(10 * time.Millisecond)
+	}
 	if s.Stats(ctx).HintsPending == 0 {
 		t.Fatal("hints drained to a node that refuses every exchange")
 	}
 	dials, probes = accepts.Load()-dials, down.BreakerStats().Probes-probes
-	t.Logf("node 2: %d dials, %d probes over 30 ticks", dials, probes)
+	t.Logf("node 2: %d dials, %d probes over 30 drain passes", dials, probes)
 	if budget := probes + int64(remote.BreakerThreshold*remote.Attempts); dials > budget {
-		t.Fatalf("node 2 dialed %d times over 30 ticks; the breaker allows %d (%d probes)", dials, budget, probes)
+		t.Fatalf("node 2 dialed %d times over 30 drain passes; the breaker allows %d (%d probes)", dials, budget, probes)
 	}
 }

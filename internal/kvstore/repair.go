@@ -63,35 +63,20 @@ import (
 // between converge's read and its Put is overwritten by the older winner,
 // for the next observation to repair: the single-logical-writer deployment
 // (§2.4).
-
-// RepairOptions tunes the replication-repair subsystem. The zero value
-// enables read repair and hinted handoff, at the default drain cadence,
-// whenever ReplicationFactor > 1; at ReplicationFactor 1 there is nothing
-// to repair, and the subsystem only collects tombstones. No option
-// schedules retries against a down node: hint replay follows the node's
-// own liveness (a down memory node refuses at once, a dialed node's
-// breaker fails fast and announces its recovery).
-type RepairOptions struct {
-	// DisableReadRepair turns off winner write-back on reads and scans.
-	DisableReadRepair bool
-	// DisableHints turns off hint parking and draining for writes that
-	// skip a down replica.
-	DisableHints bool
-	// HintInterval is the cadence of the hint drain loop (default 1s):
-	// each tick replays every target's pending hints in order until the
-	// first failure. A dialed node's breaker closing also wakes the loop.
-	HintInterval time.Duration
-	// AntiEntropyInterval, when positive, starts the background
-	// anti-entropy loop (antientropy.go): each interval one replica pair's
-	// hash trees are compared and any divergence — including divergence no
-	// read or hint ever observed — is repaired. Zero (the default) leaves
-	// convergence to read repair and hinted handoff. Requires every node's
-	// backend to implement engine.HashRanger (all built-in engines do).
-	AntiEntropyInterval time.Duration
-}
+//
+// Repair runs one policy: read repair and hinted handoff at every
+// ReplicationFactor > 1 (at 1 there is nothing to repair, and the subsystem
+// only collects tombstones), and the anti-entropy loop when
+// Config.AntiEntropyInterval is set. Nothing schedules retries against a
+// down node: hint replay follows the node's own liveness (a down memory
+// node refuses at once, a dialed node's breaker fails fast and announces
+// its recovery).
 
 // repairWorkers sizes the repair worker pool.
 const repairWorkers = 2
+
+// hintInterval is the cadence of the hint drain loop (hints.go).
+const hintInterval = time.Second
 
 // tombGrace is how old, by this client's clock, a tombstone must be before
 // an observation collects it (Tombstone GC above): room for its writer's
@@ -107,8 +92,7 @@ type repairTask struct {
 }
 
 type repairer struct {
-	s    *Store
-	opts RepairOptions
+	s *Store
 
 	// The work list: keys in arrival order, each queued at most once
 	// (queued holds its task's fresh); wake rouses a worker to take from it.
@@ -156,15 +140,11 @@ type repairer struct {
 	tombstonesGC  atomic.Int64
 }
 
-func newRepairer(s *Store, opts RepairOptions) *repairer {
-	if opts.HintInterval <= 0 {
-		opts.HintInterval = time.Second
-	}
+func newRepairer(s *Store) *repairer {
 	//lint:rstore-vet ctxfirst: the repairer is a lifecycle root — its convergence work outlives any caller's request context and is cancelled by close()
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &repairer{
 		s:      s,
-		opts:   opts,
 		ctx:    ctx,
 		cancel: cancel,
 		queued: make(map[tableKey]bool),
@@ -286,13 +266,12 @@ func (r *repairer) worker() {
 
 // settle acts on one key's verdict (v.win >= 0) — the one place an observed
 // divergence turns into work, whoever observed it. The key is queued when
-// the verdict has losers and writeLosers is set (reads and scans clear it
-// when read repair is disabled; anti-entropy always writes), or when it
-// shows a tombstone older than tombGrace on every replica (Tombstone GC
-// above). It reports whether a write-back was queued.
-func (r *repairer) settle(table, key string, obs []observation, v verdict, writeLosers bool) bool {
+// the verdict has losers, or when it shows a tombstone older than tombGrace
+// on every replica (Tombstone GC above). It reports whether a write-back
+// was queued.
+func (r *repairer) settle(table, key string, obs []observation, v verdict) bool {
 	w := obs[v.win]
-	queued := len(v.losers) > 0 && writeLosers
+	queued := len(v.losers) > 0
 	if queued || (w.tomb && v.complete && aged(w.ts)) {
 		r.enqueue(repairTask{table: table, key: key})
 	}

@@ -20,14 +20,34 @@ import (
 // can observe each replica's on-disk (well, in-map) state directly — the
 // whole point of repair is that the BACKEND converges, not just the
 // merged read view.
-func openRepair(t testing.TB, nodes, rf int, opts RepairOptions) (*Store, []*memory.Backend) {
+func openRepair(t testing.TB, nodes, rf int) (*Store, []*memory.Backend) {
 	t.Helper()
-	return openMem(t, Config{Nodes: nodes, ReplicationFactor: rf, Repair: opts})
+	return openMem(t, Config{Nodes: nodes, ReplicationFactor: rf})
 }
 
-// fastRepair is the test tuning: a tight drain cadence.
-func fastRepair() RepairOptions {
-	return RepairOptions{HintInterval: 2 * time.Millisecond}
+// snapshot copies what be holds in table, for restore to put back: a
+// replica made stale behind the store's back, as an old backup restored
+// onto it would leave it, with no hint parked for what it lacks.
+func snapshot(t testing.TB, be *memory.Backend, table string) map[string][]byte {
+	t.Helper()
+	snap := map[string][]byte{}
+	if err := be.Scan(context.Background(), table, func(k string, v []byte) bool {
+		snap[k] = bytes.Clone(v) // the memory engine's Scan aliases its storage
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// restore writes a snapshot back onto be.
+func restore(t testing.TB, be *memory.Backend, table string, snap map[string][]byte) {
+	t.Helper()
+	for k, v := range snap {
+		if err := be.Put(context.Background(), table, k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func waitFor(t testing.TB, what string, cond func() bool) {
@@ -59,23 +79,22 @@ func rawEqual(t testing.TB, a, b *memory.Backend, table, key string) bool {
 	return oka == okb && bytes.Equal(va, vb)
 }
 
-// TestReadRepairOverwritesStaleReplica: a replica that was down during an
-// overwrite must be rewritten on disk by the first read that observes it
-// stale — not just outvoted forever.
+// TestReadRepairOverwritesStaleReplica: a replica holding an older version
+// must be rewritten on disk by the first read that observes it stale — not
+// just outvoted forever. The replica is made stale behind the store's back,
+// so no hint is parked and the read is its only way back.
 func TestReadRepairOverwritesStaleReplica(t *testing.T) {
-	opts := fastRepair()
-	opts.DisableHints = true // isolate the read-repair path
-	s, backends := openRepair(t, 3, 3, opts)
+	s, backends := openRepair(t, 3, 3)
 	ctx := context.Background()
 
 	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	backends[1].SetDown(true)
+	old := snapshot(t, backends[1], "t")
 	if err := s.Put(ctx, "t", "k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	backends[1].SetDown(false)
+	restore(t, backends[1], "t", old)
 	// Node 1 is stale but present on disk.
 	if raw, ok := rawGet(t, backends[1], "t", "k"); !ok || bytes.Equal(raw, mustRaw(t, backends[0], "t", "k")) {
 		t.Fatalf("precondition: node 1 should hold the stale version (present=%v)", ok)
@@ -87,8 +106,8 @@ func TestReadRepairOverwritesStaleReplica(t *testing.T) {
 	waitFor(t, "stale replica rewritten on disk", func() bool {
 		return rawEqual(t, backends[0], backends[1], "t", "k")
 	})
-	if st := s.Stats(ctx); st.RepairWrites < 1 {
-		t.Fatalf("RepairWrites = %d, want >= 1", st.RepairWrites)
+	if st := s.Stats(ctx); st.RepairWrites < 1 || st.HintsQueued != 0 {
+		t.Fatalf("RepairWrites = %d, HintsQueued = %d; want >= 1 and 0", st.RepairWrites, st.HintsQueued)
 	}
 }
 
@@ -101,19 +120,19 @@ func mustRaw(t testing.TB, be *memory.Backend, table, key string) []byte {
 	return v
 }
 
-// TestReadRepairFillsMissingKey: a replica that missed the original write
-// entirely converges through read repair too.
+// TestReadRepairFillsMissingKey: a replica that lost the key entirely —
+// deleted behind the store's back, so no hint is parked — converges through
+// read repair too.
 func TestReadRepairFillsMissingKey(t *testing.T) {
-	opts := fastRepair()
-	opts.DisableHints = true
-	s, backends := openRepair(t, 3, 3, opts)
+	s, backends := openRepair(t, 3, 3)
 	ctx := context.Background()
 
-	backends[2].SetDown(true)
 	if err := s.Put(ctx, "t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	backends[2].SetDown(false)
+	if err := backends[2].Delete(ctx, "t", "k"); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := rawGet(t, backends[2], "t", "k"); ok {
 		t.Fatal("precondition: node 2 should miss the key")
 	}
@@ -126,11 +145,10 @@ func TestReadRepairFillsMissingKey(t *testing.T) {
 }
 
 // TestScanQueuesReadRepair: a replicated Scan doubles as a whole-table
-// divergence sweep.
+// divergence sweep. Node 0 is made stale behind the store's back, so no
+// hint is parked and the Scan is its only way back.
 func TestScanQueuesReadRepair(t *testing.T) {
-	opts := fastRepair()
-	opts.DisableHints = true
-	s, backends := openRepair(t, 3, 2, opts)
+	s, backends := openRepair(t, 3, 2)
 	ctx := context.Background()
 
 	for i := 0; i < 20; i++ {
@@ -138,13 +156,13 @@ func TestScanQueuesReadRepair(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	backends[0].SetDown(true)
+	old := snapshot(t, backends[0], "t")
 	for i := 0; i < 20; i++ {
 		if err := s.Put(ctx, "t", fmt.Sprintf("k%02d", i), []byte("v2")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	backends[0].SetDown(false)
+	restore(t, backends[0], "t", old)
 	if err := s.Scan(ctx, "t", func(string, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +196,7 @@ func other(s *Store, key string, exclude int) int {
 // parked durably and replayed when the node returns — the replica
 // converges on disk with NO client read of the key.
 func TestHintedHandoffDrainsWithoutReads(t *testing.T) {
-	opts := fastRepair()
-	opts.DisableReadRepair = true // isolate the hint path
-	s, backends := openRepair(t, 3, 2, opts)
+	s, backends := openRepair(t, 3, 2)
 	ctx := context.Background()
 
 	key := "handoff-key"
@@ -195,6 +211,7 @@ func TestHintedHandoffDrainsWithoutReads(t *testing.T) {
 		t.Fatalf("after missed write: queued=%d pending=%d, want 1/1", st.HintsQueued, st.HintsPending)
 	}
 	backends[b].SetDown(false)
+	s.repair.kickDrain() // as a dialed node's breaker closing does
 	waitFor(t, "hint drained to restarted replica", func() bool {
 		return rawEqual(t, backends[a], backends[b], "t", key)
 	})
@@ -213,11 +230,11 @@ func TestHintedHandoffDrainsWithoutReads(t *testing.T) {
 }
 
 // TestHintReplayAfterLongOutage: the drain keeps no backoff of its own, so
-// a target that was down for many ticks gets its hints within a few ticks
-// of coming back — not at the end of a retry schedule that grew while it
-// was down.
+// a target that was down for several ticks gets its hints at the first tick
+// after it comes back, with no kick — not at the end of a retry schedule
+// that grew while it was down.
 func TestHintReplayAfterLongOutage(t *testing.T) {
-	s, backends := openRepair(t, 3, 2, RepairOptions{HintInterval: 10 * time.Millisecond})
+	s, backends := openRepair(t, 3, 2)
 	ctx := context.Background()
 
 	key := "outage-key"
@@ -234,24 +251,85 @@ func TestHintReplayAfterLongOutage(t *testing.T) {
 
 	back := time.Now()
 	for s.Stats(ctx).HintsPending != 0 {
-		if time.Since(back) > 2*time.Second {
-			t.Fatal("hint still pending 2 s after the target came back")
+		if time.Since(back) > 2*hintInterval {
+			t.Fatalf("hint still pending %v after the target came back", 2*hintInterval)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if waited := time.Since(back); waited > 200*time.Millisecond {
-		t.Fatalf("hint replayed %v after the target came back, want within 200ms", waited)
+	if waited, tick := time.Since(back), hintInterval+200*time.Millisecond; waited > tick {
+		t.Fatalf("hint replayed %v after the target came back, want within one tick (%v)", waited, tick)
+	}
+}
+
+// TestHintReplaySkipsDownParkingNode: a target's queue holds hints parked
+// on several nodes, each write parking on its first replica that took it. A
+// hint whose parking node is down cannot be spent — its winner must be
+// judged against that node's state — but it must not hold up the target's
+// later hints parked on live nodes.
+func TestHintReplaySkipsDownParkingNode(t *testing.T) {
+	s, backends := openRepair(t, 4, 3)
+	ctx := context.Background()
+	const target = 0
+	// park is the node a write of key parks its hint for target on, while
+	// target is down.
+	park := func(key string) int {
+		for _, n := range s.ring.replicas(key, 3) {
+			if n != target {
+				return n
+			}
+		}
+		return -1
+	}
+	var keyP, keyQ string
+	for i := 0; keyQ == ""; i++ {
+		key := fmt.Sprintf("k%03d", i)
+		switch {
+		case !slices.Contains(s.ring.replicas(key, 3), target):
+		case keyP == "":
+			keyP = key
+		case park(key) != park(keyP):
+			keyQ = key
+		}
+	}
+	p := park(keyP)
+
+	backends[target].SetDown(true)
+	for _, key := range []string{keyP, keyQ} { // keyP's hint first in the queue
+		if err := s.Put(ctx, "t", key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats(ctx).HintsPending; got != 2 {
+		t.Fatalf("pending hints = %d, want 2", got)
+	}
+	backends[p].SetDown(true)
+	backends[target].SetDown(false)
+	s.repair.kickDrain()
+	waitFor(t, "the hint parked on a live node replayed", func() bool {
+		_, ok := rawGet(t, backends[target], "t", keyQ)
+		return ok && s.Stats(ctx).HintsReplayed == 1
+	})
+	if got := s.Stats(ctx).HintsPending; got != 1 {
+		t.Fatalf("pending hints = %d with node %d down, want 1: its own", got, p)
+	}
+
+	backends[p].SetDown(false)
+	s.repair.kickDrain()
+	waitFor(t, "the hint parked on the returned node replayed", func() bool {
+		st := s.Stats(ctx)
+		return st.HintsPending == 0 && st.HintsReplayed == 2
+	})
+	if !rawEqual(t, backends[p], backends[target], "t", keyP) {
+		t.Fatalf("the target does not hold node %d's copy of %s", p, keyP)
 	}
 }
 
 // TestHintBatchPutAndRecovery: hints parked by BatchPut survive a client
 // restart (they live in the !hints table through the engine seam) and are
-// drained by the next client.
+// drained by the next client as it opens, not at its first tick.
 func TestHintBatchPutAndRecovery(t *testing.T) {
 	shared := newBackends(3)
-	slow := fastRepair()
-	slow.HintInterval = time.Hour // park only; the next client drains
-	s1 := openOver(t, shared, 2, slow)
+	s1 := openOver(t, shared, 2) // parks only: node 1 is down until s1 closes
 	ctx := context.Background()
 	shared[1].SetDown(true)
 	var entries []Entry
@@ -270,14 +348,19 @@ func TestHintBatchPutAndRecovery(t *testing.T) {
 	}
 	shared[1].SetDown(false)
 
-	// A fresh client recovers the durable hints and delivers them.
-	s2 := openOver(t, shared, 2, fastRepair())
-	if got := s2.Stats(ctx).HintsPending; got != missed {
+	// A fresh client recovers the durable hints and delivers them at once:
+	// Open kicks the drain.
+	opened := time.Now()
+	s2 := openOver(t, shared, 2)
+	if got := s2.Stats(ctx).HintsQueued; got != missed {
 		t.Fatalf("recovered %d hints, want %d", got, missed)
 	}
 	waitFor(t, "recovered hints drained", func() bool {
 		return s2.Stats(ctx).HintsPending == 0
 	})
+	if took := time.Since(opened); took > hintInterval/2 {
+		t.Fatalf("recovered hints drained %v after Open, want well under the %v tick", took, hintInterval)
+	}
 	for _, e := range entries {
 		for _, n := range s2.ring.replicas(e.Key, 2) {
 			if _, ok := rawGet(t, shared[n], "t", e.Key); !ok {
@@ -293,7 +376,7 @@ func TestHintBatchPutAndRecovery(t *testing.T) {
 // is replayed. The hint names the key; its parking node holds nothing
 // under it any more, so nothing is delivered.
 func TestHintCannotResurrectCollectedDelete(t *testing.T) {
-	s, backends := openRepair(t, 2, 2, RepairOptions{HintInterval: time.Hour})
+	s, backends := openRepair(t, 2, 2)
 	ctx := context.Background()
 
 	backends[1].SetDown(true)
@@ -309,6 +392,11 @@ func TestHintCannotResurrectCollectedDelete(t *testing.T) {
 	}
 	waitFor(t, "tombstone collected", func() bool { return s.Stats(ctx).TombstonesGCed == 1 })
 
+	// The drain's first tick is a second after the hint was parked, so the
+	// hint is still pending: its replay comes after the collection.
+	if got := s.Stats(ctx).HintsPending; got != 1 {
+		t.Fatalf("precondition: pending hints = %d before the kick, want 1", got)
+	}
 	s.repair.kickDrain()
 	waitFor(t, "hint consumed", func() bool { return s.Stats(ctx).HintsPending == 0 })
 	if got, err := s.Get(ctx, "t", "k"); !errors.Is(err, types.ErrNotFound) {
@@ -346,7 +434,7 @@ func TestHintDeliversParkingNodeState(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := openOver(t, shared, 2, fastRepair())
+	s := openOver(t, shared, 2)
 
 	waitFor(t, "recovered hints drained", func() bool { return s.Stats(ctx).HintsPending == 0 })
 	if raw, ok := rawGet(t, shared[1], "t", "kept"); !ok || !bytes.Equal(raw, newer) {
@@ -372,7 +460,7 @@ func TestHintDeliversParkingNodeState(t *testing.T) {
 // it lacks — however many — and sheds none.
 func TestScanRepairsEveryDivergentKey(t *testing.T) {
 	const nKeys = 2000
-	s, backends := openRepair(t, 2, 2, RepairOptions{})
+	s, backends := openRepair(t, 2, 2)
 	ctx := context.Background()
 	entries := make([]Entry, nKeys)
 	for i := range entries {
@@ -411,11 +499,18 @@ func (refuseDelete) Delete(context.Context, string, string) error {
 	return errors.New("delete refused")
 }
 
+// refusePut is a node whose writes fail, so that no repair reaches it.
+type refusePut struct{ engine.Backend }
+
+func (refusePut) Put(context.Context, string, string, []byte) error {
+	return errors.New("put refused")
+}
+
 // openOver opens a cluster client over backends that outlive it, as each
 // client of a durable cluster reopens the same nodes.
-func openOver(t testing.TB, backends []*memory.Backend, rf int, opts RepairOptions) *Store {
+func openOver(t testing.TB, backends []*memory.Backend, rf int) *Store {
 	t.Helper()
-	s, err := Open(context.Background(), Config{Nodes: len(backends), ReplicationFactor: rf, Repair: opts,
+	s, err := Open(context.Background(), Config{Nodes: len(backends), ReplicationFactor: rf,
 		NewBackend: func(id int) (engine.Backend, error) { return keepOpen{backends[id]}, nil }})
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +551,7 @@ func TestTombstoneGCAllAcked(t *testing.T) {
 		{name: "rf=1", nodes: 1, rf: 1, n: 100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, backends := openRepair(t, tc.nodes, tc.rf, fastRepair())
+			s, backends := openRepair(t, tc.nodes, tc.rf)
 			ctx := context.Background()
 			for i := 0; i < tc.n; i++ {
 				key := fmt.Sprintf("k%03d", i)
@@ -484,9 +579,7 @@ func TestTombstoneGCAllAcked(t *testing.T) {
 // the tombstone by hint replay; the delivery leaves every replica holding
 // it, and the tombstone is collected everywhere.
 func TestTombstoneGCAfterHintAck(t *testing.T) {
-	opts := fastRepair()
-	opts.DisableReadRepair = true
-	s, backends := openRepair(t, 3, 2, opts)
+	s, backends := openRepair(t, 3, 2)
 	ctx := context.Background()
 
 	key := "del-key"
@@ -499,6 +592,7 @@ func TestTombstoneGCAfterHintAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	backends[b].SetDown(false)
+	s.repair.kickDrain()
 	waitFor(t, "tombstone delivered and collected", func() bool {
 		for _, be := range backends {
 			if _, ok := rawGet(t, be, "t", key); ok {
@@ -520,7 +614,7 @@ func TestTombstoneGCAfterHintAck(t *testing.T) {
 // while one replica is down. Both hints deliver the newer value, so the
 // returned replica ends holding it, never the tombstone.
 func TestRecreateDuringOutageConverges(t *testing.T) {
-	s, backends := openRepair(t, 2, 2, fastRepair())
+	s, backends := openRepair(t, 2, 2)
 	ctx := context.Background()
 
 	if err := s.Put(ctx, "t", "k", []byte("v0")); err != nil {
@@ -534,6 +628,7 @@ func TestRecreateDuringOutageConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	backends[1].SetDown(false)
+	s.repair.kickDrain()
 	waitFor(t, "hints drained", func() bool { return s.Stats(ctx).HintsPending == 0 })
 	if !rawEqual(t, backends[0], backends[1], "t", "k") {
 		t.Fatal("the returned replica does not hold the recreated value")
@@ -608,7 +703,7 @@ func TestRecreateDuringCollectionSurvives(t *testing.T) {
 // it is deleted, or that value would come back — and the down replica's
 // value is left as it was, for its own repair.
 func TestCollectionChecksEveryReplica(t *testing.T) {
-	s, backends := openRepair(t, 3, 3, RepairOptions{DisableReadRepair: true, DisableHints: true})
+	s, backends := openRepair(t, 3, 3)
 	ctx := context.Background()
 	stale := envelope(envValue, 100, []byte("stale"))
 	for n, raw := range [][]byte{envelope(envTombstone, 200, nil), stale, stale} {
@@ -705,9 +800,7 @@ func TestDeleteConverges(t *testing.T) {
 	const down = 2
 	for _, n := range []int{1, 40} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			opts := fastRepair()
-			opts.DisableReadRepair = true
-			s, backends := openRepair(t, 3, 2, opts)
+			s, backends := openRepair(t, 3, 2)
 			ctx := context.Background()
 
 			// The keys are chosen so that the down node replicates some and not
@@ -756,6 +849,7 @@ func TestDeleteConverges(t *testing.T) {
 				}
 			}
 			backends[down].SetDown(false)
+			s.repair.kickDrain()
 			waitFor(t, "tombstones delivered and collected", func() bool {
 				for _, be := range backends {
 					for _, key := range deleted {
@@ -784,7 +878,7 @@ func TestDeleteConverges(t *testing.T) {
 // for good — nobody reads those keys again.
 func TestLargeBatchDeleteCollectsEveryTombstone(t *testing.T) {
 	const nKeys, group = 5000, 1024
-	s, backends := openRepair(t, 3, 2, RepairOptions{})
+	s, backends := openRepair(t, 3, 2)
 	ctx := context.Background()
 	keys := make([]string, nKeys)
 	for i := range keys {
@@ -822,7 +916,7 @@ func TestLargeBatchDeleteCollectsEveryTombstone(t *testing.T) {
 func TestRestartedClientCollectsTombstone(t *testing.T) {
 	backends := newBackends(2)
 	ctx := context.Background()
-	s1 := openOver(t, backends, 2, RepairOptions{HintInterval: time.Hour})
+	s1 := openOver(t, backends, 2) // parks only: node 1 is down until s1 closes
 	if err := s1.Put(ctx, "t", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -835,7 +929,7 @@ func TestRestartedClientCollectsTombstone(t *testing.T) {
 	}
 	backends[1].SetDown(false)
 
-	s2 := openOver(t, backends, 2, fastRepair())
+	s2 := openOver(t, backends, 2)
 	waitFor(t, "hint replayed and tombstone collected", func() bool {
 		st := s2.Stats(ctx)
 		return st.HintsReplayed == 1 && st.TombstonesGCed >= 1 && rawLeft(t, backends, "t") == 0
@@ -899,7 +993,7 @@ func TestScanAfterCloseCollectsTombstones(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s2 := openOver(t, backends, tc.rf, RepairOptions{})
+			s2 := openOver(t, backends, tc.rf)
 			scan(s2)
 			if err := s2.Close(); err != nil {
 				t.Fatal(err)
@@ -909,7 +1003,7 @@ func TestScanAfterCloseCollectsTombstones(t *testing.T) {
 			}
 
 			advanceClock(t, tombGrace)
-			scan(openOver(t, backends, tc.rf, RepairOptions{}))
+			scan(openOver(t, backends, tc.rf))
 			waitFor(t, "every tombstone collected", func() bool { return rawLeft(t, backends, "t") == 0 })
 		})
 	}
@@ -933,9 +1027,19 @@ func TestTombstoneCollectionWaitsForAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// With nothing to repair the disagreement, reads and scans see it every
-	// time: the tombstone must survive them all.
-	s1 := openOver(t, backends, 2, RepairOptions{DisableReadRepair: true, HintInterval: time.Hour})
+	// Node 1 refuses writes, so nothing can repair the disagreement: reads
+	// and scans see it every time, and each write-back they queue fails. The
+	// tombstone must survive them all.
+	s1, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2, NewBackend: func(id int) (engine.Backend, error) {
+		if id == 1 {
+			return refusePut{keepOpen{backends[1]}}, nil
+		}
+		return keepOpen{backends[0]}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s1.Close() })
 	for i := 0; i < 20; i++ {
 		if _, err := s1.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
 			t.Fatalf("Get = %v, want not found", err)
@@ -949,15 +1053,15 @@ func TestTombstoneCollectionWaitsForAgreement(t *testing.T) {
 		t.Fatal("tombstone collected while a replica was stale — resurrection hazard")
 	}
 	if raw, _ := rawGet(t, backends[1], "t", key); !bytes.Equal(raw, stale) {
-		t.Fatalf("node 1 holds %q with read repair off, want the stale value", raw)
+		t.Fatalf("node 1 holds %q though it refuses writes, want the stale value", raw)
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Under default options the read writes the tombstone back over the
+	// With node 1 taking writes, the read writes the tombstone back over the
 	// stale value, and the replicas, agreeing, are collected.
-	s2 := openOver(t, backends, 2, RepairOptions{})
+	s2 := openOver(t, backends, 2)
 	if _, err := s2.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
 		t.Fatalf("Get = %v, want not found", err)
 	}
@@ -969,20 +1073,24 @@ func TestTombstoneCollectionWaitsForAgreement(t *testing.T) {
 // iteration order. (Equal timestamps arise from distinct cluster clients
 // with colliding wall clocks.)
 func TestLWWTieBreakDeterministic(t *testing.T) {
-	opts := RepairOptions{DisableReadRepair: true, DisableHints: true}
-	s, backends := openRepair(t, 2, 2, opts)
+	s, backends := openRepair(t, 2, 2)
 	ctx := context.Background()
 
 	// Tombstone vs value at the same timestamp: the tombstone must win on
-	// Get and on Scan, whichever node serves it.
+	// Get and on Scan, whichever node serves it. Each read has a table of
+	// its own: the repair the Get queues delivers and collects the
+	// tombstone, and a sweep of the same key racing it could read the value
+	// before the delivery and the other replica after the collection.
 	for flip := 0; flip < 2; flip++ {
 		key := fmt.Sprintf("tie-tomb-%d", flip)
-		backends[flip].Put(ctx, "t", key, envelope(envTombstone, 500, nil))
-		backends[1-flip].Put(ctx, "t", key, envelope(envValue, 500, []byte("alive")))
-		if _, err := s.Get(ctx, "t", key); !errors.Is(err, types.ErrNotFound) {
+		for _, table := range []string{"get", "scan"} {
+			backends[flip].Put(ctx, table, key, envelope(envTombstone, 500, nil))
+			backends[1-flip].Put(ctx, table, key, envelope(envValue, 500, []byte("alive")))
+		}
+		if _, err := s.Get(ctx, "get", key); !errors.Is(err, types.ErrNotFound) {
 			t.Fatalf("tombstone lost the tie (flip=%d): %v", flip, err)
 		}
-		if err := s.Scan(ctx, "t", func(k string, _ []byte) bool {
+		if err := s.Scan(ctx, "scan", func(k string, _ []byte) bool {
 			if k == key {
 				t.Fatalf("Scan surfaced a key whose tie-winning version is a tombstone (flip=%d)", flip)
 			}
@@ -1024,7 +1132,7 @@ func TestLWWTieBreakDeterministic(t *testing.T) {
 // replica lost it is decided from its last alone.
 func TestScanValueIsolation(t *testing.T) {
 	for _, rf := range []int{1, 2} {
-		s, backends := openRepair(t, 3, rf, RepairOptions{DisableReadRepair: true, DisableHints: true})
+		s, backends := openRepair(t, 3, rf)
 		ctx := context.Background()
 		want := map[string]string{}
 		for i := 0; i < 40; i++ {

@@ -27,7 +27,7 @@ type Stats struct {
 	TombstonesGCed int64 // tombstones physically collected
 
 	// Anti-entropy (antientropy.go). All zero unless the loop is enabled
-	// via RepairOptions.AntiEntropyInterval.
+	// via Config.AntiEntropyInterval.
 	AESyncs        int64 // completed replica-pair sync rounds
 	AERangesDiffed int64 // unequal tree buckets drilled into
 	AEKeysRepaired int64 // differing keys queued for repair

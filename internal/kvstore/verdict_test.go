@@ -118,11 +118,11 @@ func TestVerdictCallersAgree(t *testing.T) {
 		for _, ob := range observers {
 			t.Run(sc.name+"/"+ob.name, func(t *testing.T) {
 				ctx := context.Background()
-				opts := RepairOptions{DisableHints: true}
+				cfg := Config{Nodes: 3, ReplicationFactor: 3}
 				if ob.observe == nil {
-					opts.DisableReadRepair, opts.AntiEntropyInterval = true, time.Hour
+					cfg.AntiEntropyInterval = time.Hour
 				}
-				s, backends := openRepair(t, 3, 3, opts)
+				s, backends := openMem(t, cfg)
 				for n, raw := range sc.planted {
 					if raw != nil {
 						if err := backends[n].Put(ctx, "t", key, raw); err != nil {
@@ -199,7 +199,7 @@ func TestUnparsableReplicaIsServedAround(t *testing.T) {
 	}
 	for name, read := range reads {
 		t.Run(name, func(t *testing.T) {
-			s, backends := openRepair(t, 3, 2, RepairOptions{DisableHints: true})
+			s, backends := openRepair(t, 3, 2)
 			const key = "doc"
 			if err := s.Put(ctx, "t", key, []byte("intact")); err != nil {
 				t.Fatal(err)
@@ -228,10 +228,11 @@ func TestUnparsableReplicaIsServedAround(t *testing.T) {
 }
 
 // TestScanDetectsDivergencePastSixtyFourNodes: the divergence a Scan sweeps
-// up is repaired on a cluster of any size.
+// up is repaired on a cluster of any size. The lagging node is made stale
+// behind the store's back, so no hint is parked for it.
 func TestScanDetectsDivergencePastSixtyFourNodes(t *testing.T) {
 	const nodes = 70
-	s, backends := openRepair(t, nodes, 2, RepairOptions{DisableHints: true})
+	s, backends := openRepair(t, nodes, 2)
 	ctx := context.Background()
 	var entries []Entry
 	for i := 0; i < 200; i++ {
@@ -241,14 +242,14 @@ func TestScanDetectsDivergencePastSixtyFourNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lagging = nodes - 1 // a node id no 64-bit mask can hold
-	backends[lagging].SetDown(true)
+	old := snapshot(t, backends[lagging], "t")
 	for i := range entries {
 		entries[i].Value = []byte("v2")
 	}
 	if err := s.BatchPut(ctx, "t", entries); err != nil {
 		t.Fatal(err)
 	}
-	backends[lagging].SetDown(false)
+	restore(t, backends[lagging], "t", old)
 	stale := 0
 	for _, e := range entries {
 		if slices.Contains(s.ring.replicas(e.Key, 2), lagging) {

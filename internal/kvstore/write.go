@@ -38,7 +38,7 @@ func (s *Store) BatchPut(ctx context.Context, table string, entries []Entry) err
 // tombstone per key, grouped per replica node, each group one backend batch.
 // A replica that misses the delete (down at the time) is outvoted by the
 // tombstone's newer timestamp when it comes back, instead of resurrecting the
-// value — and, with repair enabled, receives the tombstone by hint replay.
+// value — and receives the tombstone by hint replay.
 // Once every replica is seen holding a tombstone (now, or later through
 // hints, reads, Scans and anti-entropy), it is physically collected
 // (repair.go). Deleting a missing key is not an error, but — matching
@@ -56,7 +56,7 @@ func (s *Store) BatchDelete(ctx context.Context, table string, keys []string) er
 // envValue), Delete and BatchDelete (envTombstone, the entries' values nil).
 // One envelope per entry under one timestamp, written to every replica in
 // per-node groups through the engine's fsynced BatchPut; a replica that is
-// down is routed around and, with repair enabled, hinted.
+// down is routed around and hinted.
 func (s *Store) batchWrite(ctx context.Context, op, table string, flag byte, entries []Entry) error {
 	if len(entries) == 0 {
 		return nil

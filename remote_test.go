@@ -86,7 +86,7 @@ func capture(t *testing.T, st *rstore.Store, versions []rstore.VersionID) e2eSna
 // batches of 3.
 func openDeployment(t *testing.T, c *daemonCluster) (rstore.ClusterConfig, *kvstore.Store, *rstore.Store) {
 	t.Helper()
-	cluster := c.config(rstore.RepairOptions{})
+	cluster := c.config()
 	cluster.ReplicationFactor = 2
 	kv, err := rstore.OpenCluster(context.Background(), cluster)
 	if err != nil {

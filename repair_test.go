@@ -120,11 +120,8 @@ func (c *daemonCluster) raw(i int, table, key string) ([]byte, bool) {
 	return v, ok
 }
 
-func (c *daemonCluster) config(opts rstore.RepairOptions) rstore.ClusterConfig {
-	return rstore.ClusterConfig{
-		Engine: rstore.EngineRemote, NodeAddrs: c.addrs, ReplicationFactor: len(c.addrs),
-		Repair: opts,
-	}
+func (c *daemonCluster) config() rstore.ClusterConfig {
+	return rstore.ClusterConfig{Engine: rstore.EngineRemote, NodeAddrs: c.addrs, ReplicationFactor: len(c.addrs)}
 }
 
 func poll(t *testing.T, what string, cond func() bool) {
@@ -144,17 +141,16 @@ func poll(t *testing.T, what string, cond func() bool) {
 // restart it, and require that its ON-DISK state converges to the LWW
 // winners with no explicit client read of the repaired keys (hinted
 // handoff), that tombstones every replica holds are physically collected
-// everywhere, and — separately, with hints disabled — that a single read
-// repairs a stale replica (read repair).
+// everywhere, and — separately, on a replica that lost a key behind the
+// store's back, so no hint is parked — that a single read repairs it (read
+// repair).
 func TestRepairEndToEnd(t *testing.T) {
 	const nKeys = 20
 	c := startDaemons(t, 3, lsm.Options{})
 	ctx := context.Background()
 	key := func(i int) string { return fmt.Sprintf("doc-%02d", i) }
 
-	kv, err := rstore.OpenCluster(context.Background(), c.config(rstore.RepairOptions{
-		HintInterval: 10 * time.Millisecond,
-	}))
+	kv, err := rstore.OpenCluster(context.Background(), c.config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +177,8 @@ func TestRepairEndToEnd(t *testing.T) {
 	}
 
 	// Restart node 1: stale for every overwrite and delete it missed. Hint
-	// drain must converge it with NO client reads of the repaired keys.
+	// drain, kicked by the breaker's recovery, must converge it with NO
+	// client reads of the repaired keys.
 	c.restart(1)
 	poll(t, "hint queue drained", func() bool { return kv.Stats(ctx).HintsPending == 0 })
 
@@ -226,11 +223,10 @@ func TestRepairEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Read repair, isolated: a fresh client with hints disabled writes
-	// while node 2 is down, so nothing is parked anywhere. After node 2
-	// returns, ONE read of the key must rewrite its on-disk copy.
-	c.kill(2)
-	kvB, err := rstore.OpenCluster(context.Background(), c.config(rstore.RepairOptions{DisableHints: true}))
+	// Read repair, isolated: a fresh client writes with every node up, and
+	// node 2 then loses the key behind the store's back, so nothing is
+	// parked anywhere. ONE read of the key must rewrite its on-disk copy.
+	kvB, err := rstore.OpenCluster(context.Background(), c.config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,9 +234,8 @@ func TestRepairEndToEnd(t *testing.T) {
 	if err := kvB.Put(ctx, "t", "rr-doc", []byte("rr-v1")); err != nil {
 		t.Fatal(err)
 	}
-	c.restart(2)
-	if _, ok := c.raw(2, "t", "rr-doc"); ok {
-		t.Fatal("restarted node has a write it provably missed")
+	if err := c.backends[2].Delete(ctx, "t", "rr-doc"); err != nil {
+		t.Fatal(err)
 	}
 	if got, err := kvB.Get(ctx, "t", "rr-doc"); err != nil || string(got) != "rr-v1" {
 		t.Fatalf("Get = %q, %v", got, err)
@@ -263,8 +258,8 @@ func TestRepairHintsSurviveClientRestart(t *testing.T) {
 	c := startDaemons(t, 3, lsm.Options{})
 	ctx := context.Background()
 
-	slow := rstore.RepairOptions{HintInterval: time.Hour} // park only
-	kv1, err := rstore.OpenCluster(context.Background(), c.config(slow))
+	// kv1 parks only: node 0 is down from its write until kv1 closes.
+	kv1, err := rstore.OpenCluster(context.Background(), c.config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,14 +278,12 @@ func TestRepairHintsSurviveClientRestart(t *testing.T) {
 	}
 	c.restart(0)
 
-	kv2, err := rstore.OpenCluster(context.Background(), c.config(rstore.RepairOptions{
-		HintInterval: 10 * time.Millisecond,
-	}))
+	kv2, err := rstore.OpenCluster(context.Background(), c.config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kv2.Close()
-	if got := kv2.Stats(ctx).HintsPending; got != 1 {
+	if got := kv2.Stats(ctx).HintsQueued; got != 1 {
 		t.Fatalf("recovered hints = %d, want 1", got)
 	}
 	want, _ := c.raw(1, "t", "k")

@@ -117,7 +117,7 @@ var (
 	ErrPoisoned          = types.ErrPoisoned
 	// ErrNoHashRange reports that a cluster node's backend does not
 	// implement the optional hash-tree extension the anti-entropy loop
-	// requires (see RepairOptions.AntiEntropyInterval).
+	// requires (see ClusterConfig.AntiEntropyInterval).
 	ErrNoHashRange = engine.ErrNoHashRange
 )
 
@@ -142,16 +142,12 @@ func KeyRangeFrom(lo Key) Range { return core.KeyRangeFrom(lo) }
 
 // ClusterConfig configures the backing key-value cluster: its shape
 // (Nodes, ReplicationFactor, NodeAddrs), its engine (Engine, Dir) and its
-// repair. Its storage daemons' wire clients run on one fixed policy of
-// pooling, retries, timeouts and circuit breaker that nothing here tunes.
+// anti-entropy cadence (AntiEntropyInterval). Its storage daemons' wire
+// clients run on one fixed policy of pooling, retries, timeouts and circuit
+// breaker that nothing here tunes, and replication repair on one policy:
+// read repair and hinted handoff whenever ReplicationFactor > 1, and
+// tombstones every replica holds collected at every replication factor.
 type ClusterConfig = kvstore.Config
-
-// RepairOptions tunes replication repair — read repair, hinted handoff,
-// and tombstone GC — for ClusterConfig.Repair. The zero value enables
-// repair with defaults whenever ClusterConfig.ReplicationFactor > 1;
-// tombstones every replica holds are collected at every replication
-// factor.
-type RepairOptions = kvstore.RepairOptions
 
 // ClusterStats is a snapshot of cluster counters, including replication
 // repair traffic (see kvstore.Store.Stats).
