@@ -17,8 +17,8 @@ import (
 
 // copyCapacity is the chunk capacity of the copy-forward tests: about 680 of
 // copyChain's records of ≈ 36 packed bytes to a chunk, and a flush copies
-// forward what a chunk still holds at its tips when that is at most 1/256 of
-// the chunk's packed bytes: two records of a full chunk.
+// forward what a chunk still holds at its tips when that is at most 1/128 of
+// the chunk's packed bytes: five records of a full chunk.
 const copyCapacity = 24 << 10
 
 // copyChain is a store under test with the contents of every version it
@@ -28,6 +28,7 @@ type copyChain struct {
 	st     *Store
 	rng    *rand.Rand
 	keys   int
+	spare  int                          // chain rewrites no key below key(spare)
 	states []map[types.Key]types.Record // version → key → record
 }
 
@@ -73,11 +74,13 @@ func (c *copyChain) commit(parents []types.VersionID, ch Change) types.VersionID
 }
 
 // chain commits n versions, each on the one before, each rewriting rewrite
-// keys the parent holds, and returns the last.
+// keys the parent holds (none below key(c.spare)), and returns the last.
 func (c *copyChain) chain(parent types.VersionID, n, rewrite int) types.VersionID {
 	c.t.Helper()
 	for i := 0; i < n; i++ {
 		held := slices.Sorted(maps.Keys(c.states[parent]))
+		spared, _ := slices.BinarySearch(held, key(c.spare))
+		held = held[spared:]
 		ch := Change{Puts: map[types.Key][]byte{}}
 		for len(ch.Puts) < min(rewrite, len(held)) {
 			k := held[c.rng.Intn(len(held))]
@@ -226,14 +229,19 @@ func TestCopyForwardKeepsEveryVersion(t *testing.T) {
 		}
 		first[loc.Chunk] = true
 	}
-	if span := st.VersionSpan(tip); span >= len(first) {
+	span := st.VersionSpan(tip)
+	if span >= len(first) {
 		t.Fatalf("the tip reads %d chunks, and %d without its copies", span, len(first))
+	}
+	// The chain is deterministic, and so is what the bound copies of it.
+	if span != 10 || info.Copies != 18 {
+		t.Fatalf("the tip reads %d chunks from %d copies, want 10 from 18", span, info.Copies)
 	}
 	copyBytes, stored := copyPrice(st)
 	if copyBytes*copyForwardShare > stored {
 		t.Fatalf("%d records copied, %d of %d packed bytes stored: over 1/%d", info.Copies, copyBytes, stored, copyForwardShare)
 	}
-	t.Logf("%d records, %d copies, %d chunks, tip span %d (%d without copies)", info.Records, info.Copies, info.Chunks, st.VersionSpan(tip), len(first))
+	t.Logf("%d records, %d copies (%d of %d packed bytes), %d chunks, tip span %d (%d without copies)", info.Records, info.Copies, copyBytes, stored, info.Chunks, span, len(first))
 	c.check("live", st)
 	c.reload("after the chain", cfg)
 }
@@ -303,7 +311,7 @@ func TestCopiedRecordsChangeOffTheTip(t *testing.T) {
 	for v := types.VersionID(1); v < tip && len(held) < 2; v++ {
 		held = held[:0]
 		for _, rec := range copied {
-			if at, ok := st.layout.Held(rec, v); ok && at == st.layout.Older(rec)[0] {
+			if at, ok := st.layout.Held(rec, v); ok && at == st.layout.Older(rec)[0] && len(held) < 2 {
 				held = append(held, rec)
 			}
 		}
@@ -355,6 +363,83 @@ func TestCopiedRecordsChangeOffTheTip(t *testing.T) {
 	}
 	c.check("live", st)
 	c.reload("after the branch and the merge", cfg)
+}
+
+// TestCopyForwardOfACopy: records no commit rewrites are copied forward out
+// of their first chunk, and once the chunk they were copied into dies down
+// to them, copied forward again, so a record has two older copies. Every
+// version reads back, live and reloaded; a commit on a version that holds
+// two such records at their middle copies updates one and deletes the
+// other; and a Materialize leaves no copy.
+func TestCopyForwardOfACopy(t *testing.T) {
+	ctx := context.Background()
+	kv, err := kvstore.Open(ctx, kvstore.Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{KV: kv, ChunkCapacity: copyCapacity, BatchSize: 8}
+	st, err := Open(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCopyChain(t, st, 5, 1000)
+	c.spare = 3
+	tip := c.chain(0, 31, 500) // 32 versions: 4 batches
+	if st.PendingVersions() != 0 {
+		t.Fatalf("%d versions pending", st.PendingVersions())
+	}
+	var twice []uint32
+	for _, rec := range copiedRecords(st) {
+		if len(st.layout.Older(rec)) >= 2 {
+			twice = append(twice, rec)
+		}
+	}
+	if len(twice) < 2 {
+		t.Fatalf("%d records copied forward twice, want 2 at least", len(twice))
+	}
+	c.check("live", st)
+	c.reload("after the chain", cfg)
+
+	// A version holding two records copied twice at their middle copies.
+	old := types.InvalidVersion
+	var held []uint32
+	for v := types.VersionID(1); v < tip && old == types.InvalidVersion; v++ {
+		held = held[:0]
+		for _, rec := range twice {
+			if at, ok := st.layout.Held(rec, v); ok && at == st.layout.Older(rec)[1] && len(held) < 2 {
+				held = append(held, rec)
+			}
+		}
+		if len(held) == 2 {
+			old = v
+		}
+	}
+	if old == types.InvalidVersion {
+		t.Fatal("no version holds two records copied twice at their middle copies")
+	}
+	update, del := st.corpus.Record(held[0]).CK.Key, st.corpus.Record(held[1]).CK.Key
+	branch := c.commit([]types.VersionID{old}, Change{Puts: map[types.Key][]byte{update: c.value(update, len(c.states))}, Deletes: []types.Key{del}})
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range held {
+		if _, ok := st.layout.Held(rec, branch); ok {
+			t.Fatalf("the commit on version %d still holds %v", old, st.corpus.Record(rec).CK)
+		}
+	}
+	c.check("branched", st)
+	c.reload("after the branch", cfg)
+
+	if err := st.Materialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Info().Copies; n != 0 {
+		t.Fatalf("%d copies after Materialize", n)
+	}
+	c.check("materialized", st)
+	if back := c.reload("materialized", cfg); back.Info().Copies != 0 {
+		t.Fatalf("%d copies reloaded after Materialize", back.Info().Copies)
+	}
 }
 
 // TestCopyForwardCrashAndRepartition: a flush that copies records forward

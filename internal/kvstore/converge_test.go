@@ -3,7 +3,9 @@ package kvstore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -225,6 +227,128 @@ func TestCollectionSparesForeignWrite(t *testing.T) {
 	}
 	if got, err := other.Get(ctx, "t", "k"); err != nil || string(got) != "v2" {
 		t.Fatalf("Get = %q, %v; want v2", got, err)
+	}
+}
+
+// firstRead is a node that marks its first read of table "t", batched or a
+// sweep: entered closes as the read begins and done once it has read. A
+// gated node's first read waits for release before it reads. Every later
+// read passes.
+type firstRead struct {
+	engine.Backend
+	gated                  bool
+	entered, release, done chan struct{}
+	begun                  atomic.Bool
+}
+
+func newFirstRead(be engine.Backend, gated bool) *firstRead {
+	return &firstRead{Backend: be, gated: gated, entered: make(chan struct{}), release: make(chan struct{}), done: make(chan struct{})}
+}
+
+func (f *firstRead) around(table string, read func()) {
+	if table != "t" || !f.begun.CompareAndSwap(false, true) {
+		read()
+		return
+	}
+	close(f.entered)
+	if f.gated {
+		<-f.release
+	}
+	read()
+	close(f.done)
+}
+
+func (f *firstRead) MultiGet(ctx context.Context, table string, keys []string) (vals [][]byte, present []bool, err error) {
+	f.around(table, func() { vals, present, err = f.Backend.MultiGet(ctx, table, keys) })
+	return vals, present, err
+}
+
+func (f *firstRead) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) (err error) {
+	f.around(table, func() { err = f.Backend.Scan(ctx, table, fn) })
+	return err
+}
+
+// TestConvergeBesideReadServesNoDeletedValue: a read that reads a replica
+// holding a deleted value before a repair delivers the tombstone there, and
+// the tombstone's replica only once the repair has collected it, sees the
+// value and nothing. Node 1's read is held across the repair, once node 0
+// has answered; the read must still find the key deleted — Get, MultiGet
+// and Scan alike.
+func TestConvergeBesideReadServesNoDeletedValue(t *testing.T) {
+	reads := map[string]func(s *Store) error{
+		"get": func(s *Store) error {
+			got, err := s.Get(context.Background(), "t", "k")
+			if err == nil {
+				return fmt.Errorf("Get served %q", got)
+			}
+			if !errors.Is(err, types.ErrNotFound) {
+				return err
+			}
+			return nil
+		},
+		"multiget": func(s *Store) error {
+			res, err := s.MultiGet(context.Background(), "t", []string{"k"})
+			if err != nil {
+				return err
+			}
+			if len(res.Missing) != 1 {
+				return fmt.Errorf("MultiGet served %q", res.Values[0])
+			}
+			return nil
+		},
+		"scan": func(s *Store) error {
+			var served error
+			if err := s.Scan(context.Background(), "t", func(k string, v []byte) bool {
+				served = fmt.Errorf("Scan served %s = %q", k, v)
+				return false
+			}); err != nil {
+				return err
+			}
+			return served
+		},
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			mems := newBackends(2)
+			// Node 0, swept first, holds the value; node 1 the tombstone.
+			if err := mems[0].Put(ctx, "t", "k", envelope(envValue, 100, []byte("deleted"))); err != nil {
+				t.Fatal(err)
+			}
+			if err := mems[1].Put(ctx, "t", "k", envelope(envTombstone, 200, nil)); err != nil {
+				t.Fatal(err)
+			}
+			nodes := []*firstRead{newFirstRead(mems[0], false), newFirstRead(mems[1], true)}
+			s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2,
+				NewBackend: func(id int) (engine.Backend, error) { return nodes[id], nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var once sync.Once
+			release := func() { once.Do(func() { close(nodes[1].release) }) }
+			defer release()
+
+			done := make(chan error, 1)
+			go func() { done <- read(s) }()
+			for _, ch := range []chan struct{}{nodes[0].done, nodes[1].entered} {
+				select {
+				case <-ch:
+				case <-time.After(5 * time.Second):
+					t.Fatal("the read never read node 0, or never reached node 1")
+				}
+			}
+			if missed, judged := s.repair.converge(ctx, repairTask{table: "t", key: "k"}, true); !judged || len(missed) > 0 {
+				t.Fatalf("the repair missed %v (judged %v)", missed, judged)
+			}
+			if n := rawLeft(t, mems, "t"); n != 0 {
+				t.Fatalf("the repair left %d entries, want the tombstone delivered and collected", n)
+			}
+			release()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -25,7 +25,10 @@
 //     replicas, parks hints for them (hints.go: the durable !hints table,
 //     replayed on recovery) and collects a tombstone every replica took;
 //   - one read (read.go, readReplicas): Get and MultiGet ask every replica of
-//     every key, in one batched request per node;
+//     every key, in one batched request per node, and ask again, in one
+//     more batch, for a key judged a value that a reachable replica answered
+//     absent — a tombstone collected beside the read looks that way
+//     (readJudged; Scan does the same at the end of a node's sweep);
 //   - one verdict (verdict.go, judge): the winner, the losers to overwrite and
 //     whether all replicas agree — for reads, Scans (each key judged once
 //     its last replica has answered) and the anti-entropy loop

@@ -60,13 +60,13 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 		return nil, fmt.Errorf("kvstore: %s %s: %w", op, table, err)
 	}
 
-	reads, err := s.readReplicas(ctx, table, keys)
+	reads, verdicts, err := s.readJudged(ctx, table, keys)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: %s %s: %w", op, table, err)
 	}
 	perNode := make(map[int][]int) // serving node → its response sizes
 	for i, rd := range reads {
-		v := judge(rd.obs)
+		v := verdicts[i]
 		switch {
 		case v.down:
 			return nil, allDownErr(ctx, op, table, keys[i])
@@ -101,6 +101,41 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 	// The batch's modeled time, plus the client's scan of what it returned.
 	s.simClock.Add(int64(s.cfg.Cost.batchElapsed(perNode) + s.cfg.Cost.scanCost(int(res.BytesRead))))
 	return res, nil
+}
+
+// readJudged reads keys' replicas (readReplicas) and judges each key's
+// answers. A key judged a value that a reachable replica answered absent
+// (verdict.gap) is read once more, in one batch with every other such key,
+// and judged from the second answers: a converge delivers a tombstone to
+// every loser before it collects it from any replica, so a replica read
+// before the delivery answers the deleted value, one read after its
+// collection answers absent, and a read after that absent answer finds the
+// tombstone or nothing. A key that merely lacks a copy costs a second read
+// of each of its replicas on every read, until read repair writes the copy.
+func (s *Store) readJudged(ctx context.Context, table string, keys []string) ([]keyRead, []verdict, error) {
+	reads, err := s.readReplicas(ctx, table, keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	verdicts := make([]verdict, len(reads))
+	var again []int
+	var againKeys []string
+	for i, rd := range reads {
+		if verdicts[i] = judge(rd.obs); verdicts[i].gap {
+			again, againKeys = append(again, i), append(againKeys, keys[i])
+		}
+	}
+	if len(again) == 0 {
+		return reads, verdicts, nil
+	}
+	second, err := s.readReplicas(ctx, table, againKeys)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, i := range again {
+		reads[i], verdicts[i] = second[j], judge(second[j].obs)
+	}
+	return reads, verdicts, nil
 }
 
 // keyRead is what one key's replicas answered: obs[j] is replica j's
@@ -202,14 +237,19 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 // aged tombstone for collection) and handed to fn. Only a key some replica
 // has reported and a later one has yet to answer is held, with a copy of
 // its newest version so far; at ReplicationFactor 1 a key's one replica is
-// also its last, so the sweep streams.
+// also its last, so the sweep streams. A key judged a value that a
+// reachable replica did not report (verdict.gap) is set aside instead, and
+// decided from a second read of its replicas, batched at the end of the
+// node's sweep: that replica may have lost a tombstone to a collection after
+// the value's replica was swept (readJudged).
 func (s *Store) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
 	rf := s.cfg.ReplicationFactor
 	waiting := make([]map[string]*scanKey, len(s.nodes)) // by the id of the key's last replica
 	unreachable := make([]bool, len(s.nodes))
 	unavailable := 0
-	var direct scanKey // a key reported by its last replica, with nothing held
-	var replicas []int // the reported key's, reused from key to key
+	var direct scanKey    // a key reported by its last replica, with nothing held
+	var replicas []int    // the reported key's, reused from key to key
+	var doubtful []string // keys set aside for a second read
 	var failed error
 	stopped := false
 	// hand judges a key every replica of which has answered and hands its
@@ -227,11 +267,47 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 			failed = fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
 			return false
 		}
+		if v.gap {
+			doubtful = append(doubtful, k)
+			return true
+		}
 		s.repair.settle(table, k, sk.obs, v)
 		if !sk.obs[v.win].tomb && !fn(k, sk.value) {
 			stopped = true
 		}
 		return !stopped
+	}
+	// reread decides the keys set aside from a second read of their
+	// replicas, and hands the live ones to fn.
+	reread := func() bool {
+		if len(doubtful) == 0 {
+			return true
+		}
+		reads, err := s.readReplicas(ctx, table, doubtful)
+		if err != nil {
+			failed = fmt.Errorf("kvstore: scan %s: %w", table, err)
+			return false
+		}
+		for i, rd := range reads {
+			k, v := doubtful[i], judge(rd.obs)
+			switch {
+			case v.down:
+				failed = allDownErr(ctx, "scan", table, k)
+				return false
+			case v.corrupt:
+				failed = fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
+				return false
+			case v.win < 0:
+				continue
+			}
+			s.repair.settle(table, k, rd.obs, v)
+			if !rd.obs[v.win].tomb && !fn(k, rd.payload[v.win]) {
+				stopped = true
+				return false
+			}
+		}
+		doubtful = doubtful[:0]
+		return true
 	}
 	for _, n := range s.nodes {
 		err := n.be.Scan(ctx, table, func(k string, raw []byte) bool {
@@ -292,6 +368,9 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 			}
 		}
 		waiting[n.id] = nil
+		if !reread() {
+			return failed
+		}
 	}
 	return nil
 }

@@ -69,6 +69,11 @@ type verdict struct {
 	// holding another version or unparsable bytes, and those holding nothing
 	// while the winner is a value.
 	losers []int
+	// gap: the winner is a value and a reachable replica holds nothing.
+	// Reads re-read such a key before they serve it (read.go): the replica
+	// may be one whose tombstone a repair collected after delivering it to
+	// the replica that answered the value.
+	gap bool
 	// complete: every replica was reachable and agrees with the winner. Under
 	// a tombstone winner a replica holding nothing agrees in effect — it has
 	// nothing the tombstone protects against — so it neither blocks
@@ -103,6 +108,7 @@ func judge(obs []observation) verdict {
 			v.complete = false
 		default:
 			v.complete = false
+			v.gap = v.gap || o.state == obsAbsent
 			v.losers = append(v.losers, o.node)
 		}
 	}

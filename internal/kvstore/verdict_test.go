@@ -29,11 +29,12 @@ func TestVerdict(t *testing.T) {
 		winner        int // node id; -1 for none
 		losers        []int
 		complete      bool
+		gap           bool
 		down, corrupt bool
 	}{
 		{name: "agreement", obs: []observation{held(0, 5, false), held(1, 5, false)}, winner: 0, complete: true},
 		{name: "stale", obs: []observation{held(0, 5, false), held(1, 9, false), held(2, 9, false)}, winner: 1, losers: []int{0}},
-		{name: "missing", obs: []observation{absent(0), held(1, 5, false)}, winner: 1, losers: []int{0}},
+		{name: "missing", obs: []observation{absent(0), held(1, 5, false)}, winner: 1, losers: []int{0}, gap: true},
 		{name: "value a tombstone deleted", obs: []observation{held(0, 5, false), held(1, 9, true)}, winner: 1, losers: []int{0}},
 		{name: "tombstone vs nothing", obs: []observation{held(0, 5, true), absent(1), absent(2)}, winner: 0, complete: true},
 		{name: "tie: tombstone beats value", obs: []observation{held(0, 5, false), held(1, 5, true)}, winner: 1, losers: []int{0}},
@@ -54,9 +55,9 @@ func TestVerdict(t *testing.T) {
 		if v.win >= 0 {
 			winner = tc.obs[v.win].node
 		}
-		if winner != tc.winner || !slices.Equal(v.losers, tc.losers) || v.complete != tc.complete || v.down != tc.down || v.corrupt != tc.corrupt {
-			t.Errorf("%s: judge = winner %d, %+v; want winner %d losers %v complete %v down %v corrupt %v",
-				tc.name, winner, v, tc.winner, tc.losers, tc.complete, tc.down, tc.corrupt)
+		if winner != tc.winner || !slices.Equal(v.losers, tc.losers) || v.complete != tc.complete || v.gap != tc.gap || v.down != tc.down || v.corrupt != tc.corrupt {
+			t.Errorf("%s: judge = winner %d, %+v; want winner %d losers %v complete %v gap %v down %v corrupt %v",
+				tc.name, winner, v, tc.winner, tc.losers, tc.complete, tc.gap, tc.down, tc.corrupt)
 		}
 	}
 }
