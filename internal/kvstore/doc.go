@@ -28,7 +28,8 @@
 //     every key, in one batched request per node, and ask again, in one
 //     more batch, for a key judged a value that a reachable replica answered
 //     absent — a tombstone collected beside the read looks that way
-//     (readJudged; Scan does the same at the end of a node's sweep);
+//     (readJudged; Scan does the same at the end of a node's sweep, in
+//     batches of rereadBatch keys);
 //   - one verdict (verdict.go, judge): the winner, the losers to overwrite and
 //     whether all replicas agree — for reads, Scans (each key judged once
 //     its last replica has answered) and the anti-entropy loop

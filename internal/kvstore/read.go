@@ -66,19 +66,14 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 	}
 	perNode := make(map[int][]int) // serving node → its response sizes
 	for i, rd := range reads {
-		v := verdicts[i]
-		switch {
-		case v.down:
-			return nil, allDownErr(ctx, op, table, keys[i])
-		case v.corrupt:
-			return nil, fmt.Errorf("kvstore: %s %s/%s: %w: no replica holds an LWW envelope", op, table, keys[i], types.ErrCorrupt)
-		case v.win < 0 || rd.obs[v.win].tomb:
-			res.Missing = append(res.Missing, i)
-		default:
-			res.Values[i] = rd.payload[v.win]
+		live, err := s.decide(ctx, op, table, keys[i], rd.obs, verdicts[i])
+		if err != nil {
+			return nil, err
 		}
-		if v.win >= 0 {
-			s.repair.settle(table, keys[i], rd.obs, v)
+		if live {
+			res.Values[i] = rd.payload[verdicts[i].win]
+		} else {
+			res.Missing = append(res.Missing, i)
 		}
 
 		// The modeled batch time (per-node serial service, client-side
@@ -103,8 +98,8 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 	return res, nil
 }
 
-// readJudged reads keys' replicas (readReplicas) and judges each key's
-// answers. A key judged a value that a reachable replica answered absent
+// readJudged reads keys' replicas and judges each key's answers (readAndJudge).
+// A key judged a value that a reachable replica answered absent
 // (verdict.gap) is read once more, in one batch with every other such key,
 // and judged from the second answers: a converge delivers a tombstone to
 // every loser before it collects it from any replica, so a replica read
@@ -113,29 +108,61 @@ func (s *Store) multiGet(ctx context.Context, op, table string, keys []string) (
 // tombstone or nothing. A key that merely lacks a copy costs a second read
 // of each of its replicas on every read, until read repair writes the copy.
 func (s *Store) readJudged(ctx context.Context, table string, keys []string) ([]keyRead, []verdict, error) {
-	reads, err := s.readReplicas(ctx, table, keys)
+	reads, verdicts, err := s.readAndJudge(ctx, table, keys)
 	if err != nil {
 		return nil, nil, err
 	}
-	verdicts := make([]verdict, len(reads))
 	var again []int
 	var againKeys []string
-	for i, rd := range reads {
-		if verdicts[i] = judge(rd.obs); verdicts[i].gap {
+	for i, v := range verdicts {
+		if v.gap {
 			again, againKeys = append(again, i), append(againKeys, keys[i])
 		}
 	}
 	if len(again) == 0 {
 		return reads, verdicts, nil
 	}
-	second, err := s.readReplicas(ctx, table, againKeys)
+	second, secondVerdicts, err := s.readAndJudge(ctx, table, againKeys)
 	if err != nil {
 		return nil, nil, err
 	}
 	for j, i := range again {
-		reads[i], verdicts[i] = second[j], judge(second[j].obs)
+		reads[i], verdicts[i] = second[j], secondVerdicts[j]
 	}
 	return reads, verdicts, nil
+}
+
+// readAndJudge reads keys' replicas (readReplicas) and judges each key's
+// answers: the first read of readJudged, its second, and the second of
+// Scan's set-aside keys.
+func (s *Store) readAndJudge(ctx context.Context, table string, keys []string) ([]keyRead, []verdict, error) {
+	reads, err := s.readReplicas(ctx, table, keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	verdicts := make([]verdict, len(reads))
+	for i, rd := range reads {
+		verdicts[i] = judge(rd.obs)
+	}
+	return reads, verdicts, nil
+}
+
+// decide is what a read does with a key's verdict, for multiGet and Scan
+// alike: no reachable replica is the all-replicas-down error, and nothing
+// parsable where something answered is corruption. Otherwise a winner is
+// settled (repairer.settle), and decide reports whether it is a value to
+// serve, obs[v.win]'s payload; false means the key is absent or deleted.
+func (s *Store) decide(ctx context.Context, op, table, key string, obs []observation, v verdict) (live bool, err error) {
+	switch {
+	case v.down:
+		return false, allDownErr(ctx, op, table, key)
+	case v.corrupt:
+		return false, fmt.Errorf("kvstore: %s %s/%s: %w: no replica holds an LWW envelope", op, table, key, types.ErrCorrupt)
+	case v.win < 0:
+		return false, nil
+	}
+	s.repair.settle(table, key, obs, v)
+	return !obs[v.win].tomb, nil
 }
 
 // keyRead is what one key's replicas answered: obs[j] is replica j's
@@ -217,6 +244,14 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 	return reads, nil
 }
 
+// rereadBatch caps the keys of one of Scan's second reads. Where a replica
+// was wiped or replaced every key it should hold is set aside, a whole
+// table's worth, and one batch of them all could outgrow a node's reply
+// frame (wire.MaxFrame) and hold every value rf times at once. 128 keys
+// are as many as one round of core's chunk fetches (8 chunks of 16 64-KiB
+// segments), 8 MiB at most.
+const rereadBatch = 128
+
 // Scan visits every live key/value of a table exactly once, in unspecified
 // order, skipping tombstones. Each value fn sees is its own copy, which fn
 // may keep. Backend failures surface as the returned error, and fn may have
@@ -239,9 +274,12 @@ func (s *Store) readReplicas(ctx context.Context, table string, keys []string) (
 // its newest version so far; at ReplicationFactor 1 a key's one replica is
 // also its last, so the sweep streams. A key judged a value that a
 // reachable replica did not report (verdict.gap) is set aside instead, and
-// decided from a second read of its replicas, batched at the end of the
-// node's sweep: that replica may have lost a tombstone to a collection after
-// the value's replica was swept (readJudged).
+// decided from a second read of its replicas at the end of the node's sweep,
+// rereadBatch keys a batch: that replica may have lost a tombstone to a
+// collection after the value's replica was swept (readJudged). The sweep
+// only collects such keys; it cannot re-read them from inside a node's
+// callback, where the in-process engines hold their read lock (a second
+// RLock of the same backend waits behind any writer queued in between).
 func (s *Store) Scan(ctx context.Context, table string, fn func(key string, value []byte) bool) error {
 	rf := s.cfg.ReplicationFactor
 	waiting := make([]map[string]*scanKey, len(s.nodes)) // by the id of the key's last replica
@@ -262,51 +300,45 @@ func (s *Store) Scan(ctx context.Context, table string, fn func(key string, valu
 			}
 		}
 		v := judge(sk.obs)
-		if v.win < 0 {
-			// Some replica reported the key, so none parsed.
-			failed = fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
-			return false
-		}
 		if v.gap {
 			doubtful = append(doubtful, k)
 			return true
 		}
-		s.repair.settle(table, k, sk.obs, v)
-		if !sk.obs[v.win].tomb && !fn(k, sk.value) {
+		// Some replica reported the key, so v.win < 0 is corruption.
+		live, err := s.decide(ctx, "scan", table, k, sk.obs, v)
+		if err != nil {
+			failed = err
+			return false
+		}
+		if live && !fn(k, sk.value) {
 			stopped = true
 		}
 		return !stopped
 	}
 	// reread decides the keys set aside from a second read of their
-	// replicas, and hands the live ones to fn.
+	// replicas, rereadBatch keys a batch, and hands the live ones to fn.
 	reread := func() bool {
-		if len(doubtful) == 0 {
-			return true
-		}
-		reads, err := s.readReplicas(ctx, table, doubtful)
-		if err != nil {
-			failed = fmt.Errorf("kvstore: scan %s: %w", table, err)
-			return false
-		}
-		for i, rd := range reads {
-			k, v := doubtful[i], judge(rd.obs)
-			switch {
-			case v.down:
-				failed = allDownErr(ctx, "scan", table, k)
-				return false
-			case v.corrupt:
-				failed = fmt.Errorf("kvstore: scan %s/%s: %w: no replica holds an LWW envelope", table, k, types.ErrCorrupt)
-				return false
-			case v.win < 0:
-				continue
-			}
-			s.repair.settle(table, k, rd.obs, v)
-			if !rd.obs[v.win].tomb && !fn(k, rd.payload[v.win]) {
-				stopped = true
+		for len(doubtful) > 0 {
+			keys := doubtful[:min(len(doubtful), rereadBatch)]
+			doubtful = doubtful[len(keys):]
+			reads, verdicts, err := s.readAndJudge(ctx, table, keys)
+			if err != nil {
+				failed = fmt.Errorf("kvstore: scan %s: %w", table, err)
 				return false
 			}
+			for i, rd := range reads {
+				live, err := s.decide(ctx, "scan", table, keys[i], rd.obs, verdicts[i])
+				if err != nil {
+					failed = err
+					return false
+				}
+				if live && !fn(keys[i], rd.payload[verdicts[i].win]) {
+					stopped = true
+					return false
+				}
+			}
 		}
-		doubtful = doubtful[:0]
+		doubtful = nil
 		return true
 	}
 	for _, n := range s.nodes {

@@ -485,6 +485,84 @@ func TestScanRepairsEveryDivergentKey(t *testing.T) {
 	}
 }
 
+// TestScanRereadsAWipedReplicaInBatches: a replica wiped of a table answers
+// absent for every key its peer holds, so Scan sets every key aside for a
+// second read (verdict.gap) — in the last node's callback when the wiped
+// replica was swept first, at the end of the sweep when it is the last. The
+// second read asks for rereadBatch keys a batch, not the whole table at once,
+// and still hands every key to fn once and queues its repair.
+func TestScanRereadsAWipedReplicaInBatches(t *testing.T) {
+	const nKeys = 2*rereadBatch + rereadBatch/2
+	for wiped := range 2 {
+		t.Run(fmt.Sprintf("node %d wiped", wiped), func(t *testing.T) {
+			ctx := context.Background()
+			mems := newBackends(2)
+			nodes := []*batchSizes{{Backend: mems[0]}, {Backend: mems[1]}}
+			s, err := Open(ctx, Config{Nodes: 2, ReplicationFactor: 2,
+				NewBackend: func(id int) (engine.Backend, error) { return nodes[id], nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			entries := make([]Entry, nKeys)
+			for i := range entries {
+				entries[i] = Entry{Key: fmt.Sprintf("k%05d", i), Value: []byte("v")}
+			}
+			if err := s.BatchPut(ctx, "t", entries); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if err := mems[wiped].Delete(ctx, "t", e.Key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seen := make(map[string]int)
+			if err := s.Scan(ctx, "t", func(k string, _ []byte) bool { seen[k]++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if seen[e.Key] != 1 {
+					t.Fatalf("Scan handed %s over %d times, want once", e.Key, seen[e.Key])
+				}
+			}
+			// A repair reads one key; the second reads are the batches of more.
+			for id, n := range nodes {
+				var batches []int
+				for _, size := range n.taken() {
+					if size > 1 {
+						batches = append(batches, size)
+					}
+				}
+				if want := []int{rereadBatch, rereadBatch, rereadBatch / 2}; !slices.Equal(batches, want) {
+					t.Fatalf("node %d answered second reads of %v keys, want %v", id, batches, want)
+				}
+			}
+			waitFor(t, "every key written back", func() bool { return s.Stats(ctx).RepairWrites == nKeys })
+		})
+	}
+}
+
+// batchSizes is a node that records how many keys each batched read asks
+// it for.
+type batchSizes struct {
+	engine.Backend
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (b *batchSizes) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
+	b.mu.Lock()
+	b.sizes = append(b.sizes, len(keys))
+	b.mu.Unlock()
+	return b.Backend.MultiGet(ctx, table, keys)
+}
+
+func (b *batchSizes) taken() []int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return slices.Clone(b.sizes)
+}
+
 // keepOpen lets one in-memory backend outlive a Store.Close, simulating a
 // durable backend reopened by the next cluster client.
 type keepOpen struct{ engine.Backend }
