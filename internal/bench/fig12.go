@@ -89,10 +89,3 @@ func RunFig12(opts Options) ([]*Table, error) {
 	}
 	return tables, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -91,6 +91,43 @@ func (c *copyChain) chain(parent types.VersionID, n, rewrite int) types.VersionI
 	return parent
 }
 
+// readd commits a merge of tip and other that re-adds one of other's placed
+// records tip does not hold — a copied one where there is one — in place of
+// tip's record of its key, and returns the merge.
+func (c *copyChain) readd(tip, other types.VersionID) types.VersionID {
+	c.t.Helper()
+	var pick types.Record
+	for _, k := range slices.Sorted(maps.Keys(c.states[other])) {
+		r := c.states[other][k]
+		if r.CK == c.states[tip][k].CK {
+			continue
+		}
+		rec, _ := c.st.corpus.IDForCK(r.CK)
+		copied := len(c.st.layout.Older(rec)) > 0
+		if pick.CK.Key == "" || copied {
+			pick = r
+		}
+		if copied {
+			break
+		}
+	}
+	if pick.CK.Key == "" {
+		c.t.Fatalf("version %d holds every record of version %d", tip, other)
+	}
+	delta := &types.Delta{Adds: []types.Record{pick}}
+	if old, ok := c.states[tip][pick.CK.Key]; ok {
+		delta.Dels = []types.CompositeKey{old.CK}
+	}
+	v, err := c.st.CommitDelta(context.Background(), []types.VersionID{tip, other}, delta)
+	if err != nil || int(v) != len(c.states) {
+		c.t.Fatalf("merge %d: %d, %v", len(c.states), v, err)
+	}
+	state := maps.Clone(c.states[tip])
+	state[pick.CK.Key] = pick
+	c.states = append(c.states, state)
+	return v
+}
+
 // copiedRecords returns the records of st a flush copied forward, ascending
 // by id.
 func copiedRecords(st *Store) []uint32 {
@@ -461,7 +498,7 @@ func TestCopyForwardCrashAndRepartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		tip = c.chain(tip, 8, 60)
-		if len(st.copyForward(st.pending())) > 0 {
+		if _, live := st.frontier(st.pending(), newRecords(st)); len(st.copyForward(live)) > 0 {
 			break
 		}
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rstore/internal/chunk"
@@ -296,4 +298,200 @@ func TestOnlineFrontierPlacement(t *testing.T) {
 			t.Fatalf("a batch of five small records, four of them closed, made %d chunks", got)
 		}
 	})
+}
+
+// newRecords returns, ascending, the records the pending versions add that
+// have no chunk yet: the new records of the batch a flush would place.
+func newRecords(st *Store) []uint32 {
+	var out []uint32
+	for _, v := range st.pending() {
+		for _, rec := range st.corpus.Adds(v) {
+			if st.layout.Loc(rec).Chunk == chunk.NoChunk {
+				out = append(out, rec)
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestFrontierMatchesReplay checks frontier against a brute-force replay of
+// every pending leaf's records from its subtree root's parent: the parent's
+// records at the slots its bitmaps hold, then each delta on the path down,
+// a placed record re-added at the copy the parent holds or else the newest.
+// A new record a leaf holds is open; a placed one is live at its slot. The
+// batches branch at random over placed history that holds copies: a main
+// chain that decays old chunks until flushes copy their last records
+// forward, side branches off older placed versions (some of which hold a
+// copied record at its older copy), a new record deleted on one branch and
+// alive on another, and a merge that re-adds a placed record. The first
+// batch holds the root, a subtree without a placed parent.
+func TestFrontierMatchesReplay(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 3; seed++ {
+		st, err := Open(ctx, Config{ChunkCapacity: copyCapacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newCopyChain(t, st, seed, 1000)
+		rng := c.rng
+		c.chain(0, 2, 40)
+		c.chain(0, 1, 40)
+		var seen frontierCases
+		checkFrontier(t, st, &seen)
+		tip := types.VersionID(1)
+		// The chain decays the root's chunks until a flush copies their last
+		// records forward; six rounds after the first copy, side branches
+		// grow off older placed versions too.
+		for round, after := 0, 0; after < 6; round++ {
+			if round == 40 {
+				t.Fatalf("seed %d: no flush of %d copied a record forward", seed, round)
+			}
+			if err := st.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			first := types.VersionID(st.graph.NumVersions())
+			tip = c.chain(tip, 4, 150)
+			if st.layout.Copied() > 0 {
+				after++
+				for side := 0; side < 2; side++ {
+					c.chain(types.VersionID(rng.Intn(int(first))), 1+rng.Intn(2), 30)
+				}
+			}
+			// A new record of a pending version deleted by one child and kept
+			// alive by another.
+			pv := first + types.VersionID(rng.Intn(len(c.states)-int(first)))
+			var gone types.Key
+			for _, k := range slices.Sorted(maps.Keys(c.states[pv])) {
+				if c.states[pv][k].CK.Version >= first {
+					gone = k
+					break
+				}
+			}
+			c.commit([]types.VersionID{pv}, Change{Deletes: []types.Key{gone}})
+			c.chain(pv, 1, 5)
+			// A merge of the tip and a placed version that re-adds one of the
+			// placed version's records the tip does not hold, a copied one
+			// where there is one.
+			c.readd(tip, types.VersionID(rng.Intn(int(first))))
+			checkFrontier(t, st, &seen)
+		}
+		if seen.readds == 0 || seen.copied == 0 || seen.olderCopy == 0 || seen.deletedOpen == 0 {
+			t.Fatalf("seed %d: the batches exercise too little: %+v", seed, seen)
+		}
+		t.Logf("seed %d: %d versions, %d copied records, %+v", seed, len(c.states), st.layout.Copied(), seen)
+	}
+}
+
+// frontierCases counts what checkFrontier saw.
+type frontierCases struct {
+	readds      int // placed records a pending delta adds
+	copied      int // live slots of records a flush copied forward
+	olderCopy   int // live slots at a copy older than the record's newest
+	deletedOpen int // open records some pending delta deletes
+}
+
+// checkFrontier compares st.frontier over st's pending versions with a
+// replay of each pending leaf (TestFrontierMatchesReplay), and counts in seen
+// the cases the batch holds.
+func checkFrontier(t *testing.T, st *Store, seen *frontierCases) {
+	t.Helper()
+	pending := st.pending()
+	newIDs := newRecords(st)
+	open, live := st.frontier(pending, newIDs)
+
+	wantOpen := map[uint32]bool{}
+	wantLive := map[chunk.Loc]bool{}
+	deleted := map[uint32]bool{}
+	for _, v := range pending {
+		for _, rec := range st.corpus.Dels(v) {
+			deleted[rec] = true
+		}
+		for _, rec := range st.corpus.Adds(v) {
+			if st.layout.Loc(rec).Chunk != chunk.NoChunk {
+				seen.readds++
+			}
+		}
+		if len(st.graph.Children(v)) > 0 {
+			continue // not a leaf
+		}
+		path := []types.VersionID{v} // the leaf, up to its subtree's root
+		for p := st.graph.Parent(v); p != types.InvalidVersion && p >= pending[0]; p = st.graph.Parent(p) {
+			path = append(path, p)
+		}
+		parent := st.graph.Parent(path[len(path)-1])
+		held := map[uint32]chunk.Loc{} // the parent's records, at the copies it holds
+		if parent != types.InvalidVersion {
+			for cid := chunk.ID(0); int(cid) < st.layout.NumChunks(); cid++ {
+				if bits := st.layout.Map(cid).SlotsOf(parent); bits != nil {
+					bits.ForEach(func(slot uint32) bool {
+						held[st.layout.Records(cid)[slot]] = chunk.Loc{Chunk: cid, Slot: slot}
+						return true
+					})
+				}
+			}
+		}
+		state := maps.Clone(held)
+		for _, w := range slices.Backward(path) {
+			for _, rec := range st.corpus.Dels(w) {
+				delete(state, rec)
+			}
+			for _, rec := range st.corpus.Adds(w) {
+				loc, ok := held[rec]
+				if !ok {
+					loc = st.layout.Loc(rec)
+				}
+				if loc.Chunk == chunk.NoChunk || parent != types.InvalidVersion {
+					state[rec] = loc
+				}
+			}
+		}
+		for rec, loc := range state {
+			if loc.Chunk == chunk.NoChunk {
+				wantOpen[rec] = true
+			} else {
+				wantLive[loc] = true
+			}
+		}
+	}
+
+	var gotOpen []uint32
+	open.ForEach(func(i uint32) bool {
+		gotOpen = append(gotOpen, newIDs[0]+i)
+		return true
+	})
+	if want := slices.Sorted(maps.Keys(wantOpen)); !slices.Equal(gotOpen, want) {
+		t.Fatalf("pending %d..%d: open records %v, the replay says %v", pending[0], pending[len(pending)-1], gotOpen, want)
+	}
+	for rec := range wantOpen {
+		if deleted[rec] {
+			seen.deletedOpen++
+		}
+	}
+	if len(live) != st.layout.NumChunks() {
+		t.Fatalf("live over %d chunks, the store has %d", len(live), st.layout.NumChunks())
+	}
+	for cid, bits := range live {
+		var got, want []uint32
+		if bits != nil {
+			got = bits.Slice()
+		}
+		for slot := uint32(0); int(slot) < st.layout.Map(chunk.ID(cid)).NumSlots; slot++ {
+			loc := chunk.Loc{Chunk: chunk.ID(cid), Slot: slot}
+			if !wantLive[loc] {
+				continue
+			}
+			want = append(want, slot)
+			rec := st.layout.Records(loc.Chunk)[slot]
+			if len(st.layout.Older(rec)) > 0 {
+				seen.copied++
+			}
+			if st.layout.Loc(rec) != loc {
+				seen.olderCopy++
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("pending %d..%d: chunk %d's live slots %v, the replay says %v", pending[0], pending[len(pending)-1], cid, got, want)
+		}
+	}
 }

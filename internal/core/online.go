@@ -40,6 +40,11 @@ import (
 // instead of all of them. A batch that fits one chunk stays one instance
 // and one chunk.
 //
+// Both rules rest on one fact, what the batch's pending leaves hold, and one
+// walk over the pending subtrees learns it (frontier): which new records are
+// open, and which slots of each placed chunk are alive at a leaf, the
+// candidates copied forward.
+//
 // What a flush persists is what the batch adds, whatever the store already
 // holds: each new chunk's payload, written once and never again, then one
 // placement record (the batch's graph edges and slot bitmaps), then the root.
@@ -85,87 +90,115 @@ func (s *Store) flush(ctx context.Context) error {
 	slices.Sort(newIDs)
 	newIDs = slices.Compact(newIDs)
 
-	items := chunk.RecordItems(s.corpus, newIDs)
+	// The copies follow the new records and are ranked with them once: Code
+	// orders a chunk's slots by rank, and ranks over the union order each
+	// group as ranks over the group alone would.
+	open, live := s.frontier(pending, newIDs)
+	copies := s.copyForward(live)
+	items := chunk.RecordItems(s.corpus, slices.Concat(newIDs, copies))
 	chunk.RankItems(s.corpus, items)
+	fresh, copied := items[:len(newIDs)], items[len(newIDs):]
 	size := 0
-	for i := range items {
-		size += items[i].PackedSize()
+	for i := range fresh {
+		size += fresh[i].PackedSize()
 	}
 
 	// A batch that fits one chunk is one instance and one chunk. A larger
 	// one is split at the frontier: the open records, which every later
 	// version may read, are chunked apart from the closed ones, which only
 	// the batch's own versions read — open chunks first. The records copied
-	// forward are open: they join the first group, ranked with it.
+	// forward are open: they join the first group, after its new records,
+	// which stay in record-id order in both groups.
 	groups := [][]chunk.Item{items}
 	if size > s.cfg.ChunkCapacity {
-		opened, closed := s.splitAtFrontier(pending, items)
-		groups = [][]chunk.Item{opened, closed}
-	}
-	copies := s.copyForward(pending)
-	if len(copies) > 0 {
-		groups[0] = append(groups[0], chunk.RecordItems(s.corpus, copies)...)
-		chunk.RankItems(s.corpus, groups[0])
-	}
-	var ins []*partition.Input // stays empty: a batch that adds and copies no record adds no chunk
-	for _, group := range groups {
-		if len(group) == 0 {
-			continue
+		var opened, closed []chunk.Item
+		for _, it := range fresh {
+			if open.Contains(it.Members[0] - newIDs[0]) {
+				opened = append(opened, it)
+			} else {
+				closed = append(closed, it)
+			}
 		}
-		in, err := s.batchInstance(pending, group, copies)
-		if err != nil {
-			return err
-		}
-		ins = append(ins, in)
+		groups = [][]chunk.Item{append(opened, copied...), closed}
+	}
+	ins, err := s.batchInstances(pending, groups, copies)
+	if err != nil {
+		return err
 	}
 	return s.place(ctx, ins, placement{op: "flush", corpus: s.corpus, keys: s.sortedKeys, layout: s.layout, gen: s.gen, first: pending[0]})
 }
 
-// splitAtFrontier classifies the batch's new records (items: one per
-// record, ascending record id, not empty) by one parents-first walk over
-// the pending subtrees: a record is open when some pending leaf — a pending
-// version without a child — still contains it, so its run of versions
-// continues into whatever is committed next; it is closed when every path of
-// the batch supersedes or deletes it. A record deleted on one branch and
-// alive at the tip of another is open. Both halves keep record-id order.
-func (s *Store) splitAtFrontier(pending []types.VersionID, items []chunk.Item) (opened, closed []chunk.Item) {
-	// Bitsets over the batch's record-id range, which is dense: ids are
-	// handed out at commit.
-	base := items[0].Members[0]
-	n := int(items[len(items)-1].Members[0]-base) + 1
-	live, open := bitset.New(n), bitset.New(n)
-	// set marks the new records among recs alive or dead. Every unplaced
-	// record a pending delta names is one of items: no placed version holds
-	// it, so a pending one added it.
-	set := func(recs []uint32, alive bool) {
-		for _, rec := range recs {
-			if s.layout.Loc(rec).Chunk != chunk.NoChunk {
-				continue // placed by an earlier batch
+// frontier walks each pending subtree once, parents first, and returns what
+// the batch's leaves — pending versions without a child — hold. open is over
+// the batch's new records (newIDs, ascending; bit i is record newIDs[0]+i, a
+// dense range, as ids are handed out at commit): those some leaf holds, the
+// open records of Flush (one deleted on one branch and alive at the tip of
+// another is open). live is, per placed chunk, the slots some leaf holds:
+// what the placed parent of the leaf's subtree holds, as its bitmaps say,
+// less the placed records the path deletes and plus those it re-adds, each at
+// the copy the parent holds or else the newest. A subtree without a placed
+// parent tracks new records only.
+func (s *Store) frontier(pending []types.VersionID, newIDs []uint32) (open *bitset.BitSet, live []*bitset.BitSet) {
+	base, n := uint32(0), 0
+	if len(newIDs) > 0 {
+		base, n = newIDs[0], int(newIDs[len(newIDs)-1]-newIDs[0])+1
+	}
+	open, fresh := bitset.New(n), bitset.New(n) // fresh: the new records the walk's version holds
+	live = make([]*bitset.BitSet, s.layout.NumChunks())
+	for _, root := range pending {
+		parent := s.graph.Parent(root)
+		if parent != types.InvalidVersion && parent >= pending[0] {
+			continue // not the root of a pending subtree
+		}
+		// held is parent's bitmap in each chunk, and at what the walk's
+		// version holds there; both stay nil without a placed parent.
+		var held, at []*bitset.BitSet
+		if parent != types.InvalidVersion {
+			held, at = make([]*bitset.BitSet, len(live)), make([]*bitset.BitSet, len(live))
+			for _, cid := range s.layout.VersionChunks(parent) {
+				held[cid] = s.layout.Map(cid).SlotsOf(parent)
+				at[cid] = held[cid].Clone()
 			}
-			if alive {
-				live.Set(rec - base)
-			} else {
-				live.Clear(rec - base)
+		}
+		s.walkLeaves(root, func(recs []uint32, alive bool) {
+			for _, rec := range recs {
+				// Every unplaced record a pending delta names is one of
+				// newIDs: no placed version holds it, so a pending one added it.
+				bits, i := fresh, rec-base
+				if loc := s.layout.Loc(rec); loc.Chunk != chunk.NoChunk {
+					if at == nil {
+						continue // no placed parent: new records only
+					}
+					if held[loc.Chunk] == nil || !held[loc.Chunk].Contains(loc.Slot) {
+						if old, ok := s.layout.Held(rec, parent); ok {
+							loc = old
+						}
+					}
+					if at[loc.Chunk] == nil {
+						at[loc.Chunk] = bitset.New(s.layout.Map(loc.Chunk).NumSlots)
+					}
+					bits, i = at[loc.Chunk], loc.Slot
+				}
+				if alive {
+					bits.Set(i)
+				} else {
+					bits.Clear(i)
+				}
 			}
-		}
+		}, func() {
+			open.Or(fresh)
+			for cid, bits := range at {
+				if bits == nil {
+					continue
+				}
+				if live[cid] == nil {
+					live[cid] = bitset.New(s.layout.Map(chunk.ID(cid)).NumSlots)
+				}
+				live[cid].Or(bits)
+			}
+		})
 	}
-	for _, v := range pending {
-		if p := s.graph.Parent(v); p == types.InvalidVersion || p < pending[0] {
-			s.walkLeaves(v, set, func() { open.Or(live) }) // the root of a pending subtree
-		}
-	}
-
-	nOpen := open.Count()
-	opened = make([]chunk.Item, 0, nOpen)
-	closed = make([]chunk.Item, 0, len(items)-nOpen)
-	for _, it := range items {
-		if open.Contains(it.Members[0] - base) {
-			opened = append(opened, it)
-		} else {
-			closed = append(closed, it)
-		}
-	}
-	return opened, closed
+	return open, live
 }
 
 // copyForwardShare bounds what a flush copies forward (Flush): the records
@@ -181,18 +214,10 @@ func (s *Store) splitAtFrontier(pending []types.VersionID, items []chunk.Item) (
 const copyForwardShare = 128
 
 // copyForward returns, ascending, the placed records a flush copies forward:
-// per placed chunk, the records some pending leaf holds there, when they
-// pack into more than nothing and at most 1/copyForwardShare of the chunk's
-// packed bytes and of ChunkCapacity. What a leaf holds is what the placed
-// parent of its pending subtree holds, as the parent's bitmaps say, less and
-// plus what the deltas on the path delete and add.
-func (s *Store) copyForward(pending []types.VersionID) []uint32 {
-	live := make([]*bitset.BitSet, s.layout.NumChunks()) // per placed chunk, the slots some pending leaf holds
-	for _, v := range pending {
-		if p := s.graph.Parent(v); p != types.InvalidVersion && p < pending[0] {
-			s.leafSlots(v, p, live) // the root of a pending subtree
-		}
-	}
+// per placed chunk, the slots live (frontier's) says some pending leaf holds
+// there, when their records pack into more than nothing and at most
+// 1/copyForwardShare of the chunk's packed bytes and of ChunkCapacity.
+func (s *Store) copyForward(live []*bitset.BitSet) []uint32 {
 	ceiling := s.cfg.ChunkCapacity / copyForwardShare
 	var out []uint32
 	for cid, slots := range live {
@@ -225,52 +250,6 @@ func (s *Store) packedBytes(recs []uint32) int {
 	return n
 }
 
-// leafSlots adds to live, per placed chunk, the slots some leaf of the
-// pending subtree rooted at root holds: what parent, root's tree parent,
-// holds, less the placed records the subtree deletes on the way to the leaf
-// and plus those it re-adds — each at the copy parent holds, or else the
-// newest.
-func (s *Store) leafSlots(root, parent types.VersionID, live []*bitset.BitSet) {
-	// held is parent's bitmap in each chunk, and at what the version the walk
-	// is at holds there.
-	held, at := make([]*bitset.BitSet, s.layout.NumChunks()), make([]*bitset.BitSet, s.layout.NumChunks())
-	for _, cid := range s.layout.VersionChunks(parent) {
-		held[cid] = s.layout.Map(cid).SlotsOf(parent)
-		at[cid] = held[cid].Clone()
-	}
-	s.walkLeaves(root, func(recs []uint32, alive bool) {
-		for _, rec := range recs {
-			loc := s.layout.Loc(rec)
-			if loc.Chunk == chunk.NoChunk {
-				continue // a record of the batch
-			}
-			if held[loc.Chunk] == nil || !held[loc.Chunk].Contains(loc.Slot) {
-				if old, ok := s.layout.Held(rec, parent); ok {
-					loc = old
-				}
-			}
-			if at[loc.Chunk] == nil {
-				at[loc.Chunk] = bitset.New(s.layout.Map(loc.Chunk).NumSlots)
-			}
-			if alive {
-				at[loc.Chunk].Set(loc.Slot)
-			} else {
-				at[loc.Chunk].Clear(loc.Slot)
-			}
-		}
-	}, func() {
-		for cid, bits := range at {
-			if bits == nil {
-				continue
-			}
-			if live[cid] == nil {
-				live[cid] = bitset.New(s.layout.Map(chunk.ID(cid)).NumSlots)
-			}
-			live[cid].Or(bits)
-		}
-	})
-}
-
 // walkLeaves walks the pending subtree rooted at v parents first: on the
 // way down to a version it calls set with the records the version deletes,
 // dead, then with those it adds, alive; at a pending leaf, leaf; on the way
@@ -289,45 +268,51 @@ func (s *Store) walkLeaves(v types.VersionID, set func(recs []uint32, alive bool
 	set(s.corpus.Dels(v), true)
 }
 
-// batchInstance builds a partitioning instance over items, single-record
-// items of the batch: a virtual root stands in for the already-partitioned
-// store, holding the records copied forward (copies) that are among the
-// items, with the pending versions hanging off it in commit order and their
-// deltas projected onto the items' records.
-func (s *Store) batchInstance(pending []types.VersionID, items []chunk.Item, copies []uint32) (*partition.Input, error) {
-	itemIdx := make(map[uint32]uint32, len(items))
-	for i, it := range items {
-		itemIdx[it.Members[0]] = uint32(i)
-	}
-
+// batchInstances builds a partitioning instance over each non-empty group of
+// single-record items of the batch — none for a batch that adds and copies no
+// record, which adds no chunk. The instances share one graph: a virtual root
+// stands in for the already-partitioned store, with the pending versions
+// hanging off it in commit order. Each instance holds at the virtual root the
+// records copied forward (copies) among its items, and projects the pending
+// deltas onto its items' records.
+func (s *Store) batchInstances(pending []types.VersionID, groups [][]chunk.Item, copies []uint32) ([]*partition.Input, error) {
 	g := vgraph.New()
 	if _, err := g.AddRoot(); err != nil {
 		return nil, err
 	}
-	mapped := make(map[types.VersionID]types.VersionID, len(pending))
-	adds := [][]uint32{filterMapIDs(copies, itemIdx)} // virtual root: the copies
-	dels := [][]uint32{nil}
 	for _, v := range pending {
-		parent := s.graph.Parent(v)
-		tp := types.VersionID(0)
-		if mp, ok := mapped[parent]; ok {
-			tp = mp
+		tp := types.VersionID(0) // the virtual root, under the root of a pending subtree
+		if p := s.graph.Parent(v); p != types.InvalidVersion && p >= pending[0] {
+			tp = p - pending[0] + 1
 		}
-		nv, err := g.AddVersion(tp)
-		if err != nil {
+		if _, err := g.AddVersion(tp); err != nil {
 			return nil, err
 		}
-		mapped[v] = nv
-		adds = append(adds, filterMapIDs(s.corpus.Adds(v), itemIdx))
-		dels = append(dels, filterMapIDs(s.corpus.Dels(v), itemIdx))
 	}
-	return &partition.Input{
-		Graph:    g,
-		Items:    items,
-		Adds:     adds,
-		Dels:     dels,
-		Capacity: s.cfg.ChunkCapacity,
-	}, nil
+	var ins []*partition.Input
+	for _, items := range groups {
+		if len(items) == 0 {
+			continue
+		}
+		itemIdx := make(map[uint32]uint32, len(items))
+		for i, it := range items {
+			itemIdx[it.Members[0]] = uint32(i)
+		}
+		adds := [][]uint32{filterMapIDs(copies, itemIdx)} // virtual root: the copies
+		dels := [][]uint32{nil}
+		for _, v := range pending {
+			adds = append(adds, filterMapIDs(s.corpus.Adds(v), itemIdx))
+			dels = append(dels, filterMapIDs(s.corpus.Dels(v), itemIdx))
+		}
+		ins = append(ins, &partition.Input{
+			Graph:    g,
+			Items:    items,
+			Adds:     adds,
+			Dels:     dels,
+			Capacity: s.cfg.ChunkCapacity,
+		})
+	}
+	return ins, nil
 }
 
 // filterMapIDs projects record ids into an instance's item space, ascending,

@@ -72,8 +72,8 @@ func BenchmarkMultiGet(b *testing.B) {
 type callCount struct{ get, put, del atomic.Int64 }
 
 // countingNode is a node that counts its Get, Put and Delete calls on table
-// "t" and makes each of those and every BatchPut take delay first: the
-// round trip of a remote engine.
+// "t", and a get a key of its MultiGets there, and makes each call take delay
+// first: the round trip of a remote engine, which a batch pays once.
 type countingNode struct {
 	engine.Backend
 	calls *callCount
@@ -92,9 +92,13 @@ func (n countingNode) Get(ctx context.Context, table, key string) ([]byte, bool,
 	return n.Backend.Get(ctx, table, key)
 }
 
-// MultiGet reads a batch through Get: one count and one delay a key.
+// MultiGet counts a get a key and takes delay once for the batch.
 func (n countingNode) MultiGet(ctx context.Context, table string, keys []string) ([][]byte, []bool, error) {
-	return engine.GetEach(ctx, n, table, keys)
+	if table == "t" {
+		n.calls.get.Add(int64(len(keys)))
+	}
+	time.Sleep(n.delay)
+	return n.Backend.MultiGet(ctx, table, keys)
 }
 
 func (n countingNode) Put(ctx context.Context, table, key string, value []byte) error {
